@@ -344,11 +344,12 @@ restart:
 			// A_{If,:} sh needs sh at all columns: survivors provide their
 			// entries, replacements exchange their reconstructed blocks
 			// among each other, and the own-block part is local.
-			ghost, err := core.GatherGhost(st.e, st.a, st.sh.Local, failed, failedList, tagSHGhost)
+			ghosts, err := core.GatherGhost(st.e, st.a, [][]float64{st.sh.Local}, failed, failedList, tagSHGhost)
 			if err != nil {
 				return rec, err
 			}
 			if amFailed {
+				ghost := ghosts[0]
 				if err := exchangeAmongFailed(st.e, st.a, st.sh.Local, failed, failedList, ghost); err != nil {
 					return rec, err
 				}
@@ -373,7 +374,7 @@ restart:
 				}
 				continue
 			}
-			ghost, err := core.GatherGhost(st.e, st.a, st.x.Local, failed, failedList, tagXGhost)
+			ghosts, err := core.GatherGhost(st.e, st.a, [][]float64{st.x.Local}, failed, failedList, tagXGhost)
 			if err != nil {
 				return rec, err
 			}
@@ -381,14 +382,14 @@ restart:
 				w := append([]float64(nil), st.b.Local...)
 				vec.Axpy(-1, st.r.Local, w)
 				neg := make([]float64, len(w))
-				st.a.GhostProduct(neg, ghost)
+				st.a.GhostProduct(neg, ghosts[0])
 				vec.Axpy(-1, neg, w)
-				iters, err := core.SubsystemSolve(st.e, st.a, failedList, w, st.x.Local, ctxSubA,
+				iters, err := core.SubsystemSolve(st.e, st.a, failedList, [][]float64{w}, [][]float64{st.x.Local}, ctxSubA,
 					st.opts.LocalTol, st.opts.LocalMaxIter)
 				if err != nil {
 					return rec, err
 				}
-				subIters += iters
+				subIters += iters[0]
 			}
 		case phaseFinalize:
 			iters, err := st.e.Grp.AllreduceScalar(cluster.OpMax, float64(subIters))

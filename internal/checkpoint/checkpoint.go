@@ -159,9 +159,9 @@ func (s *Strategy) Overhead(st *core.SolverState, j int) error {
 		return nil
 	}
 	s.store.save(st.E.Pos, st.E.Size(), j, snapshot{
-		x: vec.Clone(st.X.Local), r: vec.Clone(st.R.Local),
-		z: vec.Clone(st.Z.Local), p: vec.Clone(st.P.Local),
-		scalars: [4]float64{st.R0, st.RZ, st.Beta, 0},
+		x: vec.Clone(st.X[0].Local), r: vec.Clone(st.R[0].Local),
+		z: vec.Clone(st.Z[0].Local), p: vec.Clone(st.P[0].Local),
+		scalars: [4]float64{st.R0[0], st.RZ[0], st.Beta[0], 0},
 	})
 	// Coordinated checkpointing: no rank proceeds until the checkpoint is
 	// complete, so every rank sees the same rollback target (this
@@ -187,13 +187,13 @@ rollback:
 	if !ok {
 		return 0, rec, fmt.Errorf("checkpoint: no checkpoint to roll back to")
 	}
-	copy(st.X.Local, snap.x)
-	copy(st.R.Local, snap.r)
-	copy(st.Z.Local, snap.z)
-	copy(st.P.Local, snap.p)
-	st.R0 = snap.scalars[0]
-	st.RZ = snap.scalars[1]
-	st.Beta = snap.scalars[2]
+	copy(st.X[0].Local, snap.x)
+	copy(st.R[0].Local, snap.r)
+	copy(st.Z[0].Local, snap.z)
+	copy(st.P[0].Local, snap.p)
+	st.R0[0] = snap.scalars[0]
+	st.RZ[0] = snap.scalars[1]
+	st.Beta[0] = snap.scalars[2]
 	resume = iter
 	if err := st.E.Grp.Barrier(); err != nil {
 		return 0, rec, err

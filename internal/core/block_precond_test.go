@@ -1,12 +1,14 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"sync"
 	"testing"
 
 	"repro/internal/cluster"
 	"repro/internal/distmat"
+	"repro/internal/faults"
 	"repro/internal/matgen"
 	"repro/internal/partition"
 	"repro/internal/sparse"
@@ -114,7 +116,7 @@ func TestBlockExplicitInversePrecondBitwise(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		res, colErrs, err := BlockESRPCG(e, m, xs, bs, pr, Options{Tol: 1e-9}, nil)
+		res, colErrs, err := SolveBlock(e, m, xs, bs, pr, Options{Tol: 1e-9}, nil, nil)
 		if err != nil {
 			return err
 		}
@@ -151,6 +153,33 @@ func TestBlockExplicitInversePrecondBitwise(t *testing.T) {
 		}
 		if d := vec.MaxAbsDiff(blockedX[c], solo[c]); d != 0 {
 			t.Fatalf("column %d differs by %g", c, d)
+		}
+	}
+}
+
+// TestBlockExplicitInverseRecoveryBitwise: the episode reconstructs an
+// explicit-inverse preconditioner's residual side (Alg. 2 lines 5-6) at any
+// width, not only solo — a blocked explicit-inverse solve that hits a
+// failure used to abort with "does not support blocked reconstruction".
+// Every column of the k = 3 block must equal its solo ESRPCG run through two
+// simultaneous failures, episode for episode.
+func TestBlockExplicitInverseRecoveryBitwise(t *testing.T) {
+	a := matgen.Poisson2D(12, 10)
+	const ranks, phi, k = 6, 2, 3
+	rhs := make([][]float64, k)
+	for c := range rhs {
+		rhs[c] = testColumn(a.Rows, c)
+	}
+	mk := explicitInvFactory(tridiagInverse(a.Rows))
+	sched := faults.NewSchedule(faults.Simultaneous(4, 2, 3))
+	opts := Options{Tol: 1e-9}
+	block := solveColumns(t, a, ranks, phi, rhs, mk, opts, sched)
+	for c := range rhs {
+		solo := solveColumns(t, a, ranks, phi, rhs[c:c+1], mk, opts, sched)
+		requireSameColumn(t, fmt.Sprintf("column %d", c), block[c], solo[0])
+		recs := solo[0].res.Reconstructions
+		if len(recs) != 1 || len(recs[0].FailedRanks) != 2 || recs[0].SubIterations == 0 {
+			t.Fatalf("column %d: episodes %+v, want one over 2 ranks with subsystem iterations", c, recs)
 		}
 	}
 }

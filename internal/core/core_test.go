@@ -563,3 +563,74 @@ func TestESRNeedsResilientMatrixForSchedule(t *testing.T) {
 		t.Fatal("expected error for phi=0 with failures scheduled")
 	}
 }
+
+// referencePCG is the test oracle for the driver: the straight-line Alg. 1
+// body that was the reference solver before PCG became the driver's k = 1
+// case — no strategy, no poll points, no tracer, scalar allreduces. It also
+// returns the residual trajectory ||r(1)||, ||r(2)||, ... so the driver's
+// progress and trace events can be held to it.
+func referencePCG(e *distmat.Env, a *distmat.Matrix, x, b distmat.Vector, m Precond, tol float64) (Result, []float64, error) {
+	r := distmat.NewVector(a.P, e.Pos)
+	z := distmat.NewVector(a.P, e.Pos)
+	p := distmat.NewVector(a.P, e.Pos)
+	u := distmat.NewVector(a.P, e.Pos)
+	if err := a.Residual(e, r, b, x, -1); err != nil {
+		return Result{}, nil, err
+	}
+	if err := m.Apply(e, z, r); err != nil {
+		return Result{}, nil, err
+	}
+	vec.Copy(p.Local, z.Local)
+	norms, err := e.Grp.Allreduce(cluster.OpSum, []float64{vec.ParNrm2SqN(r.Local, 0), vec.ParDotN(r.Local, z.Local, 0)})
+	if err != nil {
+		return Result{}, nil, err
+	}
+	r0, rz := math.Sqrt(norms[0]), norms[1]
+	res := Result{InitialResidual: r0, FinalResidual: r0}
+	var history []float64
+	for j := 0; j < 10*a.P.N(); j++ {
+		if err := a.MatVec(e, u, p, j); err != nil {
+			return res, history, err
+		}
+		pu, err := distmat.Dot(e, p, u)
+		if err != nil {
+			return res, history, err
+		}
+		if !(pu > 0) {
+			return res, history, fmt.Errorf("reference PCG breakdown at iteration %d", j)
+		}
+		alpha := rz / pu
+		vec.ParAxpyAxpy(alpha, p.Local, x.Local, -alpha, u.Local, r.Local, 0)
+		if err := m.Apply(e, z, r); err != nil {
+			return res, history, err
+		}
+		norms, err := e.Grp.Allreduce(cluster.OpSum, []float64{vec.ParNrm2SqN(r.Local, 0), vec.ParDotN(r.Local, z.Local, 0)})
+		if err != nil {
+			return res, history, err
+		}
+		rn, rzNew := math.Sqrt(norms[0]), norms[1]
+		res.Iterations = j + 1
+		res.FinalResidual = rn
+		history = append(history, rn)
+		if rn <= tol*r0 {
+			res.Converged = true
+			break
+		}
+		beta := rzNew / rz
+		rz = rzNew
+		vec.Axpby(1, z.Local, beta, p.Local)
+	}
+	t := distmat.NewVector(a.P, e.Pos)
+	if err := a.Residual(e, t, b, x, -1); err != nil {
+		return res, history, err
+	}
+	tn, err := distmat.Norm2(e, t)
+	if err != nil {
+		return res, history, err
+	}
+	res.TrueResidual = tn
+	if tn > 0 {
+		res.Delta = (res.FinalResidual - tn) / tn
+	}
+	return res, history, nil
+}

@@ -1,0 +1,688 @@
+package core
+
+import (
+	"fmt"
+	"math"
+	"time"
+
+	"repro/internal/cluster"
+	"repro/internal/distmat"
+	"repro/internal/faults"
+	"repro/internal/vec"
+)
+
+// PCG runs the reference (non-resilient) preconditioned conjugate gradient
+// method, Alg. 1 of the paper, on the distributed system A x = b. x is the
+// initial guess and receives the solution. m may be nil for plain CG.
+//
+// Every rank calls PCG with its local blocks; the returned Result is
+// identical on all ranks (reductions use a deterministic tree order).
+func PCG(e *distmat.Env, a *distmat.Matrix, x, b distmat.Vector, m Precond, opts Options) (Result, error) {
+	// The reference solver arms nothing: no schedule, no detector, no
+	// episode to join.
+	opts.SDCCheck, opts.Resume = 0, nil
+	return ResilientPCG(e, a, x, b, m, opts, nil, nil)
+}
+
+// ESRPCG runs the resilient preconditioned conjugate gradient with exact
+// state reconstruction (the paper's contribution, Secs. 2-4): the SpMV
+// distributes phi redundant copies of every search-direction block according
+// to Eqns. 5/6, and when ranks fail (per the schedule), the full solver
+// state (x, r, z, p) is reconstructed with Alg. 2 generalised to the union
+// failed index set I_f, after which the iteration resumes.
+//
+// The matrix must be resilience-enabled (built with phi >= 1) whenever the
+// schedule is non-empty.
+func ESRPCG(e *distmat.Env, a *distmat.Matrix, x, b distmat.Vector, m Precond, opts Options, sched *faults.Schedule) (Result, error) {
+	return ResilientPCG(e, a, x, b, m, opts, sched, NewESRStrategy())
+}
+
+// ResilientPCG runs PCG protected by the given recovery strategy (nil
+// selects ESR): the strategy's steady-state overhead work at the top of
+// every iteration and its recovery episode at the paper's post-SpMV failure
+// poll point. The checkpoint/restart baseline (internal/checkpoint), the
+// cold-restart lower bound and the twin scheme plug into the same loop, so
+// all strategies are compared on one code path.
+func ResilientPCG(e *distmat.Env, a *distmat.Matrix, x, b distmat.Vector, m Precond, opts Options, sched *faults.Schedule, strat Strategy) (Result, error) {
+	cols := []distmat.Vector{x, b} // one allocation for both column sets
+	res, colErrs, err := SolveBlock(e, a, cols[:1], cols[1:], m, opts, sched, strat)
+	if res == nil {
+		return Result{}, err
+	}
+	if err == nil {
+		err = colErrs[0]
+	}
+	return res[0], err
+}
+
+// SolveBlock is the PCG driver; the reference solver (PCG), the ESR solver
+// (ESRPCG) and the strategy-protected solver (ResilientPCG) are its k = 1
+// case. It runs the k recurrences of A x[c] = b[c] (Alg. 1) in lockstep off
+// shared SpMM and preconditioner applications, fusing the k dot-products and
+// the k (||r||^2, r'z) pairs into single length-k and length-2k allreduces.
+// Because the group allreduce combines element-wise over a fixed binomial
+// tree, slot c of a fused allreduce is bitwise identical to the allreduce a
+// solo solve performs for column c, and a width-1 SpMM is the SpMV — so every
+// column's trajectory, and its solution, is bitwise identical to a k = 1
+// solve of that column on every transport.
+//
+// Failure semantics follow the paper's experimental methodology (Sec. 6):
+// victims are wiped at deterministic poll points and the same rank slot then
+// executes the strategy's recovery protocol (nil selects ESR). Overlapping
+// failures fire at recovery-phase boundaries and restart the episode with
+// the enlarged failed set (Sec. 4.1; rollback strategies redo the rollback —
+// a cascading rollback).
+//
+// x holds the initial guesses and receives the solutions. A breakdown or
+// divergence of one column freezes only that column and is reported in the
+// per-column errors; the third return is a global error (communication
+// failure, cancellation, unrecoverable data loss, detected corruption) that
+// aborts the whole block. A matrix with retention must have been prepared
+// with SetBlockWidth(k); widths above 1 need a configuration WidthOneOnly
+// accepts.
+func SolveBlock(e *distmat.Env, a *distmat.Matrix, x, b []distmat.Vector, m Precond, opts Options, sched *faults.Schedule, strat Strategy) ([]Result, []error, error) {
+	k := len(b)
+	if k == 0 || len(x) != k {
+		return nil, nil, fmt.Errorf("core: SolveBlock needs matching non-empty column sets (%d vs %d)", len(x), k)
+	}
+	if m == nil {
+		m = IdentityPrecond()
+	}
+	if strat == nil {
+		strat = NewESRStrategy()
+	}
+	opts = opts.withDefaults(a.P.N())
+	if k > 1 {
+		if err := WidthOneOnly(strat.Name(), opts, sched); err != nil {
+			return nil, nil, err
+		}
+	}
+	if err := sched.Validate(e.Size()); err != nil {
+		return nil, nil, err
+	}
+	start := time.Now()
+
+	st := newSolverState(e, a, m, x, b, opts, sched)
+	// Init before any collective (and before the r0 == 0 early return): a
+	// misconfiguration such as an ESR schedule without redundancy must
+	// surface even when the initial guess already solves the system.
+	if err := strat.Init(st); err != nil {
+		return nil, nil, err
+	}
+	d := &driver{st: st, strat: strat, lastFired: -1, lastInjected: -1}
+	// poller is non-nil for strategies that detect and repair silent data
+	// corruption themselves (twin); others rely on the detection-only
+	// SDCCheck drift check.
+	d.poller, _ = strat.(sdcPoller)
+	if opts.SDCCheck > 0 {
+		d.sdcScratch = distmat.NewVector(a.P, e.Pos)
+	}
+	// clock times the iteration phases for the tracer; nil (the common case)
+	// reduces every hook to a pointer test, so the untraced loop never reads
+	// the wall clock mid-iteration.
+	if opts.Tracer != nil {
+		d.clock = &phaseClock{}
+	}
+	d.alpha = make([]float64, k)
+	d.zAct, d.rAct = make([]distmat.Vector, 0, k), make([]distmat.Vector, 0, k)
+
+	if err := d.run(); err != nil {
+		return st.res, st.errs, err
+	}
+	elapsed := time.Since(start)
+	for c := range st.res {
+		st.res[c].SolveTime = elapsed
+	}
+	return st.res, st.errs, nil
+}
+
+// driver is the loop-local bookkeeping of one SolveBlock call.
+type driver struct {
+	st    *SolverState
+	strat Strategy
+	clock *phaseClock
+
+	// lastFired is the latest iteration whose fail-stop event was handled,
+	// so rollback strategies that redo iterations do not re-trigger events
+	// on the replay (the replayed range lies at or below it); lastInjected
+	// plays the same role for corruption events.
+	lastFired, lastInjected int
+	// sdcPending tracks injected-but-undetected corruption iterations for
+	// the detection-latency accounting.
+	sdcPending []int
+	poller     sdcPoller
+	sdcScratch distmat.Vector
+
+	// alpha holds the per-column step lengths, zAct/rAct the still-active
+	// columns handed to the fused preconditioner application.
+	alpha      []float64
+	zAct, rAct []distmat.Vector
+}
+
+// run is the one PCG iteration loop. Each pass is iteration j of Alg. 1 for
+// every active column, with the resilience steps at their poll points:
+//
+//	overhead -> SpMV -> corruption poll -> fail-stop poll -> [recover]
+//	         -> [redo SpMV] -> recurrence step
+func (d *driver) run() error {
+	st, opts := d.st, d.st.Opts
+	j := 0
+	// victims is a fail-stop event awaiting recovery at iteration j.
+	var victims []int
+	if opts.Resume != nil {
+		// A replacement rank joining an episode in progress: its peers are
+		// blocked at iteration Resume.Iteration's recovery collectives, so
+		// running iterations 0..Iteration-1 here would deadlock (and repeat
+		// sends the survivors already consumed). Start from the same wiped
+		// state an in-process victim has and go straight to the recovery —
+		// it rebuilds everything, including the replicated scalars this
+		// rank's Result needs.
+		if d.strat.Name() != StrategyESR {
+			return errResume("the " + d.strat.Name() + " strategy")
+		}
+		if opts.Resume.Iteration < 0 || opts.Resume.Iteration >= opts.MaxIter {
+			return fmt.Errorf("core: Resume iteration %d out of range", opts.Resume.Iteration)
+		}
+		st.Wipe()
+		j, victims = opts.Resume.Iteration, opts.Resume.Victims
+		d.lastFired = j
+	} else {
+		if err := initIteration0(st); err != nil {
+			return err
+		}
+		for c := range st.res {
+			st.res[c] = Result{InitialResidual: st.R0[c], FinalResidual: st.R0[c]}
+			if st.R0[c] == 0 {
+				// The initial guess already solves column c.
+				st.land(c)
+			}
+		}
+		if st.allDone() {
+			return nil
+		}
+	}
+
+	for j < opts.MaxIter && !st.allDone() {
+		// redo marks that iteration j's state was rebuilt (in-place fail-stop
+		// reconstruction or a non-bitwise corruption repair): the SpMV of j
+		// must be redone and r'z recomputed before continuing.
+		redo := false
+		if len(victims) == 0 {
+			if err := opts.poll(); err != nil {
+				return err
+			}
+			// Steady-state protection work (checkpoint saves, twin
+			// snapshots; nothing for ESR — its redundancy rides the SpMV
+			// below — or restart).
+			if err := d.strat.Overhead(st, j); err != nil {
+				return err
+			}
+			for c := range st.res {
+				if !st.done[c] {
+					st.res[c].WorkIterations++
+				}
+			}
+			// u = A p(j): the SpMM that distributes the redundant copies of
+			// p(j) (when the matrix is resilience-enabled) and retains
+			// generation j.
+			if err := d.spmv(j); err != nil {
+				return err
+			}
+			var err error
+			if redo, err = d.pollCorruption(j); err != nil {
+				return err
+			}
+			// Poll point: the paper's failures strike here, after the copies
+			// of p(j) exist on phi other ranks.
+			victims = opts.pollFailStop(st.Sched, &d.lastFired, j)
+		}
+		if len(victims) > 0 {
+			resume, err := d.handleFailure(j, victims)
+			if err != nil {
+				return err
+			}
+			victims = nil
+			if resume >= 0 {
+				// Rollback-style recovery: redo the lost iterations. The
+				// replayed iterations are traced again — the trace reflects
+				// executed work, like Result.WorkIterations.
+				d.clock.reset()
+				j = resume
+				continue
+			}
+			redo = true
+		}
+		if redo {
+			if err := d.redoSpMV(j); err != nil {
+				return err
+			}
+		}
+		if err := d.step(j); err != nil {
+			return err
+		}
+		j++
+	}
+	return d.finish()
+}
+
+// spmv computes u[c] = A p[c] for every column in one SpMM (the SpMV at
+// k = 1).
+func (d *driver) spmv(j int) error {
+	d.clock.start()
+	err := d.st.A.MatMat(d.st.E, d.st.U, d.st.P, j)
+	d.clock.stop(clockSpMV)
+	return err
+}
+
+// sumActive fills slot c of the fused send buffer with f(c) for every
+// active column (a deterministic 0 for frozen ones) and allreduces the k
+// slots. The caller recycles the result.
+func (d *driver) sumActive(f func(c int) float64) ([]float64, error) {
+	st := d.st
+	buf := st.fused[:st.k()]
+	for c := range buf {
+		buf[c] = 0
+		if !st.done[c] {
+			buf[c] = f(c)
+		}
+	}
+	d.clock.start()
+	out, err := st.E.Grp.Allreduce(cluster.OpSum, buf)
+	d.clock.stop(clockAllreduce)
+	return out, err
+}
+
+// redoSpMV redoes the SpMV of iteration j — recomputing u everywhere and
+// re-establishing the redundancy copies on reconstructed or repaired state —
+// and recomputes r'z, which involves rebuilt blocks.
+func (d *driver) redoSpMV(j int) error {
+	st := d.st
+	if err := d.spmv(j); err != nil {
+		return err
+	}
+	rzs, err := d.sumActive(func(c int) float64 {
+		return vec.ParDotN(st.R[c].Local, st.Z[c].Local, st.Opts.Threads)
+	})
+	if err != nil {
+		return err
+	}
+	for c := range st.RZ {
+		if !st.done[c] {
+			st.RZ[c] = rzs[c]
+		}
+	}
+	st.E.Grp.Recycle(rzs)
+	return nil
+}
+
+// step is the recurrence of Alg. 1 for iteration j, after u = A p(j):
+// alpha, the x/r updates, z = M^{-1} r, the residual check and the next
+// search direction, per active column.
+func (d *driver) step(j int) error {
+	st, opts := d.st, d.st.Opts
+	k := st.k()
+	pus, err := d.sumActive(func(c int) float64 {
+		return vec.ParDotN(st.P[c].Local, st.U[c].Local, opts.Threads)
+	})
+	if err != nil {
+		return err
+	}
+	for c := 0; c < k; c++ {
+		d.alpha[c] = 0
+		if st.done[c] {
+			continue
+		}
+		// Negated comparison so NaN (from an overflowed iterate) also trips
+		// the breakdown instead of spinning NaN arithmetic to MaxIter. A
+		// breakdown freezes only its column.
+		if pu := pus[c]; !(pu > 0) {
+			st.errs[c] = fmt.Errorf("core: %s-PCG breakdown, p'Ap = %g at iteration %d (column %d)", d.strat.Name(), pu, j, c)
+			st.done[c] = true
+			continue
+		}
+		d.alpha[c] = st.RZ[c] / pus[c]
+	}
+	st.E.Grp.Recycle(pus)
+
+	// x(j+1) = x(j) + alpha p(j); r(j+1) = r(j) - alpha A p(j), fused into
+	// one pass over the blocks (bit-identical to the two Axpys). Frozen
+	// columns are skipped: their state stays at the landing iteration.
+	d.zAct, d.rAct = d.zAct[:0], d.rAct[:0]
+	for c := 0; c < k; c++ {
+		if st.done[c] {
+			continue
+		}
+		vec.ParAxpyAxpy(d.alpha[c], st.P[c].Local, st.X[c].Local, -d.alpha[c], st.U[c].Local, st.R[c].Local, opts.Threads)
+		d.zAct = append(d.zAct, st.Z[c])
+		d.rAct = append(d.rAct, st.R[c])
+	}
+	// z(j+1) = M^{-1} r(j+1): one fused application for the active columns
+	// (every rank freezes the same columns off the shared allreduce results,
+	// so the active set — and any fused halo exchange it drives — stays
+	// uniform across ranks).
+	d.clock.start()
+	if err := applyPrecondBlock(st.E, st.M, d.zAct, d.rAct); err != nil {
+		return err
+	}
+	d.clock.stop(clockPrecond)
+
+	// ONE fused length-2k allreduce for the k (||r||^2, r'z) pairs.
+	for c := 0; c < k; c++ {
+		st.fused[2*c], st.fused[2*c+1] = 0, 0
+		if !st.done[c] {
+			st.fused[2*c] = vec.ParNrm2SqN(st.R[c].Local, opts.Threads)
+			st.fused[2*c+1] = vec.ParDotN(st.R[c].Local, st.Z[c].Local, opts.Threads)
+		}
+	}
+	d.clock.start()
+	norms, err := st.E.Grp.Allreduce(cluster.OpSum, st.fused)
+	d.clock.stop(clockAllreduce)
+	if err != nil {
+		return err
+	}
+	// The iteration's observable residual: the largest among the columns
+	// that completed it (the column's own at k = 1).
+	ran, maxRn, maxRel := 0, 0.0, 0.0
+	for c := 0; c < k; c++ {
+		if st.done[c] {
+			continue
+		}
+		rn, rzNew := math.Sqrt(norms[2*c]), norms[2*c+1]
+		st.res[c].Iterations = j + 1
+		st.res[c].FinalResidual = rn
+		if math.IsNaN(rn) || math.IsInf(rn, 0) {
+			st.errs[c] = fmt.Errorf("core: %s-PCG diverged, ||r|| = %g at iteration %d (column %d)", d.strat.Name(), rn, j, c)
+			st.done[c] = true
+			continue
+		}
+		ran++
+		maxRn = math.Max(maxRn, rn)
+		maxRel = math.Max(maxRel, relTo(rn, st.R0[c]))
+		if rn <= opts.Tol*st.R0[c] {
+			st.land(c)
+			continue
+		}
+		st.Beta[c] = rzNew / st.RZ[c] // beta(j) = r(j+1)'z(j+1) / r(j)'z(j)
+		st.RZ[c] = rzNew
+		vec.Axpby(1, st.Z[c].Local, st.Beta[c], st.P[c].Local) // p(j+1) = z(j+1) + beta(j) p(j)
+	}
+	st.E.Grp.Recycle(norms)
+	if ran > 0 {
+		opts.notify(ProgressEvent{Iteration: j + 1, Residual: maxRn, RelResidual: maxRel})
+		d.clock.emit(opts.Tracer, j+1, maxRn, maxRel)
+	}
+	return nil
+}
+
+// land marks column c converged: it is masked out of the iteration and its
+// solution snapshotted (see SolverState.xFinal).
+func (st *SolverState) land(c int) {
+	st.res[c].Converged = true
+	st.done[c] = true
+	st.xFinal[c] = vec.Clone(st.X[c].Local)
+}
+
+// handleFailure runs the strategy's recovery episode for the victims
+// detected at iteration j, books it on every column still running (a solo
+// solve of an already-landed column would have ended before this iteration)
+// and reports it. resume is the strategy's directive (see Strategy.Recover).
+func (d *driver) handleFailure(j int, victims []int) (resume int, err error) {
+	st := d.st
+	resume, rec, err := d.strat.Recover(st, j, victims)
+	if err != nil {
+		return 0, err
+	}
+	sub := st.subIters
+	st.subIters = nil
+	residual, rel := 0.0, 0.0
+	for c := range st.res {
+		if st.done[c] {
+			continue
+		}
+		res := &st.res[c]
+		colRec := rec
+		if sub != nil {
+			colRec.SubIterations = int(sub[c])
+		}
+		res.Reconstructions = append(res.Reconstructions, colRec)
+		res.ReconstructTime += rec.Duration
+		if res.InitialResidual == 0 && st.Opts.Resume != nil {
+			// A resumed rank learns ||r0|| only through the recovery's
+			// scalar reconstruction; fill the Result in after the fact.
+			res.InitialResidual, res.FinalResidual = st.R0[c], st.R0[c]
+		}
+		residual = math.Max(residual, res.FinalResidual)
+		rel = math.Max(rel, relTo(res.FinalResidual, st.R0[c]))
+	}
+	st.Opts.reportEpisode(d.strat.Name(), j, resume, rec, residual, rel)
+	return resume, nil
+}
+
+// pollFailStop is the fail-stop poll point of iteration j, shared by every
+// solver loop: when a scheduled event fires for the first time (lastFired
+// guards rollback replays), the OnFailure hook runs — the net fabric turns
+// the simulated event into a real process death there — and the victims are
+// returned for recovery.
+func (o Options) pollFailStop(sched *faults.Schedule, lastFired *int, j int) []int {
+	v := sched.AtIteration(j)
+	if len(v) == 0 || j <= *lastFired {
+		return nil
+	}
+	*lastFired = j
+	if o.OnFailure != nil {
+		o.OnFailure(j, v)
+	}
+	return v
+}
+
+// reportEpisode emits the progress event and the recovery trace of a
+// completed episode. residual is that of the last completed iteration (the
+// episode happens mid-iteration); resume is the strategy's directive, from
+// which the rollback depth follows.
+func (o Options) reportEpisode(strategy string, j, resume int, rec Reconstruction, residual, rel float64) {
+	o.notify(ProgressEvent{Iteration: j, Residual: residual, RelResidual: rel, Reconstruction: &rec})
+	redone := 0
+	if resume >= 0 {
+		redone = j - resume
+	}
+	o.trace(RecoveryTrace{
+		Iteration: j, Strategy: strategy,
+		FailedRanks: rec.FailedRanks, Restarts: rec.Restarts,
+		RedoneIterations: redone, Duration: rec.Duration,
+	})
+}
+
+// pollCorruption is the silent-data-corruption poll point of iteration j
+// (width 1 only, see WidthOneOnly): scheduled bit flips strike — at the same
+// point as the fail-stop events, after u = A p(j) was computed from the
+// still-clean p — then the twin vote and the periodic drift check run. It
+// reports whether a repair rebuilt state non-bitwise, so that the SpMV must
+// be redone.
+func (d *driver) pollCorruption(j int) (redo bool, err error) {
+	st, opts := d.st, d.st.Opts
+	res := &st.res[0]
+	// All ranks count every injection (the Result stays replicated); only
+	// the victim applies the flip.
+	if sites := st.Sched.CorruptionsAt(j); len(sites) > 0 && j > d.lastInjected {
+		d.lastInjected = j
+		res.SDCInjected += len(sites)
+		for _, s := range sites {
+			d.sdcPending = append(d.sdcPending, j)
+			if s.Rank == st.E.Pos {
+				applyCorruption(st, s)
+			}
+		}
+	}
+	// Twin checksum exchange + vote + forward recovery. This runs before the
+	// fail-stop recovery so the u-test still sees the pre-injection
+	// u = A p(j).
+	if d.poller != nil {
+		out, err := d.poller.PollSDC(st, j)
+		if err != nil {
+			return false, err
+		}
+		redo = out.Redo
+		if out.Detected > 0 {
+			d.sdcDetected(j, out.Detected)
+			res.SDCCorrected += out.Corrected
+			opts.trace(RecoveryTrace{Iteration: j, Strategy: d.strat.Name(), FailedRanks: out.Ranks, Corruption: true})
+		}
+	}
+	// Periodic true-residual drift check (detection-only for strategies
+	// without a repair path).
+	if opts.SDCCheck > 0 && j > 0 && j%opts.SDCCheck == 0 {
+		rtrue, rrec, bad, err := sdcDrift(st, d.sdcScratch)
+		if err != nil {
+			return false, err
+		}
+		if bad {
+			d.sdcDetected(j, 1)
+			if d.poller == nil {
+				return false, &SDCDetectedError{Iteration: j, TrueResidual: rtrue, RecurrenceResidual: rrec}
+			}
+			if err := d.poller.RepairDrift(st, j); err != nil {
+				return false, err
+			}
+			res.SDCCorrected++
+			redo = true
+			opts.trace(RecoveryTrace{Iteration: j, Strategy: d.strat.Name(), Corruption: true})
+		}
+	}
+	return redo, nil
+}
+
+// sdcDetected books n detections at iteration j and settles the detection
+// latency of every pending injection.
+func (d *driver) sdcDetected(j, n int) {
+	res := &d.st.res[0]
+	res.SDCDetected += n
+	for _, inj := range d.sdcPending {
+		res.SDCLatency += j - inj
+	}
+	d.sdcPending = d.sdcPending[:0]
+}
+
+// finish hands the landed snapshots back in the caller's x and verifies
+// every column: the true residual, the Eqn. 7 deviation metric and the armed
+// convergence check.
+func (d *driver) finish() error {
+	st := d.st
+	for c, snap := range st.xFinal {
+		if snap != nil {
+			copy(st.X[c].Local, snap)
+		}
+	}
+	if err := st.verify(); err != nil {
+		return err
+	}
+	// Convergence verification: with SDC checking armed, a solve never
+	// reports success while the recurrence residual disagrees with the true
+	// residual — corruption that slipped between periodic checks surfaces
+	// here instead of as a silently wrong answer.
+	if res := &st.res[0]; st.Opts.SDCCheck > 0 && res.Converged {
+		if sdcDrifted(res.TrueResidual, res.FinalResidual, st.R0[0]) {
+			res.SDCDetected++
+			return &SDCDetectedError{
+				Iteration: res.Iterations, TrueResidual: res.TrueResidual,
+				RecurrenceResidual: res.FinalResidual,
+			}
+		}
+	}
+	return nil
+}
+
+// applyPrecondBlock applies m to every column pair, through the fused
+// k-column path (BlockPrecond) when the preconditioner has one — a single
+// structure traversal (or halo exchange) instead of k — and column by
+// column otherwise. Both paths are bitwise identical per column.
+func applyPrecondBlock(e *distmat.Env, m Precond, z, r []distmat.Vector) error {
+	if bp, ok := m.(BlockPrecond); ok && len(z) > 1 {
+		return bp.ApplyBlock(e, z, r)
+	}
+	for c := range z {
+		if err := m.Apply(e, z[c], r[c]); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// initIteration0 (re)builds the iteration-0 state of every column from X
+// and B: r(0) = b - A x(0) via one SpMM, z(0) = M^{-1} r(0), p(0) = z(0),
+// and the replicated scalars off ONE fused length-2k allreduce of the k
+// (||r0||^2, r0'z0) pairs. Shared by the driver's setup and the cold-restart
+// recovery, so a restarted solve replays a fresh solve bit-identically.
+func initIteration0(st *SolverState) error {
+	k := st.k()
+	if err := st.A.ResidualBlock(st.E, st.R, st.B, st.X, -1); err != nil {
+		return err
+	}
+	if err := applyPrecondBlock(st.E, st.M, st.Z, st.R); err != nil {
+		return err
+	}
+	for c := 0; c < k; c++ {
+		vec.Copy(st.P[c].Local, st.Z[c].Local)
+		st.fused[2*c] = vec.ParNrm2SqN(st.R[c].Local, st.Opts.Threads)
+		st.fused[2*c+1] = vec.ParDotN(st.R[c].Local, st.Z[c].Local, st.Opts.Threads)
+	}
+	norms, err := st.E.Grp.Allreduce(cluster.OpSum, st.fused)
+	if err != nil {
+		return err
+	}
+	for c := 0; c < k; c++ {
+		st.R0[c] = math.Sqrt(norms[2*c])
+		st.RZ[c] = norms[2*c+1]
+		st.Beta[c] = 0
+	}
+	st.E.Grp.Recycle(norms)
+	return nil
+}
+
+// verify recomputes the true residual ||b - A x|| of every column with one
+// SpMM and one fused length-k norm allreduce, and derives the relative
+// residual difference metric of Eqn. 7. Errored columns ride along on their
+// last iterate so the SpMM keeps its k-wide shape; their error is what the
+// caller sees.
+func (st *SolverState) verify() error {
+	k := st.k()
+	// u = A p is dead once the loop has ended: it holds b - A x from here.
+	ts := st.U
+	if err := st.A.ResidualBlock(st.E, ts, st.B, st.X, -1); err != nil {
+		return err
+	}
+	for c := 0; c < k; c++ {
+		st.fused[c] = vec.ParNrm2SqN(ts[c].Local, st.Opts.Threads)
+	}
+	norms, err := st.E.Grp.Allreduce(cluster.OpSum, st.fused[:k])
+	if err != nil {
+		return err
+	}
+	for c := 0; c < k; c++ {
+		// Tiny negative sums can appear from reductions of rounding.
+		tn := math.Sqrt(math.Max(norms[c], 0))
+		st.res[c].TrueResidual = tn
+		if tn > 0 {
+			st.res[c].Delta = (st.res[c].FinalResidual - tn) / tn
+		}
+	}
+	st.E.Grp.Recycle(norms)
+	return nil
+}
+
+// locals returns the rank-local blocks of the given columns.
+func locals(vs []distmat.Vector) [][]float64 {
+	out := make([][]float64, len(vs))
+	for c, v := range vs {
+		out[c] = v.Local
+	}
+	return out
+}
+
+// cloneLocals returns fresh copies of the rank-local blocks of the columns.
+func cloneLocals(vs []distmat.Vector) [][]float64 {
+	out := make([][]float64, len(vs))
+	for c, v := range vs {
+		out[c] = vec.Clone(v.Local)
+	}
+	return out
+}

@@ -136,14 +136,16 @@ func RecoverBlocks(e *distmat.Env, a *distmat.Matrix, iter int, failed map[int]b
 	return nil
 }
 
-// GatherGhost collects, on every replacement, the entries of a distributed
-// vector owned by survivors at the ghost columns of the given matrix's
+// GatherGhost collects, on every replacement, the entries of k distributed
+// vectors owned by survivors at the ghost columns of the given matrix's
 // failed rows (the halo needed by the reconstruction products
-// A_{If, I\If} x). Survivors send, replacements receive; the result maps
-// global index -> value on replacements (nil on survivors). tag selects the
-// message tag (distinct per use within one recovery).
-func GatherGhost(e *distmat.Env, mat *distmat.Matrix, local []float64, failed map[int]bool, failedList []int, tag int) (map[int]float64, error) {
+// A_{If, I\If} x). Survivors send ONE k-strided frame per replacement (k
+// consecutive values per ghost element), replacements receive; the result
+// maps global index -> value per column on replacements (nil on survivors).
+// tag selects the message tag (distinct per use within one recovery).
+func GatherGhost(e *distmat.Env, mat *distmat.Matrix, locals [][]float64, failed map[int]bool, failedList []int, tag int) ([]map[int]float64, error) {
 	me := e.Pos
+	k := len(locals)
 	if !failed[me] {
 		lo, _ := mat.P.Range(me)
 		for _, f := range failedList {
@@ -151,9 +153,11 @@ func GatherGhost(e *distmat.Env, mat *distmat.Matrix, local []float64, failed ma
 			if len(idx) == 0 {
 				continue
 			}
-			vals := make([]float64, len(idx))
+			vals := make([]float64, len(idx)*k)
 			for t, g := range idx {
-				vals[t] = local[g-lo]
+				for c := 0; c < k; c++ {
+					vals[t*k+c] = locals[c][g-lo]
+				}
 			}
 			if err := e.C.SendFloats(cluster.CatRecovery, f, tag, vals); err != nil {
 				return nil, err
@@ -161,7 +165,10 @@ func GatherGhost(e *distmat.Env, mat *distmat.Matrix, local []float64, failed ma
 		}
 		return nil, nil
 	}
-	ghost := map[int]float64{}
+	ghosts := make([]map[int]float64, k)
+	for c := range ghosts {
+		ghosts[c] = map[int]float64{}
+	}
 	for r := 0; r < e.Size(); r++ {
 		if r == me || failed[r] {
 			continue
@@ -174,22 +181,27 @@ func GatherGhost(e *distmat.Env, mat *distmat.Matrix, local []float64, failed ma
 		if err != nil {
 			return nil, err
 		}
-		if len(vals) != len(idx) {
-			return nil, fmt.Errorf("core: ghost gather from %d: %d values, want %d", r, len(vals), len(idx))
+		if len(vals) != len(idx)*k {
+			return nil, fmt.Errorf("core: ghost gather from %d: %d values, want %d", r, len(vals), len(idx)*k)
 		}
 		for t, g := range idx {
-			ghost[g] = vals[t]
+			for c := 0; c < k; c++ {
+				ghosts[c][g] = vals[t*k+c]
+			}
 		}
 	}
-	return ghost, nil
+	return ghosts, nil
 }
 
-// SubsystemSolve solves mat_{If,If} sol = rhs distributed over the subgroup
-// of failed ranks (each owning its block), with block-local ILU(0)
-// preconditioned CG — the paper's recovery subsystem solver. Only failed
-// ranks participate; survivors must not call it. Returns the iteration
-// count.
-func SubsystemSolve(e *distmat.Env, mat *distmat.Matrix, failedList []int, rhs, sol []float64, ctx int, tol float64, maxIter int) (int, error) {
+// SubsystemSolve solves mat_{If,If} sol[c] = rhs[c] for every column,
+// distributed over the subgroup of failed ranks (each owning its block), with
+// block-local ILU(0) preconditioned CG — the paper's recovery subsystem
+// solver. The subsystem environment, distributed matrix and preconditioner
+// are built ONCE per failed block and the columns are solved back to back
+// through them, so each column's trajectory does not depend on which other
+// columns share the episode. Only failed ranks participate; survivors must
+// not call it. Returns the per-column iteration counts.
+func SubsystemSolve(e *distmat.Env, mat *distmat.Matrix, failedList []int, rhs, sol [][]float64, ctx int, tol float64, maxIter int) ([]int, error) {
 	sizes := make([]int, len(failedList))
 	var ifIdx []int
 	myPos := -1
@@ -204,7 +216,7 @@ func SubsystemSolve(e *distmat.Env, mat *distmat.Matrix, failedList []int, rhs, 
 		}
 	}
 	if myPos < 0 {
-		return 0, fmt.Errorf("core: SubsystemSolve called by a non-failed rank")
+		return nil, fmt.Errorf("core: SubsystemSolve called by a non-failed rank")
 	}
 	subP := partition.FromSizes(sizes)
 	localRows := make([]int, mat.Rows.Rows)
@@ -215,11 +227,11 @@ func SubsystemSolve(e *distmat.Env, mat *distmat.Matrix, failedList []int, rhs, 
 
 	subEnv, err := distmat.GroupEnv(e.C, failedList, ctx)
 	if err != nil {
-		return 0, err
+		return nil, err
 	}
 	subA, err := distmat.NewMatrix(subEnv, subRows, subP, 0, ctx)
 	if err != nil {
-		return 0, err
+		return nil, err
 	}
 	var sub Precond
 	if ilu, err := precond.NewBlockJacobiILU(subA.OwnBlock()); err == nil {
@@ -233,15 +245,19 @@ func SubsystemSolve(e *distmat.Env, mat *distmat.Matrix, failedList []int, rhs, 
 			maxIter = 500
 		}
 	}
-	xf := distmat.NewVector(subP, myPos)
-	bv := distmat.Vector{P: subP, Pos: myPos, Local: rhs}
-	res, err := PCG(subEnv, subA, xf, bv, sub, Options{Tol: tol, MaxIter: maxIter})
-	if err != nil {
-		return 0, err
+	iters := make([]int, len(rhs))
+	for c := range rhs {
+		xf := distmat.NewVector(subP, myPos)
+		bv := distmat.Vector{P: subP, Pos: myPos, Local: rhs[c]}
+		res, err := PCG(subEnv, subA, xf, bv, sub, Options{Tol: tol, MaxIter: maxIter})
+		if err != nil {
+			return nil, err
+		}
+		if !res.Converged && res.RelResidual() > 1e-6 {
+			return nil, fmt.Errorf("core: reconstruction subsystem stagnated at column %d (relres %.2e)", c, res.RelResidual())
+		}
+		copy(sol[c], xf.Local)
+		iters[c] = res.Iterations
 	}
-	if !res.Converged && res.RelResidual() > 1e-6 {
-		return res.Iterations, fmt.Errorf("core: reconstruction subsystem stagnated (relres %.2e)", res.RelResidual())
-	}
-	copy(sol, xf.Local)
-	return res.Iterations, nil
+	return iters, nil
 }

@@ -136,6 +136,13 @@ func (o Options) notify(ev ProgressEvent) {
 	}
 }
 
+// trace reports a recovery episode to the tracer if one is installed.
+func (o Options) trace(rt RecoveryTrace) {
+	if o.Tracer != nil {
+		o.Tracer.TraceRecovery(rt)
+	}
+}
+
 // relTo returns num/den guarding against a zero denominator.
 func relTo(num, den float64) float64 {
 	if den == 0 {
@@ -158,9 +165,7 @@ func (o Options) withDefaults(n int) Options {
 	if o.LocalTol <= 0 {
 		o.LocalTol = 1e-14
 	}
-	if o.LocalMaxIter <= 0 {
-		o.LocalMaxIter = 0 // resolved against the subsystem size at use
-	}
+	// LocalMaxIter <= 0 is resolved against the subsystem size at use.
 	return o
 }
 
@@ -219,12 +224,7 @@ type Result struct {
 
 // RelResidual returns FinalResidual / InitialResidual (0 when the initial
 // residual was already zero).
-func (r Result) RelResidual() float64 {
-	if r.InitialResidual == 0 {
-		return 0
-	}
-	return r.FinalResidual / r.InitialResidual
-}
+func (r Result) RelResidual() float64 { return relTo(r.FinalResidual, r.InitialResidual) }
 
 // TotalReconstructions returns the number of recovery episodes.
 func (r Result) TotalReconstructions() int { return len(r.Reconstructions) }
@@ -241,7 +241,7 @@ type Precond interface {
 // BlockPrecond is an optional interface for preconditioners with a fused
 // k-column application: z[c] = M^{-1} r[c] for every column in one pass.
 // Column c of ApplyBlock must be bitwise identical to Apply(e, z[c], r[c])
-// — the blocked driver depends on it. Preconditioners without the interface
+// — the driver depends on it at width > 1. Preconditioners without the interface
 // are applied column by column.
 type BlockPrecond interface {
 	// ApplyBlock computes z[c] = M^{-1} r[c] for every column.
@@ -287,16 +287,7 @@ func (lp LocalPrecond) ApplyBlock(e *distmat.Env, z, r []distmat.Vector) error {
 		}
 		return nil
 	}
-	zs := make([][]float64, len(z))
-	rs := make([][]float64, len(r))
-	for c := range z {
-		if len(z[c].Local) != len(r[c].Local) {
-			return fmt.Errorf("core: LocalPrecond length mismatch")
-		}
-		zs[c] = z[c].Local
-		rs[c] = r[c].Local
-	}
-	ba.ApplyInvK(zs, rs)
+	ba.ApplyInvK(locals(z), locals(r))
 	return nil
 }
 

@@ -2,10 +2,12 @@ package core
 
 import (
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/distmat"
 	"repro/internal/faults"
 	"repro/internal/vec"
 	"repro/internal/xerr"
@@ -85,15 +87,19 @@ func NewEpisodeFailures(sched *faults.Schedule, iter, pos int, wipe func(), vict
 	return ef
 }
 
-func (ef *EpisodeFailures) add(ranks []int) {
+// add joins ranks to the failed set, wiping the local rank when it is among
+// the fresh ones, and reports whether any rank was fresh.
+func (ef *EpisodeFailures) add(ranks []int) (fresh bool) {
 	for _, f := range ranks {
 		if !ef.Failed[f] {
+			fresh = true
 			ef.Failed[f] = true
 			if f == ef.pos {
 				ef.wipe()
 			}
 		}
 	}
+	return fresh
 }
 
 // AtPhase applies the overlapping failures scheduled right before the given
@@ -102,45 +108,44 @@ func (ef *EpisodeFailures) add(ranks []int) {
 // completed phases is deterministic: retention and checkpoint reads are
 // non-destructive).
 func (ef *EpisodeFailures) AtPhase(phase int) bool {
-	more := ef.sched.AtRecoveryPhase(ef.iter, phase)
-	if len(more) == 0 {
-		return false
-	}
-	fresh := false
-	for _, f := range more {
-		if !ef.Failed[f] {
-			fresh = true
-		}
-	}
-	if fresh {
-		ef.add(more)
-	}
-	return fresh
+	return ef.add(ef.sched.AtRecoveryPhase(ef.iter, phase))
 }
 
 // Ranks returns the sorted failed set.
-func (ef *EpisodeFailures) Ranks() []int { return sortedKeys(ef.Failed) }
+func (ef *EpisodeFailures) Ranks() []int { return slices.Sorted(maps.Keys(ef.Failed)) }
 
 // AmFailed reports whether the local rank is in the failed set.
 func (ef *EpisodeFailures) AmFailed() bool { return ef.Failed[ef.pos] }
 
-// recoverEpisode executes one reconstruction episode for the failure of
-// `victims` detected at iteration j. It returns when every rank (survivors
-// and replacements) holds a consistent solver state for iteration j.
-func (st *SolverState) recoverEpisode(j int, victims []int) (Reconstruction, error) {
+// rebuildFunc is phase 3 of an ESR episode, the one step that depends on the
+// solver's recurrence rather than on the protocol. On entry every
+// replacement holds z_If = p(j) - beta(j-1) p(j-1) (Alg. 2 line 4) in st.Z;
+// the step rebuilds the solver's residual-side state from it and returns the
+// true residual blocks r_If, one per column, that the x-system of phase 4
+// needs (ignored on survivors). It is collective: survivors call it too (the
+// explicit-inverse path gathers their halo entries).
+type rebuildFunc func(ep *episode) (r [][]float64, err error)
+
+// recoverEpisode executes one ESR reconstruction episode — Alg. 2 over the
+// union failed set I_f, for all k columns of the lost blocks at once — for
+// the failure of `victims` detected at iteration j. It returns when every
+// rank (survivors and replacements) holds a consistent solver state for
+// iteration j. This is the only copy of the protocol: PCG at any width and
+// SPCG differ in the rebuild step alone.
+func (st *SolverState) recoverEpisode(j int, victims []int, rebuild rebuildFunc) (Reconstruction, error) {
 	startT := time.Now()
 	rec := Reconstruction{Iteration: j}
 	ef := NewEpisodeFailures(st.Sched, j, st.E.Pos, st.Wipe, victims)
 
 restart:
-	failedList := ef.Ranks()
-	rec.FailedRanks = failedList
+	rec.FailedRanks = ef.Ranks()
 	ep := &episode{
 		st:         st,
 		iter:       j,
 		failed:     ef.Failed,
-		failedList: failedList,
+		failedList: rec.FailedRanks,
 		amFailed:   ef.AmFailed(),
+		subIters:   make([]float64, st.k()),
 	}
 	for phase := 1; phase <= numPhases; phase++ {
 		// Overlapping failures strike at phase boundaries; restarting with
@@ -156,21 +161,20 @@ restart:
 		case phasePGather:
 			err = ep.runPGather()
 		case phaseZR:
-			err = ep.runZR()
+			err = ep.runZR(rebuild)
 		case phaseXSystem:
 			err = ep.runXSystem()
 		case phaseFinalize:
-			// Synchronises all ranks and replicates the subsystem iteration
-			// count (only replacements solved the subsystem).
-			var iters float64
-			iters, err = st.E.Grp.AllreduceScalar(cluster.OpMax, float64(ep.subIters))
-			ep.subIters = int(iters)
+			err = ep.finalize()
 		}
 		if err != nil {
 			return rec, err
 		}
 	}
-	rec.SubIterations = ep.subIters
+	st.subIters = ep.subIters
+	for _, it := range ep.subIters {
+		rec.SubIterations = max(rec.SubIterations, int(it))
+	}
 	rec.Duration = time.Since(startT)
 	return rec, nil
 }
@@ -183,8 +187,9 @@ type episode struct {
 	failedList []int
 	amFailed   bool
 
-	pPrev    []float64 // p(j-1) on the replacement's block
-	subIters int
+	pPrev    [][]float64 // p(j-1) per column on the replacement's block
+	r        [][]float64 // r_If per column, from the rebuild step
+	subIters []float64   // subsystem iterations per column (as allreduced)
 }
 
 // lowestSurvivor returns the smallest rank not in the failed set.
@@ -197,16 +202,21 @@ func (ep *episode) lowestSurvivor() int {
 	return -1 // unreachable: schedules are validated against phi < N
 }
 
-// runScalars transfers the replicated scalars beta(j-1) and ||r0|| from the
-// lowest surviving rank to every replacement (paper Alg. 2 line 3: "retrieve
-// the redundant copies of beta(j-1)"; scalars are replicated on all ranks,
+// runScalars transfers the replicated scalars — beta(j-1) and ||r0|| of
+// every column — from the lowest surviving rank to each replacement in one
+// fused message per failed rank (paper Alg. 2 line 3: "retrieve the
+// redundant copies of beta(j-1)"; scalars are replicated on all ranks,
 // Sec. 2.2).
 func (ep *episode) runScalars() error {
 	st := ep.st
+	k := st.k()
 	s0 := ep.lowestSurvivor()
 	if st.E.Pos == s0 {
+		payload := make([]float64, 2*k)
+		copy(payload[:k], st.Beta)
+		copy(payload[k:], st.R0)
 		for _, f := range ep.failedList {
-			if err := st.E.C.Send(cluster.CatRecovery, f, tagRecScalar, []float64{st.Beta, st.R0}, nil); err != nil {
+			if err := st.E.C.Send(cluster.CatRecovery, f, tagRecScalar, payload, nil); err != nil {
 				return err
 			}
 		}
@@ -216,116 +226,155 @@ func (ep *episode) runScalars() error {
 		if err != nil {
 			return err
 		}
-		st.Beta = vals[0]
-		st.R0 = vals[1]
+		if len(vals) != 2*k {
+			return fmt.Errorf("core: scalar recovery got %d values, want %d", len(vals), 2*k)
+		}
+		copy(st.Beta, vals[:k])
+		copy(st.R0, vals[k:])
 	}
 	return nil
 }
 
-// runPGather reconstructs p(j)_If and p(j-1)_If on the replacements from
-// the redundant copies, using the tailored recovery context (DESIGN.md):
-// each replacement derives, from the static plan, which surviving rank holds
-// each element and requests exactly one copy per element.
+// runPGather reconstructs all k columns of p(j)_If and p(j-1)_If on the
+// replacements from the k-strided redundant copies, using the tailored
+// recovery context (DESIGN.md): each replacement derives, from the static
+// plan, which surviving rank holds each element and requests exactly one
+// copy per element. The interleaved blocks are then split back into the
+// per-column vectors.
 func (ep *episode) runPGather() error {
 	st := ep.st
+	k := st.k()
+	n := len(st.P[0].Local)
 	gens := []int{ep.iter}
-	ep.pPrev = make([]float64, len(st.P.Local))
-	out := [][]float64{st.P.Local}
 	if ep.iter > 0 {
 		gens = append(gens, ep.iter-1)
-		out = append(out, ep.pPrev)
 	}
-	return RecoverBlocks(st.E, st.A, ep.iter, ep.failed, ep.failedList, gens, out)
-}
-
-// runZR reconstructs z_If (Alg. 2 line 4: z = p(j) - beta(j-1) p(j-1)) and
-// r_If. For the block-aligned local preconditioners of the paper's
-// experiments, P_{If, I\If} = 0 and line 6 reduces to the local application
-// r_If = M_f z_If ([23, Alg. 3]). For an explicitly given global P = M^{-1},
-// the generic lines 5-6 run: v = z_If - P_{If, I\If} r_{I\If}, then the SPD
-// subsystem P_{If,If} r_If = v is solved over the replacement subgroup.
-func (ep *episode) runZR() error {
-	st := ep.st
+	var out [][]float64 // only replacements receive
 	if ep.amFailed {
-		if ep.iter == 0 {
-			// p(0) = z(0): no previous search direction exists.
-			vec.Copy(st.Z.Local, st.P.Local)
-		} else {
-			vec.XpayInto(st.Z.Local, st.P.Local, -st.Beta, ep.pPrev)
+		for range gens {
+			out = append(out, make([]float64, n*k))
 		}
 	}
-	switch pm := st.M.(type) {
-	case LocalPrecond:
-		if ep.amFailed {
-			pm.P.ApplyM(st.R.Local, st.Z.Local)
-		}
-		return nil
-	case ExplicitInvPrecond:
-		return ep.reconstructRExplicit(pm)
-	default:
-		return fmt.Errorf("core: preconditioner %s does not support reconstruction", st.M.Name())
-	}
-}
-
-// reconstructRExplicit runs Alg. 2 lines 5-6 with an explicit P = M^{-1}:
-// v = z_If - P_{If, I\If} r_{I\If}, then the SPD subsystem
-// P_{If,If} r_If = v is solved over the replacement subgroup.
-func (ep *episode) reconstructRExplicit(pm ExplicitInvPrecond) error {
-	st := ep.st
-	ghost, err := GatherGhost(st.E, pm.P, st.R.Local, ep.failed, ep.failedList, tagRecRHalo)
-	if err != nil {
+	if err := RecoverBlocks(st.E, st.A, ep.iter, ep.failed, ep.failedList, gens, out); err != nil {
 		return err
 	}
 	if !ep.amFailed {
 		return nil
 	}
-	v := append([]float64(nil), st.Z.Local...)
-	neg := make([]float64, len(v))
-	pm.P.GhostProduct(neg, ghost)
-	vec.Axpy(-1, neg, v)
-	iters, err := SubsystemSolve(st.E, pm.P, ep.failedList, v, st.R.Local, ctxSubP,
-		st.Opts.LocalTol, st.Opts.LocalMaxIter)
-	if err != nil {
-		return err
+	ep.pPrev = make([][]float64, k)
+	for c := 0; c < k; c++ {
+		for i := 0; i < n; i++ {
+			st.P[c].Local[i] = out[0][i*k+c]
+		}
+		if ep.iter > 0 {
+			ep.pPrev[c] = make([]float64, n)
+			for i := 0; i < n; i++ {
+				ep.pPrev[c][i] = out[1][i*k+c]
+			}
+		}
 	}
-	ep.subIters += iters
 	return nil
+}
+
+// runZR reconstructs z_If (Alg. 2 line 4: z = p(j) - beta(j-1) p(j-1)) on
+// the replacements and hands over to the solver's rebuild step for the
+// residual side (lines 5-6).
+func (ep *episode) runZR(rebuild rebuildFunc) error {
+	st := ep.st
+	if ep.amFailed {
+		for c := range st.Z {
+			if ep.iter == 0 {
+				// p(0) = z(0): no previous search direction exists.
+				vec.Copy(st.Z[c].Local, st.P[c].Local)
+			} else {
+				vec.XpayInto(st.Z[c].Local, st.P[c].Local, -st.Beta[c], ep.pPrev[c])
+			}
+		}
+	}
+	var err error
+	ep.r, err = rebuild(ep)
+	return err
+}
+
+// rebuildR is the PCG rebuild step: r_If from z_If. For the block-aligned
+// local preconditioners of the paper's experiments, P_{If, I\If} = 0 and
+// line 6 reduces to the local application r_If = M_f z_If ([23, Alg. 3]).
+// For an explicitly given global P = M^{-1}, the generic lines 5-6 run:
+// v = z_If - P_{If, I\If} r_{I\If}, then the SPD subsystem P_{If,If} r_If = v
+// is solved over the replacement subgroup.
+func (st *SolverState) rebuildR(ep *episode) ([][]float64, error) {
+	r := locals(st.R)
+	switch pm := st.M.(type) {
+	case LocalPrecond:
+		if ep.amFailed {
+			for c := range r {
+				pm.P.ApplyM(r[c], st.Z[c].Local)
+			}
+		}
+	case ExplicitInvPrecond:
+		var v [][]float64
+		if ep.amFailed {
+			v = cloneLocals(st.Z)
+		}
+		if err := ep.solveLost(pm.P, v, r, tagRecRHalo, ctxSubP); err != nil {
+			return nil, err
+		}
+	default:
+		return nil, fmt.Errorf("core: preconditioner %s does not support reconstruction", st.M.Name())
+	}
+	return r, nil
 }
 
 // runXSystem forms w = b_If - r_If - A_{If, I\If} x_{I\If} (Alg. 2 line 7)
 // and solves the SPD subsystem A_{If,If} x_If = w (line 8) cooperatively
 // over the replacement subgroup ("additional communication between the psi
-// replacement nodes is necessary", Sec. 4.1).
+// replacement nodes is necessary", Sec. 4.1), for every column.
 func (ep *episode) runXSystem() error {
 	st := ep.st
-	ghost, err := GatherGhost(st.E, st.A, st.X.Local, ep.failed, ep.failedList, tagRecXHalo)
-	if err != nil {
-		return err
+	var w [][]float64
+	if ep.amFailed {
+		w = cloneLocals(st.B)
+		for c := range w {
+			vec.Axpy(-1, ep.r[c], w[c])
+		}
 	}
-	if !ep.amFailed {
-		return nil
-	}
-	// w = b_If - r_If - A_{If, I\If} x_{I\If}
-	w := append([]float64(nil), st.B.Local...)
-	vec.Axpy(-1, st.R.Local, w)
-	neg := make([]float64, len(w))
-	st.A.GhostProduct(neg, ghost)
-	vec.Axpy(-1, neg, w)
+	return ep.solveLost(st.A, w, locals(st.X), tagRecXHalo, ctxSubA)
+}
 
-	iters, err := SubsystemSolve(st.E, st.A, ep.failedList, w, st.X.Local, ctxSubA,
-		st.Opts.LocalTol, st.Opts.LocalMaxIter)
+// solveLost solves mat_{If,If} v[c]_If = w[c] - mat_{If, I\If} v[c]_{I\If}
+// for the lost blocks of every column: ONE fused k-strided ghost gather of
+// the survivors' entries of v, then the k right-hand sides through one
+// shared recovery subsystem over the replacement subgroup. w is consumed
+// (nil on survivors, which only serve the gather).
+func (ep *episode) solveLost(mat *distmat.Matrix, w, v [][]float64, tag, ctx int) error {
+	st := ep.st
+	ghosts, err := GatherGhost(st.E, mat, v, ep.failed, ep.failedList, tag)
+	if err != nil || !ep.amFailed {
+		return err
+	}
+	for c := range w {
+		neg := make([]float64, len(w[c]))
+		mat.GhostProduct(neg, ghosts[c])
+		vec.Axpy(-1, neg, w[c])
+	}
+	iters, err := SubsystemSolve(st.E, mat, ep.failedList, w, v, ctx, st.Opts.LocalTol, st.Opts.LocalMaxIter)
 	if err != nil {
 		return err
 	}
-	ep.subIters += iters
+	for c, it := range iters {
+		ep.subIters[c] += float64(it)
+	}
 	return nil
 }
 
-func sortedKeys(m map[int]bool) []int {
-	out := make([]int, 0, len(m))
-	for k := range m {
-		out = append(out, k)
+// finalize synchronises all ranks and replicates the per-column subsystem
+// iteration counts (only replacements solved the subsystems).
+func (ep *episode) finalize() error {
+	iters, err := ep.st.E.Grp.Allreduce(cluster.OpMax, ep.subIters)
+	if err != nil {
+		return err
 	}
-	sort.Ints(out)
-	return out
+	copy(ep.subIters, iters)
+	ep.st.E.Grp.Recycle(iters)
+	return nil
 }

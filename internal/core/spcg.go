@@ -26,11 +26,20 @@ import (
 // The stopping criterion is on the true residual norm ||r|| = ||L rhat||,
 // recomputed block-locally each iteration, so results are comparable with
 // PCG's.
+//
+// SPCG keeps its own recurrence loop (different state: rhat and the split
+// factors) but none of the resilience protocol: it runs on a one-column
+// SolverState — R holds rhat, RZ the scalar rho = rhat'rhat, Z is the
+// block-local scratch vector — so the wipe, the failure poll and the ESR
+// episode are the PCG driver's, to which it supplies only its rebuild step.
 func SPCG(e *distmat.Env, a *distmat.Matrix, x, b distmat.Vector, m precond.Split, opts Options, sched *faults.Schedule) (Result, error) {
 	if m == nil {
 		return Result{}, fmt.Errorf("core: SPCG needs a split preconditioner")
 	}
 	opts = opts.withDefaults(a.P.N())
+	if opts.Resume != nil {
+		return Result{}, errResume("SPCG")
+	}
 	if err := sched.Validate(e.Size()); err != nil {
 		return Result{}, err
 	}
@@ -38,86 +47,90 @@ func SPCG(e *distmat.Env, a *distmat.Matrix, x, b distmat.Vector, m precond.Spli
 		return Result{}, fmt.Errorf("core: SPCG needs a resilience-enabled matrix (phi >= 1) to honour a failure schedule")
 	}
 	start := time.Now()
-	bs := len(x.Local)
 
-	st := &spcgState{
-		e: e, a: a, m: m, b: b, opts: opts, sched: sched,
-		x:    x,
-		rhat: distmat.NewVector(a.P, e.Pos),
-		p:    distmat.NewVector(a.P, e.Pos),
-		u:    distmat.NewVector(a.P, e.Pos),
+	st := newSolverState(e, a, nil, []distmat.Vector{x}, []distmat.Vector{b}, opts, sched)
+	rhat, p, u, scratch := st.R[0], st.P[0], st.U[0], st.Z[0]
+	// The replicated scalars live on the state: a wipe poisons them and the
+	// episode restores beta and ||r0||.
+	r0, rho, beta := &st.R0[0], &st.RZ[0], &st.Beta[0]
+	res := &st.res[0]
+
+	// rebuild is SPCG's phase 3: Z holds zhat = p(j) - beta p(j-1) =
+	// L^{-T} rhat(j), so block-local transforms recover rhat and r.
+	rebuild := func(ep *episode) ([][]float64, error) {
+		if !ep.amFailed {
+			return nil, nil
+		}
+		m.MulLT(rhat.Local, scratch.Local)
+		r := make([]float64, len(rhat.Local))
+		m.MulL(r, rhat.Local) // r_If = L rhat_If
+		return [][]float64{r}, nil
 	}
-	scratch := make([]float64, bs)
 
 	// r(0) = b - A x(0); rhat(0) = L^{-1} r(0); p(0) = L^{-T} rhat(0).
-	r0v := distmat.NewVector(a.P, e.Pos)
-	if err := a.Residual(e, r0v, b, x, -1); err != nil {
+	if err := a.Residual(e, scratch, b, x, -1); err != nil {
 		return Result{}, err
 	}
-	m.SolveL(st.rhat.Local, r0v.Local)
-	m.SolveLT(st.p.Local, st.rhat.Local)
+	m.SolveL(rhat.Local, scratch.Local)
+	m.SolveLT(p.Local, rhat.Local)
 	norms, err := e.Grp.Allreduce(cluster.OpSum, []float64{
-		vec.ParNrm2SqN(r0v.Local, opts.Threads), vec.ParNrm2SqN(st.rhat.Local, opts.Threads)})
+		vec.ParNrm2SqN(scratch.Local, opts.Threads), vec.ParNrm2SqN(rhat.Local, opts.Threads)})
 	if err != nil {
 		return Result{}, err
 	}
-	st.r0 = math.Sqrt(norms[0])
-	st.rho = norms[1]
+	*r0 = math.Sqrt(norms[0])
+	*rho = norms[1]
 	e.Grp.Recycle(norms)
-	st.beta = 0
-	res := Result{InitialResidual: st.r0, FinalResidual: st.r0}
-	if st.r0 == 0 {
+	*beta = 0
+	*res = Result{InitialResidual: *r0, FinalResidual: *r0}
+	if *r0 == 0 {
 		res.Converged = true
 		res.SolveTime = time.Since(start)
-		return res, nil
+		return *res, nil
 	}
 
+	lastFired := -1
 	for j := 0; j < opts.MaxIter; j++ {
 		if err := opts.poll(); err != nil {
-			return res, err
+			return *res, err
 		}
-		if err := a.MatVec(e, st.u, st.p, j); err != nil {
-			return res, err
+		if err := a.MatVec(e, u, p, j); err != nil {
+			return *res, err
 		}
-		if victims := sched.AtIteration(j); len(victims) > 0 {
-			rec, err := st.recover(j, victims)
+		if victims := opts.pollFailStop(sched, &lastFired, j); len(victims) > 0 {
+			rec, err := st.recoverEpisode(j, victims, rebuild)
 			if err != nil {
-				return res, err
+				return *res, err
 			}
 			res.Reconstructions = append(res.Reconstructions, rec)
 			res.ReconstructTime += rec.Duration
-			recCopy := rec
-			opts.notify(ProgressEvent{
-				Iteration: j, Residual: res.FinalResidual,
-				RelResidual: relTo(res.FinalResidual, st.r0), Reconstruction: &recCopy,
-			})
-			if err := a.MatVec(e, st.u, st.p, j); err != nil {
-				return res, err
+			opts.reportEpisode(StrategyESR, j, -1, rec, res.FinalResidual, relTo(res.FinalResidual, *r0))
+			if err := a.MatVec(e, u, p, j); err != nil {
+				return *res, err
 			}
-			rho, err := e.Grp.AllreduceScalar(cluster.OpSum, vec.ParNrm2SqN(st.rhat.Local, opts.Threads))
+			*rho, err = e.Grp.AllreduceScalar(cluster.OpSum, vec.ParNrm2SqN(rhat.Local, opts.Threads))
 			if err != nil {
-				return res, err
+				return *res, err
 			}
-			st.rho = rho
 		}
-		pu, err := distmat.DotN(e, st.p, st.u, opts.Threads)
+		pu, err := distmat.DotN(e, p, u, opts.Threads)
 		if err != nil {
-			return res, err
+			return *res, err
 		}
-		// Negated comparison so NaN also trips the breakdown (see PCG).
+		// Negated comparison so NaN also trips the breakdown (see step).
 		if !(pu > 0) {
-			return res, fmt.Errorf("core: SPCG breakdown, p'Ap = %g at iteration %d", pu, j)
+			return *res, fmt.Errorf("core: SPCG breakdown, p'Ap = %g at iteration %d", pu, j)
 		}
-		alpha := st.rho / pu
-		vec.Axpy(alpha, st.p.Local, x.Local)
-		m.SolveL(scratch, st.u.Local) // L^{-1} A p, block-local
-		vec.Axpy(-alpha, scratch, st.rhat.Local)
+		alpha := *rho / pu
+		vec.Axpy(alpha, p.Local, x.Local)
+		m.SolveL(scratch.Local, u.Local) // L^{-1} A p, block-local
+		vec.Axpy(-alpha, scratch.Local, rhat.Local)
 		// True residual norm: r = L rhat block-locally.
-		m.MulL(scratch, st.rhat.Local)
+		m.MulL(scratch.Local, rhat.Local)
 		norms, err := e.Grp.Allreduce(cluster.OpSum, []float64{
-			vec.ParNrm2SqN(scratch, opts.Threads), vec.ParNrm2SqN(st.rhat.Local, opts.Threads)})
+			vec.ParNrm2SqN(scratch.Local, opts.Threads), vec.ParNrm2SqN(rhat.Local, opts.Threads)})
 		if err != nil {
-			return res, err
+			return *res, err
 		}
 		rn := math.Sqrt(norms[0])
 		rhoNew := norms[1]
@@ -125,152 +138,23 @@ func SPCG(e *distmat.Env, a *distmat.Matrix, x, b distmat.Vector, m precond.Spli
 		res.Iterations = j + 1
 		res.FinalResidual = rn
 		if math.IsNaN(rn) || math.IsInf(rn, 0) {
-			return res, fmt.Errorf("core: SPCG diverged, ||r|| = %g at iteration %d", rn, j)
+			return *res, fmt.Errorf("core: SPCG diverged, ||r|| = %g at iteration %d", rn, j)
 		}
-		opts.notify(ProgressEvent{Iteration: j + 1, Residual: rn, RelResidual: relTo(rn, st.r0)})
-		if rn <= opts.Tol*st.r0 {
+		opts.notify(ProgressEvent{Iteration: j + 1, Residual: rn, RelResidual: relTo(rn, *r0)})
+		if rn <= opts.Tol**r0 {
 			res.Converged = true
 			break
 		}
-		st.beta = rhoNew / st.rho
-		st.rho = rhoNew
-		m.SolveLT(scratch, st.rhat.Local)
-		vec.Axpby(1, scratch, st.beta, st.p.Local) // p = L^{-T} rhat + beta p
+		*beta = rhoNew / *rho
+		*rho = rhoNew
+		m.SolveLT(scratch.Local, rhat.Local)
+		vec.Axpby(1, scratch.Local, *beta, p.Local) // p = L^{-T} rhat + beta p
 	}
 
 	res.WorkIterations = res.Iterations
-	if err := finishResult(e, a, x, b, &res); err != nil {
-		return res, err
+	if err := st.verify(); err != nil {
+		return *res, err
 	}
 	res.SolveTime = time.Since(start)
-	return res, nil
-}
-
-// spcgState carries the SPCG solver state across the reconstruction.
-type spcgState struct {
-	e     *distmat.Env
-	a     *distmat.Matrix
-	m     precond.Split
-	b     distmat.Vector
-	opts  Options
-	sched *faults.Schedule
-
-	x, rhat, p, u distmat.Vector
-	r0, rho, beta float64
-}
-
-func (st *spcgState) wipe() {
-	nan := math.NaN()
-	vec.Fill(st.x.Local, nan)
-	vec.Fill(st.rhat.Local, nan)
-	vec.Fill(st.p.Local, nan)
-	vec.Fill(st.u.Local, nan)
-	st.r0, st.rho, st.beta = nan, nan, nan
-	if st.a.Ret != nil {
-		st.a.Ret.Wipe()
-	}
-}
-
-// recover reconstructs the SPCG state after the failure of victims at
-// iteration j, with the same phase structure (and overlapping-failure
-// restarts) as the PCG recovery.
-func (st *spcgState) recover(j int, victims []int) (Reconstruction, error) {
-	startT := time.Now()
-	rec := Reconstruction{Iteration: j}
-	ef := NewEpisodeFailures(st.sched, j, st.e.Pos, st.wipe, victims)
-
-restart:
-	failedList := ef.Ranks()
-	rec.FailedRanks = failedList
-	failed := ef.Failed
-	amFailed := ef.AmFailed()
-	subIters := 0
-	for phase := 1; phase <= numPhases; phase++ {
-		if ef.AtPhase(phase) {
-			rec.Restarts++
-			goto restart
-		}
-		switch phase {
-		case phaseScalars:
-			s0 := lowestSurvivorOf(failed, st.e.Size())
-			if st.e.Pos == s0 {
-				for _, f := range failedList {
-					if err := st.e.C.Send(cluster.CatRecovery, f, tagRecScalar, []float64{st.beta, st.r0}, nil); err != nil {
-						return rec, err
-					}
-				}
-			}
-			if amFailed {
-				vals, err := st.e.C.RecvFloats(s0, tagRecScalar)
-				if err != nil {
-					return rec, err
-				}
-				st.beta, st.r0 = vals[0], vals[1]
-			}
-		case phasePGather:
-			gens := []int{j}
-			pPrev := make([]float64, len(st.p.Local))
-			out := [][]float64{st.p.Local}
-			if j > 0 {
-				gens = append(gens, j-1)
-				out = append(out, pPrev)
-			}
-			if err := RecoverBlocks(st.e, st.a, j, failed, failedList, gens, out); err != nil {
-				return rec, err
-			}
-			if amFailed {
-				// zhat = p(j) - beta p(j-1) = L^{-T} rhat(j); block-local
-				// transforms recover rhat and r.
-				zhat := make([]float64, len(st.p.Local))
-				if j == 0 {
-					copy(zhat, st.p.Local)
-				} else {
-					vec.XpayInto(zhat, st.p.Local, -st.beta, pPrev)
-				}
-				st.m.MulLT(st.rhat.Local, zhat)
-			}
-		case phaseZR:
-			// rhat was already rebuilt in phasePGather (purely local);
-			// nothing distributed happens here for the split variant.
-		case phaseXSystem:
-			ghost, err := GatherGhost(st.e, st.a, st.x.Local, failed, failedList, tagRecXHalo)
-			if err != nil {
-				return rec, err
-			}
-			if amFailed {
-				r := make([]float64, len(st.rhat.Local))
-				st.m.MulL(r, st.rhat.Local) // r_If = L rhat_If
-				w := append([]float64(nil), st.b.Local...)
-				vec.Axpy(-1, r, w)
-				neg := make([]float64, len(w))
-				st.a.GhostProduct(neg, ghost)
-				vec.Axpy(-1, neg, w)
-				iters, err := SubsystemSolve(st.e, st.a, failedList, w, st.x.Local, ctxSubA,
-					st.opts.LocalTol, st.opts.LocalMaxIter)
-				if err != nil {
-					return rec, err
-				}
-				subIters += iters
-			}
-		case phaseFinalize:
-			iters, err := st.e.Grp.AllreduceScalar(cluster.OpMax, float64(subIters))
-			if err != nil {
-				return rec, err
-			}
-			subIters = int(iters)
-		}
-	}
-	rec.SubIterations = subIters
-	rec.Duration = time.Since(startT)
-	return rec, nil
-}
-
-// lowestSurvivorOf returns the smallest rank not in failed.
-func lowestSurvivorOf(failed map[int]bool, size int) int {
-	for r := 0; r < size; r++ {
-		if !failed[r] {
-			return r
-		}
-	}
-	return -1
+	return *res, nil
 }

@@ -1,7 +1,10 @@
 package core
 
 import (
+	"errors"
 	"math"
+	"reflect"
+	"sync"
 	"testing"
 
 	"repro/internal/cluster"
@@ -10,9 +13,16 @@ import (
 	"repro/internal/matgen"
 	"repro/internal/precond"
 	"repro/internal/vec"
+	"repro/internal/xerr"
 )
 
 func runSPCG(t *testing.T, ranks, phi int, sched *faults.Schedule, tol float64) harnessOut {
+	t.Helper()
+	return runSPCGOpts(t, ranks, phi, sched, func(int) Options { return Options{Tol: tol} })
+}
+
+// runSPCGOpts is runSPCG with per-rank solver options.
+func runSPCGOpts(t *testing.T, ranks, phi int, sched *faults.Schedule, opts func(rank int) Options) harnessOut {
 	t.Helper()
 	a := matgen.Poisson2D(18, 18)
 	return runSolver(t, ranks, func(c *cluster.Comm) (Result, distmat.Vector, error) {
@@ -24,7 +34,7 @@ func runSPCG(t *testing.T, ranks, phi int, sched *faults.Schedule, tol float64) 
 		if err != nil {
 			return Result{}, x, err
 		}
-		res, err := SPCG(e, m, x, b, ic, Options{Tol: tol}, sched)
+		res, err := SPCG(e, m, x, b, ic, opts(c.Rank()), sched)
 		return res, x, err
 	})
 }
@@ -139,5 +149,90 @@ func TestSPCGRequiresSplit(t *testing.T) {
 	})
 	if out.err == nil {
 		t.Fatal("expected error for nil split preconditioner")
+	}
+}
+
+// TestSPCGFailurePollRunsTheDriverStep: SPCG's failure poll is the driver's
+// — the OnFailure hook fires on every rank before recovery (the net fabric
+// kills the victim's process there; without it a scheduled kill under SPCG
+// is silently simulated in-process), and the episode reaches Progress and
+// the Tracer.
+func TestSPCGFailurePollRunsTheDriverStep(t *testing.T) {
+	const ranks, failAt = 6, 4
+	sched := faults.NewSchedule(faults.Simultaneous(failAt, 1, 2))
+	var mu sync.Mutex
+	hooks := map[int][]int{} // rank -> victims it was told about
+	var log eventLog
+	out := runSPCGOpts(t, ranks, 2, sched, func(rank int) Options {
+		opts := Options{Tol: 1e-9, OnFailure: func(j int, victims []int) {
+			mu.Lock()
+			defer mu.Unlock()
+			if j != failAt || hooks[rank] != nil {
+				t.Errorf("rank %d: OnFailure(%d, %v) after %v", rank, j, victims, hooks[rank])
+			}
+			hooks[rank] = victims
+		}}
+		if rank == 0 {
+			opts.Tracer = &log
+			opts.Progress = func(ev ProgressEvent) { log.progress = append(log.progress, ev) }
+		}
+		return opts
+	})
+	if out.err != nil {
+		t.Fatal(out.err)
+	}
+	if !out.res.Converged || len(out.res.Reconstructions) != 1 {
+		t.Fatalf("converged %v with %d episodes", out.res.Converged, len(out.res.Reconstructions))
+	}
+	for rank := 0; rank < ranks; rank++ {
+		if !reflect.DeepEqual(hooks[rank], []int{1, 2}) {
+			t.Fatalf("rank %d: OnFailure saw %v, want [1 2]", rank, hooks[rank])
+		}
+	}
+	if len(log.recoveries) != 1 {
+		t.Fatalf("%d recovery traces, want 1", len(log.recoveries))
+	}
+	if rt := log.recoveries[0]; rt.Iteration != failAt || rt.Strategy != StrategyESR || !reflect.DeepEqual(rt.FailedRanks, []int{1, 2}) {
+		t.Fatalf("recovery trace %+v", rt)
+	}
+	episodes := 0
+	for _, ev := range log.progress {
+		if ev.Reconstruction != nil {
+			episodes++
+			if ev.Iteration != failAt {
+				t.Fatalf("reconstruction event at iteration %d, want %d", ev.Iteration, failAt)
+			}
+		}
+	}
+	if episodes != 1 {
+		t.Fatalf("%d reconstruction progress events, want 1", episodes)
+	}
+}
+
+// TestResumeRejectedWhereNoEpisodeToJoin: a replacement rank handed a Resume
+// must never be silently iterated from 0 against peers blocked in recovery
+// collectives. SPCG and blocked solves have no width-1 ESR-PCG episode to
+// join and say so with a failed_precondition-classed error.
+func TestResumeRejectedWhereNoEpisodeToJoin(t *testing.T) {
+	resume := &EpisodeResume{Iteration: 3, Victims: []int{1}}
+	sched := faults.NewSchedule(faults.Simultaneous(3, 1))
+	out := runSPCGOpts(t, 4, 1, sched, func(int) Options { return Options{Resume: resume} })
+	if !errors.Is(out.err, xerr.FailedPrecondition) {
+		t.Fatalf("SPCG with Resume: err = %v, want failed_precondition", out.err)
+	}
+
+	a := matgen.Poisson2D(10, 10)
+	out = runSolver(t, 4, func(c *cluster.Comm) (Result, distmat.Vector, error) {
+		e, m, x, b, err := setupProblem(c, a, 1)
+		if err != nil {
+			return Result{}, x, err
+		}
+		m.SetBlockWidth(2)
+		xs := []distmat.Vector{x, distmat.NewVector(m.P, e.Pos)}
+		_, _, err = SolveBlock(e, m, xs, []distmat.Vector{b, b}, nil, Options{Resume: resume}, sched, nil)
+		return Result{}, x, err
+	})
+	if !errors.Is(out.err, xerr.FailedPrecondition) {
+		t.Fatalf("width-2 solve with Resume: err = %v, want failed_precondition", out.err)
 	}
 }

@@ -3,12 +3,13 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
-	"repro/internal/cluster"
 	"repro/internal/distmat"
 	"repro/internal/faults"
 	"repro/internal/vec"
+	"repro/internal/xerr"
 )
 
 // Strategy names (the wire values of engine.Config.Strategy and the esrd
@@ -32,11 +33,6 @@ const (
 	StrategyTwin = "twin"
 )
 
-// StrategyNames lists the built-in recovery-strategy names.
-func StrategyNames() []string {
-	return []string{StrategyESR, StrategyCheckpoint, StrategyRestart, StrategyTwin}
-}
-
 // DefaultTwinInterval is the default twin checksum-exchange cadence: every
 // iteration, so a bit-flip is caught at its own poll point — before it leaks
 // into a reduction — and the restored state is bitwise the fault-free one.
@@ -48,34 +44,82 @@ const DefaultTwinInterval = 1
 // strategy identically.
 const NumRecoveryPhases = numPhases
 
-// SolverState is the live state of the resilient PCG driver, exposed to
-// Strategy implementations at the driver's poll points. Every rank holds its
-// own SolverState (the vectors carry the rank-local blocks; the scalars are
-// replicated), while one Strategy instance is shared by all ranks of a
-// solve — strategies keep cross-rank state (such as a checkpoint store)
-// internally and per-rank state on this struct.
+// SolverState is the live state of the PCG driver, exposed to Strategy
+// implementations at the driver's poll points. The state is k columns wide:
+// column c of every slice belongs to the independent system A x[c] = b[c],
+// and a solo solve is the k = 1 case. Every rank holds its own SolverState
+// (the vectors carry the rank-local blocks; the scalars are replicated),
+// while one Strategy instance is shared by all ranks of a solve — strategies
+// keep cross-rank state (such as a checkpoint store) internally and per-rank
+// state on this struct. Strategies that keep one column of state (see
+// WidthOneOnly) only ever see k = 1 and address column 0.
 type SolverState struct {
 	E     *distmat.Env
 	A     *distmat.Matrix
 	M     Precond
-	B     distmat.Vector
 	Opts  Options
 	Sched *faults.Schedule
 
-	// X, R, Z, P, U are the PCG iteration vectors (solution, residual,
-	// preconditioned residual, search direction, A*P).
-	X, R, Z, P, U distmat.Vector
-	// R0 is ||r(0)||, RZ is r(j)'z(j), Beta is beta(j-1); all replicated.
-	R0, RZ, Beta float64
+	// B is the right-hand side; X, R, Z, P, U are the PCG iteration vectors
+	// (solution, residual, preconditioned residual, search direction, A*P),
+	// one distmat.Vector per column.
+	B, X, R, Z, P, U []distmat.Vector
+	// R0[c] is ||r(0)||, RZ[c] is r(j)'z(j), Beta[c] is beta(j-1) of column
+	// c; all replicated.
+	R0, RZ, Beta []float64
+	// fused is the length-2k send buffer of the fused allreduces.
+	fused []float64
 
-	// X0 is a clone of the rank's initial-guess block, kept only when the
-	// strategy needs a cold-restart target (see RestartStrategy).
-	X0 []float64
+	// X0 holds clones of the rank's initial-guess blocks, kept only when the
+	// strategy needs a cold-restart target (see NewRestartStrategy).
+	X0 [][]float64
 
 	// Twin is the rank's shadow replica, kept only by the twin strategy
 	// (see NewTwinStrategy).
 	Twin *TwinShadow
+
+	// done masks a column out of the iteration: converged (res[c].Converged)
+	// or failed (errs[c] set). A frozen column stops updating but stays in
+	// the k-wide block, so the SpMM, the halo frames and the retention
+	// generations keep their shape for the columns still running.
+	done []bool
+	errs []error
+	res  []Result
+	// xFinal[c] is the solution snapshot of a landed column — exactly what
+	// its solo solve would have returned; a later reconstruction, while
+	// other columns run on, rebuilds the live X[c] only to LocalTol. nil (a
+	// column that never converged) means X[c] itself is the answer.
+	xFinal [][]float64
+	// subIters carries the per-column subsystem iteration counts of the
+	// last in-place reconstruction from the episode to the driver's
+	// per-column Reconstruction records (nil after a rollback).
+	subIters []float64
 }
+
+// newSolverState allocates the k-column iteration state around the caller's
+// x and b columns. The k = 1 solve is the latency-sensitive one, so the
+// vector headers and the scalars share one backing array each.
+func newSolverState(e *distmat.Env, a *distmat.Matrix, m Precond, x, b []distmat.Vector, opts Options, sched *faults.Schedule) *SolverState {
+	k := len(b)
+	vs := make([]distmat.Vector, 4*k)
+	for i := range vs {
+		vs[i] = distmat.NewVector(a.P, e.Pos)
+	}
+	fs := make([]float64, 5*k)
+	return &SolverState{
+		E: e, A: a, M: m, Opts: opts, Sched: sched,
+		B: b, X: x,
+		R: vs[:k], Z: vs[k : 2*k], P: vs[2*k : 3*k], U: vs[3*k:],
+		R0: fs[:k], RZ: fs[k : 2*k], Beta: fs[2*k : 3*k], fused: fs[3*k:],
+		done: make([]bool, k), errs: make([]error, k),
+		res: make([]Result, k), xFinal: make([][]float64, k),
+	}
+}
+
+func (st *SolverState) k() int { return len(st.B) }
+
+// allDone reports whether every column converged or failed.
+func (st *SolverState) allDone() bool { return !slices.Contains(st.done, false) }
 
 // Wipe destroys this rank's dynamic solver data, simulating the memory loss
 // of a node failure. NaN poisoning guarantees that any value the recovery
@@ -84,25 +128,55 @@ type SolverState struct {
 // like the static data (matrix block, b block, preconditioner).
 func (st *SolverState) Wipe() {
 	nan := math.NaN()
-	vec.Fill(st.X.Local, nan)
-	vec.Fill(st.R.Local, nan)
-	vec.Fill(st.Z.Local, nan)
-	vec.Fill(st.P.Local, nan)
-	vec.Fill(st.U.Local, nan)
-	st.R0 = nan
-	st.RZ = nan
-	st.Beta = nan
+	for _, vs := range [][]distmat.Vector{st.X, st.R, st.Z, st.P, st.U} {
+		for _, v := range vs {
+			vec.Fill(v.Local, nan)
+		}
+	}
+	for c := range st.R0 {
+		st.R0[c], st.RZ[c], st.Beta[c] = nan, nan, nan
+	}
 	if st.A.Ret != nil {
 		st.A.Ret.Wipe()
 	}
 }
 
-// Strategy is the failure-recovery seam of the resilient PCG driver
-// (ResilientPCG): it owns both halves of a resilience scheme — the
-// steady-state overhead work of every iteration (ESR's redundancy rides the
-// SpMV, checkpointing saves state periodically, restart does nothing) and
-// the recovery episode after a failure (reconstruction vs rollback-and-redo
-// vs cold restart). Failure events from one faults.Schedule are dispatched
+// WidthOneOnly is the one statement of which solves must run a single
+// column at a time: it returns nil when a solve configured like this may run
+// k > 1 columns in lockstep, and a failed_precondition-classed error naming
+// the reason otherwise. Only the ESR strategy is width-generic — the others
+// keep one column of state (a checkpoint store, a cold-restart target, a
+// twin shadow) — and the silent-data-corruption machinery (armed drift
+// check, corruption events) and the Resume entry address column 0. The
+// driver enforces it; engine.Prepared.CanSolveBlock asks it.
+func WidthOneOnly(strategy string, opts Options, sched *faults.Schedule) error {
+	switch {
+	case strategy != StrategyESR:
+		return xerr.Newf(xerr.FailedPrecondition,
+			"core: the %s strategy keeps one column of state; only %s runs at width > 1", strategy, StrategyESR)
+	case opts.SDCCheck > 0 || sched.HasCorruption():
+		return xerr.New(xerr.FailedPrecondition,
+			"core: silent-data-corruption checks and corruption events run at width 1 only")
+	case opts.Resume != nil:
+		return errResume("a solve at width > 1")
+	}
+	return nil
+}
+
+// errResume is the classed rejection of Options.Resume by a solve that has
+// no in-place width-1 ESR-PCG episode for a replacement rank to join:
+// ignoring the request would iterate from 0 against peers blocked in
+// recovery collectives.
+func errResume(who string) error {
+	return xerr.Newf(xerr.FailedPrecondition,
+		"core: %s cannot join a failure episode via Resume (only width-1 %s-PCG can)", who, StrategyESR)
+}
+
+// Strategy is the failure-recovery seam of the PCG driver (SolveBlock): it
+// owns both halves of a resilience scheme — the steady-state overhead work
+// of every iteration (ESR's redundancy rides the SpMV, checkpointing saves
+// state periodically, restart does nothing) and the recovery episode after
+// a failure (reconstruction vs rollback-and-redo vs cold restart). Failure events from one faults.Schedule are dispatched
 // to whichever strategy is active, including overlapping failures at
 // recovery-phase boundaries (Sec. 4.1 and its rollback analogue).
 //
@@ -228,7 +302,7 @@ func (esrStrategy) Init(st *SolverState) error {
 func (esrStrategy) Overhead(*SolverState, int) error { return nil }
 
 func (esrStrategy) Recover(st *SolverState, j int, victims []int) (int, Reconstruction, error) {
-	rec, err := st.recoverEpisode(j, victims)
+	rec, err := st.recoverEpisode(j, victims, st.rebuildR)
 	return -1, rec, err
 }
 
@@ -245,7 +319,7 @@ func NewRestartStrategy() Strategy { return restartStrategy{} }
 func (restartStrategy) Name() string { return StrategyRestart }
 
 func (restartStrategy) Init(st *SolverState) error {
-	st.X0 = vec.Clone(st.X.Local)
+	st.X0 = cloneLocals(st.X)
 	return nil
 }
 
@@ -267,368 +341,12 @@ func (restartStrategy) Recover(st *SolverState, j int, victims []int) (int, Reco
 	// Every rank resets to the initial guess and rebuilds the iteration-0
 	// state; the replacements read x0 from reliable storage like the other
 	// static data.
-	copy(st.X.Local, st.X0)
+	for c := range st.X {
+		copy(st.X[c].Local, st.X0[c])
+	}
 	if err := initIteration0(st); err != nil {
 		return 0, rec, err
 	}
 	rec.Duration = time.Since(startT)
 	return 0, rec, nil
-}
-
-// initIteration0 (re)builds the iteration-0 solver state on every rank from
-// X and B: r(0) = b - A x(0), z(0) = M^{-1} r(0), p(0) = z(0), and the
-// replicated scalars. Shared by the driver's setup and the cold-restart
-// recovery, so a restarted solve replays a fresh solve bit-identically.
-func initIteration0(st *SolverState) error {
-	if err := st.A.Residual(st.E, st.R, st.B, st.X, -1); err != nil {
-		return err
-	}
-	if err := st.M.Apply(st.E, st.Z, st.R); err != nil {
-		return err
-	}
-	vec.Copy(st.P.Local, st.Z.Local)
-	norms, err := st.E.Grp.Allreduce(cluster.OpSum, []float64{
-		vec.ParNrm2SqN(st.R.Local, st.Opts.Threads), vec.ParDotN(st.R.Local, st.Z.Local, st.Opts.Threads)})
-	if err != nil {
-		return err
-	}
-	st.R0 = math.Sqrt(norms[0])
-	st.RZ = norms[1]
-	st.E.Grp.Recycle(norms)
-	st.Beta = 0
-	return nil
-}
-
-// ResilientPCG runs the preconditioned conjugate gradient method protected
-// by the given recovery strategy: the reference Alg. 1 iteration loop with
-// the strategy's steady-state overhead work at the top of every iteration
-// and its recovery episode at the paper's post-SpMV failure poll point.
-// ESRPCG is exactly this driver with NewESRStrategy; the checkpoint/restart
-// baseline (internal/checkpoint) and the cold-restart lower bound plug into
-// the same loop, so all strategies are compared on one code path.
-//
-// Failure semantics follow the paper's experimental methodology (Sec. 6):
-// victims are wiped at deterministic poll points and the same rank slot then
-// executes the strategy's recovery protocol. Overlapping failures fire at
-// recovery-phase boundaries and restart the episode with the enlarged failed
-// set (Sec. 4.1; rollback strategies redo the rollback — a cascading
-// rollback).
-func ResilientPCG(e *distmat.Env, a *distmat.Matrix, x, b distmat.Vector, m Precond, opts Options, sched *faults.Schedule, strat Strategy) (Result, error) {
-	if m == nil {
-		m = IdentityPrecond()
-	}
-	if strat == nil {
-		strat = NewESRStrategy()
-	}
-	opts = opts.withDefaults(a.P.N())
-	if err := sched.Validate(e.Size()); err != nil {
-		return Result{}, err
-	}
-	start := time.Now()
-
-	st := &SolverState{
-		E: e, A: a, M: m, B: b, Opts: opts, Sched: sched,
-		X: x,
-		R: distmat.NewVector(a.P, e.Pos),
-		Z: distmat.NewVector(a.P, e.Pos),
-		P: distmat.NewVector(a.P, e.Pos),
-		U: distmat.NewVector(a.P, e.Pos),
-	}
-	// Init before any collective (and before the r0 == 0 early return): a
-	// misconfiguration such as an ESR schedule without redundancy must
-	// surface even when the initial guess already solves the system.
-	if err := strat.Init(st); err != nil {
-		return Result{}, err
-	}
-
-	var res Result
-	if opts.Resume != nil {
-		// A replacement rank joining an episode in progress: its peers are
-		// blocked at iteration Resume.Iteration's recovery collectives, so
-		// running iterations 0..Iteration-1 here would deadlock (and repeat
-		// sends the survivors already consumed). Start from the same wiped
-		// state an in-process victim has — recovery rebuilds everything,
-		// including the replicated scalars this rank's Result needs.
-		if strat.Name() != StrategyESR {
-			return Result{}, fmt.Errorf("core: Resume requires the in-place %s strategy, not %s", StrategyESR, strat.Name())
-		}
-		if opts.Resume.Iteration < 0 || opts.Resume.Iteration >= opts.MaxIter {
-			return Result{}, fmt.Errorf("core: Resume iteration %d out of range", opts.Resume.Iteration)
-		}
-		st.Wipe()
-	} else {
-		// r(0) = b - A x(0); z(0) = M^{-1} r(0); p(0) = z(0).
-		if err := initIteration0(st); err != nil {
-			return Result{}, err
-		}
-		res = Result{InitialResidual: st.R0, FinalResidual: st.R0}
-		if st.R0 == 0 {
-			res.Converged = true
-			res.SolveTime = time.Since(start)
-			return res, nil
-		}
-	}
-	target := func() float64 { return opts.Tol * st.R0 }
-
-	// poller is non-nil for strategies that detect and repair silent data
-	// corruption themselves (twin); others rely on the detection-only
-	// SDCCheck drift check below.
-	poller, _ := strat.(sdcPoller)
-	var sdcScratch distmat.Vector
-	if opts.SDCCheck > 0 {
-		sdcScratch = distmat.NewVector(a.P, e.Pos)
-	}
-	// sdcPending tracks injected-but-undetected corruption iterations for
-	// the detection-latency accounting; sdcFired plays the role of `fired`
-	// for corruption events on rollback replays.
-	var sdcPending []int
-	sdcFired := map[int]bool{}
-
-	// clock times the iteration phases for the tracer; nil (the common case)
-	// reduces every hook below to a pointer test, so the untraced loop never
-	// reads the wall clock mid-iteration.
-	var clock *phaseClock
-	if opts.Tracer != nil {
-		clock = &phaseClock{}
-	}
-
-	// fired tracks handled failure iterations, so rollback strategies that
-	// redo iterations do not re-trigger the same event on the replay.
-	fired := map[int]bool{}
-	j := 0
-	// resuming carries the Resume episode into the first loop pass: the
-	// rank goes straight to the recovery collectives its peers are blocked
-	// in, skipping the per-iteration work that already happened elsewhere.
-	resuming := opts.Resume != nil
-	if resuming {
-		j = opts.Resume.Iteration
-		fired[j] = true
-	}
-	for j < opts.MaxIter {
-		var victims []int
-		// redoJ marks that iteration j's state was rebuilt (in-place
-		// fail-stop reconstruction or a non-bitwise corruption repair): the
-		// SpMV of j must be redone and r'z recomputed before continuing.
-		redoJ := false
-		if resuming {
-			resuming = false
-			victims = opts.Resume.Victims
-		} else {
-			if err := opts.poll(); err != nil {
-				return res, err
-			}
-			// Steady-state protection work (checkpoint saves; nothing for
-			// ESR — its redundancy rides the SpMV below — or restart).
-			if err := strat.Overhead(st, j); err != nil {
-				return res, err
-			}
-			res.WorkIterations++
-			// u = A p(j): the SpMV that distributes the redundant copies of
-			// p(j) (when the matrix is resilience-enabled) and retains
-			// generation j.
-			clock.start()
-			if err := a.MatVec(e, st.U, st.P, j); err != nil {
-				return res, err
-			}
-			clock.stopSpMV()
-			// Corruption poll point: scheduled bit flips strike here — the
-			// same point as the fail-stop events below, after u = A p(j) was
-			// computed from the still-clean p. All ranks count every
-			// injection (the Result stays replicated); only the victim
-			// applies the flip.
-			if sites := sched.CorruptionsAt(j); len(sites) > 0 && !sdcFired[j] {
-				sdcFired[j] = true
-				res.SDCInjected += len(sites)
-				for _, s := range sites {
-					sdcPending = append(sdcPending, j)
-					if s.Rank == e.Pos {
-						applyCorruption(st, s)
-					}
-				}
-			}
-			// Twin checksum exchange + vote + forward recovery. This runs
-			// before the fail-stop recovery below so the u-test still sees
-			// the pre-injection u = A p(j).
-			if poller != nil {
-				out, perr := poller.PollSDC(st, j)
-				if perr != nil {
-					return res, perr
-				}
-				redoJ = out.Redo
-				if out.Detected > 0 {
-					res.SDCDetected += out.Detected
-					res.SDCCorrected += out.Corrected
-					for _, inj := range sdcPending {
-						res.SDCLatency += j - inj
-					}
-					sdcPending = sdcPending[:0]
-					if opts.Tracer != nil {
-						opts.Tracer.TraceRecovery(RecoveryTrace{
-							Iteration: j, Strategy: strat.Name(),
-							FailedRanks: out.Ranks, Corruption: true,
-						})
-					}
-				}
-			}
-			// Periodic true-residual drift check (detection-only for
-			// strategies without a repair path).
-			if opts.SDCCheck > 0 && j > 0 && j%opts.SDCCheck == 0 {
-				rtrue, rrec, bad, derr := sdcDrift(st, sdcScratch)
-				if derr != nil {
-					return res, derr
-				}
-				if bad {
-					res.SDCDetected++
-					for _, inj := range sdcPending {
-						res.SDCLatency += j - inj
-					}
-					sdcPending = sdcPending[:0]
-					if poller == nil {
-						return res, &SDCDetectedError{Iteration: j, TrueResidual: rtrue, RecurrenceResidual: rrec}
-					}
-					if rerr := poller.RepairDrift(st, j); rerr != nil {
-						return res, rerr
-					}
-					res.SDCCorrected++
-					redoJ = true
-					if opts.Tracer != nil {
-						opts.Tracer.TraceRecovery(RecoveryTrace{
-							Iteration: j, Strategy: strat.Name(), Corruption: true,
-						})
-					}
-				}
-			}
-			// Poll point: the paper's failures strike here, after the copies
-			// of p(j) exist on phi other ranks.
-			if v := sched.AtIteration(j); len(v) > 0 && !fired[j] {
-				fired[j] = true
-				victims = v
-				if opts.OnFailure != nil {
-					opts.OnFailure(j, v)
-				}
-			}
-		}
-		if len(victims) > 0 {
-			resume, rec, err := strat.Recover(st, j, victims)
-			if err != nil {
-				return res, err
-			}
-			res.Reconstructions = append(res.Reconstructions, rec)
-			res.ReconstructTime += rec.Duration
-			if res.InitialResidual == 0 && opts.Resume != nil {
-				// A resumed rank learns ||r0|| only through the recovery's
-				// scalar reconstruction; fill the Result in after the fact.
-				res.InitialResidual, res.FinalResidual = st.R0, st.R0
-			}
-			recCopy := rec
-			opts.notify(ProgressEvent{
-				Iteration: j, Residual: res.FinalResidual,
-				RelResidual: relTo(res.FinalResidual, st.R0), Reconstruction: &recCopy,
-			})
-			if opts.Tracer != nil {
-				redone := 0
-				if resume >= 0 {
-					redone = j - resume
-				}
-				opts.Tracer.TraceRecovery(RecoveryTrace{
-					Iteration: j, Strategy: strat.Name(),
-					FailedRanks: rec.FailedRanks, Restarts: rec.Restarts,
-					RedoneIterations: redone, Duration: rec.Duration,
-				})
-			}
-			if resume >= 0 {
-				// Rollback-style recovery: redo the lost iterations. The
-				// replayed iterations are traced again — the trace reflects
-				// executed work, like Result.WorkIterations.
-				clock.reset()
-				j = resume
-				continue
-			}
-			// In-place reconstruction: fall through to the shared redo.
-			redoJ = true
-		}
-		if redoJ {
-			// Redo the SpMV of iteration j — recomputes u everywhere and
-			// re-establishes the redundancy copies on reconstructed or
-			// repaired state.
-			clock.start()
-			if err := a.MatVec(e, st.U, st.P, j); err != nil {
-				return res, err
-			}
-			clock.stopSpMV()
-			// r'z involves rebuilt blocks: recompute it.
-			clock.start()
-			rz, err := distmat.DotN(e, st.R, st.Z, opts.Threads)
-			clock.stopAllreduce()
-			if err != nil {
-				return res, err
-			}
-			st.RZ = rz
-		}
-		clock.start()
-		pu, err := distmat.DotN(e, st.P, st.U, opts.Threads)
-		clock.stopAllreduce()
-		if err != nil {
-			return res, err
-		}
-		// Negated comparison so NaN (from an overflowed iterate) also trips
-		// the breakdown instead of spinning NaN arithmetic to MaxIter.
-		if !(pu > 0) {
-			return res, fmt.Errorf("core: %s-PCG breakdown, p'Ap = %g at iteration %d", strat.Name(), pu, j)
-		}
-		alpha := st.RZ / pu
-		// Fused PCG update pair: x += alpha p and r -= alpha A p in one pass
-		// (bit-identical to the two Axpys).
-		vec.ParAxpyAxpy(alpha, st.P.Local, x.Local, -alpha, st.U.Local, st.R.Local, opts.Threads)
-		clock.start()
-		if err := m.Apply(e, st.Z, st.R); err != nil {
-			return res, err
-		}
-		clock.stopPrecond()
-		clock.start()
-		norms, err := e.Grp.Allreduce(cluster.OpSum, []float64{
-			vec.ParNrm2SqN(st.R.Local, opts.Threads), vec.ParDotN(st.R.Local, st.Z.Local, opts.Threads)})
-		clock.stopAllreduce()
-		if err != nil {
-			return res, err
-		}
-		rn := math.Sqrt(norms[0])
-		rzNew := norms[1]
-		e.Grp.Recycle(norms)
-		res.Iterations = j + 1
-		res.FinalResidual = rn
-		if math.IsNaN(rn) || math.IsInf(rn, 0) {
-			return res, fmt.Errorf("core: %s-PCG diverged, ||r|| = %g at iteration %d", strat.Name(), rn, j)
-		}
-		opts.notify(ProgressEvent{Iteration: j + 1, Residual: rn, RelResidual: relTo(rn, st.R0)})
-		clock.emit(opts.Tracer, j+1, rn, relTo(rn, st.R0))
-		if rn <= target() {
-			res.Converged = true
-			break
-		}
-		st.Beta = rzNew / st.RZ
-		st.RZ = rzNew
-		vec.Axpby(1, st.Z.Local, st.Beta, st.P.Local)
-		j++
-	}
-
-	if err := finishResult(e, a, x, b, &res); err != nil {
-		return res, err
-	}
-	// Convergence verification: with SDC checking armed, a solve never
-	// reports success while the recurrence residual disagrees with the true
-	// residual — corruption that slipped between periodic checks surfaces
-	// here instead of as a silently wrong answer.
-	if opts.SDCCheck > 0 && res.Converged {
-		diff := math.Abs(res.TrueResidual - res.FinalResidual)
-		if !(diff <= sdcDriftTol*math.Max(st.R0, res.TrueResidual)) {
-			res.SDCDetected++
-			return res, &SDCDetectedError{
-				Iteration: res.Iterations, TrueResidual: res.TrueResidual,
-				RecurrenceResidual: res.FinalResidual,
-			}
-		}
-	}
-	res.SolveTime = time.Since(start)
-	return res, nil
 }

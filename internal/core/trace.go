@@ -100,9 +100,17 @@ func MultiTracer(ts ...Tracer) Tracer {
 // so the untraced hot path pays exactly one pointer test per phase and never
 // reads the clock.
 type phaseClock struct {
-	spmv, precond, allreduce time.Duration
-	mark                     time.Time
+	spent [numClockPhases]time.Duration
+	mark  time.Time
 }
+
+// The phases a phaseClock attributes time to.
+const (
+	clockSpMV = iota
+	clockPrecond
+	clockAllreduce
+	numClockPhases
+)
 
 // start begins timing a phase.
 func (c *phaseClock) start() {
@@ -112,27 +120,12 @@ func (c *phaseClock) start() {
 	c.mark = time.Now()
 }
 
-// stopSpMV/stopPrecond/stopAllreduce end the phase begun by start and
-// accumulate its duration.
-func (c *phaseClock) stopSpMV() {
+// stop ends the phase begun by start and accumulates its duration.
+func (c *phaseClock) stop(phase int) {
 	if c == nil {
 		return
 	}
-	c.spmv += time.Since(c.mark)
-}
-
-func (c *phaseClock) stopPrecond() {
-	if c == nil {
-		return
-	}
-	c.precond += time.Since(c.mark)
-}
-
-func (c *phaseClock) stopAllreduce() {
-	if c == nil {
-		return
-	}
-	c.allreduce += time.Since(c.mark)
+	c.spent[phase] += time.Since(c.mark)
 }
 
 // reset clears the accumulators for the next iteration.
@@ -140,7 +133,7 @@ func (c *phaseClock) reset() {
 	if c == nil {
 		return
 	}
-	c.spmv, c.precond, c.allreduce = 0, 0, 0
+	c.spent = [numClockPhases]time.Duration{}
 }
 
 // emit reports the completed iteration to the tracer and resets.
@@ -150,7 +143,7 @@ func (c *phaseClock) emit(tr Tracer, iteration int, rn, rel float64) {
 	}
 	tr.TraceIteration(IterationTrace{
 		Iteration: iteration, Residual: rn, RelResidual: rel,
-		SpMV: c.spmv, Precond: c.precond, Allreduce: c.allreduce,
+		SpMV: c.spent[clockSpMV], Precond: c.spent[clockPrecond], Allreduce: c.spent[clockAllreduce],
 	})
 	c.reset()
 }

@@ -58,11 +58,11 @@ type TwinShadow struct {
 
 // sync refreshes the shadow from the primary state.
 func (tw *TwinShadow) sync(st *SolverState) {
-	copy(tw.X, st.X.Local)
-	copy(tw.R, st.R.Local)
-	copy(tw.Z, st.Z.Local)
-	copy(tw.P, st.P.Local)
-	tw.R0, tw.RZ, tw.Beta = st.R0, st.RZ, st.Beta
+	copy(tw.X, st.X[0].Local)
+	copy(tw.R, st.R[0].Local)
+	copy(tw.Z, st.Z[0].Local)
+	copy(tw.P, st.P[0].Local)
+	tw.R0, tw.RZ, tw.Beta = st.R0[0], st.RZ[0], st.Beta[0]
 }
 
 // checksum64 is a cheap FNV-1a-style digest over the float bit patterns: the
@@ -135,7 +135,7 @@ func (t *twinStrategy) Init(st *SolverState) error {
 	if st.Sched.HasFailStop() && st.A.Ret == nil {
 		return fmt.Errorf("core: twin fail-stop recovery delegates to ESR and needs a resilience-enabled matrix (phi >= 1) to honour a failure schedule")
 	}
-	n := len(st.X.Local)
+	n := len(st.X[0].Local)
 	st.Twin = &TwinShadow{
 		X: make([]float64, n), R: make([]float64, n),
 		Z: make([]float64, n), P: make([]float64, n),
@@ -158,7 +158,7 @@ func (t *twinStrategy) Overhead(st *SolverState, j int) error {
 // Recover handles fail-stop victims by delegating to the ESR reconstruction,
 // then re-arms the shadow with the reconstructed state.
 func (t *twinStrategy) Recover(st *SolverState, j int, victims []int) (int, Reconstruction, error) {
-	rec, err := st.recoverEpisode(j, victims)
+	rec, err := st.recoverEpisode(j, victims, st.rebuildR)
 	if err == nil {
 		st.Twin.sync(st)
 	}
@@ -181,7 +181,7 @@ func (t *twinStrategy) PollSDC(st *SolverState, j int) (SDCOutcome, error) {
 	flags := make([]float64, 4+size)
 	diverged := false
 	for i, pair := range [4][2][]float64{
-		{st.X.Local, tw.X}, {st.R.Local, tw.R}, {st.Z.Local, tw.Z}, {st.P.Local, tw.P},
+		{st.X[0].Local, tw.X}, {st.R[0].Local, tw.R}, {st.Z[0].Local, tw.Z}, {st.P[0].Local, tw.P},
 	} {
 		if checksum64(pair[0]) != checksum64(pair[1]) {
 			flags[i] = 1
@@ -213,13 +213,13 @@ func (t *twinStrategy) PollSDC(st *SolverState, j int) (SDCOutcome, error) {
 	// the consistency |  ||b - A x|| - ||r||  | and copy the winner forward.
 	// Ties favour the shadow — the replica the injection never touches.
 	if cx+cr > 0 {
-		if err := st.A.Residual(e, tw.scratch, st.B, st.X, -1); err != nil {
+		if err := st.A.Residual(e, tw.scratch, st.B[0], st.X[0], -1); err != nil {
 			return out, err
 		}
 		tp := vec.ParNrm2SqN(tw.scratch.Local, st.Opts.Threads)
-		rp := vec.ParNrm2SqN(st.R.Local, st.Opts.Threads)
+		rp := vec.ParNrm2SqN(st.R[0].Local, st.Opts.Threads)
 		copy(tw.cand.Local, tw.X)
-		if err := st.A.Residual(e, tw.scratch, st.B, tw.cand, -1); err != nil {
+		if err := st.A.Residual(e, tw.scratch, st.B[0], tw.cand, -1); err != nil {
 			return out, err
 		}
 		ts := vec.ParNrm2SqN(tw.scratch.Local, st.Opts.Threads)
@@ -233,11 +233,11 @@ func (t *twinStrategy) PollSDC(st *SolverState, j int) (SDCOutcome, error) {
 		e.Grp.Recycle(norms)
 		if !(scoreP < scoreS) {
 			// Shadow wins (NaN scores land here too): copy it forward.
-			copy(st.X.Local, tw.X)
-			copy(st.R.Local, tw.R)
+			copy(st.X[0].Local, tw.X)
+			copy(st.R[0].Local, tw.R)
 		} else {
-			copy(tw.X, st.X.Local)
-			copy(tw.R, st.R.Local)
+			copy(tw.X, st.X[0].Local)
+			copy(tw.R, st.R[0].Local)
 		}
 		out.Corrected += cx + cr
 	}
@@ -246,11 +246,11 @@ func (t *twinStrategy) PollSDC(st *SolverState, j int) (SDCOutcome, error) {
 	// is bitwise the fault-free z, because z = M^{-1} r was computed from
 	// this same r at the end of the previous iteration.
 	if cz > 0 {
-		if err := st.M.Apply(e, tw.scratch, st.R); err != nil {
+		if err := st.M.Apply(e, tw.scratch, st.R[0]); err != nil {
 			return out, err
 		}
-		copy(st.Z.Local, tw.scratch.Local)
-		copy(tw.Z, st.Z.Local)
+		copy(st.Z[0].Local, tw.scratch.Local)
+		copy(tw.Z, st.Z[0].Local)
 		out.Corrected += cz
 	}
 
@@ -258,12 +258,12 @@ func (t *twinStrategy) PollSDC(st *SolverState, j int) (SDCOutcome, error) {
 	// iteration, before the injection point, so the healthy candidate is the
 	// one with A p == u bitwise.
 	if cp > 0 {
-		okPrimary, err := t.uTest(st, st.P)
+		okPrimary, err := t.uTest(st, st.P[0])
 		if err != nil {
 			return out, err
 		}
 		if okPrimary {
-			copy(tw.P, st.P.Local)
+			copy(tw.P, st.P[0].Local)
 		} else {
 			copy(tw.cand.Local, tw.P)
 			okShadow, err := t.uTest(st, tw.cand)
@@ -274,7 +274,7 @@ func (t *twinStrategy) PollSDC(st *SolverState, j int) (SDCOutcome, error) {
 			// touches it); if even the shadow fails the u-test, u itself is
 			// corrupted (e.g. a corrupted halo wire) and must be redone from
 			// the restored p.
-			copy(st.P.Local, tw.P)
+			copy(st.P[0].Local, tw.P)
 			if !okShadow {
 				out.Redo = true
 			}
@@ -293,7 +293,7 @@ func (t *twinStrategy) uTest(st *SolverState, p distmat.Vector) (bool, error) {
 	}
 	ok := 1.0
 	for i, v := range tw.scratch.Local {
-		if math.Float64bits(v) != math.Float64bits(st.U.Local[i]) {
+		if math.Float64bits(v) != math.Float64bits(st.U[0].Local[i]) {
 			ok = 0
 			break
 		}
@@ -312,19 +312,19 @@ func (t *twinStrategy) uTest(st *SolverState, p distmat.Vector) (bool, error) {
 // as a fresh initial guess. No rollback; ||r0|| (and with it the convergence
 // target) is preserved.
 func (t *twinStrategy) RepairDrift(st *SolverState, j int) error {
-	if err := st.A.Residual(st.E, st.R, st.B, st.X, -1); err != nil {
+	if err := st.A.Residual(st.E, st.R[0], st.B[0], st.X[0], -1); err != nil {
 		return err
 	}
-	if err := st.M.Apply(st.E, st.Z, st.R); err != nil {
+	if err := st.M.Apply(st.E, st.Z[0], st.R[0]); err != nil {
 		return err
 	}
-	vec.Copy(st.P.Local, st.Z.Local)
-	rz, err := distmat.DotN(st.E, st.R, st.Z, st.Opts.Threads)
+	vec.Copy(st.P[0].Local, st.Z[0].Local)
+	rz, err := distmat.DotN(st.E, st.R[0], st.Z[0], st.Opts.Threads)
 	if err != nil {
 		return err
 	}
-	st.RZ = rz
-	st.Beta = 0
+	st.RZ[0] = rz
+	st.Beta[0] = 0
 	st.Twin.sync(st)
 	return nil
 }
@@ -336,13 +336,13 @@ func applyCorruption(st *SolverState, c faults.CorruptionSite) {
 	var v []float64
 	switch c.Target {
 	case faults.TargetX:
-		v = st.X.Local
+		v = st.X[0].Local
 	case faults.TargetR:
-		v = st.R.Local
+		v = st.R[0].Local
 	case faults.TargetP:
-		v = st.P.Local
+		v = st.P[0].Local
 	case faults.TargetZ:
-		v = st.Z.Local
+		v = st.Z[0].Local
 	}
 	if len(v) == 0 {
 		return
@@ -354,21 +354,25 @@ func applyCorruption(st *SolverState, c faults.CorruptionSite) {
 // sdcDrift recomputes the true residual and compares it against the
 // recurrence residual (both under one fused allreduce). Collective.
 func sdcDrift(st *SolverState, scratch distmat.Vector) (rtrue, rrec float64, drift bool, err error) {
-	if err = st.A.Residual(st.E, scratch, st.B, st.X, -1); err != nil {
+	if err = st.A.Residual(st.E, scratch, st.B[0], st.X[0], -1); err != nil {
 		return
 	}
-	norms, aerr := st.E.Grp.Allreduce(cluster.OpSum, []float64{
+	norms, err := st.E.Grp.Allreduce(cluster.OpSum, []float64{
 		vec.ParNrm2SqN(scratch.Local, st.Opts.Threads),
-		vec.ParNrm2SqN(st.R.Local, st.Opts.Threads)})
-	if aerr != nil {
-		err = aerr
+		vec.ParNrm2SqN(st.R[0].Local, st.Opts.Threads)})
+	if err != nil {
 		return
 	}
 	rtrue = math.Sqrt(norms[0])
 	rrec = math.Sqrt(norms[1])
 	st.E.Grp.Recycle(norms)
-	// Negated comparison: NaN (a corruption that overflowed the state)
-	// counts as drift, not as agreement.
-	drift = !(math.Abs(rtrue-rrec) <= sdcDriftTol*math.Max(st.R0, rtrue))
+	drift = sdcDrifted(rtrue, rrec, st.R0[0])
 	return
+}
+
+// sdcDrifted is the consistency test between a true residual norm and the
+// recurrence residual norm (see sdcDriftTol). Negated comparison: NaN (a
+// corruption that overflowed the state) counts as drift, not as agreement.
+func sdcDrifted(rtrue, rrec, r0 float64) bool {
+	return !(math.Abs(rtrue-rrec) <= sdcDriftTol*math.Max(r0, rtrue))
 }

@@ -248,8 +248,7 @@ func TestSolveBlockRejectsUnsupported(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer esr.Close()
-	// k == 1 routes through the single-RHS driver and still returns aligned
-	// slices.
+	// k == 1 is the same body as Solve and still returns aligned slices.
 	sols, colErrs, err = esr.SolveBlock(context.Background(), batchRHS(a.Rows, 1), SolveOpts{})
 	if err != nil || len(sols) != 1 || len(colErrs) != 1 || colErrs[0] != nil {
 		t.Fatalf("k=1 block: sols=%d err=%v", len(sols), err)

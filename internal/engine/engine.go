@@ -1287,43 +1287,29 @@ func (e *Engine) run(j *job) {
 }
 
 // solveBatch runs one batch job's right-hand sides against the acquired
-// prepared session. When the session supports the blocked multi-RHS driver
-// (ESR strategy, no SPCG) and the resolved block size allows it, the batch
-// is chunked into BlockSize-wide groups solved in lockstep through
-// Prepared.SolveBlock; otherwise the columns are solved one by one through
-// the single-RHS path, bitwise identical either way. Any per-column
-// breakdown fails the whole job, naming the offending columns.
+// prepared session: in BlockSize-wide lockstep groups through
+// Prepared.SolveChunked when the session can solve blocks (see
+// Prepared.CanSolveBlock) and the resolved block size allows it, otherwise
+// column by column through Prepared.Solve — bitwise identical either way.
+// Any per-column breakdown fails the whole job, naming the offending
+// columns.
 func (e *Engine) solveBatch(ctx context.Context, cfg Config, prep *Prepared, opts SolveOpts, batch [][]float64) (Solution, error) {
 	k := len(batch)
 	e.metrics.batchRHS.Add(float64(k))
-	blockSize := cfg.WithDefaults().BlockSize
-	blocked := blockSize > 1 && prep.CanSolveBlock(opts)
-
-	xs := make([][]float64, k)
-	results := make([]core.Result, k)
-	var colErrs []error
-	if blocked {
-		for lo := 0; lo < k; lo += blockSize {
-			hi := lo + blockSize
-			if hi > k {
-				hi = k
-			}
-			sols, errsPerCol, err := prep.SolveBlock(ctx, batch[lo:hi], opts)
-			if err != nil {
-				return Solution{}, err
-			}
+	var sols []Solution
+	if blockSize := cfg.WithDefaults().BlockSize; blockSize > 1 && prep.CanSolveBlock(opts) {
+		var err error
+		sols, err = prep.SolveChunked(ctx, batch, opts, blockSize, func(width int) {
 			e.metrics.blockSolves.Add(1)
-			e.metrics.blockRHS.Add(float64(hi - lo))
-			for c := lo; c < hi; c++ {
-				xs[c] = sols[c-lo].X
-				results[c] = sols[c-lo].Result
-				if errsPerCol[c-lo] != nil {
-					colErrs = append(colErrs, fmt.Errorf("rhs %d: %w", c, errsPerCol[c-lo]))
-				}
-			}
+			e.metrics.blockRHS.Add(float64(width))
+		})
+		if err != nil {
+			return Solution{}, err
 		}
 	} else {
-		for c := 0; c < k; c++ {
+		sols = make([]Solution, k)
+		var colErrs []error
+		for c := range batch {
 			s, err := prep.Solve(ctx, batch[c], opts)
 			if err != nil {
 				if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
@@ -1332,12 +1318,16 @@ func (e *Engine) solveBatch(ctx context.Context, cfg Config, prep *Prepared, opt
 				colErrs = append(colErrs, fmt.Errorf("rhs %d: %w", c, err))
 				continue
 			}
-			xs[c] = s.X
-			results[c] = s.Result
+			sols[c] = s
+		}
+		if len(colErrs) > 0 {
+			return Solution{}, errors.Join(colErrs...)
 		}
 	}
-	if len(colErrs) > 0 {
-		return Solution{}, errors.Join(colErrs...)
+	xs := make([][]float64, k)
+	results := make([]core.Result, k)
+	for c, s := range sols {
+		xs[c], results[c] = s.X, s.Result
 	}
 	return Solution{X: xs[0], Result: results[0], XS: xs, Results: results}, nil
 }

@@ -5,6 +5,7 @@ package engine_test
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"os"
 	"testing"
@@ -15,6 +16,7 @@ import (
 	"repro/internal/faults"
 	"repro/internal/matgen"
 	"repro/internal/netrun"
+	"repro/internal/xerr"
 )
 
 // TestMain doubles this test binary as the netrun worker executable: the
@@ -255,5 +257,31 @@ func waitState(t *testing.T, eng *engine.Engine, id string, want engine.State, t
 			t.Fatalf("job %s is %s, want %s", id, st.State, want)
 		}
 		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// TestNetFleetRejectsSPCGSchedule: SPCG honours OnFailure but cannot take a
+// replacement back in (it rejects Resume), so a scheduled kill on a
+// multi-process fleet would leave the survivors blocked until the job's
+// deadline. The coordinator refuses the pairing up front, classed, before
+// any worker is spawned.
+func TestNetFleetRejectsSPCGSchedule(t *testing.T) {
+	coord, err := netrun.NewCoordinator(netrun.Options{Command: []string{os.Args[0]}, Log: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, _, err = coord.Run(context.Background(), engine.JobSpec{
+		Matrix: engine.MatrixSpec{Generator: "poisson2d", Params: map[string]float64{"nx": 16, "ny": 16}},
+		Config: engine.Config{
+			Ranks: 4, Phi: 1, Transport: engine.TransportNet,
+			Method: engine.MethodSPCG, Preconditioner: engine.PrecondIC0,
+			Schedule: faults.NewSchedule(faults.Simultaneous(3, 1)),
+		},
+	}, nil)
+	if !errors.Is(err, xerr.FailedPrecondition) {
+		t.Fatalf("err = %v, want failed_precondition", err)
+	}
+	if got := coord.Respawns(); got != 0 {
+		t.Fatalf("respawns = %d: the fleet was launched", got)
 	}
 }

@@ -187,9 +187,16 @@ func (ps *Prepared) newStrategy(rt *cluster.Runtime) (core.Strategy, *checkpoint
 }
 
 // recordStrategyStats folds one finished solve's strategy observables into
-// the session aggregate and the engine's sink.
-func (ps *Prepared) recordStrategyStats(res core.Result, store *checkpoint.Store, rt *cluster.Runtime) {
-	delta := core.StatsFromResult(res)
+// the session aggregate and the engine's sink: each column that solved
+// counts as one solve, while the runtime's protection traffic counters are
+// folded exactly once — the block shares them.
+func (ps *Prepared) recordStrategyStats(sols []Solution, colErrs []error, store *checkpoint.Store, rt *cluster.Runtime) {
+	var delta core.StrategyStats
+	for c, sol := range sols {
+		if colErrs[c] == nil {
+			delta.Add(core.StatsFromResult(sol.Result))
+		}
+	}
 	if store != nil {
 		delta.Checkpoints = int64(store.Checkpoints())
 	}
@@ -197,6 +204,12 @@ func (ps *Prepared) recordStrategyStats(res core.Result, store *checkpoint.Store
 	delta.CheckpointFloats = ctrs.Floats(cluster.CatCheckpoint)
 	delta.RedundancyFloats = ctrs.Floats(cluster.CatRedundancy)
 	delta.RecoveryFloats = ctrs.Floats(cluster.CatRecovery)
+	ps.foldStrategyStats(delta)
+}
+
+// foldStrategyStats adds delta to the session aggregate and the engine's
+// sink.
+func (ps *Prepared) foldStrategyStats(delta core.StrategyStats) {
 	ps.mu.Lock()
 	ps.sstats.Add(delta)
 	ps.mu.Unlock()
@@ -361,7 +374,7 @@ func (ps *Prepared) method(opts SolveOpts) (string, error) {
 // partition and the factored preconditioners are shared read-only.
 // Cancelling ctx aborts only this solve's runtime.
 func (ps *Prepared) Solve(ctx context.Context, b []float64, opts SolveOpts) (Solution, error) {
-	return ps.solveOn(ctx, nil, nil, b, opts)
+	return ps.solveOne(ctx, nil, nil, b, opts)
 }
 
 // SolveOn runs one solve on a caller-provided runtime, driving only the
@@ -388,18 +401,44 @@ func (ps *Prepared) SolveOn(ctx context.Context, rt *cluster.Runtime, localRanks
 		// store) inside one process; they cannot span a mesh.
 		return Solution{}, fmt.Errorf("esr: multi-process solves support only the %q strategy, got %q", StrategyESR, ps.cfg.Strategy)
 	}
-	return ps.solveOn(ctx, rt, localRanks, b, opts)
+	return ps.solveOne(ctx, rt, localRanks, b, opts)
 }
 
-// solveOn is the shared body of Solve and SolveOn. A nil rt means "build a
-// fresh single-process runtime over the session's transport" (the Solve
-// path, which then owns the transport); localRanks nil means all ranks.
-func (ps *Prepared) solveOn(ctx context.Context, rt *cluster.Runtime, localRanks []int, b []float64, opts SolveOpts) (Solution, error) {
+// solveOne is the width-1 case of solveOn: the column's own breakdown or
+// divergence is the solve's error.
+func (ps *Prepared) solveOne(ctx context.Context, rt *cluster.Runtime, localRanks []int, b []float64, opts SolveOpts) (Solution, error) {
 	if len(b) != ps.n {
 		return Solution{}, fmt.Errorf("esr: rhs length %d != %d", len(b), ps.n)
 	}
-	if err := opts.Schedule.Validate(ps.cfg.Ranks); err != nil {
+	sols, colErrs, err := ps.solveOn(ctx, rt, localRanks, [][]float64{b}, opts)
+	if err == nil {
+		err = colErrs[0]
+	}
+	if err != nil {
 		return Solution{}, err
+	}
+	return sols[0], nil
+}
+
+// coreOptions assembles the rank-independent core.Options of one solve.
+func (ps *Prepared) coreOptions(ctx context.Context, opts SolveOpts) core.Options {
+	return core.Options{Tol: opts.Tol, MaxIter: opts.MaxIter, LocalTol: opts.LocalTol,
+		Threads: ps.cfg.Threads, Ctx: ctx, SDCCheck: ps.cfg.SDCCheckInterval,
+		OnFailure: opts.OnFailure, Resume: opts.Resume}
+}
+
+// solveOn is the one solve body: the k systems A x[c] = bs[c] run in
+// lockstep through the width-k core driver, and Solve/SolveOn are its k = 1
+// case. A nil rt means "build a fresh single-process runtime over the
+// session's transport" (which the call then owns); localRanks nil means all
+// ranks. The returned slices are aligned with bs: colErrs[c] reports a
+// per-column breakdown or divergence (the corresponding Solution is
+// zero-valued); the error return is a global failure aborting the block.
+// Widths above 1 are the caller's to gate with CanSolveBlock.
+func (ps *Prepared) solveOn(ctx context.Context, rt *cluster.Runtime, localRanks []int, bs [][]float64, opts SolveOpts) ([]Solution, []error, error) {
+	k := len(bs)
+	if err := opts.Schedule.Validate(ps.cfg.Ranks); err != nil {
+		return nil, nil, err
 	}
 	if opts.Schedule.HasFailStop() && ps.cfg.Phi == 0 &&
 		(ps.cfg.Strategy == StrategyESR || ps.cfg.Strategy == StrategyTwin) {
@@ -408,18 +447,26 @@ func (ps *Prepared) solveOn(ctx context.Context, rt *cluster.Runtime, localRanks
 		// reconstruction needs redundancy (the twin strategy delegates its
 		// fail-stop recovery to it); checkpoint/restart roll back without
 		// it, and corruption-only schedules never lose a node's state.
-		return Solution{}, fmt.Errorf("esr: a fail-stop schedule needs a session prepared with phi >= 1 (or a checkpoint/restart recovery strategy)")
+		return nil, nil, fmt.Errorf("esr: a fail-stop schedule needs a session prepared with phi >= 1 (or a checkpoint/restart recovery strategy)")
 	}
 	method, err := ps.method(opts)
 	if err != nil {
-		return Solution{}, err
+		return nil, nil, err
+	}
+	copts := ps.coreOptions(ctx, opts)
+	if method == MethodPCG {
+		// The reference method is the driver with nothing armed: method()
+		// admitted it only without a schedule and on the ESR strategy, and
+		// it runs no detector (Config.Validate rejects the pairing at the
+		// door; a per-solve method override lands here).
+		copts.SDCCheck = 0
 	}
 
 	ownsRT := rt == nil
 	ps.mu.Lock()
 	if ps.closed {
 		ps.mu.Unlock()
-		return Solution{}, ErrPreparedClosed
+		return nil, nil, ErrPreparedClosed
 	}
 	if ownsRT {
 		rt = cluster.New(ps.cfg.Ranks, cluster.WithTransport(ps.newTransport()))
@@ -450,34 +497,42 @@ func (ps *Prepared) solveOn(ctx context.Context, rt *cluster.Runtime, localRanks
 	strat, store := ps.newStrategy(rt)
 
 	var mu sync.Mutex
-	sol := Solution{X: make([]float64, ps.n)}
+	sols := make([]Solution, k)
+	colErrs := make([]error, k)
+	// failed keeps rank 0's partial results of a globally failed solve.
+	var failed []core.Result
 	err = rt.RunLocalContext(ctx, localRanks, func(c *cluster.Comm) error {
 		pr := ps.prep[c.Rank()]
 		e := distmat.WorldEnv(c)
 		m := pr.m.Fork()
+		m.SetBlockWidth(k)
 		if ps.matvecSink != nil {
 			// Every rank reports its own SpMV phase split: the overlap
 			// efficiency is a per-rank quantity.
 			m.SetMatVecObserver(ps.matvecSink)
 		}
-		bv := distmat.Vector{P: ps.part, Pos: e.Pos, Local: append([]float64(nil), b[pr.lo:pr.hi]...)}
-		x := distmat.NewVector(ps.part, e.Pos)
-		copts := core.Options{Tol: opts.Tol, MaxIter: opts.MaxIter, LocalTol: opts.LocalTol,
-			Threads: ps.cfg.Threads, Ctx: ctx, SDCCheck: ps.cfg.SDCCheckInterval,
-			OnFailure: opts.OnFailure, Resume: opts.Resume}
-		if c.Rank() == 0 {
-			copts.Progress = opts.Progress
-			copts.Tracer = opts.Tracer
+		B := make([]distmat.Vector, k)
+		X := make([]distmat.Vector, k)
+		for col := range bs {
+			B[col] = distmat.Vector{P: ps.part, Pos: e.Pos, Local: append([]float64(nil), bs[col][pr.lo:pr.hi]...)}
+			X[col] = distmat.NewVector(ps.part, e.Pos)
 		}
-		var res core.Result
+		ropts := copts
+		if c.Rank() == 0 {
+			ropts.Progress = opts.Progress
+			ropts.Tracer = opts.Tracer
+		}
+		var results []core.Result
+		var errsPerCol []error
 		var err error
-		switch method {
-		case MethodPCG:
-			res, err = core.PCG(e, m, x, bv, pr.prec, copts)
-		case MethodSPCG:
-			res, err = core.SPCG(e, m, x, bv, pr.split, copts, opts.Schedule)
-		default:
-			res, err = core.ResilientPCG(e, m, x, bv, pr.prec, copts, opts.Schedule, strat)
+		if method == MethodSPCG {
+			// The split-preconditioner recurrence is a width-1 solver of
+			// its own (CanSolveBlock keeps blocks away from it).
+			var res core.Result
+			res, err = core.SPCG(e, m, X[0], B[0], pr.split, ropts, opts.Schedule)
+			results, errsPerCol = []core.Result{res}, []error{nil}
+		} else {
+			results, errsPerCol, err = core.SolveBlock(e, m, X, B, pr.prec, ropts, opts.Schedule, strat)
 		}
 		if err != nil {
 			if c.Rank() == 0 {
@@ -485,20 +540,30 @@ func (ps *Prepared) solveOn(ctx context.Context, rt *cluster.Runtime, localRanks
 				// the SDC counters of a detection-classified failure (the
 				// whole point of the detector is that the failure is visible).
 				mu.Lock()
-				sol.Result = res
+				failed = results
 				mu.Unlock()
 			}
 			return err
 		}
-		full, err := distmat.Gather(e, x)
-		if err != nil {
-			return err
-		}
-		if c.Rank() == 0 {
-			mu.Lock()
-			copy(sol.X, full)
-			sol.Result = res
-			mu.Unlock()
+		// Per-column errors are derived from deterministic fused-allreduce
+		// results, so every rank sees the same ones — and skips the same
+		// columns of the collective gather below.
+		mu.Lock()
+		copy(colErrs, errsPerCol)
+		mu.Unlock()
+		for col := range bs {
+			if errsPerCol[col] != nil {
+				continue
+			}
+			full, err := distmat.Gather(e, X[col])
+			if err != nil {
+				return err
+			}
+			if c.Rank() == 0 {
+				mu.Lock()
+				sols[col] = Solution{X: full, Result: results[col]}
+				mu.Unlock()
+			}
 		}
 		return nil
 	})
@@ -506,36 +571,29 @@ func (ps *Prepared) solveOn(ctx context.Context, rt *cluster.Runtime, localRanks
 		if errors.Is(err, ErrPreparedClosed) {
 			// Close aborted this solve's runtime; surface the session error,
 			// not a wrapped per-rank abort.
-			return Solution{}, ErrPreparedClosed
+			return nil, nil, ErrPreparedClosed
 		}
-		if hasRank0 {
-			// Fold the SDC counters of the failed solve into the session
-			// aggregate (Solves stays 0 — nothing finished), so a detected
-			// corruption shows up in the strategy gauges even though the
-			// solve was classified as failed.
-			r := sol.Result
-			if r.SDCInjected+r.SDCDetected+r.SDCCorrected > 0 {
-				delta := core.StrategyStats{
-					SDCInjected:  int64(r.SDCInjected),
-					SDCDetected:  int64(r.SDCDetected),
-					SDCCorrected: int64(r.SDCCorrected),
-				}
-				ps.mu.Lock()
-				ps.sstats.Add(delta)
-				ps.mu.Unlock()
-				if ps.strategySink != nil {
-					ps.strategySink(ps.cfg.Strategy, delta)
-				}
-			}
+		// Fold the SDC counters of the failed solve into the session
+		// aggregate (Solves stays 0 — nothing finished), so a detected
+		// corruption shows up in the strategy gauges even though the solve
+		// was classified as failed.
+		var delta core.StrategyStats
+		for _, r := range failed {
+			delta.SDCInjected += int64(r.SDCInjected)
+			delta.SDCDetected += int64(r.SDCDetected)
+			delta.SDCCorrected += int64(r.SDCCorrected)
 		}
-		return Solution{}, err
+		if delta != (core.StrategyStats{}) {
+			ps.foldStrategyStats(delta)
+		}
+		return nil, nil, err
 	}
 	if hasRank0 {
-		// The result-borne strategy stats live on rank 0's Result; processes
+		// The result-borne strategy stats live on rank 0's Results; processes
 		// hosting only other ranks would fold in zeros.
-		ps.recordStrategyStats(sol.Result, store, rt)
+		ps.recordStrategyStats(sols, colErrs, store, rt)
 	}
-	return sol, nil
+	return sols, colErrs, nil
 }
 
 // Close tears the session down: subsequent Solve calls fail with

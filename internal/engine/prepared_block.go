@@ -4,11 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
 
-	"repro/internal/cluster"
 	"repro/internal/core"
-	"repro/internal/distmat"
 )
 
 // ValidateBatch fail-fast checks every column of bs against the prepared
@@ -20,44 +17,23 @@ func (ps *Prepared) ValidateBatch(bs [][]float64) error {
 }
 
 // CanSolveBlock reports whether a batch with these per-solve options can run
-// through the blocked multi-RHS path on this session. The blocked driver is
-// the ESR-PCG recurrence generalized to k columns: the rollback strategies
-// (checkpoint/restart) and the split-preconditioner SPCG method keep their
-// single-RHS drivers, so batches on such sessions fall back to looped
-// per-column solves.
-// The silent-data-corruption machinery (twin strategy, armed SDC check,
-// corruption events in the schedule) likewise lives in the single-RHS driver
-// only, so such batches fall back to looped solves too.
-func (ps *Prepared) CanSolveBlock(opts SolveOpts) bool {
-	if ps.cfg.Strategy != StrategyESR || opts.Resume != nil {
-		return false
-	}
-	if ps.cfg.SDCCheckInterval != 0 || opts.Schedule.HasCorruption() {
-		return false
-	}
-	m, err := ps.method(opts)
-	return err == nil && m != MethodSPCG
-}
+// through SolveBlock on this session. Batches that cannot fall back to
+// looped per-column solves.
+func (ps *Prepared) CanSolveBlock(opts SolveOpts) bool { return ps.blockRejection(opts) == nil }
 
-// recordBlockStrategyStats folds one blocked solve's k per-column results
-// into the session aggregate and the engine's sink: each column counts as
-// one solve (matching the looped path), while the runtime's protection
-// traffic counters are folded exactly once — the block shares them.
-func (ps *Prepared) recordBlockStrategyStats(results []core.Result, rt *cluster.Runtime) {
-	var delta core.StrategyStats
-	for _, res := range results {
-		delta.Add(core.StatsFromResult(res))
+// blockRejection says why a batch with these options cannot run through
+// SolveBlock (nil when it can): the method must resolve to the PCG driver —
+// SPCG is a width-1 solver of its own — and the configuration must pass
+// core.WidthOneOnly.
+func (ps *Prepared) blockRejection(opts SolveOpts) error {
+	m, err := ps.method(opts)
+	if err != nil {
+		return err
 	}
-	ctrs := rt.Counters()
-	delta.CheckpointFloats = ctrs.Floats(cluster.CatCheckpoint)
-	delta.RedundancyFloats = ctrs.Floats(cluster.CatRedundancy)
-	delta.RecoveryFloats = ctrs.Floats(cluster.CatRecovery)
-	ps.mu.Lock()
-	ps.sstats.Add(delta)
-	ps.mu.Unlock()
-	if ps.strategySink != nil {
-		ps.strategySink(ps.cfg.Strategy, delta)
+	if m == MethodSPCG {
+		return fmt.Errorf("engine: method %q solves one right-hand side at a time", MethodSPCG)
 	}
+	return core.WidthOneOnly(ps.cfg.Strategy, ps.coreOptions(context.Background(), opts), opts.Schedule)
 }
 
 // SolveBlock solves the k systems A x[c] = bs[c] in lockstep against the
@@ -74,115 +50,43 @@ func (ps *Prepared) recordBlockStrategyStats(results []core.Result, rt *cluster.
 // for concurrent use; use CanSolveBlock to decide between this path and
 // looped per-column solves.
 func (ps *Prepared) SolveBlock(ctx context.Context, bs [][]float64, opts SolveOpts) ([]Solution, []error, error) {
-	k := len(bs)
-	if k == 0 {
+	if len(bs) == 0 {
 		return nil, nil, nil
 	}
 	if err := validateBatch(bs, ps.n); err != nil {
 		return nil, nil, err
 	}
-	if err := opts.Schedule.Validate(ps.cfg.Ranks); err != nil {
-		return nil, nil, err
+	if err := ps.blockRejection(opts); err != nil {
+		return nil, nil, fmt.Errorf("esr: blocked solve rejected (use looped per-column solves): %w", err)
 	}
-	if opts.Schedule.HasFailStop() && ps.cfg.Phi == 0 {
-		return nil, nil, fmt.Errorf("esr: a fail-stop schedule needs a session prepared with phi >= 1 (or a checkpoint/restart recovery strategy)")
-	}
-	if !ps.CanSolveBlock(opts) {
-		if _, err := ps.method(opts); err != nil {
-			return nil, nil, err
-		}
-		return nil, nil, fmt.Errorf("esr: blocked solves support only the %q strategy without SPCG or Resume (use looped per-column solves)", StrategyESR)
-	}
-	if k == 1 {
-		// A width-1 block is wire- and bit-identical to a single solve; route
-		// it through the single-RHS driver directly.
-		sol, err := ps.solveOn(ctx, nil, nil, bs[0], opts)
-		if err != nil {
-			return nil, nil, err
-		}
-		return []Solution{sol}, []error{nil}, nil
-	}
+	return ps.solveOn(ctx, nil, nil, bs, opts)
+}
 
-	ps.mu.Lock()
-	if ps.closed {
-		ps.mu.Unlock()
-		return nil, nil, ErrPreparedClosed
-	}
-	rt := cluster.New(ps.cfg.Ranks, cluster.WithTransport(ps.newTransport()))
-	ps.active[rt] = struct{}{}
-	ps.wg.Add(1)
-	ps.mu.Unlock()
-	defer func() {
-		ps.recordStats(rt, true)
-		ps.mu.Lock()
-		delete(ps.active, rt)
-		ps.mu.Unlock()
-		ps.wg.Done()
-	}()
-
-	var mu sync.Mutex
-	sols := make([]Solution, k)
-	colErrs := make([]error, k)
-	err := rt.RunContext(ctx, func(c *cluster.Comm) error {
-		pr := ps.prep[c.Rank()]
-		e := distmat.WorldEnv(c)
-		m := pr.m.Fork()
-		m.SetBlockWidth(k)
-		if ps.matvecSink != nil {
-			m.SetMatVecObserver(ps.matvecSink)
-		}
-		B := make([]distmat.Vector, k)
-		X := make([]distmat.Vector, k)
-		for col := 0; col < k; col++ {
-			B[col] = distmat.Vector{P: ps.part, Pos: e.Pos, Local: append([]float64(nil), bs[col][pr.lo:pr.hi]...)}
-			X[col] = distmat.NewVector(ps.part, e.Pos)
-		}
-		copts := core.Options{Tol: opts.Tol, MaxIter: opts.MaxIter, LocalTol: opts.LocalTol,
-			Threads: ps.cfg.Threads, Ctx: ctx, OnFailure: opts.OnFailure}
-		if c.Rank() == 0 {
-			copts.Progress = opts.Progress
-			copts.Tracer = opts.Tracer
-		}
-		results, errsPerCol, err := core.BlockESRPCG(e, m, X, B, pr.prec, copts, opts.Schedule)
+// SolveChunked runs a batch through SolveBlock in blockSize-wide groups,
+// sequentially: each group already runs all ranks in lockstep, so
+// group-level concurrency would only fight over cores. onBlock, when
+// non-nil, observes the width of every group that completed. The returned
+// solutions are aligned with bs. A global failure of any group aborts the
+// batch (nil solutions); per-column breakdowns leave their entries
+// zero-valued and come back joined, each naming its column.
+func (ps *Prepared) SolveChunked(ctx context.Context, bs [][]float64, opts SolveOpts, blockSize int, onBlock func(width int)) ([]Solution, error) {
+	sols := make([]Solution, 0, len(bs))
+	var errs []error
+	for lo := 0; lo < len(bs); lo += blockSize {
+		hi := min(lo+blockSize, len(bs))
+		blockSols, colErrs, err := ps.SolveBlock(ctx, bs[lo:hi], opts)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		for col := 0; col < k; col++ {
-			// The gather is collective; per-column errors are derived from
-			// deterministic fused-allreduce results, so every rank skips (and
-			// gathers) the same columns.
-			if errsPerCol[col] != nil {
-				continue
+		if onBlock != nil {
+			onBlock(hi - lo)
+		}
+		sols = append(sols, blockSols...)
+		for c, cerr := range colErrs {
+			if cerr != nil {
+				errs = append(errs, fmt.Errorf("rhs %d: %w", lo+c, cerr))
 			}
-			full, err := distmat.Gather(e, X[col])
-			if err != nil {
-				return err
-			}
-			if c.Rank() == 0 {
-				mu.Lock()
-				sols[col] = Solution{X: full, Result: results[col]}
-				mu.Unlock()
-			}
-		}
-		if c.Rank() == 0 {
-			mu.Lock()
-			copy(colErrs, errsPerCol)
-			mu.Unlock()
-		}
-		return nil
-	})
-	if err != nil {
-		if errors.Is(err, ErrPreparedClosed) {
-			return nil, nil, ErrPreparedClosed
-		}
-		return nil, nil, err
-	}
-	var okResults []core.Result
-	for col := 0; col < k; col++ {
-		if colErrs[col] == nil {
-			okResults = append(okResults, sols[col].Result)
 		}
 	}
-	ps.recordBlockStrategyStats(okResults, rt)
-	return sols, colErrs, nil
+	return sols, errors.Join(errs...)
 }

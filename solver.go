@@ -133,13 +133,14 @@ func (s *Solver) Solve(ctx context.Context, b []float64, opts ...Option) (Soluti
 
 // SolveBatch solves one system per right-hand side, reusing the prepared
 // session state for all of them. On ESR sessions the batch is chunked into
-// WithBlockSize-wide groups solved in lockstep through the blocked multi-RHS
-// driver — one fused k-column SpMM, k-strided halo frames and length-k
-// allreduces per iteration — which is the throughput path for many
-// right-hand sides (see BenchmarkSolveBatch); column c of a blocked group is
-// bitwise identical to Solve(ctx, bs[c]). Sessions the blocked driver does
-// not cover (checkpoint/restart strategies, SPCG, Resume) fall back to
-// concurrent looped single-RHS solves, also bit-identical.
+// WithBlockSize-wide groups, each solved in lockstep by the width-k driver —
+// one fused k-column SpMM, k-strided halo frames and length-k allreduces per
+// iteration — which is the throughput path for many right-hand sides (see
+// BenchmarkSolveBatch); column c of a group is bitwise identical to
+// Solve(ctx, bs[c]). Solves that must run one column at a time — the
+// checkpoint, restart and twin strategies, an armed SDC check, corruption
+// events in the schedule, SPCG — fall back to concurrent looped single
+// solves, also bit-identical.
 //
 // The whole batch is validated before any solve launches: a column with the
 // wrong length or a non-finite element fails fast with a typed
@@ -159,7 +160,7 @@ func (s *Solver) SolveBatch(ctx context.Context, bs [][]float64, opts ...Option)
 		return nil, err
 	}
 	if cfg.BlockSize > 1 && s.prep.CanSolveBlock(so) {
-		return s.solveBlocked(ctx, bs, so, cfg.BlockSize)
+		return s.prep.SolveChunked(ctx, bs, so, cfg.BlockSize, nil)
 	}
 	// Looped fallback: each solve spawns Ranks goroutine ranks; bound the
 	// in-flight solves so a huge batch degrades to a pipeline instead of an
@@ -187,31 +188,6 @@ func (s *Solver) SolveBatch(ctx context.Context, bs [][]float64, opts ...Option)
 		}(i, b)
 	}
 	wg.Wait()
-	return sols, errors.Join(errs...)
-}
-
-// solveBlocked runs the batch through Prepared.SolveBlock in BlockSize-wide
-// groups, sequentially: each group already runs all ranks in lockstep, so
-// group-level concurrency would only fight over cores.
-func (s *Solver) solveBlocked(ctx context.Context, bs [][]float64, so engine.SolveOpts, k int) ([]Solution, error) {
-	sols := make([]Solution, len(bs))
-	var errs []error
-	for lo := 0; lo < len(bs); lo += k {
-		hi := lo + k
-		if hi > len(bs) {
-			hi = len(bs)
-		}
-		blockSols, colErrs, err := s.prep.SolveBlock(ctx, bs[lo:hi], so)
-		if err != nil {
-			return nil, err
-		}
-		for c := lo; c < hi; c++ {
-			sols[c] = blockSols[c-lo]
-			if colErrs[c-lo] != nil {
-				errs = append(errs, fmt.Errorf("rhs %d: %w", c, colErrs[c-lo]))
-			}
-		}
-	}
 	return sols, errors.Join(errs...)
 }
 
