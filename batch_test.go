@@ -146,9 +146,9 @@ func TestWithBlockSizeValidation(t *testing.T) {
 		if _, err := NewSolver(a, WithBlockSize(bad)); err == nil {
 			t.Fatalf("block size %d accepted", bad)
 		} else {
-			var bsErr *InvalidBlockSizeError
-			if !errors.As(err, &bsErr) || bsErr.BlockSize != bad {
-				t.Fatalf("block size %d: err = %v, want *InvalidBlockSizeError", bad, err)
+			var bsErr *InvalidConfigError
+			if !errors.As(err, &bsErr) || bsErr.Field != "block_size" || bsErr.Value != bad {
+				t.Fatalf("block size %d: err = %v, want *InvalidConfigError{block_size}", bad, err)
 			}
 		}
 	}
@@ -162,6 +162,10 @@ func TestWithBlockSizeValidation(t *testing.T) {
 	bs := [][]float64{onesRHS(a.Rows), onesRHS(a.Rows)}
 	if _, err := s.SolveBatch(context.Background(), bs, WithBlockSize(2)); err != nil {
 		t.Fatalf("per-call WithBlockSize rejected: %v", err)
+	}
+	var bsErr *InvalidConfigError
+	if _, err := s.SolveBatch(context.Background(), bs, WithBlockSize(-1)); !errors.As(err, &bsErr) || bsErr.Field != "block_size" {
+		t.Fatalf("per-call WithBlockSize(-1): err = %v, want *InvalidConfigError{block_size}", err)
 	}
 }
 

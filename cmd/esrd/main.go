@@ -84,17 +84,19 @@ func main() {
 	prepCache := flag.Int("prep-cache", 8, "cached prepared solver sessions")
 	prepTTL := flag.Duration("prep-ttl", 10*time.Minute, "evict idle prepared sessions after this long")
 	maxMatrices := flag.Int("max-matrices", 64, "registered matrix capacity")
-	transport := flag.String("transport", engine.TransportChan,
+	// The daemon defaults: one engine.Defaults field, one flag.
+	var defaults engine.Defaults
+	flag.StringVar(&defaults.Transport, "transport", engine.TransportChan,
 		"default communication fabric for jobs that do not pick one (chan|fast|chaos|net)")
-	strategy := flag.String("strategy", engine.StrategyESR,
+	flag.StringVar(&defaults.Strategy, "strategy", engine.StrategyESR,
 		"default failure-recovery strategy for jobs that do not pick one (esr|checkpoint|restart|twin)")
-	twinInterval := flag.Int("twin-interval", 0,
+	flag.IntVar(&defaults.TwinInterval, "twin-interval", 0,
 		"default twin-strategy comparison period in iterations for jobs that do not pick one (0 = library default, 1)")
-	sdcCheck := flag.Int("sdc-check-interval", 0,
+	flag.IntVar(&defaults.SDCCheckInterval, "sdc-check-interval", 0,
 		"default true-residual SDC check period in iterations for jobs that do not pick one (0 disables the check)")
-	threads := flag.Int("threads", 0,
+	flag.IntVar(&defaults.Threads, "threads", 0,
 		"default per-rank kernel thread cap for jobs that do not pick one (0 = GOMAXPROCS)")
-	blockSize := flag.Int("block-size", 0,
+	flag.IntVar(&defaults.BlockSize, "block-size", 0,
 		"default block width for batch jobs that do not pick one (0 = library default; 1 disables blocking)")
 	pprofAddr := flag.String("pprof", "",
 		"serve net/http/pprof on this separate listener (e.g. localhost:6060; empty disables)")
@@ -141,25 +143,10 @@ func main() {
 		os.Exit(1)
 	}
 
-	// Reuse the engine's validation so the flags and the wire format accept
-	// exactly the same transport/strategy/threads values.
-	if err := (engine.Config{Transport: *transport}).Validate(); err != nil {
-		fatal("bad -transport", "err", err)
-	}
-	if err := (engine.Config{Strategy: *strategy}).Validate(); err != nil {
-		fatal("bad -strategy", "err", err)
-	}
-	if err := (engine.Config{TwinInterval: *twinInterval}).Validate(); err != nil {
-		fatal("bad -twin-interval", "err", err)
-	}
-	if err := (engine.Config{SDCCheckInterval: *sdcCheck}).Validate(); err != nil {
-		fatal("bad -sdc-check-interval", "err", err)
-	}
-	if err := (engine.Config{Threads: *threads}).Validate(); err != nil {
-		fatal("bad -threads", "err", err)
-	}
-	if err := (engine.Config{BlockSize: *blockSize}).Validate(); err != nil {
-		fatal("bad -block-size", "err", err)
+	// The engine validates the daemon defaults with the wire format's own
+	// rules, so the flags and a job's config accept exactly the same values.
+	if err := defaults.Validate(); err != nil {
+		fatal("bad daemon default flag", "err", err)
 	}
 	if *traceIters < 0 {
 		fatal("bad -trace-iters", "trace_iters", *traceIters, "want", "non-negative")
@@ -232,7 +219,7 @@ func main() {
 			eng.AddTransportUsage(engine.TransportNet, stats)
 			return sol, err
 		}
-	} else if *transport == engine.TransportNet {
+	} else if defaults.Transport == engine.TransportNet {
 		fatal("-transport net needs -peers > 0 (the multi-process coordinator)")
 	}
 
@@ -240,11 +227,8 @@ func main() {
 		Workers: *workers, QueueCap: *queueCap,
 		MaxJobs: *maxJobs, JobTTL: *jobTTL,
 		PrepCacheSize: *prepCache, PrepCacheTTL: *prepTTL,
-		MaxMatrices: *maxMatrices, DefaultTransport: *transport,
-		DefaultStrategy: *strategy, DefaultThreads: *threads,
-		DefaultTwinInterval: *twinInterval, DefaultSDCCheck: *sdcCheck,
-		DefaultBlockSize: *blockSize,
-		TraceIters:       *traceIters, NetRunner: netRunner,
+		MaxMatrices: *maxMatrices, Defaults: defaults,
+		TraceIters: *traceIters, NetRunner: netRunner,
 		Store: st,
 	})
 	if coord != nil {

@@ -180,6 +180,11 @@ func writeErr(w http.ResponseWriter, code int, err error) {
 	if wire == "" {
 		wire = xerr.Internal.Code()
 	}
+	if code == http.StatusTooManyRequests || code == http.StatusServiceUnavailable {
+		// Both mean "not now": a full queue drains at job speed and a draining
+		// daemon is about to be replaced, so tell clients when to come back.
+		w.Header().Set("Retry-After", "1")
+	}
 	writeJSON(w, code, apiError{Error: apiErrorBody{Code: wire, Message: err.Error()}})
 }
 
@@ -371,39 +376,14 @@ func (s *server) metrics(w http.ResponseWriter, _ *http.Request) {
 	_ = s.eng.Metrics().WritePrometheus(w)
 }
 
-// healthz reports liveness plus the engine gauges. The gauge block is
-// derived from the same metric registry /metrics exports (engine.Health
-// gathers one snapshot and converts it back to the JSON shapes), so the two
-// surfaces cannot drift apart.
+// healthz reports liveness plus the engine gauges: engine.HealthSnapshot
+// itself, which Engine.Health derives from the same metric registry /metrics
+// exports, so the two surfaces cannot drift apart and a health field is
+// declared once, on the struct.
 func (s *server) healthz(w http.ResponseWriter, _ *http.Request) {
-	h := s.eng.Health()
-	body := map[string]any{
-		"ok":         true,
-		"time":       time.Now().UTC().Format(time.RFC3339Nano),
-		"jobs":       h.Jobs,
-		"matrices":   h.Matrices,
-		"prep_cache": h.PrepCache,
-		// Per-fabric delivery/recycler gauges: one entry per transport that
-		// has run at least one preparation or solve.
-		"transports": h.Transports,
-		// Per-strategy overhead/recovery gauges: one entry per recovery
-		// strategy that has finished at least one solve.
-		"strategies": h.Strategies,
-		// Kernel threading posture: daemon default cap, GOMAXPROCS, and the
-		// shared worker pool's resident size.
-		"threads": h.Threads,
-		// Daemon default block width for batch jobs (0 = library default).
-		"block_size_default": h.BlockSizeDefault,
-	}
-	// Multi-process fleet state (the esrd_net_* series, prefix stripped);
-	// present only when the daemon runs the net coordinator.
-	if len(h.Net) > 0 {
-		body["net"] = h.Net
-	}
-	// Durable-store state (the esrd_store_* series, prefix stripped);
-	// present only when the daemon runs with -data-dir.
-	if len(h.Store) > 0 {
-		body["store"] = h.Store
-	}
-	writeJSON(w, http.StatusOK, body)
+	writeJSON(w, http.StatusOK, struct {
+		OK   bool   `json:"ok"`
+		Time string `json:"time"`
+		engine.HealthSnapshot
+	}{true, time.Now().UTC().Format(time.RFC3339Nano), s.eng.Health()})
 }

@@ -3,6 +3,7 @@ package main
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -445,8 +446,8 @@ func TestAPIErrors(t *testing.T) {
 		Config: engine.Config{Ranks: 2, Preconditioner: engine.PrecondIdentity},
 	})
 	st := waitState(t, ts, id, 30*time.Second)
-	if st.State != engine.StateFailed || !strings.Contains(st.Error, "not finite") {
-		t.Fatalf("NaN-matrix job: %s (%q)", st.State, st.Error)
+	if st.State != engine.StateFailed || !strings.Contains(st.Error, "not finite") || st.ErrorCode != "invalid_argument" {
+		t.Fatalf("NaN-matrix job: %s (%q, error_code %q)", st.State, st.Error, st.ErrorCode)
 	}
 
 	// A failed job reports its error in the status.
@@ -456,6 +457,43 @@ func TestAPIErrors(t *testing.T) {
 	st = waitState(t, ts, id, 30*time.Second)
 	if st.State != engine.StateFailed || st.Error == "" {
 		t.Fatalf("bad-matrix job: %s (%q)", st.State, st.Error)
+	}
+}
+
+// TestQuickRetryAfter: the two "not now" statuses — 429 from a full queue,
+// 503 from a draining daemon — tell the client when to come back; a request
+// that will never succeed does not.
+func TestQuickRetryAfter(t *testing.T) {
+	// Standby engine with a one-slot queue: the first job parks there forever.
+	eng := engine.New(engine.Options{Workers: -1, QueueCap: 1})
+	ts := httptest.NewServer(newMux(eng, testLogger()))
+	defer func() { ts.Close(); eng.Close() }()
+	const job = `{"matrix": {"generator": "poisson2d", "params": {"nx": 8}}}`
+	submit := func(body string) *http.Response {
+		t.Helper()
+		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp
+	}
+	if resp := submit(job); resp.StatusCode != http.StatusAccepted {
+		t.Fatalf("first submit: %d", resp.StatusCode)
+	}
+	if resp := submit(job); resp.StatusCode != http.StatusTooManyRequests || resp.Header.Get("Retry-After") != "1" {
+		t.Fatalf("queue full: status %d, Retry-After %q; want 429 with 1", resp.StatusCode, resp.Header.Get("Retry-After"))
+	}
+	if resp := submit(`{"config": {"ranks": -3}}`); resp.StatusCode != http.StatusBadRequest || resp.Header.Get("Retry-After") != "" {
+		t.Fatalf("bad request: status %d, Retry-After %q; want 400 without", resp.StatusCode, resp.Header.Get("Retry-After"))
+	}
+	// A standby engine has no workers to wait for: Drain returns at once and
+	// leaves it refusing submissions, which is the state under test.
+	if err := eng.Drain(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	if resp := submit(job); resp.StatusCode != http.StatusServiceUnavailable || resp.Header.Get("Retry-After") != "1" {
+		t.Fatalf("draining: status %d, Retry-After %q; want 503 with 1", resp.StatusCode, resp.Header.Get("Retry-After"))
 	}
 }
 

@@ -205,9 +205,9 @@ func TestBatchSpecValidation(t *testing.T) {
 	}
 	s = tinySpec()
 	s.Config.BlockSize = -3
-	var bsErr *InvalidBlockSizeError
-	if err := s.Validate(); !errors.As(err, &bsErr) || bsErr.BlockSize != -3 {
-		t.Fatalf("bad block size: err = %v, want *InvalidBlockSizeError", err)
+	var cfgErr *InvalidConfigError
+	if err := s.Validate(); !errors.As(err, &cfgErr) || cfgErr.Field != "block_size" || cfgErr.Value != -3 {
+		t.Fatalf("bad block size: err = %v, want *InvalidConfigError{block_size, -3}", err)
 	}
 
 	// A registered matrix rejects batch columns of the wrong length at
@@ -273,7 +273,7 @@ func TestSolveBlockRejectsUnsupported(t *testing.T) {
 // jobs with a clear message instead of silently dropping columns.
 func TestBatchJobRejectedOnNetCoordinator(t *testing.T) {
 	e := New(Options{
-		Workers: 1, QueueCap: 4, DefaultTransport: TransportNet,
+		Workers: 1, QueueCap: 4, Defaults: Defaults{Transport: TransportNet},
 		NetRunner: func(ctx context.Context, spec JobSpec, progress func(core.ProgressEvent)) (Solution, error) {
 			return Solution{}, errors.New("unexpected dispatch")
 		},

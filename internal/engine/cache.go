@@ -20,8 +20,8 @@ type prepEntry struct {
 }
 
 // prepCache is an LRU-with-TTL cache of prepared solver sessions keyed by
-// the canonical preparation hash (matrix content + preparation-scoped config
-// fields). Concurrent acquires of the same key share a single build
+// the canonical preparation hash (matrix content + the configuration's prep
+// identity). Concurrent acquires of the same key share a single build
 // (duplicate suppression): latecomers block on the entry's ready channel.
 type prepCache struct {
 	mu      sync.Mutex

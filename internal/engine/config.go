@@ -11,7 +11,10 @@
 package engine
 
 import (
+	"cmp"
 	"fmt"
+	"reflect"
+	"strings"
 
 	"repro/internal/checkpoint"
 	"repro/internal/cluster"
@@ -103,80 +106,108 @@ const (
 	TransportNet = cluster.TransportNet
 )
 
+// Scope says which layer consumes a Config field. Every field declares
+// exactly one in its `scope` struct tag — the single place a knob's scope is
+// stated; the prepared-session identity, the per-solve policy and the docs
+// all derive from it.
+type Scope string
+
+const (
+	// ScopePrep fields shape the prepared numeric state (partition, halo and
+	// redundancy plan, preconditioner factors): together with the matrix they
+	// identify a prepared session and key the engine's session cache.
+	ScopePrep Scope = "prep"
+	// ScopeRun fields are run policy, resolved per solve (see SolveOpts):
+	// solves differing only in them share one prepared session.
+	ScopeRun Scope = "run"
+	// ScopeBatch fields only shape how a batch of right-hand sides is grouped.
+	ScopeBatch Scope = "batch"
+	// ScopeObserver fields watch a solve and never change it; not serialized.
+	ScopeObserver Scope = "observer"
+)
+
+// fieldScope reads a Config field's declared scope.
+func fieldScope(f reflect.StructField) Scope { return Scope(f.Tag.Get("scope")) }
+
+// prepFields indexes Config's prep-scoped fields.
+var prepFields = func() (idx []int) {
+	t := reflect.TypeOf(Config{})
+	for i := 0; i < t.NumField(); i++ {
+		if fieldScope(t.Field(i)) == ScopePrep {
+			idx = append(idx, i)
+		}
+	}
+	return idx
+}()
+
 // Config controls a solve. The zero value selects the paper's experimental
 // setup. Numerical defaults (Tol, MaxIter, LocalTol) are NOT filled in here:
 // their single source of truth is core.Options.withDefaults, which resolves
 // zero values against the paper's Sec. 7.1 settings (Tol 1e-8, MaxIter 10 n,
 // LocalTol 1e-14) at solve time. Config only normalizes the fields that the
-// solver layer cannot default (Ranks, Preconditioner, SSOROmega).
+// solver layer cannot default. Invalid values are rejected by Validate with
+// an *InvalidConfigError naming the field.
 type Config struct {
 	// Ranks is the number of simulated compute nodes (default 8).
-	Ranks int `json:"ranks,omitempty"`
+	Ranks int `json:"ranks,omitempty" scope:"prep"`
 	// Phi is the number of simultaneous node failures to tolerate
 	// (default 0: plain PCG without redundancy).
-	Phi int `json:"phi,omitempty"`
+	Phi int `json:"phi,omitempty" scope:"prep"`
 	// Preconditioner selects the node-local block preconditioner; see the
 	// Precond* constants (default block-jacobi-ilu).
-	Preconditioner string `json:"preconditioner,omitempty"`
+	Preconditioner string `json:"preconditioner,omitempty" scope:"prep"`
 	// Tol is the relative residual reduction target; <= 0 selects the
 	// core.Options default (1e-8, as in the paper).
-	Tol float64 `json:"tol,omitempty"`
+	Tol float64 `json:"tol,omitempty" scope:"run"`
 	// MaxIter bounds the PCG iterations; <= 0 selects the core.Options
 	// default (10 n).
-	MaxIter int `json:"max_iter,omitempty"`
+	MaxIter int `json:"max_iter,omitempty" scope:"run"`
 	// LocalTol is the reconstruction subsystem tolerance; <= 0 selects the
 	// core.Options default (1e-14).
-	LocalTol float64 `json:"local_tol,omitempty"`
+	LocalTol float64 `json:"local_tol,omitempty" scope:"run"`
 	// SSOROmega is the relaxation factor when Preconditioner is "ssor"
-	// (default 1.2). SSOR diverges outside 0 < omega < 2; values outside
-	// that range are rejected with an *InvalidOmegaError by Validate.
-	SSOROmega float64 `json:"ssor_omega,omitempty"`
+	// (default 1.2). SSOR diverges outside 0 < omega < 2. It shapes (and
+	// identifies) prepared state only under that preconditioner.
+	SSOROmega float64 `json:"ssor_omega,omitempty" scope:"prep"`
 	// Method selects the solver: MethodPCG (reference, no failure
 	// tolerance), MethodESRPCG (the paper's resilient solver), MethodSPCG
 	// (the split-preconditioner variant, requires Preconditioner "ic0"), or
 	// MethodAuto ("") which picks PCG for failure-free runs without
 	// redundancy and ESRPCG otherwise.
-	Method string `json:"method,omitempty"`
+	Method string `json:"method,omitempty" scope:"run"`
 	// Transport selects the cluster communication fabric: TransportChan
 	// (default), TransportFast (zero-copy pooled), TransportChaos
 	// (seeded latency + lagged failure notification), or TransportNet
-	// (real TCP sockets on loopback). Preparation-scoped:
-	// a prepared session runs every solve on its transport, and the field
-	// keys the prepared-session cache.
-	Transport string `json:"transport,omitempty"`
+	// (real TCP sockets on loopback). Results are bit-identical on all four.
+	Transport string `json:"transport,omitempty" scope:"run"`
 	// TransportSeed seeds the chaos transport's deterministic delay
 	// sequence (default 1; ignored by the other transports).
-	TransportSeed int64 `json:"transport_seed,omitempty"`
+	TransportSeed int64 `json:"transport_seed,omitempty" scope:"run"`
 	// Strategy selects the failure-recovery strategy: StrategyESR
 	// (default; the paper's exact state reconstruction), StrategyCheckpoint
-	// (the periodic-save/rollback baseline) or StrategyRestart (cold
-	// restart from the initial guess). Preparation-scoped: a prepared
-	// session runs every solve under its strategy, and the field keys the
-	// prepared-session cache.
-	Strategy string `json:"strategy,omitempty"`
+	// (the periodic-save/rollback baseline), StrategyRestart (cold restart
+	// from the initial guess) or StrategyTwin (twin-replica forward
+	// recovery).
+	Strategy string `json:"strategy,omitempty" scope:"run"`
 	// CheckpointInterval is the coordinated-save period in iterations of
 	// the checkpoint strategy (default 10; ignored by the others).
-	// Negative values are rejected with *InvalidCheckpointIntervalError.
-	// Preparation-scoped, like Strategy.
-	CheckpointInterval int `json:"checkpoint_interval,omitempty"`
+	CheckpointInterval int `json:"checkpoint_interval,omitempty" scope:"run"`
 	// TwinInterval is the shadow-synchronisation and checksum-comparison
 	// period in iterations of the twin strategy (default 1: every
 	// iteration is compared, so a bit flip is caught at the poll point of
 	// the iteration it strikes and repaired bitwise; ignored by the other
-	// strategies). Negative values are rejected with
-	// *InvalidTwinIntervalError. Preparation-scoped, like Strategy.
-	TwinInterval int `json:"twin_interval,omitempty"`
+	// strategies).
+	TwinInterval int `json:"twin_interval,omitempty" scope:"run"`
 	// SDCCheckInterval, when > 0, arms the periodic silent-data-corruption
 	// detector: every SDCCheckInterval iterations (and once more at
 	// convergence) the true residual ||b - A x|| is compared against the
 	// recurrence residual. Under the twin strategy detected drift is
 	// repaired forward; under every other strategy the solve fails with a
 	// data_loss-classed *core.SDCDetectedError instead of silently
-	// returning a wrong answer. 0 (the default) disables the detector;
-	// negative values are rejected with *InvalidSDCCheckIntervalError. The
+	// returning a wrong answer. 0 (the default) disables the detector. The
 	// check needs the resilient solver (it is incompatible with Method
-	// "pcg" and "spcg"). Preparation-scoped, like Strategy.
-	SDCCheckInterval int `json:"sdc_check_interval,omitempty"`
+	// "pcg" and "spcg").
+	SDCCheckInterval int `json:"sdc_check_interval,omitempty" scope:"run"`
 	// Threads caps the per-rank goroutine fan-out of the node-local parallel
 	// kernels (SpMV row chunks, reductions, fused vector updates, the Jacobi
 	// preconditioner): 0 (the default) selects GOMAXPROCS automatically.
@@ -185,32 +216,26 @@ type Config struct {
 	// resource knob for packing many concurrent solves onto one machine.
 	// Because an engine-level default (esrd -threads) applies to jobs that
 	// leave the field at 0, ThreadsAuto (-1) requests the automatic
-	// GOMAXPROCS behaviour *explicitly*, bypassing that default; other
-	// negative values are rejected with *InvalidThreadsError.
-	// Preparation-scoped: the prepared per-rank kernels bake it in, and the
-	// field keys the prepared-session cache.
-	Threads int `json:"threads,omitempty"`
+	// GOMAXPROCS behaviour *explicitly*, bypassing that default.
+	Threads int `json:"threads,omitempty" scope:"run"`
 	// BlockSize is the width of the blocked multi-RHS solve path: batched
 	// right-hand sides are solved in lockstep groups of up to BlockSize
 	// columns sharing each SpMM, halo exchange and (fused) allreduce. 0 (the
 	// default) selects DefaultBlockSize; 1 disables blocking (every RHS
-	// solves independently); other values must lie in [1, MaxBlockSize] and
-	// are rejected with *InvalidBlockSizeError otherwise. Batch-scoped: it
-	// only shapes SolveBatch/batch jobs, never a single solve, and it is
-	// deliberately absent from the prepared-session cache key (no prepared
-	// state depends on it — the k-wide retention stores are built per solve).
-	BlockSize int `json:"block_size,omitempty"`
+	// solves independently); other values must lie in [1, MaxBlockSize]. It
+	// only shapes SolveBatch/batch jobs, never a single solve.
+	BlockSize int `json:"block_size,omitempty" scope:"batch"`
 	// Schedule injects node failures (nil for a failure-free run).
-	Schedule *faults.Schedule `json:"schedule,omitempty"`
+	Schedule *faults.Schedule `json:"schedule,omitempty" scope:"run"`
 	// Progress, when non-nil, observes the solve from rank 0: one event per
 	// iteration plus one per reconstruction episode. Not serialized; jobs
 	// submitted over the wire stream the same events through the engine.
-	Progress core.ProgressFunc `json:"-"`
+	Progress core.ProgressFunc `json:"-" scope:"observer"`
 	// Tracer, when non-nil, observes the solve's per-iteration phase
 	// timings, residual trajectory and recovery episodes from rank 0.
 	// Observer-only (never changes results) and, like Progress, not
 	// serialized; the daemon's trace capture is the wire-side equivalent.
-	Tracer core.Tracer `json:"-"`
+	Tracer core.Tracer `json:"-" scope:"observer"`
 }
 
 // WithDefaults normalizes the runtime-level fields (see the type doc for why
@@ -255,211 +280,180 @@ func (c Config) WithDefaults() Config {
 	}
 	if c.Threads == ThreadsAuto {
 		// The explicit-automatic sentinel has served its purpose by the time
-		// defaults are applied (the engine's default-threads injection only
-		// touches the zero value); normalize it so prep-cache keys and
-		// session configs treat "explicitly automatic" and "automatic" as
-		// one thing.
+		// defaults are applied (Defaults.apply only touches the zero value).
 		c.Threads = 0
 	}
 	return c
 }
 
-// InvalidOmegaError reports an SSOR relaxation factor outside the open
-// interval (0, 2), for which the SSOR sweep diverges.
-type InvalidOmegaError struct {
-	// Omega is the rejected relaxation factor.
-	Omega float64
+// prepOnly returns the defaulted configuration reduced to its prep-scoped
+// fields: everything Prepare computes is a function of the matrix and these.
+func (c Config) prepOnly() Config {
+	c = c.WithDefaults()
+	if c.Preconditioner != PrecondSSOR {
+		// Omega shapes preparation only for SSOR; keeping it otherwise would
+		// split identical sessions over an unused field.
+		c.SSOROmega = 0
+	}
+	var out Config
+	src, dst := reflect.ValueOf(c), reflect.ValueOf(&out).Elem()
+	for _, i := range prepFields {
+		dst.Field(i).Set(src.Field(i))
+	}
+	return out
+}
+
+// PrepIdentity names the prepared numeric state this configuration asks
+// for: the prep-scoped fields after defaulting (Ranks, Phi, Preconditioner,
+// and SSOROmega under "ssor"). Two configurations with equal identities can
+// share one prepared session of a matrix whatever their run policy; the
+// engine's session cache keys on it and Solver.Solve uses it to reject
+// per-call options that would need a different session.
+func (c Config) PrepIdentity() string {
+	v := reflect.ValueOf(c.prepOnly())
+	var sb strings.Builder
+	for _, i := range prepFields {
+		fmt.Fprintf(&sb, "|%s=%v", v.Type().Field(i).Name, v.Field(i))
+	}
+	return sb.String()
+}
+
+// InvalidConfigError reports a Config field rejected by validation: Field is
+// the field's JSON name, Value the rejected value, Reason what is accepted
+// instead. For a rule binding two fields (a method and the strategy it
+// cannot run under), Field is the one to change.
+type InvalidConfigError struct {
+	Field  string
+	Value  any
+	Reason string
 }
 
 // Error implements the error interface.
-func (e *InvalidOmegaError) Error() string {
-	return fmt.Sprintf("engine: SSOR omega %g outside (0, 2)", e.Omega)
+func (e *InvalidConfigError) Error() string {
+	return fmt.Sprintf("engine: invalid %s %#v: %s", e.Field, e.Value, e.Reason)
 }
 
 // Is claims the InvalidArgument class, so errors.Is(err, xerr.InvalidArgument)
 // holds without wrapping.
-func (e *InvalidOmegaError) Is(target error) bool { return target == xerr.InvalidArgument }
+func (e *InvalidConfigError) Is(target error) bool { return target == xerr.InvalidArgument }
 
-// InvalidStrategyError reports an unknown failure-recovery strategy name.
-type InvalidStrategyError struct {
-	// Strategy is the rejected name.
-	Strategy string
+func invalid(field string, value any, format string, args ...any) error {
+	return &InvalidConfigError{Field: field, Value: value, Reason: fmt.Sprintf(format, args...)}
 }
 
-// Error implements the error interface.
-func (e *InvalidStrategyError) Error() string {
-	return fmt.Sprintf("engine: unknown strategy %q (want %q, %q, %q or %q)",
-		e.Strategy, StrategyESR, StrategyCheckpoint, StrategyRestart, StrategyTwin)
-}
-
-// Is claims the InvalidArgument class.
-func (e *InvalidStrategyError) Is(target error) bool { return target == xerr.InvalidArgument }
-
-// InvalidThreadsError reports a meaningless thread cap: 0 means automatic
-// (GOMAXPROCS), ThreadsAuto (-1) means explicitly automatic, positive
-// values cap the per-rank kernel fan-out, and nothing else is meaningful.
-type InvalidThreadsError struct {
-	// Threads is the rejected cap.
-	Threads int
-}
-
-// Error implements the error interface.
-func (e *InvalidThreadsError) Error() string {
-	return fmt.Sprintf("engine: threads %d invalid: use a positive cap, 0 for automatic GOMAXPROCS, or -1 for explicitly automatic", e.Threads)
-}
-
-// Is claims the InvalidArgument class.
-func (e *InvalidThreadsError) Is(target error) bool { return target == xerr.InvalidArgument }
-
-// InvalidBlockSizeError reports a meaningless blocked multi-RHS width: 0
-// means the default, 1..MaxBlockSize are valid widths, and nothing else is
-// meaningful.
-type InvalidBlockSizeError struct {
-	// BlockSize is the rejected width.
-	BlockSize int
-}
-
-// Error implements the error interface.
-func (e *InvalidBlockSizeError) Error() string {
-	return fmt.Sprintf("engine: block size %d invalid: use 1..%d, or 0 for the default (%d)",
-		e.BlockSize, MaxBlockSize, DefaultBlockSize)
-}
-
-// Is claims the InvalidArgument class.
-func (e *InvalidBlockSizeError) Is(target error) bool { return target == xerr.InvalidArgument }
-
-// InvalidCheckpointIntervalError reports a non-positive checkpoint interval:
-// a save period of zero or fewer iterations never produces a rollback
-// target.
-type InvalidCheckpointIntervalError struct {
-	// Interval is the rejected period.
-	Interval int
-}
-
-// Error implements the error interface.
-func (e *InvalidCheckpointIntervalError) Error() string {
-	return fmt.Sprintf("engine: checkpoint interval %d must be positive", e.Interval)
-}
-
-// Is claims the InvalidArgument class.
-func (e *InvalidCheckpointIntervalError) Is(target error) bool { return target == xerr.InvalidArgument }
-
-// InvalidTwinIntervalError reports a non-positive twin comparison interval:
-// a shadow that is never compared can never catch a corruption.
-type InvalidTwinIntervalError struct {
-	// Interval is the rejected period.
-	Interval int
-}
-
-// Error implements the error interface.
-func (e *InvalidTwinIntervalError) Error() string {
-	return fmt.Sprintf("engine: twin interval %d must be positive", e.Interval)
-}
-
-// Is claims the InvalidArgument class.
-func (e *InvalidTwinIntervalError) Is(target error) bool { return target == xerr.InvalidArgument }
-
-// InvalidSDCCheckIntervalError reports a negative silent-data-corruption
-// check interval: 0 disables the detector, positive values set its period,
-// and nothing else is meaningful.
-type InvalidSDCCheckIntervalError struct {
-	// Interval is the rejected period.
-	Interval int
-}
-
-// Error implements the error interface.
-func (e *InvalidSDCCheckIntervalError) Error() string {
-	return fmt.Sprintf("engine: SDC check interval %d invalid: use a positive period, or 0 to disable the check", e.Interval)
-}
-
-// Is claims the InvalidArgument class.
-func (e *InvalidSDCCheckIntervalError) Is(target error) bool { return target == xerr.InvalidArgument }
-
-// Validate checks the configuration after WithDefaults normalization:
-// preconditioner and method names must be known, the SSOR relaxation factor
-// must satisfy 0 < omega < 2 (rejected with *InvalidOmegaError otherwise),
-// phi must lie in [0, ranks), and SPCG requires the split-capable "ic0"
-// preconditioner. It is called at job submission and at session preparation,
-// so invalid configurations are rejected at the door rather than failing
-// (or silently diverging) mid-solve. Every rejection carries the
-// xerr.InvalidArgument class (the typed errors claim it themselves; the
-// plain ones are classified at this boundary).
+// Validate checks the configuration after WithDefaults normalization, field
+// by field and then the rules binding a method to the rest. It is called at
+// job submission, at session preparation and on every solve's resolved run
+// policy, so invalid configurations are rejected at the door rather than
+// failing (or silently diverging) mid-solve. Every rejection is an
+// *InvalidConfigError (class xerr.InvalidArgument).
 func (c Config) Validate() error {
-	return xerr.Ensure(xerr.InvalidArgument, c.validate())
-}
-
-func (c Config) validate() error {
 	c = c.WithDefaults()
 	switch c.Preconditioner {
 	case PrecondIdentity, PrecondJacobi, PrecondBlockJacobiILU, PrecondBlockJacobiChol, PrecondSSOR, PrecondIC0:
 	default:
-		return fmt.Errorf("engine: unknown preconditioner %q", c.Preconditioner)
+		return invalid("preconditioner", c.Preconditioner, "unknown preconditioner")
 	}
 	if c.Preconditioner == PrecondSSOR && (c.SSOROmega <= 0 || c.SSOROmega >= 2) {
-		return &InvalidOmegaError{Omega: c.SSOROmega}
+		return invalid("ssor_omega", c.SSOROmega, "SSOR diverges outside (0, 2)")
 	}
 	switch c.Method {
 	case MethodAuto, MethodPCG, MethodESRPCG, MethodSPCG:
 	default:
-		return fmt.Errorf("engine: unknown method %q", c.Method)
-	}
-	if c.Method == MethodSPCG && c.Preconditioner != PrecondIC0 {
-		return fmt.Errorf("engine: method %q needs the split preconditioner %q, got %q",
-			MethodSPCG, PrecondIC0, c.Preconditioner)
+		return invalid("method", c.Method, "unknown method")
 	}
 	switch c.Transport {
 	case TransportChan, TransportFast, TransportChaos, TransportNet:
 	default:
-		return fmt.Errorf("engine: unknown transport %q (want %q, %q, %q or %q)",
-			c.Transport, TransportChan, TransportFast, TransportChaos, TransportNet)
+		return invalid("transport", c.Transport, "want %q, %q, %q or %q",
+			TransportChan, TransportFast, TransportChaos, TransportNet)
 	}
 	switch c.Strategy {
 	case StrategyESR, StrategyCheckpoint, StrategyRestart, StrategyTwin:
 	default:
-		return &InvalidStrategyError{Strategy: c.Strategy}
+		return invalid("strategy", c.Strategy, "want %q, %q, %q or %q",
+			StrategyESR, StrategyCheckpoint, StrategyRestart, StrategyTwin)
 	}
+	// WithDefaults resolves the unset zero of the two intervals and the block
+	// size, so only explicit out-of-range values reach these checks.
 	if c.CheckpointInterval <= 0 {
-		// WithDefaults resolves the unset zero to the default period, so
-		// only explicitly negative intervals reach this check.
-		return &InvalidCheckpointIntervalError{Interval: c.CheckpointInterval}
+		return invalid("checkpoint_interval", c.CheckpointInterval, "must be positive")
 	}
 	if c.TwinInterval <= 0 {
-		// Same shape as the checkpoint interval: only explicit negatives
-		// survive WithDefaults.
-		return &InvalidTwinIntervalError{Interval: c.TwinInterval}
+		return invalid("twin_interval", c.TwinInterval, "must be positive")
 	}
 	if c.SDCCheckInterval < 0 {
-		return &InvalidSDCCheckIntervalError{Interval: c.SDCCheckInterval}
+		return invalid("sdc_check_interval", c.SDCCheckInterval, "use a positive period, or 0 to disable the check")
 	}
-	if c.SDCCheckInterval > 0 && (c.Method == MethodPCG || c.Method == MethodSPCG) {
-		return fmt.Errorf("engine: method %q does not run the silent-data-corruption check (use %q or %q)",
-			c.Method, MethodAuto, MethodESRPCG)
-	}
-	if c.Method == MethodSPCG && c.Strategy != StrategyESR {
-		return fmt.Errorf("engine: method %q supports only the %q recovery strategy, got %q",
-			MethodSPCG, StrategyESR, c.Strategy)
-	}
-	if c.Method == MethodPCG && !c.Schedule.Empty() {
-		return fmt.Errorf("engine: method %q cannot honour a failure schedule (use %q)",
-			MethodPCG, MethodESRPCG)
-	}
-	if c.Method == MethodPCG && c.Strategy != StrategyESR {
-		// The reference solver runs no protection at all; accepting it on a
-		// C/R or restart config would silently skip the strategy the caller
-		// asked for (and mislabel the strategy gauges).
-		return fmt.Errorf("engine: method %q is the strategy-free reference solver; use %q or %q with strategy %q",
-			MethodPCG, MethodAuto, MethodESRPCG, c.Strategy)
-	}
-	if c.Threads < ThreadsAuto {
-		return &InvalidThreadsError{Threads: c.Threads}
+	if c.Threads < 0 {
+		return invalid("threads", c.Threads, "use a positive cap, 0 for automatic GOMAXPROCS, or %d for explicitly automatic", ThreadsAuto)
 	}
 	if c.BlockSize < 1 || c.BlockSize > MaxBlockSize {
-		// WithDefaults resolves the unset zero to DefaultBlockSize, so only
-		// explicitly negative or oversized widths reach this check.
-		return &InvalidBlockSizeError{BlockSize: c.BlockSize}
+		return invalid("block_size", c.BlockSize, "use 1..%d, or 0 for the default (%d)", MaxBlockSize, DefaultBlockSize)
 	}
 	if c.Phi < 0 || c.Phi >= c.Ranks {
-		return fmt.Errorf("engine: phi %d out of range [0, %d)", c.Phi, c.Ranks)
+		return invalid("phi", c.Phi, "out of range [0, %d)", c.Ranks)
+	}
+	switch c.Method {
+	case MethodSPCG:
+		if c.Preconditioner != PrecondIC0 {
+			return invalid("method", c.Method, "needs the split preconditioner %q, got %q", PrecondIC0, c.Preconditioner)
+		}
+		if c.Strategy != StrategyESR {
+			return invalid("method", c.Method, "supports only the %q recovery strategy, got %q", StrategyESR, c.Strategy)
+		}
+	case MethodPCG:
+		if !c.Schedule.Empty() {
+			return invalid("method", c.Method, "cannot honour a failure schedule (use %q)", MethodESRPCG)
+		}
+		if c.Strategy != StrategyESR {
+			// The reference solver runs no protection at all; accepting it on a
+			// C/R or restart config would silently skip the strategy the caller
+			// asked for (and mislabel the strategy gauges).
+			return invalid("method", c.Method, "is the strategy-free reference solver; use %q or %q with strategy %q",
+				MethodAuto, MethodESRPCG, c.Strategy)
+		}
+	}
+	if c.SDCCheckInterval > 0 && (c.Method == MethodPCG || c.Method == MethodSPCG) {
+		return invalid("method", c.Method, "does not run the silent-data-corruption check (use %q or %q)",
+			MethodAuto, MethodESRPCG)
 	}
 	return nil
+}
+
+// Defaults are an engine's daemon-level settings (esrd -transport, -strategy,
+// -twin-interval, -sdc-check-interval, -threads, -block-size): each applies
+// to jobs that leave the corresponding Config field at its zero value, and
+// zero keeps the library default.
+type Defaults struct {
+	Transport        string
+	Strategy         string
+	TwinInterval     int
+	SDCCheckInterval int
+	Threads          int
+	BlockSize        int
+}
+
+// Validate accepts exactly the values Config.Validate accepts.
+func (d Defaults) Validate() error {
+	return Config{Transport: d.Transport, Strategy: d.Strategy, TwinInterval: d.TwinInterval,
+		SDCCheckInterval: d.SDCCheckInterval, Threads: d.Threads, BlockSize: d.BlockSize}.Validate()
+}
+
+// apply fills cfg's zero-valued fields from d. Reference-PCG and SPCG jobs
+// keep the library's strategy and detector settings: spcg's recovery protocol
+// is ESR-shaped and pcg runs no strategy and no check at all, so a daemon
+// default there would fail a job its client validly submitted. A job that
+// wants full parallelism against a capped daemon submits ThreadsAuto, which
+// is not the zero value and so passes through.
+func (d Defaults) apply(cfg Config) Config {
+	cfg.Transport = cmp.Or(cfg.Transport, d.Transport)
+	cfg.TwinInterval = cmp.Or(cfg.TwinInterval, d.TwinInterval)
+	cfg.Threads = cmp.Or(cfg.Threads, d.Threads)
+	cfg.BlockSize = cmp.Or(cfg.BlockSize, d.BlockSize)
+	if cfg.Method != MethodSPCG && cfg.Method != MethodPCG {
+		cfg.Strategy = cmp.Or(cfg.Strategy, d.Strategy)
+		cfg.SDCCheckInterval = cmp.Or(cfg.SDCCheckInterval, d.SDCCheckInterval)
+	}
+	return cfg
 }

@@ -59,6 +59,9 @@ type Event struct {
 
 	State State  `json:"state,omitempty"`
 	Error string `json:"error,omitempty"`
+	// ErrorCode is the wire code of the error's class ("data_loss",
+	// "invalid_argument", ...) on the terminal event of a failed job.
+	ErrorCode string `json:"error_code,omitempty"`
 	// The telemetry fields are NOT omitempty: iteration 0 (a reconstruction
 	// at the first iteration) and an exactly-zero residual are meaningful
 	// values a stream consumer must be able to distinguish from absence.
@@ -77,8 +80,11 @@ type JobStatus struct {
 	// snapshots (and released from the store once the job is terminal) so
 	// the in-memory result store and status responses stay small.
 	Spec JobSpec `json:"spec"`
-	// Error is set for failed jobs.
-	Error string `json:"error,omitempty"`
+	// Error is set for failed jobs; ErrorCode is the wire code of its class
+	// ("data_loss", "invalid_argument", ...; empty for an unclassed cause
+	// such as a deadline), the same vocabulary the HTTP error envelope uses.
+	Error     string `json:"error,omitempty"`
+	ErrorCode string `json:"error_code,omitempty"`
 	// Result is set once the job is done. X is retained only when the spec
 	// asked for it (KeepSolution).
 	Result *Solution `json:"result,omitempty"`
@@ -149,6 +155,7 @@ type job struct {
 	events   []Event
 	updated  chan struct{} // closed and replaced on every publish
 	errMsg   string
+	errCode  string
 	result   *Solution
 	enqueued time.Time
 	started  time.Time
@@ -177,18 +184,24 @@ func (j *job) publish(ev Event) {
 	j.mu.Unlock()
 }
 
-// transition moves the job to a new state and logs it. The ok return is
-// false when the job was already terminal (transition lost a race).
-func (j *job) transition(s State, errMsg string) bool {
+// transition moves the job to a new state and logs it; cause (nil except on
+// some terminal transitions) is recorded as the job's error message and
+// class code. The ok return is false when the job was already terminal
+// (transition lost a race).
+func (j *job) transition(s State, cause error) bool {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	return j.transitionLocked(s, errMsg)
+	return j.transitionLocked(s, cause)
 }
 
 // transitionLocked is transition with j.mu already held.
-func (j *job) transitionLocked(s State, errMsg string) bool {
+func (j *job) transitionLocked(s State, cause error) bool {
 	if j.state.Terminal() {
 		return false
+	}
+	var errMsg, errCode string
+	if cause != nil {
+		errMsg, errCode = cause.Error(), xerr.Code(cause)
 	}
 	j.state = s
 	now := time.Now()
@@ -197,7 +210,7 @@ func (j *job) transitionLocked(s State, errMsg string) bool {
 		j.started = now
 	case StateDone, StateFailed, StateCancelled:
 		j.finished = now
-		j.errMsg = errMsg
+		j.errMsg, j.errCode = errMsg, errCode
 	}
 	if j.em != nil {
 		// Mirror the transition into the metrics while j.mu serializes it
@@ -208,10 +221,33 @@ func (j *job) transitionLocked(s State, errMsg string) bool {
 		// Journal the transition while j.mu still serializes it, so the
 		// journal sees transitions in the order the job took them. The
 		// store's own mutex is a leaf lock.
-		j.eng.journalState(j.id, s, errMsg)
+		j.eng.journalState(j.id, s, errMsg, errCode)
 	}
-	j.appendEventLocked(Event{Kind: EventState, State: s, Error: errMsg})
+	j.appendEventLocked(Event{Kind: EventState, State: s, Error: errMsg, ErrorCode: errCode})
 	return true
+}
+
+// progressSink returns the solver progress callback feeding the job's event
+// stream: reconstruction episodes are always kept, per-iteration events up
+// to maxProgressEventsPerJob so a huge solve cannot grow the in-memory log
+// without bound.
+func (j *job) progressSink() core.ProgressFunc {
+	progressCount := 0
+	return func(ev core.ProgressEvent) {
+		kind := EventProgress
+		if ev.Reconstruction != nil {
+			kind = EventReconstruction
+		} else {
+			if progressCount >= maxProgressEventsPerJob {
+				return
+			}
+			progressCount++
+		}
+		j.publish(Event{
+			Kind: kind, Iteration: ev.Iteration, Residual: ev.Residual,
+			RelResidual: ev.RelResidual, Reconstruction: ev.Reconstruction,
+		})
+	}
 }
 
 func (j *job) status() JobStatus {
@@ -222,7 +258,7 @@ func (j *job) status() JobStatus {
 	spec.RHS = nil
 	spec.RHSBatch = nil
 	st := JobStatus{
-		ID: j.id, State: j.state, Spec: spec, Error: j.errMsg,
+		ID: j.id, State: j.state, Spec: spec, Error: j.errMsg, ErrorCode: j.errCode,
 		Result: j.result, Events: len(j.events), EnqueuedAt: j.enqueued,
 	}
 	if !j.started.IsZero() {
@@ -262,31 +298,11 @@ type Options struct {
 	PrepCacheTTL time.Duration
 	// MaxMatrices caps the matrix store (default 64, <0 unbounded).
 	MaxMatrices int
-	// DefaultTransport is the communication fabric applied to jobs whose
-	// Config.Transport is empty ("" keeps the library default, chan). Must
-	// be a name Config.Validate accepts.
-	DefaultTransport string
-	// DefaultStrategy is the failure-recovery strategy applied to jobs
-	// whose Config.Strategy is empty ("" keeps the library default, esr).
-	// Must be a name Config.Validate accepts.
-	DefaultStrategy string
-	// DefaultTwinInterval is the twin comparison period applied to jobs
-	// whose Config.TwinInterval is 0 (0 keeps the library default, 1).
-	// Must be a period Config.Validate accepts.
-	DefaultTwinInterval int
-	// DefaultSDCCheck is the silent-data-corruption check period applied to
-	// jobs whose Config.SDCCheckInterval is 0 (0 keeps the detector off).
-	// Must be a period Config.Validate accepts.
-	DefaultSDCCheck int
-	// DefaultThreads is the per-rank kernel thread cap applied to jobs whose
-	// Config.Threads is 0 (0 keeps the library default: GOMAXPROCS). Must be
-	// non-negative.
-	DefaultThreads int
-	// DefaultBlockSize is the blocked multi-RHS width applied to batch jobs
-	// whose Config.BlockSize is 0 (0 keeps the library default,
-	// DefaultBlockSize = 32; 1 disables blocking). Must be a width
-	// Config.Validate accepts.
-	DefaultBlockSize int
+	// Defaults are the daemon-level settings applied to jobs that leave the
+	// corresponding Config field at zero. New panics on values Config.Validate
+	// would reject: otherwise every job relying on one would pass submit-time
+	// validation and then fail mid-run with an error its client never caused.
+	Defaults Defaults
 	// TraceIters, when > 0, captures the last TraceIters per-iteration
 	// traces of every job in a bounded ring (plus all recovery episodes),
 	// served by Engine.Trace. 0 (the default) disables capture; the metric
@@ -322,20 +338,15 @@ type Engine struct {
 	queue chan *job
 	wg    sync.WaitGroup
 
-	maxJobs          int
-	jobTTL           time.Duration
-	prep             *prepCache
-	matrices         *matrixStore
-	defaultTransport string
-	defaultStrategy  string
-	defaultTwin      int
-	defaultSDCCheck  int
-	defaultThreads   int
-	defaultBlockSize int
-	traceIters       int
-	netRunner        NetRunner
-	metrics          *engineMetrics
-	store            *store.Store
+	maxJobs    int
+	jobTTL     time.Duration
+	prep       *prepCache
+	matrices   *matrixStore
+	defaults   Defaults
+	traceIters int
+	netRunner  NetRunner
+	metrics    *engineMetrics
+	store      *store.Store
 
 	tmu    sync.Mutex
 	tstats map[string]*TransportUsage     // per-transport aggregates, by name
@@ -383,68 +394,27 @@ func New(opts Options) *Engine {
 	if opts.MaxMatrices == 0 {
 		opts.MaxMatrices = 64
 	}
-	if opts.DefaultTransport != "" {
-		// Reject a misconfigured default at construction: otherwise every
-		// transport-less job would pass submit-time validation and then fail
-		// mid-run with an error its client never caused.
-		if err := (Config{Transport: opts.DefaultTransport}).Validate(); err != nil {
-			panic(fmt.Sprintf("engine: invalid Options.DefaultTransport %q", opts.DefaultTransport))
-		}
+	if err := opts.Defaults.Validate(); err != nil {
+		panic(fmt.Sprintf("engine: invalid Options.Defaults: %v", err))
 	}
-	if opts.DefaultStrategy != "" {
-		// Same rationale as DefaultTransport: fail loudly at construction,
-		// not on some future strategy-less job.
-		if err := (Config{Strategy: opts.DefaultStrategy}).Validate(); err != nil {
-			panic(fmt.Sprintf("engine: invalid Options.DefaultStrategy %q", opts.DefaultStrategy))
-		}
-	}
-	if opts.DefaultTwinInterval != 0 {
-		// And again for the twin comparison period.
-		if err := (Config{TwinInterval: opts.DefaultTwinInterval}).Validate(); err != nil {
-			panic(fmt.Sprintf("engine: invalid Options.DefaultTwinInterval %d", opts.DefaultTwinInterval))
-		}
-	}
-	if opts.DefaultSDCCheck != 0 {
-		// And again for the SDC check period.
-		if err := (Config{SDCCheckInterval: opts.DefaultSDCCheck}).Validate(); err != nil {
-			panic(fmt.Sprintf("engine: invalid Options.DefaultSDCCheck %d", opts.DefaultSDCCheck))
-		}
-	}
-	if opts.DefaultThreads == ThreadsAuto {
-		opts.DefaultThreads = 0 // explicit-auto is the zero default here
-	}
-	if opts.DefaultThreads < 0 {
-		// And again for the kernel thread cap.
-		panic(fmt.Sprintf("engine: invalid Options.DefaultThreads %d", opts.DefaultThreads))
-	}
-	if opts.DefaultBlockSize != 0 {
-		// And again for the blocked multi-RHS width.
-		if err := (Config{BlockSize: opts.DefaultBlockSize}).Validate(); err != nil {
-			panic(fmt.Sprintf("engine: invalid Options.DefaultBlockSize %d", opts.DefaultBlockSize))
-		}
-	}
+	opts.Defaults.Threads = max(opts.Defaults.Threads, 0) // explicit-auto is the zero default here
 	if opts.TraceIters < 0 {
 		opts.TraceIters = 0
 	}
 	e := &Engine{
-		jobs:             map[string]*job{},
-		maxJobs:          opts.MaxJobs,
-		jobTTL:           opts.JobTTL,
-		prep:             newPrepCache(opts.PrepCacheSize, opts.PrepCacheTTL),
-		matrices:         newMatrixStore(opts.MaxMatrices),
-		defaultTransport: opts.DefaultTransport,
-		defaultStrategy:  opts.DefaultStrategy,
-		defaultTwin:      opts.DefaultTwinInterval,
-		defaultSDCCheck:  opts.DefaultSDCCheck,
-		defaultThreads:   opts.DefaultThreads,
-		defaultBlockSize: opts.DefaultBlockSize,
-		traceIters:       opts.TraceIters,
-		netRunner:        opts.NetRunner,
-		store:            opts.Store,
-		tstats:           map[string]*TransportUsage{},
-		sstats:           map[string]*core.StrategyStats{},
-		janitorQuit:      make(chan struct{}),
-		janitorDone:      make(chan struct{}),
+		jobs:        map[string]*job{},
+		maxJobs:     opts.MaxJobs,
+		jobTTL:      opts.JobTTL,
+		prep:        newPrepCache(opts.PrepCacheSize, opts.PrepCacheTTL),
+		matrices:    newMatrixStore(opts.MaxMatrices),
+		defaults:    opts.Defaults,
+		traceIters:  opts.TraceIters,
+		netRunner:   opts.NetRunner,
+		store:       opts.Store,
+		tstats:      map[string]*TransportUsage{},
+		sstats:      map[string]*core.StrategyStats{},
+		janitorQuit: make(chan struct{}),
+		janitorDone: make(chan struct{}),
 	}
 	e.metrics = newEngineMetrics(e)
 	// Replay the recovered journal before any worker starts: parse first to
@@ -606,7 +576,7 @@ func (e *Engine) Close() {
 	for _, j := range jobs {
 		// Jobs still queued when the queue closed never reach a worker;
 		// finalize them here (transition is a no-op for terminal jobs).
-		j.transition(StateCancelled, "engine closed")
+		j.transition(StateCancelled, ErrClosed)
 		e.finishPayloads(j)
 	}
 	// With the workers drained, no prepared session has in-flight solves;
@@ -893,7 +863,7 @@ type ThreadStats struct {
 // ThreadStats snapshots the threading gauges.
 func (e *Engine) ThreadStats() ThreadStats {
 	return ThreadStats{
-		Default:     e.defaultThreads,
+		Default:     e.defaults.Threads,
 		MaxProcs:    runtime.GOMAXPROCS(0),
 		PoolWorkers: vec.PoolWorkers(),
 	}
@@ -947,7 +917,7 @@ func (e *Engine) Cancel(id string) error {
 		// already moved it to running and we fall through to the context
 		// cancellation below. The worker that eventually dequeues a
 		// cancelled-while-queued job skips it.
-		j.transitionLocked(StateCancelled, "")
+		j.transitionLocked(StateCancelled, nil)
 	}
 	j.mu.Unlock()
 	j.cancel(context.Canceled)
@@ -1063,23 +1033,27 @@ func (e *Engine) finishPayloads(j *job) {
 	}
 }
 
+// errDeadline is the recorded cause of a job whose TimeoutMillis expired.
+var errDeadline = errors.New("deadline exceeded")
+
 // run executes one job end to end: materialize, solve, finalize.
 func (e *Engine) run(j *job) {
 	defer e.finishPayloads(j)
 	defer func() {
 		// A panicking generator or solver (e.g. degenerate parameters that
-		// slipped past validation) must fail the job, not kill the daemon.
-		// Keep the stack: it is the only diagnostic left of the crash site.
+		// slipped past validation) must fail the job, not kill the daemon: a
+		// defect, classed internal. Keep the stack: it is the only diagnostic
+		// left of the crash site.
 		if r := recover(); r != nil {
-			j.transition(StateFailed, fmt.Sprintf("panic: %v\n%s", r, debug.Stack()))
+			j.transition(StateFailed, xerr.Newf(xerr.Internal, "panic: %v\n%s", r, debug.Stack()))
 		}
 	}()
 	if j.ctx.Err() != nil {
 		// Cancelled while queued; Cancel (or Close) already finalized it.
-		j.transition(StateCancelled, "")
+		j.transition(StateCancelled, nil)
 		return
 	}
-	if !j.transition(StateRunning, "") {
+	if !j.transition(StateRunning, nil) {
 		return
 	}
 
@@ -1090,43 +1064,7 @@ func (e *Engine) run(j *job) {
 	}
 	defer cancelTimeout()
 
-	cfg := j.spec.Config
-	if cfg.Transport == "" {
-		// The daemon-level default fabric applies only to jobs that did not
-		// pick one; it participates in the prep cache key below.
-		cfg.Transport = e.defaultTransport
-	}
-	if cfg.Strategy == "" && cfg.Method != MethodSPCG && cfg.Method != MethodPCG {
-		// Likewise for the daemon-level default recovery strategy. SPCG and
-		// reference-PCG jobs are exempt: spcg's recovery protocol is
-		// ESR-shaped and pcg runs no strategy at all, so a non-ESR daemon
-		// default would fail a job its client validly submitted.
-		cfg.Strategy = e.defaultStrategy
-	}
-	if cfg.TwinInterval == 0 {
-		// Daemon-level twin comparison period for jobs that did not pick one
-		// (inert unless the resolved strategy is twin); prep-cache keyed.
-		cfg.TwinInterval = e.defaultTwin
-	}
-	if cfg.SDCCheckInterval == 0 && cfg.Method != MethodSPCG && cfg.Method != MethodPCG {
-		// Daemon-level SDC check period, with the same method exemption as
-		// the default strategy: the reference solvers do not run the check,
-		// so arming it on them would fail a validly submitted job.
-		cfg.SDCCheckInterval = e.defaultSDCCheck
-	}
-	if cfg.Threads == 0 {
-		// Daemon-level kernel thread cap for jobs that did not pick one (0
-		// keeps the automatic GOMAXPROCS default); prep-cache keyed below.
-		// Jobs that explicitly want full parallelism against a capped daemon
-		// submit ThreadsAuto (-1), which skips this injection and normalizes
-		// to automatic in WithDefaults.
-		cfg.Threads = e.defaultThreads
-	}
-	if cfg.BlockSize == 0 {
-		// Daemon-level default block width for batch jobs that did not pick
-		// one. Batch-scoped: deliberately NOT part of the prep cache key.
-		cfg.BlockSize = e.defaultBlockSize
-	}
+	cfg := e.defaults.apply(j.spec.Config).WithDefaults()
 	if cfg.Transport == TransportNet && e.netRunner != nil {
 		// A coordinator daemon fans net-transport jobs out to external rank
 		// processes; each worker process prepares its own session, so the
@@ -1134,33 +1072,33 @@ func (e *Engine) run(j *job) {
 		if len(j.spec.RHSBatch) > 0 {
 			// The dispatcher protocol carries one RHS per job; batch jobs on a
 			// coordinator daemon must be split by the client.
-			j.transition(StateFailed, "engine: batch jobs are not supported on the multi-process net path; submit one job per rhs")
+			e.finishJob(j, Solution{}, xerr.New(xerr.InvalidArgument,
+				"engine: batch jobs are not supported on the multi-process net path; submit one job per rhs"))
 			return
 		}
 		e.runNet(ctx, j, cfg)
 		return
 	}
-	// Acquire the prepared session for (matrix content, preparation config)
-	// from the cache: repeated jobs on the same system skip partitioning,
-	// the distributed symbolic phase, and preconditioner factorization. On a
+	// Acquire the prepared session for (matrix content, prep identity) from
+	// the cache: repeated jobs on the same system skip partitioning, the
+	// distributed symbolic phase, and preconditioner factorization. On a
 	// miss the build materializes the matrix (pinned store CSR or inline
 	// spec) and prepares it — under this job's context, so cancelling the
 	// job aborts its setup too; on a hit the matrix is not even rebuilt.
 	//
-	// The session is built method-free: prepKey deliberately excludes
-	// Method (it only shapes preparation through the preconditioner, which
-	// WithDefaults resolves first), so a cached session is shared by jobs
-	// with different methods and must not bake the builder's method in as
-	// the fallback for method-auto jobs. Each job passes its own method via
-	// SolveOpts.
-	prepCfg := cfg.WithDefaults()
-	prepCfg.Method = MethodAuto
+	// The session is built policy-free — the prep-scoped fields only, plus
+	// the builder's fabric for the build's own symbolic exchange — because it
+	// is shared by jobs with different run policies and must not bake the
+	// builder's in as their fallback (a method, an armed detector, a thread
+	// cap). Each job passes its whole policy via SolveOpts.
+	prepCfg := cfg.prepOnly()
+	prepCfg.Transport, prepCfg.TransportSeed = cfg.Transport, cfg.TransportSeed
 	build := func() (*Prepared, error) {
 		a := j.mat
 		if a == nil {
 			var err error
 			if a, err = j.spec.Matrix.Build(); err != nil {
-				return nil, err
+				return nil, xerr.Ensure(xerr.InvalidArgument, err)
 			}
 		}
 		// Network-submitted jobs must not reach the dense Cholesky
@@ -1168,12 +1106,9 @@ func (e *Engine) run(j *job) {
 		// and unabortable once started. Trusted in-process library callers
 		// (esr.NewSolver) are not subject to this cap.
 		if prepCfg.Preconditioner == PrecondBlockJacobiChol {
-			ranks := prepCfg.Ranks
-			if ranks > a.Rows {
-				ranks = a.Rows
-			}
+			ranks := min(prepCfg.Ranks, a.Rows)
 			if bs := (a.Rows + ranks - 1) / ranks; bs > maxCholBlock {
-				return nil, fmt.Errorf(
+				return nil, xerr.Newf(xerr.InvalidArgument,
 					"engine: block-jacobi-cholesky block size %d exceeds %d (dense factorization); use %q or more ranks",
 					bs, maxCholBlock, PrecondBlockJacobiILU)
 			}
@@ -1184,11 +1119,11 @@ func (e *Engine) run(j *job) {
 		}
 		// Feed the session's future per-runtime transport deltas into the
 		// engine's gauges, and account the preparation run that already
-		// happened (its delta is the aggregate so far). Strategy deltas are
-		// per solve, so the sink alone suffices.
+		// happened (its delta is the aggregate so far) to the fabric it ran
+		// on. Strategy deltas are per solve, so the sink alone suffices.
 		p.statsSink = e.recordTransportStats
 		p.strategySink = e.recordStrategyStats
-		p.matvecSink = e.metrics.matvecObserver(p.TransportName())
+		p.matvecSink = e.metrics.matvecObserver
 		e.recordTransportStats(p.TransportName(), p.TransportStats())
 		return p, nil
 	}
@@ -1210,39 +1145,23 @@ func (e *Engine) run(j *job) {
 		break
 	}
 	if err != nil {
-		switch {
-		case errors.Is(err, context.Canceled):
-			j.transition(StateCancelled, "")
-		case errors.Is(err, context.DeadlineExceeded):
-			j.transition(StateFailed, "deadline exceeded")
-		default:
-			j.transition(StateFailed, err.Error())
-		}
+		e.finishJob(j, Solution{}, err)
 		return
 	}
 	defer release()
 
+	// The session checks every right-hand side against the system it
+	// prepared (length, finiteness), with the classed errors a job keeps.
 	batch := j.spec.RHSBatch
 	b := j.spec.RHS
-	if len(batch) > 0 {
-		// Spec validation checked intra-batch consistency and finiteness;
-		// inline-matrix jobs still need the column length checked against the
-		// freshly materialized system.
-		if len(batch[0]) != prep.N() {
-			j.transition(StateFailed, fmt.Sprintf("engine: rhs batch columns have length %d, want matrix rows %d", len(batch[0]), prep.N()))
-			return
-		}
-	} else if b == nil {
+	if b == nil && len(batch) == 0 {
 		b = make([]float64, prep.N())
 		for i := range b {
 			b[i] = 1
 		}
-	} else if len(b) != prep.N() {
-		j.transition(StateFailed, fmt.Sprintf("engine: rhs length %d != matrix rows %d", len(b), prep.N()))
-		return
 	}
 
-	opts := solveOpts(cfg)
+	opts := SolveOptsOf(cfg)
 	// Chain the observers onto the solve: any caller-supplied tracer (from
 	// an in-process Config), the job's bounded trace capture (when the
 	// engine runs with TraceIters > 0) and the always-on metric tracer. All
@@ -1255,27 +1174,9 @@ func (e *Engine) run(j *job) {
 		j.mu.Unlock()
 		tracers = append(tracers, ring)
 	}
-	tracers = append(tracers, e.metrics.solveTracer(prepCfg.Strategy))
+	tracers = append(tracers, e.metrics.solveTracer(cfg.Strategy))
 	opts.Tracer = core.MultiTracer(tracers...)
-	progressCount := 0
-	opts.Progress = func(ev core.ProgressEvent) {
-		kind := EventProgress
-		if ev.Reconstruction != nil {
-			kind = EventReconstruction
-		} else {
-			// Cap the retained per-iteration events so a huge solve cannot
-			// grow the in-memory log without bound; lifecycle and
-			// reconstruction events are always kept.
-			if progressCount >= maxProgressEventsPerJob {
-				return
-			}
-			progressCount++
-		}
-		j.publish(Event{
-			Kind: kind, Iteration: ev.Iteration, Residual: ev.Residual,
-			RelResidual: ev.RelResidual, Reconstruction: ev.Reconstruction,
-		})
-	}
+	opts.Progress = j.progressSink()
 
 	var sol Solution
 	if len(batch) > 0 {
@@ -1297,7 +1198,7 @@ func (e *Engine) solveBatch(ctx context.Context, cfg Config, prep *Prepared, opt
 	k := len(batch)
 	e.metrics.batchRHS.Add(float64(k))
 	var sols []Solution
-	if blockSize := cfg.WithDefaults().BlockSize; blockSize > 1 && prep.CanSolveBlock(opts) {
+	if blockSize := cfg.BlockSize; blockSize > 1 && prep.CanSolveBlock(opts) {
 		var err error
 		sols, err = prep.SolveChunked(ctx, batch, opts, blockSize, func(width int) {
 			e.metrics.blockSolves.Add(1)
@@ -1338,28 +1239,12 @@ func (e *Engine) solveBatch(ctx context.Context, cfg Config, prep *Prepared, opt
 func (e *Engine) runNet(ctx context.Context, j *job, cfg Config) {
 	spec := j.spec
 	spec.Config = cfg
-	progressCount := 0
-	progress := func(ev core.ProgressEvent) {
-		kind := EventProgress
-		if ev.Reconstruction != nil {
-			kind = EventReconstruction
-		} else {
-			if progressCount >= maxProgressEventsPerJob {
-				return
-			}
-			progressCount++
-		}
-		j.publish(Event{
-			Kind: kind, Iteration: ev.Iteration, Residual: ev.Residual,
-			RelResidual: ev.RelResidual, Reconstruction: ev.Reconstruction,
-		})
-	}
-	sol, err := e.netRunner(ctx, spec, progress)
+	sol, err := e.netRunner(ctx, spec, j.progressSink())
 	if err == nil {
 		// The strategy observables ride on rank 0's Result; the transport
 		// counters are reported separately by the dispatcher (the worker
 		// fleet's aggregate) through AddTransportUsage.
-		e.recordStrategyStats(cfg.WithDefaults().Strategy, core.StatsFromResult(sol.Result))
+		e.recordStrategyStats(cfg.Strategy, core.StatsFromResult(sol.Result))
 	}
 	e.finishJob(j, sol, err)
 }
@@ -1372,8 +1257,10 @@ func (e *Engine) AddTransportUsage(name string, delta cluster.TransportStats) {
 	e.recordTransportStats(name, delta)
 }
 
-// finishJob records a solve's outcome on the job record, mapping context
-// terminations to the cancelled/failed states.
+// finishJob records a job's outcome on its record — every terminal
+// transition of a running job passes through here — mapping context
+// terminations to the cancelled/failed states and keeping a failure's class
+// on the record.
 func (e *Engine) finishJob(j *job, sol Solution, err error) {
 	switch {
 	case err == nil:
@@ -1390,12 +1277,12 @@ func (e *Engine) finishJob(j *job, sol Solution, err error) {
 			// and re-runs it, never as done-without-result.
 			j.eng.journalResult(j.id, &sol)
 		}
-		j.transition(StateDone, "")
+		j.transition(StateDone, nil)
 	case errors.Is(err, context.Canceled):
-		j.transition(StateCancelled, "")
+		j.transition(StateCancelled, nil)
 	case errors.Is(err, context.DeadlineExceeded):
-		j.transition(StateFailed, "deadline exceeded")
+		j.transition(StateFailed, errDeadline)
 	default:
-		j.transition(StateFailed, err.Error())
+		j.transition(StateFailed, err)
 	}
 }

@@ -205,8 +205,8 @@ func (s *matrixStore) list() []MatrixRecord {
 // contentHash is the canonical content hash of a matrix spec: the SHA-256 of
 // the MatrixMarket bytes for uploads, or of the generator name plus its
 // parameters (sorted by name) for generated matrices. It keys both the
-// dedup in the matrix store and, combined with the preparation-scoped config
-// fields, the prepared-solver cache.
+// dedup in the matrix store and, combined with the prep-scoped config fields,
+// the prepared-solver cache.
 func (ms MatrixSpec) contentHash() string {
 	h := sha256.New()
 	if len(ms.MatrixMarket) > 0 {
@@ -227,53 +227,10 @@ func (ms MatrixSpec) contentHash() string {
 }
 
 // prepKey derives the prepared-solver cache key: the matrix content plus
-// every preparation-scoped config field. Solve-scoped fields (tolerances,
-// schedule, method) deliberately do not contribute, so jobs differing only
-// in them share one prepared session. Method influences preparation only
-// through the preconditioner it implies (spcg -> ic0), which WithDefaults
-// has already resolved into the Preconditioner field here. Transport is
-// preparation-scoped — a session runs every solve on its transport — so it
-// (and, for chaos only, the seed) keys the cache too. The recovery
-// strategy (and, for checkpoint only, the interval) is preparation-scoped
-// the same way — a session runs every solve under one strategy and owns its
-// checkpoint state — so sessions differing only in strategy or interval
-// must not share an entry. BlockSize is batch-scoped and deliberately
-// excluded: no prepared state depends on it (the blocked path builds its
-// k-wide retention stores on per-solve forks), so jobs differing only in
-// blocking share one session.
+// the configuration's prep identity. Nothing else contributes — run policy
+// and batch width shape no prepared state — so jobs differing only in
+// fabric, strategy, intervals, detector, threads, method, tolerances,
+// schedule or blocking share one session.
 func prepKey(matrixHash string, cfg Config) string {
-	cfg = cfg.WithDefaults()
-	omega := 0.0
-	if cfg.Preconditioner == PrecondSSOR {
-		// Omega shapes preparation only for SSOR; folding it in otherwise
-		// would fragment the cache over an unused field.
-		omega = cfg.SSOROmega
-	}
-	var seed int64
-	if cfg.Transport == TransportChaos {
-		// The seed only matters to the chaos wire; folding it in otherwise
-		// would fragment the cache over an unused field.
-		seed = cfg.TransportSeed
-	}
-	interval := 0
-	if cfg.Strategy == StrategyCheckpoint {
-		// The interval shapes solves only under the checkpoint strategy;
-		// folding it in otherwise would fragment the cache over an unused
-		// field.
-		interval = cfg.CheckpointInterval
-	}
-	twin := 0
-	if cfg.Strategy == StrategyTwin {
-		// Same reasoning as the checkpoint interval: the twin comparison
-		// period only shapes solves under the twin strategy.
-		twin = cfg.TwinInterval
-	}
-	// Threads is preparation-scoped too: the per-rank kernels bake the cap
-	// in, so sessions differing only in the thread cap must not share an
-	// entry (the cap bounds a session's CPU appetite, not its numerics).
-	// SDCCheckInterval is preparation-scoped like Strategy: a session runs
-	// every solve with (or without) the armed detector.
-	return fmt.Sprintf("%s|r=%d|phi=%d|prec=%s|omega=%g|tr=%s|seed=%d|st=%s|ckpt=%d|twin=%d|sdc=%d|th=%d",
-		matrixHash, cfg.Ranks, cfg.Phi, cfg.Preconditioner, omega, cfg.Transport, seed,
-		cfg.Strategy, interval, twin, cfg.SDCCheckInterval, cfg.Threads)
+	return matrixHash + cfg.PrepIdentity()
 }

@@ -186,7 +186,7 @@ func newEngineMetrics(e *Engine) *engineMetrics {
 		return float64(e.ThreadStats().Default)
 	})
 	r.GaugeFunc("esrd_block_size_default", "Daemon default batch block width (0 = library default).", func() float64 {
-		return float64(e.defaultBlockSize)
+		return float64(e.defaults.BlockSize)
 	})
 	r.GaugeFunc("esrd_threads_maxprocs", "Process GOMAXPROCS.", func() float64 {
 		return float64(e.ThreadStats().MaxProcs)

@@ -65,9 +65,9 @@ func (e *Engine) journalSubmit(j *job) error {
 
 // journalState records a lifecycle transition. Called from transitionLocked
 // with j.mu held; the store's mutex is a leaf lock, so no ordering cycle.
-func (e *Engine) journalState(id string, s State, errMsg string) {
+func (e *Engine) journalState(id string, s State, errMsg, errCode string) {
 	e.journalAppend(store.Record{
-		Kind: store.KindState, Time: time.Now(), JobID: id, State: string(s), Error: errMsg,
+		Kind: store.KindState, Time: time.Now(), JobID: id, State: string(s), Error: errMsg, ErrorCode: errCode,
 	})
 }
 
@@ -127,6 +127,7 @@ type replayedJob struct {
 	hasSpec  bool
 	state    State
 	errMsg   string
+	errCode  string // "" in journals written before the field existed
 	result   *Solution
 	enqueued time.Time
 	started  time.Time
@@ -203,7 +204,7 @@ func (e *Engine) parseJournal() *replayState {
 			case StateRunning:
 				rj.state, rj.started = s, r.Time
 			case StateDone, StateFailed, StateCancelled:
-				rj.state, rj.finished, rj.errMsg = s, r.Time, r.Error
+				rj.state, rj.finished, rj.errMsg, rj.errCode = s, r.Time, r.Error, r.ErrorCode
 			}
 		case store.KindResult:
 			rj, ok := rs.jobs[r.JobID]
@@ -300,7 +301,7 @@ func (e *Engine) restoreTerminalLocked(rj *replayedJob) {
 	j := &job{
 		id: rj.id, spec: spec, ctx: ctx, cancel: cancel, em: e.metrics, eng: e,
 		batchK: batchK, state: rj.state, updated: make(chan struct{}),
-		errMsg: rj.errMsg, result: rj.result,
+		errMsg: rj.errMsg, errCode: rj.errCode, result: rj.result,
 		enqueued: rj.enqueued, started: rj.started, finished: rj.finished,
 	}
 	evs := []Event{{JobID: rj.id, Time: rj.enqueued, Kind: EventState, State: StateQueued}}
@@ -308,7 +309,8 @@ func (e *Engine) restoreTerminalLocked(rj *replayedJob) {
 		evs = append(evs, Event{Seq: 1, JobID: rj.id, Time: rj.started, Kind: EventState, State: StateRunning})
 	}
 	evs = append(evs, Event{
-		Seq: len(evs), JobID: rj.id, Time: rj.finished, Kind: EventState, State: rj.state, Error: rj.errMsg,
+		Seq: len(evs), JobID: rj.id, Time: rj.finished, Kind: EventState, State: rj.state,
+		Error: rj.errMsg, ErrorCode: rj.errCode,
 	})
 	j.events = evs
 	e.jobs[j.id] = j
@@ -343,7 +345,7 @@ func (e *Engine) requeueLocked(rj *replayedJob) {
 			// fail it terminally (journaled, so the next replay reloads the
 			// failure instead of retrying). The payload budget was never
 			// charged for it, so only the spec payloads need stripping.
-			j.transition(StateFailed, fmt.Sprintf("engine: replayed job references %s: %v", rj.spec.MatrixID, err))
+			j.transition(StateFailed, fmt.Errorf("engine: replayed job references %s: %w", rj.spec.MatrixID, err))
 			j.mu.Lock()
 			j.spec.Matrix.MatrixMarket = nil
 			j.spec.RHS = nil

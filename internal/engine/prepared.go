@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -31,11 +32,13 @@ var ErrPreparedClosed = xerr.New(xerr.Unavailable, "engine: prepared solver sess
 // blocks must use the sparse ILU(0)/IC(0) factorizations.
 const maxCholBlock = 4096
 
-// SolveOpts are the per-solve parameters of a prepared session: everything
-// that does NOT affect the expensive setup (partitioning, distributed
-// symbolic phase, preconditioner factorization) and can therefore differ
-// between solves sharing one Prepared. Zero-valued tolerances defer to the
-// core.Options defaults, exactly as in Config.
+// SolveOpts are the per-solve parameters of a prepared session: the run
+// policy — every Config field of scope "run", none of which shapes the
+// expensive setup (partitioning, distributed symbolic phase, preconditioner
+// factorization) — plus the per-solve observers and hooks. Zero-valued
+// tolerances defer to the core.Options defaults, exactly as in Config; the
+// policy fields from Method down read zero as the session's default, i.e.
+// the Config it was prepared with.
 type SolveOpts struct {
 	// Tol is the relative residual reduction target (<= 0: core default).
 	Tol float64
@@ -51,6 +54,19 @@ type SolveOpts struct {
 	// the session's; MethodSPCG still needs the session prepared with the
 	// split-capable "ic0" preconditioner).
 	Method string
+	// Transport and TransportSeed pick the fabric of this solve's runtime.
+	Transport     string
+	TransportSeed int64
+	// Strategy, CheckpointInterval and TwinInterval pick this solve's
+	// failure-recovery strategy and its period.
+	Strategy           string
+	CheckpointInterval int
+	TwinInterval       int
+	// SDCCheckInterval arms the true-residual drift check on this solve.
+	SDCCheckInterval int
+	// Threads caps this solve's per-rank kernel fan-out (ThreadsAuto lifts
+	// a session default cap).
+	Threads int
 	// Progress observes this solve from rank 0 (may be nil).
 	Progress core.ProgressFunc
 	// Tracer observes this solve's per-iteration phase timings, residual
@@ -87,7 +103,9 @@ type preparedRank struct {
 // concurrent Solve calls run against them, each on its own short-lived rank
 // runtime. Close tears the session down and aborts in-flight solves.
 type Prepared struct {
-	cfg  Config // normalized; Ranks clamped to the matrix size
+	// cfg is normalized, Ranks clamped to the matrix size. Its prep-scoped
+	// fields describe the state below; the rest is the default run policy.
+	cfg  Config
 	part partition.Partition
 	n    int
 	prep []preparedRank
@@ -98,14 +116,14 @@ type Prepared struct {
 	// afterwards.
 	statsSink func(name string, delta cluster.TransportStats)
 	// strategySink, when non-nil, receives the per-solve strategy-stats
-	// delta after every solve, keyed by the session's strategy name (the
+	// delta after every solve, keyed by the solve's strategy name (the
 	// engine aggregates these for its health gauges, mirroring statsSink).
 	strategySink func(name string, delta core.StrategyStats)
-	// matvecSink, when non-nil, is installed as the MatVec phase observer on
-	// every solve's per-rank matrix forks (the engine feeds it into the
-	// per-transport SpMV phase histograms). Set before the session is
-	// shared, like the sinks above.
-	matvecSink func(distmat.MatVecTimings)
+	// matvecSink, when non-nil, yields the MatVec phase observer installed
+	// on every solve's per-rank matrix forks, given the solve's transport
+	// name (the engine feeds the per-transport SpMV phase histograms). Set
+	// before the session is shared, like the sinks above.
+	matvecSink func(transport string) func(distmat.MatVecTimings)
 
 	mu     sync.Mutex
 	closed bool
@@ -115,11 +133,11 @@ type Prepared struct {
 	sstats core.StrategyStats     // aggregated across all solves
 }
 
-// newTransport builds a fresh transport instance for one runtime of this
-// session. cfg is validated, so the name resolves; the impossible error
-// path falls back to the default fabric.
-func (ps *Prepared) newTransport() cluster.Transport {
-	t, err := cluster.NewTransport(ps.cfg.Transport, ps.cfg.TransportSeed)
+// newTransport builds a fresh transport instance for one runtime. cfg is
+// validated, so the name resolves; the impossible error path falls back to
+// the default fabric.
+func newTransport(cfg Config) cluster.Transport {
+	t, err := cluster.NewTransport(cfg.Transport, cfg.TransportSeed)
 	if err != nil {
 		return cluster.NewChanTransport()
 	}
@@ -145,7 +163,7 @@ func (ps *Prepared) recordStats(rt *cluster.Runtime, ownsTransport bool) {
 	}
 }
 
-// TransportName returns the session's communication-fabric name.
+// TransportName returns the session's default communication-fabric name.
 func (ps *Prepared) TransportName() string { return ps.cfg.Transport }
 
 // TransportStats returns the session's aggregated transport counters
@@ -156,7 +174,7 @@ func (ps *Prepared) TransportStats() cluster.TransportStats {
 	return ps.tstats
 }
 
-// StrategyName returns the session's failure-recovery strategy name.
+// StrategyName returns the session's default failure-recovery strategy name.
 func (ps *Prepared) StrategyName() string { return ps.cfg.Strategy }
 
 // StrategyStats returns the session's aggregated recovery-strategy counters
@@ -172,15 +190,15 @@ func (ps *Prepared) StrategyStats() core.StrategyStats {
 // checkpoint strategy, its per-solve reliable store, accounting its traffic
 // on the solve runtime's counters). One strategy instance is shared by the
 // solve's ranks; concurrent solves never share checkpoint state.
-func (ps *Prepared) newStrategy(rt *cluster.Runtime) (core.Strategy, *checkpoint.Store) {
-	switch ps.cfg.Strategy {
+func newStrategy(cfg Config, rt *cluster.Runtime) (core.Strategy, *checkpoint.Store) {
+	switch cfg.Strategy {
 	case StrategyCheckpoint:
 		store := checkpoint.NewStore(rt.Counters())
-		return checkpoint.NewStrategy(store, ps.cfg.CheckpointInterval), store
+		return checkpoint.NewStrategy(store, cfg.CheckpointInterval), store
 	case StrategyRestart:
 		return core.NewRestartStrategy(), nil
 	case StrategyTwin:
-		return core.NewTwinStrategy(ps.cfg.TwinInterval), nil
+		return core.NewTwinStrategy(cfg.TwinInterval), nil
 	default:
 		return core.NewESRStrategy(), nil
 	}
@@ -190,7 +208,7 @@ func (ps *Prepared) newStrategy(rt *cluster.Runtime) (core.Strategy, *checkpoint
 // the session aggregate and the engine's sink: each column that solved
 // counts as one solve, while the runtime's protection traffic counters are
 // folded exactly once — the block shares them.
-func (ps *Prepared) recordStrategyStats(sols []Solution, colErrs []error, store *checkpoint.Store, rt *cluster.Runtime) {
+func (ps *Prepared) recordStrategyStats(strategy string, sols []Solution, colErrs []error, store *checkpoint.Store, rt *cluster.Runtime) {
 	var delta core.StrategyStats
 	for c, sol := range sols {
 		if colErrs[c] == nil {
@@ -204,25 +222,26 @@ func (ps *Prepared) recordStrategyStats(sols []Solution, colErrs []error, store 
 	delta.CheckpointFloats = ctrs.Floats(cluster.CatCheckpoint)
 	delta.RedundancyFloats = ctrs.Floats(cluster.CatRedundancy)
 	delta.RecoveryFloats = ctrs.Floats(cluster.CatRecovery)
-	ps.foldStrategyStats(delta)
+	ps.foldStrategyStats(strategy, delta)
 }
 
-// foldStrategyStats adds delta to the session aggregate and the engine's
-// sink.
-func (ps *Prepared) foldStrategyStats(delta core.StrategyStats) {
+// foldStrategyStats adds delta to the session aggregate and, under the
+// solve's strategy name, to the engine's sink.
+func (ps *Prepared) foldStrategyStats(strategy string, delta core.StrategyStats) {
 	ps.mu.Lock()
 	ps.sstats.Add(delta)
 	ps.mu.Unlock()
 	if ps.strategySink != nil {
-		ps.strategySink(ps.cfg.Strategy, delta)
+		ps.strategySink(strategy, delta)
 	}
 }
 
 // Prepare builds a reusable solver session for the SPD system matrix a. Only
-// the preparation-scoped fields of cfg are used (Ranks, Phi, Preconditioner,
-// SSOROmega, Method, Transport, TransportSeed, Strategy,
-// CheckpointInterval); per-solve parameters (tolerances, schedule, progress)
-// are passed to each Solve. The caller must Close the session when done.
+// cfg's prep-scoped fields shape what is built (see Config.PrepIdentity); its
+// run-policy fields become the session's defaults, which every Solve can
+// override through SolveOpts, and Transport also picks the fabric of the
+// build's own symbolic exchange. Tolerances, schedule and observers are
+// passed to each Solve. The caller must Close the session when done.
 func Prepare(a *sparse.CSR, cfg Config) (*Prepared, error) {
 	return PrepareContext(context.Background(), a, cfg)
 }
@@ -255,7 +274,7 @@ func PrepareContext(ctx context.Context, a *sparse.CSR, cfg Config) (*Prepared, 
 	// The symbolic phase (halo plan + redundancy protocol) is a distributed
 	// exchange, so the build itself runs as an SPMD program on a throwaway
 	// runtime; the resulting per-rank state has no reference to it.
-	rt := cluster.New(cfg.Ranks, cluster.WithTransport(ps.newTransport()))
+	rt := cluster.New(cfg.Ranks, cluster.WithTransport(newTransport(cfg)))
 	defer ps.recordStats(rt, true)
 	err := rt.RunContext(ctx, func(c *cluster.Comm) error {
 		e := distmat.WorldEnv(c)
@@ -273,10 +292,6 @@ func PrepareContext(ctx context.Context, a *sparse.CSR, cfg Config) (*Prepared, 
 		if err := c.Check(); err != nil {
 			return err
 		}
-		// Bake the session's kernel thread cap into the per-rank state: the
-		// SpMV row chunks and the Jacobi applications honour it on every
-		// solve (forks inherit it).
-		m.SetThreads(cfg.Threads)
 		prec, split, err := buildPrecond(cfg, m)
 		if err != nil {
 			rt.Abort(err)
@@ -301,11 +316,9 @@ func (ps *Prepared) Ranks() int { return ps.cfg.Ranks }
 // Phi returns the redundancy level of the session.
 func (ps *Prepared) Phi() int { return ps.cfg.Phi }
 
-// Config returns the normalized preparation-scoped configuration.
+// Config returns the normalized configuration the session was prepared
+// with: its prep-scoped fields and its default run policy.
 func (ps *Prepared) Config() Config { return ps.cfg }
-
-// Threads returns the session's per-rank kernel thread cap (0 = automatic).
-func (ps *Prepared) Threads() int { return ps.cfg.Threads }
 
 // SetOverlap toggles the communication-hiding SpMV schedule of every solve
 // on this session (on by default). The phased reference schedule computes
@@ -319,53 +332,50 @@ func (ps *Prepared) SetOverlap(on bool) {
 	}
 }
 
-// method resolves the solver for one Solve call: a per-solve override wins
-// over the session's configured method; MethodAuto keeps the historical
-// behaviour (plain PCG when there is neither redundancy nor a schedule,
-// ESR-PCG otherwise). Errors report an unknown name, SPCG on a session
-// without the split factors, or PCG with a failure schedule.
-func (ps *Prepared) method(opts SolveOpts) (string, error) {
-	m := opts.Method
-	if m == MethodAuto {
-		m = ps.cfg.Method
+// policy resolves one solve's run policy: the session's Config overlaid with
+// the call's tolerances, schedule and non-zero policy fields, validated as a
+// whole — so the rules binding a method to a strategy, a schedule, the
+// detector or the prepared preconditioner are Config.Validate's alone.
+func (ps *Prepared) policy(o SolveOpts) (Config, error) {
+	c := ps.cfg
+	c.Tol, c.MaxIter, c.LocalTol, c.Schedule = o.Tol, o.MaxIter, o.LocalTol, o.Schedule
+	c.Method = cmp.Or(o.Method, c.Method)
+	c.Transport = cmp.Or(o.Transport, c.Transport)
+	c.TransportSeed = cmp.Or(o.TransportSeed, c.TransportSeed)
+	c.Strategy = cmp.Or(o.Strategy, c.Strategy)
+	c.CheckpointInterval = cmp.Or(o.CheckpointInterval, c.CheckpointInterval)
+	c.TwinInterval = cmp.Or(o.TwinInterval, c.TwinInterval)
+	c.SDCCheckInterval = cmp.Or(o.SDCCheckInterval, c.SDCCheckInterval)
+	c.Threads = cmp.Or(o.Threads, c.Threads)
+	if err := c.Validate(); err != nil {
+		return Config{}, err
 	}
-	switch m {
-	case MethodAuto:
-		if ps.cfg.Strategy == StrategyESR && ps.cfg.Phi == 0 && opts.Schedule.Empty() &&
-			ps.cfg.SDCCheckInterval == 0 {
+	if err := c.Schedule.Validate(c.Ranks); err != nil {
+		return Config{}, err
+	}
+	if c.Schedule.HasFailStop() && c.Phi == 0 &&
+		(c.Strategy == StrategyESR || c.Strategy == StrategyTwin) {
+		// Reject at the door instead of spinning up the runtime just for
+		// the solver's own resilience-enabled check to fail. Only ESR
+		// reconstruction needs redundancy (the twin strategy delegates its
+		// fail-stop recovery to it); checkpoint/restart roll back without
+		// it, and corruption-only schedules never lose a node's state.
+		return Config{}, fmt.Errorf("esr: a fail-stop schedule needs a session prepared with phi >= 1 (or a checkpoint/restart recovery strategy)")
+	}
+	c = c.WithDefaults() // an explicit ThreadsAuto has overridden the session's cap
+	if c.Method == MethodAuto {
+		c.Method = MethodESRPCG
+		if c.Strategy == StrategyESR && c.Phi == 0 && c.Schedule.Empty() && c.SDCCheckInterval == 0 {
 			// Nothing for the resilient driver to do: no redundancy, no
 			// failures, no SDC check, and the ESR strategy adds no
 			// steady-state work. Non-ESR strategies always take the driver
 			// so their overhead (periodic checkpoints, twin comparisons) is
 			// exercised and measurable even on failure-free solves; an armed
 			// SDC check needs the driver because only it runs the check.
-			return MethodPCG, nil
+			c.Method = MethodPCG
 		}
-		return MethodESRPCG, nil
-	case MethodPCG:
-		if !opts.Schedule.Empty() {
-			return "", fmt.Errorf("engine: method %q cannot honour a failure schedule (use %q)",
-				MethodPCG, MethodESRPCG)
-		}
-		if ps.cfg.Strategy != StrategyESR {
-			return "", fmt.Errorf("engine: method %q is the strategy-free reference solver; use %q or %q with strategy %q",
-				MethodPCG, MethodAuto, MethodESRPCG, ps.cfg.Strategy)
-		}
-		return m, nil
-	case MethodESRPCG:
-		return m, nil
-	case MethodSPCG:
-		if ps.cfg.Strategy != StrategyESR {
-			return "", fmt.Errorf("engine: method %q supports only the %q recovery strategy, got %q",
-				MethodSPCG, StrategyESR, ps.cfg.Strategy)
-		}
-		if ps.prep[0].split == nil {
-			return "", fmt.Errorf("engine: method %q needs a session prepared with the split preconditioner %q, got %q",
-				MethodSPCG, PrecondIC0, ps.cfg.Preconditioner)
-		}
-		return m, nil
 	}
-	return "", fmt.Errorf("engine: unknown method %q", m)
+	return c, nil
 }
 
 // Solve runs one solve of A x = b against the prepared state. It is safe to
@@ -396,11 +406,6 @@ func (ps *Prepared) SolveOn(ctx context.Context, rt *cluster.Runtime, localRanks
 	if len(localRanks) == 0 {
 		return Solution{}, fmt.Errorf("esr: SolveOn needs at least one local rank")
 	}
-	if len(localRanks) < ps.cfg.Ranks && ps.cfg.Strategy != StrategyESR {
-		// The rollback strategies keep cross-rank state (the checkpoint
-		// store) inside one process; they cannot span a mesh.
-		return Solution{}, fmt.Errorf("esr: multi-process solves support only the %q strategy, got %q", StrategyESR, ps.cfg.Strategy)
-	}
 	return ps.solveOne(ctx, rt, localRanks, b, opts)
 }
 
@@ -408,7 +413,7 @@ func (ps *Prepared) SolveOn(ctx context.Context, rt *cluster.Runtime, localRanks
 // divergence is the solve's error.
 func (ps *Prepared) solveOne(ctx context.Context, rt *cluster.Runtime, localRanks []int, b []float64, opts SolveOpts) (Solution, error) {
 	if len(b) != ps.n {
-		return Solution{}, fmt.Errorf("esr: rhs length %d != %d", len(b), ps.n)
+		return Solution{}, xerr.Newf(xerr.InvalidArgument, "esr: rhs length %d != matrix rows %d", len(b), ps.n)
 	}
 	sols, colErrs, err := ps.solveOn(ctx, rt, localRanks, [][]float64{b}, opts)
 	if err == nil {
@@ -420,10 +425,11 @@ func (ps *Prepared) solveOne(ctx context.Context, rt *cluster.Runtime, localRank
 	return sols[0], nil
 }
 
-// coreOptions assembles the rank-independent core.Options of one solve.
-func (ps *Prepared) coreOptions(ctx context.Context, opts SolveOpts) core.Options {
-	return core.Options{Tol: opts.Tol, MaxIter: opts.MaxIter, LocalTol: opts.LocalTol,
-		Threads: ps.cfg.Threads, Ctx: ctx, SDCCheck: ps.cfg.SDCCheckInterval,
+// coreOptions assembles the rank-independent core.Options of one solve from
+// its resolved policy.
+func coreOptions(ctx context.Context, cfg Config, opts SolveOpts) core.Options {
+	return core.Options{Tol: cfg.Tol, MaxIter: cfg.MaxIter, LocalTol: cfg.LocalTol,
+		Threads: cfg.Threads, Ctx: ctx, SDCCheck: cfg.SDCCheckInterval,
 		OnFailure: opts.OnFailure, Resume: opts.Resume}
 }
 
@@ -437,30 +443,16 @@ func (ps *Prepared) coreOptions(ctx context.Context, opts SolveOpts) core.Option
 // Widths above 1 are the caller's to gate with CanSolveBlock.
 func (ps *Prepared) solveOn(ctx context.Context, rt *cluster.Runtime, localRanks []int, bs [][]float64, opts SolveOpts) ([]Solution, []error, error) {
 	k := len(bs)
-	if err := opts.Schedule.Validate(ps.cfg.Ranks); err != nil {
-		return nil, nil, err
-	}
-	if opts.Schedule.HasFailStop() && ps.cfg.Phi == 0 &&
-		(ps.cfg.Strategy == StrategyESR || ps.cfg.Strategy == StrategyTwin) {
-		// Reject at the door instead of spinning up the runtime just for
-		// the solver's own resilience-enabled check to fail. Only ESR
-		// reconstruction needs redundancy (the twin strategy delegates its
-		// fail-stop recovery to it); checkpoint/restart roll back without
-		// it, and corruption-only schedules never lose a node's state.
-		return nil, nil, fmt.Errorf("esr: a fail-stop schedule needs a session prepared with phi >= 1 (or a checkpoint/restart recovery strategy)")
-	}
-	method, err := ps.method(opts)
+	cfg, err := ps.policy(opts)
 	if err != nil {
 		return nil, nil, err
 	}
-	copts := ps.coreOptions(ctx, opts)
-	if method == MethodPCG {
-		// The reference method is the driver with nothing armed: method()
-		// admitted it only without a schedule and on the ESR strategy, and
-		// it runs no detector (Config.Validate rejects the pairing at the
-		// door; a per-solve method override lands here).
-		copts.SDCCheck = 0
+	if localRanks != nil && len(localRanks) < cfg.Ranks && cfg.Strategy != StrategyESR {
+		// The rollback strategies keep cross-rank state (the checkpoint
+		// store) inside one process; they cannot span a mesh.
+		return nil, nil, fmt.Errorf("esr: multi-process solves support only the %q strategy, got %q", StrategyESR, cfg.Strategy)
 	}
+	copts := coreOptions(ctx, cfg, opts)
 
 	ownsRT := rt == nil
 	ps.mu.Lock()
@@ -469,7 +461,7 @@ func (ps *Prepared) solveOn(ctx context.Context, rt *cluster.Runtime, localRanks
 		return nil, nil, ErrPreparedClosed
 	}
 	if ownsRT {
-		rt = cluster.New(ps.cfg.Ranks, cluster.WithTransport(ps.newTransport()))
+		rt = cluster.New(cfg.Ranks, cluster.WithTransport(newTransport(cfg)))
 	}
 	ps.active[rt] = struct{}{}
 	ps.wg.Add(1)
@@ -482,7 +474,7 @@ func (ps *Prepared) solveOn(ctx context.Context, rt *cluster.Runtime, localRanks
 		ps.wg.Done()
 	}()
 	if localRanks == nil {
-		localRanks = make([]int, ps.cfg.Ranks)
+		localRanks = make([]int, cfg.Ranks)
 		for r := range localRanks {
 			localRanks[r] = r
 		}
@@ -494,7 +486,11 @@ func (ps *Prepared) solveOn(ctx context.Context, rt *cluster.Runtime, localRanks
 		}
 	}
 
-	strat, store := ps.newStrategy(rt)
+	strat, store := newStrategy(cfg, rt)
+	var matvecObs func(distmat.MatVecTimings)
+	if ps.matvecSink != nil {
+		matvecObs = ps.matvecSink(rt.Transport().Name())
+	}
 
 	var mu sync.Mutex
 	sols := make([]Solution, k)
@@ -506,10 +502,11 @@ func (ps *Prepared) solveOn(ctx context.Context, rt *cluster.Runtime, localRanks
 		e := distmat.WorldEnv(c)
 		m := pr.m.Fork()
 		m.SetBlockWidth(k)
-		if ps.matvecSink != nil {
+		m.SetThreads(cfg.Threads)
+		if matvecObs != nil {
 			// Every rank reports its own SpMV phase split: the overlap
 			// efficiency is a per-rank quantity.
-			m.SetMatVecObserver(ps.matvecSink)
+			m.SetMatVecObserver(matvecObs)
 		}
 		B := make([]distmat.Vector, k)
 		X := make([]distmat.Vector, k)
@@ -525,14 +522,14 @@ func (ps *Prepared) solveOn(ctx context.Context, rt *cluster.Runtime, localRanks
 		var results []core.Result
 		var errsPerCol []error
 		var err error
-		if method == MethodSPCG {
+		if cfg.Method == MethodSPCG {
 			// The split-preconditioner recurrence is a width-1 solver of
 			// its own (CanSolveBlock keeps blocks away from it).
 			var res core.Result
-			res, err = core.SPCG(e, m, X[0], B[0], pr.split, ropts, opts.Schedule)
+			res, err = core.SPCG(e, m, X[0], B[0], pr.split, ropts, cfg.Schedule)
 			results, errsPerCol = []core.Result{res}, []error{nil}
 		} else {
-			results, errsPerCol, err = core.SolveBlock(e, m, X, B, pr.prec, ropts, opts.Schedule, strat)
+			results, errsPerCol, err = core.SolveBlock(e, m, X, B, withThreads(pr.prec, cfg.Threads), ropts, cfg.Schedule, strat)
 		}
 		if err != nil {
 			if c.Rank() == 0 {
@@ -584,14 +581,14 @@ func (ps *Prepared) solveOn(ctx context.Context, rt *cluster.Runtime, localRanks
 			delta.SDCCorrected += int64(r.SDCCorrected)
 		}
 		if delta != (core.StrategyStats{}) {
-			ps.foldStrategyStats(delta)
+			ps.foldStrategyStats(cfg.Strategy, delta)
 		}
 		return nil, nil, err
 	}
 	if hasRank0 {
 		// The result-borne strategy stats live on rank 0's Results; processes
 		// hosting only other ranks would fold in zeros.
-		ps.recordStrategyStats(sols, colErrs, store, rt)
+		ps.recordStrategyStats(cfg.Strategy, sols, colErrs, store, rt)
 	}
 	return sols, colErrs, nil
 }
@@ -612,6 +609,21 @@ func (ps *Prepared) Close() {
 	ps.wg.Wait()
 }
 
+// withThreads returns prec carrying one solve's kernel thread cap. Only
+// Jacobi's element-wise application parallelizes; the solve gets a shallow
+// copy sharing the prepared diagonal, so concurrent solves with different
+// caps never write shared state.
+func withThreads(prec core.Precond, threads int) core.Precond {
+	lp, _ := prec.(core.LocalPrecond)
+	j, ok := lp.P.(*precond.Jacobi)
+	if !ok {
+		return prec
+	}
+	c := *j
+	c.SetThreads(threads)
+	return core.LocalPrecond{P: &c}
+}
+
 // buildPrecond factors the node-local block preconditioner for the rank's
 // matrix. The returned Split is non-nil only for PrecondIC0 (the SPCG
 // method's requirement).
@@ -624,9 +636,6 @@ func buildPrecond(cfg Config, m *distmat.Matrix) (core.Precond, precond.Split, e
 		if err != nil {
 			return nil, nil, err
 		}
-		// Jacobi is the one preconditioner whose application legally
-		// parallelizes (element-wise); it honours the session's thread cap.
-		j.SetThreads(cfg.Threads)
 		return core.LocalPrecond{P: j}, nil, nil
 	case PrecondBlockJacobiILU:
 		f, err := precond.NewBlockJacobiILU(m.OwnBlock())

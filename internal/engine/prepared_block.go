@@ -22,18 +22,17 @@ func (ps *Prepared) ValidateBatch(bs [][]float64) error {
 func (ps *Prepared) CanSolveBlock(opts SolveOpts) bool { return ps.blockRejection(opts) == nil }
 
 // blockRejection says why a batch with these options cannot run through
-// SolveBlock (nil when it can): the method must resolve to the PCG driver —
-// SPCG is a width-1 solver of its own — and the configuration must pass
-// core.WidthOneOnly.
+// SolveBlock (nil when it can): the policy must resolve to the PCG driver —
+// SPCG is a width-1 solver of its own — and must pass core.WidthOneOnly.
 func (ps *Prepared) blockRejection(opts SolveOpts) error {
-	m, err := ps.method(opts)
+	cfg, err := ps.policy(opts)
 	if err != nil {
 		return err
 	}
-	if m == MethodSPCG {
+	if cfg.Method == MethodSPCG {
 		return fmt.Errorf("engine: method %q solves one right-hand side at a time", MethodSPCG)
 	}
-	return core.WidthOneOnly(ps.cfg.Strategy, ps.coreOptions(context.Background(), opts), opts.Schedule)
+	return core.WidthOneOnly(cfg.Strategy, coreOptions(context.Background(), cfg, opts), cfg.Schedule)
 }
 
 // SolveBlock solves the k systems A x[c] = bs[c] in lockstep against the

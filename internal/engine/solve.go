@@ -20,12 +20,18 @@ type Solution struct {
 	Results []core.Result `json:"results,omitempty"`
 }
 
-// solveOpts extracts the per-solve parameters of a one-shot Config.
-func solveOpts(cfg Config) SolveOpts {
+// SolveOptsOf lowers a Config onto the per-solve parameters of a prepared
+// session — the one Config -> SolveOpts lowering, used by the one-shot path,
+// the engine's jobs, esr.Solver and the net workers. Fields cfg leaves at
+// zero fall back to the session's defaults.
+func SolveOptsOf(cfg Config) SolveOpts {
 	return SolveOpts{
 		Tol: cfg.Tol, MaxIter: cfg.MaxIter, LocalTol: cfg.LocalTol,
-		Schedule: cfg.Schedule, Method: cfg.Method, Progress: cfg.Progress,
-		Tracer: cfg.Tracer,
+		Schedule: cfg.Schedule, Method: cfg.Method,
+		Transport: cfg.Transport, TransportSeed: cfg.TransportSeed,
+		Strategy: cfg.Strategy, CheckpointInterval: cfg.CheckpointInterval,
+		TwinInterval: cfg.TwinInterval, SDCCheckInterval: cfg.SDCCheckInterval,
+		Threads: cfg.Threads, Progress: cfg.Progress, Tracer: cfg.Tracer,
 	}
 }
 
@@ -43,5 +49,5 @@ func SolveSystem(ctx context.Context, a *sparse.CSR, b []float64, cfg Config) (S
 		return Solution{}, err
 	}
 	defer ps.Close()
-	return ps.Solve(ctx, b, solveOpts(cfg))
+	return ps.Solve(ctx, b, SolveOptsOf(cfg))
 }

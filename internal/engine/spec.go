@@ -244,8 +244,8 @@ type JobSpec struct {
 	// MatrixID references a matrix previously registered with the engine's
 	// matrix store (POST /v1/matrices on the daemon): the system is
 	// materialized once at registration and reused by every job referencing
-	// it, and jobs sharing preparation-scoped config also share the
-	// prepared-solver session. Exactly one of Matrix and MatrixID must be
+	// it, and jobs agreeing on the prep-scoped config fields also share the
+	// prepared-solver session, whatever their run policy. Exactly one of Matrix and MatrixID must be
 	// set.
 	MatrixID string `json:"matrix_id,omitempty"`
 	// RHS is the right-hand side; nil selects the all-ones vector of

@@ -227,13 +227,13 @@ func TestQuickSubmitInvalidOmega(t *testing.T) {
 	spec := tinySpec()
 	spec.Config.Preconditioner = PrecondSSOR
 	spec.Config.SSOROmega = 2.5
-	var omegaErr *InvalidOmegaError
-	if _, err := e.Submit(spec); !errors.As(err, &omegaErr) || omegaErr.Omega != 2.5 {
+	var omegaErr *InvalidConfigError
+	if _, err := e.Submit(spec); !errors.As(err, &omegaErr) || omegaErr.Field != "ssor_omega" || omegaErr.Value != 2.5 {
 		t.Fatalf("omega 2.5 at submit: %v", err)
 	}
 	// The same typed error surfaces from the one-shot Validate path.
 	cfg := Config{Preconditioner: PrecondSSOR, SSOROmega: -0.5}
-	if err := cfg.Validate(); !errors.As(err, &omegaErr) {
+	if err := cfg.Validate(); !errors.As(err, &omegaErr) || omegaErr.Field != "ssor_omega" {
 		t.Fatalf("Validate: %v", err)
 	}
 	// The zero value still defaults to a valid omega.

@@ -16,10 +16,13 @@ import (
 func TestQuickStrategyConfigValidation(t *testing.T) {
 	a := matgen.Poisson2D(8, 8)
 
-	var stratErr *InvalidStrategyError
+	var stratErr *InvalidConfigError
+	isStrategy := func(err error) bool {
+		return errors.As(err, &stratErr) && stratErr.Field == "strategy" && stratErr.Value == "prayer"
+	}
 	cfg := Config{Strategy: "prayer"}
-	if err := cfg.Validate(); !errors.As(err, &stratErr) || stratErr.Strategy != "prayer" {
-		t.Fatalf("Validate: want *InvalidStrategyError, got %v", err)
+	if err := cfg.Validate(); !isStrategy(err) {
+		t.Fatalf("Validate: want *InvalidConfigError{strategy}, got %v", err)
 	}
 	eng := New(Options{Workers: 1})
 	defer eng.Close()
@@ -27,24 +30,27 @@ func TestQuickStrategyConfigValidation(t *testing.T) {
 		Matrix: MatrixSpec{Generator: "poisson2d", Params: map[string]float64{"nx": 8}},
 		Config: cfg,
 	}
-	if _, err := eng.Submit(spec); !errors.As(err, &stratErr) {
-		t.Fatalf("Submit: want *InvalidStrategyError, got %v", err)
+	if _, err := eng.Submit(spec); !isStrategy(err) {
+		t.Fatalf("Submit: want *InvalidConfigError{strategy}, got %v", err)
 	}
-	if _, err := Prepare(a, cfg); !errors.As(err, &stratErr) {
-		t.Fatalf("Prepare: want *InvalidStrategyError, got %v", err)
+	if _, err := Prepare(a, cfg); !isStrategy(err) {
+		t.Fatalf("Prepare: want *InvalidConfigError{strategy}, got %v", err)
 	}
 
-	var ivalErr *InvalidCheckpointIntervalError
+	var ivalErr *InvalidConfigError
+	isInterval := func(err error) bool {
+		return errors.As(err, &ivalErr) && ivalErr.Field == "checkpoint_interval" && ivalErr.Value == -5
+	}
 	bad := Config{Strategy: StrategyCheckpoint, CheckpointInterval: -5}
-	if err := bad.Validate(); !errors.As(err, &ivalErr) || ivalErr.Interval != -5 {
-		t.Fatalf("Validate: want *InvalidCheckpointIntervalError, got %v", err)
+	if err := bad.Validate(); !isInterval(err) {
+		t.Fatalf("Validate: want *InvalidConfigError{checkpoint_interval, -5}, got %v", err)
 	}
 	spec.Config = bad
-	if _, err := eng.Submit(spec); !errors.As(err, &ivalErr) {
-		t.Fatalf("Submit: want *InvalidCheckpointIntervalError, got %v", err)
+	if _, err := eng.Submit(spec); !isInterval(err) {
+		t.Fatalf("Submit: want *InvalidConfigError{checkpoint_interval}, got %v", err)
 	}
-	if _, err := Prepare(a, bad); !errors.As(err, &ivalErr) {
-		t.Fatalf("Prepare: want *InvalidCheckpointIntervalError, got %v", err)
+	if _, err := Prepare(a, bad); !isInterval(err) {
+		t.Fatalf("Prepare: want *InvalidConfigError{checkpoint_interval}, got %v", err)
 	}
 
 	// SPCG's recovery protocol is ESR-shaped; other strategies are rejected.
@@ -86,31 +92,27 @@ func TestQuickStrategyConfigValidation(t *testing.T) {
 	}
 }
 
-// TestQuickStrategyPrepKey: strategy (and, under checkpoint, the interval)
-// is preparation-scoped and must fragment the prepared-session cache key;
-// the interval must not fragment it for the other strategies.
+// TestQuickStrategyPrepKey: the strategy, its intervals and the detector are
+// run policy — no prepared state depends on them — so none of them may
+// fragment the prepared-session cache key.
 func TestQuickStrategyPrepKey(t *testing.T) {
-	base := Config{Ranks: 4}
-	if prepKey("h", base) == prepKey("h", Config{Ranks: 4, Strategy: StrategyCheckpoint}) {
-		t.Fatal("strategy must key the prep cache")
-	}
-	if prepKey("h", base) == prepKey("h", Config{Ranks: 4, Strategy: StrategyRestart}) {
-		t.Fatal("restart strategy must key the prep cache")
-	}
-	if prepKey("h", base) != prepKey("h", Config{Ranks: 4, CheckpointInterval: 25}) {
-		t.Fatal("interval must not key the cache for non-checkpoint strategies")
-	}
-	ck := Config{Ranks: 4, Strategy: StrategyCheckpoint}
-	ck25 := ck
-	ck25.CheckpointInterval = 25
-	if prepKey("h", ck) == prepKey("h", ck25) {
-		t.Fatal("interval must key the cache for the checkpoint strategy")
+	base := prepKey("h", Config{Ranks: 4})
+	for _, cfg := range []Config{
+		{Ranks: 4, Strategy: StrategyCheckpoint},
+		{Ranks: 4, Strategy: StrategyCheckpoint, CheckpointInterval: 25},
+		{Ranks: 4, Strategy: StrategyRestart},
+		{Ranks: 4, Strategy: StrategyTwin, TwinInterval: 4},
+		{Ranks: 4, CheckpointInterval: 25},
+		{Ranks: 4, SDCCheckInterval: 5},
+	} {
+		if prepKey("h", cfg) != base {
+			t.Fatalf("%+v keys the prep cache; strategy policy must not", cfg)
+		}
 	}
 }
 
-// TestStrategyCacheKeying: jobs differing only in strategy (or only in the
-// checkpoint interval) must miss the prepared-session cache, while identical
-// configs share one session.
+// TestStrategyCacheKeying: jobs differing only in strategy or checkpoint
+// interval share one prepared session of the registered matrix.
 func TestStrategyCacheKeying(t *testing.T) {
 	eng := New(Options{Workers: 1})
 	defer eng.Close()
@@ -129,16 +131,16 @@ func TestStrategyCacheKeying(t *testing.T) {
 			t.Fatalf("job state %s: %s", st.State, st.Error)
 		}
 	}
-	run(Config{Ranks: 4})                                                       // miss 1
-	run(Config{Ranks: 4})                                                       // hit
-	run(Config{Ranks: 4, Strategy: StrategyCheckpoint})                         // miss 2
-	run(Config{Ranks: 4, Strategy: StrategyCheckpoint})                         // hit
-	run(Config{Ranks: 4, Strategy: StrategyCheckpoint, CheckpointInterval: 25}) // miss 3
-	run(Config{Ranks: 4, Strategy: StrategyRestart})                            // miss 4
-	run(Config{Ranks: 4, Strategy: StrategyRestart, CheckpointInterval: 25})    // hit: interval unused
+	run(Config{Ranks: 4}) // the one miss
+	run(Config{Ranks: 4})
+	run(Config{Ranks: 4, Strategy: StrategyCheckpoint})
+	run(Config{Ranks: 4, Strategy: StrategyCheckpoint})
+	run(Config{Ranks: 4, Strategy: StrategyCheckpoint, CheckpointInterval: 25})
+	run(Config{Ranks: 4, Strategy: StrategyRestart})
+	run(Config{Ranks: 4, Strategy: StrategyRestart, CheckpointInterval: 25})
 	cs := eng.CacheStats()
-	if cs.Misses != 4 || cs.Hits != 3 {
-		t.Fatalf("cache stats = %+v, want 4 misses / 3 hits", cs)
+	if cs.Misses != 1 || cs.Hits != 6 {
+		t.Fatalf("cache stats = %+v, want 1 miss / 6 hits", cs)
 	}
 }
 
@@ -182,7 +184,7 @@ func TestStrategySessionAndEngineGauges(t *testing.T) {
 		t.Fatalf("redone iterations = %d, want 3", ss.RedoneIterations)
 	}
 
-	eng := New(Options{Workers: 1, DefaultStrategy: StrategyRestart})
+	eng := New(Options{Workers: 1, Defaults: Defaults{Strategy: StrategyRestart}})
 	defer eng.Close()
 	id, err := eng.Submit(JobSpec{
 		Matrix: MatrixSpec{Generator: "poisson2d", Params: map[string]float64{"nx": 12}},

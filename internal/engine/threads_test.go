@@ -10,13 +10,12 @@ import (
 
 // TestQuickThreadsConfigValidation: caps below ThreadsAuto are rejected
 // with the typed error at the door; 0 (auto), ThreadsAuto (explicit auto)
-// and positive caps validate, and explicit-auto normalizes to auto so the
-// two share prepared sessions.
+// and positive caps validate, and explicit-auto normalizes to auto.
 func TestQuickThreadsConfigValidation(t *testing.T) {
-	var terr *InvalidThreadsError
+	var terr *InvalidConfigError
 	err := (Config{Threads: -2}).Validate()
-	if !errors.As(err, &terr) || terr.Threads != -2 {
-		t.Fatalf("want *InvalidThreadsError for -2, got %v", err)
+	if !errors.As(err, &terr) || terr.Field != "threads" || terr.Value != -2 {
+		t.Fatalf("want *InvalidConfigError{threads, -2}, got %v", err)
 	}
 	for _, th := range []int{0, ThreadsAuto, 1, 64} {
 		if err := (Config{Threads: th}).Validate(); err != nil {
@@ -26,16 +25,16 @@ func TestQuickThreadsConfigValidation(t *testing.T) {
 	if got := (Config{Threads: ThreadsAuto}).WithDefaults().Threads; got != 0 {
 		t.Fatalf("ThreadsAuto normalized to %d, want 0", got)
 	}
-	if prepKey("h", Config{Ranks: 4, Threads: ThreadsAuto}) != prepKey("h", Config{Ranks: 4}) {
-		t.Fatal("explicit-auto must share the automatic prep-cache entry")
-	}
 }
 
-// TestQuickThreadsPrepKey: the cap is preparation-scoped (the per-rank
-// kernels bake it in), so it must fragment the prepared-session cache key.
+// TestQuickThreadsPrepKey: the cap is run policy — it is set on each solve's
+// matrix forks, not baked into the prepared kernels — so no value of it may
+// fragment the prepared-session cache key.
 func TestQuickThreadsPrepKey(t *testing.T) {
-	if prepKey("h", Config{Ranks: 4}) == prepKey("h", Config{Ranks: 4, Threads: 2}) {
-		t.Fatal("threads must key the prep cache")
+	for _, th := range []int{ThreadsAuto, 1, 2} {
+		if prepKey("h", Config{Ranks: 4}) != prepKey("h", Config{Ranks: 4, Threads: th}) {
+			t.Fatalf("threads %d keys the prep cache", th)
+		}
 	}
 }
 
@@ -79,7 +78,7 @@ func TestQuickThreadsBitIdentical(t *testing.T) {
 // TestQuickThreadsEngineDefault: the engine-level default cap applies to
 // jobs that did not pick one and surfaces in the threading gauges.
 func TestQuickThreadsEngineDefault(t *testing.T) {
-	eng := New(Options{Workers: 1, DefaultThreads: 2})
+	eng := New(Options{Workers: 1, Defaults: Defaults{Threads: 2}})
 	defer eng.Close()
 	ts := eng.ThreadStats()
 	if ts.Default != 2 {
@@ -90,8 +89,8 @@ func TestQuickThreadsEngineDefault(t *testing.T) {
 	}
 	defer func() {
 		if recover() == nil {
-			t.Fatal("below-auto DefaultThreads must panic at construction")
+			t.Fatal("below-auto Defaults.Threads must panic at construction")
 		}
 	}()
-	New(Options{DefaultThreads: -2})
+	New(Options{Defaults: Defaults{Threads: -2}})
 }

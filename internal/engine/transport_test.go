@@ -29,22 +29,21 @@ func TestQuickTransportConfigValidation(t *testing.T) {
 	}
 }
 
-// TestQuickTransportPrepKey: transport is preparation-scoped, so it must
-// fragment the prepared-session cache key; the chaos seed only when the
-// chaos fabric is selected.
+// TestQuickTransportPrepKey: preparation is deterministic and
+// fabric-independent, so neither the transport nor the chaos seed may
+// fragment the prepared-session cache key.
 func TestQuickTransportPrepKey(t *testing.T) {
-	base := Config{Ranks: 4}
-	if prepKey("h", base) == prepKey("h", Config{Ranks: 4, Transport: TransportFast}) {
-		t.Fatal("transport must key the prep cache")
-	}
-	if prepKey("h", base) != prepKey("h", Config{Ranks: 4, TransportSeed: 99}) {
-		t.Fatal("seed must not key the cache for non-chaos transports")
-	}
-	chaos := Config{Ranks: 4, Transport: TransportChaos}
-	chaosSeeded := chaos
-	chaosSeeded.TransportSeed = 99
-	if prepKey("h", chaos) == prepKey("h", chaosSeeded) {
-		t.Fatal("seed must key the cache for the chaos transport")
+	base := prepKey("h", Config{Ranks: 4})
+	for _, cfg := range []Config{
+		{Ranks: 4, Transport: TransportFast},
+		{Ranks: 4, Transport: TransportNet},
+		{Ranks: 4, TransportSeed: 99},
+		{Ranks: 4, Transport: TransportChaos},
+		{Ranks: 4, Transport: TransportChaos, TransportSeed: 99},
+	} {
+		if prepKey("h", cfg) != base {
+			t.Fatalf("%+v keys the prep cache; the fabric must not", cfg)
+		}
 	}
 }
 
@@ -205,7 +204,7 @@ func TestQuickTransportSessionStats(t *testing.T) {
 		t.Fatalf("fast transport recycler unused: %+v", afterSolve)
 	}
 
-	eng := New(Options{Workers: 1, DefaultTransport: TransportFast})
+	eng := New(Options{Workers: 1, Defaults: Defaults{Transport: TransportFast}})
 	defer eng.Close()
 	id, err := eng.Submit(JobSpec{
 		Matrix: MatrixSpec{Generator: "poisson2d", Params: map[string]float64{"nx": 12}},

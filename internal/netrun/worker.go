@@ -79,10 +79,10 @@ func RunWorker() error {
 	// Preparation (partitioning, symbolic halo plan, factorization) is
 	// deterministic and transport-independent, so every worker prepares the
 	// full session over the cheap in-process fabric; only the solve itself
-	// crosses the wire.
-	prepCfg := spec.Config
-	prepCfg.Transport = engine.TransportChan
-	prep, err := engine.Prepare(a, prepCfg)
+	// crosses the wire, on the mesh runtime built below.
+	cfg := spec.Config
+	cfg.Transport = engine.TransportChan
+	prep, err := engine.Prepare(a, cfg)
 	if err != nil {
 		return err
 	}
@@ -136,11 +136,8 @@ func RunWorker() error {
 		}
 	}()
 
-	cfg := spec.Config
-	opts := engine.SolveOpts{
-		Tol: cfg.Tol, MaxIter: cfg.MaxIter, LocalTol: cfg.LocalTol,
-		Schedule: cfg.Schedule, Method: cfg.Method, Resume: start.Resume,
-	}
+	opts := engine.SolveOptsOf(cfg)
+	opts.Resume = start.Resume
 	debug := os.Getenv("NET_TRANSPORT_DEBUG") != ""
 	opts.OnFailure = func(j int, victims []int) {
 		if debug {

@@ -48,6 +48,8 @@ type Record struct {
 	Spec  json.RawMessage `json:"spec,omitempty"`
 	State string          `json:"state,omitempty"`
 	Error string          `json:"error,omitempty"`
+	// ErrorCode is the class code of Error; absent in older journals.
+	ErrorCode string `json:"error_code,omitempty"`
 
 	Result json.RawMessage `json:"result,omitempty"`
 

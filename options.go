@@ -1,10 +1,6 @@
 package esr
 
-import (
-	"fmt"
-
-	"repro/internal/engine"
-)
+import "repro/internal/engine"
 
 // Preconditioner is a typed node-local block preconditioner selector for
 // WithPreconditioner. Its values are the wire names accepted by
@@ -112,29 +108,13 @@ const (
 	SPCG Method = engine.MethodSPCG
 )
 
-// InvalidOmegaError reports an SSOR relaxation factor outside (0, 2).
-type InvalidOmegaError = engine.InvalidOmegaError
-
-// InvalidStrategyError reports an unknown failure-recovery strategy name.
-type InvalidStrategyError = engine.InvalidStrategyError
-
-// InvalidCheckpointIntervalError reports a non-positive checkpoint save
-// period.
-type InvalidCheckpointIntervalError = engine.InvalidCheckpointIntervalError
-
-// InvalidTwinIntervalError reports a non-positive twin comparison period.
-type InvalidTwinIntervalError = engine.InvalidTwinIntervalError
-
-// InvalidSDCCheckIntervalError reports a negative silent-data-corruption
-// check period.
-type InvalidSDCCheckIntervalError = engine.InvalidSDCCheckIntervalError
-
-// InvalidThreadsError reports a meaningless kernel thread cap (below
-// ThreadsAuto).
-type InvalidThreadsError = engine.InvalidThreadsError
-
-// InvalidBlockSizeError reports a block width outside 1..MaxBlockSize.
-type InvalidBlockSizeError = engine.InvalidBlockSizeError
+// InvalidConfigError reports a configuration value rejected by validation:
+// Field is the Config field's JSON name ("threads", "ssor_omega",
+// "strategy", ...), Value the rejected value, Reason what is accepted
+// instead. Every option and Config rejection is one; match it with
+// errors.As and branch on Field, or on the class with
+// errors.Is(err, ErrInvalidArgument).
+type InvalidConfigError = engine.InvalidConfigError
 
 // InvalidRHSError reports a malformed right-hand side in a batch: a column
 // with the wrong length or a non-finite element, naming its index.
@@ -152,22 +132,32 @@ const (
 	MaxBlockSize     = engine.MaxBlockSize
 )
 
-// Option is a typed functional configuration knob for NewSolver (and, for
-// the solve-scoped subset, Solver.Solve). Options lower onto the same
-// Config that the JSON wire format uses: a Config decoded off the wire and
-// applied with FromConfig behaves identically to the equivalent Option
-// list.
+// Option is a typed functional configuration knob for NewSolver and, for
+// everything but the four preparation-scoped ones (WithRanks, WithPhi,
+// WithPreconditioner, WithSSOROmega), for Solver.Solve and SolveBatch too:
+// a per-call option overrides the session's setting for that call. Options
+// lower onto the same Config that the JSON wire format uses: a Config
+// decoded off the wire and applied with FromConfig behaves identically to
+// the equivalent Option list. Values Config treats as "use the default" (0)
+// are set as given; everything else is validated when the session is built
+// or the solve starts, with an *InvalidConfigError.
 type Option func(*Config) error
+
+// positive rejects n <= 0 for the options whose Config field reads 0 as
+// "use the default": passing it explicitly is a mistake, not a default.
+func positive[T int | float64](field string, n T) error {
+	if n <= 0 {
+		return &InvalidConfigError{Field: field, Value: n, Reason: "must be positive"}
+	}
+	return nil
+}
 
 // WithRanks sets the number of simulated compute nodes (default 8, clamped
 // to the matrix size). Preparation-scoped.
 func WithRanks(n int) Option {
 	return func(c *Config) error {
-		if n <= 0 {
-			return fmt.Errorf("esr: ranks %d must be positive", n)
-		}
 		c.Ranks = n
-		return nil
+		return positive("ranks", n)
 	}
 }
 
@@ -176,9 +166,6 @@ func WithRanks(n int) Option {
 // directions. Preparation-scoped.
 func WithPhi(phi int) Option {
 	return func(c *Config) error {
-		if phi < 0 {
-			return fmt.Errorf("esr: phi %d must be non-negative", phi)
-		}
 		c.Phi = phi
 		return nil
 	}
@@ -194,8 +181,8 @@ func WithPreconditioner(p Preconditioner) Option {
 }
 
 // WithSSOROmega sets the SSOR relaxation factor, which must satisfy
-// 0 < omega < 2 (validated with a typed *InvalidOmegaError when the SSOR
-// preconditioner is selected). Preparation-scoped.
+// 0 < omega < 2 when the SSOR preconditioner is selected.
+// Preparation-scoped.
 func WithSSOROmega(omega float64) Option {
 	return func(c *Config) error {
 		c.SSOROmega = omega
@@ -203,8 +190,9 @@ func WithSSOROmega(omega float64) Option {
 	}
 }
 
-// WithTransport selects the communication fabric every solve of the
-// session runs on. Preparation-scoped.
+// WithTransport selects the communication fabric solves run on (and, on
+// NewSolver, the fabric of the preparation's own symbolic exchange). Run
+// policy: per call it moves that one solve to another fabric, bit-identically.
 func WithTransport(t Transport) Option {
 	return func(c *Config) error {
 		c.Transport = string(t)
@@ -214,7 +202,7 @@ func WithTransport(t Transport) Option {
 
 // WithTransportSeed seeds the chaos transport's deterministic delay
 // sequence (ignored by the other transports; 0 keeps the default seed,
-// matching the wire format's omitempty semantics). Preparation-scoped.
+// matching the wire format's omitempty semantics). Run policy.
 func WithTransportSeed(seed int64) Option {
 	return func(c *Config) error {
 		c.TransportSeed = seed
@@ -230,12 +218,9 @@ func WithTransportSeed(seed int64) Option {
 // counts never change results — every parallel kernel works over a chunk
 // grid fixed by the data size alone — so this is purely a resource knob for
 // packing many concurrent solves onto one machine. Other negative values
-// are rejected with a typed *InvalidThreadsError. Preparation-scoped.
+// are rejected. Run policy: per call, ThreadsAuto lifts a session's cap.
 func WithThreads(n int) Option {
 	return func(c *Config) error {
-		if n < ThreadsAuto {
-			return &InvalidThreadsError{Threads: n}
-		}
 		c.Threads = n
 		return nil
 	}
@@ -245,25 +230,24 @@ func WithThreads(n int) Option {
 // its right-hand sides into groups of k columns solved in lockstep through
 // the blocked multi-RHS driver (fused k-column SpMM, k-strided halo frames,
 // length-k allreduces). 0 (the default) selects DefaultBlockSize; 1 disables
-// blocking (looped single-RHS solves); values above MaxBlockSize are
-// rejected with a typed *InvalidBlockSizeError. Blocking never changes
+// blocking (looped single-RHS solves); negative values and values above
+// MaxBlockSize are rejected. Blocking never changes
 // results — column c of a blocked solve is bitwise identical to a solo
 // solve of that right-hand side — so this is purely a throughput knob.
 // Batch-scoped: it can differ per SolveBatch call without invalidating the
 // session.
 func WithBlockSize(k int) Option {
 	return func(c *Config) error {
-		if k != 0 && (k < 1 || k > MaxBlockSize) {
-			return &InvalidBlockSizeError{BlockSize: k}
-		}
 		c.BlockSize = k
 		return nil
 	}
 }
 
-// WithStrategy selects the failure-recovery strategy every solve of the
-// session runs under: exact state reconstruction (the default), the
-// checkpoint/restart baseline, or cold restart. Preparation-scoped.
+// WithStrategy selects the failure-recovery strategy solves run under:
+// exact state reconstruction (the default), the checkpoint/restart
+// baseline, cold restart, or the twin replica. Run policy: one prepared
+// session serves every strategy, so per call it is how the strategies are
+// compared on identical prepared state.
 func WithStrategy(s Strategy) Option {
 	return func(c *Config) error {
 		c.Strategy = string(s)
@@ -273,14 +257,11 @@ func WithStrategy(s Strategy) Option {
 
 // WithCheckpointInterval sets the coordinated-save period (in iterations)
 // of the checkpoint strategy; n must be positive (ignored by the other
-// strategies; the default is 10). Preparation-scoped.
+// strategies; the default is 10). Run policy.
 func WithCheckpointInterval(n int) Option {
 	return func(c *Config) error {
-		if n <= 0 {
-			return &InvalidCheckpointIntervalError{Interval: n}
-		}
 		c.CheckpointInterval = n
-		return nil
+		return positive("checkpoint_interval", n)
 	}
 }
 
@@ -288,15 +269,12 @@ func WithCheckpointInterval(n int) Option {
 // period (in iterations) of the twin strategy; n must be positive (ignored
 // by the other strategies; the default is 1, catching every corruption at
 // the poll point of the iteration it strikes and repairing it bitwise —
-// larger periods trade detection latency for comparison overhead).
-// Preparation-scoped.
+// larger periods trade detection latency for comparison overhead). Run
+// policy.
 func WithTwinInterval(n int) Option {
 	return func(c *Config) error {
-		if n <= 0 {
-			return &InvalidTwinIntervalError{Interval: n}
-		}
 		c.TwinInterval = n
-		return nil
+		return positive("twin_interval", n)
 	}
 }
 
@@ -306,14 +284,12 @@ func WithTwinInterval(n int) Option {
 // detected drift is repaired forward; under every other strategy the solve
 // fails with a data_loss-classed *SDCDetectedError instead of silently
 // returning a wrong answer. n must be positive; the detector is off by
-// default. Preparation-scoped.
+// default. Run policy: per call it arms the check on that solve (a session
+// that armed it keeps it armed on every solve).
 func WithSDCCheck(n int) Option {
 	return func(c *Config) error {
-		if n <= 0 {
-			return &InvalidSDCCheckIntervalError{Interval: n}
-		}
 		c.SDCCheckInterval = n
-		return nil
+		return positive("sdc_check_interval", n)
 	}
 }
 
@@ -330,22 +306,16 @@ func WithMethod(m Method) Option {
 // the paper's Sec. 7.1 setting). Solve-scoped.
 func WithTolerance(tol float64) Option {
 	return func(c *Config) error {
-		if tol <= 0 {
-			return fmt.Errorf("esr: tolerance %g must be positive", tol)
-		}
 		c.Tol = tol
-		return nil
+		return positive("tol", tol)
 	}
 }
 
 // WithMaxIterations bounds the PCG iterations (default 10 n). Solve-scoped.
 func WithMaxIterations(n int) Option {
 	return func(c *Config) error {
-		if n <= 0 {
-			return fmt.Errorf("esr: max iterations %d must be positive", n)
-		}
 		c.MaxIter = n
-		return nil
+		return positive("max_iter", n)
 	}
 }
 
@@ -353,11 +323,8 @@ func WithMaxIterations(n int) Option {
 // 1e-14). Solve-scoped.
 func WithLocalTolerance(tol float64) Option {
 	return func(c *Config) error {
-		if tol <= 0 {
-			return fmt.Errorf("esr: local tolerance %g must be positive", tol)
-		}
 		c.LocalTol = tol
-		return nil
+		return positive("local_tol", tol)
 	}
 }
 

@@ -210,28 +210,26 @@ func TestTwinDriftRepairOutsideWindow(t *testing.T) {
 }
 
 // TestSDCOptionValidation: the twin/SDC option constructors validate at the
-// door with typed errors, and both knobs are preparation-scoped.
+// door with typed errors, and both knobs are run policy: a plain session
+// takes them per solve.
 func TestSDCOptionValidation(t *testing.T) {
 	a := Poisson2D(12, 12)
 	b := sdcTestRHS(a.Rows)
 
-	var twinErr *InvalidTwinIntervalError
-	if _, err := NewSolver(a, WithTwinInterval(0)); !errors.As(err, &twinErr) {
-		t.Fatalf("WithTwinInterval(0): want *InvalidTwinIntervalError, got %v", err)
-	}
-	if _, err := NewSolver(a, WithTwinInterval(-2)); !errors.As(err, &twinErr) {
-		t.Fatalf("WithTwinInterval(-2): want *InvalidTwinIntervalError, got %v", err)
-	}
-	var sdcErr *InvalidSDCCheckIntervalError
-	if _, err := NewSolver(a, WithSDCCheck(0)); !errors.As(err, &sdcErr) {
-		t.Fatalf("WithSDCCheck(0): want *InvalidSDCCheckIntervalError, got %v", err)
-	}
-	if _, err := NewSolver(a, WithSDCCheck(-1)); !errors.As(err, &sdcErr) {
-		t.Fatalf("WithSDCCheck(-1): want *InvalidSDCCheckIntervalError, got %v", err)
-	}
-	if !errors.Is(&InvalidTwinIntervalError{}, ErrInvalidArgument) ||
-		!errors.Is(&InvalidSDCCheckIntervalError{}, ErrInvalidArgument) {
-		t.Fatal("interval errors must claim the invalid_argument class")
+	for _, tc := range []struct {
+		field string
+		opt   Option
+	}{
+		{"twin_interval", WithTwinInterval(0)},
+		{"twin_interval", WithTwinInterval(-2)},
+		{"sdc_check_interval", WithSDCCheck(0)},
+		{"sdc_check_interval", WithSDCCheck(-1)},
+	} {
+		var cfgErr *InvalidConfigError
+		if _, err := NewSolver(a, tc.opt); !errors.As(err, &cfgErr) || cfgErr.Field != tc.field ||
+			!errors.Is(err, ErrInvalidArgument) {
+			t.Fatalf("%s: want an invalid_argument *InvalidConfigError naming it, got %v", tc.field, err)
+		}
 	}
 
 	s, err := NewSolver(a, WithRanks(2))
@@ -240,8 +238,11 @@ func TestSDCOptionValidation(t *testing.T) {
 	}
 	defer s.Close()
 	for _, opt := range []Option{WithTwinInterval(3), WithSDCCheck(5), WithStrategy(TwinStrategy)} {
-		if _, err := s.Solve(context.Background(), b, opt); err == nil {
-			t.Fatal("preparation-scoped SDC option must be rejected per solve")
+		if sol, err := s.Solve(context.Background(), b, opt); err != nil || !sol.Result.Converged {
+			t.Fatalf("per-solve SDC policy option: converged %v, err %v", sol.Result.Converged, err)
 		}
+	}
+	if _, err := s.Solve(context.Background(), b, WithTwinInterval(-2)); !errors.Is(err, ErrInvalidArgument) {
+		t.Fatalf("per-solve WithTwinInterval(-2): want invalid_argument, got %v", err)
 	}
 }

@@ -34,7 +34,6 @@ var ErrSolverClosed = engine.ErrPreparedClosed
 //	}
 type Solver struct {
 	prep *engine.Prepared
-	cfg  Config // the session's normalized configuration
 }
 
 // NewSolver builds a reusable solver session for the SPD system matrix a.
@@ -50,8 +49,7 @@ func NewSolver(a *Matrix, opts ...Option) (*Solver, error) {
 	if err != nil {
 		return nil, err
 	}
-	cfg.Ranks = prep.Ranks() // reflect the clamp to the matrix size
-	return &Solver{prep: prep, cfg: cfg.WithDefaults()}, nil
+	return &Solver{prep: prep}, nil
 }
 
 // N returns the dimension of the prepared system.
@@ -64,11 +62,12 @@ func (s *Solver) Ranks() int { return s.prep.Ranks() }
 func (s *Solver) Phi() int { return s.prep.Phi() }
 
 // Config returns the session's normalized configuration (the wire-format
-// equivalent of the options it was built with).
-func (s *Solver) Config() Config { return s.cfg }
+// equivalent of the options it was built with, Ranks clamped to the matrix
+// size).
+func (s *Solver) Config() Config { return s.prep.Config() }
 
-// StrategyName returns the session's failure-recovery strategy (one of the
-// Strategy* wire names).
+// StrategyName returns the session's default failure-recovery strategy (one
+// of the Strategy* wire names); a per-call WithStrategy does not change it.
 func (s *Solver) StrategyName() string { return s.prep.StrategyName() }
 
 // StrategyStats returns the session's aggregated recovery-strategy
@@ -78,14 +77,15 @@ func (s *Solver) StrategyName() string { return s.prep.StrategyName() }
 // compare the strategies' overhead and recovery cost on live workloads.
 func (s *Solver) StrategyStats() StrategyStats { return s.prep.StrategyStats() }
 
-// solveOpts resolves the per-call configuration: the session defaults,
-// overridden by the solve-scoped opts. Preparation-scoped fields must not
-// change — the session's partition, redundancy protocol and preconditioner
-// are already built.
-// The resolved Config is returned alongside for the batch-scoped fields
-// (BlockSize) that do not lower onto SolveOpts.
+// solveOpts resolves the per-call configuration: the session's, overridden
+// by opts. Only the preparation-scoped fields must not change — the
+// session's partition, redundancy protocol and preconditioner are already
+// built; Config.PrepIdentity, which also keys esrd's session cache, says
+// which those are. The resolved Config is returned alongside for the
+// batch-scoped BlockSize, which does not lower onto SolveOpts.
 func (s *Solver) solveOpts(opts []Option) (engine.SolveOpts, Config, error) {
-	cfg := s.cfg
+	session := s.prep.Config()
+	cfg := session
 	for _, opt := range opts {
 		if opt == nil {
 			continue
@@ -94,32 +94,27 @@ func (s *Solver) solveOpts(opts []Option) (engine.SolveOpts, Config, error) {
 			return engine.SolveOpts{}, Config{}, err
 		}
 	}
-	// Normalize before comparing: s.cfg is already defaulted, and a per-call
-	// FromConfig may have reset zero-valued prep fields that default back to
-	// the session's values (which is not a prep-scope change).
-	cfg = cfg.WithDefaults()
-	if cfg.Ranks > s.prep.N() {
-		cfg.Ranks = s.prep.N() // mirror the session's clamp to the matrix size
+	// PrepIdentity defaults first: a per-call FromConfig may have reset prep
+	// fields to zero, which default back to the session's values — Ranks
+	// through the session's clamp to the matrix size.
+	if cfg.WithDefaults().Ranks > s.prep.N() {
+		cfg.Ranks = s.prep.N()
 	}
-	if cfg.Ranks != s.cfg.Ranks || cfg.Phi != s.cfg.Phi ||
-		cfg.Preconditioner != s.cfg.Preconditioner || cfg.SSOROmega != s.cfg.SSOROmega ||
-		cfg.Transport != s.cfg.Transport || cfg.TransportSeed != s.cfg.TransportSeed ||
-		cfg.Strategy != s.cfg.Strategy || cfg.CheckpointInterval != s.cfg.CheckpointInterval ||
-		cfg.TwinInterval != s.cfg.TwinInterval || cfg.SDCCheckInterval != s.cfg.SDCCheckInterval ||
-		cfg.Threads != s.cfg.Threads {
+	if cfg.PrepIdentity() != session.PrepIdentity() {
 		return engine.SolveOpts{}, Config{}, fmt.Errorf(
-			"esr: preparation-scoped option (ranks, phi, preconditioner, ssor omega, transport, strategy, checkpoint interval, twin interval, sdc check interval, threads) passed to Solve; set it on NewSolver")
+			"esr: preparation-scoped option (ranks, phi, preconditioner, ssor omega) passed to Solve; set it on NewSolver")
 	}
-	return engine.SolveOpts{
-		Tol: cfg.Tol, MaxIter: cfg.MaxIter, LocalTol: cfg.LocalTol,
-		Schedule: cfg.Schedule, Method: cfg.Method, Progress: cfg.Progress,
-		Tracer: cfg.Tracer,
-	}, cfg, nil
+	if err := cfg.Validate(); err != nil {
+		return engine.SolveOpts{}, Config{}, err
+	}
+	return engine.SolveOptsOf(cfg), cfg.WithDefaults(), nil
 }
 
-// Solve runs one solve of A x = b against the prepared session state. The
-// session's solve-scoped settings (tolerances, schedule, progress, method)
-// can be overridden per call with opts; preparation-scoped options are
+// Solve runs one solve of A x = b against the prepared session state. Every
+// session setting except the four preparation-scoped ones can be overridden
+// per call with opts — tolerances, schedule, observers, method, and the run
+// policy (transport, strategy and its interval, SDC check, threads); a
+// per-call WithRanks, WithPhi, WithPreconditioner or WithSSOROmega is
 // rejected, and a per-call WithMethod must be compatible with the prepared
 // preconditioner (SPCG needs an IC0 session). Cancelling ctx aborts only
 // this solve; sibling solves on the same session are unaffected.

@@ -340,13 +340,13 @@ func TestSolverMethodsAndOptions(t *testing.T) {
 	}
 
 	// An out-of-range SSOR omega is rejected with the typed error.
-	var omegaErr *InvalidOmegaError
+	var omegaErr *InvalidConfigError
 	_, err = NewSolver(a, WithPreconditioner(SSOR), WithSSOROmega(2.5))
-	if !errors.As(err, &omegaErr) || omegaErr.Omega != 2.5 {
-		t.Fatalf("omega 2.5: got %v, want *InvalidOmegaError", err)
+	if !errors.As(err, &omegaErr) || omegaErr.Field != "ssor_omega" || omegaErr.Value != 2.5 {
+		t.Fatalf("omega 2.5: got %v, want *InvalidConfigError{ssor_omega, 2.5}", err)
 	}
-	if _, err = NewSolver(a, WithPreconditioner(SSOR), WithSSOROmega(-1)); !errors.As(err, &omegaErr) {
-		t.Fatalf("omega -1: got %v, want *InvalidOmegaError", err)
+	if _, err = NewSolver(a, WithPreconditioner(SSOR), WithSSOROmega(-1)); !errors.As(err, &omegaErr) || omegaErr.Field != "ssor_omega" {
+		t.Fatalf("omega -1: got %v, want *InvalidConfigError{ssor_omega}", err)
 	}
 	// ... but a valid omega solves.
 	s, err = NewSolver(a, WithRanks(4), WithPreconditioner(SSOR), WithSSOROmega(1.4))
@@ -429,9 +429,10 @@ func TestSolverMethodsAndOptions(t *testing.T) {
 	}
 }
 
-// TestQuickSolverTransport: sessions run on the fabric they were prepared
-// with; transport selection is preparation-scoped and a fast-transport
-// session solves to the exact same solution as a chan one.
+// TestQuickSolverTransport: sessions default to the fabric they were
+// prepared with, a fast- or net-transport session solves to the exact same
+// solution as a chan one, and — transport being run policy — so does one
+// solve moved to another fabric per call.
 func TestQuickSolverTransport(t *testing.T) {
 	a := Poisson2D(16, 16)
 	b := onesRHS(a.Rows)
@@ -472,16 +473,115 @@ func TestQuickSolverTransport(t *testing.T) {
 		}
 	}
 
-	// Transport is preparation-scoped: changing it per solve is rejected.
-	s, err := NewSolver(a, WithRanks(4))
+	// Transport is run policy: a chan session serves a fast solve per call.
+	s, err := NewSolver(a, WithRanks(4), WithPhi(1))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	if _, err := s.Solve(context.Background(), b, WithTransport(FastTransport)); err == nil {
-		t.Fatal("per-solve WithTransport accepted")
+	sol, err := s.Solve(context.Background(), b, WithTransport(FastTransport),
+		WithSchedule(NewSchedule(Simultaneous(3, 2))))
+	if err != nil {
+		t.Fatalf("per-solve WithTransport: %v", err)
+	}
+	for i := range ref {
+		if ref[i] != sol.X[i] {
+			t.Fatalf("x[%d]: per-call fast %g != chan %g", i, sol.X[i], ref[i])
+		}
+	}
+	if _, err := s.Solve(context.Background(), b, WithTransport(Transport("bogus"))); err == nil {
+		t.Fatal("unknown per-solve transport accepted")
 	}
 	if _, err := NewSolver(a, WithTransport(Transport("bogus"))); err == nil {
 		t.Fatal("unknown transport accepted")
+	}
+}
+
+// TestSolverPolicyPerCall: run policy is per solve, so ONE prepared session
+// serves every fabric, strategy, detector setting and thread cap — here
+// concurrently, on the one preconditioner whose application takes the cap —
+// and each call is bitwise the solve of a Solver dedicated to that policy,
+// two simultaneous failures included.
+func TestSolverPolicyPerCall(t *testing.T) {
+	a := Poisson2D(16, 16)
+	b := variedRHS(a.Rows, 3)
+	prepOpts := []Option{WithRanks(4), WithPhi(2), WithPreconditioner(Jacobi)}
+	sched := WithSchedule(NewSchedule(Simultaneous(5, 1, 2)))
+	policies := map[string][]Option{
+		"fast":       {WithTransport(FastTransport)},
+		"net":        {WithTransport(NetTransport)},
+		"chaos":      {WithTransport(ChaosTransport), WithTransportSeed(7)},
+		"checkpoint": {WithStrategy(CheckpointStrategy), WithCheckpointInterval(4)},
+		"restart":    {WithStrategy(RestartStrategy)},
+		"twin+sdc":   {WithStrategy(TwinStrategy), WithTwinInterval(2), WithSDCCheck(5)},
+		"threads":    {WithThreads(2)},
+		"everything": {WithTransport(FastTransport), WithStrategy(CheckpointStrategy), WithSDCCheck(3), WithThreads(1)},
+	}
+	shared, err := NewSolver(a, prepOpts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer shared.Close()
+
+	var wg sync.WaitGroup
+	for name, policy := range policies {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got, err := shared.Solve(context.Background(), b, append(policy, sched)...)
+			if err != nil {
+				t.Errorf("%s: per-call policy: %v", name, err)
+				return
+			}
+			dedicated, err := NewSolver(a, append(prepOpts, policy...)...)
+			if err != nil {
+				t.Errorf("%s: dedicated solver: %v", name, err)
+				return
+			}
+			defer dedicated.Close()
+			want, err := dedicated.Solve(context.Background(), b, sched)
+			if err != nil {
+				t.Errorf("%s: dedicated solve: %v", name, err)
+				return
+			}
+			if got.Result.Iterations != want.Result.Iterations ||
+				got.Result.WorkIterations != want.Result.WorkIterations ||
+				len(got.Result.Reconstructions) != 1 || len(want.Result.Reconstructions) != 1 {
+				t.Errorf("%s: per-call %d/%d iterations, %d episodes; dedicated %d/%d, %d", name,
+					got.Result.Iterations, got.Result.WorkIterations, len(got.Result.Reconstructions),
+					want.Result.Iterations, want.Result.WorkIterations, len(want.Result.Reconstructions))
+				return
+			}
+			for i := range want.X {
+				if got.X[i] != want.X[i] {
+					t.Errorf("%s: x[%d] = %x per call, %x dedicated", name, i, got.X[i], want.X[i])
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if got := shared.Config(); got.Transport != TransportChan || got.Strategy != StrategyESR ||
+		got.SDCCheckInterval != 0 || got.Threads != 0 {
+		t.Fatalf("per-call policy leaked into the session's configuration: %+v", got)
+	}
+}
+
+// TestSolverPerCallFromConfigOnClampedSession: a session on a matrix smaller
+// than the default rank count clamps Ranks; a per-call FromConfig that leaves
+// Ranks unset defaults back through the same clamp instead of reading as a
+// preparation-scoped change.
+func TestSolverPerCallFromConfigOnClampedSession(t *testing.T) {
+	a := Poisson2D(2, 2) // 4 rows < 8 default ranks
+	s, err := NewSolver(a)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if s.Ranks() != 4 {
+		t.Fatalf("session ranks = %d, want the clamp to 4", s.Ranks())
+	}
+	if _, err := s.Solve(context.Background(), onesRHS(a.Rows), FromConfig(Config{Tol: 1e-6})); err != nil {
+		t.Fatalf("per-call FromConfig without ranks: %v", err)
 	}
 }

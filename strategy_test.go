@@ -11,7 +11,8 @@ import (
 )
 
 // TestQuickStrategyOptions: the typed option constructors validate at the
-// door and the prep-scoped strategy options are rejected per solve.
+// door, and the strategy options are run policy: an ESR session serves a
+// checkpoint solve per call.
 func TestQuickStrategyOptions(t *testing.T) {
 	a := Poisson2D(12, 12)
 	b := make([]float64, a.Rows)
@@ -19,16 +20,15 @@ func TestQuickStrategyOptions(t *testing.T) {
 		b[i] = 1
 	}
 
-	var ivalErr *InvalidCheckpointIntervalError
-	if _, err := NewSolver(a, WithCheckpointInterval(0)); !errors.As(err, &ivalErr) {
-		t.Fatalf("WithCheckpointInterval(0): want *InvalidCheckpointIntervalError, got %v", err)
+	var cfgErr *InvalidConfigError
+	if _, err := NewSolver(a, WithCheckpointInterval(0)); !errors.As(err, &cfgErr) || cfgErr.Field != "checkpoint_interval" {
+		t.Fatalf("WithCheckpointInterval(0): want *InvalidConfigError{checkpoint_interval}, got %v", err)
 	}
-	if _, err := NewSolver(a, WithCheckpointInterval(-3)); !errors.As(err, &ivalErr) {
-		t.Fatalf("WithCheckpointInterval(-3): want *InvalidCheckpointIntervalError, got %v", err)
+	if _, err := NewSolver(a, WithCheckpointInterval(-3)); !errors.As(err, &cfgErr) || cfgErr.Field != "checkpoint_interval" {
+		t.Fatalf("WithCheckpointInterval(-3): want *InvalidConfigError{checkpoint_interval}, got %v", err)
 	}
-	var stratErr *InvalidStrategyError
-	if _, err := NewSolver(a, WithStrategy("prayer")); !errors.As(err, &stratErr) {
-		t.Fatalf("WithStrategy(bogus): want *InvalidStrategyError, got %v", err)
+	if _, err := NewSolver(a, WithStrategy("prayer")); !errors.As(err, &cfgErr) || cfgErr.Field != "strategy" {
+		t.Fatalf("WithStrategy(bogus): want *InvalidConfigError{strategy}, got %v", err)
 	}
 
 	s, err := NewSolver(a, WithRanks(4))
@@ -36,13 +36,21 @@ func TestQuickStrategyOptions(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	if _, err := s.Solve(context.Background(), b, WithStrategy(CheckpointStrategy)); err == nil ||
-		!strings.Contains(err.Error(), "preparation-scoped") {
-		t.Fatalf("per-solve WithStrategy must be rejected, got %v", err)
+	sol, err := s.Solve(context.Background(), b, WithStrategy(CheckpointStrategy), WithCheckpointInterval(7),
+		WithSchedule(NewSchedule(Simultaneous(9, 1))))
+	if err != nil || !sol.Result.Converged {
+		t.Fatalf("per-solve checkpoint strategy on a phi-0 ESR session: %v", err)
 	}
-	if _, err := s.Solve(context.Background(), b, WithCheckpointInterval(7)); err == nil ||
+	if sol.Result.WorkIterations <= sol.Result.Iterations {
+		t.Fatalf("rollback to iteration 7 redid nothing: %d work / %d iterations",
+			sol.Result.WorkIterations, sol.Result.Iterations)
+	}
+	if s.StrategyName() != string(ESRStrategy) {
+		t.Fatalf("per-call strategy changed the session default to %q", s.StrategyName())
+	}
+	if _, err := s.Solve(context.Background(), b, WithPhi(1)); err == nil ||
 		!strings.Contains(err.Error(), "preparation-scoped") {
-		t.Fatalf("per-solve WithCheckpointInterval must be rejected, got %v", err)
+		t.Fatalf("per-solve WithPhi must be rejected as preparation-scoped, got %v", err)
 	}
 }
 

@@ -7,15 +7,16 @@ import (
 )
 
 // TestQuickWithThreadsOptionScope: the public thread-cap option validates
-// its argument with the typed error, is preparation-scoped (rejected when
-// passed to Solve), and a capped session still solves correctly.
+// its argument with the typed error, is run policy (a per-solve cap, or
+// ThreadsAuto to lift the session's, changes nothing but the fan-out), and
+// a capped session still solves correctly.
 func TestQuickWithThreadsOptionScope(t *testing.T) {
 	if _, err := NewSolver(Poisson2D(8, 8), WithThreads(-2)); err == nil {
 		t.Fatal("below-auto threads must be rejected")
 	} else {
-		var terr *InvalidThreadsError
-		if !errors.As(err, &terr) || terr.Threads != -2 {
-			t.Fatalf("want *InvalidThreadsError, got %v", err)
+		var terr *InvalidConfigError
+		if !errors.As(err, &terr) || terr.Field != "threads" || terr.Value != -2 {
+			t.Fatalf("want *InvalidConfigError{threads, -2}, got %v", err)
 		}
 	}
 
@@ -39,8 +40,19 @@ func TestQuickWithThreadsOptionScope(t *testing.T) {
 	if !sol.Result.Converged {
 		t.Fatal("capped session did not converge")
 	}
-	// Preparation-scoped: changing the cap per solve must be rejected.
-	if _, err := s.Solve(context.Background(), b, WithThreads(2)); err == nil {
-		t.Fatal("per-solve WithThreads must be rejected as preparation-scoped")
+	// Run policy: the cap changes per solve, and never the bits.
+	for _, th := range []int{2, ThreadsAuto} {
+		got, err := s.Solve(context.Background(), b, WithThreads(th))
+		if err != nil {
+			t.Fatalf("per-solve WithThreads(%d): %v", th, err)
+		}
+		for i := range sol.X {
+			if got.X[i] != sol.X[i] {
+				t.Fatalf("threads %d: x[%d] differs from the capped session's", th, i)
+			}
+		}
+	}
+	if _, err := s.Solve(context.Background(), b, WithThreads(-2)); !errors.Is(err, ErrInvalidArgument) {
+		t.Fatalf("per-solve WithThreads(-2): want invalid_argument, got %v", err)
 	}
 }
