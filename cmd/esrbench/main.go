@@ -13,9 +13,8 @@
 //	esrbench -table 1 -json > rows.json
 //
 // With -json, every section that ran is emitted as one JSON object on
-// stdout ({"kind": ..., "data": ...} rows, machine-readable; the CI bench
-// pipeline and plotting scripts consume these instead of scraping the
-// aligned-text tables).
+// stdout ({"kind": ..., "data": ...} rows, machine-readable; plotting
+// scripts consume these instead of scraping the aligned-text tables).
 //
 // At -scale paper the matrix sizes match the order of magnitude of the
 // paper's SuiteSparse problems; expect long runtimes.

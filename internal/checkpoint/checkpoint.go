@@ -23,8 +23,6 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/core"
-	"repro/internal/distmat"
-	"repro/internal/faults"
 	"repro/internal/vec"
 )
 
@@ -138,12 +136,6 @@ func NewStrategy(store *Store, interval int) *Strategy {
 // Name implements core.Strategy.
 func (s *Strategy) Name() string { return core.StrategyCheckpoint }
 
-// Interval returns the checkpoint period in iterations.
-func (s *Strategy) Interval() int { return s.interval }
-
-// Store returns the strategy's reliable store (for checkpoint counts).
-func (s *Strategy) Store() *Store { return s.store }
-
 // Init implements core.Strategy.
 func (s *Strategy) Init(*core.SolverState) error {
 	if s.store == nil {
@@ -209,24 +201,4 @@ rollback:
 	}
 	rec.Duration = time.Since(startT)
 	return resume, rec, nil
-}
-
-// Options configures the checkpointed PCG run.
-type Options struct {
-	// Core carries the solver tolerances.
-	Core core.Options
-	// Interval is the checkpoint period in iterations (default 10).
-	Interval int
-}
-
-// PCG runs the checkpoint/restart-protected PCG solver: the C/R baseline
-// for the ESR comparison. It is the shared core.ResilientPCG driver fixed to
-// the checkpoint Strategy; failure semantics mirror core.ESRPCG (victims are
-// wiped at the post-SpMV poll point), but recovery rolls *all* ranks back
-// to the last complete checkpoint instead of reconstructing the state.
-func PCG(e *distmat.Env, a *distmat.Matrix, x, b distmat.Vector, m core.Precond, opts Options, sched *faults.Schedule, store *Store) (core.Result, error) {
-	if store == nil {
-		return core.Result{}, fmt.Errorf("checkpoint: nil store")
-	}
-	return core.ResilientPCG(e, a, x, b, m, opts.Core, sched, NewStrategy(store, opts.Interval))
 }

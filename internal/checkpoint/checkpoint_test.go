@@ -21,6 +21,7 @@ func run(t *testing.T, a *sparse.CSR, ranks int, sched *faults.Schedule, interva
 	t.Helper()
 	rt := cluster.New(ranks)
 	store := NewStore(rt.Counters())
+	strat := NewStrategy(store, interval)
 	p := partition.NewBlockRow(a.Rows, ranks)
 	var mu sync.Mutex
 	var res core.Result
@@ -41,8 +42,7 @@ func run(t *testing.T, a *sparse.CSR, ranks int, sched *faults.Schedule, interva
 			b.Local[i] = 1 + math.Sin(float64(lo+i)*0.13)
 		}
 		x := distmat.NewVector(p, e.Pos)
-		r, err := PCG(e, m, x, b, core.LocalPrecond{P: bj},
-			Options{Interval: interval, Core: core.Options{Tol: 1e-9}}, sched, store)
+		r, err := core.ResilientPCG(e, m, x, b, core.LocalPrecond{P: bj}, core.Options{Tol: 1e-9}, sched, strat)
 		if err != nil {
 			return err
 		}

@@ -10,7 +10,7 @@ import (
 	"repro/internal/precond"
 )
 
-// RecoverBlocks runs the tailored redundant-copy gather protocol for the
+// recoverBlocks runs the tailored redundant-copy gather protocol for the
 // failed ranks: every replacement reconstructs, for each requested retention
 // generation, its full block of the corresponding SpMV input vector from the
 // copies surviving on other ranks.
@@ -21,14 +21,14 @@ import (
 // not touched. A DataLossError is returned on every rank when some element
 // has no surviving copy.
 //
-// This is the phase-2 protocol of the ESR reconstruction, factored out so
-// the SPCG, BiCGSTAB and stationary-method variants reuse it.
+// This is the phase-2 protocol of the ESR reconstruction, shared by the PCG
+// and SPCG episodes.
 //
 // The protocol is width-aware: when the matrix's retention store was
 // prepared with SetBlockWidth(w) (blocked multi-RHS solves), every element
 // carries w consecutive values and out[k] receives the interleaved
 // w-strided block. Width 1 is the single-RHS protocol unchanged.
-func RecoverBlocks(e *distmat.Env, a *distmat.Matrix, iter int, failed map[int]bool, failedList []int, gens []int, out [][]float64) error {
+func recoverBlocks(e *distmat.Env, a *distmat.Matrix, iter int, failed map[int]bool, failedList []int, gens []int, out [][]float64) error {
 	me := e.Pos
 	amFailed := failed[me]
 	lo, _ := a.P.Range(me)
@@ -42,7 +42,7 @@ func RecoverBlocks(e *distmat.Env, a *distmat.Matrix, iter int, failed map[int]b
 	status := 0
 	if amFailed {
 		if a.Red == nil {
-			return fmt.Errorf("core: RecoverBlocks needs a resilience-enabled matrix")
+			return fmt.Errorf("core: recoverBlocks needs a resilience-enabled matrix")
 		}
 		var uncovered []int
 		byHolder, uncovered = commplan.AssignHolders(a.Red.Holders(), lo, failed)
@@ -136,14 +136,14 @@ func RecoverBlocks(e *distmat.Env, a *distmat.Matrix, iter int, failed map[int]b
 	return nil
 }
 
-// GatherGhost collects, on every replacement, the entries of k distributed
+// gatherGhost collects, on every replacement, the entries of k distributed
 // vectors owned by survivors at the ghost columns of the given matrix's
 // failed rows (the halo needed by the reconstruction products
 // A_{If, I\If} x). Survivors send ONE k-strided frame per replacement (k
 // consecutive values per ghost element), replacements receive; the result
 // maps global index -> value per column on replacements (nil on survivors).
 // tag selects the message tag (distinct per use within one recovery).
-func GatherGhost(e *distmat.Env, mat *distmat.Matrix, locals [][]float64, failed map[int]bool, failedList []int, tag int) ([]map[int]float64, error) {
+func gatherGhost(e *distmat.Env, mat *distmat.Matrix, locals [][]float64, failed map[int]bool, failedList []int, tag int) ([]map[int]float64, error) {
 	me := e.Pos
 	k := len(locals)
 	if !failed[me] {
@@ -193,7 +193,7 @@ func GatherGhost(e *distmat.Env, mat *distmat.Matrix, locals [][]float64, failed
 	return ghosts, nil
 }
 
-// SubsystemSolve solves mat_{If,If} sol[c] = rhs[c] for every column,
+// subsystemSolve solves mat_{If,If} sol[c] = rhs[c] for every column,
 // distributed over the subgroup of failed ranks (each owning its block), with
 // block-local ILU(0) preconditioned CG — the paper's recovery subsystem
 // solver. The subsystem environment, distributed matrix and preconditioner
@@ -201,7 +201,7 @@ func GatherGhost(e *distmat.Env, mat *distmat.Matrix, locals [][]float64, failed
 // through them, so each column's trajectory does not depend on which other
 // columns share the episode. Only failed ranks participate; survivors must
 // not call it. Returns the per-column iteration counts.
-func SubsystemSolve(e *distmat.Env, mat *distmat.Matrix, failedList []int, rhs, sol [][]float64, ctx int, tol float64, maxIter int) ([]int, error) {
+func subsystemSolve(e *distmat.Env, mat *distmat.Matrix, failedList []int, rhs, sol [][]float64, ctx int, tol float64, maxIter int) ([]int, error) {
 	sizes := make([]int, len(failedList))
 	var ifIdx []int
 	myPos := -1
@@ -216,7 +216,7 @@ func SubsystemSolve(e *distmat.Env, mat *distmat.Matrix, failedList []int, rhs, 
 		}
 	}
 	if myPos < 0 {
-		return nil, fmt.Errorf("core: SubsystemSolve called by a non-failed rank")
+		return nil, fmt.Errorf("core: subsystemSolve called by a non-failed rank")
 	}
 	subP := partition.FromSizes(sizes)
 	localRows := make([]int, mat.Rows.Rows)

@@ -255,7 +255,7 @@ func (ep *episode) runPGather() error {
 			out = append(out, make([]float64, n*k))
 		}
 	}
-	if err := RecoverBlocks(st.E, st.A, ep.iter, ep.failed, ep.failedList, gens, out); err != nil {
+	if err := recoverBlocks(st.E, st.A, ep.iter, ep.failed, ep.failedList, gens, out); err != nil {
 		return err
 	}
 	if !ep.amFailed {
@@ -348,7 +348,7 @@ func (ep *episode) runXSystem() error {
 // (nil on survivors, which only serve the gather).
 func (ep *episode) solveLost(mat *distmat.Matrix, w, v [][]float64, tag, ctx int) error {
 	st := ep.st
-	ghosts, err := GatherGhost(st.E, mat, v, ep.failed, ep.failedList, tag)
+	ghosts, err := gatherGhost(st.E, mat, v, ep.failed, ep.failedList, tag)
 	if err != nil || !ep.amFailed {
 		return err
 	}
@@ -357,7 +357,7 @@ func (ep *episode) solveLost(mat *distmat.Matrix, w, v [][]float64, tag, ctx int
 		mat.GhostProduct(neg, ghosts[c])
 		vec.Axpy(-1, neg, w[c])
 	}
-	iters, err := SubsystemSolve(st.E, mat, ep.failedList, w, v, ctx, st.Opts.LocalTol, st.Opts.LocalMaxIter)
+	iters, err := subsystemSolve(st.E, mat, ep.failedList, w, v, ctx, st.Opts.LocalTol, st.Opts.LocalMaxIter)
 	if err != nil {
 		return err
 	}

@@ -222,14 +222,15 @@ type StrategyStats struct {
 	RedoneIterations int64 `json:"redone_iterations"`
 	// Checkpoints counts complete coordinated checkpoints saved.
 	Checkpoints int64 `json:"checkpoints"`
-	// CheckpointFloats counts float64 elements shipped to and from
-	// simulated reliable storage (cluster.CatCheckpoint).
+	// CheckpointFloats counts float64 elements saved to simulated reliable
+	// storage: the steady-state half of the cluster.CatCheckpoint traffic.
 	CheckpointFloats int64 `json:"checkpoint_floats"`
 	// RedundancyFloats counts the extra ESR elements piggybacked on the
 	// SpMV halo traffic (cluster.CatRedundancy).
 	RedundancyFloats int64 `json:"redundancy_floats"`
-	// RecoveryFloats counts reconstruction-episode traffic
-	// (cluster.CatRecovery).
+	// RecoveryFloats counts recovery-episode traffic: reconstruction
+	// gathers (cluster.CatRecovery) plus the floats a rollback restores from
+	// reliable storage.
 	RecoveryFloats int64 `json:"recovery_floats"`
 	// SDCInjected counts silent-data-corruption injections
 	// (faults.Corruption events fired at poll points).

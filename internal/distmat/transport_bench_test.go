@@ -89,9 +89,8 @@ func BenchmarkHaloExchange(b *testing.B) {
 // BenchmarkMatVecIter measures a full resilient PCG-iteration communication
 // shape: redundancy-piggybacked SpMV (phi 2, retention on) plus the fused
 // scalar allreduce. The net row (real TCP frames over the loopback
-// self-wire) rides in the trajectory for tracking but is excluded from the
-// CI regression gate: loopback socket latency is too machine-dependent to
-// gate on.
+// self-wire) is for tracking only: loopback socket latency is too
+// machine-dependent to compare across machines.
 func BenchmarkMatVecIter(b *testing.B) {
 	for _, tr := range append(append([]string{}, benchTransports...), cluster.TransportNet) {
 		b.Run(tr, func(b *testing.B) { benchMatVecLoop(b, tr, 2, true) })

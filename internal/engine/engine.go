@@ -348,10 +348,6 @@ type Engine struct {
 	metrics    *engineMetrics
 	store      *store.Store
 
-	tmu    sync.Mutex
-	tstats map[string]*TransportUsage     // per-transport aggregates, by name
-	sstats map[string]*core.StrategyStats // per-strategy aggregates, by name
-
 	janitorQuit chan struct{}
 	janitorDone chan struct{}
 
@@ -411,8 +407,6 @@ func New(opts Options) *Engine {
 		traceIters:  opts.TraceIters,
 		netRunner:   opts.NetRunner,
 		store:       opts.Store,
-		tstats:      map[string]*TransportUsage{},
-		sstats:      map[string]*core.StrategyStats{},
 		janitorQuit: make(chan struct{}),
 		janitorDone: make(chan struct{}),
 	}
@@ -789,63 +783,13 @@ type TransportUsage struct {
 	Stats cluster.TransportStats `json:"stats"`
 }
 
-// recordTransportStats folds one runtime's transport counters into the
-// per-transport aggregate. It is the stats sink installed on every prepared
-// session the engine builds.
-func (e *Engine) recordTransportStats(name string, delta cluster.TransportStats) {
-	e.tmu.Lock()
-	u, ok := e.tstats[name]
-	if !ok {
-		u = &TransportUsage{}
-		e.tstats[name] = u
-	}
-	u.Runs++
-	u.Stats.Add(delta)
-	e.tmu.Unlock()
-	// The same delta feeds the Prometheus counters, so the /metrics and
-	// healthz views of transport traffic always agree.
-	e.metrics.observeTransport(name, delta)
-}
-
-// TransportStats snapshots the per-transport usage gauges (the healthz
+// TransportStats returns the per-transport usage counters (the healthz
 // "transports" block). Transports that never ran are absent.
-func (e *Engine) TransportStats() map[string]TransportUsage {
-	e.tmu.Lock()
-	defer e.tmu.Unlock()
-	out := make(map[string]TransportUsage, len(e.tstats))
-	for name, u := range e.tstats {
-		out[name] = *u
-	}
-	return out
-}
+func (e *Engine) TransportStats() map[string]TransportUsage { return e.Health().Transports }
 
-// recordStrategyStats folds one solve's strategy observables into the
-// per-strategy aggregate. It is the strategy sink installed on every
-// prepared session the engine builds. (Unlike the transport gauges there is
-// no separate run counter: StrategyStats.Solves already counts solves.)
-func (e *Engine) recordStrategyStats(name string, delta core.StrategyStats) {
-	e.tmu.Lock()
-	u, ok := e.sstats[name]
-	if !ok {
-		u = &core.StrategyStats{}
-		e.sstats[name] = u
-	}
-	u.Add(delta)
-	e.tmu.Unlock()
-	e.metrics.observeStrategy(name, delta)
-}
-
-// StrategyStats snapshots the per-strategy usage gauges (the healthz
+// StrategyStats returns the per-strategy usage counters (the healthz
 // "strategies" block). Strategies that never ran are absent.
-func (e *Engine) StrategyStats() map[string]core.StrategyStats {
-	e.tmu.Lock()
-	defer e.tmu.Unlock()
-	out := make(map[string]core.StrategyStats, len(e.sstats))
-	for name, u := range e.sstats {
-		out[name] = *u
-	}
-	return out
-}
+func (e *Engine) StrategyStats() map[string]core.StrategyStats { return e.Health().Strategies }
 
 // ThreadStats reports the engine's kernel-threading posture: the daemon
 // default cap applied to thread-less jobs, the process GOMAXPROCS, and the
@@ -1118,13 +1062,13 @@ func (e *Engine) run(j *job) {
 			return nil, err
 		}
 		// Feed the session's future per-runtime transport deltas into the
-		// engine's gauges, and account the preparation run that already
+		// engine's series, and account the preparation run that already
 		// happened (its delta is the aggregate so far) to the fabric it ran
 		// on. Strategy deltas are per solve, so the sink alone suffices.
-		p.statsSink = e.recordTransportStats
-		p.strategySink = e.recordStrategyStats
+		p.statsSink = e.metrics.observeTransport
+		p.strategySink = e.metrics.observeStrategy
 		p.matvecSink = e.metrics.matvecObserver
-		e.recordTransportStats(p.TransportName(), p.TransportStats())
+		e.metrics.observeTransport(p.TransportName(), p.TransportStats())
 		return p, nil
 	}
 	var (
@@ -1244,7 +1188,7 @@ func (e *Engine) runNet(ctx context.Context, j *job, cfg Config) {
 		// The strategy observables ride on rank 0's Result; the transport
 		// counters are reported separately by the dispatcher (the worker
 		// fleet's aggregate) through AddTransportUsage.
-		e.recordStrategyStats(cfg.Strategy, core.StatsFromResult(sol.Result))
+		e.metrics.observeStrategy(cfg.Strategy, core.StatsFromResult(sol.Result))
 	}
 	e.finishJob(j, sol, err)
 }
@@ -1254,7 +1198,7 @@ func (e *Engine) runNet(ctx context.Context, j *job, cfg Config) {
 // coordinator reports its worker fleets' aggregated "net" traffic, which
 // otherwise lives in other processes.
 func (e *Engine) AddTransportUsage(name string, delta cluster.TransportStats) {
-	e.recordTransportStats(name, delta)
+	e.metrics.observeTransport(name, delta)
 }
 
 // finishJob records a job's outcome on its record — every terminal

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"math"
+	"reflect"
 	"strings"
 	"sync"
 	"time"
@@ -39,12 +40,9 @@ type engineMetrics struct {
 	queueWait     *metrics.Histogram
 	runSeconds    *metrics.Histogram
 
-	transportRuns  *metrics.CounterVec // transport
-	transportStat  map[string]*metrics.CounterVec
-	transportBytes *metrics.CounterVec // transport, direction
-
-	strategyStat map[string]*metrics.CounterVec // strategy
-	recoverySecs *metrics.CounterVec            // strategy
+	transportRuns *metrics.CounterVec            // transport
+	stat          map[string]*metrics.CounterVec // by family: transportSeries and strategySeries
+	recoverySecs  *metrics.CounterVec            // strategy
 
 	batchRHS    *metrics.Counter
 	blockSolves *metrics.Counter
@@ -63,34 +61,43 @@ type engineMetrics struct {
 	storeSync     *metrics.Histogram
 }
 
-// transportStatNames maps the cluster.TransportStats fields onto counter
-// series, in the struct's field order (see snapshotTransports, which relies
-// on these names to rebuild the JSON stats block).
-var transportStatNames = []string{
-	"delivered", "copied", "pool_gets", "pool_puts", "pool_news", "delayed", "dropped", "corrupted", "reconnects",
+// statSeries says which counter series carries one int64 field of a stats
+// struct (cluster.TransportStats per transport, core.StrategyStats per
+// strategy): the family is named after the field's json tag and labelled by
+// the struct's key. The two TransportStats byte counters share one family and
+// are told apart by a second, direction label.
+type statSeries struct {
+	field  int    // index in the stats struct
+	name   string // family name without prefix and _total: the help-text key
+	family string
+	dir    string // direction label value; "" on single-label families
 }
 
-// transportStatValues flattens s in transportStatNames order. The byte
-// counters are deliberately absent: they live on the two-label
-// solver_transport_bytes_total{transport,direction} series instead.
-func transportStatValues(s cluster.TransportStats) []int64 {
-	return []int64{s.Delivered, s.Copied, s.PoolGets, s.PoolPuts, s.PoolNews, s.Delayed, s.Dropped, s.Corrupted, s.Reconnects}
+// statSeriesOf derives a stats struct's series table from its fields, so a
+// new counter is one struct field plus one help string. Non-int64 fields
+// (StrategyStats.RecoveryTime, a Duration with its own seconds series) are
+// not counters and are skipped.
+func statSeriesOf(stats any, prefix string) []statSeries {
+	t := reflect.TypeOf(stats)
+	var out []statSeries
+	for i := 0; i < t.NumField(); i++ {
+		if t.Field(i).Type != reflect.TypeOf(int64(0)) {
+			continue
+		}
+		s := statSeries{field: i, name: t.Field(i).Tag.Get("json")}
+		if dir, ok := strings.CutPrefix(s.name, "bytes_"); ok {
+			s.name, s.dir = "bytes", dir
+		}
+		s.family = prefix + s.name + "_total"
+		out = append(out, s)
+	}
+	return out
 }
 
-// strategyStatNames maps the integer core.StrategyStats fields onto counter
-// series (RecoveryTime is the separate solver_recovery_seconds_total).
-var strategyStatNames = []string{
-	"solves", "episodes", "restarts", "redone_iterations",
-	"checkpoints", "checkpoint_floats", "redundancy_floats", "recovery_floats",
-	"sdc_injected", "sdc_detected", "sdc_corrected",
-}
-
-// strategyStatValues flattens s in strategyStatNames order.
-func strategyStatValues(s core.StrategyStats) []int64 {
-	return []int64{s.Solves, s.Episodes, s.Restarts, s.RedoneIterations,
-		s.Checkpoints, s.CheckpointFloats, s.RedundancyFloats, s.RecoveryFloats,
-		s.SDCInjected, s.SDCDetected, s.SDCCorrected}
-}
+var (
+	transportSeries = statSeriesOf(cluster.TransportStats{}, "solver_transport_")
+	strategySeries  = statSeriesOf(core.StrategyStats{}, "solver_")
+)
 
 // strategyStatHelp documents each strategy counter series.
 var strategyStatHelp = map[string]string{
@@ -99,9 +106,9 @@ var strategyStatHelp = map[string]string{
 	"restarts":          "Episode restarts forced by overlapping failures per strategy.",
 	"redone_iterations": "Iterations redone after rollback-style recoveries per strategy.",
 	"checkpoints":       "Complete coordinated checkpoints saved per strategy.",
-	"checkpoint_floats": "Float64 elements shipped to/from simulated reliable storage per strategy.",
+	"checkpoint_floats": "Float64 elements saved to simulated reliable storage (steady-state protection volume) per strategy.",
 	"redundancy_floats": "Extra ESR elements piggybacked on the SpMV halo traffic per strategy.",
-	"recovery_floats":   "Reconstruction-episode traffic in float64 elements per strategy.",
+	"recovery_floats":   "Recovery-episode traffic in float64 elements (reconstruction gathers plus rollback restores from reliable storage) per strategy.",
 	"sdc_injected":      "Scheduled silent-data-corruption bit flips injected into solver state per strategy.",
 	"sdc_detected":      "Silent corruptions detected (twin divergence or residual drift) per strategy.",
 	"sdc_corrected":     "Silent corruptions repaired by twin forward recovery per strategy.",
@@ -117,7 +124,73 @@ var transportStatHelp = map[string]string{
 	"delayed":    "Messages delayed by the chaos fabric per transport.",
 	"dropped":    "Failure-dropped messages per transport.",
 	"corrupted":  "Payloads bit-flipped in transit by the chaos wire's corruption mode per transport.",
+	"bytes":      "Wire bytes moved by the net fabric, by transport and direction (sent/received).",
 	"reconnects": "Re-established peer connections on the net fabric per transport.",
+}
+
+// registerStats registers the families of a series table under the given key
+// label. A field without help text is a programming error caught at start-up.
+func (em *engineMetrics) registerStats(series []statSeries, key string, help map[string]string) {
+	for _, s := range series {
+		if em.stat[s.family] != nil {
+			continue // the second byte counter: same family, other direction
+		}
+		h, ok := help[s.name]
+		if !ok {
+			panic("engine: stats counter " + s.name + " has no help text")
+		}
+		labels := []string{key}
+		if s.dir != "" {
+			labels = append(labels, "direction")
+		}
+		em.stat[s.family] = em.reg.CounterVec(s.family, h, labels...)
+	}
+}
+
+// observeStats adds one stats-struct delta to its series under key.
+func (em *engineMetrics) observeStats(series []statSeries, key string, delta any) {
+	v := reflect.ValueOf(delta)
+	for _, s := range series {
+		lvs := []string{key}
+		if s.dir != "" {
+			lvs = append(lvs, s.dir)
+		}
+		em.stat[s.family].With(lvs...).Add(float64(v.Field(s.field).Int()))
+	}
+}
+
+// snapshotStats rebuilds the per-key stats structs from a gathered registry
+// snapshot: the same counters /metrics exports, converted back to the JSON
+// shape. Counter values are exact integers up to 2^53, far beyond any
+// realistic count.
+func snapshotStats[T any](s metrics.Snapshot, series []statSeries, key string) map[string]*T {
+	out := map[string]*T{}
+	for _, fam := range s {
+		for _, st := range series {
+			if st.family != fam.Name {
+				continue
+			}
+			for _, sm := range fam.Samples {
+				var k, dir string
+				for _, l := range sm.Labels {
+					switch l.Name {
+					case key:
+						k = l.Value
+					case "direction":
+						dir = l.Value
+					}
+				}
+				if dir != st.dir {
+					continue
+				}
+				if out[k] == nil {
+					out[k] = new(T)
+				}
+				reflect.ValueOf(out[k]).Elem().Field(st.field).SetInt(int64(sm.Value))
+			}
+		}
+	}
+	return out
 }
 
 // newEngineMetrics builds the registry and registers every engine-owned
@@ -136,11 +209,7 @@ func newEngineMetrics(e *Engine) *engineMetrics {
 			"Time from a worker picking a job up to its terminal state.", metrics.DefBuckets()),
 		transportRuns: r.CounterVec("solver_transport_runs_total",
 			"Finished cluster runtimes (one per preparation and one per solve) per transport.", "transport"),
-		transportStat: map[string]*metrics.CounterVec{},
-		transportBytes: r.CounterVec("solver_transport_bytes_total",
-			"Wire bytes moved by the net fabric, by transport and direction (sent/received).",
-			"transport", "direction"),
-		strategyStat: map[string]*metrics.CounterVec{},
+		stat: map[string]*metrics.CounterVec{},
 		recoverySecs: r.CounterVec("solver_recovery_seconds_total",
 			"Wall-clock seconds spent in recovery episodes per strategy.", "strategy"),
 		batchRHS: r.Counter("solver_batch_rhs_total",
@@ -161,12 +230,8 @@ func newEngineMetrics(e *Engine) *engineMetrics {
 			"Per-call wall-clock split of the distributed SpMV (all ranks): post_send, interior, drain, boundary. Interior vs drain measures how much halo latency the overlap hides.",
 			phaseBuckets(), "transport", "phase"),
 	}
-	for _, f := range transportStatNames {
-		em.transportStat[f] = r.CounterVec("solver_transport_"+f+"_total", transportStatHelp[f], "transport")
-	}
-	for _, f := range strategyStatNames {
-		em.strategyStat[f] = r.CounterVec("solver_"+f+"_total", strategyStatHelp[f], "strategy")
-	}
+	em.registerStats(transportSeries, "transport", transportStatHelp)
+	em.registerStats(strategySeries, "strategy", strategyStatHelp)
 	r.GaugeFunc("esrd_jobs", "Job records currently retained.", func() float64 {
 		return float64(e.Count())
 	})
@@ -256,26 +321,19 @@ func (em *engineMetrics) jobTransition(j *job, s State) {
 	}
 }
 
-// observeTransport mirrors one runtime's transport-counter delta into the
-// per-transport counter series (alongside Engine.recordTransportStats'
-// aggregate map — same deltas, so the surfaces agree).
+// observeTransport counts one finished runtime and its transport-counter
+// delta on the per-transport series. It is the stats sink of every prepared
+// session the engine builds; healthz reads the same series back (Health).
 func (em *engineMetrics) observeTransport(name string, delta cluster.TransportStats) {
 	em.transportRuns.With(name).Inc()
-	vals := transportStatValues(delta)
-	for i, f := range transportStatNames {
-		em.transportStat[f].With(name).Add(float64(vals[i]))
-	}
-	em.transportBytes.With(name, "sent").Add(float64(delta.BytesSent))
-	em.transportBytes.With(name, "received").Add(float64(delta.BytesReceived))
+	em.observeStats(transportSeries, name, delta)
 }
 
-// observeStrategy mirrors one solve's strategy-stats delta into the
-// per-strategy counter series.
+// observeStrategy counts one solve's strategy-stats delta on the
+// per-strategy series (the strategy sink of every engine-built session).
+// There is no run counter beside it: StrategyStats.Solves counts solves.
 func (em *engineMetrics) observeStrategy(name string, delta core.StrategyStats) {
-	vals := strategyStatValues(delta)
-	for i, f := range strategyStatNames {
-		em.strategyStat[f].With(name).Add(float64(vals[i]))
-	}
+	em.observeStats(strategySeries, name, delta)
 	em.recoverySecs.With(name).Add(delta.RecoveryTime.Seconds())
 }
 
@@ -508,62 +566,16 @@ func (e *Engine) Health() HealthSnapshot {
 }
 
 // snapshotTransports rebuilds the healthz "transports" block from a gathered
-// registry snapshot: the same counters /metrics exports, converted back to
-// the TransportUsage JSON shape. Counter values are exact integers up to
-// 2^53, far beyond any realistic count.
+// registry snapshot.
 func snapshotTransports(s metrics.Snapshot) map[string]TransportUsage {
 	out := map[string]TransportUsage{}
+	for name, st := range snapshotStats[cluster.TransportStats](s, transportSeries, "transport") {
+		out[name] = TransportUsage{Stats: *st}
+	}
 	for name, runs := range s.ByLabel("solver_transport_runs_total", "transport") {
 		u := out[name]
 		u.Runs = int64(runs)
 		out[name] = u
-	}
-	set := []func(*cluster.TransportStats, int64){
-		func(t *cluster.TransportStats, v int64) { t.Delivered = v },
-		func(t *cluster.TransportStats, v int64) { t.Copied = v },
-		func(t *cluster.TransportStats, v int64) { t.PoolGets = v },
-		func(t *cluster.TransportStats, v int64) { t.PoolPuts = v },
-		func(t *cluster.TransportStats, v int64) { t.PoolNews = v },
-		func(t *cluster.TransportStats, v int64) { t.Delayed = v },
-		func(t *cluster.TransportStats, v int64) { t.Dropped = v },
-		func(t *cluster.TransportStats, v int64) { t.Corrupted = v },
-		func(t *cluster.TransportStats, v int64) { t.Reconnects = v },
-	}
-	for i, f := range transportStatNames {
-		for name, v := range s.ByLabel("solver_transport_"+f+"_total", "transport") {
-			u := out[name]
-			set[i](&u.Stats, int64(v))
-			out[name] = u
-		}
-	}
-	// The byte counters carry a second label (direction); rebuild them from
-	// the family's raw samples.
-	for _, fam := range s {
-		if fam.Name != "solver_transport_bytes_total" {
-			continue
-		}
-		for _, sm := range fam.Samples {
-			var name, dir string
-			for _, l := range sm.Labels {
-				switch l.Name {
-				case "transport":
-					name = l.Value
-				case "direction":
-					dir = l.Value
-				}
-			}
-			if name == "" {
-				continue
-			}
-			u := out[name]
-			switch dir {
-			case "sent":
-				u.Stats.BytesSent = int64(sm.Value)
-			case "received":
-				u.Stats.BytesReceived = int64(sm.Value)
-			}
-			out[name] = u
-		}
 	}
 	return out
 }
@@ -618,25 +630,8 @@ func snapshotStore(s metrics.Snapshot) map[string]float64 {
 // registry snapshot.
 func snapshotStrategies(s metrics.Snapshot) map[string]core.StrategyStats {
 	out := map[string]core.StrategyStats{}
-	set := []func(*core.StrategyStats, int64){
-		func(t *core.StrategyStats, v int64) { t.Solves = v },
-		func(t *core.StrategyStats, v int64) { t.Episodes = v },
-		func(t *core.StrategyStats, v int64) { t.Restarts = v },
-		func(t *core.StrategyStats, v int64) { t.RedoneIterations = v },
-		func(t *core.StrategyStats, v int64) { t.Checkpoints = v },
-		func(t *core.StrategyStats, v int64) { t.CheckpointFloats = v },
-		func(t *core.StrategyStats, v int64) { t.RedundancyFloats = v },
-		func(t *core.StrategyStats, v int64) { t.RecoveryFloats = v },
-		func(t *core.StrategyStats, v int64) { t.SDCInjected = v },
-		func(t *core.StrategyStats, v int64) { t.SDCDetected = v },
-		func(t *core.StrategyStats, v int64) { t.SDCCorrected = v },
-	}
-	for i, f := range strategyStatNames {
-		for name, v := range s.ByLabel("solver_"+f+"_total", "strategy") {
-			u := out[name]
-			set[i](&u, int64(v))
-			out[name] = u
-		}
+	for name, st := range snapshotStats[core.StrategyStats](s, strategySeries, "strategy") {
+		out[name] = *st
 	}
 	for name, secs := range s.ByLabel("solver_recovery_seconds_total", "strategy") {
 		u := out[name]

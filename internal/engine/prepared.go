@@ -215,13 +215,20 @@ func (ps *Prepared) recordStrategyStats(strategy string, sols []Solution, colErr
 			delta.Add(core.StatsFromResult(sol.Result))
 		}
 	}
-	if store != nil {
-		delta.Checkpoints = int64(store.Checkpoints())
-	}
 	ctrs := rt.Counters()
 	delta.CheckpointFloats = ctrs.Floats(cluster.CatCheckpoint)
 	delta.RedundancyFloats = ctrs.Floats(cluster.CatRedundancy)
 	delta.RecoveryFloats = ctrs.Floats(cluster.CatRecovery)
+	if store != nil {
+		delta.Checkpoints = int64(store.Checkpoints())
+		// Saves and restores both ride cluster.CatCheckpoint on the wire, but
+		// a rollback's restores are recovery cost, not steady-state overhead:
+		// book them with the reconstruction traffic so the two volumes compare
+		// like with like across strategies.
+		loaded := store.LoadedFloats()
+		delta.CheckpointFloats -= loaded
+		delta.RecoveryFloats += loaded
+	}
 	ps.foldStrategyStats(strategy, delta)
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"repro/internal/engine"
 	"repro/internal/matgen"
 	"repro/internal/stats"
 )
@@ -51,29 +52,27 @@ func (cfg Config) FigureRuntimes(id, location string) (Figure, error) {
 	fig.RefStd = stats.StdDev(rts)
 	refIters := ref[0].Iterations
 
-	for _, phi := range cfg.Phis {
-		if phi >= cfg.Ranks {
-			continue
-		}
-		und, err := cfg.UndisturbedRun(a, phi)
+	err = cfg.forEachPhi(a, func(ps *engine.Prepared) error {
+		und, err := cfg.UndisturbedRun(ps)
 		if err != nil {
-			return fig, err
+			return err
 		}
 		var failRts []float64
 		for _, prog := range cfg.Progresses {
-			ms, err := cfg.FailureRun(a, phi, location, prog, refIters)
+			ms, err := cfg.FailureRun(ps, location, prog, refIters)
 			if err != nil {
-				return fig, err
+				return err
 			}
 			failRts = append(failRts, runtimes(ms)...)
 		}
 		fig.Groups = append(fig.Groups, FigureGroup{
-			Phi:         phi,
+			Phi:         ps.Phi(),
 			Undisturbed: stats.NewBox(runtimes(und)),
 			WithFailure: stats.NewBox(failRts),
 		})
-	}
-	return fig, nil
+		return nil
+	})
+	return fig, err
 }
 
 // FormatFigure renders the figure data as text: one line per box with the
@@ -114,8 +113,13 @@ func (cfg Config) FigureProgress(id, location string, psi int) (ProgressFigure, 
 		return fig, err
 	}
 	refIters := ref[0].Iterations
+	ps, err := session(a, cfg.Ranks, psi)
+	if err != nil {
+		return fig, err
+	}
+	defer ps.Close()
 	for _, prog := range cfg.Progresses {
-		ms, err := cfg.FailureRun(a, psi, location, prog, refIters)
+		ms, err := cfg.FailureRun(ps, location, prog, refIters)
 		if err != nil {
 			return fig, err
 		}

@@ -1,21 +1,14 @@
 package experiments
 
 import (
-	"errors"
 	"fmt"
 	"strings"
-	"sync"
 
-	"repro/internal/checkpoint"
-	"repro/internal/cluster"
 	"repro/internal/core"
-	"repro/internal/distmat"
+	"repro/internal/engine"
 	"repro/internal/faults"
-	"repro/internal/partition"
-	"repro/internal/precond"
 	"repro/internal/sparse"
 	"repro/internal/stats"
-	"repro/internal/xerr"
 )
 
 // StrategyMeasurement is one protected solve's observables under a recovery
@@ -29,11 +22,12 @@ type StrategyMeasurement struct {
 	Episodes int
 	// Checkpoints counts complete coordinated checkpoints.
 	Checkpoints int
-	// RedundancyFloats is the extra ESR element volume (cluster.CatRedundancy).
+	// RedundancyFloats, RecoveryFloats and CheckpointFloats are the solve's
+	// core.StrategyStats volumes: the extra ESR elements on the SpMV, the
+	// recovery-episode traffic (reconstruction gathers and rollback
+	// restores), and the saves to reliable storage.
 	RedundancyFloats int64
-	// RecoveryFloats is the reconstruction traffic (cluster.CatRecovery).
-	RecoveryFloats int64
-	// CheckpointFloats is the reliable-storage volume (cluster.CatCheckpoint).
+	RecoveryFloats   int64
 	CheckpointFloats int64
 	// SDCInjected/SDCDetected/SDCCorrected count silent-data-corruption
 	// injections, detections and twin forward repairs; SDCLatency is the
@@ -49,103 +43,26 @@ type StrategyMeasurement struct {
 }
 
 // OverheadFloats is the steady-state protection volume of the run: the
-// redundant SpMV copies for ESR, the reliable-storage traffic for C/R.
+// redundant SpMV copies for ESR, the reliable-storage saves for C/R.
 func (m StrategyMeasurement) OverheadFloats() int64 {
 	return m.RedundancyFloats + m.CheckpointFloats
 }
 
-// SolveStrategyOnce runs one distributed solve of A x = b protected by the
-// named recovery strategy (core.StrategyESR / StrategyCheckpoint /
-// StrategyRestart / StrategyTwin), through the same core.ResilientPCG driver
-// the engine uses, and returns the rank-0 measurement with the per-category
-// traffic volumes. interval is the checkpoint period (or, for twin, the
-// comparison period; 0 selects the default); phi is the ESR redundancy level
-// (0 for the rollback strategies). sdcCheck, when > 0, arms the periodic
-// true-residual drift check; a solve classified as failed by it returns with
-// SDCFailed set and a nil error — the detection itself is the measurement.
+// SolveStrategyOnce prepares a session for (a, phi), runs one solve protected
+// by the named recovery strategy (core.StrategyESR / StrategyCheckpoint /
+// StrategyRestart / StrategyTwin) and closes it; see measure for what is
+// read. interval is the checkpoint period (or, for twin, the comparison
+// period; 0 selects the default); phi is the ESR redundancy level (0 for the
+// rollback strategies). sdcCheck, when > 0, arms the periodic true-residual
+// drift check.
 func SolveStrategyOnce(a *sparse.CSR, ranks, phi int, sched *faults.Schedule, strategy string, interval, sdcCheck int, tol, localTol float64) (StrategyMeasurement, error) {
-	rt := cluster.New(ranks)
-	var strat core.Strategy
-	var store *checkpoint.Store
-	switch strategy {
-	case core.StrategyESR:
-		strat = core.NewESRStrategy()
-	case core.StrategyCheckpoint:
-		store = checkpoint.NewStore(rt.Counters())
-		strat = checkpoint.NewStrategy(store, interval)
-	case core.StrategyRestart:
-		strat = core.NewRestartStrategy()
-	case core.StrategyTwin:
-		strat = core.NewTwinStrategy(interval)
-	default:
-		return StrategyMeasurement{}, fmt.Errorf("experiments: unknown strategy %q", strategy)
-	}
-	p := partition.NewBlockRow(a.Rows, ranks)
-	var mu sync.Mutex
-	var meas StrategyMeasurement
-	err := rt.Run(func(c *cluster.Comm) error {
-		e := distmat.WorldEnv(c)
-		lo, hi := p.Range(e.Pos)
-		m, err := distmat.NewMatrix(e, a.RowBlock(lo, hi), p, phi, 0)
-		if err != nil {
-			return err
-		}
-		bj, err := precond.NewJacobi(m.Diag())
-		if err != nil {
-			return err
-		}
-		prec := core.LocalPrecond{P: bj}
-		b := distmat.Vector{P: p, Pos: e.Pos, Local: rhsFor(lo, hi)}
-		x := distmat.NewVector(p, e.Pos)
-		opts := core.Options{Tol: tol, LocalTol: localTol, SDCCheck: sdcCheck}
-		res, err := core.ResilientPCG(e, m, x, b, prec, opts, sched, strat)
-		if c.Rank() == 0 {
-			// Captured even when the solve errored: a drift-detection
-			// failure still carries the SDC counters this comparison is
-			// measuring.
-			mu.Lock()
-			meas = StrategyMeasurement{
-				Measurement: Measurement{
-					Runtime:         res.SolveTime,
-					ReconstructTime: res.ReconstructTime,
-					Iterations:      res.Iterations,
-					Delta:           res.Delta,
-					Converged:       res.Converged,
-				},
-				WorkIterations: res.WorkIterations,
-				Episodes:       len(res.Reconstructions),
-				SDCInjected:    res.SDCInjected,
-				SDCDetected:    res.SDCDetected,
-				SDCCorrected:   res.SDCCorrected,
-				SDCLatency:     res.SDCLatency,
-			}
-			mu.Unlock()
-		}
-		return err
-	})
+	ps, err := session(a, ranks, phi)
 	if err != nil {
-		if errors.Is(err, xerr.DataLoss) && meas.SDCDetected > 0 {
-			// The armed drift check refused to converge wrong: that is the
-			// intended detection-only outcome, not a measurement failure.
-			meas.SDCFailed = true
-		} else {
-			return meas, err
-		}
+		return StrategyMeasurement{}, err
 	}
-	ctrs := rt.Counters()
-	meas.RedundancyFloats = ctrs.Floats(cluster.CatRedundancy)
-	meas.RecoveryFloats = ctrs.Floats(cluster.CatRecovery)
-	meas.CheckpointFloats = ctrs.Floats(cluster.CatCheckpoint)
-	if store != nil {
-		meas.Checkpoints = store.Checkpoints()
-		// The rollback restores are recovery cost, not steady-state
-		// overhead: move them from the checkpoint volume to the recovery
-		// volume so the columns compare like with like.
-		loaded := store.LoadedFloats()
-		meas.RecoveryFloats += loaded
-		meas.CheckpointFloats -= loaded
-	}
-	return meas, nil
+	defer ps.Close()
+	return measure(ps, engine.SolveOpts{Tol: tol, LocalTol: localTol, Schedule: sched, Strategy: strategy,
+		CheckpointInterval: interval, TwinInterval: interval, SDCCheckInterval: sdcCheck})
 }
 
 // StrategyCell aggregates the runs of one recovery strategy on one matrix:
@@ -231,7 +148,22 @@ func (cfg Config) StrategyTable(ids []string, failures int, intervals []int) ([]
 
 func (cfg Config) strategyRow(id string, a *sparse.CSR, failures int, intervals []int) (StrategyRow, error) {
 	row := StrategyRow{ID: id, Failures: failures}
-	ref, err := cfg.ReferenceRun(a)
+	// One session per redundancy level: the reference and the rollback
+	// strategies run at phi 0; ESR and twin (which delegates fail-stop
+	// recovery to ESR reconstruction) need phi = failures.
+	sessions := map[int]*engine.Prepared{}
+	for _, phi := range []int{0, failures} {
+		if sessions[phi] != nil {
+			continue
+		}
+		ps, err := session(a, cfg.Ranks, phi)
+		if err != nil {
+			return row, err
+		}
+		defer ps.Close()
+		sessions[phi] = ps
+	}
+	ref, err := cfg.referenceRun(sessions[0])
 	if err != nil {
 		return row, err
 	}
@@ -240,6 +172,8 @@ func (cfg Config) strategyRow(id string, a *sparse.CSR, failures int, intervals 
 	row.FailAt = faults.IterationAtProgress(0.5, row.RefIters)
 	victims := faults.ContiguousRanks(0, failures, cfg.Ranks)
 	sched := faults.NewSchedule(faults.Simultaneous(row.FailAt, victims...))
+	// One bit flip in the iterate at the kill iteration.
+	corr := faults.NewSchedule(faults.BitFlip(row.FailAt, 0, faults.TargetX, 0, 52))
 
 	type variant struct {
 		strategy string
@@ -248,8 +182,6 @@ func (cfg Config) strategyRow(id string, a *sparse.CSR, failures int, intervals 
 	}
 	variants := []variant{
 		{core.StrategyESR, 0, failures},
-		// Twin delegates fail-stop recovery to ESR reconstruction, so the
-		// failure runs need the same redundancy level.
 		{core.StrategyTwin, 0, failures},
 	}
 	for _, iv := range intervals {
@@ -259,66 +191,63 @@ func (cfg Config) strategyRow(id string, a *sparse.CSR, failures int, intervals 
 
 	for _, v := range variants {
 		cell := StrategyCell{Strategy: v.strategy, Interval: v.interval, Phi: v.phi, Converged: true}
+		run := func(sched *faults.Schedule, sdcCheck int) ([]StrategyMeasurement, error) {
+			opts := cfg.policy(sched)
+			opts.Strategy, opts.CheckpointInterval, opts.SDCCheckInterval = v.strategy, v.interval, sdcCheck
+			return cfg.strategyRuns(sessions[v.phi], opts)
+		}
 		// Failure-free runs: the strategy's steady-state overhead.
-		var undT []float64
-		for rep := 0; rep < cfg.Reps; rep++ {
-			m, err := SolveStrategyOnce(a, cfg.Ranks, v.phi, nil, v.strategy, v.interval, 0, cfg.Tol, cfg.LocalTol)
-			if err != nil {
-				return row, err
-			}
-			cell.Converged = cell.Converged && m.Converged
-			undT = append(undT, m.Runtime.Seconds())
-			if rep == 0 {
-				cell.OverheadFloats = m.OverheadFloats()
-			}
+		und, err := run(nil, 0)
+		if err != nil {
+			return row, err
 		}
-		cell.OverheadPct = 100 * (stats.Mean(undT) - row.T0) / row.T0
+		cell.OverheadPct = 100 * (meanOf(und, seconds) - row.T0) / row.T0
+		cell.OverheadFloats = und[0].OverheadFloats()
 		// Failure runs: the strategy's recovery cost.
-		var failT, recT, redo []float64
-		for rep := 0; rep < cfg.Reps; rep++ {
-			m, err := SolveStrategyOnce(a, cfg.Ranks, v.phi, sched, v.strategy, v.interval, 0, cfg.Tol, cfg.LocalTol)
-			if err != nil {
-				return row, err
-			}
-			cell.Converged = cell.Converged && m.Converged
-			failT = append(failT, m.Runtime.Seconds())
-			recT = append(recT, m.ReconstructTime.Seconds())
-			redo = append(redo, float64(m.WorkIterations-m.Iterations))
-			if rep == 0 {
-				cell.RecoveryFloats = m.RecoveryFloats
-			}
+		fail, err := run(sched, 0)
+		if err != nil {
+			return row, err
 		}
-		cell.WithFailurePct = 100 * (stats.Mean(failT) - row.T0) / row.T0
-		cell.RecoveryPct = 100 * stats.Mean(recT) / row.T0
-		cell.RedoneIters = stats.Mean(redo)
-		// Corruption runs: one bit flip in the iterate at the kill iteration.
-		// The twin strategy detects it through its shadow comparison and
-		// repairs forward; the other strategies run the periodic drift check
-		// and must classify the solve as failed instead of silently
-		// converging wrong. Detection latency is injection-to-detection in
-		// iterations.
-		corr := faults.NewSchedule(faults.BitFlip(row.FailAt, 0, faults.TargetX, 0, 52))
+		cell.WithFailurePct = 100 * (meanOf(fail, seconds) - row.T0) / row.T0
+		cell.RecoveryPct = 100 * meanOf(fail, func(m StrategyMeasurement) float64 { return m.ReconstructTime.Seconds() }) / row.T0
+		cell.RedoneIters = meanOf(fail, func(m StrategyMeasurement) float64 { return float64(m.WorkIterations - m.Iterations) })
+		cell.RecoveryFloats = fail[0].RecoveryFloats
+		for _, m := range append(und, fail...) {
+			cell.Converged = cell.Converged && m.Converged
+		}
+		// Corruption runs. The twin strategy detects the flip through its
+		// shadow comparison and repairs forward; the other strategies run the
+		// periodic drift check and must classify the solve as failed instead
+		// of silently converging wrong. Detection latency is
+		// injection-to-detection in iterations.
 		sdcCheck := 10
 		if v.strategy == core.StrategyTwin {
 			sdcCheck = 0 // the shadow comparison is the detector
 		}
-		var det, fix, lat []float64
-		for rep := 0; rep < cfg.Reps; rep++ {
-			m, err := SolveStrategyOnce(a, cfg.Ranks, v.phi, corr, v.strategy, v.interval, sdcCheck, cfg.Tol, cfg.LocalTol)
-			if err != nil {
-				return row, err
-			}
-			det = append(det, float64(m.SDCDetected))
-			fix = append(fix, float64(m.SDCCorrected))
-			lat = append(lat, float64(m.SDCLatency))
+		flipped, err := run(corr, sdcCheck)
+		if err != nil {
+			return row, err
+		}
+		cell.SDCDetected = meanOf(flipped, func(m StrategyMeasurement) float64 { return float64(m.SDCDetected) })
+		cell.SDCCorrected = meanOf(flipped, func(m StrategyMeasurement) float64 { return float64(m.SDCCorrected) })
+		cell.SDCLatency = meanOf(flipped, func(m StrategyMeasurement) float64 { return float64(m.SDCLatency) })
+		for _, m := range flipped {
 			cell.SDCFailed = cell.SDCFailed || m.SDCFailed
 		}
-		cell.SDCDetected = stats.Mean(det)
-		cell.SDCCorrected = stats.Mean(fix)
-		cell.SDCLatency = stats.Mean(lat)
 		row.Cells = append(row.Cells, cell)
 	}
 	return row, nil
+}
+
+func seconds(m StrategyMeasurement) float64 { return m.Runtime.Seconds() }
+
+// meanOf averages one per-run quantity over the runs.
+func meanOf(ms []StrategyMeasurement, f func(StrategyMeasurement) float64) float64 {
+	xs := make([]float64, len(ms))
+	for i, m := range ms {
+		xs[i] = f(m)
+	}
+	return stats.Mean(xs)
 }
 
 // FormatStrategyTable renders the comparison as aligned text.

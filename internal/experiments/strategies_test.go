@@ -1,12 +1,99 @@
 package experiments
 
 import (
+	"context"
 	"testing"
 
+	esr "repro"
 	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/faults"
 	"repro/internal/matgen"
+	"repro/internal/sparse"
 )
+
+// TestExperimentsRunTheProductPath: what the paper harness measures for a
+// solve is what the public session API reports for the same system,
+// right-hand side and per-solve policy — iteration counts, the Eqn. 7 metric
+// and the three float volumes, including the split of checkpoint traffic into
+// saves (overhead) and restores (recovery).
+func TestExperimentsRunTheProductPath(t *testing.T) {
+	a := matgen.Poisson2D(16, 16)
+	const ranks = 4
+	failures := faults.NewSchedule(faults.Simultaneous(8, 1, 2))
+	for _, tc := range []struct {
+		name     string
+		phi      int
+		sched    *faults.Schedule
+		strategy string
+		interval int
+	}{
+		{"reference", 0, nil, core.StrategyESR, 0},
+		{"phi2-undisturbed", 2, nil, core.StrategyESR, 0},
+		{"phi2-two-failures", 2, failures, core.StrategyESR, 0},
+		{"checkpoint5-two-failures", 0, failures, core.StrategyCheckpoint, 5},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			got, err := SolveStrategyOnce(a, ranks, tc.phi, tc.sched, tc.strategy, tc.interval, 0, 1e-8, 1e-14)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s, err := esr.NewSolver(a, esr.WithRanks(ranks), esr.WithPhi(tc.phi), esr.WithPreconditioner(esr.PrecondJacobi))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s.Close()
+			opts := []esr.Option{esr.WithTolerance(1e-8), esr.WithLocalTolerance(1e-14),
+				esr.WithSchedule(tc.sched), esr.WithStrategy(esr.Strategy(tc.strategy))}
+			if tc.interval > 0 {
+				opts = append(opts, esr.WithCheckpointInterval(tc.interval))
+			}
+			sol, err := s.Solve(context.Background(), rhsFor(a.Rows), opts...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, st := sol.Result, s.StrategyStats()
+			want := StrategyMeasurement{
+				Measurement:      Measurement{Iterations: res.Iterations, Delta: res.Delta, Converged: res.Converged},
+				WorkIterations:   res.WorkIterations,
+				Episodes:         len(res.Reconstructions),
+				RedundancyFloats: st.RedundancyFloats,
+				RecoveryFloats:   st.RecoveryFloats,
+				CheckpointFloats: st.CheckpointFloats,
+			}
+			got = StrategyMeasurement{
+				Measurement:      Measurement{Iterations: got.Iterations, Delta: got.Delta, Converged: got.Converged},
+				WorkIterations:   got.WorkIterations,
+				Episodes:         got.Episodes,
+				RedundancyFloats: got.RedundancyFloats,
+				RecoveryFloats:   got.RecoveryFloats,
+				CheckpointFloats: got.CheckpointFloats,
+			}
+			if got != want || !got.Converged {
+				t.Fatalf("experiment measured\n%+v\nthe product path reports\n%+v", got, want)
+			}
+		})
+	}
+}
+
+// TestSweepPreparesOncePerPhi: a failure sweep over 3 progresses x 2 reps
+// builds one session per redundancy level (plus the reference's), however
+// many solves run on it.
+func TestSweepPreparesOncePerPhi(t *testing.T) {
+	built := map[int]int{}
+	prepare = func(a *sparse.CSR, cfg engine.Config) (*engine.Prepared, error) {
+		built[cfg.Phi]++
+		return engine.Prepare(a, cfg)
+	}
+	t.Cleanup(func() { prepare = engine.Prepare })
+	cfg := QuickConfig() // phis 1 and 3, 3 progresses, 2 locations, 2 reps
+	if _, err := cfg.table2ForMatrix("P", matgen.Poisson2D(16, 16)); err != nil {
+		t.Fatal(err)
+	}
+	if len(built) != 3 || built[0] != 1 || built[1] != 1 || built[3] != 1 {
+		t.Fatalf("sessions built per phi = %v, want one each for 0, 1, 3", built)
+	}
+}
 
 // TestQuickStrategyComparison: the three strategies solve the same system
 // and schedule through the shared driver, and the accounting separates

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"repro/internal/engine"
 	"repro/internal/matgen"
 	"repro/internal/sparse"
 	"repro/internal/stats"
@@ -110,29 +111,26 @@ func (cfg Config) table2ForMatrix(id string, a *sparse.CSR) (Table2Row, error) {
 	}
 	row.T0 = stats.Mean(runtimes(ref))
 	row.RefIters = ref[0].Iterations
-	for _, phi := range cfg.Phis {
-		if phi >= cfg.Ranks {
-			continue
-		}
-		und, err := cfg.UndisturbedRun(a, phi)
+	err = cfg.forEachPhi(a, func(ps *engine.Prepared) error {
+		und, err := cfg.UndisturbedRun(ps)
 		if err != nil {
-			return row, err
+			return err
 		}
-		row.UndisturbedOverhead[phi] = 100 * (stats.Mean(runtimes(und)) - row.T0) / row.T0
+		row.UndisturbedOverhead[ps.Phi()] = 100 * (stats.Mean(runtimes(und)) - row.T0) / row.T0
 		for _, loc := range cfg.Locations {
 			var recPct, ovhPct []float64
 			for _, prog := range cfg.Progresses {
-				ms, err := cfg.FailureRun(a, phi, loc, prog, row.RefIters)
+				ms, err := cfg.FailureRun(ps, loc, prog, row.RefIters)
 				if err != nil {
-					return row, err
+					return err
 				}
-				for i := range ms {
-					recPct = append(recPct, 100*reconstructTimes(ms[i : i+1])[0]/row.T0)
-					ovhPct = append(ovhPct, 100*(runtimes(ms[i : i+1])[0]-row.T0)/row.T0)
+				for _, m := range ms {
+					recPct = append(recPct, 100*m.ReconstructTime.Seconds()/row.T0)
+					ovhPct = append(ovhPct, 100*(m.Runtime.Seconds()-row.T0)/row.T0)
 				}
 			}
 			row.Cells = append(row.Cells, Table2Cell{
-				Phi:             phi,
+				Phi:             ps.Phi(),
 				Location:        loc,
 				ReconstructMean: stats.Mean(recPct),
 				ReconstructStd:  stats.StdDev(recPct),
@@ -140,8 +138,9 @@ func (cfg Config) table2ForMatrix(id string, a *sparse.CSR) (Table2Row, error) {
 				OverheadStd:     stats.StdDev(ovhPct),
 			})
 		}
-	}
-	return row, nil
+		return nil
+	})
+	return row, err
 }
 
 // FormatTable2 renders the sweep in the paper's layout: one block per
@@ -211,23 +210,24 @@ func (cfg Config) Table3(ids []string) ([]Table3Row, error) {
 		}
 		row := Table3Row{ID: e.ID, DeltaPCG: ref[0].Delta}
 		refIters := ref[0].Iterations
-		for _, phi := range one.Phis {
-			if phi >= one.Ranks {
-				continue
-			}
+		err = one.forEachPhi(a, func(ps *engine.Prepared) error {
 			for _, loc := range one.Locations {
 				for _, prog := range one.Progresses {
-					ms, err := one.FailureRun(a, phi, loc, prog, refIters)
+					ms, err := one.FailureRun(ps, loc, prog, refIters)
 					if err != nil {
-						return nil, fmt.Errorf("experiments: %s: %w", e.ID, err)
+						return err
 					}
-					for _, d := range deltas(ms) {
-						if abs(d) > abs(row.MaxDeltaESR) {
-							row.MaxDeltaESR = d
+					for _, m := range ms {
+						if abs(m.Delta) > abs(row.MaxDeltaESR) {
+							row.MaxDeltaESR = m.Delta
 						}
 					}
 				}
 			}
+			return nil
+		})
+		if err != nil {
+			return nil, fmt.Errorf("experiments: %s: %w", e.ID, err)
 		}
 		rows = append(rows, row)
 	}
