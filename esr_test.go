@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"testing"
+	"time"
 )
 
 func rhs(n int) []float64 {
@@ -52,6 +53,25 @@ func TestSolveWithFailures(t *testing.T) {
 		if math.Abs(sol.X[i]-ref.X[i]) > 1e-5*(1+math.Abs(ref.X[i])) {
 			t.Fatalf("solution differs at %d", i)
 		}
+	}
+}
+
+// TestReconstructionPhasesReachTheResult: the episode's per-phase clock
+// reads come out of the public API. Rank 0, whose Result is reported, is a
+// replacement here, so it also carries the x-system's setup/PCG split.
+func TestReconstructionPhasesReachTheResult(t *testing.T) {
+	a := Elasticity3D(5, 5, 4, 15, 3)
+	sol, err := Solve(a, rhs(a.Rows), Config{Ranks: 8, Phi: 3, Schedule: NewSchedule(Simultaneous(4, 0, 1, 2))})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := sol.Result.Reconstructions[0]
+	var sum time.Duration
+	for _, d := range rec.Phases {
+		sum += d
+	}
+	if sum <= 0 || sum > rec.Duration || rec.SubsystemSolve <= 0 || rec.SubsystemSolve > rec.Phases[3] {
+		t.Fatalf("phases %v (x-system pcg %v) do not tile the %v episode", rec.Phases, rec.SubsystemSolve, rec.Duration)
 	}
 }
 

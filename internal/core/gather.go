@@ -2,11 +2,11 @@ package core
 
 import (
 	"fmt"
+	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/commplan"
 	"repro/internal/distmat"
-	"repro/internal/partition"
 	"repro/internal/precond"
 )
 
@@ -196,68 +196,60 @@ func gatherGhost(e *distmat.Env, mat *distmat.Matrix, locals [][]float64, failed
 // subsystemSolve solves mat_{If,If} sol[c] = rhs[c] for every column,
 // distributed over the subgroup of failed ranks (each owning its block), with
 // block-local ILU(0) preconditioned CG — the paper's recovery subsystem
-// solver. The subsystem environment, distributed matrix and preconditioner
-// are built ONCE per failed block and the columns are solved back to back
-// through them, so each column's trajectory does not depend on which other
-// columns share the episode. Only failed ranks participate; survivors must
-// not call it. Returns the per-column iteration counts.
-func subsystemSolve(e *distmat.Env, mat *distmat.Matrix, failedList []int, rhs, sol [][]float64, ctx int, tol float64, maxIter int) ([]int, error) {
-	sizes := make([]int, len(failedList))
-	var ifIdx []int
-	myPos := -1
-	for t, f := range failedList {
-		flo, fhi := mat.P.Range(f)
-		sizes[t] = fhi - flo
-		for g := flo; g < fhi; g++ {
-			ifIdx = append(ifIdx, g)
-		}
-		if f == e.Pos {
-			myPos = t
-		}
-	}
-	if myPos < 0 {
-		return nil, fmt.Errorf("core: subsystemSolve called by a non-failed rank")
-	}
-	subP := partition.FromSizes(sizes)
-	localRows := make([]int, mat.Rows.Rows)
-	for i := range localRows {
-		localRows[i] = i
-	}
-	subRows := mat.Rows.Submatrix(localRows, ifIdx)
-
-	subEnv, err := distmat.GroupEnv(e.C, failedList, ctx)
+// solver. Static data is re-read, never re-derived: the operator is mat's
+// restricted view (distmat.Matrix.Restrict — mat's own localised kernel with
+// the survivors' ghost slots held at zero, no symbolic exchange), and sub,
+// when non-nil, is a preconditioner the session already holds for mat's
+// blocks; only without one is mat's own block factored here. The columns are
+// solved back to back through the one view, so each column's trajectory does
+// not depend on which other columns share the episode. Only failed ranks
+// participate; survivors must not call it. Returns the per-column iteration
+// counts and the wall-clock split into setup (operator and preconditioner)
+// and the PCG solves.
+func subsystemSolve(e *distmat.Env, mat *distmat.Matrix, sub Precond, failedList []int, rhs, sol [][]float64, ctx int, tol float64, maxIter int) (iters []int, setup, solve time.Duration, err error) {
+	startT := time.Now()
+	subEnv, err := distmat.GroupEnv(e.C, failedList, ctx) // errors on a non-failed rank
 	if err != nil {
-		return nil, err
+		return nil, 0, 0, err
 	}
-	subA, err := distmat.NewMatrix(subEnv, subRows, subP, 0, ctx)
+	subA, err := mat.Restrict(subEnv, ctx)
 	if err != nil {
-		return nil, err
+		return nil, 0, 0, err
 	}
-	var sub Precond
-	if ilu, err := precond.NewBlockJacobiILU(subA.OwnBlock()); err == nil {
-		sub = LocalPrecond{P: ilu}
-	} else {
-		sub = IdentityPrecond()
+	if sub == nil {
+		if ilu, err := newSubsystemILU(mat.OwnBlock()); err == nil {
+			sub = LocalPrecond{P: ilu}
+		} else {
+			sub = IdentityPrecond()
+		}
 	}
 	if maxIter <= 0 {
-		maxIter = 20 * subP.N()
-		if maxIter < 500 {
-			maxIter = 500
-		}
+		maxIter = defaultLocalMaxIter(subA.P.N())
 	}
-	iters := make([]int, len(rhs))
+	solveT := time.Now()
+	iters = make([]int, len(rhs))
 	for c := range rhs {
-		xf := distmat.NewVector(subP, myPos)
-		bv := distmat.Vector{P: subP, Pos: myPos, Local: rhs[c]}
+		xf := distmat.NewVector(subA.P, subA.Pos)
+		bv := distmat.Vector{P: subA.P, Pos: subA.Pos, Local: rhs[c]}
 		res, err := PCG(subEnv, subA, xf, bv, sub, Options{Tol: tol, MaxIter: maxIter})
 		if err != nil {
-			return nil, err
+			return nil, 0, 0, err
 		}
 		if !res.Converged && res.RelResidual() > 1e-6 {
-			return nil, fmt.Errorf("core: reconstruction subsystem stagnated at column %d (relres %.2e)", c, res.RelResidual())
+			return nil, 0, 0, fmt.Errorf("core: reconstruction subsystem stagnated at column %d (relres %.2e)", c, res.RelResidual())
 		}
 		copy(sol[c], xf.Local)
 		iters[c] = res.Iterations
 	}
-	return iters, nil
+	return iters, solveT.Sub(startT), time.Since(solveT), nil
+}
+
+// newSubsystemILU factors a lost block for the subsystem PCG of a session
+// that holds no ILU(0) of it. A variable so a test can count factorisations.
+var newSubsystemILU = precond.NewBlockJacobiILU
+
+// defaultLocalMaxIter is the subsystem iteration bound Options.LocalMaxIter
+// <= 0 selects for a subsystem of n unknowns.
+func defaultLocalMaxIter(n int) int {
+	return max(20*n, 500)
 }

@@ -57,7 +57,7 @@ type Options struct {
 	// subsystem solves. The paper uses 1e-14 (Sec. 7.1).
 	LocalTol float64
 	// LocalMaxIter bounds the reconstruction subsystem iterations; <= 0
-	// selects 40 * subsystem size.
+	// selects 20 * subsystem size, at least 500.
 	LocalMaxIter int
 	// SDCCheck, when > 0, arms the driver's silent-data-corruption
 	// detector: every SDCCheck iterations (and once more at convergence)
@@ -184,6 +184,17 @@ type Reconstruction struct {
 	SubIterations int
 	// Duration is the wall-clock time of the episode.
 	Duration time.Duration
+	// Phases splits Duration over the five recovery phases — scalars,
+	// p-gather, z/r rebuild, x-system, finalize — as the reporting rank saw
+	// them, summed over restarts. Ranks wait for each other only where they
+	// exchange messages, so a survivor spends the replacements' x-system
+	// solve inside its finalize barrier.
+	Phases [numPhases]time.Duration
+	// SubsystemSetup and SubsystemSolve split the reporting rank's time in
+	// the reconstruction subsystems (the x-system; with an explicit-inverse
+	// preconditioner also the r-system) into building the operator and
+	// preconditioner and running the PCG. Zero on survivors.
+	SubsystemSetup, SubsystemSolve time.Duration
 }
 
 // Result reports a solver run. All ranks return identical values.

@@ -9,6 +9,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/distmat"
 	"repro/internal/faults"
+	"repro/internal/precond"
 	"repro/internal/vec"
 	"repro/internal/xerr"
 )
@@ -136,6 +137,7 @@ func (st *SolverState) recoverEpisode(j int, victims []int, rebuild rebuildFunc)
 	startT := time.Now()
 	rec := Reconstruction{Iteration: j}
 	ef := NewEpisodeFailures(st.Sched, j, st.E.Pos, st.Wipe, victims)
+	mark := startT
 
 restart:
 	rec.FailedRanks = ef.Ranks()
@@ -170,7 +172,12 @@ restart:
 		if err != nil {
 			return rec, err
 		}
+		// Observer-only: one clock read at the boundary the loop already has.
+		now := time.Now()
+		rec.Phases[phase-1] += now.Sub(mark)
+		mark = now
 	}
+	rec.SubsystemSetup, rec.SubsystemSolve = ep.subSetup, ep.subSolve
 	st.subIters = ep.subIters
 	for _, it := range ep.subIters {
 		rec.SubIterations = max(rec.SubIterations, int(it))
@@ -190,6 +197,8 @@ type episode struct {
 	pPrev    [][]float64 // p(j-1) per column on the replacement's block
 	r        [][]float64 // r_If per column, from the rebuild step
 	subIters []float64   // subsystem iterations per column (as allreduced)
+
+	subSetup, subSolve time.Duration // subsystem wall-clock split (replacements)
 }
 
 // lowestSurvivor returns the smallest rank not in the failed set.
@@ -357,12 +366,27 @@ func (ep *episode) solveLost(mat *distmat.Matrix, w, v [][]float64, tag, ctx int
 		mat.GhostProduct(neg, ghosts[c])
 		vec.Axpy(-1, neg, w[c])
 	}
-	iters, err := subsystemSolve(st.E, mat, ep.failedList, w, v, ctx, st.Opts.LocalTol, st.Opts.LocalMaxIter)
+	iters, setup, solve, err := subsystemSolve(st.E, mat, st.sessionILU(mat), ep.failedList, w, v, ctx, st.Opts.LocalTol, st.Opts.LocalMaxIter)
 	if err != nil {
 		return err
 	}
+	ep.subSetup += setup
+	ep.subSolve += solve
 	for c, it := range iters {
 		ep.subIters[c] += float64(it)
+	}
+	return nil
+}
+
+// sessionILU returns the session's preconditioner when it already is what the
+// subsystem PCG on mat would build — the block-Jacobi ILU(0) of the system
+// matrix's own blocks — and nil (factor mat's own block) otherwise: other
+// local preconditioners, and the explicit inverse's P_{If,If} system.
+func (st *SolverState) sessionILU(mat *distmat.Matrix) Precond {
+	if lp, ok := st.M.(LocalPrecond); ok && mat == st.A {
+		if _, ok := lp.P.(*precond.BlockJacobiILU); ok {
+			return lp
+		}
 	}
 	return nil
 }

@@ -1,0 +1,313 @@
+package core
+
+import (
+	"fmt"
+	"math"
+	"sync"
+	"sync/atomic"
+	"testing"
+
+	"repro/internal/cluster"
+	"repro/internal/distmat"
+	"repro/internal/faults"
+	"repro/internal/matgen"
+	"repro/internal/partition"
+	"repro/internal/precond"
+	"repro/internal/sparse"
+)
+
+// rebuiltSubsystemSolve is subsystemSolve as it was before the restricted
+// view: extract mat_{If,If} with renumbered columns, run the full distributed
+// matrix construction over the subgroup and factor the extracted own block.
+// Kept as the reference the static-data-free path must match bit for bit.
+func rebuiltSubsystemSolve(e *distmat.Env, mat *distmat.Matrix, failedList []int, rhs, sol [][]float64, ctx int, tol float64) ([]int, error) {
+	sizes := make([]int, len(failedList))
+	var ifIdx []int
+	myPos := -1
+	for t, f := range failedList {
+		flo, fhi := mat.P.Range(f)
+		sizes[t] = fhi - flo
+		for g := flo; g < fhi; g++ {
+			ifIdx = append(ifIdx, g)
+		}
+		if f == e.Pos {
+			myPos = t
+		}
+	}
+	subP := partition.FromSizes(sizes)
+	localRows := make([]int, mat.Rows.Rows)
+	for i := range localRows {
+		localRows[i] = i
+	}
+	subEnv, err := distmat.GroupEnv(e.C, failedList, ctx)
+	if err != nil {
+		return nil, err
+	}
+	subA, err := distmat.NewMatrix(subEnv, mat.Rows.Submatrix(localRows, ifIdx), subP, 0, ctx)
+	if err != nil {
+		return nil, err
+	}
+	ilu, err := precond.NewBlockJacobiILU(subA.OwnBlock())
+	if err != nil {
+		return nil, err
+	}
+	iters := make([]int, len(rhs))
+	for c := range rhs {
+		xf := distmat.NewVector(subP, myPos)
+		bv := distmat.Vector{P: subP, Pos: myPos, Local: rhs[c]}
+		res, err := PCG(subEnv, subA, xf, bv, LocalPrecond{P: ilu}, Options{Tol: tol, MaxIter: defaultLocalMaxIter(subP.N())})
+		if err != nil {
+			return nil, err
+		}
+		copy(sol[c], xf.Local)
+		iters[c] = res.Iterations
+	}
+	return iters, nil
+}
+
+// TestSubsystemSolveMatchesRebuiltReference: on the system matrix and on an
+// explicit-inverse P, the subsystem solution and iteration counts are bit for
+// bit those of the rebuilt construction — with the lost block factored here
+// (what jacobi, ic0/SPCG and explicit-inverse sessions get) and with the
+// session's own ILU(0) handed down.
+func TestSubsystemSolveMatchesRebuiltReference(t *testing.T) {
+	const ranks, phi = 8, 3
+	problems := map[string]*sparse.CSR{
+		"poisson":    matgen.Poisson2D(16, 16),
+		"circuit":    matgen.CircuitLike(600, 2.9, 0.35, 3),
+		"elasticity": matgen.Elasticity3D(6, 6, 6, 27, 8),
+		"explicit-P": tridiagInverse(256),
+	}
+	for name, a := range problems {
+		for _, failedList := range [][]int{{2, 3, 4}, {0, 6, 7}, {5}} {
+			name, a, failedList := name, a, failedList
+			t.Run(fmt.Sprintf("%s/%v", name, failedList), func(t *testing.T) {
+				rt := cluster.New(ranks)
+				err := rt.Run(func(c *cluster.Comm) error {
+					e, parent, _, b, err := setupProblem(c, a, phi)
+					if err != nil {
+						return err
+					}
+					session, err := iluFactory(e, parent)
+					if err != nil {
+						return err
+					}
+					member := false
+					for _, f := range failedList {
+						member = member || f == e.Pos
+					}
+					if !member {
+						return nil
+					}
+					mat := parent.Fork()
+					rhs := func() [][]float64 {
+						two := append([]float64(nil), b.Local...)
+						for i := range two {
+							two[i] = math.Cos(float64(i) * 0.7)
+						}
+						return [][]float64{append([]float64(nil), b.Local...), two}
+					}
+					newSol := func() [][]float64 {
+						return [][]float64{make([]float64, len(b.Local)), make([]float64, len(b.Local))}
+					}
+					want := newSol()
+					wantIters, err := rebuiltSubsystemSolve(e, mat, failedList, rhs(), want, ctxSubP, 1e-14)
+					if err != nil {
+						return err
+					}
+					for _, tc := range []struct {
+						label string
+						sub   Precond
+					}{{"factored here", nil}, {"session ILU", session}} {
+						label := tc.label
+						got := newSol()
+						iters, _, _, err := subsystemSolve(e, mat, tc.sub, failedList, rhs(), got, ctxSubA, 1e-14, 0)
+						if err != nil {
+							return err
+						}
+						for col := range want {
+							if iters[col] != wantIters[col] {
+								return fmt.Errorf("%s, column %d: %d sub-iterations, rebuilt %d", label, col, iters[col], wantIters[col])
+							}
+							for i := range want[col] {
+								if math.Float64bits(got[col][i]) != math.Float64bits(want[col][i]) {
+									return fmt.Errorf("%s, column %d row %d: %x, rebuilt %x", label, col, i, got[col][i], want[col][i])
+								}
+							}
+						}
+					}
+					return nil
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+	}
+}
+
+// countSubsystemILU counts the lost-block factorisations of the solves run
+// inside body.
+func countSubsystemILU(t *testing.T, body func()) int64 {
+	t.Helper()
+	var n atomic.Int64
+	orig := newSubsystemILU
+	newSubsystemILU = func(block *sparse.CSR) (*precond.BlockJacobiILU, error) {
+		n.Add(1)
+		return orig(block)
+	}
+	defer func() { newSubsystemILU = orig }()
+	body()
+	return n.Load()
+}
+
+// TestSubsystemReusesSessionILU: an ILU(0) session's episode factors
+// nothing; every other session factors each lost block once per subsystem —
+// one per replacement per episode for jacobi and ic0/SPCG, two with an
+// explicit inverse (the r-system and the x-system).
+func TestSubsystemReusesSessionILU(t *testing.T) {
+	a := matgen.Poisson2D(18, 18)
+	const ranks, phi = 8, 3
+	victims := []int{2, 3, 4}
+	sched := func() *faults.Schedule {
+		return faults.NewSchedule(faults.Simultaneous(5, victims...), faults.Simultaneous(9, 6, 7))
+	}
+	const replacements = 3 + 2 // over the two episodes
+	jacobiFactory := func(_ *distmat.Env, m *distmat.Matrix) (Precond, error) {
+		j, err := precond.NewJacobi(m.Diag())
+		if err != nil {
+			return nil, err
+		}
+		return LocalPrecond{P: j}, nil
+	}
+	pcg := func(mk precondFactory) func() {
+		return func() {
+			out := runSolver(t, ranks, func(c *cluster.Comm) (Result, distmat.Vector, error) {
+				e, m, x, b, err := setupProblem(c, a, phi)
+				if err != nil {
+					return Result{}, x, err
+				}
+				pc, err := mk(e, m)
+				if err != nil {
+					return Result{}, x, err
+				}
+				res, err := ESRPCG(e, m, x, b, pc, Options{Tol: 1e-9}, sched())
+				return res, x, err
+			})
+			if out.err != nil {
+				t.Fatal(out.err)
+			}
+			if !out.res.Converged || len(out.res.Reconstructions) != 2 {
+				t.Fatalf("converged=%v with %d episodes, want 2", out.res.Converged, len(out.res.Reconstructions))
+			}
+		}
+	}
+	spcg := func() {
+		out := runSPCG(t, ranks, phi, sched(), 1e-9)
+		if out.err != nil {
+			t.Fatal(out.err)
+		}
+		if !out.res.Converged || len(out.res.Reconstructions) != 2 {
+			t.Fatalf("SPCG converged=%v with %d episodes, want 2", out.res.Converged, len(out.res.Reconstructions))
+		}
+	}
+	for _, tc := range []struct {
+		name  string
+		solve func()
+		want  int64
+	}{
+		{"block-jacobi-ilu", pcg(iluFactory), 0},
+		{"jacobi", pcg(jacobiFactory), replacements},
+		{"ic0+spcg", spcg, replacements},
+		{"explicit-inverse", pcg(explicitInvFactory(tridiagInverse(a.Rows))), 2 * replacements},
+	} {
+		if got := countSubsystemILU(t, tc.solve); got != tc.want {
+			t.Errorf("%s session: %d lost-block factorisations, want %d", tc.name, got, tc.want)
+		}
+	}
+}
+
+// TestEpisodeSendsNoSetupMessages: recovery re-reads static data, so a solve
+// with a three-failure episode sends exactly the uncategorised (symbolic
+// setup) messages of the failure-free solve — everything an episode sends is
+// recovery, halo or collective traffic.
+func TestEpisodeSendsNoSetupMessages(t *testing.T) {
+	a := matgen.Poisson2D(16, 16)
+	const ranks, phi = 8, 3
+	setupMessages := func(sched *faults.Schedule) (int64, Result) {
+		rt := cluster.New(ranks)
+		var mu sync.Mutex
+		var res0 Result
+		err := rt.Run(func(c *cluster.Comm) error {
+			e, m, x, b, err := setupProblem(c, a, phi)
+			if err != nil {
+				return err
+			}
+			pc, err := iluFactory(e, m)
+			if err != nil {
+				return err
+			}
+			res, err := ESRPCG(e, m, x, b, pc, Options{Tol: 1e-9}, sched)
+			if c.Rank() == 0 {
+				mu.Lock()
+				res0 = res
+				mu.Unlock()
+			}
+			return err
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rt.Counters().Messages(cluster.CatOther), res0
+	}
+	clean, _ := setupMessages(nil)
+	failed, res := setupMessages(faults.NewSchedule(faults.Simultaneous(6, 0, 6, 7)))
+	if len(res.Reconstructions) != 1 || res.Reconstructions[0].SubIterations == 0 {
+		t.Fatalf("expected one episode with subsystem iterations, got %+v", res.Reconstructions)
+	}
+	if failed != clean {
+		t.Fatalf("the episode sent %d setup messages (%d with it, %d failure-free)", failed-clean, failed, clean)
+	}
+}
+
+// TestReconstructionPhasesAccountForTheEpisode: the per-phase clock reads
+// tile the episode — they sum to no more than its duration and miss only the
+// bookkeeping outside the phase loop — and a replacement's x-system split
+// lies inside its x-system phase.
+func TestReconstructionPhasesAccountForTheEpisode(t *testing.T) {
+	a := matgen.Poisson2D(16, 16)
+	out := runSolver(t, 8, func(c *cluster.Comm) (Result, distmat.Vector, error) {
+		e, m, x, b, err := setupProblem(c, a, 3)
+		if err != nil {
+			return Result{}, x, err
+		}
+		pc, err := iluFactory(e, m)
+		if err != nil {
+			return Result{}, x, err
+		}
+		// Rank 0, whose Result the harness reports, is a replacement.
+		res, err := ESRPCG(e, m, x, b, pc, Options{Tol: 1e-9}, faults.NewSchedule(faults.Simultaneous(6, 0, 1, 2)))
+		return res, x, err
+	})
+	if out.err != nil {
+		t.Fatal(out.err)
+	}
+	rec := out.res.Reconstructions[0]
+	var sum int64
+	for _, d := range rec.Phases {
+		sum += int64(d)
+	}
+	if sum <= 0 || sum > int64(rec.Duration) {
+		t.Fatalf("phases %v sum to %d ns, episode took %v", rec.Phases, sum, rec.Duration)
+	}
+	if rec.SubsystemSolve <= 0 || rec.SubsystemSetup+rec.SubsystemSolve > rec.Phases[phaseXSystem-1] {
+		t.Fatalf("x-system split %v + %v outside its phase %v", rec.SubsystemSetup, rec.SubsystemSolve, rec.Phases[phaseXSystem-1])
+	}
+}
+
+// TestLocalMaxIterDefault pins what Options.LocalMaxIter <= 0 selects.
+func TestLocalMaxIterDefault(t *testing.T) {
+	if got := [2]int{defaultLocalMaxIter(10), defaultLocalMaxIter(1000)}; got != [2]int{500, 20000} {
+		t.Fatalf("default subsystem bounds for n = 10, 1000 are %v, want [500 20000]", got)
+	}
+}

@@ -6,9 +6,11 @@
 // keeps the two most recent search-direction generations (paper Secs. 2-4).
 //
 // All operations work over an Env, which is either the full communicator or
-// a subgroup of ranks; the replacement-node reconstruction reuses the same
-// machinery over the subgroup of replacements with a renumbered index space
-// (paper Sec. 4.1).
+// a subgroup of ranks; the replacement-node reconstruction runs the same
+// SpMV over the subgroup of replacements through a restricted view of the
+// matrix the session already holds (Matrix.Restrict: shared kernels, halo
+// lists read off the existing plan, survivor-owned ghost slots held at zero
+// — A_{If,If} with nothing static rebuilt; paper Sec. 4.1).
 package distmat
 
 import (

@@ -360,6 +360,71 @@ func (m *Matrix) Fork() *Matrix {
 	return &n
 }
 
+// Restrict returns m's view of the principal submatrix A_{If, If} — If the
+// union of the blocks owned by sub's members — distributed over sub with
+// each member keeping its own block: the operator of the reconstruction
+// subsystems (paper Alg. 2 lines 6 and 8). m must live on the world Env
+// (positions are ranks, as sub's Members are) and be the local part of a
+// member.
+//
+// Like Fork it builds nothing that is a function of the matrix: the
+// localised CSR, the interior/boundary split and the thread cap are m's own.
+// The halo lists for the member peers are m's Plan.SendTo/RecvFrom entries —
+// every member derives them from the member set alone, so there is no
+// symbolic exchange — and the fresh ghost buffer keeps every non-member slot
+// at zero, which drops A_{If, I\If} from the product while each row's
+// remaining terms accumulate in stored order. ctx separates the view's SpMV
+// tags from m's and from other live views.
+//
+// The view serves MatVec, MatMat and Residual(Block) only: it carries no
+// static row block (Rows is nil), no redundancy and no MatVec observer, and
+// its Plan lists are in m's index space.
+func (m *Matrix) Restrict(sub *Env, ctx int) (*Matrix, error) {
+	if sub.Pos < 0 || sub.Members[sub.Pos] != m.Pos {
+		return nil, fmt.Errorf("distmat: Restrict: position %d is not a member of %v", m.Pos, sub.Members)
+	}
+	if last := sub.Members[sub.Size()-1]; last >= m.P.Ranks() {
+		return nil, fmt.Errorf("distmat: Restrict: member %d outside the matrix's %d ranks", last, m.P.Ranks())
+	}
+	lo, hi := m.P.Range(m.Pos)
+	bs := hi - lo
+	v := *m
+	v.Pos = sub.Pos
+	v.Rows, v.Red, v.Ret, v.obs = nil, nil, nil, nil
+	v.ghostRowPtr, v.ghostRowCol, v.ghostRowVal = nil, nil, nil
+	v.xbuf = make([]float64, len(m.xbuf))
+	v.recvScratch = nil
+	v.xbufK, v.ybufK, v.recvScratchK = nil, nil, nil
+	v.tagBase = 2000 + ctx*matrixTagStride
+	sizes := make([]int, sub.Size())
+	v.sendLists = make([][]int, sub.Size())
+	v.recvLists = make([][]int, sub.Size())
+	v.sendLoc = make([][]int, sub.Size())
+	v.recvPos = make([][]int, sub.Size())
+	v.recvDst = make([][]int, sub.Size())
+	for t, f := range sub.Members {
+		sizes[t] = m.P.Size(f)
+		if t == sub.Pos {
+			continue
+		}
+		send, recv := m.Plan.SendTo[f], m.Plan.RecvFrom[f]
+		v.sendLists[t], v.recvLists[t] = send, recv
+		v.sendLoc[t] = make([]int, len(send))
+		for i, g := range send {
+			v.sendLoc[t][i] = g - lo
+		}
+		v.recvPos[t] = make([]int, len(recv))
+		v.recvDst[t] = make([]int, len(recv))
+		for i, g := range recv {
+			v.recvPos[t][i] = i
+			v.recvDst[t][i] = bs + m.ghostPos[g]
+		}
+	}
+	v.P = partition.FromSizes(sizes)
+	v.Plan = &commplan.HaloPlan{P: v.P, Rank: sub.Pos, SendTo: v.sendLists, RecvFrom: v.recvLists}
+	return &v, nil
+}
+
 // MatVec computes y = A x with the halo exchange, sending merged
 // halo+redundancy payloads (piggybacking, Sec. 4.2) and, when resilience is
 // enabled, retaining the received generation under the iteration number
@@ -489,16 +554,6 @@ func (m *Matrix) MatVec(e *Env, y, x Vector, iter int) error {
 	return nil
 }
 
-// MatVecLocal computes y = A x when the caller has already assembled the
-// full input vector (own + ghost entries addressed globally). Used by
-// reconstruction steps that operate on gathered data.
-func (m *Matrix) MatVecLocal(y []float64, xGlobal []float64) {
-	if len(xGlobal) != m.P.N() {
-		panic("distmat: MatVecLocal needs the full-length input")
-	}
-	m.Rows.MulVec(y, xGlobal)
-}
-
 // GhostProduct computes y += sum over external columns of the row block:
 // y[i] += A[i, c] * ghost[c] for every stored entry with a column c outside
 // this rank's own block; columns missing from ghost contribute zero. With
@@ -542,24 +597,34 @@ func (m *Matrix) Diag() []float64 {
 }
 
 // OwnBlock extracts the square diagonal block A_{Ii, Ii} with localised
-// column indices (0-based within the block).
+// column indices (0-based within the block): the stored entries whose column
+// lies in the own range, in stored order.
 func (m *Matrix) OwnBlock() *sparse.CSR {
 	lo, hi := m.P.Range(m.Pos)
-	idx := make([]int, hi-lo)
-	for i := range idx {
-		idx[i] = lo + i
+	nnz := 0
+	for _, c := range m.Rows.Col {
+		if c >= lo && c < hi {
+			nnz++
+		}
 	}
-	return m.Rows.Submatrix(rowsLocalToGlobal(m.Rows.Rows), idx)
-}
-
-// rowsLocalToGlobal builds [0, 1, ..., n-1]; the row block's rows are
-// already local.
-func rowsLocalToGlobal(n int) []int {
-	r := make([]int, n)
-	for i := range r {
-		r[i] = i
+	blk := &sparse.CSR{
+		Rows:   m.Rows.Rows,
+		Cols:   hi - lo,
+		RowPtr: make([]int, m.Rows.Rows+1),
+		Col:    make([]int, 0, nnz),
+		Val:    make([]float64, 0, nnz),
 	}
-	return r
+	for i := 0; i < m.Rows.Rows; i++ {
+		cols, vals := m.Rows.Row(i)
+		for t, c := range cols {
+			if c >= lo && c < hi {
+				blk.Col = append(blk.Col, c-lo)
+				blk.Val = append(blk.Val, vals[t])
+			}
+		}
+		blk.RowPtr[i+1] = len(blk.Col)
+	}
+	return blk
 }
 
 // Residual computes r = b - A x into r (all distributed). Scratch-free

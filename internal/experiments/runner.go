@@ -159,6 +159,13 @@ func measure(ps *engine.Prepared, opts engine.SolveOpts) (StrategyMeasurement, e
 		SDCCorrected:     int(st.SDCCorrected - before.SDCCorrected),
 		SDCLatency:       res.SDCLatency,
 	}
+	for _, rec := range res.Reconstructions {
+		for ph, d := range rec.Phases {
+			m.RecoveryPhases[ph] += d
+		}
+		m.SubsystemSetup += rec.SubsystemSetup
+		m.SubsystemSolve += rec.SubsystemSolve
+	}
 	var sdc *core.SDCDetectedError
 	if errors.As(err, &sdc) {
 		m.SDCFailed = true

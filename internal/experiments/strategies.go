@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"strings"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/engine"
@@ -40,6 +41,10 @@ type StrategyMeasurement struct {
 	// drift detector (the detection-only outcome of strategies without a
 	// repair path); the measurement's counters remain valid.
 	SDCFailed bool
+	// RecoveryPhases, SubsystemSetup and SubsystemSolve sum the episodes'
+	// core.Reconstruction fields of the same names (zero for rollbacks).
+	RecoveryPhases                 [5]time.Duration
+	SubsystemSetup, SubsystemSolve time.Duration
 }
 
 // OverheadFloats is the steady-state protection volume of the run: the
@@ -90,6 +95,14 @@ type StrategyCell struct {
 	// RecoveryFloats is the recovery-episode traffic of the failure runs
 	// (reconstruction gathers for ESR, checkpoint restores for C/R).
 	RecoveryFloats int64
+	// RecoveryPhaseSeconds splits the failure runs' mean recovery time over
+	// ESR's five phases (scalars, p-gather, z/r rebuild, x-system, finalize)
+	// as rank 0 — a replacement under this schedule — saw them;
+	// SubsystemSetupSeconds and SubsystemSolveSeconds split the x-system into
+	// building its operator/preconditioner and its PCG. Zero for rollbacks.
+	RecoveryPhaseSeconds  [5]float64 `json:"recovery_phase_s"`
+	SubsystemSetupSeconds float64    `json:"subsystem_setup_s"`
+	SubsystemSolveSeconds float64    `json:"subsystem_solve_s"`
 	// SDCDetected/SDCCorrected are the mean detected and repaired corruption
 	// counts of the bit-flip runs, and SDCLatency the mean detection latency
 	// in iterations. The twin strategy detects through its shadow comparison
@@ -212,6 +225,11 @@ func (cfg Config) strategyRow(id string, a *sparse.CSR, failures int, intervals 
 		cell.RecoveryPct = 100 * meanOf(fail, func(m StrategyMeasurement) float64 { return m.ReconstructTime.Seconds() }) / row.T0
 		cell.RedoneIters = meanOf(fail, func(m StrategyMeasurement) float64 { return float64(m.WorkIterations - m.Iterations) })
 		cell.RecoveryFloats = fail[0].RecoveryFloats
+		for ph := range cell.RecoveryPhaseSeconds {
+			cell.RecoveryPhaseSeconds[ph] = meanOf(fail, func(m StrategyMeasurement) float64 { return m.RecoveryPhases[ph].Seconds() })
+		}
+		cell.SubsystemSetupSeconds = meanOf(fail, func(m StrategyMeasurement) float64 { return m.SubsystemSetup.Seconds() })
+		cell.SubsystemSolveSeconds = meanOf(fail, func(m StrategyMeasurement) float64 { return m.SubsystemSolve.Seconds() })
 		for _, m := range append(und, fail...) {
 			cell.Converged = cell.Converged && m.Converged
 		}

@@ -99,21 +99,34 @@ func (f *ILU0) Solve(z, r []float64) {
 	if len(z) != n || len(r) != n {
 		panic("localsolve: ILU0.Solve dimension mismatch")
 	}
+	// The index arrays are pinned to their known lengths and each row is
+	// sliced once, so the sweeps pay no bounds check on the factor (vals'
+	// length is pinned to cols'), only the gather z[c] — the same operations
+	// in the same order as indexing val[k], col[k] entry by entry.
+	rowPtr, diag := f.rowPtr[:n+1], f.diag[:n]
+	col := f.col[:len(f.col):len(f.col)]
+	val := f.val[:len(col):len(col)]
 	// L y = r (unit diagonal)
 	for i := 0; i < n; i++ {
+		lo, d := rowPtr[i], diag[i]
+		cols := col[lo:d]
+		vals := val[lo:d][:len(cols)]
 		s := r[i]
-		for k := f.rowPtr[i]; k < f.diag[i]; k++ {
-			s -= f.val[k] * z[f.col[k]]
+		for k, c := range cols {
+			s -= vals[k] * z[c]
 		}
 		z[i] = s
 	}
 	// U x = y
 	for i := n - 1; i >= 0; i-- {
+		d, hi := diag[i], rowPtr[i+1]
+		cols := col[d+1 : hi]
+		vals := val[d+1 : hi][:len(cols)]
 		s := z[i]
-		for k := f.diag[i] + 1; k < f.rowPtr[i+1]; k++ {
-			s -= f.val[k] * z[f.col[k]]
+		for k, c := range cols {
+			s -= vals[k] * z[c]
 		}
-		z[i] = s / f.val[f.diag[i]]
+		z[i] = s / val[d]
 	}
 }
 
@@ -153,12 +166,18 @@ func (f *ILU0) SolveK(z, r [][]float64) {
 // factor's index structure serves four columns.
 func (f *ILU0) solve4(z0, z1, z2, z3, r0, r1, r2, r3 []float64) {
 	n := f.n
-	rowPtr, diag, col, val := f.rowPtr, f.diag, f.col, f.val
+	// Pinned index arrays and once-sliced rows, exactly as in Solve.
+	rowPtr, diag := f.rowPtr[:n+1], f.diag[:n]
+	col := f.col[:len(f.col):len(f.col)]
+	val := f.val[:len(col):len(col)]
 	// L y = r (unit diagonal)
 	for i := 0; i < n; i++ {
+		lo, d := rowPtr[i], diag[i]
+		cols := col[lo:d]
+		vals := val[lo:d][:len(cols)]
 		s0, s1, s2, s3 := r0[i], r1[i], r2[i], r3[i]
-		for p := rowPtr[i]; p < diag[i]; p++ {
-			v, j := val[p], col[p]
+		for p, j := range cols {
+			v := vals[p]
 			s0 -= v * z0[j]
 			s1 -= v * z1[j]
 			s2 -= v * z2[j]
@@ -168,16 +187,19 @@ func (f *ILU0) solve4(z0, z1, z2, z3, r0, r1, r2, r3 []float64) {
 	}
 	// U x = y
 	for i := n - 1; i >= 0; i-- {
+		d, hi := diag[i], rowPtr[i+1]
+		cols := col[d+1 : hi]
+		vals := val[d+1 : hi][:len(cols)]
 		s0, s1, s2, s3 := z0[i], z1[i], z2[i], z3[i]
-		for p := diag[i] + 1; p < rowPtr[i+1]; p++ {
-			v, j := val[p], col[p]
+		for p, j := range cols {
+			v := vals[p]
 			s0 -= v * z0[j]
 			s1 -= v * z1[j]
 			s2 -= v * z2[j]
 			s3 -= v * z3[j]
 		}
-		d := val[diag[i]]
-		z0[i], z1[i], z2[i], z3[i] = s0/d, s1/d, s2/d, s3/d
+		dv := val[d]
+		z0[i], z1[i], z2[i], z3[i] = s0/dv, s1/dv, s2/dv, s3/dv
 	}
 }
 

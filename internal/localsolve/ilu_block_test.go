@@ -74,3 +74,74 @@ func BenchmarkILU0SolveK(b *testing.B) {
 		}
 	})
 }
+
+// solveIndexed is ILU0.Solve as it was before the rows were sliced: every
+// factor access indexes val[k], col[k] through the struct. Kept as the
+// reference the bounds-check-free sweeps must match bit for bit.
+func (f *ILU0) solveIndexed(z, r []float64) {
+	n := f.n
+	for i := 0; i < n; i++ {
+		s := r[i]
+		for k := f.rowPtr[i]; k < f.diag[i]; k++ {
+			s -= f.val[k] * z[f.col[k]]
+		}
+		z[i] = s
+	}
+	for i := n - 1; i >= 0; i-- {
+		s := z[i]
+		for k := f.diag[i] + 1; k < f.rowPtr[i+1]; k++ {
+			s -= f.val[k] * z[f.col[k]]
+		}
+		z[i] = s / f.val[f.diag[i]]
+	}
+}
+
+// elasticityBlock is a 1 152-row diagonal block's worth of the 27-point
+// elasticity generator the elasticity-kernel workload runs (68 nnz/row).
+func elasticityBlock(tb testing.TB) (*ILU0, []float64) {
+	a := matgen.Elasticity3D(8, 8, 6, 27, 8)
+	f, err := NewILU0(a)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(7))
+	r := make([]float64, a.Rows)
+	for i := range r {
+		r[i] = rng.NormFloat64()
+	}
+	return f, r
+}
+
+// TestILU0SolveBitwiseIndexedLoop: slicing each row once performs the same
+// operations in the same order, separately and with z aliasing r.
+func TestILU0SolveBitwiseIndexedLoop(t *testing.T) {
+	f, r := elasticityBlock(t)
+	want := make([]float64, len(r))
+	f.solveIndexed(want, r)
+	got := make([]float64, len(r))
+	f.Solve(got, r)
+	alias := append([]float64(nil), r...)
+	f.Solve(alias, alias)
+	for i := range want {
+		if got[i] != want[i] || alias[i] != want[i] {
+			t.Fatalf("row %d: Solve = %x, aliased = %x, indexed loop = %x", i, got[i], alias[i], want[i])
+		}
+	}
+}
+
+// BenchmarkILU0Solve is one preconditioner application on the elasticity
+// block, sliced rows against the indexed loop.
+func BenchmarkILU0Solve(b *testing.B) {
+	f, r := elasticityBlock(b)
+	z := make([]float64, len(r))
+	b.Run("sliced", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			f.Solve(z, r)
+		}
+	})
+	b.Run("indexed", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			f.solveIndexed(z, r)
+		}
+	})
+}

@@ -217,27 +217,6 @@ func (m *CSR) Submatrix(rows, cols []int) *CSR {
 	return sub
 }
 
-// SubmatrixExcluding extracts A[rows, allcols \ cols] keeping the *global*
-// column indices, which supports computing products like
-// A_{If, I\If} x_{I\If} where x is indexed globally.
-func (m *CSR) SubmatrixExcluding(rows []int, exclude map[int]bool) *CSR {
-	sub := &CSR{
-		Rows:   len(rows),
-		Cols:   m.Cols,
-		RowPtr: make([]int, len(rows)+1),
-	}
-	for ri, i := range rows {
-		for k := m.RowPtr[i]; k < m.RowPtr[i+1]; k++ {
-			if !exclude[m.Col[k]] {
-				sub.Col = append(sub.Col, m.Col[k])
-				sub.Val = append(sub.Val, m.Val[k])
-			}
-		}
-		sub.RowPtr[ri+1] = len(sub.Col)
-	}
-	return sub
-}
-
 // ToDense returns the matrix as a dense row-major n*m slice (rows*Cols).
 // Intended for tests and tiny reconstruction blocks only.
 func (m *CSR) ToDense() []float64 {

@@ -225,28 +225,6 @@ func TestSubmatrix(t *testing.T) {
 	}
 }
 
-func TestSubmatrixExcluding(t *testing.T) {
-	d := []float64{
-		1, 2, 3, 4,
-		5, 6, 7, 8,
-		9, 10, 11, 12,
-		13, 14, 15, 16,
-	}
-	m := FromDense(4, 4, d)
-	ex := map[int]bool{1: true, 3: true}
-	sub := m.SubmatrixExcluding([]int{1, 3}, ex)
-	if sub.Rows != 2 || sub.Cols != 4 {
-		t.Fatalf("dims %dx%d", sub.Rows, sub.Cols)
-	}
-	// Row 1 keeps global columns 0 and 2 with values 5 and 7.
-	if sub.At(0, 0) != 5 || sub.At(0, 2) != 7 || sub.At(0, 1) != 0 || sub.At(0, 3) != 0 {
-		t.Fatal("SubmatrixExcluding row 0 wrong")
-	}
-	if sub.At(1, 0) != 13 || sub.At(1, 2) != 15 {
-		t.Fatal("SubmatrixExcluding row 1 wrong")
-	}
-}
-
 func TestToDenseRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
 	d := randDense(rng, 6, 6, 0.5)
