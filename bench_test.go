@@ -267,8 +267,7 @@ func BenchmarkPreparedVsOneShot(b *testing.B) {
 // driver runs one k-column SpMM, one k-strided halo frame per neighbor and
 // fused length-k allreduces per iteration where the loop pays k of each.
 // Both paths produce bitwise identical columns, so solves/s is the whole
-// story. Sub-benchmarks sweep k in {8, 32, 128} on the chan and fast
-// fabrics.
+// story. Sub-benchmarks sweep k in {8, 32, 128}.
 //
 // The system is sized for the strong-scaling regime batching exists for:
 // 100 rows per rank, where per-iteration latency (messages, allreduces) and
@@ -277,33 +276,31 @@ func BenchmarkPreparedVsOneShot(b *testing.B) {
 // same kernel throughput.
 func BenchmarkSolveBatch(b *testing.B) {
 	a := Poisson2D(20, 20)
-	for _, tr := range []Transport{ChanTransport, FastTransport} {
-		for _, k := range []int{8, 32, 128} {
-			bs := make([][]float64, k)
-			for j := range bs {
-				v := make([]float64, a.Rows)
-				for i := range v {
-					v[i] = 1 + 0.5*math.Sin(float64(j+1)*float64(i+1))
-				}
-				bs[j] = v
+	for _, k := range []int{8, 32, 128} {
+		bs := make([][]float64, k)
+		for j := range bs {
+			v := make([]float64, a.Rows)
+			for i := range v {
+				v[i] = 1 + 0.5*math.Sin(float64(j+1)*float64(i+1))
 			}
-			s, err := NewSolver(a, WithRanks(4), WithTransport(tr))
-			if err != nil {
-				b.Fatal(err)
-			}
-			run := func(b *testing.B, blockSize int) {
-				ctx := context.Background()
-				for i := 0; i < b.N; i++ {
-					if _, err := s.SolveBatch(ctx, bs, WithBlockSize(blockSize)); err != nil {
-						b.Fatal(err)
-					}
-				}
-				b.ReportMetric(float64(k)*float64(b.N)/b.Elapsed().Seconds(), "solves/s")
-			}
-			b.Run(fmt.Sprintf("looped/%s/k%d", tr, k), func(b *testing.B) { run(b, 1) })
-			b.Run(fmt.Sprintf("blocked/%s/k%d", tr, k), func(b *testing.B) { run(b, DefaultBlockSize) })
-			s.Close()
+			bs[j] = v
 		}
+		s, err := NewSolver(a, WithRanks(4))
+		if err != nil {
+			b.Fatal(err)
+		}
+		run := func(b *testing.B, blockSize int) {
+			ctx := context.Background()
+			for i := 0; i < b.N; i++ {
+				if _, err := s.SolveBatch(ctx, bs, WithBlockSize(blockSize)); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(k)*float64(b.N)/b.Elapsed().Seconds(), "solves/s")
+		}
+		b.Run(fmt.Sprintf("looped/k%d", k), func(b *testing.B) { run(b, 1) })
+		b.Run(fmt.Sprintf("blocked/k%d", k), func(b *testing.B) { run(b, DefaultBlockSize) })
+		s.Close()
 	}
 }
 

@@ -200,6 +200,7 @@ var classStatus = map[*xerr.Class]int{
 	xerr.ResourceExhausted:  http.StatusTooManyRequests,
 	xerr.Unavailable:        http.StatusServiceUnavailable,
 	xerr.DataLoss:           http.StatusInternalServerError,
+	xerr.DeadlineExceeded:   http.StatusGatewayTimeout,
 	xerr.Internal:           http.StatusInternalServerError,
 }
 

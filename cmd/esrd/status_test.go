@@ -29,6 +29,7 @@ func TestQuickStatusTable(t *testing.T) {
 		xerr.ResourceExhausted:  http.StatusTooManyRequests,
 		xerr.Unavailable:        http.StatusServiceUnavailable,
 		xerr.DataLoss:           http.StatusInternalServerError,
+		xerr.DeadlineExceeded:   http.StatusGatewayTimeout,
 		xerr.Internal:           http.StatusInternalServerError,
 	}
 	classes := xerr.Classes()

@@ -35,6 +35,9 @@ var (
 	// ErrDataLoss: solver data was lost beyond the redundancy's coverage, or
 	// silent corruption was detected without a strategy able to repair it.
 	ErrDataLoss = xerr.DataLoss
+	// ErrDeadlineExceeded: the operation's own time limit (a job's
+	// timeout_ms) expired before it finished.
+	ErrDeadlineExceeded = xerr.DeadlineExceeded
 	// ErrInternal: an invariant broke; the caller cannot fix this.
 	ErrInternal = xerr.Internal
 )

@@ -58,7 +58,7 @@ func (c ChaosConfig) withDefaults() ChaosConfig {
 
 // ChaosTransport wraps another transport with an asynchronous simulated
 // wire: every message is held for a deterministic, seeded delay before it
-// reaches the destination inbox, reordering deliveries across distinct
+// reaches the destination mailbox, reordering deliveries across distinct
 // (source, tag) pairs while strictly preserving the per-(source, tag) FIFO
 // order the runtime guarantees; and failure notification is lagged, so for
 // a NotifyLag window after a kill, peers still see the victim as alive and
@@ -67,9 +67,9 @@ func (c ChaosConfig) withDefaults() ChaosConfig {
 // skewed collectives, late failure detection, and in-flight messages racing
 // the death notification.
 //
-// Because Send returns once the message is on the wire, chaos sends do not
-// exert inbox backpressure, and a message whose destination dies (or whose
-// runtime aborts) while it is in flight is dropped — counted under
+// Send returns once the message is on the wire, and a message whose
+// destination dies (or whose runtime aborts) while it is in flight is
+// dropped — counted under
 // TransportStats.Dropped. The numerical path is untouched: a deterministic
 // SPMD program still produces bit-identical results, because matching is
 // selective and reduction trees are fixed.
@@ -90,7 +90,7 @@ type wireKey struct {
 	from, to, tag int
 }
 
-// NewChaosTransport wraps inner (typically NewChanTransport()) with the
+// NewChaosTransport wraps inner (typically NewLocalTransport()) with the
 // seeded delay/lag wire.
 func NewChaosTransport(inner Transport, cfg ChaosConfig) *ChaosTransport {
 	return &ChaosTransport{
@@ -132,11 +132,11 @@ func (t *ChaosTransport) delayFor(k wireKey, seq uint64) time.Duration {
 
 // Deliver implements Transport: copy the payload out of the caller's hands
 // synchronously (Send's reuse contract must hold even though delivery is
-// deferred), then schedule the actual inbox hand-off after the message's
+// deferred), then schedule the actual mailbox hand-off after the message's
 // wire delay. Per-key FIFO is preserved by chaining each delivery on the
 // completion of the previous one for the same (from, to, tag) wire, so
 // unequal delays can only reorder messages across distinct wires.
-func (t *ChaosTransport) Deliver(rt *Runtime, sender, dst *node, m Msg, own bool) error {
+func (t *ChaosTransport) Deliver(sender, dst *node, m Msg, own bool) error {
 	if !own {
 		m = copyPayload(&t.ct, t.inner, m)
 	}
@@ -178,7 +178,7 @@ func (t *ChaosTransport) Deliver(rt *Runtime, sender, dst *node, m Msg, own bool
 		// The message is on the wire: it must survive its sender's death
 		// (nil sender), but a dead destination or an aborted runtime
 		// drops it.
-		if err := t.inner.Deliver(rt, nil, dst, m, true); err != nil {
+		if dst.put(nil, m) != nil {
 			t.ct.dropped.Add(1)
 		} else {
 			t.ct.delivered.Add(1)

@@ -1,8 +1,8 @@
 // Package cluster implements an in-process distributed-memory SPMD runtime:
 // the substitute for MPI + ULFM in the paper's experimental setup (see
 // DESIGN.md Sec. 2). Every rank runs as its own goroutine with strictly
-// private memory; all data exchange goes through typed messages over
-// channels. The runtime provides
+// private memory; all data exchange goes through typed messages appended
+// to the destination rank's mailbox. The runtime provides
 //
 //   - point-to-point Send/Recv with (source, tag) matching,
 //   - binomial-tree collectives (Barrier, Allreduce, Bcast, Allgather),
@@ -17,12 +17,13 @@
 // order, so repeated runs produce bit-identical floating-point results.
 //
 // Delivery itself is pluggable: every rank-to-rank hand-off flows through
-// the runtime's Transport (WithTransport). ChanTransport is the default
-// copy-on-send fabric, FastTransport the zero-copy pooled fabric for
-// nearly allocation-free steady-state solves, and ChaosTransport a seeded
-// latency/notification-lag wire for stressing the resilience protocol.
-// Matching lives above the transport, so all fabrics share the determinism
-// guarantee.
+// the runtime's Transport (WithTransport). LocalTransport is the one
+// in-process fabric (mailbox hand-off, payload buffers from a pooled
+// recycler, so steady-state solves send without allocating), ChaosTransport
+// a seeded latency/notification-lag wire for stressing the resilience
+// protocol, and NetTransport real TCP. Every fabric ends in the same
+// mailbox append (node.put), and matching lives above the transport, so
+// all fabrics share the determinism guarantee.
 package cluster
 
 import (
@@ -31,6 +32,7 @@ import (
 	"fmt"
 	"runtime/debug"
 	"sync"
+	"sync/atomic"
 )
 
 // Msg is a message exchanged between ranks. Payloads are a float64 slice
@@ -45,7 +47,7 @@ import (
 // Either way the receiver is the exclusive owner of a received message's
 // payloads; once it is done with them (and does not retain them, e.g. in
 // the SpMV retention store) it may hand them back to the transport's
-// buffer recycler with Comm.Recycle — a no-op on transports without one.
+// buffer recycler with Comm.Recycle.
 type Msg struct {
 	From int
 	Tag  int
@@ -53,63 +55,126 @@ type Msg struct {
 	I    []int
 }
 
-type msgKey struct {
-	from, tag int
+// latch is a one-shot event: read lock-free on the send and receive paths,
+// waitable through ch by the net transport's connection waits.
+type latch struct {
+	flag atomic.Bool
+	ch   chan struct{}
 }
 
-// node is the runtime-side state of one rank slot. It carries two views of
-// its death: dead is the truth, observed immediately by the node's own
-// operations, while peerDead is the failure notification seen by everyone
-// else — the transport closes it (immediately for faithful fail-stop
-// semantics, lagged by the chaos transport).
+func newLatch() latch { return latch{ch: make(chan struct{})} }
+
+// trip fires the latch and reports whether this call was the one that did.
+func (l *latch) trip() bool {
+	if !l.flag.CompareAndSwap(false, true) {
+		return false
+	}
+	close(l.ch)
+	return true
+}
+
+func (l *latch) isSet() bool { return l.flag.Load() }
+
+// node is the runtime-side state of one rank slot: its mailbox and the two
+// views of its death. dead is the truth, observed immediately by the node's
+// own operations; peerDead is the failure notification seen by everyone
+// else, tripped by the transport (at once, or lagged by the chaos fabric).
+//
+// The mailbox is a mutex-guarded FIFO: a delivery is an append, plus a
+// Signal if the owner is parked; a receive swaps the whole queue out under
+// the lock and matches outside it. The owner parks only on an empty mailbox
+// and re-reads the death/abort latches under mu whenever it wakes; whoever
+// trips a latch passes through mu before broadcasting (wake), which rules
+// out a lost wake-up.
+//
+// The queue is unbounded: delivery never blocks the sender, so there is no
+// full-inbox deadlock and no back-pressure. What bounds it is the SPMD
+// programs' lock-step: no rank leaves one of a PCG iteration's two
+// allreduces before every rank entered it, so a rank is never more than one
+// iteration ahead of its slowest peer and a mailbox never holds more than
+// two iterations' worth of incoming messages (TestMailboxStaysShallow).
 type node struct {
-	rank     int
-	inbox    chan Msg
-	dead     chan struct{} // closed when the node fails
-	peerDead chan struct{} // closed when peers are notified of the failure
-	once     sync.Once
-	peerOnce sync.Once
+	rt   *Runtime
+	rank int
+
+	mu        sync.Mutex
+	cond      sync.Cond // L is &mu
+	queue     []Msg     // delivered, not yet taken by the owner
+	parked    bool      // the owner is in cond.Wait
+	received  int       // messages ever appended
+	highWater int       // max len(queue) ever observed
+
+	dead     latch // the node failed
+	peerDead latch // peers have been notified of the failure
 }
 
-// notifyPeers publishes the node's death to its peers. Called by the
-// runtime's transport, which controls the timing.
+// put is the one delivery path every transport ends in: refuse if the node
+// is known dead, the sender was killed or the runtime is aborted; otherwise
+// append and wake the owner if it is parked. sender is nil for messages
+// already on a wire, which must outlive their sender.
+func (nd *node) put(sender *node, m Msg) error {
+	switch {
+	case nd.peerDead.isSet():
+		return &RankFailedError{Rank: nd.rank}
+	case sender != nil && sender.dead.isSet():
+		return ErrKilled
+	case nd.rt.abort.isSet():
+		return nd.rt.abortErr()
+	}
+	nd.mu.Lock()
+	nd.queue = append(nd.queue, m)
+	nd.received++
+	if len(nd.queue) > nd.highWater {
+		nd.highWater = len(nd.queue)
+	}
+	parked := nd.parked
+	nd.mu.Unlock()
+	if parked {
+		nd.cond.Signal()
+	}
+	return nil
+}
+
+// fail marks the node dead and wakes its owner; it reports whether this
+// call was the one that killed it.
+func (nd *node) fail() bool {
+	if !nd.dead.trip() {
+		return false
+	}
+	nd.wake()
+	return true
+}
+
+// notifyPeers publishes the node's death and wakes every mailbox, so a
+// receiver parked on this node unwinds. The transport controls the timing.
 func (nd *node) notifyPeers() {
-	nd.peerOnce.Do(func() { close(nd.peerDead) })
-}
-
-func (nd *node) isDead() bool {
-	select {
-	case <-nd.dead:
-		return true
-	default:
-		return false
+	if nd.peerDead.trip() {
+		nd.rt.wakeAll()
 	}
 }
 
-// peerSeesDead reports whether the node's failure notification has reached
-// its peers.
-func (nd *node) peerSeesDead() bool {
-	select {
-	case <-nd.peerDead:
-		return true
-	default:
-		return false
-	}
+// wake makes a parked owner re-read the latches. The empty critical section
+// orders the caller's latch write against the owner's check: the owner has
+// either not checked yet (and will see the latch) or is already on cond's
+// notify list (and gets the broadcast).
+func (nd *node) wake() {
+	nd.mu.Lock()
+	nd.mu.Unlock()
+	nd.cond.Broadcast()
 }
 
 // Runtime owns the rank slots of a simulated distributed-memory machine.
-// All rank-to-rank delivery flows through its Transport (the chan fabric by
-// default; see WithTransport).
+// All rank-to-rank delivery flows through its Transport (the in-process
+// fabric by default; see WithTransport).
 type Runtime struct {
 	size      int
 	transport Transport
-	mu        sync.Mutex
-	nodes     []*node
+	nodes     []atomic.Pointer[node] // replacements swap the slot (Revive)
 	counters  Counters
 
-	abort      chan struct{} // closed by Abort
+	abort      latch // tripped by Abort
 	abortOnce  sync.Once
-	abortCause error // set before abort closes; read only after <-abort
+	abortCause error // set before abort trips; read only after it is seen set
 }
 
 // Option configures a Runtime at construction.
@@ -138,15 +203,16 @@ func New(size int, opts ...Option) *Runtime {
 	if size <= 0 {
 		panic("cluster: non-positive size")
 	}
-	rt := &Runtime{size: size, nodes: make([]*node, size), abort: make(chan struct{})}
+	rt := &Runtime{size: size, nodes: make([]atomic.Pointer[node], size),
+		counters: newCounters(size), abort: newLatch()}
 	for _, opt := range opts {
 		opt(rt)
 	}
 	if rt.transport == nil {
-		rt.transport = NewChanTransport()
+		rt.transport = NewLocalTransport()
 	}
 	for i := range rt.nodes {
-		rt.nodes[i] = rt.freshNode(i)
+		rt.nodes[i].Store(rt.freshNode(i))
 	}
 	if b, ok := rt.transport.(runtimeBinder); ok {
 		b.bindRuntime(rt)
@@ -155,12 +221,9 @@ func New(size int, opts ...Option) *Runtime {
 }
 
 func (rt *Runtime) freshNode(rank int) *node {
-	return &node{
-		rank:     rank,
-		inbox:    make(chan Msg, 8*rt.size+64),
-		dead:     make(chan struct{}),
-		peerDead: make(chan struct{}),
-	}
+	nd := &node{rt: rt, rank: rank, dead: newLatch(), peerDead: newLatch()}
+	nd.cond.L = &nd.mu
+	return nd
 }
 
 // Size returns the number of rank slots.
@@ -172,11 +235,14 @@ func (rt *Runtime) Transport() Transport { return rt.transport }
 // Counters returns the global communication counters.
 func (rt *Runtime) Counters() *Counters { return &rt.counters }
 
-// node returns the current node in slot rank (replacements swap the slot).
-func (rt *Runtime) nodeAt(rank int) *node {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	return rt.nodes[rank]
+// nodeAt returns the current node in slot rank.
+func (rt *Runtime) nodeAt(rank int) *node { return rt.nodes[rank].Load() }
+
+// wakeAll wakes every slot's mailbox owner (see node.wake).
+func (rt *Runtime) wakeAll() {
+	for i := range rt.nodes {
+		rt.nodes[i].Load().wake()
+	}
 }
 
 // Abort tears the whole runtime down: every pending and future communication
@@ -188,18 +254,17 @@ func (rt *Runtime) nodeAt(rank int) *node {
 func (rt *Runtime) Abort(cause error) {
 	rt.abortOnce.Do(func() {
 		rt.abortCause = cause
-		close(rt.abort)
+		rt.abort.trip()
+		rt.wakeAll()
 	})
 }
 
 // Aborted reports whether the runtime has been aborted, and the cause.
 func (rt *Runtime) Aborted() (error, bool) {
-	select {
-	case <-rt.abort:
+	if rt.abort.isSet() {
 		return rt.abortCause, true
-	default:
-		return nil, false
 	}
+	return nil, false
 }
 
 func (rt *Runtime) abortErr() error { return &AbortError{Cause: rt.abortCause} }
@@ -210,24 +275,21 @@ func (rt *Runtime) abortErr() error { return &AbortError{Cause: rt.abortCause} }
 // transport publishes the notification (immediately on the default fabric,
 // after a lag on the chaos fabric). Safe to call from any goroutine.
 func (rt *Runtime) Kill(rank int) {
-	nd := rt.nodeAt(rank)
-	nd.once.Do(func() {
-		close(nd.dead)
+	if nd := rt.nodeAt(rank); nd.fail() {
 		rt.transport.NotifyKill(nd)
-	})
+	}
 }
 
 // Revive installs a fresh (replacement) node in the slot of a failed rank
 // and returns a Comm handle for the replacement's goroutine. It panics if
 // the slot is still alive.
 func (rt *Runtime) Revive(rank int) *Comm {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	if !rt.nodes[rank].isDead() {
+	if !rt.nodeAt(rank).dead.isSet() {
 		panic(fmt.Sprintf("cluster: Revive(%d) on a live rank", rank))
 	}
-	rt.nodes[rank] = rt.freshNode(rank)
-	return &Comm{rt: rt, rank: rank, node: rt.nodes[rank], pending: map[msgKey][]Msg{}}
+	nd := rt.freshNode(rank)
+	rt.nodes[rank].Store(nd)
+	return newComm(rt, nd)
 }
 
 // Run launches fn on every rank as its own goroutine and waits for all of
@@ -250,7 +312,7 @@ func (rt *Runtime) RunLocal(ranks []int, fn func(c *Comm) error) error {
 	var wg sync.WaitGroup
 	wg.Add(len(ranks))
 	for _, r := range ranks {
-		c := &Comm{rt: rt, rank: r, node: rt.nodeAt(r), pending: map[msgKey][]Msg{}}
+		c := newComm(rt, rt.nodeAt(r))
 		go func(r int, c *Comm) {
 			defer wg.Done()
 			defer func() {
@@ -326,10 +388,20 @@ func (rt *Runtime) RunLocalContext(ctx context.Context, ranks []int, fn func(c *
 // Comm is a per-rank communicator handle. It must only be used from the
 // goroutine of its rank.
 type Comm struct {
-	rt      *Runtime
-	rank    int
-	node    *node
-	pending map[msgKey][]Msg
+	rt   *Runtime
+	rank int
+	node *node
+	// pending[from] holds what was taken from the mailbox but not yet
+	// matched, in arrival order; Recv scans its source's list for the first
+	// tag match. Lock-step SPMD keeps the lists a few entries deep, where a
+	// scan beats a (from, tag)-keyed map, and they keep their capacity, so
+	// filing a message allocates nothing in steady state.
+	pending [][]Msg
+	spare   []Msg // the emptied batch Recv swaps in for the mailbox's queue
+}
+
+func newComm(rt *Runtime, nd *node) *Comm {
+	return &Comm{rt: rt, rank: nd.rank, node: nd, pending: make([][]Msg, rt.size)}
 }
 
 // Rank returns this rank's id.
@@ -346,10 +418,10 @@ func (c *Comm) Runtime() *Runtime { return c.rt }
 // the runtime has been aborted. SPMD programs call it at cancellation points
 // (top of iterations).
 func (c *Comm) Check() error {
-	if _, ok := c.rt.Aborted(); ok {
+	if c.rt.abort.isSet() {
 		return c.rt.abortErr()
 	}
-	if c.node.isDead() {
+	if c.node.dead.isSet() {
 		return ErrKilled
 	}
 	return nil
@@ -360,7 +432,7 @@ func (c *Comm) Check() error {
 // failure-notification primitive; on the chaos transport the notification
 // lags the actual death.
 func (c *Comm) Alive(rank int) bool {
-	return !c.rt.nodeAt(rank).peerSeesDead()
+	return !c.rt.nodeAt(rank).peerDead.isSet()
 }
 
 // GetFloats returns a payload buffer of length n from the transport's
@@ -391,14 +463,22 @@ func (c *Comm) send(cat Category, to, tag int, f []float64, ints []int, own bool
 		return err
 	}
 	dst := c.rt.nodeAt(to)
-	if dst.peerSeesDead() {
+	if dst.peerDead.isSet() {
 		return &RankFailedError{Rank: to}
 	}
-	if err := c.rt.transport.Deliver(c.rt, c.node, dst, Msg{From: c.rank, Tag: tag, F: f, I: ints}, own); err != nil {
+	if err := c.rt.transport.Deliver(c.node, dst, Msg{From: c.rank, Tag: tag, F: f, I: ints}, own); err != nil {
 		return err
 	}
-	c.rt.counters.record(cat, 1, len(f), len(ints))
+	c.rt.counters.shards[c.rank].record(cat, 1, len(f), len(ints))
 	return nil
+}
+
+// Reclassify moves a number of float-element counts this rank recorded from
+// one category to another. The SpMV path uses it to account redundancy
+// elements that piggyback on halo messages under CatRedundancy without
+// double-counting the message itself.
+func (c *Comm) Reclassify(from, to Category, floats int64) {
+	c.rt.counters.shards[c.rank].reclassify(from, to, floats)
 }
 
 // Send delivers a message to rank `to` with the given tag, accounting it
@@ -414,69 +494,61 @@ func (c *Comm) Send(cat Category, to, tag int, f []float64, ints []int) error {
 // available and returns it. Matching is FIFO per (from, tag). Recv fails
 // with RankFailedError if the source dies before a matching message arrives
 // and ErrKilled if the receiver itself is killed.
+//
+// Recv swaps the mailbox's whole queue out and matches outside the lock:
+// the first (from, tag) match is the result, the rest is filed under
+// pending in arrival order. Only on an empty mailbox does it look at the
+// death and abort latches, and park — so whatever the source managed to
+// send before it died is drained first.
 func (c *Comm) Recv(from, tag int) (Msg, error) {
 	if from < 0 || from >= c.rt.size {
 		return Msg{}, fmt.Errorf("cluster: Recv from invalid rank %d", from)
 	}
-	key := msgKey{from, tag}
-	if q := c.pending[key]; len(q) > 0 {
-		m := q[0]
-		if len(q) == 1 {
-			delete(c.pending, key)
-		} else {
-			c.pending[key] = q[1:]
+	q := c.pending[from]
+	for i := range q {
+		if q[i].Tag == tag {
+			m := q[i]
+			copy(q[i:], q[i+1:])
+			q[len(q)-1] = Msg{} // drop the payload reference
+			c.pending[from] = q[:len(q)-1]
+			return m, nil
 		}
-		return m, nil
 	}
-	src := c.rt.nodeAt(from)
+	nd, src := c.node, c.rt.nodeAt(from)
 	for {
-		// Drain everything already delivered before blocking.
-		select {
-		case m := <-c.node.inbox:
-			if m.From == from && m.Tag == tag {
-				return m, nil
+		nd.mu.Lock()
+		for len(nd.queue) == 0 {
+			// Under mu: the wake that follows a later trip cannot slip in
+			// before Wait has enlisted us.
+			err := c.Check()
+			if err == nil && src.peerDead.isSet() {
+				err = &RankFailedError{Rank: from}
 			}
-			k := msgKey{m.From, m.Tag}
-			c.pending[k] = append(c.pending[k], m)
-			continue
-		default:
+			if err != nil {
+				nd.mu.Unlock()
+				return Msg{}, err
+			}
+			nd.parked = true
+			nd.cond.Wait()
+			nd.parked = false
 		}
-		select {
-		case m := <-c.node.inbox:
-			if m.From == from && m.Tag == tag {
-				return m, nil
+		batch := nd.queue
+		nd.queue = c.spare
+		nd.mu.Unlock()
+
+		var match Msg
+		found := false
+		for _, m := range batch {
+			if !found && m.From == from && m.Tag == tag {
+				match, found = m, true
+				continue
 			}
-			k := msgKey{m.From, m.Tag}
-			c.pending[k] = append(c.pending[k], m)
-		case <-c.node.dead:
-			return Msg{}, ErrKilled
-		case <-c.rt.abort:
-			return Msg{}, c.rt.abortErr()
-		case <-src.peerDead:
-			// The source died; drain any message it managed to send first.
-			for {
-				select {
-				case m := <-c.node.inbox:
-					if m.From == from && m.Tag == tag {
-						return m, nil
-					}
-					k := msgKey{m.From, m.Tag}
-					c.pending[k] = append(c.pending[k], m)
-					continue
-				default:
-				}
-				break
-			}
-			if q := c.pending[key]; len(q) > 0 {
-				m := q[0]
-				if len(q) == 1 {
-					delete(c.pending, key)
-				} else {
-					c.pending[key] = q[1:]
-				}
-				return m, nil
-			}
-			return Msg{}, &RankFailedError{Rank: from}
+			c.pending[m.From] = append(c.pending[m.From], m)
+		}
+		clear(batch) // drop the payload references
+		c.spare = batch[:0]
+		if found {
+			return match, nil
 		}
 	}
 }

@@ -54,35 +54,52 @@ func Categories() []Category {
 
 // Counters accumulates global message and element counts per category.
 // All methods are safe for concurrent use.
+//
+// Every send is counted, so the counters are sharded by writer: each rank
+// adds to a shard of its own (no cache line bounces between the rank
+// goroutines), rank-less traffic (RecordExternal) goes to one extra shard,
+// and readers sum the shards — exactly what one shared set would hold.
 type Counters struct {
+	shards []counterShard // [rank] for traffic that rank sent, [size] external
+}
+
+type counterShard struct {
 	msgs   [numCategories]atomic.Int64
 	floats [numCategories]atomic.Int64
 	ints   [numCategories]atomic.Int64
+	_      [64]byte // keeps neighbouring shards off each other's cache lines
 }
 
-func (ct *Counters) record(cat Category, msgs, floats, ints int) {
+func newCounters(size int) Counters {
+	return Counters{shards: make([]counterShard, size+1)}
+}
+
+func (sh *counterShard) record(cat Category, msgs, floats, ints int) {
 	if cat < 0 || cat >= numCategories {
 		cat = CatOther
 	}
-	ct.msgs[cat].Add(int64(msgs))
-	ct.floats[cat].Add(int64(floats))
-	ct.ints[cat].Add(int64(ints))
+	sh.msgs[cat].Add(int64(msgs))
+	sh.floats[cat].Add(int64(floats))
+	sh.ints[cat].Add(int64(ints))
+}
+
+// reclassify moves float-element counts between categories within a shard.
+func (sh *counterShard) reclassify(from, to Category, floats int64) {
+	sh.floats[from].Add(-floats)
+	sh.floats[to].Add(floats)
 }
 
 // Messages returns the number of messages recorded under cat.
-func (ct *Counters) Messages(cat Category) int64 { return ct.msgs[cat].Load() }
+func (ct *Counters) Messages(cat Category) int64 { return ct.Snapshot().Msgs[cat] }
 
 // Floats returns the number of float64 elements recorded under cat.
-func (ct *Counters) Floats(cat Category) int64 { return ct.floats[cat].Load() }
-
-// Ints returns the number of int elements recorded under cat.
-func (ct *Counters) Ints(cat Category) int64 { return ct.ints[cat].Load() }
+func (ct *Counters) Floats(cat Category) int64 { return ct.Snapshot().Floats[cat] }
 
 // TotalMessages returns the number of messages across all categories.
 func (ct *Counters) TotalMessages() int64 {
 	var s int64
-	for i := 0; i < int(numCategories); i++ {
-		s += ct.msgs[i].Load()
+	for _, v := range ct.Snapshot().Msgs {
+		s += v
 	}
 	return s
 }
@@ -90,8 +107,8 @@ func (ct *Counters) TotalMessages() int64 {
 // TotalFloats returns the number of float64 elements across all categories.
 func (ct *Counters) TotalFloats() int64 {
 	var s int64
-	for i := 0; i < int(numCategories); i++ {
-		s += ct.floats[i].Load()
+	for _, v := range ct.Snapshot().Floats {
+		s += v
 	}
 	return s
 }
@@ -99,25 +116,7 @@ func (ct *Counters) TotalFloats() int64 {
 // RecordExternal accounts traffic that does not flow through Send, such as
 // checkpoint I/O to simulated reliable storage.
 func (ct *Counters) RecordExternal(cat Category, msgs, floats int) {
-	ct.record(cat, msgs, floats, 0)
-}
-
-// Reclassify moves a number of float-element counts from one category to
-// another. The SpMV path uses it to account redundancy elements that
-// piggyback on halo messages under CatRedundancy without double-counting the
-// message itself.
-func (ct *Counters) Reclassify(from, to Category, floats int64) {
-	ct.floats[from].Add(-floats)
-	ct.floats[to].Add(floats)
-}
-
-// Reset zeroes all counters.
-func (ct *Counters) Reset() {
-	for i := 0; i < int(numCategories); i++ {
-		ct.msgs[i].Store(0)
-		ct.floats[i].Store(0)
-		ct.ints[i].Store(0)
-	}
+	ct.shards[len(ct.shards)-1].record(cat, msgs, floats, 0)
 }
 
 // Snapshot captures the current counter values.
@@ -127,13 +126,16 @@ type Snapshot struct {
 	Ints   [numCategories]int64
 }
 
-// Snapshot returns a copy of the current values.
+// Snapshot returns the current values, summed over the shards.
 func (ct *Counters) Snapshot() Snapshot {
 	var s Snapshot
-	for i := 0; i < int(numCategories); i++ {
-		s.Msgs[i] = ct.msgs[i].Load()
-		s.Floats[i] = ct.floats[i].Load()
-		s.Ints[i] = ct.ints[i].Load()
+	for k := range ct.shards {
+		sh := &ct.shards[k]
+		for i := 0; i < int(numCategories); i++ {
+			s.Msgs[i] += sh.msgs[i].Load()
+			s.Floats[i] += sh.floats[i].Load()
+			s.Ints[i] += sh.ints[i].Load()
+		}
 	}
 	return s
 }
@@ -148,10 +150,3 @@ func (s Snapshot) Diff(earlier Snapshot) Snapshot {
 	}
 	return d
 }
-
-// MsgsOf returns the message delta of a category in a Snapshot (helper for
-// reporting code).
-func (s Snapshot) MsgsOf(cat Category) int64 { return s.Msgs[cat] }
-
-// FloatsOf returns the float-element delta of a category in a Snapshot.
-func (s Snapshot) FloatsOf(cat Category) int64 { return s.Floats[cat] }

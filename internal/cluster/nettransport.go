@@ -144,7 +144,7 @@ type netPeerState struct {
 // victims, in which case the transport waits for the replacement process to
 // reconnect at a higher incarnation).
 //
-// Encode and decode buffers come from the fast transport's process-wide
+// Encode and decode buffers come from the in-process fabric's process-wide
 // power-of-two recycler, so the steady-state wire loop allocates only in
 // the kernel.
 type NetTransport struct {
@@ -164,7 +164,6 @@ type NetTransport struct {
 	replaceable map[int]bool
 	changed     chan struct{} // closed+replaced on every connection-state change
 	startErr    error
-	bound       bool
 
 	closed    chan struct{}
 	closeOnce sync.Once
@@ -187,7 +186,7 @@ func NewNetTransport(cfg NetConfig) *NetTransport {
 // Name implements Transport.
 func (t *NetTransport) Name() string { return TransportNet }
 
-// GetFloats implements Transport: the fast transport's shared recycler.
+// GetFloats implements Transport: the in-process fabric's shared recycler.
 func (t *NetTransport) GetFloats(n int) []float64 { return poolGetFloats(&t.ct, n) }
 
 // PutFloats implements Transport.
@@ -298,7 +297,7 @@ func (t *NetTransport) start(rt *Runtime) error {
 	go func() {
 		defer t.wg.Done()
 		select {
-		case <-rt.abort:
+		case <-rt.abort.ch:
 			t.teardownConns()
 		case <-t.closed:
 		}
@@ -412,10 +411,12 @@ func (t *NetTransport) handleInbound(c net.Conn) {
 }
 
 // readLoop decodes frames off one inbound connection and applies them, in
-// order: data frames go synchronously into local inboxes (so TCP
-// backpressure is inbox backpressure and wire order is inbox order), kill
-// markers raise the local failure notification — necessarily behind every
-// data frame the same wire carried first.
+// order: data frames are appended synchronously to local mailboxes (so wire
+// order is mailbox order), kill markers raise the local failure
+// notification — necessarily behind every data frame the same wire carried
+// first. The mailbox is unbounded, so this loop never stalls on a slow
+// receiver and TCP back-pressure no longer reaches the sender; what keeps
+// a mailbox shallow is the SPMD programs' lock-step (see node).
 func (t *NetTransport) readLoop(p *netPeerState, c net.Conn) {
 	rt := t.rt
 	frames := 0
@@ -435,15 +436,9 @@ func (t *NetTransport) readLoop(p *netPeerState, c net.Conn) {
 				return
 			}
 			t.bytesRecv.Add(int64(5 + netDataHeader + 8*len(fr.msg.F) + 8*len(fr.msg.I)))
-			dst := rt.nodeAt(fr.to)
-			select {
-			case dst.inbox <- fr.msg:
+			if rt.nodeAt(fr.to).put(nil, fr.msg) == nil {
 				t.ct.delivered.Add(1)
-			case <-dst.peerDead:
-				t.dropFrame(fr)
-			case <-rt.abort:
-				t.dropFrame(fr)
-			case <-t.closed:
+			} else {
 				t.dropFrame(fr)
 			}
 		case netFrameKill:
@@ -452,7 +447,7 @@ func (t *NetTransport) readLoop(p *netPeerState, c net.Conn) {
 				return
 			}
 			nd := rt.nodeAt(fr.rank)
-			nd.once.Do(func() { close(nd.dead) })
+			nd.fail()
 			nd.notifyPeers()
 		default:
 			// Stray handshake frames mid-stream are a protocol violation.
@@ -523,7 +518,7 @@ func (t *NetTransport) inboundGone(p *netPeerState, c net.Conn) {
 	for _, r := range p.ranks {
 		if !t.replaceable[r] {
 			nd := t.rt.nodeAt(r)
-			nd.once.Do(func() { close(nd.dead) })
+			nd.fail()
 			nd.notifyPeers()
 		}
 	}
@@ -702,7 +697,7 @@ func (t *NetTransport) ExpectReplacement(required map[int]int) {
 func (t *NetTransport) outConnFor(rt *Runtime, sender, dst *node) (*netPeerState, *netConn, error) {
 	var senderDead <-chan struct{}
 	if sender != nil {
-		senderDead = sender.dead
+		senderDead = sender.dead.ch
 	}
 	t.mu.Lock()
 	for {
@@ -725,11 +720,11 @@ func (t *NetTransport) outConnFor(rt *Runtime, sender, dst *node) (*netPeerState
 		t.mu.Unlock()
 		select {
 		case <-ch:
-		case <-rt.abort:
+		case <-rt.abort.ch:
 			return nil, nil, rt.abortErr()
 		case <-senderDead:
 			return nil, nil, ErrKilled
-		case <-dst.peerDead:
+		case <-dst.peerDead.ch:
 			return nil, nil, &RankFailedError{Rank: dst.rank}
 		case <-t.closed:
 			return nil, nil, fmt.Errorf("cluster: net transport closed")
@@ -766,7 +761,8 @@ func (t *NetTransport) connBroken(p *netPeerState, out *netConn) {
 // double-deliver it (the replacement re-receives the same logical sends
 // when the redo pass after recovery replays them), shifting its
 // per-(source,tag) stream off by one.
-func (t *NetTransport) Deliver(rt *Runtime, sender, dst *node, m Msg, own bool) error {
+func (t *NetTransport) Deliver(sender, dst *node, m Msg, own bool) error {
+	rt := t.rt
 	wire, backing, err := encodeDataFrame(t, dst.rank, m)
 	if own && m.F != nil {
 		// Ownership transferred to the transport; the payload now lives in
@@ -816,7 +812,7 @@ func (t *NetTransport) Deliver(rt *Runtime, sender, dst *node, m Msg, own bool) 
 				return fmt.Errorf("cluster: net transport closed")
 			}
 			nd := rt.nodeAt(dst.rank)
-			nd.once.Do(func() { close(nd.dead) })
+			nd.fail()
 			nd.notifyPeers()
 			return &RankFailedError{Rank: dst.rank}
 		}

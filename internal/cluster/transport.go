@@ -8,31 +8,28 @@ import (
 // Transport names accepted by NewTransport (and, one layer up, by
 // engine.Config.Transport and the esrd -transport flag).
 const (
-	// TransportChan is the default fabric: per-rank inbox channels with
-	// copy-on-Send payload semantics.
+	// TransportChan is the default, in-process fabric: mailbox hand-off
+	// between rank goroutines, payload buffers from a sync.Pool-backed
+	// recycler so the steady-state halo-exchange and collective hot loops
+	// allocate nothing. (The name predates the mailbox; job specs carry it.)
 	TransportChan = "chan"
-	// TransportFast is the zero-copy fabric: identical delivery semantics,
-	// but payload buffers come from a sync.Pool-backed recycler so the
-	// steady-state halo-exchange and collective hot loops allocate nothing.
+	// TransportFast is a synonym of TransportChan, accepted wherever a name
+	// is parsed because journaled job specs carry it: the pooled fabric it
+	// used to select is the only in-process fabric now. The transport it
+	// resolves to reports TransportChan as its Name.
 	TransportFast = "fast"
-	// TransportChaos wraps the chan fabric with deterministic, seeded
-	// message delay (reordering messages across distinct (source, tag)
-	// pairs while preserving per-pair FIFO) and lagged failure
-	// notification, for testing the resilience protocol's ordering
-	// assumptions.
+	// TransportChaos wraps the in-process fabric with deterministic, seeded
+	// message delay (reordering across distinct (source, tag) pairs, FIFO
+	// within each) and lagged failure notification, for testing the
+	// resilience protocol's ordering assumptions.
 	TransportChaos = "chaos"
 	// TransportNet is the TCP fabric: ranks hosted across OS processes (or
 	// one process in self-loop mode) exchanging length-prefixed binary
 	// frames over persistent peer connections, with a killed process
-	// surfacing as a real node failure. Payload buffers share the fast
-	// transport's recycler.
+	// surfacing as a real node failure. Payload buffers share the
+	// in-process fabric's recycler.
 	TransportNet = "net"
 )
-
-// TransportNames lists the built-in transport names.
-func TransportNames() []string {
-	return []string{TransportChan, TransportFast, TransportChaos, TransportNet}
-}
 
 // Transport is the pluggable rank-to-rank delivery fabric of a Runtime: it
 // owns message hand-off between nodes, the payload-buffer recycler, and the
@@ -48,30 +45,29 @@ type Transport interface {
 	// Name identifies the transport (one of the Transport* constants).
 	Name() string
 
-	// GetFloats returns a payload buffer of length n owned by the caller.
-	// Pool-backed transports serve it from the recycler; the contents are
-	// unspecified and must be fully overwritten.
+	// GetFloats returns a payload buffer of length n from the recycler,
+	// owned by the caller; the contents are unspecified and must be fully
+	// overwritten.
 	GetFloats(n int) []float64
 
 	// PutFloats returns a buffer to the recycler. Only the exclusive owner
 	// of the buffer may call it, and must not touch the buffer afterwards;
 	// recycling a buffer that is still referenced elsewhere corrupts
-	// whoever holds the alias. A no-op on transports without a recycler.
+	// whoever holds the alias.
 	PutFloats(buf []float64)
 
-	// Deliver hands m to dst's inbox on behalf of sender. When own is
+	// Deliver hands m to dst's mailbox on behalf of sender. When own is
 	// false the receiver must not be able to alias the caller's payload
 	// slices (the transport copies them); when own is true, ownership of
-	// the slices transfers to the receiver. sender may be nil for
-	// messages that are already "on the wire" and must outlive their
-	// sender. Deliver unwinds with RankFailedError / ErrKilled /
-	// AbortError exactly like the blocking communication calls; an
-	// asynchronous transport may instead accept the message immediately
-	// and drop it on the wire when the destination dies.
-	Deliver(rt *Runtime, sender, dst *node, m Msg, own bool) error
+	// the slices transfers to the receiver. Deliver unwinds with
+	// RankFailedError / ErrKilled / AbortError like node.put, where every
+	// transport's delivery ends; an asynchronous transport may instead
+	// accept the message at once and drop it on the wire when the
+	// destination dies.
+	Deliver(sender, dst *node, m Msg, own bool) error
 
 	// NotifyKill is invoked exactly once when the node is killed (after
-	// its own dead channel is closed). The transport decides when peers
+	// its own dead latch is tripped). The transport decides when peers
 	// observe the death by calling nd.notifyPeers — immediately for
 	// faithful fail-stop semantics, or after a lag to model delayed
 	// failure detection.
@@ -83,15 +79,13 @@ type Transport interface {
 
 // NewTransport builds a transport by name. seed parameterizes the chaos
 // transport's deterministic delay sequence and is ignored by the others.
-// The empty name selects the default chan transport.
+// The empty name selects the default in-process transport.
 func NewTransport(name string, seed int64) (Transport, error) {
 	switch name {
-	case "", TransportChan:
-		return NewChanTransport(), nil
-	case TransportFast:
-		return NewFastTransport(), nil
+	case "", TransportChan, TransportFast:
+		return NewLocalTransport(), nil
 	case TransportChaos:
-		return NewChaosTransport(NewChanTransport(), ChaosConfig{Seed: seed}), nil
+		return NewChaosTransport(NewLocalTransport(), ChaosConfig{Seed: seed}), nil
 	case TransportNet:
 		// Self-loop mode: real TCP frames over a loopback listener, all
 		// ranks in this process. Multi-process fleets construct the
@@ -103,14 +97,14 @@ func NewTransport(name string, seed int64) (Transport, error) {
 
 // TransportStats is a point-in-time snapshot of a transport's counters.
 type TransportStats struct {
-	// Delivered counts messages enqueued into an inbox.
+	// Delivered counts messages appended to a mailbox.
 	Delivered int64 `json:"delivered"`
 	// Copied counts payload copies made by copy-semantics sends (Send and
 	// the forwarding hops of collectives; owned sends never copy).
 	Copied int64 `json:"copied"`
 	// PoolGets/PoolPuts/PoolNews count buffer-recycler traffic: buffers
 	// handed out, buffers returned, and gets that had to allocate because
-	// the recycler was empty. Zero on transports without a recycler.
+	// the recycler was empty.
 	PoolGets int64 `json:"pool_gets"`
 	PoolPuts int64 `json:"pool_puts"`
 	PoolNews int64 `json:"pool_news"`
@@ -169,8 +163,8 @@ func (c *transportCounters) snapshot() TransportStats {
 
 // copyPayload takes ownership of m's payload on behalf of the receiver —
 // the copy-on-send half of the Msg ownership contract. The float copy goes
-// through t's buffer source (pooled on the fast fabric); int payloads are
-// setup-phase-only traffic and stay plainly allocated.
+// through t's recycler; int payloads are setup-phase-only traffic and stay
+// plainly allocated.
 func copyPayload(ct *transportCounters, t Transport, m Msg) Msg {
 	if len(m.F) > 0 {
 		buf := t.GetFloats(len(m.F))
@@ -182,29 +176,4 @@ func copyPayload(ct *transportCounters, t Transport, m Msg) Msg {
 		m.I = append(make([]int, 0, len(m.I)), m.I...)
 	}
 	return m
-}
-
-// deliverInbox is the shared synchronous delivery path: copy the payload
-// through t's buffer source unless ownership was transferred, then enqueue
-// with fail-stop/abort unwinding. sender may be nil for wire deliveries
-// that must survive their sender's death.
-func deliverInbox(rt *Runtime, ct *transportCounters, t Transport, sender, dst *node, m Msg, own bool) error {
-	if !own {
-		m = copyPayload(ct, t, m)
-	}
-	var senderDead <-chan struct{}
-	if sender != nil {
-		senderDead = sender.dead
-	}
-	select {
-	case dst.inbox <- m:
-		ct.delivered.Add(1)
-		return nil
-	case <-dst.peerDead:
-		return &RankFailedError{Rank: dst.rank}
-	case <-senderDead:
-		return ErrKilled
-	case <-rt.abort:
-		return rt.abortErr()
-	}
 }

@@ -11,22 +11,30 @@ import (
 )
 
 // conformanceTransports builds one fresh instance of every transport per
-// invocation. The chaos instance uses tight delays so the suite stays fast,
-// and a wire delay well below the notification lag so that messages sent
-// before a death reliably beat the failure notification.
+// invocation. "fast" is the parsed synonym of the in-process fabric: its leg
+// pins that the name still resolves, and to the same behaviour. The chaos
+// instance uses tight delays so the suite stays fast, and a wire delay well
+// below the notification lag so that messages sent before a death reliably
+// beat the failure notification.
 func conformanceTransports() map[string]func() Transport {
 	return map[string]func() Transport{
-		TransportChan: func() Transport { return NewChanTransport() },
-		TransportFast: func() Transport { return NewFastTransport() },
+		TransportChan: func() Transport { return NewLocalTransport() },
+		TransportFast: func() Transport {
+			tr, err := NewTransport(TransportFast, 0)
+			if err != nil {
+				panic(err)
+			}
+			return tr
+		},
 		TransportChaos: func() Transport {
-			return NewChaosTransport(NewChanTransport(), ChaosConfig{
+			return NewChaosTransport(NewLocalTransport(), ChaosConfig{
 				Seed:      7,
 				MaxDelay:  100 * time.Microsecond,
 				NotifyLag: 10 * time.Millisecond,
 			})
 		},
 		// Self-loop mode: every conformance guarantee must hold over real
-		// loopback TCP sockets, not just in-process channels.
+		// loopback TCP sockets, not just in-process hand-off.
 		TransportNet: func() Transport { return NewNetTransport(NetConfig{}) },
 	}
 }
@@ -144,7 +152,7 @@ func TestQuickTransportCollectiveDeterminism(t *testing.T) {
 		}
 		return got
 	}
-	ref := result(t, func() Transport { return NewChanTransport() })
+	ref := result(t, func() Transport { return NewLocalTransport() })
 	forEachTransport(t, func(t *testing.T, mk func() Transport) {
 		a, b := result(t, mk), result(t, mk)
 		if a != b {
@@ -199,7 +207,7 @@ func TestQuickTransportFailStop(t *testing.T) {
 // notification lag the victim is still reported alive and sends to it
 // appear to succeed; after the lag both sides observe the failure.
 func TestQuickTransportNotificationLag(t *testing.T) {
-	tr := NewChaosTransport(NewChanTransport(), ChaosConfig{
+	tr := NewChaosTransport(NewLocalTransport(), ChaosConfig{
 		Seed: 3, MaxDelay: -1, NotifyLag: 50 * time.Millisecond,
 	})
 	rt := New(2, WithTransport(tr))
@@ -232,7 +240,7 @@ func TestQuickTransportNotificationLag(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The lag-window message is lost either way: dropped on the wire if the
-	// notification beat it, or delivered into the dead node's inbox where
+	// notification beat it, or delivered into the dead node's mailbox where
 	// nobody will ever read it.
 	if s := tr.Stats(); s.Delayed == 0 || s.Dropped+s.Delivered == 0 {
 		t.Fatalf("lag-window message unaccounted for: %+v", s)
@@ -319,8 +327,8 @@ func TestQuickTransportAbortWakeup(t *testing.T) {
 }
 
 // TestQuickTransportOwnedRecycle: the zero-copy path round-trips — an owned
-// pooled payload reaches the receiver intact and recycles; the fast
-// transport's recycler then serves Get without a fresh allocation.
+// pooled payload reaches the receiver intact and recycles; the in-process
+// fabric's recycler then serves Get without a fresh allocation.
 func TestQuickTransportOwnedRecycle(t *testing.T) {
 	forEachTransport(t, func(t *testing.T, mk func() Transport) {
 		tr := mk()
@@ -360,7 +368,7 @@ func TestQuickTransportOwnedRecycle(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if tr.Name() == TransportFast {
+		if tr.Name() == TransportChan {
 			s := tr.Stats()
 			if s.PoolPuts == 0 {
 				t.Fatalf("recycler never received a buffer: %+v", s)
@@ -375,7 +383,7 @@ func TestQuickTransportOwnedRecycle(t *testing.T) {
 // TestQuickTransportByName: the name resolver covers every transport and
 // rejects unknown names.
 func TestQuickTransportByName(t *testing.T) {
-	for _, name := range TransportNames() {
+	for _, name := range []string{TransportChan, TransportChaos, TransportNet} {
 		tr, err := NewTransport(name, 42)
 		if err != nil {
 			t.Fatalf("NewTransport(%q): %v", name, err)
@@ -384,8 +392,10 @@ func TestQuickTransportByName(t *testing.T) {
 			t.Fatalf("NewTransport(%q).Name() = %q", name, tr.Name())
 		}
 	}
-	if tr, err := NewTransport("", 0); err != nil || tr.Name() != TransportChan {
-		t.Fatalf("empty name should select chan, got %v, %v", tr, err)
+	for _, name := range []string{"", TransportFast} {
+		if tr, err := NewTransport(name, 0); err != nil || tr.Name() != TransportChan {
+			t.Fatalf("name %q should select the in-process fabric, got %v, %v", name, tr, err)
+		}
 	}
 	if _, err := NewTransport("bogus", 0); err == nil {
 		t.Fatal("unknown transport name should be rejected")
@@ -403,7 +413,7 @@ func TestQuickChaosWireCorruption(t *testing.T) {
 	)
 	run := func(seed int64, tags func(int) bool) ([][]float64, TransportStats) {
 		t.Helper()
-		tr := NewChaosTransport(NewChanTransport(), ChaosConfig{
+		tr := NewChaosTransport(NewLocalTransport(), ChaosConfig{
 			Seed:         seed,
 			MaxDelay:     -1, // keep ordering trivial; corruption is the subject
 			NotifyLag:    -1,

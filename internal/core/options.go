@@ -45,8 +45,8 @@ type ProgressFunc func(ProgressEvent)
 // was built with (selection lives in engine.Config.Transport /
 // esr.WithTransport), and their buffer usage honours the zero-copy
 // contract — allreduce results are recycled after reading and the SpMV owns
-// its payload lifetimes — so the fast transport's pooled fabric makes the
-// iteration loop allocation-free without any solver-level switches.
+// its payload lifetimes — so the fabric's pooled recycler keeps the
+// iteration loop's sends allocation-free without any solver-level switches.
 type Options struct {
 	// Tol is the relative residual reduction target; the solver stops when
 	// ||r|| <= Tol * ||r0||. The paper uses 1e-8 (Sec. 7.1).

@@ -258,8 +258,8 @@ func TestPiggybackAddsNoMessages(t *testing.T) {
 			t.Fatal(err)
 		}
 		d := rt.Counters().Snapshot().Diff(before)
-		return d.MsgsOf(cluster.CatHalo) + d.MsgsOf(cluster.CatRedundancy),
-			d.FloatsOf(cluster.CatRedundancy)
+		return d.Msgs[cluster.CatHalo] + d.Msgs[cluster.CatRedundancy],
+			d.Floats[cluster.CatRedundancy]
 	}
 
 	base, extras0 := countMsgs(0)

@@ -107,7 +107,7 @@ func (m *Matrix) MatMat(e *Env, y, x []Vector, iter int) error {
 		}
 		if extra := len(idx) - nHalo; extra > 0 && nHalo > 0 {
 			// Piggybacked redundancy elements carry k columns each now.
-			e.C.Runtime().Counters().Reclassify(cluster.CatHalo, cluster.CatRedundancy, int64(extra*k))
+			e.C.Reclassify(cluster.CatHalo, cluster.CatRedundancy, int64(extra*k))
 		}
 	}
 	if m.obs != nil {

@@ -443,8 +443,7 @@ func (m *Matrix) Restrict(sub *Env, ctx int) (*Matrix, error) {
 // with SendOwned (never touched again here); received payloads are either
 // recycled as soon as their values are scattered (non-retaining calls) or
 // owned by the retention store for two generations and recycled on
-// eviction. On the default chan transport all of this degrades to plain
-// allocation.
+// eviction.
 func (m *Matrix) MatVec(e *Env, y, x Vector, iter int) error {
 	lo, hi := m.P.Range(m.Pos)
 	bs := hi - lo
@@ -474,7 +473,7 @@ func (m *Matrix) MatVec(e *Env, y, x Vector, iter int) error {
 		}
 		if extra := len(idx) - nHalo; extra > 0 && nHalo > 0 {
 			// Piggybacked redundancy elements: reclassify their volume.
-			e.C.Runtime().Counters().Reclassify(cluster.CatHalo, cluster.CatRedundancy, int64(extra))
+			e.C.Reclassify(cluster.CatHalo, cluster.CatRedundancy, int64(extra))
 		}
 	}
 	if m.obs != nil {

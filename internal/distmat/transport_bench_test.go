@@ -9,9 +9,6 @@ import (
 	"repro/internal/partition"
 )
 
-// benchTransports are the fabrics the steady-state benchmarks compare.
-var benchTransports = []string{cluster.TransportChan, cluster.TransportFast}
-
 // benchMatVecLoop builds a Poisson2D 64x64 system distributed over 8 ranks
 // on the named transport and runs b.N halo-exchanged SpMVs per rank,
 // optionally chased by the fused 2-element allreduce a PCG iteration issues.
@@ -78,12 +75,9 @@ func benchMatVecLoopOpts(b *testing.B, trName string, phi int, withReduce, overl
 }
 
 // BenchmarkHaloExchange measures the bare SpMV halo exchange (phi 0, no
-// retention) per iteration: the acceptance target is >= 30% fewer
-// allocations on the fast transport than on chan.
+// retention) per iteration on the in-process fabric.
 func BenchmarkHaloExchange(b *testing.B) {
-	for _, tr := range benchTransports {
-		b.Run(tr, func(b *testing.B) { benchMatVecLoop(b, tr, 0, false) })
-	}
+	benchMatVecLoop(b, cluster.TransportChan, 0, false)
 }
 
 // BenchmarkMatVecIter measures a full resilient PCG-iteration communication
@@ -92,13 +86,13 @@ func BenchmarkHaloExchange(b *testing.B) {
 // self-wire) is for tracking only: loopback socket latency is too
 // machine-dependent to compare across machines.
 func BenchmarkMatVecIter(b *testing.B) {
-	for _, tr := range append(append([]string{}, benchTransports...), cluster.TransportNet) {
+	for _, tr := range []string{cluster.TransportChan, cluster.TransportNet} {
 		b.Run(tr, func(b *testing.B) { benchMatVecLoop(b, tr, 2, true) })
 	}
 }
 
 // BenchmarkMatVecOverlap isolates the communication-hiding schedule's win on
-// the MatVecIter shape: chan vs fast transport x interior/boundary split
+// the MatVecIter shape on the in-process fabric: interior/boundary split
 // on/off x local-kernel threads 1/GOMAXPROCS. split=off is the phased
 // reference (compute only after every receive drained); both schedules are
 // bit-identical, so the ns/op delta is pure overlap.
@@ -107,14 +101,12 @@ func BenchmarkMatVecOverlap(b *testing.B) {
 		name string
 		n    int
 	}{{"threads=1", 1}, {"threads=N", 0}}
-	for _, tr := range benchTransports {
-		for _, split := range []bool{true, false} {
-			for _, tc := range threadCases {
-				name := fmt.Sprintf("%s/split=%v/%s", tr, split, tc.name)
-				b.Run(name, func(b *testing.B) {
-					benchMatVecLoopOpts(b, tr, 2, true, split, tc.n)
-				})
-			}
+	for _, split := range []bool{true, false} {
+		for _, tc := range threadCases {
+			name := fmt.Sprintf("split=%v/%s", split, tc.name)
+			b.Run(name, func(b *testing.B) {
+				benchMatVecLoopOpts(b, cluster.TransportChan, 2, true, split, tc.n)
+			})
 		}
 	}
 }

@@ -88,13 +88,15 @@ const DefaultBlockSize = 32
 const MaxBlockSize = 4096
 
 // Transport names accepted by Config (mirroring internal/cluster). The
-// empty string selects the default chan transport.
+// empty string selects the default, TransportChan.
 const (
-	// TransportChan is the default copy-on-send channel fabric.
+	// TransportChan is the default in-process fabric: mailbox hand-off
+	// between rank goroutines, payload buffers from a pooled recycler.
 	TransportChan = cluster.TransportChan
-	// TransportFast is the zero-copy fabric with a pooled buffer recycler:
-	// identical delivery semantics and bit-identical results, without the
-	// steady-state payload allocations.
+	// TransportFast is an accepted synonym of TransportChan (journaled job
+	// specs carry it); WithDefaults resolves it, so nothing downstream of a
+	// normalized Config — session names, usage gauges, metric labels — ever
+	// sees it.
 	TransportFast = cluster.TransportFast
 	// TransportChaos perturbs delivery with seeded latency and lagged
 	// failure notification, for stressing the resilience protocol.
@@ -176,7 +178,7 @@ type Config struct {
 	// redundancy and ESRPCG otherwise.
 	Method string `json:"method,omitempty" scope:"run"`
 	// Transport selects the cluster communication fabric: TransportChan
-	// (default), TransportFast (zero-copy pooled), TransportChaos
+	// (default; TransportFast is a synonym), TransportChaos
 	// (seeded latency + lagged failure notification), or TransportNet
 	// (real TCP sockets on loopback). Results are bit-identical on all four.
 	Transport string `json:"transport,omitempty" scope:"run"`
@@ -240,7 +242,8 @@ type Config struct {
 
 // WithDefaults normalizes the runtime-level fields (see the type doc for why
 // the numerical tolerances are left to core.Options). It only fills zero
-// values; it never repairs invalid ones — an out-of-range SSOROmega passes
+// values and resolves the one synonym (TransportFast); it never repairs
+// invalid ones — an out-of-range SSOROmega passes
 // through unchanged so that Validate can reject it with a typed error
 // instead of the solver silently diverging with it.
 func (c Config) WithDefaults() Config {
@@ -260,7 +263,7 @@ func (c Config) WithDefaults() Config {
 	if c.SSOROmega == 0 {
 		c.SSOROmega = 1.2
 	}
-	if c.Transport == "" {
+	if c.Transport == "" || c.Transport == TransportFast {
 		c.Transport = TransportChan
 	}
 	if c.TransportSeed == 0 {

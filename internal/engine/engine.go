@@ -81,8 +81,8 @@ type JobStatus struct {
 	// the in-memory result store and status responses stay small.
 	Spec JobSpec `json:"spec"`
 	// Error is set for failed jobs; ErrorCode is the wire code of its class
-	// ("data_loss", "invalid_argument", ...; empty for an unclassed cause
-	// such as a deadline), the same vocabulary the HTTP error envelope uses.
+	// ("data_loss", "invalid_argument", "deadline_exceeded" for an expired
+	// timeout_ms, ...), the same vocabulary the HTTP error envelope uses.
 	Error     string `json:"error,omitempty"`
 	ErrorCode string `json:"error_code,omitempty"`
 	// Result is set once the job is done. X is retained only when the spec
@@ -978,7 +978,7 @@ func (e *Engine) finishPayloads(j *job) {
 }
 
 // errDeadline is the recorded cause of a job whose TimeoutMillis expired.
-var errDeadline = errors.New("deadline exceeded")
+var errDeadline = xerr.New(xerr.DeadlineExceeded, "deadline exceeded")
 
 // run executes one job end to end: materialize, solve, finalize.
 func (e *Engine) run(j *job) {

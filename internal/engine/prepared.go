@@ -139,7 +139,7 @@ type Prepared struct {
 func newTransport(cfg Config) cluster.Transport {
 	t, err := cluster.NewTransport(cfg.Transport, cfg.TransportSeed)
 	if err != nil {
-		return cluster.NewChanTransport()
+		return cluster.NewLocalTransport()
 	}
 	return t
 }

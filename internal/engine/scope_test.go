@@ -151,10 +151,14 @@ func TestEnginePolicySharesOnePreparedSession(t *testing.T) {
 		t.Fatalf("cache stats %+v, want 1 miss and %d hits", cs, len(policies)-1)
 	}
 	// Each job's traffic is accounted to the fabric and strategy it ran under.
-	for _, tr := range []string{TransportChan, TransportFast, TransportNet, TransportChaos} {
+	for _, tr := range []string{TransportChan, TransportNet, TransportChaos} {
 		if eng.TransportStats()[tr].Runs == 0 {
 			t.Errorf("no runtime accounted to transport %q", tr)
 		}
+	}
+	// "fast" is a parsed synonym: its job ran on, and is accounted to, chan.
+	if u, ok := eng.TransportStats()[TransportFast]; ok {
+		t.Errorf("synonym %q has its own gauge: %+v", TransportFast, u)
 	}
 	for _, s := range []string{StrategyESR, StrategyCheckpoint, StrategyRestart, StrategyTwin} {
 		if eng.StrategyStats()[s].Solves == 0 {
@@ -167,7 +171,7 @@ func TestEnginePolicySharesOnePreparedSession(t *testing.T) {
 // carry the class code of the error that failed it — a detected corruption
 // under a strategy that cannot repair it reads data_loss, a wrong-length
 // right-hand side invalid_argument, a recovered panic internal, an expired
-// deadline nothing — and the code survives a store reopen.
+// 1 ms timeout deadline_exceeded — and the code survives a store reopen.
 func TestFailedJobKeepsErrorClass(t *testing.T) {
 	dir := t.TempDir()
 	st := openStore(t, dir)
@@ -185,7 +189,8 @@ func TestFailedJobKeepsErrorClass(t *testing.T) {
 	deadline.TimeoutMillis = 1
 	want := map[string]string{}
 	for code, spec := range map[string]JobSpec{
-		xerr.DataLoss.Code(): sdc, xerr.InvalidArgument.Code(): shortRHS, xerr.Internal.Code(): panics, "": deadline,
+		xerr.DataLoss.Code(): sdc, xerr.InvalidArgument.Code(): shortRHS, xerr.Internal.Code(): panics,
+		xerr.DeadlineExceeded.Code(): deadline,
 	} {
 		id, err := e.Submit(spec)
 		if err != nil {

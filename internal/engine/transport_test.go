@@ -2,17 +2,19 @@ package engine
 
 import (
 	"context"
+	"math"
 	"strings"
 	"testing"
 	"time"
 
+	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/faults"
 	"repro/internal/matgen"
 )
 
 // TestQuickTransportConfigValidation: transport names are validated at the
-// door and defaulted to chan.
+// door and defaulted to chan, which the accepted synonym "fast" resolves to.
 func TestQuickTransportConfigValidation(t *testing.T) {
 	cfg := Config{Transport: "carrier-pigeon"}
 	if err := cfg.Validate(); err == nil || !strings.Contains(err.Error(), "transport") {
@@ -24,8 +26,10 @@ func TestQuickTransportConfigValidation(t *testing.T) {
 			t.Fatalf("transport %q should validate: %v", tr, err)
 		}
 	}
-	if got := (Config{}).WithDefaults().Transport; got != TransportChan {
-		t.Fatalf("default transport = %q, want %q", got, TransportChan)
+	for _, tr := range []string{"", TransportFast} {
+		if got := (Config{Transport: tr}).WithDefaults().Transport; got != TransportChan {
+			t.Fatalf("transport %q resolves to %q, want %q", tr, got, TransportChan)
+		}
 	}
 }
 
@@ -48,12 +52,13 @@ func TestQuickTransportPrepKey(t *testing.T) {
 }
 
 // TestCrossTransportBitIdentical: a fixed-seed ESR-PCG solve with a 2-node
-// failure produces bit-identical solutions on the chan and fast transports
-// (the zero-copy contract must not change a single ulp), and the chaos
-// wire's reordering/latency must not either — the reduction tree and the
-// selective matching pin the numerics. The overlapped (communication-hiding)
-// SpMV must equal the phased reference on every transport too, under the
-// same failure schedule: the interior/boundary row split never changes a
+// failure produces bit-identical solutions on every transport — the chaos
+// wire's reordering/latency and the net wire's codec must not change a
+// single ulp, because the reduction tree and the selective matching pin the
+// numerics — and on the poisoning recycler (poisonTransport), where any read
+// of a payload after it was recycled would surface as a NaN instead. The
+// overlapped (communication-hiding) SpMV must equal the phased reference on
+// every transport too, under the same failure schedule: the interior/boundary row split never changes a
 // row's accumulation order, even through a reconstruction episode.
 func TestCrossTransportBitIdentical(t *testing.T) {
 	a := matgen.Poisson2D(32, 32)
@@ -66,13 +71,22 @@ func TestCrossTransportBitIdentical(t *testing.T) {
 	}
 	solve := func(tr string, overlap bool) Solution {
 		t.Helper()
-		ps, err := Prepare(a, Config{Ranks: 8, Phi: 2, Transport: tr})
+		cfg := Config{Ranks: 8, Phi: 2}
+		if tr != poisoned {
+			cfg.Transport = tr
+		}
+		ps, err := Prepare(a, cfg)
 		if err != nil {
 			t.Fatalf("transport %q: %v", tr, err)
 		}
 		defer ps.Close()
 		ps.SetOverlap(overlap)
-		sol, err := ps.Solve(context.Background(), b, SolveOpts{Schedule: sched()})
+		var sol Solution
+		if tr == poisoned {
+			sol, err = ps.solveOne(context.Background(), poisonedRuntime(ps.Ranks()), nil, b, SolveOpts{Schedule: sched()})
+		} else {
+			sol, err = ps.Solve(context.Background(), b, SolveOpts{Schedule: sched()})
+		}
 		if err != nil {
 			t.Fatalf("transport %q overlap %v: %v", tr, overlap, err)
 		}
@@ -107,11 +121,11 @@ func TestCrossTransportBitIdentical(t *testing.T) {
 	// TCP socket, and the wire codec's float64-bit round-trip must not change
 	// a single ulp. (The multi-process leg, with the failure as a real
 	// SIGKILLed worker process, is TestCrossTransportBitIdenticalNetProcessKill.)
-	for _, tr := range []string{TransportFast, TransportChaos, TransportNet} {
+	for _, tr := range []string{TransportFast, TransportChaos, TransportNet, poisoned} {
 		same("transport "+tr, solve(tr, true), ref)
 	}
 	// Overlapped vs phased under the 2-node failure schedule, per transport.
-	for _, tr := range []string{TransportChan, TransportFast, TransportChaos, TransportNet} {
+	for _, tr := range []string{TransportChan, TransportFast, TransportChaos, TransportNet, poisoned} {
 		same("phased on "+tr, solve(tr, false), ref)
 	}
 
@@ -163,6 +177,127 @@ func TestCrossTransportBitIdentical(t *testing.T) {
 	}
 }
 
+// poisonTransport is the in-process fabric with a recycler that bites:
+// PutFloats overwrites the buffer with NaN and never hands it out again.
+// With pooled payloads on every fabric there is no plain-allocation
+// transport left to diff against, so this is the ownership oracle — a read
+// after recycle, which the real pool turns into a lucky pass or a rare
+// heisenbug, becomes a NaN residual on the first run. No configuration name
+// selects it: tests hand its runtime to solveOne / solveOn.
+type poisonTransport struct{ *cluster.LocalTransport }
+
+func (poisonTransport) PutFloats(buf []float64) {
+	buf = buf[:cap(buf)]
+	for i := range buf {
+		buf[i] = math.NaN()
+	}
+}
+
+// poisoned labels the poisonTransport legs of the bit-identity suites.
+const poisoned = "poisoned-recycler"
+
+func poisonedRuntime(ranks int) *cluster.Runtime {
+	return cluster.New(ranks, cluster.WithTransport(poisonTransport{cluster.NewLocalTransport()}))
+}
+
+// TestPoisonedRecyclerBitIdentical runs the two other bit-identity suites of
+// the public API — the mixed fail-stop + bit-flip schedule under the twin
+// strategy, and blocked-vs-looped batches with and without failures —
+// against the poisoning recycler: each solve must equal its default-fabric
+// run to the bit, which a single read-after-recycle anywhere in the halo
+// exchange, retention, the collectives or a recovery episode would break
+// with a NaN.
+func TestPoisonedRecyclerBitIdentical(t *testing.T) {
+	ctx := context.Background()
+	equal := func(t *testing.T, label string, got, want Solution) {
+		t.Helper()
+		if !got.Result.Converged || got.Result.Iterations != want.Result.Iterations {
+			t.Fatalf("%s: converged %v in %d iterations, default fabric took %d",
+				label, got.Result.Converged, got.Result.Iterations, want.Result.Iterations)
+		}
+		for i := range want.X {
+			if got.X[i] != want.X[i] {
+				t.Fatalf("%s: x[%d] = %x, default fabric %x", label, i, got.X[i], want.X[i])
+			}
+		}
+	}
+	rhs := func(n, j int) []float64 {
+		b := make([]float64, n)
+		for i := range b {
+			b[i] = 1 + float64((i+3*j)%7)/7
+		}
+		return b
+	}
+
+	t.Run("mixed-schedule-twin", func(t *testing.T) {
+		a := matgen.Poisson2D(20, 20)
+		ps, err := Prepare(a, Config{Ranks: 4, Phi: 1, Strategy: StrategyTwin})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer ps.Close()
+		opts := func() SolveOpts {
+			return SolveOpts{Schedule: faults.NewSchedule(
+				faults.BitFlip(5, 1, faults.TargetX, 3, 52),
+				faults.Simultaneous(8, 2),
+				faults.BitFlip(12, 0, faults.TargetR, 0, 51),
+			)}
+		}
+		b := rhs(a.Rows, 0)
+		want, err := ps.Solve(ctx, b, opts())
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := ps.solveOne(ctx, poisonedRuntime(4), nil, b, opts())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r := got.Result; len(r.Reconstructions) != 1 || r.SDCInjected != 2 || r.SDCCorrected != 2 {
+			t.Fatalf("episodes %d, SDC %d/%d/%d, want 1 and 2/2/2",
+				len(r.Reconstructions), r.SDCInjected, r.SDCDetected, r.SDCCorrected)
+		}
+		equal(t, "twin", got, want)
+	})
+
+	for name, sched := range map[string]func() *faults.Schedule{
+		"blocked-vs-looped":      func() *faults.Schedule { return nil },
+		"blocked-under-failures": func() *faults.Schedule { return faults.NewSchedule(faults.Simultaneous(6, 1, 2)) },
+	} {
+		t.Run(name, func(t *testing.T) {
+			a := matgen.Poisson2D(16, 16)
+			ps, err := Prepare(a, Config{Ranks: 4, Phi: 2})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer ps.Close()
+			const k = 4
+			bs := make([][]float64, k)
+			for j := range bs {
+				bs[j] = rhs(a.Rows, j)
+			}
+			blocked, colErrs, err := ps.solveOn(ctx, poisonedRuntime(4), nil, bs, SolveOpts{Schedule: sched()})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for j := range bs {
+				if colErrs[j] != nil {
+					t.Fatalf("column %d: %v", j, colErrs[j])
+				}
+				want, err := ps.Solve(ctx, bs[j], SolveOpts{Schedule: sched()})
+				if err != nil {
+					t.Fatal(err)
+				}
+				looped, err := ps.solveOne(ctx, poisonedRuntime(4), nil, bs[j], SolveOpts{Schedule: sched()})
+				if err != nil {
+					t.Fatal(err)
+				}
+				equal(t, "looped column", looped, want)
+				equal(t, "blocked column", blocked[j], want)
+			}
+		})
+	}
+}
+
 // traceFunc adapts two closures to core.Tracer for tests.
 type traceFunc struct {
 	iter func(core.IterationTrace)
@@ -172,9 +307,10 @@ type traceFunc struct {
 func (f traceFunc) TraceIteration(it core.IterationTrace) { f.iter(it) }
 func (f traceFunc) TraceRecovery(rt core.RecoveryTrace)   { f.rec(rt) }
 
-// TestQuickTransportSessionStats: prepared sessions on a non-default
-// transport report it, accumulate per-runtime stats, and the engine's
-// default transport applies to jobs that did not pick one.
+// TestQuickTransportSessionStats: prepared sessions report their transport
+// (the synonym "fast" as the fabric it resolves to), accumulate per-runtime
+// stats, and the engine's default transport applies to jobs that did not
+// pick one.
 func TestQuickTransportSessionStats(t *testing.T) {
 	a := matgen.Poisson2D(12, 12)
 	prep, err := Prepare(a, Config{Ranks: 4, Transport: TransportFast})
@@ -182,7 +318,7 @@ func TestQuickTransportSessionStats(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer prep.Close()
-	if prep.TransportName() != TransportFast {
+	if prep.TransportName() != TransportChan {
 		t.Fatalf("TransportName = %q", prep.TransportName())
 	}
 	afterPrep := prep.TransportStats()
@@ -201,10 +337,10 @@ func TestQuickTransportSessionStats(t *testing.T) {
 		t.Fatalf("solve did not add transport stats: %+v -> %+v", afterPrep, afterSolve)
 	}
 	if afterSolve.PoolGets == 0 {
-		t.Fatalf("fast transport recycler unused: %+v", afterSolve)
+		t.Fatalf("recycler unused: %+v", afterSolve)
 	}
 
-	eng := New(Options{Workers: 1, Defaults: Defaults{Transport: TransportFast}})
+	eng := New(Options{Workers: 1, Defaults: Defaults{Transport: TransportChaos}})
 	defer eng.Close()
 	id, err := eng.Submit(JobSpec{
 		Matrix: MatrixSpec{Generator: "poisson2d", Params: map[string]float64{"nx": 12}},
@@ -218,9 +354,9 @@ func TestQuickTransportSessionStats(t *testing.T) {
 		t.Fatalf("job state %s: %s", st.State, st.Error)
 	}
 	usage := eng.TransportStats()
-	u, ok := usage[TransportFast]
+	u, ok := usage[TransportChaos]
 	if !ok || u.Runs < 2 { // one preparation + one solve
-		t.Fatalf("engine transport gauges missing fast runs: %+v", usage)
+		t.Fatalf("engine transport gauges missing chaos runs: %+v", usage)
 	}
 	if _, ok := usage[TransportChan]; ok {
 		t.Fatalf("no chan runtime should have run: %+v", usage)

@@ -37,6 +37,7 @@ func (c *Class) Code() string { return c.code }
 //	ResourceExhausted  a bounded store or queue is full; retry later
 //	Unavailable        the serving component is shut down or draining
 //	DataLoss           data was lost or silently corrupted beyond recovery
+//	DeadlineExceeded   the operation's own time limit expired before it finished
 //	Internal           an invariant broke; the caller cannot fix this
 var (
 	InvalidArgument    = &Class{"invalid_argument"}
@@ -46,6 +47,7 @@ var (
 	ResourceExhausted  = &Class{"resource_exhausted"}
 	Unavailable        = &Class{"unavailable"}
 	DataLoss           = &Class{"data_loss"}
+	DeadlineExceeded   = &Class{"deadline_exceeded"}
 	Internal           = &Class{"internal"}
 )
 
@@ -61,6 +63,7 @@ func Classes() []*Class {
 		ResourceExhausted,
 		Unavailable,
 		DataLoss,
+		DeadlineExceeded,
 		Internal,
 	}
 }

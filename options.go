@@ -34,12 +34,15 @@ type Transport string
 
 // The available communication fabrics.
 const (
-	// ChanTransport (the default) is the copy-on-send channel fabric.
+	// ChanTransport (the default) is the in-process fabric: mailbox
+	// hand-off between rank goroutines, with payload buffers served from a
+	// pooled recycler so the steady-state halo-exchange/collective loop
+	// does not allocate.
 	ChanTransport Transport = engine.TransportChan
-	// FastTransport is the zero-copy fabric: identical delivery semantics
-	// and bit-identical results, with payload buffers served from a pooled
-	// recycler so the steady-state halo-exchange/collective loop does not
-	// allocate.
+	// FastTransport is a synonym of ChanTransport, kept so existing callers
+	// and journaled job specs keep working: the pooled fabric it used to
+	// select is the only in-process fabric now, and a session configured
+	// with it reports ChanTransport.
 	FastTransport Transport = engine.TransportFast
 	// ChaosTransport perturbs delivery with deterministic seeded latency
 	// (reordering messages across distinct (source, tag) pairs) and lagged
