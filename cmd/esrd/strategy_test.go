@@ -11,7 +11,6 @@ import (
 
 	esr "repro"
 	"repro/internal/engine"
-	"repro/internal/xerr"
 )
 
 // TestCrossStrategy is the end-to-end strategy matrix: the same system,
@@ -189,31 +188,22 @@ func TestCrossStrategy(t *testing.T) {
 	})
 }
 
-// TestQuickTwinSPCGRejectedAtSubmit: the split-preconditioned pipeline only
-// supports the ESR strategy, so a job pairing it with twin must be rejected
-// at submit time with an invalid_argument-classed 400 — not accepted and
-// failed asynchronously.
-func TestQuickTwinSPCGRejectedAtSubmit(t *testing.T) {
+// TestQuickTwinSPCGAcceptedAndSolved: the split-preconditioner recurrence
+// runs the driver's loop, so it pairs with every strategy — a twin + spcg job
+// is accepted at submit, repairs its bit flip forward and converges.
+func TestQuickTwinSPCGAcceptedAndSolved(t *testing.T) {
 	ts, _ := newTestServer(t, 1)
-	body := `{"matrix":{"generator":"poisson2d","params":{"nx":8}},
-		"config":{"ranks":2,"strategy":"twin","method":"spcg","preconditioner":"ic0"}}`
-	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
+	id := postJob(t, ts, engine.JobSpec{
+		Matrix: engine.MatrixSpec{Generator: "poisson2d", Params: map[string]float64{"nx": 8}},
+		Config: esr.Config{Ranks: 2, Strategy: esr.StrategyTwin, Method: "spcg", Preconditioner: "ic0",
+			Schedule: esr.NewSchedule(esr.BitFlip(3, 1, esr.TargetR, 2, 51))},
+	})
+	st := waitState(t, ts, id, 30*time.Second)
+	if st.State != engine.StateDone {
+		t.Fatalf("job state %s: %s", st.State, st.Error)
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("status = %d, want 400", resp.StatusCode)
-	}
-	var envelope apiError
-	if err := json.NewDecoder(resp.Body).Decode(&envelope); err != nil {
-		t.Fatal(err)
-	}
-	if envelope.Error.Code != xerr.InvalidArgument.Code() {
-		t.Fatalf("error code = %q, want %q", envelope.Error.Code, xerr.InvalidArgument.Code())
-	}
-	if !strings.Contains(envelope.Error.Message, "spcg") {
-		t.Fatalf("error message %q does not name the method", envelope.Error.Message)
+	if res := st.Result.Result; !res.Converged || res.SDCInjected != 1 || res.SDCDetected != 1 || res.SDCCorrected != 1 {
+		t.Fatalf("result %+v, want converged with SDC counters 1/1/1", res)
 	}
 }
 

@@ -49,9 +49,9 @@
 // can be referenced by many jobs (JobSpec.MatrixID).
 //
 // The cmd/esrbench tool reproduces every table and figure of the paper's
-// evaluation; see DESIGN.md and EXPERIMENTS.md. See README.md for a
-// quickstart covering the library, the daemon, and failure schedules, plus a
-// map of the internal/ packages.
+// evaluation (README.md, "Other binaries"). See README.md for a quickstart
+// covering the library, the daemon, and failure schedules, plus a map of the
+// internal/ packages.
 package esr
 
 import (

@@ -1,8 +1,9 @@
 // Package checkpoint implements the checkpoint/restart (C/R) baseline the
 // paper positions ESR against (Sec. 1.2, Sec. 2.2): every Interval
 // iterations each rank saves its dynamic solver state (x, r, z, p and the
-// replicated scalars) to reliable storage; after a node failure, all ranks
-// roll back to the last checkpoint and redo the lost iterations.
+// three replicated scalars, per column still running) to reliable storage;
+// after a node failure, all ranks roll back to the last checkpoint and redo
+// the lost iterations.
 //
 // The scheme plugs into the shared resilient-PCG driver as a core.Strategy
 // (NewStrategy): the periodic coordinated save is the strategy's
@@ -43,9 +44,25 @@ type Store struct {
 	loaded   int64
 }
 
-type snapshot struct {
+// snapshot is one rank's part of a checkpoint, one entry per column; a
+// column already frozen at the save keeps the zero entry (its solo solve had
+// ended, so it is neither saved nor restored).
+type snapshot []column
+
+type column struct {
 	x, r, z, p []float64
-	scalars    [4]float64 // r0, rz, beta, spare
+	scalars    [3]float64 // r0, rz, beta
+}
+
+// floats is the snapshot's volume on the wire to reliable storage.
+func (s snapshot) floats() int {
+	vol := 0
+	for _, col := range s {
+		if col.x != nil {
+			vol += len(col.x) + len(col.r) + len(col.z) + len(col.p) + len(col.scalars)
+		}
+	}
+	return vol
 }
 
 // NewStore creates an empty reliable store accounting its traffic on the
@@ -73,8 +90,7 @@ func (s *Store) save(rank, ranks, iter int, snap snapshot) {
 	}
 	s.pending[rank] = snap
 	if s.counters != nil {
-		vol := len(snap.x) + len(snap.r) + len(snap.z) + len(snap.p) + len(snap.scalars)
-		s.counters.RecordExternal(cluster.CatCheckpoint, 1, vol)
+		s.counters.RecordExternal(cluster.CatCheckpoint, 1, snap.floats())
 	}
 	if len(s.pending) == ranks {
 		s.snaps = s.pending
@@ -85,19 +101,26 @@ func (s *Store) save(rank, ranks, iter int, snap snapshot) {
 	}
 }
 
-// load returns the rank's part of the last complete checkpoint.
-func (s *Store) load(rank int) (int, snapshot, bool) {
+// load returns, and bills, the rank's part of the last complete checkpoint
+// reduced to the given columns — those still running: a column frozen since
+// the save is not restored.
+func (s *Store) load(rank int, cols []int) (int, snapshot, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	snap, ok := s.snaps[rank]
-	if ok {
-		vol := len(snap.x) + len(snap.r) + len(snap.z) + len(snap.p) + len(snap.scalars)
-		s.loaded += int64(vol)
-		if s.counters != nil {
-			s.counters.RecordExternal(cluster.CatCheckpoint, 1, vol)
-		}
+	saved, ok := s.snaps[rank]
+	if !ok {
+		return s.iter, nil, false
 	}
-	return s.iter, snap, ok
+	snap := make(snapshot, len(saved))
+	for _, c := range cols {
+		snap[c] = saved[c]
+	}
+	vol := snap.floats()
+	s.loaded += int64(vol)
+	if s.counters != nil {
+		s.counters.RecordExternal(cluster.CatCheckpoint, 1, vol)
+	}
+	return s.iter, snap, true
 }
 
 // LoadedFloats returns the float volume restored from the store so far (the
@@ -150,11 +173,15 @@ func (s *Strategy) Overhead(st *core.SolverState, j int) error {
 	if j%s.interval != 0 {
 		return nil
 	}
-	s.store.save(st.E.Pos, st.E.Size(), j, snapshot{
-		x: vec.Clone(st.X[0].Local), r: vec.Clone(st.R[0].Local),
-		z: vec.Clone(st.Z[0].Local), p: vec.Clone(st.P[0].Local),
-		scalars: [4]float64{st.R0[0], st.RZ[0], st.Beta[0], 0},
-	})
+	snap := make(snapshot, len(st.X))
+	for _, c := range st.Running() {
+		snap[c] = column{
+			x: vec.Clone(st.X[c].Local), r: vec.Clone(st.R[c].Local),
+			z: vec.Clone(st.Z[c].Local), p: vec.Clone(st.P[c].Local),
+			scalars: [3]float64{st.R0[c], st.RZ[c], st.Beta[c]},
+		}
+	}
+	s.store.save(st.E.Pos, st.E.Size(), j, snap)
 	// Coordinated checkpointing: no rank proceeds until the checkpoint is
 	// complete, so every rank sees the same rollback target (this
 	// synchronisation is part of C/R's cost).
@@ -175,17 +202,20 @@ func (s *Strategy) Recover(st *core.SolverState, j int, victims []int) (int, cor
 	phase := 1
 rollback:
 	rec.FailedRanks = ef.Ranks()
-	iter, snap, ok := s.store.load(st.E.Pos)
+	iter, snap, ok := s.store.load(st.E.Pos, st.Running())
 	if !ok {
 		return 0, rec, fmt.Errorf("checkpoint: no checkpoint to roll back to")
 	}
-	copy(st.X[0].Local, snap.x)
-	copy(st.R[0].Local, snap.r)
-	copy(st.Z[0].Local, snap.z)
-	copy(st.P[0].Local, snap.p)
-	st.R0[0] = snap.scalars[0]
-	st.RZ[0] = snap.scalars[1]
-	st.Beta[0] = snap.scalars[2]
+	for c, col := range snap {
+		if col.x == nil {
+			continue
+		}
+		copy(st.X[c].Local, col.x)
+		copy(st.R[c].Local, col.r)
+		copy(st.Z[c].Local, col.z)
+		copy(st.P[c].Local, col.p)
+		st.R0[c], st.RZ[c], st.Beta[c] = col.scalars[0], col.scalars[1], col.scalars[2]
+	}
 	resume = iter
 	if err := st.E.Grp.Barrier(); err != nil {
 		return 0, rec, err

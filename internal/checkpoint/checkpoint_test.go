@@ -121,16 +121,95 @@ func TestCheckpointRollbackRecovers(t *testing.T) {
 	}
 }
 
-func TestCheckpointTrafficAccounted(t *testing.T) {
-	a := matgen.Poisson2D(12, 12)
-	rtBefore := cluster.New(1) // unrelated; just to access category constants
-	_ = rtBefore
-	_, _, store, err := run(t, a, 4, nil, 5)
+// runBlock solves the given right-hand sides as one lockstep block of plain
+// CG under the checkpoint strategy and returns every column's Result and the
+// store.
+func runBlock(t *testing.T, a *sparse.CSR, ranks int, rhs [][]float64, interval int) ([]core.Result, *Store) {
+	t.Helper()
+	rt := cluster.New(ranks)
+	store := NewStore(rt.Counters())
+	strat := NewStrategy(store, interval)
+	p := partition.NewBlockRow(a.Rows, ranks)
+	var mu sync.Mutex
+	var results []core.Result
+	err := rt.Run(func(c *cluster.Comm) error {
+		e := distmat.WorldEnv(c)
+		lo, hi := p.Range(e.Pos)
+		m, err := distmat.NewMatrix(e, a.RowBlock(lo, hi), p, 0, 0)
+		if err != nil {
+			return err
+		}
+		xs, bs := make([]distmat.Vector, len(rhs)), make([]distmat.Vector, len(rhs))
+		for col := range rhs {
+			xs[col] = distmat.NewVector(p, e.Pos)
+			bs[col] = distmat.Vector{P: p, Pos: e.Pos, Local: append([]float64(nil), rhs[col][lo:hi]...)}
+		}
+		res, colErrs, err := core.SolveBlock(e, m, xs, bs, core.IdentityPrecond(), core.Options{Tol: 1e-9}, nil, strat)
+		if err != nil {
+			return err
+		}
+		for _, ce := range colErrs {
+			if ce != nil {
+				return ce
+			}
+		}
+		if c.Rank() == 0 {
+			mu.Lock()
+			results = res
+			mu.Unlock()
+		}
+		return nil
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if store.counters.Floats(cluster.CatCheckpoint) == 0 {
-		t.Fatal("checkpoint traffic not accounted")
+	return results, store
+}
+
+// TestCheckpointTrafficAccounted pins the checkpoint volume exactly: every
+// save moves x, r, z, p and the three replicated scalars of each column still
+// running — 4 n_local + 3 floats per rank and column — and nothing for a
+// column that has landed. A column running at the top of iteration j is one
+// with more than j iterations, so it is saved ceil(iterations/interval) times.
+func TestCheckpointTrafficAccounted(t *testing.T) {
+	a := matgen.Poisson2D(12, 12)
+	const ranks, interval = 4, 5
+	n := a.Rows
+	col := func(f func(i int) float64) []float64 {
+		b := make([]float64, n)
+		for i := range b {
+			b[i] = f(i)
+		}
+		return b
+	}
+	slow := col(func(i int) float64 { return 1 + math.Sin(float64(i)*0.13) })
+	// A sum of seven eigenmodes of the 5-point Laplacian: plain CG lands it
+	// in about seven iterations, between the second and the third save.
+	fast := col(func(i int) float64 {
+		b := 0.0
+		for q := 1; q <= 7; q++ {
+			b += math.Sin(math.Pi*float64(q*(i%12+1))/13) * math.Sin(math.Pi*float64(i/12+1)/13)
+		}
+		return b
+	})
+	for _, rhs := range [][][]float64{{slow}, {slow, fast, col(func(i int) float64 { return float64(i%7) - 3 })}} {
+		results, store := runBlock(t, a, ranks, rhs, interval)
+		var saves int64
+		for _, res := range results {
+			if !res.Converged {
+				t.Fatalf("k=%d: a column did not converge: %+v", len(rhs), res)
+			}
+			saves += int64((res.Iterations + interval - 1) / interval)
+		}
+		if len(rhs) > 1 && results[1].Iterations+interval > results[0].Iterations {
+			t.Fatalf("premise: the fast column (%d iterations) must land a save before the slow one (%d)",
+				results[1].Iterations, results[0].Iterations)
+		}
+		want := saves * int64(4*n+3*ranks)
+		if got := store.counters.Floats(cluster.CatCheckpoint); got != want {
+			t.Fatalf("k=%d: checkpoint traffic %d floats, want %d (= %d column saves x (4n + 3 ranks))",
+				len(rhs), got, want, saves)
+		}
 	}
 }
 

@@ -1,8 +1,8 @@
 // Package cluster implements an in-process distributed-memory SPMD runtime:
-// the substitute for MPI + ULFM in the paper's experimental setup (see
-// DESIGN.md Sec. 2). Every rank runs as its own goroutine with strictly
-// private memory; all data exchange goes through typed messages appended
-// to the destination rank's mailbox. The runtime provides
+// the substitute for MPI + ULFM in the paper's experimental setup (README.md,
+// "The communication fabric"). Every rank runs as its own goroutine with
+// strictly private memory; all data exchange goes through typed messages
+// appended to the destination rank's mailbox. The runtime provides
 //
 //   - point-to-point Send/Recv with (source, tag) matching,
 //   - binomial-tree collectives (Barrier, Allreduce, Bcast, Allgather),

@@ -9,6 +9,7 @@ import (
 	"repro/internal/distmat"
 	"repro/internal/faults"
 	"repro/internal/vec"
+	"repro/internal/xerr"
 )
 
 // PCG runs the reference (non-resilient) preconditioned conjugate gradient
@@ -74,12 +75,16 @@ func ResilientPCG(e *distmat.Env, a *distmat.Matrix, x, b distmat.Vector, m Prec
 // a cascading rollback).
 //
 // x holds the initial guesses and receives the solutions. A breakdown or
-// divergence of one column freezes only that column and is reported in the
-// per-column errors; the third return is a global error (communication
-// failure, cancellation, unrecoverable data loss, detected corruption) that
-// aborts the whole block. A matrix with retention must have been prepared
-// with SetBlockWidth(k); widths above 1 need a configuration WidthOneOnly
-// accepts.
+// divergence of one column, or corruption the armed detector catches on it,
+// freezes only that column and is reported in the per-column errors; the
+// third return is a global error (communication failure, cancellation,
+// unrecoverable data loss) that aborts the whole block. A matrix with
+// retention must have been prepared with SetBlockWidth(k).
+//
+// The iteration method follows from what m is: a SplitPrecond runs the
+// split-preconditioner recurrence (SPCG), every other preconditioner Alg. 1
+// (see recurrence). Either way the loop, the strategies, the corruption
+// machinery and the episode are the same, at every width.
 func SolveBlock(e *distmat.Env, a *distmat.Matrix, x, b []distmat.Vector, m Precond, opts Options, sched *faults.Schedule, strat Strategy) ([]Result, []error, error) {
 	k := len(b)
 	if k == 0 || len(x) != k {
@@ -91,31 +96,33 @@ func SolveBlock(e *distmat.Env, a *distmat.Matrix, x, b []distmat.Vector, m Prec
 	if strat == nil {
 		strat = NewESRStrategy()
 	}
-	opts = opts.withDefaults(a.P.N())
-	if k > 1 {
-		if err := WidthOneOnly(strat.Name(), opts, sched); err != nil {
-			return nil, nil, err
-		}
+	rec, err := recurrenceFor(m)
+	if err != nil {
+		return nil, nil, err
 	}
+	opts = opts.withDefaults(a.P.N())
 	if err := sched.Validate(e.Size()); err != nil {
 		return nil, nil, err
 	}
 	start := time.Now()
 
-	st := newSolverState(e, a, m, x, b, opts, sched)
+	st := newSolverState(e, a, m, rec, x, b, opts, sched)
 	// Init before any collective (and before the r0 == 0 early return): a
 	// misconfiguration such as an ESR schedule without redundancy must
 	// surface even when the initial guess already solves the system.
 	if err := strat.Init(st); err != nil {
 		return nil, nil, err
 	}
-	d := &driver{st: st, strat: strat, lastFired: -1, lastInjected: -1}
+	d := &driver{st: st, strat: strat, lastFired: -1, lastInjected: -1, sdcPending: make([][]int, k)}
 	// poller is non-nil for strategies that detect and repair silent data
 	// corruption themselves (twin); others rely on the detection-only
 	// SDCCheck drift check.
 	d.poller, _ = strat.(sdcPoller)
 	if opts.SDCCheck > 0 {
-		d.sdcScratch = distmat.NewVector(a.P, e.Pos)
+		d.sdcScratch = make([]distmat.Vector, k)
+		for c := range d.sdcScratch {
+			d.sdcScratch[c] = distmat.NewVector(a.P, e.Pos)
+		}
 	}
 	// clock times the iteration phases for the tracer; nil (the common case)
 	// reduces every hook to a pointer test, so the untraced loop never reads
@@ -147,11 +154,12 @@ type driver struct {
 	// on the replay (the replayed range lies at or below it); lastInjected
 	// plays the same role for corruption events.
 	lastFired, lastInjected int
-	// sdcPending tracks injected-but-undetected corruption iterations for
-	// the detection-latency accounting.
-	sdcPending []int
+	// sdcPending tracks, per column, the injected-but-undetected corruption
+	// iterations for the detection-latency accounting.
+	sdcPending [][]int
 	poller     sdcPoller
-	sdcScratch distmat.Vector
+	// sdcScratch holds the true residuals of the drift check, one per column.
+	sdcScratch []distmat.Vector
 
 	// alpha holds the per-column step lengths, zAct/rAct the still-active
 	// columns handed to the fused preconditioner application.
@@ -177,8 +185,15 @@ func (d *driver) run() error {
 		// state an in-process victim has and go straight to the recovery —
 		// it rebuilds everything, including the replicated scalars this
 		// rank's Result needs.
-		if d.strat.Name() != StrategyESR {
-			return errResume("the " + d.strat.Name() + " strategy")
+		//
+		// The rollback strategies have no in-place episode to join, and no
+		// caller can produce a blocked Resume (the net path is single-RHS):
+		// the one width restriction left. Ignoring the request would iterate
+		// from 0 against peers blocked in recovery collectives.
+		if d.strat.Name() != StrategyESR || st.k() > 1 {
+			return xerr.Newf(xerr.FailedPrecondition,
+				"core: only a width-1 solve under the %s strategy can join a failure episode via Resume (got %s, width %d)",
+				StrategyESR, d.strat.Name(), st.k())
 		}
 		if opts.Resume.Iteration < 0 || opts.Resume.Iteration >= opts.MaxIter {
 			return fmt.Errorf("core: Resume iteration %d out of range", opts.Resume.Iteration)
@@ -187,7 +202,7 @@ func (d *driver) run() error {
 		j, victims = opts.Resume.Iteration, opts.Resume.Victims
 		d.lastFired = j
 	} else {
-		if err := initIteration0(st); err != nil {
+		if err := initIteration0(st, st.Running()); err != nil {
 			return err
 		}
 		for c := range st.res {
@@ -231,6 +246,10 @@ func (d *driver) run() error {
 			var err error
 			if redo, err = d.pollCorruption(j); err != nil {
 				return err
+			}
+			if st.allDone() {
+				// The drift check froze the last running column.
+				break
 			}
 			// Poll point: the paper's failures strike here, after the copies
 			// of p(j) exist on phi other ranks.
@@ -300,9 +319,7 @@ func (d *driver) redoSpMV(j int) error {
 	if err := d.spmv(j); err != nil {
 		return err
 	}
-	rzs, err := d.sumActive(func(c int) float64 {
-		return vec.ParDotN(st.R[c].Local, st.Z[c].Local, st.Opts.Threads)
-	})
+	rzs, err := d.sumActive(func(c int) float64 { return st.rec.rz(st, c) })
 	if err != nil {
 		return err
 	}
@@ -315,9 +332,10 @@ func (d *driver) redoSpMV(j int) error {
 	return nil
 }
 
-// step is the recurrence of Alg. 1 for iteration j, after u = A p(j):
-// alpha, the x/r updates, z = M^{-1} r, the residual check and the next
-// search direction, per active column.
+// step is the recurrence for iteration j, after u = A p(j): alpha, the x/r
+// updates, z from r, the residual check and the next search direction, per
+// active column. The comments spell Alg. 1; st.rec supplies the steps in
+// which the split-preconditioner method differs.
 func (d *driver) step(j int) error {
 	st, opts := d.st, d.st.Opts
 	k := st.k()
@@ -352,7 +370,7 @@ func (d *driver) step(j int) error {
 		if st.done[c] {
 			continue
 		}
-		vec.ParAxpyAxpy(d.alpha[c], st.P[c].Local, st.X[c].Local, -d.alpha[c], st.U[c].Local, st.R[c].Local, opts.Threads)
+		vec.ParAxpyAxpy(d.alpha[c], st.P[c].Local, st.X[c].Local, -d.alpha[c], st.rec.tu(st, c), st.R[c].Local, opts.Threads)
 		d.zAct = append(d.zAct, st.Z[c])
 		d.rAct = append(d.rAct, st.R[c])
 	}
@@ -361,17 +379,18 @@ func (d *driver) step(j int) error {
 	// so the active set — and any fused halo exchange it drives — stays
 	// uniform across ranks).
 	d.clock.start()
-	if err := applyPrecondBlock(st.E, st.M, d.zAct, d.rAct); err != nil {
+	if err := st.rec.z(st, d.zAct, d.rAct); err != nil {
 		return err
 	}
 	d.clock.stop(clockPrecond)
 
-	// ONE fused length-2k allreduce for the k (||r||^2, r'z) pairs.
+	// ONE fused length-2k allreduce for the k (||r||^2, r'z) pairs. u is dead
+	// until the next SpMV and serves as the norm's scratch.
 	for c := 0; c < k; c++ {
 		st.fused[2*c], st.fused[2*c+1] = 0, 0
 		if !st.done[c] {
-			st.fused[2*c] = vec.ParNrm2SqN(st.R[c].Local, opts.Threads)
-			st.fused[2*c+1] = vec.ParDotN(st.R[c].Local, st.Z[c].Local, opts.Threads)
+			st.fused[2*c] = st.rec.rnorm2(st, st.R[c].Local, st.U[c].Local)
+			st.fused[2*c+1] = st.rec.rz(st, c)
 		}
 	}
 	d.clock.start()
@@ -492,24 +511,29 @@ func (o Options) reportEpisode(strategy string, j, resume int, rec Reconstructio
 	})
 }
 
-// pollCorruption is the silent-data-corruption poll point of iteration j
-// (width 1 only, see WidthOneOnly): scheduled bit flips strike — at the same
-// point as the fail-stop events, after u = A p(j) was computed from the
-// still-clean p — then the twin vote and the periodic drift check run. It
-// reports whether a repair rebuilt state non-bitwise, so that the SpMV must
-// be redone.
+// pollCorruption is the silent-data-corruption poll point of iteration j, for
+// every still-running column: scheduled bit flips strike — at the same point
+// as the fail-stop events, after u = A p(j) was computed from the still-clean
+// p — then the twin vote and the periodic drift check run. A frozen column is
+// neither flipped, compared nor checked, which is what its finished solo
+// solve would have seen. It reports whether a repair rebuilt state
+// non-bitwise, so that the SpMV must be redone.
 func (d *driver) pollCorruption(j int) (redo bool, err error) {
 	st, opts := d.st, d.st.Opts
-	res := &st.res[0]
-	// All ranks count every injection (the Result stays replicated); only
+	// All ranks count every injection (the Results stay replicated); only
 	// the victim applies the flip.
 	if sites := st.Sched.CorruptionsAt(j); len(sites) > 0 && j > d.lastInjected {
 		d.lastInjected = j
-		res.SDCInjected += len(sites)
-		for _, s := range sites {
-			d.sdcPending = append(d.sdcPending, j)
-			if s.Rank == st.E.Pos {
-				applyCorruption(st, s)
+		for c := range st.res {
+			if st.done[c] {
+				continue
+			}
+			st.res[c].SDCInjected += len(sites)
+			for _, s := range sites {
+				d.sdcPending[c] = append(d.sdcPending[c], j)
+				if s.Rank == st.E.Pos {
+					applyCorruption(st, c, s)
+				}
 			}
 		}
 	}
@@ -522,28 +546,49 @@ func (d *driver) pollCorruption(j int) (redo bool, err error) {
 			return false, err
 		}
 		redo = out.Redo
-		if out.Detected > 0 {
-			d.sdcDetected(j, out.Detected)
-			res.SDCCorrected += out.Corrected
+		for c, n := range out.Detected {
+			if n > 0 {
+				d.sdcDetected(c, j, n)
+				st.res[c].SDCCorrected += n
+			}
+		}
+		if out.Detected != nil {
 			opts.trace(RecoveryTrace{Iteration: j, Strategy: d.strat.Name(), FailedRanks: out.Ranks, Corruption: true})
 		}
 	}
 	// Periodic true-residual drift check (detection-only for strategies
-	// without a repair path).
+	// without a repair path: the drifted column is frozen with its error,
+	// like a breakdown).
 	if opts.SDCCheck > 0 && j > 0 && j%opts.SDCCheck == 0 {
-		rtrue, rrec, bad, err := sdcDrift(st, d.sdcScratch)
+		norms, err := d.sdcDrift()
 		if err != nil {
 			return false, err
 		}
-		if bad {
-			d.sdcDetected(j, 1)
-			if d.poller == nil {
-				return false, &SDCDetectedError{Iteration: j, TrueResidual: rtrue, RecurrenceResidual: rrec}
+		var repair []int
+		for c := range st.res {
+			if st.done[c] {
+				continue
 			}
-			if err := d.poller.RepairDrift(st, j); err != nil {
+			rtrue, rrec := math.Sqrt(norms[2*c]), math.Sqrt(norms[2*c+1])
+			if !sdcDrifted(rtrue, rrec, st.R0[c]) {
+				continue
+			}
+			d.sdcDetected(c, j, 1)
+			if d.poller == nil {
+				st.errs[c] = &SDCDetectedError{Iteration: j, TrueResidual: rtrue, RecurrenceResidual: rrec}
+				st.done[c] = true
+				continue
+			}
+			repair = append(repair, c)
+		}
+		st.E.Grp.Recycle(norms)
+		if len(repair) > 0 {
+			if err := d.poller.RepairDrift(st, j, repair); err != nil {
 				return false, err
 			}
-			res.SDCCorrected++
+			for _, c := range repair {
+				st.res[c].SDCCorrected++
+			}
 			redo = true
 			opts.trace(RecoveryTrace{Iteration: j, Strategy: d.strat.Name(), Corruption: true})
 		}
@@ -551,15 +596,34 @@ func (d *driver) pollCorruption(j int) (redo bool, err error) {
 	return redo, nil
 }
 
-// sdcDetected books n detections at iteration j and settles the detection
-// latency of every pending injection.
-func (d *driver) sdcDetected(j, n int) {
-	res := &d.st.res[0]
+// sdcDrift recomputes the true residual of every running column with one
+// SpMM and returns, under one fused allreduce, the (||b - A x||^2, ||r||^2)
+// pair of column c in slots 2c and 2c+1. The caller recycles the result.
+// Collective.
+func (d *driver) sdcDrift() ([]float64, error) {
+	st := d.st
+	cols := st.Running()
+	if err := st.A.ResidualBlock(st.E, pick(d.sdcScratch, cols), pick(st.B, cols), pick(st.X, cols), -1); err != nil {
+		return nil, err
+	}
+	clear(st.fused)
+	for _, c := range cols {
+		t := d.sdcScratch[c].Local
+		st.fused[2*c] = vec.ParNrm2SqN(t, st.Opts.Threads)
+		st.fused[2*c+1] = st.rec.rnorm2(st, st.R[c].Local, t)
+	}
+	return st.E.Grp.Allreduce(cluster.OpSum, st.fused)
+}
+
+// sdcDetected books n detections on column c at iteration j and settles the
+// detection latency of every injection pending on it.
+func (d *driver) sdcDetected(c, j, n int) {
+	res := &d.st.res[c]
 	res.SDCDetected += n
-	for _, inj := range d.sdcPending {
+	for _, inj := range d.sdcPending[c] {
 		res.SDCLatency += j - inj
 	}
-	d.sdcPending = d.sdcPending[:0]
+	d.sdcPending[c] = d.sdcPending[c][:0]
 }
 
 // finish hands the landed snapshots back in the caller's x and verifies
@@ -575,14 +639,18 @@ func (d *driver) finish() error {
 	if err := st.verify(); err != nil {
 		return err
 	}
-	// Convergence verification: with SDC checking armed, a solve never
+	if st.Opts.SDCCheck == 0 {
+		return nil
+	}
+	// Convergence verification: with SDC checking armed, a column never
 	// reports success while the recurrence residual disagrees with the true
 	// residual — corruption that slipped between periodic checks surfaces
 	// here instead of as a silently wrong answer.
-	if res := &st.res[0]; st.Opts.SDCCheck > 0 && res.Converged {
-		if sdcDrifted(res.TrueResidual, res.FinalResidual, st.R0[0]) {
+	for c := range st.res {
+		res := &st.res[c]
+		if res.Converged && sdcDrifted(res.TrueResidual, res.FinalResidual, res.InitialResidual) {
 			res.SDCDetected++
-			return &SDCDetectedError{
+			st.errs[c] = &SDCDetectedError{
 				Iteration: res.Iterations, TrueResidual: res.TrueResidual,
 				RecurrenceResidual: res.FinalResidual,
 			}
@@ -607,29 +675,29 @@ func applyPrecondBlock(e *distmat.Env, m Precond, z, r []distmat.Vector) error {
 	return nil
 }
 
-// initIteration0 (re)builds the iteration-0 state of every column from X
-// and B: r(0) = b - A x(0) via one SpMM, z(0) = M^{-1} r(0), p(0) = z(0),
-// and the replicated scalars off ONE fused length-2k allreduce of the k
-// (||r0||^2, r0'z0) pairs. Shared by the driver's setup and the cold-restart
-// recovery, so a restarted solve replays a fresh solve bit-identically.
-func initIteration0(st *SolverState) error {
-	k := st.k()
-	if err := st.A.ResidualBlock(st.E, st.R, st.B, st.X, -1); err != nil {
+// initIteration0 (re)builds the given columns' state as iteration 0 of a
+// solve from X and B: r(0) from x(0) and b via one SpMM, z(0) from r(0),
+// p(0) = z(0), and the replicated scalars off ONE fused length-2k allreduce
+// of the (||r0||^2, r0'z0) pairs. Shared by the driver's setup, the
+// cold-restart recovery and the twin's drift repair, so a restarted column
+// replays a fresh solve bit-identically.
+func initIteration0(st *SolverState, cols []int) error {
+	clear(st.fused)
+	if err := st.rec.residual0(st, cols); err != nil {
 		return err
 	}
-	if err := applyPrecondBlock(st.E, st.M, st.Z, st.R); err != nil {
+	if err := st.rec.z(st, pick(st.Z, cols), pick(st.R, cols)); err != nil {
 		return err
 	}
-	for c := 0; c < k; c++ {
+	for _, c := range cols {
 		vec.Copy(st.P[c].Local, st.Z[c].Local)
-		st.fused[2*c] = vec.ParNrm2SqN(st.R[c].Local, st.Opts.Threads)
-		st.fused[2*c+1] = vec.ParDotN(st.R[c].Local, st.Z[c].Local, st.Opts.Threads)
+		st.fused[2*c+1] = st.rec.rz(st, c)
 	}
 	norms, err := st.E.Grp.Allreduce(cluster.OpSum, st.fused)
 	if err != nil {
 		return err
 	}
-	for c := 0; c < k; c++ {
+	for _, c := range cols {
 		st.R0[c] = math.Sqrt(norms[2*c])
 		st.RZ[c] = norms[2*c+1]
 		st.Beta[c] = 0

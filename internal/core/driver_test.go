@@ -225,48 +225,6 @@ func TestDriverMatchesReferencePCGBitwise(t *testing.T) {
 	}
 }
 
-// TestColumnInBlockEqualsSolo is the width contract at the core level: a
-// column solved at k = 1 equals the same column inside a k = 4 block —
-// failure-free, under simultaneous failures, and with an overlapping failure
-// striking at each of the recovery-phase boundaries.
-func TestColumnInBlockEqualsSolo(t *testing.T) {
-	a := matgen.Poisson2D(16, 14)
-	const ranks, phi, k = 8, 3, 4
-	rhs := make([][]float64, k)
-	for c := range rhs {
-		rhs[c] = testColumn(a.Rows, c)
-	}
-	cases := map[string]*faults.Schedule{
-		"no failures":    nil,
-		"3 simultaneous": faults.NewSchedule(faults.Simultaneous(5, 1, 2, 6)),
-	}
-	for phase := 1; phase <= NumRecoveryPhases; phase++ {
-		cases[fmt.Sprintf("overlap at phase %d", phase)] = faults.NewSchedule(
-			faults.Simultaneous(4, 2), faults.Overlapping(4, phase, 5))
-	}
-	opts := Options{Tol: 1e-9}
-	for name, sched := range cases {
-		t.Run(name, func(t *testing.T) {
-			block := solveColumns(t, a, ranks, phi, rhs, iluFactory, opts, sched)
-			for c := range rhs {
-				solo := solveColumns(t, a, ranks, phi, rhs[c:c+1], iluFactory, opts, sched)
-				requireSameColumn(t, fmt.Sprintf("column %d", c), block[c], solo[0])
-				if sched == nil {
-					continue
-				}
-				recs := solo[0].res.Reconstructions
-				if len(recs) != 1 || recs[0].SubIterations == 0 {
-					t.Fatalf("column %d: episodes %+v, want one with subsystem iterations", c, recs)
-				}
-				if overlap := len(sched.Events()) > 1; overlap && (recs[0].Restarts != 1 || len(recs[0].FailedRanks) != 2) {
-					t.Fatalf("column %d: overlapping failure left %+v, want 1 restart over 2 ranks", c, recs[0])
-				}
-				t.Logf("column %d: sub-iterations %d", c, recs[0].SubIterations)
-			}
-		})
-	}
-}
-
 // eventLog records a solve's progress events and traces.
 type eventLog struct {
 	progress   []ProgressEvent

@@ -2,8 +2,9 @@
 // (Alg. 1), the resilient ESR-PCG that tolerates up to phi simultaneous or
 // overlapping node failures (Secs. 2-4), the exact state reconstruction
 // engine (Alg. 2 generalised to multiple failed ranks), and the
-// split-preconditioner variant SPCG. Failure semantics and experiment knobs
-// mirror the paper's Sec. 6/7 setup; see DESIGN.md for the mapping.
+// split-preconditioner variant SPCG — one driver loop (SolveBlock) with one
+// recurrence per method. Failure semantics and experiment knobs mirror the
+// paper's Sec. 6/7 setup.
 package core
 
 import (
@@ -63,9 +64,10 @@ type Options struct {
 	// detector: every SDCCheck iterations (and once more at convergence)
 	// the true residual ||b - A x|| is recomputed and compared against the
 	// recurrence residual ||r||. Drift beyond the tolerance means some
-	// state was corrupted. The twin strategy repairs the drift by forward
-	// recovery (the recurrences restart from the current iterate); every
-	// other strategy fails the solve with *SDCDetectedError instead of
+	// state was corrupted. The check runs per column at every width: the
+	// twin strategy repairs a drifted column by forward recovery (its
+	// recurrence restarts from the current iterate); every other strategy
+	// freezes the column with a per-column *SDCDetectedError instead of
 	// silently converging to a wrong answer. 0 disables the check.
 	SDCCheck int
 	// Threads caps the goroutine fan-out of the node-local parallel kernels
@@ -103,8 +105,9 @@ type Options struct {
 	// dynamic state exactly like an in-process victim, and joins the
 	// collective recovery for the given iteration and victim set. This is
 	// how a replacement OS process rejoins a solve whose other ranks are
-	// blocked at the recovery poll point. ESR-only: rollback strategies
-	// have no in-place episode to join.
+	// blocked at the recovery poll point. ESR-only and width 1 only:
+	// rollback strategies have no in-place episode to join, and the net
+	// path is single-RHS.
 	Resume *EpisodeResume
 }
 
@@ -300,6 +303,25 @@ func (lp LocalPrecond) ApplyBlock(e *distmat.Env, z, r []distmat.Vector) error {
 	}
 	ba.ApplyInvK(locals(z), locals(r))
 	return nil
+}
+
+// SplitPrecond is a node-local block preconditioner with an explicit
+// symmetric split M_i = L_i L_i^T (e.g. IC(0), precond.NewIC0Split). Handing
+// it to a solver selects the split-preconditioner recurrence (SPCG, Saad
+// Alg. 9.2 — the paper's [23, Alg. 5] variant), which iterates on
+// rhat = L^{-1} r; wrap the same factor in LocalPrecond to run Alg. 1 with
+// M^{-1} = L^{-T} L^{-1} instead.
+type SplitPrecond struct {
+	// P is the node-local split preconditioner.
+	P precond.Split
+}
+
+// Name implements Precond.
+func (sp SplitPrecond) Name() string { return "split:" + sp.P.Name() }
+
+// Apply implements Precond.
+func (sp SplitPrecond) Apply(e *distmat.Env, z, r distmat.Vector) error {
+	return LocalPrecond{P: sp.P}.Apply(e, z, r)
 }
 
 // ExplicitInvPrecond uses an explicitly given distributed SPD matrix

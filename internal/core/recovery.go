@@ -118,22 +118,13 @@ func (ef *EpisodeFailures) Ranks() []int { return slices.Sorted(maps.Keys(ef.Fai
 // AmFailed reports whether the local rank is in the failed set.
 func (ef *EpisodeFailures) AmFailed() bool { return ef.Failed[ef.pos] }
 
-// rebuildFunc is phase 3 of an ESR episode, the one step that depends on the
-// solver's recurrence rather than on the protocol. On entry every
-// replacement holds z_If = p(j) - beta(j-1) p(j-1) (Alg. 2 line 4) in st.Z;
-// the step rebuilds the solver's residual-side state from it and returns the
-// true residual blocks r_If, one per column, that the x-system of phase 4
-// needs (ignored on survivors). It is collective: survivors call it too (the
-// explicit-inverse path gathers their halo entries).
-type rebuildFunc func(ep *episode) (r [][]float64, err error)
-
 // recoverEpisode executes one ESR reconstruction episode — Alg. 2 over the
 // union failed set I_f, for all k columns of the lost blocks at once — for
 // the failure of `victims` detected at iteration j. It returns when every
 // rank (survivors and replacements) holds a consistent solver state for
-// iteration j. This is the only copy of the protocol: PCG at any width and
-// SPCG differ in the rebuild step alone.
-func (st *SolverState) recoverEpisode(j int, victims []int, rebuild rebuildFunc) (Reconstruction, error) {
+// iteration j. This is the only copy of the protocol: PCG and SPCG, at any
+// width, differ in the rebuild step (rebuildR) alone.
+func (st *SolverState) recoverEpisode(j int, victims []int) (Reconstruction, error) {
 	startT := time.Now()
 	rec := Reconstruction{Iteration: j}
 	ef := NewEpisodeFailures(st.Sched, j, st.E.Pos, st.Wipe, victims)
@@ -163,7 +154,7 @@ restart:
 		case phasePGather:
 			err = ep.runPGather()
 		case phaseZR:
-			err = ep.runZR(rebuild)
+			err = ep.runZR()
 		case phaseXSystem:
 			err = ep.runXSystem()
 		case phaseFinalize:
@@ -246,7 +237,7 @@ func (ep *episode) runScalars() error {
 
 // runPGather reconstructs all k columns of p(j)_If and p(j-1)_If on the
 // replacements from the k-strided redundant copies, using the tailored
-// recovery context (DESIGN.md): each replacement derives, from the static
+// recovery context: each replacement derives, from the static
 // plan, which surviving rank holds each element and requests exactly one
 // copy per element. The interleaved blocks are then split back into the
 // per-column vectors.
@@ -286,9 +277,9 @@ func (ep *episode) runPGather() error {
 }
 
 // runZR reconstructs z_If (Alg. 2 line 4: z = p(j) - beta(j-1) p(j-1)) on
-// the replacements and hands over to the solver's rebuild step for the
-// residual side (lines 5-6).
-func (ep *episode) runZR(rebuild rebuildFunc) error {
+// the replacements and hands over to the rebuild step for the residual side
+// (lines 5-6).
+func (ep *episode) runZR() error {
 	st := ep.st
 	if ep.amFailed {
 		for c := range st.Z {
@@ -301,14 +292,24 @@ func (ep *episode) runZR(rebuild rebuildFunc) error {
 		}
 	}
 	var err error
-	ep.r, err = rebuild(ep)
+	ep.r, err = st.rebuildR(ep)
 	return err
 }
 
-// rebuildR is the PCG rebuild step: r_If from z_If. For the block-aligned
-// local preconditioners of the paper's experiments, P_{If, I\If} = 0 and
-// line 6 reduces to the local application r_If = M_f z_If ([23, Alg. 3]).
-// For an explicitly given global P = M^{-1}, the generic lines 5-6 run:
+// rebuildR is phase 3 of an episode, the one step that depends on the
+// recurrence rather than on the protocol: the residual side from z_If. On
+// entry every replacement holds z_If = p(j) - beta(j-1) p(j-1) (Alg. 2 line
+// 4) in st.Z; the step rebuilds st.R from it and returns the true residual
+// blocks r_If, one per column, that the x-system of phase 4 needs (ignored on
+// survivors). It is collective: survivors call it too (the explicit-inverse
+// path gathers their halo entries).
+//
+// For the block-aligned local preconditioners of the paper's experiments,
+// P_{If, I\If} = 0 and line 6 reduces to the local application
+// r_If = M_f z_If ([23, Alg. 3]). Under a split preconditioner st.Z is
+// zhat = L^{-T} rhat, so two block-local products recover
+// rhat_If = L^T zhat_If and r_If = L rhat_If ([23, Alg. 5]). For an
+// explicitly given global P = M^{-1}, the generic lines 5-6 run:
 // v = z_If - P_{If, I\If} r_{I\If}, then the SPD subsystem P_{If,If} r_If = v
 // is solved over the replacement subgroup.
 func (st *SolverState) rebuildR(ep *episode) ([][]float64, error) {
@@ -319,6 +320,15 @@ func (st *SolverState) rebuildR(ep *episode) ([][]float64, error) {
 			for c := range r {
 				pm.P.ApplyM(r[c], st.Z[c].Local)
 			}
+		}
+	case SplitPrecond:
+		if !ep.amFailed {
+			return nil, nil
+		}
+		for c := range r {
+			pm.P.MulLT(st.R[c].Local, st.Z[c].Local) // rhat_If = L^T zhat_If
+			r[c] = make([]float64, len(st.R[c].Local))
+			pm.P.MulL(r[c], st.R[c].Local) // r_If = L rhat_If
 		}
 	case ExplicitInvPrecond:
 		var v [][]float64

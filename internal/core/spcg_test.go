@@ -34,7 +34,7 @@ func runSPCGOpts(t *testing.T, ranks, phi int, sched *faults.Schedule, opts func
 		if err != nil {
 			return Result{}, x, err
 		}
-		res, err := SPCG(e, m, x, b, ic, opts(c.Rank()), sched)
+		res, err := ESRPCG(e, m, x, b, SplitPrecond{P: ic}, opts(c.Rank()), sched)
 		return res, x, err
 	})
 }
@@ -144,7 +144,7 @@ func TestSPCGRequiresSplit(t *testing.T) {
 		if err != nil {
 			return Result{}, x, err
 		}
-		res, err := SPCG(e, m, x, b, nil, Options{}, nil)
+		res, err := ESRPCG(e, m, x, b, SplitPrecond{}, Options{}, nil)
 		return res, x, err
 	})
 	if out.err == nil {
@@ -152,8 +152,8 @@ func TestSPCGRequiresSplit(t *testing.T) {
 	}
 }
 
-// TestSPCGFailurePollRunsTheDriverStep: SPCG's failure poll is the driver's
-// — the OnFailure hook fires on every rank before recovery (the net fabric
+// TestSPCGFailurePollRunsTheDriverStep: SPCG runs the driver's loop, so its
+// failure poll is the driver's — the OnFailure hook fires on every rank before recovery (the net fabric
 // kills the victim's process there; without it a scheduled kill under SPCG
 // is silently simulated in-process), and the episode reaches Progress and
 // the Tracer.
@@ -211,18 +211,13 @@ func TestSPCGFailurePollRunsTheDriverStep(t *testing.T) {
 
 // TestResumeRejectedWhereNoEpisodeToJoin: a replacement rank handed a Resume
 // must never be silently iterated from 0 against peers blocked in recovery
-// collectives. SPCG and blocked solves have no width-1 ESR-PCG episode to
-// join and say so with a failed_precondition-classed error.
+// collectives. A blocked solve has no width-1 episode to join and says so
+// with a failed_precondition-classed error.
 func TestResumeRejectedWhereNoEpisodeToJoin(t *testing.T) {
 	resume := &EpisodeResume{Iteration: 3, Victims: []int{1}}
 	sched := faults.NewSchedule(faults.Simultaneous(3, 1))
-	out := runSPCGOpts(t, 4, 1, sched, func(int) Options { return Options{Resume: resume} })
-	if !errors.Is(out.err, xerr.FailedPrecondition) {
-		t.Fatalf("SPCG with Resume: err = %v, want failed_precondition", out.err)
-	}
-
 	a := matgen.Poisson2D(10, 10)
-	out = runSolver(t, 4, func(c *cluster.Comm) (Result, distmat.Vector, error) {
+	out := runSolver(t, 4, func(c *cluster.Comm) (Result, distmat.Vector, error) {
 		e, m, x, b, err := setupProblem(c, a, 1)
 		if err != nil {
 			return Result{}, x, err

@@ -9,7 +9,6 @@ import (
 	"repro/internal/distmat"
 	"repro/internal/faults"
 	"repro/internal/vec"
-	"repro/internal/xerr"
 )
 
 // Strategy names (the wire values of engine.Config.Strategy and the esrd
@@ -51,18 +50,23 @@ const NumRecoveryPhases = numPhases
 // (the vectors carry the rank-local blocks; the scalars are replicated),
 // while one Strategy instance is shared by all ranks of a solve — strategies
 // keep cross-rank state (such as a checkpoint store) internally and per-rank
-// state on this struct. Strategies that keep one column of state (see
-// WidthOneOnly) only ever see k = 1 and address column 0.
+// state on this struct. A strategy protects "x, r, z, p plus three scalars"
+// per column and leaves frozen columns (those not in Running) alone: they
+// are neither saved, restored nor compared, which is exactly what their
+// already-finished solo solve would have seen.
 type SolverState struct {
 	E     *distmat.Env
 	A     *distmat.Matrix
 	M     Precond
 	Opts  Options
 	Sched *faults.Schedule
+	// rec is the iteration method's recurrence (selected by M).
+	rec recurrence
 
-	// B is the right-hand side; X, R, Z, P, U are the PCG iteration vectors
-	// (solution, residual, preconditioned residual, search direction, A*P),
-	// one distmat.Vector per column.
+	// B is the right-hand side; X, R, Z, P, U are the iteration vectors
+	// (solution, residual, preconditioned residual, search direction, A*P;
+	// under a SplitPrecond R and Z hold the transformed pair, see
+	// splitRecurrence), one distmat.Vector per column.
 	B, X, R, Z, P, U []distmat.Vector
 	// R0[c] is ||r(0)||, RZ[c] is r(j)'z(j), Beta[c] is beta(j-1) of column
 	// c; all replicated.
@@ -99,7 +103,7 @@ type SolverState struct {
 // newSolverState allocates the k-column iteration state around the caller's
 // x and b columns. The k = 1 solve is the latency-sensitive one, so the
 // vector headers and the scalars share one backing array each.
-func newSolverState(e *distmat.Env, a *distmat.Matrix, m Precond, x, b []distmat.Vector, opts Options, sched *faults.Schedule) *SolverState {
+func newSolverState(e *distmat.Env, a *distmat.Matrix, m Precond, rec recurrence, x, b []distmat.Vector, opts Options, sched *faults.Schedule) *SolverState {
 	k := len(b)
 	vs := make([]distmat.Vector, 4*k)
 	for i := range vs {
@@ -107,7 +111,7 @@ func newSolverState(e *distmat.Env, a *distmat.Matrix, m Precond, x, b []distmat
 	}
 	fs := make([]float64, 5*k)
 	return &SolverState{
-		E: e, A: a, M: m, Opts: opts, Sched: sched,
+		E: e, A: a, M: m, Opts: opts, Sched: sched, rec: rec,
 		B: b, X: x,
 		R: vs[:k], Z: vs[k : 2*k], P: vs[2*k : 3*k], U: vs[3*k:],
 		R0: fs[:k], RZ: fs[k : 2*k], Beta: fs[2*k : 3*k], fused: fs[3*k:],
@@ -120,6 +124,18 @@ func (st *SolverState) k() int { return len(st.B) }
 
 // allDone reports whether every column converged or failed.
 func (st *SolverState) allDone() bool { return !slices.Contains(st.done, false) }
+
+// Running lists the columns still iterating (neither converged nor failed),
+// in ascending order.
+func (st *SolverState) Running() []int {
+	cols := make([]int, 0, st.k())
+	for c, done := range st.done {
+		if !done {
+			cols = append(cols, c)
+		}
+	}
+	return cols
+}
 
 // Wipe destroys this rank's dynamic solver data, simulating the memory loss
 // of a node failure. NaN poisoning guarantees that any value the recovery
@@ -139,37 +155,6 @@ func (st *SolverState) Wipe() {
 	if st.A.Ret != nil {
 		st.A.Ret.Wipe()
 	}
-}
-
-// WidthOneOnly is the one statement of which solves must run a single
-// column at a time: it returns nil when a solve configured like this may run
-// k > 1 columns in lockstep, and a failed_precondition-classed error naming
-// the reason otherwise. Only the ESR strategy is width-generic — the others
-// keep one column of state (a checkpoint store, a cold-restart target, a
-// twin shadow) — and the silent-data-corruption machinery (armed drift
-// check, corruption events) and the Resume entry address column 0. The
-// driver enforces it; engine.Prepared.CanSolveBlock asks it.
-func WidthOneOnly(strategy string, opts Options, sched *faults.Schedule) error {
-	switch {
-	case strategy != StrategyESR:
-		return xerr.Newf(xerr.FailedPrecondition,
-			"core: the %s strategy keeps one column of state; only %s runs at width > 1", strategy, StrategyESR)
-	case opts.SDCCheck > 0 || sched.HasCorruption():
-		return xerr.New(xerr.FailedPrecondition,
-			"core: silent-data-corruption checks and corruption events run at width 1 only")
-	case opts.Resume != nil:
-		return errResume("a solve at width > 1")
-	}
-	return nil
-}
-
-// errResume is the classed rejection of Options.Resume by a solve that has
-// no in-place width-1 ESR-PCG episode for a replacement rank to join:
-// ignoring the request would iterate from 0 against peers blocked in
-// recovery collectives.
-func errResume(who string) error {
-	return xerr.Newf(xerr.FailedPrecondition,
-		"core: %s cannot join a failure episode via Resume (only width-1 %s-PCG can)", who, StrategyESR)
 }
 
 // Strategy is the failure-recovery seam of the PCG driver (SolveBlock): it
@@ -303,7 +288,7 @@ func (esrStrategy) Init(st *SolverState) error {
 func (esrStrategy) Overhead(*SolverState, int) error { return nil }
 
 func (esrStrategy) Recover(st *SolverState, j int, victims []int) (int, Reconstruction, error) {
-	rec, err := st.recoverEpisode(j, victims, st.rebuildR)
+	rec, err := st.recoverEpisode(j, victims)
 	return -1, rec, err
 }
 
@@ -339,13 +324,14 @@ func (restartStrategy) Recover(st *SolverState, j int, victims []int) (int, Reco
 		}
 	}
 	rec.FailedRanks = ef.Ranks()
-	// Every rank resets to the initial guess and rebuilds the iteration-0
-	// state; the replacements read x0 from reliable storage like the other
-	// static data.
-	for c := range st.X {
+	// Every rank resets the running columns to the initial guess and
+	// rebuilds their iteration-0 state; the replacements read x0 from
+	// reliable storage like the other static data.
+	cols := st.Running()
+	for _, c := range cols {
 		copy(st.X[c].Local, st.X0[c])
 	}
-	if err := initIteration0(st); err != nil {
+	if err := initIteration0(st, cols); err != nil {
 		return 0, rec, err
 	}
 	rec.Duration = time.Since(startT)

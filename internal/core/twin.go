@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/cluster"
 	"repro/internal/distmat"
@@ -41,28 +42,32 @@ func (e *SDCDetectedError) Error() string {
 func (e *SDCDetectedError) Is(target error) bool { return target == xerr.DataLoss }
 
 // TwinShadow is the shadow replica of one rank's solver state, kept by the
-// twin strategy. The shadow is refreshed at the top of every TwinInterval-th
-// iteration and compared (checksum first, full state only on mismatch)
-// against the primary at the same iteration's poll point — the window in
-// between mutates only u, so any divergence is corruption, not computation.
+// twin strategy, one entry per column. The shadow is refreshed at the top of
+// every TwinInterval-th iteration and compared (checksum first, full state
+// only on mismatch) against the primary at the same iteration's poll point —
+// the window in between mutates only u, so any divergence is corruption, not
+// computation.
 type TwinShadow struct {
 	// X, R, Z, P are the shadow copies of the iteration vectors' local
-	// blocks; R0, RZ, Beta the replicated scalars at the snapshot.
-	X, R, Z, P   []float64
-	R0, RZ, Beta float64
+	// blocks (the replicated scalars are not a corruption target).
+	X, R, Z, P [][]float64
 
 	// scratch and cand are collective work vectors of the twin vote
 	// (candidate residuals, u-tests, recomputed z).
 	scratch, cand distmat.Vector
 }
 
-// sync refreshes the shadow from the primary state.
+// sync refreshes the shadow of every running column from the primary state.
 func (tw *TwinShadow) sync(st *SolverState) {
-	copy(tw.X, st.X[0].Local)
-	copy(tw.R, st.R[0].Local)
-	copy(tw.Z, st.Z[0].Local)
-	copy(tw.P, st.P[0].Local)
-	tw.R0, tw.RZ, tw.Beta = st.R0[0], st.RZ[0], st.Beta[0]
+	for c := range st.X {
+		if st.done[c] {
+			continue
+		}
+		copy(tw.X[c], st.X[c].Local)
+		copy(tw.R[c], st.R[c].Local)
+		copy(tw.Z[c], st.Z[c].Local)
+		copy(tw.P[c], st.P[c].Local)
+	}
 }
 
 // checksum64 is a cheap FNV-1a-style digest over the float bit patterns: the
@@ -80,9 +85,9 @@ func checksum64(v []float64) uint64 {
 
 // SDCOutcome reports one twin poll to the driver.
 type SDCOutcome struct {
-	// Detected counts diverged (vector, rank) pairs; Corrected counts the
-	// pairs repaired by forward recovery.
-	Detected, Corrected int
+	// Detected[c] counts column c's diverged (vector, rank) pairs, every one
+	// of them repaired by forward recovery; nil when no column diverged.
+	Detected []int
 	// Ranks lists the diverged ranks (the RecoveryTrace FailedRanks).
 	Ranks []int
 	// Redo directs the driver to redo the SpMV of the poll iteration and
@@ -95,14 +100,14 @@ type SDCOutcome struct {
 // corruption poll point. The twin strategy implements it; strategies without
 // it fall back to the detection-only SDCCheck path.
 type sdcPoller interface {
-	// PollSDC compares the twins at iteration j's poll point, votes on the
-	// healthy replica and copies it forward. Collective: every rank calls it
-	// at the same poll points.
+	// PollSDC compares the twins of every running column at iteration j's
+	// poll point, votes on the healthy replica and copies it forward.
+	// Collective: every rank calls it at the same poll points.
 	PollSDC(st *SolverState, j int) (SDCOutcome, error)
-	// RepairDrift forward-recovers from detected residual drift: the
-	// recurrences restart from the current iterate (r = b - A x,
-	// z = M^{-1} r, p = z), with no rollback. Collective.
-	RepairDrift(st *SolverState, j int) error
+	// RepairDrift forward-recovers the given columns from detected residual
+	// drift: their recurrences restart from the current iterate (r from x
+	// and b, z from r, p = z), with no rollback. Collective.
+	RepairDrift(st *SolverState, j int, cols []int) error
 }
 
 // twinStrategy is the TwinCG-style scheme: shadow replica + checksum
@@ -135,10 +140,8 @@ func (t *twinStrategy) Init(st *SolverState) error {
 	if st.Sched.HasFailStop() && st.A.Ret == nil {
 		return fmt.Errorf("core: twin fail-stop recovery delegates to ESR and needs a resilience-enabled matrix (phi >= 1) to honour a failure schedule")
 	}
-	n := len(st.X[0].Local)
 	st.Twin = &TwinShadow{
-		X: make([]float64, n), R: make([]float64, n),
-		Z: make([]float64, n), P: make([]float64, n),
+		X: cloneLocals(st.X), R: cloneLocals(st.X), Z: cloneLocals(st.X), P: cloneLocals(st.X),
 		scratch: distmat.NewVector(st.A.P, st.E.Pos),
 		cand:    distmat.NewVector(st.A.P, st.E.Pos),
 	}
@@ -158,7 +161,7 @@ func (t *twinStrategy) Overhead(st *SolverState, j int) error {
 // Recover handles fail-stop victims by delegating to the ESR reconstruction,
 // then re-arms the shadow with the reconstructed state.
 func (t *twinStrategy) Recover(st *SolverState, j int, victims []int) (int, Reconstruction, error) {
-	rec, err := st.recoverEpisode(j, victims, st.rebuildR)
+	rec, err := st.recoverEpisode(j, victims)
 	if err == nil {
 		st.Twin.sync(st)
 	}
@@ -166,7 +169,7 @@ func (t *twinStrategy) Recover(st *SolverState, j int, victims []int) (int, Reco
 }
 
 // PollSDC implements sdcPoller: the twins compare checksums; on divergence a
-// vote picks the healthy replica per vector and copies it forward.
+// vote picks the healthy replica per column and vector and copies it forward.
 func (t *twinStrategy) PollSDC(st *SolverState, j int) (SDCOutcome, error) {
 	var out SDCOutcome
 	if j%t.interval != 0 {
@@ -174,126 +177,144 @@ func (t *twinStrategy) PollSDC(st *SolverState, j int) (SDCOutcome, error) {
 	}
 	tw := st.Twin
 	e := st.E
-	size := e.Size()
+	k, size := st.k(), e.Size()
 
-	// Cheap checksum exchange: one word per vector. The divergence flags are
-	// shared collectively, so every rank takes the same vote branches.
-	flags := make([]float64, 4+size)
-	diverged := false
-	for i, pair := range [4][2][]float64{
-		{st.X[0].Local, tw.X}, {st.R[0].Local, tw.R}, {st.Z[0].Local, tw.Z}, {st.P[0].Local, tw.P},
-	} {
-		if checksum64(pair[0]) != checksum64(pair[1]) {
-			flags[i] = 1
-			diverged = true
+	// Cheap checksum exchange: one word per column and vector. The divergence
+	// flags are shared collectively, so every rank takes the same vote
+	// branches.
+	flags := make([]float64, 4*k+size)
+	for c := 0; c < k; c++ {
+		if st.done[c] {
+			continue
 		}
-	}
-	if diverged {
-		flags[4+e.Pos] = 1
+		for i, pair := range [4][2][]float64{
+			{st.X[c].Local, tw.X[c]}, {st.R[c].Local, tw.R[c]}, {st.Z[c].Local, tw.Z[c]}, {st.P[c].Local, tw.P[c]},
+		} {
+			if checksum64(pair[0]) != checksum64(pair[1]) {
+				flags[4*c+i] = 1
+				flags[4*k+e.Pos] = 1
+			}
+		}
 	}
 	global, err := e.Grp.Allreduce(cluster.OpSum, flags)
 	if err != nil {
 		return out, err
 	}
-	cx, cr, cz, cp := int(global[0]), int(global[1]), int(global[2]), int(global[3])
-	var ranks []int
+	if !slices.ContainsFunc(global, func(v float64) bool { return v > 0 }) {
+		e.Grp.Recycle(global)
+		return out, nil
+	}
+	counts := make([]int, 4*k) // diverged ranks per (column, vector)
+	for i := range counts {
+		counts[i] = int(global[i])
+	}
 	for r := 0; r < size; r++ {
-		if global[4+r] > 0 {
-			ranks = append(ranks, r)
+		if global[4*k+r] > 0 {
+			out.Ranks = append(out.Ranks, r)
 		}
 	}
 	e.Grp.Recycle(global)
-	if cx+cr+cz+cp == 0 {
-		return out, nil
+	out.Detected = make([]int, k)
+	for c := 0; c < k; c++ {
+		cx, cr, cz, cp := counts[4*c], counts[4*c+1], counts[4*c+2], counts[4*c+3]
+		if cx+cr+cz+cp == 0 {
+			continue
+		}
+		out.Detected[c] = cx + cr + cz + cp
+		redo, err := t.vote(st, c, cx+cr > 0, cz > 0, cp > 0)
+		if err != nil {
+			return out, err
+		}
+		out.Redo = out.Redo || redo
 	}
-	out.Detected = cx + cr + cz + cp
-	out.Ranks = ranks
+	return out, nil
+}
 
+// vote settles column c's diverged vectors — xr: x or r, z, p — by copying
+// the healthy twin forward, and reports whether u must be redone.
+// Collective.
+func (t *twinStrategy) vote(st *SolverState, c int, xr, z, p bool) (redo bool, err error) {
+	tw, e := st.Twin, st.E
 	// Scalar-residual vote for x/r: score each twin's (x, r) candidate by
 	// the consistency |  ||b - A x|| - ||r||  | and copy the winner forward.
 	// Ties favour the shadow — the replica the injection never touches.
-	if cx+cr > 0 {
-		if err := st.A.Residual(e, tw.scratch, st.B[0], st.X[0], -1); err != nil {
-			return out, err
+	if xr {
+		if err := st.A.Residual(e, tw.scratch, st.B[c], st.X[c], -1); err != nil {
+			return false, err
 		}
 		tp := vec.ParNrm2SqN(tw.scratch.Local, st.Opts.Threads)
-		rp := vec.ParNrm2SqN(st.R[0].Local, st.Opts.Threads)
-		copy(tw.cand.Local, tw.X)
-		if err := st.A.Residual(e, tw.scratch, st.B[0], tw.cand, -1); err != nil {
-			return out, err
+		rp := st.rec.rnorm2(st, st.R[c].Local, tw.scratch.Local)
+		copy(tw.cand.Local, tw.X[c])
+		if err := st.A.Residual(e, tw.scratch, st.B[c], tw.cand, -1); err != nil {
+			return false, err
 		}
 		ts := vec.ParNrm2SqN(tw.scratch.Local, st.Opts.Threads)
-		rs := vec.ParNrm2SqN(tw.R, st.Opts.Threads)
+		rs := st.rec.rnorm2(st, tw.R[c], tw.scratch.Local)
 		norms, err := e.Grp.Allreduce(cluster.OpSum, []float64{tp, rp, ts, rs})
 		if err != nil {
-			return out, err
+			return false, err
 		}
 		scoreP := math.Abs(math.Sqrt(norms[0]) - math.Sqrt(norms[1]))
 		scoreS := math.Abs(math.Sqrt(norms[2]) - math.Sqrt(norms[3]))
 		e.Grp.Recycle(norms)
 		if !(scoreP < scoreS) {
 			// Shadow wins (NaN scores land here too): copy it forward.
-			copy(st.X[0].Local, tw.X)
-			copy(st.R[0].Local, tw.R)
+			copy(st.X[c].Local, tw.X[c])
+			copy(st.R[c].Local, tw.R[c])
 		} else {
-			copy(tw.X, st.X[0].Local)
-			copy(tw.R, st.R[0].Local)
+			copy(tw.X[c], st.X[c].Local)
+			copy(tw.R[c], st.R[c].Local)
 		}
-		out.Corrected += cx + cr
 	}
 
 	// z is a pure function of the (now settled) r: recompute it. The result
-	// is bitwise the fault-free z, because z = M^{-1} r was computed from
-	// this same r at the end of the previous iteration.
-	if cz > 0 {
-		if err := st.M.Apply(e, tw.scratch, st.R[0]); err != nil {
-			return out, err
+	// is bitwise the fault-free z, because z was computed from this same r at
+	// the end of the previous iteration.
+	if z {
+		if err := st.rec.z(st, []distmat.Vector{tw.scratch}, st.R[c:c+1]); err != nil {
+			return false, err
 		}
-		copy(st.Z[0].Local, tw.scratch.Local)
-		copy(tw.Z, st.Z[0].Local)
-		out.Corrected += cz
+		copy(st.Z[c].Local, tw.scratch.Local)
+		copy(tw.Z[c], st.Z[c].Local)
 	}
 
 	// u-test vote for p: u = A p was computed from the clean p this very
 	// iteration, before the injection point, so the healthy candidate is the
 	// one with A p == u bitwise.
-	if cp > 0 {
-		okPrimary, err := t.uTest(st, st.P[0])
+	if p {
+		okPrimary, err := t.uTest(st, c, st.P[c])
 		if err != nil {
-			return out, err
+			return false, err
 		}
 		if okPrimary {
-			copy(tw.P, st.P[0].Local)
+			copy(tw.P[c], st.P[c].Local)
 		} else {
-			copy(tw.cand.Local, tw.P)
-			okShadow, err := t.uTest(st, tw.cand)
+			copy(tw.cand.Local, tw.P[c])
+			okShadow, err := t.uTest(st, c, tw.cand)
 			if err != nil {
-				return out, err
+				return false, err
 			}
 			// The shadow is authoritative either way (the injection never
 			// touches it); if even the shadow fails the u-test, u itself is
 			// corrupted (e.g. a corrupted halo wire) and must be redone from
 			// the restored p.
-			copy(st.P[0].Local, tw.P)
-			if !okShadow {
-				out.Redo = true
-			}
+			copy(st.P[c].Local, tw.P[c])
+			redo = !okShadow
 		}
-		out.Corrected += cp
 	}
-	return out, nil
+	return redo, nil
 }
 
-// uTest computes A·p into scratch and reports whether it matches the stored
-// u bitwise on every rank. Collective.
-func (t *twinStrategy) uTest(st *SolverState, p distmat.Vector) (bool, error) {
+// uTest computes A·p into scratch and reports whether it matches column c's
+// stored u bitwise on every rank. Collective.
+func (t *twinStrategy) uTest(st *SolverState, c int, p distmat.Vector) (bool, error) {
 	tw := st.Twin
 	if err := st.A.MatVec(st.E, tw.scratch, p, -1); err != nil {
 		return false, err
 	}
 	ok := 1.0
 	for i, v := range tw.scratch.Local {
-		if math.Float64bits(v) != math.Float64bits(st.U[0].Local[i]) {
+		if math.Float64bits(v) != math.Float64bits(st.U[c].Local[i]) {
 			ok = 0
 			break
 		}
@@ -307,67 +328,40 @@ func (t *twinStrategy) uTest(st *SolverState, p distmat.Vector) (bool, error) {
 
 // RepairDrift implements sdcPoller's forward recovery from residual drift
 // (corruption that slipped past the checksum window, e.g. between twin
-// exchanges or on a corrupted wire): the recurrences restart from the
-// current iterate — r = b - A x, z = M^{-1} r, p = z, beta = 0 — treating x
-// as a fresh initial guess. No rollback; ||r0|| (and with it the convergence
-// target) is preserved.
-func (t *twinStrategy) RepairDrift(st *SolverState, j int) error {
-	if err := st.A.Residual(st.E, st.R[0], st.B[0], st.X[0], -1); err != nil {
+// exchanges or on a corrupted wire): the columns' recurrences restart from
+// the current iterate — iteration 0 of a solve with x as the initial guess —
+// with no rollback; ||r0|| (and with it the convergence target) is
+// preserved.
+func (t *twinStrategy) RepairDrift(st *SolverState, j int, cols []int) error {
+	r0 := slices.Clone(st.R0)
+	if err := initIteration0(st, cols); err != nil {
 		return err
 	}
-	if err := st.M.Apply(st.E, st.Z[0], st.R[0]); err != nil {
-		return err
-	}
-	vec.Copy(st.P[0].Local, st.Z[0].Local)
-	rz, err := distmat.DotN(st.E, st.R[0], st.Z[0], st.Opts.Threads)
-	if err != nil {
-		return err
-	}
-	st.RZ[0] = rz
-	st.Beta[0] = 0
+	copy(st.R0, r0)
 	st.Twin.sync(st)
 	return nil
 }
 
-// applyCorruption flips the scheduled bit in the target vector's local
-// block. Only the victim rank mutates state; the index wraps modulo the
+// applyCorruption flips the scheduled bit in the local block of column col's
+// target vector. Only the victim rank mutates state; the index wraps modulo the
 // local length so one schedule is meaningful across partitionings.
-func applyCorruption(st *SolverState, c faults.CorruptionSite) {
+func applyCorruption(st *SolverState, col int, c faults.CorruptionSite) {
 	var v []float64
 	switch c.Target {
 	case faults.TargetX:
-		v = st.X[0].Local
+		v = st.X[col].Local
 	case faults.TargetR:
-		v = st.R[0].Local
+		v = st.R[col].Local
 	case faults.TargetP:
-		v = st.P[0].Local
+		v = st.P[col].Local
 	case faults.TargetZ:
-		v = st.Z[0].Local
+		v = st.Z[col].Local
 	}
 	if len(v) == 0 {
 		return
 	}
 	i := c.Index % len(v)
 	v[i] = c.Flip(v[i])
-}
-
-// sdcDrift recomputes the true residual and compares it against the
-// recurrence residual (both under one fused allreduce). Collective.
-func sdcDrift(st *SolverState, scratch distmat.Vector) (rtrue, rrec float64, drift bool, err error) {
-	if err = st.A.Residual(st.E, scratch, st.B[0], st.X[0], -1); err != nil {
-		return
-	}
-	norms, err := st.E.Grp.Allreduce(cluster.OpSum, []float64{
-		vec.ParNrm2SqN(scratch.Local, st.Opts.Threads),
-		vec.ParNrm2SqN(st.R[0].Local, st.Opts.Threads)})
-	if err != nil {
-		return
-	}
-	rtrue = math.Sqrt(norms[0])
-	rrec = math.Sqrt(norms[1])
-	st.E.Grp.Recycle(norms)
-	drift = sdcDrifted(rtrue, rrec, st.R0[0])
-	return
 }
 
 // sdcDrifted is the consistency test between a true residual norm and the

@@ -8,8 +8,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/faults"
-	"repro/internal/matgen"
 )
 
 // batchRHS builds k deterministic distinct right-hand sides of length n.
@@ -115,36 +113,6 @@ func TestBatchJobUnderFailures(t *testing.T) {
 	}
 }
 
-// TestBatchJobLoopedFallback covers a strategy the blocked driver does not
-// support: the batch must still complete through looped single-RHS solves.
-func TestBatchJobLoopedFallback(t *testing.T) {
-	e := New(Options{Workers: 1, QueueCap: 4})
-	defer e.Close()
-	spec := tinySpec()
-	spec.Config.Strategy = StrategyCheckpoint
-	spec.RHSBatch = batchRHS(256, 2)
-	spec.KeepSolution = true
-	id, err := e.Submit(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := waitTerminal(t, e, id, 30*time.Second)
-	if st.State != StateDone {
-		t.Fatalf("fallback batch job ended %s: %s", st.State, st.Error)
-	}
-	if len(st.Result.XS) != 2 || !st.Result.Results[1].Converged {
-		t.Fatalf("fallback batch result shape: %+v", st.Result)
-	}
-	// The blocked counters must NOT have moved; the batch counter must.
-	snap := e.Metrics().Gather()
-	if v, _ := snap.Value("solver_block_solves_total"); v != 0 {
-		t.Fatalf("solver_block_solves_total = %v on the looped fallback", v)
-	}
-	if v, _ := snap.Value("solver_batch_rhs_total"); v != 2 {
-		t.Fatalf("solver_batch_rhs_total = %v, want 2", v)
-	}
-}
-
 // TestBatchSpecValidation pins the typed batch validation: mutual exclusion
 // with RHS, per-column length and finiteness errors naming the column, and
 // the BlockSize range check.
@@ -220,51 +188,6 @@ func TestBatchSpecValidation(t *testing.T) {
 	}
 	if _, err := e.Submit(JobSpec{MatrixID: rec.ID, RHSBatch: batchRHS(100, 2)}); !errors.As(err, &rhsErr) {
 		t.Fatalf("registered-matrix length mismatch: err = %v, want *InvalidRHSError", err)
-	}
-}
-
-// TestSolveBlockRejectsUnsupported pins SolveBlock's own guardrails:
-// non-ESR sessions and k=0/edge inputs.
-func TestSolveBlockRejectsUnsupported(t *testing.T) {
-	a := matgen.Poisson2D(16, 16)
-	ps, err := Prepare(a, Config{Ranks: 4, Strategy: StrategyRestart})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ps.Close()
-	if ps.CanSolveBlock(SolveOpts{}) {
-		t.Fatal("CanSolveBlock true on a restart-strategy session")
-	}
-	if _, _, err := ps.SolveBlock(context.Background(), batchRHS(a.Rows, 2), SolveOpts{}); err == nil {
-		t.Fatal("SolveBlock accepted a restart-strategy session")
-	}
-	sols, colErrs, err := ps.SolveBlock(context.Background(), nil, SolveOpts{})
-	if sols != nil || colErrs != nil || err != nil {
-		t.Fatalf("empty batch: %v %v %v", sols, colErrs, err)
-	}
-
-	esr, err := Prepare(a, Config{Ranks: 4, Phi: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer esr.Close()
-	// k == 1 is the same body as Solve and still returns aligned slices.
-	sols, colErrs, err = esr.SolveBlock(context.Background(), batchRHS(a.Rows, 1), SolveOpts{})
-	if err != nil || len(sols) != 1 || len(colErrs) != 1 || colErrs[0] != nil {
-		t.Fatalf("k=1 block: sols=%d err=%v", len(sols), err)
-	}
-	if !sols[0].Result.Converged {
-		t.Fatal("k=1 block did not converge")
-	}
-	// A schedule on a phi-0 ESR session is rejected up front.
-	phi0, err := Prepare(a, Config{Ranks: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer phi0.Close()
-	sched := faults.NewSchedule(faults.Simultaneous(3, 1))
-	if _, _, err := phi0.SolveBlock(context.Background(), batchRHS(a.Rows, 2), SolveOpts{Schedule: sched}); err == nil {
-		t.Fatal("SolveBlock accepted a schedule on a phi-0 session")
 	}
 }
 

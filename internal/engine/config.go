@@ -207,8 +207,8 @@ type Config struct {
 	// repaired forward; under every other strategy the solve fails with a
 	// data_loss-classed *core.SDCDetectedError instead of silently
 	// returning a wrong answer. 0 (the default) disables the detector. The
-	// check needs the resilient solver (it is incompatible with Method
-	// "pcg" and "spcg").
+	// strategy-free reference solver runs no check (it is incompatible with
+	// Method "pcg").
 	SDCCheckInterval int `json:"sdc_check_interval,omitempty" scope:"run"`
 	// Threads caps the per-rank goroutine fan-out of the node-local parallel
 	// kernels (SpMV row chunks, reductions, fused vector updates, the Jacobi
@@ -402,9 +402,6 @@ func (c Config) Validate() error {
 		if c.Preconditioner != PrecondIC0 {
 			return invalid("method", c.Method, "needs the split preconditioner %q, got %q", PrecondIC0, c.Preconditioner)
 		}
-		if c.Strategy != StrategyESR {
-			return invalid("method", c.Method, "supports only the %q recovery strategy, got %q", StrategyESR, c.Strategy)
-		}
 	case MethodPCG:
 		if !c.Schedule.Empty() {
 			return invalid("method", c.Method, "cannot honour a failure schedule (use %q)", MethodESRPCG)
@@ -416,10 +413,10 @@ func (c Config) Validate() error {
 			return invalid("method", c.Method, "is the strategy-free reference solver; use %q or %q with strategy %q",
 				MethodAuto, MethodESRPCG, c.Strategy)
 		}
-	}
-	if c.SDCCheckInterval > 0 && (c.Method == MethodPCG || c.Method == MethodSPCG) {
-		return invalid("method", c.Method, "does not run the silent-data-corruption check (use %q or %q)",
-			MethodAuto, MethodESRPCG)
+		if c.SDCCheckInterval > 0 {
+			return invalid("method", c.Method, "does not run the silent-data-corruption check (use %q or %q)",
+				MethodAuto, MethodESRPCG)
+		}
 	}
 	return nil
 }
@@ -443,18 +440,18 @@ func (d Defaults) Validate() error {
 		SDCCheckInterval: d.SDCCheckInterval, Threads: d.Threads, BlockSize: d.BlockSize}.Validate()
 }
 
-// apply fills cfg's zero-valued fields from d. Reference-PCG and SPCG jobs
-// keep the library's strategy and detector settings: spcg's recovery protocol
-// is ESR-shaped and pcg runs no strategy and no check at all, so a daemon
-// default there would fail a job its client validly submitted. A job that
-// wants full parallelism against a capped daemon submits ThreadsAuto, which
-// is not the zero value and so passes through.
+// apply fills cfg's zero-valued fields from d. Reference-PCG jobs keep the
+// library's strategy and detector settings: pcg runs no strategy and no
+// check at all, so a daemon default there would fail a job its client
+// validly submitted. A job that wants full parallelism against a capped
+// daemon submits ThreadsAuto, which is not the zero value and so passes
+// through.
 func (d Defaults) apply(cfg Config) Config {
 	cfg.Transport = cmp.Or(cfg.Transport, d.Transport)
 	cfg.TwinInterval = cmp.Or(cfg.TwinInterval, d.TwinInterval)
 	cfg.Threads = cmp.Or(cfg.Threads, d.Threads)
 	cfg.BlockSize = cmp.Or(cfg.BlockSize, d.BlockSize)
-	if cfg.Method != MethodSPCG && cfg.Method != MethodPCG {
+	if cfg.Method != MethodPCG {
 		cfg.Strategy = cmp.Or(cfg.Strategy, d.Strategy)
 		cfg.SDCCheckInterval = cmp.Or(cfg.SDCCheckInterval, d.SDCCheckInterval)
 	}

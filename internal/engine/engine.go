@@ -1132,42 +1132,18 @@ func (e *Engine) run(j *job) {
 }
 
 // solveBatch runs one batch job's right-hand sides against the acquired
-// prepared session: in BlockSize-wide lockstep groups through
-// Prepared.SolveChunked when the session can solve blocks (see
-// Prepared.CanSolveBlock) and the resolved block size allows it, otherwise
-// column by column through Prepared.Solve — bitwise identical either way.
-// Any per-column breakdown fails the whole job, naming the offending
-// columns.
+// prepared session in BlockSize-wide lockstep groups (Prepared.SolveChunked;
+// block_size 1 is its width-1 case). Any per-column breakdown fails the whole
+// job, naming the offending columns.
 func (e *Engine) solveBatch(ctx context.Context, cfg Config, prep *Prepared, opts SolveOpts, batch [][]float64) (Solution, error) {
 	k := len(batch)
 	e.metrics.batchRHS.Add(float64(k))
-	var sols []Solution
-	if blockSize := cfg.BlockSize; blockSize > 1 && prep.CanSolveBlock(opts) {
-		var err error
-		sols, err = prep.SolveChunked(ctx, batch, opts, blockSize, func(width int) {
-			e.metrics.blockSolves.Add(1)
-			e.metrics.blockRHS.Add(float64(width))
-		})
-		if err != nil {
-			return Solution{}, err
-		}
-	} else {
-		sols = make([]Solution, k)
-		var colErrs []error
-		for c := range batch {
-			s, err := prep.Solve(ctx, batch[c], opts)
-			if err != nil {
-				if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
-					return Solution{}, err
-				}
-				colErrs = append(colErrs, fmt.Errorf("rhs %d: %w", c, err))
-				continue
-			}
-			sols[c] = s
-		}
-		if len(colErrs) > 0 {
-			return Solution{}, errors.Join(colErrs...)
-		}
+	sols, err := prep.SolveChunked(ctx, batch, opts, cfg.BlockSize, func(width int) {
+		e.metrics.blockSolves.Add(1)
+		e.metrics.blockRHS.Add(float64(width))
+	})
+	if err != nil {
+		return Solution{}, err
 	}
 	xs := make([][]float64, k)
 	results := make([]core.Result, k)

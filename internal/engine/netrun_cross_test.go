@@ -5,7 +5,6 @@ package engine_test
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"os"
 	"testing"
@@ -16,7 +15,6 @@ import (
 	"repro/internal/faults"
 	"repro/internal/matgen"
 	"repro/internal/netrun"
-	"repro/internal/xerr"
 )
 
 // TestMain doubles this test binary as the netrun worker executable: the
@@ -41,6 +39,22 @@ func TestMain(m *testing.M) {
 // the solution must be bitwise identical to the in-process chan reference —
 // iterations, final residual, and every solution component.
 func TestCrossTransportBitIdenticalNetProcessKill(t *testing.T) {
+	netProcessKillBitIdentical(t, engine.Config{Ranks: 8, Phi: 2})
+}
+
+// TestCrossTransportBitIdenticalNetProcessKillSPCG: SPCG survives a real
+// process death. The split recurrence runs the driver's loop, so the
+// replacements rejoin through the same Resume entry and the same episode —
+// with the split rebuild step — bit for bit.
+func TestCrossTransportBitIdenticalNetProcessKillSPCG(t *testing.T) {
+	netProcessKillBitIdentical(t, engine.Config{Ranks: 8, Phi: 2,
+		Method: engine.MethodSPCG, Preconditioner: engine.PrecondIC0})
+}
+
+// netProcessKillBitIdentical solves one system under a scheduled 2-node
+// failure twice — in process on the chan fabric, and on a fleet of worker
+// processes whose victims really die — and requires identical bits.
+func netProcessKillBitIdentical(t *testing.T, cfg engine.Config) {
 	if testing.Short() {
 		t.Skip("spawns a fleet of worker processes")
 	}
@@ -51,7 +65,7 @@ func TestCrossTransportBitIdenticalNetProcessKill(t *testing.T) {
 	}
 	sched := faults.NewSchedule(faults.Simultaneous(5, 2, 3))
 
-	ps, err := engine.Prepare(a, engine.Config{Ranks: 8, Phi: 2})
+	ps, err := engine.Prepare(a, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,14 +87,11 @@ func TestCrossTransportBitIdenticalNetProcessKill(t *testing.T) {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 3*time.Minute)
 	defer cancel()
+	cfg.Transport, cfg.Schedule = engine.TransportNet, sched
 	sol, stats, err := coord.Run(ctx, engine.JobSpec{
-		Matrix: engine.MatrixSpec{Generator: "poisson2d", Params: map[string]float64{"nx": 32, "ny": 32}},
-		RHS:    b,
-		Config: engine.Config{
-			Ranks: 8, Phi: 2,
-			Transport: engine.TransportNet,
-			Schedule:  sched,
-		},
+		Matrix:       engine.MatrixSpec{Generator: "poisson2d", Params: map[string]float64{"nx": 32, "ny": 32}},
+		RHS:          b,
+		Config:       cfg,
 		KeepSolution: true,
 	}, nil)
 	if err != nil {
@@ -257,31 +268,5 @@ func waitState(t *testing.T, eng *engine.Engine, id string, want engine.State, t
 			t.Fatalf("job %s is %s, want %s", id, st.State, want)
 		}
 		time.Sleep(5 * time.Millisecond)
-	}
-}
-
-// TestNetFleetRejectsSPCGSchedule: SPCG honours OnFailure but cannot take a
-// replacement back in (it rejects Resume), so a scheduled kill on a
-// multi-process fleet would leave the survivors blocked until the job's
-// deadline. The coordinator refuses the pairing up front, classed, before
-// any worker is spawned.
-func TestNetFleetRejectsSPCGSchedule(t *testing.T) {
-	coord, err := netrun.NewCoordinator(netrun.Options{Command: []string{os.Args[0]}, Log: t.Logf})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, _, err = coord.Run(context.Background(), engine.JobSpec{
-		Matrix: engine.MatrixSpec{Generator: "poisson2d", Params: map[string]float64{"nx": 16, "ny": 16}},
-		Config: engine.Config{
-			Ranks: 4, Phi: 1, Transport: engine.TransportNet,
-			Method: engine.MethodSPCG, Preconditioner: engine.PrecondIC0,
-			Schedule: faults.NewSchedule(faults.Simultaneous(3, 1)),
-		},
-	}, nil)
-	if !errors.Is(err, xerr.FailedPrecondition) {
-		t.Fatalf("err = %v, want failed_precondition", err)
-	}
-	if got := coord.Respawns(); got != 0 {
-		t.Fatalf("respawns = %d: the fleet was launched", got)
 	}
 }

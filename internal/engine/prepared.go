@@ -51,7 +51,7 @@ type SolveOpts struct {
 	// A non-empty schedule needs a session prepared with phi >= 1.
 	Schedule *faults.Schedule
 	// Method overrides the session's solver method for this solve ("" keeps
-	// the session's; MethodSPCG still needs the session prepared with the
+	// the session's; MethodSPCG needs the session prepared with the
 	// split-capable "ic0" preconditioner).
 	Method string
 	// Transport and TransportSeed pick the fabric of this solve's runtime.
@@ -93,7 +93,6 @@ type SolveOpts struct {
 type preparedRank struct {
 	m      *distmat.Matrix
 	prec   core.Precond
-	split  precond.Split // non-nil only for PrecondIC0
 	lo, hi int
 }
 
@@ -204,16 +203,31 @@ func newStrategy(cfg Config, rt *cluster.Runtime) (core.Strategy, *checkpoint.St
 	}
 }
 
-// recordStrategyStats folds one finished solve's strategy observables into
-// the session aggregate and the engine's sink: each column that solved
-// counts as one solve, while the runtime's protection traffic counters are
-// folded exactly once — the block shares them.
-func (ps *Prepared) recordStrategyStats(strategy string, sols []Solution, colErrs []error, store *checkpoint.Store, rt *cluster.Runtime) {
+// recordStrategyStats folds one solve's strategy observables, as rank 0 saw
+// them, into the session aggregate and the engine's sink: each column that
+// solved counts as one solve, while the runtime's protection traffic counters
+// are folded exactly once — the block shares them. A column that failed
+// (colErrs[c] set; every column when the solve failed globally and colErrs
+// is nil) still contributes its SDC counters with Solves staying 0, so a
+// detected corruption shows up in the strategy gauges even though the
+// column was classified as failed — the whole point of the detector is that
+// the failure is visible.
+func (ps *Prepared) recordStrategyStats(strategy string, results []core.Result, colErrs []error, store *checkpoint.Store, rt *cluster.Runtime) {
 	var delta core.StrategyStats
-	for c, sol := range sols {
-		if colErrs[c] == nil {
-			delta.Add(core.StatsFromResult(sol.Result))
+	for c, res := range results {
+		if colErrs != nil && colErrs[c] == nil {
+			delta.Add(core.StatsFromResult(res))
+			continue
 		}
+		delta.SDCInjected += int64(res.SDCInjected)
+		delta.SDCDetected += int64(res.SDCDetected)
+		delta.SDCCorrected += int64(res.SDCCorrected)
+	}
+	if colErrs == nil {
+		if delta != (core.StrategyStats{}) {
+			ps.foldStrategyStats(strategy, delta)
+		}
+		return
 	}
 	ctrs := rt.Counters()
 	delta.CheckpointFloats = ctrs.Floats(cluster.CatCheckpoint)
@@ -299,13 +313,13 @@ func PrepareContext(ctx context.Context, a *sparse.CSR, cfg Config) (*Prepared, 
 		if err := c.Check(); err != nil {
 			return err
 		}
-		prec, split, err := buildPrecond(cfg, m)
+		prec, err := buildPrecond(cfg, m)
 		if err != nil {
 			rt.Abort(err)
 			return err
 		}
 		// Ranks write disjoint slots; no lock needed.
-		ps.prep[c.Rank()] = preparedRank{m: m, prec: prec, split: split, lo: lo, hi: hi}
+		ps.prep[c.Rank()] = preparedRank{m: m, prec: prec, lo: lo, hi: hi}
 		return nil
 	})
 	if err != nil {
@@ -445,9 +459,9 @@ func coreOptions(ctx context.Context, cfg Config, opts SolveOpts) core.Options {
 // case. A nil rt means "build a fresh single-process runtime over the
 // session's transport" (which the call then owns); localRanks nil means all
 // ranks. The returned slices are aligned with bs: colErrs[c] reports a
-// per-column breakdown or divergence (the corresponding Solution is
-// zero-valued); the error return is a global failure aborting the block.
-// Widths above 1 are the caller's to gate with CanSolveBlock.
+// per-column breakdown, divergence or detected corruption (the corresponding
+// Solution is zero-valued); the error return is a global failure aborting
+// the block.
 func (ps *Prepared) solveOn(ctx context.Context, rt *cluster.Runtime, localRanks []int, bs [][]float64, opts SolveOpts) ([]Solution, []error, error) {
 	k := len(bs)
 	cfg, err := ps.policy(opts)
@@ -502,8 +516,9 @@ func (ps *Prepared) solveOn(ctx context.Context, rt *cluster.Runtime, localRanks
 	var mu sync.Mutex
 	sols := make([]Solution, k)
 	colErrs := make([]error, k)
-	// failed keeps rank 0's partial results of a globally failed solve.
-	var failed []core.Result
+	// results0 keeps rank 0's per-column results (partial ones when the
+	// solve failed globally) for the strategy stats.
+	var results0 []core.Result
 	err = rt.RunLocalContext(ctx, localRanks, func(c *cluster.Comm) error {
 		pr := ps.prep[c.Rank()]
 		e := distmat.WorldEnv(c)
@@ -526,27 +541,13 @@ func (ps *Prepared) solveOn(ctx context.Context, rt *cluster.Runtime, localRanks
 			ropts.Progress = opts.Progress
 			ropts.Tracer = opts.Tracer
 		}
-		var results []core.Result
-		var errsPerCol []error
-		var err error
-		if cfg.Method == MethodSPCG {
-			// The split-preconditioner recurrence is a width-1 solver of
-			// its own (CanSolveBlock keeps blocks away from it).
-			var res core.Result
-			res, err = core.SPCG(e, m, X[0], B[0], pr.split, ropts, cfg.Schedule)
-			results, errsPerCol = []core.Result{res}, []error{nil}
-		} else {
-			results, errsPerCol, err = core.SolveBlock(e, m, X, B, withThreads(pr.prec, cfg.Threads), ropts, cfg.Schedule, strat)
+		results, errsPerCol, err := core.SolveBlock(e, m, X, B, pr.precond(cfg), ropts, cfg.Schedule, strat)
+		if c.Rank() == 0 {
+			mu.Lock()
+			results0 = results
+			mu.Unlock()
 		}
 		if err != nil {
-			if c.Rank() == 0 {
-				// A failed solve still carries observables — most importantly
-				// the SDC counters of a detection-classified failure (the
-				// whole point of the detector is that the failure is visible).
-				mu.Lock()
-				failed = results
-				mu.Unlock()
-			}
 			return err
 		}
 		// Per-column errors are derived from deterministic fused-allreduce
@@ -577,25 +578,13 @@ func (ps *Prepared) solveOn(ctx context.Context, rt *cluster.Runtime, localRanks
 			// not a wrapped per-rank abort.
 			return nil, nil, ErrPreparedClosed
 		}
-		// Fold the SDC counters of the failed solve into the session
-		// aggregate (Solves stays 0 — nothing finished), so a detected
-		// corruption shows up in the strategy gauges even though the solve
-		// was classified as failed.
-		var delta core.StrategyStats
-		for _, r := range failed {
-			delta.SDCInjected += int64(r.SDCInjected)
-			delta.SDCDetected += int64(r.SDCDetected)
-			delta.SDCCorrected += int64(r.SDCCorrected)
-		}
-		if delta != (core.StrategyStats{}) {
-			ps.foldStrategyStats(cfg.Strategy, delta)
-		}
+		ps.recordStrategyStats(cfg.Strategy, results0, nil, store, rt)
 		return nil, nil, err
 	}
 	if hasRank0 {
 		// The result-borne strategy stats live on rank 0's Results; processes
 		// hosting only other ranks would fold in zeros.
-		ps.recordStrategyStats(cfg.Strategy, sols, colErrs, store, rt)
+		ps.recordStrategyStats(cfg.Strategy, results0, colErrs, store, rt)
 	}
 	return sols, colErrs, nil
 }
@@ -616,6 +605,17 @@ func (ps *Prepared) Close() {
 	ps.wg.Wait()
 }
 
+// precond returns the preconditioner argument of one solve. What it is
+// selects the driver's recurrence: MethodSPCG hands the session's IC(0)
+// factor over as a split (Config.Validate guarantees an ic0 session), every
+// other method the session's preconditioner under the solve's thread cap.
+func (pr preparedRank) precond(cfg Config) core.Precond {
+	if cfg.Method == MethodSPCG {
+		return core.SplitPrecond{P: pr.prec.(core.LocalPrecond).P.(precond.Split)}
+	}
+	return withThreads(pr.prec, cfg.Threads)
+}
+
 // withThreads returns prec carrying one solve's kernel thread cap. Only
 // Jacobi's element-wise application parallelizes; the solve gets a shallow
 // copy sharing the prepared diagonal, so concurrent solves with different
@@ -632,42 +632,28 @@ func withThreads(prec core.Precond, threads int) core.Precond {
 }
 
 // buildPrecond factors the node-local block preconditioner for the rank's
-// matrix. The returned Split is non-nil only for PrecondIC0 (the SPCG
-// method's requirement).
-func buildPrecond(cfg Config, m *distmat.Matrix) (core.Precond, precond.Split, error) {
+// matrix.
+func buildPrecond(cfg Config, m *distmat.Matrix) (core.Precond, error) {
+	var p precond.Preconditioner
+	var err error
 	switch cfg.Preconditioner {
 	case PrecondIdentity:
-		return core.IdentityPrecond(), nil, nil
+		return core.IdentityPrecond(), nil
 	case PrecondJacobi:
-		j, err := precond.NewJacobi(m.Diag())
-		if err != nil {
-			return nil, nil, err
-		}
-		return core.LocalPrecond{P: j}, nil, nil
+		p, err = precond.NewJacobi(m.Diag())
 	case PrecondBlockJacobiILU:
-		f, err := precond.NewBlockJacobiILU(m.OwnBlock())
-		if err != nil {
-			return nil, nil, err
-		}
-		return core.LocalPrecond{P: f}, nil, nil
+		p, err = precond.NewBlockJacobiILU(m.OwnBlock())
 	case PrecondBlockJacobiChol:
-		ch, err := precond.NewBlockJacobiChol(m.OwnBlock())
-		if err != nil {
-			return nil, nil, err
-		}
-		return core.LocalPrecond{P: ch}, nil, nil
+		p, err = precond.NewBlockJacobiChol(m.OwnBlock())
 	case PrecondSSOR:
-		s, err := precond.NewSSOR(m.OwnBlock(), cfg.SSOROmega)
-		if err != nil {
-			return nil, nil, err
-		}
-		return core.LocalPrecond{P: s}, nil, nil
+		p, err = precond.NewSSOR(m.OwnBlock(), cfg.SSOROmega)
 	case PrecondIC0:
-		s, err := precond.NewIC0Split(m.OwnBlock())
-		if err != nil {
-			return nil, nil, err
-		}
-		return core.LocalPrecond{P: s}, s, nil
+		p, err = precond.NewIC0Split(m.OwnBlock())
+	default:
+		return nil, fmt.Errorf("esr: unknown preconditioner %q", cfg.Preconditioner)
 	}
-	return nil, nil, fmt.Errorf("esr: unknown preconditioner %q", cfg.Preconditioner)
+	if err != nil {
+		return nil, err
+	}
+	return core.LocalPrecond{P: p}, nil
 }

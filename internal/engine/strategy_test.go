@@ -53,10 +53,27 @@ func TestQuickStrategyConfigValidation(t *testing.T) {
 		t.Fatalf("Prepare: want *InvalidConfigError{checkpoint_interval}, got %v", err)
 	}
 
-	// SPCG's recovery protocol is ESR-shaped; other strategies are rejected.
-	spcg := Config{Method: MethodSPCG, Strategy: StrategyCheckpoint}
-	if err := spcg.Validate(); err == nil || !strings.Contains(err.Error(), "strategy") {
-		t.Fatalf("spcg+checkpoint: want strategy error, got %v", err)
+	// SPCG is a recurrence of the one driver: it runs under every strategy
+	// (a rollback included), on the ic0 session its split factor needs.
+	spcg := Config{Ranks: 4, Method: MethodSPCG, Strategy: StrategyCheckpoint, CheckpointInterval: 4}
+	if err := spcg.Validate(); err != nil {
+		t.Fatalf("spcg+checkpoint: %v", err)
+	}
+	if err := (Config{Method: MethodSPCG, Preconditioner: PrecondJacobi}).Validate(); err == nil || !strings.Contains(err.Error(), PrecondIC0) {
+		t.Fatalf("spcg+jacobi: want a needs-ic0 error, got %v", err)
+	}
+	prepSPCG, err := Prepare(a, spcg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer prepSPCG.Close()
+	spcgOnes := make([]float64, a.Rows)
+	for i := range spcgOnes {
+		spcgOnes[i] = 1
+	}
+	sol, err := prepSPCG.Solve(context.Background(), spcgOnes, SolveOpts{Schedule: faults.NewSchedule(faults.Simultaneous(6, 1))})
+	if err != nil || !sol.Result.Converged || sol.Result.WorkIterations != sol.Result.Iterations+3 {
+		t.Fatalf("spcg+checkpoint under a failure at 6 (rollback to 4 redoes 4, 5 and the begun 6): %+v, err %v", sol.Result, err)
 	}
 	// The reference solver runs no strategy; pairing it with one would
 	// silently skip the requested protection.

@@ -4,8 +4,7 @@
 // each of M1-M8 is substituted by a synthetic generator of the same problem
 // class, matched in nnz-per-row density and diagonal-band character; sizes
 // are configurable (the paper-scale sizes are available, the default
-// experiment scales are smaller). See DESIGN.md Sec. 2 for the substitution
-// rationale.
+// experiment scales are smaller).
 //
 // All generators produce strictly diagonally dominant symmetric matrices,
 // hence SPD, with deterministic output for a fixed seed.

@@ -177,7 +177,7 @@ func TestCatalogueTiny(t *testing.T) {
 }
 
 // Density classes must match the paper's Table 1 within a factor ~2;
-// this pins the substitution fidelity (DESIGN.md Sec. 2).
+// this pins the substitution fidelity.
 func TestCatalogueDensityMatchesPaper(t *testing.T) {
 	for _, e := range Catalogue() {
 		m := e.Build(ScaleTiny)

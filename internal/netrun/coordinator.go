@@ -15,7 +15,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/faults"
-	"repro/internal/xerr"
 )
 
 // Options sizes a Coordinator.
@@ -119,14 +118,6 @@ func checkSpec(spec engine.JobSpec, cfg engine.Config) error {
 	}
 	if cfg.Strategy != engine.StrategyESR {
 		return fmt.Errorf("netrun: multi-process jobs support only the %q strategy, got %q", engine.StrategyESR, cfg.Strategy)
-	}
-	if cfg.Method == engine.MethodSPCG && cfg.Schedule.HasFailStop() {
-		// The fleet turns a scheduled failure into a real process death and
-		// the replacement rejoins via Resume, which SPCG rejects — leaving
-		// the survivors blocked in the recovery collectives.
-		return xerr.Newf(xerr.FailedPrecondition,
-			"netrun: method %q cannot honour a failure schedule on a multi-process fleet (replacements rejoin via Resume; use %q)",
-			engine.MethodSPCG, engine.MethodESRPCG)
 	}
 	for _, e := range scheduleEvents(cfg.Schedule) {
 		if e.Phase != 0 {

@@ -201,8 +201,7 @@ func (b *BlockJacobiChol) Block() *sparse.CSR { return b.block }
 
 // BlockJacobiILU preconditions with an ILU(0) factorisation of the local
 // diagonal block: the scalable stand-in for exact block solves on large
-// blocks (the substitution for the paper's MKL sparse direct solves; see
-// DESIGN.md).
+// blocks (the substitution for the paper's MKL sparse direct solves).
 type BlockJacobiILU struct {
 	ilu *localsolve.ILU0
 }

@@ -107,7 +107,8 @@ const (
 	// after up to phi node failures.
 	ESRPCG Method = engine.MethodESRPCG
 	// SPCG is the split-preconditioner variant ([23, Alg. 5]); it requires
-	// the IC0 preconditioner.
+	// the IC0 preconditioner and runs under every strategy, schedule and
+	// width like ESRPCG does.
 	SPCG Method = engine.MethodSPCG
 )
 
@@ -232,9 +233,9 @@ func WithThreads(n int) Option {
 // WithBlockSize sets the block width of batched solves: SolveBatch chunks
 // its right-hand sides into groups of k columns solved in lockstep through
 // the blocked multi-RHS driver (fused k-column SpMM, k-strided halo frames,
-// length-k allreduces). 0 (the default) selects DefaultBlockSize; 1 disables
-// blocking (looped single-RHS solves); negative values and values above
-// MaxBlockSize are rejected. Blocking never changes
+// length-k allreduces). 0 (the default) selects DefaultBlockSize; 1 solves
+// the columns one at a time; negative values and values above MaxBlockSize
+// are rejected. Blocking never changes
 // results — column c of a blocked solve is bitwise identical to a solo
 // solve of that right-hand side — so this is purely a throughput knob.
 // Batch-scoped: it can differ per SolveBatch call without invalidating the

@@ -2,10 +2,7 @@ package esr
 
 import (
 	"context"
-	"errors"
 	"fmt"
-	"runtime"
-	"sync"
 
 	"repro/internal/engine"
 )
@@ -127,22 +124,21 @@ func (s *Solver) Solve(ctx context.Context, b []float64, opts ...Option) (Soluti
 }
 
 // SolveBatch solves one system per right-hand side, reusing the prepared
-// session state for all of them. On ESR sessions the batch is chunked into
-// WithBlockSize-wide groups, each solved in lockstep by the width-k driver —
-// one fused k-column SpMM, k-strided halo frames and length-k allreduces per
-// iteration — which is the throughput path for many right-hand sides (see
-// BenchmarkSolveBatch); column c of a group is bitwise identical to
-// Solve(ctx, bs[c]). Solves that must run one column at a time — the
-// checkpoint, restart and twin strategies, an armed SDC check, corruption
-// events in the schedule, SPCG — fall back to concurrent looped single
-// solves, also bit-identical.
+// session state for all of them. The batch is chunked into WithBlockSize-wide
+// groups, each solved in lockstep by the width-k driver — one fused k-column
+// SpMM, k-strided halo frames and length-k allreduces per iteration — which
+// is the throughput path for many right-hand sides (see BenchmarkSolveBatch).
+// Every method, strategy, schedule and detector setting runs at every width,
+// and column c of a group is bitwise identical to Solve(ctx, bs[c]) with the
+// same Result counts; WithBlockSize(1) solves the columns one at a time.
 //
 // The whole batch is validated before any solve launches: a column with the
 // wrong length or a non-finite element fails fast with a typed
 // *InvalidRHSError naming it, having spent no solve work. The returned slice
-// is aligned with bs; entries whose solve broke down are zero-valued and the
-// joined errors (each naming its column) are returned alongside the
-// successful solutions. Cancelling ctx aborts the whole batch.
+// is aligned with bs; entries whose solve broke down (or whose corruption
+// the armed detector caught) are zero-valued and the joined errors, each
+// naming its column, are returned alongside the successful solutions. A
+// failure of a whole group — lost data, cancellation — aborts the batch.
 func (s *Solver) SolveBatch(ctx context.Context, bs [][]float64, opts ...Option) ([]Solution, error) {
 	if len(bs) == 0 {
 		return nil, nil
@@ -154,36 +150,7 @@ func (s *Solver) SolveBatch(ctx context.Context, bs [][]float64, opts ...Option)
 	if err := s.prep.ValidateBatch(bs); err != nil {
 		return nil, err
 	}
-	if cfg.BlockSize > 1 && s.prep.CanSolveBlock(so) {
-		return s.prep.SolveChunked(ctx, bs, so, cfg.BlockSize, nil)
-	}
-	// Looped fallback: each solve spawns Ranks goroutine ranks; bound the
-	// in-flight solves so a huge batch degrades to a pipeline instead of an
-	// army of runtimes.
-	workers := runtime.GOMAXPROCS(0)/s.prep.Ranks() + 1
-	if workers > len(bs) {
-		workers = len(bs)
-	}
-	sols := make([]Solution, len(bs))
-	errs := make([]error, len(bs))
-	var wg sync.WaitGroup
-	sem := make(chan struct{}, workers)
-	for i, b := range bs {
-		wg.Add(1)
-		go func(i int, b []float64) {
-			defer wg.Done()
-			sem <- struct{}{}
-			defer func() { <-sem }()
-			sol, err := s.prep.Solve(ctx, b, so)
-			if err != nil {
-				errs[i] = fmt.Errorf("rhs %d: %w", i, err)
-				return
-			}
-			sols[i] = sol
-		}(i, b)
-	}
-	wg.Wait()
-	return sols, errors.Join(errs...)
+	return s.prep.SolveChunked(ctx, bs, so, cfg.BlockSize, nil)
 }
 
 // Close tears the session down: subsequent Solve calls fail with
