@@ -17,7 +17,7 @@ package commplan
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/cluster"
 	"repro/internal/partition"
@@ -43,24 +43,31 @@ type HaloPlan struct {
 
 // NeedSets returns, for a CSR row block of rank `rank` (with global column
 // indices), the sorted external column indices needed from each other rank.
+// Ranks own ascending ranges, so the lists concatenate in rank order to the
+// sorted list of all external columns (GhostIndices).
 func NeedSets(rows *sparse.CSR, p partition.Partition, rank int) [][]int {
 	lo, hi := p.Range(rank)
-	needed := map[int]bool{}
-	for i := 0; i < rows.Rows; i++ {
-		cols, _ := rows.Row(i)
-		for _, c := range cols {
-			if c < lo || c >= hi {
-				needed[c] = true
-			}
+	needed := make([]bool, rows.Cols)
+	total := 0
+	for _, c := range rows.Col {
+		if (c < lo || c >= hi) && !needed[c] {
+			needed[c] = true
+			total++
 		}
 	}
+	all := make([]int, 0, total)
 	byRank := make([][]int, p.Ranks())
-	for c := range needed {
-		o := p.Owner(c)
-		byRank[o] = append(byRank[o], c)
-	}
-	for _, s := range byRank {
-		sort.Ints(s)
+	for k := range byRank {
+		from := len(all)
+		klo, khi := p.Range(k)
+		for c := klo; c < khi; c++ {
+			if needed[c] {
+				all = append(all, c)
+			}
+		}
+		if len(all) > from {
+			byRank[k] = all[from:len(all):len(all)]
+		}
 	}
 	return byRank
 }
@@ -139,15 +146,11 @@ func BuildSymbolic(c *cluster.Comm, rows *sparse.CSR, p partition.Partition) (*H
 }
 
 // GhostIndices returns the sorted list of all external global indices this
-// rank receives during SpMV (the concatenation of RecvFrom). The position of
-// an index in this list is its ghost slot in the localised matrix.
+// rank receives during SpMV: the concatenation of RecvFrom in rank order,
+// each list sorted and the ranks' ranges ascending. The position of an index
+// in this list is its ghost slot in the localised matrix.
 func (pl *HaloPlan) GhostIndices() []int {
-	var all []int
-	for _, idx := range pl.RecvFrom {
-		all = append(all, idx...)
-	}
-	sort.Ints(all)
-	return all
+	return slices.Concat(pl.RecvFrom...)
 }
 
 // Multiplicity returns m_i(s) for every element of this rank's block,

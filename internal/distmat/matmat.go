@@ -35,12 +35,12 @@ func (m *Matrix) SetBlockWidth(k int) {
 }
 
 // growBlockScratch sizes the interleaved input/output buffers for width k.
-func (m *Matrix) growBlockScratch(k int) {
-	if len(m.xbufK) < m.local.Cols*k {
-		m.xbufK = make([]float64, m.local.Cols*k)
+func (m *Matrix) growBlockScratch(rows, k int) {
+	if len(m.xbufK) < len(m.xbuf)*k {
+		m.xbufK = make([]float64, len(m.xbuf)*k)
 	}
-	if len(m.ybufK) < m.local.Rows*k {
-		m.ybufK = make([]float64, m.local.Rows*k)
+	if len(m.ybufK) < rows*k {
+		m.ybufK = make([]float64, rows*k)
 	}
 }
 
@@ -66,12 +66,12 @@ func (m *Matrix) MatMat(e *Env, y, x []Vector, iter int) error {
 	if retain && m.Ret.Width() != k {
 		return fmt.Errorf("distmat: MatMat width %d on a retention store of width %d (call SetBlockWidth)", k, m.Ret.Width())
 	}
-	m.growBlockScratch(k)
+	m.growBlockScratch(bs, k)
 	// Views at the current width: the scratch only ever grows, and a matrix
 	// may serve different widths across calls (the fused preconditioner
 	// path shrinks k as columns converge).
-	xb := m.xbufK[:m.local.Cols*k]
-	yb := m.ybufK[:m.local.Rows*k]
+	xb := m.xbufK[:len(m.xbuf)*k]
+	yb := m.ybufK[:bs*k]
 	var tm MatVecTimings
 	var mark time.Time
 	if m.obs != nil {
@@ -159,11 +159,10 @@ func (m *Matrix) MatMat(e *Env, y, x []Vector, iter int) error {
 		tm.Drain = now.Sub(mark)
 		mark = now
 	}
-	if m.overlap {
-		m.split.Boundary.MulMatScatterPar(yb, xb, m.split.BndRows, k, m.threads)
-	} else {
-		m.local.MulMatPar(yb, xb, k, m.threads)
+	if !m.overlap {
+		m.split.Interior.MulMatScatterPar(yb, xb, m.split.IntRows, k, m.threads)
 	}
+	m.split.Boundary.MulMatScatterPar(yb, xb, m.split.BndRows, k, m.threads)
 	for c, col := range y {
 		for i := range col.Local {
 			col.Local[i] = yb[i*k+c]

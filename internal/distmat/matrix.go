@@ -2,7 +2,6 @@ package distmat
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
 	"repro/internal/cluster"
@@ -15,8 +14,8 @@ import (
 // Matrix is the local part of a block-row distributed sparse matrix together
 // with its communication structure. Rows keeps the static row block with
 // global column indices (the paper's A_{Ii, I}, reconstructible from
-// reliable storage); local is the column-localised copy used by the SpMV
-// kernel.
+// reliable storage); split is its one column-localised copy, the rows divided
+// into interior and boundary for the SpMV kernels.
 type Matrix struct {
 	// P is the row/vector partition of the Env's index space.
 	P partition.Partition
@@ -32,9 +31,9 @@ type Matrix struct {
 	// matrix is not resilience-enabled.
 	Ret *commplan.Retention
 
-	local       *sparse.CSR // column-localised row block
-	ghost       []int       // sorted external global indices used by SpMV
-	ghostPos    map[int]int
+	// ghost is Plan.GhostIndices(): the sorted external global indices the
+	// SpMV reads. Ghost i lives in local column (own block size) + i.
+	ghost       []int
 	sendLists   [][]int // merged halo+redundancy indices per destination
 	recvLists   [][]int // merged indices received per source
 	xbuf        []float64
@@ -52,9 +51,9 @@ type Matrix struct {
 	// dominate its profile). All are immutable after construction and shared
 	// by Forks.
 
-	// split is the interior/boundary partition of the localised CSR:
-	// interior rows read only own-block columns and compute while the halo
-	// receives are still in flight (communication-hiding SpMV).
+	// split is the column-localised row block in two parts: interior rows
+	// read only own-block columns and compute while the halo receives are
+	// still in flight (communication-hiding SpMV); boundary rows wait.
 	split *sparse.RowSplit
 	// sendLoc[k] are the local (block-relative) indices of sendLists[k].
 	sendLoc [][]int
@@ -62,11 +61,9 @@ type Matrix struct {
 	// xbuf[recvDst[k][i]] = payload[recvPos[k][i]]. Payload positions that
 	// carry pure redundancy (not needed by this rank's SpMV) are absent.
 	recvPos, recvDst [][]int
-	// ghostRowPtr/Col/Val list, per static row, the entries with external
-	// (ghost) columns — the reconstruction path's GhostProduct operand.
-	ghostRowPtr []int
-	ghostRowCol []int
-	ghostRowVal []float64
+	// ghostRows lists, per static row, the entries with external (ghost)
+	// columns, still global — the reconstruction path's GhostProduct operand.
+	ghostRows *sparse.CSR
 
 	// overlap toggles the communication-hiding schedule (on by default; the
 	// phased reference path is kept for A/B benchmarks and equality tests).
@@ -135,7 +132,6 @@ func NewMatrixStrategy(e *Env, rows *sparse.CSR, p partition.Partition, phi, ctx
 	if phi > 0 {
 		m.Ret = commplan.NewRetention(m.recvLists)
 	}
-	m.localize()
 	m.buildKernels()
 	return m, nil
 }
@@ -200,56 +196,16 @@ func (m *Matrix) exchangeRecvLists(e *Env) error {
 	return nil
 }
 
-// localize builds the column-localised CSR: own columns map to [0, bs),
-// ghost columns to bs + position in the sorted ghost list.
-func (m *Matrix) localize() {
-	lo, hi := m.P.Range(m.Pos)
-	bs := hi - lo
-	ghostSet := map[int]bool{}
-	for i := 0; i < m.Rows.Rows; i++ {
-		cols, _ := m.Rows.Row(i)
-		for _, cGlobal := range cols {
-			if cGlobal < lo || cGlobal >= hi {
-				ghostSet[cGlobal] = true
-			}
-		}
-	}
-	m.ghost = make([]int, 0, len(ghostSet))
-	for g := range ghostSet {
-		m.ghost = append(m.ghost, g)
-	}
-	sort.Ints(m.ghost)
-	m.ghostPos = make(map[int]int, len(m.ghost))
-	for pth, g := range m.ghost {
-		m.ghostPos[g] = pth
-	}
-	loc := &sparse.CSR{
-		Rows:   m.Rows.Rows,
-		Cols:   bs + len(m.ghost),
-		RowPtr: append([]int(nil), m.Rows.RowPtr...),
-		Col:    make([]int, m.Rows.NNZ()),
-		Val:    append([]float64(nil), m.Rows.Val...),
-	}
-	for k, cGlobal := range m.Rows.Col {
-		if cGlobal >= lo && cGlobal < hi {
-			loc.Col[k] = cGlobal - lo
-		} else {
-			loc.Col[k] = bs + m.ghostPos[cGlobal]
-		}
-	}
-	m.local = loc
-	m.xbuf = make([]float64, loc.Cols)
-}
-
 // buildKernels precomputes the static kernel plans off the symbolic state:
 // the send gather lists, the per-source receive scatter lists, the
-// interior/boundary row split of the localised CSR, and the per-row external
-// entry lists of the static row block. Runs once at construction; everything
-// it builds is immutable and shared by Forks.
+// column-localised interior/boundary split of the static row block and its
+// per-row external entry lists, every array allocated at its final size. Runs
+// once at construction; everything it builds is immutable and shared by Forks.
 func (m *Matrix) buildKernels() {
 	lo, hi := m.P.Range(m.Pos)
-	bs := hi - lo
 	m.overlap = true
+	m.ghost = m.Plan.GhostIndices()
+	m.xbuf = make([]float64, hi-lo+len(m.ghost))
 	m.sendLoc = make([][]int, len(m.sendLists))
 	for k, idx := range m.sendLists {
 		if len(idx) == 0 {
@@ -261,28 +217,39 @@ func (m *Matrix) buildKernels() {
 		}
 		m.sendLoc[k] = loc
 	}
+	// Source k's payload carries the elements this rank's SpMV needs
+	// (Plan.RecvFrom[k]) among pure redundancy: merge the two sorted lists.
 	m.recvPos = make([][]int, len(m.recvLists))
 	m.recvDst = make([][]int, len(m.recvLists))
 	for k, idx := range m.recvLists {
+		need := m.Plan.RecvFrom[k]
+		if len(need) == 0 {
+			continue
+		}
+		pos, dst := make([]int, 0, len(need)), make([]int, 0, len(need))
+		base, j := m.ghostSlot(k), 0
 		for t, g := range idx {
-			if p, ok := m.ghostPos[g]; ok {
-				m.recvPos[k] = append(m.recvPos[k], t)
-				m.recvDst[k] = append(m.recvDst[k], bs+p)
+			for j < len(need) && need[j] < g {
+				j++
+			}
+			if j < len(need) && need[j] == g {
+				pos, dst = append(pos, t), append(dst, base+j)
 			}
 		}
+		m.recvPos[k], m.recvDst[k] = pos, dst
 	}
-	m.split = sparse.SplitCSRBound(m.local, bs)
-	m.ghostRowPtr = make([]int, m.Rows.Rows+1)
-	for i := 0; i < m.Rows.Rows; i++ {
-		cols, vals := m.Rows.Row(i)
-		for t, c := range cols {
-			if c < lo || c >= hi {
-				m.ghostRowCol = append(m.ghostRowCol, c)
-				m.ghostRowVal = append(m.ghostRowVal, vals[t])
-			}
-		}
-		m.ghostRowPtr[i+1] = len(m.ghostRowCol)
+	m.split, m.ghostRows = sparse.SplitLocalize(m.Rows, lo, hi, m.ghost)
+}
+
+// ghostSlot returns the local column of the first element of
+// Plan.RecvFrom[k]: the ghost list is the RecvFrom lists in rank order.
+func (m *Matrix) ghostSlot(k int) int {
+	lo, hi := m.P.Range(m.Pos)
+	slot := hi - lo
+	for _, idx := range m.Plan.RecvFrom[:k] {
+		slot += len(idx)
 	}
+	return slot
 }
 
 // GhostCount returns the number of external vector elements the SpMV needs.
@@ -295,7 +262,7 @@ func (m *Matrix) InteriorRows() (interior, boundary int) {
 }
 
 // SetOverlap toggles the communication-hiding MatVec schedule (on by
-// default). The phased reference path computes the whole local block only
+// default). The phased reference path computes the interior rows too only
 // after every receive has been drained; both schedules are bit-identical —
 // the row split never changes a row's accumulation order — so this knob
 // exists purely for A/B benchmarks and equality tests. Not safe to call
@@ -340,7 +307,7 @@ type MatVecTimings struct {
 func (m *Matrix) SetMatVecObserver(fn func(MatVecTimings)) { m.obs = fn }
 
 // Fork returns a new Matrix sharing all of m's static state — the row block,
-// the halo plan, the redundancy protocol, the localised CSR and the
+// the halo plan, the redundancy protocol, the localised split and the
 // send/receive lists, all of which are immutable after construction — with
 // fresh per-solve mutable state: its own SpMV scratch buffer and, for
 // resilience-enabled matrices, its own empty retention store.
@@ -368,7 +335,7 @@ func (m *Matrix) Fork() *Matrix {
 // member.
 //
 // Like Fork it builds nothing that is a function of the matrix: the
-// localised CSR, the interior/boundary split and the thread cap are m's own.
+// localised interior/boundary split and the thread cap are m's own.
 // The halo lists for the member peers are m's Plan.SendTo/RecvFrom entries —
 // every member derives them from the member set alone, so there is no
 // symbolic exchange — and the fresh ghost buffer keeps every non-member slot
@@ -386,12 +353,10 @@ func (m *Matrix) Restrict(sub *Env, ctx int) (*Matrix, error) {
 	if last := sub.Members[sub.Size()-1]; last >= m.P.Ranks() {
 		return nil, fmt.Errorf("distmat: Restrict: member %d outside the matrix's %d ranks", last, m.P.Ranks())
 	}
-	lo, hi := m.P.Range(m.Pos)
-	bs := hi - lo
+	lo, _ := m.P.Range(m.Pos)
 	v := *m
 	v.Pos = sub.Pos
-	v.Rows, v.Red, v.Ret, v.obs = nil, nil, nil, nil
-	v.ghostRowPtr, v.ghostRowCol, v.ghostRowVal = nil, nil, nil
+	v.Rows, v.ghostRows, v.Red, v.Ret, v.obs = nil, nil, nil, nil, nil
 	v.xbuf = make([]float64, len(m.xbuf))
 	v.recvScratch = nil
 	v.xbufK, v.ybufK, v.recvScratchK = nil, nil, nil
@@ -415,9 +380,10 @@ func (m *Matrix) Restrict(sub *Env, ctx int) (*Matrix, error) {
 		}
 		v.recvPos[t] = make([]int, len(recv))
 		v.recvDst[t] = make([]int, len(recv))
-		for i, g := range recv {
+		base := m.ghostSlot(f)
+		for i := range recv {
 			v.recvPos[t][i] = i
-			v.recvDst[t][i] = bs + m.ghostPos[g]
+			v.recvDst[t][i] = base + i
 		}
 	}
 	v.P = partition.FromSizes(sizes)
@@ -533,12 +499,11 @@ func (m *Matrix) MatVec(e *Env, y, x Vector, iter int) error {
 		tm.Drain = now.Sub(mark)
 		mark = now
 	}
-	if m.overlap {
-		// Only the boundary rows were waiting for the wire.
-		m.split.Boundary.MulVecScatterPar(y.Local, m.xbuf, m.split.BndRows, m.threads)
-	} else {
-		m.local.MulVecPar(y.Local, m.xbuf, m.threads)
+	if !m.overlap {
+		// Phased reference: nothing was computed while the wire was busy.
+		m.split.Interior.MulVecScatterPar(y.Local, m.xbuf, m.split.IntRows, m.threads)
 	}
+	m.split.Boundary.MulVecScatterPar(y.Local, m.xbuf, m.split.BndRows, m.threads)
 	if retain {
 		// The retention store owns the new generation's payloads; the
 		// generation it just evicted is unreferenced and recycles.
@@ -563,13 +528,11 @@ func (m *Matrix) MatVec(e *Env, y, x Vector, iter int) error {
 // cost nothing; the external entries are visited in stored order, keeping
 // the accumulation bit-identical to a full row sweep.
 func (m *Matrix) GhostProduct(y []float64, ghost map[int]float64) {
-	for i := 0; i < m.Rows.Rows; i++ {
-		glo, ghi := m.ghostRowPtr[i], m.ghostRowPtr[i+1]
-		if glo == ghi {
+	for i := 0; i < m.ghostRows.Rows; i++ {
+		cols, vals := m.ghostRows.Row(i)
+		if len(cols) == 0 {
 			continue
 		}
-		cols := m.ghostRowCol[glo:ghi]
-		vals := m.ghostRowVal[glo:ghi]
 		var s float64
 		for t, c := range cols {
 			if v, ok := ghost[c]; ok {

@@ -3,6 +3,7 @@ package distmat
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/cluster"
@@ -77,9 +78,14 @@ func TestQuickOverlapRowPartitionProperty(t *testing.T) {
 
 // TestQuickOverlappedVsPhasedMatVec: the communication-hiding schedule must
 // be bit-identical to the phased reference on every transport, with and
-// without retention, across several random systems.
+// without retention, across several random systems — for MatVec, for MatMat
+// at widths 3 and 8, and for both on a Restrict view, which shares the
+// parent's split and sizes its buffers off the parent's. The phased schedule
+// runs the same interior and boundary kernels after the drain; there is no
+// unsplit localised copy behind it.
 func TestQuickOverlappedVsPhasedMatVec(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
+	viewMembers := []int{1, 2}
 	for _, trName := range []string{cluster.TransportChan, cluster.TransportFast, cluster.TransportChaos} {
 		for trial := 0; trial < 3; trial++ {
 			n := 60 + rng.Intn(120)
@@ -87,17 +93,26 @@ func TestQuickOverlappedVsPhasedMatVec(t *testing.T) {
 			const ranks = 4
 			phi := trial % 3 // 0 exercises the no-retention path
 			p := partition.NewBlockRow(n, ranks)
-			xFull := make([]float64, n)
-			for i := range xFull {
-				xFull[i] = rng.NormFloat64()
+			xFull := make([][]float64, 8)
+			for j := range xFull {
+				xFull[j] = make([]float64, n)
+				for i := range xFull[j] {
+					xFull[j][i] = rng.NormFloat64()
+				}
 			}
-			run := func(overlap bool) []float64 {
+			// run returns every product as full-length vectors: MatVec, the
+			// columns of MatMat at width 3 and 8, then the view's MatVec and
+			// width-3 MatMat (zero outside the view's members).
+			run := func(overlap bool) [][]float64 {
 				tr, err := cluster.NewTransport(trName, 7)
 				if err != nil {
 					t.Fatal(err)
 				}
 				rt := cluster.New(ranks, cluster.WithTransport(tr))
-				out := make([]float64, n)
+				out := make([][]float64, 1+3+8+1+3)
+				for j := range out {
+					out[j] = make([]float64, n)
+				}
 				err = rt.Run(func(c *cluster.Comm) error {
 					e := WorldEnv(c)
 					lo, hi := p.Range(e.Pos)
@@ -106,15 +121,49 @@ func TestQuickOverlappedVsPhasedMatVec(t *testing.T) {
 						return err
 					}
 					m.SetOverlap(overlap)
-					x := distribute(xFull, p, e.Pos)
-					y := NewVector(p, e.Pos)
-					for iter := 0; iter < 3; iter++ {
-						if err := m.MatVec(e, y, x, iter); err != nil {
+					// products runs width k on mat over env and files the
+					// results from out[at].
+					products := func(mat *Matrix, env *Env, k, at int) error {
+						xs, ys := make([]Vector, k), make([]Vector, k)
+						for j := range xs {
+							xs[j] = NewVector(mat.P, mat.Pos)
+							copy(xs[j].Local, xFull[j][lo:hi])
+							ys[j] = NewVector(mat.P, mat.Pos)
+						}
+						for iter := 0; iter < 3; iter++ {
+							if err := mat.MatMat(env, ys, xs, iter); err != nil {
+								return err
+							}
+						}
+						for j := range ys {
+							copy(out[at+j][lo:hi], ys[j].Local)
+						}
+						return nil
+					}
+					at := 0
+					for _, k := range []int{1, 3, 8} {
+						f := m.Fork()
+						f.SetBlockWidth(k)
+						if err := products(f, e, k, at); err != nil {
 							return err
 						}
+						at += k
 					}
-					copy(out[lo:hi], y.Local)
-					return nil
+					if e.Pos != viewMembers[0] && e.Pos != viewMembers[1] {
+						return nil
+					}
+					sub, err := GroupEnv(c, viewMembers, 3)
+					if err != nil {
+						return err
+					}
+					view, err := m.Restrict(sub, 3)
+					if err != nil {
+						return err
+					}
+					if err := products(view, sub, 1, at); err != nil {
+						return err
+					}
+					return products(view, sub, 3, at+1)
 				})
 				if err != nil {
 					t.Fatal(err)
@@ -123,10 +172,15 @@ func TestQuickOverlappedVsPhasedMatVec(t *testing.T) {
 			}
 			want := run(false)
 			got := run(true)
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("%s trial %d: overlapped y[%d] = %x, phased %x",
-						trName, trial, i, got[i], want[i])
+			for j := range want {
+				if !slices.ContainsFunc(want[j], func(v float64) bool { return v != 0 }) {
+					t.Fatalf("%s trial %d: product %d is all zero", trName, trial, j)
+				}
+				for i := range want[j] {
+					if got[j][i] != want[j][i] {
+						t.Fatalf("%s trial %d product %d: overlapped y[%d] = %x, phased %x",
+							trName, trial, j, i, got[j][i], want[j][i])
+					}
 				}
 			}
 		}

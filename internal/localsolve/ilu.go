@@ -21,6 +21,10 @@ type ILU0 struct {
 // NewILU0 factorises the square CSR matrix a in IKJ order. Zero or missing
 // pivots are replaced by a small multiple of the matrix norm to keep the
 // preconditioner defined (standard practice for incomplete factorisations).
+//
+// The factor has a's pattern, so it shares a.RowPtr and a.Col with a, read
+// only, and copies the values alone: the caller must not modify a's index
+// arrays while the factor is in use.
 func NewILU0(a *sparse.CSR) (*ILU0, error) {
 	if a.Rows != a.Cols {
 		return nil, fmt.Errorf("localsolve: ILU0 needs a square matrix")
@@ -28,8 +32,8 @@ func NewILU0(a *sparse.CSR) (*ILU0, error) {
 	n := a.Rows
 	f := &ILU0{
 		n:      n,
-		rowPtr: append([]int(nil), a.RowPtr...),
-		col:    append([]int(nil), a.Col...),
+		rowPtr: a.RowPtr,
+		col:    a.Col,
 		val:    append([]float64(nil), a.Val...),
 		diag:   make([]int, n),
 	}

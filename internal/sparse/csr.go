@@ -14,6 +14,8 @@ import (
 // CSR is a sparse matrix in compressed sparse row format. Rows and Cols give
 // the logical dimensions; for each row i, the column indices Col[RowPtr[i]:
 // RowPtr[i+1]] are strictly increasing and Val holds the matching values.
+// RowPtr and Col are immutable once the matrix is built: derived structures
+// (an ILU(0) factor, sub-slices returned by Row) share them read-only.
 type CSR struct {
 	Rows, Cols int
 	RowPtr     []int
@@ -176,7 +178,6 @@ func (m *CSR) RowBlock(lo, hi int) *CSR {
 	if lo < 0 || hi > m.Rows || lo > hi {
 		panic(fmt.Sprintf("sparse: RowBlock [%d,%d) out of range", lo, hi))
 	}
-	nnz := m.RowPtr[hi] - m.RowPtr[lo]
 	b := &CSR{
 		Rows:   hi - lo,
 		Cols:   m.Cols,
@@ -184,7 +185,6 @@ func (m *CSR) RowBlock(lo, hi int) *CSR {
 		Col:    append([]int(nil), m.Col[m.RowPtr[lo]:m.RowPtr[hi]]...),
 		Val:    append([]float64(nil), m.Val[m.RowPtr[lo]:m.RowPtr[hi]]...),
 	}
-	_ = nnz
 	for i := lo; i <= hi; i++ {
 		b.RowPtr[i-lo] = m.RowPtr[i] - m.RowPtr[lo]
 	}

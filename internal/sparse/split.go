@@ -4,14 +4,14 @@ import (
 	"repro/internal/vec"
 )
 
-// RowSplit is an interior/boundary partition of a CSR's rows: Interior holds
-// the rows whose stored columns are all "interior" (for a column-localised
-// distributed block: columns inside the rank's own block), Boundary the rows
-// that touch at least one exterior (ghost) column. Both sub-matrices keep
-// the source's column space and each row's stored entries in their original
-// order, so computing a row from either side is bit-identical to computing
-// it from the source matrix. IntRows/BndRows map sub-matrix rows back to
-// source rows; together they cover every source row exactly once.
+// RowSplit is an interior/boundary partition of a row block's rows in the
+// owning rank's local column space (own columns first, ghost columns after
+// them): Interior holds the rows whose stored columns all lie in the rank's
+// own block, Boundary the rows that touch at least one ghost column. Each row
+// keeps its stored entries in their original order, so computing a row from
+// either side is bit-identical to computing it from the source block.
+// IntRows/BndRows map sub-matrix rows back to source rows; together they
+// cover every source row exactly once.
 //
 // This is the structural half of the communication-hiding SpMV (Levonyak et
 // al.): interior rows need no ghost data and can be computed while the halo
@@ -23,42 +23,77 @@ type RowSplit struct {
 	IntRows, BndRows []int
 }
 
-// SplitCSR partitions a's rows by the interior predicate on column indices.
-// Rows whose stored columns all satisfy interior(c) land in Interior (an
-// empty row is interior); the rest land in Boundary.
-func SplitCSR(a *CSR, interior func(col int) bool) *RowSplit {
+// SplitLocalize builds, straight from a row block a with global column
+// indices, the column-localised interior/boundary split of the rank that owns
+// columns [lo, hi): an own column c becomes c-lo, an exterior column becomes
+// hi-lo plus its position in ghost, which must list every exterior column a
+// stores, ascending. A row with no exterior column is interior (an empty row
+// too); the rest are boundary. Both sub-matrices are hi-lo+len(ghost) wide.
+//
+// The second result lists, per row of a, the stored entries with an exterior
+// column, columns still global and in stored order. One counting pass sizes
+// every array exactly and one fill pass writes them; a localised copy of a as
+// a whole is never materialised.
+func SplitLocalize(a *CSR, lo, hi int, ghost []int) (*RowSplit, *CSR) {
+	bs := hi - lo
+	ext := &CSR{Rows: a.Rows, Cols: a.Cols, RowPtr: make([]int, a.Rows+1)}
+	var nInt, nnzInt int
+	for i := 0; i < a.Rows; i++ {
+		cols, _ := a.Row(i)
+		n := 0
+		for _, c := range cols {
+			if c < lo || c >= hi {
+				n++
+			}
+		}
+		if n == 0 {
+			nInt++
+			nnzInt += len(cols)
+		}
+		ext.RowPtr[i+1] = ext.RowPtr[i] + n
+	}
+	ext.Col = make([]int, ext.RowPtr[a.Rows])
+	ext.Val = make([]float64, ext.RowPtr[a.Rows])
+	sub := func(rows, nnz int) *CSR {
+		return &CSR{Cols: bs + len(ghost), RowPtr: make([]int, 1, rows+1), Col: make([]int, nnz), Val: make([]float64, nnz)}
+	}
 	s := &RowSplit{
-		Interior: &CSR{Cols: a.Cols, RowPtr: []int{0}},
-		Boundary: &CSR{Cols: a.Cols, RowPtr: []int{0}},
+		Interior: sub(nInt, nnzInt),
+		Boundary: sub(a.Rows-nInt, a.RowPtr[a.Rows]-nnzInt),
+		IntRows:  make([]int, 0, nInt),
+		BndRows:  make([]int, 0, a.Rows-nInt),
+	}
+	// Transient global-column -> local-slot table for the exterior columns.
+	slot := make([]int32, a.Cols)
+	for g, c := range ghost {
+		slot[c] = int32(bs + g)
 	}
 	for i := 0; i < a.Rows; i++ {
 		cols, vals := a.Row(i)
-		isInterior := true
-		for _, c := range cols {
-			if !interior(c) {
-				isInterior = false
-				break
-			}
-		}
+		e := ext.RowPtr[i]
 		dst := s.Boundary
-		if isInterior {
+		if e == ext.RowPtr[i+1] {
 			dst = s.Interior
 			s.IntRows = append(s.IntRows, i)
 		} else {
 			s.BndRows = append(s.BndRows, i)
 		}
+		at := dst.RowPtr[dst.Rows]
+		dcols := dst.Col[at : at+len(cols)]
+		copy(dst.Val[at:], vals)
+		for t, c := range cols {
+			if c >= lo && c < hi {
+				dcols[t] = c - lo
+				continue
+			}
+			dcols[t] = int(slot[c])
+			ext.Col[e], ext.Val[e] = c, vals[t]
+			e++
+		}
 		dst.Rows++
-		dst.Col = append(dst.Col, cols...)
-		dst.Val = append(dst.Val, vals...)
-		dst.RowPtr = append(dst.RowPtr, len(dst.Col))
+		dst.RowPtr = append(dst.RowPtr, at+len(cols))
 	}
-	return s
-}
-
-// SplitCSRBound is SplitCSR with the column-localised convention: columns in
-// [0, bound) are interior, columns >= bound are ghost.
-func SplitCSRBound(a *CSR, bound int) *RowSplit {
-	return SplitCSR(a, func(c int) bool { return c < bound })
+	return s, ext
 }
 
 // parRowChunk is the row-chunk size of the parallel SpMV grid. Row chunks

@@ -5,19 +5,41 @@ import (
 	"testing"
 )
 
-// TestQuickSplitCSRPartitionProperty: across random matrices and random
-// interior bounds, the interior/boundary split must (a) cover every source
-// row exactly once with disjoint index sets, (b) classify rows correctly,
-// and (c) reproduce each row's stored entries verbatim — the invariants the
-// overlapped distributed SpMV's bit-identical guarantee rests on.
-func TestQuickSplitCSRPartitionProperty(t *testing.T) {
+// randWindow draws an own-column window [lo, hi) of a c-column matrix —
+// empty (every row boundary), full (every row interior) or anything between —
+// and the sorted exterior columns m stores.
+func randWindow(rng *rand.Rand, m *CSR) (lo, hi int, ghost []int) {
+	lo = rng.Intn(m.Cols + 1)
+	hi = lo + rng.Intn(m.Cols+1-lo)
+	stored := make([]bool, m.Cols)
+	for _, c := range m.Col {
+		stored[c] = true
+	}
+	for c, ok := range stored {
+		if ok && (c < lo || c >= hi) {
+			ghost = append(ghost, c)
+		}
+	}
+	return lo, hi, ghost
+}
+
+// TestQuickSplitLocalizePartitionProperty: across random matrices and random
+// own-column windows, the localised interior/boundary split must (a) cover
+// every source row exactly once with disjoint index sets, (b) classify rows
+// correctly, (c) reproduce each row's stored entries verbatim, own columns
+// shifted to [0, bs) and exterior ones to bs + their ghost position, and (d)
+// list each row's exterior entries, global and in stored order — the
+// invariants the overlapped distributed SpMV's bit-identical guarantee rests
+// on. Every array is allocated at its final size.
+func TestQuickSplitLocalizePartitionProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for trial := 0; trial < 60; trial++ {
 		r := 1 + rng.Intn(40)
 		c := 1 + rng.Intn(40)
 		m := FromDense(r, c, randDense(rng, r, c, 0.05+0.5*rng.Float64()))
-		bound := rng.Intn(c + 1) // 0 (all boundary) .. c (all interior)
-		s := SplitCSRBound(m, bound)
+		lo, hi, ghost := randWindow(rng, m)
+		bs := hi - lo
+		s, ext := SplitLocalize(m, lo, hi, ghost)
 
 		if len(s.IntRows) != s.Interior.Rows || len(s.BndRows) != s.Boundary.Rows {
 			t.Fatalf("trial %d: row maps sized %d/%d, sub-matrices %d/%d rows",
@@ -32,32 +54,64 @@ func TestQuickSplitCSRPartitionProperty(t *testing.T) {
 		}
 		for i, v := range seen {
 			if v != 1 && v != 10 {
-				t.Fatalf("trial %d (r=%d c=%d bound=%d): row %d covered with code %d, want exactly one side",
-					trial, r, c, bound, i, v)
+				t.Fatalf("trial %d (r=%d c=%d own=[%d,%d)): row %d covered with code %d, want exactly one side",
+					trial, r, c, lo, hi, i, v)
+			}
+		}
+		if err := ext.CheckValid(); err != nil || ext.Rows != r || ext.Cols != c {
+			t.Fatalf("trial %d: exterior lists %dx%d invalid: %v", trial, ext.Rows, ext.Cols, err)
+		}
+		for name, n := range map[string][2]int{
+			"Interior.RowPtr": {cap(s.Interior.RowPtr), s.Interior.Rows + 1},
+			"Boundary.RowPtr": {cap(s.Boundary.RowPtr), s.Boundary.Rows + 1},
+			"Interior.Col":    {cap(s.Interior.Col), s.Interior.NNZ()},
+			"Boundary.Col":    {cap(s.Boundary.Col), s.Boundary.NNZ()},
+			"IntRows":         {cap(s.IntRows), len(s.IntRows)},
+			"BndRows":         {cap(s.BndRows), len(s.BndRows)},
+			"ext.Col":         {cap(ext.Col), ext.NNZ()},
+		} {
+			if n[0] != n[1] {
+				t.Fatalf("trial %d: %s has capacity %d for %d elements", trial, name, n[0], n[1])
 			}
 		}
 		check := func(sub *CSR, rows []int, wantInterior bool) {
-			if err := sub.CheckValid(); err != nil {
-				t.Fatalf("trial %d: invalid sub-matrix: %v", trial, err)
+			// Not CheckValid: localising moves the columns below lo behind the
+			// own block, so a localised row is not ascending.
+			if sub.Cols != bs+len(ghost) || len(sub.RowPtr) != sub.Rows+1 || sub.RowPtr[0] != 0 ||
+				sub.RowPtr[sub.Rows] != len(sub.Col) || len(sub.Col) != len(sub.Val) {
+				t.Fatalf("trial %d: sub-matrix storage inconsistent (%d cols, want %d)", trial, sub.Cols, bs+len(ghost))
 			}
 			for si, srcRow := range rows {
 				gotC, gotV := sub.Row(si)
 				wantC, wantV := m.Row(srcRow)
+				extC, extV := ext.Row(srcRow)
 				if len(gotC) != len(wantC) {
 					t.Fatalf("trial %d: row %d has %d entries, want %d", trial, srcRow, len(gotC), len(wantC))
 				}
-				isInterior := true
-				for k := range gotC {
-					if gotC[k] != wantC[k] || gotV[k] != wantV[k] {
-						t.Fatalf("trial %d: row %d entry %d differs", trial, srcRow, k)
+				nExt := 0
+				for k, g := range wantC {
+					local := g - lo
+					if g < lo || g >= hi {
+						if nExt >= len(extC) || extC[nExt] != g || extV[nExt] != wantV[k] {
+							t.Fatalf("trial %d: row %d exterior entry %d is not (%d, %v)", trial, srcRow, nExt, g, wantV[k])
+						}
+						nExt++
+						local = bs
+						for ghost[local-bs] != g {
+							local++
+						}
 					}
-					if gotC[k] >= bound {
-						isInterior = false
+					if gotC[k] != local || gotV[k] != wantV[k] {
+						t.Fatalf("trial %d: row %d entry %d is (%d, %v), want (%d, %v)",
+							trial, srcRow, k, gotC[k], gotV[k], local, wantV[k])
 					}
 				}
-				if isInterior != wantInterior {
-					t.Fatalf("trial %d (bound=%d): row %d classified interior=%v, columns say %v",
-						trial, bound, srcRow, wantInterior, isInterior)
+				if nExt != len(extC) {
+					t.Fatalf("trial %d: row %d lists %d exterior entries, has %d", trial, srcRow, len(extC), nExt)
+				}
+				if (nExt == 0) != wantInterior {
+					t.Fatalf("trial %d (own=[%d,%d)): row %d classified interior=%v with %d exterior entries",
+						trial, lo, hi, srcRow, wantInterior, nExt)
 				}
 			}
 		}
@@ -67,26 +121,31 @@ func TestQuickSplitCSRPartitionProperty(t *testing.T) {
 }
 
 // TestQuickSplitScatterMatchesMulVec: scoring both halves of a split through
-// MulVecScatter (and its parallel variant at several thread counts) must be
-// bit-identical to the unsplit MulVec.
+// MulVecScatter (and its parallel variant at several thread counts) on the
+// localised input — own block first, ghost values after it — must be
+// bit-identical to the unsplit MulVec on the global one.
 func TestQuickSplitScatterMatchesMulVec(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	for trial := 0; trial < 30; trial++ {
 		r := 1 + rng.Intn(60)
 		c := 1 + rng.Intn(60)
 		m := FromDense(r, c, randDense(rng, r, c, 0.3))
-		bound := rng.Intn(c + 1)
-		s := SplitCSRBound(m, bound)
+		lo, hi, ghost := randWindow(rng, m)
+		s, _ := SplitLocalize(m, lo, hi, ghost)
 		x := make([]float64, c)
 		for i := range x {
 			x[i] = rng.NormFloat64()
 		}
 		want := make([]float64, r)
 		m.MulVec(want, x)
+		xLocal := append([]float64(nil), x[lo:hi]...)
+		for _, g := range ghost {
+			xLocal = append(xLocal, x[g])
+		}
 
 		got := make([]float64, r)
-		s.Interior.MulVecScatter(got, x, s.IntRows)
-		s.Boundary.MulVecScatter(got, x, s.BndRows)
+		s.Interior.MulVecScatter(got, xLocal, s.IntRows)
+		s.Boundary.MulVecScatter(got, xLocal, s.BndRows)
 		for i := range want {
 			if got[i] != want[i] {
 				t.Fatalf("trial %d: scatter y[%d] = %x, MulVec %x", trial, i, got[i], want[i])
@@ -94,8 +153,8 @@ func TestQuickSplitScatterMatchesMulVec(t *testing.T) {
 		}
 		for _, threads := range []int{1, 2, 7} {
 			par := make([]float64, r)
-			s.Interior.MulVecScatterPar(par, x, s.IntRows, threads)
-			s.Boundary.MulVecScatterPar(par, x, s.BndRows, threads)
+			s.Interior.MulVecScatterPar(par, xLocal, s.IntRows, threads)
+			s.Boundary.MulVecScatterPar(par, xLocal, s.BndRows, threads)
 			for i := range want {
 				if par[i] != want[i] {
 					t.Fatalf("trial %d threads %d: parallel scatter y[%d] = %x, MulVec %x",
