@@ -250,6 +250,9 @@ func main() {
 		Addr:              *addr,
 		Handler:           newMux(eng, logger),
 		ReadHeaderTimeout: 10 * time.Second,
+		// No WriteTimeout: it would cut a long /events stream. Request bodies
+		// are bounded per handler (bodyReadTimeout).
+		IdleTimeout: idleTimeout,
 	}
 
 	ctx, cancel := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)

@@ -3,11 +3,14 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"log/slog"
 	"net/http"
+	"os"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 
 	"repro/internal/engine"
@@ -110,8 +113,8 @@ func (s *server) handle(mux *http.ServeMux, pattern string, h http.HandlerFunc) 
 }
 
 // statusWriter records the response status for the middleware. It forwards
-// Flush so the NDJSON event stream keeps its per-event flushing through the
-// wrapper.
+// Flush so the NDJSON event stream keeps flushing through the wrapper, and
+// unwraps for http.ResponseController (the body read deadline).
 type statusWriter struct {
 	http.ResponseWriter
 	status int
@@ -137,6 +140,8 @@ func (w *statusWriter) Flush() {
 	}
 }
 
+func (w *statusWriter) Unwrap() http.ResponseWriter { return w.ResponseWriter }
+
 func (w *statusWriter) code() int {
 	if w.status == 0 {
 		return http.StatusOK
@@ -156,12 +161,27 @@ type apiErrorBody struct {
 	Message string `json:"message"`
 }
 
+// jsonBufs recycles writeJSON's encode buffers: a result with its solution
+// vector is ~20 bytes a row, grown by doubling from nothing on every GET
+// otherwise.
+var jsonBufs = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// maxPooledJSON bounds the buffers jsonBufs keeps, so one huge response does
+// not pin its buffer for the life of the daemon.
+const maxPooledJSON = 4 << 20
+
 func writeJSON(w http.ResponseWriter, code int, v any) {
 	// Encode before writing the header: values containing NaN/Inf floats
 	// (e.g. a diverged solve's residuals) are unencodable, and the failure
 	// must surface as a 500 error envelope, not an empty 200 body.
-	var buf bytes.Buffer
-	enc := json.NewEncoder(&buf)
+	buf := jsonBufs.Get().(*bytes.Buffer)
+	defer func() {
+		if buf.Cap() <= maxPooledJSON {
+			buf.Reset()
+			jsonBufs.Put(buf)
+		}
+	}()
+	enc := json.NewEncoder(buf)
 	enc.SetEscapeHTML(false)
 	if err := enc.Encode(v); err != nil {
 		w.Header().Set("Content-Type", "application/json")
@@ -215,12 +235,47 @@ func statusFor(err error) int {
 	return http.StatusInternalServerError
 }
 
-func (s *server) submit(w http.ResponseWriter, r *http.Request) {
-	var spec engine.JobSpec
+// bodyReadTimeout bounds how long submit and putMatrix wait for a request
+// body once its headers are in (ReadHeaderTimeout covers those): a peer that
+// trickles or stalls would otherwise hold its connection, its goroutine and
+// a 64 MiB body budget for as long as it likes. A variable so tests can
+// lower it.
+var bodyReadTimeout = 30 * time.Second
+
+// idleTimeout is how long the server keeps a connection open between two
+// requests (http.Server.IdleTimeout; without it that is for ever). A
+// variable for the same reason.
+var idleTimeout = 2 * time.Minute
+
+// decodeBody decodes the request's JSON body into v under the 64 MiB cap and
+// the body read deadline; what names the body in the error. On failure it
+// has written the refusal and returns false.
+func decodeBody(w http.ResponseWriter, r *http.Request, what string, v any) bool {
+	// The deadline is not lifted afterwards: net/http does that itself once
+	// the body has been read to its end, and until then its own discarding
+	// of the unread rest, before it answers, must not wait on the peer
+	// either. A ResponseWriter without deadlines (a test recorder) reads
+	// unbounded.
+	_ = http.NewResponseController(w).SetReadDeadline(time.Now().Add(bodyReadTimeout))
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 64<<20))
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
-		writeErr(w, http.StatusBadRequest, xerr.Newf(xerr.InvalidArgument, "decoding job spec: %v", err))
+	err := dec.Decode(v)
+	switch {
+	case err == nil:
+		return true
+	case errors.Is(err, os.ErrDeadlineExceeded):
+		// 408, not the class table's 504: it is the client that was late.
+		writeErr(w, http.StatusRequestTimeout, xerr.Newf(xerr.DeadlineExceeded,
+			"reading %s: no complete body within %v", what, bodyReadTimeout))
+	default:
+		writeErr(w, http.StatusBadRequest, xerr.Newf(xerr.InvalidArgument, "decoding %s: %v", what, err))
+	}
+	return false
+}
+
+func (s *server) submit(w http.ResponseWriter, r *http.Request) {
+	var spec engine.JobSpec
+	if !decodeBody(w, r, "job spec", &spec) {
 		return
 	}
 	id, err := s.eng.Submit(spec)
@@ -275,10 +330,7 @@ func (s *server) deleteJob(w http.ResponseWriter, r *http.Request) {
 // returns the existing record.
 func (s *server) putMatrix(w http.ResponseWriter, r *http.Request) {
 	var spec engine.MatrixSpec
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 64<<20))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&spec); err != nil {
-		writeErr(w, http.StatusBadRequest, xerr.Newf(xerr.InvalidArgument, "decoding matrix spec: %v", err))
+	if !decodeBody(w, r, "matrix spec", &spec) {
 		return
 	}
 	rec, err := s.eng.PutMatrix(spec)
@@ -311,8 +363,16 @@ func (s *server) deleteMatrix(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{"id": id, "deleted": true})
 }
 
-// events streams the job's event log as NDJSON, flushing per event, until
-// the job reaches a terminal state (or the client goes away).
+// eventFlushTick is how long a progress line may sit in the response buffer
+// before the events stream flushes it. A variable so tests can change it.
+var eventFlushTick = 10 * time.Millisecond
+
+// events streams the job's event log as NDJSON until the job reaches a
+// terminal state (or the client goes away). State and reconstruction lines
+// are flushed as they are written — a caller blocked on the terminal line
+// waits for nothing — progress lines within eventFlushTick of being written:
+// a flush is a write(2) and a wake-up of the reader, and a solver iteration
+// can be shorter than either.
 func (s *server) events(w http.ResponseWriter, r *http.Request) {
 	from := 0
 	if q := r.URL.Query().Get("from"); q != "" {
@@ -336,6 +396,7 @@ func (s *server) events(w http.ResponseWriter, r *http.Request) {
 	flusher, _ := w.(http.Flusher)
 	enc := json.NewEncoder(w)
 	enc.SetEscapeHTML(false)
+	var due <-chan time.Time // fires while an unflushed progress line waits
 	for {
 		select {
 		case ev, ok := <-ch:
@@ -349,9 +410,17 @@ func (s *server) events(w http.ResponseWriter, r *http.Request) {
 					xerr.Internal.Code(), "encoding event: "+err.Error())
 				return
 			}
-			if flusher != nil {
+			switch {
+			case flusher == nil:
+			case ev.Kind != engine.EventProgress:
 				flusher.Flush()
+				due = nil
+			case due == nil:
+				due = time.After(eventFlushTick)
 			}
+		case <-due:
+			flusher.Flush()
+			due = nil
 		case <-r.Context().Done():
 			return
 		}

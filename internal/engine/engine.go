@@ -425,6 +425,7 @@ func New(opts Options) *Engine {
 	e.queue = make(chan *job, opts.QueueCap)
 	if rs != nil {
 		e.applyReplay(rs)
+		e.store.ReleaseRecords()
 	}
 	e.wg.Add(opts.Workers)
 	for i := 0; i < opts.Workers; i++ {
@@ -623,6 +624,15 @@ func (e *Engine) Submit(spec JobSpec) (string, error) {
 		j.matHash = spec.Matrix.contentHash()
 	}
 
+	var rec store.Record
+	if e.store != nil {
+		var err error
+		if rec, err = submitRecord(spec, j.enqueued); err != nil {
+			cancel(err)
+			return "", err
+		}
+	}
+
 	e.mu.Lock()
 	if e.closed || e.draining {
 		e.mu.Unlock()
@@ -640,9 +650,10 @@ func (e *Engine) Submit(spec JobSpec) (string, error) {
 		// Journal the acceptance before the job is reachable anywhere: a
 		// submit that cannot be made durable is refused, so every job the
 		// caller ever saw an id for survives a restart. Writing under e.mu
-		// also orders submit records before any of the job's state records.
+		// also orders submit records before any of the job's state records;
+		// the record was encoded before the lock, only its id was missing.
 		j.eng = e
-		if err := e.journalSubmit(j); err != nil {
+		if err := e.journalSubmit(j.id, rec); err != nil {
 			e.mu.Unlock()
 			cancel(err)
 			return "", err

@@ -2,8 +2,10 @@ package engine
 
 import (
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 	"time"
@@ -31,6 +33,14 @@ import (
 //   - Deletes (explicit or TTL/MaxJobs eviction) append delete records, so
 //     a replayed store honours the same retention the live engine did.
 //
+// Bulk float vectors do not travel as JSON: a submit record's right-hand
+// sides and a result record's solution vectors are lifted out of the spec /
+// solution into the record's float columns (store.Record.Floats), bit for
+// bit. The JSON that stays behind keeps the shape — "bs" / "xs" as arrays of
+// that many nulls for a batch, absent for a single vector — so the reader
+// knows where the columns go back; it reads a journal from before the
+// columns existed (arrays inline, no Floats) with the same two steps.
+//
 // Replay is idempotent: replaying the journal twice yields the same
 // engine state as replaying it once, because records are keyed by job id
 // and state transitions are absorbing (a second "running" record is a
@@ -46,16 +56,94 @@ func (e *Engine) journalAppend(rec store.Record) {
 	}
 }
 
+// liftColumns packs a record's bulk vectors — batch if it has columns, else
+// single — into journal float columns: little-endian float64 bits, so what
+// replay reads back is what was written, whatever the value. It leaves only
+// their shape behind for the JSON: single nil, batch as many nil columns
+// ("[null,null]") as it had.
+func liftColumns(single *[]float64, batch *[][]float64) [][]byte {
+	vecs := *batch
+	if len(vecs) == 0 {
+		if len(*single) == 0 {
+			return nil
+		}
+		vecs = [][]float64{*single}
+	} else {
+		*batch = make([][]float64, len(vecs))
+	}
+	*single = nil
+	cols := make([][]byte, len(vecs))
+	for c, v := range vecs {
+		b := make([]byte, 8*len(v))
+		for i, f := range v {
+			binary.LittleEndian.PutUint64(b[8*i:], math.Float64bits(f))
+		}
+		cols[c] = b
+	}
+	return cols
+}
+
+// restoreColumns is liftColumns backwards: the columns go where the decoded
+// JSON left their shape. A record without columns (nothing was lifted, or it
+// predates them and holds its vectors inline) is left as decoded.
+func restoreColumns(cols [][]byte, single *[]float64, batch *[][]float64) error {
+	if len(cols) == 0 {
+		return nil
+	}
+	want := max(len(*batch), 1)
+	if len(cols) != want {
+		return fmt.Errorf("engine: journal record has %d float columns, its payload names %d", len(cols), want)
+	}
+	vecs := make([][]float64, len(cols))
+	for c, b := range cols {
+		if len(b)%8 != 0 {
+			return fmt.Errorf("engine: journal float column %d is %d bytes, not a whole number of float64", c, len(b))
+		}
+		v := make([]float64, len(b)/8)
+		for i := range v {
+			v[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
+		}
+		vecs[c] = v
+	}
+	if len(*batch) > 0 {
+		*batch = vecs
+	} else {
+		*single = vecs[0]
+	}
+	return nil
+}
+
+// submitRecord builds the submit record of spec, complete but for the job
+// id: the right-hand sides as float columns, the rest as JSON. Submit calls
+// it before taking e.mu — everything here costs time and memory in
+// proportion to the payload.
+func submitRecord(spec JobSpec, enqueued time.Time) (store.Record, error) {
+	rec := store.Record{Kind: store.KindSubmit, Time: enqueued}
+	if rec.Floats = liftColumns(&spec.RHS, &spec.RHSBatch); rec.Floats != nil {
+		rec.Kind = store.KindSubmitFloats
+	}
+	var err error
+	if rec.Spec, err = json.Marshal(spec); err != nil {
+		return rec, xerr.Newf(xerr.Internal, "engine: encoding job spec for the journal: %v", err)
+	}
+	return rec, nil
+}
+
+// decodeSpec reads a submit record back into the spec that was submitted.
+func decodeSpec(r store.Record) (JobSpec, error) {
+	var spec JobSpec
+	if err := json.Unmarshal(r.Spec, &spec); err != nil {
+		return spec, err
+	}
+	return spec, restoreColumns(r.Floats, &spec.RHS, &spec.RHSBatch)
+}
+
 // journalSubmit persists an accepted job, while it is NOT yet reachable by
 // any worker. Unlike the other hooks this one is fallible: accepting a job
 // the WAL cannot record would break the durability contract, so Submit
-// fails the submission instead.
-func (e *Engine) journalSubmit(j *job) error {
-	specJSON, err := json.Marshal(j.spec)
-	if err != nil {
-		return xerr.Newf(xerr.Internal, "engine: encoding job spec for the journal: %v", err)
-	}
-	rec := store.Record{Kind: store.KindSubmit, Time: j.enqueued, JobID: j.id, Spec: specJSON}
+// fails the submission instead. rec is the job's submitRecord.
+func (e *Engine) journalSubmit(id string, rec store.Record) error {
+	rec.JobID = id
 	if err := e.store.Append(rec); err != nil {
 		e.metrics.storeErrorInc()
 		return fmt.Errorf("engine: journaling submit: %w", err)
@@ -72,15 +160,57 @@ func (e *Engine) journalState(id string, s State, errMsg, errCode string) {
 }
 
 // journalResult records a finished job's solution, before the done state
-// record. A solution that cannot be marshalled (NaN from a diverged solve)
-// is skipped — the job replays as unfinished and re-runs.
+// record: the statistics as JSON, the solution vectors as float columns (a
+// batch's X is its XS[0] and is written once). A solution JSON cannot carry
+// (NaN or Inf from a diverged solve, in the vectors or the statistics) is
+// skipped — the job replays as unfinished and re-runs.
 func (e *Engine) journalResult(id string, sol *Solution) {
-	b, err := json.Marshal(sol)
-	if err != nil {
+	vecs := sol.XS
+	if len(vecs) == 0 {
+		vecs = [][]float64{sol.X}
+	}
+	for _, x := range vecs {
+		if !allFinite(x) {
+			e.metrics.storeErrorInc()
+			return
+		}
+	}
+	rec := store.Record{Kind: store.KindResult, Time: time.Now(), JobID: id}
+	hdr := *sol
+	if rec.Floats = liftColumns(&hdr.X, &hdr.XS); rec.Floats != nil {
+		rec.Kind = store.KindResultFloats
+	}
+	var err error
+	if rec.Result, err = json.Marshal(hdr); err != nil {
 		e.metrics.storeErrorInc()
 		return
 	}
-	e.journalAppend(store.Record{Kind: store.KindResult, Time: time.Now(), JobID: id, Result: b})
+	e.journalAppend(rec)
+}
+
+func allFinite(v []float64) bool {
+	for _, f := range v {
+		if math.IsNaN(f) || math.IsInf(f, 0) {
+			return false
+		}
+	}
+	return true
+}
+
+// decodeResult reads a result record back into the solution the live engine
+// held, X of a batch aliasing XS[0] included.
+func decodeResult(r store.Record) (*Solution, error) {
+	var sol Solution
+	if err := json.Unmarshal(r.Result, &sol); err != nil {
+		return nil, err
+	}
+	if err := restoreColumns(r.Floats, &sol.X, &sol.XS); err != nil {
+		return nil, err
+	}
+	if len(sol.XS) > 0 {
+		sol.X = sol.XS[0]
+	}
+	return &sol, nil
 }
 
 // journalDelete records a job removal (explicit delete, eviction sweep, or
@@ -177,15 +307,15 @@ func (e *Engine) parseJournal() *replayState {
 	}
 	for _, r := range e.store.Records() {
 		switch r.Kind {
-		case store.KindSubmit:
+		case store.KindSubmit, store.KindSubmitFloats:
 			if n := idSeq(r.JobID, "job-"); n > rs.maxJob {
 				rs.maxJob = n
 			}
 			rj := &replayedJob{id: r.JobID, state: StateQueued, enqueued: r.Time}
-			if err := json.Unmarshal(r.Spec, &rj.spec); err != nil {
+			if spec, err := decodeSpec(r); err != nil {
 				e.metrics.storeErrorInc()
 			} else {
-				rj.hasSpec = true
+				rj.spec, rj.hasSpec = spec, true
 			}
 			if _, seen := rs.jobs[r.JobID]; !seen {
 				rs.jobOrder = append(rs.jobOrder, r.JobID)
@@ -206,17 +336,17 @@ func (e *Engine) parseJournal() *replayState {
 			case StateDone, StateFailed, StateCancelled:
 				rj.state, rj.finished, rj.errMsg, rj.errCode = s, r.Time, r.Error, r.ErrorCode
 			}
-		case store.KindResult:
+		case store.KindResult, store.KindResultFloats:
 			rj, ok := rs.jobs[r.JobID]
 			if !ok {
 				continue
 			}
-			var sol Solution
-			if err := json.Unmarshal(r.Result, &sol); err != nil {
+			sol, err := decodeResult(r)
+			if err != nil {
 				e.metrics.storeErrorInc()
 				continue
 			}
-			rj.result = &sol
+			rj.result = sol
 		case store.KindDelete:
 			delete(rs.jobs, r.JobID)
 		case store.KindPutMatrix:

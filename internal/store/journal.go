@@ -2,12 +2,14 @@ package store
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
+	"sync"
 	"time"
 
 	"repro/internal/xerr"
@@ -26,6 +28,13 @@ const (
 	// (engine Solution JSON). Written just before the terminal state
 	// record, so a crash between the two replays the job as still running.
 	KindResult Kind = "result"
+	// KindSubmitFloats and KindResultFloats are KindSubmit / KindResult
+	// records whose bulk float vectors travel in Floats instead of inline
+	// in the JSON payload. They have their own kind strings so that a binary
+	// from before Floats existed skips them (an unknown kind) instead of
+	// reading a spec without its right-hand side.
+	KindSubmitFloats Kind = "submit_floats"
+	KindResultFloats Kind = "result_floats"
 	// KindDelete records a job removal (explicit delete or TTL/MaxJobs
 	// eviction): JobID.
 	KindDelete Kind = "delete"
@@ -40,6 +49,13 @@ const (
 // Record is one journal entry. Payload fields (Spec, Result, Matrix) are
 // raw JSON so the store stays engine-agnostic; unused fields are omitted
 // from the encoded form.
+//
+// Floats carries the record's bulk numeric payload as columns of
+// little-endian float64 bytes, which encoding/json writes as base64: 10.7
+// bytes a float whatever its value and a copy to read back, where decimal
+// text costs ~19 bytes and a strconv round trip. What the columns mean is
+// the caller's business (the engine lifts a job's right-hand sides and
+// solution vectors out of Spec / Result into them).
 type Record struct {
 	Kind Kind      `json:"kind"`
 	Time time.Time `json:"time"`
@@ -55,6 +71,8 @@ type Record struct {
 
 	MatrixID string          `json:"matrix_id,omitempty"`
 	Matrix   json.RawMessage `json:"matrix,omitempty"`
+
+	Floats [][]byte `json:"floats,omitempty"`
 }
 
 // Journal framing: each record is [len uint32 LE][crc32c uint32 LE][JSON
@@ -100,19 +118,17 @@ func (s *Store) openJournal() error {
 	s.loaded = recs
 	s.records = int64(len(recs))
 	s.journalBytes = good
+	s.recoveredBytes = good
 	return nil
 }
 
-// scanJournal reads records from the start of f, stopping at the first
-// incomplete or corrupt frame. It returns the decoded records and the byte
-// offset of the end of the last good record. Recovery cannot distinguish
-// mid-file corruption from a torn tail, so — like any WAL — everything
-// after the first bad frame is discarded.
-func scanJournal(f *os.File) ([]Record, int64) {
-	if _, err := f.Seek(0, io.SeekStart); err != nil {
-		return nil, 0
-	}
-	br := bufio.NewReaderSize(f, 1<<16)
+// scanJournal reads records from r, a journal from its first byte, stopping
+// at the first incomplete or corrupt frame. It returns the decoded records
+// and the byte offset of the end of the last good record. Recovery cannot
+// distinguish mid-file corruption from a torn tail, so — like any WAL —
+// everything after the first bad frame is discarded.
+func scanJournal(r io.Reader) ([]Record, int64) {
+	br := bufio.NewReaderSize(r, 1<<16)
 	var (
 		recs []Record
 		good int64
@@ -143,21 +159,38 @@ func scanJournal(f *os.File) ([]Record, int64) {
 	}
 }
 
+// framePool recycles Append's frame buffers: a record with float columns is
+// tens of kilobytes, built and written once per job edge.
+var framePool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// maxPooledFrame bounds the buffers framePool keeps, so one huge record does
+// not pin its buffer for the life of the process.
+const maxPooledFrame = 4 << 20
+
 // Append encodes rec, frames it, and writes it to the journal in a single
 // write call (so a crash can only tear the tail, never interleave
 // records). With Options.Fsync it also flushes before returning.
 func (s *Store) Append(rec Record) error {
-	payload, err := json.Marshal(rec)
-	if err != nil {
+	frame := framePool.Get().(*bytes.Buffer)
+	defer func() {
+		if frame.Cap() <= maxPooledFrame {
+			frame.Reset()
+			framePool.Put(frame)
+		}
+	}()
+	var hdr [frameHeaderLen]byte
+	frame.Write(hdr[:])
+	if err := json.NewEncoder(frame).Encode(rec); err != nil {
 		return xerr.Wrap(xerr.Internal, err)
 	}
+	frame.Truncate(frame.Len() - 1) // the encoder's newline
+	buf := frame.Bytes()
+	payload := buf[frameHeaderLen:]
 	if len(payload) > maxRecordBytes {
 		return xerr.Newf(xerr.InvalidArgument, "store: record too large (%d bytes)", len(payload))
 	}
-	buf := make([]byte, frameHeaderLen+len(payload))
 	binary.LittleEndian.PutUint32(buf[:4], uint32(len(payload)))
 	binary.LittleEndian.PutUint32(buf[4:8], crc32.Checksum(payload, crcTable))
-	copy(buf[frameHeaderLen:], payload)
 
 	s.mu.Lock()
 	defer s.mu.Unlock()

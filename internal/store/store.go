@@ -14,11 +14,13 @@
 // crash never leaves a half-written blob under its final name, and every
 // load re-verifies the content hash before handing bytes back.
 //
-// The store is engine-agnostic: record payloads are raw JSON supplied by
-// the caller, which keeps the dependency arrow pointing engine -> store.
+// The store is engine-agnostic: record payloads are raw JSON and opaque
+// float columns supplied by the caller, which keeps the dependency arrow
+// pointing engine -> store.
 package store
 
 import (
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -58,8 +60,10 @@ type Store struct {
 	mu        sync.Mutex
 	f         *os.File // journal, positioned at end
 	closed    bool
-	loaded    []Record // records recovered at Open, for replay
+	loaded    []Record // records recovered at Open, until ReleaseRecords
 	truncated int64    // torn-tail bytes dropped at Open
+
+	recoveredBytes int64 // journal size after recovery: where loaded ends
 
 	journalBytes int64
 	records      int64 // loaded + appended since Open
@@ -116,11 +120,31 @@ func Open(opts Options) (*Store, error) {
 func (s *Store) Dir() string { return s.dir }
 
 // Records returns the journal records recovered at Open, in append order.
-// The caller must treat the slice as read-only.
+// The caller must treat the slice as read-only. After ReleaseRecords the
+// store no longer holds them and every call reads them back from the file.
 func (s *Store) Records() []Record {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.loaded
+	if s.loaded != nil || s.recoveredBytes == 0 {
+		return s.loaded
+	}
+	f, err := os.Open(s.journalPath())
+	if err != nil {
+		return nil
+	}
+	defer f.Close()
+	recs, _ := scanJournal(io.LimitReader(f, s.recoveredBytes))
+	return recs
+}
+
+// ReleaseRecords drops the store's copy of the recovered records. The
+// engine calls it once replay has applied them: they are read once, and a
+// daemon restarted on a large journal would otherwise carry every payload
+// it ever journaled for as long as it runs.
+func (s *Store) ReleaseRecords() {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.loaded = nil
 }
 
 // SetSyncObserver installs a callback invoked with the duration of every
