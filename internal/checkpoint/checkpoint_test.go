@@ -46,13 +46,13 @@ func run(t *testing.T, a *sparse.CSR, ranks int, sched *faults.Schedule, interva
 		if err != nil {
 			return err
 		}
-		full, err := distmat.Gather(e, x)
+		full, err := distmat.Gather(e, []distmat.Vector{x})
 		if err != nil {
 			return err
 		}
 		if c.Rank() == 0 {
 			mu.Lock()
-			res, xFull = r, full
+			res, xFull = r, full[0]
 			mu.Unlock()
 		}
 		return nil

@@ -248,23 +248,31 @@ func TestBarrier(t *testing.T) {
 	}
 }
 
-func TestAllgatherv(t *testing.T) {
+// TestGatherv: position 0 assembles every member's part in member order;
+// the others get nothing back, and each sends exactly one message carrying
+// exactly its part while the root sends nothing at all.
+func TestGatherv(t *testing.T) {
 	rt := New(4)
 	err := rt.Run(func(c *Comm) error {
-		mine := make([]float64, c.Rank()) // rank r contributes r elements
+		mine := make([]float64, c.Rank()+1) // rank r contributes r+1 elements
 		for i := range mine {
 			mine[i] = float64(c.Rank()*10 + i)
 		}
-		all, off, err := c.World().Allgatherv(mine)
+		parts, err := c.World().Gatherv(mine)
 		if err != nil {
 			return err
 		}
-		if len(off) != 5 || off[4] != 0+1+2+3 {
-			return fmt.Errorf("offsets %v", off)
+		if c.Rank() != 0 {
+			if parts != nil {
+				return fmt.Errorf("rank %d got %d parts back", c.Rank(), len(parts))
+			}
+			return nil
 		}
-		for r := 0; r < 4; r++ {
-			part := all[off[r]:off[r+1]]
-			if len(part) != r {
+		if len(parts) != 4 {
+			return fmt.Errorf("%d parts", len(parts))
+		}
+		for r, part := range parts {
+			if len(part) != r+1 {
 				return fmt.Errorf("rank %d part len %d", r, len(part))
 			}
 			for i, v := range part {
@@ -277,6 +285,13 @@ func TestAllgatherv(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+	for r := range 4 {
+		sh := &rt.Counters().shards[r]
+		msgs, floats := sh.msgs[CatCollective].Load(), sh.floats[CatCollective].Load()
+		if want := min(r, 1); msgs != int64(want) || floats != int64(want*(r+1)) {
+			t.Errorf("rank %d sent %d messages, %d floats; want %d, %d", r, msgs, floats, want, want*(r+1))
+		}
 	}
 }
 

@@ -222,7 +222,7 @@ func (g *Group) AllreduceScalar(op Op, v float64) (float64, error) {
 }
 
 // Recycle returns a slice obtained from this group's collectives (Reduce,
-// Bcast, Allreduce, Allgatherv) to the transport's buffer recycler. Only
+// Bcast, Allreduce, Gatherv) to the transport's buffer recycler. Only
 // the exclusive owner may call it; a no-op on transports without one.
 func (g *Group) Recycle(buf []float64) { g.c.PutFloats(buf) }
 
@@ -261,54 +261,23 @@ func (g *Group) Barrier() error {
 	return nil
 }
 
-// Allgatherv gathers each member's variable-length contribution and returns
-// the concatenation (in member order) plus the offset of each member's part.
-// Gathering is linear to position 0 followed by a broadcast; group sizes in
-// this repository are small enough (<= ranks) that this is not a bottleneck.
-func (g *Group) Allgatherv(vals []float64) (all []float64, offsets []int, err error) {
-	n := len(g.members)
+// Gatherv gathers each member's variable-length contribution at position 0,
+// which returns them in member order (parts[0] is its own vals); every other
+// member sends its part in one message and returns nil. Gathering is linear;
+// group sizes in this repository are small enough (<= ranks) that this is
+// not a bottleneck. The received parts come from the transport's buffer
+// recycler: the caller owns them and may hand them back with Recycle.
+func (g *Group) Gatherv(vals []float64) (parts [][]float64, err error) {
 	tag := g.tagBase + opGather
 	if g.pos != 0 {
-		if err := g.c.SendFloats(CatCollective, g.members[0], tag, vals); err != nil {
-			return nil, nil, err
-		}
-	} else {
-		parts := make([][]float64, n)
-		parts[0] = vals
-		for p := 1; p < n; p++ {
-			in, err := g.c.RecvFloats(g.members[p], tag)
-			if err != nil {
-				return nil, nil, err
-			}
-			parts[p] = in
-		}
-		offsets = make([]int, n+1)
-		for p := 0; p < n; p++ {
-			offsets[p+1] = offsets[p] + len(parts[p])
-		}
-		all = make([]float64, 0, offsets[n])
-		for _, part := range parts {
-			all = append(all, part...)
+		return nil, g.c.SendFloats(CatCollective, g.members[0], tag, vals)
+	}
+	parts = make([][]float64, len(g.members))
+	parts[0] = vals
+	for p := 1; p < len(parts); p++ {
+		if parts[p], err = g.c.RecvFloats(g.members[p], tag); err != nil {
+			return nil, err
 		}
 	}
-	// Broadcast the offsets (as floats) then the payload.
-	offF := make([]float64, 0, n+1)
-	if g.pos == 0 {
-		for _, o := range offsets {
-			offF = append(offF, float64(o))
-		}
-	}
-	offF, err = g.Bcast(0, offF)
-	if err != nil {
-		return nil, nil, err
-	}
-	all, err = g.Bcast(0, all)
-	if err != nil {
-		return nil, nil, err
-	}
-	offsets = make([]int, len(offF))
-	for i, f := range offF {
-		offsets[i] = int(f)
-	}
-	return all, offsets, nil
+	return parts, nil
 }

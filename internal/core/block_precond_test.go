@@ -79,13 +79,13 @@ func TestBlockExplicitInversePrecondBitwise(t *testing.T) {
 			if err != nil {
 				return err
 			}
-			full, err := distmat.Gather(e, x)
+			full, err := distmat.Gather(e, []distmat.Vector{x})
 			if err != nil {
 				return err
 			}
 			if cm.Rank() == 0 {
 				mu.Lock()
-				solo[c] = full
+				solo[c] = full[0]
 				soloIters[c] = res.Iterations
 				mu.Unlock()
 			}
@@ -125,17 +125,17 @@ func TestBlockExplicitInversePrecondBitwise(t *testing.T) {
 				t.Errorf("column %d: %v", c, ce)
 			}
 		}
-		for c := 0; c < k; c++ {
-			full, err := distmat.Gather(e, xs[c])
-			if err != nil {
-				return err
-			}
-			if cm.Rank() == 0 {
-				mu.Lock()
-				blockedX[c] = full
+		full, err := distmat.Gather(e, xs)
+		if err != nil {
+			return err
+		}
+		if cm.Rank() == 0 {
+			mu.Lock()
+			for c := 0; c < k; c++ {
+				blockedX[c] = full[c]
 				blockedIters[c] = res[c].Iterations
-				mu.Unlock()
 			}
+			mu.Unlock()
 		}
 		return nil
 	}); err != nil {

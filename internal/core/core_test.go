@@ -37,14 +37,14 @@ func runSolver(t *testing.T, ranks int, body func(c *cluster.Comm) (Result, dist
 			return err
 		}
 		e := distmat.WorldEnv(c)
-		full, gerr := distmat.Gather(e, x)
+		full, gerr := distmat.Gather(e, []distmat.Vector{x})
 		if gerr != nil {
 			return gerr
 		}
 		if c.Rank() == 0 {
 			mu.Lock()
 			out.res = res
-			out.x = full
+			out.x = full[0]
 			mu.Unlock()
 		}
 		return nil

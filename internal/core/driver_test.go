@@ -118,16 +118,16 @@ func solveColumns(t *testing.T, a *sparse.CSR, ranks, phi int, rhs [][]float64, 
 				}
 			}
 		}
-		for col := range rhs {
-			full, err := distmat.Gather(e, xs[col])
-			if err != nil {
-				return err
+		full, err := distmat.Gather(e, xs)
+		if err != nil {
+			return err
+		}
+		if c.Rank() == 0 {
+			mu.Lock()
+			for col := range rhs {
+				runs[col] = columnRun{x: full[col], res: results[col]}
 			}
-			if c.Rank() == 0 {
-				mu.Lock()
-				runs[col] = columnRun{x: full, res: results[col]}
-				mu.Unlock()
-			}
+			mu.Unlock()
 		}
 		return nil
 	})

@@ -17,10 +17,12 @@ import (
 )
 
 // rebuiltSubsystemSolve is subsystemSolve as it was before the restricted
-// view: extract mat_{If,If} with renumbered columns, run the full distributed
-// matrix construction over the subgroup and factor the extracted own block.
-// Kept as the reference the static-data-free path must match bit for bit.
-func rebuiltSubsystemSolve(e *distmat.Env, mat *distmat.Matrix, failedList []int, rhs, sol [][]float64, ctx int, tol float64) ([]int, error) {
+// view: extract mat_{If,If} with renumbered columns from the rank's static
+// row block rows (global columns; the test holds it, mat keeps no copy), run
+// the full distributed matrix construction over the subgroup and factor the
+// extracted own block. Kept as the reference the static-data-free path must
+// match bit for bit.
+func rebuiltSubsystemSolve(e *distmat.Env, mat *distmat.Matrix, rows *sparse.CSR, failedList []int, rhs, sol [][]float64, ctx int, tol float64) ([]int, error) {
 	sizes := make([]int, len(failedList))
 	var ifIdx []int
 	myPos := -1
@@ -35,7 +37,7 @@ func rebuiltSubsystemSolve(e *distmat.Env, mat *distmat.Matrix, failedList []int
 		}
 	}
 	subP := partition.FromSizes(sizes)
-	localRows := make([]int, mat.Rows.Rows)
+	localRows := make([]int, rows.Rows)
 	for i := range localRows {
 		localRows[i] = i
 	}
@@ -43,7 +45,7 @@ func rebuiltSubsystemSolve(e *distmat.Env, mat *distmat.Matrix, failedList []int
 	if err != nil {
 		return nil, err
 	}
-	subA, err := distmat.NewMatrix(subEnv, mat.Rows.Submatrix(localRows, ifIdx), subP, 0, ctx)
+	subA, err := distmat.NewMatrix(subEnv, rows.Submatrix(localRows, ifIdx), subP, 0, ctx)
 	if err != nil {
 		return nil, err
 	}
@@ -111,7 +113,8 @@ func TestSubsystemSolveMatchesRebuiltReference(t *testing.T) {
 						return [][]float64{make([]float64, len(b.Local)), make([]float64, len(b.Local))}
 					}
 					want := newSol()
-					wantIters, err := rebuiltSubsystemSolve(e, mat, failedList, rhs(), want, ctxSubP, 1e-14)
+					lo, hi := mat.P.Range(e.Pos)
+					wantIters, err := rebuiltSubsystemSolve(e, mat, a.RowBlock(lo, hi), failedList, rhs(), want, ctxSubP, 1e-14)
 					if err != nil {
 						return err
 					}

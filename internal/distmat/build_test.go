@@ -2,6 +2,8 @@ package distmat
 
 import (
 	"fmt"
+	"math"
+	"reflect"
 	"slices"
 	"sort"
 	"testing"
@@ -14,40 +16,53 @@ import (
 )
 
 // referenceKernels is what NewMatrix's kernel build has to produce, derived
-// the slow, obvious way: discover the ghost columns into a set, sort them,
-// look every column up in a map, localise the whole row block, then split the
-// localised copy by `col < bs`, growing every array by append.
+// the slow, obvious way from the static row block the test holds itself (the
+// matrix keeps no copy of it): discover the ghost columns into a set, sort
+// them, look every column up in a map, localise the whole row block, then
+// split the localised copy by `col < bs`, growing every array by append. The
+// answers the matrix derives from its split — OwnBlock, Diag, GhostProduct —
+// are computed from the global-column rows directly.
 type referenceKernels struct {
-	ghost                    []int
-	interior, boundary       *sparse.CSR
-	intRows, bndRows         []int
-	sendLoc                  [][]int
-	recvPos, recvDst         [][]int
-	ghostRowPtr, ghostRowCol []int
-	ghostRowVal              []float64
-	ghostPos                 map[int]int
+	ghost              []int
+	interior, boundary *sparse.CSR
+	intRows, bndRows   []int
+	sendLoc            [][]int
+	recvPos, recvDst   [][]int
+	ghostPos           map[int]int
+	ownBlock           *sparse.CSR
+	diag               []float64
+	// ghostIn / ghostProduct: y after GhostProduct(y, ghostIn) on a seeded y.
+	ghostIn      map[int]float64
+	ghostProduct []float64
 }
 
-func buildReference(m *Matrix) *referenceKernels {
-	lo, hi := m.P.Range(m.Pos)
-	bs := hi - lo
-	ref := &referenceKernels{ghostPos: map[int]int{}, ghostRowPtr: []int{0}}
-	ghostSet := map[int]bool{}
-	for _, c := range m.Rows.Col {
-		if c < lo || c >= hi {
-			ghostSet[c] = true
+// ghostProductSeed is the y GhostProduct accumulates into: -0 on even rows,
+// so a row that adds an exact +0 shows up in the bits.
+func ghostProductSeed(n int) []float64 {
+	y := make([]float64, n)
+	for i := range y {
+		y[i] = math.Copysign(0, -1)
+		if i%2 == 1 {
+			y[i] = math.Sin(float64(i))
 		}
 	}
-	for g := range ghostSet {
-		ref.ghost = append(ref.ghost, g)
-	}
-	sort.Ints(ref.ghost)
+	return y
+}
+
+func buildReference(m *Matrix, rows *sparse.CSR) *referenceKernels {
+	lo, hi := m.P.Range(m.Pos)
+	bs := hi - lo
+	ref := &referenceKernels{ghostPos: map[int]int{}, ghostIn: map[int]float64{}}
+	ref.ghost = exteriorColumns(rows, lo, hi)
 	for pos, g := range ref.ghost {
 		ref.ghostPos[g] = pos
+		if pos%3 != 1 { // a survivor-owned subset: the rest contributes zero
+			ref.ghostIn[g] = math.Cos(float64(g))
+		}
 	}
-	local := m.Rows.Clone()
+	local := rows.Clone()
 	local.Cols = bs + len(ref.ghost)
-	for k, c := range m.Rows.Col {
+	for k, c := range rows.Col {
 		if c >= lo && c < hi {
 			local.Col[k] = c - lo
 		} else {
@@ -69,15 +84,42 @@ func buildReference(m *Matrix) *referenceKernels {
 		dst.Col = append(dst.Col, cols...)
 		dst.Val = append(dst.Val, vals...)
 		dst.RowPtr = append(dst.RowPtr, len(dst.Col))
-
-		gcols, gvals := m.Rows.Row(i)
-		for t, c := range gcols {
-			if c < lo || c >= hi {
-				ref.ghostRowCol = append(ref.ghostRowCol, c)
-				ref.ghostRowVal = append(ref.ghostRowVal, gvals[t])
+	}
+	// OwnBlock, Diag and GhostProduct as they read the global-column row
+	// block before the split became its only copy.
+	ref.ownBlock = &sparse.CSR{Rows: rows.Rows, Cols: bs, RowPtr: make([]int, rows.Rows+1)}
+	ref.diag = make([]float64, rows.Rows)
+	ref.ghostProduct = ghostProductSeed(rows.Rows)
+	nnz := 0
+	for _, c := range rows.Col {
+		if c >= lo && c < hi {
+			nnz++
+		}
+	}
+	ref.ownBlock.Col, ref.ownBlock.Val = make([]int, 0, nnz), make([]float64, 0, nnz)
+	for i := 0; i < rows.Rows; i++ {
+		cols, vals := rows.Row(i)
+		var s float64
+		external := false
+		for t, c := range cols {
+			switch {
+			case c >= lo && c < hi:
+				ref.ownBlock.Col = append(ref.ownBlock.Col, c-lo)
+				ref.ownBlock.Val = append(ref.ownBlock.Val, vals[t])
+				if c == lo+i {
+					ref.diag[i] = vals[t]
+				}
+			default:
+				external = true
+				if v, ok := ref.ghostIn[c]; ok {
+					s += vals[t] * v
+				}
 			}
 		}
-		ref.ghostRowPtr = append(ref.ghostRowPtr, len(ref.ghostRowCol))
+		if external {
+			ref.ghostProduct[i] += s
+		}
+		ref.ownBlock.RowPtr[i+1] = len(ref.ownBlock.Col)
 	}
 	ref.sendLoc = make([][]int, len(m.sendLists))
 	for k, idx := range m.sendLists {
@@ -100,13 +142,20 @@ func buildReference(m *Matrix) *referenceKernels {
 
 // diff names the first structure of m that is not, element for element, the
 // reference's ("" when all are). nil and empty compare equal: a list nobody
-// appended to and an array counted at zero are the same structure.
+// appended to and an array counted at zero are the same structure. OwnBlock
+// is held to reflect.DeepEqual (it is what the preconditioners factor), Diag
+// and GhostProduct to the bit.
 func (ref *referenceKernels) diff(m *Matrix) string {
 	lists := func(a, b [][]int) bool { return slices.EqualFunc(a, b, slices.Equal[[]int]) }
 	csr := func(a, b *sparse.CSR) bool {
 		return a.Rows == b.Rows && a.Cols == b.Cols && slices.Equal(a.RowPtr, b.RowPtr) &&
 			slices.Equal(a.Col, b.Col) && slices.Equal(a.Val, b.Val)
 	}
+	bits := func(a, b []float64) bool {
+		return slices.EqualFunc(a, b, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) })
+	}
+	ghostProduct := ghostProductSeed(len(ref.ghostProduct))
+	m.GhostProduct(ghostProduct, ref.ghostIn)
 	for _, c := range []struct {
 		name string
 		same bool
@@ -120,9 +169,9 @@ func (ref *referenceKernels) diff(m *Matrix) string {
 		{"sendLoc", lists(m.sendLoc, ref.sendLoc)},
 		{"recvPos", lists(m.recvPos, ref.recvPos)},
 		{"recvDst", lists(m.recvDst, ref.recvDst)},
-		{"ghostRows.RowPtr", slices.Equal(m.ghostRows.RowPtr, ref.ghostRowPtr)},
-		{"ghostRows.Col", slices.Equal(m.ghostRows.Col, ref.ghostRowCol)},
-		{"ghostRows.Val", slices.Equal(m.ghostRows.Val, ref.ghostRowVal)},
+		{"OwnBlock", reflect.DeepEqual(m.OwnBlock(), ref.ownBlock)},
+		{"Diag", bits(m.Diag(), ref.diag)},
+		{"GhostProduct", bits(ghostProduct, ref.ghostProduct)},
 	} {
 		if !c.same {
 			return c.name
@@ -164,9 +213,12 @@ func edgeCaseProblems() map[string]*sparse.CSR {
 
 // TestOnePassBuildEqualsReference: every kernel structure NewMatrix builds in
 // its counting pass and fill pass — and every Restrict view's scatter lists,
-// which are computed from ghost offsets — equals the reference build, on the
-// benchmark workloads' generators and the hand-made corner patterns, with and
-// without redundancy, under both backup strategies.
+// which are computed from ghost offsets — equals the reference build, and
+// OwnBlock, Diag and GhostProduct, read off the split, equal the same answers
+// computed from the row block, on the benchmark workloads' generators and the
+// hand-made corner patterns, with and without redundancy, under both backup
+// strategies. A view shares the split, so its OwnBlock and Diag are checked
+// too.
 func TestOnePassBuildEqualsReference(t *testing.T) {
 	type problem struct {
 		a     *sparse.CSR
@@ -188,11 +240,12 @@ func TestOnePassBuildEqualsReference(t *testing.T) {
 					runSPMD(t, pb.ranks, func(c *cluster.Comm) error {
 						e := WorldEnv(c)
 						lo, hi := p.Range(e.Pos)
-						m, err := NewMatrixStrategy(e, pb.a.RowBlock(lo, hi), p, phi, 0, strat)
+						rows := pb.a.RowBlock(lo, hi)
+						m, err := NewMatrixStrategy(e, rows, p, phi, 0, strat)
 						if err != nil {
 							return err
 						}
-						ref := buildReference(m)
+						ref := buildReference(m, rows)
 						if d := ref.diff(m); d != "" {
 							return fmt.Errorf("%s differs from the reference build", d)
 						}
@@ -209,6 +262,9 @@ func TestOnePassBuildEqualsReference(t *testing.T) {
 							v, err := m.Restrict(sub, 5)
 							if err != nil {
 								return err
+							}
+							if !reflect.DeepEqual(v.OwnBlock(), ref.ownBlock) || !slices.Equal(v.Diag(), ref.diag) {
+								return fmt.Errorf("view over %v: OwnBlock or Diag differs from the reference", members)
 							}
 							for t, f := range members {
 								var want []int

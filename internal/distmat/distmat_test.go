@@ -109,27 +109,61 @@ func TestDotAndNorm(t *testing.T) {
 	})
 }
 
+// TestGather: at widths 1 and 3 position 0 assembles every column and the
+// other positions get nil; the gather moves each non-root block once, in one
+// message per non-root position — k·(n − n₀) floats on the wire, rank 0's own
+// block never — and nothing of solution size travels back out.
 func TestGather(t *testing.T) {
-	n := 31
-	p := partition.NewBlockRow(n, 5)
-	full := make([]float64, n)
-	for i := range full {
-		full[i] = float64(i * i)
-	}
-	runSPMD(t, 5, func(c *cluster.Comm) error {
-		e := WorldEnv(c)
-		v := distribute(full, p, e.Pos)
-		got, err := Gather(e, v)
-		if err != nil {
-			return err
-		}
-		for i := range full {
-			if got[i] != full[i] {
-				return fmt.Errorf("Gather[%d] = %v", i, got[i])
+	const n, ranks = 31, 5
+	p := partition.NewBlockRow(n, ranks)
+	for _, k := range []int{1, 3} {
+		full := make([][]float64, k)
+		for c := range full {
+			full[c] = make([]float64, n)
+			for i := range full[c] {
+				full[c][i] = float64(i*i + 100*c)
 			}
 		}
-		return nil
-	})
+		rt := cluster.New(ranks)
+		err := rt.Run(func(c *cluster.Comm) error {
+			e := WorldEnv(c)
+			vs := make([]Vector, k)
+			for col := range vs {
+				vs[col] = distribute(full[col], p, e.Pos)
+			}
+			got, err := Gather(e, vs)
+			if err != nil {
+				return err
+			}
+			if e.Pos != 0 {
+				if got != nil {
+					return fmt.Errorf("pos %d received %d columns", e.Pos, len(got))
+				}
+				return nil
+			}
+			for col := range full {
+				if len(got[col]) != n {
+					return fmt.Errorf("column %d has %d entries", col, len(got[col]))
+				}
+				for i := range full[col] {
+					if got[col][i] != full[col][i] {
+						return fmt.Errorf("Gather column %d [%d] = %v", col, i, got[col][i])
+					}
+				}
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctrs := rt.Counters()
+		if msgs, floats := ctrs.Messages(cluster.CatCollective), ctrs.Floats(cluster.CatCollective); msgs != ranks-1 || floats != int64(k*(n-p.Size(0))) {
+			t.Errorf("width %d: gather moved %d messages, %d floats; want %d, %d", k, msgs, floats, ranks-1, k*(n-p.Size(0)))
+		}
+		if total := ctrs.TotalFloats(); total != ctrs.Floats(cluster.CatCollective) {
+			t.Errorf("width %d: %d floats outside the gather", k, total-ctrs.Floats(cluster.CatCollective))
+		}
+	}
 }
 
 // Retention after a resilient MatVec must hold every element each rank was

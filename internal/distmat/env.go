@@ -130,15 +130,45 @@ func Norm2(e *Env, v Vector) (float64, error) {
 	return math.Sqrt(tot), nil
 }
 
-// Gather assembles the full vector on every member (for verification and
-// small reconstruction steps; not used in the steady-state solver loop).
-func Gather(e *Env, v Vector) ([]float64, error) {
-	all, offsets, err := e.Grp.Allgatherv(v.Local)
-	if err != nil {
+// Gather assembles the full vectors of a block of distributed columns, all on
+// one partition, at position 0 (results and verification; not used in the
+// steady-state solver loop). Every other member sends the local blocks of all
+// its columns in one message and returns nil: nothing of solution size
+// travels back out, and a width-k block costs one message per member, not k.
+func Gather(e *Env, vs []Vector) ([][]float64, error) {
+	k := len(vs)
+	if k == 0 {
+		return nil, nil
+	}
+	p, bs := vs[0].P, len(vs[0].Local)
+	mine := vs[0].Local
+	if k > 1 {
+		// Column-major: the k local blocks back to back.
+		mine = e.C.GetFloats(k * bs)
+		defer e.C.PutFloats(mine)
+		for c, v := range vs {
+			copy(mine[c*bs:(c+1)*bs], v.Local)
+		}
+	}
+	parts, err := e.Grp.Gatherv(mine)
+	if err != nil || parts == nil {
 		return nil, err
 	}
-	if offsets[len(offsets)-1] != v.P.N() {
-		return nil, fmt.Errorf("distmat: Gather size mismatch")
+	out := make([][]float64, k)
+	for c := range out {
+		out[c] = make([]float64, p.N())
 	}
-	return all, nil
+	for q, part := range parts {
+		lo, hi := p.Range(q)
+		if len(part) != k*(hi-lo) {
+			return nil, fmt.Errorf("distmat: Gather got %d values from pos %d, want %d", len(part), q, k*(hi-lo))
+		}
+		for c := range out {
+			copy(out[c][lo:hi], part[c*(hi-lo):])
+		}
+		if q > 0 {
+			e.Grp.Recycle(part)
+		}
+	}
+	return out, nil
 }

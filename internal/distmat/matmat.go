@@ -23,6 +23,13 @@ import (
 // MatMat is bitwise identical to a MatVec of column j alone — on every
 // transport, with and without overlap, for every thread count.
 
+// interleaveTile is the row tile of MatMat's interleave and de-interleave
+// copies: the k-strided rows of one tile (64·k floats) stay in L1 while every
+// column visits them, instead of each column walking all bs·k of them with
+// every store on a different cache line. Pure copies, so the tile size never
+// changes a result.
+const interleaveTile = 64
+
 // SetBlockWidth prepares the matrix for width-k MatMat calls: the
 // retention store is replaced by one expecting k values per retained halo
 // element. Call it on a per-solve Fork before the first MatMat (a fork
@@ -83,8 +90,13 @@ func (m *Matrix) MatMat(e *Env, y, x []Vector, iter int) error {
 		if len(col.Local) != bs {
 			return fmt.Errorf("distmat: MatMat column %d has %d local entries, want %d", c, len(col.Local), bs)
 		}
-		for i, v := range col.Local {
-			xb[i*k+c] = v
+	}
+	for lo := 0; lo < bs; lo += interleaveTile {
+		hi := min(lo+interleaveTile, bs)
+		for c, col := range x {
+			for i, v := range col.Local[lo:hi] {
+				xb[(lo+i)*k+c] = v
+			}
 		}
 	}
 	// Post sends: one pooled frame per destination, k consecutive values
@@ -163,9 +175,13 @@ func (m *Matrix) MatMat(e *Env, y, x []Vector, iter int) error {
 		m.split.Interior.MulMatScatterPar(yb, xb, m.split.IntRows, k, m.threads)
 	}
 	m.split.Boundary.MulMatScatterPar(yb, xb, m.split.BndRows, k, m.threads)
-	for c, col := range y {
-		for i := range col.Local {
-			col.Local[i] = yb[i*k+c]
+	for lo := 0; lo < bs; lo += interleaveTile {
+		hi := min(lo+interleaveTile, bs)
+		for c, col := range y {
+			dst := col.Local[lo:hi]
+			for i := range dst {
+				dst[i] = yb[(lo+i)*k+c]
+			}
 		}
 	}
 	if retain {

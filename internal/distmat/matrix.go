@@ -12,17 +12,17 @@ import (
 )
 
 // Matrix is the local part of a block-row distributed sparse matrix together
-// with its communication structure. Rows keeps the static row block with
-// global column indices (the paper's A_{Ii, I}, reconstructible from
-// reliable storage); split is its one column-localised copy, the rows divided
-// into interior and boundary for the SpMV kernels.
+// with its communication structure. Its one copy of the static row block (the
+// paper's A_{Ii, I}, reconstructible from reliable storage) is split: the
+// rows column-localised and divided into interior and boundary for the SpMV
+// kernels. Everything else that reads the rows — OwnBlock, Diag, GhostProduct
+// — reads them there, mapping a ghost column back to its global index through
+// ghost.
 type Matrix struct {
 	// P is the row/vector partition of the Env's index space.
 	P partition.Partition
 	// Pos is the owning position.
 	Pos int
-	// Rows is the static row block with global column indices.
-	Rows *sparse.CSR
 	// Plan is the SpMV halo plan (S_ik / RecvFrom sets).
 	Plan *commplan.HaloPlan
 	// Red is the redundancy protocol state; nil when phi = 0.
@@ -61,9 +61,6 @@ type Matrix struct {
 	// xbuf[recvDst[k][i]] = payload[recvPos[k][i]]. Payload positions that
 	// carry pure redundancy (not needed by this rank's SpMV) are absent.
 	recvPos, recvDst [][]int
-	// ghostRows lists, per static row, the entries with external (ghost)
-	// columns, still global — the reconstruction path's GhostProduct operand.
-	ghostRows *sparse.CSR
 
 	// overlap toggles the communication-hiding schedule (on by default; the
 	// phased reference path is kept for A/B benchmarks and equality tests).
@@ -82,7 +79,9 @@ const matrixTagStride = 64
 // NewMatrix builds the distributed matrix for this position from its static
 // row block, running the distributed symbolic phase to derive the halo plan
 // (like PETSc's scatter construction) and, for phi > 0, the ESR redundancy
-// protocol of the paper's Eqns. 5 and 6.
+// protocol of the paper's Eqns. 5 and 6. rows is read during construction
+// only: the matrix keeps no reference to it, so it may be a view of the
+// caller's matrix (sparse.CSR.RowBlock) that the caller later changes.
 //
 // ctx distinguishes multiple matrices living in the same Env (system matrix,
 // explicit preconditioner, recovery submatrix).
@@ -108,7 +107,6 @@ func NewMatrixStrategy(e *Env, rows *sparse.CSR, p partition.Partition, phi, ctx
 	m := &Matrix{
 		P:       p,
 		Pos:     e.Pos,
-		Rows:    rows,
 		Plan:    plan,
 		tagBase: 2000 + ctx*matrixTagStride,
 	}
@@ -132,7 +130,7 @@ func NewMatrixStrategy(e *Env, rows *sparse.CSR, p partition.Partition, phi, ctx
 	if phi > 0 {
 		m.Ret = commplan.NewRetention(m.recvLists)
 	}
-	m.buildKernels()
+	m.buildKernels(rows)
 	return m, nil
 }
 
@@ -197,11 +195,11 @@ func (m *Matrix) exchangeRecvLists(e *Env) error {
 }
 
 // buildKernels precomputes the static kernel plans off the symbolic state:
-// the send gather lists, the per-source receive scatter lists, the
-// column-localised interior/boundary split of the static row block and its
-// per-row external entry lists, every array allocated at its final size. Runs
-// once at construction; everything it builds is immutable and shared by Forks.
-func (m *Matrix) buildKernels() {
+// the send gather lists, the per-source receive scatter lists and the
+// column-localised interior/boundary split of the static row block, every
+// array allocated at its final size. Runs once at construction; everything it
+// builds is immutable and shared by Forks.
+func (m *Matrix) buildKernels(rows *sparse.CSR) {
 	lo, hi := m.P.Range(m.Pos)
 	m.overlap = true
 	m.ghost = m.Plan.GhostIndices()
@@ -238,7 +236,7 @@ func (m *Matrix) buildKernels() {
 		}
 		m.recvPos[k], m.recvDst[k] = pos, dst
 	}
-	m.split, m.ghostRows = sparse.SplitLocalize(m.Rows, lo, hi, m.ghost)
+	m.split = sparse.SplitLocalize(rows, lo, hi, m.ghost)
 }
 
 // ghostSlot returns the local column of the first element of
@@ -306,9 +304,9 @@ type MatVecTimings struct {
 // preparation time (Forks inherit it).
 func (m *Matrix) SetMatVecObserver(fn func(MatVecTimings)) { m.obs = fn }
 
-// Fork returns a new Matrix sharing all of m's static state — the row block,
-// the halo plan, the redundancy protocol, the localised split and the
-// send/receive lists, all of which are immutable after construction — with
+// Fork returns a new Matrix sharing all of m's static state — the halo plan,
+// the redundancy protocol, the localised split and the send/receive lists,
+// all of which are immutable after construction — with
 // fresh per-solve mutable state: its own SpMV scratch buffer and, for
 // resilience-enabled matrices, its own empty retention store.
 //
@@ -343,9 +341,9 @@ func (m *Matrix) Fork() *Matrix {
 // remaining terms accumulate in stored order. ctx separates the view's SpMV
 // tags from m's and from other live views.
 //
-// The view serves MatVec, MatMat and Residual(Block) only: it carries no
-// static row block (Rows is nil), no redundancy and no MatVec observer, and
-// its Plan lists are in m's index space.
+// The view serves MatVec, MatMat, Residual(Block) and OwnBlock / Diag (the
+// split is m's, so these are m's own block) only: it carries no redundancy
+// and no MatVec observer, and its Plan lists are in m's index space.
 func (m *Matrix) Restrict(sub *Env, ctx int) (*Matrix, error) {
 	if sub.Pos < 0 || sub.Members[sub.Pos] != m.Pos {
 		return nil, fmt.Errorf("distmat: Restrict: position %d is not a member of %v", m.Pos, sub.Members)
@@ -356,7 +354,7 @@ func (m *Matrix) Restrict(sub *Env, ctx int) (*Matrix, error) {
 	lo, _ := m.P.Range(m.Pos)
 	v := *m
 	v.Pos = sub.Pos
-	v.Rows, v.ghostRows, v.Red, v.Ret, v.obs = nil, nil, nil, nil, nil
+	v.Red, v.Ret, v.obs = nil, nil, nil
 	v.xbuf = make([]float64, len(m.xbuf))
 	v.recvScratch = nil
 	v.xbufK, v.ybufK, v.recvScratchK = nil, nil, nil
@@ -523,19 +521,22 @@ func (m *Matrix) MatVec(e *Env, y, x Vector, iter int) error {
 // this rank's own block; columns missing from ghost contribute zero. With
 // ghost filled only with survivor-owned vector entries this evaluates the
 // reconstruction products A_{If, I\If} x_{I\If} and P_{If, I\If} r_{I\If}
-// of the paper's Alg. 2 (lines 5 and 7). It walks the per-row external-entry
-// lists precomputed at construction, so interior entries (the vast majority)
-// cost nothing; the external entries are visited in stored order, keeping
-// the accumulation bit-identical to a full row sweep.
+// of the paper's Alg. 2 (lines 5 and 7). Only the boundary rows hold
+// external entries, so it walks those alone, skipping their own-block
+// columns and mapping each ghost slot back to its global column; the external
+// entries are visited in stored order, keeping the accumulation bit-identical
+// to a full row sweep.
 func (m *Matrix) GhostProduct(y []float64, ghost map[int]float64) {
-	for i := 0; i < m.ghostRows.Rows; i++ {
-		cols, vals := m.ghostRows.Row(i)
-		if len(cols) == 0 {
-			continue
-		}
+	bs := m.blockSize()
+	b := m.split.Boundary
+	for r, i := range m.split.BndRows {
+		cols, vals := b.Row(r)
 		var s float64
 		for t, c := range cols {
-			if v, ok := ghost[c]; ok {
+			if c < bs {
+				continue
+			}
+			if v, ok := ghost[m.ghost[c-bs]]; ok {
 				s += vals[t] * v
 			}
 		}
@@ -543,49 +544,69 @@ func (m *Matrix) GhostProduct(y []float64, ghost map[int]float64) {
 	}
 }
 
+// blockSize is the number of rows (and own-block columns) this rank owns.
+func (m *Matrix) blockSize() int { return m.split.Interior.Rows + m.split.Boundary.Rows }
+
+// eachRow calls fn for every row of the local block in source order with its
+// column-localised entries in stored order: own columns in [0, blockSize()),
+// ghost slots from blockSize() on.
+func (m *Matrix) eachRow(fn func(i int, cols []int, vals []float64)) {
+	s := m.split
+	in, bn := 0, 0
+	for i := 0; i < m.blockSize(); i++ {
+		if in < len(s.IntRows) && s.IntRows[in] == i {
+			cols, vals := s.Interior.Row(in)
+			fn(i, cols, vals)
+			in++
+			continue
+		}
+		cols, vals := s.Boundary.Row(bn)
+		fn(i, cols, vals)
+		bn++
+	}
+}
+
 // Diag returns the local block's diagonal entries (global row = global col).
 func (m *Matrix) Diag() []float64 {
-	lo, hi := m.P.Range(m.Pos)
-	d := make([]float64, hi-lo)
-	for i := 0; i < m.Rows.Rows; i++ {
-		cols, vals := m.Rows.Row(i)
+	d := make([]float64, m.blockSize())
+	m.eachRow(func(i int, cols []int, vals []float64) {
 		for t, c := range cols {
-			if c == lo+i {
+			if c == i {
 				d[i] = vals[t]
 			}
 		}
-	}
+	})
 	return d
 }
 
 // OwnBlock extracts the square diagonal block A_{Ii, Ii} with localised
 // column indices (0-based within the block): the stored entries whose column
-// lies in the own range, in stored order.
+// lies in the own range, in stored order — an interior row whole, a boundary
+// row without its ghost slots.
 func (m *Matrix) OwnBlock() *sparse.CSR {
-	lo, hi := m.P.Range(m.Pos)
-	nnz := 0
-	for _, c := range m.Rows.Col {
-		if c >= lo && c < hi {
+	bs := m.blockSize()
+	nnz := m.split.Interior.NNZ()
+	for _, c := range m.split.Boundary.Col {
+		if c < bs {
 			nnz++
 		}
 	}
 	blk := &sparse.CSR{
-		Rows:   m.Rows.Rows,
-		Cols:   hi - lo,
-		RowPtr: make([]int, m.Rows.Rows+1),
+		Rows:   bs,
+		Cols:   bs,
+		RowPtr: make([]int, bs+1),
 		Col:    make([]int, 0, nnz),
 		Val:    make([]float64, 0, nnz),
 	}
-	for i := 0; i < m.Rows.Rows; i++ {
-		cols, vals := m.Rows.Row(i)
+	m.eachRow(func(i int, cols []int, vals []float64) {
 		for t, c := range cols {
-			if c >= lo && c < hi {
-				blk.Col = append(blk.Col, c-lo)
+			if c < bs {
+				blk.Col = append(blk.Col, c)
 				blk.Val = append(blk.Val, vals[t])
 			}
 		}
 		blk.RowPtr[i+1] = len(blk.Col)
-	}
+	})
 	return blk
 }
 

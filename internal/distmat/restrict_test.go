@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 
 	"repro/internal/cluster"
@@ -14,11 +15,12 @@ import (
 )
 
 // rebuiltSubsystem is how the reconstruction subsystem operator was built
-// before Restrict: extract A_{If,If} from the row block with renumbered
+// before Restrict: extract A_{If,If} from the rank's static row block rows
+// (global columns; the test holds it, m keeps no copy) with renumbered
 // columns and run the full distributed construction (symbolic exchange,
 // localisation, kernel plans) over the subgroup. Kept as the reference the
 // restricted view must match bit for bit.
-func rebuiltSubsystem(sub *Env, m *Matrix, ctx int) (*Matrix, error) {
+func rebuiltSubsystem(sub *Env, m *Matrix, rows *sparse.CSR, ctx int) (*Matrix, error) {
 	sizes := make([]int, sub.Size())
 	var ifIdx []int
 	for t, f := range sub.Members {
@@ -28,11 +30,11 @@ func rebuiltSubsystem(sub *Env, m *Matrix, ctx int) (*Matrix, error) {
 			ifIdx = append(ifIdx, g)
 		}
 	}
-	rows := make([]int, m.Rows.Rows)
-	for i := range rows {
-		rows[i] = i
+	all := make([]int, rows.Rows)
+	for i := range all {
+		all[i] = i
 	}
-	return NewMatrix(sub, m.Rows.Submatrix(rows, ifIdx), partition.FromSizes(sizes), 0, ctx)
+	return NewMatrix(sub, rows.Submatrix(all, ifIdx), partition.FromSizes(sizes), 0, ctx)
 }
 
 // workloadProblems are the benchmark workloads' generators at the given
@@ -68,7 +70,8 @@ func TestRestrictMatchesRebuiltSubsystem(t *testing.T) {
 				runSPMD(t, ranks, func(c *cluster.Comm) error {
 					e := WorldEnv(c)
 					lo, hi := p.Range(e.Pos)
-					parent, err := NewMatrix(e, a.RowBlock(lo, hi), p, phi, 0)
+					rows := a.RowBlock(lo, hi)
+					parent, err := NewMatrix(e, rows, p, phi, 0)
 					if err != nil {
 						return err
 					}
@@ -85,7 +88,7 @@ func TestRestrictMatchesRebuiltSubsystem(t *testing.T) {
 					if err != nil {
 						return err
 					}
-					ref, err := rebuiltSubsystem(sub, m, 8)
+					ref, err := rebuiltSubsystem(sub, m, rows, 8)
 					if err != nil {
 						return err
 					}
@@ -161,22 +164,42 @@ func TestRestrictRejectsNonMember(t *testing.T) {
 	})
 }
 
-// TestOwnBlockMatchesSubmatrix: the range-test extraction yields exactly the
-// CSR the hash-map Submatrix selection did, on the three workload problems.
+// exteriorColumns lists, ascending, the columns outside [lo, hi) that rows
+// stores: the ghost list NewMatrix's symbolic phase arrives at.
+func exteriorColumns(rows *sparse.CSR, lo, hi int) []int {
+	seen := map[int]bool{}
+	for _, c := range rows.Col {
+		if c < lo || c >= hi {
+			seen[c] = true
+		}
+	}
+	ghost := make([]int, 0, len(seen))
+	for c := range seen {
+		ghost = append(ghost, c)
+	}
+	sort.Ints(ghost)
+	return ghost
+}
+
+// TestOwnBlockMatchesSubmatrix: the own block read off the localised split
+// is exactly the CSR the hash-map Submatrix selection makes of the static row
+// block, on the three workload problems.
 func TestOwnBlockMatchesSubmatrix(t *testing.T) {
 	const ranks = 8
 	for name, a := range workloadProblems(false) {
 		p := partition.NewBlockRow(a.Rows, ranks)
 		for pos := 0; pos < ranks; pos++ {
 			lo, hi := p.Range(pos)
-			m := &Matrix{P: p, Pos: pos, Rows: a.RowBlock(lo, hi)}
+			block := a.RowBlock(lo, hi)
+			ghost := exteriorColumns(block, lo, hi)
+			m := &Matrix{P: p, Pos: pos, ghost: ghost, split: sparse.SplitLocalize(block, lo, hi, ghost)}
 			rows := make([]int, hi-lo)
 			cols := make([]int, hi-lo)
 			for i := range rows {
 				rows[i], cols[i] = i, lo+i
 			}
-			if got, want := m.OwnBlock(), m.Rows.Submatrix(rows, cols); !reflect.DeepEqual(got, want) {
-				t.Fatalf("%s pos %d: OwnBlock differs from Rows.Submatrix over the own range", name, pos)
+			if got, want := m.OwnBlock(), block.Submatrix(rows, cols); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s pos %d: OwnBlock differs from Submatrix over the own range", name, pos)
 			}
 		}
 	}

@@ -548,28 +548,37 @@ func (ps *Prepared) solveOn(ctx context.Context, rt *cluster.Runtime, localRanks
 			mu.Unlock()
 		}
 		if err != nil {
+			if ownsRT {
+				// Wake peers blocked on this rank instead of deadlocking the
+				// solve: an episode's survivors wait in its collectives for
+				// replacements whose x-system failed.
+				rt.Abort(err)
+			}
 			return err
 		}
 		// Per-column errors are derived from deterministic fused-allreduce
-		// results, so every rank sees the same ones — and skips the same
-		// columns of the collective gather below.
+		// results, so every rank sees the same ones — and leaves the same
+		// columns out of the collective gather below.
 		mu.Lock()
 		copy(colErrs, errsPerCol)
 		mu.Unlock()
+		done := make([]int, 0, k)
+		conv := make([]distmat.Vector, 0, k)
 		for col := range bs {
-			if errsPerCol[col] != nil {
-				continue
-			}
-			full, err := distmat.Gather(e, X[col])
-			if err != nil {
-				return err
-			}
-			if c.Rank() == 0 {
-				mu.Lock()
-				sols[col] = Solution{X: full, Result: results[col]}
-				mu.Unlock()
+			if errsPerCol[col] == nil {
+				done = append(done, col)
+				conv = append(conv, X[col])
 			}
 		}
+		full, err := distmat.Gather(e, conv)
+		if err != nil || full == nil {
+			return err
+		}
+		mu.Lock()
+		for i, col := range done {
+			sols[col] = Solution{X: full[i], Result: results[col]}
+		}
+		mu.Unlock()
 		return nil
 	})
 	if err != nil {

@@ -171,22 +171,26 @@ func (m *CSR) Bandwidth() int {
 	return bw
 }
 
-// RowBlock returns rows [lo, hi) of the matrix as a new CSR whose column
-// indices remain global (width Cols). This is the per-rank static block
-// A_{Ii, I} of the block-row distribution.
+// RowBlock returns rows [lo, hi) of the matrix as a view whose column
+// indices remain global (width Cols): the per-rank static block A_{Ii, I} of
+// the block-row distribution. Only the rebased RowPtr is allocated; Col and
+// Val are sub-slices of m's storage (capacity-clipped, so an append cannot
+// reach the parent's later rows), shared and read-only — Clone the view to
+// modify it.
 func (m *CSR) RowBlock(lo, hi int) *CSR {
 	if lo < 0 || hi > m.Rows || lo > hi {
 		panic(fmt.Sprintf("sparse: RowBlock [%d,%d) out of range", lo, hi))
 	}
+	s, e := m.RowPtr[lo], m.RowPtr[hi]
 	b := &CSR{
 		Rows:   hi - lo,
 		Cols:   m.Cols,
 		RowPtr: make([]int, hi-lo+1),
-		Col:    append([]int(nil), m.Col[m.RowPtr[lo]:m.RowPtr[hi]]...),
-		Val:    append([]float64(nil), m.Val[m.RowPtr[lo]:m.RowPtr[hi]]...),
+		Col:    m.Col[s:e:e],
+		Val:    m.Val[s:e:e],
 	}
 	for i := lo; i <= hi; i++ {
-		b.RowPtr[i-lo] = m.RowPtr[i] - m.RowPtr[lo]
+		b.RowPtr[i-lo] = m.RowPtr[i] - s
 	}
 	return b
 }

@@ -3,6 +3,7 @@ package sparse
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -199,6 +200,58 @@ func TestRowBlock(t *testing.T) {
 		}
 	}
 }
+
+// TestRowBlockIsAView: every window of a matrix — and every window of such a
+// view — equals the deep copy RowBlock used to make, field for field, while
+// its Col and Val alias the parent's storage, capacity-clipped so an append
+// to the view cannot overwrite the parent's next row.
+func TestRowBlockIsAView(t *testing.T) {
+	rng := rand.New(rand.NewSource(10))
+	m := FromDense(9, 7, randDense(rng, 9, 7, 0.4))
+	copyBlock := func(m *CSR, lo, hi int) *CSR {
+		s, e := m.RowPtr[lo], m.RowPtr[hi]
+		b := &CSR{Rows: hi - lo, Cols: m.Cols, RowPtr: make([]int, hi-lo+1),
+			Col: append([]int(nil), m.Col[s:e]...), Val: append([]float64(nil), m.Val[s:e]...)}
+		for i := lo; i <= hi; i++ {
+			b.RowPtr[i-lo] = m.RowPtr[i] - s
+		}
+		return b
+	}
+	same := func(a, b *CSR) bool {
+		return a.Rows == b.Rows && a.Cols == b.Cols && slices.Equal(a.RowPtr, b.RowPtr) && slices.Equal(a.Col, b.Col) &&
+			slices.EqualFunc(a.Val, b.Val, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) })
+	}
+	for lo := 0; lo <= m.Rows; lo++ {
+		for hi := lo; hi <= m.Rows; hi++ {
+			v := m.RowBlock(lo, hi)
+			if !same(v, copyBlock(m, lo, hi)) {
+				t.Fatalf("RowBlock(%d, %d) differs from the copied block", lo, hi)
+			}
+			if s, e := m.RowPtr[lo], m.RowPtr[hi]; e > s {
+				if &v.Col[0] != &m.Col[s] || &v.Val[0] != &m.Val[s] {
+					t.Fatalf("RowBlock(%d, %d) copies its rows instead of aliasing them", lo, hi)
+				}
+			}
+			if cap(v.Col) != len(v.Col) || cap(v.Val) != len(v.Val) {
+				t.Fatalf("RowBlock(%d, %d) leaves capacity %d/%d past its %d entries", lo, hi, cap(v.Col), cap(v.Val), len(v.Col))
+			}
+			for a := 0; a <= v.Rows; a++ {
+				for b := a; b <= v.Rows; b++ {
+					if !same(v.RowBlock(a, b), copyBlock(m, lo+a, lo+b)) {
+						t.Fatalf("RowBlock(%d, %d) of RowBlock(%d, %d) differs from the copied block", a, b, lo, hi)
+					}
+				}
+			}
+		}
+	}
+	if n := testing.AllocsPerRun(20, func() { rowBlockSink = m.RowBlock(2, 7) }); n > 2 {
+		t.Fatalf("RowBlock makes %.0f allocations, want the header and its RowPtr only", n)
+	}
+}
+
+// rowBlockSink keeps the view TestRowBlockIsAView counts allocations of on
+// the heap, as a caller holding it would.
+var rowBlockSink *CSR
 
 func TestSubmatrix(t *testing.T) {
 	d := []float64{

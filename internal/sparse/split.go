@@ -30,30 +30,27 @@ type RowSplit struct {
 // stores, ascending. A row with no exterior column is interior (an empty row
 // too); the rest are boundary. Both sub-matrices are hi-lo+len(ghost) wide.
 //
-// The second result lists, per row of a, the stored entries with an exterior
-// column, columns still global and in stored order. One counting pass sizes
+// The split copies every entry of a and keeps no reference to a's storage:
+// it is the only copy of the rows its owner needs. One counting pass sizes
 // every array exactly and one fill pass writes them; a localised copy of a as
 // a whole is never materialised.
-func SplitLocalize(a *CSR, lo, hi int, ghost []int) (*RowSplit, *CSR) {
+func SplitLocalize(a *CSR, lo, hi int, ghost []int) *RowSplit {
 	bs := hi - lo
-	ext := &CSR{Rows: a.Rows, Cols: a.Cols, RowPtr: make([]int, a.Rows+1)}
-	var nInt, nnzInt int
-	for i := 0; i < a.Rows; i++ {
-		cols, _ := a.Row(i)
-		n := 0
+	interior := func(cols []int) bool {
 		for _, c := range cols {
 			if c < lo || c >= hi {
-				n++
+				return false
 			}
 		}
-		if n == 0 {
+		return true
+	}
+	var nInt, nnzInt int
+	for i := 0; i < a.Rows; i++ {
+		if cols, _ := a.Row(i); interior(cols) {
 			nInt++
 			nnzInt += len(cols)
 		}
-		ext.RowPtr[i+1] = ext.RowPtr[i] + n
 	}
-	ext.Col = make([]int, ext.RowPtr[a.Rows])
-	ext.Val = make([]float64, ext.RowPtr[a.Rows])
 	sub := func(rows, nnz int) *CSR {
 		return &CSR{Cols: bs + len(ghost), RowPtr: make([]int, 1, rows+1), Col: make([]int, nnz), Val: make([]float64, nnz)}
 	}
@@ -70,9 +67,8 @@ func SplitLocalize(a *CSR, lo, hi int, ghost []int) (*RowSplit, *CSR) {
 	}
 	for i := 0; i < a.Rows; i++ {
 		cols, vals := a.Row(i)
-		e := ext.RowPtr[i]
 		dst := s.Boundary
-		if e == ext.RowPtr[i+1] {
+		if interior(cols) {
 			dst = s.Interior
 			s.IntRows = append(s.IntRows, i)
 		} else {
@@ -84,16 +80,14 @@ func SplitLocalize(a *CSR, lo, hi int, ghost []int) (*RowSplit, *CSR) {
 		for t, c := range cols {
 			if c >= lo && c < hi {
 				dcols[t] = c - lo
-				continue
+			} else {
+				dcols[t] = int(slot[c])
 			}
-			dcols[t] = int(slot[c])
-			ext.Col[e], ext.Val[e] = c, vals[t]
-			e++
 		}
 		dst.Rows++
 		dst.RowPtr = append(dst.RowPtr, at+len(cols))
 	}
-	return s, ext
+	return s
 }
 
 // parRowChunk is the row-chunk size of the parallel SpMV grid. Row chunks
