@@ -12,11 +12,11 @@ import (
 // sync.Pool-backed recycler. Owned sends (SendOwned: the SpMV halo
 // exchange, the collectives' reduction hops) hand pooled buffers straight
 // to the receiver, copy-semantics sends copy into one, and receivers
-// recycle what they consumed (Comm.Recycle, or on retention eviction), so
-// the steady-state loop of a PCG iteration sends without allocating (the
-// pool refills only after GC drains it). Only buffers whose capacity is an
-// exact power of two — what GetFloats hands out — are reused; others passed
-// to PutFloats are dropped to the GC.
+// recycle what they consumed (Comm.Recycle, or when the SpMV's retention
+// store drops a generation), so the steady-state loop of a PCG iteration
+// sends without allocating (the pool refills only after GC drains it). Only
+// buffers whose capacity is a size-class capacity — what GetFloats hands
+// out — are reused; others passed to PutFloats are dropped to the GC.
 //
 // It answers to the names "chan" and "fast" (see TransportFast).
 type LocalTransport struct {
@@ -26,47 +26,66 @@ type LocalTransport struct {
 // NewLocalTransport returns the in-process transport.
 func NewLocalTransport() *LocalTransport { return &LocalTransport{} }
 
-// floatPools recycles payload buffers by power-of-two capacity class:
-// class c holds buffers with capacity exactly 1<<c. The pools are shared by
-// every transport in the process, so prepared sessions serving many solves
-// keep reusing one working set. Elements are stored as a *float64 to the
-// backing array's first element — a single word, so Put does not box a
-// slice header — and the slice is rebuilt from the class capacity on Get.
+// floatPools recycles payload buffers by size class: class c holds buffers
+// whose capacity is exactly the one floatClass gives class c. The pools are shared by every
+// transport in the process, so prepared sessions serving many solves keep
+// reusing one working set. Elements are stored as a *float64 to the backing
+// array's first element — a single word, so Put does not box a slice header
+// — and the slice is rebuilt from the class capacity on Get.
 var floatPools [floatPoolClasses]sync.Pool
 
-// floatPoolClasses caps the pooled capacity at 1<<(classes-1) floats
-// (512 MiB); larger buffers fall through to the allocator.
-const floatPoolClasses = 27
+// The size classes: 16 floats, then eight per octave — capacities
+// m·2^(e−4) for m = 9…16 between 2^(e−1) and 2^e — so a buffer carries at
+// most 1/8 slack over its request (a power-of-two round-up wastes up to
+// half: a retained 16 464-float block would sit in 32 768). floatPoolClasses
+// caps the pooled capacity at 2^26 floats (512 MiB); larger buffers fall
+// through to the allocator.
+const (
+	floatMinCap      = 16
+	floatPoolClasses = 1 + 8*(26-4)
+)
+
+// floatClass returns the size class serving an n-float request and that
+// class's capacity: the smallest class capacity >= n.
+func floatClass(n int) (cls, capacity int) {
+	if n <= floatMinCap {
+		return 0, floatMinCap
+	}
+	e := bits.Len(uint(n - 1)) // 2^(e-1) < n <= 2^e, e >= 5
+	shift := e - 4
+	m := (n-1)>>shift + 1 // ceil(n / 2^(e-4)), in 9..16
+	return 1 + 8*(e-5) + m - 9, m << shift
+}
 
 // poolGetFloats serves a recycled buffer of length n (capacity rounded up
-// to the next power of two) from the process-wide pools, recording traffic
-// in ct. Shared by the local and net transports.
+// to its size class) from the process-wide pools, recording traffic in ct.
+// Shared by the local and net transports.
 func poolGetFloats(ct *transportCounters, n int) []float64 {
 	if n == 0 {
 		return nil
 	}
 	ct.poolGets.Add(1)
-	c := bits.Len(uint(n - 1))
+	c, capacity := floatClass(n)
 	if c >= floatPoolClasses {
 		ct.poolNew.Add(1)
 		return make([]float64, n)
 	}
 	if p, ok := floatPools[c].Get().(*float64); ok {
-		return unsafe.Slice(p, 1<<c)[:n]
+		return unsafe.Slice(p, capacity)[:n]
 	}
 	ct.poolNew.Add(1)
-	return make([]float64, n, 1<<c)
+	return make([]float64, n, capacity)
 }
 
-// poolPutFloats recycles buf for a future poolGetFloats. Only exact
-// power-of-two capacities (the recycler's own buffers) are kept.
+// poolPutFloats recycles buf for a future poolGetFloats. Only exact class
+// capacities (the recycler's own buffers) are kept.
 func poolPutFloats(ct *transportCounters, buf []float64) {
 	c := cap(buf)
-	if c == 0 || c&(c-1) != 0 {
+	if c < floatMinCap {
 		return
 	}
-	cls := bits.Len(uint(c)) - 1
-	if cls >= floatPoolClasses {
+	cls, capacity := floatClass(c)
+	if capacity != c || cls >= floatPoolClasses {
 		return
 	}
 	ct.poolPuts.Add(1)
@@ -78,7 +97,7 @@ func poolPutFloats(ct *transportCounters, buf []float64) {
 func (t *LocalTransport) Name() string { return TransportChan }
 
 // GetFloats implements Transport: a recycled buffer of length n (capacity
-// rounded up to the next power of two).
+// rounded up to its size class, at most 1/8 over n).
 func (t *LocalTransport) GetFloats(n int) []float64 { return poolGetFloats(&t.ct, n) }
 
 // PutFloats implements Transport: recycle buf for a future GetFloats.

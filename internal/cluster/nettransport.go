@@ -145,7 +145,7 @@ type netPeerState struct {
 // reconnect at a higher incarnation).
 //
 // Encode and decode buffers come from the in-process fabric's process-wide
-// power-of-two recycler, so the steady-state wire loop allocates only in
+// size-class recycler, so the steady-state wire loop allocates only in
 // the kernel.
 type NetTransport struct {
 	cfg NetConfig

@@ -58,7 +58,7 @@ const (
 
 // netWireBufs is the buffer source the codec draws encode/decode buffers
 // from — in production the net transport itself, whose Get/PutFloats are
-// the in-process fabric's power-of-two recycler.
+// the in-process fabric's size-class recycler.
 type netWireBufs interface {
 	GetFloats(n int) []float64
 	PutFloats(buf []float64)

@@ -480,22 +480,34 @@ func TestRecvListsMirrorsSendLists(t *testing.T) {
 
 func TestRetentionStoreLookup(t *testing.T) {
 	idxFrom := [][]int{nil, {10, 12, 15}, nil}
-	rt := NewRetention(idxFrom)
-	rt.Store(0, []float64{1, 2}, [][]float64{nil, {100, 120, 150}, nil})
-	rt.Store(1, []float64{3, 4}, [][]float64{nil, {101, 121, 151}, nil})
+	rt := NewRetention(idxFrom, 1)
+	rt.Store(0, [][]float64{nil, {100, 120, 150}, nil})
+	rt.Store(1, [][]float64{nil, {101, 121, 151}, nil})
 
-	own0, err := rt.Own(0)
-	if err != nil || own0[0] != 1 {
-		t.Fatalf("Own(0) = %v, %v", own0, err)
+	v0, err := rt.ValuesFor(0, 1, []int{12})
+	if err != nil || v0[0] != 120 {
+		t.Fatalf("ValuesFor(0) = %v, %v", v0, err)
 	}
 	v, err := rt.ValuesFor(1, 1, []int{15, 10})
 	if err != nil || v[0] != 151 || v[1] != 101 {
 		t.Fatalf("ValuesFor = %v, %v", v, err)
 	}
-	// Third generation evicts the oldest (0).
-	rt.Store(2, []float64{5, 6}, [][]float64{nil, {102, 122, 152}, nil})
-	if _, err := rt.Own(0); err == nil {
-		t.Fatal("generation 0 should be evicted")
+	// Both slots are taken: Store only adds.
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("Store into a full retention did not panic")
+			}
+		}()
+		rt.Store(2, [][]float64{nil, {102, 122, 152}, nil})
+	}()
+	// Keeping generation 1 drops 0 and hands back its payload.
+	if dropped := rt.Keep(1); len(dropped) != 1 || dropped[0][0] != 100 {
+		t.Fatalf("Keep(1) dropped %v, want generation 0's payload", dropped)
+	}
+	rt.Store(2, [][]float64{nil, {102, 122, 152}, nil})
+	if _, err := rt.ValuesFor(0, 1, []int{10}); err == nil {
+		t.Fatal("generation 0 should be dropped")
 	}
 	newest, oldest := rt.Generations()
 	if newest != 2 || oldest != 1 {
@@ -513,8 +525,12 @@ func TestRetentionStoreLookup(t *testing.T) {
 		t.Fatal("expected error for index not held")
 	}
 	rt.Wipe()
-	if _, err := rt.Own(1); err == nil {
+	if _, err := rt.ValuesFor(1, 1, []int{12}); err == nil {
 		t.Fatal("Wipe should drop all generations")
+	}
+	// The wiped payloads recycle at the next Keep.
+	if dropped := rt.Keep(2); len(dropped) != 2 {
+		t.Fatalf("Keep after Wipe dropped %d payloads, want 2", len(dropped))
 	}
 }
 

@@ -2,101 +2,101 @@ package commplan
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
 // Retention is the per-rank store of redundant search-direction copies. The
 // resilient solver keeps the two most recent generations (p^(j-1) and p^(j),
-// paper Sec. 2.2): the rank's own block plus every element received from
-// other ranks during the SpMV (halo and redundancy top-ups alike).
+// paper Sec. 2.2): every element received from other ranks during the SpMV
+// (halo and redundancy top-ups alike). The rank's own block is not copied:
+// a replacement rebuilds its own block from the survivors' copies, and a
+// survivor's own block is never read back from here.
 //
 // Reads are non-destructive: overlapping failures restart the reconstruction
 // and re-read the same generations (Sec. 4.1).
 type Retention struct {
 	// idxFrom[src] lists, sorted, the static global indices received from
-	// src each iteration (nil when nothing is received from src).
+	// src each iteration (nil when nothing is received from src). It is the
+	// matrix's own receive list, shared read-only by every store of a
+	// session; ValuesFor finds an index in it by binary search, so the
+	// lists are the whole retention index.
 	idxFrom [][]int
-	// pos[src] maps a global index to its position within idxFrom[src].
-	pos  []map[int]int
-	gens [2]retGen
-	// evicted is the reusable scratch returned by Store.
-	evicted [][]float64
+	gens    [2]retGen
+	// dropped is the reusable scratch returned by Keep.
+	dropped [][]float64
 	// width is the number of consecutive values stored per index: 1 for the
 	// single-RHS solve path, k for blocked multi-RHS solves whose halo
-	// payloads carry k columns per element (see NewRetentionK).
+	// payloads carry k columns per element.
 	width int
 }
 
 type retGen struct {
 	iter int
-	own  []float64
 	vals [][]float64 // vals[src], aligned with idxFrom[src]
 }
 
 // NewRetention creates a retention store for a rank that receives the given
-// static per-source index lists each iteration (see RecvLists).
-func NewRetention(idxFrom [][]int) *Retention { return NewRetentionK(idxFrom, 1) }
-
-// NewRetentionK is NewRetention for width-k payloads: each retained index
-// carries k consecutive values (one per column of a blocked multi-RHS
-// solve), so Store expects len(IndicesFrom(src))*k values per source and
-// ValuesFor returns k values per requested index. Width 1 is exactly
-// NewRetention.
-func NewRetentionK(idxFrom [][]int, width int) *Retention {
+// static, sorted per-source index lists each iteration (see RecvLists), each
+// index carrying width consecutive values (one per column of a blocked
+// multi-RHS solve): Store expects len(IndicesFrom(src))*width values per
+// source and ValuesFor returns width values per requested index. The store
+// keeps a reference to idxFrom, which must not change.
+func NewRetention(idxFrom [][]int, width int) *Retention {
 	if width < 1 {
 		panic(fmt.Sprintf("commplan: retention width %d < 1", width))
 	}
-	rt := &Retention{idxFrom: idxFrom, pos: make([]map[int]int, len(idxFrom)), width: width}
-	for src, idx := range idxFrom {
-		if len(idx) == 0 {
-			continue
-		}
-		m := make(map[int]int, len(idx))
-		for p, g := range idx {
-			m[g] = p
-		}
-		rt.pos[src] = m
-	}
-	rt.gens[0].iter = -1
-	rt.gens[1].iter = -1
-	return rt
+	return &Retention{idxFrom: idxFrom, width: width, gens: [2]retGen{{iter: -1}, {iter: -1}}}
 }
 
 // IndicesFrom returns the static indices held from source src.
 func (rt *Retention) IndicesFrom(src int) []int { return rt.idxFrom[src] }
 
-// Width returns the number of values stored per index (1 unless the store
-// was created with NewRetentionK).
+// Width returns the number of values stored per index.
 func (rt *Retention) Width() int { return rt.width }
 
-// Store records generation iter: the rank's own vector block and the values
-// received from each source (aligned with IndicesFrom(src)). The oldest of
-// the two retained generations is evicted. The own block is copied; the
-// recv slices are retained by reference (the store takes ownership: they
-// are the per-message payload buffers, which the receiver owns exclusively).
-// The caller may reuse the outer recv slice after Store returns, but not
-// the retained inner slices.
-//
-// Store returns the payload slices of the generation it evicted (nothing
-// else references them any more), so callers on a pooled transport can hand
-// them back to the buffer recycler. The returned slice is only valid until
-// the next Store call.
-func (rt *Retention) Store(iter int, own []float64, recv [][]float64) (evicted [][]float64) {
-	slot := 0
-	if rt.gens[0].iter == iter {
-		slot = 0 // re-store (post-recovery SpMV redo) overwrites in place
-	} else if rt.gens[1].iter == iter {
-		slot = 1
-	} else if rt.gens[0].iter > rt.gens[1].iter {
-		slot = 1 // overwrite the older generation
+// Keep drops every retained generation except keep and returns the payload
+// slices it dropped (nothing else references them any more), so callers on
+// a pooled transport can hand them back to the buffer recycler before they
+// draw the next generation's payloads from it. The returned slice is only
+// valid until the next Keep call.
+func (rt *Retention) Keep(keep int) (dropped [][]float64) {
+	rt.dropped = rt.dropped[:0]
+	for i := range rt.gens {
+		g := &rt.gens[i]
+		if keep >= 0 && g.iter == keep {
+			continue
+		}
+		g.iter = -1
+		for src, v := range g.vals {
+			if cap(v) > 0 {
+				rt.dropped = append(rt.dropped, v)
+			}
+			g.vals[src] = nil
+		}
 	}
-	g := &rt.gens[slot]
-	g.iter = iter
-	g.own = append(g.own[:0], own...)
+	return rt.dropped
+}
+
+// Store records generation iter: the values received from each source
+// (aligned with IndicesFrom(src)). The recv slices are retained by reference
+// (the store takes ownership: they are the per-message payload buffers,
+// which the receiver owns exclusively); the caller may reuse the outer recv
+// slice after Store returns, but not the retained inner slices. Store only
+// adds: it needs a free slot, so a caller holding two generations first
+// drops one with Keep.
+func (rt *Retention) Store(iter int, recv [][]float64) {
+	g := &rt.gens[0]
+	if g.iter >= 0 {
+		g = &rt.gens[1]
+	}
+	if g.iter >= 0 {
+		panic(fmt.Sprintf("commplan: Retention.Store(%d) with generations %d and %d held (call Keep first)",
+			iter, rt.gens[0].iter, rt.gens[1].iter))
+	}
 	if g.vals == nil {
 		g.vals = make([][]float64, len(rt.idxFrom))
 	}
-	rt.evicted = rt.evicted[:0]
 	for src := range rt.idxFrom {
 		var in []float64
 		if src < len(recv) {
@@ -106,15 +106,13 @@ func (rt *Retention) Store(iter int, own []float64, recv [][]float64) (evicted [
 			panic(fmt.Sprintf("commplan: Retention.Store source %d got %d values, want %d",
 				src, len(in), len(rt.idxFrom[src])*rt.width))
 		}
-		if old := g.vals[src]; cap(old) > 0 && (cap(in) == 0 || &old[:1][0] != &in[:1][0]) {
-			rt.evicted = append(rt.evicted, old)
-		}
 		g.vals[src] = in
 	}
-	return rt.evicted
+	g.iter = iter
 }
 
-// Generations returns the iterations currently retained, newest first.
+// Generations returns the iterations currently retained, newest first (-1
+// for an empty slot).
 func (rt *Retention) Generations() (newest, oldest int) {
 	a, b := rt.gens[0].iter, rt.gens[1].iter
 	if a >= b {
@@ -132,16 +130,6 @@ func (rt *Retention) gen(iter int) *retGen {
 	return nil
 }
 
-// Own returns the rank's own block stored for generation iter, or an error
-// if that generation is no longer retained.
-func (rt *Retention) Own(iter int) ([]float64, error) {
-	g := rt.gen(iter)
-	if g == nil {
-		return nil, fmt.Errorf("commplan: generation %d not retained", iter)
-	}
-	return g.own, nil
-}
-
 // ValuesFor returns the retained values of generation iter for the requested
 // global indices of source src's block: width consecutive values per
 // requested index, in request order. Every requested index must be held.
@@ -150,11 +138,11 @@ func (rt *Retention) ValuesFor(iter, src int, indices []int) ([]float64, error) 
 	if g == nil {
 		return nil, fmt.Errorf("commplan: generation %d not retained", iter)
 	}
-	pos := rt.pos[src]
+	held := rt.idxFrom[src]
 	w := rt.width
 	out := make([]float64, len(indices)*w)
 	for i, gi := range indices {
-		p, ok := pos[gi]
+		p, ok := slices.BinarySearch(held, gi)
 		if !ok {
 			return nil, fmt.Errorf("commplan: index %d of rank %d not held here", gi, src)
 		}
@@ -164,14 +152,11 @@ func (rt *Retention) ValuesFor(iter, src int, indices []int) ([]float64, error) 
 }
 
 // Wipe discards all retained data, simulating the memory loss of a node
-// failure on the slot that is being reused as the replacement node.
+// failure on the slot that is being reused as the replacement node. The
+// payload buffers stay in their slots for the next Keep to recycle.
 func (rt *Retention) Wipe() {
 	for i := range rt.gens {
 		rt.gens[i].iter = -1
-		rt.gens[i].own = rt.gens[i].own[:0]
-		for s := range rt.gens[i].vals {
-			rt.gens[i].vals[s] = rt.gens[i].vals[s][:0]
-		}
 	}
 }
 

@@ -9,7 +9,7 @@ import "testing"
 func TestRetentionWidthK(t *testing.T) {
 	const k = 3
 	idxFrom := [][]int{nil, {4, 7}, {9}}
-	rt := NewRetentionK(idxFrom, k)
+	rt := NewRetention(idxFrom, k)
 	if rt.Width() != k {
 		t.Fatalf("Width = %d, want %d", rt.Width(), k)
 	}
@@ -24,9 +24,8 @@ func TestRetentionWidthK(t *testing.T) {
 		}
 		return out
 	}
-	own := []float64{1, 2}
-	rt.Store(0, own, [][]float64{nil, mk(0, idxFrom[1]), mk(0, idxFrom[2])})
-	rt.Store(1, own, [][]float64{nil, mk(1, idxFrom[1]), mk(1, idxFrom[2])})
+	rt.Store(0, [][]float64{nil, mk(0, idxFrom[1]), mk(0, idxFrom[2])})
+	rt.Store(1, [][]float64{nil, mk(1, idxFrom[1]), mk(1, idxFrom[2])})
 
 	for gen := 0; gen <= 1; gen++ {
 		got, err := rt.ValuesFor(gen, 1, []int{7, 4})
@@ -44,10 +43,13 @@ func TestRetentionWidthK(t *testing.T) {
 		}
 	}
 
-	// Generation 2 evicts 0.
-	rt.Store(2, own, [][]float64{nil, mk(2, idxFrom[1]), mk(2, idxFrom[2])})
+	// Generation 2 keeps 1 and drops 0: one payload per source.
+	if dropped := rt.Keep(1); len(dropped) != 2 {
+		t.Fatalf("Keep(1) dropped %d payloads, want 2", len(dropped))
+	}
+	rt.Store(2, [][]float64{nil, mk(2, idxFrom[1]), mk(2, idxFrom[2])})
 	if _, err := rt.ValuesFor(0, 1, []int{4}); err == nil {
-		t.Fatal("generation 0 still retained after two evictions")
+		t.Fatal("generation 0 still retained after Keep(1)")
 	}
 
 	rt.Wipe()
@@ -58,7 +60,8 @@ func TestRetentionWidthK(t *testing.T) {
 		t.Fatal("generation 2 still retained after Wipe")
 	}
 	// The wiped store accepts new width-k generations again.
-	rt.Store(5, own, [][]float64{nil, mk(5, idxFrom[1]), mk(5, idxFrom[2])})
+	rt.Keep(4)
+	rt.Store(5, [][]float64{nil, mk(5, idxFrom[1]), mk(5, idxFrom[2])})
 	got, err := rt.ValuesFor(5, 2, []int{9})
 	if err != nil {
 		t.Fatal(err)
@@ -72,11 +75,11 @@ func TestRetentionWidthK(t *testing.T) {
 // payload that is not len(indices)*width values must panic loudly rather
 // than silently misalign columns.
 func TestRetentionWidthMismatchPanics(t *testing.T) {
-	rt := NewRetentionK([][]int{{1, 2}}, 2)
+	rt := NewRetention([][]int{{1, 2}}, 2)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("short width-2 payload did not panic")
 		}
 	}()
-	rt.Store(0, nil, [][]float64{{1, 2}}) // want 2*2 = 4 values
+	rt.Store(0, [][]float64{{1, 2}}) // want 2*2 = 4 values
 }

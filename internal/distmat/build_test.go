@@ -26,7 +26,7 @@ type referenceKernels struct {
 	ghost              []int
 	interior, boundary *sparse.CSR
 	intRows, bndRows   []int
-	sendLoc            [][]int
+	sendLoc, sendPos   [][]int
 	recvPos, recvDst   [][]int
 	ghostPos           map[int]int
 	ownBlock           *sparse.CSR
@@ -122,9 +122,11 @@ func buildReference(m *Matrix, rows *sparse.CSR) *referenceKernels {
 		ref.ownBlock.RowPtr[i+1] = len(ref.ownBlock.Col)
 	}
 	ref.sendLoc = make([][]int, len(m.sendLists))
+	ref.sendPos = make([][]int, len(m.sendLists))
 	for k, idx := range m.sendLists {
-		for _, g := range idx {
+		for t, g := range idx {
 			ref.sendLoc[k] = append(ref.sendLoc[k], g-lo)
+			ref.sendPos[k] = append(ref.sendPos[k], t)
 		}
 	}
 	ref.recvPos = make([][]int, len(m.recvLists))
@@ -140,8 +142,32 @@ func buildReference(m *Matrix, rows *sparse.CSR) *referenceKernels {
 	return ref
 }
 
+// unplan expands per-peer copy plans back into element lists in source
+// order (the order of the reference lists): element i of peer k copies
+// src[k][i] to dst[k][i].
+func unplan(plans []copyList) (src, dst [][]int) {
+	src, dst = make([][]int, len(plans)), make([][]int, len(plans))
+	for k, l := range plans {
+		var pairs [][2]int
+		for _, r := range l.runs {
+			for i := range r.n {
+				pairs = append(pairs, [2]int{r.src + i, r.dst + i})
+			}
+		}
+		for i := range l.src {
+			pairs = append(pairs, [2]int{l.src[i], l.dst[i]})
+		}
+		slices.SortFunc(pairs, func(a, b [2]int) int { return a[0] - b[0] })
+		for _, p := range pairs {
+			src[k], dst[k] = append(src[k], p[0]), append(dst[k], p[1])
+		}
+	}
+	return src, dst
+}
+
 // diff names the first structure of m that is not, element for element, the
-// reference's ("" when all are). nil and empty compare equal: a list nobody
+// reference's ("" when all are). The copy plans are compared as the element
+// lists they expand to. nil and empty compare equal: a list nobody
 // appended to and an array counted at zero are the same structure. OwnBlock
 // is held to reflect.DeepEqual (it is what the preconditioners factor), Diag
 // and GhostProduct to the bit.
@@ -156,6 +182,8 @@ func (ref *referenceKernels) diff(m *Matrix) string {
 	}
 	ghostProduct := ghostProductSeed(len(ref.ghostProduct))
 	m.GhostProduct(ghostProduct, ref.ghostIn)
+	sendLoc, sendPos := unplan(m.sendPlan)
+	recvPos, recvDst := unplan(m.recvPlan)
 	for _, c := range []struct {
 		name string
 		same bool
@@ -166,9 +194,10 @@ func (ref *referenceKernels) diff(m *Matrix) string {
 		{"Boundary", csr(m.split.Boundary, ref.boundary)},
 		{"IntRows", slices.Equal(m.split.IntRows, ref.intRows)},
 		{"BndRows", slices.Equal(m.split.BndRows, ref.bndRows)},
-		{"sendLoc", lists(m.sendLoc, ref.sendLoc)},
-		{"recvPos", lists(m.recvPos, ref.recvPos)},
-		{"recvDst", lists(m.recvDst, ref.recvDst)},
+		{"send plan (own block)", lists(sendLoc, ref.sendLoc)},
+		{"send plan (payload)", lists(sendPos, ref.sendPos)},
+		{"receive plan (payload)", lists(recvPos, ref.recvPos)},
+		{"receive plan (ghost slots)", lists(recvDst, ref.recvDst)},
 		{"OwnBlock", reflect.DeepEqual(m.OwnBlock(), ref.ownBlock)},
 		{"Diag", bits(m.Diag(), ref.diag)},
 		{"GhostProduct", bits(ghostProduct, ref.ghostProduct)},
@@ -212,7 +241,7 @@ func edgeCaseProblems() map[string]*sparse.CSR {
 }
 
 // TestOnePassBuildEqualsReference: every kernel structure NewMatrix builds in
-// its counting pass and fill pass — and every Restrict view's scatter lists,
+// its counting pass and fill pass — and every Restrict view's scatter plans,
 // which are computed from ghost offsets — equals the reference build, and
 // OwnBlock, Diag and GhostProduct, read off the split, equal the same answers
 // computed from the row block, on the benchmark workloads' generators and the
@@ -266,17 +295,19 @@ func TestOnePassBuildEqualsReference(t *testing.T) {
 							if !reflect.DeepEqual(v.OwnBlock(), ref.ownBlock) || !slices.Equal(v.Diag(), ref.diag) {
 								return fmt.Errorf("view over %v: OwnBlock or Diag differs from the reference", members)
 							}
+							vPos, vDst := unplan(v.recvPlan)
 							for t, f := range members {
-								var want []int
-								for _, g := range m.Plan.RecvFrom[f] {
+								var pos, want []int
+								for i, g := range m.Plan.RecvFrom[f] {
+									pos = append(pos, i)
 									want = append(want, hi-lo+ref.ghostPos[g])
 								}
 								if f == e.Pos {
-									want = nil
+									pos, want = nil, nil
 								}
-								if !slices.Equal(v.recvDst[t], want) {
-									return fmt.Errorf("view over %v: recvDst[%d] = %v, reference %v",
-										members, t, v.recvDst[t], want)
+								if !slices.Equal(vPos[t], pos) || !slices.Equal(vDst[t], want) {
+									return fmt.Errorf("view over %v: receive plan [%d] copies %v to %v, reference %v to %v",
+										members, t, vPos[t], vDst[t], pos, want)
 								}
 							}
 						}

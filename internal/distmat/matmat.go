@@ -31,13 +31,14 @@ import (
 const interleaveTile = 64
 
 // SetBlockWidth prepares the matrix for width-k MatMat calls: the
-// retention store is replaced by one expecting k values per retained halo
-// element. Call it on a per-solve Fork before the first MatMat (a fork
-// serves either single-RHS or width-k solves, never both); width 1 is the
-// Fork default. No-op for matrices without retention.
+// retention store is replaced by an empty one expecting k values per
+// retained halo element, over the same shared receive lists. Call it on a
+// per-solve Fork before the first MatMat (a fork serves either single-RHS or
+// width-k solves, never both); width 1 is the Fork default. No-op for
+// matrices without retention.
 func (m *Matrix) SetBlockWidth(k int) {
 	if m.Ret != nil && m.Ret.Width() != k {
-		m.Ret = commplan.NewRetentionK(m.recvLists, k)
+		m.Ret = commplan.NewRetention(m.recvLists, k)
 	}
 }
 
@@ -55,9 +56,9 @@ func (m *Matrix) growBlockScratch(rows, k int) {
 // exchange, following MatVec's communication-hiding schedule verbatim:
 // post the owned k-strided halo sends, run the interior SpMM while the
 // receives are in flight, drain and scatter k values per ghost element,
-// finish with the boundary rows. Retention (iter >= 0) stores the
-// interleaved own block plus the k-strided payloads; the store must have
-// been prepared with SetBlockWidth(k).
+// finish with the boundary rows. Retention (iter >= 0) keeps generation
+// iter-1, recycles anything older before the sends and stores the k-strided
+// payloads; the store must have been prepared with SetBlockWidth(k).
 func (m *Matrix) MatMat(e *Env, y, x []Vector, iter int) error {
 	k := len(x)
 	if k == 0 || len(y) != k {
@@ -72,6 +73,11 @@ func (m *Matrix) MatMat(e *Env, y, x []Vector, iter int) error {
 	retain := m.Ret != nil && iter >= 0
 	if retain && m.Ret.Width() != k {
 		return fmt.Errorf("distmat: MatMat width %d on a retention store of width %d (call SetBlockWidth)", k, m.Ret.Width())
+	}
+	if retain {
+		for _, old := range m.Ret.Keep(iter - 1) {
+			e.C.PutFloats(old)
+		}
 	}
 	m.growBlockScratch(bs, k)
 	// Views at the current width: the scratch only ever grows, and a matrix
@@ -106,9 +112,7 @@ func (m *Matrix) MatMat(e *Env, y, x []Vector, iter int) error {
 			continue
 		}
 		payload := e.C.GetFloats(len(idx) * k)
-		for t, p := range m.sendLoc[d] {
-			copy(payload[t*k:t*k+k], xb[p*k:p*k+k])
-		}
+		m.sendPlan[d].copy(payload, xb, k)
 		cat := cluster.CatHalo
 		nHalo := len(m.Plan.SendTo[d])
 		if nHalo == 0 {
@@ -156,10 +160,7 @@ func (m *Matrix) MatMat(e *Env, y, x []Vector, iter int) error {
 		if len(msg.F) != len(idx)*k {
 			return fmt.Errorf("distmat: MatMat from pos %d: %d values, want %d", s, len(msg.F), len(idx)*k)
 		}
-		f, dst := msg.F, m.recvDst[s]
-		for i, p := range m.recvPos[s] {
-			copy(xb[dst[i]*k:dst[i]*k+k], f[p*k:p*k+k])
-		}
+		m.recvPlan[s].copy(xb, msg.F, k)
 		if retain {
 			recvVals[s] = msg.F
 		} else {
@@ -185,9 +186,7 @@ func (m *Matrix) MatMat(e *Env, y, x []Vector, iter int) error {
 		}
 	}
 	if retain {
-		for _, old := range m.Ret.Store(iter, xb[:bs*k], recvVals) {
-			e.C.PutFloats(old)
-		}
+		m.Ret.Store(iter, recvVals)
 	}
 	if m.obs != nil {
 		tm.Boundary = time.Since(mark)

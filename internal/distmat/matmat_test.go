@@ -3,6 +3,7 @@ package distmat
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"testing"
 
 	"repro/internal/cluster"
@@ -159,4 +160,77 @@ func TestMatMatWidthOne(t *testing.T) {
 		}
 		return nil
 	})
+}
+
+// TestRetentionIndexSharedAcrossForks: the retention index is the receive
+// lists NewMatrix builds once. Every Fork and every SetBlockWidth gets an
+// empty store over those same lists — no per-fork or per-width index, a
+// width change costs a few words — and the store still answers recovery
+// reads with the values the halo carried, at every width.
+func TestRetentionIndexSharedAcrossForks(t *testing.T) {
+	a := matgen.CircuitLike(600, 3, 0.5, 4)
+	const ranks, phi = 4, 2
+	p := partition.NewBlockRow(a.Rows, ranks)
+	mats := make([]*Matrix, ranks)
+	runSPMD(t, ranks, func(c *cluster.Comm) error {
+		e := WorldEnv(c)
+		lo, hi := p.Range(e.Pos)
+		m, err := NewMatrix(e, a.RowBlock(lo, hi), p, phi, 0)
+		if err != nil {
+			return err
+		}
+		mats[e.Pos] = m
+		for _, k := range []int{1, 3, 16, 3} {
+			f := m.Fork()
+			f.SetBlockWidth(k)
+			if f.Ret == m.Ret || f.Ret.Width() != k {
+				return fmt.Errorf("pos %d width %d: the fork's store is not its own width-%d store", e.Pos, k, k)
+			}
+			cols := make([][]float64, k)
+			x, y := make([]Vector, k), make([]Vector, k)
+			for j := range cols {
+				cols[j] = make([]float64, a.Rows)
+				for i := range cols[j] {
+					cols[j][i] = math.Sin(float64(i*(j+1)+k)) + float64(j)
+				}
+				x[j], y[j] = distribute(cols[j], p, e.Pos), NewVector(p, e.Pos)
+			}
+			if err := f.MatMat(e, y, x, 0); err != nil {
+				return err
+			}
+			for src := 0; src < ranks; src++ {
+				idx, own := f.Ret.IndicesFrom(src), m.recvLists[src]
+				if len(idx) != len(own) || len(idx) > 0 && &idx[0] != &own[0] {
+					return fmt.Errorf("pos %d width %d: the store's index from %d is not the session's receive list", e.Pos, k, src)
+				}
+				if len(idx) == 0 {
+					continue
+				}
+				vals, err := f.Ret.ValuesFor(0, src, idx)
+				if err != nil {
+					return err
+				}
+				for i, g := range idx {
+					for j := 0; j < k; j++ {
+						if vals[i*k+j] != cols[j][g] {
+							return fmt.Errorf("pos %d width %d src %d idx %d col %d: %v, want %v", e.Pos, k, src, g, j, vals[i*k+j], cols[j][g])
+						}
+					}
+				}
+			}
+		}
+		return nil
+	})
+	// A width change builds nothing that grows with the receive lists.
+	m := mats[1]
+	var before, after runtime.MemStats
+	const n = 200
+	runtime.ReadMemStats(&before)
+	for i := 0; i < n; i++ {
+		m.SetBlockWidth(2 + i%2)
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / n; per > 256 {
+		t.Errorf("SetBlockWidth allocates %d B per call (budget 256 B)", per)
+	}
 }

@@ -28,7 +28,8 @@ type Matrix struct {
 	// Red is the redundancy protocol state; nil when phi = 0.
 	Red *commplan.Redundancy
 	// Ret retains the two most recent SpMV input generations; nil when the
-	// matrix is not resilience-enabled.
+	// matrix is not resilience-enabled. Its index is recvLists, shared by
+	// every fork and block width.
 	Ret *commplan.Retention
 
 	// ghost is Plan.GhostIndices(): the sorted external global indices the
@@ -55,12 +56,13 @@ type Matrix struct {
 	// read only own-block columns and compute while the halo receives are
 	// still in flight (communication-hiding SpMV); boundary rows wait.
 	split *sparse.RowSplit
-	// sendLoc[k] are the local (block-relative) indices of sendLists[k].
-	sendLoc [][]int
-	// recvPos[k]/recvDst[k] scatter an incoming payload from source k:
-	// xbuf[recvDst[k][i]] = payload[recvPos[k][i]]. Payload positions that
-	// carry pure redundancy (not needed by this rank's SpMV) are absent.
-	recvPos, recvDst [][]int
+	// sendPlan[k] gathers the payload for destination k: sendLists[k] from
+	// the own block (src a block-relative index, dst a payload position).
+	sendPlan []copyList
+	// recvPlan[k] scatters an incoming payload from source k into xbuf (src
+	// a payload position, dst a ghost slot). Payload positions that carry
+	// pure redundancy (not needed by this rank's SpMV) are absent.
+	recvPlan []copyList
 
 	// overlap toggles the communication-hiding schedule (on by default; the
 	// phased reference path is kept for A/B benchmarks and equality tests).
@@ -128,7 +130,7 @@ func NewMatrixStrategy(e *Env, rows *sparse.CSR, p partition.Partition, phi, ctx
 		return nil, err
 	}
 	if phi > 0 {
-		m.Ret = commplan.NewRetention(m.recvLists)
+		m.Ret = commplan.NewRetention(m.recvLists, 1)
 	}
 	m.buildKernels(rows)
 	return m, nil
@@ -195,7 +197,7 @@ func (m *Matrix) exchangeRecvLists(e *Env) error {
 }
 
 // buildKernels precomputes the static kernel plans off the symbolic state:
-// the send gather lists, the per-source receive scatter lists and the
+// the send gather plans, the per-source receive scatter plans and the
 // column-localised interior/boundary split of the static row block, every
 // array allocated at its final size. Runs once at construction; everything it
 // builds is immutable and shared by Forks.
@@ -204,21 +206,13 @@ func (m *Matrix) buildKernels(rows *sparse.CSR) {
 	m.overlap = true
 	m.ghost = m.Plan.GhostIndices()
 	m.xbuf = make([]float64, hi-lo+len(m.ghost))
-	m.sendLoc = make([][]int, len(m.sendLists))
+	m.sendPlan = make([]copyList, len(m.sendLists))
 	for k, idx := range m.sendLists {
-		if len(idx) == 0 {
-			continue
-		}
-		loc := make([]int, len(idx))
-		for t, g := range idx {
-			loc[t] = g - lo
-		}
-		m.sendLoc[k] = loc
+		m.sendPlan[k] = gatherPlan(idx, lo)
 	}
 	// Source k's payload carries the elements this rank's SpMV needs
 	// (Plan.RecvFrom[k]) among pure redundancy: merge the two sorted lists.
-	m.recvPos = make([][]int, len(m.recvLists))
-	m.recvDst = make([][]int, len(m.recvLists))
+	m.recvPlan = make([]copyList, len(m.recvLists))
 	for k, idx := range m.recvLists {
 		need := m.Plan.RecvFrom[k]
 		if len(need) == 0 {
@@ -234,9 +228,15 @@ func (m *Matrix) buildKernels(rows *sparse.CSR) {
 				pos, dst = append(pos, t), append(dst, base+j)
 			}
 		}
-		m.recvPos[k], m.recvDst[k] = pos, dst
+		m.recvPlan[k] = newCopyList(len(pos), func(i int) (int, int) { return pos[i], dst[i] })
 	}
 	m.split = sparse.SplitLocalize(rows, lo, hi, m.ghost)
+}
+
+// gatherPlan returns the plan that gathers the global indices idx, all in
+// the own block starting at lo, into a payload in list order.
+func gatherPlan(idx []int, lo int) copyList {
+	return newCopyList(len(idx), func(i int) (int, int) { return idx[i] - lo, i })
 }
 
 // ghostSlot returns the local column of the first element of
@@ -308,7 +308,8 @@ func (m *Matrix) SetMatVecObserver(fn func(MatVecTimings)) { m.obs = fn }
 // the redundancy protocol, the localised split and the send/receive lists,
 // all of which are immutable after construction — with
 // fresh per-solve mutable state: its own SpMV scratch buffer and, for
-// resilience-enabled matrices, its own empty retention store.
+// resilience-enabled matrices, its own empty retention store (over the
+// shared receive lists: a fork builds no index).
 //
 // Fork is the prepare-once/solve-many primitive: one symbolic build
 // (NewMatrix, which requires collective communication) can serve many
@@ -320,7 +321,7 @@ func (m *Matrix) Fork() *Matrix {
 	n.recvScratch = nil // per-solve staging must not be shared across forks
 	n.xbufK, n.ybufK, n.recvScratchK = nil, nil, nil
 	if m.Ret != nil {
-		n.Ret = commplan.NewRetention(m.recvLists)
+		n.Ret = commplan.NewRetention(m.recvLists, 1)
 	}
 	return &n
 }
@@ -362,9 +363,8 @@ func (m *Matrix) Restrict(sub *Env, ctx int) (*Matrix, error) {
 	sizes := make([]int, sub.Size())
 	v.sendLists = make([][]int, sub.Size())
 	v.recvLists = make([][]int, sub.Size())
-	v.sendLoc = make([][]int, sub.Size())
-	v.recvPos = make([][]int, sub.Size())
-	v.recvDst = make([][]int, sub.Size())
+	v.sendPlan = make([]copyList, sub.Size())
+	v.recvPlan = make([]copyList, sub.Size())
 	for t, f := range sub.Members {
 		sizes[t] = m.P.Size(f)
 		if t == sub.Pos {
@@ -372,17 +372,10 @@ func (m *Matrix) Restrict(sub *Env, ctx int) (*Matrix, error) {
 		}
 		send, recv := m.Plan.SendTo[f], m.Plan.RecvFrom[f]
 		v.sendLists[t], v.recvLists[t] = send, recv
-		v.sendLoc[t] = make([]int, len(send))
-		for i, g := range send {
-			v.sendLoc[t][i] = g - lo
-		}
-		v.recvPos[t] = make([]int, len(recv))
-		v.recvDst[t] = make([]int, len(recv))
+		v.sendPlan[t] = gatherPlan(send, lo)
+		// The whole payload lands in f's ghost slots, in order.
 		base := m.ghostSlot(f)
-		for i := range recv {
-			v.recvPos[t][i] = i
-			v.recvDst[t][i] = base + i
-		}
+		v.recvPlan[t] = newCopyList(len(recv), func(i int) (int, int) { return i, base + i })
 	}
 	v.P = partition.FromSizes(sizes)
 	v.Plan = &commplan.HaloPlan{P: v.P, Rank: sub.Pos, SendTo: v.sendLists, RecvFrom: v.recvLists}
@@ -406,8 +399,8 @@ func (m *Matrix) Restrict(sub *Env, ctx int) (*Matrix, error) {
 // payloads are drawn from the transport's buffer recycler and handed off
 // with SendOwned (never touched again here); received payloads are either
 // recycled as soon as their values are scattered (non-retaining calls) or
-// owned by the retention store for two generations and recycled on
-// eviction.
+// owned by the retention store for two generations and recycled when the
+// MatVec of the generation after next drops them.
 func (m *Matrix) MatVec(e *Env, y, x Vector, iter int) error {
 	lo, hi := m.P.Range(m.Pos)
 	bs := hi - lo
@@ -419,13 +412,25 @@ func (m *Matrix) MatVec(e *Env, y, x Vector, iter int) error {
 	if m.obs != nil {
 		mark = time.Now()
 	}
+	// iter < 0 marks inputs that are not search directions (initial
+	// residual, verification products): they are not retained, so their
+	// payloads recycle as soon as they are scattered. A retained generation
+	// iter needs iter-1 beside it and nothing older: drop the rest first, so
+	// the sends below draw the recycled buffers and no more than two
+	// generations are ever live.
+	retain := m.Ret != nil && iter >= 0
+	if retain {
+		for _, old := range m.Ret.Keep(iter - 1) {
+			e.C.PutFloats(old)
+		}
+	}
 	// Post sends: one message per destination with merged payload.
 	for k, idx := range m.sendLists {
 		if k == e.Pos || len(idx) == 0 {
 			continue
 		}
 		payload := e.C.GetFloats(len(idx))
-		vec.Gather(payload, x.Local, m.sendLoc[k])
+		m.sendPlan[k].copy(payload, x.Local, 1)
 		cat := cluster.CatHalo
 		nHalo := len(m.Plan.SendTo[k])
 		if nHalo == 0 {
@@ -457,10 +462,7 @@ func (m *Matrix) MatVec(e *Env, y, x Vector, iter int) error {
 		mark = now
 	}
 	// Drain the receives and scatter into the ghost buffer through the
-	// precomputed lists. iter < 0 marks inputs that are not search directions
-	// (initial residual, verification products): they are not retained, so
-	// their payloads recycle immediately.
-	retain := m.Ret != nil && iter >= 0
+	// precomputed plans.
 	var recvVals [][]float64
 	if retain {
 		if m.recvScratch == nil {
@@ -482,10 +484,7 @@ func (m *Matrix) MatVec(e *Env, y, x Vector, iter int) error {
 		if len(msg.F) != len(idx) {
 			return fmt.Errorf("distmat: MatVec from pos %d: %d values, want %d", k, len(msg.F), len(idx))
 		}
-		f, dst := msg.F, m.recvDst[k]
-		for i, p := range m.recvPos[k] {
-			m.xbuf[dst[i]] = f[p]
-		}
+		m.recvPlan[k].copy(m.xbuf, msg.F, 1)
 		if retain {
 			recvVals[k] = msg.F
 		} else {
@@ -503,11 +502,8 @@ func (m *Matrix) MatVec(e *Env, y, x Vector, iter int) error {
 	}
 	m.split.Boundary.MulVecScatterPar(y.Local, m.xbuf, m.split.BndRows, m.threads)
 	if retain {
-		// The retention store owns the new generation's payloads; the
-		// generation it just evicted is unreferenced and recycles.
-		for _, old := range m.Ret.Store(iter, x.Local, recvVals) {
-			e.C.PutFloats(old)
-		}
+		// The retention store owns the new generation's payloads.
+		m.Ret.Store(iter, recvVals)
 	}
 	if m.obs != nil {
 		tm.Boundary = time.Since(mark)

@@ -6,6 +6,7 @@ import (
 	"runtime"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/faults"
 	"repro/internal/matgen"
 	"repro/internal/sparse"
@@ -149,6 +150,112 @@ func TestSessionHoldsNoSliceOfTheInput(t *testing.T) {
 		}
 		if len(want[1].Result.Reconstructions) != 1 {
 			t.Fatalf("%s: the scheduled solve ran %d episodes, want 1", pc, len(want[1].Result.Reconstructions))
+		}
+	}
+}
+
+// TestBatchWorkingSetBudget: a solve holds ESR's redundant copies once. A
+// 16-column SolveBlock on the elasticity-kernel problem (8 ranks, phi 3,
+// block-Jacobi ILU(0)) may add at most 18x its k·n float64s to the live heap
+// at iteration 12: the per-column vectors, the SpMM scratch and two
+// generations of received copies in buffers at most 1/8 over their size. A
+// third live generation, a power-of-two round-up of every payload, a copy of
+// each rank's own block per iteration or a retention index per fork does not
+// fit.
+func TestBatchWorkingSetBudget(t *testing.T) {
+	const k, at = 16, 12
+	a := matgen.Elasticity3D(14, 14, 14, 27, 8)
+	ps, err := Prepare(a, budgetConfig)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ps.Close()
+	bs := make([][]float64, k)
+	for c := range bs {
+		bs[c] = make([]float64, a.Rows)
+		for i := range bs[c] {
+			bs[c][i] = 1 + math.Sin(float64(i*(c+1))*0.013)
+		}
+	}
+	var before, mid runtime.MemStats
+	measured := false
+	progress := func(ev core.ProgressEvent) {
+		if ev.Reconstruction == nil && ev.Iteration == at && !measured {
+			runtime.GC()
+			runtime.ReadMemStats(&mid)
+			measured = true
+		}
+	}
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	if _, _, err := ps.SolveBlock(context.Background(), bs, SolveOpts{Tol: 1e-10, Progress: progress}); err != nil {
+		t.Fatal(err)
+	}
+	if !measured {
+		t.Fatalf("the solve ended before iteration %d", at)
+	}
+	added := float64(int64(mid.HeapAlloc) - int64(before.HeapAlloc))
+	cols := float64(8 * k * a.Rows)
+	t.Logf("a %d-column solve adds %.1f MB at iteration %d, %.1fx its %.2f MB of columns", k, added/1e6, at, added/cols, cols/1e6)
+	if added > 18*cols {
+		t.Errorf("a %d-column solve adds %.1f MB, %.1fx its %.2f MB of columns (budget 18x)", k, added/1e6, added/cols, cols/1e6)
+	}
+}
+
+// TestSolveLeavesRHSUntouched: every rank reads its block of b in place, so
+// no solve may write it — failure-free, through an ESR reconstruction, a
+// checkpoint rollback or a twin repair, single and blocked.
+func TestSolveLeavesRHSUntouched(t *testing.T) {
+	a := matgen.Poisson2D(24, 24)
+	ps, err := Prepare(a, Config{Ranks: 8, Phi: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ps.Close()
+	bs := make([][]float64, 3)
+	for c := range bs {
+		bs[c] = make([]float64, a.Rows)
+		for i := range bs[c] {
+			bs[c][i] = math.Cos(float64(i+c)) * 1e3
+		}
+	}
+	want := make([][]uint64, len(bs))
+	for c, b := range bs {
+		for _, v := range b {
+			want[c] = append(want[c], math.Float64bits(v))
+		}
+	}
+	fail := func() *faults.Schedule { return faults.NewSchedule(faults.Simultaneous(5, 2, 3)) }
+	for _, tc := range []struct {
+		name string
+		opts SolveOpts
+	}{
+		{"failure-free", SolveOpts{}},
+		{"esr episode", SolveOpts{Schedule: fail()}},
+		{"checkpoint rollback", SolveOpts{Strategy: StrategyCheckpoint, CheckpointInterval: 3, Schedule: fail()}},
+		{"twin", SolveOpts{Strategy: StrategyTwin, Schedule: fail()}},
+	} {
+		tc.opts.Tol = 1e-10
+		sol, err := ps.Solve(context.Background(), bs[0], tc.opts)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if episodes := len(sol.Result.Reconstructions); (tc.opts.Schedule != nil) != (episodes > 0) {
+			t.Fatalf("%s: %d recovery episodes", tc.name, episodes)
+		}
+		if tc.opts.Schedule != nil {
+			tc.opts.Schedule = fail()
+		}
+		if _, _, err := ps.SolveBlock(context.Background(), bs, tc.opts); err != nil {
+			t.Fatalf("%s block: %v", tc.name, err)
+		}
+		for c, b := range bs {
+			for i, v := range b {
+				if math.Float64bits(v) != want[c][i] {
+					t.Fatalf("%s: b[%d][%d] = %v after the solve, was %v", tc.name, c, i, v, math.Float64frombits(want[c][i]))
+				}
+			}
 		}
 	}
 }

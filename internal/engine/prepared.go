@@ -533,7 +533,10 @@ func (ps *Prepared) solveOn(ctx context.Context, rt *cluster.Runtime, localRanks
 		B := make([]distmat.Vector, k)
 		X := make([]distmat.Vector, k)
 		for col := range bs {
-			B[col] = distmat.Vector{P: ps.part, Pos: e.Pos, Local: append([]float64(nil), bs[col][pr.lo:pr.hi]...)}
+			// The solve only reads b (residuals, verification, recovery,
+			// twin checks; Wipe leaves it alone), so each rank reads its
+			// block of the caller's vector in place, capacity-clipped.
+			B[col] = distmat.Vector{P: ps.part, Pos: e.Pos, Local: bs[col][pr.lo:pr.hi:pr.hi]}
 			X[col] = distmat.NewVector(ps.part, e.Pos)
 		}
 		ropts := copts

@@ -29,12 +29,18 @@ func NewILU0(a *sparse.CSR) (*ILU0, error) {
 	if a.Rows != a.Cols {
 		return nil, fmt.Errorf("localsolve: ILU0 needs a square matrix")
 	}
-	n := a.Rows
+	n, nnz := a.Rows, len(a.Val)
+	// val carries one dummy slot past the factor's values: a column absent
+	// from the current row maps there, so the row update below runs without
+	// a data-dependent branch and touches the real slots exactly as a
+	// presence test would. The factor keeps the first nnz values.
+	val := make([]float64, nnz+1)
+	copy(val, a.Val)
 	f := &ILU0{
 		n:      n,
 		rowPtr: a.RowPtr,
 		col:    a.Col,
-		val:    append([]float64(nil), a.Val...),
+		val:    val[:nnz:nnz],
 		diag:   make([]int, n),
 	}
 	var maxAbs float64
@@ -57,10 +63,11 @@ func NewILU0(a *sparse.CSR) (*ILU0, error) {
 			return nil, fmt.Errorf("localsolve: ILU0 row %d has no diagonal entry", i)
 		}
 	}
-	// colPos[j] caches the position of column j within the current row.
+	// colPos[j] caches the position of column j within the current row, or
+	// the dummy slot nnz when row i has no column j.
 	colPos := make([]int, n)
 	for j := range colPos {
-		colPos[j] = -1
+		colPos[j] = nnz
 	}
 	for i := 0; i < n; i++ {
 		for k := f.rowPtr[i]; k < f.rowPtr[i+1]; k++ {
@@ -71,25 +78,22 @@ func NewILU0(a *sparse.CSR) (*ILU0, error) {
 			if j >= i {
 				break // columns sorted: L part exhausted
 			}
-			piv := f.val[f.diag[j]]
+			piv := val[f.diag[j]]
 			if math.Abs(piv) < eps {
 				piv = eps
 			}
-			lij := f.val[k] / piv
-			f.val[k] = lij
+			lij := val[k] / piv
+			val[k] = lij
 			// Update the remainder of row i with row j of U.
 			for kk := f.diag[j] + 1; kk < f.rowPtr[j+1]; kk++ {
-				jj := f.col[kk]
-				if p := colPos[jj]; p >= 0 {
-					f.val[p] -= lij * f.val[kk]
-				}
+				val[colPos[f.col[kk]]] -= lij * val[kk]
 			}
 		}
-		if math.Abs(f.val[f.diag[i]]) < eps {
-			f.val[f.diag[i]] = eps
+		if math.Abs(val[f.diag[i]]) < eps {
+			val[f.diag[i]] = eps
 		}
 		for k := f.rowPtr[i]; k < f.rowPtr[i+1]; k++ {
-			colPos[f.col[k]] = -1
+			colPos[f.col[k]] = nnz
 		}
 	}
 	return f, nil

@@ -1,10 +1,12 @@
 package localsolve
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
 	"repro/internal/matgen"
+	"repro/internal/sparse"
 )
 
 // TestILU0SolveKBitwiseSolve pins the fused sweep's contract: column c of
@@ -144,4 +146,85 @@ func BenchmarkILU0Solve(b *testing.B) {
 			f.solveIndexed(z, r)
 		}
 	})
+}
+
+// factorBranching is NewILU0's row update as it was before the dummy slot:
+// a column absent from row i is skipped by a test on colPos. Kept as the
+// reference the branchless factorisation must match bit for bit.
+func factorBranching(a *sparse.CSR) []float64 {
+	f, err := NewILU0(a) // for the diagonal positions only
+	if err != nil {
+		panic(err)
+	}
+	val := append([]float64(nil), a.Val...)
+	var maxAbs float64
+	for _, v := range val {
+		maxAbs = math.Max(maxAbs, math.Abs(v))
+	}
+	eps := 1e-12 * (maxAbs + 1)
+	colPos := make([]int, a.Rows)
+	for j := range colPos {
+		colPos[j] = -1
+	}
+	for i := 0; i < a.Rows; i++ {
+		for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
+			colPos[a.Col[k]] = k
+		}
+		for k := a.RowPtr[i]; k < a.RowPtr[i+1] && a.Col[k] < i; k++ {
+			j := a.Col[k]
+			piv := val[f.diag[j]]
+			if math.Abs(piv) < eps {
+				piv = eps
+			}
+			lij := val[k] / piv
+			val[k] = lij
+			for kk := f.diag[j] + 1; kk < a.RowPtr[j+1]; kk++ {
+				if p := colPos[a.Col[kk]]; p >= 0 {
+					val[p] -= lij * val[kk]
+				}
+			}
+		}
+		if math.Abs(val[f.diag[i]]) < eps {
+			val[f.diag[i]] = eps
+		}
+		for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
+			colPos[a.Col[k]] = -1
+		}
+	}
+	return val
+}
+
+// TestNewILU0BitwiseBranchingUpdate: routing absent columns to a dummy slot
+// performs the same operations on the same real slots, so every factor value
+// is bit-identical to the branching update's, on all eight diagonal blocks of
+// the benchmark workloads' generators.
+func TestNewILU0BitwiseBranchingUpdate(t *testing.T) {
+	const ranks = 8
+	for name, a := range map[string]*sparse.CSR{
+		"elasticity": matgen.Elasticity3D(14, 14, 14, 27, 8),
+		"circuit":    matgen.CircuitLike(12000, 2.9, 0.35, 3),
+		"poisson":    matgen.Poisson2D(64, 64),
+	} {
+		for r := 0; r < ranks; r++ {
+			lo, hi := r*a.Rows/ranks, (r+1)*a.Rows/ranks
+			idx := make([]int, hi-lo)
+			for i := range idx {
+				idx[i] = lo + i
+			}
+			blk := a.Submatrix(idx, idx)
+			f, err := NewILU0(blk)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := factorBranching(blk)
+			if len(f.val) != len(want) {
+				t.Fatalf("%s block %d: %d factor values, want %d", name, r, len(f.val), len(want))
+			}
+			for k := range want {
+				if math.Float64bits(f.val[k]) != math.Float64bits(want[k]) {
+					t.Fatalf("%s block %d: value %d = %x, branching update %x", name, r, k, f.val[k], want[k])
+				}
+			}
+		}
+	}
 }

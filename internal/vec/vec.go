@@ -176,28 +176,6 @@ func MulElem(dst, x, y []float64) {
 	}
 }
 
-// Gather copies src[idx[k]] into dst[k] for every k. dst must have length
-// len(idx).
-func Gather(dst, src []float64, idx []int) {
-	if len(dst) != len(idx) {
-		panic("vec: Gather length mismatch")
-	}
-	for k, j := range idx {
-		dst[k] = src[j]
-	}
-}
-
-// Scatter copies src[k] into dst[idx[k]] for every k. src must have length
-// len(idx).
-func Scatter(dst, src []float64, idx []int) {
-	if len(src) != len(idx) {
-		panic("vec: Scatter length mismatch")
-	}
-	for k, j := range idx {
-		dst[j] = src[k]
-	}
-}
-
 // MaxAbsDiff returns the maximum absolute element-wise difference between x
 // and y. It panics if the lengths differ.
 func MaxAbsDiff(x, y []float64) float64 {

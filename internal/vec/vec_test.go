@@ -121,21 +121,6 @@ func TestSubAddMulElem(t *testing.T) {
 	}
 }
 
-func TestGatherScatter(t *testing.T) {
-	src := []float64{10, 20, 30, 40}
-	idx := []int{3, 1}
-	dst := make([]float64, 2)
-	Gather(dst, src, idx)
-	if dst[0] != 40 || dst[1] != 20 {
-		t.Fatalf("Gather = %v", dst)
-	}
-	out := make([]float64, 4)
-	Scatter(out, dst, idx)
-	if out[3] != 40 || out[1] != 20 || out[0] != 0 {
-		t.Fatalf("Scatter = %v", out)
-	}
-}
-
 func TestCloneCopyZeroFill(t *testing.T) {
 	x := []float64{1, 2, 3}
 	c := Clone(x)
