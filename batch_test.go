@@ -18,7 +18,7 @@ func TestSolveBatchBlockedBitwiseLooped(t *testing.T) {
 	for j := range bs {
 		bs[j] = variedRHS(a.Rows, j)
 	}
-	for _, tr := range []Transport{ChanTransport, FastTransport, ChaosTransport, NetTransport} {
+	for _, tr := range []Transport{ChanTransport, ChaosTransport, NetTransport} {
 		t.Run(string(tr), func(t *testing.T) {
 			s, err := NewSolver(a, WithRanks(4), WithPhi(1), WithTransport(tr))
 			if err != nil {
@@ -66,7 +66,7 @@ func TestSolveBatchBlockedUnderFailures(t *testing.T) {
 		bs[j] = variedRHS(a.Rows, j)
 	}
 	sched := NewSchedule(Simultaneous(6, 1, 2))
-	for _, tr := range []Transport{ChanTransport, FastTransport, ChaosTransport, NetTransport} {
+	for _, tr := range []Transport{ChanTransport, ChaosTransport, NetTransport} {
 		t.Run(string(tr), func(t *testing.T) {
 			s, err := NewSolver(a, WithRanks(4), WithPhi(2), WithTransport(tr))
 			if err != nil {
@@ -183,7 +183,7 @@ func TestSolveBatchPreconditionerSweep(t *testing.T) {
 	}
 	for _, p := range []Preconditioner{Identity, Jacobi, BlockJacobiILU, BlockJacobiChol, SSOR} {
 		t.Run(string(p), func(t *testing.T) {
-			s, err := NewSolver(a, WithRanks(4), WithPhi(1), WithTransport(FastTransport), WithPreconditioner(p))
+			s, err := NewSolver(a, WithRanks(4), WithPhi(1), WithPreconditioner(p))
 			if err != nil {
 				t.Fatal(err)
 			}

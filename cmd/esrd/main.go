@@ -6,7 +6,7 @@
 //	esrd [-addr :8080] [-workers 4] [-queue 256] [-max-jobs 4096]
 //	     [-job-ttl 0] [-prep-cache 8] [-prep-ttl 10m] [-max-matrices 64]
 //	     [-transport chan|chaos|net] [-strategy esr|checkpoint|restart]
-//	     [-threads 0] [-block-size 0] [-peers 0] [-drain-timeout 30s] [-pprof addr]
+//	     [-block-size 0] [-peers 0] [-drain-timeout 30s] [-pprof addr]
 //	     [-trace-iters 0] [-data-dir dir] [-fsync] [-log-format text|json]
 //	esrd -worker    (internal: one rank of a multi-process solve)
 //
@@ -94,8 +94,6 @@ func main() {
 		"default twin-strategy comparison period in iterations for jobs that do not pick one (0 = library default, 1)")
 	flag.IntVar(&defaults.SDCCheckInterval, "sdc-check-interval", 0,
 		"default true-residual SDC check period in iterations for jobs that do not pick one (0 disables the check)")
-	flag.IntVar(&defaults.Threads, "threads", 0,
-		"default per-rank kernel thread cap for jobs that do not pick one (0 = GOMAXPROCS)")
 	flag.IntVar(&defaults.BlockSize, "block-size", 0,
 		"default block width for batch jobs that do not pick one (0 = library default; 1 disables blocking)")
 	pprofAddr := flag.String("pprof", "",

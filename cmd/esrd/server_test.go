@@ -158,7 +158,7 @@ func TestQuickTransportJob(t *testing.T) {
 	ts, _ := newTestServer(t, 1)
 	id := postJob(t, ts, engine.JobSpec{
 		Matrix: engine.MatrixSpec{Generator: "poisson2d", Params: map[string]float64{"nx": 12}},
-		Config: engine.Config{Ranks: 4, Transport: engine.TransportFast},
+		Config: engine.Config{Ranks: 4, Transport: engine.TransportChan},
 	})
 	st := waitState(t, ts, id, 30*time.Second)
 	if st.State != engine.StateDone {
@@ -175,8 +175,6 @@ func TestQuickTransportJob(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
 		t.Fatal(err)
 	}
-	// "fast" is an accepted synonym of the one in-process fabric, and is
-	// reported under that fabric's name.
 	u, ok := out.Transports[engine.TransportChan]
 	if !ok || u.Runs < 2 || u.Stats.Delivered == 0 || len(out.Transports) != 1 {
 		t.Fatalf("healthz transport gauges = %+v", out.Transports)
@@ -194,6 +192,36 @@ func TestQuickTransportJob(t *testing.T) {
 	defer resp2.Body.Close()
 	if resp2.StatusCode != http.StatusBadRequest {
 		t.Fatalf("unknown transport: status %d, want 400", resp2.StatusCode)
+	}
+}
+
+// TestCompatThreadsFieldRejected: "threads" is no longer a config field, so a
+// submission carrying it is refused whole — a 400 invalid_argument naming the
+// field — rather than run with the cap silently ignored.
+func TestCompatThreadsFieldRejected(t *testing.T) {
+	ts, eng := newTestServer(t, 1)
+	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(
+		`{"matrix": {"generator": "poisson2d", "params": {"nx": 8}}, "config": {"ranks": 2, "threads": 2}}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var out struct {
+		Error struct {
+			Code    string `json:"code"`
+			Message string `json:"message"`
+		} `json:"error"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusBadRequest || out.Error.Code != "invalid_argument" ||
+		!strings.Contains(out.Error.Message, `"threads"`) {
+		t.Fatalf("submit with threads: status %d, error %+v; want 400 invalid_argument naming the field",
+			resp.StatusCode, out.Error)
+	}
+	if jobs := eng.List(); len(jobs) != 0 {
+		t.Fatalf("refused submission left %d job records", len(jobs))
 	}
 }
 

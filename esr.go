@@ -185,11 +185,10 @@ const (
 )
 
 // Transport names accepted by Config (the wire format). The typed Transport
-// constants in options.go (ChanTransport, FastTransport, ChaosTransport)
+// constants in options.go (ChanTransport, ChaosTransport, NetTransport)
 // are the session-API equivalents.
 const (
 	TransportChan  = engine.TransportChan
-	TransportFast  = engine.TransportFast
 	TransportChaos = engine.TransportChaos
 )
 

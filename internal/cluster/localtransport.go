@@ -18,7 +18,7 @@ import (
 // buffers whose capacity is a size-class capacity — what GetFloats hands
 // out — are reused; others passed to PutFloats are dropped to the GC.
 //
-// It answers to the names "chan" and "fast" (see TransportFast).
+// It answers to the name "chan" (TransportChan).
 type LocalTransport struct {
 	ct transportCounters
 }

@@ -13,11 +13,6 @@ const (
 	// recycler so the steady-state halo-exchange and collective hot loops
 	// allocate nothing. (The name predates the mailbox; job specs carry it.)
 	TransportChan = "chan"
-	// TransportFast is a synonym of TransportChan, accepted wherever a name
-	// is parsed because journaled job specs carry it: the pooled fabric it
-	// used to select is the only in-process fabric now. The transport it
-	// resolves to reports TransportChan as its Name.
-	TransportFast = "fast"
 	// TransportChaos wraps the in-process fabric with deterministic, seeded
 	// message delay (reordering across distinct (source, tag) pairs, FIFO
 	// within each) and lagged failure notification, for testing the
@@ -82,7 +77,7 @@ type Transport interface {
 // The empty name selects the default in-process transport.
 func NewTransport(name string, seed int64) (Transport, error) {
 	switch name {
-	case "", TransportChan, TransportFast:
+	case "", TransportChan:
 		return NewLocalTransport(), nil
 	case TransportChaos:
 		return NewChaosTransport(NewLocalTransport(), ChaosConfig{Seed: seed}), nil

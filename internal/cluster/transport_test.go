@@ -11,21 +11,12 @@ import (
 )
 
 // conformanceTransports builds one fresh instance of every transport per
-// invocation. "fast" is the parsed synonym of the in-process fabric: its leg
-// pins that the name still resolves, and to the same behaviour. The chaos
-// instance uses tight delays so the suite stays fast, and a wire delay well
-// below the notification lag so that messages sent before a death reliably
-// beat the failure notification.
+// invocation. The chaos instance uses tight delays so the suite stays fast,
+// and a wire delay well below the notification lag so that messages sent
+// before a death reliably beat the failure notification.
 func conformanceTransports() map[string]func() Transport {
 	return map[string]func() Transport{
 		TransportChan: func() Transport { return NewLocalTransport() },
-		TransportFast: func() Transport {
-			tr, err := NewTransport(TransportFast, 0)
-			if err != nil {
-				panic(err)
-			}
-			return tr
-		},
 		TransportChaos: func() Transport {
 			return NewChaosTransport(NewLocalTransport(), ChaosConfig{
 				Seed:      7,
@@ -392,13 +383,14 @@ func TestQuickTransportByName(t *testing.T) {
 			t.Fatalf("NewTransport(%q).Name() = %q", name, tr.Name())
 		}
 	}
-	for _, name := range []string{"", TransportFast} {
-		if tr, err := NewTransport(name, 0); err != nil || tr.Name() != TransportChan {
-			t.Fatalf("name %q should select the in-process fabric, got %v, %v", name, tr, err)
-		}
+	if tr, err := NewTransport("", 0); err != nil || tr.Name() != TransportChan {
+		t.Fatalf("the empty name should select the in-process fabric, got %v, %v", tr, err)
 	}
-	if _, err := NewTransport("bogus", 0); err == nil {
-		t.Fatal("unknown transport name should be rejected")
+	// "fast" is a synonym engine.Config resolves before a name reaches here.
+	for _, name := range []string{"bogus", "fast"} {
+		if _, err := NewTransport(name, 0); err == nil {
+			t.Fatalf("transport name %q should be rejected", name)
+		}
 	}
 }
 

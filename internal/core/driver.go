@@ -340,7 +340,7 @@ func (d *driver) step(j int) error {
 	st, opts := d.st, d.st.Opts
 	k := st.k()
 	pus, err := d.sumActive(func(c int) float64 {
-		return vec.ParDotN(st.P[c].Local, st.U[c].Local, opts.Threads)
+		return vec.ParDot(st.P[c].Local, st.U[c].Local)
 	})
 	if err != nil {
 		return err
@@ -370,7 +370,7 @@ func (d *driver) step(j int) error {
 		if st.done[c] {
 			continue
 		}
-		vec.ParAxpyAxpy(d.alpha[c], st.P[c].Local, st.X[c].Local, -d.alpha[c], st.rec.tu(st, c), st.R[c].Local, opts.Threads)
+		vec.ParAxpyAxpy(d.alpha[c], st.P[c].Local, st.X[c].Local, -d.alpha[c], st.rec.tu(st, c), st.R[c].Local, 0)
 		d.zAct = append(d.zAct, st.Z[c])
 		d.rAct = append(d.rAct, st.R[c])
 	}
@@ -609,7 +609,7 @@ func (d *driver) sdcDrift() ([]float64, error) {
 	clear(st.fused)
 	for _, c := range cols {
 		t := d.sdcScratch[c].Local
-		st.fused[2*c] = vec.ParNrm2SqN(t, st.Opts.Threads)
+		st.fused[2*c] = vec.ParNrm2Sq(t)
 		st.fused[2*c+1] = st.rec.rnorm2(st, st.R[c].Local, t)
 	}
 	return st.E.Grp.Allreduce(cluster.OpSum, st.fused)
@@ -719,7 +719,7 @@ func (st *SolverState) verify() error {
 		return err
 	}
 	for c := 0; c < k; c++ {
-		st.fused[c] = vec.ParNrm2SqN(ts[c].Local, st.Opts.Threads)
+		st.fused[c] = vec.ParNrm2Sq(ts[c].Local)
 	}
 	norms, err := st.E.Grp.Allreduce(cluster.OpSum, st.fused[:k])
 	if err != nil {

@@ -70,13 +70,6 @@ type Options struct {
 	// freezes the column with a per-column *SDCDetectedError instead of
 	// silently converging to a wrong answer. 0 disables the check.
 	SDCCheck int
-	// Threads caps the goroutine fan-out of the node-local parallel kernels
-	// (reductions, fused vector updates, the SpMV row chunks) per rank;
-	// <= 0 selects the automatic GOMAXPROCS default. Thread counts never
-	// change results: every parallel kernel works over a chunk grid that is
-	// a pure function of the data size (see internal/vec), so Threads is a
-	// resource knob, not a numerical one.
-	Threads int
 	// Ctx, when non-nil, cancels the solve: the solver polls it at the top
 	// of every iteration and returns the context's cause error. Pair it with
 	// cluster.Runtime.RunContext so ranks blocked in communication are woken

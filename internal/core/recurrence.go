@@ -68,7 +68,7 @@ func (pcgRecurrence) residual0(st *SolverState, cols []int) error {
 		return err
 	}
 	for _, c := range cols {
-		st.fused[2*c] = vec.ParNrm2SqN(st.R[c].Local, st.Opts.Threads)
+		st.fused[2*c] = vec.ParNrm2Sq(st.R[c].Local)
 	}
 	return nil
 }
@@ -80,11 +80,11 @@ func (pcgRecurrence) z(st *SolverState, z, r []distmat.Vector) error {
 }
 
 func (pcgRecurrence) rnorm2(st *SolverState, r, _ []float64) float64 {
-	return vec.ParNrm2SqN(r, st.Opts.Threads)
+	return vec.ParNrm2Sq(r)
 }
 
 func (pcgRecurrence) rz(st *SolverState, c int) float64 {
-	return vec.ParDotN(st.R[c].Local, st.Z[c].Local, st.Opts.Threads)
+	return vec.ParDot(st.R[c].Local, st.Z[c].Local)
 }
 
 // splitRecurrence is Saad's Alg. 9.2 with a block-local split preconditioner
@@ -103,7 +103,7 @@ func (s splitRecurrence) residual0(st *SolverState, cols []int) error {
 		return err
 	}
 	for _, c := range cols {
-		st.fused[2*c] = vec.ParNrm2SqN(st.Z[c].Local, st.Opts.Threads)
+		st.fused[2*c] = vec.ParNrm2Sq(st.Z[c].Local)
 		s.m.SolveL(st.R[c].Local, st.Z[c].Local)
 	}
 	return nil
@@ -123,9 +123,9 @@ func (s splitRecurrence) z(_ *SolverState, z, r []distmat.Vector) error {
 
 func (s splitRecurrence) rnorm2(st *SolverState, r, scratch []float64) float64 {
 	s.m.MulL(scratch, r) // r = L rhat
-	return vec.ParNrm2SqN(scratch, st.Opts.Threads)
+	return vec.ParNrm2Sq(scratch)
 }
 
 func (splitRecurrence) rz(st *SolverState, c int) float64 {
-	return vec.ParNrm2SqN(st.R[c].Local, st.Opts.Threads)
+	return vec.ParNrm2Sq(st.R[c].Local)
 }

@@ -242,13 +242,13 @@ func (t *twinStrategy) vote(st *SolverState, c int, xr, z, p bool) (redo bool, e
 		if err := st.A.Residual(e, tw.scratch, st.B[c], st.X[c], -1); err != nil {
 			return false, err
 		}
-		tp := vec.ParNrm2SqN(tw.scratch.Local, st.Opts.Threads)
+		tp := vec.ParNrm2Sq(tw.scratch.Local)
 		rp := st.rec.rnorm2(st, st.R[c].Local, tw.scratch.Local)
 		copy(tw.cand.Local, tw.X[c])
 		if err := st.A.Residual(e, tw.scratch, st.B[c], tw.cand, -1); err != nil {
 			return false, err
 		}
-		ts := vec.ParNrm2SqN(tw.scratch.Local, st.Opts.Threads)
+		ts := vec.ParNrm2Sq(tw.scratch.Local)
 		rs := st.rec.rnorm2(st, tw.R[c], tw.scratch.Local)
 		norms, err := e.Grp.Allreduce(cluster.OpSum, []float64{tp, rp, ts, rs})
 		if err != nil {

@@ -106,16 +106,11 @@ func (v Vector) Clone() Vector {
 // Dot returns the global inner product a'b, reduced over the Env with a
 // deterministic tree order. The local partial uses vec.ParDot, which fans
 // out to the shared worker pool only for very large per-rank blocks.
-func Dot(e *Env, a, b Vector) (float64, error) { return DotN(e, a, b, 0) }
-
-// DotN is Dot with the local partial bounded to at most `threads` goroutines
-// (<= 0 selects GOMAXPROCS; the bound never changes the result — see
-// vec.ParDotN).
-func DotN(e *Env, a, b Vector, threads int) (float64, error) {
+func Dot(e *Env, a, b Vector) (float64, error) {
 	if len(a.Local) != len(b.Local) {
 		return 0, fmt.Errorf("distmat: Dot local length mismatch")
 	}
-	return e.Grp.AllreduceScalar(cluster.OpSum, vec.ParDotN(a.Local, b.Local, threads))
+	return e.Grp.AllreduceScalar(cluster.OpSum, vec.ParDot(a.Local, b.Local))
 }
 
 // Norm2 returns the global Euclidean norm of v.

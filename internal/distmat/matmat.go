@@ -21,7 +21,7 @@ import (
 // column. Interleave/deinterleave are pure copies and the kernels
 // accumulate each column in MulVec's stored-entry order, so column j of a
 // MatMat is bitwise identical to a MatVec of column j alone — on every
-// transport, with and without overlap, for every thread count.
+// transport.
 
 // interleaveTile is the row tile of MatMat's interleave and de-interleave
 // copies: the k-strided rows of one tile (64·k floats) stay in L1 while every
@@ -131,9 +131,7 @@ func (m *Matrix) MatMat(e *Env, y, x []Vector, iter int) error {
 		tm.PostSend = now.Sub(mark)
 		mark = now
 	}
-	if m.overlap {
-		m.split.Interior.MulMatScatterPar(yb, xb, m.split.IntRows, k, m.threads)
-	}
+	m.split.Interior.MulMatScatterPar(yb, xb, m.split.IntRows, k)
 	if m.obs != nil {
 		now := time.Now()
 		tm.Interior = now.Sub(mark)
@@ -172,10 +170,7 @@ func (m *Matrix) MatMat(e *Env, y, x []Vector, iter int) error {
 		tm.Drain = now.Sub(mark)
 		mark = now
 	}
-	if !m.overlap {
-		m.split.Interior.MulMatScatterPar(yb, xb, m.split.IntRows, k, m.threads)
-	}
-	m.split.Boundary.MulMatScatterPar(yb, xb, m.split.BndRows, k, m.threads)
+	m.split.Boundary.MulMatScatterPar(yb, xb, m.split.BndRows, k)
 	for lo := 0; lo < bs; lo += interleaveTile {
 		hi := min(lo+interleaveTile, bs)
 		for c, col := range y {

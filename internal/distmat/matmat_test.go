@@ -25,7 +25,7 @@ func TestMatMatBitwiseMatVec(t *testing.T) {
 			cols[j][i] = math.Sin(float64(i)*0.37+float64(j)) + 0.1*float64(j)
 		}
 	}
-	for _, tr := range []string{cluster.TransportChan, cluster.TransportFast, cluster.TransportChaos, cluster.TransportNet} {
+	for _, tr := range []string{cluster.TransportChan, cluster.TransportChaos, cluster.TransportNet} {
 		t.Run(tr, func(t *testing.T) {
 			// Solo reference: per-column MatVec on its own runtime.
 			want := make([][][]float64, k) // [col][pos]local

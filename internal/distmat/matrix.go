@@ -64,11 +64,6 @@ type Matrix struct {
 	// pure redundancy (not needed by this rank's SpMV) are absent.
 	recvPlan []copyList
 
-	// overlap toggles the communication-hiding schedule (on by default; the
-	// phased reference path is kept for A/B benchmarks and equality tests).
-	overlap bool
-	// threads caps the goroutines of the parallel local kernels (0 = auto).
-	threads int
 	// obs, when non-nil, receives the per-phase wall-clock split of every
 	// MatVec (see SetMatVecObserver). Purely observational.
 	obs func(MatVecTimings)
@@ -203,7 +198,6 @@ func (m *Matrix) exchangeRecvLists(e *Env) error {
 // builds is immutable and shared by Forks.
 func (m *Matrix) buildKernels(rows *sparse.CSR) {
 	lo, hi := m.P.Range(m.Pos)
-	m.overlap = true
 	m.ghost = m.Plan.GhostIndices()
 	m.xbuf = make([]float64, hi-lo+len(m.ghost))
 	m.sendPlan = make([]copyList, len(m.sendLists))
@@ -259,32 +253,10 @@ func (m *Matrix) InteriorRows() (interior, boundary int) {
 	return m.split.Interior.Rows, m.split.Boundary.Rows
 }
 
-// SetOverlap toggles the communication-hiding MatVec schedule (on by
-// default). The phased reference path computes the interior rows too only
-// after every receive has been drained; both schedules are bit-identical —
-// the row split never changes a row's accumulation order — so this knob
-// exists purely for A/B benchmarks and equality tests. Not safe to call
-// concurrently with MatVec; set it before the solve (Forks inherit it).
-func (m *Matrix) SetOverlap(on bool) { m.overlap = on }
-
-// SetThreads caps the goroutine fan-out of the matrix's parallel local
-// kernels (<= 0 restores the automatic GOMAXPROCS default). Thread counts
-// never change results: the row-chunked kernels write disjoint entries. Not
-// safe to call concurrently with MatVec; set it at preparation time (Forks
-// inherit it).
-func (m *Matrix) SetThreads(p int) {
-	if p < 0 {
-		p = 0
-	}
-	m.threads = p
-}
-
 // MatVecTimings is the wall-clock split of one MatVec call across the
 // communication-hiding schedule's four phases. Comparing Interior (compute
 // racing the wire) against Drain (time left waiting for receives) measures
-// how much halo latency the overlap actually hides. With overlap disabled
-// the full local compute happens after the drain and is reported under
-// Boundary (Interior is zero).
+// how much halo latency the overlap actually hides.
 type MatVecTimings struct {
 	// PostSend is the time to gather and post the outgoing halo payloads.
 	PostSend time.Duration
@@ -334,7 +306,7 @@ func (m *Matrix) Fork() *Matrix {
 // member.
 //
 // Like Fork it builds nothing that is a function of the matrix: the
-// localised interior/boundary split and the thread cap are m's own.
+// localised interior/boundary split is m's own.
 // The halo lists for the member peers are m's Plan.SendTo/RecvFrom entries —
 // every member derives them from the member set alone, so there is no
 // symbolic exchange — and the fresh ghost buffer keeps every non-member slot
@@ -393,7 +365,7 @@ func (m *Matrix) Restrict(sub *Env, ctx int) (*Matrix, error) {
 // are in flight, then drain the receives, scatter the ghosts through the
 // precomputed index lists, and finish with the boundary rows. The row split
 // never changes a row's accumulation order, so the result is bit-identical
-// to the phased schedule (SetOverlap(false)) on every transport.
+// to the serial product of the unsplit rows on every transport.
 //
 // Payload lifetimes follow the transport's zero-copy contract: outgoing
 // payloads are drawn from the transport's buffer recycler and handed off
@@ -453,9 +425,7 @@ func (m *Matrix) MatVec(e *Env, y, x Vector, iter int) error {
 	// The interior rows read only the own block [0, bs): with the sends
 	// posted, compute them while the halo messages are on the wire.
 	copy(m.xbuf[:bs], x.Local)
-	if m.overlap {
-		m.split.Interior.MulVecScatterPar(y.Local, m.xbuf, m.split.IntRows, m.threads)
-	}
+	m.split.Interior.MulVecScatterPar(y.Local, m.xbuf, m.split.IntRows)
 	if m.obs != nil {
 		now := time.Now()
 		tm.Interior = now.Sub(mark)
@@ -496,11 +466,7 @@ func (m *Matrix) MatVec(e *Env, y, x Vector, iter int) error {
 		tm.Drain = now.Sub(mark)
 		mark = now
 	}
-	if !m.overlap {
-		// Phased reference: nothing was computed while the wire was busy.
-		m.split.Interior.MulVecScatterPar(y.Local, m.xbuf, m.split.IntRows, m.threads)
-	}
-	m.split.Boundary.MulVecScatterPar(y.Local, m.xbuf, m.split.BndRows, m.threads)
+	m.split.Boundary.MulVecScatterPar(y.Local, m.xbuf, m.split.BndRows)
 	if retain {
 		// The retention store owns the new generation's payloads.
 		m.Ret.Store(iter, recvVals)

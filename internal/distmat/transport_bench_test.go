@@ -1,7 +1,6 @@
 package distmat
 
 import (
-	"fmt"
 	"testing"
 
 	"repro/internal/cluster"
@@ -14,12 +13,6 @@ import (
 // optionally chased by the fused 2-element allreduce a PCG iteration issues.
 // Allocation counts (-benchmem) aggregate over all ranks.
 func benchMatVecLoop(b *testing.B, trName string, phi int, withReduce bool) {
-	benchMatVecLoopOpts(b, trName, phi, withReduce, true, 0)
-}
-
-// benchMatVecLoopOpts is benchMatVecLoop with the overlap schedule and the
-// local-kernel thread cap exposed (the BenchmarkMatVecOverlap axes).
-func benchMatVecLoopOpts(b *testing.B, trName string, phi int, withReduce, overlap bool, threads int) {
 	const ranks = 8
 	a := matgen.Poisson2D(64, 64)
 	p := partition.NewBlockRow(a.Rows, ranks)
@@ -36,8 +29,6 @@ func benchMatVecLoopOpts(b *testing.B, trName string, phi int, withReduce, overl
 		if err != nil {
 			return err
 		}
-		m.SetOverlap(overlap)
-		m.SetThreads(threads)
 		ms[e.Pos] = m
 		return nil
 	})
@@ -88,25 +79,5 @@ func BenchmarkHaloExchange(b *testing.B) {
 func BenchmarkMatVecIter(b *testing.B) {
 	for _, tr := range []string{cluster.TransportChan, cluster.TransportNet} {
 		b.Run(tr, func(b *testing.B) { benchMatVecLoop(b, tr, 2, true) })
-	}
-}
-
-// BenchmarkMatVecOverlap isolates the communication-hiding schedule's win on
-// the MatVecIter shape on the in-process fabric: interior/boundary split
-// on/off x local-kernel threads 1/GOMAXPROCS. split=off is the phased
-// reference (compute only after every receive drained); both schedules are
-// bit-identical, so the ns/op delta is pure overlap.
-func BenchmarkMatVecOverlap(b *testing.B) {
-	threadCases := []struct {
-		name string
-		n    int
-	}{{"threads=1", 1}, {"threads=N", 0}}
-	for _, split := range []bool{true, false} {
-		for _, tc := range threadCases {
-			name := fmt.Sprintf("split=%v/%s", split, tc.name)
-			b.Run(name, func(b *testing.B) {
-				benchMatVecLoopOpts(b, cluster.TransportChan, 2, true, split, tc.n)
-			})
-		}
 	}
 }

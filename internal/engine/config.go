@@ -68,12 +68,6 @@ const (
 	StrategyTwin = core.StrategyTwin
 )
 
-// ThreadsAuto is the explicit "automatic" value of Config.Threads: it
-// selects GOMAXPROCS like the zero value, but — unlike 0 — is never
-// overridden by an engine-level default thread cap, so a client can insist
-// on full parallelism against a daemon started with -threads N.
-const ThreadsAuto = -1
-
 // DefaultBlockSize is the blocked multi-RHS width applied to batched solves
 // whose Config.BlockSize is 0: large enough that the shared SpMM and fused
 // allreduces amortize the per-iteration communication over many columns,
@@ -93,11 +87,6 @@ const (
 	// TransportChan is the default in-process fabric: mailbox hand-off
 	// between rank goroutines, payload buffers from a pooled recycler.
 	TransportChan = cluster.TransportChan
-	// TransportFast is an accepted synonym of TransportChan (journaled job
-	// specs carry it); WithDefaults resolves it, so nothing downstream of a
-	// normalized Config — session names, usage gauges, metric labels — ever
-	// sees it.
-	TransportFast = cluster.TransportFast
 	// TransportChaos perturbs delivery with seeded latency and lagged
 	// failure notification, for stressing the resilience protocol.
 	TransportChaos = cluster.TransportChaos
@@ -107,6 +96,12 @@ const (
 	// bit-identical results.
 	TransportNet = cluster.TransportNet
 )
+
+// fastSynonym is an accepted synonym of TransportChan (journaled job specs
+// carry it); WithDefaults resolves it, so nothing downstream of a normalized
+// Config — the cluster, session names, usage gauges, metric labels — ever
+// sees it.
+const fastSynonym = "fast"
 
 // Scope says which layer consumes a Config field. Every field declares
 // exactly one in its `scope` struct tag — the single place a knob's scope is
@@ -178,9 +173,9 @@ type Config struct {
 	// redundancy and ESRPCG otherwise.
 	Method string `json:"method,omitempty" scope:"run"`
 	// Transport selects the cluster communication fabric: TransportChan
-	// (default; TransportFast is a synonym), TransportChaos
+	// (default; "fast" is an accepted synonym), TransportChaos
 	// (seeded latency + lagged failure notification), or TransportNet
-	// (real TCP sockets on loopback). Results are bit-identical on all four.
+	// (real TCP sockets on loopback). Results are bit-identical on all three.
 	Transport string `json:"transport,omitempty" scope:"run"`
 	// TransportSeed seeds the chaos transport's deterministic delay
 	// sequence (default 1; ignored by the other transports).
@@ -210,16 +205,6 @@ type Config struct {
 	// strategy-free reference solver runs no check (it is incompatible with
 	// Method "pcg").
 	SDCCheckInterval int `json:"sdc_check_interval,omitempty" scope:"run"`
-	// Threads caps the per-rank goroutine fan-out of the node-local parallel
-	// kernels (SpMV row chunks, reductions, fused vector updates, the Jacobi
-	// preconditioner): 0 (the default) selects GOMAXPROCS automatically.
-	// Thread counts never change results — every parallel kernel works over
-	// a chunk grid fixed by the data size alone — so this is purely a
-	// resource knob for packing many concurrent solves onto one machine.
-	// Because an engine-level default (esrd -threads) applies to jobs that
-	// leave the field at 0, ThreadsAuto (-1) requests the automatic
-	// GOMAXPROCS behaviour *explicitly*, bypassing that default.
-	Threads int `json:"threads,omitempty" scope:"run"`
 	// BlockSize is the width of the blocked multi-RHS solve path: batched
 	// right-hand sides are solved in lockstep groups of up to BlockSize
 	// columns sharing each SpMM, halo exchange and (fused) allreduce. 0 (the
@@ -242,7 +227,7 @@ type Config struct {
 
 // WithDefaults normalizes the runtime-level fields (see the type doc for why
 // the numerical tolerances are left to core.Options). It only fills zero
-// values and resolves the one synonym (TransportFast); it never repairs
+// values and resolves the one synonym ("fast"); it never repairs
 // invalid ones — an out-of-range SSOROmega passes
 // through unchanged so that Validate can reject it with a typed error
 // instead of the solver silently diverging with it.
@@ -263,7 +248,7 @@ func (c Config) WithDefaults() Config {
 	if c.SSOROmega == 0 {
 		c.SSOROmega = 1.2
 	}
-	if c.Transport == "" || c.Transport == TransportFast {
+	if c.Transport == "" || c.Transport == fastSynonym {
 		c.Transport = TransportChan
 	}
 	if c.TransportSeed == 0 {
@@ -280,11 +265,6 @@ func (c Config) WithDefaults() Config {
 	}
 	if c.BlockSize == 0 {
 		c.BlockSize = DefaultBlockSize
-	}
-	if c.Threads == ThreadsAuto {
-		// The explicit-automatic sentinel has served its purpose by the time
-		// defaults are applied (Defaults.apply only touches the zero value).
-		c.Threads = 0
 	}
 	return c
 }
@@ -366,10 +346,10 @@ func (c Config) Validate() error {
 		return invalid("method", c.Method, "unknown method")
 	}
 	switch c.Transport {
-	case TransportChan, TransportFast, TransportChaos, TransportNet:
+	case TransportChan, TransportChaos, TransportNet:
 	default:
-		return invalid("transport", c.Transport, "want %q, %q, %q or %q",
-			TransportChan, TransportFast, TransportChaos, TransportNet)
+		return invalid("transport", c.Transport, "want %q, %q or %q",
+			TransportChan, TransportChaos, TransportNet)
 	}
 	switch c.Strategy {
 	case StrategyESR, StrategyCheckpoint, StrategyRestart, StrategyTwin:
@@ -387,9 +367,6 @@ func (c Config) Validate() error {
 	}
 	if c.SDCCheckInterval < 0 {
 		return invalid("sdc_check_interval", c.SDCCheckInterval, "use a positive period, or 0 to disable the check")
-	}
-	if c.Threads < 0 {
-		return invalid("threads", c.Threads, "use a positive cap, 0 for automatic GOMAXPROCS, or %d for explicitly automatic", ThreadsAuto)
 	}
 	if c.BlockSize < 1 || c.BlockSize > MaxBlockSize {
 		return invalid("block_size", c.BlockSize, "use 1..%d, or 0 for the default (%d)", MaxBlockSize, DefaultBlockSize)
@@ -422,7 +399,7 @@ func (c Config) Validate() error {
 }
 
 // Defaults are an engine's daemon-level settings (esrd -transport, -strategy,
-// -twin-interval, -sdc-check-interval, -threads, -block-size): each applies
+// -twin-interval, -sdc-check-interval, -block-size): each applies
 // to jobs that leave the corresponding Config field at its zero value, and
 // zero keeps the library default.
 type Defaults struct {
@@ -430,26 +407,22 @@ type Defaults struct {
 	Strategy         string
 	TwinInterval     int
 	SDCCheckInterval int
-	Threads          int
 	BlockSize        int
 }
 
 // Validate accepts exactly the values Config.Validate accepts.
 func (d Defaults) Validate() error {
 	return Config{Transport: d.Transport, Strategy: d.Strategy, TwinInterval: d.TwinInterval,
-		SDCCheckInterval: d.SDCCheckInterval, Threads: d.Threads, BlockSize: d.BlockSize}.Validate()
+		SDCCheckInterval: d.SDCCheckInterval, BlockSize: d.BlockSize}.Validate()
 }
 
 // apply fills cfg's zero-valued fields from d. Reference-PCG jobs keep the
 // library's strategy and detector settings: pcg runs no strategy and no
 // check at all, so a daemon default there would fail a job its client
-// validly submitted. A job that wants full parallelism against a capped
-// daemon submits ThreadsAuto, which is not the zero value and so passes
-// through.
+// validly submitted.
 func (d Defaults) apply(cfg Config) Config {
 	cfg.Transport = cmp.Or(cfg.Transport, d.Transport)
 	cfg.TwinInterval = cmp.Or(cfg.TwinInterval, d.TwinInterval)
-	cfg.Threads = cmp.Or(cfg.Threads, d.Threads)
 	cfg.BlockSize = cmp.Or(cfg.BlockSize, d.BlockSize)
 	if cfg.Method != MethodPCG {
 		cfg.Strategy = cmp.Or(cfg.Strategy, d.Strategy)

@@ -393,7 +393,6 @@ func New(opts Options) *Engine {
 	if err := opts.Defaults.Validate(); err != nil {
 		panic(fmt.Sprintf("engine: invalid Options.Defaults: %v", err))
 	}
-	opts.Defaults.Threads = max(opts.Defaults.Threads, 0) // explicit-auto is the zero default here
 	if opts.TraceIters < 0 {
 		opts.TraceIters = 0
 	}
@@ -802,13 +801,10 @@ func (e *Engine) TransportStats() map[string]TransportUsage { return e.Health().
 // "strategies" block). Strategies that never ran are absent.
 func (e *Engine) StrategyStats() map[string]core.StrategyStats { return e.Health().Strategies }
 
-// ThreadStats reports the engine's kernel-threading posture: the daemon
-// default cap applied to thread-less jobs, the process GOMAXPROCS, and the
-// shared worker pool's resident size (the healthz "threads" block).
+// ThreadStats reports the engine's kernel-threading posture: the process
+// GOMAXPROCS and the shared worker pool's resident size (the healthz
+// "threads" block).
 type ThreadStats struct {
-	// Default is the cap applied to jobs whose Config.Threads is 0
-	// (0 = automatic GOMAXPROCS).
-	Default int `json:"default"`
 	// MaxProcs is the process's GOMAXPROCS.
 	MaxProcs int `json:"maxprocs"`
 	// PoolWorkers is the resident size of the shared kernel worker pool.
@@ -818,7 +814,6 @@ type ThreadStats struct {
 // ThreadStats snapshots the threading gauges.
 func (e *Engine) ThreadStats() ThreadStats {
 	return ThreadStats{
-		Default:     e.defaults.Threads,
 		MaxProcs:    runtime.GOMAXPROCS(0),
 		PoolWorkers: vec.PoolWorkers(),
 	}

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/faults"
 	"repro/internal/store"
 )
 
@@ -249,6 +250,69 @@ func TestJournalParentFormatReplays(t *testing.T) {
 }
 
 func jobID(seq int) string { return fmt.Sprintf("job-%06d", seq) }
+
+// TestCompatJournalReplaysRemovedKnobs: a parent-format journal whose submit
+// record still carries the removed per-job thread cap ("threads": 2) and the
+// old fabric name ("transport": "fast") replays — the unknown field is
+// ignored, the synonym resolves to chan — and the job re-runs to the bits of
+// the same job submitted today.
+func TestCompatJournalReplaysRemovedKnobs(t *testing.T) {
+	spec := durableSpec()
+	spec.Config.Phi = 1
+	spec.Config.Schedule = faults.NewSchedule(faults.Simultaneous(4, 2))
+	spec.RHS = make([]float64, 256)
+	for i := range spec.RHS {
+		spec.RHS[i] = math.Sin(float64(i) + 0.5)
+	}
+	raw, err := json.Marshal(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var old map[string]any
+	if err := json.Unmarshal(raw, &old); err != nil {
+		t.Fatal(err)
+	}
+	cfg := old["config"].(map[string]any)
+	cfg["threads"], cfg["transport"] = 2, "fast"
+	if raw, err = json.Marshal(old); err != nil {
+		t.Fatal(err)
+	}
+
+	dir := t.TempDir()
+	st := openStore(t, dir)
+	if err := st.Append(store.Record{Kind: store.KindSubmit, Time: time.Now(), JobID: jobID(1), Spec: raw}); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	st = openStore(t, dir)
+	e := New(Options{Workers: 1, QueueCap: 4, Store: st})
+	defer func() { e.Close(); st.Close() }()
+	if errs := e.metrics.storeErrors.Value(); errs != 0 {
+		t.Fatalf("replay counted %v store errors", errs)
+	}
+	got := waitTerminal(t, e, jobID(1), 30*time.Second)
+
+	ref := New(Options{Workers: 1})
+	defer ref.Close()
+	refID, err := ref.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := waitTerminal(t, ref, refID, 30*time.Second)
+	if got.State != StateDone || want.State != StateDone {
+		t.Fatalf("replayed job %s (%q), reference %s (%q)", got.State, got.Error, want.State, want.Error)
+	}
+	if g, w := got.Result.Result, want.Result.Result; g.Iterations != w.Iterations || len(g.Reconstructions) != 1 {
+		t.Fatalf("replayed job: %d iterations, %d episodes; reference %d iterations",
+			g.Iterations, len(g.Reconstructions), w.Iterations)
+	}
+	sameBits(t, "replayed x", got.Result.X, want.Result.X)
+	if _, ok := e.TransportStats()[TransportChan]; !ok || len(e.TransportStats()) != 1 {
+		t.Fatalf("replayed job ran on %v, want chan alone", e.TransportStats())
+	}
+}
 
 // TestJournalSkipsNonFiniteResult: a done job whose solution holds NaN is
 // not journaled as a result (no response could carry it), so it replays as

@@ -229,8 +229,8 @@ func (ms MatrixSpec) contentHash() string {
 // prepKey derives the prepared-solver cache key: the matrix content plus
 // the configuration's prep identity. Nothing else contributes — run policy
 // and batch width shape no prepared state — so jobs differing only in
-// fabric, strategy, intervals, detector, threads, method, tolerances,
-// schedule or blocking share one session.
+// fabric, strategy, intervals, detector, method, tolerances, schedule or
+// blocking share one session.
 func prepKey(matrixHash string, cfg Config) string {
 	return matrixHash + cfg.PrepIdentity()
 }

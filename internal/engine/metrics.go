@@ -247,9 +247,6 @@ func newEngineMetrics(e *Engine) *engineMetrics {
 	r.CounterFunc("esrd_prep_cache_misses_total", "Prepared-session acquires that built a session.", func() float64 {
 		return float64(e.CacheStats().Misses)
 	})
-	r.GaugeFunc("esrd_threads_default", "Daemon default kernel thread cap (0 = automatic).", func() float64 {
-		return float64(e.ThreadStats().Default)
-	})
 	r.GaugeFunc("esrd_block_size_default", "Daemon default batch block width (0 = library default).", func() float64 {
 		return float64(e.defaults.BlockSize)
 	})
@@ -548,7 +545,6 @@ func (e *Engine) Health() HealthSnapshot {
 	size, _ := s.Value("esrd_prep_cache_size")
 	hits, _ := s.Value("esrd_prep_cache_hits_total")
 	misses, _ := s.Value("esrd_prep_cache_misses_total")
-	def, _ := s.Value("esrd_threads_default")
 	maxp, _ := s.Value("esrd_threads_maxprocs")
 	pool, _ := s.Value("esrd_threads_pool_workers")
 	blockDef, _ := s.Value("esrd_block_size_default")
@@ -560,7 +556,7 @@ func (e *Engine) Health() HealthSnapshot {
 		Strategies:       snapshotStrategies(s),
 		Net:              snapshotNet(s),
 		Store:            snapshotStore(s),
-		Threads:          ThreadStats{Default: int(def), MaxProcs: int(maxp), PoolWorkers: int(pool)},
+		Threads:          ThreadStats{MaxProcs: int(maxp), PoolWorkers: int(pool)},
 		BlockSizeDefault: int(blockDef),
 	}
 }

@@ -64,9 +64,6 @@ type SolveOpts struct {
 	TwinInterval       int
 	// SDCCheckInterval arms the true-residual drift check on this solve.
 	SDCCheckInterval int
-	// Threads caps this solve's per-rank kernel fan-out (ThreadsAuto lifts
-	// a session default cap).
-	Threads int
 	// Progress observes this solve from rank 0 (may be nil).
 	Progress core.ProgressFunc
 	// Tracer observes this solve's per-iteration phase timings, residual
@@ -341,18 +338,6 @@ func (ps *Prepared) Phi() int { return ps.cfg.Phi }
 // with: its prep-scoped fields and its default run policy.
 func (ps *Prepared) Config() Config { return ps.cfg }
 
-// SetOverlap toggles the communication-hiding SpMV schedule of every solve
-// on this session (on by default). The phased reference schedule computes
-// the local block only after the halo receives are drained; both schedules
-// are bit-identical on every transport, so the knob exists for A/B
-// benchmarking and equality testing, not correctness. It must not be called
-// concurrently with Solve.
-func (ps *Prepared) SetOverlap(on bool) {
-	for i := range ps.prep {
-		ps.prep[i].m.SetOverlap(on)
-	}
-}
-
 // policy resolves one solve's run policy: the session's Config overlaid with
 // the call's tolerances, schedule and non-zero policy fields, validated as a
 // whole — so the rules binding a method to a strategy, a schedule, the
@@ -367,7 +352,6 @@ func (ps *Prepared) policy(o SolveOpts) (Config, error) {
 	c.CheckpointInterval = cmp.Or(o.CheckpointInterval, c.CheckpointInterval)
 	c.TwinInterval = cmp.Or(o.TwinInterval, c.TwinInterval)
 	c.SDCCheckInterval = cmp.Or(o.SDCCheckInterval, c.SDCCheckInterval)
-	c.Threads = cmp.Or(o.Threads, c.Threads)
 	if err := c.Validate(); err != nil {
 		return Config{}, err
 	}
@@ -383,7 +367,7 @@ func (ps *Prepared) policy(o SolveOpts) (Config, error) {
 		// it, and corruption-only schedules never lose a node's state.
 		return Config{}, fmt.Errorf("esr: a fail-stop schedule needs a session prepared with phi >= 1 (or a checkpoint/restart recovery strategy)")
 	}
-	c = c.WithDefaults() // an explicit ThreadsAuto has overridden the session's cap
+	c = c.WithDefaults() // resolves a per-call "fast" to chan
 	if c.Method == MethodAuto {
 		c.Method = MethodESRPCG
 		if c.Strategy == StrategyESR && c.Phi == 0 && c.Schedule.Empty() && c.SDCCheckInterval == 0 {
@@ -450,7 +434,7 @@ func (ps *Prepared) solveOne(ctx context.Context, rt *cluster.Runtime, localRank
 // its resolved policy.
 func coreOptions(ctx context.Context, cfg Config, opts SolveOpts) core.Options {
 	return core.Options{Tol: cfg.Tol, MaxIter: cfg.MaxIter, LocalTol: cfg.LocalTol,
-		Threads: cfg.Threads, Ctx: ctx, SDCCheck: cfg.SDCCheckInterval,
+		Ctx: ctx, SDCCheck: cfg.SDCCheckInterval,
 		OnFailure: opts.OnFailure, Resume: opts.Resume}
 }
 
@@ -524,7 +508,6 @@ func (ps *Prepared) solveOn(ctx context.Context, rt *cluster.Runtime, localRanks
 		e := distmat.WorldEnv(c)
 		m := pr.m.Fork()
 		m.SetBlockWidth(k)
-		m.SetThreads(cfg.Threads)
 		if matvecObs != nil {
 			// Every rank reports its own SpMV phase split: the overlap
 			// efficiency is a per-rank quantity.
@@ -620,27 +603,12 @@ func (ps *Prepared) Close() {
 // precond returns the preconditioner argument of one solve. What it is
 // selects the driver's recurrence: MethodSPCG hands the session's IC(0)
 // factor over as a split (Config.Validate guarantees an ic0 session), every
-// other method the session's preconditioner under the solve's thread cap.
+// other method the session's preconditioner itself.
 func (pr preparedRank) precond(cfg Config) core.Precond {
 	if cfg.Method == MethodSPCG {
 		return core.SplitPrecond{P: pr.prec.(core.LocalPrecond).P.(precond.Split)}
 	}
-	return withThreads(pr.prec, cfg.Threads)
-}
-
-// withThreads returns prec carrying one solve's kernel thread cap. Only
-// Jacobi's element-wise application parallelizes; the solve gets a shallow
-// copy sharing the prepared diagonal, so concurrent solves with different
-// caps never write shared state.
-func withThreads(prec core.Precond, threads int) core.Precond {
-	lp, _ := prec.(core.LocalPrecond)
-	j, ok := lp.P.(*precond.Jacobi)
-	if !ok {
-		return prec
-	}
-	c := *j
-	c.SetThreads(threads)
-	return core.LocalPrecond{P: &c}
+	return pr.prec
 }
 
 // buildPrecond factors the node-local block preconditioner for the rank's

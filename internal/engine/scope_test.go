@@ -71,8 +71,8 @@ func TestQuickConfigScopes(t *testing.T) {
 }
 
 // TestEnginePolicySharesOnePreparedSession: jobs on one registered matrix
-// that differ only in run policy — fabric, strategy and interval, detector,
-// threads — are all served by one prepared session, and each is bitwise the
+// that differ only in run policy — fabric, strategy and interval, detector —
+// are all served by one prepared session, and each is bitwise the
 // solve a session prepared natively under that job's full Config produces.
 func TestEnginePolicySharesOnePreparedSession(t *testing.T) {
 	spec := MatrixSpec{Generator: "poisson2d", Params: map[string]float64{"nx": 16, "ny": 16}}
@@ -87,7 +87,7 @@ func TestEnginePolicySharesOnePreparedSession(t *testing.T) {
 	base := Config{Ranks: 4, Phi: 2, Schedule: faults.NewSchedule(faults.Simultaneous(5, 1, 2))}
 	policies := map[string]func(*Config){
 		"chan":       func(c *Config) { c.Transport = TransportChan },
-		"fast":       func(c *Config) { c.Transport = TransportFast },
+		"fast":       func(c *Config) { c.Transport = fastSynonym },
 		"net":        func(c *Config) { c.Transport = TransportNet },
 		"chaos":      func(c *Config) { c.Transport, c.TransportSeed = TransportChaos, 7 },
 		"esr":        func(c *Config) { c.Strategy = StrategyESR },
@@ -95,7 +95,6 @@ func TestEnginePolicySharesOnePreparedSession(t *testing.T) {
 		"restart":    func(c *Config) { c.Strategy = StrategyRestart },
 		"twin":       func(c *Config) { c.Strategy, c.TwinInterval = StrategyTwin, 2 },
 		"sdc":        func(c *Config) { c.SDCCheckInterval = 5 },
-		"threads":    func(c *Config) { c.Threads = 2 },
 	}
 
 	// Three workers, so solves under different policies overlap on the shared
@@ -157,8 +156,8 @@ func TestEnginePolicySharesOnePreparedSession(t *testing.T) {
 		}
 	}
 	// "fast" is a parsed synonym: its job ran on, and is accounted to, chan.
-	if u, ok := eng.TransportStats()[TransportFast]; ok {
-		t.Errorf("synonym %q has its own gauge: %+v", TransportFast, u)
+	if u, ok := eng.TransportStats()[fastSynonym]; ok {
+		t.Errorf("synonym %q has its own gauge: %+v", fastSynonym, u)
 	}
 	for _, s := range []string{StrategyESR, StrategyCheckpoint, StrategyRestart, StrategyTwin} {
 		if eng.StrategyStats()[s].Solves == 0 {

@@ -31,7 +31,7 @@ func SolveOptsOf(cfg Config) SolveOpts {
 		Transport: cfg.Transport, TransportSeed: cfg.TransportSeed,
 		Strategy: cfg.Strategy, CheckpointInterval: cfg.CheckpointInterval,
 		TwinInterval: cfg.TwinInterval, SDCCheckInterval: cfg.SDCCheckInterval,
-		Threads: cfg.Threads, Progress: cfg.Progress, Tracer: cfg.Tracer,
+		Progress: cfg.Progress, Tracer: cfg.Tracer,
 	}
 }
 

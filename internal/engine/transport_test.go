@@ -20,13 +20,13 @@ func TestQuickTransportConfigValidation(t *testing.T) {
 	if err := cfg.Validate(); err == nil || !strings.Contains(err.Error(), "transport") {
 		t.Fatalf("want transport validation error, got %v", err)
 	}
-	for _, tr := range []string{"", TransportChan, TransportFast, TransportChaos, TransportNet} {
+	for _, tr := range []string{"", TransportChan, fastSynonym, TransportChaos, TransportNet} {
 		cfg := Config{Transport: tr}
 		if err := cfg.Validate(); err != nil {
 			t.Fatalf("transport %q should validate: %v", tr, err)
 		}
 	}
-	for _, tr := range []string{"", TransportFast} {
+	for _, tr := range []string{"", fastSynonym} {
 		if got := (Config{Transport: tr}).WithDefaults().Transport; got != TransportChan {
 			t.Fatalf("transport %q resolves to %q, want %q", tr, got, TransportChan)
 		}
@@ -39,7 +39,7 @@ func TestQuickTransportConfigValidation(t *testing.T) {
 func TestQuickTransportPrepKey(t *testing.T) {
 	base := prepKey("h", Config{Ranks: 4})
 	for _, cfg := range []Config{
-		{Ranks: 4, Transport: TransportFast},
+		{Ranks: 4, Transport: fastSynonym},
 		{Ranks: 4, Transport: TransportNet},
 		{Ranks: 4, TransportSeed: 99},
 		{Ranks: 4, Transport: TransportChaos},
@@ -56,10 +56,7 @@ func TestQuickTransportPrepKey(t *testing.T) {
 // wire's reordering/latency and the net wire's codec must not change a
 // single ulp, because the reduction tree and the selective matching pin the
 // numerics — and on the poisoning recycler (poisonTransport), where any read
-// of a payload after it was recycled would surface as a NaN instead. The
-// overlapped (communication-hiding) SpMV must equal the phased reference on
-// every transport too, under the same failure schedule: the interior/boundary row split never changes a
-// row's accumulation order, even through a reconstruction episode.
+// of a payload after it was recycled would surface as a NaN instead.
 func TestCrossTransportBitIdentical(t *testing.T) {
 	a := matgen.Poisson2D(32, 32)
 	b := make([]float64, a.Rows)
@@ -69,7 +66,7 @@ func TestCrossTransportBitIdentical(t *testing.T) {
 	sched := func() *faults.Schedule {
 		return faults.NewSchedule(faults.Simultaneous(5, 2, 3))
 	}
-	solve := func(tr string, overlap bool) Solution {
+	solve := func(tr string) Solution {
 		t.Helper()
 		cfg := Config{Ranks: 8, Phi: 2}
 		if tr != poisoned {
@@ -80,7 +77,6 @@ func TestCrossTransportBitIdentical(t *testing.T) {
 			t.Fatalf("transport %q: %v", tr, err)
 		}
 		defer ps.Close()
-		ps.SetOverlap(overlap)
 		var sol Solution
 		if tr == poisoned {
 			sol, err = ps.solveOne(context.Background(), poisonedRuntime(ps.Ranks()), nil, b, SolveOpts{Schedule: sched()})
@@ -88,14 +84,14 @@ func TestCrossTransportBitIdentical(t *testing.T) {
 			sol, err = ps.Solve(context.Background(), b, SolveOpts{Schedule: sched()})
 		}
 		if err != nil {
-			t.Fatalf("transport %q overlap %v: %v", tr, overlap, err)
+			t.Fatalf("transport %q: %v", tr, err)
 		}
 		if !sol.Result.Converged {
-			t.Fatalf("transport %q overlap %v: did not converge", tr, overlap)
+			t.Fatalf("transport %q: did not converge", tr)
 		}
 		if len(sol.Result.Reconstructions) != 1 {
-			t.Fatalf("transport %q overlap %v: %d reconstructions, want 1",
-				tr, overlap, len(sol.Result.Reconstructions))
+			t.Fatalf("transport %q: %d reconstructions, want 1",
+				tr, len(sol.Result.Reconstructions))
 		}
 		return sol
 	}
@@ -116,17 +112,13 @@ func TestCrossTransportBitIdentical(t *testing.T) {
 			}
 		}
 	}
-	ref := solve(TransportChan, true)
+	ref := solve(TransportChan)
 	// net runs in self-loop mode here: every message crosses a real loopback
 	// TCP socket, and the wire codec's float64-bit round-trip must not change
 	// a single ulp. (The multi-process leg, with the failure as a real
 	// SIGKILLed worker process, is TestCrossTransportBitIdenticalNetProcessKill.)
-	for _, tr := range []string{TransportFast, TransportChaos, TransportNet, poisoned} {
-		same("transport "+tr, solve(tr, true), ref)
-	}
-	// Overlapped vs phased under the 2-node failure schedule, per transport.
-	for _, tr := range []string{TransportChan, TransportFast, TransportChaos, TransportNet, poisoned} {
-		same("phased on "+tr, solve(tr, false), ref)
+	for _, tr := range []string{TransportChaos, TransportNet, poisoned} {
+		same("transport "+tr, solve(tr), ref)
 	}
 
 	// Tracing is observer-only: a solve with a Tracer installed must stay
@@ -313,7 +305,7 @@ func (f traceFunc) TraceRecovery(rt core.RecoveryTrace)   { f.rec(rt) }
 // pick one.
 func TestQuickTransportSessionStats(t *testing.T) {
 	a := matgen.Poisson2D(12, 12)
-	prep, err := Prepare(a, Config{Ranks: 4, Transport: TransportFast})
+	prep, err := Prepare(a, Config{Ranks: 4, Transport: fastSynonym})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -81,12 +81,11 @@ func (Identity) ApplyInvK(z, r [][]float64) {
 // Jacobi is the diagonal (point Jacobi) preconditioner M = diag(A). Its
 // applications are element-wise independent — the one preconditioner family
 // with no cross-row data flow — so, alone among the preconditioners here,
-// they legally parallelize across row chunks (SetThreads); the triangular
-// sweeps of SSOR/ILU/IC carry loop-carried dependences and stay sequential
-// (level scheduling is the ROADMAP follow-up).
+// they legally parallelize across row chunks on the shared worker pool; the
+// triangular sweeps of SSOR/ILU/IC carry loop-carried dependences and stay
+// sequential (level scheduling is the ROADMAP follow-up).
 type Jacobi struct {
-	d       []float64
-	threads int
+	d []float64
 }
 
 // jacobiParThreshold is the minimum block length for which the Jacobi
@@ -104,17 +103,6 @@ func NewJacobi(diag []float64) (*Jacobi, error) {
 	return &Jacobi{d: append([]float64(nil), diag...)}, nil
 }
 
-// SetThreads caps the goroutine fan-out of the parallel applications (<= 0
-// restores the automatic GOMAXPROCS default). Thread counts never change
-// results: the applications are element-wise. Set it at construction time;
-// not safe to call concurrently with ApplyInv/ApplyM.
-func (j *Jacobi) SetThreads(p int) {
-	if p < 0 {
-		p = 0
-	}
-	j.threads = p
-}
-
 // Name implements Preconditioner.
 func (j *Jacobi) Name() string { return "jacobi" }
 
@@ -128,7 +116,7 @@ func (j *Jacobi) ApplyInv(z, r []float64) {
 		return
 	}
 	d := j.d
-	vec.Parallel(len(z), (len(z)+jacobiParThreshold-1)/jacobiParThreshold, j.threads,
+	vec.Parallel(len(z), (len(z)+jacobiParThreshold-1)/jacobiParThreshold, 0,
 		func(_, lo, hi int) {
 			for i := lo; i < hi; i++ {
 				z[i] = r[i] / d[i]
@@ -158,7 +146,7 @@ func (j *Jacobi) ApplyM(y, x []float64) {
 		return
 	}
 	d := j.d
-	vec.Parallel(len(y), (len(y)+jacobiParThreshold-1)/jacobiParThreshold, j.threads,
+	vec.Parallel(len(y), (len(y)+jacobiParThreshold-1)/jacobiParThreshold, 0,
 		func(_, lo, hi int) {
 			for i := lo; i < hi; i++ {
 				y[i] = d[i] * x[i]

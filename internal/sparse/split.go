@@ -99,27 +99,6 @@ const parRowChunk = 256
 // SpMV variants fan out to the worker pool.
 const parNNZThreshold = 1 << 14
 
-// MulVecPar computes y = A x like MulVec, row-chunked across the shared
-// worker pool, bounded to at most `threads` goroutines (<= 0 selects
-// GOMAXPROCS). Each row is accumulated by exactly one goroutine in stored
-// order and rows write disjoint y entries, so the result is bit-identical to
-// MulVec for every thread count.
-func (m *CSR) MulVecPar(y, x []float64, threads int) {
-	if len(x) != m.Cols || len(y) != m.Rows {
-		panic("sparse: MulVecPar dimension mismatch")
-	}
-	if m.NNZ() < parNNZThreshold {
-		m.MulVec(y, x)
-		return
-	}
-	vec.Parallel(m.Rows, (m.Rows+parRowChunk-1)/parRowChunk, threads, func(_, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			rlo, rhi := m.RowPtr[i], m.RowPtr[i+1]
-			y[i] = rowDot(m.Col[rlo:rhi], m.Val[rlo:rhi], x)
-		}
-	})
-}
-
 // MulVecScatter computes y[rows[i]] = (A x)[i] for the compressed matrix:
 // row i of m is accumulated in stored order and written to the source row
 // index rows[i]. It is the kernel behind both halves of a RowSplit, scoring
@@ -135,10 +114,10 @@ func (m *CSR) MulVecScatter(y, x []float64, rows []int) {
 }
 
 // MulVecScatterPar is MulVecScatter row-chunked across the shared worker
-// pool, bounded to at most `threads` goroutines. Rows write disjoint y
-// entries (rows holds distinct indices), so the result is bit-identical to
-// MulVecScatter for every thread count.
-func (m *CSR) MulVecScatterPar(y, x []float64, rows []int, threads int) {
+// pool. Each row is accumulated by exactly one goroutine in stored order and
+// rows write disjoint y entries (rows holds distinct indices), so the result
+// is bit-identical to MulVecScatter however the chunks are shared out.
+func (m *CSR) MulVecScatterPar(y, x []float64, rows []int) {
 	if len(x) != m.Cols || len(rows) != m.Rows {
 		panic("sparse: MulVecScatterPar dimension mismatch")
 	}
@@ -146,7 +125,7 @@ func (m *CSR) MulVecScatterPar(y, x []float64, rows []int, threads int) {
 		m.MulVecScatter(y, x, rows)
 		return
 	}
-	vec.Parallel(m.Rows, (m.Rows+parRowChunk-1)/parRowChunk, threads, func(_, lo, hi int) {
+	vec.Parallel(m.Rows, (m.Rows+parRowChunk-1)/parRowChunk, 0, func(_, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			rlo, rhi := m.RowPtr[i], m.RowPtr[i+1]
 			y[rows[i]] = rowDot(m.Col[rlo:rhi], m.Val[rlo:rhi], x)

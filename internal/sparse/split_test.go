@@ -1,6 +1,7 @@
 package sparse
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -109,9 +110,9 @@ func TestQuickSplitLocalizePartitionProperty(t *testing.T) {
 }
 
 // TestQuickSplitScatterMatchesMulVec: scoring both halves of a split through
-// MulVecScatter (and its parallel variant at several thread counts) on the
-// localised input — own block first, ghost values after it — must be
-// bit-identical to the unsplit MulVec on the global one.
+// MulVecScatter (and its parallel variant) on the localised input — own
+// block first, ghost values after it — must be bit-identical to the unsplit
+// MulVec on the global one.
 func TestQuickSplitScatterMatchesMulVec(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	for trial := 0; trial < 30; trial++ {
@@ -139,43 +140,93 @@ func TestQuickSplitScatterMatchesMulVec(t *testing.T) {
 				t.Fatalf("trial %d: scatter y[%d] = %x, MulVec %x", trial, i, got[i], want[i])
 			}
 		}
-		for _, threads := range []int{1, 2, 7} {
-			par := make([]float64, r)
-			s.Interior.MulVecScatterPar(par, xLocal, s.IntRows, threads)
-			s.Boundary.MulVecScatterPar(par, xLocal, s.BndRows, threads)
-			for i := range want {
-				if par[i] != want[i] {
-					t.Fatalf("trial %d threads %d: parallel scatter y[%d] = %x, MulVec %x",
-						trial, threads, i, par[i], want[i])
-				}
+		par := make([]float64, r)
+		s.Interior.MulVecScatterPar(par, xLocal, s.IntRows)
+		s.Boundary.MulVecScatterPar(par, xLocal, s.BndRows)
+		for i := range want {
+			if par[i] != want[i] {
+				t.Fatalf("trial %d: parallel scatter y[%d] = %x, MulVec %x", trial, i, par[i], want[i])
 			}
 		}
 	}
 }
 
-// TestQuickMulVecParMatchesMulVec: the row-chunked parallel SpMV is
-// bit-identical to the serial kernel for every thread count, including above
-// the fan-out threshold.
-func TestQuickMulVecParMatchesMulVec(t *testing.T) {
+// bandedRandom is an n x n matrix whose row i stores each column of
+// [i-w, i+w] with probability density, in ascending order.
+func bandedRandom(rng *rand.Rand, n, w int, density float64) *CSR {
+	a := NewCOO(n, n)
+	for i := 0; i < n; i++ {
+		for j := max(i-w, 0); j <= min(i+w, n-1); j++ {
+			if j == i || rng.Float64() < density {
+				a.Add(i, j, rng.NormFloat64())
+			}
+		}
+	}
+	return a.ToCSR()
+}
+
+// TestQuickSplitScatterParAboveThreshold: both halves of a split large enough
+// to clear parNNZThreshold — so the pooled, row-chunked branch the workload
+// SpMVs run is the one under test, over several 256-row chunks each — score
+// bit-identically to the unsplit serial MulVec (at width 3, to MulVec per
+// column). The outputs start as NaN, so a chunk the pool never computes shows
+// as a mismatch.
+func TestQuickSplitScatterParAboveThreshold(t *testing.T) {
 	rng := rand.New(rand.NewSource(44))
-	// Big enough to clear parNNZThreshold so the pooled path actually runs.
-	n := 200
-	m := FromDense(n, n, randDense(rng, n, n, 0.5))
-	if m.NNZ() < parNNZThreshold {
-		t.Fatalf("test matrix too sparse to exercise the parallel path: nnz %d", m.NNZ())
+	// Rows inside [lo, hi) away from its edges are interior, the rest
+	// boundary: about 1 500 rows and 25 000 entries on each side.
+	const n, lo, hi, k = 3000, 750, 2250, 3
+	m := bandedRandom(rng, n, 10, 0.8)
+	var ghost []int
+	for c := 0; c < n; c++ {
+		if c < lo || c >= hi {
+			ghost = append(ghost, c) // a banded matrix stores every column
+		}
 	}
-	x := make([]float64, n)
-	for i := range x {
-		x[i] = rng.NormFloat64()
+	s := SplitLocalize(m, lo, hi, ghost)
+	for name, sub := range map[string]*CSR{"interior": s.Interior, "boundary": s.Boundary} {
+		if sub.NNZ() < parNNZThreshold || sub.Rows < 2*parRowChunk {
+			t.Fatalf("%s half has %d rows, %d entries: too small to fan out over several chunks", name, sub.Rows, sub.NNZ())
+		}
 	}
-	want := make([]float64, n)
-	m.MulVec(want, x)
-	for _, threads := range []int{0, 1, 3, 16} {
-		got := make([]float64, n)
-		m.MulVecPar(got, x, threads)
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("threads %d: y[%d] = %x, serial %x", threads, i, got[i], want[i])
+	nan := func(n int) []float64 {
+		y := make([]float64, n)
+		for i := range y {
+			y[i] = math.NaN()
+		}
+		return y
+	}
+	cols := make([][]float64, k)  // global inputs
+	local := make([][]float64, k) // the same, own block first, then the ghosts
+	want := make([][]float64, k)
+	for j := range cols {
+		cols[j] = make([]float64, n)
+		for i := range cols[j] {
+			cols[j][i] = rng.NormFloat64()
+		}
+		local[j] = append([]float64(nil), cols[j][lo:hi]...)
+		for _, g := range ghost {
+			local[j] = append(local[j], cols[j][g])
+		}
+		want[j] = make([]float64, n)
+		m.MulVec(want[j], cols[j])
+	}
+
+	y := nan(n)
+	s.Interior.MulVecScatterPar(y, local[0], s.IntRows)
+	s.Boundary.MulVecScatterPar(y, local[0], s.BndRows)
+	for i := range y {
+		if math.Float64bits(y[i]) != math.Float64bits(want[0][i]) {
+			t.Fatalf("MulVecScatterPar y[%d] = %x, MulVec %x", i, y[i], want[0][i])
+		}
+	}
+	yk, xk := nan(n*k), interleave(local)
+	s.Interior.MulMatScatterPar(yk, xk, s.IntRows, k)
+	s.Boundary.MulMatScatterPar(yk, xk, s.BndRows, k)
+	for i := 0; i < n; i++ {
+		for j := 0; j < k; j++ {
+			if got := yk[i*k+j]; math.Float64bits(got) != math.Float64bits(want[j][i]) {
+				t.Fatalf("MulMatScatterPar column %d row %d = %x, MulVec %x", j, i, got, want[j][i])
 			}
 		}
 	}

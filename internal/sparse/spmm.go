@@ -47,26 +47,6 @@ func (m *CSR) MulMat(y, x []float64, k int) {
 	}
 }
 
-// MulMatPar is MulMat row-chunked across the shared worker pool, bounded to
-// at most `threads` goroutines (<= 0 selects GOMAXPROCS). Rows write
-// disjoint y ranges, so the result is bit-identical to MulMat for every
-// thread count.
-func (m *CSR) MulMatPar(y, x []float64, k, threads int) {
-	if k <= 0 || len(x) != m.Cols*k || len(y) != m.Rows*k {
-		panic("sparse: MulMatPar dimension mismatch")
-	}
-	if m.NNZ()*k < parNNZThreshold {
-		m.MulMat(y, x, k)
-		return
-	}
-	vec.Parallel(m.Rows, (m.Rows+parRowChunk-1)/parRowChunk, threads, func(_, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			rlo, rhi := m.RowPtr[i], m.RowPtr[i+1]
-			rowDotK(m.Col[rlo:rhi], m.Val[rlo:rhi], x, y[i*k:i*k+k])
-		}
-	})
-}
-
 // MulMatScatter computes y[rows[i]*k : rows[i]*k+k] = (A X) row i for the
 // compressed matrix — the SpMM analogue of MulVecScatter, scoring each
 // sub-matrix row of a RowSplit directly into the full k-strided output.
@@ -81,10 +61,10 @@ func (m *CSR) MulMatScatter(y, x []float64, rows []int, k int) {
 }
 
 // MulMatScatterPar is MulMatScatter row-chunked across the shared worker
-// pool, bounded to at most `threads` goroutines. Rows write disjoint y
-// ranges (rows holds distinct indices), so the result is bit-identical to
-// MulMatScatter for every thread count.
-func (m *CSR) MulMatScatterPar(y, x []float64, rows []int, k, threads int) {
+// pool. Rows write disjoint y ranges (rows holds distinct indices), so the
+// result is bit-identical to MulMatScatter however the chunks are shared
+// out.
+func (m *CSR) MulMatScatterPar(y, x []float64, rows []int, k int) {
 	if k <= 0 || len(x) != m.Cols*k || len(rows) != m.Rows {
 		panic("sparse: MulMatScatterPar dimension mismatch")
 	}
@@ -92,7 +72,7 @@ func (m *CSR) MulMatScatterPar(y, x []float64, rows []int, k, threads int) {
 		m.MulMatScatter(y, x, rows, k)
 		return
 	}
-	vec.Parallel(m.Rows, (m.Rows+parRowChunk-1)/parRowChunk, threads, func(_, lo, hi int) {
+	vec.Parallel(m.Rows, (m.Rows+parRowChunk-1)/parRowChunk, 0, func(_, lo, hi int) {
 		for i := lo; i < hi; i++ {
 			rlo, rhi := m.RowPtr[i], m.RowPtr[i+1]
 			rowDotK(m.Col[rlo:rhi], m.Val[rlo:rhi], x, y[rows[i]*k:rows[i]*k+k])

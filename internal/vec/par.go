@@ -53,10 +53,7 @@ func ParNrm2SqN(x []float64, threads int) float64 { return ParDotN(x, x, threads
 
 // ParAxpy computes y += a*x on the shared worker pool for large vectors.
 // Element-wise, so bit-identical to Axpy for every thread count.
-func ParAxpy(a float64, x, y []float64) { ParAxpyN(a, x, y, 0) }
-
-// ParAxpyN is ParAxpy bounded to at most `threads` goroutines.
-func ParAxpyN(a float64, x, y []float64, threads int) {
+func ParAxpy(a float64, x, y []float64) {
 	if len(x) != len(y) {
 		panic("vec: ParAxpy length mismatch")
 	}
@@ -65,7 +62,7 @@ func ParAxpyN(a float64, x, y []float64, threads int) {
 		Axpy(a, x, y)
 		return
 	}
-	Parallel(n, reduceChunks(n), threads, func(_, lo, hi int) {
+	Parallel(n, reduceChunks(n), 0, func(_, lo, hi int) {
 		Axpy(a, x[lo:hi], y[lo:hi])
 	})
 }

@@ -95,16 +95,6 @@ func PoolWorkers() int {
 	return poolWorkers
 }
 
-// Threads resolves a thread-count knob: values <= 0 select the automatic
-// default (GOMAXPROCS), anything else is returned unchanged. It is the single
-// interpretation of engine.Config.Threads and friends.
-func Threads(p int) int {
-	if p <= 0 {
-		return runtime.GOMAXPROCS(0)
-	}
-	return p
-}
-
 // Parallel invokes f over a deterministic chunk grid covering [0, n),
 // running at most p goroutines concurrently (the caller plus up to p-1 pool
 // workers; p <= 0 selects GOMAXPROCS). nchunks fixes the grid; Parallel
@@ -120,7 +110,9 @@ func Parallel(n, nchunks, p int, f func(c, lo, hi int)) {
 	if nchunks > n {
 		nchunks = n
 	}
-	p = Threads(p)
+	if p <= 0 {
+		p = runtime.GOMAXPROCS(0)
+	}
 	if nchunks <= 1 || p <= 1 {
 		for c := 0; c < nchunks; c++ {
 			lo, hi := chunkRange(n, nchunks, c)

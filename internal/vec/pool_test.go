@@ -78,8 +78,8 @@ func TestQuickParallelCoversOnce(t *testing.T) {
 
 // TestQuickParDotThreadInvariant: the reduction grid is a pure function of
 // the length, so ParDotN returns the same bit pattern for every thread
-// setting — the guarantee that makes engine.Config.Threads numerically
-// inert.
+// setting — the guarantee that makes a solve's answer independent of how
+// many pool workers happen to pick up its chunks.
 func TestQuickParDotThreadInvariant(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	n := parThreshold + 12345

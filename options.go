@@ -39,11 +39,6 @@ const (
 	// pooled recycler so the steady-state halo-exchange/collective loop
 	// does not allocate.
 	ChanTransport Transport = engine.TransportChan
-	// FastTransport is a synonym of ChanTransport, kept so existing callers
-	// and journaled job specs keep working: the pooled fabric it used to
-	// select is the only in-process fabric now, and a session configured
-	// with it reports ChanTransport.
-	FastTransport Transport = engine.TransportFast
 	// ChaosTransport perturbs delivery with deterministic seeded latency
 	// (reordering messages across distinct (source, tag) pairs) and lagged
 	// failure notification, for stressing the resilience protocol's
@@ -113,7 +108,7 @@ const (
 )
 
 // InvalidConfigError reports a configuration value rejected by validation:
-// Field is the Config field's JSON name ("threads", "ssor_omega",
+// Field is the Config field's JSON name ("block_size", "ssor_omega",
 // "strategy", ...), Value the rejected value, Reason what is accepted
 // instead. Every option and Config rejection is one; match it with
 // errors.As and branch on Field, or on the class with
@@ -123,11 +118,6 @@ type InvalidConfigError = engine.InvalidConfigError
 // InvalidRHSError reports a malformed right-hand side in a batch: a column
 // with the wrong length or a non-finite element, naming its index.
 type InvalidRHSError = engine.InvalidRHSError
-
-// ThreadsAuto explicitly selects the automatic GOMAXPROCS thread cap; on
-// the wire it bypasses a daemon-level -threads default, unlike the zero
-// value.
-const ThreadsAuto = engine.ThreadsAuto
 
 // DefaultBlockSize is the block width SolveBatch uses when none is
 // configured; MaxBlockSize bounds WithBlockSize.
@@ -210,22 +200,6 @@ func WithTransport(t Transport) Option {
 func WithTransportSeed(seed int64) Option {
 	return func(c *Config) error {
 		c.TransportSeed = seed
-		return nil
-	}
-}
-
-// WithThreads caps the per-rank goroutine fan-out of the node-local
-// parallel kernels (SpMV row chunks, reductions, fused vector updates, the
-// Jacobi preconditioner); 0 (the default) selects GOMAXPROCS automatically,
-// and ThreadsAuto (-1) does so explicitly (meaningful on the wire, where an
-// esrd -threads default would otherwise replace the zero value). Thread
-// counts never change results — every parallel kernel works over a chunk
-// grid fixed by the data size alone — so this is purely a resource knob for
-// packing many concurrent solves onto one machine. Other negative values
-// are rejected. Run policy: per call, ThreadsAuto lifts a session's cap.
-func WithThreads(n int) Option {
-	return func(c *Config) error {
-		c.Threads = n
 		return nil
 	}
 }

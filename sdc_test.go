@@ -87,7 +87,7 @@ func TestMixedScheduleDeterminismAcrossTransports(t *testing.T) {
 		sol Solution
 	}
 	var runs []run
-	for _, tr := range []Transport{ChanTransport, FastTransport, ChaosTransport, NetTransport} {
+	for _, tr := range []Transport{ChanTransport, ChaosTransport, NetTransport} {
 		s, err := NewSolver(a,
 			WithRanks(4),
 			WithPhi(1),

@@ -110,7 +110,7 @@ func (s *Solver) solveOpts(opts []Option) (engine.SolveOpts, Config, error) {
 // Solve runs one solve of A x = b against the prepared session state. Every
 // session setting except the four preparation-scoped ones can be overridden
 // per call with opts — tolerances, schedule, observers, method, and the run
-// policy (transport, strategy and its interval, SDC check, threads); a
+// policy (transport, strategy and its interval, SDC check); a
 // per-call WithRanks, WithPhi, WithPreconditioner or WithSSOROmega is
 // rejected, and a per-call WithMethod must be compatible with the prepared
 // preconditioner (SPCG needs an IC0 session). Cancelling ctx aborts only

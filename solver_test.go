@@ -430,9 +430,9 @@ func TestSolverMethodsAndOptions(t *testing.T) {
 }
 
 // TestQuickSolverTransport: sessions default to the fabric they were
-// prepared with, a fast- or net-transport session solves to the exact same
-// solution as a chan one, and — transport being run policy — so does one
-// solve moved to another fabric per call.
+// prepared with, a net-transport session solves to the exact same solution as
+// a chan one, and — transport being run policy — so does one solve moved to
+// another fabric per call.
 func TestQuickSolverTransport(t *testing.T) {
 	a := Poisson2D(16, 16)
 	b := onesRHS(a.Rows)
@@ -444,12 +444,8 @@ func TestQuickSolverTransport(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer s.Close()
-		want := tr
-		if tr == FastTransport {
-			want = ChanTransport // the synonym resolves to the one in-process fabric
-		}
-		if got := s.Config().Transport; got != string(want) {
-			t.Fatalf("session transport = %q, want %q", got, want)
+		if got := s.Config().Transport; got != string(tr) {
+			t.Fatalf("session transport = %q, want %q", got, tr)
 		}
 		sol, err := s.Solve(context.Background(), b,
 			WithSchedule(NewSchedule(Simultaneous(3, 2))))
@@ -462,12 +458,6 @@ func TestQuickSolverTransport(t *testing.T) {
 		return sol.X
 	}
 	ref := solveOn(ChanTransport)
-	got := solveOn(FastTransport)
-	for i := range ref {
-		if ref[i] != got[i] {
-			t.Fatalf("x[%d]: fast %g != chan %g", i, got[i], ref[i])
-		}
-	}
 	// Net runs the same solve over real TCP sockets (self-loop mode here:
 	// all ranks in-process behind one socket pair) — still bit-identical.
 	net := solveOn(NetTransport)
@@ -477,20 +467,20 @@ func TestQuickSolverTransport(t *testing.T) {
 		}
 	}
 
-	// Transport is run policy: a chan session serves a fast solve per call.
+	// Transport is run policy: a chan session serves a chaos solve per call.
 	s, err := NewSolver(a, WithRanks(4), WithPhi(1))
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	sol, err := s.Solve(context.Background(), b, WithTransport(FastTransport),
+	sol, err := s.Solve(context.Background(), b, WithTransport(ChaosTransport),
 		WithSchedule(NewSchedule(Simultaneous(3, 2))))
 	if err != nil {
 		t.Fatalf("per-solve WithTransport: %v", err)
 	}
 	for i := range ref {
 		if ref[i] != sol.X[i] {
-			t.Fatalf("x[%d]: per-call fast %g != chan %g", i, sol.X[i], ref[i])
+			t.Fatalf("x[%d]: per-call chaos %g != chan %g", i, sol.X[i], ref[i])
 		}
 	}
 	if _, err := s.Solve(context.Background(), b, WithTransport(Transport("bogus"))); err == nil {
@@ -502,8 +492,7 @@ func TestQuickSolverTransport(t *testing.T) {
 }
 
 // TestSolverPolicyPerCall: run policy is per solve, so ONE prepared session
-// serves every fabric, strategy, detector setting and thread cap — here
-// concurrently, on the one preconditioner whose application takes the cap —
+// serves every fabric, strategy and detector setting — here concurrently —
 // and each call is bitwise the solve of a Solver dedicated to that policy,
 // two simultaneous failures included.
 func TestSolverPolicyPerCall(t *testing.T) {
@@ -512,14 +501,12 @@ func TestSolverPolicyPerCall(t *testing.T) {
 	prepOpts := []Option{WithRanks(4), WithPhi(2), WithPreconditioner(Jacobi)}
 	sched := WithSchedule(NewSchedule(Simultaneous(5, 1, 2)))
 	policies := map[string][]Option{
-		"fast":       {WithTransport(FastTransport)},
 		"net":        {WithTransport(NetTransport)},
 		"chaos":      {WithTransport(ChaosTransport), WithTransportSeed(7)},
 		"checkpoint": {WithStrategy(CheckpointStrategy), WithCheckpointInterval(4)},
 		"restart":    {WithStrategy(RestartStrategy)},
 		"twin+sdc":   {WithStrategy(TwinStrategy), WithTwinInterval(2), WithSDCCheck(5)},
-		"threads":    {WithThreads(2)},
-		"everything": {WithTransport(FastTransport), WithStrategy(CheckpointStrategy), WithSDCCheck(3), WithThreads(1)},
+		"everything": {WithTransport(ChaosTransport), WithStrategy(CheckpointStrategy), WithSDCCheck(3)},
 	}
 	shared, err := NewSolver(a, prepOpts...)
 	if err != nil {
@@ -566,7 +553,7 @@ func TestSolverPolicyPerCall(t *testing.T) {
 	}
 	wg.Wait()
 	if got := shared.Config(); got.Transport != TransportChan || got.Strategy != StrategyESR ||
-		got.SDCCheckInterval != 0 || got.Threads != 0 {
+		got.SDCCheckInterval != 0 {
 		t.Fatalf("per-call policy leaked into the session's configuration: %+v", got)
 	}
 }
