@@ -305,8 +305,38 @@ func (d *driver) sumActive(f func(c int) float64) ([]float64, error) {
 			buf[c] = f(c)
 		}
 	}
+	return d.allreduce(buf)
+}
+
+// sumPAp is sumActive for the step's p'Ap, with the active columns taken
+// two per pass over the blocks (vec.ParDot2 is ParDot on each pair).
+func (d *driver) sumPAp() ([]float64, error) {
+	st := d.st
+	buf := st.fused[:st.k()]
+	clear(buf)
+	held := -1 // an active column waiting for its partner
+	for c := range buf {
+		if st.done[c] {
+			continue
+		}
+		if held < 0 {
+			held = c
+			continue
+		}
+		buf[held], buf[c] = vec.ParDot2(st.P[held].Local, st.U[held].Local, st.P[c].Local, st.U[c].Local)
+		held = -1
+	}
+	if held >= 0 {
+		buf[held] = vec.ParDot(st.P[held].Local, st.U[held].Local)
+	}
+	return d.allreduce(buf)
+}
+
+// allreduce sums buf over the group, timed as the iteration's allreduce
+// phase. The caller recycles the result.
+func (d *driver) allreduce(buf []float64) ([]float64, error) {
 	d.clock.start()
-	out, err := st.E.Grp.Allreduce(cluster.OpSum, buf)
+	out, err := d.st.E.Grp.Allreduce(cluster.OpSum, buf)
 	d.clock.stop(clockAllreduce)
 	return out, err
 }
@@ -339,9 +369,7 @@ func (d *driver) redoSpMV(j int) error {
 func (d *driver) step(j int) error {
 	st, opts := d.st, d.st.Opts
 	k := st.k()
-	pus, err := d.sumActive(func(c int) float64 {
-		return vec.ParDot(st.P[c].Local, st.U[c].Local)
-	})
+	pus, err := d.sumPAp()
 	if err != nil {
 		return err
 	}
@@ -384,18 +412,16 @@ func (d *driver) step(j int) error {
 	}
 	d.clock.stop(clockPrecond)
 
-	// ONE fused length-2k allreduce for the k (||r||^2, r'z) pairs. u is dead
-	// until the next SpMV and serves as the norm's scratch.
+	// ONE fused length-2k allreduce for the k (||r||^2, r'z) pairs, each
+	// formed in one pass. u is dead until the next SpMV and serves as the
+	// norm's scratch.
 	for c := 0; c < k; c++ {
 		st.fused[2*c], st.fused[2*c+1] = 0, 0
 		if !st.done[c] {
-			st.fused[2*c] = st.rec.rnorm2(st, st.R[c].Local, st.U[c].Local)
-			st.fused[2*c+1] = st.rec.rz(st, c)
+			st.fused[2*c], st.fused[2*c+1] = st.rec.norms(st, c)
 		}
 	}
-	d.clock.start()
-	norms, err := st.E.Grp.Allreduce(cluster.OpSum, st.fused)
-	d.clock.stop(clockAllreduce)
+	norms, err := d.allreduce(st.fused)
 	if err != nil {
 		return err
 	}

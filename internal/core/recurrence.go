@@ -33,6 +33,9 @@ type recurrence interface {
 	rnorm2(st *SolverState, r, scratch []float64) float64
 	// rz is the rank-local part of column c's scalar r'z.
 	rz(st *SolverState, c int) float64
+	// norms is column c's rank-local (rnorm2, rz) pair, bit-identical to the
+	// two steps but formed in one pass over the blocks; U[c] is the scratch.
+	norms(st *SolverState, c int) (rr, rz float64)
 }
 
 // recurrenceFor selects the recurrence by what the preconditioner is: a
@@ -87,6 +90,11 @@ func (pcgRecurrence) rz(st *SolverState, c int) float64 {
 	return vec.ParDot(st.R[c].Local, st.Z[c].Local)
 }
 
+func (pcgRecurrence) norms(st *SolverState, c int) (float64, float64) {
+	r, z := st.R[c].Local, st.Z[c].Local
+	return vec.ParDot2(r, r, r, z)
+}
+
 // splitRecurrence is Saad's Alg. 9.2 with a block-local split preconditioner
 // M_i = L_i L_i^T — the paper's SPCG variant ([23, Alg. 5]). R holds the
 // transformed residual rhat = L^{-1} r, Z holds zhat = L^{-T} rhat (so that
@@ -128,4 +136,10 @@ func (s splitRecurrence) rnorm2(st *SolverState, r, scratch []float64) float64 {
 
 func (splitRecurrence) rz(st *SolverState, c int) float64 {
 	return vec.ParNrm2Sq(st.R[c].Local)
+}
+
+func (s splitRecurrence) norms(st *SolverState, c int) (float64, float64) {
+	r, t := st.R[c].Local, st.U[c].Local
+	s.m.MulL(t, r) // r = L rhat
+	return vec.ParDot2(t, t, r, r)
 }

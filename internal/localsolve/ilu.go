@@ -157,23 +157,34 @@ func (f *ILU0) SolveK(z, r [][]float64) {
 			panic("localsolve: ILU0.SolveK dimension mismatch")
 		}
 	}
-	// Columns go through in chunks of four with the slice headers hoisted
-	// into locals and the running sums in registers; the remainder falls
-	// back to the single-column sweep. Chunking only regroups independent
-	// columns — each column's arithmetic is untouched.
+	// Columns go through in tiles of eight, then one of four, with the slice
+	// headers hoisted into locals and the running sums in registers; the
+	// remainder falls back to the single-column sweep. Tiling only regroups
+	// independent columns — each column's arithmetic is untouched.
 	c := 0
-	for ; c+4 <= k; c += 4 {
-		f.solve4(z[c], z[c+1], z[c+2], z[c+3], r[c], r[c+1], r[c+2], r[c+3])
+	for ; c+8 <= k; c += 8 {
+		f.solve8(z[c:c+8], r[c:c+8])
+	}
+	if c+4 <= k {
+		f.solve4(z[c:c+4], r[c:c+4])
+		c += 4
 	}
 	for ; c < k; c++ {
 		f.Solve(z[c], r[c])
 	}
 }
 
-// solve4 is the width-4 fused sweep behind SolveK: one traversal of the
-// factor's index structure serves four columns.
-func (f *ILU0) solve4(z0, z1, z2, z3, r0, r1, r2, r3 []float64) {
+// solve8 is the width-8 fused sweep behind SolveK: one traversal of the
+// factor's rows serves the eight columns of z and r. Each row's entries are
+// walked twice, four columns per walk (rowSub4): the row is in L1 by then,
+// and an inner loop with four column bases live fits the registers, where
+// one with eight spills them on every entry.
+func (f *ILU0) solve8(z, r [][]float64) {
 	n := f.n
+	z0, z1, z2, z3 := z[0][:n], z[1][:n], z[2][:n], z[3][:n]
+	z4, z5, z6, z7 := z[4][:n], z[5][:n], z[6][:n], z[7][:n]
+	r0, r1, r2, r3 := r[0][:n], r[1][:n], r[2][:n], r[3][:n]
+	r4, r5, r6, r7 := r[4][:n], r[5][:n], r[6][:n], r[7][:n]
 	// Pinned index arrays and once-sliced rows, exactly as in Solve.
 	rowPtr, diag := f.rowPtr[:n+1], f.diag[:n]
 	col := f.col[:len(f.col):len(f.col)]
@@ -181,34 +192,57 @@ func (f *ILU0) solve4(z0, z1, z2, z3, r0, r1, r2, r3 []float64) {
 	// L y = r (unit diagonal)
 	for i := 0; i < n; i++ {
 		lo, d := rowPtr[i], diag[i]
-		cols := col[lo:d]
-		vals := val[lo:d][:len(cols)]
-		s0, s1, s2, s3 := r0[i], r1[i], r2[i], r3[i]
-		for p, j := range cols {
-			v := vals[p]
-			s0 -= v * z0[j]
-			s1 -= v * z1[j]
-			s2 -= v * z2[j]
-			s3 -= v * z3[j]
-		}
-		z0[i], z1[i], z2[i], z3[i] = s0, s1, s2, s3
+		cols, vals := col[lo:d], val[lo:d]
+		z0[i], z1[i], z2[i], z3[i] = rowSub4(cols, vals, z0, z1, z2, z3, r0[i], r1[i], r2[i], r3[i])
+		z4[i], z5[i], z6[i], z7[i] = rowSub4(cols, vals, z4, z5, z6, z7, r4[i], r5[i], r6[i], r7[i])
 	}
 	// U x = y
 	for i := n - 1; i >= 0; i-- {
 		d, hi := diag[i], rowPtr[i+1]
-		cols := col[d+1 : hi]
-		vals := val[d+1 : hi][:len(cols)]
-		s0, s1, s2, s3 := z0[i], z1[i], z2[i], z3[i]
-		for p, j := range cols {
-			v := vals[p]
-			s0 -= v * z0[j]
-			s1 -= v * z1[j]
-			s2 -= v * z2[j]
-			s3 -= v * z3[j]
-		}
+		cols, vals := col[d+1:hi], val[d+1:hi]
+		dv := val[d]
+		s0, s1, s2, s3 := rowSub4(cols, vals, z0, z1, z2, z3, z0[i], z1[i], z2[i], z3[i])
+		z0[i], z1[i], z2[i], z3[i] = s0/dv, s1/dv, s2/dv, s3/dv
+		s4, s5, s6, s7 := rowSub4(cols, vals, z4, z5, z6, z7, z4[i], z5[i], z6[i], z7[i])
+		z4[i], z5[i], z6[i], z7[i] = s4/dv, s5/dv, s6/dv, s7/dv
+	}
+}
+
+// solve4 is solve8 for a tile of four columns.
+func (f *ILU0) solve4(z, r [][]float64) {
+	n := f.n
+	z0, z1, z2, z3 := z[0][:n], z[1][:n], z[2][:n], z[3][:n]
+	r0, r1, r2, r3 := r[0][:n], r[1][:n], r[2][:n], r[3][:n]
+	rowPtr, diag := f.rowPtr[:n+1], f.diag[:n]
+	col := f.col[:len(f.col):len(f.col)]
+	val := f.val[:len(col):len(col)]
+	for i := 0; i < n; i++ {
+		lo, d := rowPtr[i], diag[i]
+		z0[i], z1[i], z2[i], z3[i] = rowSub4(col[lo:d], val[lo:d], z0, z1, z2, z3, r0[i], r1[i], r2[i], r3[i])
+	}
+	for i := n - 1; i >= 0; i-- {
+		d, hi := diag[i], rowPtr[i+1]
+		s0, s1, s2, s3 := rowSub4(col[d+1:hi], val[d+1:hi], z0, z1, z2, z3, z0[i], z1[i], z2[i], z3[i])
 		dv := val[d]
 		z0[i], z1[i], z2[i], z3[i] = s0/dv, s1/dv, s2/dv, s3/dv
 	}
+}
+
+// rowSub4 is one row of a four-column sweep: each s_c loses
+// vals[p]*z_c[cols[p]] for every entry p in stored order, exactly Solve's
+// inner loop per column. The columns are pinned to z0's length, so one
+// bounds check covers the four gathers of an entry.
+func rowSub4(cols []int, vals []float64, z0, z1, z2, z3 []float64, s0, s1, s2, s3 float64) (float64, float64, float64, float64) {
+	vals = vals[:len(cols)]
+	z1, z2, z3 = z1[:len(z0)], z2[:len(z0)], z3[:len(z0)]
+	for p, j := range cols {
+		v := vals[p]
+		s0 -= v * z0[j]
+		s1 -= v * z1[j]
+		s2 -= v * z2[j]
+		s3 -= v * z3[j]
+	}
+	return s0, s1, s2, s3
 }
 
 // Multiply computes y = L U x, the action of the preconditioner M = LU
@@ -349,11 +383,12 @@ func (f *IC0) SolveLT(x, b []float64) {
 	}
 }
 
-// Solve computes z = (L L^T)^{-1} r.
+// Solve computes z = (L L^T)^{-1} r in place in z, allocating nothing: both
+// sweeps are alias-safe, so L y = r lands in z and L^T z = y overwrites it.
+// z may alias r.
 func (f *IC0) Solve(z, r []float64) {
-	y := make([]float64, f.n)
-	f.SolveL(y, r)
-	f.SolveLT(z, y)
+	f.SolveL(z, r)
+	f.SolveLT(z, z)
 }
 
 // MulL computes y = L x.

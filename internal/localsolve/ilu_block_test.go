@@ -9,35 +9,56 @@ import (
 	"repro/internal/sparse"
 )
 
+// diagBlock returns the principal submatrix of rows and columns [0, n/8):
+// rank 0's diagonal block of an 8-rank partition, the block its ILU(0)
+// factor is built from.
+func diagBlock(a *sparse.CSR) *sparse.CSR {
+	idx := make([]int, a.Rows/8)
+	for i := range idx {
+		idx[i] = i
+	}
+	return a.Submatrix(idx, idx)
+}
+
 // TestILU0SolveKBitwiseSolve pins the fused sweep's contract: column c of
 // SolveK is bitwise identical to Solve(z[c], r[c]), across widths that
-// exercise the width-4 chunks and every remainder branch.
+// exercise the 8- and 4-column tiles and every remainder branch, on a Poisson
+// factor and on diagonal blocks of the elasticity and circuit workloads.
 func TestILU0SolveKBitwiseSolve(t *testing.T) {
-	a := matgen.Poisson2D(13, 11)
-	f, err := NewILU0(a)
-	if err != nil {
-		t.Fatal(err)
-	}
 	rng := rand.New(rand.NewSource(42))
-	for _, k := range []int{1, 2, 3, 4, 5, 7, 8, 11} {
-		r := make([][]float64, k)
-		zFused := make([][]float64, k)
-		zSolo := make([][]float64, k)
-		for c := range r {
-			r[c] = make([]float64, a.Rows)
-			for i := range r[c] {
-				r[c][i] = rng.NormFloat64()
-			}
-			zFused[c] = make([]float64, a.Rows)
-			zSolo[c] = make([]float64, a.Rows)
+	for _, tc := range []struct {
+		name string
+		a    *sparse.CSR
+	}{
+		{"poisson", matgen.Poisson2D(13, 11)},
+		{"elasticity", diagBlock(matgen.Elasticity3D(14, 14, 14, 27, 8))},
+		{"circuit", diagBlock(matgen.CircuitLike(12000, 2.9, 0.35, 3))},
+	} {
+		a := tc.a
+		f, err := NewILU0(a)
+		if err != nil {
+			t.Fatal(err)
 		}
-		f.SolveK(zFused, r)
-		for c := range r {
-			f.Solve(zSolo[c], r[c])
-			for i := range zSolo[c] {
-				if zFused[c][i] != zSolo[c][i] {
-					t.Fatalf("k=%d column %d: SolveK[%d] = %x, Solve = %x",
-						k, c, i, zFused[c][i], zSolo[c][i])
+		for _, k := range []int{1, 2, 3, 4, 5, 7, 8, 9, 11, 12, 13, 16, 17, 32} {
+			r := make([][]float64, k)
+			zFused := make([][]float64, k)
+			zSolo := make([][]float64, k)
+			for c := range r {
+				r[c] = make([]float64, a.Rows)
+				for i := range r[c] {
+					r[c][i] = rng.NormFloat64()
+				}
+				zFused[c] = make([]float64, a.Rows)
+				zSolo[c] = make([]float64, a.Rows)
+			}
+			f.SolveK(zFused, r)
+			for c := range r {
+				f.Solve(zSolo[c], r[c])
+				for i := range zSolo[c] {
+					if zFused[c][i] != zSolo[c][i] {
+						t.Fatalf("%s k=%d column %d: SolveK[%d] = %x, Solve = %x",
+							tc.name, k, c, i, zFused[c][i], zSolo[c][i])
+					}
 				}
 			}
 		}
@@ -45,36 +66,75 @@ func TestILU0SolveKBitwiseSolve(t *testing.T) {
 }
 
 // BenchmarkILU0SolveK compares k back-to-back Solve calls against the fused
-// SolveK sweep at the blocked driver's default width.
+// SolveK sweep: on a Poisson factor at the blocked driver's default width,
+// and on an elasticity-kernel diagonal block at width 16.
 func BenchmarkILU0SolveK(b *testing.B) {
-	a := matgen.Poisson2D(24, 24)
-	f, err := NewILU0(a)
-	if err != nil {
-		b.Fatal(err)
-	}
-	const k = 32
-	rng := rand.New(rand.NewSource(1))
-	z := make([][]float64, k)
-	r := make([][]float64, k)
-	for c := range z {
-		z[c] = make([]float64, a.Rows)
-		r[c] = make([]float64, a.Rows)
-		for i := range r[c] {
-			r[c][i] = rng.NormFloat64()
+	for _, bc := range []struct {
+		name string
+		a    *sparse.CSR
+		k    int
+	}{
+		{"poisson/k32", matgen.Poisson2D(24, 24), 32},
+		{"elasticity/k16", diagBlock(matgen.Elasticity3D(14, 14, 14, 27, 8)), 16},
+	} {
+		f, err := NewILU0(bc.a)
+		if err != nil {
+			b.Fatal(err)
 		}
-	}
-	b.Run("looped", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			for c := 0; c < k; c++ {
-				f.Solve(z[c], r[c])
+		rng := rand.New(rand.NewSource(1))
+		z := make([][]float64, bc.k)
+		r := make([][]float64, bc.k)
+		for c := range z {
+			z[c] = make([]float64, bc.a.Rows)
+			r[c] = make([]float64, bc.a.Rows)
+			for i := range r[c] {
+				r[c][i] = rng.NormFloat64()
 			}
 		}
-	})
-	b.Run("fused", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			f.SolveK(z, r)
+		b.Run(bc.name+"/looped", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				for c := range z {
+					f.Solve(z[c], r[c])
+				}
+			}
+		})
+		b.Run(bc.name+"/fused", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				f.SolveK(z, r)
+			}
+		})
+	}
+}
+
+// TestIC0SolveInPlace: Solve runs both sweeps in z, bit-identical to the
+// forward sweep into a separate vector followed by the backward sweep from
+// it, with z separate from r or aliasing it — and allocates nothing.
+func TestIC0SolveInPlace(t *testing.T) {
+	f, err := NewIC0(diagBlock(matgen.Elasticity3D(14, 14, 14, 27, 8)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(3))
+	r := make([]float64, f.n)
+	for i := range r {
+		r[i] = rng.NormFloat64()
+	}
+	y := make([]float64, f.n)
+	want := make([]float64, f.n)
+	f.SolveL(y, r)
+	f.SolveLT(want, y)
+	got := make([]float64, f.n)
+	f.Solve(got, r)
+	alias := append([]float64(nil), r...)
+	f.Solve(alias, alias)
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) || math.Float64bits(alias[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("row %d: Solve = %x, aliased = %x, through a scratch vector %x", i, got[i], alias[i], want[i])
 		}
-	})
+	}
+	if n := testing.AllocsPerRun(10, func() { f.Solve(got, r) }); n != 0 {
+		t.Fatalf("IC0.Solve allocates %v times per call, want 0", n)
+	}
 }
 
 // solveIndexed is ILU0.Solve as it was before the rows were sliced: every

@@ -15,22 +15,60 @@ import (
 // so column j of every MulMat* result is bitwise identical to the
 // corresponding MulVec* applied to column j alone.
 
-// rowDotK accumulates row.X into out[0:k] (k = len(out)), visiting the
-// stored entries in order. Per column this is the same operation sequence
-// as rowDot: out[j] starts at 0 and gains vals[t]*x[cols[t]*k+j] for each
-// stored entry t in order.
+// rowDotK computes row.X into out[0:k] (k = len(out)). The row is walked
+// once per tile of 8 columns, then once for a tile of 4, then once per
+// remaining column, with the tile's running sums in registers and each
+// output stored once. Tiling only decides which columns share a pass: per
+// column this is rowDot's exact operation sequence — a single accumulator
+// that starts at 0 and gains vals[t]*x[cols[t]*k+j] for each stored entry t
+// in order — unlike splitting one column's sum across several accumulators,
+// which would reorder its additions.
 func rowDotK(cols []int, vals []float64, x []float64, out []float64) {
 	k := len(out)
-	for j := range out {
-		out[j] = 0
-	}
 	vals = vals[:len(cols)] // one bounds check, not one per entry
-	for t, c := range cols {
-		v := vals[t]
-		xr := x[c*k : c*k+k]
-		for j, xv := range xr {
-			out[j] += v * xv
+	// A tile's values are sliced with their capacity capped (x[o:o+8:o+8]):
+	// a slice that might have zero capacity makes the compiler mask its
+	// pointer, which costs instructions on every entry.
+	j := 0
+	for ; j+8 <= k; j += 8 {
+		var s0, s1, s2, s3, s4, s5, s6, s7 float64
+		for t, c := range cols {
+			v := vals[t]
+			o := c*k + j
+			xr := x[o : o+8 : o+8]
+			s0 += v * xr[0]
+			s1 += v * xr[1]
+			s2 += v * xr[2]
+			s3 += v * xr[3]
+			s4 += v * xr[4]
+			s5 += v * xr[5]
+			s6 += v * xr[6]
+			s7 += v * xr[7]
 		}
+		dst := out[j:][:8]
+		dst[0], dst[1], dst[2], dst[3], dst[4], dst[5], dst[6], dst[7] = s0, s1, s2, s3, s4, s5, s6, s7
+	}
+	if j+4 <= k {
+		var s0, s1, s2, s3 float64
+		for t, c := range cols {
+			v := vals[t]
+			o := c*k + j
+			xr := x[o : o+4 : o+4]
+			s0 += v * xr[0]
+			s1 += v * xr[1]
+			s2 += v * xr[2]
+			s3 += v * xr[3]
+		}
+		dst := out[j:][:4]
+		dst[0], dst[1], dst[2], dst[3] = s0, s1, s2, s3
+		j += 4
+	}
+	for ; j < k; j++ {
+		var s float64
+		for t, c := range cols {
+			s += vals[t] * x[c*k+j]
+		}
+		out[j] = s
 	}
 }
 

@@ -1,6 +1,7 @@
 package sparse
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -19,54 +20,67 @@ func interleave(cols [][]float64) []float64 {
 	return x
 }
 
-// TestMulMatColumnsBitwiseMulVec is the SpMM determinism contract: column j
-// of every MulMat* variant must be bitwise identical to MulVec applied to
-// column j alone, for random matrices and widths.
-func TestMulMatColumnsBitwiseMulVec(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	for trial := 0; trial < 30; trial++ {
-		r := 1 + rng.Intn(40)
-		c := 1 + rng.Intn(40)
-		k := 1 + rng.Intn(9)
-		m := FromDense(r, c, randDense(rng, r, c, 0.3))
-		cols := make([][]float64, k)
-		want := make([][]float64, k)
-		for j := range cols {
-			cols[j] = make([]float64, c)
-			for i := range cols[j] {
-				cols[j][i] = rng.NormFloat64()
-			}
-			want[j] = make([]float64, r)
-			m.MulVec(want[j], cols[j])
-		}
-		x := interleave(cols)
+// mulMatWidths reaches every tile shape of rowDotK: each remainder after the
+// 8-column tiles, with and without the 4-column tile, and wide blocks.
+var mulMatWidths = []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 24, 32, 64}
 
-		check := func(name string, y []float64) {
-			t.Helper()
-			for j := 0; j < k; j++ {
-				for i := 0; i < r; i++ {
-					if y[i*k+j] != want[j][i] {
-						t.Fatalf("trial %d %s: column %d row %d = %x, MulVec %x",
-							trial, name, j, i, y[i*k+j], want[j][i])
-					}
+// checkMulMatBitwise is the SpMM determinism contract: column j of every
+// MulMat* variant, applied to k random columns, must be bitwise identical
+// to MulVec applied to column j alone.
+func checkMulMatBitwise(t testing.TB, name string, m *CSR, k int, rng *rand.Rand) {
+	t.Helper()
+	r, c := m.Rows, m.Cols
+	cols := make([][]float64, k)
+	want := make([][]float64, k)
+	for j := range cols {
+		cols[j] = make([]float64, c)
+		for i := range cols[j] {
+			cols[j][i] = rng.NormFloat64()
+		}
+		want[j] = make([]float64, r)
+		m.MulVec(want[j], cols[j])
+	}
+	x := interleave(cols)
+
+	check := func(variant string, y []float64) {
+		t.Helper()
+		for j := 0; j < k; j++ {
+			for i := 0; i < r; i++ {
+				if y[i*k+j] != want[j][i] {
+					t.Fatalf("%s k=%d %s: column %d row %d = %x, MulVec %x",
+						name, k, variant, j, i, y[i*k+j], want[j][i])
 				}
 			}
 		}
+	}
 
-		y := make([]float64, r*k)
-		m.MulMat(y, x, k)
-		check("MulMat", y)
+	y := make([]float64, r*k)
+	m.MulMat(y, x, k)
+	check("MulMat", y)
 
-		rows := make([]int, r)
-		for i := range rows {
-			rows[i] = i
+	rows := make([]int, r)
+	for i := range rows {
+		rows[i] = i
+	}
+	ys := make([]float64, r*k)
+	m.MulMatScatter(ys, x, rows, k)
+	check("MulMatScatter", ys)
+	ysp := make([]float64, r*k)
+	m.MulMatScatterPar(ysp, x, rows, k)
+	check("MulMatScatterPar", ysp)
+}
+
+// TestMulMatColumnsBitwiseMulVec holds the SpMM determinism contract on
+// random matrices at every width of mulMatWidths.
+func TestMulMatColumnsBitwiseMulVec(t *testing.T) {
+	rng := rand.New(rand.NewSource(42))
+	for _, k := range mulMatWidths {
+		for trial := 0; trial < 3; trial++ {
+			r := 1 + rng.Intn(40)
+			c := 1 + rng.Intn(40)
+			m := FromDense(r, c, randDense(rng, r, c, 0.3))
+			checkMulMatBitwise(t, fmt.Sprintf("trial %d", trial), m, k, rng)
 		}
-		ys := make([]float64, r*k)
-		m.MulMatScatter(ys, x, rows, k)
-		check("MulMatScatter", ys)
-		ysp := make([]float64, r*k)
-		m.MulMatScatterPar(ysp, x, rows, k)
-		check("MulMatScatterPar", ysp)
 	}
 }
 

@@ -42,6 +42,30 @@ func ParDotN(x, y []float64, threads int) float64 {
 	return s
 }
 
+// ParDot2 returns the pair (x'y, u'v) from one pass over the four vectors:
+// Dot2 per chunk of ParDot's grid, the two partial lists summed in index
+// order. Each result is bit-identical to ParDot of its own pair.
+func ParDot2(x, y, u, v []float64) (float64, float64) {
+	if len(x) != len(y) || len(u) != len(v) || len(x) != len(u) {
+		panic("vec: ParDot2 length mismatch")
+	}
+	n := len(x)
+	if n < parThreshold {
+		return Dot2(x, y, u, v)
+	}
+	nchunks := reduceChunks(n)
+	partial := make([]float64, 2*nchunks)
+	Parallel(n, nchunks, 0, func(c, lo, hi int) {
+		partial[2*c], partial[2*c+1] = Dot2(x[lo:hi], y[lo:hi], u[lo:hi], v[lo:hi])
+	})
+	var s, t float64
+	for c := 0; c < nchunks; c++ {
+		s += partial[2*c]
+		t += partial[2*c+1]
+	}
+	return s, t
+}
+
 // ParNrm2Sq returns the squared Euclidean norm x'x, splitting the work
 // across the shared worker pool for large vectors. Like Nrm2Sq it carries no
 // overflow guard (partial sums must compose across ranks). It is exactly

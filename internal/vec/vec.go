@@ -22,6 +22,23 @@ func Dot(x, y []float64) float64 {
 	return s
 }
 
+// Dot2 returns the pair (x'y, u'v) from one pass over the four vectors. The
+// two sums are independent accumulators, each with Dot's exact operation
+// sequence, so each is bit-identical to its own Dot. It panics if any
+// lengths differ.
+func Dot2(x, y, u, v []float64) (float64, float64) {
+	if len(x) != len(y) || len(u) != len(v) || len(x) != len(u) {
+		panic("vec: Dot2 length mismatch")
+	}
+	y, u, v = y[:len(x)], u[:len(x)], v[:len(x)]
+	var s, t float64
+	for i, xv := range x {
+		s += xv * y[i]
+		t += u[i] * v[i]
+	}
+	return s, t
+}
+
 // Axpy computes y += a*x in place. It panics if the lengths differ.
 func Axpy(a float64, x, y []float64) {
 	if len(x) != len(y) {

@@ -202,6 +202,61 @@ func TestParDotMatchesDot(t *testing.T) {
 	}
 }
 
+// TestParDot2BitwiseParDot: each half of the fused pair is bit-identical to
+// ParDot of its own vectors, below and above parThreshold (a partial last
+// chunk included), as the driver pairs them — (r, r) with (r, z), and the
+// p'Ap of two columns — on data with -0, subnormals, subnormal products and,
+// one kind per case, +Inf, -Inf, NaN and Inf - Inf.
+func TestParDot2BitwiseParDot(t *testing.T) {
+	rng := rand.New(rand.NewSource(4))
+	specials := []struct {
+		name   string
+		values []float64
+	}{
+		{"finite", nil},
+		{"+inf", []float64{math.Inf(1)}},
+		{"-inf", []float64{math.Inf(-1)}},
+		{"nan", []float64{math.NaN()}},
+		{"inf-inf", []float64{math.Inf(1), math.Inf(-1)}},
+	}
+	fill := func(n int, special []float64) []float64 {
+		x := make([]float64, n)
+		for i := range x {
+			switch rng.Intn(8) {
+			case 0:
+				x[i] = math.Copysign(0, -1)
+			case 1:
+				x[i] = math.SmallestNonzeroFloat64 * float64(1+rng.Intn(1000))
+			case 2:
+				x[i] = 1e-160 * rng.NormFloat64() // products are subnormal
+			default:
+				x[i] = rng.NormFloat64()
+			}
+		}
+		for _, s := range special {
+			if n > 0 {
+				x[rng.Intn(n)] = s
+			}
+		}
+		return x
+	}
+	same := func(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+	for _, n := range []int{0, 1, parThreshold - 1, parThreshold, parThreshold + parChunk + 3} {
+		for _, sp := range specials {
+			name := sp.name
+			x, y, u, v := fill(n, sp.values), fill(n, nil), fill(n, sp.values), fill(n, nil)
+			if rr, rz := ParDot2(x, x, x, y); !same(rr, ParNrm2Sq(x)) || !same(rz, ParDot(x, y)) {
+				t.Fatalf("n=%d %s: ParDot2(r, r, r, z) = (%x, %x), ParNrm2Sq %x, ParDot %x",
+					n, name, rr, rz, ParNrm2Sq(x), ParDot(x, y))
+			}
+			if a, b := ParDot2(x, y, u, v); !same(a, ParDot(x, y)) || !same(b, ParDot(u, v)) {
+				t.Fatalf("n=%d %s: ParDot2(p0, u0, p1, u1) = (%x, %x), ParDot %x, %x",
+					n, name, a, b, ParDot(x, y), ParDot(u, v))
+			}
+		}
+	}
+}
+
 func TestParAxpyMatchesAxpy(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	n := 2*parThreshold + 13
