@@ -5,8 +5,9 @@
 //
 //	esrd [-addr :8080] [-workers 4] [-queue 256] [-max-jobs 4096]
 //	     [-job-ttl 0] [-prep-cache 8] [-prep-ttl 10m] [-max-matrices 64]
-//	     [-transport chan|chaos|net] [-strategy esr|checkpoint|restart]
-//	     [-block-size 0] [-peers 0] [-drain-timeout 30s] [-pprof addr]
+//	     [-transport chan|chaos|net] [-strategy esr|checkpoint|restart|twin]
+//	     [-twin-interval 0] [-sdc-check-interval 0] [-block-size 0]
+//	     [-peers 0] [-drain-timeout 30s] [-pprof addr]
 //	     [-trace-iters 0] [-data-dir dir] [-fsync] [-log-format text|json]
 //	esrd -worker    (internal: one rank of a multi-process solve)
 //

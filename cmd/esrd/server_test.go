@@ -195,13 +195,11 @@ func TestQuickTransportJob(t *testing.T) {
 	}
 }
 
-// TestCompatThreadsFieldRejected: "threads" is no longer a config field, so a
-// submission carrying it is refused whole — a 400 invalid_argument naming the
-// field — rather than run with the cap silently ignored.
-func TestCompatThreadsFieldRejected(t *testing.T) {
-	ts, eng := newTestServer(t, 1)
-	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(
-		`{"matrix": {"generator": "poisson2d", "params": {"nx": 8}}, "config": {"ranks": 2, "threads": 2}}`))
+// postRefused posts a raw job body and returns the response status and the
+// error envelope's code and message.
+func postRefused(t *testing.T, ts *httptest.Server, body string) (status int, code, message string) {
+	t.Helper()
+	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,13 +213,47 @@ func TestCompatThreadsFieldRejected(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
 		t.Fatal(err)
 	}
-	if resp.StatusCode != http.StatusBadRequest || out.Error.Code != "invalid_argument" ||
-		!strings.Contains(out.Error.Message, `"threads"`) {
-		t.Fatalf("submit with threads: status %d, error %+v; want 400 invalid_argument naming the field",
-			resp.StatusCode, out.Error)
+	return resp.StatusCode, out.Error.Code, out.Error.Message
+}
+
+// TestCompatThreadsFieldRejected: "threads" is no longer a config field, so a
+// submission carrying it is refused whole — a 400 invalid_argument naming the
+// field — rather than run with the cap silently ignored.
+func TestCompatThreadsFieldRejected(t *testing.T) {
+	ts, eng := newTestServer(t, 1)
+	status, code, msg := postRefused(t, ts,
+		`{"matrix": {"generator": "poisson2d", "params": {"nx": 8}}, "config": {"ranks": 2, "threads": 2}}`)
+	if status != http.StatusBadRequest || code != "invalid_argument" || !strings.Contains(msg, `"threads"`) {
+		t.Fatalf("submit with threads: status %d, error %s %q; want 400 invalid_argument naming the field",
+			status, code, msg)
 	}
 	if jobs := eng.List(); len(jobs) != 0 {
 		t.Fatalf("refused submission left %d job records", len(jobs))
+	}
+}
+
+// TestQuickPhiZeroFailStopIs400: a phi-0 job whose fail-stop schedule would
+// run under ESR cannot be recovered, so it is refused at the door — 400
+// invalid_argument naming phi — not accepted and failed without an error
+// class. The same job under the checkpoint strategy is accepted.
+func TestQuickPhiZeroFailStopIs400(t *testing.T) {
+	ts, eng := newTestServer(t, 1)
+	const job = `{"matrix": {"generator": "poisson2d", "params": {"nx": 8}},
+		"config": {"ranks": 4, %s"schedule": [{"iteration": 3, "ranks": [1]}]}}`
+	status, code, msg := postRefused(t, ts, fmt.Sprintf(job, ""))
+	if status != http.StatusBadRequest || code != "invalid_argument" || !strings.Contains(msg, "phi") {
+		t.Fatalf("phi-0 fail-stop job: status %d, error %s %q; want 400 invalid_argument naming phi",
+			status, code, msg)
+	}
+	if jobs := eng.List(); len(jobs) != 0 {
+		t.Fatalf("refused submission left %d job records", len(jobs))
+	}
+	var spec engine.JobSpec
+	if err := json.Unmarshal([]byte(fmt.Sprintf(job, `"strategy": "checkpoint", `)), &spec); err != nil {
+		t.Fatal(err)
+	}
+	if st := waitState(t, ts, postJob(t, ts, spec), 30*time.Second); st.State != engine.StateDone {
+		t.Fatalf("phi-0 fail-stop job under checkpoint: %s: %s", st.State, st.Error)
 	}
 }
 

@@ -193,8 +193,8 @@ const (
 )
 
 // Strategy names accepted by Config (the wire format). The typed Strategy
-// constants in options.go (ESRStrategy, CheckpointStrategy, RestartStrategy)
-// are the session-API equivalents.
+// constants in options.go (ESRStrategy, CheckpointStrategy, RestartStrategy,
+// TwinStrategy) are the session-API equivalents.
 const (
 	StrategyESR        = engine.StrategyESR
 	StrategyCheckpoint = engine.StrategyCheckpoint

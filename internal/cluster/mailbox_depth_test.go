@@ -34,7 +34,7 @@ func TestMailboxStaysShallow(t *testing.T) {
 		all[r] = r
 	}
 	rt := cluster.New(ranks)
-	sol, err := ps.SolveOn(context.Background(), rt, all, b, engine.SolveOpts{})
+	sol, err := ps.SolveOn(context.Background(), rt, all, b, engine.Config{}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

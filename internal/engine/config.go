@@ -114,7 +114,7 @@ const (
 	// redundancy plan, preconditioner factors): together with the matrix they
 	// identify a prepared session and key the engine's session cache.
 	ScopePrep Scope = "prep"
-	// ScopeRun fields are run policy, resolved per solve (see SolveOpts):
+	// ScopeRun fields are run policy, resolved per solve (see overlay):
 	// solves differing only in them share one prepared session.
 	ScopeRun Scope = "run"
 	// ScopeBatch fields only shape how a batch of right-hand sides is grouped.
@@ -126,16 +126,32 @@ const (
 // fieldScope reads a Config field's declared scope.
 func fieldScope(f reflect.StructField) Scope { return Scope(f.Tag.Get("scope")) }
 
-// prepFields indexes Config's prep-scoped fields.
-var prepFields = func() (idx []int) {
+// prepFields indexes Config's prep-scoped fields; solveFields the rest, the
+// run-, batch- and observer-scoped fields a per-solve Config may set.
+var prepFields, solveFields = func() (prep, solve []int) {
 	t := reflect.TypeOf(Config{})
 	for i := 0; i < t.NumField(); i++ {
 		if fieldScope(t.Field(i)) == ScopePrep {
-			idx = append(idx, i)
+			prep = append(prep, i)
+		} else {
+			solve = append(solve, i)
 		}
 	}
-	return idx
+	return prep, solve
 }()
+
+// overlay sets c's per-solve fields from o wherever o's is non-zero: the
+// call's value wins, zero keeps c's. o's prep-scoped fields are ignored — a
+// prepared session's numeric state cannot change per solve. o is a pointer
+// so the reflection does not copy (and heap-allocate) the Config.
+func (c *Config) overlay(o *Config) {
+	dst, src := reflect.ValueOf(c).Elem(), reflect.ValueOf(o).Elem()
+	for _, i := range solveFields {
+		if f := src.Field(i); !f.IsZero() {
+			dst.Field(i).Set(f)
+		}
+	}
+}
 
 // Config controls a solve. The zero value selects the paper's experimental
 // setup. Numerical defaults (Tol, MaxIter, LocalTol) are NOT filled in here:
@@ -302,9 +318,10 @@ func (c Config) PrepIdentity() string {
 }
 
 // InvalidConfigError reports a Config field rejected by validation: Field is
-// the field's JSON name, Value the rejected value, Reason what is accepted
-// instead. For a rule binding two fields (a method and the strategy it
-// cannot run under), Field is the one to change.
+// the field's JSON name, Value the rejected value (nil for a schedule, whose
+// Reason names the offending event), Reason what is accepted instead. For a
+// rule binding two fields (a method and the strategy it cannot run under),
+// Field is the one to change.
 type InvalidConfigError struct {
 	Field  string
 	Value  any
@@ -313,6 +330,9 @@ type InvalidConfigError struct {
 
 // Error implements the error interface.
 func (e *InvalidConfigError) Error() string {
+	if e.Value == nil {
+		return fmt.Sprintf("engine: invalid %s: %s", e.Field, e.Reason)
+	}
 	return fmt.Sprintf("engine: invalid %s %#v: %s", e.Field, e.Value, e.Reason)
 }
 
@@ -325,11 +345,13 @@ func invalid(field string, value any, format string, args ...any) error {
 }
 
 // Validate checks the configuration after WithDefaults normalization, field
-// by field and then the rules binding a method to the rest. It is called at
-// job submission, at session preparation and on every solve's resolved run
-// policy, so invalid configurations are rejected at the door rather than
-// failing (or silently diverging) mid-solve. Every rejection is an
-// *InvalidConfigError (class xerr.InvalidArgument).
+// by field, then the rules binding a method to the rest, then the failure
+// schedule against the ranks and the redundancy its recovery needs. It is
+// called at job submission (with the daemon defaults applied), at session
+// preparation and on every solve's resolved run policy, so invalid
+// configurations are rejected at the door rather than failing (or silently
+// diverging) mid-solve. Every rejection is an *InvalidConfigError (class
+// xerr.InvalidArgument).
 func (c Config) Validate() error {
 	c = c.WithDefaults()
 	switch c.Preconditioner {
@@ -394,6 +416,16 @@ func (c Config) Validate() error {
 			return invalid("method", c.Method, "does not run the silent-data-corruption check (use %q or %q)",
 				MethodAuto, MethodESRPCG)
 		}
+	}
+	if err := c.Schedule.Validate(c.Ranks); err != nil {
+		return &InvalidConfigError{Field: "schedule", Reason: err.Error()}
+	}
+	if c.Phi == 0 && c.Schedule.HasFailStop() && (c.Strategy == StrategyESR || c.Strategy == StrategyTwin) {
+		// Only ESR reconstruction needs redundancy (the twin strategy delegates
+		// its fail-stop recovery to it); checkpoint/restart roll back without
+		// it, and corruption-only schedules never lose a node's state.
+		return invalid("phi", c.Phi, "a fail-stop schedule under strategy %q needs phi >= 1 (or strategy %q or %q)",
+			c.Strategy, StrategyCheckpoint, StrategyRestart)
 	}
 	return nil
 }

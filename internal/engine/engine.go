@@ -586,7 +586,11 @@ func (e *Engine) Close() {
 // Submit validates and enqueues a job, returning its id. The queue is FIFO:
 // workers pick jobs up in submission order.
 func (e *Engine) Submit(spec JobSpec) (string, error) {
-	if err := spec.Validate(); err != nil {
+	// Validate the Config the job will run under: a daemon default strategy
+	// decides, for one, whether a phi-0 failure schedule is servable.
+	checked := spec
+	checked.Config = e.defaults.apply(spec.Config)
+	if err := checked.Validate(); err != nil {
 		return "", err
 	}
 	ctx, cancel := context.WithCancelCause(context.Background())
@@ -1039,8 +1043,8 @@ func (e *Engine) run(j *job) {
 	// The session is built policy-free — the prep-scoped fields only, plus
 	// the builder's fabric for the build's own symbolic exchange — because it
 	// is shared by jobs with different run policies and must not bake the
-	// builder's in as their fallback (a method, an armed detector, a thread
-	// cap). Each job passes its whole policy via SolveOpts.
+	// builder's in as their fallback (a method, an armed detector, a
+	// schedule). Each job passes its whole Config as the solve's policy.
 	prepCfg := cfg.prepOnly()
 	prepCfg.Transport, prepCfg.TransportSeed = cfg.Transport, cfg.TransportSeed
 	build := func() (*Prepared, error) {
@@ -1111,12 +1115,11 @@ func (e *Engine) run(j *job) {
 		}
 	}
 
-	opts := SolveOptsOf(cfg)
 	// Chain the observers onto the solve: any caller-supplied tracer (from
 	// an in-process Config), the job's bounded trace capture (when the
 	// engine runs with TraceIters > 0) and the always-on metric tracer. All
 	// are rank-0-only observers; tracing never changes results.
-	tracers := []core.Tracer{opts.Tracer}
+	tracers := []core.Tracer{cfg.Tracer}
 	if e.traceIters > 0 {
 		ring := newTraceRing(e.traceIters)
 		j.mu.Lock()
@@ -1125,14 +1128,14 @@ func (e *Engine) run(j *job) {
 		tracers = append(tracers, ring)
 	}
 	tracers = append(tracers, e.metrics.solveTracer(cfg.Strategy))
-	opts.Tracer = core.MultiTracer(tracers...)
-	opts.Progress = j.progressSink()
+	cfg.Tracer = core.MultiTracer(tracers...)
+	cfg.Progress = j.progressSink()
 
 	var sol Solution
 	if len(batch) > 0 {
-		sol, err = e.solveBatch(ctx, cfg, prep, opts, batch)
+		sol, err = e.solveBatch(ctx, cfg, prep, batch)
 	} else {
-		sol, err = prep.Solve(ctx, b, opts)
+		sol, err = prep.Solve(ctx, b, cfg)
 	}
 	e.finishJob(j, sol, err)
 }
@@ -1141,10 +1144,10 @@ func (e *Engine) run(j *job) {
 // prepared session in BlockSize-wide lockstep groups (Prepared.SolveChunked;
 // block_size 1 is its width-1 case). Any per-column breakdown fails the whole
 // job, naming the offending columns.
-func (e *Engine) solveBatch(ctx context.Context, cfg Config, prep *Prepared, opts SolveOpts, batch [][]float64) (Solution, error) {
+func (e *Engine) solveBatch(ctx context.Context, cfg Config, prep *Prepared, batch [][]float64) (Solution, error) {
 	k := len(batch)
 	e.metrics.batchRHS.Add(float64(k))
-	sols, err := prep.SolveChunked(ctx, batch, opts, cfg.BlockSize, func(width int) {
+	sols, err := prep.SolveChunked(ctx, batch, cfg, func(width int) {
 		e.metrics.blockSolves.Add(1)
 		e.metrics.blockRHS.Add(float64(width))
 	})

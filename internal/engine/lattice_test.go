@@ -228,7 +228,7 @@ func TestConfigurationLattice(t *testing.T) {
 // returns the first contract violation ("" for none).
 func checkLatticePoint(p latticePoint, a *sparse.CSR, ps *Prepared) string {
 	bs := latticeRHS(a.Rows, p.width, p.seed)
-	opts := SolveOpts{Tol: latticeTol, Schedule: p.sched, Strategy: p.strategy,
+	opts := Config{Tol: latticeTol, Schedule: p.sched, Strategy: p.strategy,
 		CheckpointInterval: latticeInterval, SDCCheckInterval: p.sdc}
 	ctx, cancel := context.WithTimeout(context.Background(), latticeDeadline)
 	defer cancel()

@@ -70,7 +70,7 @@ func netProcessKillBitIdentical(t *testing.T, cfg engine.Config) {
 		t.Fatal(err)
 	}
 	defer ps.Close()
-	ref, err := ps.Solve(context.Background(), b, engine.SolveOpts{Schedule: sched})
+	ref, err := ps.Solve(context.Background(), b, engine.Config{Schedule: sched})
 	if err != nil {
 		t.Fatal(err)
 	}

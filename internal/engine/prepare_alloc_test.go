@@ -125,7 +125,7 @@ func TestSessionHoldsNoSliceOfTheInput(t *testing.T) {
 		solve := func() [2]Solution {
 			var out [2]Solution
 			for i, s := range []*faults.Schedule{nil, sched()} {
-				if out[i], err = ps.Solve(context.Background(), b, SolveOpts{Tol: 1e-10, Schedule: s}); err != nil {
+				if out[i], err = ps.Solve(context.Background(), b, Config{Tol: 1e-10, Schedule: s}); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -189,7 +189,7 @@ func TestBatchWorkingSetBudget(t *testing.T) {
 	runtime.GC()
 	runtime.GC()
 	runtime.ReadMemStats(&before)
-	if _, _, err := ps.SolveBlock(context.Background(), bs, SolveOpts{Tol: 1e-10, Progress: progress}); err != nil {
+	if _, _, err := ps.SolveBlock(context.Background(), bs, Config{Tol: 1e-10, Progress: progress}); err != nil {
 		t.Fatal(err)
 	}
 	if !measured {
@@ -229,12 +229,12 @@ func TestSolveLeavesRHSUntouched(t *testing.T) {
 	fail := func() *faults.Schedule { return faults.NewSchedule(faults.Simultaneous(5, 2, 3)) }
 	for _, tc := range []struct {
 		name string
-		opts SolveOpts
+		opts Config
 	}{
-		{"failure-free", SolveOpts{}},
-		{"esr episode", SolveOpts{Schedule: fail()}},
-		{"checkpoint rollback", SolveOpts{Strategy: StrategyCheckpoint, CheckpointInterval: 3, Schedule: fail()}},
-		{"twin", SolveOpts{Strategy: StrategyTwin, Schedule: fail()}},
+		{"failure-free", Config{}},
+		{"esr episode", Config{Schedule: fail()}},
+		{"checkpoint rollback", Config{Strategy: StrategyCheckpoint, CheckpointInterval: 3, Schedule: fail()}},
+		{"twin", Config{Strategy: StrategyTwin, Schedule: fail()}},
 	} {
 		tc.opts.Tol = 1e-10
 		sol, err := ps.Solve(context.Background(), bs[0], tc.opts)

@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -12,7 +11,6 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/distmat"
-	"repro/internal/faults"
 	"repro/internal/partition"
 	"repro/internal/precond"
 	"repro/internal/sparse"
@@ -32,55 +30,9 @@ var ErrPreparedClosed = xerr.New(xerr.Unavailable, "engine: prepared solver sess
 // blocks must use the sparse ILU(0)/IC(0) factorizations.
 const maxCholBlock = 4096
 
-// SolveOpts are the per-solve parameters of a prepared session: the run
-// policy — every Config field of scope "run", none of which shapes the
-// expensive setup (partitioning, distributed symbolic phase, preconditioner
-// factorization) — plus the per-solve observers and hooks. Zero-valued
-// tolerances defer to the core.Options defaults, exactly as in Config; the
-// policy fields from Method down read zero as the session's default, i.e.
-// the Config it was prepared with.
-type SolveOpts struct {
-	// Tol is the relative residual reduction target (<= 0: core default).
-	Tol float64
-	// MaxIter bounds the PCG iterations (<= 0: core default).
-	MaxIter int
-	// LocalTol is the reconstruction subsystem tolerance (<= 0: core
-	// default).
-	LocalTol float64
-	// Schedule injects node failures into this solve (nil: failure-free).
-	// A non-empty schedule needs a session prepared with phi >= 1.
-	Schedule *faults.Schedule
-	// Method overrides the session's solver method for this solve ("" keeps
-	// the session's; MethodSPCG needs the session prepared with the
-	// split-capable "ic0" preconditioner).
-	Method string
-	// Transport and TransportSeed pick the fabric of this solve's runtime.
-	Transport     string
-	TransportSeed int64
-	// Strategy, CheckpointInterval and TwinInterval pick this solve's
-	// failure-recovery strategy and its period.
-	Strategy           string
-	CheckpointInterval int
-	TwinInterval       int
-	// SDCCheckInterval arms the true-residual drift check on this solve.
-	SDCCheckInterval int
-	// Progress observes this solve from rank 0 (may be nil).
-	Progress core.ProgressFunc
-	// Tracer observes this solve's per-iteration phase timings, residual
-	// trajectory and recovery episodes from rank 0 (may be nil). Tracing is
-	// observer-only: traced solves are bit-identical to untraced ones.
-	Tracer core.Tracer
-	// OnFailure, when non-nil, is installed on every rank: called at the
-	// failure poll point after a fresh scheduled event fires, before
-	// recovery. The multi-process net fabric uses it to turn the scheduled
-	// event into a real process death (see core.Options.OnFailure).
-	OnFailure func(j int, victims []int)
-	// Resume, when non-nil, makes the solve join a failure episode already
-	// in progress instead of starting from iteration 0 — the entry path of
-	// a replacement OS process (see core.Options.Resume). Only meaningful
-	// with SolveOn.
-	Resume *core.EpisodeResume
-}
+// SolveOpts is the former name of a solve's per-call Config, kept as an
+// alias for callers that still spell it.
+type SolveOpts = Config
 
 // preparedRank is the per-rank state built once and reused by every solve:
 // the distributed matrix template (symbolic halo plan, redundancy protocol,
@@ -256,10 +208,9 @@ func (ps *Prepared) foldStrategyStats(strategy string, delta core.StrategyStats)
 
 // Prepare builds a reusable solver session for the SPD system matrix a. Only
 // cfg's prep-scoped fields shape what is built (see Config.PrepIdentity); its
-// run-policy fields become the session's defaults, which every Solve can
-// override through SolveOpts, and Transport also picks the fabric of the
-// build's own symbolic exchange. Tolerances, schedule and observers are
-// passed to each Solve. The caller must Close the session when done.
+// other fields become the session's defaults, which every Solve's Config can
+// override, and Transport also picks the fabric of the build's own symbolic
+// exchange. The caller must Close the session when done.
 func Prepare(a *sparse.CSR, cfg Config) (*Prepared, error) {
 	return PrepareContext(context.Background(), a, cfg)
 }
@@ -338,34 +289,17 @@ func (ps *Prepared) Phi() int { return ps.cfg.Phi }
 // with: its prep-scoped fields and its default run policy.
 func (ps *Prepared) Config() Config { return ps.cfg }
 
-// policy resolves one solve's run policy: the session's Config overlaid with
-// the call's tolerances, schedule and non-zero policy fields, validated as a
-// whole — so the rules binding a method to a strategy, a schedule, the
-// detector or the prepared preconditioner are Config.Validate's alone.
-func (ps *Prepared) policy(o SolveOpts) (Config, error) {
+// policy resolves one solve's policy: the session's Config overlaid with the
+// call's non-zero per-solve fields (Config.overlay), validated as a whole —
+// so every rule binding a method, a strategy, a schedule or the detector to
+// the prepared state is Config.Validate's alone. The overlay's reflection
+// puts the resolved Config on the heap anyway, so it is returned by pointer
+// for the solve's rank closures to share.
+func (ps *Prepared) policy(o *Config) (*Config, error) {
 	c := ps.cfg
-	c.Tol, c.MaxIter, c.LocalTol, c.Schedule = o.Tol, o.MaxIter, o.LocalTol, o.Schedule
-	c.Method = cmp.Or(o.Method, c.Method)
-	c.Transport = cmp.Or(o.Transport, c.Transport)
-	c.TransportSeed = cmp.Or(o.TransportSeed, c.TransportSeed)
-	c.Strategy = cmp.Or(o.Strategy, c.Strategy)
-	c.CheckpointInterval = cmp.Or(o.CheckpointInterval, c.CheckpointInterval)
-	c.TwinInterval = cmp.Or(o.TwinInterval, c.TwinInterval)
-	c.SDCCheckInterval = cmp.Or(o.SDCCheckInterval, c.SDCCheckInterval)
+	c.overlay(o)
 	if err := c.Validate(); err != nil {
-		return Config{}, err
-	}
-	if err := c.Schedule.Validate(c.Ranks); err != nil {
-		return Config{}, err
-	}
-	if c.Schedule.HasFailStop() && c.Phi == 0 &&
-		(c.Strategy == StrategyESR || c.Strategy == StrategyTwin) {
-		// Reject at the door instead of spinning up the runtime just for
-		// the solver's own resilience-enabled check to fail. Only ESR
-		// reconstruction needs redundancy (the twin strategy delegates its
-		// fail-stop recovery to it); checkpoint/restart roll back without
-		// it, and corruption-only schedules never lose a node's state.
-		return Config{}, fmt.Errorf("esr: a fail-stop schedule needs a session prepared with phi >= 1 (or a checkpoint/restart recovery strategy)")
+		return nil, err
 	}
 	c = c.WithDefaults() // resolves a per-call "fast" to chan
 	if c.Method == MethodAuto {
@@ -380,16 +314,18 @@ func (ps *Prepared) policy(o SolveOpts) (Config, error) {
 			c.Method = MethodPCG
 		}
 	}
-	return c, nil
+	return &c, nil
 }
 
 // Solve runs one solve of A x = b against the prepared state. It is safe to
 // call concurrently: every call forks the per-rank matrix templates (fresh
 // scratch and retention state) onto its own rank runtime, while the
 // partition and the factored preconditioners are shared read-only.
-// Cancelling ctx aborts only this solve's runtime.
-func (ps *Prepared) Solve(ctx context.Context, b []float64, opts SolveOpts) (Solution, error) {
-	return ps.solveOne(ctx, nil, nil, b, opts)
+// Cancelling ctx aborts only this solve's runtime. opts is the call's
+// policy: its non-zero run-, batch- and observer-scoped fields override the
+// session's, its prep-scoped fields are ignored.
+func (ps *Prepared) Solve(ctx context.Context, b []float64, opts Config) (Solution, error) {
+	return ps.solveOne(ctx, nil, nil, b, &opts, core.Options{})
 }
 
 // SolveOn runs one solve on a caller-provided runtime, driving only the
@@ -401,7 +337,16 @@ func (ps *Prepared) Solve(ctx context.Context, b []float64, opts SolveOpts) (Sol
 // session's rank count; the caller owns the runtime and its transport
 // lifecycle. The returned Solution carries the result only on the process
 // hosting rank 0 (a zero Solution elsewhere).
-func (ps *Prepared) SolveOn(ctx context.Context, rt *cluster.Runtime, localRanks []int, b []float64, opts SolveOpts) (Solution, error) {
+//
+// onFailure and resume are in-process hooks, not policy (either may be nil).
+// onFailure is installed on every local rank: called at the failure poll
+// point after a fresh scheduled event fires, before recovery — the net
+// fabric turns the event into a real process death there (see
+// core.Options.OnFailure). resume makes the solve join a failure episode
+// already in progress instead of starting from iteration 0 — the entry path
+// of a replacement OS process (see core.Options.Resume).
+func (ps *Prepared) SolveOn(ctx context.Context, rt *cluster.Runtime, localRanks []int, b []float64, opts Config,
+	onFailure func(j int, victims []int), resume *core.EpisodeResume) (Solution, error) {
 	if rt == nil {
 		return Solution{}, fmt.Errorf("esr: SolveOn needs a runtime")
 	}
@@ -411,16 +356,20 @@ func (ps *Prepared) SolveOn(ctx context.Context, rt *cluster.Runtime, localRanks
 	if len(localRanks) == 0 {
 		return Solution{}, fmt.Errorf("esr: SolveOn needs at least one local rank")
 	}
-	return ps.solveOne(ctx, rt, localRanks, b, opts)
+	return ps.solveOne(ctx, rt, localRanks, b, &opts, core.Options{OnFailure: onFailure, Resume: resume})
 }
 
 // solveOne is the width-1 case of solveOn: the column's own breakdown or
 // divergence is the solve's error.
-func (ps *Prepared) solveOne(ctx context.Context, rt *cluster.Runtime, localRanks []int, b []float64, opts SolveOpts) (Solution, error) {
+func (ps *Prepared) solveOne(ctx context.Context, rt *cluster.Runtime, localRanks []int, b []float64, opts *Config, hooks core.Options) (Solution, error) {
 	if len(b) != ps.n {
 		return Solution{}, xerr.Newf(xerr.InvalidArgument, "esr: rhs length %d != matrix rows %d", len(b), ps.n)
 	}
-	sols, colErrs, err := ps.solveOn(ctx, rt, localRanks, [][]float64{b}, opts)
+	cfg, err := ps.policy(opts)
+	if err != nil {
+		return Solution{}, err
+	}
+	sols, colErrs, err := ps.solveOn(ctx, rt, localRanks, [][]float64{b}, cfg, hooks)
 	if err == nil {
 		err = colErrs[0]
 	}
@@ -430,34 +379,26 @@ func (ps *Prepared) solveOne(ctx context.Context, rt *cluster.Runtime, localRank
 	return sols[0], nil
 }
 
-// coreOptions assembles the rank-independent core.Options of one solve from
-// its resolved policy.
-func coreOptions(ctx context.Context, cfg Config, opts SolveOpts) core.Options {
-	return core.Options{Tol: cfg.Tol, MaxIter: cfg.MaxIter, LocalTol: cfg.LocalTol,
-		Ctx: ctx, SDCCheck: cfg.SDCCheckInterval,
-		OnFailure: opts.OnFailure, Resume: opts.Resume}
-}
-
 // solveOn is the one solve body: the k systems A x[c] = bs[c] run in
-// lockstep through the width-k core driver, and Solve/SolveOn are its k = 1
-// case. A nil rt means "build a fresh single-process runtime over the
-// session's transport" (which the call then owns); localRanks nil means all
-// ranks. The returned slices are aligned with bs: colErrs[c] reports a
+// lockstep through the width-k core driver under cfg, a policy resolved by
+// policy; Solve/SolveOn are its k = 1 case. hooks carries only the
+// in-process callbacks (OnFailure, Resume); cfg fills in the rest of the
+// core.Options. A nil rt means "build a fresh single-process runtime over
+// the session's transport" (which the call then owns); localRanks nil means
+// all ranks. The returned slices are aligned with bs: colErrs[c] reports a
 // per-column breakdown, divergence or detected corruption (the corresponding
 // Solution is zero-valued); the error return is a global failure aborting
 // the block.
-func (ps *Prepared) solveOn(ctx context.Context, rt *cluster.Runtime, localRanks []int, bs [][]float64, opts SolveOpts) ([]Solution, []error, error) {
+func (ps *Prepared) solveOn(ctx context.Context, rt *cluster.Runtime, localRanks []int, bs [][]float64, cfg *Config, hooks core.Options) ([]Solution, []error, error) {
 	k := len(bs)
-	cfg, err := ps.policy(opts)
-	if err != nil {
-		return nil, nil, err
-	}
 	if localRanks != nil && len(localRanks) < cfg.Ranks && cfg.Strategy != StrategyESR {
 		// The rollback strategies keep cross-rank state (the checkpoint
 		// store) inside one process; they cannot span a mesh.
 		return nil, nil, fmt.Errorf("esr: multi-process solves support only the %q strategy, got %q", StrategyESR, cfg.Strategy)
 	}
-	copts := coreOptions(ctx, cfg, opts)
+	copts := hooks
+	copts.Tol, copts.MaxIter, copts.LocalTol = cfg.Tol, cfg.MaxIter, cfg.LocalTol
+	copts.Ctx, copts.SDCCheck = ctx, cfg.SDCCheckInterval
 
 	ownsRT := rt == nil
 	ps.mu.Lock()
@@ -466,7 +407,7 @@ func (ps *Prepared) solveOn(ctx context.Context, rt *cluster.Runtime, localRanks
 		return nil, nil, ErrPreparedClosed
 	}
 	if ownsRT {
-		rt = cluster.New(cfg.Ranks, cluster.WithTransport(newTransport(cfg)))
+		rt = cluster.New(cfg.Ranks, cluster.WithTransport(newTransport(*cfg)))
 	}
 	ps.active[rt] = struct{}{}
 	ps.wg.Add(1)
@@ -491,7 +432,7 @@ func (ps *Prepared) solveOn(ctx context.Context, rt *cluster.Runtime, localRanks
 		}
 	}
 
-	strat, store := newStrategy(cfg, rt)
+	strat, store := newStrategy(*cfg, rt)
 	var matvecObs func(distmat.MatVecTimings)
 	if ps.matvecSink != nil {
 		matvecObs = ps.matvecSink(rt.Transport().Name())
@@ -503,7 +444,7 @@ func (ps *Prepared) solveOn(ctx context.Context, rt *cluster.Runtime, localRanks
 	// results0 keeps rank 0's per-column results (partial ones when the
 	// solve failed globally) for the strategy stats.
 	var results0 []core.Result
-	err = rt.RunLocalContext(ctx, localRanks, func(c *cluster.Comm) error {
+	err := rt.RunLocalContext(ctx, localRanks, func(c *cluster.Comm) error {
 		pr := ps.prep[c.Rank()]
 		e := distmat.WorldEnv(c)
 		m := pr.m.Fork()
@@ -524,10 +465,10 @@ func (ps *Prepared) solveOn(ctx context.Context, rt *cluster.Runtime, localRanks
 		}
 		ropts := copts
 		if c.Rank() == 0 {
-			ropts.Progress = opts.Progress
-			ropts.Tracer = opts.Tracer
+			ropts.Progress = cfg.Progress
+			ropts.Tracer = cfg.Tracer
 		}
-		results, errsPerCol, err := core.SolveBlock(e, m, X, B, pr.precond(cfg), ropts, cfg.Schedule, strat)
+		results, errsPerCol, err := core.SolveBlock(e, m, X, B, pr.precond(*cfg), ropts, cfg.Schedule, strat)
 		if c.Rank() == 0 {
 			mu.Lock()
 			results0 = results

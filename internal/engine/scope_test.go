@@ -13,14 +13,35 @@ import (
 )
 
 // TestQuickConfigScopes fails when a knob is added without a scope, or with
-// one the prepared-session identity disagrees with: every Config field must
-// declare exactly one of the four scopes (serialized fields a non-observer
-// one), changing any prep field must change the prep key, and changing any
-// other field must leave it alone.
+// one the prepared-session identity or the per-solve overlay disagrees with:
+// every Config field must declare exactly one of the four scopes (serialized
+// fields a non-observer one), changing any prep field must change the prep
+// key, and changing any other field must leave it alone. The overlay reads
+// the same tags: on a session holding one value of a non-prep field, a
+// per-call Config setting another must resolve to the call's, one leaving it
+// zero to the session's, and a per-call prep field must change nothing. A new
+// non-prep field of a kind solveSentinels knows reaches the solve with no
+// edit to the solve path; any other kind fails here until taught.
 func TestQuickConfigScopes(t *testing.T) {
 	// SSOR so that every prep field, omega included, shapes preparation.
 	base := Config{Ranks: 4, Phi: 1, Preconditioner: PrecondSSOR, SSOROmega: 1.1}
 	baseKey := prepKey("h", base)
+	policyOn := func(session, call Config) Config {
+		t.Helper()
+		ps := &Prepared{cfg: session.WithDefaults()}
+		got, err := ps.policy(&call)
+		if err != nil {
+			t.Fatalf("policy(%+v) on session %+v: %v", call, session, err)
+		}
+		return *got
+	}
+	same := func(a, b reflect.Value) bool {
+		if a.Kind() == reflect.Func {
+			return a.Pointer() == b.Pointer()
+		}
+		return a.Interface() == b.Interface()
+	}
+	unchanged := policyOn(base, Config{})
 	typ := reflect.TypeOf(base)
 	for i := 0; i < typ.NumField(); i++ {
 		f := typ.Field(i)
@@ -63,11 +84,62 @@ func TestQuickConfigScopes(t *testing.T) {
 		if keyChanged := prepKey("h", changed) != baseKey; keyChanged != (scope == ScopePrep) {
 			t.Errorf("%s (scope %q): changing it changed the prep key = %v", f.Name, scope, keyChanged)
 		}
+
+		if scope == ScopePrep {
+			if got := policyOn(base, changed); !reflect.DeepEqual(got, unchanged) {
+				t.Errorf("%s: setting it per call changed the resolved policy: %+v, want %+v", f.Name, got, unchanged)
+			}
+			continue
+		}
+		sessionVal, callVal := solveSentinels(t, f)
+		session, call := base, Config{}
+		reflect.ValueOf(&session).Elem().Field(i).Set(sessionVal)
+		reflect.ValueOf(&call).Elem().Field(i).Set(callVal)
+		if got := reflect.ValueOf(policyOn(session, call)).Field(i); !same(got, callVal) {
+			t.Errorf("%s (scope %q): the call's value did not reach the resolved policy: got %v, want %v",
+				f.Name, scope, got, callVal)
+		}
+		if got := reflect.ValueOf(policyOn(session, Config{})).Field(i); !same(got, sessionVal) {
+			t.Errorf("%s (scope %q): left zero per call, it did not keep the session's value: got %v, want %v",
+				f.Name, scope, got, sessionVal)
+		}
 	}
 	// Omega identifies prepared state only under the preconditioner that reads it.
 	if prepKey("h", Config{Ranks: 4}) != prepKey("h", Config{Ranks: 4, SSOROmega: 1.7}) {
 		t.Error("ssor_omega keys the prep cache under a preconditioner that ignores it")
 	}
+}
+
+// solveSentinels returns a session value and a different per-call value of
+// the non-prep Config field f, both valid on a four-rank phi-1 session.
+// Numeric fields need no entry; any other field must be taught here.
+func solveSentinels(t *testing.T, f reflect.StructField) (session, call reflect.Value) {
+	t.Helper()
+	var a, b any
+	switch f.Type.Kind() {
+	case reflect.Int, reflect.Int64:
+		a, b = 3, 5
+	case reflect.Float64:
+		a, b = 0.25, 0.5
+	default:
+		switch f.Name {
+		case "Method":
+			a, b = MethodPCG, MethodESRPCG
+		case "Transport":
+			a, b = TransportChaos, TransportNet
+		case "Strategy":
+			a, b = StrategyCheckpoint, StrategyRestart
+		case "Schedule":
+			a, b = faults.NewSchedule(faults.Simultaneous(3, 1)), faults.NewSchedule(faults.Simultaneous(5, 2))
+		case "Progress":
+			a, b = func(core.ProgressEvent) {}, func(core.ProgressEvent) {}
+		case "Tracer":
+			a, b = &countingTracer{}, &countingTracer{}
+		default:
+			t.Fatalf("%s: teach solveSentinels a session and a per-call value of this %s field", f.Name, f.Type)
+		}
+	}
+	return reflect.ValueOf(a).Convert(f.Type), reflect.ValueOf(b).Convert(f.Type)
 }
 
 // TestEnginePolicySharesOnePreparedSession: jobs on one registered matrix
@@ -124,7 +196,7 @@ func TestEnginePolicySharesOnePreparedSession(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		want, err := prep.Solve(context.Background(), b, SolveOptsOf(cfgs[name]))
+		want, err := prep.Solve(context.Background(), b, cfgs[name])
 		prep.Close()
 		if err != nil {
 			t.Fatalf("%s: native solve: %v", name, err)

@@ -20,21 +20,6 @@ type Solution struct {
 	Results []core.Result `json:"results,omitempty"`
 }
 
-// SolveOptsOf lowers a Config onto the per-solve parameters of a prepared
-// session — the one Config -> SolveOpts lowering, used by the one-shot path,
-// the engine's jobs, esr.Solver and the net workers. Fields cfg leaves at
-// zero fall back to the session's defaults.
-func SolveOptsOf(cfg Config) SolveOpts {
-	return SolveOpts{
-		Tol: cfg.Tol, MaxIter: cfg.MaxIter, LocalTol: cfg.LocalTol,
-		Schedule: cfg.Schedule, Method: cfg.Method,
-		Transport: cfg.Transport, TransportSeed: cfg.TransportSeed,
-		Strategy: cfg.Strategy, CheckpointInterval: cfg.CheckpointInterval,
-		TwinInterval: cfg.TwinInterval, SDCCheckInterval: cfg.SDCCheckInterval,
-		Progress: cfg.Progress, Tracer: cfg.Tracer,
-	}
-}
-
 // SolveSystem distributes the SPD system A x = b over an in-process cluster
 // and runs the resilient PCG solver, injecting the configured failures. It
 // is the one-shot entry point behind esr.Solve / esr.SolveContext: a
@@ -49,5 +34,5 @@ func SolveSystem(ctx context.Context, a *sparse.CSR, b []float64, cfg Config) (S
 		return Solution{}, err
 	}
 	defer ps.Close()
-	return ps.Solve(ctx, b, SolveOptsOf(cfg))
+	return ps.Solve(ctx, b, cfg)
 }

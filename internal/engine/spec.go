@@ -297,7 +297,7 @@ func (e *InvalidRHSError) Is(target error) bool { return target == xerr.InvalidA
 // length against want (when want > 0, else against the first column) and
 // element finiteness — BEFORE any solve launches, returning a typed
 // *InvalidRHSError naming the offending column. Shared by JobSpec.Validate
-// and the public SolveBatch entry point.
+// and the prepared session's batch entry points.
 func validateBatch(batch [][]float64, want int) error {
 	for i, b := range batch {
 		w := want
@@ -319,8 +319,9 @@ func validateBatch(batch [][]float64, want int) error {
 }
 
 // Validate performs the cheap structural checks done at submission time
-// (before a worker spends time materializing the matrix). Every rejection
-// carries the xerr.InvalidArgument class.
+// (before a worker spends time materializing the matrix), the Config as
+// given; Engine.Submit checks it with the daemon defaults applied. Every
+// rejection carries the xerr.InvalidArgument class.
 func (s JobSpec) Validate() error {
 	return xerr.Ensure(xerr.InvalidArgument, s.validate())
 }
@@ -365,14 +366,7 @@ func (s JobSpec) validate() error {
 			return err
 		}
 	}
-	cfg := s.Config.WithDefaults()
-	if err := cfg.Validate(); err != nil {
-		return err
-	}
-	if err := cfg.Schedule.Validate(cfg.Ranks); err != nil {
-		return err
-	}
-	return nil
+	return s.Config.Validate()
 }
 
 // Materialize builds the concrete system (matrix and right-hand side).

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/faults"
 	"repro/internal/matgen"
+	"repro/internal/xerr"
 )
 
 // TestQuickStrategyConfigValidation: strategy names and checkpoint intervals
@@ -71,7 +72,7 @@ func TestQuickStrategyConfigValidation(t *testing.T) {
 	for i := range spcgOnes {
 		spcgOnes[i] = 1
 	}
-	sol, err := prepSPCG.Solve(context.Background(), spcgOnes, SolveOpts{Schedule: faults.NewSchedule(faults.Simultaneous(6, 1))})
+	sol, err := prepSPCG.Solve(context.Background(), spcgOnes, Config{Schedule: faults.NewSchedule(faults.Simultaneous(6, 1))})
 	if err != nil || !sol.Result.Converged || sol.Result.WorkIterations != sol.Result.Iterations+3 {
 		t.Fatalf("spcg+checkpoint under a failure at 6 (rollback to 4 redoes 4, 5 and the begun 6): %+v, err %v", sol.Result, err)
 	}
@@ -90,7 +91,7 @@ func TestQuickStrategyConfigValidation(t *testing.T) {
 	for i := range ones {
 		ones[i] = 1
 	}
-	if _, err := prepCk.Solve(context.Background(), ones, SolveOpts{Method: MethodPCG}); err == nil ||
+	if _, err := prepCk.Solve(context.Background(), ones, Config{Method: MethodPCG}); err == nil ||
 		!strings.Contains(err.Error(), "strategy-free") {
 		t.Fatalf("per-solve pcg on a checkpoint session: want strategy error, got %v", err)
 	}
@@ -181,7 +182,7 @@ func TestStrategySessionAndEngineGauges(t *testing.T) {
 	if prep.StrategyName() != StrategyCheckpoint {
 		t.Fatalf("StrategyName = %q", prep.StrategyName())
 	}
-	sol, err := prep.Solve(context.Background(), b, SolveOpts{Schedule: sched})
+	sol, err := prep.Solve(context.Background(), b, Config{Schedule: sched})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,9 +243,9 @@ func TestStrategyScheduleNeedsPhiOnlyForESR(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer prep.Close()
-	if _, err := prep.Solve(context.Background(), b, SolveOpts{Schedule: sched}); err == nil ||
+	if _, err := prep.Solve(context.Background(), b, Config{Schedule: sched}); !errors.Is(err, xerr.InvalidArgument) ||
 		!strings.Contains(err.Error(), "phi") {
-		t.Fatalf("ESR at phi 0 must reject a schedule, got %v", err)
+		t.Fatalf("ESR at phi 0 must reject a schedule as an invalid argument, got %v", err)
 	}
 
 	for _, strat := range []string{StrategyCheckpoint, StrategyRestart} {
@@ -257,5 +258,40 @@ func TestStrategyScheduleNeedsPhiOnlyForESR(t *testing.T) {
 		if !sol.Result.Converged || len(sol.Result.Reconstructions) != 1 {
 			t.Fatalf("strategy %q: %+v", strat, sol.Result)
 		}
+	}
+}
+
+// TestQuickPhiZeroFailStopRefusedAtSubmit: whether a phi-0 job's fail-stop
+// schedule is servable depends on the strategy it will run under, its own or
+// the daemon's default. Under esr or twin Submit refuses it — an
+// invalid_argument *InvalidConfigError naming phi, no job record — instead of
+// accepting a job bound to fail; under checkpoint, or a restart default, it
+// is accepted.
+func TestQuickPhiZeroFailStopRefusedAtSubmit(t *testing.T) {
+	spec := func(strategy string) JobSpec {
+		return JobSpec{
+			Matrix: MatrixSpec{Generator: "poisson2d", Params: map[string]float64{"nx": 8}},
+			Config: Config{Ranks: 4, Strategy: strategy, Schedule: faults.NewSchedule(faults.Simultaneous(3, 1))},
+		}
+	}
+	eng := New(Options{Workers: 1})
+	defer eng.Close()
+	for _, s := range []string{"", StrategyESR, StrategyTwin} {
+		var cfgErr *InvalidConfigError
+		if _, err := eng.Submit(spec(s)); !errors.As(err, &cfgErr) || cfgErr.Field != "phi" ||
+			!errors.Is(err, xerr.InvalidArgument) {
+			t.Fatalf("strategy %q: Submit = %v, want an invalid_argument *InvalidConfigError on phi", s, err)
+		}
+	}
+	if jobs := eng.List(); len(jobs) != 0 {
+		t.Fatalf("refused submissions left %d job records", len(jobs))
+	}
+	if _, err := eng.Submit(spec(StrategyCheckpoint)); err != nil {
+		t.Fatalf("checkpoint at phi 0: %v", err)
+	}
+	restart := New(Options{Workers: 1, Defaults: Defaults{Strategy: StrategyRestart}})
+	defer restart.Close()
+	if _, err := restart.Submit(spec("")); err != nil {
+		t.Fatalf("restart default at phi 0: %v", err)
 	}
 }

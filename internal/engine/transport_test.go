@@ -79,9 +79,9 @@ func TestCrossTransportBitIdentical(t *testing.T) {
 		defer ps.Close()
 		var sol Solution
 		if tr == poisoned {
-			sol, err = ps.solveOne(context.Background(), poisonedRuntime(ps.Ranks()), nil, b, SolveOpts{Schedule: sched()})
+			sol, err = ps.solveOne(context.Background(), poisonedRuntime(ps.Ranks()), nil, b, &Config{Schedule: sched()}, core.Options{})
 		} else {
-			sol, err = ps.Solve(context.Background(), b, SolveOpts{Schedule: sched()})
+			sol, err = ps.Solve(context.Background(), b, Config{Schedule: sched()})
 		}
 		if err != nil {
 			t.Fatalf("transport %q: %v", tr, err)
@@ -134,7 +134,7 @@ func TestCrossTransportBitIdentical(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer ps.Close()
-		sol, err := ps.Solve(context.Background(), b, SolveOpts{
+		sol, err := ps.Solve(context.Background(), b, Config{
 			Schedule: sched(),
 			Tracer: core.MultiTracer(traceFunc{
 				iter: func(it core.IterationTrace) { iters = append(iters, it) },
@@ -228,19 +228,19 @@ func TestPoisonedRecyclerBitIdentical(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer ps.Close()
-		opts := func() SolveOpts {
-			return SolveOpts{Schedule: faults.NewSchedule(
+		opts := func() *Config {
+			return &Config{Schedule: faults.NewSchedule(
 				faults.BitFlip(5, 1, faults.TargetX, 3, 52),
 				faults.Simultaneous(8, 2),
 				faults.BitFlip(12, 0, faults.TargetR, 0, 51),
 			)}
 		}
 		b := rhs(a.Rows, 0)
-		want, err := ps.Solve(ctx, b, opts())
+		want, err := ps.Solve(ctx, b, *opts())
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := ps.solveOne(ctx, poisonedRuntime(4), nil, b, opts())
+		got, err := ps.solveOne(ctx, poisonedRuntime(4), nil, b, opts(), core.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -267,7 +267,11 @@ func TestPoisonedRecyclerBitIdentical(t *testing.T) {
 			for j := range bs {
 				bs[j] = rhs(a.Rows, j)
 			}
-			blocked, colErrs, err := ps.solveOn(ctx, poisonedRuntime(4), nil, bs, SolveOpts{Schedule: sched()})
+			cfg, err := ps.policy(&Config{Schedule: sched()})
+			if err != nil {
+				t.Fatal(err)
+			}
+			blocked, colErrs, err := ps.solveOn(ctx, poisonedRuntime(4), nil, bs, cfg, core.Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -275,11 +279,11 @@ func TestPoisonedRecyclerBitIdentical(t *testing.T) {
 				if colErrs[j] != nil {
 					t.Fatalf("column %d: %v", j, colErrs[j])
 				}
-				want, err := ps.Solve(ctx, bs[j], SolveOpts{Schedule: sched()})
+				want, err := ps.Solve(ctx, bs[j], Config{Schedule: sched()})
 				if err != nil {
 					t.Fatal(err)
 				}
-				looped, err := ps.solveOne(ctx, poisonedRuntime(4), nil, bs[j], SolveOpts{Schedule: sched()})
+				looped, err := ps.solveOne(ctx, poisonedRuntime(4), nil, bs[j], &Config{Schedule: sched()}, core.Options{})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -321,7 +325,7 @@ func TestQuickTransportSessionStats(t *testing.T) {
 	for i := range b {
 		b[i] = 1
 	}
-	if _, err := prep.Solve(context.Background(), b, SolveOpts{}); err != nil {
+	if _, err := prep.Solve(context.Background(), b, Config{}); err != nil {
 		t.Fatal(err)
 	}
 	afterSolve := prep.TransportStats()

@@ -136,7 +136,7 @@ func session(a *sparse.CSR, ranks, phi int) (*engine.Prepared, error) {
 // difference around the solve (the experiments solve one at a time). A solve
 // the armed drift check classified as failed returns with SDCFailed set and a
 // nil error — the detection itself is the measurement.
-func measure(ps *engine.Prepared, opts engine.SolveOpts) (StrategyMeasurement, error) {
+func measure(ps *engine.Prepared, opts engine.Config) (StrategyMeasurement, error) {
 	before := ps.StrategyStats()
 	sol, err := ps.Solve(context.Background(), rhsFor(ps.N()), opts)
 	st, res := ps.StrategyStats(), sol.Result
@@ -191,8 +191,8 @@ func SolveOnce(a *sparse.CSR, ranks, phi int, sched *faults.Schedule, tol, local
 // policy is the per-solve policy every experiment starts from: the sweep's
 // tolerances and a failure schedule (nil for none); the session's defaults —
 // ESR recovery, no detector — apply to what it leaves unset.
-func (cfg Config) policy(sched *faults.Schedule) engine.SolveOpts {
-	return engine.SolveOpts{Tol: cfg.Tol, LocalTol: cfg.LocalTol, Schedule: sched}
+func (cfg Config) policy(sched *faults.Schedule) engine.Config {
+	return engine.Config{Tol: cfg.Tol, LocalTol: cfg.LocalTol, Schedule: sched}
 }
 
 // forEachPhi prepares a's session at each configured redundancy level in turn
@@ -217,7 +217,7 @@ func (cfg Config) forEachPhi(a *sparse.CSR, body func(ps *engine.Prepared) error
 }
 
 // strategyRuns measures Reps solves on ps under one per-solve policy.
-func (cfg Config) strategyRuns(ps *engine.Prepared, opts engine.SolveOpts) ([]StrategyMeasurement, error) {
+func (cfg Config) strategyRuns(ps *engine.Prepared, opts engine.Config) ([]StrategyMeasurement, error) {
 	out := make([]StrategyMeasurement, 0, cfg.Reps)
 	for rep := 0; rep < cfg.Reps; rep++ {
 		m, err := measure(ps, opts)

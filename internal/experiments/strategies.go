@@ -66,7 +66,7 @@ func SolveStrategyOnce(a *sparse.CSR, ranks, phi int, sched *faults.Schedule, st
 		return StrategyMeasurement{}, err
 	}
 	defer ps.Close()
-	return measure(ps, engine.SolveOpts{Tol: tol, LocalTol: localTol, Schedule: sched, Strategy: strategy,
+	return measure(ps, engine.Config{Tol: tol, LocalTol: localTol, Schedule: sched, Strategy: strategy,
 		CheckpointInterval: interval, TwinInterval: interval, SDCCheckInterval: sdcCheck})
 }
 

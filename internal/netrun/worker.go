@@ -136,10 +136,8 @@ func RunWorker() error {
 		}
 	}()
 
-	opts := engine.SolveOptsOf(cfg)
-	opts.Resume = start.Resume
 	debug := os.Getenv("NET_TRANSPORT_DEBUG") != ""
-	opts.OnFailure = func(j int, victims []int) {
+	onFailure := func(j int, victims []int) {
 		if debug {
 			fmt.Fprintf(os.Stderr, "[worker rank=%d inc=%d] OnFailure j=%d victims=%v\n", rank, inc, j, victims)
 		}
@@ -165,13 +163,13 @@ func RunWorker() error {
 		}
 	}
 	if rank == 0 {
-		opts.Progress = func(ev core.ProgressEvent) {
+		cfg.Progress = func(ev core.ProgressEvent) {
 			e := ev
 			send(ctrlMsg{Type: msgProgress, Event: &e})
 		}
 	}
 
-	sol, serr := prep.SolveOn(ctx, rt, []int{rank}, b, opts)
+	sol, serr := prep.SolveOn(ctx, rt, []int{rank}, b, cfg, onFailure, start.Resume)
 	res := ctrlMsg{Type: msgResult, Rank: rank, Incarnation: inc}
 	st := tr.Stats()
 	res.Stats = &st

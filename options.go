@@ -308,7 +308,9 @@ func WithLocalTolerance(tol float64) Option {
 
 // WithSchedule injects the deterministic failure schedule into every solve
 // of the session (or into one solve when passed to Solver.Solve).
-// Solve-scoped; needs a session prepared with phi >= 1.
+// Solve-scoped. Under ESRStrategy or TwinStrategy a schedule with fail-stop
+// events needs a session prepared with phi >= 1: NewSolver and Solve refuse
+// it otherwise with an *InvalidConfigError naming phi.
 func WithSchedule(s *Schedule) Option {
 	return func(c *Config) error {
 		c.Schedule = s

@@ -74,13 +74,12 @@ func (s *Solver) StrategyName() string { return s.prep.StrategyName() }
 // compare the strategies' overhead and recovery cost on live workloads.
 func (s *Solver) StrategyStats() StrategyStats { return s.prep.StrategyStats() }
 
-// solveOpts resolves the per-call configuration: the session's, overridden
+// callConfig resolves the per-call configuration: the session's, overridden
 // by opts. Only the preparation-scoped fields must not change — the
 // session's partition, redundancy protocol and preconditioner are already
 // built; Config.PrepIdentity, which also keys esrd's session cache, says
-// which those are. The resolved Config is returned alongside for the
-// batch-scoped BlockSize, which does not lower onto SolveOpts.
-func (s *Solver) solveOpts(opts []Option) (engine.SolveOpts, Config, error) {
+// which those are. The prepared session validates the rest.
+func (s *Solver) callConfig(opts []Option) (Config, error) {
 	session := s.prep.Config()
 	cfg := session
 	for _, opt := range opts {
@@ -88,7 +87,7 @@ func (s *Solver) solveOpts(opts []Option) (engine.SolveOpts, Config, error) {
 			continue
 		}
 		if err := opt(&cfg); err != nil {
-			return engine.SolveOpts{}, Config{}, err
+			return Config{}, err
 		}
 	}
 	// PrepIdentity defaults first: a per-call FromConfig may have reset prep
@@ -98,13 +97,10 @@ func (s *Solver) solveOpts(opts []Option) (engine.SolveOpts, Config, error) {
 		cfg.Ranks = s.prep.N()
 	}
 	if cfg.PrepIdentity() != session.PrepIdentity() {
-		return engine.SolveOpts{}, Config{}, fmt.Errorf(
+		return Config{}, fmt.Errorf(
 			"esr: preparation-scoped option (ranks, phi, preconditioner, ssor omega) passed to Solve; set it on NewSolver")
 	}
-	if err := cfg.Validate(); err != nil {
-		return engine.SolveOpts{}, Config{}, err
-	}
-	return engine.SolveOptsOf(cfg), cfg.WithDefaults(), nil
+	return cfg, nil
 }
 
 // Solve runs one solve of A x = b against the prepared session state. Every
@@ -116,11 +112,11 @@ func (s *Solver) solveOpts(opts []Option) (engine.SolveOpts, Config, error) {
 // preconditioner (SPCG needs an IC0 session). Cancelling ctx aborts only
 // this solve; sibling solves on the same session are unaffected.
 func (s *Solver) Solve(ctx context.Context, b []float64, opts ...Option) (Solution, error) {
-	so, _, err := s.solveOpts(opts)
+	cfg, err := s.callConfig(opts)
 	if err != nil {
 		return Solution{}, err
 	}
-	return s.prep.Solve(ctx, b, so)
+	return s.prep.Solve(ctx, b, cfg)
 }
 
 // SolveBatch solves one system per right-hand side, reusing the prepared
@@ -143,14 +139,11 @@ func (s *Solver) SolveBatch(ctx context.Context, bs [][]float64, opts ...Option)
 	if len(bs) == 0 {
 		return nil, nil
 	}
-	so, cfg, err := s.solveOpts(opts)
+	cfg, err := s.callConfig(opts)
 	if err != nil {
 		return nil, err
 	}
-	if err := s.prep.ValidateBatch(bs); err != nil {
-		return nil, err
-	}
-	return s.prep.SolveChunked(ctx, bs, so, cfg.BlockSize, nil)
+	return s.prep.SolveChunked(ctx, bs, cfg, nil)
 }
 
 // Close tears the session down: subsequent Solve calls fail with

@@ -424,9 +424,27 @@ func TestSolverMethodsAndOptions(t *testing.T) {
 		t.Fatalf("per-solve FromConfig: %v", err)
 	}
 	// A schedule needs phi >= 1 on this phi-0 session.
-	if _, err := s.Solve(context.Background(), b, WithSchedule(NewSchedule(Simultaneous(1, 1)))); err == nil {
-		t.Fatal("schedule on phi-0 session accepted")
+	if _, err := s.Solve(context.Background(), b, WithSchedule(NewSchedule(Simultaneous(1, 1)))); !errors.Is(err, ErrInvalidArgument) {
+		t.Fatalf("schedule on phi-0 session: got %v, want an invalid-argument refusal", err)
 	}
+}
+
+// TestQuickPhiZeroFailStopRefused: a fail-stop schedule under ESR needs
+// redundancy, so a phi-0 session built with one is refused at NewSolver — an
+// *InvalidConfigError naming phi — while a rollback strategy serves it.
+func TestQuickPhiZeroFailStopRefused(t *testing.T) {
+	a := Poisson2D(8, 8)
+	sched := WithSchedule(NewSchedule(Simultaneous(3, 1)))
+	var cfgErr *InvalidConfigError
+	if _, err := NewSolver(a, WithRanks(4), sched); !errors.As(err, &cfgErr) || cfgErr.Field != "phi" ||
+		!errors.Is(err, ErrInvalidArgument) {
+		t.Fatalf("NewSolver at phi 0 with a fail-stop schedule: got %v, want an *InvalidConfigError on phi", err)
+	}
+	s, err := NewSolver(a, WithRanks(4), sched, WithStrategy(RestartStrategy))
+	if err != nil {
+		t.Fatalf("restart strategy at phi 0: %v", err)
+	}
+	s.Close()
 }
 
 // TestQuickSolverTransport: sessions default to the fabric they were
