@@ -176,39 +176,6 @@ func BenchmarkSparsityLatency(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationBackupStrategy compares the paper's Eqn. 5 neighbour
-// backups + Eqn. 6 top-ups against the adaptive strategy (the paper's
-// future-work item): per-iteration extra elements and modelled overhead on
-// the banded M5 class versus the scattered M3 class.
-func BenchmarkAblationBackupStrategy(b *testing.B) {
-	model := commmodel.DefaultModel()
-	for i := 0; i < b.N; i++ {
-		for _, id := range []string{"M3", "M5"} {
-			a := matgen.ByIDOrDie(id).Build(matgen.ScaleTiny)
-			p := partition.NewBlockRow(a.Rows, 8)
-			plans := commplan.BuildAll(a, p)
-			for _, strat := range []commplan.BackupStrategy{commplan.StrategyNeighbor, commplan.StrategyAdaptive} {
-				reds := make([]*commplan.Redundancy, len(plans))
-				for r, pl := range plans {
-					red, err := commplan.BuildRedundancyStrategy(pl, 3, strat)
-					if err != nil {
-						b.Fatal(err)
-					}
-					reds[r] = red
-				}
-				tot, err := commmodel.TotalOverhead(reds, model)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if i == 0 {
-					b.Logf("%s %-16v extras=%6d modelled=%.3e", id, strat, tot.ExtraElems, tot.Modelled)
-					b.ReportMetric(float64(tot.ExtraElems), fmt.Sprintf("%s_%v_extras", id, strat))
-				}
-			}
-		}
-	}
-}
-
 // BenchmarkPreparedVsOneShot measures repeated-right-hand-side throughput of
 // a prepared Solver session against the one-shot esr.Solve path on the same
 // Poisson2D system: one iteration serves 8 right-hand sides either through

@@ -86,9 +86,64 @@ func TestSendToMatchesSparsity(t *testing.T) {
 	if m := plans[0].Multiplicity(); m[0] != 0 || m[1] != 1 {
 		t.Fatalf("multiplicity = %v", m)
 	}
-	// Chen leftover of rank 0 is element 0.
-	if cl := plans[0].ChenLeftover(); len(cl) != 1 || cl[0] != 0 {
+	// At phi = 1 Eqn. 6 is Chen's Eqn. 4: rank 0's one top-up set is its
+	// leftover { s : m_0(s) = 0 } = {0}.
+	r, err := BuildRedundancy(plans[0], 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cl := r.Extra[0]; len(cl) != 1 || cl[0] != 0 {
 		t.Fatalf("Chen leftover = %v", cl)
+	}
+}
+
+// TestRedundancyVolumeFloor pins Eqn. 6's per-SpMV volume — halo plus top-up
+// elements over all ranks — against the floor sum_s max(m_i(s), phi) that any
+// assignment giving every element phi distinct holders must pay, on the
+// benchmark workloads' generators at 8 ranks. Eqn. 6 sits on the floor
+// except for the circuit pattern at phi 3, where a few elements a late
+// backup already receives are topped up in an earlier round too.
+func TestRedundancyVolumeFloor(t *testing.T) {
+	const ranks = 8
+	for _, mat := range []struct {
+		name string
+		a    *sparse.CSR
+	}{
+		{"poisson", matgen.Poisson2D(64, 64)},
+		{"elasticity", matgen.Elasticity3D(14, 14, 14, 27, 8)},
+		{"circuit", matgen.CircuitLike(12000, 2.9, 0.35, 3)},
+	} {
+		p := partition.NewBlockRow(mat.a.Rows, ranks)
+		plans := BuildAll(mat.a, p)
+		for _, phi := range []int{1, 3, 7} {
+			t.Run(fmt.Sprintf("%s/phi%d", mat.name, phi), func(t *testing.T) {
+				excess := 0.0 // largest allowed volume/floor - 1
+				if mat.name == "circuit" && phi == 3 {
+					excess = 0.02
+				}
+				volume, floor := 0, 0
+				for _, pl := range plans {
+					r, err := BuildRedundancy(pl, phi)
+					if err != nil {
+						t.Fatal(err)
+					}
+					for _, m := range pl.Multiplicity() {
+						volume += m
+						floor += max(m, phi)
+					}
+					for _, ex := range r.Extra {
+						volume += len(ex)
+					}
+				}
+				t.Logf("volume %d, floor %d (%+.2f %%)", volume, floor, 100*float64(volume-floor)/float64(floor))
+				if volume < floor {
+					t.Fatalf("volume %d below the floor %d: some element has fewer than phi holders", volume, floor)
+				}
+				if float64(volume) > float64(floor)*(1+excess) {
+					t.Fatalf("volume %d exceeds the floor %d by more than %.0f %%", volume, floor, 100*excess)
+				}
+			})
+		}
 	}
 }
 
@@ -329,6 +384,24 @@ func TestNoExtrasWhenPatternSuffices(t *testing.T) {
 		for k, extra := range r.Extra {
 			if len(extra) != 0 {
 				t.Fatalf("rank %d round %d: unexpected extras %v", pl.Rank, k+1, extra)
+			}
+		}
+	}
+}
+
+// On a circulant banded pattern whose halo covers the Eqn. 5 backups of every
+// rank, boundary ranks included, the backup sequence sends zero extras.
+func TestStrategiesAgreeOnWideBand(t *testing.T) {
+	a := circulantBand(128, 48)
+	p := partition.NewBlockRow(a.Rows, 8)
+	for _, pl := range BuildAll(a, p) {
+		r, err := BuildRedundancy(pl, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k, ex := range r.Extra {
+			if len(ex) != 0 {
+				t.Fatalf("rank %d: unexpected extras in round %d", pl.Rank, k+1)
 			}
 		}
 	}

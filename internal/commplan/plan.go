@@ -7,10 +7,11 @@
 //     pattern of A under the block-row distribution,
 //   - the multiplicity m_i(s) = number of ranks element s is sent to
 //     (Eqn. 3),
-//   - Chen's leftover set R^c_i = { s : m_i(s) = 0 } (Eqn. 4),
 //   - the backup-rank sequence d_ik (Eqn. 5),
-//   - the minimal redundancy top-up sets R^c_ik (Eqn. 6) that guarantee at
-//     least phi copies of every element on phi distinct other ranks,
+//   - the redundancy top-up sets R^c_ik (Eqn. 6) that guarantee at least phi
+//     copies of every element on phi distinct other ranks; at phi = 1 the
+//     single top-up set is Chen's leftover set R^c_i = { s : m_i(s) = 0 }
+//     (Eqn. 4),
 //   - the per-round extra-latency predicate of the communication analysis
 //     (Sec. 4.2) and the banded-pattern sufficient condition of Sec. 5.
 package commplan
@@ -168,20 +169,6 @@ func (pl *HaloPlan) Multiplicity() []int {
 		}
 	}
 	return m
-}
-
-// ChenLeftover returns Chen's R^c_i = { s in S_i : m_i(s) = 0 } (Eqn. 4),
-// the elements that would be lost with the pure-SpMV redundancy, as sorted
-// global indices.
-func (pl *HaloPlan) ChenLeftover() []int {
-	lo, _ := pl.P.Range(pl.Rank)
-	var out []int
-	for off, m := range pl.Multiplicity() {
-		if m == 0 {
-			out = append(out, lo+off)
-		}
-	}
-	return out
 }
 
 // Validate cross-checks a set of plans for global consistency: rank i's

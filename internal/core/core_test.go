@@ -303,6 +303,31 @@ func TestESRMultipleSimultaneousFailures(t *testing.T) {
 	}
 }
 
+// On a scattered (circuit) pattern, where Eqn. 6 tops up the most elements,
+// ESR survives contiguous failure windows around the ring.
+func TestESRCircuitSurvivesContiguousWindows(t *testing.T) {
+	a := matgen.CircuitLike(600, 3, 0.5, 29)
+	const ranks, phi = 8, 2
+	for start := 0; start < ranks; start += 3 {
+		victims := faults.ContiguousRanks(start, phi, ranks)
+		sched := faults.NewSchedule(faults.Simultaneous(3, victims...))
+		out := runSolver(t, ranks, func(c *cluster.Comm) (Result, distmat.Vector, error) {
+			e, m, x, b, err := setupProblem(c, a, phi)
+			if err != nil {
+				return Result{}, x, err
+			}
+			res, err := ESRPCG(e, m, x, b, blockJacobi(t, m), Options{Tol: 1e-8}, sched)
+			return res, x, err
+		})
+		if out.err != nil {
+			t.Fatalf("window %v: %v", victims, out.err)
+		}
+		if !out.res.Converged {
+			t.Fatalf("window %v: did not converge", victims)
+		}
+	}
+}
+
 // Exact state reconstruction: with an exact local preconditioner and a tiny
 // local tolerance, the state after recovery must match the failure-free
 // run's state at the same iteration to near machine precision. We stop both

@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"repro/internal/cluster"
-	"repro/internal/commplan"
 	"repro/internal/matgen"
 	"repro/internal/partition"
 	"repro/internal/sparse"
@@ -245,9 +244,9 @@ func edgeCaseProblems() map[string]*sparse.CSR {
 // which are computed from ghost offsets — equals the reference build, and
 // OwnBlock, Diag and GhostProduct, read off the split, equal the same answers
 // computed from the row block, on the benchmark workloads' generators and the
-// hand-made corner patterns, with and without redundancy, under both backup
-// strategies. A view shares the split, so its OwnBlock and Diag are checked
-// too.
+// hand-made corner patterns, with and without redundancy under the paper's
+// Eqn. 5 neighbour backups. A view shares the split, so its OwnBlock and Diag
+// are checked too.
 func TestOnePassBuildEqualsReference(t *testing.T) {
 	type problem struct {
 		a     *sparse.CSR
@@ -262,59 +261,56 @@ func TestOnePassBuildEqualsReference(t *testing.T) {
 	}
 	for name, pb := range problems {
 		for _, phi := range []int{0, 3} {
-			for _, strat := range []commplan.BackupStrategy{commplan.StrategyNeighbor, commplan.StrategyAdaptive} {
-				name, pb, phi, strat := name, pb, phi, strat
-				t.Run(fmt.Sprintf("%s/phi%d/%s", name, phi, strat), func(t *testing.T) {
-					p := partition.NewBlockRow(pb.a.Rows, pb.ranks)
-					runSPMD(t, pb.ranks, func(c *cluster.Comm) error {
-						e := WorldEnv(c)
-						lo, hi := p.Range(e.Pos)
-						rows := pb.a.RowBlock(lo, hi)
-						m, err := NewMatrixStrategy(e, rows, p, phi, 0, strat)
+			t.Run(fmt.Sprintf("%s/phi%d/neighbor(eqn5)", name, phi), func(t *testing.T) {
+				p := partition.NewBlockRow(pb.a.Rows, pb.ranks)
+				runSPMD(t, pb.ranks, func(c *cluster.Comm) error {
+					e := WorldEnv(c)
+					lo, hi := p.Range(e.Pos)
+					rows := pb.a.RowBlock(lo, hi)
+					m, err := NewMatrix(e, rows, p, phi, 0)
+					if err != nil {
+						return err
+					}
+					ref := buildReference(m, rows)
+					if d := ref.diff(m); d != "" {
+						return fmt.Errorf("%s differs from the reference build", d)
+					}
+					// Views over this rank and one, two, all other members.
+					for _, others := range [][]int{{1}, {1, 2}, {2, pb.ranks - 1}, nil} {
+						members := []int{e.Pos}
+						for r := 0; r < pb.ranks; r++ {
+							if r != e.Pos && (others == nil || slices.Contains(others, (r-e.Pos+pb.ranks)%pb.ranks)) {
+								members = append(members, r)
+							}
+						}
+						sort.Ints(members)
+						sub := &Env{Members: members, Pos: slices.Index(members, e.Pos)}
+						v, err := m.Restrict(sub, 5)
 						if err != nil {
 							return err
 						}
-						ref := buildReference(m, rows)
-						if d := ref.diff(m); d != "" {
-							return fmt.Errorf("%s differs from the reference build", d)
+						if !reflect.DeepEqual(v.OwnBlock(), ref.ownBlock) || !slices.Equal(v.Diag(), ref.diag) {
+							return fmt.Errorf("view over %v: OwnBlock or Diag differs from the reference", members)
 						}
-						// Views over this rank and one, two, all other members.
-						for _, others := range [][]int{{1}, {1, 2}, {2, pb.ranks - 1}, nil} {
-							members := []int{e.Pos}
-							for r := 0; r < pb.ranks; r++ {
-								if r != e.Pos && (others == nil || slices.Contains(others, (r-e.Pos+pb.ranks)%pb.ranks)) {
-									members = append(members, r)
-								}
+						vPos, vDst := unplan(v.recvPlan)
+						for t, f := range members {
+							var pos, want []int
+							for i, g := range m.Plan.RecvFrom[f] {
+								pos = append(pos, i)
+								want = append(want, hi-lo+ref.ghostPos[g])
 							}
-							sort.Ints(members)
-							sub := &Env{Members: members, Pos: slices.Index(members, e.Pos)}
-							v, err := m.Restrict(sub, 5)
-							if err != nil {
-								return err
+							if f == e.Pos {
+								pos, want = nil, nil
 							}
-							if !reflect.DeepEqual(v.OwnBlock(), ref.ownBlock) || !slices.Equal(v.Diag(), ref.diag) {
-								return fmt.Errorf("view over %v: OwnBlock or Diag differs from the reference", members)
-							}
-							vPos, vDst := unplan(v.recvPlan)
-							for t, f := range members {
-								var pos, want []int
-								for i, g := range m.Plan.RecvFrom[f] {
-									pos = append(pos, i)
-									want = append(want, hi-lo+ref.ghostPos[g])
-								}
-								if f == e.Pos {
-									pos, want = nil, nil
-								}
-								if !slices.Equal(vPos[t], pos) || !slices.Equal(vDst[t], want) {
-									return fmt.Errorf("view over %v: receive plan [%d] copies %v to %v, reference %v to %v",
-										members, t, vPos[t], vDst[t], pos, want)
-								}
+							if !slices.Equal(vPos[t], pos) || !slices.Equal(vDst[t], want) {
+								return fmt.Errorf("view over %v: receive plan [%d] copies %v to %v, reference %v to %v",
+									members, t, vPos[t], vDst[t], pos, want)
 							}
 						}
-						return nil
-					})
+					}
+					return nil
 				})
-			}
+			})
 		}
 	}
 }

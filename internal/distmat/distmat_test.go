@@ -208,6 +208,58 @@ func TestMatVecRetention(t *testing.T) {
 	})
 }
 
+// Under the Eqn. 5 backup sequence, a resilient SpMV on a scattered
+// (circuit-like) pattern returns the exact product, and retention holds the
+// true value of every element the redundancy promises to this rank.
+func TestMatVecInvariantUnderStrategy(t *testing.T) {
+	a := matgen.CircuitLike(240, 3, 0.5, 17)
+	const ranks, phi = 6, 2
+	p := partition.NewBlockRow(a.Rows, ranks)
+	xFull := make([]float64, a.Rows)
+	for i := range xFull {
+		xFull[i] = math.Cos(float64(i) * 0.23)
+	}
+	want := make([]float64, a.Rows)
+	a.MulVec(want, xFull)
+
+	t.Run("neighbor(eqn5)", func(t *testing.T) {
+		runSPMD(t, ranks, func(c *cluster.Comm) error {
+			e := WorldEnv(c)
+			lo, hi := p.Range(e.Pos)
+			m, err := NewMatrix(e, a.RowBlock(lo, hi), p, phi, 0)
+			if err != nil {
+				return err
+			}
+			x := distribute(xFull, p, e.Pos)
+			y := NewVector(p, e.Pos)
+			if err := m.MatVec(e, y, x, 0); err != nil {
+				return err
+			}
+			for i := range y.Local {
+				if math.Abs(y.Local[i]-want[lo+i]) > 1e-12 {
+					return fmt.Errorf("MatVec wrong at %d", lo+i)
+				}
+			}
+			for src := 0; src < ranks; src++ {
+				idx := m.Ret.IndicesFrom(src)
+				if len(idx) == 0 {
+					continue
+				}
+				vals, err := m.Ret.ValuesFor(0, src, idx)
+				if err != nil {
+					return err
+				}
+				for t2, g := range idx {
+					if vals[t2] != xFull[g] {
+						return fmt.Errorf("retained value wrong for %d", g)
+					}
+				}
+			}
+			return nil
+		})
+	})
+}
+
 // Two resilient MatVecs retain exactly the two most recent generations.
 func TestMatVecGenerationEviction(t *testing.T) {
 	a := matgen.Poisson2D(8, 8)
@@ -241,6 +293,62 @@ func TestMatVecGenerationEviction(t *testing.T) {
 		newest, oldest = m.Ret.Generations()
 		if newest != 2 || oldest != 1 {
 			return fmt.Errorf("iter=-1 polluted retention: %d,%d", newest, oldest)
+		}
+		return nil
+	})
+}
+
+// The retention store owns the received payloads by reference; repeated
+// MatVec calls must not corrupt older generations through buffer reuse.
+func TestRetentionGenerationsIndependent(t *testing.T) {
+	a := matgen.Poisson2D(10, 10)
+	const ranks = 4
+	p := partition.NewBlockRow(a.Rows, ranks)
+	runSPMD(t, ranks, func(c *cluster.Comm) error {
+		e := WorldEnv(c)
+		lo, hi := p.Range(e.Pos)
+		m, err := NewMatrix(e, a.RowBlock(lo, hi), p, 1, 0)
+		if err != nil {
+			return err
+		}
+		x := NewVector(p, e.Pos)
+		y := NewVector(p, e.Pos)
+		// Generation 0 with value pattern A.
+		for i := range x.Local {
+			x.Local[i] = 100 + float64(lo+i)
+		}
+		if err := m.MatVec(e, y, x, 0); err != nil {
+			return err
+		}
+		// Generation 1 with a different pattern.
+		for i := range x.Local {
+			x.Local[i] = -(100 + float64(lo+i))
+		}
+		if err := m.MatVec(e, y, x, 1); err != nil {
+			return err
+		}
+		// Generation 0 values must still be pattern A.
+		for src := 0; src < ranks; src++ {
+			idx := m.Ret.IndicesFrom(src)
+			if len(idx) == 0 {
+				continue
+			}
+			v0, err := m.Ret.ValuesFor(0, src, idx)
+			if err != nil {
+				return err
+			}
+			v1, err := m.Ret.ValuesFor(1, src, idx)
+			if err != nil {
+				return err
+			}
+			for t2, g := range idx {
+				if v0[t2] != 100+float64(g) {
+					return fmt.Errorf("generation 0 corrupted at %d: %v", g, v0[t2])
+				}
+				if v1[t2] != -(100 + float64(g)) {
+					return fmt.Errorf("generation 1 wrong at %d: %v", g, v1[t2])
+				}
+			}
 		}
 		return nil
 	})

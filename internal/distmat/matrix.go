@@ -83,13 +83,6 @@ const matrixTagStride = 64
 // ctx distinguishes multiple matrices living in the same Env (system matrix,
 // explicit preconditioner, recovery submatrix).
 func NewMatrix(e *Env, rows *sparse.CSR, p partition.Partition, phi, ctx int) (*Matrix, error) {
-	return NewMatrixStrategy(e, rows, p, phi, ctx, commplan.StrategyNeighbor)
-}
-
-// NewMatrixStrategy is NewMatrix with an explicit backup-rank selection
-// strategy for the redundancy protocol (commplan.StrategyNeighbor is the
-// paper's Eqn. 5; commplan.StrategyAdaptive adapts to the sparsity pattern).
-func NewMatrixStrategy(e *Env, rows *sparse.CSR, p partition.Partition, phi, ctx int, strat commplan.BackupStrategy) (*Matrix, error) {
 	if p.Ranks() != e.Size() {
 		return nil, fmt.Errorf("distmat: partition ranks %d != env size %d", p.Ranks(), e.Size())
 	}
@@ -108,7 +101,7 @@ func NewMatrixStrategy(e *Env, rows *sparse.CSR, p partition.Partition, phi, ctx
 		tagBase: 2000 + ctx*matrixTagStride,
 	}
 	if phi > 0 {
-		m.Red, err = commplan.BuildRedundancyStrategy(plan, phi, strat)
+		m.Red, err = commplan.BuildRedundancy(plan, phi)
 		if err != nil {
 			return nil, err
 		}
@@ -243,9 +236,6 @@ func (m *Matrix) ghostSlot(k int) int {
 	}
 	return slot
 }
-
-// GhostCount returns the number of external vector elements the SpMV needs.
-func (m *Matrix) GhostCount() int { return len(m.ghost) }
 
 // InteriorRows returns the interior/boundary row counts of the localised
 // block: interior rows read no ghost data and overlap the halo exchange.

@@ -65,23 +65,6 @@ type CatalogueEntry struct {
 	Build func(Scale) *sparse.CSR
 }
 
-// grid3 picks 3D grid dims for roughly the requested node count, with the
-// given aspect ratios.
-func grid3(nodes int, ax, ay, az float64) (int, int, int) {
-	base := 1
-	for (base+1)*(base+1)*(base+1) <= nodes {
-		base++
-	}
-	f := func(a float64) int {
-		v := int(a * float64(base))
-		if v < 2 {
-			v = 2
-		}
-		return v
-	}
-	return f(ax), f(ay), f(az)
-}
-
 // Catalogue returns the eight-entry experimental catalogue mirroring the
 // paper's Table 1 (ordered by increasing number of non-zeros, like the
 // paper). Matrices are deterministic for a fixed scale.

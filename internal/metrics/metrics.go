@@ -341,25 +341,6 @@ func (v *CounterVec) With(labelValues ...string) *Counter {
 	return v.f.child(labelValues).counter
 }
 
-// GaugeVec is a gauge family with labels.
-type GaugeVec struct{ f *family }
-
-// GaugeVec registers (or returns) a labeled gauge family.
-func (r *Registry) GaugeVec(name, help string, labels ...string) *GaugeVec {
-	if r == nil {
-		return nil
-	}
-	return &GaugeVec{f: r.register(name, help, TypeGauge, labels, nil, nil)}
-}
-
-// With resolves the child gauge for the given label values.
-func (v *GaugeVec) With(labelValues ...string) *Gauge {
-	if v == nil {
-		return nil
-	}
-	return v.f.child(labelValues).gauge
-}
-
 // HistogramVec is a histogram family with labels.
 type HistogramVec struct{ f *family }
 

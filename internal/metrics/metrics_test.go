@@ -127,7 +127,6 @@ func TestQuickNilRegistry(t *testing.T) {
 	r.Gauge("b", "h").Set(1)
 	r.Histogram("c_seconds", "h", DefBuckets()).Observe(1)
 	r.CounterVec("d_total", "h", "l").With("x").Inc()
-	r.GaugeVec("e", "h", "l").With("x").Set(1)
 	r.HistogramVec("f_seconds", "h", DefBuckets(), "l").With("x").Observe(1)
 	r.GaugeFunc("g", "h", func() float64 { return 1 })
 	r.CounterFunc("i_total", "h", func() float64 { return 1 })
@@ -216,7 +215,8 @@ func TestQuickExpBuckets(t *testing.T) {
 func TestQuickExposition(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("esrd_a_total", "counts a\nsecond line").Add(3)
-	r.GaugeVec("esrd_b", "gauge b", "kind").With(`x"y\z`).Set(1.5)
+	r.Gauge("esrd_b", "gauge b").Set(1.5)
+	r.CounterVec("esrd_d_total", "counter d", "kind").With(`x"y\z`).Inc()
 	r.Histogram("esrd_c_seconds", "hist c", []float64{1, 2}).Observe(1.5)
 
 	var sb strings.Builder
@@ -229,7 +229,8 @@ func TestQuickExposition(t *testing.T) {
 		"# TYPE esrd_a_total counter\n",
 		"esrd_a_total 3\n",
 		"# TYPE esrd_b gauge\n",
-		`esrd_b{kind="x\"y\\z"} 1.5` + "\n",
+		"esrd_b 1.5\n",
+		`esrd_d_total{kind="x\"y\\z"} 1` + "\n",
 		"# TYPE esrd_c_seconds histogram\n",
 		`esrd_c_seconds_bucket{le="1"} 0` + "\n",
 		`esrd_c_seconds_bucket{le="2"} 1` + "\n",

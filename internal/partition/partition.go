@@ -77,42 +77,6 @@ func (pt Partition) MaxSize() int {
 	return (pt.n + pt.p - 1) / pt.p
 }
 
-// Owner returns the rank owning global index g using binary search over the
-// block boundaries. It panics if g is out of range.
-func (pt Partition) Owner(g int) int {
-	if g < 0 || g >= pt.n {
-		panic(fmt.Sprintf("partition: index %d out of range [0,%d)", g, pt.n))
-	}
-	lo, hi := 0, pt.p
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if pt.starts[mid+1] <= g {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo
-}
-
-// ToLocal converts global index g, which must be owned by rank i, to the
-// local offset within rank i's block.
-func (pt Partition) ToLocal(i, g int) int {
-	if g < pt.starts[i] || g >= pt.starts[i+1] {
-		panic(fmt.Sprintf("partition: index %d not owned by rank %d", g, i))
-	}
-	return g - pt.starts[i]
-}
-
-// ToGlobal converts a local offset on rank i to the global index.
-func (pt Partition) ToGlobal(i, local int) int {
-	g := pt.starts[i] + local
-	if g >= pt.starts[i+1] {
-		panic(fmt.Sprintf("partition: local index %d out of range on rank %d", local, i))
-	}
-	return g
-}
-
 // Equal reports whether two partitions describe the same distribution.
 func (pt Partition) Equal(other Partition) bool {
 	if pt.n != other.n || pt.p != other.p {

@@ -32,31 +32,6 @@ func TestBlockRowUneven(t *testing.T) {
 	}
 }
 
-func TestOwnerRoundTrip(t *testing.T) {
-	pt := NewBlockRow(17, 5)
-	for g := 0; g < 17; g++ {
-		o := pt.Owner(g)
-		lo, hi := pt.Range(o)
-		if g < lo || g >= hi {
-			t.Fatalf("Owner(%d) = %d but range [%d,%d)", g, o, lo, hi)
-		}
-		l := pt.ToLocal(o, g)
-		if pt.ToGlobal(o, l) != g {
-			t.Fatalf("local/global round trip failed for %d", g)
-		}
-	}
-}
-
-func TestOwnerPanicsOutOfRange(t *testing.T) {
-	pt := NewBlockRow(5, 2)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	pt.Owner(5)
-}
-
 func TestEmptyBlocksAllowed(t *testing.T) {
 	pt := NewBlockRow(2, 5)
 	total := 0
@@ -105,86 +80,5 @@ func TestEqual(t *testing.T) {
 	c := NewBlockRow(10, 4)
 	if !a.Equal(b) || a.Equal(c) {
 		t.Fatal("Equal misbehaves")
-	}
-}
-
-func TestIndexSetBasics(t *testing.T) {
-	s := NewIndexSet([]int{5, 1, 3, 1, 5})
-	if !s.Equal(IndexSet{1, 3, 5}) {
-		t.Fatalf("NewIndexSet = %v", s)
-	}
-	if !s.Contains(3) || s.Contains(2) {
-		t.Fatal("Contains wrong")
-	}
-	if p, ok := s.Position(5); !ok || p != 2 {
-		t.Fatalf("Position(5) = %d,%v", p, ok)
-	}
-	if _, ok := s.Position(4); ok {
-		t.Fatal("Position(4) should be absent")
-	}
-}
-
-func TestIndexSetOps(t *testing.T) {
-	a := IndexSet{1, 2, 4, 7}
-	b := IndexSet{2, 3, 7, 9}
-	if !a.Union(b).Equal(IndexSet{1, 2, 3, 4, 7, 9}) {
-		t.Fatalf("Union = %v", a.Union(b))
-	}
-	if !a.Intersect(b).Equal(IndexSet{2, 7}) {
-		t.Fatalf("Intersect = %v", a.Intersect(b))
-	}
-	if !a.Minus(b).Equal(IndexSet{1, 4}) {
-		t.Fatalf("Minus = %v", a.Minus(b))
-	}
-}
-
-func TestRanksSet(t *testing.T) {
-	pt := NewBlockRow(10, 4) // blocks: [0,3) [3,6) [6,8) [8,10)
-	s := RanksSet(pt, []int{3, 1})
-	if !s.Equal(IndexSet{3, 4, 5, 8, 9}) {
-		t.Fatalf("RanksSet = %v", s)
-	}
-}
-
-func TestRangeSet(t *testing.T) {
-	if !RangeSet(2, 5).Equal(IndexSet{2, 3, 4}) {
-		t.Fatal("RangeSet wrong")
-	}
-	if len(RangeSet(5, 2)) != 0 {
-		t.Fatal("inverted RangeSet should be empty")
-	}
-}
-
-func TestIndexSetSetOpsQuick(t *testing.T) {
-	f := func(xs, ys []uint8) bool {
-		ax := make([]int, len(xs))
-		for i, v := range xs {
-			ax[i] = int(v) % 50
-		}
-		ay := make([]int, len(ys))
-		for i, v := range ys {
-			ay[i] = int(v) % 50
-		}
-		a, b := NewIndexSet(ax), NewIndexSet(ay)
-		u := a.Union(b)
-		inter := a.Intersect(b)
-		// |A u B| + |A n B| == |A| + |B|
-		if len(u)+len(inter) != len(a)+len(b) {
-			return false
-		}
-		// A \ B and A n B partition A.
-		if len(a.Minus(b))+len(inter) != len(a) {
-			return false
-		}
-		// Everything in the union is in A or B.
-		for _, v := range u {
-			if !a.Contains(v) && !b.Contains(v) {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
 	}
 }

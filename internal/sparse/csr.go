@@ -171,6 +171,26 @@ func (m *CSR) Bandwidth() int {
 	return bw
 }
 
+// Permute returns P A P^T for the permutation perm (new index -> old index):
+// the symmetric reordering that preserves SPD-ness.
+func (m *CSR) Permute(perm []int) *CSR {
+	if len(perm) != m.Rows || m.Rows != m.Cols {
+		panic("sparse: Permute needs a full permutation of a square matrix")
+	}
+	inv := make([]int, len(perm))
+	for newI, oldI := range perm {
+		inv[oldI] = newI
+	}
+	coo := NewCOO(m.Rows, m.Cols)
+	for i := 0; i < m.Rows; i++ {
+		cols, vals := m.Row(i)
+		for t, j := range cols {
+			coo.Add(inv[i], inv[j], vals[t])
+		}
+	}
+	return coo.ToCSR()
+}
+
 // RowBlock returns rows [lo, hi) of the matrix as a view whose column
 // indices remain global (width Cols): the per-rank static block A_{Ii, I} of
 // the block-row distribution. Only the rebased RowPtr is allocated; Col and

@@ -181,6 +181,37 @@ func TestBandwidth(t *testing.T) {
 	}
 }
 
+func TestPermuteRoundTrip(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	n := 30
+	d := randDense(rng, n, n, 0.3)
+	// Symmetrise so Permute's SPD contract is honoured.
+	for i := 0; i < n; i++ {
+		for j := 0; j < i; j++ {
+			d[i*n+j] = d[j*n+i]
+		}
+	}
+	m := FromDense(n, n, d)
+	perm := rng.Perm(n)
+	pm := m.Permute(perm)
+	// P A P^T entries: pm[newI, newJ] == m[perm[newI], perm[newJ]].
+	for newI := 0; newI < n; newI++ {
+		for newJ := 0; newJ < n; newJ++ {
+			if pm.At(newI, newJ) != m.At(perm[newI], perm[newJ]) {
+				t.Fatalf("permute mismatch at (%d,%d)", newI, newJ)
+			}
+		}
+	}
+	// The inverse permutation restores A.
+	inv := make([]int, n)
+	for newI, oldI := range perm {
+		inv[oldI] = newI
+	}
+	if back := pm.Permute(inv); !slices.Equal(back.ToDense(), m.ToDense()) {
+		t.Fatal("permuting by the inverse does not restore the matrix")
+	}
+}
+
 func TestRowBlock(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	d := randDense(rng, 9, 6, 0.4)

@@ -75,22 +75,6 @@ func ParNrm2Sq(x []float64) float64 { return ParDotN(x, x, 0) }
 // ParNrm2SqN is ParNrm2Sq bounded to at most `threads` goroutines.
 func ParNrm2SqN(x []float64, threads int) float64 { return ParDotN(x, x, threads) }
 
-// ParAxpy computes y += a*x on the shared worker pool for large vectors.
-// Element-wise, so bit-identical to Axpy for every thread count.
-func ParAxpy(a float64, x, y []float64) {
-	if len(x) != len(y) {
-		panic("vec: ParAxpy length mismatch")
-	}
-	n := len(x)
-	if n < parThreshold {
-		Axpy(a, x, y)
-		return
-	}
-	Parallel(n, reduceChunks(n), 0, func(_, lo, hi int) {
-		Axpy(a, x[lo:hi], y[lo:hi])
-	})
-}
-
 // ParAxpyAxpy is AxpyAxpy (y += a*x; v += b*u in one fused pass) on the
 // shared worker pool for large vectors, bounded to at most `threads`
 // goroutines. Element-wise, so bit-identical to AxpyAxpy for every thread

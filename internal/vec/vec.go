@@ -183,16 +183,6 @@ func Add(dst, x, y []float64) {
 	}
 }
 
-// MulElem computes dst = x .* y element-wise. All lengths must match.
-func MulElem(dst, x, y []float64) {
-	if len(x) != len(y) || len(dst) != len(x) {
-		panic("vec: MulElem length mismatch")
-	}
-	for i := range dst {
-		dst[i] = x[i] * y[i]
-	}
-}
-
 // MaxAbsDiff returns the maximum absolute element-wise difference between x
 // and y. It panics if the lengths differ.
 func MaxAbsDiff(x, y []float64) float64 {

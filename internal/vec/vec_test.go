@@ -103,7 +103,7 @@ func TestNrmInf(t *testing.T) {
 	}
 }
 
-func TestSubAddMulElem(t *testing.T) {
+func TestSubAdd(t *testing.T) {
 	x := []float64{5, 7}
 	y := []float64{2, 3}
 	d := make([]float64, 2)
@@ -114,10 +114,6 @@ func TestSubAddMulElem(t *testing.T) {
 	Add(d, x, y)
 	if d[0] != 7 || d[1] != 10 {
 		t.Fatalf("Add = %v", d)
-	}
-	MulElem(d, x, y)
-	if d[0] != 10 || d[1] != 21 {
-		t.Fatalf("MulElem = %v", d)
 	}
 }
 
@@ -257,20 +253,18 @@ func TestParDot2BitwiseParDot(t *testing.T) {
 	}
 }
 
-func TestParAxpyMatchesAxpy(t *testing.T) {
+func TestParAxpyAxpyMatchesAxpyAxpy(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	n := 2*parThreshold + 13
-	x := make([]float64, n)
-	y1 := make([]float64, n)
+	x, y1, u, v1 := make([]float64, n), make([]float64, n), make([]float64, n), make([]float64, n)
 	for i := range x {
-		x[i] = rng.NormFloat64()
-		y1[i] = rng.NormFloat64()
+		x[i], y1[i], u[i], v1[i] = rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64()
 	}
-	y2 := Clone(y1)
-	Axpy(1.5, x, y1)
-	ParAxpy(1.5, x, y2)
-	if MaxAbsDiff(y1, y2) != 0 {
-		t.Fatal("ParAxpy differs from Axpy")
+	y2, v2 := Clone(y1), Clone(v1)
+	AxpyAxpy(1.5, x, y1, -0.5, u, v1)
+	ParAxpyAxpy(1.5, x, y2, -0.5, u, v2, 0)
+	if MaxAbsDiff(y1, y2) != 0 || MaxAbsDiff(v1, v2) != 0 {
+		t.Fatal("ParAxpyAxpy differs from AxpyAxpy")
 	}
 }
 
