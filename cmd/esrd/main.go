@@ -74,6 +74,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/netrun"
 	"repro/internal/store"
+	"repro/internal/xerr"
 )
 
 func main() {
@@ -209,7 +210,7 @@ func main() {
 		maxRanks := *peers
 		netRunner = func(ctx context.Context, spec engine.JobSpec, progress func(core.ProgressEvent)) (engine.Solution, error) {
 			if r := spec.Config.WithDefaults().Ranks; r > maxRanks {
-				return engine.Solution{}, fmt.Errorf("net job needs %d worker processes, -peers allows %d", r, maxRanks)
+				return engine.Solution{}, xerr.Newf(xerr.FailedPrecondition, "net job needs %d worker processes, -peers allows %d", r, maxRanks)
 			}
 			sol, stats, err := coord.Run(ctx, spec, progress)
 			// Fold the fleet's aggregated wire counters into the daemon's

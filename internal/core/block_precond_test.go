@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"strings"
 	"sync"
 	"testing"
 
@@ -17,7 +18,7 @@ import (
 
 // TestBlockExplicitInversePrecondBitwise exercises the distributed fused
 // preconditioner path: with an explicit-inverse preconditioner the blocked
-// driver's ApplyBlock fuses the k applications into ONE MatMat halo
+// driver's one Apply fuses the k applications into ONE MatMat halo
 // exchange. Every column of the blocked solve must stay bitwise identical
 // to a solo ESRPCG of that column.
 func TestBlockExplicitInversePrecondBitwise(t *testing.T) {
@@ -181,5 +182,50 @@ func TestBlockExplicitInverseRecoveryBitwise(t *testing.T) {
 		if len(recs) != 1 || len(recs[0].FailedRanks) != 2 || recs[0].SubIterations == 0 {
 			t.Fatalf("column %d: episodes %+v, want one over 2 ranks with subsystem iterations", c, recs)
 		}
+	}
+}
+
+// TestBreakdownOfEveryColumnStaysPerColumn: when every active column breaks
+// down in the same iteration, the preconditioner is applied to no columns at
+// all — an explicit inverse's product over zero columns must send nothing
+// and succeed, so each breakdown stays that column's error instead of
+// aborting the block. -A is negative definite: p'Ap < 0 at iteration 0.
+func TestBreakdownOfEveryColumnStaysPerColumn(t *testing.T) {
+	a := matgen.Poisson2D(12, 10).Clone()
+	for i := range a.Val {
+		a.Val[i] = -a.Val[i]
+	}
+	const ranks, k = 4, 2
+	mk := explicitInvFactory(tridiagInverse(a.Rows))
+	p := partition.NewBlockRow(a.Rows, ranks)
+	err := cluster.New(ranks).Run(func(c *cluster.Comm) error {
+		e := distmat.WorldEnv(c)
+		lo, hi := p.Range(e.Pos)
+		m, err := distmat.NewMatrix(e, a.RowBlock(lo, hi), p, 0, 0)
+		if err != nil {
+			return err
+		}
+		pr, err := mk(e, m)
+		if err != nil {
+			return err
+		}
+		xs, bs := make([]distmat.Vector, k), make([]distmat.Vector, k)
+		for col := range xs {
+			xs[col] = distmat.NewVector(p, e.Pos)
+			bs[col] = distmat.Vector{P: p, Pos: e.Pos, Local: testColumn(a.Rows, col)[lo:hi]}
+		}
+		_, colErrs, err := SolveBlock(e, m, xs, bs, pr, Options{Tol: 1e-9}, nil, nil)
+		if err != nil {
+			return fmt.Errorf("block aborted: %w", err)
+		}
+		for col, ce := range colErrs {
+			if ce == nil || !strings.Contains(ce.Error(), "breakdown") {
+				return fmt.Errorf("column %d: error %v, want a breakdown", col, ce)
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }

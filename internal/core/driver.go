@@ -685,22 +685,6 @@ func (d *driver) finish() error {
 	return nil
 }
 
-// applyPrecondBlock applies m to every column pair, through the fused
-// k-column path (BlockPrecond) when the preconditioner has one — a single
-// structure traversal (or halo exchange) instead of k — and column by
-// column otherwise. Both paths are bitwise identical per column.
-func applyPrecondBlock(e *distmat.Env, m Precond, z, r []distmat.Vector) error {
-	if bp, ok := m.(BlockPrecond); ok && len(z) > 1 {
-		return bp.ApplyBlock(e, z, r)
-	}
-	for c := range z {
-		if err := m.Apply(e, z[c], r[c]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // initIteration0 (re)builds the given columns' state as iteration 0 of a
 // solve from X and B: r(0) from x(0) and b via one SpMM, z(0) from r(0),
 // p(0) = z(0), and the replicated scalars off ONE fused length-2k allreduce

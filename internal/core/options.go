@@ -237,22 +237,14 @@ func (r Result) RelResidual() float64 { return relTo(r.FinalResidual, r.InitialR
 func (r Result) TotalReconstructions() int { return len(r.Reconstructions) }
 
 // Precond is a (possibly distributed) preconditioner application
-// z = M^{-1} r for the PCG stack.
+// z[c] = M^{-1} r[c] over k columns, a single vector being its k = 1 case.
+// Column c must be bitwise identical whatever the width and the other
+// columns: the blocked driver depends on it.
 type Precond interface {
 	// Name identifies the preconditioner.
 	Name() string
-	// Apply computes z = M^{-1} r.
-	Apply(e *distmat.Env, z, r distmat.Vector) error
-}
-
-// BlockPrecond is an optional interface for preconditioners with a fused
-// k-column application: z[c] = M^{-1} r[c] for every column in one pass.
-// Column c of ApplyBlock must be bitwise identical to Apply(e, z[c], r[c])
-// — the driver depends on it at width > 1. Preconditioners without the interface
-// are applied column by column.
-type BlockPrecond interface {
-	// ApplyBlock computes z[c] = M^{-1} r[c] for every column.
-	ApplyBlock(e *distmat.Env, z, r []distmat.Vector) error
+	// Apply computes z[c] = M^{-1} r[c] for every column.
+	Apply(e *distmat.Env, z, r []distmat.Vector) error
 }
 
 // LocalPrecond adapts a node-local block preconditioner (block-diagonal
@@ -267,34 +259,25 @@ type LocalPrecond struct {
 // Name implements Precond.
 func (lp LocalPrecond) Name() string { return "local:" + lp.P.Name() }
 
-// Apply implements Precond.
-func (lp LocalPrecond) Apply(_ *distmat.Env, z, r distmat.Vector) error {
-	if len(z.Local) != len(r.Local) {
-		return fmt.Errorf("core: LocalPrecond length mismatch")
-	}
-	lp.P.ApplyInv(z.Local, r.Local)
-	return nil
-}
-
-// ApplyBlock implements BlockPrecond. When the wrapped local preconditioner
-// has a fused multi-column application (precond.BatchApplier) the k local
-// blocks go through it in one structure traversal; otherwise the columns
-// are applied one by one. Either way column c is bitwise identical to a
-// solo Apply.
-func (lp LocalPrecond) ApplyBlock(e *distmat.Env, z, r []distmat.Vector) error {
+// Apply implements Precond. Several columns go through the wrapped
+// preconditioner's fused multi-column application (precond.BatchApplier) in
+// one structure traversal when it has one; a single column, or a
+// preconditioner without it, goes through ApplyInv column by column. Either
+// way column c is bitwise identical to a solo ApplyInv.
+func (lp LocalPrecond) Apply(_ *distmat.Env, z, r []distmat.Vector) error {
 	if len(z) != len(r) {
-		return fmt.Errorf("core: LocalPrecond block column count mismatch")
+		return fmt.Errorf("core: LocalPrecond column count mismatch")
 	}
-	ba, ok := lp.P.(precond.BatchApplier)
-	if !ok {
-		for c := range z {
-			if err := lp.Apply(e, z[c], r[c]); err != nil {
-				return err
-			}
-		}
+	if ba, ok := lp.P.(precond.BatchApplier); ok && len(z) > 1 {
+		ba.ApplyInvK(locals(z), locals(r))
 		return nil
 	}
-	ba.ApplyInvK(locals(z), locals(r))
+	for c := range z {
+		if len(z[c].Local) != len(r[c].Local) {
+			return fmt.Errorf("core: LocalPrecond length mismatch")
+		}
+		lp.P.ApplyInv(z[c].Local, r[c].Local)
+	}
 	return nil
 }
 
@@ -313,7 +296,7 @@ type SplitPrecond struct {
 func (sp SplitPrecond) Name() string { return "split:" + sp.P.Name() }
 
 // Apply implements Precond.
-func (sp SplitPrecond) Apply(e *distmat.Env, z, r distmat.Vector) error {
+func (sp SplitPrecond) Apply(e *distmat.Env, z, r []distmat.Vector) error {
 	return LocalPrecond{P: sp.P}.Apply(e, z, r)
 }
 
@@ -329,16 +312,10 @@ type ExplicitInvPrecond struct {
 // Name implements Precond.
 func (ep ExplicitInvPrecond) Name() string { return "explicit-inverse" }
 
-// Apply implements Precond.
-func (ep ExplicitInvPrecond) Apply(e *distmat.Env, z, r distmat.Vector) error {
-	return ep.P.MatVec(e, z, r, -1)
-}
-
-// ApplyBlock implements BlockPrecond: the k distributed applications fuse
-// into ONE MatMat — a single k-column halo exchange instead of k MatVec
-// exchanges. Column c is bitwise identical to a solo Apply by the SpMM
-// column property.
-func (ep ExplicitInvPrecond) ApplyBlock(e *distmat.Env, z, r []distmat.Vector) error {
+// Apply implements Precond: the k distributed applications are ONE MatMat —
+// a single k-column halo exchange. Column c is bitwise identical to a solo
+// application by the SpMM column property.
+func (ep ExplicitInvPrecond) Apply(e *distmat.Env, z, r []distmat.Vector) error {
 	return ep.P.MatMat(e, z, r, -1)
 }
 

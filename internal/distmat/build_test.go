@@ -188,7 +188,7 @@ func (ref *referenceKernels) diff(m *Matrix) string {
 		same bool
 	}{
 		{"ghost", slices.Equal(m.ghost, ref.ghost)},
-		{"xbuf length", len(m.xbuf) == ref.interior.Cols},
+		{"width-1 input length", len(m.input(1)) == ref.interior.Cols},
 		{"Interior", csr(m.split.Interior, ref.interior)},
 		{"Boundary", csr(m.split.Boundary, ref.boundary)},
 		{"IntRows", slices.Equal(m.split.IntRows, ref.intRows)},

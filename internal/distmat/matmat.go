@@ -9,16 +9,11 @@ import (
 	"repro/internal/vec"
 )
 
-// Blocked (multi-RHS) SpMM: MatMat is MatVec over k distributed vectors at
-// once. One matrix traversal amortizes over the k columns and each neighbor
-// receives ONE pooled frame carrying k consecutive values per halo element
-// (k-strided payload), so the per-iteration message count stays that of a
-// single MatVec while the arithmetic intensity grows k-fold.
-//
-// Interleaving is confined to this file: the k rank-local columns are
-// copied into a row-major buffer (k consecutive values per local column),
-// the SpMM kernels run on it, and the result is copied back out per
-// column. Interleave/deinterleave are pure copies and the kernels
+// Interleaving is confined to this file: at k > 1 the k rank-local columns
+// are copied into a row-major buffer (k consecutive values per local column),
+// the SpMM kernels run on it, and the result is copied back out per column;
+// at k = 1 the own block is copied into the same buffer and the kernels write
+// y directly. Interleave/deinterleave are pure copies and the kernels
 // accumulate each column in MulVec's stored-entry order, so column j of a
 // MatMat is bitwise identical to a MatVec of column j alone — on every
 // transport.
@@ -42,66 +37,107 @@ func (m *Matrix) SetBlockWidth(k int) {
 	}
 }
 
-// growBlockScratch sizes the interleaved input/output buffers for width k.
-func (m *Matrix) growBlockScratch(rows, k int) {
-	if len(m.xbufK) < len(m.xbuf)*k {
-		m.xbufK = make([]float64, len(m.xbuf)*k)
+// input returns the width-k input buffer: the own block, then the ghost
+// slots, k values per local column. It is cleared whenever the width changes,
+// because a Restrict view never writes its non-member ghost slots — they must
+// read zero — and the values of a product at another width sit exactly where
+// this width's slots fall.
+func (m *Matrix) input(k int) []float64 {
+	sc := &m.scratch
+	if k != sc.xWidth {
+		n := (m.blockSize() + len(m.ghost)) * k
+		if cap(sc.x) < n {
+			sc.x = make([]float64, n)
+		} else {
+			sc.x = sc.x[:n]
+			clear(sc.x)
+		}
+		sc.xWidth = k
 	}
-	if len(m.ybufK) < rows*k {
-		m.ybufK = make([]float64, rows*k)
-	}
+	return sc.x
 }
 
-// MatMat computes y[j] = A x[j] for j = 0..k-1 with a single k-column halo
-// exchange, following MatVec's communication-hiding schedule verbatim:
-// post the owned k-strided halo sends, run the interior SpMM while the
-// receives are in flight, drain and scatter k values per ghost element,
-// finish with the boundary rows. Retention (iter >= 0) keeps generation
-// iter-1, recycles anything older before the sends and stores the k-strided
-// payloads; the store must have been prepared with SetBlockWidth(k).
+// MatMat computes y[j] = A x[j] for j = 0..k-1, the distributed vectors on
+// the matrix's partition: it is the one distributed SpMV, a single vector
+// being its k = 1 case (MatVec). One matrix traversal amortizes over the k
+// columns, and each neighbor receives ONE pooled frame carrying k values per
+// merged halo+redundancy element (piggybacking, Sec. 4.2), so the message
+// count stays that of a single vector. When resilience is enabled the
+// received generation is retained under the iteration number iter. A
+// product over no columns (a blocked solve whose every active column broke
+// down) computes and sends nothing.
+//
+// The schedule hides communication behind computation (Levonyak et al.'s
+// prerequisite for scalable resilient PCG): post the owned halo sends,
+// compute the interior rows — which read no ghost data — while the receives
+// are in flight, then drain the receives, scatter k values per ghost element
+// through the precomputed plans, and finish with the boundary rows. The row
+// split never changes a row's accumulation order, so the result is
+// bit-identical to the serial product of the unsplit rows on every transport.
+//
+// iter < 0 marks inputs that are not search directions (initial residual,
+// verification products, preconditioner applications): they are not
+// retained. A retained generation iter needs iter-1 beside it and nothing
+// older: the rest is dropped and recycled before the sends, so they draw the
+// recycled buffers and no more than two generations are ever live. The store
+// must have been prepared with SetBlockWidth(k).
+//
+// Payload lifetimes follow the transport's zero-copy contract: outgoing
+// payloads are drawn from the transport's buffer recycler and handed off
+// with SendOwned (never touched again here); received payloads are either
+// recycled as soon as their values are scattered (non-retaining calls) or
+// owned by the retention store for two generations and recycled when the
+// product of the generation after next drops them.
 func (m *Matrix) MatMat(e *Env, y, x []Vector, iter int) error {
 	k := len(x)
-	if k == 0 || len(y) != k {
-		return fmt.Errorf("distmat: MatMat needs matching non-empty column sets (%d vs %d)", len(y), k)
+	if len(y) != k {
+		return fmt.Errorf("distmat: MatMat needs matching column sets (%d vs %d)", len(y), k)
 	}
-	if k == 1 {
-		return m.MatVec(e, y[0], x[0], iter)
+	if k == 0 {
+		return nil
 	}
 	lo, hi := m.P.Range(m.Pos)
 	bs := hi - lo
-	tag := m.tagBase + 3
+	for c, col := range x {
+		if len(col.Local) != bs {
+			return fmt.Errorf("distmat: MatMat column %d has %d local entries, want %d", c, len(col.Local), bs)
+		}
+	}
+	tag := m.tagBase + 2
 	retain := m.Ret != nil && iter >= 0
 	if retain && m.Ret.Width() != k {
 		return fmt.Errorf("distmat: MatMat width %d on a retention store of width %d (call SetBlockWidth)", k, m.Ret.Width())
+	}
+	// Phase timing is observational only: the clock is read at the phase
+	// boundaries the schedule already has, never between arithmetic.
+	var tm MatVecTimings
+	var mark time.Time
+	if m.obs != nil {
+		mark = time.Now()
 	}
 	if retain {
 		for _, old := range m.Ret.Keep(iter - 1) {
 			e.C.PutFloats(old)
 		}
 	}
-	m.growBlockScratch(bs, k)
-	// Views at the current width: the scratch only ever grows, and a matrix
-	// may serve different widths across calls (the fused preconditioner
-	// path shrinks k as columns converge).
-	xb := m.xbufK[:len(m.xbuf)*k]
-	yb := m.ybufK[:bs*k]
-	var tm MatVecTimings
-	var mark time.Time
-	if m.obs != nil {
-		mark = time.Now()
-	}
-	// Interleave the own block first: the send gathers and the interior
-	// kernel both read it k-strided.
-	for c, col := range x {
-		if len(col.Local) != bs {
-			return fmt.Errorf("distmat: MatMat column %d has %d local entries, want %d", c, len(col.Local), bs)
+	// The own block goes into the input buffer first: the send gathers and
+	// the interior kernel both read it there, k-strided. A single column's
+	// output is y itself; k columns land in the k-strided output buffer.
+	xb := m.input(k)
+	yb := y[0].Local
+	if k == 1 {
+		copy(xb[:bs], x[0].Local)
+	} else {
+		if cap(m.scratch.y) < bs*k {
+			m.scratch.y = make([]float64, bs*k)
 		}
-	}
-	for lo := 0; lo < bs; lo += interleaveTile {
-		hi := min(lo+interleaveTile, bs)
-		for c, col := range x {
-			for i, v := range col.Local[lo:hi] {
-				xb[(lo+i)*k+c] = v
+		yb = m.scratch.y[:bs*k]
+		for lo := 0; lo < bs; lo += interleaveTile {
+			hi := min(lo+interleaveTile, bs)
+			for c, col := range x {
+				for i, v := range col.Local[lo:hi] {
+					xb[(lo+i)*k+c] = v
+				}
 			}
 		}
 	}
@@ -118,11 +154,12 @@ func (m *Matrix) MatMat(e *Env, y, x []Vector, iter int) error {
 		if nHalo == 0 {
 			cat = cluster.CatRedundancy // fresh message: the extra latency case
 		}
+		// The payload is freshly built: transfer ownership, skip the copy.
 		if err := e.C.SendOwned(cat, e.Members[d], e.tag+tag, payload, nil); err != nil {
 			return err
 		}
 		if extra := len(idx) - nHalo; extra > 0 && nHalo > 0 {
-			// Piggybacked redundancy elements carry k columns each now.
+			// Piggybacked redundancy elements: reclassify their volume.
 			e.C.Reclassify(cluster.CatHalo, cluster.CatRedundancy, int64(extra*k))
 		}
 	}
@@ -131,6 +168,8 @@ func (m *Matrix) MatMat(e *Env, y, x []Vector, iter int) error {
 		tm.PostSend = now.Sub(mark)
 		mark = now
 	}
+	// The interior rows read only the own block: with the sends posted,
+	// compute them while the halo messages are on the wire.
 	m.split.Interior.MulMatScatterPar(yb, xb, m.split.IntRows, k)
 	if m.obs != nil {
 		now := time.Now()
@@ -139,10 +178,10 @@ func (m *Matrix) MatMat(e *Env, y, x []Vector, iter int) error {
 	}
 	var recvVals [][]float64
 	if retain {
-		if m.recvScratchK == nil {
-			m.recvScratchK = make([][]float64, e.Size())
+		if m.scratch.recv == nil {
+			m.scratch.recv = make([][]float64, e.Size())
 		}
-		recvVals = m.recvScratchK
+		recvVals = m.scratch.recv
 		for i := range recvVals {
 			recvVals[i] = nil
 		}
@@ -171,16 +210,19 @@ func (m *Matrix) MatMat(e *Env, y, x []Vector, iter int) error {
 		mark = now
 	}
 	m.split.Boundary.MulMatScatterPar(yb, xb, m.split.BndRows, k)
-	for lo := 0; lo < bs; lo += interleaveTile {
-		hi := min(lo+interleaveTile, bs)
-		for c, col := range y {
-			dst := col.Local[lo:hi]
-			for i := range dst {
-				dst[i] = yb[(lo+i)*k+c]
+	if k > 1 {
+		for lo := 0; lo < bs; lo += interleaveTile {
+			hi := min(lo+interleaveTile, bs)
+			for c, col := range y {
+				dst := col.Local[lo:hi]
+				for i := range dst {
+					dst[i] = yb[(lo+i)*k+c]
+				}
 			}
 		}
 	}
 	if retain {
+		// The retention store owns the new generation's payloads.
 		m.Ret.Store(iter, recvVals)
 	}
 	if m.obs != nil {
@@ -188,6 +230,11 @@ func (m *Matrix) MatMat(e *Env, y, x []Vector, iter int) error {
 		m.obs(tm)
 	}
 	return nil
+}
+
+// MatVec computes y = A x: MatMat at width 1.
+func (m *Matrix) MatVec(e *Env, y, x Vector, iter int) error {
+	return m.MatMat(e, []Vector{y}, []Vector{x}, iter)
 }
 
 // ResidualBlock computes r[j] = b[j] - A x[j] for every column with a
@@ -200,4 +247,10 @@ func (m *Matrix) ResidualBlock(e *Env, r, b, x []Vector, iter int) error {
 		vec.Axpby(1, b[c].Local, -1, r[c].Local)
 	}
 	return nil
+}
+
+// Residual computes r = b - A x into r (all distributed): ResidualBlock at
+// width 1. Used by solvers at setup and for verification.
+func (m *Matrix) Residual(e *Env, r, b, x Vector, iter int) error {
+	return m.ResidualBlock(e, []Vector{r}, []Vector{b}, []Vector{x}, iter)
 }

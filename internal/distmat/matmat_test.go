@@ -125,43 +125,6 @@ func TestMatMatBitwiseMatVec(t *testing.T) {
 	}
 }
 
-// TestMatMatWidthOne pins the k==1 delegation: a width-1 MatMat is exactly
-// MatVec (no interleave, no k-strided frames).
-func TestMatMatWidthOne(t *testing.T) {
-	a := matgen.Poisson2D(8, 8)
-	const ranks = 3
-	p := partition.NewBlockRow(a.Rows, ranks)
-	xFull := make([]float64, a.Rows)
-	for i := range xFull {
-		xFull[i] = float64(i%9) - 3.5
-	}
-	want := make([]float64, a.Rows)
-	a.MulVec(want, xFull)
-	runSPMD(t, ranks, func(c *cluster.Comm) error {
-		e := WorldEnv(c)
-		lo, hi := p.Range(e.Pos)
-		m, err := NewMatrix(e, a.RowBlock(lo, hi), p, 0, 0)
-		if err != nil {
-			return err
-		}
-		x := []Vector{distribute(xFull, p, e.Pos)}
-		y := []Vector{NewVector(p, e.Pos)}
-		if err := m.MatMat(e, y, x, 0); err != nil {
-			return err
-		}
-		ref := NewVector(p, e.Pos)
-		if err := m.MatVec(e, ref, x[0], 1); err != nil {
-			return err
-		}
-		for i := range ref.Local {
-			if y[0].Local[i] != ref.Local[i] {
-				return fmt.Errorf("pos %d row %d: %x vs %x", e.Pos, lo+i, y[0].Local[i], ref.Local[i])
-			}
-		}
-		return nil
-	})
-}
-
 // TestRetentionIndexSharedAcrossForks: the retention index is the receive
 // lists NewMatrix builds once. Every Fork and every SetBlockWidth gets an
 // empty store over those same lists — no per-fork or per-width index, a
@@ -232,5 +195,90 @@ func TestRetentionIndexSharedAcrossForks(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	if per := (after.TotalAlloc - before.TotalAlloc) / n; per > 256 {
 		t.Errorf("SetBlockWidth allocates %d B per call (budget 256 B)", per)
+	}
+}
+
+// TestSpMVSteadyStateAllocatesNothing: after warm-up, a retaining MatVec, a
+// Residual and a retaining width-8 MatMat each run without allocating —
+// payloads come from the recycler and go back to it, the scratch keeps its
+// size, and the width-1 wrappers' one-element column sets stay on the stack.
+// The system is small enough that no kernel fans out to the worker pool even
+// at width 8: a fan-out allocates its task in vec.Parallel (at 64² ranks 0
+// and 7's interior SpMM does), which is the pool's cost, not the SpMV's.
+func TestSpMVSteadyStateAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops Puts at random under the race detector")
+	}
+	const ranks, phi, k = 8, 2, 8
+	a := matgen.Poisson2D(48, 48)
+	p := partition.NewBlockRow(a.Rows, ranks)
+	mats := make([]*Matrix, ranks)
+	runSPMD(t, ranks, func(c *cluster.Comm) error {
+		e := WorldEnv(c)
+		lo, hi := p.Range(e.Pos)
+		m, err := NewMatrix(e, a.RowBlock(lo, hi), p, phi, 0)
+		mats[e.Pos] = m
+		return err
+	})
+	// column returns a distributed vector on pos with deterministic entries.
+	column := func(pos, j int) Vector {
+		v := NewVector(p, pos)
+		for i := range v.Local {
+			v.Local[i] = 1 + float64(i*(j+1)%17)/17
+		}
+		return v
+	}
+	for name, setup := range map[string]func(e *Env, m *Matrix) func(i int) error{
+		"MatVec": func(e *Env, m *Matrix) func(int) error {
+			x, y := column(e.Pos, 0), NewVector(p, e.Pos)
+			return func(i int) error { return m.MatVec(e, y, x, i) }
+		},
+		"Residual": func(e *Env, m *Matrix) func(int) error {
+			r, b, x := NewVector(p, e.Pos), column(e.Pos, 0), column(e.Pos, 1)
+			return func(int) error { return m.Residual(e, r, b, x, -1) }
+		},
+		"MatMat": func(e *Env, m *Matrix) func(int) error {
+			m.SetBlockWidth(k)
+			x, y := make([]Vector, k), make([]Vector, k)
+			for j := range x {
+				x[j], y[j] = column(e.Pos, j), NewVector(p, e.Pos)
+			}
+			return func(i int) error { return m.MatMat(e, y, x, i) }
+		},
+	} {
+		const warm, rounds = 50, 500
+		var before, after runtime.MemStats
+		runSPMD(t, ranks, func(c *cluster.Comm) error {
+			e := WorldEnv(c)
+			round := setup(e, mats[e.Pos].Fork())
+			for i := 0; i < warm+rounds; i++ {
+				if i == warm {
+					// Rank 0 samples between two barriers, so no rank is
+					// inside a measured round while the counter is read.
+					if err := e.Grp.Barrier(); err != nil {
+						return err
+					}
+					if e.Pos == 0 {
+						runtime.ReadMemStats(&before)
+					}
+					if err := e.Grp.Barrier(); err != nil {
+						return err
+					}
+				}
+				if err := round(i); err != nil {
+					return err
+				}
+			}
+			if err := e.Grp.Barrier(); err != nil {
+				return err
+			}
+			if e.Pos == 0 {
+				runtime.ReadMemStats(&after)
+			}
+			return nil
+		})
+		if n := (after.Mallocs - before.Mallocs) / rounds; n != 0 {
+			t.Errorf("steady-state %s: %d allocs per round, want 0", name, n)
+		}
 	}
 }

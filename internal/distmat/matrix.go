@@ -8,7 +8,6 @@ import (
 	"repro/internal/commplan"
 	"repro/internal/partition"
 	"repro/internal/sparse"
-	"repro/internal/vec"
 )
 
 // Matrix is the local part of a block-row distributed sparse matrix together
@@ -34,21 +33,14 @@ type Matrix struct {
 
 	// ghost is Plan.GhostIndices(): the sorted external global indices the
 	// SpMV reads. Ghost i lives in local column (own block size) + i.
-	ghost       []int
-	sendLists   [][]int // merged halo+redundancy indices per destination
-	recvLists   [][]int // merged indices received per source
-	xbuf        []float64
-	recvScratch [][]float64 // per-MatVec staging of retained payloads
-	// Blocked-solve scratch (see matmat.go): interleaved k-strided input and
-	// output blocks plus the MatMat staging of retained payloads. Lazily
-	// sized; per-fork like xbuf/recvScratch.
-	xbufK        []float64
-	ybufK        []float64
-	recvScratchK [][]float64
-	tagBase      int
+	ghost     []int
+	sendLists [][]int // merged halo+redundancy indices per destination
+	recvLists [][]int // merged indices received per source
+	scratch   spmvScratch
+	tagBase   int
 
 	// Static kernel plans, precomputed once after the symbolic phase so the
-	// per-iteration MatVec runs without a single map lookup (they used to
+	// per-iteration SpMV runs without a single map lookup (they used to
 	// dominate its profile). All are immutable after construction and shared
 	// by Forks.
 
@@ -59,14 +51,26 @@ type Matrix struct {
 	// sendPlan[k] gathers the payload for destination k: sendLists[k] from
 	// the own block (src a block-relative index, dst a payload position).
 	sendPlan []copyList
-	// recvPlan[k] scatters an incoming payload from source k into xbuf (src
+	// recvPlan[k] scatters an incoming payload from source k into the input
+	// buffer (src
 	// a payload position, dst a ghost slot). Payload positions that carry
 	// pure redundancy (not needed by this rank's SpMV) are absent.
 	recvPlan []copyList
 
 	// obs, when non-nil, receives the per-phase wall-clock split of every
-	// MatVec (see SetMatVecObserver). Purely observational.
+	// product (see SetMatVecObserver). Purely observational.
 	obs func(MatVecTimings)
+}
+
+// spmvScratch is a Matrix's SpMV scratch (see MatMat), lazily sized and
+// never shared between forks: the k-strided input over the own block and the
+// ghost slots at width xWidth, the k-strided output of a product over k > 1
+// columns, and the staging of retained payloads.
+type spmvScratch struct {
+	x      []float64
+	xWidth int
+	y      []float64
+	recv   [][]float64
 }
 
 // matrixTag spaces the SpMV message tags of different matrices sharing an
@@ -192,7 +196,6 @@ func (m *Matrix) exchangeRecvLists(e *Env) error {
 func (m *Matrix) buildKernels(rows *sparse.CSR) {
 	lo, hi := m.P.Range(m.Pos)
 	m.ghost = m.Plan.GhostIndices()
-	m.xbuf = make([]float64, hi-lo+len(m.ghost))
 	m.sendPlan = make([]copyList, len(m.sendLists))
 	for k, idx := range m.sendLists {
 		m.sendPlan[k] = gatherPlan(idx, lo)
@@ -243,8 +246,8 @@ func (m *Matrix) InteriorRows() (interior, boundary int) {
 	return m.split.Interior.Rows, m.split.Boundary.Rows
 }
 
-// MatVecTimings is the wall-clock split of one MatVec call across the
-// communication-hiding schedule's four phases. Comparing Interior (compute
+// MatVecTimings is the wall-clock split of one MatMat (or MatVec) call
+// across the communication-hiding schedule's four phases. Comparing Interior (compute
 // racing the wire) against Drain (time left waiting for receives) measures
 // how much halo latency the overlap actually hides.
 type MatVecTimings struct {
@@ -260,16 +263,16 @@ type MatVecTimings struct {
 }
 
 // SetMatVecObserver installs fn to receive the per-phase timing split of
-// every subsequent MatVec on this matrix (nil uninstalls). fn is called
-// synchronously at the end of each MatVec, so it must be cheap; it never
-// affects results. Not safe to call concurrently with MatVec; set it at
+// every subsequent product on this matrix (nil uninstalls). fn is called
+// synchronously at the end of each MatMat, so it must be cheap; it never
+// affects results. Not safe to call concurrently with MatMat; set it at
 // preparation time (Forks inherit it).
 func (m *Matrix) SetMatVecObserver(fn func(MatVecTimings)) { m.obs = fn }
 
 // Fork returns a new Matrix sharing all of m's static state — the halo plan,
 // the redundancy protocol, the localised split and the send/receive lists,
 // all of which are immutable after construction — with
-// fresh per-solve mutable state: its own SpMV scratch buffer and, for
+// fresh per-solve mutable state: its own SpMV scratch and, for
 // resilience-enabled matrices, its own empty retention store (over the
 // shared receive lists: a fork builds no index).
 //
@@ -279,9 +282,7 @@ func (m *Matrix) SetMatVecObserver(fn func(MatVecTimings)) { m.obs = fn }
 // on its own fork. The receiver itself may be one of the concurrent users.
 func (m *Matrix) Fork() *Matrix {
 	n := *m
-	n.xbuf = make([]float64, len(m.xbuf))
-	n.recvScratch = nil // per-solve staging must not be shared across forks
-	n.xbufK, n.ybufK, n.recvScratchK = nil, nil, nil
+	n.scratch = spmvScratch{}
 	if m.Ret != nil {
 		n.Ret = commplan.NewRetention(m.recvLists, 1)
 	}
@@ -299,8 +300,8 @@ func (m *Matrix) Fork() *Matrix {
 // localised interior/boundary split is m's own.
 // The halo lists for the member peers are m's Plan.SendTo/RecvFrom entries —
 // every member derives them from the member set alone, so there is no
-// symbolic exchange — and the fresh ghost buffer keeps every non-member slot
-// at zero, which drops A_{If, I\If} from the product while each row's
+// symbolic exchange — and the view's input buffer, cleared whenever its width
+// changes, keeps every non-member slot at zero, which drops A_{If, I\If} from the product while each row's
 // remaining terms accumulate in stored order. ctx separates the view's SpMV
 // tags from m's and from other live views.
 //
@@ -318,9 +319,7 @@ func (m *Matrix) Restrict(sub *Env, ctx int) (*Matrix, error) {
 	v := *m
 	v.Pos = sub.Pos
 	v.Red, v.Ret, v.obs = nil, nil, nil
-	v.xbuf = make([]float64, len(m.xbuf))
-	v.recvScratch = nil
-	v.xbufK, v.ybufK, v.recvScratchK = nil, nil, nil
+	v.scratch = spmvScratch{}
 	v.tagBase = 2000 + ctx*matrixTagStride
 	sizes := make([]int, sub.Size())
 	v.sendLists = make([][]int, sub.Size())
@@ -342,130 +341,6 @@ func (m *Matrix) Restrict(sub *Env, ctx int) (*Matrix, error) {
 	v.P = partition.FromSizes(sizes)
 	v.Plan = &commplan.HaloPlan{P: v.P, Rank: sub.Pos, SendTo: v.sendLists, RecvFrom: v.recvLists}
 	return &v, nil
-}
-
-// MatVec computes y = A x with the halo exchange, sending merged
-// halo+redundancy payloads (piggybacking, Sec. 4.2) and, when resilience is
-// enabled, retaining the received generation under the iteration number
-// `iter`. x and y are distributed vectors on the matrix's partition.
-//
-// The schedule hides communication behind computation (Levonyak et al.'s
-// prerequisite for scalable resilient PCG): post the owned halo sends,
-// compute the interior rows — which read no ghost data — while the receives
-// are in flight, then drain the receives, scatter the ghosts through the
-// precomputed index lists, and finish with the boundary rows. The row split
-// never changes a row's accumulation order, so the result is bit-identical
-// to the serial product of the unsplit rows on every transport.
-//
-// Payload lifetimes follow the transport's zero-copy contract: outgoing
-// payloads are drawn from the transport's buffer recycler and handed off
-// with SendOwned (never touched again here); received payloads are either
-// recycled as soon as their values are scattered (non-retaining calls) or
-// owned by the retention store for two generations and recycled when the
-// MatVec of the generation after next drops them.
-func (m *Matrix) MatVec(e *Env, y, x Vector, iter int) error {
-	lo, hi := m.P.Range(m.Pos)
-	bs := hi - lo
-	tag := m.tagBase + 2
-	// Phase timing is observational only: the clock is read at the phase
-	// boundaries the schedule already has, never between arithmetic.
-	var tm MatVecTimings
-	var mark time.Time
-	if m.obs != nil {
-		mark = time.Now()
-	}
-	// iter < 0 marks inputs that are not search directions (initial
-	// residual, verification products): they are not retained, so their
-	// payloads recycle as soon as they are scattered. A retained generation
-	// iter needs iter-1 beside it and nothing older: drop the rest first, so
-	// the sends below draw the recycled buffers and no more than two
-	// generations are ever live.
-	retain := m.Ret != nil && iter >= 0
-	if retain {
-		for _, old := range m.Ret.Keep(iter - 1) {
-			e.C.PutFloats(old)
-		}
-	}
-	// Post sends: one message per destination with merged payload.
-	for k, idx := range m.sendLists {
-		if k == e.Pos || len(idx) == 0 {
-			continue
-		}
-		payload := e.C.GetFloats(len(idx))
-		m.sendPlan[k].copy(payload, x.Local, 1)
-		cat := cluster.CatHalo
-		nHalo := len(m.Plan.SendTo[k])
-		if nHalo == 0 {
-			cat = cluster.CatRedundancy // fresh message: the extra latency case
-		}
-		// The payload is freshly built: transfer ownership, skip the copy.
-		if err := e.C.SendOwned(cat, e.Members[k], e.tag+tag, payload, nil); err != nil {
-			return err
-		}
-		if extra := len(idx) - nHalo; extra > 0 && nHalo > 0 {
-			// Piggybacked redundancy elements: reclassify their volume.
-			e.C.Reclassify(cluster.CatHalo, cluster.CatRedundancy, int64(extra))
-		}
-	}
-	if m.obs != nil {
-		now := time.Now()
-		tm.PostSend = now.Sub(mark)
-		mark = now
-	}
-	// The interior rows read only the own block [0, bs): with the sends
-	// posted, compute them while the halo messages are on the wire.
-	copy(m.xbuf[:bs], x.Local)
-	m.split.Interior.MulVecScatterPar(y.Local, m.xbuf, m.split.IntRows)
-	if m.obs != nil {
-		now := time.Now()
-		tm.Interior = now.Sub(mark)
-		mark = now
-	}
-	// Drain the receives and scatter into the ghost buffer through the
-	// precomputed plans.
-	var recvVals [][]float64
-	if retain {
-		if m.recvScratch == nil {
-			m.recvScratch = make([][]float64, e.Size())
-		}
-		recvVals = m.recvScratch
-		for i := range recvVals {
-			recvVals[i] = nil
-		}
-	}
-	for k, idx := range m.recvLists {
-		if k == e.Pos || len(idx) == 0 {
-			continue
-		}
-		msg, err := e.recv(k, tag)
-		if err != nil {
-			return err
-		}
-		if len(msg.F) != len(idx) {
-			return fmt.Errorf("distmat: MatVec from pos %d: %d values, want %d", k, len(msg.F), len(idx))
-		}
-		m.recvPlan[k].copy(m.xbuf, msg.F, 1)
-		if retain {
-			recvVals[k] = msg.F
-		} else {
-			e.C.Recycle(msg)
-		}
-	}
-	if m.obs != nil {
-		now := time.Now()
-		tm.Drain = now.Sub(mark)
-		mark = now
-	}
-	m.split.Boundary.MulVecScatterPar(y.Local, m.xbuf, m.split.BndRows)
-	if retain {
-		// The retention store owns the new generation's payloads.
-		m.Ret.Store(iter, recvVals)
-	}
-	if m.obs != nil {
-		tm.Boundary = time.Since(mark)
-		m.obs(tm)
-	}
-	return nil
 }
 
 // GhostProduct computes y += sum over external columns of the row block:
@@ -560,14 +435,4 @@ func (m *Matrix) OwnBlock() *sparse.CSR {
 		blk.RowPtr[i+1] = len(blk.Col)
 	})
 	return blk
-}
-
-// Residual computes r = b - A x into r (all distributed). Scratch-free
-// convenience used by solvers at setup and for verification.
-func (m *Matrix) Residual(e *Env, r, b, x Vector, iter int) error {
-	if err := m.MatVec(e, r, x, iter); err != nil {
-		return err
-	}
-	vec.Axpby(1, b.Local, -1, r.Local)
-	return nil
 }

@@ -80,13 +80,17 @@ func TestQuickOverlapRowPartitionProperty(t *testing.T) {
 // TestQuickMatVecMatchesSerial: the communication-hiding MatVec, and MatMat
 // at widths 3 and 8, equal the global serial CSR.MulVec of every column bit
 // for bit, with and without retention, across several random systems on the
-// in-process and chaos fabrics — and so do MatVec and width-3 MatMat on a
-// Restrict view, which shares the parent's split and sizes its buffers off
-// the parent's, against the serial product of the principal submatrix. The
-// oracle shares no code with the interior/boundary split.
+// in-process and chaos fabrics — and so does one Restrict view serving
+// widths 8, 3 and 1 in turn, which shares the parent's split and must read
+// zero in its non-member ghost slots at every width, against the serial
+// product of the principal submatrix. The oracle shares no code with the
+// interior/boundary split.
 func TestQuickMatVecMatchesSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	viewMembers := []int{1, 2}
+	// A view narrowing across calls: the wider products' values sit where
+	// the narrower ones' non-member ghost slots fall.
+	viewWidths := []int{8, 3, 1}
 	for _, trName := range []string{cluster.TransportChan, cluster.TransportChaos} {
 		for trial := 0; trial < 3; trial++ {
 			n := 60 + rng.Intn(120)
@@ -102,9 +106,9 @@ func TestQuickMatVecMatchesSerial(t *testing.T) {
 				}
 			}
 			// out files every product as a full-length vector: MatVec, the
-			// columns of MatMat at width 3 and 8, then the view's MatVec and
-			// width-3 MatMat (zero outside the view's members).
-			out := make([][]float64, 1+3+8+1+3)
+			// columns of MatMat at width 3 and 8, then the view's products at
+			// widths 8, 3 and 1 (zero outside the view's members).
+			out := make([][]float64, 1+3+8+8+3+1)
 			for j := range out {
 				out[j] = make([]float64, n)
 			}
@@ -159,10 +163,13 @@ func TestQuickMatVecMatchesSerial(t *testing.T) {
 				if err != nil {
 					return err
 				}
-				if err := products(view, sub, 1, at); err != nil {
-					return err
+				for _, k := range viewWidths {
+					if err := products(view, sub, k, at); err != nil {
+						return err
+					}
+					at += k
 				}
-				return products(view, sub, 3, at+1)
+				return nil
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -200,7 +207,7 @@ func TestQuickMatVecMatchesSerial(t *testing.T) {
 				}
 				at += k
 			}
-			for _, k := range []int{1, 3} {
+			for _, k := range viewWidths {
 				for j := 0; j < k; j++ {
 					check(at+j, principal, xFull[j][vlo:vhi], vlo)
 				}

@@ -33,9 +33,7 @@ const (
 	PrecondIC0             = "ic0"
 )
 
-// Method names accepted by Config. The empty string selects automatically:
-// plain PCG for failure-free runs without redundancy (phi 0, no schedule),
-// the resilient ESR-PCG otherwise.
+// Method names accepted by Config; what each selects is Config.Method's.
 const (
 	MethodAuto   = ""
 	MethodPCG    = "pcg"
@@ -182,11 +180,11 @@ type Config struct {
 	// (default 1.2). SSOR diverges outside 0 < omega < 2. It shapes (and
 	// identifies) prepared state only under that preconditioner.
 	SSOROmega float64 `json:"ssor_omega,omitempty" scope:"prep"`
-	// Method selects the solver: MethodPCG (reference, no failure
-	// tolerance), MethodESRPCG (the paper's resilient solver), MethodSPCG
-	// (the split-preconditioner variant, requires Preconditioner "ic0"), or
-	// MethodAuto ("") which picks PCG for failure-free runs without
-	// redundancy and ESRPCG otherwise.
+	// Method selects the solver: MethodSPCG runs the split-preconditioner
+	// variant (requires Preconditioner "ic0"); MethodPCG, MethodESRPCG and
+	// MethodAuto ("") run the same resilient PCG and differ only in what
+	// Validate accepts — MethodPCG, the reference, refuses a failure
+	// schedule, a non-ESR strategy and the SDC check.
 	Method string `json:"method,omitempty" scope:"run"`
 	// Transport selects the cluster communication fabric: TransportChan
 	// (default; "fast" is an accepted synonym), TransportChaos

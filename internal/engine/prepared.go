@@ -302,18 +302,6 @@ func (ps *Prepared) policy(o *Config) (*Config, error) {
 		return nil, err
 	}
 	c = c.WithDefaults() // resolves a per-call "fast" to chan
-	if c.Method == MethodAuto {
-		c.Method = MethodESRPCG
-		if c.Strategy == StrategyESR && c.Phi == 0 && c.Schedule.Empty() && c.SDCCheckInterval == 0 {
-			// Nothing for the resilient driver to do: no redundancy, no
-			// failures, no SDC check, and the ESR strategy adds no
-			// steady-state work. Non-ESR strategies always take the driver
-			// so their overhead (periodic checkpoints, twin comparisons) is
-			// exercised and measurable even on failure-free solves; an armed
-			// SDC check needs the driver because only it runs the check.
-			c.Method = MethodPCG
-		}
-	}
 	return &c, nil
 }
 

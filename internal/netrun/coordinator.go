@@ -15,6 +15,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/faults"
+	"repro/internal/xerr"
 )
 
 // Options sizes a Coordinator.
@@ -112,20 +113,22 @@ func (c *Coordinator) Run(ctx context.Context, spec engine.JobSpec, progress fun
 
 // checkSpec enforces the multi-process restrictions up front, with errors
 // naming the restriction instead of a worker failing obscurely mid-fleet.
+// Each is a valid job the multi-process path cannot serve, so each is
+// classed failed_precondition.
 func checkSpec(spec engine.JobSpec, cfg engine.Config) error {
 	if spec.MatrixID != "" {
-		return fmt.Errorf("netrun: matrix_id jobs cannot cross processes; inline the matrix spec")
+		return xerr.New(xerr.FailedPrecondition, "netrun: matrix_id jobs cannot cross processes; inline the matrix spec")
 	}
 	if cfg.Strategy != engine.StrategyESR {
-		return fmt.Errorf("netrun: multi-process jobs support only the %q strategy, got %q", engine.StrategyESR, cfg.Strategy)
+		return xerr.Newf(xerr.FailedPrecondition, "netrun: multi-process jobs support only the %q strategy, got %q", engine.StrategyESR, cfg.Strategy)
 	}
 	for _, e := range scheduleEvents(cfg.Schedule) {
 		if e.Phase != 0 {
-			return fmt.Errorf("netrun: multi-process schedules support only phase-0 (main poll point) events")
+			return xerr.New(xerr.FailedPrecondition, "netrun: multi-process schedules support only phase-0 (main poll point) events")
 		}
 		for _, r := range e.Ranks {
 			if r == 0 {
-				return fmt.Errorf("netrun: rank 0 (the result rank) cannot be a scheduled victim of a multi-process job")
+				return xerr.New(xerr.FailedPrecondition, "netrun: rank 0 (the result rank) cannot be a scheduled victim of a multi-process job")
 			}
 		}
 	}

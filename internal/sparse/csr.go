@@ -61,9 +61,10 @@ func (m *CSR) Clone() *CSR {
 
 // rowDot accumulates one row's product in stored-entry order: sub-slicing
 // the row lets the compiler drop the bounds checks on vals (its length is
-// pinned to cols'), leaving only the unavoidable gather x[c]. Every MulVec
-// variant (serial, scattered, parallel) funnels through this one accumulator
-// so they are all bit-identical per row by construction.
+// pinned to cols'), leaving only the unavoidable gather x[c]. Every
+// one-column product (MulVec, MulVecAdd, MulMatScatter* at k = 1) funnels
+// through this one accumulator so they are all bit-identical per row by
+// construction.
 func rowDot(cols []int, vals []float64, x []float64) float64 {
 	vals = vals[:len(cols)]
 	var s float64

@@ -1,9 +1,5 @@
 package sparse
 
-import (
-	"repro/internal/vec"
-)
-
 // RowSplit is an interior/boundary partition of a row block's rows in the
 // owning rank's local column space (own columns first, ghost columns after
 // them): Interior holds the rows whose stored columns all lie in the rank's
@@ -98,37 +94,3 @@ const parRowChunk = 256
 // parNNZThreshold is the minimum stored-entry count for which the parallel
 // SpMV variants fan out to the worker pool.
 const parNNZThreshold = 1 << 14
-
-// MulVecScatter computes y[rows[i]] = (A x)[i] for the compressed matrix:
-// row i of m is accumulated in stored order and written to the source row
-// index rows[i]. It is the kernel behind both halves of a RowSplit, scoring
-// each sub-matrix row directly into the full output vector.
-func (m *CSR) MulVecScatter(y, x []float64, rows []int) {
-	if len(x) != m.Cols || len(rows) != m.Rows {
-		panic("sparse: MulVecScatter dimension mismatch")
-	}
-	for i, dst := range rows {
-		lo, hi := m.RowPtr[i], m.RowPtr[i+1]
-		y[dst] = rowDot(m.Col[lo:hi], m.Val[lo:hi], x)
-	}
-}
-
-// MulVecScatterPar is MulVecScatter row-chunked across the shared worker
-// pool. Each row is accumulated by exactly one goroutine in stored order and
-// rows write disjoint y entries (rows holds distinct indices), so the result
-// is bit-identical to MulVecScatter however the chunks are shared out.
-func (m *CSR) MulVecScatterPar(y, x []float64, rows []int) {
-	if len(x) != m.Cols || len(rows) != m.Rows {
-		panic("sparse: MulVecScatterPar dimension mismatch")
-	}
-	if m.NNZ() < parNNZThreshold {
-		m.MulVecScatter(y, x, rows)
-		return
-	}
-	vec.Parallel(m.Rows, (m.Rows+parRowChunk-1)/parRowChunk, 0, func(_, lo, hi int) {
-		for i := lo; i < hi; i++ {
-			rlo, rhi := m.RowPtr[i], m.RowPtr[i+1]
-			y[rows[i]] = rowDot(m.Col[rlo:rhi], m.Val[rlo:rhi], x)
-		}
-	})
-}

@@ -110,9 +110,9 @@ func TestQuickSplitLocalizePartitionProperty(t *testing.T) {
 }
 
 // TestQuickSplitScatterMatchesMulVec: scoring both halves of a split through
-// MulVecScatter (and its parallel variant) on the localised input — own
-// block first, ghost values after it — must be bit-identical to the unsplit
-// MulVec on the global one.
+// a width-1 MulMatScatter (and its parallel variant) on the localised input —
+// own block first, ghost values after it — must be bit-identical to the
+// unsplit MulVec on the global one.
 func TestQuickSplitScatterMatchesMulVec(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	for trial := 0; trial < 30; trial++ {
@@ -133,16 +133,16 @@ func TestQuickSplitScatterMatchesMulVec(t *testing.T) {
 		}
 
 		got := make([]float64, r)
-		s.Interior.MulVecScatter(got, xLocal, s.IntRows)
-		s.Boundary.MulVecScatter(got, xLocal, s.BndRows)
+		s.Interior.MulMatScatter(got, xLocal, s.IntRows, 1)
+		s.Boundary.MulMatScatter(got, xLocal, s.BndRows, 1)
 		for i := range want {
 			if got[i] != want[i] {
 				t.Fatalf("trial %d: scatter y[%d] = %x, MulVec %x", trial, i, got[i], want[i])
 			}
 		}
 		par := make([]float64, r)
-		s.Interior.MulVecScatterPar(par, xLocal, s.IntRows)
-		s.Boundary.MulVecScatterPar(par, xLocal, s.BndRows)
+		s.Interior.MulMatScatterPar(par, xLocal, s.IntRows, 1)
+		s.Boundary.MulMatScatterPar(par, xLocal, s.BndRows, 1)
 		for i := range want {
 			if par[i] != want[i] {
 				t.Fatalf("trial %d: parallel scatter y[%d] = %x, MulVec %x", trial, i, par[i], want[i])
@@ -168,8 +168,8 @@ func bandedRandom(rng *rand.Rand, n, w int, density float64) *CSR {
 // TestQuickSplitScatterParAboveThreshold: both halves of a split large enough
 // to clear parNNZThreshold — so the pooled, row-chunked branch the workload
 // SpMVs run is the one under test, over several 256-row chunks each — score
-// bit-identically to the unsplit serial MulVec (at width 3, to MulVec per
-// column). The outputs start as NaN, so a chunk the pool never computes shows
+// bit-identically to the unsplit serial MulVec (at width 1 through rowDot,
+// at width 3 through rowDotK, to MulVec per column). The outputs start as NaN, so a chunk the pool never computes shows
 // as a mismatch.
 func TestQuickSplitScatterParAboveThreshold(t *testing.T) {
 	rng := rand.New(rand.NewSource(44))
@@ -213,11 +213,11 @@ func TestQuickSplitScatterParAboveThreshold(t *testing.T) {
 	}
 
 	y := nan(n)
-	s.Interior.MulVecScatterPar(y, local[0], s.IntRows)
-	s.Boundary.MulVecScatterPar(y, local[0], s.BndRows)
+	s.Interior.MulMatScatterPar(y, local[0], s.IntRows, 1)
+	s.Boundary.MulMatScatterPar(y, local[0], s.BndRows, 1)
 	for i := range y {
 		if math.Float64bits(y[i]) != math.Float64bits(want[0][i]) {
-			t.Fatalf("MulVecScatterPar y[%d] = %x, MulVec %x", i, y[i], want[0][i])
+			t.Fatalf("width-1 MulMatScatterPar y[%d] = %x, MulVec %x", i, y[i], want[0][i])
 		}
 	}
 	yk, xk := nan(n*k), interleave(local)

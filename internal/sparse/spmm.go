@@ -12,8 +12,8 @@ import (
 //
 // Determinism contract: rowDotK accumulates each output column in exactly
 // the stored-entry order rowDot uses, with the same multiply-add sequence,
-// so column j of every MulMat* result is bitwise identical to the
-// corresponding MulVec* applied to column j alone.
+// so column j of every MulMat* result is bitwise identical to MulVec
+// applied to column j alone.
 
 // rowDotK computes row.X into out[0:k] (k = len(out)). The row is walked
 // once per tile of 8 columns, then once for a tile of 4, then once per
@@ -86,34 +86,48 @@ func (m *CSR) MulMat(y, x []float64, k int) {
 }
 
 // MulMatScatter computes y[rows[i]*k : rows[i]*k+k] = (A X) row i for the
-// compressed matrix — the SpMM analogue of MulVecScatter, scoring each
-// sub-matrix row of a RowSplit directly into the full k-strided output.
+// compressed matrix: row i of m is accumulated in stored order and written
+// to the source row rows[i]. It is the kernel behind both halves of a
+// RowSplit, scoring each sub-matrix row directly into the full k-strided
+// output; at k = 1 that output is a plain vector, y[rows[i]] = (A x)[i].
 func (m *CSR) MulMatScatter(y, x []float64, rows []int, k int) {
 	if k <= 0 || len(x) != m.Cols*k || len(rows) != m.Rows {
 		panic("sparse: MulMatScatter dimension mismatch")
 	}
-	for i, dst := range rows {
-		lo, hi := m.RowPtr[i], m.RowPtr[i+1]
-		rowDotK(m.Col[lo:hi], m.Val[lo:hi], x, y[dst*k:dst*k+k])
-	}
+	m.scatterRows(y, x, rows, k, 0, m.Rows)
 }
 
 // MulMatScatterPar is MulMatScatter row-chunked across the shared worker
-// pool. Rows write disjoint y ranges (rows holds distinct indices), so the
-// result is bit-identical to MulMatScatter however the chunks are shared
-// out.
+// pool. Each row is accumulated by exactly one goroutine and rows write
+// disjoint y ranges (rows holds distinct indices), so the result is
+// bit-identical to MulMatScatter however the chunks are shared out.
 func (m *CSR) MulMatScatterPar(y, x []float64, rows []int, k int) {
 	if k <= 0 || len(x) != m.Cols*k || len(rows) != m.Rows {
 		panic("sparse: MulMatScatterPar dimension mismatch")
 	}
 	if m.NNZ()*k < parNNZThreshold {
-		m.MulMatScatter(y, x, rows, k)
+		m.scatterRows(y, x, rows, k, 0, m.Rows)
 		return
 	}
 	vec.Parallel(m.Rows, (m.Rows+parRowChunk-1)/parRowChunk, 0, func(_, lo, hi int) {
+		m.scatterRows(y, x, rows, k, lo, hi)
+	})
+}
+
+// scatterRows scores the sub-matrix rows [lo, hi) of a MulMatScatter. The
+// kernel is chosen once: a single column goes through rowDot, which skips
+// rowDotK's column tiling and its k-strided indexing; both accumulate a
+// column in the same order, so the choice never changes a bit.
+func (m *CSR) scatterRows(y, x []float64, rows []int, k, lo, hi int) {
+	if k == 1 {
 		for i := lo; i < hi; i++ {
 			rlo, rhi := m.RowPtr[i], m.RowPtr[i+1]
-			rowDotK(m.Col[rlo:rhi], m.Val[rlo:rhi], x, y[rows[i]*k:rows[i]*k+k])
+			y[rows[i]] = rowDot(m.Col[rlo:rhi], m.Val[rlo:rhi], x)
 		}
-	})
+		return
+	}
+	for i := lo; i < hi; i++ {
+		rlo, rhi, d := m.RowPtr[i], m.RowPtr[i+1], rows[i]*k
+		rowDotK(m.Col[rlo:rhi], m.Val[rlo:rhi], x, y[d:d+k])
+	}
 }

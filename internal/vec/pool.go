@@ -7,7 +7,7 @@ import (
 )
 
 // The shared worker pool behind every parallel kernel in this repository
-// (Par* in this package, sparse.MulVecScatterPar, precond.Jacobi). The pool
+// (Par* in this package, sparse.MulMatScatterPar, precond.Jacobi). The pool
 // is sized once to GOMAXPROCS-1 resident workers — the caller's goroutine is
 // always the p-th worker — so concurrent solves share one bounded set of
 // compute goroutines instead of each Par* call spawning its own (the

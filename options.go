@@ -92,11 +92,12 @@ type Method string
 
 // The available solver methods.
 const (
-	// AutoMethod (the default) picks PCG for failure-free runs without
-	// redundancy and ESRPCG otherwise.
+	// AutoMethod (the default) accepts what ESRPCG accepts; both run the
+	// same solver.
 	AutoMethod Method = engine.MethodAuto
-	// PCG is the reference parallel PCG (paper Alg. 1), without failure
-	// tolerance.
+	// PCG is the reference parallel PCG (paper Alg. 1): the same solver as
+	// ESRPCG, accepted only without a failure schedule, a strategy other
+	// than ESR or the SDC check.
 	PCG Method = engine.MethodPCG
 	// ESRPCG is the paper's resilient PCG with exact state reconstruction
 	// after up to phi node failures.
