@@ -7,103 +7,6 @@ import (
 	"testing"
 )
 
-// TestSolveBatchBlockedBitwiseLooped is the blocked-path contract at the
-// public API: on every transport, a blocked batch (lockstep k-wide driver)
-// must be bitwise identical, column for column, to looped single-RHS solves
-// of the same right-hand sides.
-func TestSolveBatchBlockedBitwiseLooped(t *testing.T) {
-	a := Poisson2D(18, 18)
-	const k = 6
-	bs := make([][]float64, k)
-	for j := range bs {
-		bs[j] = variedRHS(a.Rows, j)
-	}
-	for _, tr := range []Transport{ChanTransport, ChaosTransport, NetTransport} {
-		t.Run(string(tr), func(t *testing.T) {
-			s, err := NewSolver(a, WithRanks(4), WithPhi(1), WithTransport(tr))
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer s.Close()
-			blocked, err := s.SolveBatch(context.Background(), bs, WithBlockSize(4))
-			if err != nil {
-				t.Fatal(err)
-			}
-			looped, err := s.SolveBatch(context.Background(), bs, WithBlockSize(1))
-			if err != nil {
-				t.Fatal(err)
-			}
-			for j := 0; j < k; j++ {
-				if !blocked[j].Result.Converged || !looped[j].Result.Converged {
-					t.Fatalf("column %d did not converge (blocked %v, looped %v)",
-						j, blocked[j].Result.Converged, looped[j].Result.Converged)
-				}
-				if blocked[j].Result.Iterations != looped[j].Result.Iterations {
-					t.Fatalf("column %d: blocked %d iterations, looped %d",
-						j, blocked[j].Result.Iterations, looped[j].Result.Iterations)
-				}
-				for i := range blocked[j].X {
-					if blocked[j].X[i] != looped[j].X[i] {
-						t.Fatalf("column %d: X[%d] blocked %x, looped %x",
-							j, i, blocked[j].X[i], looped[j].X[i])
-					}
-				}
-				checkResidual(t, a, blocked[j].X, bs[j])
-			}
-		})
-	}
-}
-
-// TestSolveBatchBlockedUnderFailures kills two ranks mid-solve of a blocked
-// batch: the k-wide ESR reconstruction must restore all columns so exactly
-// that each one stays bitwise identical to a solo solve under the same
-// schedule — on every transport.
-func TestSolveBatchBlockedUnderFailures(t *testing.T) {
-	a := Poisson2D(16, 16)
-	const k = 4
-	bs := make([][]float64, k)
-	for j := range bs {
-		bs[j] = variedRHS(a.Rows, j)
-	}
-	sched := NewSchedule(Simultaneous(6, 1, 2))
-	for _, tr := range []Transport{ChanTransport, ChaosTransport, NetTransport} {
-		t.Run(string(tr), func(t *testing.T) {
-			s, err := NewSolver(a, WithRanks(4), WithPhi(2), WithTransport(tr))
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer s.Close()
-			blocked, err := s.SolveBatch(context.Background(), bs,
-				WithBlockSize(k), WithSchedule(sched))
-			if err != nil {
-				t.Fatal(err)
-			}
-			for j := 0; j < k; j++ {
-				solo, err := s.Solve(context.Background(), bs[j], WithSchedule(sched))
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !blocked[j].Result.Converged {
-					t.Fatalf("column %d did not converge under failures", j)
-				}
-				if got, want := blocked[j].Result.Reconstructions, solo.Result.Reconstructions; len(got) != len(want) {
-					t.Fatalf("column %d: %d reconstructions, solo %d", j, len(got), len(want))
-				}
-				if blocked[j].Result.Iterations != solo.Result.Iterations {
-					t.Fatalf("column %d: blocked %d iterations, solo %d",
-						j, blocked[j].Result.Iterations, solo.Result.Iterations)
-				}
-				for i := range blocked[j].X {
-					if blocked[j].X[i] != solo.X[i] {
-						t.Fatalf("column %d: X[%d] blocked %x, solo %x",
-							j, i, blocked[j].X[i], solo.X[i])
-					}
-				}
-			}
-		})
-	}
-}
-
 // TestSolveBatchFailFastValidation pins the batch validation contract: a
 // malformed column rejects the whole batch with a typed *InvalidRHSError
 // naming it, before any solve has run.
@@ -166,51 +69,5 @@ func TestWithBlockSizeValidation(t *testing.T) {
 	var bsErr *InvalidConfigError
 	if _, err := s.SolveBatch(context.Background(), bs, WithBlockSize(-1)); !errors.As(err, &bsErr) || bsErr.Field != "block_size" {
 		t.Fatalf("per-call WithBlockSize(-1): err = %v, want *InvalidConfigError{block_size}", err)
-	}
-}
-
-// TestSolveBatchPreconditionerSweep pins blocked/looped bit-identity across
-// the preconditioner families: identity and jacobi take the fused
-// element-wise batch application, block-jacobi-ilu the fused triangular
-// sweep, and ssor/block-jacobi-cholesky the per-column fallback inside the
-// blocked driver.
-func TestSolveBatchPreconditionerSweep(t *testing.T) {
-	a := Poisson2D(14, 14)
-	const k = 5
-	bs := make([][]float64, k)
-	for j := range bs {
-		bs[j] = variedRHS(a.Rows, j)
-	}
-	for _, p := range []Preconditioner{Identity, Jacobi, BlockJacobiILU, BlockJacobiChol, SSOR} {
-		t.Run(string(p), func(t *testing.T) {
-			s, err := NewSolver(a, WithRanks(4), WithPhi(1), WithPreconditioner(p))
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer s.Close()
-			blocked, err := s.SolveBatch(context.Background(), bs, WithBlockSize(k))
-			if err != nil {
-				t.Fatal(err)
-			}
-			looped, err := s.SolveBatch(context.Background(), bs, WithBlockSize(1))
-			if err != nil {
-				t.Fatal(err)
-			}
-			for j := 0; j < k; j++ {
-				if !blocked[j].Result.Converged {
-					t.Fatalf("column %d did not converge under %s", j, p)
-				}
-				if blocked[j].Result.Iterations != looped[j].Result.Iterations {
-					t.Fatalf("column %d: blocked %d iterations, looped %d",
-						j, blocked[j].Result.Iterations, looped[j].Result.Iterations)
-				}
-				for i := range blocked[j].X {
-					if blocked[j].X[i] != looped[j].X[i] {
-						t.Fatalf("column %d: X[%d] blocked %x, looped %x under %s",
-							j, i, blocked[j].X[i], looped[j].X[i], p)
-					}
-				}
-			}
-		})
 	}
 }

@@ -15,8 +15,10 @@ const (
 	TransportChan = "chan"
 	// TransportChaos wraps the in-process fabric with deterministic, seeded
 	// message delay (reordering across distinct (source, tag) pairs, FIFO
-	// within each) and lagged failure notification, for testing the
-	// resilience protocol's ordering assumptions.
+	// within each), for testing the resilience protocol's ordering
+	// assumptions. Its lagged failure notification acts only on
+	// Runtime.Kill, which no solve calls: a solve's failures are scheduled
+	// wipes.
 	TransportChaos = "chaos"
 	// TransportNet is the TCP fabric: ranks hosted across OS processes (or
 	// one process in self-loop mode) exchanging length-prefixed binary

@@ -382,8 +382,7 @@ func (d *driver) step(j int) error {
 		// the breakdown instead of spinning NaN arithmetic to MaxIter. A
 		// breakdown freezes only its column.
 		if pu := pus[c]; !(pu > 0) {
-			st.errs[c] = fmt.Errorf("core: %s-PCG breakdown, p'Ap = %g at iteration %d (column %d)", d.strat.Name(), pu, j, c)
-			st.done[c] = true
+			d.fail(c, fmt.Errorf("core: %s-PCG breakdown, p'Ap = %g at iteration %d (column %d)", d.strat.Name(), pu, j, c))
 			continue
 		}
 		d.alpha[c] = st.RZ[c] / pus[c]
@@ -436,8 +435,7 @@ func (d *driver) step(j int) error {
 		st.res[c].Iterations = j + 1
 		st.res[c].FinalResidual = rn
 		if math.IsNaN(rn) || math.IsInf(rn, 0) {
-			st.errs[c] = fmt.Errorf("core: %s-PCG diverged, ||r|| = %g at iteration %d (column %d)", d.strat.Name(), rn, j, c)
-			st.done[c] = true
+			d.fail(c, fmt.Errorf("core: %s-PCG diverged, ||r|| = %g at iteration %d (column %d)", d.strat.Name(), rn, j, c))
 			continue
 		}
 		ran++
@@ -457,6 +455,16 @@ func (d *driver) step(j int) error {
 		d.clock.emit(opts.Tracer, j+1, maxRn, maxRel)
 	}
 	return nil
+}
+
+// fail freezes column c with its breakdown or divergence. On a column
+// carrying an injected corruption no check has caught yet, the corruption is
+// the likely cause, so the error is classed data_loss like a detected one.
+func (d *driver) fail(c int, err error) {
+	if len(d.sdcPending[c]) > 0 {
+		err = xerr.Wrap(xerr.DataLoss, err)
+	}
+	d.st.errs[c], d.st.done[c] = err, true
 }
 
 // land marks column c converged: it is masked out of the iteration and its

@@ -1,9 +1,11 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
@@ -14,6 +16,7 @@ import (
 	"repro/internal/partition"
 	"repro/internal/precond"
 	"repro/internal/sparse"
+	"repro/internal/xerr"
 )
 
 // tridiagInverse is the SPD tridiagonal approximate inverse the
@@ -333,5 +336,32 @@ func TestSoloEventsKeepScalarSemantics(t *testing.T) {
 	}
 	if rt := log.recoveries[0]; rt.Iteration != failAt || rt.Strategy != StrategyESR || rt.RedoneIterations != 0 {
 		t.Fatalf("recovery trace %+v", rt)
+	}
+}
+
+// TestUndetectedFlipBreakdownIsDataLoss: a flip in p that breaks the
+// recurrence down before any detector could see it is corruption, not a
+// numerical accident, and is classed data_loss with no check armed. With the
+// identity preconditioner and b = 1, p(0) = 1 and bit 62 turns p[0] into
+// +Inf: alpha(0) = 0, and the next SpMV makes p'Ap NaN.
+func TestUndetectedFlipBreakdownIsDataLoss(t *testing.T) {
+	a := matgen.Poisson2D(14, 12)
+	sched := faults.NewSchedule(faults.BitFlip(0, 0, faults.TargetP, 0, 62))
+	out := runSolver(t, 4, func(c *cluster.Comm) (Result, distmat.Vector, error) {
+		e, m, x, b, err := setupProblem(c, a, 1)
+		if err != nil {
+			return Result{}, x, err
+		}
+		for i := range b.Local {
+			b.Local[i] = 1
+		}
+		res, err := ESRPCG(e, m, x, b, nil, Options{}, sched)
+		return res, x, err
+	})
+	if out.err == nil || !strings.Contains(out.err.Error(), "breakdown") {
+		t.Fatalf("err = %v, want the corrupted recurrence to break down", out.err)
+	}
+	if !errors.Is(out.err, xerr.DataLoss) {
+		t.Fatalf("breakdown %v after an undetected flip is not data_loss-classed", out.err)
 	}
 }

@@ -52,7 +52,7 @@ type RecoveryTrace struct {
 // Tracing is observer-only by construction: the driver reads clocks around
 // the phases it already executes and hands the tracer copies of values it
 // already computed, so a traced solve is bit-identical to an untraced one —
-// see TestCrossTransportBitIdentical.
+// see TestConfigurationLattice.
 type Tracer interface {
 	// TraceIteration is called after every completed iteration.
 	TraceIteration(IterationTrace)

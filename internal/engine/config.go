@@ -85,8 +85,10 @@ const (
 	// TransportChan is the default in-process fabric: mailbox hand-off
 	// between rank goroutines, payload buffers from a pooled recycler.
 	TransportChan = cluster.TransportChan
-	// TransportChaos perturbs delivery with seeded latency and lagged
-	// failure notification, for stressing the resilience protocol.
+	// TransportChaos delivers every message asynchronously after a seeded
+	// delay, reordered across wires, for stressing the resilience protocol.
+	// A solve's failures are scheduled wipes at its poll points, so the
+	// fabric's lagged failure notification never reaches one.
 	TransportChaos = cluster.TransportChaos
 	// TransportNet runs every rank-to-rank message over real TCP sockets
 	// (loopback self-loop inside one process; internal/netrun spreads ranks
@@ -188,7 +190,7 @@ type Config struct {
 	Method string `json:"method,omitempty" scope:"run"`
 	// Transport selects the cluster communication fabric: TransportChan
 	// (default; "fast" is an accepted synonym), TransportChaos
-	// (seeded latency + lagged failure notification), or TransportNet
+	// (asynchronous, seeded-delay, reordered delivery), or TransportNet
 	// (real TCP sockets on loopback). Results are bit-identical on all three.
 	Transport string `json:"transport,omitempty" scope:"run"`
 	// TransportSeed seeds the chaos transport's deterministic delay

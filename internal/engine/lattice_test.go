@@ -9,10 +9,14 @@ import (
 	"math/rand"
 	"os"
 	"reflect"
+	"slices"
 	"strconv"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/faults"
 	"repro/internal/sparse"
@@ -21,7 +25,12 @@ import (
 
 // The configuration-lattice generator: one seeded walk over
 //
-//	recurrence {pcg, split/ic0} x strategy {esr, checkpoint, restart, twin}
+//	recurrence {pcg, split/ic0}
+//	x preconditioner {identity, jacobi, block-Jacobi ILU, block-Jacobi
+//	  Cholesky, SSOR, IC(0)} (the split recurrence on IC(0) only)
+//	x strategy {esr, checkpoint, restart, twin}
+//	x checkpoint interval {1, 4, 7} x twin interval {1, 2}
+//	x transport {chan, chaos, net self-loop, poisoned recycler}
 //	x width {1, 3, 8 with one zero RHS and one duplicate column}
 //	x schedule {none, simultaneous, overlapping at each phase, a flip on each
 //	  target, mixed kill+flip, more failures than phi}
@@ -30,31 +39,56 @@ import (
 // on one Prepared per (matrix, preconditioner), holding every point to the
 // same contract:
 //
-//	(a) column c of a block is its solo solve: bits of X and every integer
-//	    field of Result;
+//	(a) column c of a block run on the point's transport is its solo solve on
+//	    chan: bits of X and FinalResidual and every integer field of Result;
 //	(b) ||b - A x|| <= tol ||r0||, recomputed serially outside the solver;
-//	(c) WorkIterations = Iterations + the iterations the episodes redid;
+//	(c) WorkIterations = Iterations + the iterations the episodes redid, and an
+//	    overlap-class episode restarts exactly once (Sec. 4.1);
 //	(d) outside the contract — more failures than phi, a flip the strategy
-//	    cannot repair — a classed error within a deadline, never a hang.
+//	    cannot repair — a data_loss-classed error within a deadline, never a
+//	    hang;
+//	(e) a traced block reports one iteration trace per executed iteration,
+//	    the last one the Result's, and one recovery trace per fail-stop
+//	    episode naming its strategy and failed ranks.
+//
+// chan and net (every message through the wire codec and a loopback TCP
+// socket) are fabrics the session builds itself; chaos delivers every message
+// asynchronously after a seeded delay, reordered across wires; the poisoned
+// recycler NaN-fills every payload buffer handed back, so a read after
+// recycle anywhere — halo exchange, retention, collectives, an episode —
+// shows up as a wrong bit.
 //
 // Seeds below latticeGrid enumerate recurrence x strategy x schedule class
-// (every phase, every target) once, so the short budget already visits each;
-// seeds above draw every axis at random. LATTICE_SEEDS sizes the walk (the
-// nightly runs a large one), LATTICE_SEED replays a single seed.
+// (every phase, every target) once and rotate the other axes across them, so
+// the short budget already visits every transport x strategy pair and every
+// value of every axis; seeds above draw every axis at random. LATTICE_SEEDS
+// sizes the walk (the nightly runs a large one), LATTICE_SEED replays a
+// single seed.
 const (
 	latticeRanks    = 8
 	latticePhi      = 3
 	latticeTol      = 1e-8
-	latticeInterval = 4 // checkpoint period
 	latticeSDC      = 3 // the armed SDCCheckInterval
 	latticeDeadline = 60 * time.Second
+	// latticeChaosDelay bounds the chaos wire's seeded per-message delay:
+	// enough to reorder deliveries across wires at a fraction of the default
+	// 200 µs's cost.
+	latticeChaosDelay = time.Microsecond
 )
 
 var (
-	latticeStrategies = []string{StrategyESR, StrategyCheckpoint, StrategyRestart, StrategyTwin}
-	latticeWidths     = []int{1, 3, 8}
-	latticeTargets    = []string{faults.TargetX, faults.TargetR, faults.TargetP, faults.TargetZ}
+	latticePreconds = []string{PrecondIdentity, PrecondJacobi, PrecondBlockJacobiILU,
+		PrecondBlockJacobiChol, PrecondSSOR, PrecondIC0}
+	latticeStrategies  = []string{StrategyESR, StrategyCheckpoint, StrategyRestart, StrategyTwin}
+	latticeTransports  = []string{TransportChan, TransportChaos, TransportNet, poisoned}
+	latticeCheckpoints = []int{1, 4, 7}
+	latticeTwins       = []int{1, 2}
+	latticeWidths      = []int{1, 3, 8}
+	latticeTargets     = []string{faults.TargetX, faults.TargetR, faults.TargetP, faults.TargetZ}
 )
+
+// ic0 is IC(0)'s index in latticePreconds, the split recurrence's session.
+var ic0 = slices.Index(latticePreconds, PrecondIC0)
 
 // Schedule classes, in grid order.
 const (
@@ -73,44 +107,72 @@ const latticeGrid = 2 * 4 * numClasses
 
 // latticePoint is one visited configuration.
 type latticePoint struct {
-	seed     int64
-	session  int // index into the prepared sessions
-	split    bool
-	strategy string
-	width    int
-	class    int
-	sched    *faults.Schedule
-	sdc      int
-	traced   bool
+	seed      int64
+	matrix    int
+	precond   int // index into latticePreconds
+	split     bool
+	strategy  string
+	ckpt      int
+	twin      int
+	transport string
+	width     int
+	class     int
+	sched     *faults.Schedule
+	sdc       int
+	traced    bool
 }
 
 func (p latticePoint) String() string {
 	sched, _ := json.Marshal(p.sched)
-	return fmt.Sprintf("session=%d split=%v strategy=%s width=%d class=%d sdc=%d traced=%v schedule=%s",
-		p.session, p.split, p.strategy, p.width, p.class, p.sdc, p.traced, sched)
+	return fmt.Sprintf("matrix=%d precond=%s split=%v strategy=%s ckpt=%d twin=%d transport=%s width=%d class=%d sdc=%d traced=%v schedule=%s",
+		p.matrix, latticePreconds[p.precond], p.split, p.strategy, p.ckpt, p.twin, p.transport, p.width, p.class, p.sdc, p.traced, sched)
 }
 
 // hasFlip reports whether the point's schedule corrupts state; repairs
-// whether its strategy puts every flip right again.
+// whether its strategy puts every flip right again: the twin's compare
+// points are the multiples of its interval.
 func (p latticePoint) hasFlip() bool { return p.sched.HasCorruption() }
-func (p latticePoint) repairs() bool { return p.strategy == StrategyTwin }
+func (p latticePoint) repairs() bool {
+	if p.strategy != StrategyTwin {
+		return false
+	}
+	for _, ev := range p.sched.Events() {
+		if ev.IsCorruption() && ev.Iteration%p.twin != 0 {
+			return false
+		}
+	}
+	return true
+}
+
+func (p latticePoint) overlap() bool { return p.class >= classOverlap1 && p.class <= classOverlap5 }
 
 // latticePointAt derives the configuration of one seed.
-func latticePointAt(seed int64, sessions int) latticePoint {
+func latticePointAt(seed int64, matrices int) latticePoint {
 	rng := rand.New(rand.NewSource(seed))
 	p := latticePoint{seed: seed}
 	if seed < latticeGrid {
 		g := int(seed)
-		p.split, p.strategy, p.class = g%2 == 1, latticeStrategies[g/2%4], g/8
+		s, class := g/2%4, g/8
+		p.split, p.strategy, p.class = g%2 == 1, latticeStrategies[s], class
+		// Every strategy meets every transport across the classes, and every
+		// class every transport across the strategies.
+		p.transport = latticeTransports[(s+class)%4]
+		p.precond = g / 2 % len(latticePreconds)
+		p.ckpt = latticeCheckpoints[class%3]
+		p.twin = latticeTwins[(class+g)%2]
+		p.width = latticeWidths[g%3]
 	} else {
 		p.split, p.strategy, p.class = rng.Intn(2) == 1, latticeStrategies[rng.Intn(4)], rng.Intn(numClasses)
+		p.transport = latticeTransports[rng.Intn(len(latticeTransports))]
+		p.precond = rng.Intn(len(latticePreconds))
+		p.ckpt = latticeCheckpoints[rng.Intn(len(latticeCheckpoints))]
+		p.twin = latticeTwins[rng.Intn(len(latticeTwins))]
+		p.width = latticeWidths[rng.Intn(len(latticeWidths))]
 	}
-	// Sessions alternate pcg, split per matrix.
-	p.session = 2 * rng.Intn(sessions/2)
 	if p.split {
-		p.session++
+		p.precond = ic0
 	}
-	p.width = latticeWidths[rng.Intn(len(latticeWidths))]
+	p.matrix = rng.Intn(matrices)
 	if rng.Intn(2) == 1 {
 		p.sdc = latticeSDC
 	}
@@ -132,7 +194,7 @@ func latticePointAt(seed int64, sessions int) latticePoint {
 			n = 1 + rng.Intn(latticePhi)
 		}
 		p.sched = faults.NewSchedule(faults.Simultaneous(iter(), victims(n)...))
-	case p.class >= classOverlap1 && p.class <= classOverlap5:
+	case p.overlap():
 		j, v := iter(), victims(2)
 		p.sched = faults.NewSchedule(faults.Simultaneous(j, v[0]),
 			faults.Overlapping(j, p.class-classOverlap1+1, v[1]))
@@ -165,14 +227,38 @@ func latticeRHS(n, width int, seed int64) [][]float64 {
 	return bs
 }
 
-// countingTracer counts what a traced solve reported.
-type countingTracer struct{ iterations, recoveries int }
+// poisonTransport is the in-process fabric with a recycler that bites:
+// PutFloats overwrites the buffer with NaN and never hands it out again.
+// With pooled payloads on every fabric there is no plain-allocation
+// transport left to diff against, so this is the ownership oracle — a read
+// after recycle, which the real pool turns into a lucky pass or a rare
+// heisenbug, becomes a NaN on the first run. No configuration name selects
+// it: the lattice hands its runtime to solveOn.
+type poisonTransport struct{ *cluster.LocalTransport }
 
-func (c *countingTracer) TraceIteration(core.IterationTrace) { c.iterations++ }
-func (c *countingTracer) TraceRecovery(core.RecoveryTrace)   { c.recoveries++ }
+func (poisonTransport) PutFloats(buf []float64) {
+	buf = buf[:cap(buf)]
+	for i := range buf {
+		buf[i] = math.NaN()
+	}
+}
+
+// poisoned labels the lattice's poisonTransport axis value.
+const poisoned = "poisoned-recycler"
+
+// latticeTracer records what a traced solve reported.
+type latticeTracer struct {
+	iterations []core.IterationTrace
+	recoveries []core.RecoveryTrace
+}
+
+func (l *latticeTracer) TraceIteration(it core.IterationTrace) {
+	l.iterations = append(l.iterations, it)
+}
+func (l *latticeTracer) TraceRecovery(rt core.RecoveryTrace) { l.recoveries = append(l.recoveries, rt) }
 
 func TestConfigurationLattice(t *testing.T) {
-	seeds := int64(400)
+	seeds := int64(2 * latticeGrid)
 	if testing.Short() {
 		seeds = latticeGrid
 	}
@@ -196,51 +282,123 @@ func TestConfigurationLattice(t *testing.T) {
 		{Generator: "poisson2d", Params: map[string]float64{"nx": 16, "ny": 14}},
 		{Generator: "circuit", Params: map[string]float64{"n": 240, "avgdeg": 2.9, "longrange": 0.35, "seed": 3}},
 	}
-	var mats []*sparse.CSR
-	var sessions []*Prepared
-	for _, spec := range specs {
+	mats := make([]*sparse.CSR, len(specs))
+	sessions := make([][]*Prepared, len(specs))
+	for m, spec := range specs {
 		a, err := spec.Build()
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, cfg := range []Config{
-			{Ranks: latticeRanks, Phi: latticePhi, Preconditioner: PrecondBlockJacobiILU},
-			{Ranks: latticeRanks, Phi: latticePhi, Preconditioner: PrecondIC0, Method: MethodSPCG},
-		} {
-			ps, err := Prepare(a, cfg)
+		mats[m] = a
+		for _, pc := range latticePreconds {
+			ps, err := Prepare(a, Config{Ranks: latticeRanks, Phi: latticePhi, Preconditioner: pc})
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer ps.Close()
-			mats, sessions = append(mats, a), append(sessions, ps)
+			sessions[m] = append(sessions[m], ps)
 		}
 	}
 
+	// seen collects the visited values of the axes the coverage line reports.
+	seen := map[string]map[string]bool{}
+	visit := func(axis string, value any) {
+		if seen[axis] == nil {
+			seen[axis] = map[string]bool{}
+		}
+		seen[axis][fmt.Sprint(value)] = true
+	}
 	for seed := first; seed < seeds; seed++ {
-		p := latticePointAt(seed, len(sessions))
-		if msg := checkLatticePoint(p, mats[p.session], sessions[p.session]); msg != "" {
+		p := latticePointAt(seed, len(mats))
+		visit("transport x strategy", p.transport+"/"+p.strategy)
+		if p.width > 1 {
+			visit("transports at width > 1", p.transport)
+		}
+		visit("preconditioners", latticePreconds[p.precond])
+		switch p.strategy {
+		case StrategyCheckpoint:
+			visit("checkpoint intervals", p.ckpt)
+		case StrategyTwin:
+			visit("twin intervals", p.twin)
+		}
+		if msg := checkLatticePoint(p, mats[p.matrix], sessions[p.matrix][p.precond]); msg != "" {
 			t.Errorf("%s\n  repro: LATTICE_SEED=%d go test -run TestConfigurationLattice ./internal/engine  (%s)", msg, seed, p)
 		}
 	}
+
+	var line []string
+	for _, ax := range []struct {
+		name string
+		n    int
+	}{
+		{"transport x strategy", len(latticeTransports) * len(latticeStrategies)},
+		{"transports at width > 1", len(latticeTransports)},
+		{"preconditioners", len(latticePreconds)},
+		{"checkpoint intervals", len(latticeCheckpoints)},
+		{"twin intervals", len(latticeTwins)},
+	} {
+		line = append(line, fmt.Sprintf("%s %d/%d", ax.name, len(seen[ax.name]), ax.n))
+		if first == 0 && seeds >= latticeGrid && len(seen[ax.name]) != ax.n {
+			t.Errorf("the walk missed %s: visited %v", ax.name, seen[ax.name])
+		}
+	}
+	t.Logf("coverage of seeds %d..%d: %s", first, seeds-1, strings.Join(line, ", "))
 }
 
-// checkLatticePoint solves the point as one block and column by column and
-// returns the first contract violation ("" for none).
+// latticeBlock solves the point's right-hand sides as one block on the
+// point's transport: chan and net on a runtime the session builds, chaos and
+// the poisoned recycler on one built here.
+func latticeBlock(ctx context.Context, p latticePoint, ps *Prepared, bs [][]float64, opts Config) ([]Solution, []error, error) {
+	var rt *cluster.Runtime
+	switch p.transport {
+	case TransportChaos:
+		rt = cluster.New(ps.Ranks(), cluster.WithTransport(cluster.NewChaosTransport(cluster.NewLocalTransport(),
+			cluster.ChaosConfig{Seed: p.seed + 1, MaxDelay: latticeChaosDelay})))
+	case poisoned:
+		rt = cluster.New(ps.Ranks(), cluster.WithTransport(poisonTransport{cluster.NewLocalTransport()}))
+	default:
+		opts.Transport = p.transport
+	}
+	cfg, err := ps.policy(&opts)
+	if err != nil {
+		return nil, nil, err
+	}
+	return ps.solveOn(ctx, rt, nil, bs, cfg, core.Options{})
+}
+
+// checkLatticePoint solves the point as one block on its transport and
+// column by column on chan, and returns the first contract violation (""
+// for none).
 func checkLatticePoint(p latticePoint, a *sparse.CSR, ps *Prepared) string {
 	bs := latticeRHS(a.Rows, p.width, p.seed)
 	opts := Config{Tol: latticeTol, Schedule: p.sched, Strategy: p.strategy,
-		CheckpointInterval: latticeInterval, SDCCheckInterval: p.sdc}
+		CheckpointInterval: p.ckpt, TwinInterval: p.twin, SDCCheckInterval: p.sdc}
+	if p.split {
+		opts.Method = MethodSPCG
+	}
 	ctx, cancel := context.WithTimeout(context.Background(), latticeDeadline)
 	defer cancel()
 
+	// The solo solves run beside the block: every solve is deterministic,
+	// and these are latency-bound enough to share the cores.
+	solos, soloErrs := make([]Solution, len(bs)), make([]error, len(bs))
+	var wg sync.WaitGroup
+	for c := range bs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			solos[c], soloErrs[c] = ps.Solve(ctx, bs[c], opts)
+		}()
+	}
 	blockOpts := opts
-	var tracer countingTracer
+	var tracer latticeTracer
 	if p.traced {
 		blockOpts.Tracer = &tracer
 	}
-	sols, colErrs, err := ps.SolveBlock(ctx, bs, blockOpts)
+	sols, colErrs, err := latticeBlock(ctx, p, ps, bs, blockOpts)
+	wg.Wait()
 	if ctx.Err() != nil {
-		return "block solve missed the deadline"
+		return "a solve missed the deadline"
 	}
 	if err != nil {
 		// A failure of the whole block is legitimate only outside the
@@ -253,50 +411,51 @@ func checkLatticePoint(p latticePoint, a *sparse.CSR, ps *Prepared) string {
 		if !errors.Is(err, xerr.DataLoss) {
 			return fmt.Sprintf("block failure %v is not data_loss-classed", err)
 		}
-		for c := range bs {
-			if _, soloErr := ps.Solve(ctx, bs[c], opts); xerr.ClassOf(soloErr) == xerr.DataLoss {
+		for _, soloErr := range soloErrs {
+			if xerr.ClassOf(soloErr) == xerr.DataLoss {
 				return ""
 			}
 		}
 		return fmt.Sprintf("block failed with %v, no solo column did", err)
 	}
-	if p.traced && tracer.iterations == 0 && sols[0].Result.Iterations > 0 {
-		return "the tracer saw no iteration"
-	}
 
 	// A flip the strategy cannot repair is outside the contract.
 	unrepaired := p.hasFlip() && !p.repairs()
+	failed := false
 	for c := range bs {
-		solo, soloErr := ps.Solve(ctx, bs[c], opts)
-		if ctx.Err() != nil {
-			return fmt.Sprintf("column %d: solo solve missed the deadline", c)
-		}
+		solo, soloErr := solos[c], soloErrs[c]
 		// (a) the same outcome ...
 		if (colErrs[c] == nil) != (soloErr == nil) || xerr.ClassOf(colErrs[c]) != xerr.ClassOf(soloErr) {
 			return fmt.Sprintf("column %d: block error %v, solo error %v", c, colErrs[c], soloErr)
 		}
 		if colErrs[c] != nil {
 			// (d) ... which is a failure only where a flip went unrepaired, as
-			// loud in the block as alone: the armed detector refusing to land
-			// the column — data_loss-classed, at the same iteration — or the
-			// corrupted recurrence breaking down before any check sees it.
+			// loud in the block as alone and data_loss-classed: the armed
+			// detector refusing to land the column at the same iteration, or
+			// the corrupted recurrence breaking down before any check sees it.
+			failed = true
 			var be, se *core.SDCDetectedError
 			switch {
 			case !unrepaired:
 				return fmt.Sprintf("column %d: failure inside the contract: %v", c, colErrs[c])
+			case !errors.Is(colErrs[c], xerr.DataLoss):
+				return fmt.Sprintf("column %d: failure %v is not data_loss-classed", c, colErrs[c])
 			case errors.As(colErrs[c], &be) != errors.As(soloErr, &se):
 				return fmt.Sprintf("column %d: block error %v, solo error %v", c, colErrs[c], soloErr)
-			case be != nil && (p.sdc == 0 || be.Iteration != se.Iteration || !errors.Is(colErrs[c], xerr.DataLoss)):
+			case be != nil && (p.sdc == 0 || be.Iteration != se.Iteration):
 				return fmt.Sprintf("column %d: detection %v, solo %v", c, colErrs[c], soloErr)
 			}
 			continue
 		}
-		// ... down to the bits of x and every count.
+		// ... down to the bits of x, of the final residual and every count.
 		got, want := sols[c], solo
 		for i := range want.X {
 			if math.Float64bits(got.X[i]) != math.Float64bits(want.X[i]) {
 				return fmt.Sprintf("column %d: x[%d] = %x, solo %x", c, i, got.X[i], want.X[i])
 			}
+		}
+		if g, w := got.Result.FinalResidual, want.Result.FinalResidual; math.Float64bits(g) != math.Float64bits(w) {
+			return fmt.Sprintf("column %d: final residual %x, solo %x", c, g, w)
 		}
 		if g, w := latticeCounts(got.Result), latticeCounts(want.Result); !reflect.DeepEqual(g, w) {
 			return fmt.Sprintf("column %d: counts %+v, solo %+v", c, g, w)
@@ -312,18 +471,22 @@ func checkLatticePoint(p latticePoint, a *sparse.CSR, ps *Prepared) string {
 			return fmt.Sprintf("column %d did not converge: %+v", c, res)
 		}
 
-		// (c) every executed iteration is a converged one or a redone one.
+		// (c) every executed iteration is a converged one or a redone one ...
 		redone := 0
 		for _, rec := range res.Reconstructions {
 			switch p.strategy {
 			case StrategyCheckpoint:
-				redone += rec.Iteration%latticeInterval + 1
+				redone += rec.Iteration%p.ckpt + 1
 			case StrategyRestart:
 				redone += rec.Iteration + 1
 			}
 		}
 		if res.WorkIterations != res.Iterations+redone {
 			return fmt.Sprintf("column %d: %d work iterations, want %d + %d redone", c, res.WorkIterations, res.Iterations, redone)
+		}
+		// ... and a failure overlapping an episode restarts it once (Sec. 4.1).
+		if p.overlap() && res.Iterations > 0 && (len(res.Reconstructions) != 1 || res.Reconstructions[0].Restarts != 1) {
+			return fmt.Sprintf("column %d: overlapping failure gave episodes %+v, want one restarted once", c, res.Reconstructions)
 		}
 		if p.repairs() && (res.SDCDetected != res.SDCInjected || res.SDCCorrected != res.SDCInjected || res.SDCLatency != 0) {
 			return fmt.Sprintf("column %d: twin left SDC counters %d/%d/%d latency %d", c,
@@ -357,6 +520,57 @@ func checkLatticePoint(p latticePoint, a *sparse.CSR, ps *Prepared) string {
 		if colErrs[0] == nil && colErrs[7] == nil && !reflect.DeepEqual(sols[0].X, sols[7].X) {
 			return "duplicate columns diverged"
 		}
+	}
+	if p.traced && !failed {
+		return checkLatticeTrace(&tracer, sols, p.strategy)
+	}
+	return ""
+}
+
+// checkLatticeTrace holds the trace of a block whose every column landed to
+// (e). The last iteration the block executed is that of the column landing
+// last (the largest residual among columns landing together), which lived
+// through every pass of the loop: its iterations, plus the iterations each
+// fail-stop episode threw away and the loop then ran again, are the passes
+// traced. Its episodes are the fail-stop recovery traces.
+func checkLatticeTrace(tr *latticeTracer, sols []Solution, strategy string) string {
+	last := sols[0].Result
+	for _, s := range sols[1:] {
+		if r := s.Result; r.Iterations > last.Iterations || r.Iterations == last.Iterations && r.FinalResidual > last.FinalResidual {
+			last = r
+		}
+	}
+	want := last.Iterations
+	var episodes []core.RecoveryTrace
+	for _, rt := range tr.recoveries {
+		if !rt.Corruption {
+			episodes = append(episodes, rt)
+			want += rt.RedoneIterations
+		}
+	}
+	if len(tr.iterations) != want {
+		return fmt.Sprintf("%d iteration traces, want %d iterations + %d redone", len(tr.iterations), last.Iterations, want-last.Iterations)
+	}
+	if want > 0 {
+		if it := tr.iterations[want-1]; it.Iteration != last.Iterations || it.Residual != last.FinalResidual {
+			return fmt.Sprintf("last iteration trace %+v, result iteration %d residual %v", it, last.Iterations, last.FinalResidual)
+		}
+	}
+	if len(episodes) != len(last.Reconstructions) {
+		return fmt.Sprintf("%d fail-stop recovery traces, %d episodes", len(episodes), len(last.Reconstructions))
+	}
+	for i, rec := range last.Reconstructions {
+		if rt := episodes[i]; rt.Strategy != strategy || rt.Iteration != rec.Iteration || !reflect.DeepEqual(rt.FailedRanks, rec.FailedRanks) {
+			return fmt.Sprintf("recovery trace %+v, episode %+v under %s", rt, rec, strategy)
+		}
+	}
+	for _, it := range tr.iterations {
+		if it.SpMV > 0 && it.Precond > 0 && it.Allreduce > 0 {
+			return ""
+		}
+	}
+	if want > 0 {
+		return "no iteration trace carried all three phase durations"
 	}
 	return ""
 }

@@ -31,10 +31,11 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
-// TestCrossTransportBitIdenticalNetProcessKill: the same fixed-seed solve
-// and 2-node failure schedule as TestCrossTransportBitIdentical, but with
-// every rank in its own OS process over TCP and the scheduled failure
-// realized as two workers SIGKILLing themselves mid-solve. The coordinator
+// TestCrossTransportBitIdenticalNetProcessKill: a fixed-seed solve under a
+// 2-node failure schedule, with every rank in its own OS process over TCP
+// and the scheduled failure realized as two workers SIGKILLing themselves
+// mid-solve — the multi-process leg of the contract TestConfigurationLattice
+// holds in process on every fabric. The coordinator
 // respawns them, the replacements join the recovery episode via Resume, and
 // the solution must be bitwise identical to the in-process chan reference —
 // iterations, final residual, and every solution component.

@@ -155,7 +155,7 @@ func TestSessionHoldsNoSliceOfTheInput(t *testing.T) {
 }
 
 // TestBatchWorkingSetBudget: a solve holds ESR's redundant copies once. A
-// 16-column SolveBlock on the elasticity-kernel problem (8 ranks, phi 3,
+// 16-column block solve on the elasticity-kernel problem (8 ranks, phi 3,
 // block-Jacobi ILU(0)) may add at most 18x its k·n float64s to the live heap
 // at iteration 12: the per-column vectors, the SpMM scratch and two
 // generations of received copies in buffers at most 1/8 over their size. A
@@ -189,7 +189,7 @@ func TestBatchWorkingSetBudget(t *testing.T) {
 	runtime.GC()
 	runtime.GC()
 	runtime.ReadMemStats(&before)
-	if _, _, err := ps.SolveBlock(context.Background(), bs, Config{Tol: 1e-10, Progress: progress}); err != nil {
+	if _, err := ps.SolveChunked(context.Background(), bs, Config{Tol: 1e-10, BlockSize: k, Progress: progress}, nil); err != nil {
 		t.Fatal(err)
 	}
 	if !measured {
@@ -247,7 +247,8 @@ func TestSolveLeavesRHSUntouched(t *testing.T) {
 		if tc.opts.Schedule != nil {
 			tc.opts.Schedule = fail()
 		}
-		if _, _, err := ps.SolveBlock(context.Background(), bs, tc.opts); err != nil {
+		tc.opts.BlockSize = len(bs)
+		if _, err := ps.SolveChunked(context.Background(), bs, tc.opts, nil); err != nil {
 			t.Fatalf("%s block: %v", tc.name, err)
 		}
 		for c, b := range bs {

@@ -373,10 +373,11 @@ func (ps *Prepared) solveOne(ctx context.Context, rt *cluster.Runtime, localRank
 // in-process callbacks (OnFailure, Resume); cfg fills in the rest of the
 // core.Options. A nil rt means "build a fresh single-process runtime over
 // the session's transport" (which the call then owns); localRanks nil means
-// all ranks. The returned slices are aligned with bs: colErrs[c] reports a
-// per-column breakdown, divergence or detected corruption (the corresponding
-// Solution is zero-valued); the error return is a global failure aborting
-// the block.
+// all ranks. Column c of the block is bitwise identical to its k = 1 solve on
+// every transport, and its Result carries the same counts. The returned
+// slices are aligned with bs: colErrs[c] reports a per-column breakdown,
+// divergence or detected corruption (the corresponding Solution is
+// zero-valued); the error return is a global failure aborting the block.
 func (ps *Prepared) solveOn(ctx context.Context, rt *cluster.Runtime, localRanks []int, bs [][]float64, cfg *Config, hooks core.Options) ([]Solution, []error, error) {
 	k := len(bs)
 	if localRanks != nil && len(localRanks) < cfg.Ranks && cfg.Strategy != StrategyESR {

@@ -76,7 +76,7 @@ func TestQuickConfigScopes(t *testing.T) {
 			case "Progress":
 				changed.Progress = func(core.ProgressEvent) {}
 			case "Tracer":
-				changed.Tracer = traceFunc{}
+				changed.Tracer = &latticeTracer{}
 			default:
 				t.Fatalf("%s: teach this test to change a %s field", f.Name, v.Kind())
 			}
@@ -134,7 +134,7 @@ func solveSentinels(t *testing.T, f reflect.StructField) (session, call reflect.
 		case "Progress":
 			a, b = func(core.ProgressEvent) {}, func(core.ProgressEvent) {}
 		case "Tracer":
-			a, b = &countingTracer{}, &countingTracer{}
+			a, b = &latticeTracer{}, &latticeTracer{}
 		default:
 			t.Fatalf("%s: teach solveSentinels a session and a per-call value of this %s field", f.Name, f.Type)
 		}

@@ -69,72 +69,6 @@ func TestTwinForwardRecoveryBitIdentical(t *testing.T) {
 	}
 }
 
-// TestMixedScheduleDeterminismAcrossTransports: one schedule mixing a
-// fail-stop kill with bit flips, solved under the twin strategy on all four
-// transports with the same seed. The kill delegates to ESR reconstruction,
-// the flips to twin forward recovery; the recovered solutions must be
-// bit-identical across transports and the SDC counts exact everywhere.
-func TestMixedScheduleDeterminismAcrossTransports(t *testing.T) {
-	a := Poisson2D(20, 20)
-	b := sdcTestRHS(a.Rows)
-	sched := NewSchedule(
-		BitFlip(5, 1, TargetX, 3, 52),
-		Simultaneous(8, 2),
-		BitFlip(12, 0, TargetR, 0, 51),
-	)
-	type run struct {
-		tr  Transport
-		sol Solution
-	}
-	var runs []run
-	for _, tr := range []Transport{ChanTransport, ChaosTransport, NetTransport} {
-		s, err := NewSolver(a,
-			WithRanks(4),
-			WithPhi(1),
-			WithStrategy(TwinStrategy),
-			WithTransport(tr),
-			WithTransportSeed(7),
-			WithSchedule(sched),
-		)
-		if err != nil {
-			t.Fatalf("%s: %v", tr, err)
-		}
-		sol, err := s.Solve(context.Background(), b)
-		s.Close()
-		if err != nil {
-			t.Fatalf("%s: %v", tr, err)
-		}
-		r := sol.Result
-		if !r.Converged {
-			t.Fatalf("%s: did not converge: %+v", tr, r)
-		}
-		if len(r.Reconstructions) != 1 {
-			t.Fatalf("%s: fail-stop episodes = %d, want 1", tr, len(r.Reconstructions))
-		}
-		if r.SDCInjected != 2 || r.SDCDetected != 2 || r.SDCCorrected != 2 || r.SDCLatency != 0 {
-			t.Fatalf("%s: SDC counters: %d/%d/%d latency %d, want 2/2/2 latency 0",
-				tr, r.SDCInjected, r.SDCDetected, r.SDCCorrected, r.SDCLatency)
-		}
-		if rn := ResidualNorm(a, sol.X, b); rn > 1e-4 {
-			t.Fatalf("%s: true residual %g", tr, rn)
-		}
-		runs = append(runs, run{tr, sol})
-	}
-	ref := runs[0]
-	for _, got := range runs[1:] {
-		if got.sol.Result.Iterations != ref.sol.Result.Iterations {
-			t.Fatalf("%s: iterations %d != %s's %d",
-				got.tr, got.sol.Result.Iterations, ref.tr, ref.sol.Result.Iterations)
-		}
-		for i := range ref.sol.X {
-			if got.sol.X[i] != ref.sol.X[i] {
-				t.Fatalf("%s: x[%d] = %g differs from %s's %g",
-					got.tr, i, got.sol.X[i], ref.tr, ref.sol.X[i])
-			}
-		}
-	}
-}
-
 // TestSDCCheckDetectionClassedFailure: a strategy without a repair path plus
 // WithSDCCheck must refuse to converge wrong — the solve fails with a
 // data_loss-classed *SDCDetectedError at the first check after the flip, and
