@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"math"
 	"sync"
 	"time"
 )
@@ -17,27 +16,6 @@ type ChaosConfig struct {
 	// are drawn uniformly from [0, MaxDelay]. 0 selects 200µs; negative
 	// disables delay entirely.
 	MaxDelay time.Duration
-	// NotifyLag is how long after a node is killed its peers keep seeing
-	// it alive (Alive, and the fail-stop unwinding of Send/Recv). 0
-	// selects 1ms; negative makes notification immediate.
-	NotifyLag time.Duration
-	// CorruptEvery, when > 0, arms the seeded wire-corruption mode: on each
-	// FIFO wire, every CorruptEvery-th qualifying float payload has one
-	// seeded bit flipped in one seeded element before delivery — silent data
-	// corruption in transit, the fault class the SDC detectors must catch.
-	// The flip is deterministic per (seed, wire, message ordinal).
-	CorruptEvery int
-	// CorruptMinLen qualifies payloads by float count: only messages
-	// carrying at least this many floats are eligible for corruption. 0
-	// selects 8, which corrupts the bulk halo/redundancy/recovery frames
-	// while sparing the short collective payloads — those carry replicated
-	// control-flow decisions (convergence, reduction scalars), and
-	// diverging them across ranks would deadlock the SPMD program rather
-	// than model data corruption.
-	CorruptMinLen int
-	// CorruptTags, when non-nil, further restricts corruption to messages
-	// whose tag satisfies the predicate.
-	CorruptTags func(tag int) bool
 }
 
 func (c ChaosConfig) withDefaults() ChaosConfig {
@@ -47,12 +25,6 @@ func (c ChaosConfig) withDefaults() ChaosConfig {
 	if c.MaxDelay == 0 {
 		c.MaxDelay = 200 * time.Microsecond
 	}
-	if c.NotifyLag == 0 {
-		c.NotifyLag = time.Millisecond
-	}
-	if c.CorruptMinLen == 0 {
-		c.CorruptMinLen = 8
-	}
 	return c
 }
 
@@ -60,19 +32,15 @@ func (c ChaosConfig) withDefaults() ChaosConfig {
 // wire: every message is held for a deterministic, seeded delay before it
 // reaches the destination mailbox, reordering deliveries across distinct
 // (source, tag) pairs while strictly preserving the per-(source, tag) FIFO
-// order the runtime guarantees; and failure notification is lagged, so for
-// a NotifyLag window after a kill, peers still see the victim as alive and
-// sends to it appear to succeed (the wire drops them). This gives the
-// resilience protocol a scenario axis that faults.Schedule cannot express:
-// skewed collectives, late failure detection, and in-flight messages racing
-// the death notification.
+// order the runtime guarantees. This gives the resilience protocol a
+// scenario axis that faults.Schedule cannot express: skewed collectives and
+// messages arriving in any cross-wire order.
 //
 // Send returns once the message is on the wire, and a message whose
-// destination dies (or whose runtime aborts) while it is in flight is
-// dropped — counted under
-// TransportStats.Dropped. The numerical path is untouched: a deterministic
-// SPMD program still produces bit-identical results, because matching is
-// selective and reduction trees are fixed.
+// destination fails (or whose runtime aborts) while it is in flight is
+// dropped — counted under TransportStats.Dropped. The numerical path is
+// untouched: a deterministic SPMD program still produces bit-identical
+// results, because matching is selective and reduction trees are fixed.
 type ChaosTransport struct {
 	inner Transport
 	cfg   ChaosConfig
@@ -81,7 +49,6 @@ type ChaosTransport struct {
 	mu     sync.Mutex
 	chains map[wireKey]chan struct{} // completion of the last wire delivery per key
 	seqs   map[wireKey]uint64        // per-key message counter, for seeded delays
-	cseqs  map[wireKey]uint64        // per-key qualifying-payload counter (corruption mode)
 }
 
 // wireKey identifies one FIFO wire: messages sharing it are never
@@ -91,14 +58,13 @@ type wireKey struct {
 }
 
 // NewChaosTransport wraps inner (typically NewLocalTransport()) with the
-// seeded delay/lag wire.
+// seeded delay wire.
 func NewChaosTransport(inner Transport, cfg ChaosConfig) *ChaosTransport {
 	return &ChaosTransport{
 		inner:  inner,
 		cfg:    cfg.withDefaults(),
 		chains: map[wireKey]chan struct{}{},
 		seqs:   map[wireKey]uint64{},
-		cseqs:  map[wireKey]uint64{},
 	}
 }
 
@@ -136,7 +102,7 @@ func (t *ChaosTransport) delayFor(k wireKey, seq uint64) time.Duration {
 // wire delay. Per-key FIFO is preserved by chaining each delivery on the
 // completion of the previous one for the same (from, to, tag) wire, so
 // unequal delays can only reorder messages across distinct wires.
-func (t *ChaosTransport) Deliver(sender, dst *node, m Msg, own bool) error {
+func (t *ChaosTransport) Deliver(dst *node, m Msg, own bool) error {
 	if !own {
 		m = copyPayload(&t.ct, t.inner, m)
 	}
@@ -147,27 +113,7 @@ func (t *ChaosTransport) Deliver(sender, dst *node, m Msg, own bool) error {
 	t.chains[key] = done
 	seq := t.seqs[key]
 	t.seqs[key] = seq + 1
-	corrupt := false
-	var cseq uint64
-	if t.cfg.CorruptEvery > 0 && len(m.F) >= t.cfg.CorruptMinLen &&
-		(t.cfg.CorruptTags == nil || t.cfg.CorruptTags(m.Tag)) {
-		cseq = t.cseqs[key]
-		t.cseqs[key] = cseq + 1
-		corrupt = cseq%uint64(t.cfg.CorruptEvery) == uint64(t.cfg.CorruptEvery)-1
-	}
 	t.mu.Unlock()
-	if corrupt {
-		// The payload is owned here (copied above or ownership-transferred
-		// by the sender), so the flip cannot alias the sender's buffer. One
-		// seeded bit of one seeded element flips — deterministic per
-		// (seed, wire, ordinal), like the delay draws.
-		h := splitmix64(uint64(t.cfg.Seed)<<17 ^
-			uint64(key.from)<<42 ^ uint64(key.to)<<21 ^ uint64(key.tag)<<3 ^ cseq)
-		i := int(h % uint64(len(m.F)))
-		bit := uint((h >> 32) % 64)
-		m.F[i] = math.Float64frombits(math.Float64bits(m.F[i]) ^ (1 << bit))
-		t.ct.corrupted.Add(1)
-	}
 	delay := t.delayFor(key, seq)
 	t.ct.delayed.Add(1)
 	time.AfterFunc(delay, func() {
@@ -175,26 +121,14 @@ func (t *ChaosTransport) Deliver(sender, dst *node, m Msg, own bool) error {
 		if prev != nil {
 			<-prev // per-wire FIFO, regardless of timer firing order
 		}
-		// The message is on the wire: it must survive its sender's death
-		// (nil sender), but a dead destination or an aborted runtime
-		// drops it.
-		if dst.put(nil, m) != nil {
+		// A failed destination or an aborted runtime drops the message.
+		if dst.put(m) != nil {
 			t.ct.dropped.Add(1)
 		} else {
 			t.ct.delivered.Add(1)
 		}
 	})
 	return nil
-}
-
-// NotifyKill implements Transport: peers learn of the death NotifyLag
-// after it happened.
-func (t *ChaosTransport) NotifyKill(nd *node) {
-	if t.cfg.NotifyLag <= 0 {
-		t.inner.NotifyKill(nd)
-		return
-	}
-	time.AfterFunc(t.cfg.NotifyLag, func() { t.inner.NotifyKill(nd) })
 }
 
 // Stats implements Transport: the wire's own counters merged with the

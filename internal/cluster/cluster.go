@@ -7,9 +7,9 @@
 //   - point-to-point Send/Recv with (source, tag) matching,
 //   - binomial-tree collectives (Barrier, Allreduce, Bcast, Allgather),
 //   - sub-group collectives for the replacement-node recovery subsystem,
-//   - fail-stop semantics: a rank can be killed, its memory is lost, peers
-//     observe RankFailedError on communication (ULFM-style notification),
-//     and a replacement rank can be provisioned in its slot,
+//   - fail-stop notification: a slot whose process the net fabric finds
+//     dead fails, and peers observe RankFailedError on communication
+//     (ULFM-style) once they have drained what it sent first,
 //   - communication counters by category for the overhead analysis.
 //
 // The message layer is deterministic for deterministic SPMD programs:
@@ -20,8 +20,8 @@
 // the runtime's Transport (WithTransport). LocalTransport is the one
 // in-process fabric (mailbox hand-off, payload buffers from a pooled
 // recycler, so steady-state solves send without allocating), ChaosTransport
-// a seeded latency/notification-lag wire for stressing the resilience
-// protocol, and NetTransport real TCP. Every fabric ends in the same
+// a seeded-latency wire for stressing the resilience protocol's ordering
+// assumptions, and NetTransport real TCP. Every fabric ends in the same
 // mailbox append (node.put), and matching lives above the transport, so
 // all fabrics share the determinism guarantee.
 package cluster
@@ -75,16 +75,16 @@ func (l *latch) trip() bool {
 
 func (l *latch) isSet() bool { return l.flag.Load() }
 
-// node is the runtime-side state of one rank slot: its mailbox and the two
-// views of its death. dead is the truth, observed immediately by the node's
-// own operations; peerDead is the failure notification seen by everyone
-// else, tripped by the transport (at once, or lagged by the chaos fabric).
+// node is the runtime-side state of one rank slot: its mailbox and its
+// failure latch. failed is tripped only by fail, which the net fabric calls
+// when it finds the slot's process dead (a lost connection); a solve's own
+// failures are scheduled wipes at its poll points and never touch it.
 //
 // The mailbox is a mutex-guarded FIFO: a delivery is an append, plus a
 // Signal if the owner is parked; a receive swaps the whole queue out under
 // the lock and matches outside it. The owner parks only on an empty mailbox
-// and re-reads the death/abort latches under mu whenever it wakes; whoever
-// trips a latch passes through mu before broadcasting (wake), which rules
+// and re-reads the failure/abort latches under mu whenever it wakes; whoever
+// trips a latch passes through mu before broadcasting (wakeAll), which rules
 // out a lost wake-up.
 //
 // The queue is unbounded: delivery never blocks the sender, so there is no
@@ -104,20 +104,16 @@ type node struct {
 	received  int       // messages ever appended
 	highWater int       // max len(queue) ever observed
 
-	dead     latch // the node failed
-	peerDead latch // peers have been notified of the failure
+	failed latch // the slot's process was found dead
 }
 
 // put is the one delivery path every transport ends in: refuse if the node
-// is known dead, the sender was killed or the runtime is aborted; otherwise
-// append and wake the owner if it is parked. sender is nil for messages
-// already on a wire, which must outlive their sender.
-func (nd *node) put(sender *node, m Msg) error {
+// has failed or the runtime is aborted; otherwise append and wake the owner
+// if it is parked.
+func (nd *node) put(m Msg) error {
 	switch {
-	case nd.peerDead.isSet():
+	case nd.failed.isSet():
 		return &RankFailedError{Rank: nd.rank}
-	case sender != nil && sender.dead.isSet():
-		return ErrKilled
 	case nd.rt.abort.isSet():
 		return nd.rt.abortErr()
 	}
@@ -135,32 +131,12 @@ func (nd *node) put(sender *node, m Msg) error {
 	return nil
 }
 
-// fail marks the node dead and wakes its owner; it reports whether this
-// call was the one that killed it.
-func (nd *node) fail() bool {
-	if !nd.dead.trip() {
-		return false
-	}
-	nd.wake()
-	return true
-}
-
-// notifyPeers publishes the node's death and wakes every mailbox, so a
-// receiver parked on this node unwinds. The transport controls the timing.
-func (nd *node) notifyPeers() {
-	if nd.peerDead.trip() {
+// fail marks the node failed and wakes every mailbox, so a receiver parked
+// on it unwinds. It is the only way a slot fails.
+func (nd *node) fail() {
+	if nd.failed.trip() {
 		nd.rt.wakeAll()
 	}
-}
-
-// wake makes a parked owner re-read the latches. The empty critical section
-// orders the caller's latch write against the owner's check: the owner has
-// either not checked yet (and will see the latch) or is already on cond's
-// notify list (and gets the broadcast).
-func (nd *node) wake() {
-	nd.mu.Lock()
-	nd.mu.Unlock()
-	nd.cond.Broadcast()
 }
 
 // Runtime owns the rank slots of a simulated distributed-memory machine.
@@ -169,7 +145,7 @@ func (nd *node) wake() {
 type Runtime struct {
 	size      int
 	transport Transport
-	nodes     []atomic.Pointer[node] // replacements swap the slot (Revive)
+	nodes     []*node
 	counters  Counters
 
 	abort      latch // tripped by Abort
@@ -203,7 +179,7 @@ func New(size int, opts ...Option) *Runtime {
 	if size <= 0 {
 		panic("cluster: non-positive size")
 	}
-	rt := &Runtime{size: size, nodes: make([]atomic.Pointer[node], size),
+	rt := &Runtime{size: size, nodes: make([]*node, size),
 		counters: newCounters(size), abort: newLatch()}
 	for _, opt := range opts {
 		opt(rt)
@@ -212,18 +188,14 @@ func New(size int, opts ...Option) *Runtime {
 		rt.transport = NewLocalTransport()
 	}
 	for i := range rt.nodes {
-		rt.nodes[i].Store(rt.freshNode(i))
+		nd := &node{rt: rt, rank: i, failed: newLatch()}
+		nd.cond.L = &nd.mu
+		rt.nodes[i] = nd
 	}
 	if b, ok := rt.transport.(runtimeBinder); ok {
 		b.bindRuntime(rt)
 	}
 	return rt
-}
-
-func (rt *Runtime) freshNode(rank int) *node {
-	nd := &node{rt: rt, rank: rank, dead: newLatch(), peerDead: newLatch()}
-	nd.cond.L = &nd.mu
-	return nd
 }
 
 // Size returns the number of rank slots.
@@ -235,19 +207,24 @@ func (rt *Runtime) Transport() Transport { return rt.transport }
 // Counters returns the global communication counters.
 func (rt *Runtime) Counters() *Counters { return &rt.counters }
 
-// nodeAt returns the current node in slot rank.
-func (rt *Runtime) nodeAt(rank int) *node { return rt.nodes[rank].Load() }
+// nodeAt returns the node in slot rank.
+func (rt *Runtime) nodeAt(rank int) *node { return rt.nodes[rank] }
 
-// wakeAll wakes every slot's mailbox owner (see node.wake).
+// wakeAll makes every parked mailbox owner re-read the latches. The empty
+// critical section orders the caller's latch write against the owner's
+// check: the owner has either not checked yet (and will see the latch) or is
+// already on cond's notify list (and gets the broadcast).
 func (rt *Runtime) wakeAll() {
-	for i := range rt.nodes {
-		rt.nodes[i].Load().wake()
+	for _, nd := range rt.nodes {
+		nd.mu.Lock()
+		nd.mu.Unlock()
+		nd.cond.Broadcast()
 	}
 }
 
 // Abort tears the whole runtime down: every pending and future communication
-// operation on every rank fails with an AbortError wrapping cause. Unlike
-// Kill, which models the fail-stop loss of one node, Abort models an
+// operation on every rank fails with an AbortError wrapping cause. Unlike a
+// failed slot, which is the fail-stop loss of one node, Abort models an
 // administrative shutdown (job cancellation, deadline): no recovery runs and
 // Runtime.Run filters the resulting per-rank errors as expected termination.
 // Safe to call from any goroutine; only the first call's cause is kept.
@@ -269,32 +246,9 @@ func (rt *Runtime) Aborted() (error, bool) {
 
 func (rt *Runtime) abortErr() error { return &AbortError{Cause: rt.abortCause} }
 
-// Kill fails the node currently occupying the slot: its memory is considered
-// lost and all communication involving it reports RankFailedError. The node
-// itself observes the death immediately; peers observe it when the
-// transport publishes the notification (immediately on the default fabric,
-// after a lag on the chaos fabric). Safe to call from any goroutine.
-func (rt *Runtime) Kill(rank int) {
-	if nd := rt.nodeAt(rank); nd.fail() {
-		rt.transport.NotifyKill(nd)
-	}
-}
-
-// Revive installs a fresh (replacement) node in the slot of a failed rank
-// and returns a Comm handle for the replacement's goroutine. It panics if
-// the slot is still alive.
-func (rt *Runtime) Revive(rank int) *Comm {
-	if !rt.nodeAt(rank).dead.isSet() {
-		panic(fmt.Sprintf("cluster: Revive(%d) on a live rank", rank))
-	}
-	nd := rt.freshNode(rank)
-	rt.nodes[rank].Store(nd)
-	return newComm(rt, nd)
-}
-
 // Run launches fn on every rank as its own goroutine and waits for all of
-// them. The returned error joins all per-rank errors except ErrKilled
-// (killed ranks terminating is expected fail-stop behaviour).
+// them. The returned error joins all per-rank errors except AbortErrors
+// (an aborted run unwinding is expected termination).
 func (rt *Runtime) Run(fn func(c *Comm) error) error {
 	ranks := make([]int, rt.size)
 	for r := range ranks {
@@ -334,7 +288,7 @@ func (rt *Runtime) RunLocal(ranks []int, fn func(c *Comm) error) error {
 	wg.Wait()
 	var agg []error
 	for r, err := range errs {
-		if err != nil && !errors.Is(err, ErrKilled) && !errors.Is(err, ErrAborted) {
+		if err != nil && !errors.Is(err, ErrAborted) {
 			agg = append(agg, fmt.Errorf("rank %d: %w", r, err))
 		}
 	}
@@ -410,29 +364,13 @@ func (c *Comm) Rank() int { return c.rank }
 // Size returns the number of ranks.
 func (c *Comm) Size() int { return c.rt.size }
 
-// Runtime returns the owning runtime (for counters and fault control in
-// tests and harnesses).
-func (c *Comm) Runtime() *Runtime { return c.rt }
-
-// Check returns ErrKilled if this rank has been killed and an AbortError if
-// the runtime has been aborted. SPMD programs call it at cancellation points
-// (top of iterations).
+// Check returns an AbortError if the runtime has been aborted. SPMD programs
+// call it at cancellation points (top of iterations).
 func (c *Comm) Check() error {
 	if c.rt.abort.isSet() {
 		return c.rt.abortErr()
 	}
-	if c.node.dead.isSet() {
-		return ErrKilled
-	}
 	return nil
-}
-
-// Alive reports whether the slot of the given rank currently holds a node
-// this rank has not (yet) been notified is dead. This is the ULFM-style
-// failure-notification primitive; on the chaos transport the notification
-// lags the actual death.
-func (c *Comm) Alive(rank int) bool {
-	return !c.rt.nodeAt(rank).peerDead.isSet()
 }
 
 // GetFloats returns a payload buffer of length n from the transport's
@@ -463,10 +401,10 @@ func (c *Comm) send(cat Category, to, tag int, f []float64, ints []int, own bool
 		return err
 	}
 	dst := c.rt.nodeAt(to)
-	if dst.peerDead.isSet() {
+	if dst.failed.isSet() {
 		return &RankFailedError{Rank: to}
 	}
-	if err := c.rt.transport.Deliver(c.node, dst, Msg{From: c.rank, Tag: tag, F: f, I: ints}, own); err != nil {
+	if err := c.rt.transport.Deliver(dst, Msg{From: c.rank, Tag: tag, F: f, I: ints}, own); err != nil {
 		return err
 	}
 	c.rt.counters.shards[c.rank].record(cat, 1, len(f), len(ints))
@@ -484,22 +422,21 @@ func (c *Comm) Reclassify(from, to Category, floats int64) {
 // Send delivers a message to rank `to` with the given tag, accounting it
 // under category cat. Payload slices are copied (on every transport), so
 // the caller may reuse its buffers immediately. Send fails with
-// RankFailedError if the destination is known to be dead and ErrKilled if
-// the sender itself has been killed.
+// RankFailedError if the destination has failed.
 func (c *Comm) Send(cat Category, to, tag int, f []float64, ints []int) error {
 	return c.send(cat, to, tag, f, ints, false)
 }
 
 // Recv blocks until a message from rank `from` with the given tag is
 // available and returns it. Matching is FIFO per (from, tag). Recv fails
-// with RankFailedError if the source dies before a matching message arrives
-// and ErrKilled if the receiver itself is killed.
+// with RankFailedError if the source fails before a matching message
+// arrives.
 //
 // Recv swaps the mailbox's whole queue out and matches outside the lock:
 // the first (from, tag) match is the result, the rest is filed under
 // pending in arrival order. Only on an empty mailbox does it look at the
-// death and abort latches, and park — so whatever the source managed to
-// send before it died is drained first.
+// failure and abort latches, and park — so whatever the source managed to
+// send before it failed is drained first.
 func (c *Comm) Recv(from, tag int) (Msg, error) {
 	if from < 0 || from >= c.rt.size {
 		return Msg{}, fmt.Errorf("cluster: Recv from invalid rank %d", from)
@@ -521,7 +458,7 @@ func (c *Comm) Recv(from, tag int) (Msg, error) {
 			// Under mu: the wake that follows a later trip cannot slip in
 			// before Wait has enlisted us.
 			err := c.Check()
-			if err == nil && src.peerDead.isSet() {
+			if err == nil && src.failed.isSet() {
 				err = &RankFailedError{Rank: from}
 			}
 			if err != nil {

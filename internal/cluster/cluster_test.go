@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"runtime"
 	"sync"
 	"testing"
 )
@@ -348,59 +347,32 @@ func TestGroupValidation(t *testing.T) {
 	}
 }
 
+// rankFailed reports whether err is a RankFailedError naming rank.
+func rankFailed(err error, rank int) bool {
+	var rf *RankFailedError
+	return errors.As(err, &rf) && rf.Rank == rank
+}
+
+// TestKillSendRecvSemantics: once a slot fails, a receiver parked on it
+// wakes with RankFailedError, and a send to it — and the put every fabric's
+// delivery ends in — refuses with the same error.
 func TestKillSendRecvSemantics(t *testing.T) {
 	rt := New(3)
 	err := rt.Run(func(c *Comm) error {
 		switch c.Rank() {
 		case 0:
-			// Wait for rank 2's death notification via a failed Recv.
-			_, err := c.Recv(2, 5)
-			if _, ok := IsRankFailed(err); !ok {
-				return fmt.Errorf("want RankFailedError, got %v", err)
+			if _, err := c.Recv(2, 5); !rankFailed(err, 2) {
+				return fmt.Errorf("recv from failed: want RankFailedError{2}, got %v", err)
 			}
-			if c.Alive(2) {
-				return errors.New("rank 2 should be dead")
+			if err := c.SendFloats(CatOther, 2, 5, []float64{1}); !rankFailed(err, 2) {
+				return fmt.Errorf("send to failed: want RankFailedError{2}, got %v", err)
 			}
-			// Sends to the dead rank must fail too.
-			err = c.SendFloats(CatOther, 2, 5, []float64{1})
-			if _, ok := IsRankFailed(err); !ok {
-				return fmt.Errorf("send to dead: want RankFailedError, got %v", err)
+			if err := rt.Transport().Deliver(rt.nodeAt(2), Msg{From: 0, Tag: 5}, true); !rankFailed(err, 2) {
+				return fmt.Errorf("deliver to failed: want RankFailedError{2}, got %v", err)
 			}
 			return nil
 		case 1:
-			rt.Kill(2)
-			return nil
-		default: // rank 2: wait until killed
-			_, err := c.Recv(1, 99) // never sent; unblocks via the kill
-			if !errors.Is(err, ErrKilled) {
-				return fmt.Errorf("victim: want ErrKilled, got %v", err)
-			}
-			return err // ErrKilled is filtered by Run
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestMessageBeforeDeathIsDelivered(t *testing.T) {
-	rt := New(2)
-	err := rt.Run(func(c *Comm) error {
-		if c.Rank() == 1 {
-			if err := c.SendFloats(CatOther, 0, 4, []float64{7}); err != nil {
-				return err
-			}
-			rt.Kill(1)
-			_ = c.Check()
-			return ErrKilled
-		}
-		// Rank 0 may observe the death, but the in-flight message must win.
-		f, err := c.RecvFloats(1, 4)
-		if err != nil {
-			return fmt.Errorf("lost in-flight message: %v", err)
-		}
-		if f[0] != 7 {
-			return fmt.Errorf("got %v", f)
+			rt.nodeAt(2).fail()
 		}
 		return nil
 	})
@@ -409,59 +381,30 @@ func TestMessageBeforeDeathIsDelivered(t *testing.T) {
 	}
 }
 
-func TestReviveReplacement(t *testing.T) {
+// TestMessageBeforeDeathIsDelivered: a message that reached the mailbox
+// before its source failed is received even by a Recv that starts after the
+// failure; only the next Recv from that source observes it.
+func TestMessageBeforeDeathIsDelivered(t *testing.T) {
 	rt := New(2)
-	var wg sync.WaitGroup
-	wg.Add(1)
+	failed := make(chan struct{})
 	err := rt.Run(func(c *Comm) error {
 		if c.Rank() == 1 {
-			rt.Kill(1)
-			// Simulate the runtime provisioning a replacement in this slot.
-			go func() {
-				defer wg.Done()
-				rc := rt.Revive(1)
-				// Announce readiness so rank 0 cannot race the kill and
-				// send into the doomed original mailbox.
-				if err := rc.SendFloats(CatOther, 0, 5, nil); err != nil {
-					t.Errorf("replacement announce: %v", err)
-					return
-				}
-				f, err := rc.RecvFloats(0, 6)
-				if err != nil || f[0] != 5 {
-					t.Errorf("replacement recv: %v %v", f, err)
-				}
-			}()
-			return ErrKilled
-		}
-		// Rank 0 waits for the replacement's announcement; the retry loop
-		// absorbs observing the slot while it is dead.
-		for {
-			if _, err := c.Recv(1, 5); err == nil {
-				break
-			} else if _, ok := IsRankFailed(err); !ok {
+			if err := c.SendFloats(CatOther, 0, 4, []float64{7}); err != nil {
 				return err
 			}
-			runtime.Gosched()
+			rt.nodeAt(1).fail()
+			close(failed)
+			return nil
 		}
-		return c.SendFloats(CatOther, 1, 6, []float64{5})
-	})
-	wg.Wait()
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestCheckAfterKill(t *testing.T) {
-	rt := New(1)
-	err := rt.Run(func(c *Comm) error {
-		if err := c.Check(); err != nil {
-			return err
+		<-failed
+		f, err := c.RecvFloats(1, 4)
+		if err != nil || f[0] != 7 {
+			return fmt.Errorf("message sent before the failure lost: %v, %v", f, err)
 		}
-		rt.Kill(0)
-		if err := c.Check(); !errors.Is(err, ErrKilled) {
-			return fmt.Errorf("want ErrKilled, got %v", err)
+		if _, err := c.Recv(1, 4); !rankFailed(err, 1) {
+			return fmt.Errorf("after the drain: want RankFailedError{1}, got %v", err)
 		}
-		return ErrKilled
+		return nil
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -5,11 +5,6 @@ import (
 	"fmt"
 )
 
-// ErrKilled is returned by communication operations on a rank that has been
-// killed. The SPMD program should unwind; Runtime.Run treats it as expected
-// fail-stop termination rather than an error.
-var ErrKilled = errors.New("cluster: this rank has been killed")
-
 // ErrAborted is the sentinel matched (via errors.Is) by the error that
 // communication operations return after Runtime.Abort: the whole run is
 // being torn down, typically because a context was cancelled. The SPMD
@@ -47,14 +42,4 @@ type RankFailedError struct {
 // Error implements the error interface.
 func (e *RankFailedError) Error() string {
 	return fmt.Sprintf("cluster: rank %d has failed", e.Rank)
-}
-
-// IsRankFailed reports whether err (or anything it wraps) is a
-// RankFailedError, returning the failed rank.
-func IsRankFailed(err error) (int, bool) {
-	var rf *RankFailedError
-	if errors.As(err, &rf) {
-		return rf.Rank, true
-	}
-	return -1, false
 }

@@ -7,8 +7,8 @@ import (
 )
 
 // LocalTransport is the in-process fabric, and the default: delivery is a
-// synchronous append to the destination's mailbox (node.put), failure
-// notification is immediate, and payload buffers come from a process-wide
+// synchronous append to the destination's mailbox (node.put), and payload
+// buffers come from a process-wide
 // sync.Pool-backed recycler. Owned sends (SendOwned: the SpMV halo
 // exchange, the collectives' reduction hops) hand pooled buffers straight
 // to the receiver, copy-semantics sends copy into one, and receivers
@@ -105,20 +105,16 @@ func (t *LocalTransport) PutFloats(buf []float64) { poolPutFloats(&t.ct, buf) }
 
 // Deliver implements Transport: copy the payload through the recycler
 // unless ownership was transferred, then append to dst's mailbox.
-func (t *LocalTransport) Deliver(sender, dst *node, m Msg, own bool) error {
+func (t *LocalTransport) Deliver(dst *node, m Msg, own bool) error {
 	if !own {
 		m = copyPayload(&t.ct, t, m)
 	}
-	if err := dst.put(sender, m); err != nil {
+	if err := dst.put(m); err != nil {
 		return err
 	}
 	t.ct.delivered.Add(1)
 	return nil
 }
-
-// NotifyKill implements Transport: peers observe the death immediately
-// (faithful fail-stop notification, as ULFM's error propagation models).
-func (t *LocalTransport) NotifyKill(nd *node) { nd.notifyPeers() }
 
 // Stats implements Transport.
 func (t *LocalTransport) Stats() TransportStats { return t.ct.snapshot() }

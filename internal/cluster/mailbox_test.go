@@ -55,32 +55,11 @@ func runWithin(t *testing.T, what string, rt *Runtime, trigger func(), fn func(c
 }
 
 // TestMailboxWakePaths: on every fabric, a Recv parked on an empty mailbox
-// is woken by each of the three events it used to select on — its own
-// death (ErrKilled), the death of the source it waits for (RankFailedError,
-// and only after what the source sent first was drained), and an Abort
-// (AbortError carrying the cause).
+// is woken by each event it waits on besides a message — the failure of
+// the source it waits for (RankFailedError, and only after what the source
+// sent first was drained), and an Abort (AbortError carrying the cause).
 func TestMailboxWakePaths(t *testing.T) {
 	forEachTransport(t, func(t *testing.T, mk func() Transport) {
-		t.Run("own-kill", func(t *testing.T) {
-			rt := New(2, WithTransport(mk()))
-			defer closeTransport(rt)
-			err := runWithin(t, "own kill", rt, func() {
-				waitParked(t, rt, 1)
-				rt.Kill(1)
-			}, func(c *Comm) error {
-				if c.Rank() == 0 {
-					return nil
-				}
-				if _, err := c.Recv(0, 1); !errors.Is(err, ErrKilled) {
-					return fmt.Errorf("parked victim: want ErrKilled, got %v", err)
-				}
-				return ErrKilled
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
-		})
-
 		t.Run("source-death", func(t *testing.T) {
 			rt := New(2, WithTransport(mk()))
 			defer closeTransport(rt)
@@ -97,18 +76,14 @@ func TestMailboxWakePaths(t *testing.T) {
 					}
 					runtime.Gosched()
 				}
-				waitParked(t, rt, 0, 1)
-				rt.Kill(0)
+				waitParked(t, rt, 1)
+				rt.nodeAt(0).fail()
 			}, func(c *Comm) error {
 				if c.Rank() == 0 {
-					if err := c.SendFloats(CatOther, 1, 1, []float64{7}); err != nil {
-						return err
-					}
-					_, err := c.Recv(1, 9) // never sent: parks until killed
-					return err
+					return c.SendFloats(CatOther, 1, 1, []float64{7})
 				}
-				_, err := c.Recv(0, 2) // never sent: parks until the source dies
-				if r, ok := IsRankFailed(err); !ok || r != 0 {
+				_, err := c.Recv(0, 2) // never sent: parks until the source fails
+				if !rankFailed(err, 0) {
 					return fmt.Errorf("parked on a dying source: want RankFailedError{0}, got %v", err)
 				}
 				f, err := c.RecvFloats(0, 1)
@@ -152,43 +127,9 @@ func closeTransport(rt *Runtime) {
 	}
 }
 
-// TestMailboxChaosNotifyLagDelaysWake: the chaos fabric's lagged failure
-// notification reaches a parked receiver through the same wake — not
-// before the lag has passed, and not never.
-func TestMailboxChaosNotifyLagDelaysWake(t *testing.T) {
-	const lag = 30 * time.Millisecond
-	rt := New(2, WithTransport(NewChaosTransport(NewLocalTransport(), ChaosConfig{
-		Seed: 5, MaxDelay: -1, NotifyLag: lag,
-	})))
-	var killed time.Time
-	var woke time.Duration
-	err := runWithin(t, "lagged notification", rt, func() {
-		waitParked(t, rt, 0, 1)
-		killed = time.Now()
-		rt.Kill(1)
-	}, func(c *Comm) error {
-		if c.Rank() == 1 {
-			_, err := c.Recv(0, 1) // the victim: wakes at once, with ErrKilled
-			return err
-		}
-		_, err := c.Recv(1, 1)
-		woke = time.Since(killed)
-		if _, ok := IsRankFailed(err); !ok {
-			return fmt.Errorf("want RankFailedError, got %v", err)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if woke < lag {
-		t.Fatalf("peer saw the death %v after the kill, before the %v notification lag", woke, lag)
-	}
-}
-
 // TestMailboxStressKillOrAbort is the lost-wake-up hunt: 8 ranks loop an
-// Allreduce plus a ring exchange; at a seeded point one rank either kills a
-// seeded victim or aborts the runtime, from inside the loop, while the
+// Allreduce plus a ring exchange; at a seeded point one rank either fails a
+// seeded victim's slot or aborts the runtime, from inside the loop, while the
 // others are wherever the scheduler left them — parked, mid-swap, about to
 // park. Whoever notices a failure aborts, as the solver's drivers do. No
 // run may outlive the deadline: a receiver that missed its wake-up hangs,
@@ -203,7 +144,7 @@ func TestMailboxStressKillOrAbort(t *testing.T) {
 		{TransportChan, 200, 300, func() Transport { return NewLocalTransport() }},
 		{TransportChaos, 40, 30, func() Transport {
 			return NewChaosTransport(NewLocalTransport(), ChaosConfig{
-				Seed: 11, MaxDelay: 20 * time.Microsecond, NotifyLag: 200 * time.Microsecond,
+				Seed: 11, MaxDelay: 20 * time.Microsecond,
 			})
 		}},
 		{TransportNet, 20, 100, func() Transport { return NewNetTransport(NetConfig{}) }},
@@ -221,7 +162,7 @@ func TestMailboxStressKillOrAbort(t *testing.T) {
 					if abort {
 						rt.Abort(cause)
 					} else {
-						rt.Kill(victim)
+						rt.nodeAt(victim).fail()
 					}
 				}
 				what := fmt.Sprintf("seed %d (trigger rank %d at round %d, victim %d, abort %v, mid-round %v)",
@@ -250,9 +191,7 @@ func TestMailboxStressKillOrAbort(t *testing.T) {
 					}
 					for i := 0; i < rounds; i++ {
 						if err := step(i); err != nil {
-							if !errors.Is(err, ErrKilled) {
-								rt.Abort(err) // unwind the ranks parked on this one
-							}
+							rt.Abort(err) // unwind the ranks parked on this one
 							return err
 						}
 					}

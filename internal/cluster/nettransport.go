@@ -63,7 +63,7 @@ type NetConfig struct {
 	// rank failure: they are scheduled failure victims whose replacement
 	// process will reconnect and resume, so sends to them block until the
 	// replacement's connection (at a higher incarnation) is up. Ranks not
-	// listed here are fail-stop: a lost connection kills them for real.
+	// listed here are fail-stop: a lost connection fails them for real.
 	Replaceable []int
 	// Incarnation is this process's own spawn generation (0 for the
 	// original worker, bumped by the coordinator for each replacement). It
@@ -120,7 +120,7 @@ type netPeerState struct {
 	// stale holds orphaned connections to a superseded incarnation. They
 	// are deliberately NOT closed while the old process may still be
 	// alive: closing a connection at a pre-poll-point victim would make it
-	// observe an EOF from a non-replaceable peer, kill that peer's rank
+	// observe an EOF from a non-replaceable peer, fail that peer's rank
 	// locally, and abort mid-iteration — destroying in-flight frames that
 	// slower survivors still need. They are reaped once the old process's
 	// death is actually observed, or at teardown.
@@ -135,14 +135,12 @@ type netPeerState struct {
 // travel as raw float64 bits — so a deterministic SPMD program produces
 // bit-identical results over real sockets.
 //
-// Failure semantics: a kill raises a KILL marker on every wire *behind* any
-// data already written there, so peers always drain in-flight messages
-// before they observe the death — the same ordering the in-process
-// transports guarantee. A peer connection that closes or resets without a
-// marker is a real process death: the ranks it hosted are killed through
-// the same notification path (unless they are scheduled Replaceable
-// victims, in which case the transport waits for the replacement process to
-// reconnect at a higher incarnation).
+// Failure semantics: a peer connection that closes or resets is a real
+// process death, and the ranks it hosted fail (node.fail) — unless they are
+// scheduled Replaceable victims, in which case the transport waits for the
+// replacement process to reconnect at a higher incarnation. The end of an
+// inbound connection is read behind every frame it carried, so receivers
+// drain a dead peer's in-flight messages before they observe its failure.
 //
 // Encode and decode buffers come from the in-process fabric's process-wide
 // size-class recycler, so the steady-state wire loop allocates only in
@@ -410,11 +408,9 @@ func (t *NetTransport) handleInbound(c net.Conn) {
 	t.readLoop(p, c)
 }
 
-// readLoop decodes frames off one inbound connection and applies them, in
-// order: data frames are appended synchronously to local mailboxes (so wire
-// order is mailbox order), kill markers raise the local failure
-// notification — necessarily behind every data frame the same wire carried
-// first. The mailbox is unbounded, so this loop never stalls on a slow
+// readLoop decodes data frames off one inbound connection and appends them
+// synchronously to local mailboxes, in order, so wire order is mailbox
+// order. The mailbox is unbounded, so this loop never stalls on a slow
 // receiver and TCP back-pressure no longer reaches the sender; what keeps
 // a mailbox shallow is the SPMD programs' lock-step (see node).
 func (t *NetTransport) readLoop(p *netPeerState, c net.Conn) {
@@ -436,19 +432,11 @@ func (t *NetTransport) readLoop(p *netPeerState, c net.Conn) {
 				return
 			}
 			t.bytesRecv.Add(int64(5 + netDataHeader + 8*len(fr.msg.F) + 8*len(fr.msg.I)))
-			if rt.nodeAt(fr.to).put(nil, fr.msg) == nil {
+			if rt.nodeAt(fr.to).put(fr.msg) == nil {
 				t.ct.delivered.Add(1)
 			} else {
 				t.dropFrame(fr)
 			}
-		case netFrameKill:
-			if fr.rank < 0 || fr.rank >= rt.Size() {
-				t.inboundGone(p, c)
-				return
-			}
-			nd := rt.nodeAt(fr.rank)
-			nd.fail()
-			nd.notifyPeers()
 		default:
 			// Stray handshake frames mid-stream are a protocol violation.
 			t.inboundGone(p, c)
@@ -517,9 +505,7 @@ func (t *NetTransport) inboundGone(p *netPeerState, c net.Conn) {
 	}
 	for _, r := range p.ranks {
 		if !t.replaceable[r] {
-			nd := t.rt.nodeAt(r)
-			nd.fail()
-			nd.notifyPeers()
+			t.rt.nodeAt(r).fail()
 		}
 	}
 }
@@ -693,12 +679,8 @@ func (t *NetTransport) ExpectReplacement(required map[int]int) {
 }
 
 // outConnFor waits for an acceptable outbound connection to dst's peer,
-// unwinding on abort, the sender's own death, closure, or a setup error.
-func (t *NetTransport) outConnFor(rt *Runtime, sender, dst *node) (*netPeerState, *netConn, error) {
-	var senderDead <-chan struct{}
-	if sender != nil {
-		senderDead = sender.dead.ch
-	}
+// unwinding on abort, dst's failure, closure, or a setup error.
+func (t *NetTransport) outConnFor(rt *Runtime, dst *node) (*netPeerState, *netConn, error) {
 	t.mu.Lock()
 	for {
 		if t.startErr != nil {
@@ -722,9 +704,7 @@ func (t *NetTransport) outConnFor(rt *Runtime, sender, dst *node) (*netPeerState
 		case <-ch:
 		case <-rt.abort.ch:
 			return nil, nil, rt.abortErr()
-		case <-senderDead:
-			return nil, nil, ErrKilled
-		case <-dst.peerDead.ch:
+		case <-dst.failed.ch:
 			return nil, nil, &RankFailedError{Rank: dst.rank}
 		case <-t.closed:
 			return nil, nil, fmt.Errorf("cluster: net transport closed")
@@ -733,9 +713,8 @@ func (t *NetTransport) outConnFor(rt *Runtime, sender, dst *node) (*netPeerState
 	}
 }
 
-// connBroken reports a failed write on out: tear the connection down, and —
-// unless dst is a replaceable scheduled victim awaiting its replacement —
-// kill the ranks the peer hosts through the normal notification path.
+// connBroken reports a failed write on out: tear the connection down so the
+// dial loop replaces it.
 func (t *NetTransport) connBroken(p *netPeerState, out *netConn) {
 	t.mu.Lock()
 	if p.out == out {
@@ -750,7 +729,7 @@ func (t *NetTransport) connBroken(p *netPeerState, out *netConn) {
 // Deliver implements Transport: serialize the message and write it on the
 // destination peer's wire. Sends to replaceable ranks ride out connection
 // loss by waiting for the replacement process and retrying; sends to anyone
-// else surface a lost connection as the rank's fail-stop death.
+// else surface a lost connection as the rank's failure.
 //
 // Each frame is pinned to the destination incarnation it was addressed to
 // (the peer's required incarnation when the send began). If the available
@@ -761,7 +740,7 @@ func (t *NetTransport) connBroken(p *netPeerState, out *netConn) {
 // double-deliver it (the replacement re-receives the same logical sends
 // when the redo pass after recovery replays them), shifting its
 // per-(source,tag) stream off by one.
-func (t *NetTransport) Deliver(sender, dst *node, m Msg, own bool) error {
+func (t *NetTransport) Deliver(dst *node, m Msg, own bool) error {
 	rt := t.rt
 	wire, backing, err := encodeDataFrame(t, dst.rank, m)
 	if own && m.F != nil {
@@ -778,7 +757,7 @@ func (t *NetTransport) Deliver(sender, dst *node, m Msg, own bool) error {
 	}
 	epoch := -1
 	for {
-		p, out, err := t.outConnFor(rt, sender, dst)
+		p, out, err := t.outConnFor(rt, dst)
 		if err != nil {
 			return err
 		}
@@ -811,55 +790,8 @@ func (t *NetTransport) Deliver(sender, dst *node, m Msg, own bool) error {
 			if t.isClosed() {
 				return fmt.Errorf("cluster: net transport closed")
 			}
-			nd := rt.nodeAt(dst.rank)
-			nd.fail()
-			nd.notifyPeers()
+			dst.fail()
 			return &RankFailedError{Rank: dst.rank}
 		}
-	}
-}
-
-// NotifyKill implements Transport: broadcast a KILL marker for the rank on
-// every peer wire. Each marker is written behind whatever data frames that
-// wire already carries (single writer per wire), so every process applies
-// the failure notification only after draining the messages that preceded
-// the death — including this process itself, whose marker loops back over
-// the self-wire. If a wire is down the marker is dropped: the connection
-// loss itself carries the fail-stop signal on that peer.
-func (t *NetTransport) NotifyKill(nd *node) {
-	wire, err := encodeControlFrame(netFrame{typ: netFrameKill, rank: nd.rank})
-	if err != nil {
-		nd.notifyPeers()
-		return
-	}
-	t.mu.Lock()
-	if t.startErr != nil || t.peers == nil {
-		t.mu.Unlock()
-		nd.notifyPeers()
-		return
-	}
-	peers := t.peers
-	t.mu.Unlock()
-	selfDelivered := false
-	for _, p := range peers {
-		t.mu.Lock()
-		out := p.out
-		t.mu.Unlock()
-		if out == nil {
-			continue
-		}
-		p.wmu.Lock()
-		_, werr := out.conn.Write(wire)
-		p.wmu.Unlock()
-		if werr != nil {
-			t.connBroken(p, out)
-		} else if p.idx == t.cfg.Self {
-			selfDelivered = true
-		}
-	}
-	if !selfDelivered {
-		// No self-wire (not yet up, or torn down): notify locally so the
-		// death is never silently lost.
-		nd.notifyPeers()
 	}
 }

@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"bytes"
-	"errors"
 	"fmt"
 	"math"
 	"net"
@@ -167,62 +166,8 @@ func TestQuickNetMesh(t *testing.T) {
 	}
 }
 
-// TestQuickNetMeshKill: killing a rank on one side surfaces on the other
-// side as RankFailedError, behind any data the victim sent first.
-func TestQuickNetMeshKill(t *testing.T) {
-	lnA, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	lnB, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	peers := []NetPeer{
-		{Addr: lnA.Addr().String(), Ranks: []int{0}},
-		{Addr: lnB.Addr().String(), Ranks: []int{1}},
-	}
-	trA := NewNetTransport(NetConfig{RunID: "meshkill", Self: 0, Peers: peers, Listener: lnA})
-	trB := NewNetTransport(NetConfig{RunID: "meshkill", Self: 1, Peers: peers, Listener: lnB})
-	defer closeNet(t, trA)
-	defer closeNet(t, trB)
-	rtA := New(2, WithTransport(trA))
-	rtB := New(2, WithTransport(trB))
-
-	errB := make(chan error, 1)
-	go func() {
-		errB <- rtB.RunLocal([]int{1}, func(c *Comm) error {
-			if err := c.SendFloats(CatOther, 0, 4, []float64{7}); err != nil {
-				return err
-			}
-			rtB.Kill(1)
-			return ErrKilled
-		})
-	}()
-	err = rtA.RunLocal([]int{0}, func(c *Comm) error {
-		f, err := c.RecvFloats(1, 4)
-		if err != nil {
-			return fmt.Errorf("lost pre-death message: %v", err)
-		}
-		if f[0] != 7 {
-			return fmt.Errorf("got %v", f)
-		}
-		_, err = c.Recv(1, 5) // never sent; must unwind via the kill marker
-		if _, ok := IsRankFailed(err); !ok {
-			return fmt.Errorf("want RankFailedError, got %v", err)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := <-errB; err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestQuickNetMeshPeerLoss: a peer process vanishing without a kill marker
-// (connection loss, the real fail-stop case) kills the ranks it hosted.
+// TestQuickNetMeshPeerLoss: a peer process vanishing (connection loss, the
+// real fail-stop case) fails the ranks it hosted.
 func TestQuickNetMeshPeerLoss(t *testing.T) {
 	lnA, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -242,8 +187,8 @@ func TestQuickNetMeshPeerLoss(t *testing.T) {
 	rtA := New(2, WithTransport(trA))
 	rtB := New(2, WithTransport(trB))
 
-	// Bring the mesh up, then drop peer B like a dead process would: no
-	// markers, just closed sockets.
+	// Bring the mesh up, then drop peer B like a dead process would: closed
+	// sockets.
 	sync := make(chan error, 1)
 	go func() {
 		sync <- rtB.RunLocal([]int{1}, func(c *Comm) error {
@@ -258,12 +203,8 @@ func TestQuickNetMeshPeerLoss(t *testing.T) {
 			return err
 		}
 		closeNet(t, trB) // the "process" dies
-		_, err := c.Recv(1, 2)
-		if _, ok := IsRankFailed(err); !ok {
-			return fmt.Errorf("want RankFailedError after peer loss, got %v", err)
-		}
-		if c.Alive(1) {
-			return errors.New("rank 1 still reported alive after peer loss")
+		if _, err := c.Recv(1, 2); !rankFailed(err, 1) {
+			return fmt.Errorf("want RankFailedError{1} after peer loss, got %v", err)
 		}
 		return nil
 	})
@@ -363,9 +304,9 @@ func TestQuickNetWireRejects(t *testing.T) {
 			b[5+12] = 200 // claims 200 runID bytes, body has 0
 			return b
 		}(),
-		"short ack":  {3, 2, 0, 0, 0, 1, 2},
-		"fat kill":   {4, 8, 0, 0, 0, 1, 2, 3, 4, 5, 6, 7, 8},
-		"empty kill": {4, 0, 0, 0, 0},
+		"short ack": {3, 2, 0, 0, 0, 1, 2},
+		// Type 4 was a kill marker; no peer may send one any more.
+		"retired type 4": {4, 4, 0, 0, 0, 2, 0, 0, 0},
 	}
 	for name, wire := range cases {
 		if _, err := readNetFrame(bytes.NewReader(wire), tr); err == nil {
@@ -378,7 +319,8 @@ func TestQuickNetWireRejects(t *testing.T) {
 // element caps, whatever bytes arrive on the wire.
 func FuzzNetFrameDecode(f *testing.F) {
 	tr := NewNetTransport(NetConfig{})
-	// Seed with valid frames of every type plus mutations of each.
+	// Seed with valid frames of every type, a frame of the retired type 4,
+	// and malformed ones.
 	if wire, backing, err := encodeDataFrame(tr, 1, Msg{From: 0, Tag: 5, F: []float64{1, 2}, I: []int{3}}); err == nil {
 		f.Add(append([]byte(nil), wire...))
 		tr.PutFloats(backing)
@@ -386,12 +328,12 @@ func FuzzNetFrameDecode(f *testing.F) {
 	for _, fr := range []netFrame{
 		{typ: netFrameHello, peer: 1, incarnation: 2, runID: "fuzz"},
 		{typ: netFrameAck, incarnation: 3},
-		{typ: netFrameKill, rank: 4},
 	} {
 		if wire, err := encodeControlFrame(fr); err == nil {
 			f.Add(wire)
 		}
 	}
+	f.Add([]byte{4, 4, 0, 0, 0, 2, 0, 0, 0})
 	f.Add([]byte{})
 	f.Add([]byte{1, 255, 255, 255, 255})
 	f.Fuzz(func(t *testing.T, wire []byte) {

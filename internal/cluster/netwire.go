@@ -14,12 +14,11 @@ import (
 //
 //	[1 byte type][4 bytes body length][body]
 //
-// with four frame types:
+// with three frame types:
 //
 //	data:  [from u32][to u32][tag u32][nF u32][nI u32][nF x float64][nI x int64]
 //	hello: [version u32][peer u32][incarnation u32][runID len u16][runID]
 //	ack:   [incarnation u32]
-//	kill:  [rank u32]
 //
 // Float payloads travel as raw IEEE-754 bit patterns (math.Float64bits), so
 // every value — including NaN payloads and signed zeros — round-trips
@@ -34,7 +33,6 @@ const (
 	netFrameData  byte = 1
 	netFrameHello byte = 2
 	netFrameAck   byte = 3
-	netFrameKill  byte = 4
 
 	// netWireVersion guards against mixed-build fleets: the hello handshake
 	// rejects peers speaking a different frame layout.
@@ -88,9 +86,6 @@ type netFrame struct {
 	peer        int
 	incarnation int
 	runID       string
-
-	// kill frames
-	rank int
 }
 
 // encodeDataFrame serializes one message bound for rank `to` into a single
@@ -126,7 +121,7 @@ func encodeDataFrame(bs netWireBufs, to int, m Msg) (wire []byte, backing []floa
 	return wire, backing, nil
 }
 
-// encodeControlFrame serializes a hello, ack, or kill frame into a small
+// encodeControlFrame serializes a hello or ack frame into a small
 // heap buffer (control frames are rare and tiny).
 func encodeControlFrame(fr netFrame) ([]byte, error) {
 	var body []byte
@@ -144,9 +139,6 @@ func encodeControlFrame(fr netFrame) ([]byte, error) {
 	case netFrameAck:
 		body = make([]byte, 4)
 		binary.LittleEndian.PutUint32(body, uint32(fr.incarnation))
-	case netFrameKill:
-		body = make([]byte, 4)
-		binary.LittleEndian.PutUint32(body, uint32(fr.rank))
 	default:
 		return nil, fmt.Errorf("cluster: cannot encode net frame type %d", fr.typ)
 	}
@@ -205,15 +197,6 @@ func readNetFrame(r io.Reader, bs netWireBufs) (netFrame, error) {
 			return netFrame{}, fmt.Errorf("cluster: truncated net ack: %w", err)
 		}
 		return netFrame{typ: typ, incarnation: int(binary.LittleEndian.Uint32(buf[:]))}, nil
-	case netFrameKill:
-		if body != 4 {
-			return netFrame{}, fmt.Errorf("cluster: net kill body %d, want 4", body)
-		}
-		var buf [4]byte
-		if _, err := io.ReadFull(r, buf[:]); err != nil {
-			return netFrame{}, fmt.Errorf("cluster: truncated net kill: %w", err)
-		}
-		return netFrame{typ: typ, rank: int(binary.LittleEndian.Uint32(buf[:]))}, nil
 	}
 	return netFrame{}, fmt.Errorf("cluster: unknown net frame type %d", typ)
 }

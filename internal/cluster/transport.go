@@ -16,21 +16,19 @@ const (
 	// TransportChaos wraps the in-process fabric with deterministic, seeded
 	// message delay (reordering across distinct (source, tag) pairs, FIFO
 	// within each), for testing the resilience protocol's ordering
-	// assumptions. Its lagged failure notification acts only on
-	// Runtime.Kill, which no solve calls: a solve's failures are scheduled
-	// wipes.
+	// assumptions.
 	TransportChaos = "chaos"
 	// TransportNet is the TCP fabric: ranks hosted across OS processes (or
 	// one process in self-loop mode) exchanging length-prefixed binary
-	// frames over persistent peer connections, with a killed process
+	// frames over persistent peer connections, with a dead process
 	// surfacing as a real node failure. Payload buffers share the
 	// in-process fabric's recycler.
 	TransportNet = "net"
 )
 
 // Transport is the pluggable rank-to-rank delivery fabric of a Runtime: it
-// owns message hand-off between nodes, the payload-buffer recycler, and the
-// peers' view of node failures. The matching logic (FIFO per (source, tag),
+// owns message hand-off between nodes and the payload-buffer recycler. The
+// matching logic (FIFO per (source, tag),
 // selective receive) lives above it in Comm and is identical for every
 // transport, which is what makes deterministic SPMD programs produce
 // bit-identical results on all of them.
@@ -53,22 +51,14 @@ type Transport interface {
 	// whoever holds the alias.
 	PutFloats(buf []float64)
 
-	// Deliver hands m to dst's mailbox on behalf of sender. When own is
-	// false the receiver must not be able to alias the caller's payload
-	// slices (the transport copies them); when own is true, ownership of
-	// the slices transfers to the receiver. Deliver unwinds with
-	// RankFailedError / ErrKilled / AbortError like node.put, where every
-	// transport's delivery ends; an asynchronous transport may instead
-	// accept the message at once and drop it on the wire when the
-	// destination dies.
-	Deliver(sender, dst *node, m Msg, own bool) error
-
-	// NotifyKill is invoked exactly once when the node is killed (after
-	// its own dead latch is tripped). The transport decides when peers
-	// observe the death by calling nd.notifyPeers — immediately for
-	// faithful fail-stop semantics, or after a lag to model delayed
-	// failure detection.
-	NotifyKill(nd *node)
+	// Deliver hands m to dst's mailbox. When own is false the receiver
+	// must not be able to alias the caller's payload slices (the transport
+	// copies them); when own is true, ownership of the slices transfers to
+	// the receiver. Deliver unwinds with RankFailedError / AbortError like
+	// node.put, where every transport's delivery ends; an asynchronous
+	// transport may instead accept the message at once and drop it on the
+	// wire when the destination fails.
+	Deliver(dst *node, m Msg, own bool) error
 
 	// Stats snapshots the transport's delivery counters.
 	Stats() TransportStats
@@ -107,13 +97,10 @@ type TransportStats struct {
 	PoolNews int64 `json:"pool_news"`
 	// Delayed counts messages held on the simulated wire (chaos).
 	Delayed int64 `json:"delayed"`
-	// Dropped counts wire-dropped messages (chaos: destination dead or
+	// Dropped counts wire-dropped messages (chaos: destination failed or
 	// runtime aborted while the message was in flight; net: frames decoded
-	// for a dead or aborted destination).
+	// for a failed or aborted destination).
 	Dropped int64 `json:"dropped"`
-	// Corrupted counts payloads the chaos wire's corruption mode bit-flipped
-	// in transit.
-	Corrupted int64 `json:"corrupted"`
 	// BytesSent/BytesReceived count wire traffic (net transport only).
 	BytesSent     int64 `json:"bytes_sent"`
 	BytesReceived int64 `json:"bytes_received"`
@@ -131,7 +118,6 @@ func (s *TransportStats) Add(o TransportStats) {
 	s.PoolNews += o.PoolNews
 	s.Delayed += o.Delayed
 	s.Dropped += o.Dropped
-	s.Corrupted += o.Corrupted
 	s.BytesSent += o.BytesSent
 	s.BytesReceived += o.BytesReceived
 	s.Reconnects += o.Reconnects
@@ -142,7 +128,7 @@ func (s *TransportStats) Add(o TransportStats) {
 type transportCounters struct {
 	delivered, copied           atomic.Int64
 	poolGets, poolPuts, poolNew atomic.Int64
-	delayed, dropped, corrupted atomic.Int64
+	delayed, dropped            atomic.Int64
 }
 
 func (c *transportCounters) snapshot() TransportStats {
@@ -154,7 +140,6 @@ func (c *transportCounters) snapshot() TransportStats {
 		PoolNews:  c.poolNew.Load(),
 		Delayed:   c.delayed.Load(),
 		Dropped:   c.dropped.Load(),
-		Corrupted: c.corrupted.Load(),
 	}
 }
 

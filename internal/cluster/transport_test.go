@@ -11,17 +11,14 @@ import (
 )
 
 // conformanceTransports builds one fresh instance of every transport per
-// invocation. The chaos instance uses tight delays so the suite stays fast,
-// and a wire delay well below the notification lag so that messages sent
-// before a death reliably beat the failure notification.
+// invocation. The chaos instance uses tight delays so the suite stays fast.
 func conformanceTransports() map[string]func() Transport {
 	return map[string]func() Transport{
 		TransportChan: func() Transport { return NewLocalTransport() },
 		TransportChaos: func() Transport {
 			return NewChaosTransport(NewLocalTransport(), ChaosConfig{
-				Seed:      7,
-				MaxDelay:  100 * time.Microsecond,
-				NotifyLag: 10 * time.Millisecond,
+				Seed:     7,
+				MaxDelay: 100 * time.Microsecond,
 			})
 		},
 		// Self-loop mode: every conformance guarantee must hold over real
@@ -155,38 +152,25 @@ func TestQuickTransportCollectiveDeterminism(t *testing.T) {
 	})
 }
 
-// TestQuickTransportFailStop: a killed rank unwinds with ErrKilled, and
-// peers observe the failure — possibly after the chaos notification lag —
+// TestQuickTransportFailStop: on every fabric, peers observe a failed slot
 // as RankFailedError on both Recv and Send.
 func TestQuickTransportFailStop(t *testing.T) {
 	forEachTransport(t, func(t *testing.T, mk func() Transport) {
 		rt := New(3, WithTransport(mk()))
+		defer closeTransport(rt)
 		err := rt.Run(func(c *Comm) error {
 			switch c.Rank() {
 			case 0:
-				// The failed Recv doubles as the notification wait.
-				_, err := c.Recv(2, 5)
-				if _, ok := IsRankFailed(err); !ok {
-					return fmt.Errorf("want RankFailedError, got %v", err)
+				if _, err := c.Recv(2, 5); !rankFailed(err, 2) {
+					return fmt.Errorf("recv from failed: want RankFailedError{2}, got %v", err)
 				}
-				if c.Alive(2) {
-					return errors.New("rank 2 should be seen dead after notification")
+				if err := c.SendFloats(CatOther, 2, 5, []float64{1}); !rankFailed(err, 2) {
+					return fmt.Errorf("send to failed: want RankFailedError{2}, got %v", err)
 				}
-				err = c.SendFloats(CatOther, 2, 5, []float64{1})
-				if _, ok := IsRankFailed(err); !ok {
-					return fmt.Errorf("send to dead: want RankFailedError, got %v", err)
-				}
-				return nil
 			case 1:
-				rt.Kill(2)
-				return nil
-			default: // rank 2: its own death is visible immediately
-				_, err := c.Recv(1, 99) // never sent; unblocks via the kill
-				if !errors.Is(err, ErrKilled) {
-					return fmt.Errorf("victim: want ErrKilled, got %v", err)
-				}
-				return err // filtered by Run
+				rt.nodeAt(2).fail()
 			}
+			return nil
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -194,70 +178,31 @@ func TestQuickTransportFailStop(t *testing.T) {
 	})
 }
 
-// TestQuickTransportNotificationLag: during the chaos transport's
-// notification lag the victim is still reported alive and sends to it
-// appear to succeed; after the lag both sides observe the failure.
-func TestQuickTransportNotificationLag(t *testing.T) {
-	tr := NewChaosTransport(NewLocalTransport(), ChaosConfig{
-		Seed: 3, MaxDelay: -1, NotifyLag: 50 * time.Millisecond,
-	})
-	rt := New(2, WithTransport(tr))
-	err := rt.Run(func(c *Comm) error {
-		if c.Rank() != 0 {
-			return ErrKilled // rank 1 is the victim; killed below
-		}
-		rt.Kill(1)
-		if !c.Alive(1) {
-			return errors.New("death visible before the notification lag")
-		}
-		// Within the lag window the wire accepts (and drops) the message.
-		if err := c.SendFloats(CatOther, 1, 1, []float64{1}); err != nil {
-			return fmt.Errorf("send during lag: %v", err)
-		}
-		deadline := time.Now().Add(5 * time.Second)
-		for c.Alive(1) {
-			if time.Now().After(deadline) {
-				return errors.New("notification never arrived")
-			}
-			time.Sleep(time.Millisecond)
-		}
-		err := c.SendFloats(CatOther, 1, 1, []float64{1})
-		if _, ok := IsRankFailed(err); !ok {
-			return fmt.Errorf("send after lag: want RankFailedError, got %v", err)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The lag-window message is lost either way: dropped on the wire if the
-	// notification beat it, or delivered into the dead node's mailbox where
-	// nobody will ever read it.
-	if s := tr.Stats(); s.Delayed == 0 || s.Dropped+s.Delivered == 0 {
-		t.Fatalf("lag-window message unaccounted for: %+v", s)
-	}
-}
-
-// TestQuickTransportMessageBeforeDeath: an in-flight message sent before
-// the sender's death still reaches the receiver. On the chaos transport
-// this relies on the wire delay being below the notification lag.
+// TestQuickTransportMessageBeforeDeath: on every fabric, a message that
+// reached the receiver's mailbox before its sender failed is still
+// received after the failure.
 func TestQuickTransportMessageBeforeDeath(t *testing.T) {
 	forEachTransport(t, func(t *testing.T, mk func() Transport) {
 		rt := New(2, WithTransport(mk()))
+		defer closeTransport(rt)
+		failed := make(chan struct{})
 		err := rt.Run(func(c *Comm) error {
 			if c.Rank() == 1 {
 				if err := c.SendFloats(CatOther, 0, 4, []float64{7}); err != nil {
 					return err
 				}
-				rt.Kill(1)
-				return ErrKilled
+				// The chaos and net wires deliver asynchronously.
+				for got, _ := rt.MailboxDepth(0); got == 0; got, _ = rt.MailboxDepth(0) {
+					runtime.Gosched()
+				}
+				rt.nodeAt(1).fail()
+				close(failed)
+				return nil
 			}
+			<-failed
 			f, err := c.RecvFloats(1, 4)
-			if err != nil {
-				return fmt.Errorf("lost in-flight message: %v", err)
-			}
-			if f[0] != 7 {
-				return fmt.Errorf("got %v", f)
+			if err != nil || f[0] != 7 {
+				return fmt.Errorf("message sent before the failure lost: %v, %v", f, err)
 			}
 			return nil
 		})
@@ -391,115 +336,5 @@ func TestQuickTransportByName(t *testing.T) {
 		if _, err := NewTransport(name, 0); err == nil {
 			t.Fatalf("transport name %q should be rejected", name)
 		}
-	}
-}
-
-// TestQuickChaosWireCorruption: the seeded corruption mode flips exactly one
-// bit of one element in every CorruptEvery-th qualifying payload per wire,
-// deterministically per seed; short payloads and excluded tags pass clean,
-// and the Corrupted counter accounts for every flip.
-func TestQuickChaosWireCorruption(t *testing.T) {
-	const (
-		rounds = 6
-		width  = 16
-	)
-	run := func(seed int64, tags func(int) bool) ([][]float64, TransportStats) {
-		t.Helper()
-		tr := NewChaosTransport(NewLocalTransport(), ChaosConfig{
-			Seed:         seed,
-			MaxDelay:     -1, // keep ordering trivial; corruption is the subject
-			NotifyLag:    -1,
-			CorruptEvery: 2,
-			CorruptTags:  tags,
-		})
-		rt := New(2, WithTransport(tr))
-		var got [][]float64
-		err := rt.Run(func(c *Comm) error {
-			if c.Rank() == 0 {
-				for i := 0; i < rounds; i++ {
-					buf := make([]float64, width)
-					for j := range buf {
-						buf[j] = float64(i*width + j)
-					}
-					if err := c.SendFloats(CatOther, 1, 1, buf); err != nil {
-						return err
-					}
-					// Short control payloads must never qualify.
-					if err := c.SendFloats(CatOther, 1, 2, []float64{float64(i)}); err != nil {
-						return err
-					}
-				}
-				return nil
-			}
-			for i := 0; i < rounds; i++ {
-				f, err := c.RecvFloats(0, 1)
-				if err != nil {
-					return err
-				}
-				got = append(got, append([]float64(nil), f...))
-				s, err := c.RecvFloats(0, 2)
-				if err != nil {
-					return err
-				}
-				if len(s) != 1 || s[0] != float64(i) {
-					return fmt.Errorf("short payload %d corrupted: %v", i, s)
-				}
-			}
-			return nil
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return got, tr.Stats()
-	}
-
-	diffBits := func(i int, f []float64) int {
-		n := 0
-		for j := range f {
-			want := float64(i*width + j)
-			if f[j] != want {
-				x := math.Float64bits(f[j]) ^ math.Float64bits(want)
-				for ; x != 0; x &= x - 1 {
-					n++
-				}
-			}
-		}
-		return n
-	}
-
-	got, st := run(3, nil)
-	// Every 2nd qualifying payload on the wire: ordinals 1, 3, 5.
-	for i, f := range got {
-		bits := diffBits(i, f)
-		if i%2 == 1 && bits != 1 {
-			t.Fatalf("payload %d: %d bits flipped, want exactly 1", i, bits)
-		}
-		if i%2 == 0 && bits != 0 {
-			t.Fatalf("payload %d: corrupted off-cadence (%d bits)", i, bits)
-		}
-	}
-	if st.Corrupted != rounds/2 {
-		t.Fatalf("Corrupted = %d, want %d", st.Corrupted, rounds/2)
-	}
-
-	// Same seed, same flips — bitwise.
-	again, _ := run(3, nil)
-	for i := range got {
-		for j := range got[i] {
-			if got[i][j] != again[i][j] {
-				t.Fatalf("seed 3 not deterministic at payload %d element %d", i, j)
-			}
-		}
-	}
-
-	// Tag predicate excludes the bulk tag: everything passes clean.
-	clean, cst := run(3, func(tag int) bool { return tag == 99 })
-	for i, f := range clean {
-		if diffBits(i, f) != 0 {
-			t.Fatalf("payload %d corrupted despite excluded tag", i)
-		}
-	}
-	if cst.Corrupted != 0 {
-		t.Fatalf("Corrupted = %d with excluding predicate", cst.Corrupted)
 	}
 }

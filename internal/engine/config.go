@@ -86,9 +86,8 @@ const (
 	// between rank goroutines, payload buffers from a pooled recycler.
 	TransportChan = cluster.TransportChan
 	// TransportChaos delivers every message asynchronously after a seeded
-	// delay, reordered across wires, for stressing the resilience protocol.
-	// A solve's failures are scheduled wipes at its poll points, so the
-	// fabric's lagged failure notification never reaches one.
+	// delay, reordered across wires, for stressing the resilience
+	// protocol's ordering assumptions.
 	TransportChaos = cluster.TransportChaos
 	// TransportNet runs every rank-to-rank message over real TCP sockets
 	// (loopback self-loop inside one process; internal/netrun spreads ranks

@@ -123,7 +123,6 @@ var transportStatHelp = map[string]string{
 	"pool_news":  "Buffer recycler misses (fresh allocations) per transport.",
 	"delayed":    "Messages delayed by the chaos fabric per transport.",
 	"dropped":    "Failure-dropped messages per transport.",
-	"corrupted":  "Payloads bit-flipped in transit by the chaos wire's corruption mode per transport.",
 	"bytes":      "Wire bytes moved by the net fabric, by transport and direction (sent/received).",
 	"reconnects": "Re-established peer connections on the net fabric per transport.",
 }

@@ -5,8 +5,10 @@ package engine_test
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"os"
+	"regexp"
 	"testing"
 	"time"
 
@@ -15,6 +17,7 @@ import (
 	"repro/internal/faults"
 	"repro/internal/matgen"
 	"repro/internal/netrun"
+	"repro/internal/xerr"
 )
 
 // TestMain doubles this test binary as the netrun worker executable: the
@@ -124,6 +127,33 @@ func netProcessKillBitIdentical(t *testing.T, cfg engine.Config) {
 		if sol.X[i] != ref.X[i] {
 			t.Fatalf("x[%d] = %g differs from reference %g", i, sol.X[i], ref.X[i])
 		}
+	}
+}
+
+// TestNetFleetDataLossKeepsClass: a fleet job losing more ranks at once
+// than phi covers ends data_loss, as the same job does in process: the
+// worker's error class crosses the control connection, and the failing
+// rank is named once.
+func TestNetFleetDataLossKeepsClass(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns a fleet of worker processes")
+	}
+	coord, err := netrun.NewCoordinator(netrun.Options{Command: []string{os.Args[0]}, Log: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	_, _, err = coord.Run(ctx, engine.JobSpec{
+		Matrix: engine.MatrixSpec{Generator: "poisson2d", Params: map[string]float64{"nx": 32, "ny": 32}},
+		Config: engine.Config{Ranks: 8, Phi: 1, Transport: engine.TransportNet,
+			Schedule: faults.NewSchedule(faults.Simultaneous(5, 2, 3))},
+	}, nil)
+	if !errors.Is(err, xerr.DataLoss) {
+		t.Fatalf("fleet job losing 2 ranks at phi 1: %v (class %q), want %q", err, xerr.Code(err), xerr.DataLoss.Code())
+	}
+	if regexp.MustCompile(`rank \d+: rank \d+:`).MatchString(err.Error()) {
+		t.Fatalf("rank named twice: %v", err)
 	}
 }
 

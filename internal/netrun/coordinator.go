@@ -142,6 +142,19 @@ func scheduleEvents(s *faults.Schedule) []faults.Event {
 	return s.Events()
 }
 
+// workerError re-raises a worker's solve error under the class it carried
+// across the control connection. An error a rank's solve returned already
+// names the rank (cluster.Runtime.Run prefixes it).
+func workerError(m ctrlMsg) error {
+	err := fmt.Errorf("netrun: %s", m.Err)
+	for _, c := range xerr.Classes() {
+		if c.Code() == m.Code {
+			return xerr.Wrap(c, err)
+		}
+	}
+	return err
+}
+
 // workerProc is the coordinator's record of one worker process (one
 // incarnation; replacements get a fresh record).
 type workerProc struct {
@@ -284,7 +297,7 @@ func (c *Coordinator) runAttempt(ctx context.Context, spec engine.JobSpec, cfg e
 		resume       *core.EpisodeResume // current episode, for replacements
 		done         = map[int]bool{}
 		unexplained  = map[int]bool{} // scheduled victims gone before the failed report
-		solveErr     string
+		solveErr     error
 	)
 	hello := time.NewTimer(c.opts.SpawnTimeout)
 	defer hello.Stop()
@@ -399,17 +412,14 @@ func (c *Coordinator) runAttempt(ctx context.Context, spec engine.JobSpec, cfg e
 					if m.Stats != nil {
 						stats.Add(*m.Stats)
 					}
-					if m.Err != "" && solveErr == "" {
-						solveErr = fmt.Sprintf("rank %d: %s", ev.rank, m.Err)
+					if m.Err != "" && solveErr == nil {
+						solveErr = workerError(m)
 					}
 					if ev.rank == 0 && m.Solution != nil {
 						sol = *m.Solution
 					}
 					if len(done) == ranks {
-						if solveErr != "" {
-							return sol, stats, fmt.Errorf("netrun: %s", solveErr)
-						}
-						return sol, stats, nil
+						return sol, stats, solveErr
 					}
 				}
 			case evGone, evExit:

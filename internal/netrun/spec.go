@@ -91,8 +91,9 @@ type ctrlMsg struct {
 	Iteration int   `json:"iteration,omitempty"`
 	Victims   []int `json:"victims,omitempty"`
 
-	// result.
+	// result. Code is Err's xerr class ("" when unclassed).
 	Solution *engine.Solution        `json:"solution,omitempty"`
 	Stats    *cluster.TransportStats `json:"stats,omitempty"`
 	Err      string                  `json:"err,omitempty"`
+	Code     string                  `json:"code,omitempty"`
 }

@@ -16,6 +16,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/faults"
+	"repro/internal/xerr"
 )
 
 // IsWorker reports whether this process was spawned as a netrun rank
@@ -175,7 +176,7 @@ func RunWorker() error {
 	res.Stats = &st
 	switch {
 	case serr != nil:
-		res.Err = serr.Error()
+		res.Err, res.Code = serr.Error(), xerr.Code(serr)
 	case rank == 0:
 		if !spec.KeepSolution {
 			sol.X = nil // don't ship a vector the engine would drop anyway

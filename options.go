@@ -42,9 +42,7 @@ const (
 	// ChaosTransport delivers every message asynchronously after a
 	// deterministic seeded delay, reordering messages across distinct
 	// (source, tag) pairs, for stressing the resilience protocol's ordering
-	// assumptions. A solve's failures are scheduled wipes at its own poll
-	// points, so it sees the reordered delivery, never a lagged failure
-	// notification.
+	// assumptions.
 	ChaosTransport Transport = engine.TransportChaos
 	// NetTransport runs every rank-to-rank message over real TCP sockets
 	// with length-prefixed frames — delivery semantics and results are
