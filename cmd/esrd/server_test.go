@@ -16,9 +16,11 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/faults"
 	"repro/internal/matgen"
+	"repro/internal/xerr"
 )
 
 // testLogger exercises the structured access-log path without polluting the
@@ -214,6 +216,39 @@ func postRefused(t *testing.T, ts *httptest.Server, body string) (status int, co
 		t.Fatal(err)
 	}
 	return resp.StatusCode, out.Error.Code, out.Error.Message
+}
+
+// TestCoordinatorRefusesAtPost: on a coordinator daemon (a NetRunner
+// installed) a net job the fleet cannot run — here a phase-1 schedule event,
+// an overlapping failure inside an episode — is answered 409
+// failed_precondition at POST /v1/jobs and leaves no job record, instead of
+// being accepted (202) and failing once dispatched.
+func TestCoordinatorRefusesAtPost(t *testing.T) {
+	dispatched := make(chan struct{}, 1)
+	eng := engine.New(engine.Options{Workers: 1, QueueCap: 4,
+		NetRunner: func(ctx context.Context, spec engine.JobSpec, progress func(core.ProgressEvent)) (engine.Solution, error) {
+			dispatched <- struct{}{}
+			return engine.Solution{}, xerr.New(xerr.FailedPrecondition, "refused after dispatch")
+		}})
+	ts := httptest.NewServer(newMux(eng, testLogger()))
+	t.Cleanup(func() {
+		ts.Close()
+		eng.Close()
+	})
+	status, code, msg := postRefused(t, ts, `{"matrix": {"generator": "poisson2d", "params": {"nx": 8}},
+		"config": {"ranks": 4, "phi": 2, "transport": "net",
+		           "schedule": [{"iteration": 3, "ranks": [1]}, {"iteration": 3, "phase": 2, "ranks": [2]}]}}`)
+	if status != http.StatusConflict || code != "failed_precondition" {
+		t.Fatalf("net job with a phase-2 event: status %d, error %s %q; want 409 failed_precondition", status, code, msg)
+	}
+	if jobs := eng.List(); len(jobs) != 0 {
+		t.Fatalf("refused submission left %d job records", len(jobs))
+	}
+	select {
+	case <-dispatched:
+		t.Fatal("the refused job reached the fleet")
+	default:
+	}
 }
 
 // TestCompatThreadsFieldRejected: "threads" is no longer a config field, so a

@@ -478,3 +478,44 @@ func TestCategoriesStringer(t *testing.T) {
 		}
 	}
 }
+
+// TestTreeSumMatchesAllreduce: TreeSum over the members' partials is bit for
+// bit the OpSum Allreduce of a group of that size, for sizes 1-8, on values
+// whose sum depends on the association order — so a helper that added in
+// rank order would fail, as the check on sequential summation shows.
+func TestTreeSumMatchesAllreduce(t *testing.T) {
+	values := []float64{1e16, 1, -1e16, 1, 3.25e15, -7, 0.5, -3.25e15, 1e-3}
+	orderSensitive := false
+	for n := 1; n <= 8; n++ {
+		for shift := 0; shift < len(values); shift++ {
+			parts := make([]float64, n)
+			for p := range parts {
+				parts[p] = values[(p+shift)%len(values)]
+			}
+			got := make([]float64, n)
+			err := New(n).Run(func(c *Comm) error {
+				v, err := c.World().AllreduceScalar(OpSum, parts[c.Rank()])
+				got[c.Rank()] = v
+				return err
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := TreeSum(parts)
+			for r, v := range got {
+				if math.Float64bits(v) != math.Float64bits(want) {
+					t.Fatalf("size %d shift %d: rank %d's Allreduce %v (%x), TreeSum %v (%x)",
+						n, shift, r, v, math.Float64bits(v), want, math.Float64bits(want))
+				}
+			}
+			seq := 0.0
+			for _, v := range parts {
+				seq += v
+			}
+			orderSensitive = orderSensitive || seq != want
+		}
+	}
+	if !orderSensitive {
+		t.Fatal("no case distinguishes the tree order from sequential summation")
+	}
+}

@@ -47,10 +47,8 @@ func (o Op) combine(acc, in []float64) {
 	}
 }
 
-// Group is a collective-communication context over a subset of ranks, used
-// both for full-communicator collectives and for the replacement-node
-// subgroup that solves the reconstruction subsystem (paper Sec. 4.1:
-// "additional communication between the psi replacement nodes").
+// Group is a collective-communication context over a subset of ranks: the
+// full communicator, or a subgroup of it.
 //
 // All members must call the same sequence of collective operations. The
 // context integer separates the tag spaces of different concurrently-used
@@ -219,6 +217,38 @@ func (g *Group) AllreduceScalar(op Op, v float64) (float64, error) {
 	s := out[0]
 	g.c.PutFloats(out)
 	return s, nil
+}
+
+// TreeSum combines per-member partials, parts[p] being the member at
+// position p's, in Reduce's binomial order: at round mask, position p (a
+// multiple of 2·mask) adds what position p+mask accumulated over the earlier
+// rounds. It is pure and sends nothing, and its result is bit for bit the
+// OpSum Allreduce a group of len(parts) members delivers — so one goroutine
+// holding every member's partial forms the scalar the group would have
+// formed.
+func TreeSum(parts []float64) float64 {
+	if len(parts) == 0 {
+		return 0
+	}
+	span := 1
+	for span < len(parts) {
+		span <<= 1
+	}
+	return treeSum(parts, 0, span)
+}
+
+// treeSum is what position p holds after the rounds below span (a power of
+// two): the combined partials of positions [p, p+span).
+func treeSum(parts []float64, p, span int) float64 {
+	if span == 1 {
+		return parts[p]
+	}
+	h := span / 2
+	acc := treeSum(parts, p, h)
+	if p+h < len(parts) {
+		acc += treeSum(parts, p+h, h)
+	}
+	return acc
 }
 
 // Recycle returns a slice obtained from this group's collectives (Reduce,

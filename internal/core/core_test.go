@@ -26,13 +26,14 @@ type harnessOut struct {
 	err error
 }
 
-func runSolver(t *testing.T, ranks int, body func(c *cluster.Comm) (Result, distmat.Vector, error)) harnessOut {
+func runSolver(t *testing.T, ranks int, body func(c *cluster.Comm, ss *sessionStub) (Result, distmat.Vector, error)) harnessOut {
 	t.Helper()
 	rt := cluster.New(ranks)
 	var mu sync.Mutex
 	var out harnessOut
+	ss := newSessionStub()
 	err := rt.Run(func(c *cluster.Comm) error {
-		res, x, err := body(c)
+		res, x, err := body(c, ss)
 		if err != nil {
 			return err
 		}
@@ -53,6 +54,38 @@ func runSolver(t *testing.T, ranks int, body func(c *cluster.Comm) (Result, dist
 		out.err = err
 	}
 	return out
+}
+
+// sessionStub stands in for a prepared session: every rank files its matrix
+// and preconditioner, and an episode's leader reads the other failed ranks'
+// through Options.Session, as engine.Prepared's solves read theirs.
+type sessionStub struct {
+	mu sync.Mutex
+	m  map[int]*distmat.Matrix
+	p  map[int]Precond
+}
+
+func newSessionStub() *sessionStub {
+	return &sessionStub{m: map[int]*distmat.Matrix{}, p: map[int]Precond{}}
+}
+
+// file records the calling rank's static state and returns opts reading the
+// stub.
+func (ss *sessionStub) file(opts Options, e *distmat.Env, m *distmat.Matrix, pc Precond) Options {
+	ss.mu.Lock()
+	ss.m[e.Pos], ss.p[e.Pos] = m, pc
+	ss.mu.Unlock()
+	opts.Session = func(r int) (*distmat.Matrix, Precond) {
+		ss.mu.Lock()
+		defer ss.mu.Unlock()
+		return ss.m[r], ss.p[r]
+	}
+	return opts
+}
+
+// esrpcg is ESRPCG with the rank's state filed in the stub.
+func (ss *sessionStub) esrpcg(e *distmat.Env, m *distmat.Matrix, x, b distmat.Vector, pc Precond, opts Options, sched *faults.Schedule) (Result, error) {
+	return ESRPCG(e, m, x, b, pc, ss.file(opts, e, m, pc), sched)
 }
 
 // setupProblem builds the distributed pieces of A x = b for a rank.
@@ -108,7 +141,7 @@ func TestPCGSolvesCatalogue(t *testing.T) {
 		t.Run(entry.ID, func(t *testing.T) {
 			a := entry.Build(matgen.ScaleTiny)
 			want := seqSolution(t, a)
-			out := runSolver(t, 4, func(c *cluster.Comm) (Result, distmat.Vector, error) {
+			out := runSolver(t, 4, func(c *cluster.Comm, ss *sessionStub) (Result, distmat.Vector, error) {
 				e, m, x, b, err := setupProblem(c, a, 0)
 				if err != nil {
 					return Result{}, x, err
@@ -140,7 +173,7 @@ func TestPCGWithJacobiAndSSOR(t *testing.T) {
 	for _, name := range []string{"jacobi", "ssor", "ilu", "identity"} {
 		name := name
 		t.Run(name, func(t *testing.T) {
-			out := runSolver(t, 4, func(c *cluster.Comm) (Result, distmat.Vector, error) {
+			out := runSolver(t, 4, func(c *cluster.Comm, ss *sessionStub) (Result, distmat.Vector, error) {
 				e, m, x, b, err := setupProblem(c, a, 0)
 				if err != nil {
 					return Result{}, x, err
@@ -189,7 +222,7 @@ func TestPCGWithJacobiAndSSOR(t *testing.T) {
 // changes the arithmetic.
 func TestESRWithoutFailuresMatchesPCGBitwise(t *testing.T) {
 	a := matgen.Catalogue()[4].Build(matgen.ScaleTiny) // M5-class
-	ref := runSolver(t, 4, func(c *cluster.Comm) (Result, distmat.Vector, error) {
+	ref := runSolver(t, 4, func(c *cluster.Comm, ss *sessionStub) (Result, distmat.Vector, error) {
 		e, m, x, b, err := setupProblem(c, a, 0)
 		if err != nil {
 			return Result{}, x, err
@@ -201,12 +234,12 @@ func TestESRWithoutFailuresMatchesPCGBitwise(t *testing.T) {
 		t.Fatal(ref.err)
 	}
 	for _, phi := range []int{1, 3} {
-		esr := runSolver(t, 4, func(c *cluster.Comm) (Result, distmat.Vector, error) {
+		esr := runSolver(t, 4, func(c *cluster.Comm, ss *sessionStub) (Result, distmat.Vector, error) {
 			e, m, x, b, err := setupProblem(c, a, phi)
 			if err != nil {
 				return Result{}, x, err
 			}
-			res, err := ESRPCG(e, m, x, b, blockJacobi(t, m), Options{Tol: 1e-9}, nil)
+			res, err := ss.esrpcg(e, m, x, b, blockJacobi(t, m), Options{Tol: 1e-9}, nil)
 			return res, x, err
 		})
 		if esr.err != nil {
@@ -235,12 +268,12 @@ func TestESRSingleFailure(t *testing.T) {
 		failIter := failIter
 		t.Run(fmt.Sprintf("iter%d", failIter), func(t *testing.T) {
 			sched := faults.NewSchedule(faults.Simultaneous(failIter, 2))
-			out := runSolver(t, 4, func(c *cluster.Comm) (Result, distmat.Vector, error) {
+			out := runSolver(t, 4, func(c *cluster.Comm, ss *sessionStub) (Result, distmat.Vector, error) {
 				e, m, x, b, err := setupProblem(c, a, 1)
 				if err != nil {
 					return Result{}, x, err
 				}
-				res, err := ESRPCG(e, m, x, b, blockJacobi(t, m), Options{Tol: 1e-9}, sched)
+				res, err := ss.esrpcg(e, m, x, b, blockJacobi(t, m), Options{Tol: 1e-9}, sched)
 				return res, x, err
 			})
 			if out.err != nil {
@@ -278,12 +311,12 @@ func TestESRMultipleSimultaneousFailures(t *testing.T) {
 		victims := victims
 		t.Run(name, func(t *testing.T) {
 			sched := faults.NewSchedule(faults.Simultaneous(5, victims...))
-			out := runSolver(t, ranks, func(c *cluster.Comm) (Result, distmat.Vector, error) {
+			out := runSolver(t, ranks, func(c *cluster.Comm, ss *sessionStub) (Result, distmat.Vector, error) {
 				e, m, x, b, err := setupProblem(c, a, 3)
 				if err != nil {
 					return Result{}, x, err
 				}
-				res, err := ESRPCG(e, m, x, b, blockJacobi(t, m), Options{Tol: 1e-9}, sched)
+				res, err := ss.esrpcg(e, m, x, b, blockJacobi(t, m), Options{Tol: 1e-9}, sched)
 				return res, x, err
 			})
 			if out.err != nil {
@@ -311,12 +344,12 @@ func TestESRCircuitSurvivesContiguousWindows(t *testing.T) {
 	for start := 0; start < ranks; start += 3 {
 		victims := faults.ContiguousRanks(start, phi, ranks)
 		sched := faults.NewSchedule(faults.Simultaneous(3, victims...))
-		out := runSolver(t, ranks, func(c *cluster.Comm) (Result, distmat.Vector, error) {
+		out := runSolver(t, ranks, func(c *cluster.Comm, ss *sessionStub) (Result, distmat.Vector, error) {
 			e, m, x, b, err := setupProblem(c, a, phi)
 			if err != nil {
 				return Result{}, x, err
 			}
-			res, err := ESRPCG(e, m, x, b, blockJacobi(t, m), Options{Tol: 1e-8}, sched)
+			res, err := ss.esrpcg(e, m, x, b, blockJacobi(t, m), Options{Tol: 1e-8}, sched)
 			return res, x, err
 		})
 		if out.err != nil {
@@ -337,13 +370,13 @@ func TestESRReconstructionIsExact(t *testing.T) {
 	const ranks, failIter = 4, 6
 	stopAfter := failIter + 1
 	run := func(sched *faults.Schedule, phi int) harnessOut {
-		return runSolver(t, ranks, func(c *cluster.Comm) (Result, distmat.Vector, error) {
+		return runSolver(t, ranks, func(c *cluster.Comm, ss *sessionStub) (Result, distmat.Vector, error) {
 			e, m, x, b, err := setupProblem(c, a, phi)
 			if err != nil {
 				return Result{}, x, err
 			}
 			// Tol tiny so the run cannot converge before MaxIter.
-			res, err := ESRPCG(e, m, x, b, blockJacobi(t, m),
+			res, err := ss.esrpcg(e, m, x, b, blockJacobi(t, m),
 				Options{Tol: 1e-30, MaxIter: stopAfter, LocalTol: 1e-15}, sched)
 			return res, x, err
 		})
@@ -375,12 +408,12 @@ func TestESROverlappingFailures(t *testing.T) {
 		faults.Overlapping(4, phaseZR, 2),      // strikes before z/r reconstruction
 		faults.Overlapping(4, phaseXSystem, 6), // strikes before the subsystem solve
 	)
-	out := runSolver(t, ranks, func(c *cluster.Comm) (Result, distmat.Vector, error) {
+	out := runSolver(t, ranks, func(c *cluster.Comm, ss *sessionStub) (Result, distmat.Vector, error) {
 		e, m, x, b, err := setupProblem(c, a, 3)
 		if err != nil {
 			return Result{}, x, err
 		}
-		res, err := ESRPCG(e, m, x, b, blockJacobi(t, m), Options{Tol: 1e-9}, sched)
+		res, err := ss.esrpcg(e, m, x, b, blockJacobi(t, m), Options{Tol: 1e-9}, sched)
 		return res, x, err
 	})
 	if out.err != nil {
@@ -411,12 +444,12 @@ func TestESRRepeatedEpisodes(t *testing.T) {
 		faults.Simultaneous(7, 0, 3),
 		faults.Simultaneous(11, 2),
 	)
-	out := runSolver(t, 6, func(c *cluster.Comm) (Result, distmat.Vector, error) {
+	out := runSolver(t, 6, func(c *cluster.Comm, ss *sessionStub) (Result, distmat.Vector, error) {
 		e, m, x, b, err := setupProblem(c, a, 2)
 		if err != nil {
 			return Result{}, x, err
 		}
-		res, err := ESRPCG(e, m, x, b, blockJacobi(t, m), Options{Tol: 1e-9}, sched)
+		res, err := ss.esrpcg(e, m, x, b, blockJacobi(t, m), Options{Tol: 1e-9}, sched)
 		return res, x, err
 	})
 	if out.err != nil {
@@ -443,12 +476,12 @@ func TestChenFailsWherePhi2Recovers(t *testing.T) {
 	const ranks = 8
 	sched := faults.NewSchedule(faults.Simultaneous(3, 2, 3))
 
-	chen := runSolver(t, ranks, func(c *cluster.Comm) (Result, distmat.Vector, error) {
+	chen := runSolver(t, ranks, func(c *cluster.Comm, ss *sessionStub) (Result, distmat.Vector, error) {
 		e, m, x, b, err := setupProblem(c, a, 1)
 		if err != nil {
 			return Result{}, x, err
 		}
-		res, err := ESRPCG(e, m, x, b, blockJacobi(t, m), Options{Tol: 1e-9}, sched)
+		res, err := ss.esrpcg(e, m, x, b, blockJacobi(t, m), Options{Tol: 1e-9}, sched)
 		return res, x, err
 	})
 	if chen.err == nil {
@@ -459,12 +492,12 @@ func TestChenFailsWherePhi2Recovers(t *testing.T) {
 		t.Fatalf("want DataLossError, got %v", chen.err)
 	}
 
-	phi2 := runSolver(t, ranks, func(c *cluster.Comm) (Result, distmat.Vector, error) {
+	phi2 := runSolver(t, ranks, func(c *cluster.Comm, ss *sessionStub) (Result, distmat.Vector, error) {
 		e, m, x, b, err := setupProblem(c, a, 2)
 		if err != nil {
 			return Result{}, x, err
 		}
-		res, err := ESRPCG(e, m, x, b, blockJacobi(t, m), Options{Tol: 1e-9},
+		res, err := ss.esrpcg(e, m, x, b, blockJacobi(t, m), Options{Tol: 1e-9},
 			faults.NewSchedule(faults.Simultaneous(3, 2, 3)))
 		return res, x, err
 	})
@@ -476,66 +509,17 @@ func TestChenFailsWherePhi2Recovers(t *testing.T) {
 	}
 }
 
-// The explicit-inverse preconditioner path exercises the generic Alg. 2
-// lines 5-6: P_{If,I\If} != 0 and the r subsystem is solved over the
-// replacements.
-func TestESRExplicitInversePrecond(t *testing.T) {
-	a := matgen.Poisson2D(14, 14)
-	n := a.Rows
-	// P: SPD tridiagonal approximate inverse (scaled).
-	pc := sparse.NewCOO(n, n)
-	for i := 0; i < n; i++ {
-		pc.Add(i, i, 0.3)
-		if i > 0 {
-			pc.Add(i, i-1, 0.05)
-		}
-		if i < n-1 {
-			pc.Add(i, i+1, 0.05)
-		}
-	}
-	pm := pc.ToCSR()
-	want := seqSolution(t, a)
-	const ranks = 6
-	sched := faults.NewSchedule(faults.Simultaneous(4, 2, 3))
-	out := runSolver(t, ranks, func(c *cluster.Comm) (Result, distmat.Vector, error) {
-		e, m, x, b, err := setupProblem(c, a, 2)
-		if err != nil {
-			return Result{}, x, err
-		}
-		p := partition.NewBlockRow(n, ranks)
-		lo, hi := p.Range(e.Pos)
-		pmat, err := distmat.NewMatrix(e, pm.RowBlock(lo, hi), p, 0, 1)
-		if err != nil {
-			return Result{}, x, err
-		}
-		res, err := ESRPCG(e, m, x, b, ExplicitInvPrecond{P: pmat}, Options{Tol: 1e-9}, sched)
-		return res, x, err
-	})
-	if out.err != nil {
-		t.Fatal(out.err)
-	}
-	if !out.res.Converged {
-		t.Fatal("did not converge")
-	}
-	if d := vec.MaxAbsDiff(out.x, want); d > 1e-4 {
-		t.Fatalf("solution error %g", d)
-	}
-	if out.res.Reconstructions[0].SubIterations == 0 {
-		t.Fatal("expected subsystem iterations for the explicit-P path")
-	}
-}
-
 // The residual-deviation metric of Eqn. 7 stays small relative to the 1e8
 // residual reduction (paper Table 3).
 func TestResidualDeviationMetric(t *testing.T) {
 	a := matgen.Catalogue()[5].Build(matgen.ScaleTiny) // M6-class
 	sched := faults.NewSchedule(faults.Simultaneous(6, 1, 2, 3))
-	out := runSolver(t, 8, func(c *cluster.Comm) (Result, distmat.Vector, error) {
+	out := runSolver(t, 8, func(c *cluster.Comm, ss *sessionStub) (Result, distmat.Vector, error) {
 		e, m, x, b, err := setupProblem(c, a, 3)
 		if err != nil {
 			return Result{}, x, err
 		}
-		res, err := ESRPCG(e, m, x, b, blockJacobi(t, m), Options{Tol: 1e-8}, sched)
+		res, err := ss.esrpcg(e, m, x, b, blockJacobi(t, m), Options{Tol: 1e-8}, sched)
 		return res, x, err
 	})
 	if out.err != nil {
@@ -556,12 +540,12 @@ func TestOverloadedScheduleDetectsDataLoss(t *testing.T) {
 	if sched.GuaranteedCovered(2) {
 		t.Fatal("test setup: schedule should exceed phi")
 	}
-	out := runSolver(t, 6, func(c *cluster.Comm) (Result, distmat.Vector, error) {
+	out := runSolver(t, 6, func(c *cluster.Comm, ss *sessionStub) (Result, distmat.Vector, error) {
 		e, m, x, b, err := setupProblem(c, a, 2)
 		if err != nil {
 			return Result{}, x, err
 		}
-		res, err := ESRPCG(e, m, x, b, blockJacobi(t, m), Options{}, sched)
+		res, err := ss.esrpcg(e, m, x, b, blockJacobi(t, m), Options{}, sched)
 		return res, x, err
 	})
 	if out.err == nil {
@@ -576,12 +560,12 @@ func TestOverloadedScheduleDetectsDataLoss(t *testing.T) {
 func TestESRNeedsResilientMatrixForSchedule(t *testing.T) {
 	a := matgen.Poisson2D(8, 8)
 	sched := faults.NewSchedule(faults.Simultaneous(1, 0))
-	out := runSolver(t, 4, func(c *cluster.Comm) (Result, distmat.Vector, error) {
+	out := runSolver(t, 4, func(c *cluster.Comm, ss *sessionStub) (Result, distmat.Vector, error) {
 		e, m, x, b, err := setupProblem(c, a, 0) // phi = 0
 		if err != nil {
 			return Result{}, x, err
 		}
-		res, err := ESRPCG(e, m, x, b, blockJacobi(t, m), Options{}, sched)
+		res, err := ss.esrpcg(e, m, x, b, blockJacobi(t, m), Options{}, sched)
 		return res, x, err
 	})
 	if out.err == nil {
@@ -602,7 +586,7 @@ func referencePCG(e *distmat.Env, a *distmat.Matrix, x, b distmat.Vector, m Prec
 	if err := a.Residual(e, r, b, x, -1); err != nil {
 		return Result{}, nil, err
 	}
-	if err := m.Apply(e, []distmat.Vector{z}, []distmat.Vector{r}); err != nil {
+	if err := m.Apply([]distmat.Vector{z}, []distmat.Vector{r}); err != nil {
 		return Result{}, nil, err
 	}
 	vec.Copy(p.Local, z.Local)
@@ -626,7 +610,7 @@ func referencePCG(e *distmat.Env, a *distmat.Matrix, x, b distmat.Vector, m Prec
 		}
 		alpha := rz / pu
 		vec.ParAxpyAxpy(alpha, p.Local, x.Local, -alpha, u.Local, r.Local, 0)
-		if err := m.Apply(e, []distmat.Vector{z}, []distmat.Vector{r}); err != nil {
+		if err := m.Apply([]distmat.Vector{z}, []distmat.Vector{r}); err != nil {
 			return res, history, err
 		}
 		norms, err := e.Grp.Allreduce(cluster.OpSum, []float64{vec.ParNrm2SqN(r.Local, 0), vec.ParDotN(r.Local, z.Local, 0)})

@@ -2,12 +2,10 @@ package core
 
 import (
 	"fmt"
-	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/commplan"
 	"repro/internal/distmat"
-	"repro/internal/precond"
 )
 
 // recoverBlocks runs the tailored redundant-copy gather protocol for the
@@ -138,12 +136,13 @@ func recoverBlocks(e *distmat.Env, a *distmat.Matrix, iter int, failed map[int]b
 
 // gatherGhost collects, on every replacement, the entries of k distributed
 // vectors owned by survivors at the ghost columns of the given matrix's
-// failed rows (the halo needed by the reconstruction products
-// A_{If, I\If} x). Survivors send ONE k-strided frame per replacement (k
-// consecutive values per ghost element), replacements receive; the result
-// maps global index -> value per column on replacements (nil on survivors).
-// tag selects the message tag (distinct per use within one recovery).
-func gatherGhost(e *distmat.Env, mat *distmat.Matrix, locals [][]float64, failed map[int]bool, failedList []int, tag int) ([]map[int]float64, error) {
+// failed rows (the halo of the reconstruction product A_{If, I\If} x, Alg. 2
+// line 7). Survivors send ONE k-strided frame per replacement (k consecutive
+// values per ghost element), replacements receive; the result maps global
+// index -> value per column on replacements (nil on survivors). Entries the
+// failed ranks own travel no further: the x-system's leader reads them off
+// the other replacements' blocks of w and x (solveXSystem).
+func gatherGhost(e *distmat.Env, mat *distmat.Matrix, locals [][]float64, failed map[int]bool, failedList []int) ([]map[int]float64, error) {
 	me := e.Pos
 	k := len(locals)
 	if !failed[me] {
@@ -159,7 +158,7 @@ func gatherGhost(e *distmat.Env, mat *distmat.Matrix, locals [][]float64, failed
 					vals[t*k+c] = locals[c][g-lo]
 				}
 			}
-			if err := e.C.SendFloats(cluster.CatRecovery, f, tag, vals); err != nil {
+			if err := e.C.SendFloats(cluster.CatRecovery, f, tagRecXHalo, vals); err != nil {
 				return nil, err
 			}
 		}
@@ -177,7 +176,7 @@ func gatherGhost(e *distmat.Env, mat *distmat.Matrix, locals [][]float64, failed
 		if len(idx) == 0 {
 			continue
 		}
-		vals, err := e.C.RecvFloats(r, tag)
+		vals, err := e.C.RecvFloats(r, tagRecXHalo)
 		if err != nil {
 			return nil, err
 		}
@@ -191,65 +190,4 @@ func gatherGhost(e *distmat.Env, mat *distmat.Matrix, locals [][]float64, failed
 		}
 	}
 	return ghosts, nil
-}
-
-// subsystemSolve solves mat_{If,If} sol[c] = rhs[c] for every column,
-// distributed over the subgroup of failed ranks (each owning its block), with
-// block-local ILU(0) preconditioned CG — the paper's recovery subsystem
-// solver. Static data is re-read, never re-derived: the operator is mat's
-// restricted view (distmat.Matrix.Restrict — mat's own localised kernel with
-// the survivors' ghost slots held at zero, no symbolic exchange), and sub,
-// when non-nil, is a preconditioner the session already holds for mat's
-// blocks; only without one is mat's own block factored here. The columns are
-// solved back to back through the one view, so each column's trajectory does
-// not depend on which other columns share the episode. Only failed ranks
-// participate; survivors must not call it. Returns the per-column iteration
-// counts and the wall-clock split into setup (operator and preconditioner)
-// and the PCG solves.
-func subsystemSolve(e *distmat.Env, mat *distmat.Matrix, sub Precond, failedList []int, rhs, sol [][]float64, ctx int, tol float64, maxIter int) (iters []int, setup, solve time.Duration, err error) {
-	startT := time.Now()
-	subEnv, err := distmat.GroupEnv(e.C, failedList, ctx) // errors on a non-failed rank
-	if err != nil {
-		return nil, 0, 0, err
-	}
-	subA, err := mat.Restrict(subEnv, ctx)
-	if err != nil {
-		return nil, 0, 0, err
-	}
-	if sub == nil {
-		if ilu, err := newSubsystemILU(mat.OwnBlock()); err == nil {
-			sub = LocalPrecond{P: ilu}
-		} else {
-			sub = IdentityPrecond()
-		}
-	}
-	if maxIter <= 0 {
-		maxIter = defaultLocalMaxIter(subA.P.N())
-	}
-	solveT := time.Now()
-	iters = make([]int, len(rhs))
-	for c := range rhs {
-		xf := distmat.NewVector(subA.P, subA.Pos)
-		bv := distmat.Vector{P: subA.P, Pos: subA.Pos, Local: rhs[c]}
-		res, err := PCG(subEnv, subA, xf, bv, sub, Options{Tol: tol, MaxIter: maxIter})
-		if err != nil {
-			return nil, 0, 0, err
-		}
-		if !res.Converged && res.RelResidual() > 1e-6 {
-			return nil, 0, 0, fmt.Errorf("core: reconstruction subsystem stagnated at column %d (relres %.2e)", c, res.RelResidual())
-		}
-		copy(sol[c], xf.Local)
-		iters[c] = res.Iterations
-	}
-	return iters, solveT.Sub(startT), time.Since(solveT), nil
-}
-
-// newSubsystemILU factors a lost block for the subsystem PCG of a session
-// that holds no ILU(0) of it. A variable so a test can count factorisations.
-var newSubsystemILU = precond.NewBlockJacobiILU
-
-// defaultLocalMaxIter is the subsystem iteration bound Options.LocalMaxIter
-// <= 0 selects for a subsystem of n unknowns.
-func defaultLocalMaxIter(n int) int {
-	return max(20*n, 500)
 }

@@ -102,6 +102,14 @@ type Options struct {
 	// rollback strategies have no in-place episode to join, and the net
 	// path is single-RHS.
 	Resume *EpisodeResume
+	// Session, when non-nil, reads rank r's static state — its matrix and
+	// preconditioner as the session prepared them, only ever read — with no
+	// message. An episode's leader, the lowest failed rank, reads the other
+	// failed ranks' blocks through it to solve the x-system alone (every
+	// process of a solve holds the whole prepared session, so
+	// engine.Prepared passes its own). Without it an episode can lose only
+	// the leader itself.
+	Session func(rank int) (*distmat.Matrix, Precond)
 }
 
 // EpisodeResume pins the failure episode a replacement rank joins.
@@ -175,8 +183,8 @@ type Reconstruction struct {
 	// Restarts counts how many times overlapping failures forced the
 	// reconstruction to restart.
 	Restarts int
-	// SubIterations is the iteration count of the distributed subsystem
-	// solve for A_{If,If} x_If = w.
+	// SubIterations is the iteration count of the subsystem solve for
+	// A_{If,If} x_If = w.
 	SubIterations int
 	// Duration is the wall-clock time of the episode.
 	Duration time.Duration
@@ -186,10 +194,11 @@ type Reconstruction struct {
 	// exchange messages, so a survivor spends the replacements' x-system
 	// solve inside its finalize barrier.
 	Phases [numPhases]time.Duration
-	// SubsystemSetup and SubsystemSolve split the reporting rank's time in
-	// the reconstruction subsystems (the x-system; with an explicit-inverse
-	// preconditioner also the r-system) into building the operator and
-	// preconditioner and running the PCG. Zero on survivors.
+	// SubsystemSetup and SubsystemSolve split the episode leader's time in
+	// the x-system — the lowest failed rank, which solves it for the whole
+	// failed set — into assembling the operator and preconditioners and
+	// running the PCG. Zero on every other rank: a replacement's wait for
+	// its x_If shows in Phases[3], a survivor's in Phases[4].
 	SubsystemSetup, SubsystemSolve time.Duration
 }
 
@@ -236,15 +245,16 @@ func (r Result) RelResidual() float64 { return relTo(r.FinalResidual, r.InitialR
 // TotalReconstructions returns the number of recovery episodes.
 func (r Result) TotalReconstructions() int { return len(r.Reconstructions) }
 
-// Precond is a (possibly distributed) preconditioner application
-// z[c] = M^{-1} r[c] over k columns, a single vector being its k = 1 case.
+// Precond is a node-local preconditioner application z[c] = M^{-1} r[c]
+// over k columns, a single vector being its k = 1 case: every block of z is
+// formed from the same rank's block of r, with no message.
 // Column c must be bitwise identical whatever the width and the other
 // columns: the blocked driver depends on it.
 type Precond interface {
 	// Name identifies the preconditioner.
 	Name() string
 	// Apply computes z[c] = M^{-1} r[c] for every column.
-	Apply(e *distmat.Env, z, r []distmat.Vector) error
+	Apply(z, r []distmat.Vector) error
 }
 
 // LocalPrecond adapts a node-local block preconditioner (block-diagonal
@@ -264,7 +274,7 @@ func (lp LocalPrecond) Name() string { return "local:" + lp.P.Name() }
 // one structure traversal when it has one; a single column, or a
 // preconditioner without it, goes through ApplyInv column by column. Either
 // way column c is bitwise identical to a solo ApplyInv.
-func (lp LocalPrecond) Apply(_ *distmat.Env, z, r []distmat.Vector) error {
+func (lp LocalPrecond) Apply(z, r []distmat.Vector) error {
 	if len(z) != len(r) {
 		return fmt.Errorf("core: LocalPrecond column count mismatch")
 	}
@@ -296,27 +306,8 @@ type SplitPrecond struct {
 func (sp SplitPrecond) Name() string { return "split:" + sp.P.Name() }
 
 // Apply implements Precond.
-func (sp SplitPrecond) Apply(e *distmat.Env, z, r []distmat.Vector) error {
-	return LocalPrecond{P: sp.P}.Apply(e, z, r)
-}
-
-// ExplicitInvPrecond uses an explicitly given distributed SPD matrix
-// P = M^{-1}: applying the preconditioner is a distributed SpMV. Its
-// reconstruction path is the generic Alg. 2 (lines 5-6) with communicated
-// halo data and a distributed subsystem solve on P_{If,If}.
-type ExplicitInvPrecond struct {
-	// P is the distributed explicit inverse (SPD).
-	P *distmat.Matrix
-}
-
-// Name implements Precond.
-func (ep ExplicitInvPrecond) Name() string { return "explicit-inverse" }
-
-// Apply implements Precond: the k distributed applications are ONE MatMat —
-// a single k-column halo exchange. Column c is bitwise identical to a solo
-// application by the SpMM column property.
-func (ep ExplicitInvPrecond) Apply(e *distmat.Env, z, r []distmat.Vector) error {
-	return ep.P.MatMat(e, z, r, -1)
+func (sp SplitPrecond) Apply(z, r []distmat.Vector) error {
+	return LocalPrecond{P: sp.P}.Apply(z, r)
 }
 
 // IdentityPrecond returns the trivial preconditioner (plain CG).

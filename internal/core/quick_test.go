@@ -36,12 +36,12 @@ func TestESRRandomScenariosQuick(t *testing.T) {
 		sched := faults.NewSchedule(faults.Simultaneous(failIter, victims...))
 
 		run := func(s *faults.Schedule) harnessOut {
-			return runSolver(t, ranks, func(c *cluster.Comm) (Result, distmat.Vector, error) {
+			return runSolver(t, ranks, func(c *cluster.Comm, ss *sessionStub) (Result, distmat.Vector, error) {
 				e, m, x, b, err := setupProblem(c, a, phi)
 				if err != nil {
 					return Result{}, x, err
 				}
-				res, err := ESRPCG(e, m, x, b, blockJacobi(t, m), Options{Tol: 1e-9}, s)
+				res, err := ss.esrpcg(e, m, x, b, blockJacobi(t, m), Options{Tol: 1e-9}, s)
 				return res, x, err
 			})
 		}

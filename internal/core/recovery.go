@@ -7,9 +7,7 @@ import (
 	"time"
 
 	"repro/internal/cluster"
-	"repro/internal/distmat"
 	"repro/internal/faults"
-	"repro/internal/precond"
 	"repro/internal/vec"
 	"repro/internal/xerr"
 )
@@ -32,14 +30,9 @@ const (
 	tagRecScalar = 3<<20 + 11
 	tagRecPReq   = 3<<20 + 12
 	tagRecPResp  = 3<<20 + 13
-	tagRecRHalo  = 3<<20 + 14
 	tagRecXHalo  = 3<<20 + 15
-)
-
-// Context ids for the subsystem matrices (distinct from the main matrix).
-const (
-	ctxSubA = 7
-	ctxSubP = 8
+	tagRecW      = 3<<20 + 16
+	tagRecX      = 3<<20 + 17
 )
 
 // DataLossError reports that the redundancy protocol cannot cover the failed
@@ -300,43 +293,29 @@ func (ep *episode) runZR() error {
 // recurrence rather than on the protocol: the residual side from z_If. On
 // entry every replacement holds z_If = p(j) - beta(j-1) p(j-1) (Alg. 2 line
 // 4) in st.Z; the step rebuilds st.R from it and returns the true residual
-// blocks r_If, one per column, that the x-system of phase 4 needs (ignored on
-// survivors). It is collective: survivors call it too (the explicit-inverse
-// path gathers their halo entries).
+// blocks r_If, one per column, that the x-system of phase 4 needs (nil on
+// survivors). It sends nothing: both preconditioner kinds are block-local.
 //
 // For the block-aligned local preconditioners of the paper's experiments,
 // P_{If, I\If} = 0 and line 6 reduces to the local application
 // r_If = M_f z_If ([23, Alg. 3]). Under a split preconditioner st.Z is
 // zhat = L^{-T} rhat, so two block-local products recover
-// rhat_If = L^T zhat_If and r_If = L rhat_If ([23, Alg. 5]). For an
-// explicitly given global P = M^{-1}, the generic lines 5-6 run:
-// v = z_If - P_{If, I\If} r_{I\If}, then the SPD subsystem P_{If,If} r_If = v
-// is solved over the replacement subgroup.
+// rhat_If = L^T zhat_If and r_If = L rhat_If ([23, Alg. 5]).
 func (st *SolverState) rebuildR(ep *episode) ([][]float64, error) {
+	if !ep.amFailed {
+		return nil, nil
+	}
 	r := locals(st.R)
 	switch pm := st.M.(type) {
 	case LocalPrecond:
-		if ep.amFailed {
-			for c := range r {
-				pm.P.ApplyM(r[c], st.Z[c].Local)
-			}
+		for c := range r {
+			pm.P.ApplyM(r[c], st.Z[c].Local)
 		}
 	case SplitPrecond:
-		if !ep.amFailed {
-			return nil, nil
-		}
 		for c := range r {
 			pm.P.MulLT(st.R[c].Local, st.Z[c].Local) // rhat_If = L^T zhat_If
 			r[c] = make([]float64, len(st.R[c].Local))
 			pm.P.MulL(r[c], st.R[c].Local) // r_If = L rhat_If
-		}
-	case ExplicitInvPrecond:
-		var v [][]float64
-		if ep.amFailed {
-			v = cloneLocals(st.Z)
-		}
-		if err := ep.solveLost(pm.P, v, r, tagRecRHalo, ctxSubP); err != nil {
-			return nil, err
 		}
 	default:
 		return nil, fmt.Errorf("core: preconditioner %s does not support reconstruction", st.M.Name())
@@ -345,60 +324,28 @@ func (st *SolverState) rebuildR(ep *episode) ([][]float64, error) {
 }
 
 // runXSystem forms w = b_If - r_If - A_{If, I\If} x_{I\If} (Alg. 2 line 7)
-// and solves the SPD subsystem A_{If,If} x_If = w (line 8) cooperatively
-// over the replacement subgroup ("additional communication between the psi
-// replacement nodes is necessary", Sec. 4.1), for every column.
+// on every replacement — ONE fused k-strided gather of the survivors' ghost
+// entries of x — and solves the SPD subsystem A_{If,If} x_If = w (line 8) for
+// every column. Sec. 4.1 solves it cooperatively over the replacements
+// ("additional communication between the psi replacement nodes is
+// necessary"); here that communication is a gather of w onto one replacement,
+// which solves the whole subsystem alone, and a scatter of x_If back
+// (solveXSystem), with x_If unchanged to the bit.
 func (ep *episode) runXSystem() error {
 	st := ep.st
-	var w [][]float64
-	if ep.amFailed {
-		w = cloneLocals(st.B)
-		for c := range w {
-			vec.Axpy(-1, ep.r[c], w[c])
-		}
-	}
-	return ep.solveLost(st.A, w, locals(st.X), tagRecXHalo, ctxSubA)
-}
-
-// solveLost solves mat_{If,If} v[c]_If = w[c] - mat_{If, I\If} v[c]_{I\If}
-// for the lost blocks of every column: ONE fused k-strided ghost gather of
-// the survivors' entries of v, then the k right-hand sides through one
-// shared recovery subsystem over the replacement subgroup. w is consumed
-// (nil on survivors, which only serve the gather).
-func (ep *episode) solveLost(mat *distmat.Matrix, w, v [][]float64, tag, ctx int) error {
-	st := ep.st
-	ghosts, err := gatherGhost(st.E, mat, v, ep.failed, ep.failedList, tag)
+	ghosts, err := gatherGhost(st.E, st.A, locals(st.X), ep.failed, ep.failedList)
 	if err != nil || !ep.amFailed {
 		return err
 	}
+	w := cloneLocals(st.B)
+	neg := make([]float64, len(w[0]))
 	for c := range w {
-		neg := make([]float64, len(w[c]))
-		mat.GhostProduct(neg, ghosts[c])
+		vec.Axpy(-1, ep.r[c], w[c])
+		clear(neg)
+		st.A.GhostProduct(neg, ghosts[c])
 		vec.Axpy(-1, neg, w[c])
 	}
-	iters, setup, solve, err := subsystemSolve(st.E, mat, st.sessionILU(mat), ep.failedList, w, v, ctx, st.Opts.LocalTol, st.Opts.LocalMaxIter)
-	if err != nil {
-		return err
-	}
-	ep.subSetup += setup
-	ep.subSolve += solve
-	for c, it := range iters {
-		ep.subIters[c] += float64(it)
-	}
-	return nil
-}
-
-// sessionILU returns the session's preconditioner when it already is what the
-// subsystem PCG on mat would build — the block-Jacobi ILU(0) of the system
-// matrix's own blocks — and nil (factor mat's own block) otherwise: other
-// local preconditioners, and the explicit inverse's P_{If,If} system.
-func (st *SolverState) sessionILU(mat *distmat.Matrix) Precond {
-	if lp, ok := st.M.(LocalPrecond); ok && mat == st.A {
-		if _, ok := lp.P.(*precond.BlockJacobiILU); ok {
-			return lp
-		}
-	}
-	return nil
+	return ep.solveXSystem(w)
 }
 
 // finalize synchronises all ranks and replicates the per-column subsystem

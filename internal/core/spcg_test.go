@@ -25,7 +25,7 @@ func runSPCG(t *testing.T, ranks, phi int, sched *faults.Schedule, tol float64) 
 func runSPCGOpts(t *testing.T, ranks, phi int, sched *faults.Schedule, opts func(rank int) Options) harnessOut {
 	t.Helper()
 	a := matgen.Poisson2D(18, 18)
-	return runSolver(t, ranks, func(c *cluster.Comm) (Result, distmat.Vector, error) {
+	return runSolver(t, ranks, func(c *cluster.Comm, ss *sessionStub) (Result, distmat.Vector, error) {
 		e, m, x, b, err := setupProblem(c, a, phi)
 		if err != nil {
 			return Result{}, x, err
@@ -34,7 +34,7 @@ func runSPCGOpts(t *testing.T, ranks, phi int, sched *faults.Schedule, opts func
 		if err != nil {
 			return Result{}, x, err
 		}
-		res, err := ESRPCG(e, m, x, b, SplitPrecond{P: ic}, opts(c.Rank()), sched)
+		res, err := ss.esrpcg(e, m, x, b, SplitPrecond{P: ic}, opts(c.Rank()), sched)
 		return res, x, err
 	})
 }
@@ -109,7 +109,7 @@ func TestSPCGMatchesPCGIterates(t *testing.T) {
 	// mathematically equivalent: iteration counts must be very close and
 	// the solutions must agree.
 	a := matgen.Poisson2D(18, 18)
-	pcg := runSolver(t, 4, func(c *cluster.Comm) (Result, distmat.Vector, error) {
+	pcg := runSolver(t, 4, func(c *cluster.Comm, ss *sessionStub) (Result, distmat.Vector, error) {
 		e, m, x, b, err := setupProblem(c, a, 0)
 		if err != nil {
 			return Result{}, x, err
@@ -139,12 +139,12 @@ func TestSPCGMatchesPCGIterates(t *testing.T) {
 
 func TestSPCGRequiresSplit(t *testing.T) {
 	a := matgen.Poisson2D(8, 8)
-	out := runSolver(t, 2, func(c *cluster.Comm) (Result, distmat.Vector, error) {
+	out := runSolver(t, 2, func(c *cluster.Comm, ss *sessionStub) (Result, distmat.Vector, error) {
 		e, m, x, b, err := setupProblem(c, a, 0)
 		if err != nil {
 			return Result{}, x, err
 		}
-		res, err := ESRPCG(e, m, x, b, SplitPrecond{}, Options{}, nil)
+		res, err := ss.esrpcg(e, m, x, b, SplitPrecond{}, Options{}, nil)
 		return res, x, err
 	})
 	if out.err == nil {
@@ -217,7 +217,7 @@ func TestResumeRejectedWhereNoEpisodeToJoin(t *testing.T) {
 	resume := &EpisodeResume{Iteration: 3, Victims: []int{1}}
 	sched := faults.NewSchedule(faults.Simultaneous(3, 1))
 	a := matgen.Poisson2D(10, 10)
-	out := runSolver(t, 4, func(c *cluster.Comm) (Result, distmat.Vector, error) {
+	out := runSolver(t, 4, func(c *cluster.Comm, ss *sessionStub) (Result, distmat.Vector, error) {
 		e, m, x, b, err := setupProblem(c, a, 1)
 		if err != nil {
 			return Result{}, x, err

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -16,12 +17,13 @@ import (
 	"repro/internal/sparse"
 )
 
-// rebuiltSubsystemSolve is subsystemSolve as it was before the restricted
-// view: extract mat_{If,If} with renumbered columns from the rank's static
-// row block rows (global columns; the test holds it, mat keeps no copy), run
-// the full distributed matrix construction over the subgroup and factor the
-// extracted own block. Kept as the reference the static-data-free path must
-// match bit for bit.
+// rebuiltSubsystemSolve is the x-system solve as it was before the leader
+// solved it alone: extract mat_{If,If} with renumbered columns from the
+// rank's static row block rows (global columns; the test holds it, mat keeps
+// no copy), run the full distributed matrix construction over the subgroup of
+// failed ranks, factor the extracted own block and run the driver's PCG over
+// the subgroup. Kept as the reference the leader's solve must match bit for
+// bit. Every failed rank calls it and gets its own blocks of the solutions.
 func rebuiltSubsystemSolve(e *distmat.Env, mat *distmat.Matrix, rows *sparse.CSR, failedList []int, rhs, sol [][]float64, ctx int, tol float64) ([]int, error) {
 	sizes := make([]int, len(failedList))
 	var ifIdx []int
@@ -67,13 +69,16 @@ func rebuiltSubsystemSolve(e *distmat.Env, mat *distmat.Matrix, rows *sparse.CSR
 	return iters, nil
 }
 
-// TestSubsystemSolveMatchesRebuiltReference: on the system matrix and on an
-// explicit-inverse P, the subsystem solution and iteration counts are bit for
-// bit those of the rebuilt construction — with the lost block factored here
-// (what jacobi, ic0/SPCG and explicit-inverse sessions get) and with the
-// session's own ILU(0) handed down.
+// TestSubsystemSolveMatchesRebuiltReference: the leader's solve of the
+// x-system — the failed blocks' own kernels in one process, dot products
+// combined in the group's reduction order — leaves, for every failed block,
+// the solution and iteration count of the rebuilt subsystem PCG the failed
+// ranks run together, bit for bit: with every block factored on the leader
+// (what jacobi, SSOR, Cholesky and ic0/SPCG sessions get) and with the
+// session's own ILU(0) factors handed down. "explicit-P" is a tridiagonal
+// system with one-element halos.
 func TestSubsystemSolveMatchesRebuiltReference(t *testing.T) {
-	const ranks, phi = 8, 3
+	const ranks, phi, cols = 8, 3, 2
 	problems := map[string]*sparse.CSR{
 		"poisson":    matgen.Poisson2D(16, 16),
 		"circuit":    matgen.CircuitLike(600, 2.9, 0.35, 3),
@@ -81,11 +86,22 @@ func TestSubsystemSolveMatchesRebuiltReference(t *testing.T) {
 		"explicit-P": tridiagInverse(256),
 	}
 	for name, a := range problems {
-		for _, failedList := range [][]int{{2, 3, 4}, {0, 6, 7}, {5}} {
+		// Five failed blocks: a sum over four or more partials is where the
+		// group's tree order differs from summing in rank order.
+		for _, failedList := range [][]int{{2, 3, 4}, {0, 6, 7}, {5}, {0, 1, 3, 4, 6}} {
 			name, a, failedList := name, a, failedList
 			t.Run(fmt.Sprintf("%s/%v", name, failedList), func(t *testing.T) {
-				rt := cluster.New(ranks)
-				err := rt.Run(func(c *cluster.Comm) error {
+				// What each failed rank holds, by its position in failedList:
+				// its session matrix and ILU(0), its blocks of the right-hand
+				// sides and of the rebuilt reference's solutions.
+				psi := len(failedList)
+				blocks := make([]*distmat.Matrix, psi)
+				sessions := make([]Precond, psi)
+				rhs := make([][][]float64, psi)
+				want := make([][][]float64, psi)
+				var wantIters []int
+				var mu sync.Mutex
+				err := cluster.New(ranks).Run(func(c *cluster.Comm) error {
 					e, parent, _, b, err := setupProblem(c, a, phi)
 					if err != nil {
 						return err
@@ -94,55 +110,63 @@ func TestSubsystemSolveMatchesRebuiltReference(t *testing.T) {
 					if err != nil {
 						return err
 					}
-					member := false
-					for _, f := range failedList {
-						member = member || f == e.Pos
-					}
-					if !member {
+					pos := slices.Index(failedList, e.Pos)
+					if pos < 0 {
 						return nil
 					}
-					mat := parent.Fork()
-					rhs := func() [][]float64 {
-						two := append([]float64(nil), b.Local...)
-						for i := range two {
-							two[i] = math.Cos(float64(i) * 0.7)
-						}
-						return [][]float64{append([]float64(nil), b.Local...), two}
+					two := make([]float64, len(b.Local))
+					for i := range two {
+						two[i] = math.Cos(float64(i) * 0.7)
 					}
-					newSol := func() [][]float64 {
-						return [][]float64{make([]float64, len(b.Local)), make([]float64, len(b.Local))}
-					}
-					want := newSol()
-					lo, hi := mat.P.Range(e.Pos)
-					wantIters, err := rebuiltSubsystemSolve(e, mat, a.RowBlock(lo, hi), failedList, rhs(), want, ctxSubP, 1e-14)
+					mine := [][]float64{b.Local, two}
+					sol := [][]float64{make([]float64, len(b.Local)), make([]float64, len(b.Local))}
+					lo, hi := parent.P.Range(e.Pos)
+					rhsCopy := [][]float64{slices.Clone(mine[0]), slices.Clone(mine[1])}
+					iters, err := rebuiltSubsystemSolve(e, parent.Fork(), a.RowBlock(lo, hi), failedList, rhsCopy, sol, 7, 1e-14)
 					if err != nil {
 						return err
 					}
-					for _, tc := range []struct {
-						label string
-						sub   Precond
-					}{{"factored here", nil}, {"session ILU", session}} {
-						label := tc.label
-						got := newSol()
-						iters, _, _, err := subsystemSolve(e, mat, tc.sub, failedList, rhs(), got, ctxSubA, 1e-14, 0)
-						if err != nil {
-							return err
-						}
-						for col := range want {
-							if iters[col] != wantIters[col] {
-								return fmt.Errorf("%s, column %d: %d sub-iterations, rebuilt %d", label, col, iters[col], wantIters[col])
-							}
-							for i := range want[col] {
-								if math.Float64bits(got[col][i]) != math.Float64bits(want[col][i]) {
-									return fmt.Errorf("%s, column %d row %d: %x, rebuilt %x", label, col, i, got[col][i], want[col][i])
-								}
-							}
-						}
+					mu.Lock()
+					defer mu.Unlock()
+					blocks[pos], sessions[pos], rhs[pos], want[pos] = parent, session, mine, sol
+					if pos == 0 {
+						wantIters = iters
 					}
 					return nil
 				})
 				if err != nil {
 					t.Fatal(err)
+				}
+				for _, tc := range []struct {
+					label string
+					precs []Precond
+				}{{"factored on the leader", make([]Precond, psi)}, {"session ILU", sessions}} {
+					sys, err := newSubsystem(blocks, tc.precs)
+					if err != nil {
+						t.Fatal(err)
+					}
+					defer sys.close()
+					for col := 0; col < cols; col++ {
+						w, x := make([][]float64, psi), make([][]float64, psi)
+						for p := range w {
+							w[p], x[p] = rhs[p][col], make([]float64, len(rhs[p][col]))
+						}
+						iters, err := sys.solve(w, x, 1e-14, defaultLocalMaxIter(sys.n))
+						if err != nil {
+							t.Fatal(err)
+						}
+						if iters != wantIters[col] {
+							t.Fatalf("%s, column %d: %d sub-iterations, rebuilt %d", tc.label, col, iters, wantIters[col])
+						}
+						for p := range x {
+							for i := range x[p] {
+								if math.Float64bits(x[p][i]) != math.Float64bits(want[p][col][i]) {
+									t.Fatalf("%s, column %d, rank %d row %d: %x, rebuilt %x",
+										tc.label, col, failedList[p], i, x[p][i], want[p][col][i])
+								}
+							}
+						}
+					}
 				}
 			})
 		}
@@ -165,9 +189,8 @@ func countSubsystemILU(t *testing.T, body func()) int64 {
 }
 
 // TestSubsystemReusesSessionILU: an ILU(0) session's episode factors
-// nothing; every other session factors each lost block once per subsystem —
-// one per replacement per episode for jacobi and ic0/SPCG, two with an
-// explicit inverse (the r-system and the x-system).
+// nothing; every other session's leader factors each lost block once per
+// episode — one per replacement per episode for jacobi and ic0/SPCG.
 func TestSubsystemReusesSessionILU(t *testing.T) {
 	a := matgen.Poisson2D(18, 18)
 	const ranks, phi = 8, 3
@@ -185,7 +208,7 @@ func TestSubsystemReusesSessionILU(t *testing.T) {
 	}
 	pcg := func(mk precondFactory) func() {
 		return func() {
-			out := runSolver(t, ranks, func(c *cluster.Comm) (Result, distmat.Vector, error) {
+			out := runSolver(t, ranks, func(c *cluster.Comm, ss *sessionStub) (Result, distmat.Vector, error) {
 				e, m, x, b, err := setupProblem(c, a, phi)
 				if err != nil {
 					return Result{}, x, err
@@ -194,7 +217,7 @@ func TestSubsystemReusesSessionILU(t *testing.T) {
 				if err != nil {
 					return Result{}, x, err
 				}
-				res, err := ESRPCG(e, m, x, b, pc, Options{Tol: 1e-9}, sched())
+				res, err := ss.esrpcg(e, m, x, b, pc, Options{Tol: 1e-9}, sched())
 				return res, x, err
 			})
 			if out.err != nil {
@@ -222,7 +245,6 @@ func TestSubsystemReusesSessionILU(t *testing.T) {
 		{"block-jacobi-ilu", pcg(iluFactory), 0},
 		{"jacobi", pcg(jacobiFactory), replacements},
 		{"ic0+spcg", spcg, replacements},
-		{"explicit-inverse", pcg(explicitInvFactory(tridiagInverse(a.Rows))), 2 * replacements},
 	} {
 		if got := countSubsystemILU(t, tc.solve); got != tc.want {
 			t.Errorf("%s session: %d lost-block factorisations, want %d", tc.name, got, tc.want)
@@ -241,6 +263,7 @@ func TestEpisodeSendsNoSetupMessages(t *testing.T) {
 		rt := cluster.New(ranks)
 		var mu sync.Mutex
 		var res0 Result
+		ss := newSessionStub()
 		err := rt.Run(func(c *cluster.Comm) error {
 			e, m, x, b, err := setupProblem(c, a, phi)
 			if err != nil {
@@ -250,7 +273,7 @@ func TestEpisodeSendsNoSetupMessages(t *testing.T) {
 			if err != nil {
 				return err
 			}
-			res, err := ESRPCG(e, m, x, b, pc, Options{Tol: 1e-9}, sched)
+			res, err := ss.esrpcg(e, m, x, b, pc, Options{Tol: 1e-9}, sched)
 			if c.Rank() == 0 {
 				mu.Lock()
 				res0 = res
@@ -279,7 +302,7 @@ func TestEpisodeSendsNoSetupMessages(t *testing.T) {
 // lies inside its x-system phase.
 func TestReconstructionPhasesAccountForTheEpisode(t *testing.T) {
 	a := matgen.Poisson2D(16, 16)
-	out := runSolver(t, 8, func(c *cluster.Comm) (Result, distmat.Vector, error) {
+	out := runSolver(t, 8, func(c *cluster.Comm, ss *sessionStub) (Result, distmat.Vector, error) {
 		e, m, x, b, err := setupProblem(c, a, 3)
 		if err != nil {
 			return Result{}, x, err
@@ -289,7 +312,7 @@ func TestReconstructionPhasesAccountForTheEpisode(t *testing.T) {
 			return Result{}, x, err
 		}
 		// Rank 0, whose Result the harness reports, is a replacement.
-		res, err := ESRPCG(e, m, x, b, pc, Options{Tol: 1e-9}, faults.NewSchedule(faults.Simultaneous(6, 0, 1, 2)))
+		res, err := ss.esrpcg(e, m, x, b, pc, Options{Tol: 1e-9}, faults.NewSchedule(faults.Simultaneous(6, 0, 1, 2)))
 		return res, x, err
 	})
 	if out.err != nil {

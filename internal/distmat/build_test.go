@@ -5,7 +5,6 @@ import (
 	"math"
 	"reflect"
 	"slices"
-	"sort"
 	"testing"
 
 	"repro/internal/cluster"
@@ -240,13 +239,11 @@ func edgeCaseProblems() map[string]*sparse.CSR {
 }
 
 // TestOnePassBuildEqualsReference: every kernel structure NewMatrix builds in
-// its counting pass and fill pass — and every Restrict view's scatter plans,
-// which are computed from ghost offsets — equals the reference build, and
-// OwnBlock, Diag and GhostProduct, read off the split, equal the same answers
-// computed from the row block, on the benchmark workloads' generators and the
+// its counting pass and fill pass equals the reference build, and OwnBlock,
+// Diag and GhostProduct, read off the split, equal the same answers computed
+// from the row block, on the benchmark workloads' generators and the
 // hand-made corner patterns, with and without redundancy under the paper's
-// Eqn. 5 neighbour backups. A view shares the split, so its OwnBlock and Diag
-// are checked too.
+// Eqn. 5 neighbour backups.
 func TestOnePassBuildEqualsReference(t *testing.T) {
 	type problem struct {
 		a     *sparse.CSR
@@ -274,39 +271,6 @@ func TestOnePassBuildEqualsReference(t *testing.T) {
 					ref := buildReference(m, rows)
 					if d := ref.diff(m); d != "" {
 						return fmt.Errorf("%s differs from the reference build", d)
-					}
-					// Views over this rank and one, two, all other members.
-					for _, others := range [][]int{{1}, {1, 2}, {2, pb.ranks - 1}, nil} {
-						members := []int{e.Pos}
-						for r := 0; r < pb.ranks; r++ {
-							if r != e.Pos && (others == nil || slices.Contains(others, (r-e.Pos+pb.ranks)%pb.ranks)) {
-								members = append(members, r)
-							}
-						}
-						sort.Ints(members)
-						sub := &Env{Members: members, Pos: slices.Index(members, e.Pos)}
-						v, err := m.Restrict(sub, 5)
-						if err != nil {
-							return err
-						}
-						if !reflect.DeepEqual(v.OwnBlock(), ref.ownBlock) || !slices.Equal(v.Diag(), ref.diag) {
-							return fmt.Errorf("view over %v: OwnBlock or Diag differs from the reference", members)
-						}
-						vPos, vDst := unplan(v.recvPlan)
-						for t, f := range members {
-							var pos, want []int
-							for i, g := range m.Plan.RecvFrom[f] {
-								pos = append(pos, i)
-								want = append(want, hi-lo+ref.ghostPos[g])
-							}
-							if f == e.Pos {
-								pos, want = nil, nil
-							}
-							if !slices.Equal(vPos[t], pos) || !slices.Equal(vDst[t], want) {
-								return fmt.Errorf("view over %v: receive plan [%d] copies %v to %v, reference %v to %v",
-									members, t, vPos[t], vDst[t], pos, want)
-							}
-						}
 					}
 					return nil
 				})

@@ -6,11 +6,9 @@
 // keeps the two most recent search-direction generations (paper Secs. 2-4).
 //
 // All operations work over an Env, which is either the full communicator or
-// a subgroup of ranks; the replacement-node reconstruction runs the same
-// SpMV over the subgroup of replacements through a restricted view of the
-// matrix the session already holds (Matrix.Restrict: shared kernels, halo
-// lists read off the existing plan, survivor-owned ghost slots held at zero
-// — A_{If,If} with nothing static rebuilt; paper Sec. 4.1).
+// a subgroup of ranks. The reconstruction's x-system operator A_{If,If}
+// (paper Sec. 4.1) is a Principal: the failed ranks' own kernels run on one
+// goroutine with no messages, survivor-owned ghost slots held at zero.
 package distmat
 
 import (
@@ -53,7 +51,7 @@ func WorldEnv(c *cluster.Comm) *Env {
 
 // GroupEnv returns an environment over the given global ranks (which must
 // include the caller). ctx separates the message tag spaces of concurrently
-// live environments (e.g. the recovery subgroup inside the main solve).
+// live environments (e.g. a subgroup's solve beside the world's).
 func GroupEnv(c *cluster.Comm, members []int, ctx int) (*Env, error) {
 	g, err := c.Group(members, 1000+ctx)
 	if err != nil {

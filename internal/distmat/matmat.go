@@ -38,20 +38,17 @@ func (m *Matrix) SetBlockWidth(k int) {
 }
 
 // input returns the width-k input buffer: the own block, then the ghost
-// slots, k values per local column. It is cleared whenever the width changes,
-// because a Restrict view never writes its non-member ghost slots — they must
-// read zero — and the values of a product at another width sit exactly where
-// this width's slots fall.
+// slots, k values per local column. Every product writes all of it (the own
+// block, and every ghost slot from its source's payload) before reading it,
+// so a buffer left over from another width is resliced, never cleared.
 func (m *Matrix) input(k int) []float64 {
 	sc := &m.scratch
 	if k != sc.xWidth {
 		n := (m.blockSize() + len(m.ghost)) * k
 		if cap(sc.x) < n {
 			sc.x = make([]float64, n)
-		} else {
-			sc.x = sc.x[:n]
-			clear(sc.x)
 		}
+		sc.x = sc.x[:n]
 		sc.xWidth = k
 	}
 	return sc.x

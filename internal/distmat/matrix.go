@@ -84,8 +84,7 @@ const matrixTagStride = 64
 // only: the matrix keeps no reference to it, so it may be a view of the
 // caller's matrix (sparse.CSR.RowBlock) that the caller later changes.
 //
-// ctx distinguishes multiple matrices living in the same Env (system matrix,
-// explicit preconditioner, recovery submatrix).
+// ctx distinguishes multiple matrices living in the same Env.
 func NewMatrix(e *Env, rows *sparse.CSR, p partition.Partition, phi, ctx int) (*Matrix, error) {
 	if p.Ranks() != e.Size() {
 		return nil, fmt.Errorf("distmat: partition ranks %d != env size %d", p.Ranks(), e.Size())
@@ -289,66 +288,12 @@ func (m *Matrix) Fork() *Matrix {
 	return &n
 }
 
-// Restrict returns m's view of the principal submatrix A_{If, If} — If the
-// union of the blocks owned by sub's members — distributed over sub with
-// each member keeping its own block: the operator of the reconstruction
-// subsystems (paper Alg. 2 lines 6 and 8). m must live on the world Env
-// (positions are ranks, as sub's Members are) and be the local part of a
-// member.
-//
-// Like Fork it builds nothing that is a function of the matrix: the
-// localised interior/boundary split is m's own.
-// The halo lists for the member peers are m's Plan.SendTo/RecvFrom entries —
-// every member derives them from the member set alone, so there is no
-// symbolic exchange — and the view's input buffer, cleared whenever its width
-// changes, keeps every non-member slot at zero, which drops A_{If, I\If} from the product while each row's
-// remaining terms accumulate in stored order. ctx separates the view's SpMV
-// tags from m's and from other live views.
-//
-// The view serves MatVec, MatMat, Residual(Block) and OwnBlock / Diag (the
-// split is m's, so these are m's own block) only: it carries no redundancy
-// and no MatVec observer, and its Plan lists are in m's index space.
-func (m *Matrix) Restrict(sub *Env, ctx int) (*Matrix, error) {
-	if sub.Pos < 0 || sub.Members[sub.Pos] != m.Pos {
-		return nil, fmt.Errorf("distmat: Restrict: position %d is not a member of %v", m.Pos, sub.Members)
-	}
-	if last := sub.Members[sub.Size()-1]; last >= m.P.Ranks() {
-		return nil, fmt.Errorf("distmat: Restrict: member %d outside the matrix's %d ranks", last, m.P.Ranks())
-	}
-	lo, _ := m.P.Range(m.Pos)
-	v := *m
-	v.Pos = sub.Pos
-	v.Red, v.Ret, v.obs = nil, nil, nil
-	v.scratch = spmvScratch{}
-	v.tagBase = 2000 + ctx*matrixTagStride
-	sizes := make([]int, sub.Size())
-	v.sendLists = make([][]int, sub.Size())
-	v.recvLists = make([][]int, sub.Size())
-	v.sendPlan = make([]copyList, sub.Size())
-	v.recvPlan = make([]copyList, sub.Size())
-	for t, f := range sub.Members {
-		sizes[t] = m.P.Size(f)
-		if t == sub.Pos {
-			continue
-		}
-		send, recv := m.Plan.SendTo[f], m.Plan.RecvFrom[f]
-		v.sendLists[t], v.recvLists[t] = send, recv
-		v.sendPlan[t] = gatherPlan(send, lo)
-		// The whole payload lands in f's ghost slots, in order.
-		base := m.ghostSlot(f)
-		v.recvPlan[t] = newCopyList(len(recv), func(i int) (int, int) { return i, base + i })
-	}
-	v.P = partition.FromSizes(sizes)
-	v.Plan = &commplan.HaloPlan{P: v.P, Rank: sub.Pos, SendTo: v.sendLists, RecvFrom: v.recvLists}
-	return &v, nil
-}
-
 // GhostProduct computes y += sum over external columns of the row block:
 // y[i] += A[i, c] * ghost[c] for every stored entry with a column c outside
 // this rank's own block; columns missing from ghost contribute zero. With
 // ghost filled only with survivor-owned vector entries this evaluates the
-// reconstruction products A_{If, I\If} x_{I\If} and P_{If, I\If} r_{I\If}
-// of the paper's Alg. 2 (lines 5 and 7). Only the boundary rows hold
+// reconstruction product A_{If, I\If} x_{I\If} of the paper's Alg. 2
+// (line 7). Only the boundary rows hold
 // external entries, so it walks those alone, skipping their own-block
 // columns and mapping each ghost slot back to its global column; the external
 // entries are visited in stored order, keeping the accumulation bit-identical

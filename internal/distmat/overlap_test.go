@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
+	"sync"
 	"testing"
 
 	"repro/internal/cluster"
@@ -80,17 +81,15 @@ func TestQuickOverlapRowPartitionProperty(t *testing.T) {
 // TestQuickMatVecMatchesSerial: the communication-hiding MatVec, and MatMat
 // at widths 3 and 8, equal the global serial CSR.MulVec of every column bit
 // for bit, with and without retention, across several random systems on the
-// in-process and chaos fabrics — and so does one Restrict view serving
-// widths 8, 3 and 1 in turn, which shares the parent's split and must read
-// zero in its non-member ghost slots at every width, against the serial
+// in-process and chaos fabrics — and so does the message-free Principal over
+// two members' matrices, which runs their own splits and must read zero in
+// every non-member ghost slot, product after product, against the serial
 // product of the principal submatrix. The oracle shares no code with the
 // interior/boundary split.
 func TestQuickMatVecMatchesSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	viewMembers := []int{1, 2}
-	// A view narrowing across calls: the wider products' values sit where
-	// the narrower ones' non-member ghost slots fall.
-	viewWidths := []int{8, 3, 1}
+	const viewProducts = 3
 	for _, trName := range []string{cluster.TransportChan, cluster.TransportChaos} {
 		for trial := 0; trial < 3; trial++ {
 			n := 60 + rng.Intn(120)
@@ -106,9 +105,9 @@ func TestQuickMatVecMatchesSerial(t *testing.T) {
 				}
 			}
 			// out files every product as a full-length vector: MatVec, the
-			// columns of MatMat at width 3 and 8, then the view's products at
-			// widths 8, 3 and 1 (zero outside the view's members).
-			out := make([][]float64, 1+3+8+8+3+1)
+			// columns of MatMat at width 3 and 8, then the Principal's
+			// products (zero outside the members' rows).
+			out := make([][]float64, 1+3+8+viewProducts)
 			for j := range out {
 				out[j] = make([]float64, n)
 			}
@@ -116,6 +115,8 @@ func TestQuickMatVecMatchesSerial(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			var mu sync.Mutex
+			members := make([]*Matrix, len(viewMembers))
 			rt := cluster.New(ranks, cluster.WithTransport(tr))
 			err = rt.Run(func(c *cluster.Comm) error {
 				e := WorldEnv(c)
@@ -152,27 +153,27 @@ func TestQuickMatVecMatchesSerial(t *testing.T) {
 					}
 					at += k
 				}
-				if e.Pos != viewMembers[0] && e.Pos != viewMembers[1] {
-					return nil
-				}
-				sub, err := GroupEnv(c, viewMembers, 3)
-				if err != nil {
-					return err
-				}
-				view, err := m.Restrict(sub, 3)
-				if err != nil {
-					return err
-				}
-				for _, k := range viewWidths {
-					if err := products(view, sub, k, at); err != nil {
-						return err
-					}
-					at += k
+				if t := slices.Index(viewMembers, e.Pos); t >= 0 {
+					mu.Lock()
+					members[t] = m.Fork()
+					mu.Unlock()
 				}
 				return nil
 			})
 			if err != nil {
 				t.Fatal(err)
+			}
+			view, err := NewPrincipal(members)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for j := 0; j < viewProducts; j++ {
+				x, y := make([][]float64, len(members)), make([][]float64, len(members))
+				for t, f := range viewMembers {
+					lo, hi := p.Range(f)
+					x[t], y[t] = xFull[j][lo:hi], out[1+3+8+j][lo:hi]
+				}
+				view.MatVec(y, x)
 			}
 
 			// The oracle: the whole matrix for the world products, the
@@ -207,11 +208,8 @@ func TestQuickMatVecMatchesSerial(t *testing.T) {
 				}
 				at += k
 			}
-			for _, k := range viewWidths {
-				for j := 0; j < k; j++ {
-					check(at+j, principal, xFull[j][vlo:vhi], vlo)
-				}
-				at += k
+			for j := 0; j < viewProducts; j++ {
+				check(at+j, principal, xFull[j][vlo:vhi], vlo)
 			}
 		}
 	}

@@ -5,7 +5,9 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
+	"sync"
 	"testing"
 
 	"repro/internal/cluster"
@@ -14,12 +16,12 @@ import (
 	"repro/internal/sparse"
 )
 
-// rebuiltSubsystem is how the reconstruction subsystem operator was built
-// before Restrict: extract A_{If,If} from the rank's static row block rows
-// (global columns; the test holds it, m keeps no copy) with renumbered
-// columns and run the full distributed construction (symbolic exchange,
-// localisation, kernel plans) over the subgroup. Kept as the reference the
-// restricted view must match bit for bit.
+// rebuiltSubsystem is the reconstruction subsystem operator built from
+// scratch: extract A_{If,If} from the rank's static row block rows (global
+// columns; the test holds it, m keeps no copy) with renumbered columns and
+// run the full distributed construction (symbolic exchange, localisation,
+// kernel plans) over the subgroup. Kept as the reference the message-free
+// Principal must match bit for bit.
 func rebuiltSubsystem(sub *Env, m *Matrix, rows *sparse.CSR, ctx int) (*Matrix, error) {
 	sizes := make([]int, sub.Size())
 	var ifIdx []int
@@ -54,19 +56,27 @@ func workloadProblems(tiny bool) map[string]*sparse.CSR {
 	}
 }
 
-// TestRestrictMatchesRebuiltSubsystem: the restricted view's MatVec and
-// width-3 MatMat equal, bit for bit, the same products on the operator
-// rebuilt from scratch over the subgroup. (That building the view sends
-// nothing is pinned where a whole run's counters can be compared:
-// core.TestEpisodeSendsNoSetupMessages.)
+// TestRestrictMatchesRebuiltSubsystem: A restricted to the failed blocks,
+// A_{If,If} — evaluated by the Principal in one process over the members'
+// own matrices, with no messages — equals bit for bit the MatVec of the
+// operator rebuilt from scratch over the subgroup of members, block for
+// block, product after product through one Principal. (That the x-system
+// sends no setup message is pinned where a whole run's counters can be
+// compared: core.TestEpisodeSendsNoSetupMessages.)
 func TestRestrictMatchesRebuiltSubsystem(t *testing.T) {
-	const ranks, phi, width = 8, 3, 3
+	const ranks, phi, products = 8, 3, 3
 	failedSets := [][]int{{3}, {2, 3, 4}, {0, 6, 7}, {1, 4, 6}, {0, 1, 2, 3, 4, 5, 6}}
 	for name, a := range workloadProblems(true) {
 		p := partition.NewBlockRow(a.Rows, ranks)
 		for _, members := range failedSets {
 			name, a, members := name, a, members
 			t.Run(fmt.Sprintf("%s/%v", name, members), func(t *testing.T) {
+				// Per member, by its position in members: its matrix, the
+				// inputs and the rebuilt operator's products.
+				var mu sync.Mutex
+				mats := make([]*Matrix, len(members))
+				xs := make([][][]float64, len(members))
+				want := make([][][]float64, len(members))
 				runSPMD(t, ranks, func(c *cluster.Comm) error {
 					e := WorldEnv(c)
 					lo, hi := p.Range(e.Pos)
@@ -75,93 +85,58 @@ func TestRestrictMatchesRebuiltSubsystem(t *testing.T) {
 					if err != nil {
 						return err
 					}
-					member := false
-					for _, f := range members {
-						member = member || f == e.Pos
-					}
-					if !member {
+					pos := slices.Index(members, e.Pos)
+					if pos < 0 {
 						return nil
 					}
-					// A per-solve fork, as a session's episode holds.
-					m := parent.Fork()
 					sub, err := GroupEnv(c, members, 7)
 					if err != nil {
 						return err
 					}
-					ref, err := rebuiltSubsystem(sub, m, rows, 8)
+					ref, err := rebuiltSubsystem(sub, parent, rows, 8)
 					if err != nil {
 						return err
-					}
-					view, err := m.Restrict(sub, 7)
-					if err != nil {
-						return err
-					}
-					if !view.P.Equal(ref.P) || view.Pos != ref.Pos {
-						return fmt.Errorf("view lives on %v pos %d, rebuilt on %v pos %d", view.P, view.Pos, ref.P, ref.Pos)
 					}
 					rng := rand.New(rand.NewSource(int64(100 + e.Pos)))
-					x := make([]Vector, width)
+					x, y := make([][]float64, products), make([][]float64, products)
 					for j := range x {
-						x[j] = NewVector(view.P, view.Pos)
-						for i := range x[j].Local {
-							x[j].Local[i] = rng.NormFloat64()
+						xv, yv := NewVector(ref.P, ref.Pos), NewVector(ref.P, ref.Pos)
+						for i := range xv.Local {
+							xv.Local[i] = rng.NormFloat64()
 						}
-					}
-					product := func(mat *Matrix) ([]Vector, error) {
-						y := make([]Vector, width+1)
-						for j := range y {
-							y[j] = NewVector(view.P, view.Pos)
+						if err := ref.MatVec(sub, yv, xv, -1); err != nil {
+							return err
 						}
-						if err := mat.MatVec(sub, y[0], x[0], -1); err != nil {
-							return nil, err
-						}
-						return y, mat.MatMat(sub, y[1:], x, -1)
+						x[j], y[j] = xv.Local, yv.Local
 					}
-					got, err := product(view)
-					if err != nil {
-						return err
+					mu.Lock()
+					// A per-solve fork, as a session's episode holds.
+					mats[pos], xs[pos], want[pos] = parent.Fork(), x, y
+					mu.Unlock()
+					return nil
+				})
+				view, err := NewPrincipal(mats)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for j := 0; j < products; j++ {
+					x, y := make([][]float64, len(members)), make([][]float64, len(members))
+					for b := range x {
+						x[b], y[b] = xs[b][j], make([]float64, len(xs[b][j]))
 					}
-					want, err := product(ref)
-					if err != nil {
-						return err
-					}
-					for j := range want {
-						for i := range want[j].Local {
-							if math.Float64bits(got[j].Local[i]) != math.Float64bits(want[j].Local[i]) {
-								return fmt.Errorf("pos %d product %d row %d: view %x, rebuilt %x",
-									view.Pos, j, i, got[j].Local[i], want[j].Local[i])
+					view.MatVec(y, x)
+					for b := range y {
+						for i := range y[b] {
+							if math.Float64bits(y[b][i]) != math.Float64bits(want[b][j][i]) {
+								t.Fatalf("rank %d product %d row %d: Principal %x, rebuilt %x",
+									members[b], j, i, y[b][i], want[b][j][i])
 							}
 						}
 					}
-					return nil
-				})
+				}
 			})
 		}
 	}
-}
-
-// TestRestrictRejectsNonMember: the view exists only on the subgroup.
-func TestRestrictRejectsNonMember(t *testing.T) {
-	a := matgen.Poisson2D(8, 8)
-	const ranks = 4
-	p := partition.NewBlockRow(a.Rows, ranks)
-	runSPMD(t, ranks, func(c *cluster.Comm) error {
-		e := WorldEnv(c)
-		lo, hi := p.Range(e.Pos)
-		m, err := NewMatrix(e, a.RowBlock(lo, hi), p, 0, 0)
-		if err != nil {
-			return err
-		}
-		if e.Pos != 0 {
-			return nil
-		}
-		// Rank 0 holds an Env of a group it is not part of (Pos -1).
-		outsider := &Env{C: c, Members: []int{1, 2}, Pos: -1}
-		if _, err := m.Restrict(outsider, 7); err == nil {
-			return fmt.Errorf("Restrict accepted a non-member")
-		}
-		return nil
-	})
 }
 
 // exteriorColumns lists, ascending, the columns outside [lo, hi) that rows

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/xerr"
 )
 
 // batchRHS builds k deterministic distinct right-hand sides of length n.
@@ -192,8 +193,9 @@ func TestBatchSpecValidation(t *testing.T) {
 }
 
 // TestBatchJobRejectedOnNetCoordinator pins the multi-process restriction:
-// a coordinator daemon (NetRunner installed) must fail net-transport batch
-// jobs with a clear message instead of silently dropping columns.
+// a coordinator daemon (NetRunner installed) refuses a net-transport batch
+// job at Submit, classed failed_precondition, instead of accepting it and
+// failing it later — and never dispatches it.
 func TestBatchJobRejectedOnNetCoordinator(t *testing.T) {
 	e := New(Options{
 		Workers: 1, QueueCap: 4, Defaults: Defaults{Transport: TransportNet},
@@ -206,14 +208,10 @@ func TestBatchJobRejectedOnNetCoordinator(t *testing.T) {
 	spec.Config.Transport = TransportNet
 	spec.RHSBatch = batchRHS(256, 2)
 	id, err := e.Submit(spec)
-	if err != nil {
-		t.Fatal(err)
+	if !errors.Is(err, xerr.FailedPrecondition) {
+		t.Fatalf("net batch job: id %q, err %v; want a failed_precondition refusal", id, err)
 	}
-	st := waitTerminal(t, e, id, 10*time.Second)
-	if st.State != StateFailed {
-		t.Fatalf("net batch job ended %s, want failed", st.State)
-	}
-	if st.Error == "" {
-		t.Fatal("net batch job failed without an error message")
+	if jobs := e.List(); len(jobs) != 0 {
+		t.Fatalf("the refused job left %d records", len(jobs))
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -593,6 +594,9 @@ func (e *Engine) Submit(spec JobSpec) (string, error) {
 	if err := checked.Validate(); err != nil {
 		return "", err
 	}
+	if err := e.fleetRefusal(spec, checked.Config.WithDefaults()); err != nil {
+		return "", err
+	}
 	ctx, cancel := context.WithCancelCause(context.Background())
 	var batchFloats int64
 	for _, b := range spec.RHSBatch {
@@ -1022,12 +1026,11 @@ func (e *Engine) run(j *job) {
 	if cfg.Transport == TransportNet && e.netRunner != nil {
 		// A coordinator daemon fans net-transport jobs out to external rank
 		// processes; each worker process prepares its own session, so the
-		// coordinator's prep cache and trace ring do not apply.
-		if len(j.spec.RHSBatch) > 0 {
-			// The dispatcher protocol carries one RHS per job; batch jobs on a
-			// coordinator daemon must be split by the client.
-			e.finishJob(j, Solution{}, xerr.New(xerr.InvalidArgument,
-				"engine: batch jobs are not supported on the multi-process net path; submit one job per rhs"))
+		// coordinator's prep cache and trace ring do not apply. Submit
+		// refused what the fleet cannot run; a job replayed from a journal
+		// written before it did is refused here.
+		if err := e.fleetRefusal(j.spec, cfg); err != nil {
+			e.finishJob(j, Solution{}, err)
 			return
 		}
 		e.runNet(ctx, j, cfg)
@@ -1160,6 +1163,43 @@ func (e *Engine) solveBatch(ctx context.Context, cfg Config, prep *Prepared, bat
 		xs[c], results[c] = s.X, s.Result
 	}
 	return Solution{X: xs[0], Result: results[0], XS: xs, Results: results}, nil
+}
+
+// fleetRefusal refuses, at Submit, what a coordinator daemon's fleet of
+// rank processes cannot run — a valid job in the wrong place, so each
+// refusal is classed failed_precondition — before the job is queued or
+// journalled. cfg is the job's Config with the daemon defaults resolved. Only
+// a net-transport job on an engine with a NetRunner goes to a fleet; every
+// other job is served in process and refused nothing here.
+func (e *Engine) fleetRefusal(spec JobSpec, cfg Config) error {
+	if e.netRunner == nil || cfg.Transport != TransportNet {
+		return nil
+	}
+	refuse := func(format string, args ...any) error {
+		return xerr.Newf(xerr.FailedPrecondition, "engine: multi-process net jobs "+format, args...)
+	}
+	if spec.MatrixID != "" {
+		return refuse("cannot name a registered matrix_id; inline the matrix spec")
+	}
+	if len(spec.RHSBatch) > 0 {
+		// The dispatcher protocol carries one RHS per job.
+		return refuse("carry one rhs; submit one job per column of the batch")
+	}
+	if cfg.Strategy != StrategyESR {
+		return refuse("support only the %q strategy, got %q", StrategyESR, cfg.Strategy)
+	}
+	if cfg.Schedule.Empty() {
+		return nil
+	}
+	for _, ev := range cfg.Schedule.Events() {
+		if ev.Phase != 0 {
+			return refuse("support only phase-0 (main poll point) schedule events")
+		}
+		if slices.Contains(ev.Ranks, 0) {
+			return refuse("cannot schedule rank 0 (the result rank) as a victim")
+		}
+	}
+	return nil
 }
 
 // runNet hands one net-transport job to the installed NetRunner dispatcher

@@ -7,11 +7,14 @@ import (
 	"errors"
 	"math"
 	"runtime"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/core"
 	"repro/internal/faults"
 	"repro/internal/mmio"
+	"repro/internal/xerr"
 )
 
 // tinySpec is a quick failure-free job on a small Poisson system.
@@ -399,6 +402,71 @@ func TestSpecValidation(t *testing.T) {
 	}
 	if _, err := (MatrixSpec{Generator: "no-such-gen"}).Build(); err == nil {
 		t.Fatal("unknown generator accepted")
+	}
+}
+
+// TestCoordinatorRefusesAtSubmit: a coordinator daemon refuses at Submit,
+// classed failed_precondition, every net job its fleet of rank processes
+// cannot run — before the job is queued or journalled, so no record and no
+// dispatch — while the jobs it can run, and the same refused jobs on an
+// in-process fabric, are accepted.
+func TestCoordinatorRefusesAtSubmit(t *testing.T) {
+	var dispatched atomic.Int64
+	e := New(Options{
+		Workers: 1, QueueCap: 16,
+		NetRunner: func(ctx context.Context, spec JobSpec, progress func(core.ProgressEvent)) (Solution, error) {
+			dispatched.Add(1)
+			return Solution{Result: core.Result{Converged: true}}, nil
+		},
+	})
+	defer e.Close()
+	inline := MatrixSpec{Generator: "poisson2d", Params: map[string]float64{"nx": 16}}
+	phase1 := faults.Simultaneous(4, 2)
+	phase1.Phase = 1
+	net := func(c Config) Config { c.Transport = TransportNet; return c }
+	for _, c := range []struct {
+		name   string
+		spec   JobSpec
+		refuse bool
+	}{
+		{"inline esr phase 0", JobSpec{Matrix: inline, Config: net(Config{Ranks: 4, Phi: 2,
+			Schedule: faults.NewSchedule(faults.Simultaneous(3, 1), faults.Simultaneous(6, 2, 3))})}, false},
+		{"inline esr no schedule", JobSpec{Matrix: inline, Config: net(Config{Ranks: 4})}, false},
+		{"matrix_id", JobSpec{MatrixID: "mat-000001", Config: net(Config{Ranks: 4})}, true},
+		{"batch", JobSpec{Matrix: inline, RHSBatch: batchRHS(256, 2), Config: net(Config{Ranks: 4})}, true},
+		{"checkpoint strategy", JobSpec{Matrix: inline, Config: net(Config{Ranks: 4,
+			Strategy: StrategyCheckpoint})}, true},
+		{"phase 1 event", JobSpec{Matrix: inline, Config: net(Config{Ranks: 4, Phi: 1,
+			Schedule: faults.NewSchedule(phase1)})}, true},
+		{"rank 0 victim", JobSpec{Matrix: inline, Config: net(Config{Ranks: 4, Phi: 2,
+			Schedule: faults.NewSchedule(faults.Simultaneous(3, 0, 1))})}, true},
+	} {
+		before := len(e.List())
+		id, err := e.Submit(c.spec)
+		switch {
+		case !c.refuse && err != nil:
+			t.Errorf("%s: refused: %v", c.name, err)
+		case c.refuse && err == nil:
+			t.Errorf("%s: accepted as %s", c.name, id)
+		case c.refuse && !errors.Is(err, xerr.FailedPrecondition):
+			t.Errorf("%s: %v is classed %q, want %q", c.name, err, xerr.Code(err), xerr.FailedPrecondition.Code())
+		case c.refuse && len(e.List()) != before:
+			t.Errorf("%s: the refusal left a job record", c.name)
+		}
+		if c.refuse && c.spec.MatrixID == "" {
+			// In process, the same job is served.
+			inProc := c.spec
+			inProc.Config.Transport = TransportChan
+			if _, err := e.Submit(inProc); err != nil {
+				t.Errorf("%s on chan: refused: %v", c.name, err)
+			}
+		}
+	}
+	for _, st := range e.List() {
+		waitTerminal(t, e, st.ID, 30*time.Second)
+	}
+	if got := dispatched.Load(); got != 2 {
+		t.Fatalf("%d jobs reached the fleet, want the 2 accepted net jobs", got)
 	}
 }
 

@@ -388,6 +388,12 @@ func (ps *Prepared) solveOn(ctx context.Context, rt *cluster.Runtime, localRanks
 	copts := hooks
 	copts.Tol, copts.MaxIter, copts.LocalTol = cfg.Tol, cfg.MaxIter, cfg.LocalTol
 	copts.Ctx, copts.SDCCheck = ctx, cfg.SDCCheckInterval
+	// An episode's leader reads the other failed ranks' static blocks here:
+	// every process holds the whole session, so nothing static is rebuilt
+	// or shipped.
+	copts.Session = func(r int) (*distmat.Matrix, core.Precond) {
+		return ps.prep[r].m, ps.prep[r].precond(*cfg)
+	}
 
 	ownsRT := rt == nil
 	ps.mu.Lock()

@@ -32,10 +32,8 @@ type CGResult struct {
 // CG runs a sequential preconditioned conjugate gradient on the SPD CSR
 // matrix a, solving a x = b in place in x (initial guess respected). It
 // stops when the residual norm has been reduced by relTol relative to the
-// initial residual, or after maxIter iterations. This is the solver the ESR
-// reconstruction uses for the subsystem A_{If,If} x_If = w when a single
-// node failed (the multi-node case runs the distributed analogue over the
-// replacement subgroup).
+// initial residual, or after maxIter iterations: the serial reference of
+// the benchmark's kernel ladder.
 func CG(a *sparse.CSR, x, b []float64, m Solver, relTol float64, maxIter int) CGResult {
 	n := a.Rows
 	if m == nil {

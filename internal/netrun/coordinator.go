@@ -14,7 +14,6 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/engine"
-	"repro/internal/faults"
 	"repro/internal/xerr"
 )
 
@@ -95,9 +94,6 @@ func (e *workerLostError) Error() string {
 // Progress, when non-nil, receives rank 0's solver progress stream.
 func (c *Coordinator) Run(ctx context.Context, spec engine.JobSpec, progress func(core.ProgressEvent)) (engine.Solution, cluster.TransportStats, error) {
 	cfg := spec.Config.WithDefaults()
-	if err := checkSpec(spec, cfg); err != nil {
-		return engine.Solution{}, cluster.TransportStats{}, err
-	}
 	c.jobs.Add(1)
 	for attempt := 0; ; attempt++ {
 		sol, stats, err := c.runAttempt(ctx, spec, cfg, attempt, progress)
@@ -109,37 +105,6 @@ func (c *Coordinator) Run(ctx context.Context, spec engine.JobSpec, progress fun
 		}
 		return sol, stats, err
 	}
-}
-
-// checkSpec enforces the multi-process restrictions up front, with errors
-// naming the restriction instead of a worker failing obscurely mid-fleet.
-// Each is a valid job the multi-process path cannot serve, so each is
-// classed failed_precondition.
-func checkSpec(spec engine.JobSpec, cfg engine.Config) error {
-	if spec.MatrixID != "" {
-		return xerr.New(xerr.FailedPrecondition, "netrun: matrix_id jobs cannot cross processes; inline the matrix spec")
-	}
-	if cfg.Strategy != engine.StrategyESR {
-		return xerr.Newf(xerr.FailedPrecondition, "netrun: multi-process jobs support only the %q strategy, got %q", engine.StrategyESR, cfg.Strategy)
-	}
-	for _, e := range scheduleEvents(cfg.Schedule) {
-		if e.Phase != 0 {
-			return xerr.New(xerr.FailedPrecondition, "netrun: multi-process schedules support only phase-0 (main poll point) events")
-		}
-		for _, r := range e.Ranks {
-			if r == 0 {
-				return xerr.New(xerr.FailedPrecondition, "netrun: rank 0 (the result rank) cannot be a scheduled victim of a multi-process job")
-			}
-		}
-	}
-	return nil
-}
-
-func scheduleEvents(s *faults.Schedule) []faults.Event {
-	if s.Empty() {
-		return nil
-	}
-	return s.Events()
 }
 
 // workerError re-raises a worker's solve error under the class it carried

@@ -17,8 +17,10 @@
 // Restrictions of the multi-process path: one rank per process, the ESR
 // strategy only (the rollback strategies keep cross-rank state in one
 // process), phase-0 schedule events only, rank 0 (the result rank) never a
-// victim, and the matrix spec must be inline (a coordinator-side matrix_id
-// does not resolve inside a worker).
+// victim, one right-hand side per job, and the matrix spec must be inline (a
+// coordinator-side matrix_id does not resolve inside a worker). The engine
+// refuses every other job at Submit, classed failed_precondition, before a
+// fleet is spawned.
 package netrun
 
 import (

@@ -218,8 +218,8 @@ func (m *CSR) RowBlock(lo, hi int) *CSR {
 
 // Submatrix extracts A[rows, cols] with both index sets given as sorted
 // distinct global indices; the result is a compressed (len(rows) x len(cols))
-// CSR with renumbered columns. This realises the paper's A_{If, If} and
-// P_{If, If} selections.
+// CSR with renumbered columns: the paper's A_{If, If} selection, which the
+// tests' rebuilt reconstruction subsystems are made of.
 func (m *CSR) Submatrix(rows, cols []int) *CSR {
 	colPos := make(map[int]int, len(cols))
 	for p, c := range cols {
