@@ -12,7 +12,7 @@ import (
 // naming it, before any solve has run.
 func TestSolveBatchFailFastValidation(t *testing.T) {
 	a := Poisson2D(10, 10)
-	s, err := NewSolver(a, WithRanks(2))
+	s, err := NewSolver(a, Config{Ranks: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +46,7 @@ func TestSolveBatchFailFastValidation(t *testing.T) {
 func TestWithBlockSizeValidation(t *testing.T) {
 	a := Poisson2D(8, 8)
 	for _, bad := range []int{-1, MaxBlockSize + 1} {
-		if _, err := NewSolver(a, WithBlockSize(bad)); err == nil {
+		if _, err := NewSolver(a, Config{BlockSize: bad}); err == nil {
 			t.Fatalf("block size %d accepted", bad)
 		} else {
 			var bsErr *InvalidConfigError
@@ -57,17 +57,17 @@ func TestWithBlockSizeValidation(t *testing.T) {
 	}
 	// Per-call override on a default session: batch-scoped, not rejected as
 	// preparation-scoped.
-	s, err := NewSolver(a, WithRanks(2))
+	s, err := NewSolver(a, Config{Ranks: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
 	bs := [][]float64{onesRHS(a.Rows), onesRHS(a.Rows)}
-	if _, err := s.SolveBatch(context.Background(), bs, WithBlockSize(2)); err != nil {
-		t.Fatalf("per-call WithBlockSize rejected: %v", err)
+	if _, err := s.SolveBatch(context.Background(), bs, Config{BlockSize: 2}); err != nil {
+		t.Fatalf("per-call BlockSize rejected: %v", err)
 	}
 	var bsErr *InvalidConfigError
-	if _, err := s.SolveBatch(context.Background(), bs, WithBlockSize(-1)); !errors.As(err, &bsErr) || bsErr.Field != "block_size" {
-		t.Fatalf("per-call WithBlockSize(-1): err = %v, want *InvalidConfigError{block_size}", err)
+	if _, err := s.SolveBatch(context.Background(), bs, Config{BlockSize: -1}); !errors.As(err, &bsErr) || bsErr.Field != "block_size" {
+		t.Fatalf("per-call Config{BlockSize: -1}: err = %v, want *InvalidConfigError{block_size}", err)
 	}
 }

@@ -213,7 +213,7 @@ func BenchmarkPreparedVsOneShot(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			// The session build is inside the measured region: one prepare
 			// plus numRHS solves versus numRHS one-shot prepare+solve pairs.
-			s, err := NewSolver(a, FromConfig(cfg))
+			s, err := NewSolver(a, cfg)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -249,17 +249,17 @@ func BenchmarkSolveBatch(b *testing.B) {
 		}
 		bs[j] = v
 	}
-	s, err := NewSolver(a, WithRanks(8), WithPhi(3))
+	s, err := NewSolver(a, Config{Ranks: 8, Phi: 3})
 	if err != nil {
 		b.Fatal(err)
 	}
 	defer s.Close()
 	ctx := context.Background()
-	for _, strat := range []Strategy{ESRStrategy, CheckpointStrategy, RestartStrategy, TwinStrategy} {
+	for _, strat := range []string{StrategyESR, StrategyCheckpoint, StrategyRestart, StrategyTwin} {
 		for _, blockSize := range []int{1, DefaultBlockSize} {
 			b.Run(fmt.Sprintf("%s/block%d", strat, blockSize), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					if _, err := s.SolveBatch(ctx, bs, WithStrategy(strat), WithBlockSize(blockSize)); err != nil {
+					if _, err := s.SolveBatch(ctx, bs, Config{Strategy: strat, BlockSize: blockSize}); err != nil {
 						b.Fatal(err)
 					}
 				}
@@ -285,19 +285,19 @@ func BenchmarkStrategyOverhead(b *testing.B) {
 	}
 	cases := []struct {
 		name string
-		opts []Option
+		opts Config
 	}{
-		{"reference", nil},
-		{"esr-phi1", []Option{WithPhi(1)}},
-		{"esr-phi3", []Option{WithPhi(3)}},
-		{"checkpoint-10", []Option{WithStrategy(CheckpointStrategy), WithCheckpointInterval(10)}},
-		{"restart", []Option{WithStrategy(RestartStrategy)}},
+		{"reference", Config{}},
+		{"esr-phi1", Config{Phi: 1}},
+		{"esr-phi3", Config{Phi: 3}},
+		{"checkpoint-10", Config{Strategy: StrategyCheckpoint, CheckpointInterval: 10}},
+		{"restart", Config{Strategy: StrategyRestart}},
 	}
 	ctx := context.Background()
 	for _, tc := range cases {
 		tc := tc
 		b.Run(tc.name, func(b *testing.B) {
-			s, err := NewSolver(a, append([]Option{WithRanks(8)}, tc.opts...)...)
+			s, err := NewSolver(a, Config{Ranks: 8}, tc.opts)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -335,17 +335,17 @@ func BenchmarkTwinOverhead(b *testing.B) {
 	}
 	cases := []struct {
 		name string
-		opts []Option
+		opts Config
 	}{
-		{"esr-phi1", []Option{WithPhi(1)}},
-		{"twin-every1", []Option{WithStrategy(TwinStrategy)}},
-		{"twin-every8", []Option{WithStrategy(TwinStrategy), WithTwinInterval(8)}},
+		{"esr-phi1", Config{Phi: 1}},
+		{"twin-every1", Config{Strategy: StrategyTwin}},
+		{"twin-every8", Config{Strategy: StrategyTwin, TwinInterval: 8}},
 	}
 	ctx := context.Background()
 	for _, tc := range cases {
 		tc := tc
 		b.Run(tc.name, func(b *testing.B) {
-			s, err := NewSolver(a, append([]Option{WithRanks(8)}, tc.opts...)...)
+			s, err := NewSolver(a, Config{Ranks: 8}, tc.opts)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -389,7 +389,7 @@ func BenchmarkTracerOverhead(b *testing.B) {
 	ctx := context.Background()
 	run := func(b *testing.B, opts ...Option) {
 		b.Helper()
-		s, err := NewSolver(a, WithRanks(8), WithPhi(1))
+		s, err := NewSolver(a, Config{Ranks: 8, Phi: 1})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -410,7 +410,7 @@ func BenchmarkTracerOverhead(b *testing.B) {
 	})
 	b.Run("traced", func(b *testing.B) {
 		var tr benchCountingTracer
-		run(b, WithTracer(&tr))
+		run(b, Config{Tracer: &tr})
 		b.StopTimer()
 		if tr.iters.Load() == 0 {
 			b.Fatal("tracer observed no iterations")

@@ -17,7 +17,7 @@ import (
 // statistics in the result, the batch counters on /metrics, the healthz
 // block-size gauge, and the per-job trace reporting the batch width.
 func TestBatchJobE2E(t *testing.T) {
-	eng := engine.New(engine.Options{Workers: 1, QueueCap: 16, TraceIters: 8, Defaults: engine.Defaults{BlockSize: 16}})
+	eng := engine.New(engine.Options{Workers: 1, QueueCap: 16, TraceIters: 8, Defaults: engine.Config{BlockSize: 16}})
 	ts := httptest.NewServer(newMux(eng, testLogger()))
 	defer func() {
 		ts.Close()

@@ -86,8 +86,9 @@ func main() {
 	prepCache := flag.Int("prep-cache", 8, "cached prepared solver sessions")
 	prepTTL := flag.Duration("prep-ttl", 10*time.Minute, "evict idle prepared sessions after this long")
 	maxMatrices := flag.Int("max-matrices", 64, "registered matrix capacity")
-	// The daemon defaults: one engine.Defaults field, one flag.
-	var defaults engine.Defaults
+	// The daemon defaults: one Config field, one flag. They fill the fields
+	// a job leaves zero (engine.Merge).
+	var defaults engine.Config
 	flag.StringVar(&defaults.Transport, "transport", engine.TransportChan,
 		"default communication fabric for jobs that do not pick one (chan|chaos|net; fast is a synonym of chan)")
 	flag.StringVar(&defaults.Strategy, "strategy", engine.StrategyESR,

@@ -59,7 +59,7 @@ func TestCrossStrategy(t *testing.T) {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
 			// Library path: a session built from the wire config.
-			s, err := esr.NewSolver(a, esr.FromConfig(tc.cfg))
+			s, err := esr.NewSolver(a, tc.cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -156,11 +156,8 @@ func TestCrossStrategy(t *testing.T) {
 			esr.Simultaneous(failAt, 1),
 			esr.Overlapping(failAt, 2, 3),
 		)
-		s, err := esr.NewSolver(a,
-			esr.WithRanks(ranks),
-			esr.WithStrategy(esr.CheckpointStrategy),
-			esr.WithCheckpointInterval(interval),
-			esr.WithSchedule(cascade))
+		s, err := esr.NewSolver(a, esr.Config{Ranks: ranks, Strategy: esr.StrategyCheckpoint,
+			CheckpointInterval: interval, Schedule: cascade})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -31,22 +31,24 @@
 // one system, hold a Solver session instead — it prepares that state once
 // and serves any number of concurrent Solve/SolveBatch calls against it:
 //
-//	s, err := esr.NewSolver(a,
-//	    esr.WithRanks(8),
-//	    esr.WithPhi(3),
-//	    esr.WithPreconditioner(esr.BlockJacobiChol),
-//	)
+//	s, err := esr.NewSolver(a, esr.Config{
+//	    Ranks:          8,
+//	    Phi:            3,
+//	    Preconditioner: esr.PrecondBlockJacobiChol,
+//	})
 //	defer s.Close()
 //	sol, err := s.Solve(ctx, b)
 //	sols, err := s.SolveBatch(ctx, manyRHS)
+//	sol, err = s.Solve(ctx, b, esr.Config{Strategy: esr.StrategyCheckpoint})
 //
-// Sessions are configured with typed functional options (WithRanks, WithPhi,
-// WithPreconditioner, WithMethod, WithTolerance, WithSchedule, ...); the
-// JSON Config remains the wire format and lowers onto the same options via
-// FromConfig. Solve/SolveContext are thin wrappers over a one-shot session,
-// and the same prepared path backs the internal/engine job engine and the
-// cmd/esrd HTTP daemon, where a matrix uploaded once via POST /v1/matrices
-// can be referenced by many jobs (JobSpec.MatrixID).
+// A knob is a Config field, and the same Config is the JSON wire format of
+// the cmd/esrd daemon: a session and a call take any number of them (an
+// Option is a Config), a later non-zero field winning. Each field's `scope`
+// tag says whether it is fixed at NewSolver (prep) or may change per call
+// (run, batch, observer). Solve/SolveContext are thin wrappers over a
+// one-shot session, and the same prepared path backs the internal/engine
+// job engine and the cmd/esrd HTTP daemon, where a matrix uploaded once via
+// POST /v1/matrices can be referenced by many jobs (JobSpec.MatrixID).
 //
 // The cmd/esrbench tool reproduces every table and figure of the paper's
 // evaluation (README.md, "Other binaries"). See README.md for a quickstart
@@ -121,9 +123,9 @@ const (
 
 // BitFlip schedules a silent-data-corruption injection: at the poll point of
 // the given iteration, the given bit of the given local element of one solver
-// vector on one rank is flipped — no crash, no error, just wrong data. The
-// TwinStrategy detects and repairs such events; WithSDCCheck detects them
-// under any strategy.
+// vector on one rank is flipped — no crash, no error, just wrong data.
+// StrategyTwin detects and repairs such events; Config.SDCCheckInterval
+// detects them under any strategy.
 func BitFlip(iteration, rank int, target string, index, bit int) Event {
 	return faults.BitFlip(iteration, rank, target, index, bit)
 }
@@ -139,14 +141,13 @@ type Reconstruction = core.Reconstruction
 // reconstruction episode), delivered through Config.Progress.
 type ProgressEvent = core.ProgressEvent
 
-// ProgressFunc observes solver progress (see WithProgress and
-// Config.Progress). It is called synchronously from the solver loop, so it
-// must be cheap and must not block.
+// ProgressFunc observes solver progress (see Config.Progress). It is called
+// synchronously from the solver loop, so it must be cheap and must not block.
 type ProgressFunc = core.ProgressFunc
 
 // Tracer observes a solve at its phase boundaries: per-iteration phase
 // durations (SpMV, preconditioner apply, allreduce), the residual
-// trajectory, and recovery episodes (see WithTracer and Config.Tracer).
+// trajectory, and recovery episodes (see Config.Tracer).
 // Tracing is observer-only — a traced solve is bit-identical to an untraced
 // one — and callbacks run synchronously from the solver loop, so they must
 // be cheap and must not block.
@@ -166,41 +167,110 @@ func MultiTracer(ts ...Tracer) Tracer { return core.MultiTracer(ts...) }
 // the redundancy level covers).
 type DataLossError = core.DataLossError
 
-// SDCDetectedError reports silent data corruption caught by the WithSDCCheck
-// true-residual drift check under a strategy that cannot repair it: the
-// solve is classified as failed (ErrDataLoss) instead of silently returning
-// a wrong answer.
+// SDCDetectedError reports silent data corruption caught by the
+// Config.SDCCheckInterval true-residual drift check under a strategy that
+// cannot repair it: the solve is classified as failed (ErrDataLoss) instead
+// of silently returning a wrong answer.
 type SDCDetectedError = core.SDCDetectedError
 
-// Preconditioner names accepted by Config (the wire format). The typed
-// Preconditioner constants in options.go (Identity, Jacobi, ...) are the
-// session-API equivalents.
+// Preconditioner names accepted by Config.Preconditioner.
 const (
-	PrecondIdentity        = engine.PrecondIdentity
-	PrecondJacobi          = engine.PrecondJacobi
-	PrecondBlockJacobiILU  = engine.PrecondBlockJacobiILU
+	// PrecondIdentity disables preconditioning (plain CG).
+	PrecondIdentity = engine.PrecondIdentity
+	// PrecondJacobi preconditions with diag(A).
+	PrecondJacobi = engine.PrecondJacobi
+	// PrecondBlockJacobiILU preconditions with an ILU(0) factorization of
+	// the rank-local diagonal block (the default).
+	PrecondBlockJacobiILU = engine.PrecondBlockJacobiILU
+	// PrecondBlockJacobiChol solves the rank-local diagonal block exactly
+	// via dense Cholesky — the paper's configuration; expensive to set up,
+	// which is exactly what a Solver session amortizes.
 	PrecondBlockJacobiChol = engine.PrecondBlockJacobiChol
-	PrecondSSOR            = engine.PrecondSSOR
-	PrecondIC0             = engine.PrecondIC0
+	// PrecondSSOR preconditions with symmetric successive overrelaxation of
+	// the local block (relaxation factor Config.SSOROmega).
+	PrecondSSOR = engine.PrecondSSOR
+	// PrecondIC0 preconditions with an incomplete Cholesky factorization
+	// M = L L^T of the local block; the only split-capable choice, required
+	// by MethodSPCG.
+	PrecondIC0 = engine.PrecondIC0
 )
 
-// Transport names accepted by Config (the wire format). The typed Transport
-// constants in options.go (ChanTransport, ChaosTransport, NetTransport)
-// are the session-API equivalents.
+// Method names accepted by Config.Method: the recurrence the solver runs.
+// Both run under every strategy, schedule, detector setting and width.
 const (
-	TransportChan  = engine.TransportChan
+	// MethodPCG is the paper's PCG (Alg. 1), the default.
+	MethodPCG = engine.MethodPCG
+	// MethodSPCG is the split-preconditioner variant ([23, Alg. 5]); it
+	// requires PrecondIC0.
+	MethodSPCG = engine.MethodSPCG
+)
+
+// Transport names accepted by Config.Transport: the communication fabric
+// solves run on. Results are bit-identical on all three.
+const (
+	// TransportChan (the default) is the in-process fabric: mailbox
+	// hand-off between rank goroutines, with payload buffers served from a
+	// pooled recycler so the steady-state halo-exchange/collective loop
+	// does not allocate.
+	TransportChan = engine.TransportChan
+	// TransportChaos delivers every message asynchronously after a
+	// deterministic seeded delay (Config.TransportSeed), reordering messages
+	// across distinct (source, tag) pairs, for stressing the resilience
+	// protocol's ordering assumptions.
 	TransportChaos = engine.TransportChaos
+	// TransportNet runs every rank-to-rank message over real TCP sockets
+	// with length-prefixed frames. In-process solves run it in self-loop
+	// mode (every rank in this process); under the esrd daemon's -peers
+	// coordinator each rank is a separate OS process, and a killed process
+	// is a real node failure that ESR recovers from.
+	TransportNet = engine.TransportNet
 )
 
-// Strategy names accepted by Config (the wire format). The typed Strategy
-// constants in options.go (ESRStrategy, CheckpointStrategy, RestartStrategy,
-// TwinStrategy) are the session-API equivalents.
+// Strategy names accepted by Config.Strategy: how a solve recovers from a
+// failure. One prepared session serves every strategy, so per call it is how
+// the strategies are compared on identical prepared state.
 const (
-	StrategyESR        = engine.StrategyESR
+	// StrategyESR (the default) is the paper's exact state reconstruction:
+	// no explicit steady-state work — phi redundant copies of the search
+	// direction ride the SpMV — and an in-place Alg. 2 reconstruction on
+	// failure. Needs a session with phi >= 1 to honour a failure schedule.
+	StrategyESR = engine.StrategyESR
+	// StrategyCheckpoint is the checkpoint/restart baseline the paper
+	// compares against: a coordinated save of the full solver state to
+	// reliable storage every Config.CheckpointInterval iterations, and a
+	// rollback-and-redo of the lost iterations on failure. Works at phi 0.
 	StrategyCheckpoint = engine.StrategyCheckpoint
-	StrategyRestart    = engine.StrategyRestart
-	StrategyTwin       = engine.StrategyTwin
+	// StrategyRestart is the null strategy: no protection work at all; on
+	// failure the solve restarts from the initial guess. Works at phi 0.
+	StrategyRestart = engine.StrategyRestart
+	// StrategyTwin is the TwinCG-style twin-replica scheme: a node-local
+	// shadow copy of the solver state, compared by checksum every
+	// Config.TwinInterval iterations; on divergence a scalar-residual vote
+	// carries the healthy copy forward — the only strategy that *corrects*
+	// silent data corruption instead of merely detecting it. Fail-stop
+	// failures delegate to ESR reconstruction, so a fail-stop schedule
+	// still needs phi >= 1; corruption-only schedules run at phi 0.
+	StrategyTwin = engine.StrategyTwin
 )
+
+// DefaultBlockSize is the block width SolveBatch uses when Config.BlockSize
+// is 0; MaxBlockSize bounds it.
+const (
+	DefaultBlockSize = engine.DefaultBlockSize
+	MaxBlockSize     = engine.MaxBlockSize
+)
+
+// InvalidConfigError reports a configuration value rejected by validation:
+// Field is the Config field's JSON name ("block_size", "ssor_omega",
+// "strategy", ...), Value the rejected value, Reason what is accepted
+// instead. Every Config rejection is one, whichever way the Config arrived;
+// match it with errors.As and branch on Field, or on the class with
+// errors.Is(err, ErrInvalidArgument).
+type InvalidConfigError = engine.InvalidConfigError
+
+// InvalidRHSError reports a malformed right-hand side in a batch: a column
+// with the wrong length or a non-finite element, naming its index.
+type InvalidRHSError = engine.InvalidRHSError
 
 // StrategyStats aggregates a session's recovery-strategy observables:
 // steady-state protection volumes and recovery costs, comparable across

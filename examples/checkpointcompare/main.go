@@ -5,7 +5,7 @@
 // SpMV moves anyway).
 //
 // Every protection scheme runs through the public session API — one
-// esr.NewSolver per strategy, selected with esr.WithStrategy — so this is
+// esr.NewSolver per strategy, selected with Config.Strategy — so this is
 // exactly the code path the engine and the esrd daemon execute, and the
 // overhead/recovery numbers come from Solver.StrategyStats.
 package main
@@ -35,7 +35,7 @@ func main() {
 
 	// Probe the unprotected reference for the iteration count and baseline
 	// runtime, then fail 3 ranks at 50% progress.
-	probe := solve(a, b, nil)
+	probe, _ := solveWithStats(a, b, nil, esr.Config{})
 	failAt := probe.Result.Iterations / 2
 	sched := esr.NewSchedule(esr.Simultaneous(failAt, 3, 4, 5))
 	fmt.Printf("reference: %d iterations in %v; failures: ranks 3-5 at iteration %d\n\n",
@@ -43,20 +43,20 @@ func main() {
 
 	fmt.Printf("%-34s %8s %8s %10s %12s %14s\n", "protection", "iters", "work", "solve", "recovery", "extra floats")
 
-	row := func(name string, opts ...esr.Option) {
-		sol, stats := solveWithStats(a, b, sched, opts...)
+	row := func(name string, protection esr.Config) {
+		sol, stats := solveWithStats(a, b, sched, protection)
 		fmt.Printf("%-34s %8d %8d %10v %12v %14d\n",
 			name, sol.Result.Iterations, sol.Result.WorkIterations,
 			sol.Result.SolveTime.Round(time.Millisecond), sol.Result.ReconstructTime.Round(time.Microsecond),
 			stats.RedundancyFloats+stats.RecoveryFloats+stats.CheckpointFloats)
 	}
 
-	row(fmt.Sprintf("ESR (phi=%d)", phi), esr.WithPhi(phi))
+	row(fmt.Sprintf("ESR (phi=%d)", phi), esr.Config{Phi: phi})
 	for _, interval := range []int{5, 20, 50} {
 		row(fmt.Sprintf("checkpoint/restart (every %d)", interval),
-			esr.WithStrategy(esr.CheckpointStrategy), esr.WithCheckpointInterval(interval))
+			esr.Config{Strategy: esr.StrategyCheckpoint, CheckpointInterval: interval})
 	}
-	row("cold restart", esr.WithStrategy(esr.RestartStrategy))
+	row("cold restart", esr.Config{Strategy: esr.StrategyRestart})
 
 	fmt.Println("\n'extra floats' counts the protection traffic: ESR's redundant search-")
 	fmt.Println("direction elements vs the state volume C/R ships to reliable storage.")
@@ -65,19 +65,13 @@ func main() {
 	fmt.Println("restart redoes everything and serves as the lower bound on protection cost.")
 }
 
-func solve(a *esr.Matrix, b []float64, sched *esr.Schedule, opts ...esr.Option) esr.Solution {
-	sol, _ := solveWithStats(a, b, sched, opts...)
-	return sol
-}
-
-func solveWithStats(a *esr.Matrix, b []float64, sched *esr.Schedule, opts ...esr.Option) (esr.Solution, esr.StrategyStats) {
-	opts = append([]esr.Option{esr.WithRanks(ranks)}, opts...)
-	s, err := esr.NewSolver(a, opts...)
+func solveWithStats(a *esr.Matrix, b []float64, sched *esr.Schedule, protection esr.Config) (esr.Solution, esr.StrategyStats) {
+	s, err := esr.NewSolver(a, esr.Config{Ranks: ranks}, protection)
 	if err != nil {
 		log.Fatal(err)
 	}
 	defer s.Close()
-	sol, err := s.Solve(context.Background(), b, esr.WithSchedule(sched))
+	sol, err := s.Solve(context.Background(), b, esr.Config{Schedule: sched})
 	if err != nil {
 		log.Fatal(err)
 	}

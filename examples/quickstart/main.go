@@ -52,11 +52,11 @@ func main() {
 	// many: the session partitions the matrix, builds the redundancy
 	// protocol and factors the preconditioner a single time, then serves
 	// concurrent solves against that state.
-	s, err := esr.NewSolver(a,
-		esr.WithRanks(8),
-		esr.WithPhi(1),
-		esr.WithSchedule(esr.NewSchedule(esr.Simultaneous(failAt, 3))),
-	)
+	s, err := esr.NewSolver(a, esr.Config{
+		Ranks:    8,
+		Phi:      1,
+		Schedule: esr.NewSchedule(esr.Simultaneous(failAt, 3)),
+	})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -9,7 +9,7 @@
 // (NewStrategy): the periodic coordinated save is the strategy's
 // steady-state overhead work and the rollback is its recovery episode, so
 // C/R runs on exactly the solve path as ESR and is selectable through the
-// whole stack (engine.Config.Strategy, esr.WithStrategy, esrd -strategy).
+// whole stack (engine.Config.Strategy, esrd -strategy).
 //
 // The reliable store is simulated by memory outside the rank's own (a
 // snapshot table shared through the Strategy); the data volume of every save

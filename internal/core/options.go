@@ -43,11 +43,11 @@ type ProgressFunc func(ProgressEvent)
 
 // Options configures a solver run. The solvers are transport-agnostic:
 // they speak to whatever communication fabric the caller's cluster.Runtime
-// was built with (selection lives in engine.Config.Transport /
-// esr.WithTransport), and their buffer usage honours the zero-copy
-// contract — allreduce results are recycled after reading and the SpMV owns
-// its payload lifetimes — so the fabric's pooled recycler keeps the
-// iteration loop's sends allocation-free without any solver-level switches.
+// was built with (selection lives in engine.Config.Transport), and their
+// buffer usage honours the zero-copy contract — allreduce results are
+// recycled after reading and the SpMV owns its payload lifetimes — so the
+// fabric's pooled recycler keeps the iteration loop's sends allocation-free
+// without any solver-level switches.
 type Options struct {
 	// Tol is the relative residual reduction target; the solver stops when
 	// ||r|| <= Tol * ||r0||. The paper uses 1e-8 (Sec. 7.1).

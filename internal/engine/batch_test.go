@@ -198,7 +198,7 @@ func TestBatchSpecValidation(t *testing.T) {
 // failing it later — and never dispatches it.
 func TestBatchJobRejectedOnNetCoordinator(t *testing.T) {
 	e := New(Options{
-		Workers: 1, QueueCap: 4, Defaults: Defaults{Transport: TransportNet},
+		Workers: 1, QueueCap: 4, Defaults: Config{Transport: TransportNet},
 		NetRunner: func(ctx context.Context, spec JobSpec, progress func(core.ProgressEvent)) (Solution, error) {
 			return Solution{}, errors.New("unexpected dispatch")
 		},

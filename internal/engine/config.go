@@ -11,8 +11,8 @@
 package engine
 
 import (
-	"cmp"
 	"fmt"
+	"math"
 	"reflect"
 	"strings"
 
@@ -33,37 +33,25 @@ const (
 	PrecondIC0             = "ic0"
 )
 
-// Method names accepted by Config; what each selects is Config.Method's.
+// Method names accepted by Config: the recurrence the one driver loop runs
+// (the esr package documents each). The empty string selects MethodPCG.
 const (
-	MethodAuto   = ""
-	MethodPCG    = "pcg"
-	MethodESRPCG = "esrpcg"
-	MethodSPCG   = "spcg"
+	MethodPCG  = "pcg"
+	MethodSPCG = "spcg"
 )
 
-// Strategy names accepted by Config (mirroring internal/core). The empty
-// string selects the default ESR strategy.
+// esrpcgSynonym is an accepted synonym of MethodPCG (journaled job specs
+// carry it: it named the same solver while "pcg" refused schedules);
+// WithDefaults resolves it like fastSynonym.
+const esrpcgSynonym = "esrpcg"
+
+// Strategy names accepted by Config (mirroring internal/core; the esr
+// package documents each). The empty string selects StrategyESR.
 const (
-	// StrategyESR recovers with the paper's exact state reconstruction:
-	// zero explicit per-iteration work (the redundancy rides the SpMV) and
-	// an in-place Alg. 2 reconstruction on failure. Needs Phi >= 1 to
-	// honour a failure schedule.
-	StrategyESR = core.StrategyESR
-	// StrategyCheckpoint is the checkpoint/restart baseline: a coordinated
-	// save to reliable storage every CheckpointInterval iterations, and a
-	// rollback-and-redo on failure. Works at Phi 0.
+	StrategyESR        = core.StrategyESR
 	StrategyCheckpoint = core.StrategyCheckpoint
-	// StrategyRestart is the null strategy: no protection work at all; a
-	// failure restarts the solve from the initial guess. Works at Phi 0.
-	StrategyRestart = core.StrategyRestart
-	// StrategyTwin is the TwinCG-style twin-replica scheme: a node-local
-	// shadow copy of the solver state, compared by checksum every
-	// TwinInterval iterations; on divergence a scalar-residual vote picks
-	// the healthy copy and the solve continues forward (no rollback). The
-	// only strategy that *corrects* silent data corruption. Fail-stop
-	// failures delegate to ESR reconstruction, so it needs Phi >= 1 to
-	// honour a fail-stop schedule (corruption-only schedules run at Phi 0).
-	StrategyTwin = core.StrategyTwin
+	StrategyRestart    = core.StrategyRestart
+	StrategyTwin       = core.StrategyTwin
 )
 
 // DefaultBlockSize is the blocked multi-RHS width applied to batched solves
@@ -79,21 +67,12 @@ const DefaultBlockSize = 32
 // could exhaust memory before the solver's first iteration.
 const MaxBlockSize = 4096
 
-// Transport names accepted by Config (mirroring internal/cluster). The
-// empty string selects the default, TransportChan.
+// Transport names accepted by Config (mirroring internal/cluster; the esr
+// package documents each). The empty string selects TransportChan.
 const (
-	// TransportChan is the default in-process fabric: mailbox hand-off
-	// between rank goroutines, payload buffers from a pooled recycler.
-	TransportChan = cluster.TransportChan
-	// TransportChaos delivers every message asynchronously after a seeded
-	// delay, reordered across wires, for stressing the resilience
-	// protocol's ordering assumptions.
+	TransportChan  = cluster.TransportChan
 	TransportChaos = cluster.TransportChaos
-	// TransportNet runs every rank-to-rank message over real TCP sockets
-	// (loopback self-loop inside one process; internal/netrun spreads ranks
-	// across OS processes), with identical delivery semantics and
-	// bit-identical results.
-	TransportNet = cluster.TransportNet
+	TransportNet   = cluster.TransportNet
 )
 
 // fastSynonym is an accepted synonym of TransportChan (journaled job specs
@@ -126,8 +105,9 @@ const (
 func fieldScope(f reflect.StructField) Scope { return Scope(f.Tag.Get("scope")) }
 
 // prepFields indexes Config's prep-scoped fields; solveFields the rest, the
-// run-, batch- and observer-scoped fields a per-solve Config may set.
-var prepFields, solveFields = func() (prep, solve []int) {
+// run-, batch- and observer-scoped fields a per-solve Config may set;
+// allFields both.
+var prepFields, solveFields, allFields = func() (prep, solve, all []int) {
 	t := reflect.TypeOf(Config{})
 	for i := 0; i < t.NumField(); i++ {
 		if fieldScope(t.Field(i)) == ScopePrep {
@@ -135,21 +115,34 @@ var prepFields, solveFields = func() (prep, solve []int) {
 		} else {
 			solve = append(solve, i)
 		}
+		all = append(all, i)
 	}
-	return prep, solve
+	return prep, solve, all
 }()
 
-// overlay sets c's per-solve fields from o wherever o's is non-zero: the
-// call's value wins, zero keeps c's. o's prep-scoped fields are ignored — a
-// prepared session's numeric state cannot change per solve. o is a pointer
-// so the reflection does not copy (and heap-allocate) the Config.
-func (c *Config) overlay(o *Config) {
+// overlay sets c's fields among fields from o wherever o's is non-zero: o's
+// value wins, zero keeps c's. o is a pointer so the reflection does not copy
+// (and heap-allocate) the Config.
+func (c *Config) overlay(o *Config, fields []int) {
 	dst, src := reflect.ValueOf(c).Elem(), reflect.ValueOf(o).Elem()
-	for _, i := range solveFields {
+	for _, i := range fields {
 		if f := src.Field(i); !f.IsZero() {
 			dst.Field(i).Set(f)
 		}
 	}
+}
+
+// Merge is the one rule that combines configurations: base with every field
+// each of over sets (non-zero) laid on it in turn, so the last non-zero value
+// of a field wins and zero keeps what came before. It combines esr.NewSolver's
+// options, a Solver call's options with its session, and a job's Config with
+// the daemon defaults beneath it. A prepared session resolves each solve's
+// policy by the same rule over the non-prep fields only.
+func Merge(base Config, over ...Config) Config {
+	for i := range over {
+		base.overlay(&over[i], allFields)
+	}
+	return base
 }
 
 // Config controls a solve. The zero value selects the paper's experimental
@@ -160,7 +153,8 @@ func (c *Config) overlay(o *Config) {
 // solver layer cannot default. Invalid values are rejected by Validate with
 // an *InvalidConfigError naming the field.
 type Config struct {
-	// Ranks is the number of simulated compute nodes (default 8).
+	// Ranks is the number of simulated compute nodes (default 8, clamped to
+	// the matrix size).
 	Ranks int `json:"ranks,omitempty" scope:"prep"`
 	// Phi is the number of simultaneous node failures to tolerate
 	// (default 0: plain PCG without redundancy).
@@ -168,24 +162,23 @@ type Config struct {
 	// Preconditioner selects the node-local block preconditioner; see the
 	// Precond* constants (default block-jacobi-ilu).
 	Preconditioner string `json:"preconditioner,omitempty" scope:"prep"`
-	// Tol is the relative residual reduction target; <= 0 selects the
+	// Tol is the relative residual reduction target; 0 selects the
 	// core.Options default (1e-8, as in the paper).
 	Tol float64 `json:"tol,omitempty" scope:"run"`
-	// MaxIter bounds the PCG iterations; <= 0 selects the core.Options
-	// default (10 n).
+	// MaxIter bounds the PCG iterations; 0 selects the core.Options default
+	// (10 n).
 	MaxIter int `json:"max_iter,omitempty" scope:"run"`
-	// LocalTol is the reconstruction subsystem tolerance; <= 0 selects the
+	// LocalTol is the reconstruction subsystem tolerance; 0 selects the
 	// core.Options default (1e-14).
 	LocalTol float64 `json:"local_tol,omitempty" scope:"run"`
 	// SSOROmega is the relaxation factor when Preconditioner is "ssor"
 	// (default 1.2). SSOR diverges outside 0 < omega < 2. It shapes (and
 	// identifies) prepared state only under that preconditioner.
 	SSOROmega float64 `json:"ssor_omega,omitempty" scope:"prep"`
-	// Method selects the solver: MethodSPCG runs the split-preconditioner
-	// variant (requires Preconditioner "ic0"); MethodPCG, MethodESRPCG and
-	// MethodAuto ("") run the same resilient PCG and differ only in what
-	// Validate accepts — MethodPCG, the reference, refuses a failure
-	// schedule, a non-ESR strategy and the SDC check.
+	// Method names the recurrence: MethodPCG (default; "esrpcg" is an
+	// accepted synonym) or MethodSPCG, the split-preconditioner variant
+	// (requires Preconditioner "ic0"). Both run under every strategy,
+	// schedule and detector setting.
 	Method string `json:"method,omitempty" scope:"run"`
 	// Transport selects the cluster communication fabric: TransportChan
 	// (default; "fast" is an accepted synonym), TransportChaos
@@ -216,9 +209,7 @@ type Config struct {
 	// recurrence residual. Under the twin strategy detected drift is
 	// repaired forward; under every other strategy the solve fails with a
 	// data_loss-classed *core.SDCDetectedError instead of silently
-	// returning a wrong answer. 0 (the default) disables the detector. The
-	// strategy-free reference solver runs no check (it is incompatible with
-	// Method "pcg").
+	// returning a wrong answer. 0 (the default) disables the detector.
 	SDCCheckInterval int `json:"sdc_check_interval,omitempty" scope:"run"`
 	// BlockSize is the width of the blocked multi-RHS solve path: batched
 	// right-hand sides are solved in lockstep groups of up to BlockSize
@@ -242,13 +233,16 @@ type Config struct {
 
 // WithDefaults normalizes the runtime-level fields (see the type doc for why
 // the numerical tolerances are left to core.Options). It only fills zero
-// values and resolves the one synonym ("fast"); it never repairs
-// invalid ones — an out-of-range SSOROmega passes
+// values and resolves the two synonyms ("fast", "esrpcg"); it never repairs
+// invalid ones — a negative Ranks or an out-of-range SSOROmega passes
 // through unchanged so that Validate can reject it with a typed error
-// instead of the solver silently diverging with it.
+// instead of the solver silently running on a default or diverging.
 func (c Config) WithDefaults() Config {
-	if c.Ranks <= 0 {
+	if c.Ranks == 0 {
 		c.Ranks = 8
+	}
+	if c.Method == "" || c.Method == esrpcgSynonym {
+		c.Method = MethodPCG
 	}
 	if c.Preconditioner == "" {
 		if c.Method == MethodSPCG {
@@ -344,15 +338,32 @@ func invalid(field string, value any, format string, args ...any) error {
 }
 
 // Validate checks the configuration after WithDefaults normalization, field
-// by field, then the rules binding a method to the rest, then the failure
-// schedule against the ranks and the redundancy its recovery needs. It is
-// called at job submission (with the daemon defaults applied), at session
-// preparation and on every solve's resolved run policy, so invalid
+// by field, then the failure schedule against the ranks and the redundancy
+// its recovery needs. Zero is "the default" on every field, never an error.
+// It is called at job submission (over the daemon defaults), at session
+// preparation and on every solve's resolved policy, so invalid
 // configurations are rejected at the door rather than failing (or silently
 // diverging) mid-solve. Every rejection is an *InvalidConfigError (class
 // xerr.InvalidArgument).
 func (c Config) Validate() error {
 	c = c.WithDefaults()
+	if c.Ranks < 1 {
+		return invalid("ranks", c.Ranks, "use a positive rank count, or 0 for the default (8)")
+	}
+	for _, f := range []struct {
+		name string
+		v    float64
+	}{{"tol", c.Tol}, {"local_tol", c.LocalTol}} {
+		if !(f.v >= 0) || math.IsInf(f.v, 1) { // NaN fails the comparison
+			return invalid(f.name, f.v, "use a finite positive value, or 0 for the default")
+		}
+	}
+	if math.IsNaN(c.SSOROmega) || math.IsInf(c.SSOROmega, 0) {
+		return invalid("ssor_omega", c.SSOROmega, "must be finite")
+	}
+	if c.MaxIter < 0 {
+		return invalid("max_iter", c.MaxIter, "use a positive iteration bound, or 0 for the default (10 n)")
+	}
 	switch c.Preconditioner {
 	case PrecondIdentity, PrecondJacobi, PrecondBlockJacobiILU, PrecondBlockJacobiChol, PrecondSSOR, PrecondIC0:
 	default:
@@ -362,9 +373,13 @@ func (c Config) Validate() error {
 		return invalid("ssor_omega", c.SSOROmega, "SSOR diverges outside (0, 2)")
 	}
 	switch c.Method {
-	case MethodAuto, MethodPCG, MethodESRPCG, MethodSPCG:
+	case MethodPCG:
+	case MethodSPCG:
+		if c.Preconditioner != PrecondIC0 {
+			return invalid("method", c.Method, "needs the split preconditioner %q, got %q", PrecondIC0, c.Preconditioner)
+		}
 	default:
-		return invalid("method", c.Method, "unknown method")
+		return invalid("method", c.Method, "want %q or %q", MethodPCG, MethodSPCG)
 	}
 	switch c.Transport {
 	case TransportChan, TransportChaos, TransportNet:
@@ -395,27 +410,6 @@ func (c Config) Validate() error {
 	if c.Phi < 0 || c.Phi >= c.Ranks {
 		return invalid("phi", c.Phi, "out of range [0, %d)", c.Ranks)
 	}
-	switch c.Method {
-	case MethodSPCG:
-		if c.Preconditioner != PrecondIC0 {
-			return invalid("method", c.Method, "needs the split preconditioner %q, got %q", PrecondIC0, c.Preconditioner)
-		}
-	case MethodPCG:
-		if !c.Schedule.Empty() {
-			return invalid("method", c.Method, "cannot honour a failure schedule (use %q)", MethodESRPCG)
-		}
-		if c.Strategy != StrategyESR {
-			// The reference solver runs no protection at all; accepting it on a
-			// C/R or restart config would silently skip the strategy the caller
-			// asked for (and mislabel the strategy gauges).
-			return invalid("method", c.Method, "is the strategy-free reference solver; use %q or %q with strategy %q",
-				MethodAuto, MethodESRPCG, c.Strategy)
-		}
-		if c.SDCCheckInterval > 0 {
-			return invalid("method", c.Method, "does not run the silent-data-corruption check (use %q or %q)",
-				MethodAuto, MethodESRPCG)
-		}
-	}
 	if err := c.Schedule.Validate(c.Ranks); err != nil {
 		return &InvalidConfigError{Field: "schedule", Reason: err.Error()}
 	}
@@ -427,37 +421,4 @@ func (c Config) Validate() error {
 			c.Strategy, StrategyCheckpoint, StrategyRestart)
 	}
 	return nil
-}
-
-// Defaults are an engine's daemon-level settings (esrd -transport, -strategy,
-// -twin-interval, -sdc-check-interval, -block-size): each applies
-// to jobs that leave the corresponding Config field at its zero value, and
-// zero keeps the library default.
-type Defaults struct {
-	Transport        string
-	Strategy         string
-	TwinInterval     int
-	SDCCheckInterval int
-	BlockSize        int
-}
-
-// Validate accepts exactly the values Config.Validate accepts.
-func (d Defaults) Validate() error {
-	return Config{Transport: d.Transport, Strategy: d.Strategy, TwinInterval: d.TwinInterval,
-		SDCCheckInterval: d.SDCCheckInterval, BlockSize: d.BlockSize}.Validate()
-}
-
-// apply fills cfg's zero-valued fields from d. Reference-PCG jobs keep the
-// library's strategy and detector settings: pcg runs no strategy and no
-// check at all, so a daemon default there would fail a job its client
-// validly submitted.
-func (d Defaults) apply(cfg Config) Config {
-	cfg.Transport = cmp.Or(cfg.Transport, d.Transport)
-	cfg.TwinInterval = cmp.Or(cfg.TwinInterval, d.TwinInterval)
-	cfg.BlockSize = cmp.Or(cfg.BlockSize, d.BlockSize)
-	if cfg.Method != MethodPCG {
-		cfg.Strategy = cmp.Or(cfg.Strategy, d.Strategy)
-		cfg.SDCCheckInterval = cmp.Or(cfg.SDCCheckInterval, d.SDCCheckInterval)
-	}
-	return cfg
 }

@@ -299,11 +299,13 @@ type Options struct {
 	PrepCacheTTL time.Duration
 	// MaxMatrices caps the matrix store (default 64, <0 unbounded).
 	MaxMatrices int
-	// Defaults are the daemon-level settings applied to jobs that leave the
-	// corresponding Config field at zero. New panics on values Config.Validate
-	// would reject: otherwise every job relying on one would pass submit-time
-	// validation and then fail mid-run with an error its client never caused.
-	Defaults Defaults
+	// Defaults are the daemon-level settings (esrd -transport, -strategy,
+	// -twin-interval, -sdc-check-interval, -block-size) beneath every job's
+	// Config: Merge fills each field a job leaves zero from them. New panics
+	// on a Config that Validate rejects: otherwise every job relying on one
+	// would pass submit-time validation and then fail mid-run with an error
+	// its client never caused.
+	Defaults Config
 	// TraceIters, when > 0, captures the last TraceIters per-iteration
 	// traces of every job in a bounded ring (plus all recovery episodes),
 	// served by Engine.Trace. 0 (the default) disables capture; the metric
@@ -343,7 +345,7 @@ type Engine struct {
 	jobTTL     time.Duration
 	prep       *prepCache
 	matrices   *matrixStore
-	defaults   Defaults
+	defaults   Config
 	traceIters int
 	netRunner  NetRunner
 	metrics    *engineMetrics
@@ -590,7 +592,7 @@ func (e *Engine) Submit(spec JobSpec) (string, error) {
 	// Validate the Config the job will run under: a daemon default strategy
 	// decides, for one, whether a phi-0 failure schedule is servable.
 	checked := spec
-	checked.Config = e.defaults.apply(spec.Config)
+	checked.Config = Merge(e.defaults, spec.Config)
 	if err := checked.Validate(); err != nil {
 		return "", err
 	}
@@ -1022,7 +1024,7 @@ func (e *Engine) run(j *job) {
 	}
 	defer cancelTimeout()
 
-	cfg := e.defaults.apply(j.spec.Config).WithDefaults()
+	cfg := Merge(e.defaults, j.spec.Config).WithDefaults()
 	if cfg.Transport == TransportNet && e.netRunner != nil {
 		// A coordinator daemon fans net-transport jobs out to external rank
 		// processes; each worker process prepares its own session, so the

@@ -3,6 +3,7 @@ package engine
 import (
 	"encoding/json"
 	"fmt"
+	"maps"
 	"math"
 	"reflect"
 	"testing"
@@ -251,11 +252,12 @@ func TestJournalParentFormatReplays(t *testing.T) {
 
 func jobID(seq int) string { return fmt.Sprintf("job-%06d", seq) }
 
-// TestCompatJournalReplaysRemovedKnobs: a parent-format journal whose submit
-// record still carries the removed per-job thread cap ("threads": 2) and the
-// old fabric name ("transport": "fast") replays — the unknown field is
-// ignored, the synonym resolves to chan — and the job re-runs to the bits of
-// the same job submitted today.
+// TestCompatJournalReplaysRemovedKnobs: parent-format journals replay. One
+// submit record still carries the removed per-job thread cap ("threads": 2)
+// and the old fabric name ("transport": "fast"), two the method names of the
+// reference-only era ("method": "pcg" and "esrpcg") — the unknown field is
+// ignored, the synonyms resolve to chan and pcg — and each job re-runs to the
+// bits of the same job submitted today with neither.
 func TestCompatJournalReplaysRemovedKnobs(t *testing.T) {
 	spec := durableSpec()
 	spec.Config.Phi = 1
@@ -264,24 +266,25 @@ func TestCompatJournalReplaysRemovedKnobs(t *testing.T) {
 	for i := range spec.RHS {
 		spec.RHS[i] = math.Sin(float64(i) + 0.5)
 	}
-	raw, err := json.Marshal(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var old map[string]any
-	if err := json.Unmarshal(raw, &old); err != nil {
-		t.Fatal(err)
-	}
-	cfg := old["config"].(map[string]any)
-	cfg["threads"], cfg["transport"] = 2, "fast"
-	if raw, err = json.Marshal(old); err != nil {
-		t.Fatal(err)
-	}
-
+	old := []map[string]any{{"threads": 2, "transport": "fast"}, {"method": "pcg"}, {"method": "esrpcg"}}
 	dir := t.TempDir()
 	st := openStore(t, dir)
-	if err := st.Append(store.Record{Kind: store.KindSubmit, Time: time.Now(), JobID: jobID(1), Spec: raw}); err != nil {
-		t.Fatal(err)
+	for n, knobs := range old {
+		raw, err := json.Marshal(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var rec map[string]any
+		if err := json.Unmarshal(raw, &rec); err != nil {
+			t.Fatal(err)
+		}
+		maps.Copy(rec["config"].(map[string]any), knobs)
+		if raw, err = json.Marshal(rec); err != nil {
+			t.Fatal(err)
+		}
+		if err := st.Append(store.Record{Kind: store.KindSubmit, Time: time.Now(), JobID: jobID(n + 1), Spec: raw}); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
@@ -292,7 +295,6 @@ func TestCompatJournalReplaysRemovedKnobs(t *testing.T) {
 	if errs := e.metrics.storeErrors.Value(); errs != 0 {
 		t.Fatalf("replay counted %v store errors", errs)
 	}
-	got := waitTerminal(t, e, jobID(1), 30*time.Second)
 
 	ref := New(Options{Workers: 1})
 	defer ref.Close()
@@ -301,16 +303,19 @@ func TestCompatJournalReplaysRemovedKnobs(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := waitTerminal(t, ref, refID, 30*time.Second)
-	if got.State != StateDone || want.State != StateDone {
-		t.Fatalf("replayed job %s (%q), reference %s (%q)", got.State, got.Error, want.State, want.Error)
+	for n, knobs := range old {
+		got := waitTerminal(t, e, jobID(n+1), 30*time.Second)
+		if got.State != StateDone || want.State != StateDone {
+			t.Fatalf("%v: replayed job %s (%q), reference %s (%q)", knobs, got.State, got.Error, want.State, want.Error)
+		}
+		if g, w := got.Result.Result, want.Result.Result; g.Iterations != w.Iterations || len(g.Reconstructions) != 1 {
+			t.Fatalf("%v: replayed job: %d iterations, %d episodes; reference %d iterations",
+				knobs, g.Iterations, len(g.Reconstructions), w.Iterations)
+		}
+		sameBits(t, fmt.Sprintf("%v: replayed x", knobs), got.Result.X, want.Result.X)
 	}
-	if g, w := got.Result.Result, want.Result.Result; g.Iterations != w.Iterations || len(g.Reconstructions) != 1 {
-		t.Fatalf("replayed job: %d iterations, %d episodes; reference %d iterations",
-			g.Iterations, len(g.Reconstructions), w.Iterations)
-	}
-	sameBits(t, "replayed x", got.Result.X, want.Result.X)
 	if _, ok := e.TransportStats()[TransportChan]; !ok || len(e.TransportStats()) != 1 {
-		t.Fatalf("replayed job ran on %v, want chan alone", e.TransportStats())
+		t.Fatalf("replayed jobs ran on %v, want chan alone", e.TransportStats())
 	}
 }
 

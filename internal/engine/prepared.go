@@ -290,14 +290,14 @@ func (ps *Prepared) Phi() int { return ps.cfg.Phi }
 func (ps *Prepared) Config() Config { return ps.cfg }
 
 // policy resolves one solve's policy: the session's Config overlaid with the
-// call's non-zero per-solve fields (Config.overlay), validated as a whole —
-// so every rule binding a method, a strategy, a schedule or the detector to
-// the prepared state is Config.Validate's alone. The overlay's reflection
+// call's non-zero per-solve fields (Merge's rule, prep fields left out),
+// validated as a whole — so every rule binding a method, a strategy, a
+// schedule or the detector to the prepared state is Config.Validate's alone. The overlay's reflection
 // puts the resolved Config on the heap anyway, so it is returned by pointer
 // for the solve's rank closures to share.
 func (ps *Prepared) policy(o *Config) (*Config, error) {
 	c := ps.cfg
-	c.overlay(o)
+	c.overlay(o, solveFields)
 	if err := c.Validate(); err != nil {
 		return nil, err
 	}

@@ -93,6 +93,9 @@ func TestQuickConfigScopes(t *testing.T) {
 		}
 		sessionVal, callVal := solveSentinels(t, f)
 		session, call := base, Config{}
+		if f.Name == "Method" {
+			session.Preconditioner = PrecondIC0 // spcg's split factor
+		}
 		reflect.ValueOf(&session).Elem().Field(i).Set(sessionVal)
 		reflect.ValueOf(&call).Elem().Field(i).Set(callVal)
 		if got := reflect.ValueOf(policyOn(session, call)).Field(i); !same(got, callVal) {
@@ -124,7 +127,7 @@ func solveSentinels(t *testing.T, f reflect.StructField) (session, call reflect.
 	default:
 		switch f.Name {
 		case "Method":
-			a, b = MethodPCG, MethodESRPCG
+			a, b = MethodSPCG, MethodPCG // on an ic0 session (TestQuickConfigScopes)
 		case "Transport":
 			a, b = TransportChaos, TransportNet
 		case "Strategy":

@@ -264,15 +264,14 @@ func TestQuickPrepareContextCancel(t *testing.T) {
 }
 
 // TestQuickCacheSharedMethodIsolation: a cached session built by an
-// explicit-method job must not leak that method into method-auto jobs
-// sharing the prep key.
+// spcg job must not leak that method into a job sharing its prep key that
+// leaves the method unset: that job runs the default pcg recurrence, bitwise.
 func TestQuickCacheSharedMethodIsolation(t *testing.T) {
 	e := New(Options{Workers: 1})
 	defer e.Close()
 
 	builder := tinySpec()
-	builder.Config.Phi = 2
-	builder.Config.Method = MethodPCG // valid: no schedule
+	builder.Config.Phi, builder.Config.Method = 2, MethodSPCG // implies ic0
 	id, err := e.Submit(builder)
 	if err != nil {
 		t.Fatal(err)
@@ -281,19 +280,30 @@ func TestQuickCacheSharedMethodIsolation(t *testing.T) {
 		t.Fatalf("builder job: %s (%q)", st.State, st.Error)
 	}
 
-	// Same prep key (method is solve-scoped), auto method, with failures:
-	// must auto-resolve to ESRPCG and succeed, not inherit "pcg".
+	// Same prep key (method is run policy), default method, with failures.
 	auto := resilientSpec()
-	id, err = e.Submit(auto)
-	if err != nil {
+	auto.Config.Preconditioner, auto.KeepSolution = PrecondIC0, true
+	if id, err = e.Submit(auto); err != nil {
 		t.Fatal(err)
 	}
 	st := waitTerminal(t, e, id, 30*time.Second)
-	if st.State != StateDone || !st.Result.Result.Converged {
+	if st.State != StateDone || len(st.Result.Result.Reconstructions) != 1 {
 		t.Fatalf("auto job on shared session: %s (%q)", st.State, st.Error)
 	}
-	if len(st.Result.Result.Reconstructions) != 1 {
-		t.Fatalf("auto job reconstructions: %d", len(st.Result.Result.Reconstructions))
+	a, b, err := auto.Materialize()
+	if err != nil {
+		t.Fatal(err)
+	}
+	pcg := auto.Config
+	pcg.Method = MethodPCG
+	want, err := SolveSystem(context.Background(), a, b, pcg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range want.X {
+		if st.Result.X[i] != want.X[i] {
+			t.Fatalf("auto job x[%d] = %x, a pcg solve's %x: the builder's spcg leaked", i, st.Result.X[i], want.X[i])
+		}
 	}
 	if cs := e.CacheStats(); cs.Hits != 1 || cs.Misses != 1 {
 		t.Fatalf("expected the two jobs to share one session: %+v", cs)

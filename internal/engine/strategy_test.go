@@ -76,26 +76,6 @@ func TestQuickStrategyConfigValidation(t *testing.T) {
 	if err != nil || !sol.Result.Converged || sol.Result.WorkIterations != sol.Result.Iterations+3 {
 		t.Fatalf("spcg+checkpoint under a failure at 6 (rollback to 4 redoes 4, 5 and the begun 6): %+v, err %v", sol.Result, err)
 	}
-	// The reference solver runs no strategy; pairing it with one would
-	// silently skip the requested protection.
-	pcg := Config{Method: MethodPCG, Strategy: StrategyRestart}
-	if err := pcg.Validate(); err == nil || !strings.Contains(err.Error(), "strategy-free") {
-		t.Fatalf("pcg+restart: want strategy error, got %v", err)
-	}
-	prepCk, err := Prepare(a, Config{Ranks: 4, Strategy: StrategyCheckpoint})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer prepCk.Close()
-	ones := make([]float64, a.Rows)
-	for i := range ones {
-		ones[i] = 1
-	}
-	if _, err := prepCk.Solve(context.Background(), ones, Config{Method: MethodPCG}); err == nil ||
-		!strings.Contains(err.Error(), "strategy-free") {
-		t.Fatalf("per-solve pcg on a checkpoint session: want strategy error, got %v", err)
-	}
-
 	// The valid names (and the empty default) all pass.
 	for _, s := range []string{"", StrategyESR, StrategyCheckpoint, StrategyRestart} {
 		if err := (Config{Strategy: s}).Validate(); err != nil {
@@ -202,7 +182,7 @@ func TestStrategySessionAndEngineGauges(t *testing.T) {
 		t.Fatalf("redone iterations = %d, want 3", ss.RedoneIterations)
 	}
 
-	eng := New(Options{Workers: 1, Defaults: Defaults{Strategy: StrategyRestart}})
+	eng := New(Options{Workers: 1, Defaults: Config{Strategy: StrategyRestart}})
 	defer eng.Close()
 	id, err := eng.Submit(JobSpec{
 		Matrix: MatrixSpec{Generator: "poisson2d", Params: map[string]float64{"nx": 12}},
@@ -289,7 +269,7 @@ func TestQuickPhiZeroFailStopRefusedAtSubmit(t *testing.T) {
 	if _, err := eng.Submit(spec(StrategyCheckpoint)); err != nil {
 		t.Fatalf("checkpoint at phi 0: %v", err)
 	}
-	restart := New(Options{Workers: 1, Defaults: Defaults{Strategy: StrategyRestart}})
+	restart := New(Options{Workers: 1, Defaults: Config{Strategy: StrategyRestart}})
 	defer restart.Close()
 	if _, err := restart.Submit(spec("")); err != nil {
 		t.Fatalf("restart default at phi 0: %v", err)

@@ -80,7 +80,7 @@ func TestQuickTransportSessionStats(t *testing.T) {
 		t.Fatalf("recycler unused: %+v", afterSolve)
 	}
 
-	eng := New(Options{Workers: 1, Defaults: Defaults{Transport: TransportChaos}})
+	eng := New(Options{Workers: 1, Defaults: Config{Transport: TransportChaos}})
 	defer eng.Close()
 	id, err := eng.Submit(JobSpec{
 		Matrix: MatrixSpec{Generator: "poisson2d", Params: map[string]float64{"nx": 12}},

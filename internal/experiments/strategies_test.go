@@ -38,17 +38,13 @@ func TestExperimentsRunTheProductPath(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			s, err := esr.NewSolver(a, esr.WithRanks(ranks), esr.WithPhi(tc.phi), esr.WithPreconditioner(esr.PrecondJacobi))
+			s, err := esr.NewSolver(a, esr.Config{Ranks: ranks, Phi: tc.phi, Preconditioner: esr.PrecondJacobi})
 			if err != nil {
 				t.Fatal(err)
 			}
 			defer s.Close()
-			opts := []esr.Option{esr.WithTolerance(1e-8), esr.WithLocalTolerance(1e-14),
-				esr.WithSchedule(tc.sched), esr.WithStrategy(esr.Strategy(tc.strategy))}
-			if tc.interval > 0 {
-				opts = append(opts, esr.WithCheckpointInterval(tc.interval))
-			}
-			sol, err := s.Solve(context.Background(), rhsFor(a.Rows), opts...)
+			sol, err := s.Solve(context.Background(), rhsFor(a.Rows), esr.Config{Tol: 1e-8, LocalTol: 1e-14,
+				Schedule: tc.sched, Strategy: tc.strategy, CheckpointInterval: tc.interval})
 			if err != nil {
 				t.Fatal(err)
 			}

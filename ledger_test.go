@@ -78,26 +78,22 @@ func TestAnswerLedger(t *testing.T) {
 		{"elasticity5", Elasticity3D(5, 5, 5, 27, 8)},
 		{"circuit1200", CircuitLike(1200, 2.9, 0.35, 3)},
 	}
-	precs := []struct {
-		name   string
-		p      Preconditioner
-		method Method
-	}{
-		{"ilu", BlockJacobiILU, AutoMethod},
-		{"jacobi", Jacobi, AutoMethod},
-		{"ic0", IC0, AutoMethod},
-		{"ic0-spcg", IC0, SPCG},
+	precs := []struct{ name, p, method string }{
+		{"ilu", PrecondBlockJacobiILU, ""},
+		{"jacobi", PrecondJacobi, ""},
+		{"ic0", PrecondIC0, ""},
+		{"ic0-spcg", PrecondIC0, MethodSPCG},
 	}
 	ctx := context.Background()
 	var got []string
 	for _, m := range matrices {
 		for _, pc := range precs {
-			s, err := NewSolver(m.a, WithRanks(ranks), WithPhi(phi), WithPreconditioner(pc.p))
+			s, err := NewSolver(m.a, Config{Ranks: ranks, Phi: phi, Preconditioner: pc.p})
 			if err != nil {
 				t.Fatal(err)
 			}
 			base := m.name + "/" + pc.name
-			method := WithMethod(pc.method)
+			method := Config{Method: pc.method}
 			sol, err := s.Solve(ctx, ledgerRHS(m.a.Rows, 0), method)
 			if err != nil {
 				t.Fatalf("%s solo: %v", base, err)
@@ -106,7 +102,7 @@ func TestAnswerLedger(t *testing.T) {
 			// Fail at the third iteration: every case here runs longer.
 			for v, vs := range victims {
 				sched := NewSchedule(Simultaneous(3, vs...))
-				sol, err := s.Solve(ctx, ledgerRHS(m.a.Rows, 1+v), method, WithSchedule(sched))
+				sol, err := s.Solve(ctx, ledgerRHS(m.a.Rows, 1+v), method, Config{Schedule: sched})
 				if err != nil {
 					t.Fatalf("%s victims %v: %v", base, vs, err)
 				}
@@ -121,7 +117,7 @@ func TestAnswerLedger(t *testing.T) {
 				for c := range bs {
 					bs[c] = ledgerRHS(m.a.Rows, 100*k+c)
 				}
-				sols, err := s.SolveBatch(ctx, bs, method, WithBlockSize(k))
+				sols, err := s.SolveBatch(ctx, bs, method, Config{BlockSize: k})
 				if err != nil {
 					t.Fatalf("%s batch of %d: %v", base, k, err)
 				}

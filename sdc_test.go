@@ -25,12 +25,12 @@ func TestTwinForwardRecoveryBitIdentical(t *testing.T) {
 	b := sdcTestRHS(a.Rows)
 	solve := func(sched *Schedule) Solution {
 		t.Helper()
-		s, err := NewSolver(a, WithRanks(4), WithStrategy(TwinStrategy))
+		s, err := NewSolver(a, Config{Ranks: 4, Strategy: StrategyTwin})
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer s.Close()
-		sol, err := s.Solve(context.Background(), b, WithSchedule(sched))
+		sol, err := s.Solve(context.Background(), b, Config{Schedule: sched})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -70,19 +70,19 @@ func TestTwinForwardRecoveryBitIdentical(t *testing.T) {
 }
 
 // TestSDCCheckDetectionClassedFailure: a strategy without a repair path plus
-// WithSDCCheck must refuse to converge wrong — the solve fails with a
+// an armed SDC check must refuse to converge wrong — the solve fails with a
 // data_loss-classed *SDCDetectedError at the first check after the flip, and
 // the session strategy stats still account for the detection.
 func TestSDCCheckDetectionClassedFailure(t *testing.T) {
 	a := Poisson2D(20, 20)
 	b := sdcTestRHS(a.Rows)
-	s, err := NewSolver(a, WithRanks(4), WithSDCCheck(5))
+	s, err := NewSolver(a, Config{Ranks: 4, SDCCheckInterval: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
 	_, err = s.Solve(context.Background(), b,
-		WithSchedule(NewSchedule(BitFlip(7, 0, TargetX, 0, 52))))
+		Config{Schedule: NewSchedule(BitFlip(7, 0, TargetX, 0, 52))})
 	if err == nil {
 		t.Fatal("corrupted esr solve must fail the drift check")
 	}
@@ -112,10 +112,7 @@ func TestTwinDriftRepairOutsideWindow(t *testing.T) {
 	a := Poisson2D(20, 20)
 	b := sdcTestRHS(a.Rows)
 	s, err := NewSolver(a,
-		WithRanks(4),
-		WithStrategy(TwinStrategy),
-		WithTwinInterval(4),
-		WithSDCCheck(5),
+		Config{Ranks: 4, Strategy: StrategyTwin, TwinInterval: 4, SDCCheckInterval: 5},
 	)
 	if err != nil {
 		t.Fatal(err)
@@ -124,7 +121,7 @@ func TestTwinDriftRepairOutsideWindow(t *testing.T) {
 	// Iteration 6 is not a multiple of the twin interval 4: the checksum
 	// compare never sees the flip; the drift check at 10 does.
 	sol, err := s.Solve(context.Background(), b,
-		WithSchedule(NewSchedule(BitFlip(6, 1, TargetX, 2, 52))))
+		Config{Schedule: NewSchedule(BitFlip(6, 1, TargetX, 2, 52))})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,9 +140,9 @@ func TestTwinDriftRepairOutsideWindow(t *testing.T) {
 	}
 }
 
-// TestSDCOptionValidation: the twin/SDC option constructors validate at the
-// door with typed errors, and both knobs are run policy: a plain session
-// takes them per solve.
+// TestSDCOptionValidation: negative twin and SDC periods are refused at the
+// door with typed errors (0 is the default), and both knobs are run policy:
+// a plain session takes them per solve.
 func TestSDCOptionValidation(t *testing.T) {
 	a := Poisson2D(12, 12)
 	b := sdcTestRHS(a.Rows)
@@ -154,10 +151,8 @@ func TestSDCOptionValidation(t *testing.T) {
 		field string
 		opt   Option
 	}{
-		{"twin_interval", WithTwinInterval(0)},
-		{"twin_interval", WithTwinInterval(-2)},
-		{"sdc_check_interval", WithSDCCheck(0)},
-		{"sdc_check_interval", WithSDCCheck(-1)},
+		{"twin_interval", Config{TwinInterval: -2}},
+		{"sdc_check_interval", Config{SDCCheckInterval: -1}},
 	} {
 		var cfgErr *InvalidConfigError
 		if _, err := NewSolver(a, tc.opt); !errors.As(err, &cfgErr) || cfgErr.Field != tc.field ||
@@ -166,17 +161,17 @@ func TestSDCOptionValidation(t *testing.T) {
 		}
 	}
 
-	s, err := NewSolver(a, WithRanks(2))
+	s, err := NewSolver(a, Config{Ranks: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	for _, opt := range []Option{WithTwinInterval(3), WithSDCCheck(5), WithStrategy(TwinStrategy)} {
+	for _, opt := range []Option{{TwinInterval: 3}, {SDCCheckInterval: 5}, {Strategy: StrategyTwin}} {
 		if sol, err := s.Solve(context.Background(), b, opt); err != nil || !sol.Result.Converged {
 			t.Fatalf("per-solve SDC policy option: converged %v, err %v", sol.Result.Converged, err)
 		}
 	}
-	if _, err := s.Solve(context.Background(), b, WithTwinInterval(-2)); !errors.Is(err, ErrInvalidArgument) {
-		t.Fatalf("per-solve WithTwinInterval(-2): want invalid_argument, got %v", err)
+	if _, err := s.Solve(context.Background(), b, Config{TwinInterval: -2}); !errors.Is(err, ErrInvalidArgument) {
+		t.Fatalf("per-solve Config{TwinInterval: -2}: want invalid_argument, got %v", err)
 	}
 }

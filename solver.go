@@ -23,7 +23,7 @@ var ErrSolverClosed = engine.ErrPreparedClosed
 // solves (and their injected failures) cannot disturb each other. Close
 // tears the session down, aborting in-flight solves.
 //
-//	s, err := esr.NewSolver(a, esr.WithRanks(8), esr.WithPhi(2))
+//	s, err := esr.NewSolver(a, esr.Config{Ranks: 8, Phi: 2})
 //	defer s.Close()
 //	for _, b := range rhs {
 //	    sol, err := s.Solve(ctx, b)
@@ -33,16 +33,13 @@ type Solver struct {
 	prep *engine.Prepared
 }
 
-// NewSolver builds a reusable solver session for the SPD system matrix a.
-// The zero option set selects the paper's experimental setup (8 ranks,
-// block-Jacobi ILU(0), phi 0). Use FromConfig to lower a wire-format Config
-// onto the options. The caller must Close the session when done.
+// NewSolver builds a reusable solver session for the SPD system matrix a
+// from opts combined by engine.Merge (a later non-zero field wins). No
+// options select the paper's experimental setup (8 ranks, block-Jacobi
+// ILU(0), phi 0). Its run-, batch- and observer-scoped fields become the
+// default of every solve. The caller must Close the session when done.
 func NewSolver(a *Matrix, opts ...Option) (*Solver, error) {
-	cfg, err := buildConfig(opts)
-	if err != nil {
-		return nil, err
-	}
-	prep, err := engine.Prepare(a, cfg)
+	prep, err := engine.Prepare(a, engine.Merge(Config{}, opts...))
 	if err != nil {
 		return nil, err
 	}
@@ -58,13 +55,12 @@ func (s *Solver) Ranks() int { return s.prep.Ranks() }
 // Phi returns the redundancy level of the session.
 func (s *Solver) Phi() int { return s.prep.Phi() }
 
-// Config returns the session's normalized configuration (the wire-format
-// equivalent of the options it was built with, Ranks clamped to the matrix
-// size).
+// Config returns the session's normalized configuration (its options
+// merged and defaulted, Ranks clamped to the matrix size).
 func (s *Solver) Config() Config { return s.prep.Config() }
 
 // StrategyName returns the session's default failure-recovery strategy (one
-// of the Strategy* wire names); a per-call WithStrategy does not change it.
+// of the Strategy* names); a per-call Strategy does not change it.
 func (s *Solver) StrategyName() string { return s.prep.StrategyName() }
 
 // StrategyStats returns the session's aggregated recovery-strategy
@@ -74,27 +70,19 @@ func (s *Solver) StrategyName() string { return s.prep.StrategyName() }
 // compare the strategies' overhead and recovery cost on live workloads.
 func (s *Solver) StrategyStats() StrategyStats { return s.prep.StrategyStats() }
 
-// callConfig resolves the per-call configuration: the session's, overridden
-// by opts. Only the preparation-scoped fields must not change — the
-// session's partition, redundancy protocol and preconditioner are already
-// built; Config.PrepIdentity, which also keys esrd's session cache, says
-// which those are. The prepared session validates the rest.
+// callConfig resolves the per-call configuration: the session's with opts
+// merged on top, validated whole — so a bad value is refused as it is at
+// NewSolver, prep-scoped or not. Then the preparation-scoped fields must not
+// have changed: the session's partition, redundancy protocol and
+// preconditioner are already built; Config.PrepIdentity, which also keys
+// esrd's session cache, says which those are (a Ranks above the matrix size
+// names the session's clamp).
 func (s *Solver) callConfig(opts []Option) (Config, error) {
 	session := s.prep.Config()
-	cfg := session
-	for _, opt := range opts {
-		if opt == nil {
-			continue
-		}
-		if err := opt(&cfg); err != nil {
-			return Config{}, err
-		}
-	}
-	// PrepIdentity defaults first: a per-call FromConfig may have reset prep
-	// fields to zero, which default back to the session's values — Ranks
-	// through the session's clamp to the matrix size.
-	if cfg.WithDefaults().Ranks > s.prep.N() {
-		cfg.Ranks = s.prep.N()
+	cfg := engine.Merge(session, opts...)
+	cfg.Ranks = min(cfg.Ranks, s.prep.N())
+	if err := cfg.Validate(); err != nil {
+		return Config{}, err
 	}
 	if cfg.PrepIdentity() != session.PrepIdentity() {
 		return Config{}, fmt.Errorf(
@@ -106,11 +94,11 @@ func (s *Solver) callConfig(opts []Option) (Config, error) {
 // Solve runs one solve of A x = b against the prepared session state. Every
 // session setting except the four preparation-scoped ones can be overridden
 // per call with opts — tolerances, schedule, observers, method, and the run
-// policy (transport, strategy and its interval, SDC check); a
-// per-call WithRanks, WithPhi, WithPreconditioner or WithSSOROmega is
-// rejected, and a per-call WithMethod must be compatible with the prepared
-// preconditioner (SPCG needs an IC0 session). Cancelling ctx aborts only
-// this solve; sibling solves on the same session are unaffected.
+// policy (transport, strategy and its interval, SDC check); a per-call
+// Ranks, Phi, Preconditioner or SSOROmega other than the session's is
+// rejected, and a per-call Method must be compatible with the prepared
+// preconditioner (MethodSPCG needs an IC0 session). Cancelling ctx aborts
+// only this solve; sibling solves on the same session are unaffected.
 func (s *Solver) Solve(ctx context.Context, b []float64, opts ...Option) (Solution, error) {
 	cfg, err := s.callConfig(opts)
 	if err != nil {
@@ -120,13 +108,14 @@ func (s *Solver) Solve(ctx context.Context, b []float64, opts ...Option) (Soluti
 }
 
 // SolveBatch solves one system per right-hand side, reusing the prepared
-// session state for all of them. The batch is chunked into WithBlockSize-wide
-// groups, each solved in lockstep by the width-k driver — one fused k-column
-// SpMM, k-strided halo frames and length-k allreduces per iteration — which
-// is the throughput path for many right-hand sides (see BenchmarkSolveBatch).
+// session state for all of them. The batch is chunked into groups of
+// Config.BlockSize columns, each solved in lockstep by the width-k driver —
+// one fused k-column SpMM, k-strided halo frames and length-k allreduces per
+// iteration — which is the throughput path for many right-hand sides (see
+// BenchmarkSolveBatch).
 // Every method, strategy, schedule and detector setting runs at every width,
 // and column c of a group is bitwise identical to Solve(ctx, bs[c]) with the
-// same Result counts; WithBlockSize(1) solves the columns one at a time.
+// same Result counts; BlockSize 1 solves the columns one at a time.
 //
 // The whole batch is validated before any solve launches: a column with the
 // wrong length or a non-finite element fails fast with a typed

@@ -47,7 +47,7 @@ func checkResidual(t *testing.T, a *Matrix, x, b []float64) {
 // and sequential solves on one session agree with the one-shot path.
 func TestQuickSolverSession(t *testing.T) {
 	a := Poisson2D(24, 24)
-	s, err := NewSolver(a, WithRanks(4))
+	s, err := NewSolver(a, Config{Ranks: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +89,7 @@ func TestQuickSolverSession(t *testing.T) {
 // converge to its own RHS, undisturbed by its siblings.
 func TestSolverConcurrentSolves(t *testing.T) {
 	a := Poisson2D(20, 20)
-	s, err := NewSolver(a, WithRanks(4))
+	s, err := NewSolver(a, Config{Ranks: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +134,7 @@ func TestSolverConcurrentSolves(t *testing.T) {
 // leak into another.
 func TestSolverConcurrentWithFailures(t *testing.T) {
 	a := Poisson2D(16, 16)
-	s, err := NewSolver(a, WithRanks(4), WithPhi(2))
+	s, err := NewSolver(a, Config{Ranks: 4, Phi: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +149,7 @@ func TestSolverConcurrentWithFailures(t *testing.T) {
 			defer wg.Done()
 			b := variedRHS(a.Rows, k)
 			sol, err := s.Solve(context.Background(), b,
-				WithSchedule(NewSchedule(Simultaneous(2+k, 1, 2))))
+				Config{Schedule: NewSchedule(Simultaneous(2+k, 1, 2))})
 			if err != nil {
 				errs[k] = err
 				return
@@ -179,18 +179,14 @@ func TestSolverConcurrentWithFailures(t *testing.T) {
 // slowSolveOpts makes a solve run effectively forever (unreachable
 // tolerance, huge iteration budget) and invokes cancel from the progress
 // callback after the given number of iterations.
-func slowSolveOpts(cancel context.CancelFunc, after int) []Option {
+func slowSolveOpts(cancel context.CancelFunc, after int) Config {
 	calls := 0
-	return []Option{
-		WithTolerance(1e-300),
-		WithMaxIterations(10_000_000),
-		WithProgress(func(ev ProgressEvent) {
-			calls++
-			if calls == after {
-				cancel()
-			}
-		}),
-	}
+	return Config{Tol: 1e-300, MaxIter: 10_000_000, Progress: func(ev ProgressEvent) {
+		calls++
+		if calls == after {
+			cancel()
+		}
+	}}
 }
 
 // TestSolverCancelDoesNotDisturbSiblings cancels one in-flight solve
@@ -198,7 +194,7 @@ func slowSolveOpts(cancel context.CancelFunc, after int) []Option {
 // must complete correctly and the session must stay usable.
 func TestSolverCancelDoesNotDisturbSiblings(t *testing.T) {
 	a := Poisson2D(24, 24)
-	s, err := NewSolver(a, WithRanks(4))
+	s, err := NewSolver(a, Config{Ranks: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +204,7 @@ func TestSolverCancelDoesNotDisturbSiblings(t *testing.T) {
 	defer cancel()
 	victimErr := make(chan error, 1)
 	go func() {
-		_, err := s.Solve(ctx, onesRHS(a.Rows), slowSolveOpts(cancel, 3)...)
+		_, err := s.Solve(ctx, onesRHS(a.Rows), slowSolveOpts(cancel, 3))
 		victimErr <- err
 	}()
 
@@ -243,7 +239,7 @@ func TestSolverCancelDoesNotDisturbSiblings(t *testing.T) {
 // and later Solve calls are rejected.
 func TestSolverCloseAbortsInFlight(t *testing.T) {
 	a := Poisson2D(24, 24)
-	s, err := NewSolver(a, WithRanks(4))
+	s, err := NewSolver(a, Config{Ranks: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,9 +249,7 @@ func TestSolverCloseAbortsInFlight(t *testing.T) {
 	solveErr := make(chan error, 1)
 	go func() {
 		_, err := s.Solve(context.Background(), onesRHS(a.Rows),
-			WithTolerance(1e-300),
-			WithMaxIterations(10_000_000),
-			WithProgress(func(ProgressEvent) { once.Do(func() { close(started) }) }))
+			Config{Tol: 1e-300, MaxIter: 10_000_000, Progress: func(ProgressEvent) { once.Do(func() { close(started) }) }})
 		solveErr <- err
 	}()
 
@@ -279,7 +273,7 @@ func TestSolverCloseAbortsInFlight(t *testing.T) {
 // session.
 func TestSolverBatch(t *testing.T) {
 	a := Poisson2D(20, 20)
-	s, err := NewSolver(a, WithRanks(4))
+	s, err := NewSolver(a, Config{Ranks: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -304,20 +298,20 @@ func TestSolverBatch(t *testing.T) {
 	}
 }
 
-// TestSolverMethodsAndOptions exercises the typed options: SPCG with its
-// implied IC0 split preconditioner, FromConfig lowering, and the typed
-// rejection of invalid configurations.
+// TestSolverMethodsAndOptions exercises session and per-call Configs: SPCG
+// with its implied IC0 split preconditioner, options merged field by field,
+// and the typed rejection of invalid configurations.
 func TestSolverMethodsAndOptions(t *testing.T) {
 	a := Poisson2D(16, 16)
 	b := onesRHS(a.Rows)
 
 	// SPCG defaults its preconditioner to IC0 and solves.
-	s, err := NewSolver(a, WithRanks(4), WithPhi(1), WithMethod(SPCG))
+	s, err := NewSolver(a, Config{Ranks: 4, Phi: 1, Method: MethodSPCG})
 	if err != nil {
 		t.Fatal(err)
 	}
 	sol, err := s.Solve(context.Background(), b,
-		WithSchedule(NewSchedule(Simultaneous(2, 1))))
+		Config{Schedule: NewSchedule(Simultaneous(2, 1))})
 	s.Close()
 	if err != nil || !sol.Result.Converged || len(sol.Result.Reconstructions) != 1 {
 		t.Fatalf("spcg: err=%v converged=%v reconstructions=%d",
@@ -325,31 +319,32 @@ func TestSolverMethodsAndOptions(t *testing.T) {
 	}
 	checkResidual(t, a, sol.X, b)
 
-	// FromConfig lowers the wire format onto the session.
-	s, err = NewSolver(a, FromConfig(Config{Ranks: 3, Phi: 1, Preconditioner: PrecondJacobi}))
+	// Options merge: a later non-zero field wins, a zero one keeps the
+	// earlier value.
+	s, err = NewSolver(a, Config{Ranks: 5, Phi: 1}, Config{Ranks: 3, Preconditioner: PrecondJacobi})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if s.Ranks() != 3 || s.Phi() != 1 || s.Config().Preconditioner != PrecondJacobi {
-		t.Fatalf("FromConfig: ranks=%d phi=%d prec=%q", s.Ranks(), s.Phi(), s.Config().Preconditioner)
+		t.Fatalf("merged options: ranks=%d phi=%d prec=%q", s.Ranks(), s.Phi(), s.Config().Preconditioner)
 	}
 	sol, err = s.Solve(context.Background(), b)
 	s.Close()
 	if err != nil || !sol.Result.Converged {
-		t.Fatalf("FromConfig solve: %v", err)
+		t.Fatalf("merged-options solve: %v", err)
 	}
 
 	// An out-of-range SSOR omega is rejected with the typed error.
 	var omegaErr *InvalidConfigError
-	_, err = NewSolver(a, WithPreconditioner(SSOR), WithSSOROmega(2.5))
+	_, err = NewSolver(a, Config{Preconditioner: PrecondSSOR, SSOROmega: 2.5})
 	if !errors.As(err, &omegaErr) || omegaErr.Field != "ssor_omega" || omegaErr.Value != 2.5 {
 		t.Fatalf("omega 2.5: got %v, want *InvalidConfigError{ssor_omega, 2.5}", err)
 	}
-	if _, err = NewSolver(a, WithPreconditioner(SSOR), WithSSOROmega(-1)); !errors.As(err, &omegaErr) || omegaErr.Field != "ssor_omega" {
+	if _, err = NewSolver(a, Config{Preconditioner: PrecondSSOR, SSOROmega: -1}); !errors.As(err, &omegaErr) || omegaErr.Field != "ssor_omega" {
 		t.Fatalf("omega -1: got %v, want *InvalidConfigError{ssor_omega}", err)
 	}
 	// ... but a valid omega solves.
-	s, err = NewSolver(a, WithRanks(4), WithPreconditioner(SSOR), WithSSOROmega(1.4))
+	s, err = NewSolver(a, Config{Ranks: 4, Preconditioner: PrecondSSOR, SSOROmega: 1.4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -359,72 +354,62 @@ func TestSolverMethodsAndOptions(t *testing.T) {
 		t.Fatalf("ssor solve: %v", err)
 	}
 
-	// Bad option values fail at construction.
-	if _, err := NewSolver(a, WithRanks(-2)); err == nil {
-		t.Fatal("WithRanks(-2) accepted")
+	// Bad values fail at construction.
+	if _, err := NewSolver(a, Config{Ranks: -2}); err == nil {
+		t.Fatal("Config{Ranks: -2} accepted")
 	}
-	if _, err := NewSolver(a, WithMethod(Method("bogus"))); err == nil {
+	if _, err := NewSolver(a, Config{Method: "bogus"}); err == nil {
 		t.Fatal("unknown method accepted")
 	}
 	// SPCG needs the split-capable IC0.
-	if _, err := NewSolver(a, WithMethod(SPCG), WithPreconditioner(Jacobi)); err == nil {
+	if _, err := NewSolver(a, Config{Method: MethodSPCG, Preconditioner: PrecondJacobi}); err == nil {
 		t.Fatal("SPCG with non-split preconditioner accepted")
 	}
 
-	// Per-call method overrides actually reach the solver: PCG cannot
-	// honour a schedule, so overriding to it on a resilient session must be
-	// rejected (were the override ignored, the auto-resolved ESRPCG would
-	// happily solve).
-	s, err = NewSolver(a, WithRanks(4), WithPhi(1), WithPreconditioner(IC0))
+	// A per-call SPCG on an IC0 session works, failures included.
+	s, err = NewSolver(a, Config{Ranks: 4, Phi: 1, Preconditioner: PrecondIC0})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Solve(context.Background(), b,
-		WithMethod(PCG), WithSchedule(NewSchedule(Simultaneous(2, 1)))); err == nil {
-		t.Fatal("per-call PCG with a schedule accepted")
-	}
-	// ... and a per-call SPCG on this IC0 session works, failures included.
 	sol, err = s.Solve(context.Background(), b,
-		WithMethod(SPCG), WithSchedule(NewSchedule(Simultaneous(2, 1))))
+		Config{Method: MethodSPCG, Schedule: NewSchedule(Simultaneous(2, 1))})
 	if err != nil || !sol.Result.Converged || len(sol.Result.Reconstructions) != 1 {
 		t.Fatalf("per-call spcg: err=%v converged=%v", err, sol.Result.Converged)
 	}
 	s.Close()
 	// A per-call SPCG on a session prepared without the split factors is
 	// rejected.
-	s, err = NewSolver(a, WithRanks(4), WithPreconditioner(Jacobi))
+	s, err = NewSolver(a, Config{Ranks: 4, Preconditioner: PrecondJacobi})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Solve(context.Background(), b, WithMethod(SPCG)); err == nil {
+	if _, err := s.Solve(context.Background(), b, Config{Method: MethodSPCG}); err == nil {
 		t.Fatal("per-call SPCG without split factors accepted")
 	}
 	s.Close()
 
 	// Preparation-scoped options are rejected per solve.
-	s, err = NewSolver(a, WithRanks(4))
+	s, err = NewSolver(a, Config{Ranks: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	if _, err := s.Solve(context.Background(), b, WithRanks(8)); err == nil {
-		t.Fatal("per-solve WithRanks accepted")
+	if _, err := s.Solve(context.Background(), b, Config{Ranks: 8}); err == nil {
+		t.Fatal("per-solve Ranks accepted")
 	}
-	if _, err := s.Solve(context.Background(), b, WithPhi(1)); err == nil {
-		t.Fatal("per-solve WithPhi accepted")
+	if _, err := s.Solve(context.Background(), b, Config{Phi: 1}); err == nil {
+		t.Fatal("per-solve Phi accepted")
 	}
 	// Solve-scoped overrides are fine.
-	if _, err := s.Solve(context.Background(), b, WithTolerance(1e-6), WithMaxIterations(5000)); err != nil {
+	if _, err := s.Solve(context.Background(), b, Config{Tol: 1e-6, MaxIter: 5000}); err != nil {
 		t.Fatalf("per-solve tolerance override: %v", err)
 	}
-	// A per-call FromConfig that changes only solve-scoped fields is fine
-	// too: the zero-valued prep fields it resets default back to the
-	// session's values.
-	if _, err := s.Solve(context.Background(), b, FromConfig(Config{Ranks: 4, Tol: 1e-6})); err != nil {
-		t.Fatalf("per-solve FromConfig: %v", err)
+	// A per-call prep field equal to the session's needs no other session.
+	if _, err := s.Solve(context.Background(), b, Config{Ranks: 4, Tol: 1e-6}); err != nil {
+		t.Fatalf("per-solve Config repeating the session's ranks: %v", err)
 	}
 	// A schedule needs phi >= 1 on this phi-0 session.
-	if _, err := s.Solve(context.Background(), b, WithSchedule(NewSchedule(Simultaneous(1, 1)))); !errors.Is(err, ErrInvalidArgument) {
+	if _, err := s.Solve(context.Background(), b, Config{Schedule: NewSchedule(Simultaneous(1, 1))}); !errors.Is(err, ErrInvalidArgument) {
 		t.Fatalf("schedule on phi-0 session: got %v, want an invalid-argument refusal", err)
 	}
 }
@@ -434,13 +419,13 @@ func TestSolverMethodsAndOptions(t *testing.T) {
 // *InvalidConfigError naming phi — while a rollback strategy serves it.
 func TestQuickPhiZeroFailStopRefused(t *testing.T) {
 	a := Poisson2D(8, 8)
-	sched := WithSchedule(NewSchedule(Simultaneous(3, 1)))
+	sched := Config{Schedule: NewSchedule(Simultaneous(3, 1))}
 	var cfgErr *InvalidConfigError
-	if _, err := NewSolver(a, WithRanks(4), sched); !errors.As(err, &cfgErr) || cfgErr.Field != "phi" ||
+	if _, err := NewSolver(a, Config{Ranks: 4}, sched); !errors.As(err, &cfgErr) || cfgErr.Field != "phi" ||
 		!errors.Is(err, ErrInvalidArgument) {
 		t.Fatalf("NewSolver at phi 0 with a fail-stop schedule: got %v, want an *InvalidConfigError on phi", err)
 	}
-	s, err := NewSolver(a, WithRanks(4), sched, WithStrategy(RestartStrategy))
+	s, err := NewSolver(a, Config{Ranks: 4}, sched, Config{Strategy: StrategyRestart})
 	if err != nil {
 		t.Fatalf("restart strategy at phi 0: %v", err)
 	}
@@ -455,18 +440,18 @@ func TestQuickSolverTransport(t *testing.T) {
 	a := Poisson2D(16, 16)
 	b := onesRHS(a.Rows)
 
-	solveOn := func(tr Transport) []float64 {
+	solveOn := func(tr string) []float64 {
 		t.Helper()
-		s, err := NewSolver(a, WithRanks(4), WithPhi(1), WithTransport(tr))
+		s, err := NewSolver(a, Config{Ranks: 4, Phi: 1, Transport: tr})
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer s.Close()
-		if got := s.Config().Transport; got != string(tr) {
+		if got := s.Config().Transport; got != tr {
 			t.Fatalf("session transport = %q, want %q", got, tr)
 		}
 		sol, err := s.Solve(context.Background(), b,
-			WithSchedule(NewSchedule(Simultaneous(3, 2))))
+			Config{Schedule: NewSchedule(Simultaneous(3, 2))})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -475,10 +460,10 @@ func TestQuickSolverTransport(t *testing.T) {
 		}
 		return sol.X
 	}
-	ref := solveOn(ChanTransport)
+	ref := solveOn(TransportChan)
 	// Net runs the same solve over real TCP sockets (self-loop mode here:
 	// all ranks in-process behind one socket pair) — still bit-identical.
-	net := solveOn(NetTransport)
+	net := solveOn(TransportNet)
 	for i := range ref {
 		if ref[i] != net[i] {
 			t.Fatalf("x[%d]: net %g != chan %g", i, net[i], ref[i])
@@ -486,25 +471,24 @@ func TestQuickSolverTransport(t *testing.T) {
 	}
 
 	// Transport is run policy: a chan session serves a chaos solve per call.
-	s, err := NewSolver(a, WithRanks(4), WithPhi(1))
+	s, err := NewSolver(a, Config{Ranks: 4, Phi: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	sol, err := s.Solve(context.Background(), b, WithTransport(ChaosTransport),
-		WithSchedule(NewSchedule(Simultaneous(3, 2))))
+	sol, err := s.Solve(context.Background(), b, Config{Transport: TransportChaos, Schedule: NewSchedule(Simultaneous(3, 2))})
 	if err != nil {
-		t.Fatalf("per-solve WithTransport: %v", err)
+		t.Fatalf("per-solve Transport: %v", err)
 	}
 	for i := range ref {
 		if ref[i] != sol.X[i] {
 			t.Fatalf("x[%d]: per-call chaos %g != chan %g", i, sol.X[i], ref[i])
 		}
 	}
-	if _, err := s.Solve(context.Background(), b, WithTransport(Transport("bogus"))); err == nil {
+	if _, err := s.Solve(context.Background(), b, Config{Transport: "bogus"}); err == nil {
 		t.Fatal("unknown per-solve transport accepted")
 	}
-	if _, err := NewSolver(a, WithTransport(Transport("bogus"))); err == nil {
+	if _, err := NewSolver(a, Config{Transport: "bogus"}); err == nil {
 		t.Fatal("unknown transport accepted")
 	}
 }
@@ -516,17 +500,17 @@ func TestQuickSolverTransport(t *testing.T) {
 func TestSolverPolicyPerCall(t *testing.T) {
 	a := Poisson2D(16, 16)
 	b := variedRHS(a.Rows, 3)
-	prepOpts := []Option{WithRanks(4), WithPhi(2), WithPreconditioner(Jacobi)}
-	sched := WithSchedule(NewSchedule(Simultaneous(5, 1, 2)))
-	policies := map[string][]Option{
-		"net":        {WithTransport(NetTransport)},
-		"chaos":      {WithTransport(ChaosTransport), WithTransportSeed(7)},
-		"checkpoint": {WithStrategy(CheckpointStrategy), WithCheckpointInterval(4)},
-		"restart":    {WithStrategy(RestartStrategy)},
-		"twin+sdc":   {WithStrategy(TwinStrategy), WithTwinInterval(2), WithSDCCheck(5)},
-		"everything": {WithTransport(ChaosTransport), WithStrategy(CheckpointStrategy), WithSDCCheck(3)},
+	prep := Config{Ranks: 4, Phi: 2, Preconditioner: PrecondJacobi}
+	sched := Config{Schedule: NewSchedule(Simultaneous(5, 1, 2))}
+	policies := map[string]Config{
+		"net":        {Transport: TransportNet},
+		"chaos":      {Transport: TransportChaos, TransportSeed: 7},
+		"checkpoint": {Strategy: StrategyCheckpoint, CheckpointInterval: 4},
+		"restart":    {Strategy: StrategyRestart},
+		"twin+sdc":   {Strategy: StrategyTwin, TwinInterval: 2, SDCCheckInterval: 5},
+		"everything": {Transport: TransportChaos, Strategy: StrategyCheckpoint, SDCCheckInterval: 3},
 	}
-	shared, err := NewSolver(a, prepOpts...)
+	shared, err := NewSolver(a, prep)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -537,12 +521,12 @@ func TestSolverPolicyPerCall(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			got, err := shared.Solve(context.Background(), b, append(policy, sched)...)
+			got, err := shared.Solve(context.Background(), b, policy, sched)
 			if err != nil {
 				t.Errorf("%s: per-call policy: %v", name, err)
 				return
 			}
-			dedicated, err := NewSolver(a, append(prepOpts, policy...)...)
+			dedicated, err := NewSolver(a, prep, policy)
 			if err != nil {
 				t.Errorf("%s: dedicated solver: %v", name, err)
 				return
@@ -577,9 +561,9 @@ func TestSolverPolicyPerCall(t *testing.T) {
 }
 
 // TestSolverPerCallFromConfigOnClampedSession: a session on a matrix smaller
-// than the default rank count clamps Ranks; a per-call FromConfig that leaves
-// Ranks unset defaults back through the same clamp instead of reading as a
-// preparation-scoped change.
+// than the default rank count clamps Ranks; a per-call Config that leaves
+// Ranks unset keeps the session's, and one asking for more ranks than rows
+// names the same clamp — neither reads as a preparation-scoped change.
 func TestSolverPerCallFromConfigOnClampedSession(t *testing.T) {
 	a := Poisson2D(2, 2) // 4 rows < 8 default ranks
 	s, err := NewSolver(a)
@@ -590,7 +574,9 @@ func TestSolverPerCallFromConfigOnClampedSession(t *testing.T) {
 	if s.Ranks() != 4 {
 		t.Fatalf("session ranks = %d, want the clamp to 4", s.Ranks())
 	}
-	if _, err := s.Solve(context.Background(), onesRHS(a.Rows), FromConfig(Config{Tol: 1e-6})); err != nil {
-		t.Fatalf("per-call FromConfig without ranks: %v", err)
+	for _, call := range []Config{{Tol: 1e-6}, {Ranks: 8, Tol: 1e-6}} {
+		if _, err := s.Solve(context.Background(), onesRHS(a.Rows), call); err != nil {
+			t.Fatalf("per-call %+v: %v", call, err)
+		}
 	}
 }

@@ -8,9 +8,8 @@ import (
 	"testing"
 )
 
-// TestQuickStrategyOptions: the typed option constructors validate at the
-// door, and the strategy options are run policy: an ESR session serves a
-// checkpoint solve per call.
+// TestQuickStrategyOptions: strategy fields are validated at the door, and
+// they are run policy: an ESR session serves a checkpoint solve per call.
 func TestQuickStrategyOptions(t *testing.T) {
 	a := Poisson2D(12, 12)
 	b := make([]float64, a.Rows)
@@ -19,23 +18,19 @@ func TestQuickStrategyOptions(t *testing.T) {
 	}
 
 	var cfgErr *InvalidConfigError
-	if _, err := NewSolver(a, WithCheckpointInterval(0)); !errors.As(err, &cfgErr) || cfgErr.Field != "checkpoint_interval" {
-		t.Fatalf("WithCheckpointInterval(0): want *InvalidConfigError{checkpoint_interval}, got %v", err)
+	if _, err := NewSolver(a, Config{CheckpointInterval: -3}); !errors.As(err, &cfgErr) || cfgErr.Field != "checkpoint_interval" {
+		t.Fatalf("Config{CheckpointInterval: -3}: want *InvalidConfigError{checkpoint_interval}, got %v", err)
 	}
-	if _, err := NewSolver(a, WithCheckpointInterval(-3)); !errors.As(err, &cfgErr) || cfgErr.Field != "checkpoint_interval" {
-		t.Fatalf("WithCheckpointInterval(-3): want *InvalidConfigError{checkpoint_interval}, got %v", err)
-	}
-	if _, err := NewSolver(a, WithStrategy("prayer")); !errors.As(err, &cfgErr) || cfgErr.Field != "strategy" {
-		t.Fatalf("WithStrategy(bogus): want *InvalidConfigError{strategy}, got %v", err)
+	if _, err := NewSolver(a, Config{Strategy: "prayer"}); !errors.As(err, &cfgErr) || cfgErr.Field != "strategy" {
+		t.Fatalf("Config{Strategy: bogus}: want *InvalidConfigError{strategy}, got %v", err)
 	}
 
-	s, err := NewSolver(a, WithRanks(4))
+	s, err := NewSolver(a, Config{Ranks: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	sol, err := s.Solve(context.Background(), b, WithStrategy(CheckpointStrategy), WithCheckpointInterval(7),
-		WithSchedule(NewSchedule(Simultaneous(9, 1))))
+	sol, err := s.Solve(context.Background(), b, Config{Strategy: StrategyCheckpoint, CheckpointInterval: 7, Schedule: NewSchedule(Simultaneous(9, 1))})
 	if err != nil || !sol.Result.Converged {
 		t.Fatalf("per-solve checkpoint strategy on a phi-0 ESR session: %v", err)
 	}
@@ -43,12 +38,12 @@ func TestQuickStrategyOptions(t *testing.T) {
 		t.Fatalf("rollback to iteration 7 redid nothing: %d work / %d iterations",
 			sol.Result.WorkIterations, sol.Result.Iterations)
 	}
-	if s.StrategyName() != string(ESRStrategy) {
+	if s.StrategyName() != StrategyESR {
 		t.Fatalf("per-call strategy changed the session default to %q", s.StrategyName())
 	}
-	if _, err := s.Solve(context.Background(), b, WithPhi(1)); err == nil ||
+	if _, err := s.Solve(context.Background(), b, Config{Phi: 1}); err == nil ||
 		!strings.Contains(err.Error(), "preparation-scoped") {
-		t.Fatalf("per-solve WithPhi must be rejected as preparation-scoped, got %v", err)
+		t.Fatalf("per-solve Phi must be rejected as preparation-scoped, got %v", err)
 	}
 }
 
@@ -61,14 +56,14 @@ func TestStrategyRollbackDeterminism(t *testing.T) {
 	for i := range b {
 		b[i] = 1 + float64(i%7)/7
 	}
-	solve := func(sched *Schedule, opts ...Option) Solution {
+	solve := func(sched *Schedule, opts Config) Solution {
 		t.Helper()
-		s, err := NewSolver(a, append([]Option{WithRanks(4)}, opts...)...)
+		s, err := NewSolver(a, Config{Ranks: 4}, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer s.Close()
-		sol, err := s.Solve(context.Background(), b, WithSchedule(sched))
+		sol, err := s.Solve(context.Background(), b, Config{Schedule: sched})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -77,16 +72,16 @@ func TestStrategyRollbackDeterminism(t *testing.T) {
 		}
 		return sol
 	}
-	ref := solve(nil)
+	ref := solve(nil, Config{})
 	sched := NewSchedule(Simultaneous(9, 2))
 	for _, tc := range []struct {
 		name string
-		opts []Option
+		opts Config
 	}{
-		{"checkpoint", []Option{WithStrategy(CheckpointStrategy), WithCheckpointInterval(6)}},
-		{"restart", []Option{WithStrategy(RestartStrategy)}},
+		{"checkpoint", Config{Strategy: StrategyCheckpoint, CheckpointInterval: 6}},
+		{"restart", Config{Strategy: StrategyRestart}},
 	} {
-		got := solve(sched, tc.opts...)
+		got := solve(sched, tc.opts)
 		// Rolled-back iterations replay the exact arithmetic, so the
 		// converged count (and the iterates) match the undisturbed run.
 		if got.Result.Iterations != ref.Result.Iterations {
@@ -100,19 +95,16 @@ func TestStrategyRollbackDeterminism(t *testing.T) {
 	}
 }
 
-// ExampleWithStrategy shows selecting the checkpoint/restart baseline
-// through the session API.
-func ExampleWithStrategy() {
+// ExampleNewSolver_checkpoint selects the checkpoint/restart baseline for a
+// session.
+func ExampleNewSolver_checkpoint() {
 	a := Poisson2D(16, 16)
 	b := make([]float64, a.Rows)
 	for i := range b {
 		b[i] = 1
 	}
 	s, err := NewSolver(a,
-		WithRanks(4),
-		WithStrategy(CheckpointStrategy),
-		WithCheckpointInterval(5),
-		WithSchedule(NewSchedule(Simultaneous(8, 1))),
+		Config{Ranks: 4, Strategy: StrategyCheckpoint, CheckpointInterval: 5, Schedule: NewSchedule(Simultaneous(8, 1))},
 	)
 	if err != nil {
 		panic(err)
