@@ -57,8 +57,9 @@ func TestSolveWithFailures(t *testing.T) {
 }
 
 // TestReconstructionPhasesReachTheResult: the episode's per-phase clock
-// reads come out of the public API. Rank 0, whose Result is reported, is a
-// replacement here, so it also carries the x-system's setup/PCG split.
+// reads come out of the public API. Rank 0, whose Result is reported, leads
+// the x-system here, so it also carries the subsystem's setup, inside the
+// x-system phase, and its background solve, after the episode.
 func TestReconstructionPhasesReachTheResult(t *testing.T) {
 	a := Elasticity3D(5, 5, 4, 15, 3)
 	sol, err := Solve(a, rhs(a.Rows), Config{Ranks: 8, Phi: 3, Schedule: NewSchedule(Simultaneous(4, 0, 1, 2))})
@@ -70,8 +71,9 @@ func TestReconstructionPhasesReachTheResult(t *testing.T) {
 	for _, d := range rec.Phases {
 		sum += d
 	}
-	if sum <= 0 || sum > rec.Duration || rec.SubsystemSolve <= 0 || rec.SubsystemSolve > rec.Phases[3] {
-		t.Fatalf("phases %v (x-system pcg %v) do not tile the %v episode", rec.Phases, rec.SubsystemSolve, rec.Duration)
+	if sum <= 0 || sum > rec.Duration || rec.SubsystemSetup > rec.Phases[3] || rec.SubsystemSolve <= 0 {
+		t.Fatalf("phases %v (x-system setup %v, pcg %v) do not tile the %v episode",
+			rec.Phases, rec.SubsystemSetup, rec.SubsystemSolve, rec.Duration)
 	}
 }
 

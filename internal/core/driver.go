@@ -133,6 +133,9 @@ func SolveBlock(e *distmat.Env, a *distmat.Matrix, x, b []distmat.Vector, m Prec
 	d.alpha = make([]float64, k)
 	d.zAct, d.rAct = make([]distmat.Vector, 0, k), make([]distmat.Vector, 0, k)
 
+	// On an error the x-system still solving in the background is stopped
+	// and joined; a finished run has settled it.
+	defer st.dropPending()
 	if err := d.run(); err != nil {
 		return st.res, st.errs, err
 	}
@@ -209,7 +212,7 @@ func (d *driver) run() error {
 			st.res[c] = Result{InitialResidual: st.R0[c], FinalResidual: st.R0[c]}
 			if st.R0[c] == 0 {
 				// The initial guess already solves column c.
-				st.land(c)
+				st.land(c) // nothing is pending yet: no error
 			}
 		}
 		if st.allDone() {
@@ -382,7 +385,9 @@ func (d *driver) step(j int) error {
 		// the breakdown instead of spinning NaN arithmetic to MaxIter. A
 		// breakdown freezes only its column.
 		if pu := pus[c]; !(pu > 0) {
-			d.fail(c, fmt.Errorf("core: %s-PCG breakdown, p'Ap = %g at iteration %d (column %d)", d.strat.Name(), pu, j, c))
+			if err := d.fail(c, fmt.Errorf("core: %s-PCG breakdown, p'Ap = %g at iteration %d (column %d)", d.strat.Name(), pu, j, c)); err != nil {
+				return err
+			}
 			continue
 		}
 		d.alpha[c] = st.RZ[c] / pus[c]
@@ -391,13 +396,21 @@ func (d *driver) step(j int) error {
 
 	// x(j+1) = x(j) + alpha p(j); r(j+1) = r(j) - alpha A p(j), fused into
 	// one pass over the blocks (bit-identical to the two Axpys). Frozen
-	// columns are skipped: their state stays at the landing iteration.
+	// columns are skipped: their state stays at the landing iteration. While
+	// its x_If is being solved, a replacement updates r alone and keeps the x
+	// update for settle to replay.
+	deferX := st.pend != nil && st.pend.amFailed
 	d.zAct, d.rAct = d.zAct[:0], d.rAct[:0]
 	for c := 0; c < k; c++ {
 		if st.done[c] {
 			continue
 		}
-		vec.ParAxpyAxpy(d.alpha[c], st.P[c].Local, st.X[c].Local, -d.alpha[c], st.rec.tu(st, c), st.R[c].Local, 0)
+		if a := d.alpha[c]; deferX {
+			vec.Axpy(-a, st.rec.tu(st, c), st.R[c].Local)
+			st.pend.hist[c] = append(st.pend.hist[c], xUpdate{a, vec.Clone(st.P[c].Local)})
+		} else {
+			vec.ParAxpyAxpy(a, st.P[c].Local, st.X[c].Local, -a, st.rec.tu(st, c), st.R[c].Local, 0)
+		}
 		d.zAct = append(d.zAct, st.Z[c])
 		d.rAct = append(d.rAct, st.R[c])
 	}
@@ -413,16 +426,28 @@ func (d *driver) step(j int) error {
 
 	// ONE fused length-2k allreduce for the k (||r||^2, r'z) pairs, each
 	// formed in one pass. u is dead until the next SpMV and serves as the
-	// norm's scratch.
+	// norm's scratch. While an episode is pending, one more slot carries the
+	// leader's flag that x_If is solved; the element-wise combine leaves the
+	// pairs' bits alone.
 	for c := 0; c < k; c++ {
 		st.fused[2*c], st.fused[2*c+1] = 0, 0
 		if !st.done[c] {
 			st.fused[2*c], st.fused[2*c+1] = st.rec.norms(st, c)
 		}
 	}
-	norms, err := d.allreduce(st.fused)
+	buf := st.fused
+	if st.pend != nil {
+		buf = buf[:2*k+1]
+		buf[2*k] = st.pend.solved()
+	}
+	norms, err := d.allreduce(buf)
 	if err != nil {
 		return err
+	}
+	if len(norms) > 2*k && norms[2*k] > 0 {
+		if err := st.settle(); err != nil {
+			return err
+		}
 	}
 	// The iteration's observable residual: the largest among the columns
 	// that completed it (the column's own at k = 1).
@@ -435,14 +460,18 @@ func (d *driver) step(j int) error {
 		st.res[c].Iterations = j + 1
 		st.res[c].FinalResidual = rn
 		if math.IsNaN(rn) || math.IsInf(rn, 0) {
-			d.fail(c, fmt.Errorf("core: %s-PCG diverged, ||r|| = %g at iteration %d (column %d)", d.strat.Name(), rn, j, c))
+			if err := d.fail(c, fmt.Errorf("core: %s-PCG diverged, ||r|| = %g at iteration %d (column %d)", d.strat.Name(), rn, j, c)); err != nil {
+				return err
+			}
 			continue
 		}
 		ran++
 		maxRn = math.Max(maxRn, rn)
 		maxRel = math.Max(maxRel, relTo(rn, st.R0[c]))
 		if rn <= opts.Tol*st.R0[c] {
-			st.land(c)
+			if err := st.land(c); err != nil {
+				return err
+			}
 			continue
 		}
 		st.Beta[c] = rzNew / st.RZ[c] // beta(j) = r(j+1)'z(j+1) / r(j)'z(j)
@@ -457,58 +486,104 @@ func (d *driver) step(j int) error {
 	return nil
 }
 
-// fail freezes column c with its breakdown or divergence. On a column
-// carrying an injected corruption no check has caught yet, the corruption is
-// the likely cause, so the error is classed data_loss like a detected one.
-func (d *driver) fail(c int, err error) {
+// fail freezes column c with its breakdown or divergence, after settling a
+// pending episode (a frozen column's x is final). On a column carrying an
+// injected corruption no check has caught yet, the corruption is the likely
+// cause, so the error is classed data_loss like a detected one. Collective.
+func (d *driver) fail(c int, err error) error {
+	if serr := d.st.settle(); serr != nil {
+		return serr
+	}
 	if len(d.sdcPending[c]) > 0 {
 		err = xerr.Wrap(xerr.DataLoss, err)
 	}
 	d.st.errs[c], d.st.done[c] = err, true
+	return nil
 }
 
-// land marks column c converged: it is masked out of the iteration and its
-// solution snapshotted (see SolverState.xFinal).
-func (st *SolverState) land(c int) {
+// land marks column c converged: a pending episode is settled, the column
+// masked out of the iteration and its solution snapshotted (see
+// SolverState.xFinal). Collective.
+func (st *SolverState) land(c int) error {
+	if err := st.settle(); err != nil {
+		return err
+	}
 	st.res[c].Converged = true
 	st.done[c] = true
 	st.xFinal[c] = vec.Clone(st.X[c].Local)
+	return nil
 }
 
 // handleFailure runs the strategy's recovery episode for the victims
-// detected at iteration j, books it on every column still running (a solo
-// solve of an already-landed column would have ended before this iteration)
-// and reports it. resume is the strategy's directive (see Strategy.Recover).
+// detected at iteration j and books it (at settle, when its x-system is
+// still being solved) on every column still running: a solo solve of an
+// already-landed column would have ended before this iteration. resume is
+// the strategy's directive (see Strategy.Recover).
 func (d *driver) handleFailure(j int, victims []int) (resume int, err error) {
 	st := d.st
 	resume, rec, err := d.strat.Recover(st, j, victims)
 	if err != nil {
 		return 0, err
 	}
-	sub := st.subIters
-	st.subIters = nil
-	residual, rel := 0.0, 0.0
+	rp := episodeReport{strategy: d.strat.Name(), j: j, resume: resume, rec: rec}
 	for c := range st.res {
 		if st.done[c] {
 			continue
 		}
 		res := &st.res[c]
-		colRec := rec
-		if sub != nil {
-			colRec.SubIterations = int(sub[c])
-		}
-		res.Reconstructions = append(res.Reconstructions, colRec)
-		res.ReconstructTime += rec.Duration
 		if res.InitialResidual == 0 && st.Opts.Resume != nil {
 			// A resumed rank learns ||r0|| only through the recovery's
 			// scalar reconstruction; fill the Result in after the fact.
 			res.InitialResidual, res.FinalResidual = st.R0[c], st.R0[c]
 		}
-		residual = math.Max(residual, res.FinalResidual)
-		rel = math.Max(rel, relTo(res.FinalResidual, st.R0[c]))
+		rp.residual = math.Max(rp.residual, res.FinalResidual)
+		rp.rel = math.Max(rp.rel, relTo(res.FinalResidual, st.R0[c]))
 	}
-	st.Opts.reportEpisode(d.strat.Name(), j, resume, rec, residual, rel)
+	if st.pend != nil {
+		st.pend.report = rp
+		return resume, nil
+	}
+	st.book(rp)
 	return resume, nil
+}
+
+// episodeReport is a recovery episode as its columns' records and the
+// progress and trace reports take it. residual is that of the last completed
+// iteration (the episode happens mid-iteration); resume is the strategy's
+// directive, from which the rollback depth follows; sub holds the per-column
+// subsystem iterations of a reconstruction.
+type episodeReport struct {
+	strategy      string
+	j, resume     int
+	rec           Reconstruction
+	sub           []float64
+	residual, rel float64
+}
+
+// book appends the episode to every running column's Result and reports it.
+func (st *SolverState) book(rp episodeReport) {
+	for c := range st.res {
+		if st.done[c] {
+			continue
+		}
+		colRec := rp.rec
+		if rp.sub != nil {
+			colRec.SubIterations = int(rp.sub[c])
+		}
+		st.res[c].Reconstructions = append(st.res[c].Reconstructions, colRec)
+		st.res[c].ReconstructTime += rp.rec.Duration
+	}
+	o := st.Opts
+	o.notify(ProgressEvent{Iteration: rp.j, Residual: rp.residual, RelResidual: rp.rel, Reconstruction: &rp.rec})
+	redone := 0
+	if rp.resume >= 0 {
+		redone = rp.j - rp.resume
+	}
+	o.trace(RecoveryTrace{
+		Iteration: rp.j, Strategy: rp.strategy,
+		FailedRanks: rp.rec.FailedRanks, Restarts: rp.rec.Restarts,
+		RedoneIterations: redone, Duration: rp.rec.Duration,
+	})
 }
 
 // pollFailStop is the fail-stop poll point of iteration j, shared by every
@@ -528,23 +603,6 @@ func (o Options) pollFailStop(sched *faults.Schedule, lastFired *int, j int) []i
 	return v
 }
 
-// reportEpisode emits the progress event and the recovery trace of a
-// completed episode. residual is that of the last completed iteration (the
-// episode happens mid-iteration); resume is the strategy's directive, from
-// which the rollback depth follows.
-func (o Options) reportEpisode(strategy string, j, resume int, rec Reconstruction, residual, rel float64) {
-	o.notify(ProgressEvent{Iteration: j, Residual: residual, RelResidual: rel, Reconstruction: &rec})
-	redone := 0
-	if resume >= 0 {
-		redone = j - resume
-	}
-	o.trace(RecoveryTrace{
-		Iteration: j, Strategy: strategy,
-		FailedRanks: rec.FailedRanks, Restarts: rec.Restarts,
-		RedoneIterations: redone, Duration: rec.Duration,
-	})
-}
-
 // pollCorruption is the silent-data-corruption poll point of iteration j, for
 // every still-running column: scheduled bit flips strike — at the same point
 // as the fail-stop events, after u = A p(j) was computed from the still-clean
@@ -554,6 +612,14 @@ func (o Options) reportEpisode(strategy string, j, resume int, rec Reconstructio
 // non-bitwise, so that the SpMV must be redone.
 func (d *driver) pollCorruption(j int) (redo bool, err error) {
 	st, opts := d.st, d.st.Opts
+	// A fired event or the drift check reads or overwrites x: settle first.
+	if st.pend != nil && (len(st.Sched.AtIteration(j)) > 0 && j > d.lastFired ||
+		len(st.Sched.CorruptionsAt(j)) > 0 && j > d.lastInjected ||
+		opts.SDCCheck > 0 && j > 0 && j%opts.SDCCheck == 0) {
+		if err := st.settle(); err != nil {
+			return false, err
+		}
+	}
 	// All ranks count every injection (the Results stay replicated); only
 	// the victim applies the flip.
 	if sites := st.Sched.CorruptionsAt(j); len(sites) > 0 && j > d.lastInjected {
@@ -665,6 +731,9 @@ func (d *driver) sdcDetected(c, j, n int) {
 // convergence check.
 func (d *driver) finish() error {
 	st := d.st
+	if err := st.settle(); err != nil {
+		return err
+	}
 	for c, snap := range st.xFinal {
 		if snap != nil {
 			copy(st.X[c].Local, snap)

@@ -186,19 +186,20 @@ type Reconstruction struct {
 	// SubIterations is the iteration count of the subsystem solve for
 	// A_{If,If} x_If = w.
 	SubIterations int
-	// Duration is the wall-clock time of the episode.
+	// Duration is the wall-clock time the iteration was held up by the
+	// episode. The x-system is solved in the background after it, and the
+	// episode is reported once x_If has landed.
 	Duration time.Duration
 	// Phases splits Duration over the five recovery phases — scalars,
-	// p-gather, z/r rebuild, x-system, finalize — as the reporting rank saw
-	// them, summed over restarts. Ranks wait for each other only where they
-	// exchange messages, so a survivor spends the replacements' x-system
-	// solve inside its finalize barrier.
+	// p-gather, z/r rebuild, x-system (forming w and handing it to the
+	// leader), finalize — as the reporting rank saw them, summed over
+	// restarts.
 	Phases [numPhases]time.Duration
-	// SubsystemSetup and SubsystemSolve split the episode leader's time in
-	// the x-system — the lowest failed rank, which solves it for the whole
-	// failed set — into assembling the operator and preconditioners and
-	// running the PCG. Zero on every other rank: a replacement's wait for
-	// its x_If shows in Phases[3], a survivor's in Phases[4].
+	// SubsystemSetup is the time the episode leader — the lowest failed
+	// rank, which solves the x-system for the whole failed set — spent
+	// assembling its operator and preconditioners, inside Phases[3].
+	// SubsystemSolve is the wall time of the leader's background PCG, outside
+	// Duration. Both are zero on every other rank.
 	SubsystemSetup, SubsystemSolve time.Duration
 }
 
@@ -234,7 +235,8 @@ type Result struct {
 	// poll point, as with the twin strategy's default interval of 1).
 	SDCLatency int
 	// SolveTime is the total wall-clock solve time; ReconstructTime is the
-	// part spent in reconstruction episodes.
+	// part the iteration was held up by recovery episodes (the sum of their
+	// Durations).
 	SolveTime, ReconstructTime time.Duration
 }
 

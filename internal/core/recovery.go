@@ -19,8 +19,8 @@ const (
 	phaseScalars  = 1 // replicated scalars reach the replacements
 	phasePGather  = 2 // redundant copies of p(j), p(j-1) are gathered
 	phaseZR       = 3 // z_If and r_If are reconstructed (Alg. 2 lines 4-6)
-	phaseXSystem  = 4 // w is formed and A_{If,If} x_If = w solved (lines 7-8)
-	phaseFinalize = 5 // global barrier; solver resumes
+	phaseXSystem  = 4 // w is formed and handed to the x-system (lines 7-8)
+	phaseFinalize = 5 // the solver resumes; x_If lands at settle
 	numPhases     = 5
 )
 
@@ -115,8 +115,10 @@ func (ef *EpisodeFailures) AmFailed() bool { return ef.Failed[ef.pos] }
 // union failed set I_f, for all k columns of the lost blocks at once — for
 // the failure of `victims` detected at iteration j. It returns when every
 // rank (survivors and replacements) holds a consistent solver state for
-// iteration j. This is the only copy of the protocol: PCG and SPCG, at any
-// width, differ in the rebuild step (rebuildR) alone.
+// iteration j, except x_If: the x-system is solved in the background, and
+// st.pend holds the episode until settle. This is the only copy of the
+// protocol: PCG and SPCG, at any width, differ in the rebuild step
+// (rebuildR) alone.
 func (st *SolverState) recoverEpisode(j int, victims []int) (Reconstruction, error) {
 	startT := time.Now()
 	rec := Reconstruction{Iteration: j}
@@ -131,12 +133,14 @@ restart:
 		failed:     ef.Failed,
 		failedList: rec.FailedRanks,
 		amFailed:   ef.AmFailed(),
-		subIters:   make([]float64, st.k()),
 	}
 	for phase := 1; phase <= numPhases; phase++ {
 		// Overlapping failures strike at phase boundaries; restarting with
-		// the union set re-runs the completed phases deterministically.
+		// the union set re-runs the completed phases deterministically. A
+		// fresh victim is a survivor, never the leader whose x-system solve
+		// the restart stops.
 		if ef.AtPhase(phase) {
+			st.dropPending()
 			rec.Restarts++
 			goto restart
 		}
@@ -150,8 +154,6 @@ restart:
 			err = ep.runZR()
 		case phaseXSystem:
 			err = ep.runXSystem()
-		case phaseFinalize:
-			err = ep.finalize()
 		}
 		if err != nil {
 			return rec, err
@@ -161,13 +163,52 @@ restart:
 		rec.Phases[phase-1] += now.Sub(mark)
 		mark = now
 	}
-	rec.SubsystemSetup, rec.SubsystemSolve = ep.subSetup, ep.subSolve
-	st.subIters = ep.subIters
-	for _, it := range ep.subIters {
-		rec.SubIterations = max(rec.SubIterations, int(it))
-	}
+	rec.SubsystemSetup = ep.subSetup
 	rec.Duration = time.Since(startT)
 	return rec, nil
+}
+
+// settle completes a pending episode, collectively: x_If reaches the
+// replacements, which replay the x updates they kept, the per-column
+// subsystem iteration counts are replicated, and the episode is booked. A
+// no-op when nothing is pending. The driver settles at the first norms
+// allreduce after the leader's solve returned, and in any case before
+// anything reads x.
+func (st *SolverState) settle() error {
+	pd := st.pend
+	if pd == nil {
+		return nil
+	}
+	st.pend = nil
+	if err := pd.deliver(st); err != nil {
+		return err
+	}
+	iters, err := st.E.Grp.Allreduce(cluster.OpMax, pd.subIters)
+	if err != nil {
+		return err
+	}
+	rp := pd.report
+	rp.sub = pd.subIters
+	copy(rp.sub, iters)
+	st.E.Grp.Recycle(iters)
+	for _, it := range rp.sub {
+		rp.rec.SubIterations = max(rp.rec.SubIterations, int(it))
+	}
+	rp.rec.SubsystemSolve = pd.subSolve
+	st.book(rp)
+	return nil
+}
+
+// dropPending stops a pending episode's x-system solve and waits for it;
+// its result is discarded (a restart re-solves, an error ends the solve).
+func (st *SolverState) dropPending() {
+	if pd := st.pend; pd != nil {
+		st.pend = nil
+		if pd.sys != nil {
+			pd.sys.stop.Store(true)
+		}
+		pd.join()
+	}
 }
 
 // episode is the per-attempt state of a reconstruction.
@@ -178,11 +219,10 @@ type episode struct {
 	failedList []int
 	amFailed   bool
 
-	pPrev    [][]float64 // p(j-1) per column on the replacement's block
-	r        [][]float64 // r_If per column, from the rebuild step
-	subIters []float64   // subsystem iterations per column (as allreduced)
+	pPrev [][]float64 // p(j-1) per column on the replacement's block
+	r     [][]float64 // r_If per column, from the rebuild step
 
-	subSetup, subSolve time.Duration // subsystem wall-clock split (replacements)
+	subSetup time.Duration // the leader's x-system assembly
 }
 
 // lowestSurvivor returns the smallest rank not in the failed set.
@@ -325,18 +365,23 @@ func (st *SolverState) rebuildR(ep *episode) ([][]float64, error) {
 
 // runXSystem forms w = b_If - r_If - A_{If, I\If} x_{I\If} (Alg. 2 line 7)
 // on every replacement — ONE fused k-strided gather of the survivors' ghost
-// entries of x — and solves the SPD subsystem A_{If,If} x_If = w (line 8) for
+// entries of x — and starts the SPD subsystem A_{If,If} x_If = w (line 8) for
 // every column. Sec. 4.1 solves it cooperatively over the replacements
 // ("additional communication between the psi replacement nodes is
 // necessary"); here that communication is a gather of w onto one replacement,
-// which solves the whole subsystem alone, and a scatter of x_If back
-// (solveXSystem), with x_If unchanged to the bit.
+// which solves the whole subsystem alone, and a scatter of x_If back at
+// settle (startXSystem), with x_If unchanged to the bit.
 func (ep *episode) runXSystem() error {
 	st := ep.st
 	ghosts, err := gatherGhost(st.E, st.A, locals(st.X), ep.failed, ep.failedList)
-	if err != nil || !ep.amFailed {
+	if err != nil {
 		return err
 	}
+	st.pend = &pendingX{failed: ep.failedList, amFailed: ep.amFailed, subIters: make([]float64, st.k())}
+	if !ep.amFailed {
+		return nil
+	}
+	st.pend.hist = make([][]xUpdate, st.k())
 	w := cloneLocals(st.B)
 	neg := make([]float64, len(w[0]))
 	for c := range w {
@@ -345,17 +390,5 @@ func (ep *episode) runXSystem() error {
 		st.A.GhostProduct(neg, ghosts[c])
 		vec.Axpy(-1, neg, w[c])
 	}
-	return ep.solveXSystem(w)
-}
-
-// finalize synchronises all ranks and replicates the per-column subsystem
-// iteration counts (only replacements solved the subsystems).
-func (ep *episode) finalize() error {
-	iters, err := ep.st.E.Grp.Allreduce(cluster.OpMax, ep.subIters)
-	if err != nil {
-		return err
-	}
-	copy(ep.subIters, iters)
-	ep.st.E.Grp.Recycle(iters)
-	return nil
+	return ep.startXSystem(w)
 }

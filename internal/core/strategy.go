@@ -71,7 +71,8 @@ type SolverState struct {
 	// R0[c] is ||r(0)||, RZ[c] is r(j)'z(j), Beta[c] is beta(j-1) of column
 	// c; all replicated.
 	R0, RZ, Beta []float64
-	// fused is the length-2k send buffer of the fused allreduces.
+	// fused is the length-2k send buffer of the fused allreduces; one slot
+	// past its length carries a pending x-system's flag (driver.step).
 	fused []float64
 
 	// X0 holds clones of the rank's initial-guess blocks, kept only when the
@@ -94,10 +95,9 @@ type SolverState struct {
 	// other columns run on, rebuilds the live X[c] only to LocalTol. nil (a
 	// column that never converged) means X[c] itself is the answer.
 	xFinal [][]float64
-	// subIters carries the per-column subsystem iteration counts of the
-	// last in-place reconstruction from the episode to the driver's
-	// per-column Reconstruction records (nil after a rollback).
-	subIters []float64
+	// pend is the reconstruction episode whose x-system is still being
+	// solved (see settle); nil when none is.
+	pend *pendingX
 }
 
 // newSolverState allocates the k-column iteration state around the caller's
@@ -109,12 +109,12 @@ func newSolverState(e *distmat.Env, a *distmat.Matrix, m Precond, rec recurrence
 	for i := range vs {
 		vs[i] = distmat.NewVector(a.P, e.Pos)
 	}
-	fs := make([]float64, 5*k)
+	fs := make([]float64, 5*k+1)
 	return &SolverState{
 		E: e, A: a, M: m, Opts: opts, Sched: sched, rec: rec,
 		B: b, X: x,
 		R: vs[:k], Z: vs[k : 2*k], P: vs[2*k : 3*k], U: vs[3*k:],
-		R0: fs[:k], RZ: fs[k : 2*k], Beta: fs[2*k : 3*k], fused: fs[3*k:],
+		R0: fs[:k], RZ: fs[k : 2*k], Beta: fs[2*k : 3*k], fused: fs[3*k : 5*k],
 		done: make([]bool, k), errs: make([]error, k),
 		res: make([]Result, k), xFinal: make([][]float64, k),
 	}

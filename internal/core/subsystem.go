@@ -3,91 +3,59 @@ package core
 import (
 	"fmt"
 	"math"
-	"runtime"
-	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/distmat"
 	"repro/internal/precond"
+	"repro/internal/sparse"
 	"repro/internal/vec"
+	"repro/internal/xerr"
 )
 
-// solveXSystem solves A_{If,If} x_If = w (paper Alg. 2 line 8) for every
-// column on one replacement, the leader — the lowest failed rank. Every other
-// replacement sends it its blocks of w in one message and receives its blocks
-// of x_If back in one: 2(psi-1) messages per episode, where a solve
-// distributed over the failed group costs a halo round and two allreduces per
-// subsystem iteration. The leader runs Alg. 1 over the psi failed blocks
-// alone, with no message (subsystem.solve), so x_If lands in st.X bit for
-// bit as the failed group's cooperative PCG would leave it. Replacements
-// only: w holds the calling rank's blocks, one per column.
-func (ep *episode) solveXSystem(w [][]float64) error {
+// startXSystem hands the x-system A_{If,If} x_If = w (paper Alg. 2 line 8)
+// to one replacement, the leader — the lowest failed rank. Every other
+// replacement sends it its blocks of w in one message here and receives its
+// blocks of x_If in one at settle: 2(psi-1) messages per episode, where a
+// solve distributed over the failed group costs a halo round and two
+// allreduces per subsystem iteration. The leader runs Alg. 1 over the psi
+// failed blocks alone, with no message (subsystem.solve), so x_If lands bit
+// for bit as the failed group's cooperative PCG would leave it. No step of
+// the recurrence reads x, so the leader solves in the background while the
+// iteration resumes. Replacements only: w holds the calling rank's blocks,
+// one per column.
+func (ep *episode) startXSystem(w [][]float64) error {
 	st := ep.st
-	c := st.E.C
-	leader := ep.failedList[0]
-	if st.E.Pos != leader {
-		if err := c.SendOwned(cluster.CatRecovery, leader, tagRecW, joinColumns(c, w), nil); err != nil {
-			return err
-		}
-		msg, err := c.Recv(leader, tagRecX)
-		if err != nil {
-			return err
-		}
-		if len(msg.I) > 0 {
-			return fmt.Errorf("core: the x-system failed on leader rank %d", leader)
-		}
-		x := locals(st.X)
-		if n := len(x[0]); len(msg.F) != len(x)*n {
-			return fmt.Errorf("core: x-system scatter from %d: %d values, want %d", leader, len(msg.F), len(x)*n)
-		}
-		for col := range x {
-			copy(x[col], msg.F[col*len(x[col]):])
-		}
-		c.Recycle(msg)
-		return nil
+	if leader := ep.failedList[0]; st.E.Pos != leader {
+		return st.E.C.SendOwned(cluster.CatRecovery, leader, tagRecW, joinColumns(st.E.C, w), nil)
 	}
-	x, err := ep.leadXSystem(w)
-	for t, f := range ep.failedList[1:] {
-		var payload []float64
-		var status []int
-		if err == nil {
-			payload = joinColumns(c, x[t+1])
-		} else {
-			status = []int{1} // the others fail too, instead of waiting
-		}
-		if serr := c.SendOwned(cluster.CatRecovery, f, tagRecX, payload, status); serr != nil && err == nil {
-			err = serr
-		}
-	}
-	return err
+	return ep.leadXSystem(w)
 }
 
-// leadXSystem is the leader's part of solveXSystem: it receives the other
+// leadXSystem is the leader's part of startXSystem: it receives the other
 // replacements' blocks of w, assembles the subsystem from the failed ranks'
-// static state and solves it column by column. It returns x_If as x[t][c],
-// failed rank t's block of column c; the leader's own blocks are st.X's.
-func (ep *episode) leadXSystem(w [][]float64) ([][][]float64, error) {
-	st := ep.st
+// static state and starts its solve.
+func (ep *episode) leadXSystem(w [][]float64) error {
+	st, pd := ep.st, ep.st.pend
 	k, psi := len(w), len(ep.failedList)
 	rhs := make([][][]float64, psi)
-	x := make([][][]float64, psi)
-	rhs[0], x[0] = w, locals(st.X)
+	pd.x = make([][][]float64, psi)
+	rhs[0], pd.x[0] = w, locals(st.X)
 	for t := 1; t < psi; t++ {
 		f := ep.failedList[t]
 		vals, err := st.E.C.RecvFloats(f, tagRecW)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		n := st.A.P.Size(f)
 		if len(vals) != k*n {
-			return nil, fmt.Errorf("core: x-system gather from %d: %d values, want %d", f, len(vals), k*n)
+			return fmt.Errorf("core: x-system gather from %d: %d values, want %d", f, len(vals), k*n)
 		}
-		rhs[t], x[t] = make([][]float64, k), make([][]float64, k)
+		rhs[t], pd.x[t] = make([][]float64, k), make([][]float64, k)
 		for col := range rhs[t] {
 			rhs[t][col] = vals[col*n : (col+1)*n]
-			x[t][col] = make([]float64, n)
+			pd.x[t][col] = make([]float64, n)
 		}
 	}
 
@@ -97,33 +65,147 @@ func (ep *episode) leadXSystem(w [][]float64) ([][][]float64, error) {
 	for t, f := range ep.failedList {
 		var err error
 		if blocks[t], precs[t], err = st.staticBlock(f); err != nil {
-			return nil, err
+			return err
 		}
 	}
 	sys, err := newSubsystem(blocks, precs)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	defer sys.close()
 	maxIter := st.Opts.LocalMaxIter
 	if maxIter <= 0 {
 		maxIter = defaultLocalMaxIter(sys.n)
 	}
-	solveT := time.Now()
-	wc, xc := make([][]float64, psi), make([][]float64, psi)
-	for col := 0; col < k; col++ {
+	ep.subSetup += time.Since(setupT)
+	pd.sys, pd.done = sys, make(chan struct{})
+	xSolvesLive.Add(1)
+	go pd.solve(rhs, st.Opts.LocalTol, maxIter)
+	return nil
+}
+
+// pendingX is an episode whose x-system is still being solved. Every rank
+// holds one from phase 4 until settle; the leader also runs the solve, and
+// every replacement keeps the x updates of the iterations run meanwhile.
+type pendingX struct {
+	failed   []int // the episode's failed ranks, failed[0] the leader
+	amFailed bool
+	// hist[c] lists column c's updates x += alpha p since the episode, in
+	// order, each p a copy; replacements only.
+	hist [][]xUpdate
+	// subIters holds the per-column subsystem iterations (the leader's until
+	// settle allreduces them).
+	subIters []float64
+	// report is the episode's record, booked at settle.
+	report episodeReport
+
+	// The leader's solve: x[t][c] is failed rank t's block of column c (the
+	// leader's own are its X), done closes when solve returns. Nil elsewhere.
+	sys      *subsystem
+	x        [][][]float64
+	done     chan struct{}
+	err      error
+	subSolve time.Duration
+}
+
+// xUpdate is one deferred x += alpha p.
+type xUpdate struct {
+	alpha float64
+	p     []float64
+}
+
+// xSolvesLive counts the background x-system solves started and not yet
+// joined; every solve is joined before SolveBlock returns.
+var xSolvesLive atomic.Int64
+
+// solve is the leader's background solve, column by column.
+func (pd *pendingX) solve(rhs [][][]float64, tol float64, maxIter int) {
+	defer close(pd.done)
+	start := time.Now()
+	wc, xc := make([][]float64, len(rhs)), make([][]float64, len(rhs))
+	for col := range pd.subIters {
 		for t := range wc {
-			wc[t], xc[t] = rhs[t][col], x[t][col]
+			wc[t], xc[t] = rhs[t][col], pd.x[t][col]
 		}
-		it, err := sys.solve(wc, xc, st.Opts.LocalTol, maxIter)
+		it, err := pd.sys.solve(wc, xc, tol, maxIter)
 		if err != nil {
-			return nil, fmt.Errorf("%w (column %d)", err, col)
+			pd.err = xerr.Wrap(xerr.DataLoss, fmt.Errorf("%w (column %d)", err, col))
+			break
 		}
-		ep.subIters[col] += float64(it)
+		pd.subIters[col] = float64(it)
 	}
-	ep.subSetup += solveT.Sub(setupT)
-	ep.subSolve += time.Since(solveT)
-	return x, nil
+	pd.subSolve = time.Since(start)
+}
+
+// solved is the leader's "x_If is solved" flag: 1 once its solve returned.
+func (pd *pendingX) solved() float64 {
+	select {
+	case <-pd.done: // a nil channel (not the leader) never delivers
+		return 1
+	default:
+		return 0
+	}
+}
+
+// join waits for the leader's solve, if one was started, and returns its
+// error.
+func (pd *pendingX) join() error {
+	if pd.done == nil {
+		return nil
+	}
+	<-pd.done
+	xSolvesLive.Add(-1)
+	return pd.err
+}
+
+// deliver is settle's half of the x-system exchange: the leader waits for
+// its solve and scatters x_If, one message per other replacement (a failure
+// status instead when the solve failed, so that no one waits), and every
+// replacement writes its blocks and replays the x updates it kept — the
+// multiply-adds the iterations would have made, in the same order, so x is
+// bit for bit the eager one.
+func (pd *pendingX) deliver(st *SolverState) error {
+	c := st.E.C
+	x := locals(st.X)
+	switch leader := pd.failed[0]; {
+	case st.E.Pos == leader:
+		err := pd.join()
+		for t, f := range pd.failed[1:] {
+			var payload []float64
+			var status []int
+			if err == nil {
+				payload = joinColumns(c, pd.x[t+1])
+			} else {
+				status = []int{1}
+			}
+			if serr := c.SendOwned(cluster.CatRecovery, f, tagRecX, payload, status); serr != nil && err == nil {
+				err = serr
+			}
+		}
+		if err != nil {
+			return err
+		}
+	case pd.amFailed:
+		msg, err := c.Recv(leader, tagRecX)
+		if err != nil {
+			return err
+		}
+		if len(msg.I) > 0 {
+			return xerr.Newf(xerr.DataLoss, "core: the x-system failed on leader rank %d", leader)
+		}
+		if n := len(x[0]); len(msg.F) != len(x)*n {
+			return fmt.Errorf("core: x-system scatter from %d: %d values, want %d", leader, len(msg.F), len(x)*n)
+		}
+		for col := range x {
+			copy(x[col], msg.F[col*len(x[col]):])
+		}
+		c.Recycle(msg)
+	}
+	for col, steps := range pd.hist {
+		for _, s := range steps {
+			vec.Axpy(s.alpha, s.p, x[col])
+		}
+	}
+	return nil
 }
 
 // staticBlock returns failed rank f's static state — its matrix and
@@ -164,7 +246,8 @@ type subsystem struct {
 	// of a fused pair.
 	parts, parts2 []float64
 	n             int
-	crew          *crew
+	// stop, once set, ends solve at its next iteration.
+	stop atomic.Bool
 }
 
 // newSubsystem assembles the subsystem over the failed ranks' matrices (in
@@ -189,12 +272,8 @@ func newSubsystem(blocks []*distmat.Matrix, precs []Precond) (*subsystem, error)
 		}
 	}
 	s.r, s.z, s.p, s.u = vs[:psi], vs[psi:2*psi], vs[2*psi:3*psi], vs[3*psi:]
-	s.crew = newCrew(min(psi, runtime.GOMAXPROCS(0)) - 1)
 	return s, nil
 }
-
-// close stops the subsystem's helpers.
-func (s *subsystem) close() { s.crew.stop() }
 
 // blockILU returns a failed block's subsystem preconditioner: the session's
 // ILU(0) factor of it when the session holds one, else the block's own
@@ -212,8 +291,10 @@ func blockILU(m *distmat.Matrix, session Precond) precond.Preconditioner {
 }
 
 // newSubsystemILU factors a lost block for a session that holds no ILU(0) of
-// it. A variable so a test can count factorisations.
-var newSubsystemILU = precond.NewBlockJacobiILU
+// it. A variable so a test can count factorisations or hold the solve.
+var newSubsystemILU = func(block *sparse.CSR) (precond.Preconditioner, error) {
+	return precond.NewBlockJacobiILU(block)
+}
 
 // defaultLocalMaxIter is the subsystem iteration bound Options.LocalMaxIter
 // <= 0 selects for a subsystem of n unknowns.
@@ -229,9 +310,7 @@ func defaultLocalMaxIter(n int) int {
 // (cluster.TreeSum). So x, the count and each stopping decision are bit for
 // bit those of the driver's PCG run by the failed ranks together, each on its
 // own block, the reference TestSubsystemSolveMatchesRebuiltReference holds it
-// to. The blocks of a step are independent — each writes only its own
-// vectors and partial slots — so the crew spreads them over goroutines
-// without the result depending on which ran which.
+// to. It checks stop once per iteration.
 func (s *subsystem) solve(w, x [][]float64, tol float64, maxIter int) (int, error) {
 	r, z, p, u := s.r, s.z, s.p, s.u
 	// r = w - A x at x = 0, formed as the driver forms the initial residual.
@@ -251,21 +330,21 @@ func (s *subsystem) solve(w, x [][]float64, tol float64, maxIter int) (int, erro
 	}
 	rn := r0
 	for j := 0; j < maxIter; j++ {
-		s.crew.run(len(u), func(t int) {
-			s.a.MatVecBlock(t, u[t], p)
-			s.parts[t] = vec.ParDot(p[t], u[t])
-		})
-		pu := cluster.TreeSum(s.parts)
+		if s.stop.Load() {
+			return 0, fmt.Errorf("core: x-system solve stopped at iteration %d", j)
+		}
+		s.a.MatVec(u, p)
+		pu := s.dot(p, u)
 		// Negated so that NaN trips it too, as in the driver.
 		if !(pu > 0) {
 			return 0, fmt.Errorf("core: reconstruction subsystem breakdown, p'Ap = %g at iteration %d", pu, j)
 		}
 		alpha := rz / pu
-		s.crew.run(len(x), func(t int) {
+		for t := range x {
 			vec.ParAxpyAxpy(alpha, p[t], x[t], -alpha, u[t], r[t], 0)
 			s.prec[t].ApplyInv(z[t], r[t])
 			s.parts[t], s.parts2[t] = vec.ParDot2(r[t], r[t], r[t], z[t])
-		})
+		}
 		rzNew := cluster.TreeSum(s.parts2)
 		rn = math.Sqrt(cluster.TreeSum(s.parts))
 		if math.IsNaN(rn) || math.IsInf(rn, 0) {
@@ -293,81 +372,4 @@ func (s *subsystem) dot(a, b [][]float64) float64 {
 		s.parts[t] = vec.ParDot(a[t], b[t])
 	}
 	return cluster.TreeSum(s.parts)
-}
-
-// crew runs the blocks of a solver step on the calling goroutine and on
-// helpers that, for the life of one x-system, wait for the next step by
-// polling rather than parking. A step of a small subsystem lasts tens of
-// microseconds, while a parked goroutine can take as long to wake (on a
-// virtualised 2-core box the shared worker pool, whose workers park between
-// calls, was measured to leave the second core idle for steps of 150 µs).
-// The caller claims every block no helper has claimed, so a helper that is
-// late, descheduled or absent (GOMAXPROCS 1) costs only its share of the
-// parallelism; a polling helper yields its core whenever another goroutine
-// is runnable.
-type crew struct {
-	step atomic.Pointer[crewStep]
-	done atomic.Bool
-	wg   sync.WaitGroup
-}
-
-// crewStep is one published step: blocks are claimed off next, and left
-// counts those not yet finished.
-type crewStep struct {
-	f          func(t int)
-	n          int
-	next, left atomic.Int64
-}
-
-// newCrew starts a crew with the given number of helpers.
-func newCrew(helpers int) *crew {
-	c := &crew{}
-	c.wg.Add(helpers)
-	for range helpers {
-		go c.help()
-	}
-	return c
-}
-
-// help works on every step published until the crew stops.
-func (c *crew) help() {
-	defer c.wg.Done()
-	var last *crewStep
-	for !c.done.Load() {
-		if s := c.step.Load(); s != nil && s != last {
-			last = s
-			s.work()
-			continue
-		}
-		runtime.Gosched()
-	}
-}
-
-// run calls f(t) for every t in [0, n) and returns once all have returned.
-func (c *crew) run(n int, f func(t int)) {
-	s := &crewStep{f: f, n: n}
-	s.left.Store(int64(n))
-	c.step.Store(s)
-	s.work()
-	for s.left.Load() > 0 {
-		runtime.Gosched()
-	}
-}
-
-// work runs unclaimed blocks of the step until none is left to claim.
-func (s *crewStep) work() {
-	for {
-		t := int(s.next.Add(1)) - 1
-		if t >= s.n {
-			return
-		}
-		s.f(t)
-		s.left.Add(-1)
-	}
-}
-
-// stop ends the helpers and waits for them.
-func (c *crew) stop() {
-	c.done.Store(true)
-	c.wg.Wait()
 }

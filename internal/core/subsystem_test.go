@@ -145,7 +145,6 @@ func TestSubsystemSolveMatchesRebuiltReference(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					defer sys.close()
 					for col := 0; col < cols; col++ {
 						w, x := make([][]float64, psi), make([][]float64, psi)
 						for p := range w {
@@ -179,7 +178,7 @@ func countSubsystemILU(t *testing.T, body func()) int64 {
 	t.Helper()
 	var n atomic.Int64
 	orig := newSubsystemILU
-	newSubsystemILU = func(block *sparse.CSR) (*precond.BlockJacobiILU, error) {
+	newSubsystemILU = func(block *sparse.CSR) (precond.Preconditioner, error) {
 		n.Add(1)
 		return orig(block)
 	}
@@ -297,9 +296,11 @@ func TestEpisodeSendsNoSetupMessages(t *testing.T) {
 }
 
 // TestReconstructionPhasesAccountForTheEpisode: the per-phase clock reads
-// tile the episode — they sum to no more than its duration and miss only the
-// bookkeeping outside the phase loop — and a replacement's x-system split
-// lies inside its x-system phase.
+// tile the episode, the time the iteration was held up — they sum to no more
+// than its duration and miss only the bookkeeping outside the phase loop. The
+// leader's subsystem assembly lies inside its x-system phase; the subsystem
+// solve runs in the background, after the episode, and is reported at
+// settle.
 func TestReconstructionPhasesAccountForTheEpisode(t *testing.T) {
 	a := matgen.Poisson2D(16, 16)
 	out := runSolver(t, 8, func(c *cluster.Comm, ss *sessionStub) (Result, distmat.Vector, error) {
@@ -311,7 +312,7 @@ func TestReconstructionPhasesAccountForTheEpisode(t *testing.T) {
 		if err != nil {
 			return Result{}, x, err
 		}
-		// Rank 0, whose Result the harness reports, is a replacement.
+		// Rank 0, whose Result the harness reports, leads the x-system.
 		res, err := ss.esrpcg(e, m, x, b, pc, Options{Tol: 1e-9}, faults.NewSchedule(faults.Simultaneous(6, 0, 1, 2)))
 		return res, x, err
 	})
@@ -326,8 +327,11 @@ func TestReconstructionPhasesAccountForTheEpisode(t *testing.T) {
 	if sum <= 0 || sum > int64(rec.Duration) {
 		t.Fatalf("phases %v sum to %d ns, episode took %v", rec.Phases, sum, rec.Duration)
 	}
-	if rec.SubsystemSolve <= 0 || rec.SubsystemSetup+rec.SubsystemSolve > rec.Phases[phaseXSystem-1] {
-		t.Fatalf("x-system split %v + %v outside its phase %v", rec.SubsystemSetup, rec.SubsystemSolve, rec.Phases[phaseXSystem-1])
+	if rec.SubsystemSetup <= 0 || rec.SubsystemSetup > rec.Phases[phaseXSystem-1] {
+		t.Fatalf("x-system setup %v outside its phase %v", rec.SubsystemSetup, rec.Phases[phaseXSystem-1])
+	}
+	if rec.SubsystemSolve <= 0 {
+		t.Fatalf("the background x-system solve reported %v", rec.SubsystemSolve)
 	}
 }
 

@@ -148,24 +148,25 @@ func (t *twinStrategy) Init(st *SolverState) error {
 	return nil
 }
 
-// Overhead refreshes the shadow at the top of every interval-th iteration.
-// Nothing has mutated the compared state since the previous iteration's
-// updates, so the snapshot is the exact pre-poll-point state of iteration j.
+// Overhead refreshes the shadow at the top of every interval-th iteration,
+// after settling a pending episode, since it reads x. Nothing has mutated the
+// compared state since the previous iteration's updates, so the snapshot is
+// the exact pre-poll-point state of iteration j.
 func (t *twinStrategy) Overhead(st *SolverState, j int) error {
-	if j%t.interval == 0 {
-		st.Twin.sync(st)
+	if j%t.interval != 0 {
+		return nil
 	}
+	if err := st.settle(); err != nil {
+		return err
+	}
+	st.Twin.sync(st)
 	return nil
 }
 
-// Recover handles fail-stop victims by delegating to the ESR reconstruction,
-// then re-arms the shadow with the reconstructed state.
+// Recover handles fail-stop victims by delegating to the ESR reconstruction.
+// The shadow needs no re-arming: the next compare follows the next refresh.
 func (t *twinStrategy) Recover(st *SolverState, j int, victims []int) (int, Reconstruction, error) {
-	rec, err := st.recoverEpisode(j, victims)
-	if err == nil {
-		st.Twin.sync(st)
-	}
-	return -1, rec, err
+	return esrStrategy{}.Recover(st, j, victims)
 }
 
 // PollSDC implements sdcPoller: the twins compare checksums; on divergence a

@@ -14,9 +14,9 @@ import "fmt"
 // SpMV over a subgroup of the members computes.
 //
 // Like Fork it builds nothing that is a function of the matrix: the kernels
-// and halo lists are the members' own and are only read. A Principal owns
-// its input buffers and copy plans: distinct blocks of one product may be
-// computed concurrently (MatVecBlock), nothing else.
+// and halo lists are the members' own and are only read, so a Principal may
+// run beside the members' own solves. It owns its input buffers and copy
+// plans: one product at a time.
 type Principal struct {
 	blocks []*Matrix
 	in     [][]float64   // per member: own block, then ghost slots
@@ -65,20 +65,13 @@ func NewPrincipal(blocks []*Matrix) (*Principal, error) {
 
 // MatVec computes y = A_{If,If} x, x[t] and y[t] being member t's block.
 func (s *Principal) MatVec(y, x [][]float64) {
-	for t := range s.blocks {
-		s.MatVecBlock(t, y[t], x)
+	for t, m := range s.blocks {
+		in := s.in[t]
+		copy(in, x[t])
+		for _, f := range s.fill[t] {
+			f.plan.copy(in, x[f.from], 1)
+		}
+		m.split.Interior.MulMatScatterPar(y[t], in, m.split.IntRows, 1)
+		m.split.Boundary.MulMatScatterPar(y[t], in, m.split.BndRows, 1)
 	}
-}
-
-// MatVecBlock computes member t's block y of A_{If,If} x. It reads every
-// member's block of x and writes only member t's buffers, so the blocks of
-// one product may be computed concurrently.
-func (s *Principal) MatVecBlock(t int, y []float64, x [][]float64) {
-	m, in := s.blocks[t], s.in[t]
-	copy(in, x[t])
-	for _, f := range s.fill[t] {
-		f.plan.copy(in, x[f.from], 1)
-	}
-	m.split.Interior.MulMatScatterPar(y, in, m.split.IntRows, 1)
-	m.split.Boundary.MulMatScatterPar(y, in, m.split.BndRows, 1)
 }

@@ -98,7 +98,7 @@ func StartRank(location string, ranks int) (int, error) {
 type Measurement struct {
 	// Runtime is the wall-clock solve time.
 	Runtime time.Duration
-	// ReconstructTime is the part spent reconstructing state.
+	// ReconstructTime is the part recovery episodes held the iteration up.
 	ReconstructTime time.Duration
 	// Iterations to convergence.
 	Iterations int

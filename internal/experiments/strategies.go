@@ -87,7 +87,9 @@ type StrategyCell struct {
 	// WithFailurePct is the total runtime overhead vs t0 with the failure
 	// schedule injected, in percent (mean over reps).
 	WithFailurePct float64
-	// RecoveryPct is the recovery-episode time vs t0, in percent (mean).
+	// RecoveryPct is the time recovery episodes held the iteration up
+	// (Result.ReconstructTime) vs t0, in percent (mean). ESR's x-system
+	// solve runs in the background after its episode and is not in it.
 	RecoveryPct float64
 	// RedoneIters is the mean number of iterations redone after rollbacks
 	// (0 for ESR, which resumes at the failure iteration).
@@ -96,10 +98,11 @@ type StrategyCell struct {
 	// (reconstruction gathers for ESR, checkpoint restores for C/R).
 	RecoveryFloats int64
 	// RecoveryPhaseSeconds splits the failure runs' mean recovery time over
-	// ESR's five phases (scalars, p-gather, z/r rebuild, x-system, finalize)
-	// as rank 0 — a replacement under this schedule — saw them;
-	// SubsystemSetupSeconds and SubsystemSolveSeconds split the x-system into
-	// building its operator/preconditioner and its PCG. Zero for rollbacks.
+	// ESR's five phases (scalars, p-gather, z/r rebuild, x-system hand-off,
+	// finalize) as rank 0 — the x-system's leader under this schedule — saw
+	// them; SubsystemSetupSeconds is the leader's x-system assembly, inside
+	// the x-system phase, and SubsystemSolveSeconds its background PCG, after
+	// the episode. Zero for rollbacks.
 	RecoveryPhaseSeconds  [5]float64 `json:"recovery_phase_s"`
 	SubsystemSetupSeconds float64    `json:"subsystem_setup_s"`
 	SubsystemSolveSeconds float64    `json:"subsystem_solve_s"`
