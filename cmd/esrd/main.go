@@ -98,7 +98,7 @@ func main() {
 	flag.IntVar(&defaults.SDCCheckInterval, "sdc-check-interval", 0,
 		"default true-residual SDC check period in iterations for jobs that do not pick one (0 disables the check)")
 	flag.IntVar(&defaults.BlockSize, "block-size", 0,
-		"default block width for batch jobs that do not pick one (0 = library default; 1 disables blocking)")
+		"default bound on the columns a batch job has in flight, as two concurrent lockstep groups, for jobs that do not pick one (0 = library default; 1 disables blocking)")
 	pprofAddr := flag.String("pprof", "",
 		"serve net/http/pprof on this separate listener (e.g. localhost:6060; empty disables)")
 	traceIters := flag.Int("trace-iters", 0,

@@ -117,6 +117,9 @@ type xUpdate struct {
 // joined; every solve is joined before SolveBlock returns.
 var xSolvesLive atomic.Int64
 
+// LiveXSolves reports the background x-system solves not yet joined.
+func LiveXSolves() int64 { return xSolvesLive.Load() }
+
 // solve is the leader's background solve, column by column.
 func (pd *pendingX) solve(rhs [][][]float64, tol float64, maxIter int) {
 	defer close(pd.done)

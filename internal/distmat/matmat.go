@@ -18,12 +18,59 @@ import (
 // MatMat is bitwise identical to a MatVec of column j alone — on every
 // transport.
 
-// interleaveTile is the row tile of MatMat's interleave and de-interleave
-// copies: the k-strided rows of one tile (64·k floats) stay in L1 while every
-// column visits them, instead of each column walking all bs·k of them with
-// every store on a different cache line. Pure copies, so the tile size never
-// changes a result.
+// interleaveTile is the row tile of the k mod 8 columns interleave copies
+// one at a time: the tile's k-strided rows (64·k floats) stay in L1 while
+// each of those columns visits them. Pure copies: no result depends on it.
 const interleaveTile = 64
+
+// interleave copies the first bs entries of every column into the k-strided
+// buffer xb (k = len(cols)), eight columns per row visit, then the rest.
+func interleave(xb []float64, cols []Vector, bs int) {
+	k := len(cols)
+	c := 0
+	for ; c+8 <= k; c += 8 {
+		x0, x1, x2, x3 := cols[c].Local[:bs], cols[c+1].Local[:bs], cols[c+2].Local[:bs], cols[c+3].Local[:bs]
+		x4, x5, x6, x7 := cols[c+4].Local[:bs], cols[c+5].Local[:bs], cols[c+6].Local[:bs], cols[c+7].Local[:bs]
+		for i := range bs {
+			r := xb[i*k+c:][:8]
+			r[0], r[1], r[2], r[3] = x0[i], x1[i], x2[i], x3[i]
+			r[4], r[5], r[6], r[7] = x4[i], x5[i], x6[i], x7[i]
+		}
+	}
+	for lo := 0; lo < bs && c < k; lo += interleaveTile {
+		hi := min(lo+interleaveTile, bs)
+		for j := c; j < k; j++ {
+			for i, v := range cols[j].Local[lo:hi] {
+				xb[(lo+i)*k+j] = v
+			}
+		}
+	}
+}
+
+// deinterleave is interleave's inverse: column j of the k-strided buffer yb
+// goes to the first bs entries of cols[j].
+func deinterleave(cols []Vector, yb []float64, bs int) {
+	k := len(cols)
+	c := 0
+	for ; c+8 <= k; c += 8 {
+		y0, y1, y2, y3 := cols[c].Local[:bs], cols[c+1].Local[:bs], cols[c+2].Local[:bs], cols[c+3].Local[:bs]
+		y4, y5, y6, y7 := cols[c+4].Local[:bs], cols[c+5].Local[:bs], cols[c+6].Local[:bs], cols[c+7].Local[:bs]
+		for i := range bs {
+			r := yb[i*k+c:][:8]
+			y0[i], y1[i], y2[i], y3[i] = r[0], r[1], r[2], r[3]
+			y4[i], y5[i], y6[i], y7[i] = r[4], r[5], r[6], r[7]
+		}
+	}
+	for lo := 0; lo < bs && c < k; lo += interleaveTile {
+		hi := min(lo+interleaveTile, bs)
+		for j := c; j < k; j++ {
+			dst := cols[j].Local[lo:hi]
+			for i := range dst {
+				dst[i] = yb[(lo+i)*k+j]
+			}
+		}
+	}
+}
 
 // SetBlockWidth prepares the matrix for width-k MatMat calls: the
 // retention store is replaced by an empty one expecting k values per
@@ -129,14 +176,7 @@ func (m *Matrix) MatMat(e *Env, y, x []Vector, iter int) error {
 			m.scratch.y = make([]float64, bs*k)
 		}
 		yb = m.scratch.y[:bs*k]
-		for lo := 0; lo < bs; lo += interleaveTile {
-			hi := min(lo+interleaveTile, bs)
-			for c, col := range x {
-				for i, v := range col.Local[lo:hi] {
-					xb[(lo+i)*k+c] = v
-				}
-			}
-		}
+		interleave(xb, x, bs)
 	}
 	// Post sends: one pooled frame per destination, k consecutive values
 	// per merged halo+redundancy element.
@@ -208,15 +248,7 @@ func (m *Matrix) MatMat(e *Env, y, x []Vector, iter int) error {
 	}
 	m.split.Boundary.MulMatScatterPar(yb, xb, m.split.BndRows, k)
 	if k > 1 {
-		for lo := 0; lo < bs; lo += interleaveTile {
-			hi := min(lo+interleaveTile, bs)
-			for c, col := range y {
-				dst := col.Local[lo:hi]
-				for i := range dst {
-					dst[i] = yb[(lo+i)*k+c]
-				}
-			}
-		}
+		deinterleave(y, yb, bs)
 	}
 	if retain {
 		// The retention store owns the new generation's payloads.

@@ -282,3 +282,62 @@ func TestSpMVSteadyStateAllocatesNothing(t *testing.T) {
 		}
 	}
 }
+
+// TestInterleaveRoundTrip: interleave puts entry i of column j at i·k+j for
+// every width — blocks of eight columns, the k mod 8 rest, and tile edges —
+// leaves the rows past bs alone, and deinterleave returns exactly the
+// columns it was given.
+func TestInterleaveRoundTrip(t *testing.T) {
+	for _, bs := range []int{1, 7, 64, 130} {
+		for k := 1; k <= 21; k++ {
+			cols := make([]Vector, k)
+			out := make([]Vector, k)
+			for j := range cols {
+				cols[j].Local = make([]float64, bs+1) // one spare entry past bs
+				out[j].Local = make([]float64, bs+1)
+				for i := range cols[j].Local {
+					cols[j].Local[i] = float64(1000*j + i)
+				}
+			}
+			xb := make([]float64, bs*k)
+			interleave(xb, cols, bs)
+			for i := 0; i < bs; i++ {
+				for j := 0; j < k; j++ {
+					if got := xb[i*k+j]; got != cols[j].Local[i] {
+						t.Fatalf("bs %d k %d: xb[%d·k+%d] = %v, want %v", bs, k, i, j, got, cols[j].Local[i])
+					}
+				}
+			}
+			deinterleave(out, xb, bs)
+			for j := range out {
+				for i := 0; i < bs; i++ {
+					if out[j].Local[i] != cols[j].Local[i] {
+						t.Fatalf("bs %d k %d: column %d row %d = %v, want %v", bs, k, j, i, out[j].Local[i], cols[j].Local[i])
+					}
+				}
+				if out[j].Local[bs] != 0 {
+					t.Fatalf("bs %d k %d: column %d written past its block", bs, k, j)
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkInterleave times one interleave plus one deinterleave of a rank's
+// block at the blocked path's bench shapes: Poisson 64² on 8 ranks at k 64
+// and elasticity 14³ on 8 ranks at k 16.
+func BenchmarkInterleave(b *testing.B) {
+	for _, sz := range []struct{ bs, k int }{{512, 64}, {1029, 16}} {
+		b.Run(fmt.Sprintf("%dx%d", sz.bs, sz.k), func(b *testing.B) {
+			cols := make([]Vector, sz.k)
+			for j := range cols {
+				cols[j].Local = make([]float64, sz.bs)
+			}
+			buf := make([]float64, sz.bs*sz.k)
+			for b.Loop() {
+				interleave(buf, cols, sz.bs)
+				deinterleave(cols, buf, sz.bs)
+			}
+		})
+	}
+}

@@ -211,12 +211,12 @@ type Config struct {
 	// data_loss-classed *core.SDCDetectedError instead of silently
 	// returning a wrong answer. 0 (the default) disables the detector.
 	SDCCheckInterval int `json:"sdc_check_interval,omitempty" scope:"run"`
-	// BlockSize is the width of the blocked multi-RHS solve path: batched
-	// right-hand sides are solved in lockstep groups of up to BlockSize
-	// columns sharing each SpMM, halo exchange and (fused) allreduce. 0 (the
-	// default) selects DefaultBlockSize; 1 disables blocking (every RHS
-	// solves independently); other values must lie in [1, MaxBlockSize]. It
-	// only shapes SolveBatch/batch jobs, never a single solve.
+	// BlockSize bounds the columns a batch has in flight: each chunk of up
+	// to BlockSize right-hand sides runs as two concurrent lockstep groups,
+	// a group's columns sharing every SpMM, halo exchange and fused
+	// allreduce. 0 (the default) selects DefaultBlockSize; 1 disables
+	// blocking (one column at a time); other values must lie in [1,
+	// MaxBlockSize]. It only shapes SolveBatch/batch jobs, never a single solve.
 	BlockSize int `json:"block_size,omitempty" scope:"batch"`
 	// Schedule injects node failures (nil for a failure-free run).
 	Schedule *faults.Schedule `json:"schedule,omitempty" scope:"run"`

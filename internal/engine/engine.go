@@ -1146,9 +1146,9 @@ func (e *Engine) run(j *job) {
 }
 
 // solveBatch runs one batch job's right-hand sides against the acquired
-// prepared session in BlockSize-wide lockstep groups (Prepared.SolveChunked;
-// block_size 1 is its width-1 case). Any per-column breakdown fails the whole
-// job, naming the offending columns.
+// prepared session with up to BlockSize columns in flight, as two concurrent
+// lockstep groups per chunk (Prepared.SolveChunked), each one block solve.
+// Any per-column breakdown fails the whole job, naming the offending columns.
 func (e *Engine) solveBatch(ctx context.Context, cfg Config, prep *Prepared, batch [][]float64) (Solution, error) {
 	k := len(batch)
 	e.metrics.batchRHS.Add(float64(k))

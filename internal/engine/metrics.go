@@ -214,7 +214,7 @@ func newEngineMetrics(e *Engine) *engineMetrics {
 		batchRHS: r.Counter("solver_batch_rhs_total",
 			"Right-hand-side columns submitted through batch jobs."),
 		blockSolves: r.Counter("solver_block_solves_total",
-			"Blocked multi-RHS lockstep solves (one per BlockSize-wide group)."),
+			"Blocked multi-RHS lockstep solves: one per group, two per BlockSize chunk of a batch."),
 		blockRHS: r.Counter("solver_block_rhs_total",
 			"Right-hand-side columns solved through the blocked multi-RHS path."),
 		iterations: r.Counter("solver_iterations_total",

@@ -4,29 +4,30 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync"
 
 	"repro/internal/core"
 )
 
-// SolveChunked runs a batch in groups of the resolved policy's BlockSize
-// (1: one column at a time), sequentially: each group already runs all ranks
-// in lockstep, so group-level concurrency would only fight over cores. A
-// group of k columns is one solveOn: one k-column SpMM, one k-strided halo
-// frame per neighbor and fused length-k allreduces per iteration, under
-// whatever method, strategy, schedule and detector setting opts resolves to —
-// an ESR episode reconstructs all k columns of a lost block at once, a
-// checkpoint, cold restart or twin shadow covers every column still running.
-// Column c is bitwise identical to Solve(ctx, bs[c], opts) on every
-// transport, and its Result carries the same counts. Like Solve, it is safe
-// for concurrent use.
+// SolveChunked runs a batch in chunks of the resolved policy's BlockSize,
+// each cut into two halves (⌈w/2⌉ and ⌊w/2⌋ columns) that run as concurrent
+// lockstep groups: one group alone cannot keep two cores busy through its
+// collectives. Groups start in order, at most two at a time, and BlockSize
+// bounds the columns in flight (1: one column at a time). A group of k
+// columns is one solveOn — one k-column SpMM, one k-strided halo frame per
+// neighbor and fused length-k allreduces per iteration, one ESR episode or
+// rollback for all k — under whatever policy opts resolves to. Column c is
+// bitwise identical to Solve(ctx, bs[c], opts) on every transport, with the
+// same Result counts. Like Solve, it is safe for concurrent use; the batch's
+// Progress and Tracer are never called concurrently.
 //
-// The policy and every column are validated once, before the first group
-// runs. onBlock, when non-nil, observes the width of every group that
-// completed. The returned solutions are aligned with bs. A global failure of
-// any group (communication, cancellation, unrecoverable data loss) aborts
-// the batch (nil solutions); per-column failures — a breakdown, divergence
-// or detected corruption — leave their entries zero-valued and come back
-// joined, each naming its column.
+// The policy and every column are validated before the first group runs.
+// onBlock, when non-nil, sees the width of every completed group, in group
+// order. The returned solutions are aligned with bs. A global failure of a
+// group (communication, cancellation, data loss) cancels the others and
+// aborts the batch with that group's error once all have returned. A
+// per-column breakdown, divergence or detected corruption leaves its entry
+// zero-valued and comes back joined, naming its column.
 func (ps *Prepared) SolveChunked(ctx context.Context, bs [][]float64, opts Config, onBlock func(width int)) ([]Solution, error) {
 	cfg, err := ps.policy(&opts)
 	if err != nil {
@@ -37,23 +38,106 @@ func (ps *Prepared) SolveChunked(ctx context.Context, bs [][]float64, opts Confi
 	if err := validateBatch(bs, ps.n); err != nil {
 		return nil, err
 	}
-	sols := make([]Solution, 0, len(bs))
-	var errs []error
+	type group struct {
+		lo, hi int
+		done   chan struct{}
+		err    error
+	}
+	var groups []*group
 	for lo := 0; lo < len(bs); lo += cfg.BlockSize {
 		hi := min(lo+cfg.BlockSize, len(bs))
-		blockSols, colErrs, err := ps.solveOn(ctx, nil, nil, bs[lo:hi], cfg, core.Options{})
-		if err != nil {
-			return nil, err
+		mid := lo + (hi-lo+1)/2
+		groups = append(groups, &group{lo: lo, hi: mid, done: make(chan struct{})})
+		if mid < hi {
+			groups = append(groups, &group{lo: mid, hi: hi, done: make(chan struct{})})
 		}
-		if onBlock != nil {
-			onBlock(hi - lo)
+	}
+	cfg = serializeObservers(cfg)
+	// The first group to fail cancels the rest with its own error as the
+	// cause, which is then what every group cancelled by it returns.
+	gctx, cancel := context.WithCancelCause(ctx)
+	defer cancel(nil)
+	sols := make([]Solution, len(bs))
+	colErrs := make([]error, len(bs))
+	next, joined, inFlight, failed := 0, 0, 0, false
+	join := func() {
+		g := groups[joined]
+		<-g.done
+		if g.err == nil && onBlock != nil {
+			onBlock(g.hi - g.lo)
 		}
-		sols = append(sols, blockSols...)
-		for c, cerr := range colErrs {
-			if cerr != nil {
-				errs = append(errs, fmt.Errorf("rhs %d: %w", lo+c, cerr))
+		failed = failed || g.err != nil
+		inFlight -= g.hi - g.lo
+		joined++
+	}
+	for next < len(groups) && gctx.Err() == nil {
+		g := groups[next]
+		if next-joined == 2 || inFlight+g.hi-g.lo > cfg.BlockSize {
+			join()
+			continue
+		}
+		inFlight += g.hi - g.lo
+		next++
+		go func() {
+			defer close(g.done)
+			gs, ge, err := solveGroup(ps, gctx, bs[g.lo:g.hi], cfg)
+			if g.err = err; err != nil {
+				cancel(err)
+				return
 			}
+			copy(sols[g.lo:], gs)
+			copy(colErrs[g.lo:], ge)
+		}()
+	}
+	for joined < next {
+		join()
+	}
+	if failed || next < len(groups) {
+		return nil, context.Cause(gctx)
+	}
+	var errs []error
+	for c, cerr := range colErrs {
+		if cerr != nil {
+			errs = append(errs, fmt.Errorf("rhs %d: %w", c, cerr))
 		}
 	}
 	return sols, errors.Join(errs...)
+}
+
+// solveGroup solves one group of a batch; tests substitute it to decide
+// which group fails, and when.
+var solveGroup = func(ps *Prepared, ctx context.Context, bs [][]float64, cfg *Config) ([]Solution, []error, error) {
+	return ps.solveOn(ctx, nil, nil, bs, cfg, core.Options{})
+}
+
+// serializeObservers returns cfg with its Progress and Tracer behind one
+// lock, so that the concurrent groups of a batch call them one at a time.
+func serializeObservers(cfg *Config) *Config {
+	c := *cfg
+	mu := new(sync.Mutex)
+	if p := c.Progress; p != nil {
+		c.Progress = func(ev core.ProgressEvent) { mu.Lock(); defer mu.Unlock(); p(ev) }
+	}
+	if c.Tracer != nil {
+		c.Tracer = lockedTracer{mu, c.Tracer}
+	}
+	return &c
+}
+
+// lockedTracer calls its Tracer under the batch's observer lock.
+type lockedTracer struct {
+	*sync.Mutex
+	core.Tracer
+}
+
+func (t lockedTracer) TraceIteration(it core.IterationTrace) {
+	t.Lock()
+	defer t.Unlock()
+	t.Tracer.TraceIteration(it)
+}
+
+func (t lockedTracer) TraceRecovery(rt core.RecoveryTrace) {
+	t.Lock()
+	defer t.Unlock()
+	t.Tracer.TraceRecovery(rt)
 }

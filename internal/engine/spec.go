@@ -252,9 +252,9 @@ type JobSpec struct {
 	// matching length (the paper's b).
 	RHS []float64 `json:"rhs,omitempty"`
 	// RHSBatch submits several right-hand sides as one job, solved through
-	// the blocked multi-RHS path in lockstep groups of Config.BlockSize
-	// columns (per-column results are bitwise identical to submitting each
-	// RHS alone). Mutually exclusive with RHS. The result's XS/Results are
+	// the blocked multi-RHS path with up to Config.BlockSize columns in
+	// flight, as two concurrent lockstep groups (per-column results are
+	// bitwise identical to submitting each RHS alone). Mutually exclusive with RHS. The result's XS/Results are
 	// aligned with this batch.
 	RHSBatch [][]float64 `json:"bs,omitempty"`
 	// Config is the solver configuration (esr.Config).

@@ -108,14 +108,15 @@ func (s *Solver) Solve(ctx context.Context, b []float64, opts ...Option) (Soluti
 }
 
 // SolveBatch solves one system per right-hand side, reusing the prepared
-// session state for all of them. The batch is chunked into groups of
-// Config.BlockSize columns, each solved in lockstep by the width-k driver —
-// one fused k-column SpMM, k-strided halo frames and length-k allreduces per
-// iteration — which is the throughput path for many right-hand sides (see
-// BenchmarkSolveBatch).
+// session state for all of them. Config.BlockSize bounds the columns in
+// flight: each chunk of that many runs as two concurrent half-width groups,
+// each solved in lockstep by the width-k driver — one fused k-column SpMM,
+// k-strided halo frames and length-k allreduces per iteration — the
+// throughput path for many right-hand sides (see BenchmarkSolveBatch).
 // Every method, strategy, schedule and detector setting runs at every width,
-// and column c of a group is bitwise identical to Solve(ctx, bs[c]) with the
-// same Result counts; BlockSize 1 solves the columns one at a time.
+// column c is bitwise identical to Solve(ctx, bs[c]) with the same Result
+// counts, BlockSize 1 solves one column at a time, and the batch's Progress
+// and Tracer are never called concurrently.
 //
 // The whole batch is validated before any solve launches: a column with the
 // wrong length or a non-finite element fails fast with a typed
