@@ -196,7 +196,7 @@ func (s *Strategy) Overhead(st *core.SolverState, j int) error {
 func (s *Strategy) Recover(st *core.SolverState, j int, victims []int) (int, core.Reconstruction, error) {
 	startT := time.Now()
 	rec := core.Reconstruction{Iteration: j}
-	ef := core.NewEpisodeFailures(st.Sched, j, st.E.Pos, st.Wipe, victims)
+	ef := core.NewEpisodeFailures(st.Sched, j, st.E.Pos, st.E.Size(), st.Wipe, victims)
 
 	resume := 0
 	phase := 1

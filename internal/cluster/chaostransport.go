@@ -72,10 +72,10 @@ func NewChaosTransport(inner Transport, cfg ChaosConfig) *ChaosTransport {
 func (t *ChaosTransport) Name() string { return TransportChaos }
 
 // GetFloats implements Transport, delegating to the wrapped transport.
-func (t *ChaosTransport) GetFloats(n int) []float64 { return t.inner.GetFloats(n) }
+func (t *ChaosTransport) GetFloats(rank, n int) []float64 { return t.inner.GetFloats(rank, n) }
 
 // PutFloats implements Transport, delegating to the wrapped transport.
-func (t *ChaosTransport) PutFloats(buf []float64) { t.inner.PutFloats(buf) }
+func (t *ChaosTransport) PutFloats(rank int, buf []float64) { t.inner.PutFloats(rank, buf) }
 
 // splitmix64 is the SplitMix64 mixing function: a tiny, well-distributed
 // deterministic hash for the per-message delay draw.
@@ -125,7 +125,7 @@ func (t *ChaosTransport) Deliver(dst *node, m Msg, own bool) error {
 		if dst.put(m) != nil {
 			t.ct.dropped.Add(1)
 		} else {
-			t.ct.delivered.Add(1)
+			t.ct.rank(m.From).delivered.Add(1)
 		}
 	})
 	return nil

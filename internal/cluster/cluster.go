@@ -376,18 +376,18 @@ func (c *Comm) Check() error {
 // GetFloats returns a payload buffer of length n from the transport's
 // recycler (a plain allocation on transports without one). Intended for
 // building payloads that are then handed off with SendOwned.
-func (c *Comm) GetFloats(n int) []float64 { return c.rt.transport.GetFloats(n) }
+func (c *Comm) GetFloats(n int) []float64 { return c.rt.transport.GetFloats(c.rank, n) }
 
 // PutFloats returns a buffer to the transport's recycler. Only the
 // exclusive owner may call it, and must not touch the buffer afterwards.
-func (c *Comm) PutFloats(buf []float64) { c.rt.transport.PutFloats(buf) }
+func (c *Comm) PutFloats(buf []float64) { c.rt.transport.PutFloats(c.rank, buf) }
 
 // Recycle returns a received message's float payload to the transport's
 // recycler. Only the exclusive owner of the message may call it, and only
 // when nothing retains references into the payload.
 func (c *Comm) Recycle(m Msg) {
 	if m.F != nil {
-		c.rt.transport.PutFloats(m.F)
+		c.rt.transport.PutFloats(c.rank, m.F)
 	}
 }
 

@@ -60,7 +60,7 @@ func floatClass(n int) (cls, capacity int) {
 // poolGetFloats serves a recycled buffer of length n (capacity rounded up
 // to its size class) from the process-wide pools, recording traffic in ct.
 // Shared by the local and net transports.
-func poolGetFloats(ct *transportCounters, n int) []float64 {
+func poolGetFloats(ct *rankCounters, n int) []float64 {
 	if n == 0 {
 		return nil
 	}
@@ -79,7 +79,7 @@ func poolGetFloats(ct *transportCounters, n int) []float64 {
 
 // poolPutFloats recycles buf for a future poolGetFloats. Only exact class
 // capacities (the recycler's own buffers) are kept.
-func poolPutFloats(ct *transportCounters, buf []float64) {
+func poolPutFloats(ct *rankCounters, buf []float64) {
 	c := cap(buf)
 	if c < floatMinCap {
 		return
@@ -98,10 +98,10 @@ func (t *LocalTransport) Name() string { return TransportChan }
 
 // GetFloats implements Transport: a recycled buffer of length n (capacity
 // rounded up to its size class, at most 1/8 over n).
-func (t *LocalTransport) GetFloats(n int) []float64 { return poolGetFloats(&t.ct, n) }
+func (t *LocalTransport) GetFloats(rank, n int) []float64 { return poolGetFloats(t.ct.rank(rank), n) }
 
 // PutFloats implements Transport: recycle buf for a future GetFloats.
-func (t *LocalTransport) PutFloats(buf []float64) { poolPutFloats(&t.ct, buf) }
+func (t *LocalTransport) PutFloats(rank int, buf []float64) { poolPutFloats(t.ct.rank(rank), buf) }
 
 // Deliver implements Transport: copy the payload through the recycler
 // unless ownership was transferred, then append to dst's mailbox.
@@ -112,7 +112,7 @@ func (t *LocalTransport) Deliver(dst *node, m Msg, own bool) error {
 	if err := dst.put(m); err != nil {
 		return err
 	}
-	t.ct.delivered.Add(1)
+	t.ct.rank(m.From).delivered.Add(1)
 	return nil
 }
 

@@ -185,10 +185,10 @@ func NewNetTransport(cfg NetConfig) *NetTransport {
 func (t *NetTransport) Name() string { return TransportNet }
 
 // GetFloats implements Transport: the in-process fabric's shared recycler.
-func (t *NetTransport) GetFloats(n int) []float64 { return poolGetFloats(&t.ct, n) }
+func (t *NetTransport) GetFloats(rank, n int) []float64 { return poolGetFloats(t.ct.rank(rank), n) }
 
 // PutFloats implements Transport.
-func (t *NetTransport) PutFloats(buf []float64) { poolPutFloats(&t.ct, buf) }
+func (t *NetTransport) PutFloats(rank int, buf []float64) { poolPutFloats(t.ct.rank(rank), buf) }
 
 // Stats implements Transport.
 func (t *NetTransport) Stats() TransportStats {
@@ -433,7 +433,7 @@ func (t *NetTransport) readLoop(p *netPeerState, c net.Conn) {
 			}
 			t.bytesRecv.Add(int64(5 + netDataHeader + 8*len(fr.msg.F) + 8*len(fr.msg.I)))
 			if rt.nodeAt(fr.to).put(fr.msg) == nil {
-				t.ct.delivered.Add(1)
+				t.ct.rank(fr.msg.From).delivered.Add(1)
 			} else {
 				t.dropFrame(fr)
 			}
@@ -449,7 +449,7 @@ func (t *NetTransport) readLoop(p *netPeerState, c net.Conn) {
 func (t *NetTransport) dropFrame(fr netFrame) {
 	t.ct.dropped.Add(1)
 	if fr.msg.F != nil {
-		t.PutFloats(fr.msg.F)
+		t.PutFloats(-1, fr.msg.F)
 	}
 }
 
@@ -746,12 +746,12 @@ func (t *NetTransport) Deliver(dst *node, m Msg, own bool) error {
 	if own && m.F != nil {
 		// Ownership transferred to the transport; the payload now lives in
 		// the wire buffer, so the original goes straight back to the pool.
-		t.PutFloats(m.F)
+		t.PutFloats(m.From, m.F)
 	}
 	if err != nil {
 		return err
 	}
-	defer t.PutFloats(backing)
+	defer t.PutFloats(m.From, backing)
 	if !own {
 		t.ct.copied.Add(1) // the wire serialization is the defensive copy
 	}

@@ -230,7 +230,7 @@ func TestQuickNetWireRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 		fr, err := readNetFrame(bytes.NewReader(wire), tr)
-		tr.PutFloats(backing)
+		tr.PutFloats(-1, backing)
 		if err != nil {
 			t.Fatalf("decode %+v: %v", m, err)
 		}
@@ -323,7 +323,7 @@ func FuzzNetFrameDecode(f *testing.F) {
 	// and malformed ones.
 	if wire, backing, err := encodeDataFrame(tr, 1, Msg{From: 0, Tag: 5, F: []float64{1, 2}, I: []int{3}}); err == nil {
 		f.Add(append([]byte(nil), wire...))
-		tr.PutFloats(backing)
+		tr.PutFloats(-1, backing)
 	}
 	for _, fr := range []netFrame{
 		{typ: netFrameHello, peer: 1, incarnation: 2, runID: "fuzz"},
@@ -349,10 +349,10 @@ func FuzzNetFrameDecode(f *testing.F) {
 			if _, backing, err := encodeDataFrame(tr, fr.to, fr.msg); err != nil {
 				t.Fatalf("re-encode of decoded frame failed: %v", err)
 			} else {
-				tr.PutFloats(backing)
+				tr.PutFloats(-1, backing)
 			}
 			if fr.msg.F != nil {
-				tr.PutFloats(fr.msg.F)
+				tr.PutFloats(-1, fr.msg.F)
 			}
 		}
 	})

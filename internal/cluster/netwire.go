@@ -58,8 +58,8 @@ const (
 // from — in production the net transport itself, whose Get/PutFloats are
 // the in-process fabric's size-class recycler.
 type netWireBufs interface {
-	GetFloats(n int) []float64
-	PutFloats(buf []float64)
+	GetFloats(rank, n int) []float64
+	PutFloats(rank int, buf []float64)
 }
 
 // netBytesOf views a recycled float buffer as a byte slice of length n.
@@ -69,7 +69,7 @@ func netBytesOf(bs netWireBufs, n int) ([]byte, []float64) {
 	if n == 0 {
 		return nil, nil
 	}
-	f := bs.GetFloats((n + 7) / 8)
+	f := bs.GetFloats(-1, (n+7)/8)
 	b := unsafe.Slice((*byte)(unsafe.Pointer(&f[0])), len(f)*8)[:n]
 	return b, f
 }
@@ -232,22 +232,22 @@ func readNetDataFrame(r io.Reader, bs netWireBufs, body int) (netFrame, error) {
 	if nF > 0 {
 		raw, backing := netBytesOf(bs, 8*nF)
 		if _, err := io.ReadFull(r, raw); err != nil {
-			bs.PutFloats(backing)
+			bs.PutFloats(-1, backing)
 			return netFrame{}, fmt.Errorf("cluster: truncated net float payload: %w", err)
 		}
-		f := bs.GetFloats(nF)
+		f := bs.GetFloats(-1, nF)
 		for i := range f {
 			f[i] = math.Float64frombits(binary.LittleEndian.Uint64(raw[8*i:]))
 		}
-		bs.PutFloats(backing)
+		bs.PutFloats(-1, backing)
 		fr.msg.F = f
 	}
 	if nI > 0 {
 		raw, backing := netBytesOf(bs, 8*nI)
 		if _, err := io.ReadFull(r, raw); err != nil {
-			bs.PutFloats(backing)
+			bs.PutFloats(-1, backing)
 			if fr.msg.F != nil {
-				bs.PutFloats(fr.msg.F)
+				bs.PutFloats(-1, fr.msg.F)
 			}
 			return netFrame{}, fmt.Errorf("cluster: truncated net int payload: %w", err)
 		}
@@ -255,7 +255,7 @@ func readNetDataFrame(r io.Reader, bs netWireBufs, body int) (netFrame, error) {
 		for i := range ints {
 			ints[i] = int(int64(binary.LittleEndian.Uint64(raw[8*i:])))
 		}
-		bs.PutFloats(backing)
+		bs.PutFloats(-1, backing)
 		fr.msg.I = ints
 	}
 	return fr, nil

@@ -9,7 +9,7 @@ import "testing"
 func TestRecyclerSizeClasses(t *testing.T) {
 	tr := NewLocalTransport()
 	check := func(n int) {
-		buf := tr.GetFloats(n)
+		buf := tr.GetFloats(-1, n)
 		if len(buf) != n {
 			t.Fatalf("GetFloats(%d): len %d", n, len(buf))
 		}
@@ -19,7 +19,7 @@ func TestRecyclerSizeClasses(t *testing.T) {
 		if _, c := floatClass(cap(buf)); c != cap(buf) {
 			t.Fatalf("GetFloats(%d): cap %d is not a class capacity", n, cap(buf))
 		}
-		tr.PutFloats(buf)
+		tr.PutFloats(-1, buf)
 	}
 	for n := 1; n <= 1<<12; n++ {
 		check(n)
@@ -46,11 +46,11 @@ func TestRecyclerSizeClasses(t *testing.T) {
 	// detector sync.Pool drops some Puts on purpose, so try a few times.
 	reused := false
 	for try := 0; try < 64 && !reused; try++ {
-		buf := tr.GetFloats(16464)
-		tr.PutFloats(buf)
-		again := tr.GetFloats(18000) // the same class: capacity 18 432
+		buf := tr.GetFloats(-1, 16464)
+		tr.PutFloats(-1, buf)
+		again := tr.GetFloats(-1, 18000) // the same class: capacity 18 432
 		reused = &again[:1][0] == &buf[:1][0]
-		tr.PutFloats(again)
+		tr.PutFloats(-1, again)
 	}
 	if !reused {
 		t.Error("a recycled buffer was never handed out again")
@@ -59,12 +59,12 @@ func TestRecyclerSizeClasses(t *testing.T) {
 	// Foreign capacities are dropped, not pooled.
 	before := tr.Stats().PoolPuts
 	for _, c := range []int{1, 8, 15, 17, 33, 1000, 16464} {
-		tr.PutFloats(make([]float64, c))
+		tr.PutFloats(-1, make([]float64, c))
 	}
 	if got := tr.Stats().PoolPuts - before; got != 0 {
 		t.Errorf("%d foreign buffers were pooled", got)
 	}
-	tr.PutFloats(make([]float64, 18))
+	tr.PutFloats(-1, make([]float64, 18))
 	if got := tr.Stats().PoolPuts - before; got != 1 {
 		t.Errorf("a class-capacity buffer was not pooled (%d puts)", got)
 	}

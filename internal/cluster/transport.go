@@ -42,14 +42,15 @@ type Transport interface {
 
 	// GetFloats returns a payload buffer of length n from the recycler,
 	// owned by the caller; the contents are unspecified and must be fully
-	// overwritten.
-	GetFloats(n int) []float64
+	// overwritten. rank is the calling rank, whose shard of the recycler
+	// counters books the call (-1 for a caller outside every rank).
+	GetFloats(rank, n int) []float64
 
-	// PutFloats returns a buffer to the recycler. Only the exclusive owner
-	// of the buffer may call it, and must not touch the buffer afterwards;
-	// recycling a buffer that is still referenced elsewhere corrupts
-	// whoever holds the alias.
-	PutFloats(buf []float64)
+	// PutFloats returns a buffer to the recycler, booked like GetFloats.
+	// Only the exclusive owner of the buffer may call it, and must not
+	// touch the buffer afterwards; recycling a buffer that is still
+	// referenced elsewhere corrupts whoever holds the alias.
+	PutFloats(rank int, buf []float64)
 
 	// Deliver hands m to dst's mailbox. When own is false the receiver
 	// must not be able to alias the caller's payload slices (the transport
@@ -124,23 +125,36 @@ func (s *TransportStats) Add(o TransportStats) {
 }
 
 // transportCounters is the atomic backing shared by the transport
-// implementations.
+// implementations. Deliveries and recycler calls are sharded by calling rank
+// (modulo rankShards) as Counters shards the comm counters, and readers sum
+// the shards.
 type transportCounters struct {
-	delivered, copied           atomic.Int64
-	poolGets, poolPuts, poolNew atomic.Int64
-	delayed, dropped            atomic.Int64
+	ranks                    [rankShards]rankCounters
+	copied, delayed, dropped atomic.Int64
 }
 
+// rankShards bounds the counter shards; ranks beyond it share them.
+const rankShards = 16
+
+// rankCounters is one shard of a transport's counters.
+type rankCounters struct {
+	delivered, poolGets, poolPuts, poolNew atomic.Int64
+	_                                      [64]byte // keeps neighbouring shards off each other's cache lines
+}
+
+// rank returns the shard booking rank r's traffic (-1 for none).
+func (c *transportCounters) rank(r int) *rankCounters { return &c.ranks[uint(r)%rankShards] }
+
 func (c *transportCounters) snapshot() TransportStats {
-	return TransportStats{
-		Delivered: c.delivered.Load(),
-		Copied:    c.copied.Load(),
-		PoolGets:  c.poolGets.Load(),
-		PoolPuts:  c.poolPuts.Load(),
-		PoolNews:  c.poolNew.Load(),
-		Delayed:   c.delayed.Load(),
-		Dropped:   c.dropped.Load(),
+	s := TransportStats{Copied: c.copied.Load(), Delayed: c.delayed.Load(), Dropped: c.dropped.Load()}
+	for i := range c.ranks {
+		sh := &c.ranks[i]
+		s.Delivered += sh.delivered.Load()
+		s.PoolGets += sh.poolGets.Load()
+		s.PoolPuts += sh.poolPuts.Load()
+		s.PoolNews += sh.poolNew.Load()
 	}
+	return s
 }
 
 // copyPayload takes ownership of m's payload on behalf of the receiver —
@@ -149,7 +163,7 @@ func (c *transportCounters) snapshot() TransportStats {
 // plainly allocated.
 func copyPayload(ct *transportCounters, t Transport, m Msg) Msg {
 	if len(m.F) > 0 {
-		buf := t.GetFloats(len(m.F))
+		buf := t.GetFloats(m.From, len(m.F))
 		copy(buf, m.F)
 		m.F = buf
 		ct.copied.Add(1)

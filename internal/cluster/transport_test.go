@@ -305,7 +305,14 @@ func TestQuickTransportOwnedRecycle(t *testing.T) {
 			t.Fatal(err)
 		}
 		if tr.Name() == TransportChan {
+			// The counters are sharded by rank, a call from outside every
+			// rank included, and the totals count each delivery and
+			// recycler call once.
+			tr.PutFloats(-1, tr.GetFloats(-1, 100))
 			s := tr.Stats()
+			if s.Delivered != 2*rounds || s.PoolGets != rounds+1 || s.PoolPuts != rounds+1 || s.Copied != 0 {
+				t.Fatalf("stats %+v: want %d delivered, %d gets and puts, no copies", s, 2*rounds, rounds+1)
+			}
 			if s.PoolPuts == 0 {
 				t.Fatalf("recycler never received a buffer: %+v", s)
 			}

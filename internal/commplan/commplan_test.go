@@ -2,7 +2,11 @@ package commplan
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
+	"reflect"
+	"slices"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -204,6 +208,28 @@ func TestGhostIndicesSorted(t *testing.T) {
 	}
 }
 
+// holderTable is the holder table NewMatrix builds for r's rank.
+func holderTable(r *Redundancy) *HolderTable {
+	lo, hi := r.Plan.P.Range(r.Plan.Rank)
+	return NewHolderTable(r.SendLists(), lo, hi-lo)
+}
+
+// row returns the holders of block row off, ascending, and the row's
+// position in each one's retained list.
+func (h *HolderTable) row(off int) (ranks, pos []int) {
+	h.index()
+	return h.rank[h.ptr[off]:h.ptr[off+1]], h.pos[h.ptr[off]:h.ptr[off+1]]
+}
+
+// failedSet returns the failed set of the given ranks among n.
+func failedSet(n int, ranks ...int) []bool {
+	failed := make([]bool, n)
+	for _, r := range ranks {
+		failed[r] = true
+	}
+	return failed
+}
+
 // redundancyInvariant verifies the paper's Sec. 4.1 guarantee on a matrix:
 // under BuildRedundancy(phi), every element of every rank's block has at
 // least phi copies on phi distinct ranks other than the owner.
@@ -215,8 +241,10 @@ func redundancyInvariant(t *testing.T, a *sparse.CSR, ranks, phi int) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		lo, _ := p.Range(pl.Rank)
-		for off, hs := range r.Holders() {
+		lo, hi := p.Range(pl.Rank)
+		ht := holderTable(r)
+		for off := range hi - lo {
+			hs, _ := ht.row(off)
 			distinct := map[int]bool{}
 			for _, h := range hs {
 				if h == pl.Rank {
@@ -265,7 +293,9 @@ func TestRedundancyInvariantQuick(t *testing.T) {
 			if err != nil {
 				return false
 			}
-			for _, hs := range r.Holders() {
+			ht := holderTable(r)
+			for off := range p.Size(pl.Rank) {
+				hs, _ := ht.row(off)
 				distinct := map[int]bool{}
 				for _, h := range hs {
 					if h == pl.Rank {
@@ -285,35 +315,95 @@ func TestRedundancyInvariantQuick(t *testing.T) {
 	}
 }
 
-// Survivability: for ANY failure set of size <= phi containing the owner,
-// every element still has a surviving holder (this is the operational form
-// of the invariant used by the recovery).
-func TestSurvivabilityUnderWorstCaseFailures(t *testing.T) {
-	a := matgen.CircuitLike(180, 3, 0.5, 21)
-	const ranks, phi = 6, 3
-	p := partition.NewBlockRow(a.Rows, ranks)
-	plans := BuildAll(a, p)
-	// Enumerate all failure sets of size phi that include rank 2.
-	owner := 2
-	r, err := BuildRedundancy(plans[owner], phi)
-	if err != nil {
-		t.Fatal(err)
-	}
-	holders := r.Holders()
-	lo, _ := p.Range(owner)
-	for f1 := 0; f1 < ranks; f1++ {
-		for f2 := f1 + 1; f2 < ranks; f2++ {
-			if f1 != owner && f2 != owner {
-				continue
+// referenceGather is the recovery gather of owner's block under failed,
+// derived the obvious way: each row's holders are the ranks whose SpMV needs
+// it (S_ik) plus the backups whose top-up set holds it (R^c_ik), the lowest
+// surviving one serves it, and its position is where the row sits in the
+// list that holder receives from owner.
+func referenceGather(r *Redundancy, recv [][]int, failed []bool) Gather {
+	pl := r.Plan
+	lo, hi := pl.P.Range(pl.Rank)
+	byHolder := make([][][2]int, len(failed)) // holder -> (position, row)
+	var uncovered []int
+	for off := 0; off < hi-lo; off++ {
+		g := lo + off
+		chosen := -1
+		for h := range failed {
+			held := contains(pl.SendTo[h], g)
+			for k, d := range r.Backups {
+				held = held || d == h && contains(r.Extra[k], g)
 			}
-			for f3 := f2 + 1; f3 < ranks; f3++ {
-				failed := map[int]bool{f1: true, f2: true, f3: true}
-				if !failed[owner] {
-					continue
+			if h != pl.Rank && held && !failed[h] {
+				chosen = h
+				break
+			}
+		}
+		if chosen < 0 {
+			uncovered = append(uncovered, off)
+			continue
+		}
+		pos := slices.Index(recv[chosen], g)
+		byHolder[chosen] = append(byHolder[chosen], [2]int{pos, off})
+	}
+	ref := Gather{Ptr: []int{0}, Pos: []int{}, Row: []int{}, Uncovered: uncovered}
+	for _, pr := range byHolder {
+		for _, e := range pr {
+			ref.Pos, ref.Row = append(ref.Pos, e[0]), append(ref.Row, e[1])
+		}
+		ref.Ptr = append(ref.Ptr, len(ref.Pos))
+	}
+	return ref
+}
+
+// Survivability: for every owner and every failure set of size <= phi+1,
+// the flat assignment equals the lowest-surviving-holder reference — rows
+// uncovered included, exactly — and every set of size <= phi containing the
+// owner leaves every element a surviving holder (the operational form of
+// the invariant used by the recovery).
+func TestSurvivabilityUnderWorstCaseFailures(t *testing.T) {
+	mats := map[string]*sparse.CSR{
+		"poisson2d": matgen.Poisson2D(14, 14),
+		"circuit":   matgen.CircuitLike(180, 3, 0.5, 21),
+		"banded":    matgen.BandedRandom(240, 7, 5, 6),
+		"elastic":   matgen.Elasticity3D(4, 4, 3, 15, 7),
+	}
+	for name, a := range mats {
+		for _, ranks := range []int{6, 7, 8} {
+			p := partition.NewBlockRow(a.Rows, ranks)
+			plans := BuildAll(a, p)
+			for phi := 1; phi <= 3; phi++ {
+				reds := make([]*Redundancy, ranks)
+				for i, pl := range plans {
+					var err error
+					if reds[i], err = BuildRedundancy(pl, phi); err != nil {
+						t.Fatal(err)
+					}
 				}
-				_, uncovered := AssignHolders(holders, lo, failed)
-				if len(uncovered) > 0 {
-					t.Fatalf("failure set %v loses elements %v", failed, uncovered)
+				for owner, r := range reds {
+					ht, recv := holderTable(r), make([][]int, ranks)
+					for h := range recv {
+						recv[h] = RecvLists(h, reds)[owner]
+					}
+					for set := 1; set < 1<<ranks; set++ {
+						size := bits.OnesCount(uint(set))
+						if size > phi+1 {
+							continue
+						}
+						failed := make([]bool, ranks)
+						for f := range failed {
+							failed[f] = set>>f&1 == 1
+						}
+						got, want := ht.Assign(failed), referenceGather(r, recv, failed)
+						if !slices.Equal(got.Ptr, want.Ptr) || !slices.Equal(got.Pos, want.Pos) ||
+							!slices.Equal(got.Row, want.Row) || !slices.Equal(got.Uncovered, want.Uncovered) {
+							t.Fatalf("%s N%d phi%d owner %d failed %v: assignment %+v, reference %+v",
+								name, ranks, phi, owner, failed, got, want)
+						}
+						if failed[owner] && size <= phi && len(got.Uncovered) > 0 {
+							t.Fatalf("%s N%d phi%d: failure set %v loses rows %v of rank %d",
+								name, ranks, phi, failed, got.Uncovered, owner)
+						}
+					}
 				}
 			}
 		}
@@ -337,10 +427,8 @@ func TestChenStrategyFailsForAdjacentDoubleFailure(t *testing.T) {
 	if len(r1.Extra[0]) == 0 {
 		t.Skip("matrix has no Chen leftover on rank 1; adjust generator")
 	}
-	lo, _ := p.Range(1)
 	// Ranks 1 and 2 fail together (contiguous, like the paper's experiments).
-	_, uncovered := AssignHolders(r1.Holders(), lo, map[int]bool{1: true, 2: true})
-	if len(uncovered) == 0 {
+	if uncovered := holderTable(r1).Assign(failedSet(ranks, 1, 2)).Uncovered; len(uncovered) == 0 {
 		t.Fatal("expected lost elements under Chen with adjacent double failure")
 	}
 	// The phi = 2 protocol survives the same failure pair.
@@ -348,8 +436,7 @@ func TestChenStrategyFailsForAdjacentDoubleFailure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, uncovered2 := AssignHolders(r2.Holders(), lo, map[int]bool{1: true, 2: true})
-	if len(uncovered2) != 0 {
+	if uncovered2 := holderTable(r2).Assign(failedSet(ranks, 1, 2)).Uncovered; len(uncovered2) != 0 {
 		t.Fatalf("phi=2 protocol lost %v", uncovered2)
 	}
 }
@@ -557,13 +644,14 @@ func TestRetentionStoreLookup(t *testing.T) {
 	rt.Store(0, [][]float64{nil, {100, 120, 150}, nil})
 	rt.Store(1, [][]float64{nil, {101, 121, 151}, nil})
 
-	v0, err := rt.ValuesFor(0, 1, []int{12})
+	// Positions in the list from source 1: 10 is 0, 12 is 1, 15 is 2.
+	v0, err := rt.ValuesAt(nil, 0, 1, []int{1})
 	if err != nil || v0[0] != 120 {
-		t.Fatalf("ValuesFor(0) = %v, %v", v0, err)
+		t.Fatalf("ValuesAt(0) = %v, %v", v0, err)
 	}
-	v, err := rt.ValuesFor(1, 1, []int{15, 10})
-	if err != nil || v[0] != 151 || v[1] != 101 {
-		t.Fatalf("ValuesFor = %v, %v", v, err)
+	v, err := rt.ValuesAt([]float64{-1}, 1, 1, []int{2, 0})
+	if err != nil || len(v) != 3 || v[0] != -1 || v[1] != 151 || v[2] != 101 {
+		t.Fatalf("ValuesAt = %v, %v (appended to [-1])", v, err)
 	}
 	// Both slots are taken: Store only adds.
 	func() {
@@ -579,7 +667,7 @@ func TestRetentionStoreLookup(t *testing.T) {
 		t.Fatalf("Keep(1) dropped %v, want generation 0's payload", dropped)
 	}
 	rt.Store(2, [][]float64{nil, {102, 122, 152}, nil})
-	if _, err := rt.ValuesFor(0, 1, []int{10}); err == nil {
+	if _, err := rt.ValuesAt(nil, 0, 1, []int{0}); err == nil {
 		t.Fatal("generation 0 should be dropped")
 	}
 	newest, oldest := rt.Generations()
@@ -587,18 +675,20 @@ func TestRetentionStoreLookup(t *testing.T) {
 		t.Fatalf("generations = %d, %d", newest, oldest)
 	}
 	// Reads are non-destructive.
-	if _, err := rt.ValuesFor(1, 1, []int{12}); err != nil {
+	if _, err := rt.ValuesAt(nil, 1, 1, []int{1}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := rt.ValuesFor(1, 1, []int{12}); err != nil {
+	if _, err := rt.ValuesAt(nil, 1, 1, []int{1}); err != nil {
 		t.Fatal(err)
 	}
-	// Unknown index errors.
-	if _, err := rt.ValuesFor(1, 1, []int{11}); err == nil {
-		t.Fatal("expected error for index not held")
+	// A position past the list (or before it) errors.
+	for _, pos := range []int{3, -1} {
+		if _, err := rt.ValuesAt(nil, 1, 1, []int{pos}); err == nil {
+			t.Fatalf("expected error for position %d not held", pos)
+		}
 	}
 	rt.Wipe()
-	if _, err := rt.ValuesFor(1, 1, []int{12}); err == nil {
+	if _, err := rt.ValuesAt(nil, 1, 1, []int{1}); err == nil {
 		t.Fatal("Wipe should drop all generations")
 	}
 	// The wiped payloads recycle at the next Keep.
@@ -607,22 +697,55 @@ func TestRetentionStoreLookup(t *testing.T) {
 	}
 }
 
+// TestHolderTableConcurrentFirstAssign: concurrent solves share a session's
+// holder table, which is built on its first Assign, so that first Assign may
+// come from several goroutines at once; each gets the same gather.
+func TestHolderTableConcurrentFirstAssign(t *testing.T) {
+	a := matgen.CircuitLike(180, 3, 0.5, 21)
+	const ranks = 6
+	r, err := BuildRedundancy(BuildAll(a, partition.NewBlockRow(a.Rows, ranks))[2], 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	failed := failedSet(ranks, 2, 3)
+	want, ht := holderTable(r).Assign(failed), holderTable(r)
+	got := make([]Gather, 4)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i] = ht.Assign(failed)
+		}()
+	}
+	wg.Wait()
+	for i, g := range got {
+		if !reflect.DeepEqual(g, want) {
+			t.Fatalf("goroutine %d: gather %+v, want %+v", i, g, want)
+		}
+	}
+}
+
 func TestAssignHoldersPrefersLowestSurvivor(t *testing.T) {
-	holders := [][]int{
-		{1, 3, 5},
-		{3, 5},
-		{5},
+	// Rows 100, 101, 102 are held by {1, 3, 5}, {3, 5} and {5}.
+	ht := NewHolderTable([][]int{1: {100}, 3: {100, 101}, 5: {100, 101, 102}}, 100, 3)
+	if hs, pos := ht.row(1); !equalInts(hs, []int{3, 5}) || !equalInts(pos, []int{1, 1}) {
+		t.Fatalf("row 101 holders %v at positions %v", hs, pos)
 	}
-	byHolder, uncovered := AssignHolders(holders, 100, map[int]bool{1: true})
-	if len(uncovered) != 0 {
-		t.Fatalf("uncovered = %v", uncovered)
+	g := ht.Assign(failedSet(6, 1))
+	if len(g.Uncovered) != 0 {
+		t.Fatalf("uncovered = %v", g.Uncovered)
 	}
-	if !equalInts(byHolder[3], []int{100, 101}) || !equalInts(byHolder[5], []int{102}) {
-		t.Fatalf("assignment = %v", byHolder)
+	from := func(r int) (pos, rows []int) { return g.Pos[g.Ptr[r]:g.Ptr[r+1]], g.Row[g.Ptr[r]:g.Ptr[r+1]] }
+	pos3, rows3 := from(3)
+	pos5, rows5 := from(5)
+	if !equalInts(rows3, []int{0, 1}) || !equalInts(pos3, []int{0, 1}) ||
+		!equalInts(rows5, []int{2}) || !equalInts(pos5, []int{2}) || g.Ptr[6] != 3 {
+		t.Fatalf("assignment = %+v", g)
 	}
-	_, uncovered = AssignHolders(holders, 100, map[int]bool{5: true, 3: true, 1: true})
-	if !equalInts(uncovered, []int{100, 101, 102}) {
-		t.Fatalf("uncovered = %v", uncovered)
+	g = ht.Assign(failedSet(6, 5, 3, 1))
+	if !equalInts(g.Uncovered, []int{0, 1, 2}) || g.Ptr[6] != 0 {
+		t.Fatalf("uncovered = %v, gather %+v", g.Uncovered, g)
 	}
 }
 

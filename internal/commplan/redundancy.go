@@ -1,9 +1,6 @@
 package commplan
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // BackupRank returns d_ik, the k-th backup rank of rank i among n ranks
 // (paper Eqn. 5, k = 1, 2, ..., phi < n):
@@ -106,35 +103,6 @@ func BuildRedundancy(pl *HaloPlan, phi int) (*Redundancy, error) {
 		r.Extra[k-1] = extra
 	}
 	return r, nil
-}
-
-// Holders returns, for every element of the rank's block (indexed by local
-// offset), the sorted list of other ranks holding a copy of the element
-// after the SpMV + redundancy rounds: { k : s in S_ik } u { d_ik : s in
-// R^c_ik }. This drives both the redundancy invariant check and the tailored
-// recovery gather.
-func (r *Redundancy) Holders() [][]int {
-	pl := r.Plan
-	lo, hi := pl.P.Range(pl.Rank)
-	holders := make([][]int, hi-lo)
-	for k, idx := range pl.SendTo {
-		if k == pl.Rank {
-			continue
-		}
-		for _, g := range idx {
-			holders[g-lo] = append(holders[g-lo], k)
-		}
-	}
-	for k1, idx := range r.Extra {
-		d := r.Backups[k1]
-		for _, g := range idx {
-			holders[g-lo] = append(holders[g-lo], d)
-		}
-	}
-	for _, h := range holders {
-		sort.Ints(h)
-	}
-	return holders
 }
 
 // SendLists merges the halo and redundancy traffic per destination: for each

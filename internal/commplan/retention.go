@@ -1,10 +1,6 @@
 package commplan
 
-import (
-	"fmt"
-	"slices"
-	"sort"
-)
+import "fmt"
 
 // Retention is the per-rank store of redundant search-direction copies. The
 // resilient solver keeps the two most recent generations (p^(j-1) and p^(j),
@@ -19,8 +15,8 @@ type Retention struct {
 	// idxFrom[src] lists, sorted, the static global indices received from
 	// src each iteration (nil when nothing is received from src). It is the
 	// matrix's own receive list, shared read-only by every store of a
-	// session; ValuesFor finds an index in it by binary search, so the
-	// lists are the whole retention index.
+	// session. A recovery read addresses an element by its position in this
+	// list (HolderTable), so the store keeps no index of its own.
 	idxFrom [][]int
 	gens    [2]retGen
 	// dropped is the reusable scratch returned by Keep.
@@ -40,7 +36,7 @@ type retGen struct {
 // static, sorted per-source index lists each iteration (see RecvLists), each
 // index carrying width consecutive values (one per column of a blocked
 // multi-RHS solve): Store expects len(IndicesFrom(src))*width values per
-// source and ValuesFor returns width values per requested index. The store
+// source and ValuesAt returns width values per requested position. The store
 // keeps a reference to idxFrom, which must not change.
 func NewRetention(idxFrom [][]int, width int) *Retention {
 	if width < 1 {
@@ -130,25 +126,22 @@ func (rt *Retention) gen(iter int) *retGen {
 	return nil
 }
 
-// ValuesFor returns the retained values of generation iter for the requested
-// global indices of source src's block: width consecutive values per
-// requested index, in request order. Every requested index must be held.
-func (rt *Retention) ValuesFor(iter, src int, indices []int) ([]float64, error) {
+// ValuesAt appends to dst the retained values of generation iter from source
+// src at the given positions of IndicesFrom(src): width consecutive values
+// per position, in request order, each a direct slice of the stored payload.
+func (rt *Retention) ValuesAt(dst []float64, iter, src int, pos []int) ([]float64, error) {
 	g := rt.gen(iter)
 	if g == nil {
-		return nil, fmt.Errorf("commplan: generation %d not retained", iter)
+		return dst, fmt.Errorf("commplan: generation %d not retained", iter)
 	}
-	held := rt.idxFrom[src]
-	w := rt.width
-	out := make([]float64, len(indices)*w)
-	for i, gi := range indices {
-		p, ok := slices.BinarySearch(held, gi)
-		if !ok {
-			return nil, fmt.Errorf("commplan: index %d of rank %d not held here", gi, src)
+	vals, w := g.vals[src], rt.width
+	for _, p := range pos {
+		if p < 0 || p >= len(rt.idxFrom[src]) {
+			return dst, fmt.Errorf("commplan: position %d of rank %d's list not held here", p, src)
 		}
-		copy(out[i*w:i*w+w], g.vals[src][p*w:p*w+w])
+		dst = append(dst, vals[p*w:p*w+w]...)
 	}
-	return out, nil
+	return dst, nil
 }
 
 // Wipe discards all retained data, simulating the memory loss of a node
@@ -158,34 +151,4 @@ func (rt *Retention) Wipe() {
 	for i := range rt.gens {
 		rt.gens[i].iter = -1
 	}
-}
-
-// AssignHolders computes the tailored recovery gather for a failed rank's
-// block: holders is the per-element holder list (see Redundancy.Holders),
-// lo the block's first global index, and failed the set of failed ranks.
-// For every element the lowest-ranked surviving holder is selected; the
-// result maps each chosen holder rank to the sorted global indices it must
-// provide. Elements with no surviving holder are returned in uncovered --
-// non-empty uncovered means unrecoverable data loss (e.g. Chen's strategy
-// under adjacent multi-failures, paper Sec. 3).
-func AssignHolders(holders [][]int, lo int, failed map[int]bool) (byHolder map[int][]int, uncovered []int) {
-	byHolder = map[int][]int{}
-	for off, hs := range holders {
-		chosen := -1
-		for _, h := range hs { // holders are sorted ascending
-			if !failed[h] {
-				chosen = h
-				break
-			}
-		}
-		if chosen < 0 {
-			uncovered = append(uncovered, lo+off)
-			continue
-		}
-		byHolder[chosen] = append(byHolder[chosen], lo+off)
-	}
-	for _, idx := range byHolder {
-		sort.Ints(idx)
-	}
-	return byHolder, uncovered
 }

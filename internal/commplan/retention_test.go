@@ -3,8 +3,8 @@ package commplan
 import "testing"
 
 // TestRetentionWidthK exercises the k-strided store of blocked multi-RHS
-// solves: Store takes len(IndicesFrom(src))*k values per source, ValuesFor
-// returns k consecutive values per requested index, and Wipe preserves the
+// solves: Store takes len(IndicesFrom(src))*k values per source, ValuesAt
+// returns k consecutive values per requested position, and Wipe preserves the
 // width for the replacement node.
 func TestRetentionWidthK(t *testing.T) {
 	const k = 3
@@ -28,7 +28,7 @@ func TestRetentionWidthK(t *testing.T) {
 	rt.Store(1, [][]float64{nil, mk(1, idxFrom[1]), mk(1, idxFrom[2])})
 
 	for gen := 0; gen <= 1; gen++ {
-		got, err := rt.ValuesFor(gen, 1, []int{7, 4})
+		got, err := rt.ValuesAt(nil, gen, 1, []int{1, 0}) // indices 7, 4
 		if err != nil {
 			t.Fatalf("gen %d: %v", gen, err)
 		}
@@ -38,7 +38,7 @@ func TestRetentionWidthK(t *testing.T) {
 		}
 		for i := range want {
 			if got[i] != want[i] {
-				t.Fatalf("gen %d ValuesFor = %v, want %v", gen, got, want)
+				t.Fatalf("gen %d ValuesAt = %v, want %v", gen, got, want)
 			}
 		}
 	}
@@ -48,7 +48,7 @@ func TestRetentionWidthK(t *testing.T) {
 		t.Fatalf("Keep(1) dropped %d payloads, want 2", len(dropped))
 	}
 	rt.Store(2, [][]float64{nil, mk(2, idxFrom[1]), mk(2, idxFrom[2])})
-	if _, err := rt.ValuesFor(0, 1, []int{4}); err == nil {
+	if _, err := rt.ValuesAt(nil, 0, 1, []int{0}); err == nil {
 		t.Fatal("generation 0 still retained after Keep(1)")
 	}
 
@@ -56,18 +56,18 @@ func TestRetentionWidthK(t *testing.T) {
 	if rt.Width() != k {
 		t.Fatalf("Width after Wipe = %d, want %d", rt.Width(), k)
 	}
-	if _, err := rt.ValuesFor(2, 1, []int{4}); err == nil {
+	if _, err := rt.ValuesAt(nil, 2, 1, []int{0}); err == nil {
 		t.Fatal("generation 2 still retained after Wipe")
 	}
 	// The wiped store accepts new width-k generations again.
 	rt.Keep(4)
 	rt.Store(5, [][]float64{nil, mk(5, idxFrom[1]), mk(5, idxFrom[2])})
-	got, err := rt.ValuesFor(5, 2, []int{9})
+	got, err := rt.ValuesAt(nil, 5, 2, []int{0}) // index 9
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got[0] != 5900 || got[1] != 5901 || got[2] != 5902 {
-		t.Fatalf("post-wipe ValuesFor = %v", got)
+		t.Fatalf("post-wipe ValuesAt = %v", got)
 	}
 }
 

@@ -26,29 +26,27 @@ import (
 // prepared with SetBlockWidth(w) (blocked multi-RHS solves), every element
 // carries w consecutive values and out[k] receives the interleaved
 // w-strided block. Width 1 is the single-RHS protocol unchanged.
-func recoverBlocks(e *distmat.Env, a *distmat.Matrix, iter int, failed map[int]bool, failedList []int, gens []int, out [][]float64) error {
+func recoverBlocks(e *distmat.Env, a *distmat.Matrix, iter int, failed []bool, failedList []int, gens []int, out [][]float64) error {
 	me := e.Pos
 	amFailed := failed[me]
-	lo, _ := a.P.Range(me)
 	w := 1
 	if a.Ret != nil {
 		w = a.Ret.Width()
 	}
 
 	// Sub-phase A: coverage status broadcast (deterministic abort).
-	var byHolder map[int][]int
+	var plan commplan.Gather
 	status := 0
 	if amFailed {
-		if a.Red == nil {
+		if a.Holders == nil {
 			return fmt.Errorf("core: recoverBlocks needs a resilience-enabled matrix")
 		}
-		var uncovered []int
-		byHolder, uncovered = commplan.AssignHolders(a.Red.Holders(), lo, failed)
-		if len(uncovered) > 0 {
+		plan = a.Holders.Assign(failed)
+		if len(plan.Uncovered) > 0 {
 			status = 1
 		}
 	}
-	anyAbort := false
+	anyAbort := status == 1
 	if amFailed {
 		for r := 0; r < e.Size(); r++ {
 			if r == me {
@@ -61,9 +59,6 @@ func recoverBlocks(e *distmat.Env, a *distmat.Matrix, iter int, failed map[int]b
 	}
 	for _, f := range failedList {
 		if f == me {
-			if status == 1 {
-				anyAbort = true
-			}
 			continue
 		}
 		msg, err := e.C.Recv(f, tagRecStatus)
@@ -78,13 +73,14 @@ func recoverBlocks(e *distmat.Env, a *distmat.Matrix, iter int, failed map[int]b
 		return &DataLossError{Iteration: iter, FailedRanks: failedList}
 	}
 
-	// Sub-phase B: requests and responses, all generations in one payload.
+	// Sub-phase B: requests (retention positions) and responses, all
+	// generations in one payload.
 	if amFailed {
 		for r := 0; r < e.Size(); r++ {
 			if r == me || failed[r] {
 				continue
 			}
-			if err := e.C.Send(cluster.CatRecovery, r, tagRecPReq, nil, byHolder[r]); err != nil {
+			if err := e.C.SendOwned(cluster.CatRecovery, r, tagRecPReq, nil, plan.Pos[plan.Ptr[r]:plan.Ptr[r+1]]); err != nil {
 				return err
 			}
 		}
@@ -94,17 +90,13 @@ func recoverBlocks(e *distmat.Env, a *distmat.Matrix, iter int, failed map[int]b
 			if err != nil {
 				return err
 			}
-			payload := []float64{}
-			if len(req.I) > 0 {
-				for _, g := range gens {
-					vals, err := a.Ret.ValuesFor(g, f, req.I)
-					if err != nil {
-						return fmt.Errorf("core: recovery gather (gen %d from %d): %w", g, f, err)
-					}
-					payload = append(payload, vals...)
+			payload := e.C.GetFloats(len(req.I) * len(gens) * w)[:0]
+			for _, g := range gens {
+				if payload, err = a.Ret.ValuesAt(payload, g, f, req.I); err != nil {
+					return fmt.Errorf("core: recovery gather (gen %d from %d): %w", g, f, err)
 				}
 			}
-			if err := e.C.SendFloats(cluster.CatRecovery, f, tagRecPResp, payload); err != nil {
+			if err := e.C.SendOwned(cluster.CatRecovery, f, tagRecPResp, payload, nil); err != nil {
 				return err
 			}
 		}
@@ -118,17 +110,18 @@ func recoverBlocks(e *distmat.Env, a *distmat.Matrix, iter int, failed map[int]b
 			if err != nil {
 				return err
 			}
-			idx := byHolder[r]
-			if len(vals) != len(idx)*len(gens)*w {
+			rows := plan.Row[plan.Ptr[r]:plan.Ptr[r+1]]
+			if len(vals) != len(rows)*len(gens)*w {
 				return fmt.Errorf("core: recovery response from %d has %d values, want %d",
-					r, len(vals), len(idx)*len(gens)*w)
+					r, len(vals), len(rows)*len(gens)*w)
 			}
 			for k := range gens {
-				part := vals[k*len(idx)*w : (k+1)*len(idx)*w]
-				for t, g := range idx {
-					copy(out[k][(g-lo)*w:(g-lo)*w+w], part[t*w:t*w+w])
+				part := vals[k*len(rows)*w : (k+1)*len(rows)*w]
+				for t, off := range rows {
+					copy(out[k][off*w:off*w+w], part[t*w:t*w+w])
 				}
 			}
+			e.C.PutFloats(vals)
 		}
 	}
 	return nil
@@ -138,11 +131,12 @@ func recoverBlocks(e *distmat.Env, a *distmat.Matrix, iter int, failed map[int]b
 // vectors owned by survivors at the ghost columns of the given matrix's
 // failed rows (the halo of the reconstruction product A_{If, I\If} x, Alg. 2
 // line 7). Survivors send ONE k-strided frame per replacement (k consecutive
-// values per ghost element), replacements receive; the result maps global
-// index -> value per column on replacements (nil on survivors). Entries the
-// failed ranks own travel no further: the x-system's leader reads them off
-// the other replacements' blocks of w and x (solveXSystem).
-func gatherGhost(e *distmat.Env, mat *distmat.Matrix, locals [][]float64, failed map[int]bool, failedList []int) ([]map[int]float64, error) {
+// values per ghost element), replacements receive each into the matrix's own
+// ghost slots (Matrix.GhostSpan): the result is the k-strided slot buffer and
+// the mask of the slots filled, on replacements (nil on survivors). Entries
+// the failed ranks own travel no further: the x-system's leader reads them
+// off the other replacements' blocks of w and x (leadXSystem).
+func gatherGhost(e *distmat.Env, mat *distmat.Matrix, locals [][]float64, failed []bool, failedList []int) ([]float64, []bool, error) {
 	me := e.Pos
 	k := len(locals)
 	if !failed[me] {
@@ -152,42 +146,36 @@ func gatherGhost(e *distmat.Env, mat *distmat.Matrix, locals [][]float64, failed
 			if len(idx) == 0 {
 				continue
 			}
-			vals := make([]float64, len(idx)*k)
+			vals := e.C.GetFloats(len(idx) * k)
 			for t, g := range idx {
 				for c := 0; c < k; c++ {
 					vals[t*k+c] = locals[c][g-lo]
 				}
 			}
-			if err := e.C.SendFloats(cluster.CatRecovery, f, tagRecXHalo, vals); err != nil {
-				return nil, err
+			if err := e.C.SendOwned(cluster.CatRecovery, f, tagRecXHalo, vals, nil); err != nil {
+				return nil, nil, err
 			}
 		}
-		return nil, nil
+		return nil, nil, nil
 	}
-	ghosts := make([]map[int]float64, k)
-	for c := range ghosts {
-		ghosts[c] = map[int]float64{}
-	}
+	ghost, live := make([]float64, mat.NumGhosts()*k), make([]bool, mat.NumGhosts())
 	for r := 0; r < e.Size(); r++ {
-		if r == me || failed[r] {
-			continue
-		}
-		idx := mat.Plan.RecvFrom[r]
-		if len(idx) == 0 {
+		lo, hi := mat.GhostSpan(r)
+		if r == me || failed[r] || lo == hi {
 			continue
 		}
 		vals, err := e.C.RecvFloats(r, tagRecXHalo)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		if len(vals) != len(idx)*k {
-			return nil, fmt.Errorf("core: ghost gather from %d: %d values, want %d", r, len(vals), len(idx)*k)
+		if len(vals) != (hi-lo)*k {
+			return nil, nil, fmt.Errorf("core: ghost gather from %d: %d values, want %d", r, len(vals), (hi-lo)*k)
 		}
-		for t, g := range idx {
-			for c := 0; c < k; c++ {
-				ghosts[c][g] = vals[t*k+c]
-			}
+		copy(ghost[lo*k:hi*k], vals)
+		for s := lo; s < hi; s++ {
+			live[s] = true
 		}
+		e.C.PutFloats(vals)
 	}
-	return ghosts, nil
+	return ghost, live, nil
 }

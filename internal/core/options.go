@@ -191,7 +191,9 @@ type Reconstruction struct {
 	// episode is reported once x_If has landed.
 	Duration time.Duration
 	// Phases splits Duration over the five recovery phases — scalars,
-	// p-gather, z/r rebuild, x-system (forming w and handing it to the
+	// p-gather (its requests and responses only: which survivor serves each
+	// lost element, at which retention position, is the matrix's static
+	// holder table), z/r rebuild, x-system (forming w and handing it to the
 	// leader), finalize — as the reporting rank saw them, summed over
 	// restarts.
 	Phases [numPhases]time.Duration

@@ -2,8 +2,6 @@ package core
 
 import (
 	"fmt"
-	"maps"
-	"slices"
 	"time"
 
 	"repro/internal/cluster"
@@ -68,15 +66,17 @@ type EpisodeFailures struct {
 	iter  int
 	pos   int
 	wipe  func()
-	// Failed is the cumulative failed set (shared with episode internals).
-	Failed map[int]bool
+	// Failed is the cumulative failed set, indexed by rank (shared with
+	// episode internals).
+	Failed []bool
 }
 
 // NewEpisodeFailures starts an episode's failure tracking for the initial
-// victims at iteration iter. pos is the local rank and wipe destroys its
-// dynamic state (called when pos itself joins the failed set).
-func NewEpisodeFailures(sched *faults.Schedule, iter, pos int, wipe func(), victims []int) *EpisodeFailures {
-	ef := &EpisodeFailures{sched: sched, iter: iter, pos: pos, wipe: wipe, Failed: map[int]bool{}}
+// victims at iteration iter among ranks ranks. pos is the local rank and
+// wipe destroys its dynamic state (called when pos itself joins the failed
+// set).
+func NewEpisodeFailures(sched *faults.Schedule, iter, pos, ranks int, wipe func(), victims []int) *EpisodeFailures {
+	ef := &EpisodeFailures{sched: sched, iter: iter, pos: pos, wipe: wipe, Failed: make([]bool, ranks)}
 	ef.add(victims)
 	return ef
 }
@@ -106,7 +106,15 @@ func (ef *EpisodeFailures) AtPhase(phase int) bool {
 }
 
 // Ranks returns the sorted failed set.
-func (ef *EpisodeFailures) Ranks() []int { return slices.Sorted(maps.Keys(ef.Failed)) }
+func (ef *EpisodeFailures) Ranks() []int {
+	var out []int
+	for r, f := range ef.Failed {
+		if f {
+			out = append(out, r)
+		}
+	}
+	return out
+}
 
 // AmFailed reports whether the local rank is in the failed set.
 func (ef *EpisodeFailures) AmFailed() bool { return ef.Failed[ef.pos] }
@@ -122,7 +130,7 @@ func (ef *EpisodeFailures) AmFailed() bool { return ef.Failed[ef.pos] }
 func (st *SolverState) recoverEpisode(j int, victims []int) (Reconstruction, error) {
 	startT := time.Now()
 	rec := Reconstruction{Iteration: j}
-	ef := NewEpisodeFailures(st.Sched, j, st.E.Pos, st.Wipe, victims)
+	ef := NewEpisodeFailures(st.Sched, j, st.E.Pos, st.E.Size(), st.Wipe, victims)
 	mark := startT
 
 restart:
@@ -215,7 +223,7 @@ func (st *SolverState) dropPending() {
 type episode struct {
 	st         *SolverState
 	iter       int
-	failed     map[int]bool
+	failed     []bool
 	failedList []int
 	amFailed   bool
 
@@ -365,15 +373,16 @@ func (st *SolverState) rebuildR(ep *episode) ([][]float64, error) {
 
 // runXSystem forms w = b_If - r_If - A_{If, I\If} x_{I\If} (Alg. 2 line 7)
 // on every replacement — ONE fused k-strided gather of the survivors' ghost
-// entries of x — and starts the SPD subsystem A_{If,If} x_If = w (line 8) for
-// every column. Sec. 4.1 solves it cooperatively over the replacements
-// ("additional communication between the psi replacement nodes is
-// necessary"); here that communication is a gather of w onto one replacement,
-// which solves the whole subsystem alone, and a scatter of x_If back at
-// settle (startXSystem), with x_If unchanged to the bit.
+// entries of x into the matrix's ghost slots — and starts the SPD subsystem
+// A_{If,If} x_If = w (line 8) for every column. Sec. 4.1 solves it
+// cooperatively over the replacements ("additional communication between
+// the psi replacement nodes is necessary"); here that communication is a
+// gather of w onto one replacement, which solves the whole subsystem alone,
+// and a scatter of x_If back at settle (startXSystem), with x_If unchanged to
+// the bit.
 func (ep *episode) runXSystem() error {
 	st := ep.st
-	ghosts, err := gatherGhost(st.E, st.A, locals(st.X), ep.failed, ep.failedList)
+	ghost, live, err := gatherGhost(st.E, st.A, locals(st.X), ep.failed, ep.failedList)
 	if err != nil {
 		return err
 	}
@@ -387,7 +396,7 @@ func (ep *episode) runXSystem() error {
 	for c := range w {
 		vec.Axpy(-1, ep.r[c], w[c])
 		clear(neg)
-		st.A.GhostProduct(neg, ghosts[c])
+		st.A.GhostProduct(neg, ghost, len(w), c, live)
 		vec.Axpy(-1, neg, w[c])
 	}
 	return ep.startXSystem(w)

@@ -314,7 +314,7 @@ func (restartStrategy) Overhead(*SolverState, int) error { return nil }
 func (restartStrategy) Recover(st *SolverState, j int, victims []int) (int, Reconstruction, error) {
 	startT := time.Now()
 	rec := Reconstruction{Iteration: j}
-	ef := NewEpisodeFailures(st.Sched, j, st.E.Pos, st.Wipe, victims)
+	ef := NewEpisodeFailures(st.Sched, j, st.E.Pos, st.E.Size(), st.Wipe, victims)
 	// Overlapping failures at the recovery-phase grid only enlarge the
 	// failed set — a cold restart resets everything regardless — but each
 	// batch still restarts the episode for the Sec. 4.1 accounting.

@@ -29,8 +29,11 @@ type referenceKernels struct {
 	ghostPos           map[int]int
 	ownBlock           *sparse.CSR
 	diag               []float64
-	// ghostIn / ghostProduct: y after GhostProduct(y, ghostIn) on a seeded y.
-	ghostIn      map[int]float64
+	// ghostIn / ghostLive / ghostProduct: y after GhostProduct(y, ghostIn,
+	// 2, 1, ghostLive) on a seeded y. ghostIn holds two columns slot-major,
+	// column 0 NaN, so a read of the wrong column or a dead slot shows.
+	ghostIn      []float64
+	ghostLive    []bool
 	ghostProduct []float64
 }
 
@@ -50,13 +53,14 @@ func ghostProductSeed(n int) []float64 {
 func buildReference(m *Matrix, rows *sparse.CSR) *referenceKernels {
 	lo, hi := m.P.Range(m.Pos)
 	bs := hi - lo
-	ref := &referenceKernels{ghostPos: map[int]int{}, ghostIn: map[int]float64{}}
+	ref := &referenceKernels{ghostPos: map[int]int{}}
 	ref.ghost = exteriorColumns(rows, lo, hi)
+	ref.ghostIn, ref.ghostLive = make([]float64, 2*len(ref.ghost)), make([]bool, len(ref.ghost))
 	for pos, g := range ref.ghost {
 		ref.ghostPos[g] = pos
-		if pos%3 != 1 { // a survivor-owned subset: the rest contributes zero
-			ref.ghostIn[g] = math.Cos(float64(g))
-		}
+		ref.ghostIn[2*pos], ref.ghostIn[2*pos+1] = math.NaN(), math.Cos(float64(g))
+		// A survivor-owned subset: the rest contributes nothing.
+		ref.ghostLive[pos] = pos%3 != 1
 	}
 	local := rows.Clone()
 	local.Cols = bs + len(ref.ghost)
@@ -109,8 +113,8 @@ func buildReference(m *Matrix, rows *sparse.CSR) *referenceKernels {
 				}
 			default:
 				external = true
-				if v, ok := ref.ghostIn[c]; ok {
-					s += vals[t] * v
+				if pos := ref.ghostPos[c]; ref.ghostLive[pos] {
+					s += vals[t] * ref.ghostIn[2*pos+1]
 				}
 			}
 		}
@@ -179,14 +183,20 @@ func (ref *referenceKernels) diff(m *Matrix) string {
 		return slices.EqualFunc(a, b, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) })
 	}
 	ghostProduct := ghostProductSeed(len(ref.ghostProduct))
-	m.GhostProduct(ghostProduct, ref.ghostIn)
+	m.GhostProduct(ghostProduct, ref.ghostIn, 2, 1, ref.ghostLive)
+	spans := true
+	for r, need := range m.Plan.RecvFrom {
+		lo, hi := m.GhostSpan(r)
+		spans = spans && slices.Equal(ref.ghost[lo:hi], need)
+	}
 	sendLoc, sendPos := unplan(m.sendPlan)
 	recvPos, recvDst := unplan(m.recvPlan)
 	for _, c := range []struct {
 		name string
 		same bool
 	}{
-		{"ghost", slices.Equal(m.ghost, ref.ghost)},
+		{"ghost", slices.Equal(m.ghost, ref.ghost) && m.NumGhosts() == len(ref.ghost)},
+		{"GhostSpan", spans},
 		{"width-1 input length", len(m.input(1)) == ref.interior.Cols},
 		{"Interior", csr(m.split.Interior, ref.interior)},
 		{"Boundary", csr(m.split.Boundary, ref.boundary)},

@@ -104,7 +104,7 @@ func TestMatMatBitwiseMatVec(t *testing.T) {
 					if len(idx) == 0 {
 						continue
 					}
-					vals, err := m.Ret.ValuesFor(2, src, idx)
+					vals, err := retained(m, 2, src)
 					if err != nil {
 						return err
 					}
@@ -169,7 +169,7 @@ func TestRetentionIndexSharedAcrossForks(t *testing.T) {
 				if len(idx) == 0 {
 					continue
 				}
-				vals, err := f.Ret.ValuesFor(0, src, idx)
+				vals, err := retained(f, 0, src)
 				if err != nil {
 					return err
 				}

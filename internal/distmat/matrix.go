@@ -15,8 +15,7 @@ import (
 // paper's A_{Ii, I}, reconstructible from reliable storage) is split: the
 // rows column-localised and divided into interior and boundary for the SpMV
 // kernels. Everything else that reads the rows — OwnBlock, Diag, GhostProduct
-// — reads them there, mapping a ghost column back to its global index through
-// ghost.
+// — reads them there.
 type Matrix struct {
 	// P is the row/vector partition of the Env's index space.
 	P partition.Partition
@@ -30,6 +29,10 @@ type Matrix struct {
 	// matrix is not resilience-enabled. Its index is recvLists, shared by
 	// every fork and block width.
 	Ret *commplan.Retention
+	// Holders is the static holder table of the own block, over sendLists
+	// and shared by every fork; nil when the matrix is not
+	// resilience-enabled.
+	Holders *commplan.HolderTable
 
 	// ghost is Plan.GhostIndices(): the sorted external global indices the
 	// SpMV reads. Ghost i lives in local column (own block size) + i.
@@ -122,6 +125,8 @@ func NewMatrix(e *Env, rows *sparse.CSR, p partition.Partition, phi, ctx int) (*
 	}
 	if phi > 0 {
 		m.Ret = commplan.NewRetention(m.recvLists, 1)
+		lo, hi := p.Range(e.Pos)
+		m.Holders = commplan.NewHolderTable(m.sendLists, lo, hi-lo)
 	}
 	m.buildKernels(rows)
 	return m, nil
@@ -208,7 +213,8 @@ func (m *Matrix) buildKernels(rows *sparse.CSR) {
 			continue
 		}
 		pos, dst := make([]int, 0, len(need)), make([]int, 0, len(need))
-		base, j := m.ghostSlot(k), 0
+		slot, _ := m.GhostSpan(k)
+		base, j := hi-lo+slot, 0
 		for t, g := range idx {
 			for j < len(need) && need[j] < g {
 				j++
@@ -226,17 +232,6 @@ func (m *Matrix) buildKernels(rows *sparse.CSR) {
 // the own block starting at lo, into a payload in list order.
 func gatherPlan(idx []int, lo int) copyList {
 	return newCopyList(len(idx), func(i int) (int, int) { return idx[i] - lo, i })
-}
-
-// ghostSlot returns the local column of the first element of
-// Plan.RecvFrom[k]: the ghost list is the RecvFrom lists in rank order.
-func (m *Matrix) ghostSlot(k int) int {
-	lo, hi := m.P.Range(m.Pos)
-	slot := hi - lo
-	for _, idx := range m.Plan.RecvFrom[:k] {
-		slot += len(idx)
-	}
-	return slot
 }
 
 // InteriorRows returns the interior/boundary row counts of the localised
@@ -288,28 +283,37 @@ func (m *Matrix) Fork() *Matrix {
 	return &n
 }
 
+// GhostSpan returns the ghost slots [lo, hi) holding Plan.RecvFrom[r], in
+// that order, counted from the first ghost slot (the local column after the
+// own block): the ghost list is the RecvFrom lists in rank order.
+func (m *Matrix) GhostSpan(r int) (lo, hi int) {
+	for _, idx := range m.Plan.RecvFrom[:r] {
+		lo += len(idx)
+	}
+	return lo, lo + len(m.Plan.RecvFrom[r])
+}
+
+// NumGhosts returns the number of ghost slots.
+func (m *Matrix) NumGhosts() int { return len(m.ghost) }
+
 // GhostProduct computes y += sum over external columns of the row block:
-// y[i] += A[i, c] * ghost[c] for every stored entry with a column c outside
-// this rank's own block; columns missing from ghost contribute zero. With
-// ghost filled only with survivor-owned vector entries this evaluates the
-// reconstruction product A_{If, I\If} x_{I\If} of the paper's Alg. 2
-// (line 7). Only the boundary rows hold
-// external entries, so it walks those alone, skipping their own-block
-// columns and mapping each ghost slot back to its global column; the external
-// entries are visited in stored order, keeping the accumulation bit-identical
-// to a full row sweep.
-func (m *Matrix) GhostProduct(y []float64, ghost map[int]float64) {
+// y[i] += A[i, c] * g[s*k+col] for every stored entry whose column is ghost
+// slot s with live[s]; the other slots contribute nothing. g holds k columns
+// slot-major (k consecutive values per slot). With live marking the
+// survivor-owned slots this evaluates the reconstruction product
+// A_{If, I\If} x_{I\If} of the paper's Alg. 2 (line 7). Only the boundary rows
+// hold external entries, so it walks those alone, skipping their own-block
+// columns; the external entries are visited in stored order, keeping the
+// accumulation bit-identical to a full row sweep.
+func (m *Matrix) GhostProduct(y, g []float64, k, col int, live []bool) {
 	bs := m.blockSize()
 	b := m.split.Boundary
 	for r, i := range m.split.BndRows {
 		cols, vals := b.Row(r)
 		var s float64
 		for t, c := range cols {
-			if c < bs {
-				continue
-			}
-			if v, ok := ghost[m.ghost[c-bs]]; ok {
-				s += vals[t] * v
+			if c >= bs && live[c-bs] {
+				s += vals[t] * g[(c-bs)*k+col]
 			}
 		}
 		y[i] += s

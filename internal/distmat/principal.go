@@ -55,7 +55,8 @@ func NewPrincipal(blocks []*Matrix) (*Principal, error) {
 				continue
 			}
 			flo, _ := m.P.Range(f.Pos)
-			base := m.ghostSlot(f.Pos)
+			slot, _ := m.GhostSpan(f.Pos)
+			base := m.blockSize() + slot
 			s.fill[t] = append(s.fill[t], ghostFill{from: u,
 				plan: newCopyList(len(need), func(i int) (int, int) { return need[i] - flo, base + i })})
 		}

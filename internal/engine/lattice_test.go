@@ -236,7 +236,7 @@ func latticeRHS(n, width int, seed int64) [][]float64 {
 // it: the lattice hands its runtime to solveOn.
 type poisonTransport struct{ *cluster.LocalTransport }
 
-func (poisonTransport) PutFloats(buf []float64) {
+func (poisonTransport) PutFloats(_ int, buf []float64) {
 	buf = buf[:cap(buf)]
 	for i := range buf {
 		buf[i] = math.NaN()

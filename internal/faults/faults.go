@@ -13,6 +13,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 )
 
@@ -201,23 +202,17 @@ func (s *Schedule) MaxSimultaneous() int {
 }
 
 func (s *Schedule) collect(match func(Event) bool) []int {
-	set := map[int]bool{}
+	var out []int
 	for _, e := range s.events {
 		if match(e) {
-			for _, r := range e.Ranks {
-				set[r] = true
-			}
+			out = append(out, e.Ranks...)
 		}
 	}
-	if len(set) == 0 {
-		return nil
+	if len(out) == 0 {
+		return nil // the poll of every phase boundary: no map, no sort
 	}
-	out := make([]int, 0, len(set))
-	for r := range set {
-		out = append(out, r)
-	}
-	sort.Ints(out)
-	return out
+	slices.Sort(out)
+	return slices.Compact(out)
 }
 
 // Validate checks structural sanity: phases are non-negative and victims
