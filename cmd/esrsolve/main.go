@@ -98,7 +98,7 @@ func main() {
 		fmt.Printf("  reconstruction at iteration %d: ranks %v, %d subsystem iterations, %v (restarts %d)\n",
 			rec.Iteration, rec.FailedRanks, rec.SubIterations, rec.Duration.Round(0), rec.Restarts)
 		ph := rec.Phases
-		fmt.Printf("    phases on rank 0: scalars %v, p-gather %v, z/r %v, x-system hand-off %v (setup %v), finalize %v; background pcg %v\n",
+		fmt.Printf("    phases on rank 0: scalars %v, p-gather %v, z/r %v, x-system hand-off %v (leader's setup %v), finalize %v; leader's background pcg %v\n",
 			ph[0], ph[1], ph[2], ph[3], rec.SubsystemSetup, ph[4], rec.SubsystemSolve)
 	}
 	fmt.Printf("verified ||b-Ax|| = %.3e\n", esr.ResidualNorm(a, sol.X, b))

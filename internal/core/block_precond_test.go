@@ -9,6 +9,7 @@ import (
 	"repro/internal/distmat"
 	"repro/internal/matgen"
 	"repro/internal/partition"
+	"repro/internal/precond"
 )
 
 // TestBreakdownOfEveryColumnStaysPerColumn: when every active column breaks
@@ -48,5 +49,45 @@ func TestBreakdownOfEveryColumnStaysPerColumn(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestLocalPrecondApplyAllocatesNothing: a multi-column application runs in
+// the solve's ApplyScratch — the column headers and the fused sweep's
+// working block — so once the scratch has grown to the block it allocates
+// nothing, and its columns match the one-column ApplyInv bit for bit.
+func TestLocalPrecondApplyAllocatesNothing(t *testing.T) {
+	blk := matgen.Poisson2D(16, 16)
+	p := partition.NewBlockRow(blk.Rows, 1)
+	ilu, err := precond.NewBlockJacobiILU(blk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lp := LocalPrecond{P: ilu}
+	const k = 8
+	z, r := make([]distmat.Vector, k), make([]distmat.Vector, k)
+	for c := range z {
+		z[c] = distmat.NewVector(p, 0)
+		r[c] = distmat.Vector{P: p, Pos: 0, Local: testColumn(blk.Rows, c)}
+	}
+	var s ApplyScratch
+	if err := lp.Apply(z, r, &s); err != nil {
+		t.Fatal(err)
+	}
+	want := make([]float64, blk.Rows)
+	for c := range z {
+		ilu.ApplyInv(want, r[c].Local)
+		for i := range want {
+			if z[c].Local[i] != want[i] {
+				t.Fatalf("column %d row %d: Apply %x, ApplyInv %x", c, i, z[c].Local[i], want[i])
+			}
+		}
+	}
+	if allocs := testing.AllocsPerRun(10, func() {
+		if err := lp.Apply(z, r, &s); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Fatalf("a steady-state Apply allocates %v times", allocs)
 	}
 }

@@ -586,7 +586,7 @@ func referencePCG(e *distmat.Env, a *distmat.Matrix, x, b distmat.Vector, m Prec
 	if err := a.Residual(e, r, b, x, -1); err != nil {
 		return Result{}, nil, err
 	}
-	if err := m.Apply([]distmat.Vector{z}, []distmat.Vector{r}); err != nil {
+	if err := m.Apply([]distmat.Vector{z}, []distmat.Vector{r}, nil); err != nil {
 		return Result{}, nil, err
 	}
 	vec.Copy(p.Local, z.Local)
@@ -610,7 +610,7 @@ func referencePCG(e *distmat.Env, a *distmat.Matrix, x, b distmat.Vector, m Prec
 		}
 		alpha := rz / pu
 		vec.ParAxpyAxpy(alpha, p.Local, x.Local, -alpha, u.Local, r.Local, 0)
-		if err := m.Apply([]distmat.Vector{z}, []distmat.Vector{r}); err != nil {
+		if err := m.Apply([]distmat.Vector{z}, []distmat.Vector{r}, nil); err != nil {
 			return res, history, err
 		}
 		norms, err := e.Grp.Allreduce(cluster.OpSum, []float64{vec.ParNrm2SqN(r.Local, 0), vec.ParDotN(r.Local, z.Local, 0)})

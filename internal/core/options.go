@@ -199,9 +199,9 @@ type Reconstruction struct {
 	Phases [numPhases]time.Duration
 	// SubsystemSetup is the time the episode leader — the lowest failed
 	// rank, which solves the x-system for the whole failed set — spent
-	// assembling its operator and preconditioners, inside Phases[3].
-	// SubsystemSolve is the wall time of the leader's background PCG, outside
-	// Duration. Both are zero on every other rank.
+	// assembling its operator and preconditioners, inside the leader's
+	// Phases[3]. SubsystemSolve is the wall time of the leader's background
+	// PCG, outside Duration. Every rank reports the leader's two times.
 	SubsystemSetup, SubsystemSolve time.Duration
 }
 
@@ -257,8 +257,20 @@ func (r Result) TotalReconstructions() int { return len(r.Reconstructions) }
 type Precond interface {
 	// Name identifies the preconditioner.
 	Name() string
-	// Apply computes z[c] = M^{-1} r[c] for every column.
-	Apply(z, r []distmat.Vector) error
+	// Apply computes z[c] = M^{-1} r[c] for every column. s is the calling
+	// solve's scratch; nil lends a fresh one.
+	Apply(z, r []distmat.Vector, s *ApplyScratch) error
+}
+
+// ApplyScratch is what one solve lends its preconditioner applications: the
+// columns' rank-local blocks and the working block of a fused multi-column
+// application (a block solve lends its matrix's SpMM output block, see
+// distmat.Matrix.BlockScratch). The factors behind a Precond are shared by
+// concurrent solves; each solve has its own scratch, and once it has grown
+// to the block an application allocates nothing.
+type ApplyScratch struct {
+	z, r [][]float64
+	work []float64
 }
 
 // LocalPrecond adapts a node-local block preconditioner (block-diagonal
@@ -278,12 +290,23 @@ func (lp LocalPrecond) Name() string { return "local:" + lp.P.Name() }
 // one structure traversal when it has one; a single column, or a
 // preconditioner without it, goes through ApplyInv column by column. Either
 // way column c is bitwise identical to a solo ApplyInv.
-func (lp LocalPrecond) Apply(z, r []distmat.Vector) error {
+func (lp LocalPrecond) Apply(z, r []distmat.Vector, s *ApplyScratch) error {
 	if len(z) != len(r) {
 		return fmt.Errorf("core: LocalPrecond column count mismatch")
 	}
 	if ba, ok := lp.P.(precond.BatchApplier); ok && len(z) > 1 {
-		ba.ApplyInvK(locals(z), locals(r))
+		if s == nil {
+			s = new(ApplyScratch)
+		}
+		s.z, s.r = s.z[:0], s.r[:0]
+		for c := range z {
+			s.z, s.r = append(s.z, z[c].Local), append(s.r, r[c].Local)
+		}
+		n := len(z) * len(z[0].Local)
+		if cap(s.work) < n {
+			s.work = make([]float64, n)
+		}
+		ba.ApplyInvK(s.z, s.r, s.work[:n])
 		return nil
 	}
 	for c := range z {
@@ -310,8 +333,8 @@ type SplitPrecond struct {
 func (sp SplitPrecond) Name() string { return "split:" + sp.P.Name() }
 
 // Apply implements Precond.
-func (sp SplitPrecond) Apply(z, r []distmat.Vector) error {
-	return LocalPrecond{P: sp.P}.Apply(z, r)
+func (sp SplitPrecond) Apply(z, r []distmat.Vector, s *ApplyScratch) error {
+	return LocalPrecond{P: sp.P}.Apply(z, r, s)
 }
 
 // IdentityPrecond returns the trivial preconditioner (plain CG).

@@ -191,18 +191,22 @@ func (st *SolverState) settle() error {
 	if err := pd.deliver(st); err != nil {
 		return err
 	}
-	iters, err := st.E.Grp.Allreduce(cluster.OpMax, pd.subIters)
+	// The leader's setup and solve times ride beside the iteration counts,
+	// the other ranks contributing 0, so every rank reports the leader's.
+	rp := pd.report
+	k := len(pd.subIters)
+	send := append(pd.subIters[:k:k], float64(rp.rec.SubsystemSetup), float64(pd.subSolve))
+	got, err := st.E.Grp.Allreduce(cluster.OpMax, send)
 	if err != nil {
 		return err
 	}
-	rp := pd.report
 	rp.sub = pd.subIters
-	copy(rp.sub, iters)
-	st.E.Grp.Recycle(iters)
+	copy(rp.sub, got[:k])
+	rp.rec.SubsystemSetup, rp.rec.SubsystemSolve = time.Duration(got[k]), time.Duration(got[k+1])
+	st.E.Grp.Recycle(got)
 	for _, it := range rp.sub {
 		rp.rec.SubIterations = max(rp.rec.SubIterations, int(it))
 	}
-	rp.rec.SubsystemSolve = pd.subSolve
 	st.book(rp)
 	return nil
 }

@@ -79,7 +79,7 @@ func (pcgRecurrence) residual0(st *SolverState, cols []int) error {
 func (pcgRecurrence) tu(st *SolverState, c int) []float64 { return st.U[c].Local }
 
 func (pcgRecurrence) z(st *SolverState, z, r []distmat.Vector) error {
-	return st.M.Apply(z, r)
+	return st.M.Apply(z, r, &st.pre)
 }
 
 func (pcgRecurrence) rnorm2(st *SolverState, r, _ []float64) float64 {

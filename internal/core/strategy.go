@@ -98,6 +98,8 @@ type SolverState struct {
 	// pend is the reconstruction episode whose x-system is still being
 	// solved (see settle); nil when none is.
 	pend *pendingX
+	// pre is the solve's scratch for its preconditioner applications.
+	pre ApplyScratch
 }
 
 // newSolverState allocates the k-column iteration state around the caller's
@@ -110,7 +112,7 @@ func newSolverState(e *distmat.Env, a *distmat.Matrix, m Precond, rec recurrence
 		vs[i] = distmat.NewVector(a.P, e.Pos)
 	}
 	fs := make([]float64, 5*k+1)
-	return &SolverState{
+	st := &SolverState{
 		E: e, A: a, M: m, Opts: opts, Sched: sched, rec: rec,
 		B: b, X: x,
 		R: vs[:k], Z: vs[k : 2*k], P: vs[2*k : 3*k], U: vs[3*k:],
@@ -118,6 +120,12 @@ func newSolverState(e *distmat.Env, a *distmat.Matrix, m Precond, rec recurrence
 		done: make([]bool, k), errs: make([]error, k),
 		res: make([]Result, k), xFinal: make([][]float64, k),
 	}
+	if k > 1 {
+		// The fused preconditioner sweep works in the SpMM's output block,
+		// which holds nothing between products.
+		st.pre.work = a.BlockScratch(k)
+	}
+	return st
 }
 
 func (st *SolverState) k() int { return len(st.B) }

@@ -84,6 +84,20 @@ func (m *Matrix) SetBlockWidth(k int) {
 	}
 }
 
+// BlockScratch returns the matrix's k-strided output buffer: its own block's
+// rows times k columns, where a product over k > 1 columns lands before it
+// is de-interleaved into the columns. It holds nothing between products, so
+// the solve that owns this matrix (a Fork) may use it as working space until
+// its next product: the fused preconditioner sweep does, instead of keeping
+// a block of its own.
+func (m *Matrix) BlockScratch(k int) []float64 {
+	n := m.blockSize() * k
+	if cap(m.scratch.y) < n {
+		m.scratch.y = make([]float64, n)
+	}
+	return m.scratch.y[:n]
+}
+
 // input returns the width-k input buffer: the own block, then the ghost
 // slots, k values per local column. Every product writes all of it (the own
 // block, and every ghost slot from its source's payload) before reading it,
@@ -172,10 +186,7 @@ func (m *Matrix) MatMat(e *Env, y, x []Vector, iter int) error {
 	if k == 1 {
 		copy(xb[:bs], x[0].Local)
 	} else {
-		if cap(m.scratch.y) < bs*k {
-			m.scratch.y = make([]float64, bs*k)
-		}
-		yb = m.scratch.y[:bs*k]
+		yb = m.BlockScratch(k)
 		interleave(xb, x, bs)
 	}
 	// Post sends: one pooled frame per destination, k consecutive values

@@ -145,8 +145,10 @@ func (f *ILU0) Solve(z, r []float64) {
 // per-column arithmetic is the exact operation sequence of Solve — for each
 // column c, s accumulates the same products in the same stored-entry order
 // — so column c of SolveK is bitwise identical to Solve(z[c], r[c]). z[c]
-// may alias r[c].
-func (f *ILU0) SolveK(z, r [][]float64) {
+// may alias r[c]. work is the caller's scratch of at least n·k floats, which
+// the SIMD sweep uses as its k-strided working block: the factor is shared
+// by concurrent solves, the block is not.
+func (f *ILU0) SolveK(z, r [][]float64, work []float64) {
 	k := len(z)
 	if k != len(r) {
 		panic("localsolve: ILU0.SolveK column count mismatch")
@@ -157,10 +159,26 @@ func (f *ILU0) SolveK(z, r [][]float64) {
 			panic("localsolve: ILU0.SolveK dimension mismatch")
 		}
 	}
-	// Columns go through in tiles of eight, then one of four, with the slice
-	// headers hoisted into locals and the running sums in registers; the
-	// remainder falls back to the single-column sweep. Tiling only regroups
-	// independent columns — each column's arithmetic is untouched.
+	if len(work) < n*k {
+		panic("localsolve: ILU0.SolveK work block too short")
+	}
+	// The SIMD sweep, where there is one, takes the columns in fours; the
+	// rest go through the Go sweep.
+	c := 0
+	if iluLanes != nil && k >= 4 {
+		c = k &^ 3
+		iluLanes(f, z[:c], r[:c], work[:n*c])
+	}
+	f.solveGo(z[c:], r[c:])
+}
+
+// solveGo is SolveK in Go, the reference of the SIMD sweep: the columns go
+// through in tiles of eight, then one of four, with the slice headers
+// hoisted into locals and the running sums in registers, and the remainder
+// through the single-column sweep. Tiling only regroups independent columns
+// — each column's arithmetic is untouched.
+func (f *ILU0) solveGo(z, r [][]float64) {
+	k := len(z)
 	c := 0
 	for ; c+8 <= k; c += 8 {
 		f.solve8(z[c:c+8], r[c:c+8])
@@ -173,6 +191,16 @@ func (f *ILU0) SolveK(z, r [][]float64) {
 		f.Solve(z[c], r[c])
 	}
 }
+
+// iluLanes, when set, is the SIMD sweep behind SolveK for a multiple of four
+// columns: the forward sweep gathers row i of every r[c] into row i of the
+// n×k working block w (w[i*k+c]) and runs there, the backward sweep runs in
+// place in w and scatters each finished row to the z[c]. Each lane is
+// Solve's scalar sequence for its column — a multiply and a subtraction per
+// entry, each rounded, in stored order, then one division by the pivot —
+// so it matches Solve to the bit. It does no bounds checks. Set at init on
+// CPUs that have it (ilu_amd64.go); nil elsewhere.
+var iluLanes func(f *ILU0, z, r [][]float64, w []float64)
 
 // solve8 is the width-8 fused sweep behind SolveK: one traversal of the
 // factor's rows serves the eight columns of z and r. Each row's entries are

@@ -1,6 +1,7 @@
 package localsolve
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -51,7 +52,7 @@ func TestILU0SolveKBitwiseSolve(t *testing.T) {
 				zFused[c] = make([]float64, a.Rows)
 				zSolo[c] = make([]float64, a.Rows)
 			}
-			f.SolveK(zFused, r)
+			f.SolveK(zFused, r, make([]float64, k*a.Rows))
 			for c := range r {
 				f.Solve(zSolo[c], r[c])
 				for i := range zSolo[c] {
@@ -65,44 +66,166 @@ func TestILU0SolveKBitwiseSolve(t *testing.T) {
 	}
 }
 
-// BenchmarkILU0SolveK compares k back-to-back Solve calls against the fused
-// SolveK sweep: on a Poisson factor at the blocked driver's default width,
-// and on an elasticity-kernel diagonal block at width 16.
-func BenchmarkILU0SolveK(b *testing.B) {
-	for _, bc := range []struct {
+// workloadDiagBlocks are rank 0's diagonal blocks of the repo benchmark's
+// three workload matrices: the blocks its ILU(0) factors are built from.
+func workloadDiagBlocks() []struct {
+	name string
+	a    *sparse.CSR
+} {
+	return []struct {
 		name string
 		a    *sparse.CSR
-		k    int
 	}{
-		{"poisson/k32", matgen.Poisson2D(24, 24), 32},
-		{"elasticity/k16", diagBlock(matgen.Elasticity3D(14, 14, 14, 27, 8)), 16},
-	} {
-		f, err := NewILU0(bc.a)
+		{"elasticity", diagBlock(matgen.Elasticity3D(14, 14, 14, 27, 8))},
+		{"circuit", diagBlock(matgen.CircuitLike(12000, 2.9, 0.35, 3))},
+		{"poisson", diagBlock(matgen.Poisson2D(64, 64))},
+	}
+}
+
+// defaultNaN is the NaN x86 produces itself, from 0·Inf or Inf-Inf. When
+// two NaNs meet, the hardware returns the first operand's, and the Go
+// compiler orders a product's operands per site, so NaNs with different
+// payloads would make even two Go kernels disagree in the payload: every NaN
+// the kernel tests inject is this one, and so is every NaN a kernel forms.
+var defaultNaN = math.Float64frombits(0xfff8000000000000)
+
+// specialValue draws a value for the kernel tests: mostly normal, else one
+// of ±0, ±Inf, NaN, a subnormal or a value whose products overflow.
+func specialValue(rng *rand.Rand) float64 {
+	switch rng.Intn(10) {
+	case 0:
+		return []float64{0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), defaultNaN, 5e-324, -5e-324, 1e308, -1e308}[rng.Intn(9)]
+	case 1:
+		return rng.NormFloat64() * 1e-310 // subnormal
+	default:
+		return rng.NormFloat64()
+	}
+}
+
+// randomILU0 factors a random n×n block whose rows are diagonal-only or
+// random, then overwrites its factor with values drawn by val: pivots and
+// multipliers alike, so the sweeps meet every special value.
+func randomILU0(t *testing.T, rng *rand.Rand, n int, val func() float64) *ILU0 {
+	a := sparse.NewCOO(n, n)
+	for i := 0; i < n; i++ {
+		a.Add(i, i, float64(n))
+		if rng.Intn(3) == 0 {
+			continue // a one-entry row
+		}
+		for j := 0; j < n; j++ {
+			if j != i && rng.Float64() < 0.2 {
+				a.Add(i, j, -1)
+			}
+		}
+	}
+	f, err := NewILU0(a.ToCSR())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for p := range f.val {
+		f.val[p] = val()
+	}
+	return f
+}
+
+// TestILU0SolveKSIMDMatchesGo holds the SIMD sweep to the Go sweep bit for
+// bit, at every width 1…40 (each tile and the Go tail), on the workload
+// diagonal blocks and on random blocks with one-entry rows, with ±0, ±Inf,
+// NaN and subnormal values in the factor and the right-hand sides, and with
+// z separate from r or aliasing it.
+func TestILU0SolveKSIMDMatchesGo(t *testing.T) {
+	if iluLanes == nil {
+		t.Skip("no SIMD sweep on this platform and build")
+	}
+	rng := rand.New(rand.NewSource(17))
+	special := func() float64 { return specialValue(rng) }
+	type factor struct {
+		name string
+		f    *ILU0
+		val  func() float64
+	}
+	var factors []factor
+	for _, w := range workloadDiagBlocks() {
+		f, err := NewILU0(w.a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		factors = append(factors, factor{w.name, f, rng.NormFloat64})
+	}
+	for trial := 0; trial < 4; trial++ {
+		factors = append(factors, factor{fmt.Sprintf("random %d", trial), randomILU0(t, rng, 1+rng.Intn(60), special), special})
+	}
+	for _, fc := range factors {
+		n := fc.f.n
+		for k := 1; k <= 40; k++ {
+			r := make([][]float64, k)
+			want := make([][]float64, k)
+			got := make([][]float64, k)
+			inPlace := make([][]float64, k)
+			for c := range r {
+				r[c] = make([]float64, n)
+				for i := range r[c] {
+					r[c][i] = fc.val()
+				}
+				want[c] = make([]float64, n)
+				got[c] = make([]float64, n)
+				inPlace[c] = append([]float64(nil), r[c]...)
+			}
+			fc.f.solveGo(want, r)
+			fc.f.SolveK(got, r, make([]float64, n*k))
+			fc.f.SolveK(inPlace, inPlace, make([]float64, n*k))
+			for c := range r {
+				for i := range r[c] {
+					w := math.Float64bits(want[c][i])
+					if g := math.Float64bits(got[c][i]); g != w {
+						t.Fatalf("%s k=%d column %d row %d: SIMD %#x, Go %#x", fc.name, k, c, i, g, w)
+					}
+					if g := math.Float64bits(inPlace[c][i]); g != w {
+						t.Fatalf("%s k=%d column %d row %d: SIMD in place %#x, Go %#x", fc.name, k, c, i, g, w)
+					}
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkILU0SolveK is the Go rung of precond.apply_s at width k: one
+// SolveK on a workload diagonal block's factor, on the Go sweep and on the
+// SIMD sweep SolveK dispatches to where there is one.
+func BenchmarkILU0SolveK(b *testing.B) {
+	type sweep struct {
+		name  string
+		solve func(f *ILU0, z, r [][]float64, work []float64)
+	}
+	sweeps := []sweep{{"go", func(f *ILU0, z, r [][]float64, _ []float64) { f.solveGo(z, r) }}}
+	if iluLanes != nil {
+		sweeps = append(sweeps, sweep{"simd", (*ILU0).SolveK})
+	}
+	for _, w := range workloadDiagBlocks() {
+		f, err := NewILU0(w.a)
 		if err != nil {
 			b.Fatal(err)
 		}
-		rng := rand.New(rand.NewSource(1))
-		z := make([][]float64, bc.k)
-		r := make([][]float64, bc.k)
-		for c := range z {
-			z[c] = make([]float64, bc.a.Rows)
-			r[c] = make([]float64, bc.a.Rows)
-			for i := range r[c] {
-				r[c][i] = rng.NormFloat64()
-			}
-		}
-		b.Run(bc.name+"/looped", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				for c := range z {
-					f.Solve(z[c], r[c])
+		for _, k := range []int{4, 8, 16} {
+			rng := rand.New(rand.NewSource(1))
+			z := make([][]float64, k)
+			r := make([][]float64, k)
+			for c := range z {
+				z[c] = make([]float64, w.a.Rows)
+				r[c] = make([]float64, w.a.Rows)
+				for i := range r[c] {
+					r[c][i] = rng.NormFloat64()
 				}
 			}
-		})
-		b.Run(bc.name+"/fused", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				f.SolveK(z, r)
+			work := make([]float64, k*w.a.Rows)
+			for _, s := range sweeps {
+				b.Run(fmt.Sprintf("%s/k%d/%s", w.name, k, s.name), func(b *testing.B) {
+					for i := 0; i < b.N; i++ {
+						s.solve(f, z, r, work)
+					}
+				})
 			}
-		})
+		}
 	}
 }
 

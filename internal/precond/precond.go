@@ -42,8 +42,10 @@ type Preconditioner interface {
 // bit-identity with single-RHS solves. Preconditioners without it are
 // applied column by column.
 type BatchApplier interface {
-	// ApplyInvK computes z[c] = M_i^{-1} r[c] for every column.
-	ApplyInvK(z, r [][]float64)
+	// ApplyInvK computes z[c] = M_i^{-1} r[c] for every column. work is the
+	// caller's scratch of at least len(z)·len(z[0]) floats, which the
+	// application may overwrite; concurrent applications need their own.
+	ApplyInvK(z, r [][]float64, work []float64)
 }
 
 // Split is a preconditioner with an explicit symmetric split M = L L^T.
@@ -72,7 +74,7 @@ func (Identity) ApplyInv(z, r []float64) { copy(z, r) }
 func (Identity) ApplyM(y, x []float64) { copy(y, x) }
 
 // ApplyInvK implements BatchApplier: a copy per column.
-func (Identity) ApplyInvK(z, r [][]float64) {
+func (Identity) ApplyInvK(z, r [][]float64, _ []float64) {
 	for c := range z {
 		copy(z[c], r[c])
 	}
@@ -127,7 +129,7 @@ func (j *Jacobi) ApplyInv(z, r []float64) {
 // ApplyInvK implements BatchApplier: each diagonal entry is loaded once and
 // divided into all k columns. Element-wise per column, so trivially
 // bit-identical to k ApplyInv calls.
-func (j *Jacobi) ApplyInvK(z, r [][]float64) {
+func (j *Jacobi) ApplyInvK(z, r [][]float64, _ []float64) {
 	d := j.d
 	for i := range d {
 		v := d[i]
@@ -211,7 +213,7 @@ func (b *BlockJacobiILU) ApplyInv(z, r []float64) { b.ilu.Solve(z, r) }
 
 // ApplyInvK implements BatchApplier: one fused triangular sweep for all k
 // columns (ILU0.SolveK), bitwise identical per column to ApplyInv.
-func (b *BlockJacobiILU) ApplyInvK(z, r [][]float64) { b.ilu.SolveK(z, r) }
+func (b *BlockJacobiILU) ApplyInvK(z, r [][]float64, work []float64) { b.ilu.SolveK(z, r, work) }
 
 // ApplyM implements Preconditioner: M_i = L U, applied by Multiply.
 func (b *BlockJacobiILU) ApplyM(y, x []float64) { b.ilu.Multiply(y, x) }

@@ -275,7 +275,7 @@ func TestBatchApplierBitwise(t *testing.T) {
 			zFused[c] = make([]float64, blk.Rows)
 			zSolo[c] = make([]float64, blk.Rows)
 		}
-		ba.ApplyInvK(zFused, r)
+		ba.ApplyInvK(zFused, r, make([]float64, k*blk.Rows))
 		for c := range r {
 			p.ApplyInv(zSolo[c], r[c])
 			for i := range zSolo[c] {

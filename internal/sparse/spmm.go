@@ -63,6 +63,14 @@ func rowDotK(cols []int, vals []float64, x []float64, out []float64) {
 		dst[0], dst[1], dst[2], dst[3] = s0, s1, s2, s3
 		j += 4
 	}
+	rowDotFrom(cols, vals, x, out, j)
+}
+
+// rowDotFrom is rowDotK's single-column tail: it computes out[j:] one
+// column per pass over the row, for the columns no tile covers.
+func rowDotFrom(cols []int, vals []float64, x []float64, out []float64, j int) {
+	k := len(out)
+	vals = vals[:len(cols)]
 	for ; j < k; j++ {
 		var s float64
 		for t, c := range cols {
@@ -72,6 +80,16 @@ func rowDotK(cols []int, vals []float64, x []float64, out []float64) {
 	}
 }
 
+// spmmLanes, when set, is the SIMD kernel of the column tiles: it scores the
+// rows [lo, hi) over columns [0, k&^3) exactly as rowDotK's 8- and 4-column
+// tiles do, one column per vector lane, row i landing at output row rows[i]
+// (row i itself when rows is nil). It runs the multiply and the add of
+// every product as two separately rounded operations, in stored-entry
+// order from a zero sum, so each lane is rowDot's scalar sequence to the
+// bit. It does no bounds checks. Set at init on CPUs that have it
+// (spmm_amd64.go); nil elsewhere.
+var spmmLanes func(y, x []float64, rowPtr, col []int, val []float64, rows []int, k, lo, hi int)
+
 // MulMat computes Y = A X for a row-major dense block of k columns:
 // y[i*k+j] = (A x_j)[i]. Each output column is bitwise identical to
 // MulVec on the corresponding input column.
@@ -79,10 +97,7 @@ func (m *CSR) MulMat(y, x []float64, k int) {
 	if k <= 0 || len(x) != m.Cols*k || len(y) != m.Rows*k {
 		panic("sparse: MulMat dimension mismatch")
 	}
-	for i := 0; i < m.Rows; i++ {
-		lo, hi := m.RowPtr[i], m.RowPtr[i+1]
-		rowDotK(m.Col[lo:hi], m.Val[lo:hi], x, y[i*k:i*k+k])
-	}
+	m.scatterRows(y, x, nil, k, 0, m.Rows)
 }
 
 // MulMatScatter computes y[rows[i]*k : rows[i]*k+k] = (A X) row i for the
@@ -114,20 +129,45 @@ func (m *CSR) MulMatScatterPar(y, x []float64, rows []int, k int) {
 	})
 }
 
-// scatterRows scores the sub-matrix rows [lo, hi) of a MulMatScatter. The
-// kernel is chosen once: a single column goes through rowDot, which skips
-// rowDotK's column tiling and its k-strided indexing; both accumulate a
-// column in the same order, so the choice never changes a bit.
+// scatterRows scores the sub-matrix rows [lo, hi) of a MulMatScatter, row i
+// landing at output row rows[i] (row i itself when rows is nil, MulMat's
+// case). The kernel is chosen once: a single column goes through rowDot,
+// which skips the column tiling and its k-strided indexing; wider blocks go
+// through the SIMD kernel where there is one, rowDotK where there is not.
+// All of them accumulate a column in the same order, so the choice never
+// changes a bit.
 func (m *CSR) scatterRows(y, x []float64, rows []int, k, lo, hi int) {
+	out := func(i int) int {
+		if rows == nil {
+			return i
+		}
+		return rows[i]
+	}
 	if k == 1 {
 		for i := lo; i < hi; i++ {
 			rlo, rhi := m.RowPtr[i], m.RowPtr[i+1]
-			y[rows[i]] = rowDot(m.Col[rlo:rhi], m.Val[rlo:rhi], x)
+			y[out(i)] = rowDot(m.Col[rlo:rhi], m.Val[rlo:rhi], x)
 		}
 		return
 	}
+	if spmmLanes == nil || k < 4 {
+		for i := lo; i < hi; i++ {
+			rlo, rhi, d := m.RowPtr[i], m.RowPtr[i+1], out(i)*k
+			rowDotK(m.Col[rlo:rhi], m.Val[rlo:rhi], x, y[d:d+k])
+		}
+		return
+	}
+	// The kernel writes unchecked: every output row must fit in y.
 	for i := lo; i < hi; i++ {
-		rlo, rhi, d := m.RowPtr[i], m.RowPtr[i+1], rows[i]*k
-		rowDotK(m.Col[rlo:rhi], m.Val[rlo:rhi], x, y[d:d+k])
+		if d := out(i); d < 0 || (d+1)*k > len(y) {
+			panic("sparse: MulMatScatter output row out of range")
+		}
+	}
+	spmmLanes(y, x, m.RowPtr, m.Col, m.Val, rows, k, lo, hi)
+	if j := k &^ 3; j < k {
+		for i := lo; i < hi; i++ {
+			rlo, rhi, d := m.RowPtr[i], m.RowPtr[i+1], out(i)*k
+			rowDotFrom(m.Col[rlo:rhi], m.Val[rlo:rhi], x, y[d:d+k], j)
+		}
 	}
 }
