@@ -72,6 +72,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/engine"
+	"repro/internal/metrics"
 	"repro/internal/netrun"
 	"repro/internal/store"
 	"repro/internal/xerr"
@@ -233,19 +234,7 @@ func main() {
 		Store: st,
 	})
 	if coord != nil {
-		// esrd_net_* series: the multi-process listener/fleet state. The
-		// healthz "net" block mirrors them by prefix off the same registry.
-		m := eng.Metrics()
-		m.GaugeFunc("esrd_net_peers_max", "Max worker processes allowed per net-transport job (-peers).",
-			func() float64 { return float64(*peers) })
-		m.GaugeFunc("esrd_net_workers_live", "Worker processes currently running across net-transport jobs.",
-			func() float64 { return float64(coord.LiveWorkers()) })
-		m.CounterFunc("esrd_net_respawns_total", "Replacement worker processes spawned for scheduled failures.",
-			func() float64 { return float64(coord.Respawns()) })
-		m.CounterFunc("esrd_net_job_retries_total", "Net jobs retried on a fresh fleet after an unscheduled worker loss.",
-			func() float64 { return float64(coord.JobRetries()) })
-		m.CounterFunc("esrd_net_jobs_total", "Net-transport jobs accepted by the coordinator.",
-			func() float64 { return float64(coord.JobsRun()) })
+		registerNetMetrics(eng.Metrics(), *peers, coord)
 	}
 	srv := &http.Server{
 		Addr:              *addr,
@@ -301,4 +290,20 @@ func main() {
 	if drainFailed {
 		os.Exit(1)
 	}
+}
+
+// registerNetMetrics adds the esrd_net_* series: the multi-process
+// listener/fleet state. The healthz "net" block mirrors them by prefix off
+// the same registry.
+func registerNetMetrics(m *metrics.Registry, peers int, fleet *netrun.Coordinator) {
+	m.GaugeFunc("esrd_net_peers_max", "Max worker processes allowed per net-transport job (-peers).",
+		func() float64 { return float64(peers) })
+	m.GaugeFunc("esrd_net_workers_live", "Worker processes currently running across net-transport jobs.",
+		func() float64 { return float64(fleet.LiveWorkers()) })
+	m.CounterFunc("esrd_net_respawns_total", "Replacement worker processes spawned for scheduled failures.",
+		func() float64 { return float64(fleet.Respawns()) })
+	m.CounterFunc("esrd_net_job_retries_total", "Net jobs retried on a fresh fleet after an unscheduled worker loss.",
+		func() float64 { return float64(fleet.JobRetries()) })
+	m.CounterFunc("esrd_net_jobs_total", "Net-transport jobs accepted by the coordinator.",
+		func() float64 { return float64(fleet.JobsRun()) })
 }

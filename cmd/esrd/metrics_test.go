@@ -5,6 +5,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"regexp"
 	"strings"
 	"testing"
 	"time"
@@ -12,6 +14,8 @@ import (
 	"repro/internal/engine"
 	"repro/internal/faults"
 	"repro/internal/metrics"
+	"repro/internal/netrun"
+	"repro/internal/store"
 )
 
 // getBody fetches a URL and returns status and body.
@@ -81,6 +85,72 @@ func TestQuickMetricsEndpoint(t *testing.T) {
 	if v, _ := snap.Value("esrd_jobs"); int(v) != h.Jobs {
 		t.Fatalf("healthz jobs %d != registry %v", h.Jobs, v)
 	}
+}
+
+// TestQuickMetricsTableMatchesREADME holds README's /metrics series table to
+// the registry of a daemon with a data directory and a fleet coordinator:
+// every family has a row, and every name in a row's first cell is a family
+// (inside a name `{a,b}` is an alternation, a trailing `{…}` lists labels).
+func TestQuickMetricsTableMatchesREADME(t *testing.T) {
+	raw, err := os.ReadFile("../../README.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, table, ok := strings.Cut(string(raw), "\nThe series:\n\n")
+	if !ok {
+		t.Fatal("README.md has no series table")
+	}
+	table, _, _ = strings.Cut(table, "\n\n")
+	documented, quoted := map[string]bool{}, regexp.MustCompile("`([^`]+)`")
+	for _, row := range strings.Split(table, "\n")[2:] { // past the header
+		first, _, _ := strings.Cut(row, " | ")
+		for _, m := range quoted.FindAllStringSubmatch(first, -1) {
+			name := m[1]
+			if strings.HasSuffix(name, "}") { // labels
+				name = name[:strings.LastIndex(name, "{")]
+			}
+			for _, n := range expandAlternations(name) {
+				documented[n] = true
+			}
+		}
+	}
+	delete(documented, "") // a bare label list, as in "(all `{strategy}`)"
+
+	st, err := store.Open(store.Options{Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := engine.New(engine.Options{Workers: 1, QueueCap: 4, Store: st})
+	t.Cleanup(func() { eng.Close(); st.Close() })
+	newMux(eng, testLogger())
+	coord, _ := netrun.NewCoordinator(netrun.Options{Command: []string{"esrd", "-worker"}}) // refuses only an empty command
+	registerNetMetrics(eng.Metrics(), 4, coord)
+	registered := map[string]bool{}
+	for _, fam := range eng.Metrics().Gather() {
+		registered[fam.Name] = true
+		if !documented[fam.Name] {
+			t.Errorf("family %s has no row in README's series table", fam.Name)
+		}
+	}
+	for name := range documented {
+		if !registered[name] {
+			t.Errorf("README's series table names %s, which the daemon does not register", name)
+		}
+	}
+}
+
+// expandAlternations spells out every `{a,b,…}` group of a name.
+func expandAlternations(name string) []string {
+	head, rest, ok := strings.Cut(name, "{")
+	if !ok {
+		return []string{name}
+	}
+	alts, tail, _ := strings.Cut(rest, "}")
+	var out []string
+	for _, alt := range strings.Split(alts, ",") {
+		out = append(out, expandAlternations(head+alt+tail)...)
+	}
+	return out
 }
 
 // TestQuickHealthzNetBlock: when esrd_net_* series exist (the daemon runs

@@ -590,7 +590,7 @@ func referencePCG(e *distmat.Env, a *distmat.Matrix, x, b distmat.Vector, m Prec
 		return Result{}, nil, err
 	}
 	vec.Copy(p.Local, z.Local)
-	norms, err := e.Grp.Allreduce(cluster.OpSum, []float64{vec.ParNrm2SqN(r.Local, 0), vec.ParDotN(r.Local, z.Local, 0)})
+	norms, err := e.Grp.Allreduce(cluster.OpSum, []float64{vec.Nrm2Sq(r.Local), vec.Dot(r.Local, z.Local)})
 	if err != nil {
 		return Result{}, nil, err
 	}
@@ -609,11 +609,11 @@ func referencePCG(e *distmat.Env, a *distmat.Matrix, x, b distmat.Vector, m Prec
 			return res, history, fmt.Errorf("reference PCG breakdown at iteration %d", j)
 		}
 		alpha := rz / pu
-		vec.ParAxpyAxpy(alpha, p.Local, x.Local, -alpha, u.Local, r.Local, 0)
+		vec.AxpyAxpy(alpha, p.Local, x.Local, -alpha, u.Local, r.Local)
 		if err := m.Apply([]distmat.Vector{z}, []distmat.Vector{r}, nil); err != nil {
 			return res, history, err
 		}
-		norms, err := e.Grp.Allreduce(cluster.OpSum, []float64{vec.ParNrm2SqN(r.Local, 0), vec.ParDotN(r.Local, z.Local, 0)})
+		norms, err := e.Grp.Allreduce(cluster.OpSum, []float64{vec.Nrm2Sq(r.Local), vec.Dot(r.Local, z.Local)})
 		if err != nil {
 			return res, history, err
 		}

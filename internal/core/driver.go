@@ -312,7 +312,7 @@ func (d *driver) sumActive(f func(c int) float64) ([]float64, error) {
 }
 
 // sumPAp is sumActive for the step's p'Ap, with the active columns taken
-// two per pass over the blocks (vec.ParDot2 is ParDot on each pair).
+// two per pass over the blocks (vec.Dot2 is Dot on each pair).
 func (d *driver) sumPAp() ([]float64, error) {
 	st := d.st
 	buf := st.fused[:st.k()]
@@ -326,11 +326,11 @@ func (d *driver) sumPAp() ([]float64, error) {
 			held = c
 			continue
 		}
-		buf[held], buf[c] = vec.ParDot2(st.P[held].Local, st.U[held].Local, st.P[c].Local, st.U[c].Local)
+		buf[held], buf[c] = vec.Dot2(st.P[held].Local, st.U[held].Local, st.P[c].Local, st.U[c].Local)
 		held = -1
 	}
 	if held >= 0 {
-		buf[held] = vec.ParDot(st.P[held].Local, st.U[held].Local)
+		buf[held] = vec.Dot(st.P[held].Local, st.U[held].Local)
 	}
 	return d.allreduce(buf)
 }
@@ -409,7 +409,7 @@ func (d *driver) step(j int) error {
 			vec.Axpy(-a, st.rec.tu(st, c), st.R[c].Local)
 			st.pend.hist[c] = append(st.pend.hist[c], xUpdate{a, vec.Clone(st.P[c].Local)})
 		} else {
-			vec.ParAxpyAxpy(a, st.P[c].Local, st.X[c].Local, -a, st.rec.tu(st, c), st.R[c].Local, 0)
+			vec.AxpyAxpy(a, st.P[c].Local, st.X[c].Local, -a, st.rec.tu(st, c), st.R[c].Local)
 		}
 		d.zAct = append(d.zAct, st.Z[c])
 		d.rAct = append(d.rAct, st.R[c])
@@ -709,7 +709,7 @@ func (d *driver) sdcDrift() ([]float64, error) {
 	clear(st.fused)
 	for _, c := range cols {
 		t := d.sdcScratch[c].Local
-		st.fused[2*c] = vec.ParNrm2Sq(t)
+		st.fused[2*c] = vec.Nrm2Sq(t)
 		st.fused[2*c+1] = st.rec.rnorm2(st, st.R[c].Local, t)
 	}
 	return st.E.Grp.Allreduce(cluster.OpSum, st.fused)
@@ -806,7 +806,7 @@ func (st *SolverState) verify() error {
 		return err
 	}
 	for c := 0; c < k; c++ {
-		st.fused[c] = vec.ParNrm2Sq(ts[c].Local)
+		st.fused[c] = vec.Nrm2Sq(ts[c].Local)
 	}
 	norms, err := st.E.Grp.Allreduce(cluster.OpSum, st.fused[:k])
 	if err != nil {

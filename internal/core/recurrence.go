@@ -71,7 +71,7 @@ func (pcgRecurrence) residual0(st *SolverState, cols []int) error {
 		return err
 	}
 	for _, c := range cols {
-		st.fused[2*c] = vec.ParNrm2Sq(st.R[c].Local)
+		st.fused[2*c] = vec.Nrm2Sq(st.R[c].Local)
 	}
 	return nil
 }
@@ -83,16 +83,16 @@ func (pcgRecurrence) z(st *SolverState, z, r []distmat.Vector) error {
 }
 
 func (pcgRecurrence) rnorm2(st *SolverState, r, _ []float64) float64 {
-	return vec.ParNrm2Sq(r)
+	return vec.Nrm2Sq(r)
 }
 
 func (pcgRecurrence) rz(st *SolverState, c int) float64 {
-	return vec.ParDot(st.R[c].Local, st.Z[c].Local)
+	return vec.Dot(st.R[c].Local, st.Z[c].Local)
 }
 
 func (pcgRecurrence) norms(st *SolverState, c int) (float64, float64) {
 	r, z := st.R[c].Local, st.Z[c].Local
-	return vec.ParDot2(r, r, r, z)
+	return vec.Dot2(r, r, r, z)
 }
 
 // splitRecurrence is Saad's Alg. 9.2 with a block-local split preconditioner
@@ -111,7 +111,7 @@ func (s splitRecurrence) residual0(st *SolverState, cols []int) error {
 		return err
 	}
 	for _, c := range cols {
-		st.fused[2*c] = vec.ParNrm2Sq(st.Z[c].Local)
+		st.fused[2*c] = vec.Nrm2Sq(st.Z[c].Local)
 		s.m.SolveL(st.R[c].Local, st.Z[c].Local)
 	}
 	return nil
@@ -131,15 +131,15 @@ func (s splitRecurrence) z(_ *SolverState, z, r []distmat.Vector) error {
 
 func (s splitRecurrence) rnorm2(st *SolverState, r, scratch []float64) float64 {
 	s.m.MulL(scratch, r) // r = L rhat
-	return vec.ParNrm2Sq(scratch)
+	return vec.Nrm2Sq(scratch)
 }
 
 func (splitRecurrence) rz(st *SolverState, c int) float64 {
-	return vec.ParNrm2Sq(st.R[c].Local)
+	return vec.Nrm2Sq(st.R[c].Local)
 }
 
 func (s splitRecurrence) norms(st *SolverState, c int) (float64, float64) {
 	r, t := st.R[c].Local, st.U[c].Local
 	s.m.MulL(t, r) // r = L rhat
-	return vec.ParDot2(t, t, r, r)
+	return vec.Dot2(t, t, r, r)
 }

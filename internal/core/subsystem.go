@@ -344,9 +344,9 @@ func (s *subsystem) solve(w, x [][]float64, tol float64, maxIter int) (int, erro
 		}
 		alpha := rz / pu
 		for t := range x {
-			vec.ParAxpyAxpy(alpha, p[t], x[t], -alpha, u[t], r[t], 0)
+			vec.AxpyAxpy(alpha, p[t], x[t], -alpha, u[t], r[t])
 			s.prec[t].ApplyInv(z[t], r[t])
-			s.parts[t], s.parts2[t] = vec.ParDot2(r[t], r[t], r[t], z[t])
+			s.parts[t], s.parts2[t] = vec.Dot2(r[t], r[t], r[t], z[t])
 		}
 		rzNew := cluster.TreeSum(s.parts2)
 		rn = math.Sqrt(cluster.TreeSum(s.parts))
@@ -372,7 +372,7 @@ func (s *subsystem) solve(w, x [][]float64, tol float64, maxIter int) (int, erro
 // reduction order.
 func (s *subsystem) dot(a, b [][]float64) float64 {
 	for t := range a {
-		s.parts[t] = vec.ParDot(a[t], b[t])
+		s.parts[t] = vec.Dot(a[t], b[t])
 	}
 	return cluster.TreeSum(s.parts)
 }

@@ -102,18 +102,17 @@ func (v Vector) Clone() Vector {
 }
 
 // Dot returns the global inner product a'b, reduced over the Env with a
-// deterministic tree order. The local partial uses vec.ParDot, which fans
-// out to the shared worker pool only for very large per-rank blocks.
+// deterministic tree order.
 func Dot(e *Env, a, b Vector) (float64, error) {
 	if len(a.Local) != len(b.Local) {
 		return 0, fmt.Errorf("distmat: Dot local length mismatch")
 	}
-	return e.Grp.AllreduceScalar(cluster.OpSum, vec.ParDot(a.Local, b.Local))
+	return e.Grp.AllreduceScalar(cluster.OpSum, vec.Dot(a.Local, b.Local))
 }
 
 // Norm2 returns the global Euclidean norm of v.
 func Norm2(e *Env, v Vector) (float64, error) {
-	tot, err := e.Grp.AllreduceScalar(cluster.OpSum, vec.ParNrm2Sq(v.Local))
+	tot, err := e.Grp.AllreduceScalar(cluster.OpSum, vec.Nrm2Sq(v.Local))
 	if err != nil {
 		return 0, err
 	}

@@ -218,7 +218,7 @@ func (m *Matrix) MatMat(e *Env, y, x []Vector, iter int) error {
 	}
 	// The interior rows read only the own block: with the sends posted,
 	// compute them while the halo messages are on the wire.
-	m.split.Interior.MulMatScatterPar(yb, xb, m.split.IntRows, k)
+	m.split.Interior.MulMatScatter(yb, xb, m.split.IntRows, k)
 	if m.obs != nil {
 		now := time.Now()
 		tm.Interior = now.Sub(mark)
@@ -257,7 +257,7 @@ func (m *Matrix) MatMat(e *Env, y, x []Vector, iter int) error {
 		tm.Drain = now.Sub(mark)
 		mark = now
 	}
-	m.split.Boundary.MulMatScatterPar(yb, xb, m.split.BndRows, k)
+	m.split.Boundary.MulMatScatter(yb, xb, m.split.BndRows, k)
 	if k > 1 {
 		deinterleave(y, yb, bs)
 	}

@@ -202,15 +202,14 @@ func TestRetentionIndexSharedAcrossForks(t *testing.T) {
 // Residual and a retaining width-8 MatMat each run without allocating —
 // payloads come from the recycler and go back to it, the scratch keeps its
 // size, and the width-1 wrappers' one-element column sets stay on the stack.
-// The system is small enough that no kernel fans out to the worker pool even
-// at width 8: a fan-out allocates its task in vec.Parallel (at 64² ranks 0
-// and 7's interior SpMM does), which is the pool's cost, not the SpMV's.
+// At width 8 the interior SpMMs of ranks 0 and 7 fan out across cores, and
+// their row tasks are recycled too.
 func TestSpMVSteadyStateAllocatesNothing(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops Puts at random under the race detector")
 	}
 	const ranks, phi, k = 8, 2, 8
-	a := matgen.Poisson2D(48, 48)
+	a := matgen.Poisson2D(64, 64)
 	p := partition.NewBlockRow(a.Rows, ranks)
 	mats := make([]*Matrix, ranks)
 	runSPMD(t, ranks, func(c *cluster.Comm) error {

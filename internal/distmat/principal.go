@@ -72,7 +72,7 @@ func (s *Principal) MatVec(y, x [][]float64) {
 		for _, f := range s.fill[t] {
 			f.plan.copy(in, x[f.from], 1)
 		}
-		m.split.Interior.MulMatScatterPar(y[t], in, m.split.IntRows, 1)
-		m.split.Boundary.MulMatScatterPar(y[t], in, m.split.BndRows, 1)
+		m.split.Interior.MulMatScatter(y[t], in, m.split.IntRows, 1)
+		m.split.Boundary.MulMatScatter(y[t], in, m.split.BndRows, 1)
 	}
 }

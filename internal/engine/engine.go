@@ -15,7 +15,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/sparse"
 	"repro/internal/store"
-	"repro/internal/vec"
 	"repro/internal/xerr"
 )
 
@@ -811,22 +810,16 @@ func (e *Engine) TransportStats() map[string]TransportUsage { return e.Health().
 // "strategies" block). Strategies that never ran are absent.
 func (e *Engine) StrategyStats() map[string]core.StrategyStats { return e.Health().Strategies }
 
-// ThreadStats reports the engine's kernel-threading posture: the process
-// GOMAXPROCS and the shared worker pool's resident size (the healthz
+// ThreadStats reports the engine's kernel-threading posture (the healthz
 // "threads" block).
 type ThreadStats struct {
 	// MaxProcs is the process's GOMAXPROCS.
 	MaxProcs int `json:"maxprocs"`
-	// PoolWorkers is the resident size of the shared kernel worker pool.
-	PoolWorkers int `json:"pool_workers"`
 }
 
 // ThreadStats snapshots the threading gauges.
 func (e *Engine) ThreadStats() ThreadStats {
-	return ThreadStats{
-		MaxProcs:    runtime.GOMAXPROCS(0),
-		PoolWorkers: vec.PoolWorkers(),
-	}
+	return ThreadStats{MaxProcs: runtime.GOMAXPROCS(0)}
 }
 
 // Get returns a snapshot of the job.

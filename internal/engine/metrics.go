@@ -252,9 +252,6 @@ func newEngineMetrics(e *Engine) *engineMetrics {
 	r.GaugeFunc("esrd_threads_maxprocs", "Process GOMAXPROCS.", func() float64 {
 		return float64(e.ThreadStats().MaxProcs)
 	})
-	r.GaugeFunc("esrd_threads_pool_workers", "Resident size of the shared kernel worker pool.", func() float64 {
-		return float64(e.ThreadStats().PoolWorkers)
-	})
 	if e.store != nil {
 		em.storeReplayed = r.CounterVec("esrd_store_replayed_jobs_total",
 			"Jobs reinstated from the journal at startup, by journaled state.", "state")
@@ -545,7 +542,6 @@ func (e *Engine) Health() HealthSnapshot {
 	hits, _ := s.Value("esrd_prep_cache_hits_total")
 	misses, _ := s.Value("esrd_prep_cache_misses_total")
 	maxp, _ := s.Value("esrd_threads_maxprocs")
-	pool, _ := s.Value("esrd_threads_pool_workers")
 	blockDef, _ := s.Value("esrd_block_size_default")
 	return HealthSnapshot{
 		Jobs:             int(jobs),
@@ -555,7 +551,7 @@ func (e *Engine) Health() HealthSnapshot {
 		Strategies:       snapshotStrategies(s),
 		Net:              snapshotNet(s),
 		Store:            snapshotStore(s),
-		Threads:          ThreadStats{MaxProcs: int(maxp), PoolWorkers: int(pool)},
+		Threads:          ThreadStats{MaxProcs: int(maxp)},
 		BlockSizeDefault: int(blockDef),
 	}
 }

@@ -21,7 +21,6 @@ import (
 
 	"repro/internal/localsolve"
 	"repro/internal/sparse"
-	"repro/internal/vec"
 )
 
 // Preconditioner is a node-local block preconditioner M_i.
@@ -82,17 +81,11 @@ func (Identity) ApplyInvK(z, r [][]float64, _ []float64) {
 
 // Jacobi is the diagonal (point Jacobi) preconditioner M = diag(A). Its
 // applications are element-wise independent — the one preconditioner family
-// with no cross-row data flow — so, alone among the preconditioners here,
-// they legally parallelize across row chunks on the shared worker pool; the
-// triangular sweeps of SSOR/ILU/IC carry loop-carried dependences and stay
-// sequential (level scheduling is the ROADMAP follow-up).
+// with no cross-row data flow — and run as plain sequential loops on the
+// calling rank's goroutine, like every other preconditioner here.
 type Jacobi struct {
 	d []float64
 }
-
-// jacobiParThreshold is the minimum block length for which the Jacobi
-// applications fan out to the shared worker pool.
-const jacobiParThreshold = 1 << 15
 
 // NewJacobi builds a Jacobi preconditioner from the local diagonal entries,
 // which must all be non-zero.
@@ -108,22 +101,11 @@ func NewJacobi(diag []float64) (*Jacobi, error) {
 // Name implements Preconditioner.
 func (j *Jacobi) Name() string { return "jacobi" }
 
-// ApplyInv implements Preconditioner. Element-wise, so the row-chunked
-// parallel path is bit-identical to the sequential one.
+// ApplyInv implements Preconditioner: z = r ./ diag(A).
 func (j *Jacobi) ApplyInv(z, r []float64) {
-	if len(z) < jacobiParThreshold {
-		for i := range z {
-			z[i] = r[i] / j.d[i]
-		}
-		return
+	for i := range z {
+		z[i] = r[i] / j.d[i]
 	}
-	d := j.d
-	vec.Parallel(len(z), (len(z)+jacobiParThreshold-1)/jacobiParThreshold, 0,
-		func(_, lo, hi int) {
-			for i := lo; i < hi; i++ {
-				z[i] = r[i] / d[i]
-			}
-		})
 }
 
 // ApplyInvK implements BatchApplier: each diagonal entry is loaded once and
@@ -139,21 +121,11 @@ func (j *Jacobi) ApplyInvK(z, r [][]float64, _ []float64) {
 	}
 }
 
-// ApplyM implements Preconditioner. Element-wise, like ApplyInv.
+// ApplyM implements Preconditioner: y = diag(A) .* x.
 func (j *Jacobi) ApplyM(y, x []float64) {
-	if len(y) < jacobiParThreshold {
-		for i := range y {
-			y[i] = j.d[i] * x[i]
-		}
-		return
+	for i := range y {
+		y[i] = j.d[i] * x[i]
 	}
-	d := j.d
-	vec.Parallel(len(y), (len(y)+jacobiParThreshold-1)/jacobiParThreshold, 0,
-		func(_, lo, hi int) {
-			for i := lo; i < hi; i++ {
-				y[i] = d[i] * x[i]
-			}
-		})
 }
 
 // BlockJacobiChol preconditions with the exact inverse of the local diagonal

@@ -85,12 +85,3 @@ func SplitLocalize(a *CSR, lo, hi int, ghost []int) *RowSplit {
 	}
 	return s
 }
-
-// parRowChunk is the row-chunk size of the parallel SpMV grid. Row chunks
-// write disjoint output entries, so — unlike the reduction grids in
-// internal/vec — the grid never influences results; it only balances load.
-const parRowChunk = 256
-
-// parNNZThreshold is the minimum stored-entry count for which the parallel
-// SpMV variants fan out to the worker pool.
-const parNNZThreshold = 1 << 14

@@ -110,7 +110,7 @@ func TestQuickSplitLocalizePartitionProperty(t *testing.T) {
 }
 
 // TestQuickSplitScatterMatchesMulVec: scoring both halves of a split through
-// a width-1 MulMatScatter (and its parallel variant) on the localised input —
+// a width-1 MulMatScatter on the localised input —
 // own block first, ghost values after it — must be bit-identical to the
 // unsplit MulVec on the global one.
 func TestQuickSplitScatterMatchesMulVec(t *testing.T) {
@@ -140,14 +140,6 @@ func TestQuickSplitScatterMatchesMulVec(t *testing.T) {
 				t.Fatalf("trial %d: scatter y[%d] = %x, MulVec %x", trial, i, got[i], want[i])
 			}
 		}
-		par := make([]float64, r)
-		s.Interior.MulMatScatterPar(par, xLocal, s.IntRows, 1)
-		s.Boundary.MulMatScatterPar(par, xLocal, s.BndRows, 1)
-		for i := range want {
-			if par[i] != want[i] {
-				t.Fatalf("trial %d: parallel scatter y[%d] = %x, MulVec %x", trial, i, par[i], want[i])
-			}
-		}
 	}
 }
 
@@ -166,11 +158,11 @@ func bandedRandom(rng *rand.Rand, n, w int, density float64) *CSR {
 }
 
 // TestQuickSplitScatterParAboveThreshold: both halves of a split large enough
-// to clear parNNZThreshold — so the pooled, row-chunked branch the workload
-// SpMVs run is the one under test, over several 256-row chunks each — score
+// to clear fanOutNNZ — so the fanned-out, row-chunked branch the workload
+// SpMVs run is the one under test, over several chunks each — score
 // bit-identically to the unsplit serial MulVec (at width 1 through rowDot,
-// at width 3 through rowDotK, to MulVec per column). The outputs start as NaN, so a chunk the pool never computes shows
-// as a mismatch.
+// at width 3 through rowDotK, to MulVec per column). The outputs start as
+// NaN, so a row the fan-out never scores shows as a mismatch.
 func TestQuickSplitScatterParAboveThreshold(t *testing.T) {
 	rng := rand.New(rand.NewSource(44))
 	// Rows inside [lo, hi) away from its edges are interior, the rest
@@ -185,16 +177,9 @@ func TestQuickSplitScatterParAboveThreshold(t *testing.T) {
 	}
 	s := SplitLocalize(m, lo, hi, ghost)
 	for name, sub := range map[string]*CSR{"interior": s.Interior, "boundary": s.Boundary} {
-		if sub.NNZ() < parNNZThreshold || sub.Rows < 2*parRowChunk {
+		if sub.NNZ() < fanOutNNZ || sub.Rows < 2*fanOutRows {
 			t.Fatalf("%s half has %d rows, %d entries: too small to fan out over several chunks", name, sub.Rows, sub.NNZ())
 		}
-	}
-	nan := func(n int) []float64 {
-		y := make([]float64, n)
-		for i := range y {
-			y[i] = math.NaN()
-		}
-		return y
 	}
 	cols := make([][]float64, k)  // global inputs
 	local := make([][]float64, k) // the same, own block first, then the ghosts
@@ -212,21 +197,21 @@ func TestQuickSplitScatterParAboveThreshold(t *testing.T) {
 		m.MulVec(want[j], cols[j])
 	}
 
-	y := nan(n)
-	s.Interior.MulMatScatterPar(y, local[0], s.IntRows, 1)
-	s.Boundary.MulMatScatterPar(y, local[0], s.BndRows, 1)
+	y := nanBlock(n)
+	s.Interior.MulMatScatter(y, local[0], s.IntRows, 1)
+	s.Boundary.MulMatScatter(y, local[0], s.BndRows, 1)
 	for i := range y {
 		if math.Float64bits(y[i]) != math.Float64bits(want[0][i]) {
-			t.Fatalf("width-1 MulMatScatterPar y[%d] = %x, MulVec %x", i, y[i], want[0][i])
+			t.Fatalf("width-1 MulMatScatter y[%d] = %x, MulVec %x", i, y[i], want[0][i])
 		}
 	}
-	yk, xk := nan(n*k), interleave(local)
-	s.Interior.MulMatScatterPar(yk, xk, s.IntRows, k)
-	s.Boundary.MulMatScatterPar(yk, xk, s.BndRows, k)
+	yk, xk := nanBlock(n*k), interleave(local)
+	s.Interior.MulMatScatter(yk, xk, s.IntRows, k)
+	s.Boundary.MulMatScatter(yk, xk, s.BndRows, k)
 	for i := 0; i < n; i++ {
 		for j := 0; j < k; j++ {
 			if got := yk[i*k+j]; math.Float64bits(got) != math.Float64bits(want[j][i]) {
-				t.Fatalf("MulMatScatterPar column %d row %d = %x, MulVec %x", j, i, got, want[j][i])
+				t.Fatalf("MulMatScatter column %d row %d = %x, MulVec %x", j, i, got, want[j][i])
 			}
 		}
 	}

@@ -1,9 +1,5 @@
 package sparse
 
-import (
-	"repro/internal/vec"
-)
-
 // SpMM: CSR x dense-block products for batched multi-RHS solves. The dense
 // block X is row-major with k consecutive values per matrix column
 // (X[c*k+j] is column j's value at matrix column c), so one traversal of
@@ -105,28 +101,18 @@ func (m *CSR) MulMat(y, x []float64, k int) {
 // to the source row rows[i]. It is the kernel behind both halves of a
 // RowSplit, scoring each sub-matrix row directly into the full k-strided
 // output; at k = 1 that output is a plain vector, y[rows[i]] = (A x)[i].
+// From fanOutNNZ stored entries times columns on, the rows are shared out
+// across cores (fanout.go); rows holds distinct indices, so every row still
+// lands once and the result does not depend on the split.
 func (m *CSR) MulMatScatter(y, x []float64, rows []int, k int) {
 	if k <= 0 || len(x) != m.Cols*k || len(rows) != m.Rows {
 		panic("sparse: MulMatScatter dimension mismatch")
 	}
-	m.scatterRows(y, x, rows, k, 0, m.Rows)
-}
-
-// MulMatScatterPar is MulMatScatter row-chunked across the shared worker
-// pool. Each row is accumulated by exactly one goroutine and rows write
-// disjoint y ranges (rows holds distinct indices), so the result is
-// bit-identical to MulMatScatter however the chunks are shared out.
-func (m *CSR) MulMatScatterPar(y, x []float64, rows []int, k int) {
-	if k <= 0 || len(x) != m.Cols*k || len(rows) != m.Rows {
-		panic("sparse: MulMatScatterPar dimension mismatch")
-	}
-	if m.NNZ()*k < parNNZThreshold {
+	if m.NNZ()*k < fanOutNNZ {
 		m.scatterRows(y, x, rows, k, 0, m.Rows)
 		return
 	}
-	vec.Parallel(m.Rows, (m.Rows+parRowChunk-1)/parRowChunk, 0, func(_, lo, hi int) {
-		m.scatterRows(y, x, rows, k, lo, hi)
-	})
+	m.fanOut(y, x, rows, k)
 }
 
 // scatterRows scores the sub-matrix rows [lo, hi) of a MulMatScatter, row i

@@ -65,9 +65,6 @@ func checkMulMatBitwise(t testing.TB, name string, m *CSR, k int, rng *rand.Rand
 	ys := make([]float64, r*k)
 	m.MulMatScatter(ys, x, rows, k)
 	check("MulMatScatter", ys)
-	ysp := make([]float64, r*k)
-	m.MulMatScatterPar(ysp, x, rows, k)
-	check("MulMatScatterPar", ysp)
 }
 
 // TestMulMatColumnsBitwiseMulVec holds the SpMM determinism contract on

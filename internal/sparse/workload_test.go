@@ -33,8 +33,8 @@ func workloadBlocks() []struct {
 }
 
 // TestMulMatWorkloadBlocksBitwiseMulVec holds the SpMM determinism contract
-// on the workload row blocks, whose size puts MulMatScatterPar on its
-// pooled, row-chunked branch.
+// on the workload row blocks, whose size puts MulMatScatter on its
+// fanned-out, row-chunked branch.
 func TestMulMatWorkloadBlocksBitwiseMulVec(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	for _, w := range workloadBlocks() {
@@ -128,7 +128,7 @@ func TestMulMatSIMDMatchesGo(t *testing.T) {
 				rows[i] = b.m.Rows - 1 - i
 			}
 			scat := make([]float64, b.m.Rows*k)
-			b.m.MulMatScatterPar(scat, x, rows, k)
+			b.m.MulMatScatter(scat, x, rows, k)
 			for i := 0; i < b.m.Rows; i++ {
 				for j := 0; j < k; j++ {
 					w := math.Float64bits(want[i*k+j])

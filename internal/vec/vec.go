@@ -2,13 +2,50 @@
 // solver stack. All routines operate on []float64 slices and are written so
 // that the compiler can keep the hot loops free of bounds checks.
 //
-// The kernels are sequential; parallelism in this repository comes from the
+// The kernels are sequential: parallelism in this repository comes from the
 // SPMD ranks of internal/cluster, each of which works on its own block of a
-// distributed vector. Parallel variants for very large node-local blocks are
-// provided in par.go.
+// distributed vector, and the one node-local kernel large enough to split
+// across cores, the SpMV, fans out inside internal/sparse.
+//
+// The reductions Dot, Dot2 and Nrm2Sq sum a long vector (n >= 2^15) over a
+// fixed grid of ceil(n/2^13) chunks: each chunk accumulates on its own and
+// the partials are added in index order. The grid depends on n alone, so a
+// reduction's bits depend on its input alone.
 package vec
 
-import "math"
+import (
+	"iter"
+	"math"
+)
+
+// gridMin is the vector length from which the reductions sum over the
+// chunk grid, and gridChunk the element count of one chunk.
+const gridMin, gridChunk = 1 << 15, 1 << 13
+
+// grid yields, in index order, the ranges a reduction of length n sums on
+// their own before adding the partials: [0, n) whole below gridMin, else
+// ceil(n/gridChunk) nearly equal chunks, the first n%nchunks of them one
+// element longer.
+func grid(n int) iter.Seq2[int, int] {
+	return func(yield func(lo, hi int) bool) {
+		if n < gridMin {
+			yield(0, n)
+			return
+		}
+		nc := (n + gridChunk - 1) / gridChunk
+		q, r := n/nc, n%nc
+		for c, lo := 0, 0; c < nc; c++ {
+			hi := lo + q
+			if c < r {
+				hi++
+			}
+			if !yield(lo, hi) {
+				return
+			}
+			lo = hi
+		}
+	}
+}
 
 // Dot returns the inner product x'y. It panics if the lengths differ.
 func Dot(x, y []float64) float64 {
@@ -16,25 +53,34 @@ func Dot(x, y []float64) float64 {
 		panic("vec: Dot length mismatch")
 	}
 	var s float64
-	for i, xv := range x {
-		s += xv * y[i]
+	for lo, hi := range grid(len(x)) {
+		x, y := x[lo:hi], y[lo:hi]
+		var p float64
+		for i, xv := range x {
+			p += xv * y[i]
+		}
+		s += p
 	}
 	return s
 }
 
 // Dot2 returns the pair (x'y, u'v) from one pass over the four vectors. The
 // two sums are independent accumulators, each with Dot's exact operation
-// sequence, so each is bit-identical to its own Dot. It panics if any
-// lengths differ.
+// sequence and grid, so each is bit-identical to its own Dot. It panics if
+// any lengths differ.
 func Dot2(x, y, u, v []float64) (float64, float64) {
 	if len(x) != len(y) || len(u) != len(v) || len(x) != len(u) {
 		panic("vec: Dot2 length mismatch")
 	}
-	y, u, v = y[:len(x)], u[:len(x)], v[:len(x)]
 	var s, t float64
-	for i, xv := range x {
-		s += xv * y[i]
-		t += u[i] * v[i]
+	for lo, hi := range grid(len(x)) {
+		x, y, u, v := x[lo:hi], y[lo:hi], u[lo:hi], v[lo:hi]
+		var p, q float64
+		for i, xv := range x {
+			p += xv * y[i]
+			q += u[i] * v[i]
+		}
+		s, t = s+p, t+q
 	}
 	return s, t
 }
@@ -144,13 +190,8 @@ func Nrm2(x []float64) float64 {
 
 // Nrm2Sq returns the squared Euclidean norm x'x (no overflow guard; used for
 // accumulating partial sums across ranks where the guard cannot compose).
-func Nrm2Sq(x []float64) float64 {
-	var s float64
-	for _, xv := range x {
-		s += xv * xv
-	}
-	return s
-}
+// It is Dot(x, x), bit for bit.
+func Nrm2Sq(x []float64) float64 { return Dot(x, x) }
 
 // NrmInf returns the maximum absolute entry of x (0 for an empty vector).
 func NrmInf(x []float64) float64 {
