@@ -74,3 +74,24 @@ func TestQuickConfigValidationEverySpelling(t *testing.T) {
 		}
 	}
 }
+
+// TestQuickGeneratorRefusedAtSubmit: a matrix spec naming no generator the
+// table knows, or a catalogue scale out of range, is refused where it is
+// submitted — a 400 invalid_argument at POST /v1/jobs and at POST
+// /v1/matrices — not accepted and failed later on a worker.
+func TestQuickGeneratorRefusedAtSubmit(t *testing.T) {
+	ts, _ := newTestServer(t, 1)
+	for _, spec := range []string{
+		`{"generator": "nosuch"}`,
+		`{"generator": "M3", "params": {"scale": 9}}`,
+	} {
+		for path, body := range map[string]string{
+			"/v1/jobs":     `{"matrix": ` + spec + `}`,
+			"/v1/matrices": spec,
+		} {
+			if status, code, msg := postRefusedAt(t, ts, path, body); status != http.StatusBadRequest || code != "invalid_argument" {
+				t.Errorf("POST %s %s: %d %s %q, want 400 invalid_argument", path, body, status, code, msg)
+			}
+		}
+	}
+}

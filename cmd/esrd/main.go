@@ -210,11 +210,11 @@ func main() {
 			fatal("net coordinator", "err", err)
 		}
 		maxRanks := *peers
-		netRunner = func(ctx context.Context, spec engine.JobSpec, progress func(core.ProgressEvent)) (engine.Solution, error) {
+		netRunner = func(ctx context.Context, spec engine.JobSpec, tr core.Tracer) (engine.Solution, error) {
 			if r := spec.Config.WithDefaults().Ranks; r > maxRanks {
 				return engine.Solution{}, xerr.Newf(xerr.FailedPrecondition, "net job needs %d worker processes, -peers allows %d", r, maxRanks)
 			}
-			sol, stats, err := coord.Run(ctx, spec, progress)
+			sol, stats, err := coord.Run(ctx, spec, tr)
 			// Fold the fleet's aggregated wire counters into the daemon's
 			// per-transport series; the workers' own registries die with
 			// their processes.

@@ -201,7 +201,13 @@ func TestQuickTransportJob(t *testing.T) {
 // error envelope's code and message.
 func postRefused(t *testing.T, ts *httptest.Server, body string) (status int, code, message string) {
 	t.Helper()
-	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(body))
+	return postRefusedAt(t, ts, "/v1/jobs", body)
+}
+
+// postRefusedAt is postRefused on any POST route.
+func postRefusedAt(t *testing.T, ts *httptest.Server, path, body string) (status int, code, message string) {
+	t.Helper()
+	resp, err := http.Post(ts.URL+path, "application/json", strings.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,7 +232,7 @@ func postRefused(t *testing.T, ts *httptest.Server, body string) (status int, co
 func TestCoordinatorRefusesAtPost(t *testing.T) {
 	dispatched := make(chan struct{}, 1)
 	eng := engine.New(engine.Options{Workers: 1, QueueCap: 4,
-		NetRunner: func(ctx context.Context, spec engine.JobSpec, progress func(core.ProgressEvent)) (engine.Solution, error) {
+		NetRunner: func(ctx context.Context, spec engine.JobSpec, tr core.Tracer) (engine.Solution, error) {
 			dispatched <- struct{}{}
 			return engine.Solution{}, xerr.New(xerr.FailedPrecondition, "refused after dispatch")
 		}})

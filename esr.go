@@ -137,17 +137,9 @@ type Result = core.Result
 // Reconstruction records one exact-state-reconstruction episode.
 type Reconstruction = core.Reconstruction
 
-// ProgressEvent is one solver progress notification (per iteration or per
-// reconstruction episode), delivered through Config.Progress.
-type ProgressEvent = core.ProgressEvent
-
-// ProgressFunc observes solver progress (see Config.Progress). It is called
-// synchronously from the solver loop, so it must be cheap and must not block.
-type ProgressFunc = core.ProgressFunc
-
-// Tracer observes a solve at its phase boundaries: per-iteration phase
-// durations (SpMV, preconditioner apply, allreduce), the residual
-// trajectory, and recovery episodes (see Config.Tracer).
+// Tracer observes a solve at its phase boundaries, the one way to watch it:
+// per-iteration phase durations (SpMV, preconditioner apply, allreduce), the
+// residual trajectory, and recovery episodes (see Config.Tracer).
 // Tracing is observer-only — a traced solve is bit-identical to an untraced
 // one — and callbacks run synchronously from the solver loop, so they must
 // be cheap and must not block.
@@ -298,7 +290,7 @@ func Solve(a *Matrix, b []float64, cfg Config) (Solution, error) {
 // SolveContext is Solve with lifecycle control: cancelling ctx (or hitting
 // its deadline) aborts the in-process cluster — ranks blocked in
 // communication are woken — and returns the context's cause error. Progress
-// can be observed per iteration via Config.Progress. SolveContext runs the
+// can be observed per iteration via Config.Tracer. SolveContext runs the
 // same prepared solve path the internal job engine and the cmd/esrd daemon
 // execute.
 func SolveContext(ctx context.Context, a *Matrix, b []float64, cfg Config) (Solution, error) {

@@ -40,7 +40,7 @@ func (p probe) Overhead(st *SolverState, j int) error {
 }
 
 // runDeferral solves deferralProblem under sched with the given options
-// (Progress and Tracer are kept on rank 0 only) and strategy (nil is ESR).
+// (the Tracer is kept on rank 0 only) and strategy (nil is ESR).
 // A rank's error aborts the runtime, as the engine does, so that survivors
 // waiting on a failed replacement unwind. It fails the test if a background
 // x-system solve was left unjoined.
@@ -58,7 +58,7 @@ func runDeferral(t *testing.T, sched *faults.Schedule, opts Options, strat Strat
 			}
 			o := opts
 			if c.Rank() != 0 {
-				o.Progress, o.Tracer = nil, nil
+				o.Tracer = nil
 			}
 			res, err := ResilientPCG(e, m, x, b, nil, ss.file(o, e, m, IdentityPrecond()), sched, strat)
 			if err != nil {
@@ -128,12 +128,13 @@ func (g gated) ApplyInv(z, r []float64) {
 	g.Preconditioner.ApplyInv(z, r)
 }
 
-// recEvents returns the reconstruction events among the progress events.
-func recEvents(evs []ProgressEvent) []int {
+// recEvents returns the iterations of the reconstruction episodes among the
+// recovery traces.
+func recEvents(rts []RecoveryTrace) []int {
 	var its []int
-	for _, ev := range evs {
-		if ev.Reconstruction != nil {
-			its = append(its, ev.Iteration)
+	for _, rt := range rts {
+		if rt.Reconstruction != nil {
+			its = append(its, rt.Iteration)
 		}
 	}
 	return its
@@ -163,7 +164,7 @@ func TestDeferredPhase5OverlapRestarts(t *testing.T) {
 func TestDeferredSettlesBeforeTheLeaderFailsAgain(t *testing.T) {
 	open := gateXSystem(t)
 	var log eventLog
-	opts := Options{Tol: 1e-9, Progress: func(ev ProgressEvent) { log.progress = append(log.progress, ev) }}
+	opts := Options{Tol: 1e-9, Tracer: &log}
 	var pending sync.Map // iterations whose Overhead saw the episode pending
 	strat := probe{NewESRStrategy(), func(st *SolverState, j int) {
 		if st.pend != nil {
@@ -181,7 +182,7 @@ func TestDeferredSettlesBeforeTheLeaderFailsAgain(t *testing.T) {
 	if _, ok := pending.Load(8); !ok {
 		t.Fatal("the first episode was settled before the second event's iteration")
 	}
-	if got := recEvents(log.progress); !slices.Equal(got, []int{6, 8}) {
+	if got := recEvents(log.recoveries); !slices.Equal(got, []int{6, 8}) {
 		t.Fatalf("reconstruction events at %v, want [6 8]", got)
 	}
 	const want = "53 [2 3 4]/0/29 [2 5]/0/12 862bbf0db6aef633"

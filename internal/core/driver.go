@@ -480,7 +480,6 @@ func (d *driver) step(j int) error {
 	}
 	st.E.Grp.Recycle(norms)
 	if ran > 0 {
-		opts.notify(ProgressEvent{Iteration: j + 1, Residual: maxRn, RelResidual: maxRel})
 		d.clock.emit(opts.Tracer, j+1, maxRn, maxRel)
 	}
 	return nil
@@ -547,11 +546,11 @@ func (d *driver) handleFailure(j int, victims []int) (resume int, err error) {
 	return resume, nil
 }
 
-// episodeReport is a recovery episode as its columns' records and the
-// progress and trace reports take it. residual is that of the last completed
-// iteration (the episode happens mid-iteration); resume is the strategy's
-// directive, from which the rollback depth follows; sub holds the per-column
-// subsystem iterations of a reconstruction.
+// episodeReport is a recovery episode as its columns' records and its trace
+// take it. residual is that of the last completed iteration (the episode
+// happens mid-iteration); resume is the strategy's directive, from which the
+// rollback depth follows; sub holds the per-column subsystem iterations of a
+// reconstruction.
 type episodeReport struct {
 	strategy      string
 	j, resume     int
@@ -573,16 +572,14 @@ func (st *SolverState) book(rp episodeReport) {
 		st.res[c].Reconstructions = append(st.res[c].Reconstructions, colRec)
 		st.res[c].ReconstructTime += rp.rec.Duration
 	}
-	o := st.Opts
-	o.notify(ProgressEvent{Iteration: rp.j, Residual: rp.residual, RelResidual: rp.rel, Reconstruction: &rp.rec})
 	redone := 0
 	if rp.resume >= 0 {
 		redone = rp.j - rp.resume
 	}
-	o.trace(RecoveryTrace{
-		Iteration: rp.j, Strategy: rp.strategy,
+	st.Opts.trace(RecoveryTrace{
+		Iteration: rp.j, Residual: rp.residual, RelResidual: rp.rel, Strategy: rp.strategy,
 		FailedRanks: rp.rec.FailedRanks, Restarts: rp.rec.Restarts,
-		RedoneIterations: redone, Duration: rp.rec.Duration,
+		RedoneIterations: redone, Duration: rp.rec.Duration, Reconstruction: &rp.rec,
 	})
 }
 
@@ -641,6 +638,7 @@ func (d *driver) pollCorruption(j int) (redo bool, err error) {
 	// fail-stop recovery so the u-test still sees the pre-injection
 	// u = A p(j).
 	if d.poller != nil {
+		t0 := time.Now()
 		out, err := d.poller.PollSDC(st, j)
 		if err != nil {
 			return false, err
@@ -653,7 +651,7 @@ func (d *driver) pollCorruption(j int) (redo bool, err error) {
 			}
 		}
 		if out.Detected != nil {
-			opts.trace(RecoveryTrace{Iteration: j, Strategy: d.strat.Name(), FailedRanks: out.Ranks, Corruption: true})
+			opts.trace(RecoveryTrace{Iteration: j, Strategy: d.strat.Name(), FailedRanks: out.Ranks, Corruption: true, Duration: time.Since(t0)})
 		}
 	}
 	// Periodic true-residual drift check (detection-only for strategies
@@ -683,6 +681,7 @@ func (d *driver) pollCorruption(j int) (redo bool, err error) {
 		}
 		st.E.Grp.Recycle(norms)
 		if len(repair) > 0 {
+			t0 := time.Now()
 			if err := d.poller.RepairDrift(st, j, repair); err != nil {
 				return false, err
 			}
@@ -690,7 +689,7 @@ func (d *driver) pollCorruption(j int) (redo bool, err error) {
 				st.res[c].SDCCorrected++
 			}
 			redo = true
-			opts.trace(RecoveryTrace{Iteration: j, Strategy: d.strat.Name(), Corruption: true})
+			opts.trace(RecoveryTrace{Iteration: j, Strategy: d.strat.Name(), Corruption: true, Duration: time.Since(t0)})
 		}
 	}
 	return redo, nil

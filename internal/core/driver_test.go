@@ -217,9 +217,8 @@ func TestDriverMatchesReferencePCGBitwise(t *testing.T) {
 	}
 }
 
-// eventLog records a solve's progress events and traces.
+// eventLog is a Tracer recording a solve's traces.
 type eventLog struct {
-	progress   []ProgressEvent
 	iterations []IterationTrace
 	recoveries []RecoveryTrace
 }
@@ -227,11 +226,12 @@ type eventLog struct {
 func (l *eventLog) TraceIteration(it IterationTrace) { l.iterations = append(l.iterations, it) }
 func (l *eventLog) TraceRecovery(rt RecoveryTrace)   { l.recoveries = append(l.recoveries, rt) }
 
-// TestSoloEventsKeepScalarSemantics pins what a k = 1 solve reports to
-// Progress and Tracer — the stream esrd's /events serves: every iteration
-// event carries the column's own residual and relative residual (the last
-// one included — not a masked-out zero), and a reconstruction event the
-// residual of the last completed iteration. The trajectory is the oracle's.
+// TestSoloEventsKeepScalarSemantics pins what a k = 1 solve reports to its
+// Tracer — the stream esrd's /events serves: every iteration trace carries
+// the column's own residual and relative residual (the last one included —
+// not a masked-out zero), and a recovery trace the residual of the last
+// completed iteration and the episode's record. The trajectory is the
+// oracle's.
 func TestSoloEventsKeepScalarSemantics(t *testing.T) {
 	a := matgen.Poisson2D(14, 12)
 	const failAt = 6
@@ -260,7 +260,6 @@ func TestSoloEventsKeepScalarSemantics(t *testing.T) {
 			opts := Options{Tol: 1e-9}
 			if c.Rank() == 0 {
 				opts.Tracer = &log
-				opts.Progress = func(ev ProgressEvent) { log.progress = append(log.progress, ev) }
 			}
 			res, err := ss.esrpcg(e, m, x, b, pr, opts, sched)
 			return res, x, err
@@ -282,48 +281,37 @@ func TestSoloEventsKeepScalarSemantics(t *testing.T) {
 	// Up to the failure the trajectory is the oracle's bit for bit; after the
 	// reconstruction (exact only to LocalTol) it is the solve's own, so the
 	// later events are held to the invariants rather than to the oracle.
-	var iters []ProgressEvent
-	var recEvents []ProgressEvent
-	for _, ev := range log.progress {
-		if ev.Reconstruction != nil {
-			recEvents = append(recEvents, ev)
-		} else {
-			iters = append(iters, ev)
-		}
+	iters := log.iterations
+	if len(iters) == 0 {
+		t.Fatal("no iteration traces")
 	}
-	if len(iters) != len(log.iterations) || len(iters) == 0 {
-		t.Fatalf("%d iteration progress events, %d iteration traces", len(iters), len(log.iterations))
-	}
-	for i, ev := range iters {
-		tr := log.iterations[i]
-		if ev.Iteration != i+1 || tr.Iteration != i+1 {
-			t.Fatalf("event %d numbered %d (trace %d)", i, ev.Iteration, tr.Iteration)
+	for i, tr := range iters {
+		if tr.Iteration != i+1 {
+			t.Fatalf("trace %d numbered %d", i, tr.Iteration)
 		}
-		if ev.Residual != tr.Residual || ev.RelResidual != tr.RelResidual {
-			t.Fatalf("iteration %d: progress (%v, %v) vs trace (%v, %v)", i+1, ev.Residual, ev.RelResidual, tr.Residual, tr.RelResidual)
+		if tr.RelResidual != tr.Residual/r0 {
+			t.Fatalf("iteration %d: RelResidual %v, want %v", i+1, tr.RelResidual, tr.Residual/r0)
 		}
-		if ev.RelResidual != ev.Residual/r0 {
-			t.Fatalf("iteration %d: RelResidual %v, want %v", i+1, ev.RelResidual, ev.Residual/r0)
-		}
-		if i < failAt && ev.Residual != history[i] {
-			t.Fatalf("iteration %d: residual %v, oracle %v", i+1, ev.Residual, history[i])
+		if i < failAt && tr.Residual != history[i] {
+			t.Fatalf("iteration %d: residual %v, oracle %v", i+1, tr.Residual, history[i])
 		}
 	}
 	last := iters[len(iters)-1]
 	if last.Residual == 0 || last.Residual > 1e-9*r0 {
-		t.Fatalf("final event residual %v: want the converged column's own (<= %v)", last.Residual, 1e-9*r0)
+		t.Fatalf("final trace residual %v: want the converged column's own (<= %v)", last.Residual, 1e-9*r0)
 	}
-	if len(recEvents) != 1 || len(recs) != 1 || len(log.recoveries) != 1 {
-		t.Fatalf("%d reconstruction events, %d episodes, %d recovery traces; want 1 each", len(recEvents), len(recs), len(log.recoveries))
+	if len(recs) != 1 || len(log.recoveries) != 1 {
+		t.Fatalf("%d episodes, %d recovery traces; want 1 each", len(recs), len(log.recoveries))
 	}
-	ev := recEvents[0]
-	if ev.Iteration != failAt || ev.Residual != history[failAt-1] || ev.RelResidual != history[failAt-1]/r0 {
-		t.Fatalf("reconstruction event %+v, want iteration %d with residual %v", ev, failAt, history[failAt-1])
+	rt := log.recoveries[0]
+	if rt.Iteration != failAt || rt.Residual != history[failAt-1] || rt.RelResidual != history[failAt-1]/r0 {
+		t.Fatalf("recovery trace %+v, want iteration %d with residual %v", rt, failAt, history[failAt-1])
 	}
-	if !reflect.DeepEqual(ev.Reconstruction.FailedRanks, []int{1, 2}) || ev.Reconstruction.SubIterations != recs[0].SubIterations {
-		t.Fatalf("reconstruction event carries %+v, result %+v", *ev.Reconstruction, recs[0])
+	if rt.Reconstruction == nil || !reflect.DeepEqual(*rt.Reconstruction, recs[0]) ||
+		!reflect.DeepEqual(rt.Reconstruction.FailedRanks, []int{1, 2}) {
+		t.Fatalf("recovery trace carries %+v, result %+v", rt.Reconstruction, recs[0])
 	}
-	if rt := log.recoveries[0]; rt.Iteration != failAt || rt.Strategy != StrategyESR || rt.RedoneIterations != 0 {
+	if rt.Strategy != StrategyESR || rt.RedoneIterations != 0 || rt.Corruption {
 		t.Fatalf("recovery trace %+v", rt)
 	}
 }

@@ -16,31 +16,6 @@ import (
 	"repro/internal/precond"
 )
 
-// ProgressEvent is one solver progress notification, emitted at the end of
-// an iteration or after a reconstruction episode.
-type ProgressEvent struct {
-	// Iteration is the 1-based number of completed PCG iterations. For
-	// reconstruction events it is instead the 0-based iteration whose state
-	// was rebuilt (matching Reconstruction.Iteration): the episode happens
-	// mid-iteration, before that iteration completes.
-	Iteration int
-	// Residual is the recurrence residual norm ||r|| after the completed
-	// iteration. For reconstruction events it is the residual of the last
-	// completed iteration (||r0|| when the failure struck iteration 0).
-	Residual float64
-	// RelResidual is Residual / ||r0|| (0 when ||r0|| was already zero).
-	RelResidual float64
-	// Reconstruction is non-nil when the event reports a completed recovery
-	// episode rather than a converging iteration.
-	Reconstruction *Reconstruction
-}
-
-// ProgressFunc observes solver progress. It is called synchronously from the
-// solver loop of the rank it was installed on, so it must be cheap and must
-// not block; expensive consumers should hand the event off to a channel or
-// goroutine of their own.
-type ProgressFunc func(ProgressEvent)
-
 // Options configures a solver run. The solvers are transport-agnostic:
 // they speak to whatever communication fabric the caller's cluster.Runtime
 // was built with (selection lives in engine.Config.Transport), and their
@@ -75,14 +50,10 @@ type Options struct {
 	// cluster.Runtime.RunContext so ranks blocked in communication are woken
 	// as well; polling alone only reaches ranks between operations.
 	Ctx context.Context
-	// Progress, when non-nil, is called after every completed iteration and
-	// after every reconstruction episode, on whichever ranks it is installed
-	// on. Install it on a single rank (conventionally rank 0) to observe a
-	// solve exactly once.
-	Progress ProgressFunc
-	// Tracer, when non-nil, observes per-iteration phase durations, the
-	// residual trajectory and recovery episodes (see Tracer). Like Progress,
-	// install it on a single rank to observe a solve exactly once. Tracing
+	// Tracer, when non-nil, observes every completed iteration (its
+	// residual and phase durations) and every recovery episode (see
+	// Tracer), on whichever ranks it is installed on. Install it on a single
+	// rank (conventionally rank 0) to observe a solve exactly once. Tracing
 	// is observer-only: it never changes results.
 	Tracer Tracer
 	// OnFailure, when non-nil, is called on every rank it is installed on
@@ -130,13 +101,6 @@ func (o Options) poll() error {
 		return context.Cause(o.Ctx)
 	default:
 		return nil
-	}
-}
-
-// notify emits a progress event if a callback is installed.
-func (o Options) notify(ev ProgressEvent) {
-	if o.Progress != nil {
-		o.Progress(ev)
 	}
 }
 

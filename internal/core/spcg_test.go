@@ -155,8 +155,8 @@ func TestSPCGRequiresSplit(t *testing.T) {
 // TestSPCGFailurePollRunsTheDriverStep: SPCG runs the driver's loop, so its
 // failure poll is the driver's — the OnFailure hook fires on every rank before recovery (the net fabric
 // kills the victim's process there; without it a scheduled kill under SPCG
-// is silently simulated in-process), and the episode reaches Progress and
-// the Tracer.
+// is silently simulated in-process), and the episode reaches the Tracer
+// with its record.
 func TestSPCGFailurePollRunsTheDriverStep(t *testing.T) {
 	const ranks, failAt = 6, 4
 	sched := faults.NewSchedule(faults.Simultaneous(failAt, 1, 2))
@@ -174,7 +174,6 @@ func TestSPCGFailurePollRunsTheDriverStep(t *testing.T) {
 		}}
 		if rank == 0 {
 			opts.Tracer = &log
-			opts.Progress = func(ev ProgressEvent) { log.progress = append(log.progress, ev) }
 		}
 		return opts
 	})
@@ -195,17 +194,8 @@ func TestSPCGFailurePollRunsTheDriverStep(t *testing.T) {
 	if rt := log.recoveries[0]; rt.Iteration != failAt || rt.Strategy != StrategyESR || !reflect.DeepEqual(rt.FailedRanks, []int{1, 2}) {
 		t.Fatalf("recovery trace %+v", rt)
 	}
-	episodes := 0
-	for _, ev := range log.progress {
-		if ev.Reconstruction != nil {
-			episodes++
-			if ev.Iteration != failAt {
-				t.Fatalf("reconstruction event at iteration %d, want %d", ev.Iteration, failAt)
-			}
-		}
-	}
-	if episodes != 1 {
-		t.Fatalf("%d reconstruction progress events, want 1", episodes)
+	if rec := log.recoveries[0].Reconstruction; rec == nil || !reflect.DeepEqual(*rec, out.res.Reconstructions[0]) {
+		t.Fatalf("recovery trace carries %+v, result %+v", rec, out.res.Reconstructions[0])
 	}
 }
 

@@ -6,8 +6,7 @@ import "time"
 // residual trajectory plus the wall-clock split of the iteration's three
 // communication-bearing phases. Durations marshal as integer nanoseconds.
 type IterationTrace struct {
-	// Iteration is the 1-based completed iteration number (matching
-	// ProgressEvent.Iteration for iteration events).
+	// Iteration is the 1-based number of completed iterations.
 	Iteration int `json:"iteration"`
 	// Residual is the recurrence residual norm ||r|| after the iteration;
 	// RelResidual is Residual / ||r0||.
@@ -25,8 +24,14 @@ type IterationTrace struct {
 
 // RecoveryTrace is one completed recovery episode as seen by a Tracer.
 type RecoveryTrace struct {
-	// Iteration is the 0-based iteration whose state was rebuilt.
+	// Iteration is the 0-based iteration whose state was rebuilt: the
+	// episode happens mid-iteration, before that iteration completes.
 	Iteration int `json:"iteration"`
+	// Residual is the recurrence residual norm of the last completed
+	// iteration (||r0|| when the failure struck iteration 0) and
+	// RelResidual is Residual / ||r0||; both 0 on a corruption episode.
+	Residual    float64 `json:"residual"`
+	RelResidual float64 `json:"rel_residual"`
 	// Strategy is the recovering strategy's wire name.
 	Strategy string `json:"strategy"`
 	// FailedRanks is the union of ranks lost in the episode.
@@ -40,13 +45,17 @@ type RecoveryTrace struct {
 	// forward recovery) rather than a fail-stop recovery. FailedRanks then
 	// holds the diverged ranks.
 	Corruption bool `json:"corruption,omitempty"`
-	// Duration is the wall-clock time of the episode.
+	// Duration is the wall-clock time the episode held the iteration.
 	Duration time.Duration `json:"duration_ns"`
+	// Reconstruction is the episode's record as every running column's
+	// Result.Reconstructions gains it (at width > 1, SubIterations is the
+	// largest column's); nil on a corruption episode.
+	Reconstruction *Reconstruction `json:"reconstruction,omitempty"`
 }
 
-// Tracer observes the solver loop at its phase boundaries. Like
-// ProgressFunc, a tracer is called synchronously from the solver loop of the
-// rank it is installed on (install on rank 0 to observe a solve exactly
+// Tracer observes the solver loop at its phase boundaries; it is the one way
+// to watch a solve. A tracer is called synchronously from the solver loop of
+// the rank it is installed on (install on rank 0 to observe a solve exactly
 // once), so implementations must be cheap and must not block.
 //
 // Tracing is observer-only by construction: the driver reads clocks around

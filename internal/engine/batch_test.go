@@ -199,7 +199,7 @@ func TestBatchSpecValidation(t *testing.T) {
 func TestBatchJobRejectedOnNetCoordinator(t *testing.T) {
 	e := New(Options{
 		Workers: 1, QueueCap: 4, Defaults: Config{Transport: TransportNet},
-		NetRunner: func(ctx context.Context, spec JobSpec, progress func(core.ProgressEvent)) (Solution, error) {
+		NetRunner: func(ctx context.Context, spec JobSpec, tr core.Tracer) (Solution, error) {
 			return Solution{}, errors.New("unexpected dispatch")
 		},
 	})

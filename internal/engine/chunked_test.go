@@ -180,11 +180,17 @@ func TestSolveChunkedCancelJoinsBothGroups(t *testing.T) {
 	probe := probeGroups(t, bs)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	opts := Config{BlockSize: 2, Tol: 1e-12, Progress: func(ev core.ProgressEvent) {
-		if ev.Iteration == 3 {
+	// Cancel from iteration 3 on, once both groups have started: a loaded
+	// machine may let the first group reach iteration 3 before the second
+	// is launched, and a cancelled batch launches no more groups.
+	opts := Config{BlockSize: 2, Tol: 1e-12, Tracer: onIteration(func(it core.IterationTrace) {
+		probe.mu.Lock()
+		both := probe.started == 2
+		probe.mu.Unlock()
+		if it.Iteration >= 3 && both {
 			cancel()
 		}
-	}}
+	})}
 	sols, err := ps.SolveChunked(ctx, bs, opts, nil)
 	if !errors.Is(err, context.Canceled) || sols != nil {
 		t.Fatalf("cancelled batch: %d solutions, err %v; want none and context.Canceled", len(sols), err)

@@ -220,14 +220,11 @@ type Config struct {
 	BlockSize int `json:"block_size,omitempty" scope:"batch"`
 	// Schedule injects node failures (nil for a failure-free run).
 	Schedule *faults.Schedule `json:"schedule,omitempty" scope:"run"`
-	// Progress, when non-nil, observes the solve from rank 0: one event per
-	// iteration plus one per reconstruction episode. Not serialized; jobs
-	// submitted over the wire stream the same events through the engine.
-	Progress core.ProgressFunc `json:"-" scope:"observer"`
-	// Tracer, when non-nil, observes the solve's per-iteration phase
-	// timings, residual trajectory and recovery episodes from rank 0.
-	// Observer-only (never changes results) and, like Progress, not
-	// serialized; the daemon's trace capture is the wire-side equivalent.
+	// Tracer, when non-nil, observes the solve from rank 0: every completed
+	// iteration (residual trajectory, phase timings) and every recovery
+	// episode. It is the one observer of a solve, observer-only (never
+	// changes results) and not serialized; over the wire, a job's event
+	// stream and the daemon's trace capture are tracers the engine installs.
 	Tracer core.Tracer `json:"-" scope:"observer"`
 }
 

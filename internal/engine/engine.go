@@ -165,6 +165,38 @@ type job struct {
 	trace *traceRing
 }
 
+// newJob is the one constructor of a job record: queued, with its own
+// cancellable context, and its bulk payloads counted (the enqueuer charges
+// them to the engine's budget).
+func (e *Engine) newJob(id string, spec JobSpec, enqueued time.Time) *job {
+	ctx, cancel := context.WithCancelCause(context.Background())
+	payload := int64(len(spec.Matrix.MatrixMarket)) + 8*int64(len(spec.RHS))
+	for _, b := range spec.RHSBatch {
+		payload += 8 * int64(len(b))
+	}
+	return &job{
+		id: id, spec: spec, ctx: ctx, cancel: cancel, em: e.metrics,
+		state: StateQueued, updated: make(chan struct{}), enqueued: enqueued,
+		payloadBytes: payload, batchK: len(spec.RHSBatch),
+	}
+}
+
+// withoutPayloads returns the spec with its bulk payloads — uploaded
+// MatrixMarket bytes and explicit right-hand sides — dropped.
+func (s JobSpec) withoutPayloads() JobSpec {
+	s.Matrix.MatrixMarket, s.RHS, s.RHSBatch = nil, nil, nil
+	return s
+}
+
+// dropPayloadsLocked drops the job's bulk payloads and pinned registry
+// matrix, returning the payload bytes they held. j.mu must be held (or the
+// job not yet reachable).
+func (j *job) dropPayloadsLocked() (pb int64) {
+	j.spec, j.mat = j.spec.withoutPayloads(), nil
+	pb, j.payloadBytes = j.payloadBytes, 0
+	return pb
+}
+
 // appendEventLocked stamps ev (sequence number, job id, time), appends it
 // to the log, and wakes all streamers. j.mu must be held.
 func (j *job) appendEventLocked(ev Event) {
@@ -227,38 +259,40 @@ func (j *job) transitionLocked(s State, cause error) bool {
 	return true
 }
 
-// progressSink returns the solver progress callback feeding the job's event
-// stream: reconstruction episodes are always kept, per-iteration events up
-// to maxProgressEventsPerJob so a huge solve cannot grow the in-memory log
-// without bound.
-func (j *job) progressSink() core.ProgressFunc {
-	progressCount := 0
-	return func(ev core.ProgressEvent) {
-		kind := EventProgress
-		if ev.Reconstruction != nil {
-			kind = EventReconstruction
-		} else {
-			if progressCount >= maxProgressEventsPerJob {
-				return
-			}
-			progressCount++
-		}
-		j.publish(Event{
-			Kind: kind, Iteration: ev.Iteration, Residual: ev.Residual,
-			RelResidual: ev.RelResidual, Reconstruction: ev.Reconstruction,
-		})
+// eventStream is the job's event stream as a core.Tracer: a progress event
+// per iteration, up to maxProgressEventsPerJob so a huge solve cannot grow
+// the in-memory log without bound, and a reconstruction event per fail-stop
+// episode, always kept. A twin's corrections (Corruption traces) reach the
+// trace capture and the metrics, never the stream. Like every tracer it is
+// called by one goroutine at a time (rank 0, or under a batch's lock).
+type eventStream struct {
+	j          *job
+	iterations int
+}
+
+func (t *eventStream) TraceIteration(it core.IterationTrace) {
+	if t.iterations >= maxProgressEventsPerJob {
+		return
 	}
+	t.iterations++
+	t.j.publish(Event{Kind: EventProgress, Iteration: it.Iteration, Residual: it.Residual, RelResidual: it.RelResidual})
+}
+
+func (t *eventStream) TraceRecovery(rt core.RecoveryTrace) {
+	if rt.Corruption {
+		return
+	}
+	t.j.publish(Event{
+		Kind: EventReconstruction, Iteration: rt.Iteration, Residual: rt.Residual,
+		RelResidual: rt.RelResidual, Reconstruction: rt.Reconstruction,
+	})
 }
 
 func (j *job) status() JobStatus {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	spec := j.spec
-	spec.Matrix.MatrixMarket = nil
-	spec.RHS = nil
-	spec.RHSBatch = nil
 	st := JobStatus{
-		ID: j.id, State: j.state, Spec: spec, Error: j.errMsg, ErrorCode: j.errCode,
+		ID: j.id, State: j.state, Spec: j.spec.withoutPayloads(), Error: j.errMsg, ErrorCode: j.errCode,
 		Result: j.result, Events: len(j.events), EnqueuedAt: j.enqueued,
 	}
 	if !j.started.IsZero() {
@@ -328,9 +362,9 @@ type Options struct {
 
 // NetRunner solves one job by fanning its ranks out to external OS
 // processes. The spec's Config arrives with the daemon defaults already
-// resolved. Progress events (when the callback is non-nil) feed the job's
-// event stream exactly like in-process solves.
-type NetRunner func(ctx context.Context, spec JobSpec, progress func(core.ProgressEvent)) (Solution, error)
+// resolved. The runner replays rank 0's traces into tr, the job's event
+// stream, exactly as an in-process solve would call it.
+type NetRunner func(ctx context.Context, spec JobSpec, tr core.Tracer) (Solution, error)
 
 // Engine is a bounded worker pool draining a FIFO queue of solve jobs, with
 // a bounded in-memory job-record store, a registry of uploaded system
@@ -587,7 +621,7 @@ func (e *Engine) Close() {
 
 // Submit validates and enqueues a job, returning its id. The queue is FIFO:
 // workers pick jobs up in submission order.
-func (e *Engine) Submit(spec JobSpec) (string, error) {
+func (e *Engine) Submit(spec JobSpec) (id string, err error) {
 	// Validate the Config the job will run under: a daemon default strategy
 	// decides, for one, whether a phi-0 failure schedule is servable.
 	checked := spec
@@ -598,34 +632,24 @@ func (e *Engine) Submit(spec JobSpec) (string, error) {
 	if err := e.fleetRefusal(spec, checked.Config.WithDefaults()); err != nil {
 		return "", err
 	}
-	ctx, cancel := context.WithCancelCause(context.Background())
-	var batchFloats int64
-	for _, b := range spec.RHSBatch {
-		batchFloats += int64(len(b))
-	}
-	j := &job{
-		spec: spec, ctx: ctx, cancel: cancel, em: e.metrics,
-		state: StateQueued, updated: make(chan struct{}), enqueued: time.Now(),
-		payloadBytes: int64(len(spec.Matrix.MatrixMarket)) + 8*(int64(len(spec.RHS))+batchFloats),
-		batchK:       len(spec.RHSBatch),
-	}
+	j := e.newJob("", spec, time.Now())
+	defer func() {
+		if err != nil {
+			j.cancel(err) // never accepted
+		}
+	}()
 	if spec.MatrixID != "" {
 		a, rec, err := e.matrices.resolve(spec.MatrixID)
 		if err != nil {
-			cancel(err)
 			return "", err
 		}
 		if len(spec.RHS) > 0 && len(spec.RHS) != rec.Rows {
-			err := xerr.Newf(xerr.InvalidArgument, "engine: rhs length %d != matrix %s rows %d", len(spec.RHS), rec.ID, rec.Rows)
-			cancel(err)
-			return "", err
+			return "", xerr.Newf(xerr.InvalidArgument, "engine: rhs length %d != matrix %s rows %d", len(spec.RHS), rec.ID, rec.Rows)
 		}
 		if len(spec.RHSBatch) > 0 && len(spec.RHSBatch[0]) != rec.Rows {
 			// validateBatch already enforced intra-batch consistency, so
 			// checking column 0 against the registered matrix covers them all.
-			err := &InvalidRHSError{Index: 0, Elem: -1, Len: len(spec.RHSBatch[0]), Want: rec.Rows}
-			cancel(err)
-			return "", err
+			return "", &InvalidRHSError{Index: 0, Elem: -1, Len: len(spec.RHSBatch[0]), Want: rec.Rows}
 		}
 		j.mat, j.matHash = a, rec.Hash
 	} else {
@@ -634,9 +658,7 @@ func (e *Engine) Submit(spec JobSpec) (string, error) {
 
 	var rec store.Record
 	if e.store != nil {
-		var err error
 		if rec, err = submitRecord(spec, j.enqueued); err != nil {
-			cancel(err)
 			return "", err
 		}
 	}
@@ -644,12 +666,10 @@ func (e *Engine) Submit(spec JobSpec) (string, error) {
 	e.mu.Lock()
 	if e.closed || e.draining {
 		e.mu.Unlock()
-		cancel(ErrClosed)
 		return "", ErrClosed
 	}
 	if e.payloadBytes+j.payloadBytes > maxPendingPayloadBytes {
 		e.mu.Unlock()
-		cancel(ErrQueueFull)
 		return "", fmt.Errorf("%w: pending uploaded payloads exceed %d bytes", ErrQueueFull, maxPendingPayloadBytes)
 	}
 	e.seq++
@@ -663,7 +683,6 @@ func (e *Engine) Submit(spec JobSpec) (string, error) {
 		j.eng = e
 		if err := e.journalSubmit(j.id, rec); err != nil {
 			e.mu.Unlock()
-			cancel(err)
 			return "", err
 		}
 	}
@@ -683,7 +702,6 @@ func (e *Engine) Submit(spec JobSpec) (string, error) {
 			e.journalDelete(j.id)
 		}
 		e.mu.Unlock()
-		cancel(ErrQueueFull)
 		return "", ErrQueueFull
 	}
 	e.jobs[j.id] = j
@@ -972,12 +990,7 @@ func (e *Engine) worker() {
 // retention. Idempotent.
 func (e *Engine) finishPayloads(j *job) {
 	j.mu.Lock()
-	j.spec.Matrix.MatrixMarket = nil
-	j.spec.RHS = nil
-	j.spec.RHSBatch = nil
-	j.mat = nil
-	pb := j.payloadBytes
-	j.payloadBytes = 0
+	pb := j.dropPayloadsLocked()
 	j.mu.Unlock()
 	if pb > 0 {
 		e.mu.Lock()
@@ -1115,8 +1128,9 @@ func (e *Engine) run(j *job) {
 
 	// Chain the observers onto the solve: any caller-supplied tracer (from
 	// an in-process Config), the job's bounded trace capture (when the
-	// engine runs with TraceIters > 0) and the always-on metric tracer. All
-	// are rank-0-only observers; tracing never changes results.
+	// engine runs with TraceIters > 0), the always-on metric tracer and the
+	// job's event stream. All are rank-0-only observers; tracing never
+	// changes results.
 	tracers := []core.Tracer{cfg.Tracer}
 	if e.traceIters > 0 {
 		ring := newTraceRing(e.traceIters)
@@ -1125,9 +1139,8 @@ func (e *Engine) run(j *job) {
 		j.mu.Unlock()
 		tracers = append(tracers, ring)
 	}
-	tracers = append(tracers, e.metrics.solveTracer(cfg.Strategy))
+	tracers = append(tracers, e.metrics.solveTracer(cfg.Strategy), &eventStream{j: j})
 	cfg.Tracer = core.MultiTracer(tracers...)
-	cfg.Progress = j.progressSink()
 
 	var sol Solution
 	if len(batch) > 0 {
@@ -1203,7 +1216,7 @@ func (e *Engine) fleetRefusal(spec JobSpec, cfg Config) error {
 func (e *Engine) runNet(ctx context.Context, j *job, cfg Config) {
 	spec := j.spec
 	spec.Config = cfg
-	sol, err := e.netRunner(ctx, spec, j.progressSink())
+	sol, err := e.netRunner(ctx, spec, &eventStream{j: j})
 	if err == nil {
 		// The strategy observables ride on rank 0's Result; the transport
 		// counters are reported separately by the dispatcher (the worker

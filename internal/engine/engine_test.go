@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"math"
+	"reflect"
 	"runtime"
 	"sync/atomic"
 	"testing"
@@ -414,7 +415,7 @@ func TestCoordinatorRefusesAtSubmit(t *testing.T) {
 	var dispatched atomic.Int64
 	e := New(Options{
 		Workers: 1, QueueCap: 16,
-		NetRunner: func(ctx context.Context, spec JobSpec, progress func(core.ProgressEvent)) (Solution, error) {
+		NetRunner: func(ctx context.Context, spec JobSpec, tr core.Tracer) (Solution, error) {
 			dispatched.Add(1)
 			return Solution{Result: core.Result{Converged: true}}, nil
 		},
@@ -608,6 +609,98 @@ func TestProgressEventCap(t *testing.T) {
 	if states < 3 {
 		t.Fatalf("lifecycle events missing: %d", states)
 	}
+}
+
+// onIteration is a Tracer calling itself after every iteration; it ignores
+// recovery episodes.
+type onIteration func(core.IterationTrace)
+
+func (f onIteration) TraceIteration(it core.IterationTrace) { f(it) }
+func (onIteration) TraceRecovery(core.RecoveryTrace)        {}
+
+// holdStreamToResult runs spec as an in-process job, its own tracer beside
+// the engine's, and holds the job's event stream to what that tracer saw and
+// to the job's Result: every progress event carries the bits of its traced
+// iteration, the reconstruction events are Result.Reconstructions in order
+// (want of them), and the job's trace capture holds those episodes plus the
+// twin's corruption corrections (corrections of them), which never reach
+// the stream.
+func holdStreamToResult(t *testing.T, spec JobSpec, want, corrections int) {
+	t.Helper()
+	e := New(Options{Workers: 1, TraceIters: 1 << 16})
+	defer e.Close()
+	var seen latticeTracer
+	spec.Config.Tracer = &seen
+	id, err := e.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := waitTerminal(t, e, id, 30*time.Second)
+	if st.State != StateDone {
+		t.Fatalf("state %s (%s)", st.State, st.Error)
+	}
+	ch, stop, err := e.Watch(id, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stop()
+	var iters []Event
+	var recs []*core.Reconstruction
+	for ev := range ch {
+		switch ev.Kind {
+		case EventProgress:
+			iters = append(iters, ev)
+		case EventReconstruction:
+			recs = append(recs, ev.Reconstruction)
+		}
+	}
+	if len(iters) == 0 || len(iters) != len(seen.iterations) {
+		t.Fatalf("%d progress events, %d traced iterations", len(iters), len(seen.iterations))
+	}
+	for i, ev := range iters {
+		it := seen.iterations[i]
+		if ev.Iteration != it.Iteration || math.Float64bits(ev.Residual) != math.Float64bits(it.Residual) ||
+			math.Float64bits(ev.RelResidual) != math.Float64bits(it.RelResidual) {
+			t.Fatalf("progress event %d (%d, %v, %v), traced (%d, %v, %v)",
+				i, ev.Iteration, ev.Residual, ev.RelResidual, it.Iteration, it.Residual, it.RelResidual)
+		}
+	}
+	res := st.Result.Result.Reconstructions
+	if len(recs) != want || len(res) != want {
+		t.Fatalf("%d reconstruction events, %d in the result; want %d", len(recs), len(res), want)
+	}
+	for i, rec := range recs {
+		if rec == nil || !reflect.DeepEqual(*rec, res[i]) {
+			t.Fatalf("reconstruction event %d carries %+v, result %+v", i, rec, res[i])
+		}
+	}
+	tr, err := e.Trace(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fixed := 0
+	for _, rt := range tr.Recoveries {
+		if rt.Corruption {
+			fixed++
+		}
+	}
+	if fixed != corrections || len(tr.Recoveries) != want+corrections {
+		t.Fatalf("trace holds %d episodes, %d of them corrections; want %d and %d", len(tr.Recoveries), fixed, want+corrections, corrections)
+	}
+}
+
+// TestEventStreamHeldToResultESR: a phi-2 job losing two ranks at once.
+func TestEventStreamHeldToResultESR(t *testing.T) {
+	holdStreamToResult(t, resilientSpec(), 1, 0)
+}
+
+// TestEventStreamHeldToResultTwin: a twin job correcting two bit flips.
+func TestEventStreamHeldToResultTwin(t *testing.T) {
+	spec := tinySpec()
+	spec.Config.Strategy = StrategyTwin
+	spec.Config.Schedule = faults.NewSchedule(
+		faults.BitFlip(5, 1, faults.TargetX, 3, 52), faults.BitFlip(9, 2, faults.TargetR, 0, 51))
+	holdStreamToResult(t, spec, 0, 2)
 }
 
 // TestDeadline checks that a job deadline fails the job rather than leaving

@@ -8,6 +8,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"reflect"
 	"regexp"
 	"testing"
 	"time"
@@ -55,6 +56,15 @@ func TestCrossTransportBitIdenticalNetProcessKillSPCG(t *testing.T) {
 		Method: engine.MethodSPCG, Preconditioner: engine.PrecondIC0})
 }
 
+// fleetLog is a Tracer recording what a fleet's rank 0 shipped.
+type fleetLog struct {
+	iterations []core.IterationTrace
+	recoveries []core.RecoveryTrace
+}
+
+func (l *fleetLog) TraceIteration(it core.IterationTrace) { l.iterations = append(l.iterations, it) }
+func (l *fleetLog) TraceRecovery(rt core.RecoveryTrace)   { l.recoveries = append(l.recoveries, rt) }
+
 // netProcessKillBitIdentical solves one system under a scheduled 2-node
 // failure twice — in process on the chan fabric, and on a fleet of worker
 // processes whose victims really die — and requires identical bits.
@@ -92,12 +102,13 @@ func netProcessKillBitIdentical(t *testing.T, cfg engine.Config) {
 	ctx, cancel := context.WithTimeout(context.Background(), 3*time.Minute)
 	defer cancel()
 	cfg.Transport, cfg.Schedule = engine.TransportNet, sched
+	var seen fleetLog
 	sol, stats, err := coord.Run(ctx, engine.JobSpec{
 		Matrix:       engine.MatrixSpec{Generator: "poisson2d", Params: map[string]float64{"nx": 32, "ny": 32}},
 		RHS:          b,
 		Config:       cfg,
 		KeepSolution: true,
-	}, nil)
+	}, &seen)
 	if err != nil {
 		t.Fatalf("multi-process solve: %v", err)
 	}
@@ -109,6 +120,15 @@ func netProcessKillBitIdentical(t *testing.T, cfg engine.Config) {
 	}
 	if got := coord.Respawns(); got != 2 {
 		t.Fatalf("respawns = %d, want 2 (one per SIGKILLed victim)", got)
+	}
+	// Rank 0's traces cross the control connection intact: one per
+	// iteration, and the episode with the record its Result carries.
+	if len(seen.iterations) != sol.Result.Iterations || len(seen.recoveries) != 1 {
+		t.Fatalf("fleet traced %d iterations and %d episodes; want %d and 1",
+			len(seen.iterations), len(seen.recoveries), sol.Result.Iterations)
+	}
+	if rec := seen.recoveries[0].Reconstruction; rec == nil || !reflect.DeepEqual(*rec, sol.Result.Reconstructions[0]) {
+		t.Fatalf("fleet traced episode %+v, result %+v", rec, sol.Result.Reconstructions[0])
 	}
 	if stats.BytesSent == 0 || stats.BytesReceived == 0 {
 		t.Fatalf("fleet reported no wire traffic: %+v", stats)
@@ -148,7 +168,7 @@ func TestNetFleetDataLossKeepsClass(t *testing.T) {
 		Matrix: engine.MatrixSpec{Generator: "poisson2d", Params: map[string]float64{"nx": 32, "ny": 32}},
 		Config: engine.Config{Ranks: 8, Phi: 1, Transport: engine.TransportNet,
 			Schedule: faults.NewSchedule(faults.Simultaneous(5, 2, 3))},
-	}, nil)
+	}, &fleetLog{})
 	if !errors.Is(err, xerr.DataLoss) {
 		t.Fatalf("fleet job losing 2 ranks at phi 1: %v (class %q), want %q", err, xerr.Code(err), xerr.DataLoss.Code())
 	}
@@ -164,9 +184,9 @@ func TestQuickNetRunnerEngineDispatch(t *testing.T) {
 	specs := make(chan engine.JobSpec, 2)
 	eng := engine.New(engine.Options{
 		Workers: 1,
-		NetRunner: func(ctx context.Context, spec engine.JobSpec, progress func(core.ProgressEvent)) (engine.Solution, error) {
+		NetRunner: func(ctx context.Context, spec engine.JobSpec, tr core.Tracer) (engine.Solution, error) {
 			specs <- spec
-			progress(core.ProgressEvent{Iteration: 1, Residual: 0.5})
+			tr.TraceIteration(core.IterationTrace{Iteration: 1, Residual: 0.5})
 			return engine.Solution{Result: core.Result{Converged: true, Iterations: 1}}, nil
 		},
 	})
@@ -216,7 +236,7 @@ func TestQuickEngineDrain(t *testing.T) {
 	release := make(chan struct{})
 	eng := engine.New(engine.Options{
 		Workers: 1,
-		NetRunner: func(ctx context.Context, spec engine.JobSpec, progress func(core.ProgressEvent)) (engine.Solution, error) {
+		NetRunner: func(ctx context.Context, spec engine.JobSpec, tr core.Tracer) (engine.Solution, error) {
 			select {
 			case <-release:
 				return engine.Solution{Result: core.Result{Converged: true}}, nil

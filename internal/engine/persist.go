@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"context"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
@@ -422,18 +421,10 @@ func (e *Engine) applyReplay(rs *replayState) {
 // timestamps, and the bulk payloads stripped exactly as finishPayloads
 // leaves live terminal records. e.mu must be held.
 func (e *Engine) restoreTerminalLocked(rj *replayedJob) {
-	ctx, cancel := context.WithCancelCause(context.Background())
-	spec := rj.spec
-	batchK := len(spec.RHSBatch)
-	spec.Matrix.MatrixMarket = nil
-	spec.RHS = nil
-	spec.RHSBatch = nil
-	j := &job{
-		id: rj.id, spec: spec, ctx: ctx, cancel: cancel, em: e.metrics, eng: e,
-		batchK: batchK, state: rj.state, updated: make(chan struct{}),
-		errMsg: rj.errMsg, errCode: rj.errCode, result: rj.result,
-		enqueued: rj.enqueued, started: rj.started, finished: rj.finished,
-	}
+	j := e.newJob(rj.id, rj.spec, rj.enqueued)
+	j.dropPayloadsLocked()
+	j.eng, j.state, j.errMsg, j.errCode, j.result = e, rj.state, rj.errMsg, rj.errCode, rj.result
+	j.started, j.finished = rj.started, rj.finished
 	evs := []Event{{JobID: rj.id, Time: rj.enqueued, Kind: EventState, State: StateQueued}}
 	if !rj.started.IsZero() {
 		evs = append(evs, Event{Seq: 1, JobID: rj.id, Time: rj.started, Kind: EventState, State: StateRunning})
@@ -453,17 +444,8 @@ func (e *Engine) restoreTerminalLocked(rj *replayedJob) {
 // must be held, and the queue must have been sized to hold every replayed
 // job (New guarantees this), so the send never blocks.
 func (e *Engine) requeueLocked(rj *replayedJob) {
-	ctx, cancel := context.WithCancelCause(context.Background())
-	var batchFloats int64
-	for _, b := range rj.spec.RHSBatch {
-		batchFloats += int64(len(b))
-	}
-	pb := int64(len(rj.spec.Matrix.MatrixMarket)) + 8*(int64(len(rj.spec.RHS))+batchFloats)
-	j := &job{
-		id: rj.id, spec: rj.spec, ctx: ctx, cancel: cancel, em: e.metrics, eng: e,
-		state: StateQueued, updated: make(chan struct{}), enqueued: rj.enqueued,
-		batchK: len(rj.spec.RHSBatch),
-	}
+	j := e.newJob(rj.id, rj.spec, rj.enqueued)
+	j.eng = e
 	j.events = []Event{{JobID: j.id, Time: rj.enqueued, Kind: EventState, State: StateQueued}}
 	e.jobs[j.id] = j
 	e.order = append(e.order, j)
@@ -474,12 +456,10 @@ func (e *Engine) requeueLocked(rj *replayedJob) {
 			// queued, or its blob failed verification. The job can never run;
 			// fail it terminally (journaled, so the next replay reloads the
 			// failure instead of retrying). The payload budget was never
-			// charged for it, so only the spec payloads need stripping.
+			// charged for it, so its payloads are dropped uncounted.
 			j.transition(StateFailed, fmt.Errorf("engine: replayed job references %s: %w", rj.spec.MatrixID, err))
 			j.mu.Lock()
-			j.spec.Matrix.MatrixMarket = nil
-			j.spec.RHS = nil
-			j.spec.RHSBatch = nil
+			j.dropPayloadsLocked()
 			j.mu.Unlock()
 			return
 		}
@@ -487,7 +467,6 @@ func (e *Engine) requeueLocked(rj *replayedJob) {
 	} else {
 		j.matHash = rj.spec.Matrix.contentHash()
 	}
-	j.payloadBytes = pb
-	e.payloadBytes += pb
+	e.payloadBytes += j.payloadBytes
 	e.queue <- j
 }

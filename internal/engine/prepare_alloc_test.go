@@ -179,17 +179,17 @@ func TestBatchWorkingSetBudget(t *testing.T) {
 	}
 	var before, mid runtime.MemStats
 	measured := false
-	progress := func(ev core.ProgressEvent) {
-		if ev.Reconstruction == nil && ev.Iteration == at && !measured {
+	tracer := onIteration(func(it core.IterationTrace) {
+		if it.Iteration == at && !measured {
 			runtime.GC()
 			runtime.ReadMemStats(&mid)
 			measured = true
 		}
-	}
+	})
 	runtime.GC()
 	runtime.GC()
 	runtime.ReadMemStats(&before)
-	if _, err := ps.SolveChunked(context.Background(), bs, Config{Tol: 1e-10, BlockSize: k, Progress: progress}, nil); err != nil {
+	if _, err := ps.SolveChunked(context.Background(), bs, Config{Tol: 1e-10, BlockSize: k, Tracer: tracer}, nil); err != nil {
 		t.Fatal(err)
 	}
 	if !measured {

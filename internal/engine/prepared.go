@@ -460,7 +460,6 @@ func (ps *Prepared) solveOn(ctx context.Context, rt *cluster.Runtime, localRanks
 		}
 		ropts := copts
 		if c.Rank() == 0 {
-			ropts.Progress = cfg.Progress
 			ropts.Tracer = cfg.Tracer
 		}
 		results, errsPerCol, err := core.SolveBlock(e, m, X, B, pr.precond(*cfg), ropts, cfg.Schedule, strat)

@@ -19,7 +19,7 @@ import (
 // rollback for all k — under whatever policy opts resolves to. Column c is
 // bitwise identical to Solve(ctx, bs[c], opts) on every transport, with the
 // same Result counts. Like Solve, it is safe for concurrent use; the batch's
-// Progress and Tracer are never called concurrently.
+// Tracer is never called concurrently.
 //
 // The policy and every column are validated before the first group runs.
 // onBlock, when non-nil, sees the width of every completed group, in group
@@ -52,7 +52,10 @@ func (ps *Prepared) SolveChunked(ctx context.Context, bs [][]float64, opts Confi
 			groups = append(groups, &group{lo: mid, hi: hi, done: make(chan struct{})})
 		}
 	}
-	cfg = serializeObservers(cfg)
+	if cfg.Tracer != nil {
+		// The concurrent groups call the batch's tracer one at a time.
+		cfg.Tracer = lockedTracer{new(sync.Mutex), cfg.Tracer}
+	}
 	// The first group to fail cancels the rest with its own error as the
 	// cause, which is then what every group cancelled by it returns.
 	gctx, cancel := context.WithCancelCause(ctx)
@@ -110,21 +113,7 @@ var solveGroup = func(ps *Prepared, ctx context.Context, bs [][]float64, cfg *Co
 	return ps.solveOn(ctx, nil, nil, bs, cfg, core.Options{})
 }
 
-// serializeObservers returns cfg with its Progress and Tracer behind one
-// lock, so that the concurrent groups of a batch call them one at a time.
-func serializeObservers(cfg *Config) *Config {
-	c := *cfg
-	mu := new(sync.Mutex)
-	if p := c.Progress; p != nil {
-		c.Progress = func(ev core.ProgressEvent) { mu.Lock(); defer mu.Unlock(); p(ev) }
-	}
-	if c.Tracer != nil {
-		c.Tracer = lockedTracer{mu, c.Tracer}
-	}
-	return &c
-}
-
-// lockedTracer calls its Tracer under the batch's observer lock.
+// lockedTracer calls its Tracer under the batch's lock.
 type lockedTracer struct {
 	*sync.Mutex
 	core.Tracer

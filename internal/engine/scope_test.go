@@ -73,8 +73,6 @@ func TestQuickConfigScopes(t *testing.T) {
 			switch f.Name {
 			case "Schedule":
 				changed.Schedule = faults.NewSchedule(faults.Simultaneous(3, 1))
-			case "Progress":
-				changed.Progress = func(core.ProgressEvent) {}
 			case "Tracer":
 				changed.Tracer = &latticeTracer{}
 			default:
@@ -134,8 +132,6 @@ func solveSentinels(t *testing.T, f reflect.StructField) (session, call reflect.
 			a, b = StrategyCheckpoint, StrategyRestart
 		case "Schedule":
 			a, b = faults.NewSchedule(faults.Simultaneous(3, 1)), faults.NewSchedule(faults.Simultaneous(5, 2))
-		case "Progress":
-			a, b = func(core.ProgressEvent) {}, func(core.ProgressEvent) {}
 		case "Tracer":
 			a, b = &latticeTracer{}, &latticeTracer{}
 		default:
@@ -249,7 +245,7 @@ func TestEnginePolicySharesOnePreparedSession(t *testing.T) {
 func TestFailedJobKeepsErrorClass(t *testing.T) {
 	dir := t.TempDir()
 	st := openStore(t, dir)
-	e := New(Options{Workers: 1, Store: st, NetRunner: func(context.Context, JobSpec, func(core.ProgressEvent)) (Solution, error) {
+	e := New(Options{Workers: 1, Store: st, NetRunner: func(context.Context, JobSpec, core.Tracer) (Solution, error) {
 		panic("boom")
 	}})
 	sdc := tinySpec()

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/matgen"
 	"repro/internal/mmio"
@@ -19,25 +20,13 @@ type MatrixSpec struct {
 	// "triangular2d", "fem3d19", "elasticity3d", "circuit", "thermalmesh",
 	// "banded", or a catalogue id "M1".."M8".
 	Generator string `json:"generator,omitempty"`
-	// Params parameterizes the generator; missing keys take the defaults
-	// documented per generator in Build. Integer-valued parameters (sizes,
+	// Params parameterizes the generator; missing keys take the defaults of
+	// its entry in generators. Integer-valued parameters (sizes,
 	// seeds, stencils) are truncated from the float64.
 	Params map[string]float64 `json:"params,omitempty"`
 	// MatrixMarket is a literal matrix in MatrixMarket coordinate format
 	// (base64-encoded in JSON).
 	MatrixMarket []byte `json:"matrix_market,omitempty"`
-}
-
-// param returns the named parameter or its default.
-func (ms MatrixSpec) param(name string, def float64) float64 {
-	if v, ok := ms.Params[name]; ok {
-		return v
-	}
-	return def
-}
-
-func (ms MatrixSpec) iparam(name string, def int) int {
-	return int(ms.param(name, float64(def)))
 }
 
 // maxGenRows and maxGenNNZ bound generator-built problem sizes: one
@@ -50,97 +39,144 @@ const (
 	maxGenNNZ  = 1 << 27
 )
 
-// checkBounds validates generator parameters cheaply, without building
-// anything: every dimension positive and the resulting row count within
-// maxGenRows. Called at submission time (JobSpec.Validate) and again in
-// Build. Unknown generators are accepted here and rejected by Build.
-func (ms MatrixSpec) checkBounds() error {
-	for name, v := range ms.Params {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return fmt.Errorf("engine: matrix param %q is not finite", name)
-		}
+// genParam is one generator parameter and its default; a negative default
+// inherits the first parameter's value (ny and nz default to nx).
+type genParam struct {
+	name string
+	def  float64
+}
+
+// generator is one entry of the table checkBounds and Build both read. Each
+// function takes the parameters resolved in table order: the first dims are
+// grid dimensions (each >= 1) of dof rows per node, nnzPerRow bounds the
+// nonzeros (nil: the catalogue's own sizes), check holds any further rule.
+type generator struct {
+	params    []genParam
+	dims      int
+	dof       float64
+	nnzPerRow func(p []float64) float64
+	check     func(p []float64) error
+	build     func(p []float64) *sparse.CSR
+}
+
+// generators is every generator a MatrixSpec can name: the matgen
+// families, and the catalogue ids M1..M8 (scale 0 = tiny, 1 = small, 2 = paper).
+var generators = func() map[string]generator {
+	width := func(n float64) func([]float64) float64 { return func([]float64) float64 { return n } }
+	xy := []genParam{{"nx", 64}, {"ny", -1}}
+	xyz := func(def float64, more ...genParam) []genParam {
+		return append([]genParam{{"nx", def}, {"ny", -1}, {"nz", -1}}, more...)
 	}
-	// dims validates each named dimension and bounds both the row count
-	// (dofPerNode * product of dims) and the estimated nonzero count
-	// (rows * nnzPerRow, the generator's stencil width).
-	dims := func(names []string, defs []int, dofPerNode, nnzPerRow float64) error {
-		rows := dofPerNode
-		for i, name := range names {
-			def := defs[i]
-			if def < 0 { // inherit the first dimension's value
-				def = ms.iparam(names[0], defs[0])
-			}
-			d := ms.iparam(name, def)
-			if d < 1 {
-				return fmt.Errorf("engine: matrix param %q = %d must be >= 1", name, d)
-			}
-			rows *= float64(d)
-			if rows > maxGenRows {
-				return fmt.Errorf("engine: generated matrix would exceed %d rows", maxGenRows)
-			}
-		}
-		if rows*nnzPerRow > maxGenNNZ {
-			return fmt.Errorf("engine: generated matrix would exceed %d nonzeros", maxGenNNZ)
-		}
-		return nil
-	}
-	if len(ms.MatrixMarket) > 0 {
-		return ms.checkMMBounds()
-	}
-	switch ms.Generator {
-	case "poisson2d":
-		return dims([]string{"nx", "ny"}, []int{64, -1}, 1, 5)
-	case "triangular2d":
-		return dims([]string{"nx", "ny"}, []int{64, -1}, 1, 7)
-	case "poisson3d":
-		return dims([]string{"nx", "ny", "nz"}, []int{16, -1, -1}, 1, 7)
-	case "fem3d19":
-		return dims([]string{"nx", "ny", "nz"}, []int{12, -1, -1}, 1, 19)
-	case "thermalmesh":
-		return dims([]string{"nx", "ny", "nz"}, []int{12, -1, -1}, 1, 7)
-	case "elasticity3d":
-		s := ms.iparam("stencil", 15)
-		if s != 7 && s != 15 && s != 27 {
-			return fmt.Errorf("engine: elasticity3d stencil %d not in {7, 15, 27}", s)
-		}
+	g := map[string]generator{
+		"poisson2d": {params: xy, dims: 2, dof: 1, nnzPerRow: width(5),
+			build: func(p []float64) *sparse.CSR { return matgen.Poisson2D(int(p[0]), int(p[1])) }},
+		"triangular2d": {params: xy, dims: 2, dof: 1, nnzPerRow: width(7),
+			build: func(p []float64) *sparse.CSR { return matgen.Triangular2D(int(p[0]), int(p[1])) }},
+		"poisson3d": {params: xyz(16), dims: 3, dof: 1, nnzPerRow: width(7),
+			build: func(p []float64) *sparse.CSR { return matgen.Poisson3D(int(p[0]), int(p[1]), int(p[2])) }},
+		"fem3d19": {params: xyz(12), dims: 3, dof: 1, nnzPerRow: width(19),
+			build: func(p []float64) *sparse.CSR { return matgen.FEM3D19(int(p[0]), int(p[1]), int(p[2])) }},
+		"thermalmesh": {params: xyz(12, genParam{"jitter", 0.15}, genParam{"seed", 1}), dims: 3, dof: 1, nnzPerRow: width(7),
+			build: func(p []float64) *sparse.CSR {
+				return matgen.ThermalMesh(int(p[0]), int(p[1]), int(p[2]), p[3], int64(p[4]))
+			}},
 		// Each row couples to ~stencil neighbor nodes x 3 dof.
-		return dims([]string{"nx", "ny", "nz"}, []int{10, -1, -1}, 3, float64(3*s))
-	case "circuit":
-		if err := dims([]string{"n"}, []int{4096}, 1, 1); err != nil {
-			return err
-		}
-		if nnz := ms.param("avgdeg", 2.9) * float64(ms.iparam("n", 4096)); nnz > maxGenNNZ {
-			return fmt.Errorf("engine: circuit matrix would exceed %d nonzeros", maxGenNNZ)
-		}
-		return nil
-	case "banded":
-		if err := dims([]string{"n"}, []int{4096}, 1, 1); err != nil {
-			return err
-		}
-		if hb := ms.iparam("halfband", 16); hb < 1 {
-			return fmt.Errorf("engine: banded halfband %d must be >= 1", hb)
-		}
-		if nnz := ms.param("nnzperrow", 8) * float64(ms.iparam("n", 4096)); nnz > maxGenNNZ {
-			return fmt.Errorf("engine: banded matrix would exceed %d nonzeros", maxGenNNZ)
-		}
-		return nil
+		"elasticity3d": {params: xyz(10, genParam{"stencil", 15}, genParam{"seed", 1}), dims: 3, dof: 3,
+			nnzPerRow: func(p []float64) float64 { return float64(3 * int(p[3])) },
+			check:     func(p []float64) error { return oneOf("elasticity3d stencil", int(p[3]), 7, 15, 27) },
+			build: func(p []float64) *sparse.CSR {
+				return matgen.Elasticity3D(int(p[0]), int(p[1]), int(p[2]), int(p[3]), int64(p[4]))
+			}},
+		"circuit": {params: []genParam{{"n", 4096}, {"avgdeg", 2.9}, {"longrange", 0.35}, {"seed", 1}}, dims: 1, dof: 1,
+			nnzPerRow: func(p []float64) float64 { return p[1] },
+			build:     func(p []float64) *sparse.CSR { return matgen.CircuitLike(int(p[0]), p[1], p[2], int64(p[3])) }},
+		"banded": {params: []genParam{{"n", 4096}, {"halfband", 16}, {"nnzperrow", 8}, {"seed", 1}}, dims: 1, dof: 1,
+			nnzPerRow: func(p []float64) float64 { return p[2] },
+			check: func(p []float64) error {
+				if int(p[1]) < 1 {
+					return fmt.Errorf("engine: banded halfband %d must be >= 1", int(p[1]))
+				}
+				return nil
+			},
+			build: func(p []float64) *sparse.CSR { return matgen.BandedRandom(int(p[0]), int(p[1]), p[2], int64(p[3])) }},
+	}
+	for _, entry := range matgen.Catalogue() {
+		g[entry.ID] = generator{params: []genParam{{"scale", float64(matgen.ScaleTiny)}},
+			check: func(p []float64) error { return oneOf("catalogue scale", int(p[0]), 0, 1, 2) },
+			build: func(p []float64) *sparse.CSR { return entry.Build(matgen.Scale(int(p[0]))) }}
+	}
+	return g
+}()
+
+// oneOf refuses a value outside its allowed set.
+func oneOf(what string, v int, allowed ...int) error {
+	if !slices.Contains(allowed, v) {
+		return fmt.Errorf("engine: %s %d not in %v", what, v, allowed)
 	}
 	return nil
 }
 
-// Build materializes the matrix.
-//
-// Generator parameter names (all numeric; defaults in parentheses):
-//
-//	poisson2d:    nx (64), ny (nx)
-//	poisson3d:    nx (16), ny (nx), nz (nx)
-//	triangular2d: nx (64), ny (nx)
-//	fem3d19:      nx (12), ny (nx), nz (nx)
-//	elasticity3d: nx (10), ny (nx), nz (nx), stencil (15), seed (1)
-//	circuit:      n (4096), avgdeg (2.9), longrange (0.35), seed (1)
-//	thermalmesh:  nx (12), ny (nx), nz (nx), jitter (0.15), seed (1)
-//	banded:       n (4096), halfband (16), nnzperrow (8), seed (1)
-//	M1..M8:       scale (0 = tiny, 1 = small, 2 = paper)
+// resolve looks the spec's generator up and returns it with its parameters
+// in table order, defaults filled in, after checking them cheaply: every
+// value finite, every dimension >= 1, the row and nonzero counts within
+// maxGenRows and maxGenNNZ, and the generator's own rule.
+func (ms MatrixSpec) resolve() (generator, []float64, error) {
+	for name, v := range ms.Params {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return generator{}, nil, fmt.Errorf("engine: matrix param %q is not finite", name)
+		}
+	}
+	if ms.Generator == "" {
+		return generator{}, nil, fmt.Errorf("engine: empty matrix spec")
+	}
+	g, ok := generators[ms.Generator]
+	if !ok {
+		return generator{}, nil, fmt.Errorf("engine: unknown matrix generator %q", ms.Generator)
+	}
+	p := make([]float64, len(g.params))
+	for k, gp := range g.params {
+		if p[k] = gp.def; gp.def < 0 {
+			p[k] = p[0]
+		}
+		if v, set := ms.Params[gp.name]; set {
+			p[k] = v
+		}
+	}
+	rows := g.dof
+	for k := range g.dims {
+		d := int(p[k])
+		if d < 1 {
+			return generator{}, nil, fmt.Errorf("engine: matrix param %q = %d must be >= 1", g.params[k].name, d)
+		}
+		if rows *= float64(d); rows > maxGenRows {
+			return generator{}, nil, fmt.Errorf("engine: generated matrix would exceed %d rows", maxGenRows)
+		}
+	}
+	if g.nnzPerRow != nil && rows*g.nnzPerRow(p) > maxGenNNZ {
+		return generator{}, nil, fmt.Errorf("engine: generated matrix would exceed %d nonzeros", maxGenNNZ)
+	}
+	if g.check != nil {
+		if err := g.check(p); err != nil {
+			return generator{}, nil, err
+		}
+	}
+	return g, p, nil
+}
+
+// checkBounds validates the spec cheaply, without building anything: a
+// MatrixMarket header's declared size, or a generator the table knows and
+// its parameters (see resolve). Called at submission time (JobSpec.Validate,
+// Engine.PutMatrix) and again in Build.
+func (ms MatrixSpec) checkBounds() error {
+	if len(ms.MatrixMarket) > 0 {
+		return ms.checkMMBounds()
+	}
+	_, _, err := ms.resolve()
+	return err
+}
+
+// Build materializes the matrix: a generator's parameters and defaults are
+// those of its generators entry.
 func (ms MatrixSpec) Build() (*sparse.CSR, error) {
 	switch {
 	case len(ms.MatrixMarket) > 0 && ms.Generator != "":
@@ -165,48 +201,12 @@ func (ms MatrixSpec) Build() (*sparse.CSR, error) {
 			}
 		}
 		return m, nil
-	case ms.Generator == "":
-		return nil, fmt.Errorf("engine: empty matrix spec")
 	}
-	if err := ms.checkBounds(); err != nil {
+	g, p, err := ms.resolve()
+	if err != nil {
 		return nil, err
 	}
-	switch ms.Generator {
-	case "poisson2d":
-		nx := ms.iparam("nx", 64)
-		return checkDims(matgen.Poisson2D(nx, ms.iparam("ny", nx)))
-	case "poisson3d":
-		nx := ms.iparam("nx", 16)
-		return checkDims(matgen.Poisson3D(nx, ms.iparam("ny", nx), ms.iparam("nz", nx)))
-	case "triangular2d":
-		nx := ms.iparam("nx", 64)
-		return checkDims(matgen.Triangular2D(nx, ms.iparam("ny", nx)))
-	case "fem3d19":
-		nx := ms.iparam("nx", 12)
-		return checkDims(matgen.FEM3D19(nx, ms.iparam("ny", nx), ms.iparam("nz", nx)))
-	case "elasticity3d":
-		nx := ms.iparam("nx", 10)
-		return checkDims(matgen.Elasticity3D(nx, ms.iparam("ny", nx), ms.iparam("nz", nx),
-			ms.iparam("stencil", 15), int64(ms.iparam("seed", 1))))
-	case "circuit":
-		return checkDims(matgen.CircuitLike(ms.iparam("n", 4096),
-			ms.param("avgdeg", 2.9), ms.param("longrange", 0.35), int64(ms.iparam("seed", 1))))
-	case "thermalmesh":
-		nx := ms.iparam("nx", 12)
-		return checkDims(matgen.ThermalMesh(nx, ms.iparam("ny", nx), ms.iparam("nz", nx),
-			ms.param("jitter", 0.15), int64(ms.iparam("seed", 1))))
-	case "banded":
-		return checkDims(matgen.BandedRandom(ms.iparam("n", 4096), ms.iparam("halfband", 16),
-			ms.param("nnzperrow", 8), int64(ms.iparam("seed", 1))))
-	}
-	if entry, err := matgen.ByID(ms.Generator); err == nil {
-		scale := matgen.Scale(ms.iparam("scale", int(matgen.ScaleTiny)))
-		if scale < matgen.ScaleTiny || scale > matgen.ScalePaper {
-			return nil, fmt.Errorf("engine: catalogue scale %d out of range", scale)
-		}
-		return checkDims(entry.Build(scale))
-	}
-	return nil, fmt.Errorf("engine: unknown matrix generator %q", ms.Generator)
+	return checkDims(g.build(p))
 }
 
 // checkMMBounds scans only the MatrixMarket banner and size line and

@@ -91,12 +91,12 @@ func (e *workerLostError) Error() string {
 
 // Run solves one job across spec.Config.Ranks worker processes and returns
 // rank 0's solution plus the fleet's aggregated transport counters.
-// Progress, when non-nil, receives rank 0's solver progress stream.
-func (c *Coordinator) Run(ctx context.Context, spec engine.JobSpec, progress func(core.ProgressEvent)) (engine.Solution, cluster.TransportStats, error) {
+// Rank 0's traces are replayed into tr.
+func (c *Coordinator) Run(ctx context.Context, spec engine.JobSpec, tr core.Tracer) (engine.Solution, cluster.TransportStats, error) {
 	cfg := spec.Config.WithDefaults()
 	c.jobs.Add(1)
 	for attempt := 0; ; attempt++ {
-		sol, stats, err := c.runAttempt(ctx, spec, cfg, attempt, progress)
+		sol, stats, err := c.runAttempt(ctx, spec, cfg, attempt, tr)
 		var lost *workerLostError
 		if err != nil && errors.As(err, &lost) && attempt < c.opts.Retries && ctx.Err() == nil {
 			c.retries.Add(1)
@@ -148,7 +148,7 @@ type wevent struct {
 
 // runAttempt runs one fleet to completion (or failure). All fleet state is
 // owned by this goroutine; helper goroutines only feed the event channel.
-func (c *Coordinator) runAttempt(ctx context.Context, spec engine.JobSpec, cfg engine.Config, attempt int, progress func(core.ProgressEvent)) (engine.Solution, cluster.TransportStats, error) {
+func (c *Coordinator) runAttempt(ctx context.Context, spec engine.JobSpec, cfg engine.Config, attempt int, tr core.Tracer) (engine.Solution, cluster.TransportStats, error) {
 	var (
 		sol   engine.Solution
 		stats cluster.TransportStats
@@ -340,9 +340,11 @@ func (c *Coordinator) runAttempt(ctx context.Context, spec engine.JobSpec, cfg e
 			case evMsg:
 				m := ev.msg
 				switch m.Type {
-				case msgProgress:
-					if progress != nil && m.Event != nil {
-						progress(*m.Event)
+				case msgTrace:
+					if m.Iter != nil {
+						tr.TraceIteration(*m.Iter)
+					} else if m.Recovery != nil {
+						tr.TraceRecovery(*m.Recovery)
 					}
 				case msgFailed:
 					if ev.rank != 0 {

@@ -50,9 +50,9 @@ const (
 	// msgStart carries the job to a worker: run id, spec, the fleet's data
 	// addresses in rank order, and (for replacements) the episode to join.
 	msgStart = "start"
-	// msgProgress streams rank 0's solver progress events to the
-	// coordinator.
-	msgProgress = "progress"
+	// msgTrace streams rank 0's solver traces, an iteration or a recovery
+	// episode each, to the coordinator.
+	msgTrace = "trace"
 	// msgFailed is rank 0's report of a scheduled failure episode: the
 	// iteration it fired at and the victim ranks, sent at the poll point
 	// before recovery blocks on the replacements.
@@ -86,8 +86,9 @@ type ctrlMsg struct {
 	Peers  []string            `json:"peers,omitempty"`
 	Resume *core.EpisodeResume `json:"resume,omitempty"`
 
-	// progress.
-	Event *core.ProgressEvent `json:"event,omitempty"`
+	// trace: one of the two.
+	Iter     *core.IterationTrace `json:"iter_trace,omitempty"`
+	Recovery *core.RecoveryTrace  `json:"recovery,omitempty"`
 
 	// failed.
 	Iteration int   `json:"iteration,omitempty"`

@@ -164,10 +164,7 @@ func RunWorker() error {
 		}
 	}
 	if rank == 0 {
-		cfg.Progress = func(ev core.ProgressEvent) {
-			e := ev
-			send(ctrlMsg{Type: msgProgress, Event: &e})
-		}
+		cfg.Tracer = forward(send)
 	}
 
 	sol, serr := prep.SolveOn(ctx, rt, []int{rank}, b, cfg, onFailure, start.Resume)
@@ -188,6 +185,14 @@ func RunWorker() error {
 	}
 	return serr
 }
+
+// forward is rank 0's Tracer: it ships every trace to the coordinator. A
+// trace that cannot be sent is dropped; the result message, sent the same
+// way, reports the lost connection.
+type forward func(ctrlMsg) error
+
+func (f forward) TraceIteration(t core.IterationTrace) { _ = f(ctrlMsg{Type: msgTrace, Iter: &t}) }
+func (f forward) TraceRecovery(t core.RecoveryTrace)   { _ = f(ctrlMsg{Type: msgTrace, Recovery: &t}) }
 
 // replacementIncs returns, for each victim of the event at iteration j, the
 // incarnation its replacement process will run at: the number of scheduled

@@ -140,6 +140,52 @@ func TestTwinDriftRepairOutsideWindow(t *testing.T) {
 	}
 }
 
+// recoveryLog is a Tracer recording a solve's recovery episodes.
+type recoveryLog []RecoveryTrace
+
+func (*recoveryLog) TraceIteration(IterationTrace)    {}
+func (l *recoveryLog) TraceRecovery(rt RecoveryTrace) { *l = append(*l, rt) }
+
+// TestTwinCorrectionsAreTimed: both ways the twin corrects a corruption — the
+// vote at the flip's own poll point and the drift repair after a flip the
+// vote's window missed — trace a Corruption episode carrying the time it held
+// the iteration, so the episode histogram never books one as 0 s.
+func TestTwinCorrectionsAreTimed(t *testing.T) {
+	a := Poisson2D(32, 32)
+	b := sdcTestRHS(a.Rows)
+	cases := []struct {
+		name  string
+		cfg   Config
+		sched *Schedule
+		want  int
+	}{
+		{"vote", Config{Ranks: 4, Strategy: StrategyTwin},
+			NewSchedule(BitFlip(5, 1, TargetX, 3, 52), BitFlip(9, 2, TargetR, 0, 51)), 2},
+		{"drift repair", Config{Ranks: 4, Strategy: StrategyTwin, TwinInterval: 4, SDCCheckInterval: 5},
+			NewSchedule(BitFlip(6, 1, TargetX, 2, 52)), 1},
+	}
+	for _, tc := range cases {
+		s, err := NewSolver(a, tc.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var log recoveryLog
+		sol, err := s.Solve(context.Background(), b, Config{Schedule: tc.sched, Tracer: &log})
+		s.Close()
+		if err != nil || !sol.Result.Converged {
+			t.Fatalf("%s: converged %v, err %v", tc.name, sol.Result.Converged, err)
+		}
+		if len(log) != tc.want {
+			t.Fatalf("%s: %d recovery traces, want %d: %+v", tc.name, len(log), tc.want, log)
+		}
+		for _, rt := range log {
+			if !rt.Corruption || rt.Reconstruction != nil || rt.Duration <= 0 {
+				t.Fatalf("%s: trace %+v, want a timed corruption episode", tc.name, rt)
+			}
+		}
+	}
+}
+
 // TestSDCOptionValidation: negative twin and SDC periods are refused at the
 // door with typed errors (0 is the default), and both knobs are run policy:
 // a plain session takes them per solve.

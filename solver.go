@@ -115,8 +115,8 @@ func (s *Solver) Solve(ctx context.Context, b []float64, opts ...Option) (Soluti
 // throughput path for many right-hand sides (see BenchmarkSolveBatch).
 // Every method, strategy, schedule and detector setting runs at every width,
 // column c is bitwise identical to Solve(ctx, bs[c]) with the same Result
-// counts, BlockSize 1 solves one column at a time, and the batch's Progress
-// and Tracer are never called concurrently.
+// counts, BlockSize 1 solves one column at a time, and the batch's Tracer is
+// never called concurrently.
 //
 // The whole batch is validated before any solve launches: a column with the
 // wrong length or a non-finite element fails fast with a typed

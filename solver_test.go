@@ -176,17 +176,24 @@ func TestSolverConcurrentWithFailures(t *testing.T) {
 	}
 }
 
+// onIteration is a Tracer calling itself after every iteration; it ignores
+// recovery episodes.
+type onIteration func(IterationTrace)
+
+func (f onIteration) TraceIteration(it IterationTrace) { f(it) }
+func (onIteration) TraceRecovery(RecoveryTrace)        {}
+
 // slowSolveOpts makes a solve run effectively forever (unreachable
-// tolerance, huge iteration budget) and invokes cancel from the progress
-// callback after the given number of iterations.
+// tolerance, huge iteration budget) and invokes cancel from its tracer after
+// the given number of iterations.
 func slowSolveOpts(cancel context.CancelFunc, after int) Config {
 	calls := 0
-	return Config{Tol: 1e-300, MaxIter: 10_000_000, Progress: func(ev ProgressEvent) {
+	return Config{Tol: 1e-300, MaxIter: 10_000_000, Tracer: onIteration(func(IterationTrace) {
 		calls++
 		if calls == after {
 			cancel()
 		}
-	}}
+	})}
 }
 
 // TestSolverCancelDoesNotDisturbSiblings cancels one in-flight solve
@@ -249,7 +256,7 @@ func TestSolverCloseAbortsInFlight(t *testing.T) {
 	solveErr := make(chan error, 1)
 	go func() {
 		_, err := s.Solve(context.Background(), onesRHS(a.Rows),
-			Config{Tol: 1e-300, MaxIter: 10_000_000, Progress: func(ProgressEvent) { once.Do(func() { close(started) }) }})
+			Config{Tol: 1e-300, MaxIter: 10_000_000, Tracer: onIteration(func(IterationTrace) { once.Do(func() { close(started) }) })})
 		solveErr <- err
 	}()
 
