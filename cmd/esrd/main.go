@@ -70,6 +70,7 @@ import (
 	"syscall"
 	"time"
 
+	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/metrics"
@@ -190,10 +191,7 @@ func main() {
 	// Multi-process coordinator: installed only with -peers > 0; jobs whose
 	// resolved transport is "net" then run each rank as a separate OS
 	// process (this binary, re-executed with -worker) joined over TCP.
-	var (
-		coord *netrun.Coordinator
-		eng   *engine.Engine
-	)
+	var coord *netrun.Coordinator
 	var netRunner engine.NetRunner
 	if *peers > 0 {
 		exe, err := os.Executable()
@@ -210,22 +208,17 @@ func main() {
 			fatal("net coordinator", "err", err)
 		}
 		maxRanks := *peers
-		netRunner = func(ctx context.Context, spec engine.JobSpec, tr core.Tracer) (engine.Solution, error) {
+		netRunner = func(ctx context.Context, spec engine.JobSpec, tr core.Tracer) (engine.Solution, cluster.TransportStats, error) {
 			if r := spec.Config.WithDefaults().Ranks; r > maxRanks {
-				return engine.Solution{}, xerr.Newf(xerr.FailedPrecondition, "net job needs %d worker processes, -peers allows %d", r, maxRanks)
+				return engine.Solution{}, cluster.TransportStats{}, xerr.Newf(xerr.FailedPrecondition, "net job needs %d worker processes, -peers allows %d", r, maxRanks)
 			}
-			sol, stats, err := coord.Run(ctx, spec, tr)
-			// Fold the fleet's aggregated wire counters into the daemon's
-			// per-transport series; the workers' own registries die with
-			// their processes.
-			eng.AddTransportUsage(engine.TransportNet, stats)
-			return sol, err
+			return coord.Run(ctx, spec, tr)
 		}
 	} else if defaults.Transport == engine.TransportNet {
 		fatal("-transport net needs -peers > 0 (the multi-process coordinator)")
 	}
 
-	eng = engine.New(engine.Options{
+	eng := engine.New(engine.Options{
 		Workers: *workers, QueueCap: *queueCap,
 		MaxJobs: *maxJobs, JobTTL: *jobTTL,
 		PrepCacheSize: *prepCache, PrepCacheTTL: *prepTTL,

@@ -16,6 +16,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/faults"
@@ -232,9 +233,9 @@ func postRefusedAt(t *testing.T, ts *httptest.Server, path, body string) (status
 func TestCoordinatorRefusesAtPost(t *testing.T) {
 	dispatched := make(chan struct{}, 1)
 	eng := engine.New(engine.Options{Workers: 1, QueueCap: 4,
-		NetRunner: func(ctx context.Context, spec engine.JobSpec, tr core.Tracer) (engine.Solution, error) {
+		NetRunner: func(ctx context.Context, spec engine.JobSpec, tr core.Tracer) (engine.Solution, cluster.TransportStats, error) {
 			dispatched <- struct{}{}
-			return engine.Solution{}, xerr.New(xerr.FailedPrecondition, "refused after dispatch")
+			return engine.Solution{}, cluster.TransportStats{}, xerr.New(xerr.FailedPrecondition, "refused after dispatch")
 		}})
 	ts := httptest.NewServer(newMux(eng, testLogger()))
 	t.Cleanup(func() {

@@ -13,8 +13,9 @@
 //
 // The reliable store is simulated by memory outside the rank's own (a
 // snapshot table shared through the Strategy); the data volume of every save
-// and restore is accounted under cluster.CatCheckpoint so the steady-state
-// overhead can be compared with ESR's redundancy traffic.
+// is accounted under cluster.CatCheckpoint, so the steady-state overhead can
+// be compared with ESR's redundancy traffic, and of every restore under
+// cluster.CatRecovery, beside ESR's reconstruction traffic.
 package checkpoint
 
 import (
@@ -41,7 +42,6 @@ type Store struct {
 	pending  map[int]snapshot
 	pendIter int
 	saved    int
-	loaded   int64
 }
 
 // snapshot is one rank's part of a checkpoint, one entry per column; a
@@ -115,20 +115,12 @@ func (s *Store) load(rank int, cols []int) (int, snapshot, bool) {
 	for _, c := range cols {
 		snap[c] = saved[c]
 	}
-	vol := snap.floats()
-	s.loaded += int64(vol)
 	if s.counters != nil {
-		s.counters.RecordExternal(cluster.CatCheckpoint, 1, vol)
+		// A rollback's restores are recovery cost, not steady-state
+		// overhead.
+		s.counters.RecordExternal(cluster.CatRecovery, 1, snap.floats())
 	}
 	return s.iter, snap, true
-}
-
-// LoadedFloats returns the float volume restored from the store so far (the
-// rollback half of the CatCheckpoint traffic, for recovery-cost accounting).
-func (s *Store) LoadedFloats() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.loaded
 }
 
 // Checkpoints returns how many complete checkpoints were taken.

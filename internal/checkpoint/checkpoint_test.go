@@ -97,7 +97,7 @@ func TestCheckpointRollbackRecovers(t *testing.T) {
 	a := matgen.Poisson2D(16, 16)
 	want := reference(t, a)
 	sched := faults.NewSchedule(faults.Simultaneous(17, 1, 2))
-	res, x, _, err := run(t, a, 4, sched, 10)
+	res, x, store, err := run(t, a, 4, sched, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,6 +118,16 @@ func TestCheckpointRollbackRecovers(t *testing.T) {
 		if math.IsNaN(v) {
 			t.Fatal("NaN leaked")
 		}
+	}
+	// The one rollback restores x, r, z, p and three scalars on each of the
+	// 4 ranks, booked as recovery traffic; the checkpoint traffic is the
+	// saves alone, the same volume per complete checkpoint.
+	vol := int64(4*a.Rows + 3*4)
+	if got := store.counters.Floats(cluster.CatRecovery); got != vol {
+		t.Fatalf("recovery traffic %d floats, want the restored %d", got, vol)
+	}
+	if got, want := store.counters.Floats(cluster.CatCheckpoint), int64(store.Checkpoints())*vol; got != want {
+		t.Fatalf("checkpoint traffic %d floats, want %d (= %d saves x %d)", got, want, store.Checkpoints(), vol)
 	}
 }
 

@@ -204,7 +204,8 @@ type StrategyStats struct {
 	// Solves counts finished solves under the strategy.
 	Solves int64 `json:"solves"`
 	// Episodes counts recovery episodes (reconstructions, rollbacks or
-	// cold restarts).
+	// cold restarts), once per episode of a block solve, however many
+	// columns it held.
 	Episodes int64 `json:"episodes"`
 	// Restarts counts episode restarts forced by overlapping failures
 	// (Sec. 4.1) — cascading rollbacks for the checkpoint strategy.
@@ -216,13 +217,13 @@ type StrategyStats struct {
 	// Checkpoints counts complete coordinated checkpoints saved.
 	Checkpoints int64 `json:"checkpoints"`
 	// CheckpointFloats counts float64 elements saved to simulated reliable
-	// storage: the steady-state half of the cluster.CatCheckpoint traffic.
+	// storage (cluster.CatCheckpoint).
 	CheckpointFloats int64 `json:"checkpoint_floats"`
 	// RedundancyFloats counts the extra ESR elements piggybacked on the
 	// SpMV halo traffic (cluster.CatRedundancy).
 	RedundancyFloats int64 `json:"redundancy_floats"`
-	// RecoveryFloats counts recovery-episode traffic: reconstruction
-	// gathers (cluster.CatRecovery) plus the floats a rollback restores from
+	// RecoveryFloats counts recovery-episode traffic (cluster.CatRecovery):
+	// reconstruction gathers and the floats a rollback restores from
 	// reliable storage.
 	RecoveryFloats int64 `json:"recovery_floats"`
 	// SDCInjected counts silent-data-corruption injections
@@ -252,25 +253,6 @@ func (s *StrategyStats) Add(o StrategyStats) {
 	s.SDCDetected += o.SDCDetected
 	s.SDCCorrected += o.SDCCorrected
 	s.RecoveryTime += o.RecoveryTime
-}
-
-// StatsFromResult derives the result-borne half of the strategy stats (the
-// counter-borne half — float volumes — comes from the runtime's
-// cluster.Counters).
-func StatsFromResult(res Result) StrategyStats {
-	st := StrategyStats{
-		Solves:           1,
-		Episodes:         int64(len(res.Reconstructions)),
-		RedoneIterations: int64(res.WorkIterations - res.Iterations),
-		SDCInjected:      int64(res.SDCInjected),
-		SDCDetected:      int64(res.SDCDetected),
-		SDCCorrected:     int64(res.SDCCorrected),
-		RecoveryTime:     res.ReconstructTime,
-	}
-	for _, rec := range res.Reconstructions {
-		st.Restarts += int64(rec.Restarts)
-	}
-	return st
 }
 
 // esrStrategy is the paper's exact-state-reconstruction scheme.

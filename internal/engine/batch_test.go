@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/xerr"
 )
@@ -199,8 +200,8 @@ func TestBatchSpecValidation(t *testing.T) {
 func TestBatchJobRejectedOnNetCoordinator(t *testing.T) {
 	e := New(Options{
 		Workers: 1, QueueCap: 4, Defaults: Config{Transport: TransportNet},
-		NetRunner: func(ctx context.Context, spec JobSpec, tr core.Tracer) (Solution, error) {
-			return Solution{}, errors.New("unexpected dispatch")
+		NetRunner: func(ctx context.Context, spec JobSpec, tr core.Tracer) (Solution, cluster.TransportStats, error) {
+			return Solution{}, cluster.TransportStats{}, errors.New("unexpected dispatch")
 		},
 	})
 	defer e.Close()

@@ -362,9 +362,12 @@ type Options struct {
 
 // NetRunner solves one job by fanning its ranks out to external OS
 // processes. The spec's Config arrives with the daemon defaults already
-// resolved. The runner replays rank 0's traces into tr, the job's event
-// stream, exactly as an in-process solve would call it.
-type NetRunner func(ctx context.Context, spec JobSpec, tr core.Tracer) (Solution, error)
+// resolved. The runner replays rank 0's traces into tr — the job's tracer
+// chain: trace ring, metric tracer and event stream — exactly as an
+// in-process solve would call it, and returns the fleet's aggregated
+// transport counters beside the solution (also on failure), which the engine
+// books on its "net" series.
+type NetRunner func(ctx context.Context, spec JobSpec, tr core.Tracer) (Solution, cluster.TransportStats, error)
 
 // Engine is a bounded worker pool draining a FIFO queue of solve jobs, with
 // a bounded in-memory job-record store, a registry of uploaded system
@@ -1031,12 +1034,28 @@ func (e *Engine) run(j *job) {
 	defer cancelTimeout()
 
 	cfg := Merge(e.defaults, j.spec.Config).WithDefaults()
+	// Chain the observers onto the solve, wherever it runs: any
+	// caller-supplied tracer (from an in-process Config), the job's bounded
+	// trace capture (when the engine runs with TraceIters > 0), the always-on
+	// metric tracer and the job's event stream. All are rank-0-only
+	// observers; tracing never changes results.
+	tracers := []core.Tracer{cfg.Tracer}
+	if e.traceIters > 0 {
+		ring := newTraceRing(e.traceIters)
+		j.mu.Lock()
+		j.trace = ring
+		j.mu.Unlock()
+		tracers = append(tracers, ring)
+	}
+	tracers = append(tracers, e.metrics.solveTracer(cfg.Strategy), &eventStream{j: j})
+	cfg.Tracer = core.MultiTracer(tracers...)
+
 	if cfg.Transport == TransportNet && e.netRunner != nil {
 		// A coordinator daemon fans net-transport jobs out to external rank
 		// processes; each worker process prepares its own session, so the
-		// coordinator's prep cache and trace ring do not apply. Submit
-		// refused what the fleet cannot run; a job replayed from a journal
-		// written before it did is refused here.
+		// coordinator's prep cache does not apply. Submit refused what the
+		// fleet cannot run; a job replayed from a journal written before it
+		// did is refused here.
 		if err := e.fleetRefusal(j.spec, cfg); err != nil {
 			e.finishJob(j, Solution{}, err)
 			return
@@ -1078,19 +1097,7 @@ func (e *Engine) run(j *job) {
 					bs, maxCholBlock, PrecondBlockJacobiILU)
 			}
 		}
-		p, err := PrepareContext(ctx, a, prepCfg)
-		if err != nil {
-			return nil, err
-		}
-		// Feed the session's future per-runtime transport deltas into the
-		// engine's series, and account the preparation run that already
-		// happened (its delta is the aggregate so far) to the fabric it ran
-		// on. Strategy deltas are per solve, so the sink alone suffices.
-		p.statsSink = e.metrics.observeTransport
-		p.strategySink = e.metrics.observeStrategy
-		p.matvecSink = e.metrics.matvecObserver
-		e.metrics.observeTransport(p.TransportName(), p.TransportStats())
-		return p, nil
+		return prepare(ctx, a, prepCfg, e.metrics)
 	}
 	var (
 		prep    *Prepared
@@ -1125,22 +1132,6 @@ func (e *Engine) run(j *job) {
 			b[i] = 1
 		}
 	}
-
-	// Chain the observers onto the solve: any caller-supplied tracer (from
-	// an in-process Config), the job's bounded trace capture (when the
-	// engine runs with TraceIters > 0), the always-on metric tracer and the
-	// job's event stream. All are rank-0-only observers; tracing never
-	// changes results.
-	tracers := []core.Tracer{cfg.Tracer}
-	if e.traceIters > 0 {
-		ring := newTraceRing(e.traceIters)
-		j.mu.Lock()
-		j.trace = ring
-		j.mu.Unlock()
-		tracers = append(tracers, ring)
-	}
-	tracers = append(tracers, e.metrics.solveTracer(cfg.Strategy), &eventStream{j: j})
-	cfg.Tracer = core.MultiTracer(tracers...)
 
 	var sol Solution
 	if len(batch) > 0 {
@@ -1210,28 +1201,21 @@ func (e *Engine) fleetRefusal(spec JobSpec, cfg Config) error {
 	return nil
 }
 
-// runNet hands one net-transport job to the installed NetRunner dispatcher
-// and finalizes it exactly like an in-process solve. The spec is passed
-// with the daemon defaults resolved into its Config.
+// runNet hands one net-transport job to the installed NetRunner dispatcher,
+// with the job's tracer chain, and finalizes it exactly like an in-process
+// solve. The spec is passed with the daemon defaults resolved into its
+// Config. The fleet's transport counters and rank 0's result are booked as an
+// in-process solve books them; its redundancy and recovery floats are not:
+// the workers do not ship their category counters.
 func (e *Engine) runNet(ctx context.Context, j *job, cfg Config) {
 	spec := j.spec
 	spec.Config = cfg
-	sol, err := e.netRunner(ctx, spec, &eventStream{j: j})
+	sol, stats, err := e.netRunner(ctx, spec, cfg.Tracer)
+	e.metrics.observeTransport(TransportNet, stats)
 	if err == nil {
-		// The strategy observables ride on rank 0's Result; the transport
-		// counters are reported separately by the dispatcher (the worker
-		// fleet's aggregate) through AddTransportUsage.
-		e.metrics.observeStrategy(cfg.Strategy, core.StatsFromResult(sol.Result))
+		e.metrics.observeStrategy(cfg.Strategy, blockStats([]core.Result{sol.Result}, []error{nil}))
 	}
 	e.finishJob(j, sol, err)
-}
-
-// AddTransportUsage folds an externally-run fabric's counters into the
-// engine's per-transport gauges and metric series — how the multi-process
-// coordinator reports its worker fleets' aggregated "net" traffic, which
-// otherwise lives in other processes.
-func (e *Engine) AddTransportUsage(name string, delta cluster.TransportStats) {
-	e.metrics.observeTransport(name, delta)
 }
 
 // finishJob records a job's outcome on its record — every terminal

@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/faults"
 	"repro/internal/mmio"
@@ -415,9 +416,9 @@ func TestCoordinatorRefusesAtSubmit(t *testing.T) {
 	var dispatched atomic.Int64
 	e := New(Options{
 		Workers: 1, QueueCap: 16,
-		NetRunner: func(ctx context.Context, spec JobSpec, tr core.Tracer) (Solution, error) {
+		NetRunner: func(ctx context.Context, spec JobSpec, tr core.Tracer) (Solution, cluster.TransportStats, error) {
 			dispatched.Add(1)
-			return Solution{Result: core.Result{Converged: true}}, nil
+			return Solution{Result: core.Result{Converged: true}}, cluster.TransportStats{}, nil
 		},
 	})
 	defer e.Close()

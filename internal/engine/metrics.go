@@ -223,7 +223,7 @@ func newEngineMetrics(e *Engine) *engineMetrics {
 			"Per-iteration wall-clock split of the solve loop (rank 0): SpMV, preconditioner apply, allreduce.",
 			phaseBuckets(), "phase"),
 		episodeSecs: r.HistogramVec("solver_recovery_episode_seconds",
-			"Wall-clock duration of individual recovery episodes per strategy.",
+			"Wall-clock duration of individual fail-stop recovery episodes per strategy (twin corrections excluded).",
 			metrics.DefBuckets(), "strategy"),
 		matvecPhase: r.HistogramVec("solver_matvec_phase_seconds",
 			"Per-call wall-clock split of the distributed SpMV (all ranks): post_send, interior, drain, boundary. Interior vs drain measures how much halo latency the overlap hides.",
@@ -315,17 +315,24 @@ func (em *engineMetrics) jobTransition(j *job, s State) {
 }
 
 // observeTransport counts one finished runtime and its transport-counter
-// delta on the per-transport series. It is the stats sink of every prepared
-// session the engine builds; healthz reads the same series back (Health).
+// delta on the per-transport series; healthz reads the same series back
+// (Health). Like observeStrategy and matvecObserver it is a no-op on a nil
+// receiver: the metrics of a library session, which no engine books.
 func (em *engineMetrics) observeTransport(name string, delta cluster.TransportStats) {
+	if em == nil {
+		return
+	}
 	em.transportRuns.With(name).Inc()
 	em.observeStats(transportSeries, name, delta)
 }
 
 // observeStrategy counts one solve's strategy-stats delta on the
-// per-strategy series (the strategy sink of every engine-built session).
-// There is no run counter beside it: StrategyStats.Solves counts solves.
+// per-strategy series. There is no run counter beside it:
+// StrategyStats.Solves counts solves.
 func (em *engineMetrics) observeStrategy(name string, delta core.StrategyStats) {
+	if em == nil {
+		return
+	}
 	em.observeStats(strategySeries, name, delta)
 	em.recoverySecs.With(name).Add(delta.RecoveryTime.Seconds())
 }
@@ -360,18 +367,25 @@ func (t *metricsTracer) TraceIteration(it core.IterationTrace) {
 	t.allreduce.Observe(it.Allreduce.Seconds())
 }
 
+// TraceRecovery times fail-stop episodes only, the ones
+// solver_episodes_total counts; a twin's corrections are counted by
+// solver_sdc_corrected_total.
 func (t *metricsTracer) TraceRecovery(rec core.RecoveryTrace) {
-	t.episode.Observe(rec.Duration.Seconds())
+	if !rec.Corruption {
+		t.episode.Observe(rec.Duration.Seconds())
+	}
 }
 
-// matvecObserver returns the distmat.MatVec phase sink for a session on the
-// named transport. It is installed on every rank's fork (the phase split is
-// a per-rank quantity), so the histograms see Ranks observations per SpMV.
+// matvecObserver returns the distmat.MatVec phase sink for a solve on the
+// named transport, nil on a nil receiver. It is installed on every rank's
+// fork (the phase split is a per-rank quantity), so the histograms see Ranks
+// observations per SpMV.
 func (em *engineMetrics) matvecObserver(transport string) func(distmat.MatVecTimings) {
-	key := transport
-	if h, ok := em.spmvChildren.Load(key); ok {
-		c := h.([4]*metrics.Histogram)
-		return newMatvecSink(c)
+	if em == nil {
+		return nil
+	}
+	if h, ok := em.spmvChildren.Load(transport); ok {
+		return newMatvecSink(h.([4]*metrics.Histogram))
 	}
 	c := [4]*metrics.Histogram{
 		em.matvecPhase.With(transport, "post_send"),
@@ -379,7 +393,7 @@ func (em *engineMetrics) matvecObserver(transport string) func(distmat.MatVecTim
 		em.matvecPhase.With(transport, "drain"),
 		em.matvecPhase.With(transport, "boundary"),
 	}
-	em.spmvChildren.Store(key, c)
+	em.spmvChildren.Store(transport, c)
 	return newMatvecSink(c)
 }
 

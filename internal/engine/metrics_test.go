@@ -30,7 +30,7 @@ func TestStatSeriesCoverEveryField(t *testing.T) {
 
 	var ts cluster.TransportStats
 	fillCounters(&ts)
-	e.AddTransportUsage(TransportNet, ts)
+	e.metrics.observeTransport(TransportNet, ts)
 	if got := e.Health().Transports[TransportNet]; got != (TransportUsage{Runs: 1, Stats: ts}) {
 		t.Fatalf("transport stats round trip:\n got %+v\nwant %+v", got.Stats, ts)
 	}

@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/faults"
@@ -184,10 +185,10 @@ func TestQuickNetRunnerEngineDispatch(t *testing.T) {
 	specs := make(chan engine.JobSpec, 2)
 	eng := engine.New(engine.Options{
 		Workers: 1,
-		NetRunner: func(ctx context.Context, spec engine.JobSpec, tr core.Tracer) (engine.Solution, error) {
+		NetRunner: func(ctx context.Context, spec engine.JobSpec, tr core.Tracer) (engine.Solution, cluster.TransportStats, error) {
 			specs <- spec
 			tr.TraceIteration(core.IterationTrace{Iteration: 1, Residual: 0.5})
-			return engine.Solution{Result: core.Result{Converged: true, Iterations: 1}}, nil
+			return engine.Solution{Result: core.Result{Converged: true, Iterations: 1}}, cluster.TransportStats{}, nil
 		},
 	})
 	defer eng.Close()
@@ -229,6 +230,70 @@ func TestQuickNetRunnerEngineDispatch(t *testing.T) {
 	}
 }
 
+// TestNetRunnerFeedsTracerChain: a fleet job's replayed traces reach the
+// chain an in-process job's do — the /trace ring, the iteration and episode
+// series, the event stream — and the counters the fleet returns are booked as
+// one run of the net transport.
+func TestNetRunnerFeedsTracerChain(t *testing.T) {
+	rec := &core.Reconstruction{Iteration: 2, FailedRanks: []int{1}}
+	eng := engine.New(engine.Options{
+		Workers: 1, TraceIters: 8,
+		NetRunner: func(ctx context.Context, spec engine.JobSpec, tr core.Tracer) (engine.Solution, cluster.TransportStats, error) {
+			for i := 1; i <= 3; i++ {
+				tr.TraceIteration(core.IterationTrace{Iteration: i, Residual: 1 / float64(i)})
+			}
+			tr.TraceRecovery(core.RecoveryTrace{Iteration: 2, Strategy: engine.StrategyESR,
+				FailedRanks: rec.FailedRanks, Duration: time.Millisecond, Reconstruction: rec})
+			return engine.Solution{Result: core.Result{Converged: true, Iterations: 3}},
+				cluster.TransportStats{Delivered: 7}, nil
+		},
+	})
+	defer eng.Close()
+	id, err := eng.Submit(engine.JobSpec{
+		Matrix: engine.MatrixSpec{Generator: "poisson2d", Params: map[string]float64{"nx": 8}},
+		Config: engine.Config{Ranks: 2, Phi: 1, Transport: engine.TransportNet},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := waitTerminal(t, eng, id, 30*time.Second); st.State != engine.StateDone {
+		t.Fatalf("net job state %s: %s", st.State, st.Error)
+	}
+
+	tr, err := eng.Trace(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(tr.Iterations) != 3 || tr.IterationsSeen != 3 || len(tr.Recoveries) != 1 {
+		t.Fatalf("trace holds %d iterations (%d seen) and %d recoveries, want 3 and 1",
+			len(tr.Iterations), tr.IterationsSeen, len(tr.Recoveries))
+	}
+	if iters, _ := eng.Metrics().Gather().Value("solver_iterations_total"); iters != 3 {
+		t.Fatalf("solver_iterations_total = %g, want 3", iters)
+	}
+	if count, _, _, _ := episodeSeries(eng, engine.StrategyESR); count != 1 {
+		t.Fatalf("episode histogram count %d, want 1", count)
+	}
+	if u := eng.TransportStats()[engine.TransportNet]; u.Runs != 1 || u.Stats.Delivered != 7 {
+		t.Fatalf("net transport usage %+v, want one run with the fleet's 7 deliveries", u)
+	}
+
+	ch, stop, err := eng.Watch(id, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer stop()
+	var kinds []engine.EventKind
+	for ev := range ch {
+		kinds = append(kinds, ev.Kind)
+	}
+	want := []engine.EventKind{engine.EventState, engine.EventState, engine.EventProgress, engine.EventProgress,
+		engine.EventProgress, engine.EventReconstruction, engine.EventState}
+	if !reflect.DeepEqual(kinds, want) {
+		t.Fatalf("event stream %v, want %v", kinds, want)
+	}
+}
+
 // TestQuickEngineDrain: Drain stops new submissions but lets the accepted
 // work finish — the opposite of Close's cancellation — and times out via
 // its context when a job refuses to end.
@@ -236,12 +301,12 @@ func TestQuickEngineDrain(t *testing.T) {
 	release := make(chan struct{})
 	eng := engine.New(engine.Options{
 		Workers: 1,
-		NetRunner: func(ctx context.Context, spec engine.JobSpec, tr core.Tracer) (engine.Solution, error) {
+		NetRunner: func(ctx context.Context, spec engine.JobSpec, tr core.Tracer) (engine.Solution, cluster.TransportStats, error) {
 			select {
 			case <-release:
-				return engine.Solution{Result: core.Result{Converged: true}}, nil
+				return engine.Solution{Result: core.Result{Converged: true}}, cluster.TransportStats{}, nil
 			case <-ctx.Done():
-				return engine.Solution{}, ctx.Err()
+				return engine.Solution{}, cluster.TransportStats{}, ctx.Err()
 			}
 		},
 	})

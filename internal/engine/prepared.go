@@ -57,28 +57,15 @@ type Prepared struct {
 	part partition.Partition
 	n    int
 	prep []preparedRank
-
-	// statsSink, when non-nil, receives the per-runtime transport-stats
-	// delta after every prepare/solve run (the engine aggregates these for
-	// its health gauges). Set before the session is shared; never mutated
-	// afterwards.
-	statsSink func(name string, delta cluster.TransportStats)
-	// strategySink, when non-nil, receives the per-solve strategy-stats
-	// delta after every solve, keyed by the solve's strategy name (the
-	// engine aggregates these for its health gauges, mirroring statsSink).
-	strategySink func(name string, delta core.StrategyStats)
-	// matvecSink, when non-nil, yields the MatVec phase observer installed
-	// on every solve's per-rank matrix forks, given the solve's transport
-	// name (the engine feeds the per-transport SpMV phase histograms). Set
-	// before the session is shared, like the sinks above.
-	matvecSink func(transport string) func(distmat.MatVecTimings)
+	// em, when non-nil, is the engine's metrics: every finished runtime and
+	// solve of the session is booked on its series too.
+	em *engineMetrics
 
 	mu     sync.Mutex
 	closed bool
 	active map[*cluster.Runtime]struct{}
 	wg     sync.WaitGroup
-	tstats cluster.TransportStats // aggregated across prepare + all solves
-	sstats core.StrategyStats     // aggregated across all solves
+	sstats core.StrategyStats // aggregated across all solves
 }
 
 // newTransport builds a fresh transport instance for one runtime. cfg is
@@ -92,34 +79,17 @@ func newTransport(cfg Config) cluster.Transport {
 	return t
 }
 
-// recordStats folds one finished runtime's transport counters into the
-// session aggregate and the engine's sink. When the session owns the
-// runtime's transport (it built it for this run), ownsTransport also
-// releases transport resources — the net fabric's listener and connections.
+// recordStats books one finished runtime's transport counters on the
+// engine's series. When the session owns the runtime's transport (it built it
+// for this run), ownsTransport also releases transport resources — the net
+// fabric's listener and connections.
 func (ps *Prepared) recordStats(rt *cluster.Runtime, ownsTransport bool) {
-	delta := rt.Transport().Stats()
-	ps.mu.Lock()
-	ps.tstats.Add(delta)
-	ps.mu.Unlock()
-	if ps.statsSink != nil {
-		ps.statsSink(rt.Transport().Name(), delta)
-	}
+	ps.em.observeTransport(rt.Transport().Name(), rt.Transport().Stats())
 	if ownsTransport {
 		if c, ok := rt.Transport().(io.Closer); ok {
 			c.Close()
 		}
 	}
-}
-
-// TransportName returns the session's default communication-fabric name.
-func (ps *Prepared) TransportName() string { return ps.cfg.Transport }
-
-// TransportStats returns the session's aggregated transport counters
-// (preparation plus every solve so far).
-func (ps *Prepared) TransportStats() cluster.TransportStats {
-	ps.mu.Lock()
-	defer ps.mu.Unlock()
-	return ps.tstats
 }
 
 // StrategyName returns the session's default failure-recovery strategy name.
@@ -152,58 +122,59 @@ func newStrategy(cfg Config, rt *cluster.Runtime) (core.Strategy, *checkpoint.St
 	}
 }
 
-// recordStrategyStats folds one solve's strategy observables, as rank 0 saw
-// them, into the session aggregate and the engine's sink: each column that
-// solved counts as one solve, while the runtime's protection traffic counters
-// are folded exactly once — the block shares them. A column that failed
-// (colErrs[c] set; every column when the solve failed globally and colErrs
-// is nil) still contributes its SDC counters with Solves staying 0, so a
-// detected corruption shows up in the strategy gauges even though the
-// column was classified as failed — the whole point of the detector is that
-// the failure is visible.
-func (ps *Prepared) recordStrategyStats(strategy string, results []core.Result, colErrs []error, store *checkpoint.Store, rt *cluster.Runtime) {
+// blockStats derives the result-borne strategy stats of one block solve from
+// rank 0's per-column results. Each column that solved (colErrs[c] nil) counts
+// one solve and its own redone iterations; a column that failed (every column
+// when colErrs is nil: the solve failed globally) contributes only its SDC
+// counters, so a detected corruption shows up even though its column failed.
+// An episode is the block's, not a column's: every running column books it,
+// so a column's list is a prefix of any longer-running column's, and the
+// longest list among the solved columns is the block's episodes, counted once.
+func blockStats(results []core.Result, colErrs []error) core.StrategyStats {
 	var delta core.StrategyStats
+	var longest core.Result
 	for c, res := range results {
-		if colErrs != nil && colErrs[c] == nil {
-			delta.Add(core.StatsFromResult(res))
-			continue
-		}
 		delta.SDCInjected += int64(res.SDCInjected)
 		delta.SDCDetected += int64(res.SDCDetected)
 		delta.SDCCorrected += int64(res.SDCCorrected)
-	}
-	if colErrs == nil {
-		if delta != (core.StrategyStats{}) {
-			ps.foldStrategyStats(strategy, delta)
+		if colErrs == nil || colErrs[c] != nil {
+			continue
 		}
-		return
+		delta.Solves++
+		delta.RedoneIterations += int64(res.WorkIterations - res.Iterations)
+		if len(res.Reconstructions) > len(longest.Reconstructions) {
+			longest = res
+		}
 	}
-	ctrs := rt.Counters()
-	delta.CheckpointFloats = ctrs.Floats(cluster.CatCheckpoint)
-	delta.RedundancyFloats = ctrs.Floats(cluster.CatRedundancy)
-	delta.RecoveryFloats = ctrs.Floats(cluster.CatRecovery)
-	if store != nil {
-		delta.Checkpoints = int64(store.Checkpoints())
-		// Saves and restores both ride cluster.CatCheckpoint on the wire, but
-		// a rollback's restores are recovery cost, not steady-state overhead:
-		// book them with the reconstruction traffic so the two volumes compare
-		// like with like across strategies.
-		loaded := store.LoadedFloats()
-		delta.CheckpointFloats -= loaded
-		delta.RecoveryFloats += loaded
+	delta.Episodes = int64(len(longest.Reconstructions))
+	delta.RecoveryTime = longest.ReconstructTime
+	for _, rec := range longest.Reconstructions {
+		delta.Restarts += int64(rec.Restarts)
 	}
-	ps.foldStrategyStats(strategy, delta)
+	return delta
 }
 
-// foldStrategyStats adds delta to the session aggregate and, under the
-// solve's strategy name, to the engine's sink.
-func (ps *Prepared) foldStrategyStats(strategy string, delta core.StrategyStats) {
+// recordStrategyStats books one solve's strategy observables, as rank 0 saw
+// them, on the session aggregate and the engine's series: blockStats of the
+// results, plus the runtime's protection traffic counters once — the block
+// shares them — when the solve finished.
+func (ps *Prepared) recordStrategyStats(strategy string, results []core.Result, colErrs []error, store *checkpoint.Store, rt *cluster.Runtime) {
+	delta := blockStats(results, colErrs)
+	if colErrs != nil {
+		ctrs := rt.Counters()
+		delta.CheckpointFloats = ctrs.Floats(cluster.CatCheckpoint)
+		delta.RedundancyFloats = ctrs.Floats(cluster.CatRedundancy)
+		delta.RecoveryFloats = ctrs.Floats(cluster.CatRecovery)
+		if store != nil {
+			delta.Checkpoints = int64(store.Checkpoints())
+		}
+	} else if delta == (core.StrategyStats{}) {
+		return
+	}
 	ps.mu.Lock()
 	ps.sstats.Add(delta)
 	ps.mu.Unlock()
-	if ps.strategySink != nil {
-		ps.strategySink(strategy, delta)
-	}
+	ps.em.observeStrategy(strategy, delta)
 }
 
 // Prepare builds a reusable solver session for the SPD system matrix a. Only
@@ -220,6 +191,12 @@ func Prepare(a *sparse.CSR, cfg Config) (*Prepared, error) {
 // inside a factorization finishes its kernel first, as in a solve) and
 // returns the context's cause.
 func PrepareContext(ctx context.Context, a *sparse.CSR, cfg Config) (*Prepared, error) {
+	return prepare(ctx, a, cfg, nil)
+}
+
+// prepare is PrepareContext for a session that books its runtimes and solves
+// on em too (nil for a library session), the build's own runtime included.
+func prepare(ctx context.Context, a *sparse.CSR, cfg Config, em *engineMetrics) (*Prepared, error) {
 	cfg = cfg.WithDefaults()
 	if a == nil || a.Rows <= 0 {
 		return nil, fmt.Errorf("esr: nil or empty matrix")
@@ -238,6 +215,7 @@ func PrepareContext(ctx context.Context, a *sparse.CSR, cfg Config) (*Prepared, 
 		part:   partition.NewBlockRow(a.Rows, cfg.Ranks),
 		n:      a.Rows,
 		prep:   make([]preparedRank, cfg.Ranks),
+		em:     em,
 		active: map[*cluster.Runtime]struct{}{},
 	}
 	// The symbolic phase (halo plan + redundancy protocol) is a distributed
@@ -428,10 +406,7 @@ func (ps *Prepared) solveOn(ctx context.Context, rt *cluster.Runtime, localRanks
 	}
 
 	strat, store := newStrategy(*cfg, rt)
-	var matvecObs func(distmat.MatVecTimings)
-	if ps.matvecSink != nil {
-		matvecObs = ps.matvecSink(rt.Transport().Name())
-	}
+	matvecObs := ps.em.matvecObserver(rt.Transport().Name())
 
 	var mu sync.Mutex
 	sols := make([]Solution, k)

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/faults"
 	"repro/internal/xerr"
@@ -245,7 +246,7 @@ func TestEnginePolicySharesOnePreparedSession(t *testing.T) {
 func TestFailedJobKeepsErrorClass(t *testing.T) {
 	dir := t.TempDir()
 	st := openStore(t, dir)
-	e := New(Options{Workers: 1, Store: st, NetRunner: func(context.Context, JobSpec, core.Tracer) (Solution, error) {
+	e := New(Options{Workers: 1, Store: st, NetRunner: func(context.Context, JobSpec, core.Tracer) (Solution, cluster.TransportStats, error) {
 		panic("boom")
 	}})
 	sdc := tinySpec()

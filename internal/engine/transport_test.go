@@ -47,23 +47,22 @@ func TestQuickTransportPrepKey(t *testing.T) {
 	}
 }
 
-// TestQuickTransportSessionStats: prepared sessions report their transport
-// (the synonym "fast" as the fabric it resolves to), accumulate per-runtime
-// stats, and the engine's default transport applies to jobs that did not
-// pick one.
+// TestQuickTransportSessionStats: a session books every runtime it runs —
+// its build's and each solve's — on its engine's series under the fabric it
+// resolved to (the synonym "fast" as chan), and the engine's default
+// transport applies to jobs that did not pick one.
 func TestQuickTransportSessionStats(t *testing.T) {
 	a := matgen.Poisson2D(12, 12)
-	prep, err := Prepare(a, Config{Ranks: 4, Transport: fastSynonym})
+	booked := New(Options{Workers: -1})
+	defer booked.Close()
+	prep, err := prepare(context.Background(), a, Config{Ranks: 4, Transport: fastSynonym}, booked.metrics)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer prep.Close()
-	if prep.TransportName() != TransportChan {
-		t.Fatalf("TransportName = %q", prep.TransportName())
-	}
-	afterPrep := prep.TransportStats()
-	if afterPrep.Delivered == 0 {
-		t.Fatalf("preparation exchanged no messages? %+v", afterPrep)
+	afterPrep := booked.TransportStats()
+	if u := afterPrep[TransportChan]; len(afterPrep) != 1 || u.Runs != 1 || u.Stats.Delivered == 0 {
+		t.Fatalf("preparation not booked as one chan run that exchanged messages: %+v", afterPrep)
 	}
 	b := make([]float64, a.Rows)
 	for i := range b {
@@ -72,12 +71,12 @@ func TestQuickTransportSessionStats(t *testing.T) {
 	if _, err := prep.Solve(context.Background(), b, Config{}); err != nil {
 		t.Fatal(err)
 	}
-	afterSolve := prep.TransportStats()
-	if afterSolve.Delivered <= afterPrep.Delivered {
-		t.Fatalf("solve did not add transport stats: %+v -> %+v", afterPrep, afterSolve)
+	before, after := afterPrep[TransportChan], booked.TransportStats()[TransportChan]
+	if after.Runs != 2 || after.Stats.Delivered <= before.Stats.Delivered {
+		t.Fatalf("solve not booked as a second chan run: %+v -> %+v", before, after)
 	}
-	if afterSolve.PoolGets == 0 {
-		t.Fatalf("recycler unused: %+v", afterSolve)
+	if after.Stats.PoolGets == 0 {
+		t.Fatalf("recycler unused: %+v", after)
 	}
 
 	eng := New(Options{Workers: 1, Defaults: Config{Transport: TransportChaos}})
