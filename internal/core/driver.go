@@ -130,8 +130,13 @@ func SolveBlock(e *distmat.Env, a *distmat.Matrix, x, b []distmat.Vector, m Prec
 	if opts.Tracer != nil {
 		d.clock = &phaseClock{}
 	}
-	d.alpha = make([]float64, k)
+	fs := make([]float64, 3*k)
+	d.alpha, d.sums = fs[:k], [2][]float64{fs[k : 2*k], fs[2*k:]}
 	d.zAct, d.rAct = make([]distmat.Vector, 0, k), make([]distmat.Vector, 0, k)
+	terms := make([][]float64, 4*k)
+	for i := range d.terms {
+		d.terms[i] = terms[i*k : i*k : (i+1)*k]
+	}
 
 	// On an error the x-system still solving in the background is stopped
 	// and joined; a finished run has settled it.
@@ -165,9 +170,13 @@ type driver struct {
 	sdcScratch []distmat.Vector
 
 	// alpha holds the per-column step lengths, zAct/rAct the still-active
-	// columns handed to the fused preconditioner application.
+	// columns handed to the fused preconditioner application, terms the
+	// active columns' operands of the k-column reductions and sums their
+	// results.
 	alpha      []float64
 	zAct, rAct []distmat.Vector
+	terms      [4][][]float64
+	sums       [2][]float64
 }
 
 // run is the one PCG iteration loop. Each pass is iteration j of Alg. 1 for
@@ -311,28 +320,38 @@ func (d *driver) sumActive(f func(c int) float64) ([]float64, error) {
 	return d.allreduce(buf)
 }
 
-// sumPAp is sumActive for the step's p'Ap, with the active columns taken
-// two per pass over the blocks (vec.Dot2 is Dot on each pair).
+// sumPAp is sumActive for the step's p'Ap, with the active columns gathered
+// into one vec.DotK.
 func (d *driver) sumPAp() ([]float64, error) {
 	st := d.st
+	p, u := d.terms[0][:0], d.terms[1][:0]
+	for c := range st.k() {
+		if !st.done[c] {
+			p, u = append(p, st.P[c].Local), append(u, st.U[c].Local)
+		}
+	}
+	s := d.sums[0][:len(p)]
+	vec.DotK(s, p, u)
 	buf := st.fused[:st.k()]
-	clear(buf)
-	held := -1 // an active column waiting for its partner
-	for c := range buf {
-		if st.done[c] {
-			continue
-		}
-		if held < 0 {
-			held = c
-			continue
-		}
-		buf[held], buf[c] = vec.Dot2(st.P[held].Local, st.U[held].Local, st.P[c].Local, st.U[c].Local)
-		held = -1
-	}
-	if held >= 0 {
-		buf[held] = vec.Dot(st.P[held].Local, st.U[held].Local)
-	}
+	d.spread(buf, 1, s)
 	return d.allreduce(buf)
+}
+
+// spread writes the i-th of the active columns' sums to slot stride*c of
+// buf, c that column, and zeroes the frozen columns' slots.
+func (d *driver) spread(buf []float64, stride int, sums ...[]float64) {
+	i := 0
+	for c, done := range d.st.done {
+		for j, s := range sums {
+			buf[stride*c+j] = 0
+			if !done {
+				buf[stride*c+j] = s[i]
+			}
+		}
+		if !done {
+			i++
+		}
+	}
 }
 
 // allreduce sums buf over the group, timed as the iteration's allreduce
@@ -425,16 +444,20 @@ func (d *driver) step(j int) error {
 	d.clock.stop(clockPrecond)
 
 	// ONE fused length-2k allreduce for the k (||r||^2, r'z) pairs, each
-	// formed in one pass. u is dead until the next SpMV and serves as the
-	// norm's scratch. While an episode is pending, one more slot carries the
-	// leader's flag that x_If is solved; the element-wise combine leaves the
-	// pairs' bits alone.
+	// formed in one pass, the active columns' in one vec.Dot2K. u is dead
+	// until the next SpMV and serves as the norm's scratch. While an episode
+	// is pending, one more slot carries the leader's flag that x_If is
+	// solved; the element-wise combine leaves the pairs' bits alone.
+	x, y, u, v := d.terms[0][:0], d.terms[1][:0], d.terms[2][:0], d.terms[3][:0]
 	for c := 0; c < k; c++ {
-		st.fused[2*c], st.fused[2*c+1] = 0, 0
 		if !st.done[c] {
-			st.fused[2*c], st.fused[2*c+1] = st.rec.norms(st, c)
+			tx, ty, tu, tv := st.rec.normTerms(st, c)
+			x, y, u, v = append(x, tx), append(y, ty), append(u, tu), append(v, tv)
 		}
 	}
+	rr, rz := d.sums[0][:len(x)], d.sums[1][:len(x)]
+	vec.Dot2K(rr, rz, x, y, u, v)
+	d.spread(st.fused[:2*k], 2, rr, rz)
 	buf := st.fused
 	if st.pend != nil {
 		buf = buf[:2*k+1]

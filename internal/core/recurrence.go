@@ -33,9 +33,10 @@ type recurrence interface {
 	rnorm2(st *SolverState, r, scratch []float64) float64
 	// rz is the rank-local part of column c's scalar r'z.
 	rz(st *SolverState, c int) float64
-	// norms is column c's rank-local (rnorm2, rz) pair, bit-identical to the
-	// two steps but formed in one pass over the blocks; U[c] is the scratch.
-	norms(st *SolverState, c int) (rr, rz float64)
+	// normTerms returns the blocks whose vec.Dot2 is column c's rank-local
+	// (rnorm2, rz) pair, bit-identical to the two steps but formed in one
+	// pass over the blocks; U[c] is the scratch it may fill.
+	normTerms(st *SolverState, c int) (x, y, u, v []float64)
 }
 
 // recurrenceFor selects the recurrence by what the preconditioner is: a
@@ -90,9 +91,9 @@ func (pcgRecurrence) rz(st *SolverState, c int) float64 {
 	return vec.Dot(st.R[c].Local, st.Z[c].Local)
 }
 
-func (pcgRecurrence) norms(st *SolverState, c int) (float64, float64) {
+func (pcgRecurrence) normTerms(st *SolverState, c int) (x, y, u, v []float64) {
 	r, z := st.R[c].Local, st.Z[c].Local
-	return vec.Dot2(r, r, r, z)
+	return r, r, r, z
 }
 
 // splitRecurrence is Saad's Alg. 9.2 with a block-local split preconditioner
@@ -138,8 +139,8 @@ func (splitRecurrence) rz(st *SolverState, c int) float64 {
 	return vec.Nrm2Sq(st.R[c].Local)
 }
 
-func (s splitRecurrence) norms(st *SolverState, c int) (float64, float64) {
+func (s splitRecurrence) normTerms(st *SolverState, c int) (x, y, u, v []float64) {
 	r, t := st.R[c].Local, st.U[c].Local
 	s.m.MulL(t, r) // r = L rhat
-	return vec.Dot2(t, t, r, r)
+	return t, t, r, r
 }

@@ -9,28 +9,48 @@ import (
 	"repro/internal/vec"
 )
 
-// Interleaving is confined to this file: at k > 1 the k rank-local columns
-// are copied into a row-major buffer (k consecutive values per local column),
-// the SpMM kernels run on it, and the result is copied back out per column;
-// at k = 1 the own block is copied into the same buffer and the kernels write
-// y directly. Interleave/deinterleave are pure copies and the kernels
-// accumulate each column in MulVec's stored-entry order, so column j of a
-// MatMat is bitwise identical to a MatVec of column j alone — on every
-// transport.
+// Interleaving is confined to this file and its SIMD kernels
+// (matmat_amd64.s): at k > 1 the k rank-local columns are copied into a
+// row-major buffer (k consecutive values per local column), the SpMM kernels
+// run on it, and the result is copied back out per column; at k = 1 the own
+// block is copied into the same buffer and the kernels write y directly.
+// Interleave/deinterleave are pure copies and the kernels accumulate each
+// column in MulVec's stored-entry order, so column j of a MatMat is bitwise
+// identical to a MatVec of column j alone — on every transport.
 
-// interleaveTile is the row tile of the k mod 8 columns interleave copies
-// one at a time: the tile's k-strided rows (64·k floats) stay in L1 while
-// each of those columns visits them. Pure copies: no result depends on it.
+// interleaveTile is the row tile of the columns interleaveGo copies one at
+// a time: the tile's k-strided rows (64·k floats) stay in L1 while each of
+// those columns visits them. Pure copies: no result depends on it.
 const interleaveTile = 64
 
 // interleave copies the first bs entries of every column into the k-strided
-// buffer xb (k = len(cols)), eight columns per row visit, then the rest.
-func interleave(xb []float64, cols []Vector, bs int) {
+// buffer xb (k = len(cols)): the SIMD kernel, where there is one, takes the
+// columns in fours, the Go kernel the rest.
+func interleave(xb []float64, cols [][]float64, bs int) {
 	k := len(cols)
 	c := 0
+	if interleaveLanes != nil {
+		c = k &^ 3
+		if c > 0 {
+			_ = xb[:bs*k]
+			for _, col := range cols[:c] {
+				_ = col[:bs]
+			}
+			interleaveLanes(xb, cols[:c], k, bs)
+		}
+	}
+	interleaveGo(xb, cols, c, bs)
+}
+
+// interleaveGo is interleave in Go from column from on, the reference of the
+// SIMD kernel: eight columns per row visit, then the rest one column at a
+// time over row tiles.
+func interleaveGo(xb []float64, cols [][]float64, from, bs int) {
+	k := len(cols)
+	c := from
 	for ; c+8 <= k; c += 8 {
-		x0, x1, x2, x3 := cols[c].Local[:bs], cols[c+1].Local[:bs], cols[c+2].Local[:bs], cols[c+3].Local[:bs]
-		x4, x5, x6, x7 := cols[c+4].Local[:bs], cols[c+5].Local[:bs], cols[c+6].Local[:bs], cols[c+7].Local[:bs]
+		x0, x1, x2, x3 := cols[c][:bs], cols[c+1][:bs], cols[c+2][:bs], cols[c+3][:bs]
+		x4, x5, x6, x7 := cols[c+4][:bs], cols[c+5][:bs], cols[c+6][:bs], cols[c+7][:bs]
 		for i := range bs {
 			r := xb[i*k+c:][:8]
 			r[0], r[1], r[2], r[3] = x0[i], x1[i], x2[i], x3[i]
@@ -40,7 +60,7 @@ func interleave(xb []float64, cols []Vector, bs int) {
 	for lo := 0; lo < bs && c < k; lo += interleaveTile {
 		hi := min(lo+interleaveTile, bs)
 		for j := c; j < k; j++ {
-			for i, v := range cols[j].Local[lo:hi] {
+			for i, v := range cols[j][lo:hi] {
 				xb[(lo+i)*k+j] = v
 			}
 		}
@@ -49,12 +69,30 @@ func interleave(xb []float64, cols []Vector, bs int) {
 
 // deinterleave is interleave's inverse: column j of the k-strided buffer yb
 // goes to the first bs entries of cols[j].
-func deinterleave(cols []Vector, yb []float64, bs int) {
+func deinterleave(cols [][]float64, yb []float64, bs int) {
 	k := len(cols)
 	c := 0
+	if deinterleaveLanes != nil {
+		c = k &^ 3
+		if c > 0 {
+			_ = yb[:bs*k]
+			for _, col := range cols[:c] {
+				_ = col[:bs]
+			}
+			deinterleaveLanes(cols[:c], yb, k, bs)
+		}
+	}
+	deinterleaveGo(cols, yb, c, bs)
+}
+
+// deinterleaveGo is deinterleave in Go from column from on, the reference of
+// the SIMD kernel.
+func deinterleaveGo(cols [][]float64, yb []float64, from, bs int) {
+	k := len(cols)
+	c := from
 	for ; c+8 <= k; c += 8 {
-		y0, y1, y2, y3 := cols[c].Local[:bs], cols[c+1].Local[:bs], cols[c+2].Local[:bs], cols[c+3].Local[:bs]
-		y4, y5, y6, y7 := cols[c+4].Local[:bs], cols[c+5].Local[:bs], cols[c+6].Local[:bs], cols[c+7].Local[:bs]
+		y0, y1, y2, y3 := cols[c][:bs], cols[c+1][:bs], cols[c+2][:bs], cols[c+3][:bs]
+		y4, y5, y6, y7 := cols[c+4][:bs], cols[c+5][:bs], cols[c+6][:bs], cols[c+7][:bs]
 		for i := range bs {
 			r := yb[i*k+c:][:8]
 			y0[i], y1[i], y2[i], y3[i] = r[0], r[1], r[2], r[3]
@@ -64,12 +102,36 @@ func deinterleave(cols []Vector, yb []float64, bs int) {
 	for lo := 0; lo < bs && c < k; lo += interleaveTile {
 		hi := min(lo+interleaveTile, bs)
 		for j := c; j < k; j++ {
-			dst := cols[j].Local[lo:hi]
+			dst := cols[j][lo:hi]
 			for i := range dst {
 				dst[i] = yb[(lo+i)*k+j]
 			}
 		}
 	}
+}
+
+// interleaveLanes and deinterleaveLanes, when set, are the SIMD kernels of
+// interleave and deinterleave for the first len(cols) columns (a multiple of
+// four) of a k-strided buffer: eight rows of four columns cross at a time as
+// two 4×4 transposes, so each column visit moves a whole cache line, and the
+// rows past the last multiple of eight go one at a time. Pure data movement,
+// every bit kept. They do no bounds checks. Set at init on CPUs that have
+// them (matmat_amd64.go); nil elsewhere.
+var (
+	interleaveLanes   func(xb []float64, cols [][]float64, k, bs int)
+	deinterleaveLanes func(cols [][]float64, yb []float64, k, bs int)
+)
+
+// columns returns the first bs entries of every vector's block, in the
+// matrix's scratch of column headers: the form interleave and deinterleave
+// take.
+func (m *Matrix) columns(vs []Vector, bs int) [][]float64 {
+	cols := m.scratch.cols[:0]
+	for _, v := range vs {
+		cols = append(cols, v.Local[:bs])
+	}
+	m.scratch.cols = cols
+	return cols
 }
 
 // SetBlockWidth prepares the matrix for width-k MatMat calls: the
@@ -187,7 +249,7 @@ func (m *Matrix) MatMat(e *Env, y, x []Vector, iter int) error {
 		copy(xb[:bs], x[0].Local)
 	} else {
 		yb = m.BlockScratch(k)
-		interleave(xb, x, bs)
+		interleave(xb, m.columns(x, bs), bs)
 	}
 	// Post sends: one pooled frame per destination, k consecutive values
 	// per merged halo+redundancy element.
@@ -259,7 +321,7 @@ func (m *Matrix) MatMat(e *Env, y, x []Vector, iter int) error {
 	}
 	m.split.Boundary.MulMatScatter(yb, xb, m.split.BndRows, k)
 	if k > 1 {
-		deinterleave(y, yb, bs)
+		deinterleave(m.columns(y, bs), yb, bs)
 	}
 	if retain {
 		// The retention store owns the new generation's payloads.

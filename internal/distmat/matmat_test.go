@@ -3,6 +3,7 @@ package distmat
 import (
 	"fmt"
 	"math"
+	"math/rand"
 	"runtime"
 	"testing"
 
@@ -283,38 +284,38 @@ func TestSpMVSteadyStateAllocatesNothing(t *testing.T) {
 }
 
 // TestInterleaveRoundTrip: interleave puts entry i of column j at i·k+j for
-// every width — blocks of eight columns, the k mod 8 rest, and tile edges —
+// every width — groups of four or eight columns, the rest, and tile edges —
 // leaves the rows past bs alone, and deinterleave returns exactly the
 // columns it was given.
 func TestInterleaveRoundTrip(t *testing.T) {
 	for _, bs := range []int{1, 7, 64, 130} {
 		for k := 1; k <= 21; k++ {
-			cols := make([]Vector, k)
-			out := make([]Vector, k)
+			cols := make([][]float64, k)
+			out := make([][]float64, k)
 			for j := range cols {
-				cols[j].Local = make([]float64, bs+1) // one spare entry past bs
-				out[j].Local = make([]float64, bs+1)
-				for i := range cols[j].Local {
-					cols[j].Local[i] = float64(1000*j + i)
+				cols[j] = make([]float64, bs+1) // one spare entry past bs
+				out[j] = make([]float64, bs+1)
+				for i := range cols[j] {
+					cols[j][i] = float64(1000*j + i)
 				}
 			}
 			xb := make([]float64, bs*k)
 			interleave(xb, cols, bs)
 			for i := 0; i < bs; i++ {
 				for j := 0; j < k; j++ {
-					if got := xb[i*k+j]; got != cols[j].Local[i] {
-						t.Fatalf("bs %d k %d: xb[%d·k+%d] = %v, want %v", bs, k, i, j, got, cols[j].Local[i])
+					if got := xb[i*k+j]; got != cols[j][i] {
+						t.Fatalf("bs %d k %d: xb[%d·k+%d] = %v, want %v", bs, k, i, j, got, cols[j][i])
 					}
 				}
 			}
 			deinterleave(out, xb, bs)
 			for j := range out {
 				for i := 0; i < bs; i++ {
-					if out[j].Local[i] != cols[j].Local[i] {
-						t.Fatalf("bs %d k %d: column %d row %d = %v, want %v", bs, k, j, i, out[j].Local[i], cols[j].Local[i])
+					if out[j][i] != cols[j][i] {
+						t.Fatalf("bs %d k %d: column %d row %d = %v, want %v", bs, k, j, i, out[j][i], cols[j][i])
 					}
 				}
-				if out[j].Local[bs] != 0 {
+				if out[j][bs] != 0 {
 					t.Fatalf("bs %d k %d: column %d written past its block", bs, k, j)
 				}
 			}
@@ -322,21 +323,110 @@ func TestInterleaveRoundTrip(t *testing.T) {
 	}
 }
 
-// BenchmarkInterleave times one interleave plus one deinterleave of a rank's
-// block at the blocked path's bench shapes: Poisson 64² on 8 ranks at k 64
-// and elasticity 14³ on 8 ranks at k 16.
-func BenchmarkInterleave(b *testing.B) {
-	for _, sz := range []struct{ bs, k int }{{512, 64}, {1029, 16}} {
-		b.Run(fmt.Sprintf("%dx%d", sz.bs, sz.k), func(b *testing.B) {
-			cols := make([]Vector, sz.k)
+// defaultNaN is the NaN x86 produces itself, from 0·Inf or Inf-Inf.
+var defaultNaN = math.Float64frombits(0xfff8000000000000)
+
+// TestInterleaveSIMDMatchesGo holds the SIMD interleave and de-interleave
+// to the Go kernels bit for bit: every width 1…40 at every block size
+// 0…67 and the workloads' 512 / 1029 / 1500 rows, on ±0, ±Inf, NaN and
+// subnormal values, with the buffer's and the columns' entries past the
+// block left alone.
+func TestInterleaveSIMDMatchesGo(t *testing.T) {
+	if interleaveLanes == nil || deinterleaveLanes == nil {
+		t.Skip("no SIMD interleave on this platform and build")
+	}
+	rng := rand.New(rand.NewSource(47))
+	specials := []float64{0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), defaultNaN, 5e-324, -5e-324, 1e308}
+	value := func() float64 {
+		if rng.Intn(4) == 0 {
+			return specials[rng.Intn(len(specials))]
+		}
+		return rng.NormFloat64()
+	}
+	column := func(n int) []float64 {
+		c := make([]float64, n)
+		for i := range c {
+			c[i] = value()
+		}
+		return c
+	}
+	same := func(a, b []float64) int {
+		for i := range a {
+			if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+				return i
+			}
+		}
+		return -1
+	}
+	var sizes []int
+	for bs := 0; bs <= 67; bs++ {
+		sizes = append(sizes, bs)
+	}
+	sizes = append(sizes, 512, 1029, 1500)
+	for _, bs := range sizes {
+		for k := 1; k <= 40; k++ {
+			cols := make([][]float64, k)
 			for j := range cols {
-				cols[j].Local = make([]float64, sz.bs)
+				cols[j] = column(bs)
 			}
-			buf := make([]float64, sz.bs*sz.k)
-			for b.Loop() {
-				interleave(buf, cols, sz.bs)
-				deinterleave(cols, buf, sz.bs)
+			// Both buffers carry one spare row past the block.
+			junk := column(bs*k + k)
+			want, got := append([]float64(nil), junk...), append([]float64(nil), junk...)
+			interleaveGo(want, cols, 0, bs)
+			interleave(got, cols, bs)
+			if i := same(got, want); i >= 0 {
+				t.Fatalf("bs %d k %d: interleave buffer[%d] = %#x, Go %#x", bs, k, i, math.Float64bits(got[i]), math.Float64bits(want[i]))
 			}
-		})
+			wantCols, gotCols := make([][]float64, k), make([][]float64, k)
+			for j := range cols {
+				spare := column(bs + 1)
+				wantCols[j] = append([]float64(nil), spare...)[:bs]
+				gotCols[j] = append([]float64(nil), spare...)[:bs]
+			}
+			deinterleaveGo(wantCols, junk, 0, bs)
+			deinterleave(gotCols, junk, bs)
+			for j := range cols {
+				if i := same(gotCols[j][:bs+1], wantCols[j][:bs+1]); i >= 0 {
+					t.Fatalf("bs %d k %d: deinterleave column %d row %d = %#x, Go %#x", bs, k, j, i,
+						math.Float64bits(gotCols[j][i]), math.Float64bits(wantCols[j][i]))
+				}
+			}
+		}
+	}
+}
+
+// BenchmarkInterleave times one interleave plus one deinterleave of a rank's
+// block at the three workloads' block sizes on 8 ranks (Poisson 64²,
+// elasticity 14³, the 12 000-row circuit) and k 1 / 8 / 16, on the Go
+// kernels and on the SIMD kernels interleave dispatches to where there are
+// some.
+func BenchmarkInterleave(b *testing.B) {
+	type kernels struct {
+		name string
+		in   func(xb []float64, cols [][]float64, bs int)
+		out  func(cols [][]float64, yb []float64, bs int)
+	}
+	ks := []kernels{{"go",
+		func(xb []float64, cols [][]float64, bs int) { interleaveGo(xb, cols, 0, bs) },
+		func(cols [][]float64, yb []float64, bs int) { deinterleaveGo(cols, yb, 0, bs) }}}
+	if interleaveLanes != nil {
+		ks = append(ks, kernels{"simd", interleave, deinterleave})
+	}
+	for _, bs := range []int{512, 1029, 1500} {
+		for _, k := range []int{1, 8, 16} {
+			cols := make([][]float64, k)
+			for j := range cols {
+				cols[j] = make([]float64, bs)
+			}
+			buf := make([]float64, bs*k)
+			for _, kn := range ks {
+				b.Run(fmt.Sprintf("%dx%d/%s", bs, k, kn.name), func(b *testing.B) {
+					for b.Loop() {
+						kn.in(buf, cols, bs)
+						kn.out(cols, buf, bs)
+					}
+				})
+			}
+		}
 	}
 }

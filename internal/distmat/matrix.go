@@ -68,12 +68,14 @@ type Matrix struct {
 // spmvScratch is a Matrix's SpMV scratch (see MatMat), lazily sized and
 // never shared between forks: the k-strided input over the own block and the
 // ghost slots at width xWidth, the k-strided output of a product over k > 1
-// columns, and the staging of retained payloads.
+// columns, the staging of retained payloads, and the column headers a
+// product over k > 1 columns interleaves from and de-interleaves to.
 type spmvScratch struct {
 	x      []float64
 	xWidth int
 	y      []float64
 	recv   [][]float64
+	cols   [][]float64
 }
 
 // matrixTag spaces the SpMV message tags of different matrices sharing an
