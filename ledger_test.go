@@ -54,6 +54,23 @@ func ledgerLine(name string, sol Solution) string {
 	return fmt.Sprintf("%s %d %s %016x", name, sol.Result.Iterations, sub, h.Sum64())
 }
 
+// recoveredXTol bounds a recovered row's distance to the fault-free solve of
+// its right-hand side, ||x - x_ff|| <= recoveredXTol ||x_ff||. ESR rebuilds
+// the lost state exactly up to rounding: the ledger's rows measure at most
+// 4.0e-15. A reconstruction off by a relative 1e-9 in one scalar lands near
+// 1e-10, so the bound sits well apart from both.
+const recoveredXTol = 1e-13
+
+// xDeviation returns ||x - ref|| / ||ref||.
+func xDeviation(x, ref []float64) float64 {
+	var d, n float64
+	for i, v := range ref {
+		d += (x[i] - v) * (x[i] - v)
+		n += v * v
+	}
+	return math.Sqrt(d / n)
+}
+
 // TestAnswerLedger holds every answer the solver gives to a fixed set of
 // problems to the bit: the three benchmark workloads' generators at test
 // sizes, under block-Jacobi ILU, Jacobi, IC(0) in Alg. 1 and IC(0) in the
@@ -64,6 +81,11 @@ func ledgerLine(name string, sol Solution) string {
 // iteration or subsystem iteration count, fails here. Go fuses
 // multiply-adds on some architectures, which changes the bits legitimately,
 // so the ledger is checked on amd64 only.
+//
+// Every recovered row is also held to the fault-free solve of its
+// right-hand side, computed here: the same iteration count and x within
+// recoveredXTol. The bits alone cannot tell an exact reconstruction from a
+// slightly wrong one once the ledger is regenerated.
 func TestAnswerLedger(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skipf("answer ledger was recorded on amd64; %s may fuse multiply-adds", runtime.GOARCH)
@@ -86,6 +108,7 @@ func TestAnswerLedger(t *testing.T) {
 	}
 	ctx := context.Background()
 	var got []string
+	var worst float64 // the largest recovered row's x deviation
 	for _, m := range matrices {
 		for _, pc := range precs {
 			s, err := NewSolver(m.a, Config{Ranks: ranks, Phi: phi, Preconditioner: pc.p})
@@ -101,13 +124,24 @@ func TestAnswerLedger(t *testing.T) {
 			got = append(got, ledgerLine(base+"/solo", sol))
 			// Fail at the third iteration: every case here runs longer.
 			for v, vs := range victims {
+				b := ledgerRHS(m.a.Rows, 1+v)
 				sched := NewSchedule(Simultaneous(3, vs...))
-				sol, err := s.Solve(ctx, ledgerRHS(m.a.Rows, 1+v), method, Config{Schedule: sched})
+				sol, err := s.Solve(ctx, b, method, Config{Schedule: sched})
 				if err != nil {
 					t.Fatalf("%s victims %v: %v", base, vs, err)
 				}
 				name := fmt.Sprintf("%s/fail%s", base, strings.ReplaceAll(fmt.Sprint(vs), " ", ","))
 				got = append(got, ledgerLine(name, sol))
+				ff, err := s.Solve(ctx, b, method)
+				if err != nil {
+					t.Fatalf("%s fault-free: %v", name, err)
+				}
+				dev := xDeviation(sol.X, ff.X)
+				worst = max(worst, dev)
+				if sol.Result.Iterations != ff.Result.Iterations || !(dev <= recoveredXTol) {
+					t.Errorf("%s: %d iterations and ||x - x_ff|| / ||x_ff|| = %.2e; fault-free %d iterations, bound %.0e",
+						name, sol.Result.Iterations, dev, ff.Result.Iterations, recoveredXTol)
+				}
 			}
 			// The SpMM of a batch stays k columns wide as columns land: 11
 			// columns reach the 8-column tile and the single-column
@@ -129,6 +163,7 @@ func TestAnswerLedger(t *testing.T) {
 		}
 	}
 
+	t.Logf("largest ||x - x_ff|| / ||x_ff|| over the recovered rows: %.2e", worst)
 	if *updateLedger {
 		out := "# name iterations subsystem-iterations fnv64a(x bits); regenerate with -update-ledger\n" +
 			strings.Join(got, "\n") + "\n"
