@@ -23,8 +23,9 @@ import (
 // every background solve is joined before SolveBlock returns.
 
 // deferralProblem is the system the deferral tests solve: Poisson 16² on 8
-// ranks, phi 3, the identity preconditioner — so that the leader factors
-// every lost block through newSubsystemILU, which gateXSystem holds.
+// ranks, phi 3, the identity preconditioner — so that every x-system
+// factor, of the coupled A_{If,If} or of each lost block, is made through
+// newSubsystemILU, which gateXSystem holds.
 var deferralProblem = matgen.Poisson2D(16, 16)
 
 // probe is the ESR strategy with a hook at every rank's Overhead, the top of
@@ -185,7 +186,8 @@ func TestDeferredSettlesBeforeTheLeaderFailsAgain(t *testing.T) {
 	if got := recEvents(log.recoveries); !slices.Equal(got, []int{6, 8}) {
 		t.Fatalf("reconstruction events at %v, want [6 8]", got)
 	}
-	const want = "53 [2 3 4]/0/29 [2 5]/0/12 862bbf0db6aef633"
+	// The first episode's x-system is coupled, the second's is not.
+	const want = "53 [2 3 4]/0/19 [2 5]/0/12 f0ca5f7c285cf9b0"
 	if got := digest(out); got != want {
 		t.Fatalf("digest %q, eager %q", got, want)
 	}

@@ -163,9 +163,11 @@ type Reconstruction struct {
 	Phases [numPhases]time.Duration
 	// SubsystemSetup is the time the episode leader — the lowest failed
 	// rank, which solves the x-system for the whole failed set — spent
-	// assembling its operator and preconditioners, inside the leader's
-	// Phases[3]. SubsystemSolve is the wall time of the leader's background
-	// PCG, outside Duration. Every rank reports the leader's two times.
+	// looking up the failed blocks' matrices and session preconditioners,
+	// inside the leader's Phases[3]. SubsystemSolve is the wall time of the
+	// leader's background work, outside Duration: the assembly of A_{If,If},
+	// the factor the coupling rule picks and the PCG. Every rank reports the
+	// leader's two times.
 	SubsystemSetup, SubsystemSolve time.Duration
 }
 

@@ -234,7 +234,7 @@ type episode struct {
 	pPrev [][]float64 // p(j-1) per column on the replacement's block
 	r     [][]float64 // r_If per column, from the rebuild step
 
-	subSetup time.Duration // the leader's x-system assembly
+	subSetup time.Duration // the leader's x-system setup
 }
 
 // lowestSurvivor returns the smallest rank not in the failed set.

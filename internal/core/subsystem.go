@@ -20,11 +20,12 @@ import (
 // blocks of x_If in one at settle: 2(psi-1) messages per episode, where a
 // solve distributed over the failed group costs a halo round and two
 // allreduces per subsystem iteration. The leader runs Alg. 1 over the psi
-// failed blocks alone, with no message (subsystem.solve), so x_If lands bit
-// for bit as the failed group's cooperative PCG would leave it. No step of
-// the recurrence reads x, so the leader solves in the background while the
-// iteration resumes. Replacements only: w holds the calling rank's blocks,
-// one per column.
+// failed blocks alone, with no message (subsystem.solve): where the rule
+// refuses the coupled factor, x_If lands bit for bit as the failed group's
+// cooperative PCG would leave it. No step of the recurrence reads x, so the
+// leader assembles and solves in the background while the iteration
+// resumes. Replacements only: w holds the calling rank's blocks, one per
+// column.
 func (ep *episode) startXSystem(w [][]float64) error {
 	st := ep.st
 	if leader := ep.failedList[0]; st.E.Pos != leader {
@@ -34,8 +35,8 @@ func (ep *episode) startXSystem(w [][]float64) error {
 }
 
 // leadXSystem is the leader's part of startXSystem: it receives the other
-// replacements' blocks of w, assembles the subsystem from the failed ranks'
-// static state and starts its solve.
+// replacements' blocks of w, looks up the failed ranks' static state and
+// starts the background solve, which assembles the subsystem from it.
 func (ep *episode) leadXSystem(w [][]float64) error {
 	st, pd := ep.st, ep.st.pend
 	k, psi := len(w), len(ep.failedList)
@@ -68,18 +69,10 @@ func (ep *episode) leadXSystem(w [][]float64) error {
 			return err
 		}
 	}
-	sys, err := newSubsystem(blocks, precs)
-	if err != nil {
-		return err
-	}
-	maxIter := st.Opts.LocalMaxIter
-	if maxIter <= 0 {
-		maxIter = defaultLocalMaxIter(sys.n)
-	}
 	ep.subSetup += time.Since(setupT)
-	pd.sys, pd.done = sys, make(chan struct{})
+	pd.sys, pd.done = new(subsystem), make(chan struct{})
 	xSolvesLive.Add(1)
-	go pd.solve(rhs, st.Opts.LocalTol, maxIter)
+	go pd.solve(blocks, precs, rhs, st.Opts.LocalTol, st.Opts.LocalMaxIter)
 	return nil
 }
 
@@ -98,8 +91,9 @@ type pendingX struct {
 	// report is the episode's record, booked at settle.
 	report episodeReport
 
-	// The leader's solve: x[t][c] is failed rank t's block of column c (the
-	// leader's own are its X), done closes when solve returns. Nil elsewhere.
+	// The leader's solve: sys is built by the solve, x[t][c] is failed rank
+	// t's block of column c (the leader's own are its X), done closes when
+	// solve returns. Nil elsewhere.
 	sys      *subsystem
 	x        [][][]float64
 	done     chan struct{}
@@ -120,10 +114,20 @@ var xSolvesLive atomic.Int64
 // LiveXSolves reports the background x-system solves not yet joined.
 func LiveXSolves() int64 { return xSolvesLive.Load() }
 
-// solve is the leader's background solve, column by column.
-func (pd *pendingX) solve(rhs [][][]float64, tol float64, maxIter int) {
+// solve is the leader's background solve: it assembles the subsystem over
+// the failed blocks, then solves it column by column. maxIter <= 0 selects
+// defaultLocalMaxIter.
+func (pd *pendingX) solve(blocks []*distmat.Matrix, precs []Precond, rhs [][][]float64, tol float64, maxIter int) {
 	defer close(pd.done)
 	start := time.Now()
+	defer func() { pd.subSolve = time.Since(start) }()
+	if err := pd.sys.build(blocks, precs); err != nil {
+		pd.err = err
+		return
+	}
+	if maxIter <= 0 {
+		maxIter = defaultLocalMaxIter(pd.sys.n)
+	}
 	wc, xc := make([][]float64, len(rhs)), make([][]float64, len(rhs))
 	for col := range pd.subIters {
 		for t := range wc {
@@ -132,11 +136,10 @@ func (pd *pendingX) solve(rhs [][][]float64, tol float64, maxIter int) {
 		it, err := pd.sys.solve(wc, xc, tol, maxIter)
 		if err != nil {
 			pd.err = xerr.Wrap(xerr.DataLoss, fmt.Errorf("%w (column %d)", err, col))
-			break
+			return
 		}
 		pd.subIters[col] = float64(it)
 	}
-	pd.subSolve = time.Since(start)
 }
 
 // solved is the leader's "x_If is solved" flag: 1 once its solve returned.
@@ -238,44 +241,98 @@ func joinColumns(c *cluster.Comm, cols [][]float64) []float64 {
 	return out
 }
 
-// subsystem is the reconstruction x-system on the leader: A_{If,If} over the
-// failed blocks and each block's ILU(0) preconditioner, with the PCG vectors
-// one block per failed rank.
+// subsystem is the reconstruction x-system on the leader: A_{If,If}
+// assembled over the failed blocks, its preconditioner and the PCG vectors
+// over all of If.
 type subsystem struct {
-	a          *distmat.Principal
-	prec       []precond.Preconditioner
-	r, z, p, u [][]float64
-	// parts holds one partial per block of a dot product, parts2 the second
-	// of a fused pair.
+	a *sparse.CSR
+	// prec[t] preconditions, and the dot products take one partial over, the
+	// rows [bounds[t], bounds[t+1]): one part per failed block, or one for
+	// the whole system when the coupled factor is used.
+	prec          []precond.Preconditioner
+	bounds        []int
+	x, r, z, p, u []float64
 	parts, parts2 []float64
 	n             int
+	coupled       bool // the coupled factor is in use
 	// stop, once set, ends solve at its next iteration.
 	stop atomic.Bool
 }
 
 // newSubsystem assembles the subsystem over the failed ranks' matrices (in
-// ascending rank order) and session preconditioners. A block whose session
-// preconditioner is block-Jacobi ILU(0) reuses that factor; any other block
-// (jacobi, SSOR, Cholesky and IC(0)/SPCG sessions) is factored here, once per
-// episode, falling back to the identity when its ILU(0) breaks down.
+// ascending rank order) and session preconditioners.
 func newSubsystem(blocks []*distmat.Matrix, precs []Precond) (*subsystem, error) {
-	a, err := distmat.NewPrincipal(blocks)
+	s := new(subsystem)
+	return s, s.build(blocks, precs)
+}
+
+// build assembles A_{If,If} (distmat.Restrict) and picks its
+// preconditioner: one ILU(0) of the whole operator where couples says it
+// pays, else each failed block's own (blockILU). The leader runs it at the
+// start of its background solve, off the episode's held path.
+func (s *subsystem) build(blocks []*distmat.Matrix, precs []Precond) error {
+	a, err := distmat.Restrict(blocks)
 	if err != nil {
-		return nil, err
+		return err
 	}
-	psi := len(blocks)
-	s := &subsystem{a: a, prec: make([]precond.Preconditioner, psi), parts: make([]float64, psi), parts2: make([]float64, psi)}
-	vs := make([][]float64, 4*psi)
-	for t, m := range blocks {
-		s.prec[t] = blockILU(m, precs[t])
-		n := m.P.Size(m.Pos)
-		s.n += n
-		for v := 0; v < 4; v++ {
-			vs[v*psi+t] = make([]float64, n)
+	s.a, s.n, s.bounds = a, a.Rows, []int{0}
+	for _, m := range blocks {
+		s.bounds = append(s.bounds, s.bounds[len(s.bounds)-1]+m.P.Size(m.Pos))
+	}
+	if couples(a, s.bounds) {
+		if ilu, err := newSubsystemILU(a); err == nil {
+			s.prec, s.bounds, s.coupled = []precond.Preconditioner{ilu}, []int{0, s.n}, true
 		}
 	}
-	s.r, s.z, s.p, s.u = vs[:psi], vs[psi:2*psi], vs[2*psi:3*psi], vs[3*psi:]
-	return s, nil
+	if s.prec == nil {
+		for t, m := range blocks {
+			s.prec = append(s.prec, blockILU(m, precs[t]))
+		}
+	}
+	s.parts, s.parts2 = make([]float64, len(s.prec)), make([]float64, len(s.prec))
+	v := make([]float64, 5*s.n)
+	s.x, s.r, s.z, s.p, s.u = v[:s.n], v[s.n:2*s.n], v[2*s.n:3*s.n], v[3*s.n:4*s.n], v[4*s.n:]
+	return nil
+}
+
+// The coupled factor's thresholds (see couples).
+const (
+	coupledCrossShare = 0.05
+	coupledFactorWork = 2
+)
+
+// couples is the static rule that picks the coupled preconditioner of the
+// x-system A_{If,If}, the failed blocks at bounds. Factoring the whole
+// operator pays when at least coupledCrossShare of the stored entries
+// couple two failed blocks — what the block factors ignore — and its IKJ
+// row updates, the sum over the strictly lower entries (i, j) of row j's
+// strictly upper entries, stay within coupledFactorWork times the entries,
+// about one sweep of the solve. A single block couples nothing, and
+// elasticity's 27-point stencil costs 17 times its entries.
+func couples(a *sparse.CSR, bounds []int) bool {
+	nnz := a.NNZ()
+	upper := make([]int, a.Rows)
+	cross, work, t := 0, 0, 0
+	for i := 0; i < a.Rows; i++ {
+		for i >= bounds[t+1] {
+			t++
+		}
+		cols, _ := a.Row(i)
+		for _, j := range cols {
+			if j < bounds[t] || j >= bounds[t+1] {
+				cross++
+			}
+			if j < i {
+				work += upper[j]
+			} else if j > i {
+				upper[i]++
+			}
+		}
+		if work > coupledFactorWork*nnz {
+			return false
+		}
+	}
+	return float64(cross) >= coupledCrossShare*float64(nnz)
 }
 
 // blockILU returns a failed block's subsystem preconditioner: the session's
@@ -293,8 +350,9 @@ func blockILU(m *distmat.Matrix, session Precond) precond.Preconditioner {
 	return precond.Identity{}
 }
 
-// newSubsystemILU factors a lost block for a session that holds no ILU(0) of
-// it. A variable so a test can count factorisations or hold the solve.
+// newSubsystemILU factors the coupled A_{If,If}, or a lost block for a
+// session that holds no ILU(0) of it. A variable so a test can count
+// factorisations or hold the solve.
 var newSubsystemILU = func(block *sparse.CSR) (precond.Preconditioner, error) {
 	return precond.NewBlockJacobiILU(block)
 }
@@ -307,28 +365,30 @@ func defaultLocalMaxIter(n int) int {
 
 // solve runs Alg. 1 on A_{If,If} x = w from x = 0 until ||r|| <= tol ||r0||
 // or maxIter iterations, and returns the iteration count; w and x hold one
-// block per failed rank. Every step is the driver's k = 1 step applied block
-// by block — the same kernels on the same blocks — and every dot product is
-// formed as per-block partials combined in the failed group's reduction order
-// (cluster.TreeSum). So x, the count and each stopping decision are bit for
-// bit those of the driver's PCG run by the failed ranks together, each on its
-// own block, the reference TestSubsystemSolveMatchesRebuiltReference holds it
-// to. It checks stop once per iteration.
+// block per failed rank. Every step is the driver's k = 1 step, and every
+// dot product is formed as one partial per part combined in the failed
+// group's reduction order (cluster.TreeSum). With the block factors, x, the
+// count and each stopping decision are bit for bit those of the driver's
+// PCG run by the failed ranks together, each on its own block, the
+// reference TestSubsystemSolveMatchesRebuiltReference holds it to; with the
+// coupled factor, those of the driver's PCG on one rank over A_{If,If}. It
+// checks stop once per iteration.
 func (s *subsystem) solve(w, x [][]float64, tol float64, maxIter int) (int, error) {
 	r, z, p, u := s.r, s.z, s.p, s.u
 	// r = w - A x at x = 0, formed as the driver forms the initial residual.
-	for t := range x {
-		clear(x[t])
+	clear(s.x)
+	at := 0
+	for _, wt := range w {
+		at += copy(u[at:], wt)
 	}
-	s.a.MatVec(r, x)
-	for t := range r {
-		vec.Axpby(1, w[t], -1, r[t])
-		s.prec[t].ApplyInv(z[t], r[t])
-		vec.Copy(p[t], z[t])
-	}
+	s.a.MulMatScatter(r, s.x, nil, 1)
+	vec.Axpby(1, u, -1, r)
+	s.precondition()
+	vec.Copy(p, z)
 	r0 := math.Sqrt(s.dot(r, r))
 	rz := s.dot(r, z)
 	if r0 == 0 {
+		s.scatterX(x)
 		return 0, nil
 	}
 	rn := r0
@@ -336,17 +396,18 @@ func (s *subsystem) solve(w, x [][]float64, tol float64, maxIter int) (int, erro
 		if s.stop.Load() {
 			return 0, fmt.Errorf("core: x-system solve stopped at iteration %d", j)
 		}
-		s.a.MatVec(u, p)
+		s.a.MulMatScatter(u, p, nil, 1)
 		pu := s.dot(p, u)
 		// Negated so that NaN trips it too, as in the driver.
 		if !(pu > 0) {
 			return 0, fmt.Errorf("core: reconstruction subsystem breakdown, p'Ap = %g at iteration %d", pu, j)
 		}
 		alpha := rz / pu
-		for t := range x {
-			vec.AxpyAxpy(alpha, p[t], x[t], -alpha, u[t], r[t])
-			s.prec[t].ApplyInv(z[t], r[t])
-			s.parts[t], s.parts2[t] = vec.Dot2(r[t], r[t], r[t], z[t])
+		vec.AxpyAxpy(alpha, p, s.x, -alpha, u, r)
+		s.precondition()
+		for t := range s.prec {
+			lo, hi := s.bounds[t], s.bounds[t+1]
+			s.parts[t], s.parts2[t] = vec.Dot2(r[lo:hi], r[lo:hi], r[lo:hi], z[lo:hi])
 		}
 		rzNew := cluster.TreeSum(s.parts2)
 		rn = math.Sqrt(cluster.TreeSum(s.parts))
@@ -354,25 +415,42 @@ func (s *subsystem) solve(w, x [][]float64, tol float64, maxIter int) (int, erro
 			return 0, fmt.Errorf("core: reconstruction subsystem diverged, ||r|| = %g at iteration %d", rn, j)
 		}
 		if rn <= tol*r0 {
+			s.scatterX(x)
 			return j + 1, nil
 		}
 		beta := rzNew / rz
 		rz = rzNew
-		for t := range p {
-			vec.Axpby(1, z[t], beta, p[t])
-		}
+		vec.Axpby(1, z, beta, p)
 	}
 	if rel := rn / r0; rel > 1e-6 {
 		return 0, fmt.Errorf("core: reconstruction subsystem stagnated (relres %.2e)", rel)
 	}
+	s.scatterX(x)
 	return maxIter, nil
 }
 
-// dot is the subsystem-wide a'b: per-block partials in the failed group's
+// precondition applies z = M^{-1} r part by part.
+func (s *subsystem) precondition() {
+	for t, m := range s.prec {
+		lo, hi := s.bounds[t], s.bounds[t+1]
+		m.ApplyInv(s.z[lo:hi], s.r[lo:hi])
+	}
+}
+
+// scatterX copies the solution out to the failed ranks' blocks.
+func (s *subsystem) scatterX(x [][]float64) {
+	at := 0
+	for _, xt := range x {
+		at += copy(xt, s.x[at:])
+	}
+}
+
+// dot is the subsystem-wide a'b: per-part partials in the failed group's
 // reduction order.
-func (s *subsystem) dot(a, b [][]float64) float64 {
-	for t := range a {
-		s.parts[t] = vec.Dot(a[t], b[t])
+func (s *subsystem) dot(a, b []float64) float64 {
+	for t := range s.prec {
+		lo, hi := s.bounds[t], s.bounds[t+1]
+		s.parts[t] = vec.Dot(a[lo:hi], b[lo:hi])
 	}
 	return cluster.TreeSum(s.parts)
 }

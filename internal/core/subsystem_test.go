@@ -69,14 +69,55 @@ func rebuiltSubsystemSolve(e *distmat.Env, mat *distmat.Matrix, rows *sparse.CSR
 	return iters, nil
 }
 
+// serialCoupledSolve is the coupled x-system's reference: A_{If,If} taken
+// from the global matrix a by Submatrix, and the driver's PCG on one rank
+// over it, preconditioned by its own ILU(0). rhs holds the right-hand sides
+// over all of If; it returns the solutions and iteration counts.
+func serialCoupledSolve(a *sparse.CSR, p partition.Partition, failedList []int, rhs [][]float64, tol float64) ([][]float64, []int, error) {
+	var ifIdx []int
+	for _, f := range failedList {
+		lo, hi := p.Range(f)
+		for g := lo; g < hi; g++ {
+			ifIdx = append(ifIdx, g)
+		}
+	}
+	sub := a.Submatrix(ifIdx, ifIdx)
+	subP := partition.NewBlockRow(sub.Rows, 1)
+	sol, iters := make([][]float64, len(rhs)), make([]int, len(rhs))
+	err := cluster.New(1).Run(func(c *cluster.Comm) error {
+		e := distmat.WorldEnv(c)
+		m, err := distmat.NewMatrix(e, sub, subP, 0, 0)
+		if err != nil {
+			return err
+		}
+		ilu, err := precond.NewBlockJacobiILU(m.OwnBlock())
+		if err != nil {
+			return err
+		}
+		for col := range rhs {
+			xv := distmat.NewVector(subP, 0)
+			bv := distmat.Vector{P: subP, Pos: 0, Local: slices.Clone(rhs[col])}
+			res, err := PCG(e, m, xv, bv, LocalPrecond{P: ilu}, Options{Tol: tol, MaxIter: defaultLocalMaxIter(sub.Rows)})
+			if err != nil {
+				return err
+			}
+			sol[col], iters[col] = xv.Local, res.Iterations
+		}
+		return nil
+	})
+	return sol, iters, err
+}
+
 // TestSubsystemSolveMatchesRebuiltReference: the leader's solve of the
-// x-system — the failed blocks' own kernels in one process, dot products
-// combined in the group's reduction order — leaves, for every failed block,
-// the solution and iteration count of the rebuilt subsystem PCG the failed
-// ranks run together, bit for bit: with every block factored on the leader
-// (what jacobi, SSOR, Cholesky and ic0/SPCG sessions get) and with the
-// session's own ILU(0) factors handed down. "explicit-P" is a tridiagonal
-// system with one-element halos.
+// x-system leaves bit for bit the solution and iteration count of its
+// reference. An episode the rule refuses — the failed blocks' own factors,
+// dot products combined in the group's reduction order — matches, for every
+// failed block, the rebuilt subsystem PCG the failed ranks run together:
+// with every block factored on the leader (what jacobi, SSOR, Cholesky and
+// ic0/SPCG sessions get) and with the session's own ILU(0) factors handed
+// down. An episode the rule couples matches a serial PCG over A_{If,If}
+// with its own ILU(0), whatever the sessions hold. Both kinds occur below.
+// "explicit-P" is a tridiagonal system with one-element halos.
 func TestSubsystemSolveMatchesRebuiltReference(t *testing.T) {
 	const ranks, phi, cols = 8, 3, 2
 	problems := map[string]*sparse.CSR{
@@ -85,6 +126,12 @@ func TestSubsystemSolveMatchesRebuiltReference(t *testing.T) {
 		"elasticity": matgen.Elasticity3D(6, 6, 6, 27, 8),
 		"explicit-P": tridiagInverse(256),
 	}
+	var kinds [2]int // refused, coupled episodes seen
+	defer func() {
+		if !t.Failed() && (kinds[0] == 0 || kinds[1] == 0) {
+			t.Errorf("%d refused and %d coupled episodes: want both kinds", kinds[0], kinds[1])
+		}
+	}()
 	for name, a := range problems {
 		// Five failed blocks: a sum over four or more partials is where the
 		// group's tree order differs from summing in rank order.
@@ -137,6 +184,36 @@ func TestSubsystemSolveMatchesRebuiltReference(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
+				// A coupled episode is held to the serial reference instead,
+				// over the same right-hand sides.
+				ref := "rebuilt"
+				if sys, err := newSubsystem(blocks, sessions); err != nil {
+					t.Fatal(err)
+				} else if sys.coupled {
+					kinds[1]++
+					ref = "serial coupled"
+					full := make([][]float64, cols)
+					for col := range full {
+						for p := range rhs {
+							full[col] = append(full[col], rhs[p][col]...)
+						}
+					}
+					sol, iters, err := serialCoupledSolve(a, blocks[0].P, failedList, full, 1e-14)
+					if err != nil {
+						t.Fatal(err)
+					}
+					wantIters = iters
+					off := 0
+					for p, f := range failedList {
+						n := blocks[0].P.Size(f)
+						for col := range want[p] {
+							want[p][col] = sol[col][off : off+n]
+						}
+						off += n
+					}
+				} else {
+					kinds[0]++
+				}
 				for _, tc := range []struct {
 					label string
 					precs []Precond
@@ -155,13 +232,13 @@ func TestSubsystemSolveMatchesRebuiltReference(t *testing.T) {
 							t.Fatal(err)
 						}
 						if iters != wantIters[col] {
-							t.Fatalf("%s, column %d: %d sub-iterations, rebuilt %d", tc.label, col, iters, wantIters[col])
+							t.Fatalf("%s, column %d: %d sub-iterations, %s %d", tc.label, col, iters, ref, wantIters[col])
 						}
 						for p := range x {
 							for i := range x[p] {
 								if math.Float64bits(x[p][i]) != math.Float64bits(want[p][col][i]) {
-									t.Fatalf("%s, column %d, rank %d row %d: %x, rebuilt %x",
-										tc.label, col, failedList[p], i, x[p][i], want[p][col][i])
+									t.Fatalf("%s, column %d, rank %d row %d: %x, %s %x",
+										tc.label, col, failedList[p], i, x[p][i], ref, want[p][col][i])
 								}
 							}
 						}
@@ -172,7 +249,7 @@ func TestSubsystemSolveMatchesRebuiltReference(t *testing.T) {
 	}
 }
 
-// countSubsystemILU counts the lost-block factorisations of the solves run
+// countSubsystemILU counts the x-system factorisations of the solves run
 // inside body.
 func countSubsystemILU(t *testing.T, body func()) int64 {
 	t.Helper()
@@ -187,17 +264,22 @@ func countSubsystemILU(t *testing.T, body func()) int64 {
 	return n.Load()
 }
 
-// TestSubsystemReusesSessionILU: an ILU(0) session's episode factors
-// nothing; every other session's leader factors each lost block once per
-// episode — one per replacement per episode for jacobi and ic0/SPCG.
+// TestSubsystemReusesSessionILU: an episode the rule refuses factors
+// nothing under an ILU(0) session, and every other session's leader factors
+// each lost block once per episode — one per replacement per episode for
+// jacobi and ic0/SPCG; an episode the rule couples factors A_{If,If} once,
+// whatever the session holds. Poisson 18² on 8 ranks: blocks 1, 4 and 6 do
+// not touch, so only adjacent victims couple.
 func TestSubsystemReusesSessionILU(t *testing.T) {
 	a := matgen.Poisson2D(18, 18)
 	const ranks, phi = 8, 3
-	victims := []int{2, 3, 4}
-	sched := func() *faults.Schedule {
-		return faults.NewSchedule(faults.Simultaneous(5, victims...), faults.Simultaneous(9, 6, 7))
+	refused := func() *faults.Schedule {
+		return faults.NewSchedule(faults.Simultaneous(5, 1, 4, 6), faults.Simultaneous(9, 3))
 	}
-	const replacements = 3 + 2 // over the two episodes
+	coupled := func() *faults.Schedule {
+		return faults.NewSchedule(faults.Simultaneous(5, 2, 3, 4), faults.Simultaneous(9, 6, 7))
+	}
+	const replacements, episodes = 3 + 1, 2 // of the refused schedule; of either
 	jacobiFactory := func(_ *distmat.Env, m *distmat.Matrix) (Precond, error) {
 		j, err := precond.NewJacobi(m.Diag())
 		if err != nil {
@@ -205,7 +287,7 @@ func TestSubsystemReusesSessionILU(t *testing.T) {
 		}
 		return LocalPrecond{P: j}, nil
 	}
-	pcg := func(mk precondFactory) func() {
+	pcg := func(mk precondFactory, sched func() *faults.Schedule) func() {
 		return func() {
 			out := runSolver(t, ranks, func(c *cluster.Comm, ss *sessionStub) (Result, distmat.Vector, error) {
 				e, m, x, b, err := setupProblem(c, a, phi)
@@ -222,18 +304,20 @@ func TestSubsystemReusesSessionILU(t *testing.T) {
 			if out.err != nil {
 				t.Fatal(out.err)
 			}
-			if !out.res.Converged || len(out.res.Reconstructions) != 2 {
-				t.Fatalf("converged=%v with %d episodes, want 2", out.res.Converged, len(out.res.Reconstructions))
+			if !out.res.Converged || len(out.res.Reconstructions) != episodes {
+				t.Fatalf("converged=%v with %d episodes, want %d", out.res.Converged, len(out.res.Reconstructions), episodes)
 			}
 		}
 	}
-	spcg := func() {
-		out := runSPCG(t, ranks, phi, sched(), 1e-9)
-		if out.err != nil {
-			t.Fatal(out.err)
-		}
-		if !out.res.Converged || len(out.res.Reconstructions) != 2 {
-			t.Fatalf("SPCG converged=%v with %d episodes, want 2", out.res.Converged, len(out.res.Reconstructions))
+	spcg := func(sched func() *faults.Schedule) func() {
+		return func() {
+			out := runSPCG(t, ranks, phi, sched(), 1e-9)
+			if out.err != nil {
+				t.Fatal(out.err)
+			}
+			if !out.res.Converged || len(out.res.Reconstructions) != episodes {
+				t.Fatalf("SPCG converged=%v with %d episodes, want %d", out.res.Converged, len(out.res.Reconstructions), episodes)
+			}
 		}
 	}
 	for _, tc := range []struct {
@@ -241,12 +325,15 @@ func TestSubsystemReusesSessionILU(t *testing.T) {
 		solve func()
 		want  int64
 	}{
-		{"block-jacobi-ilu", pcg(iluFactory), 0},
-		{"jacobi", pcg(jacobiFactory), replacements},
-		{"ic0+spcg", spcg, replacements},
+		{"block-jacobi-ilu, refused", pcg(iluFactory, refused), 0},
+		{"jacobi, refused", pcg(jacobiFactory, refused), replacements},
+		{"ic0+spcg, refused", spcg(refused), replacements},
+		{"block-jacobi-ilu, coupled", pcg(iluFactory, coupled), episodes},
+		{"jacobi, coupled", pcg(jacobiFactory, coupled), episodes},
+		{"ic0+spcg, coupled", spcg(coupled), episodes},
 	} {
 		if got := countSubsystemILU(t, tc.solve); got != tc.want {
-			t.Errorf("%s session: %d lost-block factorisations, want %d", tc.name, got, tc.want)
+			t.Errorf("%s session: %d x-system factorisations, want %d", tc.name, got, tc.want)
 		}
 	}
 }
@@ -298,9 +385,9 @@ func TestEpisodeSendsNoSetupMessages(t *testing.T) {
 // TestReconstructionPhasesAccountForTheEpisode: the per-phase clock reads
 // tile the episode, the time the iteration was held up — they sum to no more
 // than its duration and miss only the bookkeeping outside the phase loop. The
-// leader's subsystem assembly lies inside its x-system phase; the subsystem
-// solve runs in the background, after the episode, and is reported at
-// settle. Rank 0, whose Result the harness reports, leads the x-system of
+// leader's subsystem setup lies inside its x-system phase; the subsystem's
+// assembly and solve run in the background, after the episode, and are
+// reported at settle. Rank 0, whose Result the harness reports, leads the x-system of
 // victims {0, 1, 2}; of victims {2, 3, 4} rank 2 leads, and rank 0 reports
 // the leader's two times all the same.
 func TestReconstructionPhasesAccountForTheEpisode(t *testing.T) {
@@ -334,6 +421,33 @@ func TestReconstructionPhasesAccountForTheEpisode(t *testing.T) {
 		}
 		if rec.SubsystemSolve <= 0 {
 			t.Fatalf("victims %v: the background x-system solve reported %v", victims, rec.SubsystemSolve)
+		}
+	}
+}
+
+// TestXSystemCouplingRule: on the three workloads' generators at bench
+// size, 8 ranks, the rule couples circuit's failed blocks, adjacent or not
+// (its long-range links couple them all), and refuses Poisson's (too little
+// coupling: 3 % adjacent, none apart) and elasticity's (its factor costs 17
+// sweeps).
+func TestXSystemCouplingRule(t *testing.T) {
+	const ranks, phi = 8, 3
+	for _, g := range benchGenerators() {
+		mats, _ := sessionBlocks(t, g.a, ranks, phi)
+		for _, victims := range [][]int{{3, 4, 5}, {1, 4, 6}} {
+			blocks := make([]*distmat.Matrix, len(victims))
+			bounds := []int{0}
+			for t, f := range victims {
+				blocks[t] = mats[f]
+				bounds = append(bounds, bounds[t]+mats[f].P.Size(f))
+			}
+			a, err := distmat.Restrict(blocks)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, want := couples(a, bounds), g.name == "circuit"; got != want {
+				t.Errorf("%s victims %v: couples %v, want %v", g.name, victims, got, want)
+			}
 		}
 	}
 }

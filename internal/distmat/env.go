@@ -7,8 +7,8 @@
 //
 // All operations work over an Env, which is either the full communicator or
 // a subgroup of ranks. The reconstruction's x-system operator A_{If,If}
-// (paper Sec. 4.1) is a Principal: the failed ranks' own kernels run on one
-// goroutine with no messages, survivor-owned ghost slots held at zero.
+// (paper Sec. 4.1) is one CSR that Restrict assembles from the failed ranks'
+// own rows, with no messages, their survivor-owned columns dropped.
 package distmat
 
 import (

@@ -81,11 +81,10 @@ func TestQuickOverlapRowPartitionProperty(t *testing.T) {
 // TestQuickMatVecMatchesSerial: the communication-hiding MatVec, and MatMat
 // at widths 3 and 8, equal the global serial CSR.MulVec of every column bit
 // for bit, with and without retention, across several random systems on the
-// in-process and chaos fabrics — and so does the message-free Principal over
-// two members' matrices, which runs their own splits and must read zero in
-// every non-member ghost slot, product after product, against the serial
-// product of the principal submatrix. The oracle shares no code with the
-// interior/boundary split.
+// in-process and chaos fabrics — and so does A_{If,If} as Restrict
+// assembles it from two members' matrices, which must drop every
+// non-member column, against the serial product of the principal
+// submatrix. The oracle shares no code with the interior/boundary split.
 func TestQuickMatVecMatchesSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	viewMembers := []int{1, 2}
@@ -105,8 +104,8 @@ func TestQuickMatVecMatchesSerial(t *testing.T) {
 				}
 			}
 			// out files every product as a full-length vector: MatVec, the
-			// columns of MatMat at width 3 and 8, then the Principal's
-			// products (zero outside the members' rows).
+			// columns of MatMat at width 3 and 8, then the assembled
+			// A_{If,If}'s products (zero outside the members' rows).
 			out := make([][]float64, 1+3+8+viewProducts)
 			for j := range out {
 				out[j] = make([]float64, n)
@@ -163,24 +162,21 @@ func TestQuickMatVecMatchesSerial(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			view, err := NewPrincipal(members)
+			// The members are adjacent: their rows, and their entries of x,
+			// are the range [vlo, vhi).
+			vlo, _ := p.Range(viewMembers[0])
+			_, vhi := p.Range(viewMembers[len(viewMembers)-1])
+			view, err := Restrict(members)
 			if err != nil {
 				t.Fatal(err)
 			}
 			for j := 0; j < viewProducts; j++ {
-				x, y := make([][]float64, len(members)), make([][]float64, len(members))
-				for t, f := range viewMembers {
-					lo, hi := p.Range(f)
-					x[t], y[t] = xFull[j][lo:hi], out[1+3+8+j][lo:hi]
-				}
-				view.MatVec(y, x)
+				view.MulMatScatter(out[1+3+8+j][vlo:vhi], xFull[j][vlo:vhi], nil, 1)
 			}
 
 			// The oracle: the whole matrix for the world products, the
 			// principal submatrix A_{If, If} over the members' rows for the
 			// view's.
-			vlo, _ := p.Range(viewMembers[0])
-			_, vhi := p.Range(viewMembers[len(viewMembers)-1])
 			in := make([]int, vhi-vlo)
 			for i := range in {
 				in[i] = vlo + i

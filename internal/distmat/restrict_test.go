@@ -20,8 +20,8 @@ import (
 // scratch: extract A_{If,If} from the rank's static row block rows (global
 // columns; the test holds it, m keeps no copy) with renumbered columns and
 // run the full distributed construction (symbolic exchange, localisation,
-// kernel plans) over the subgroup. Kept as the reference the message-free
-// Principal must match bit for bit.
+// kernel plans) over the subgroup. Kept as the reference the assembled
+// operator Restrict returns must match bit for bit.
 func rebuiltSubsystem(sub *Env, m *Matrix, rows *sparse.CSR, ctx int) (*Matrix, error) {
 	sizes := make([]int, sub.Size())
 	var ifIdx []int
@@ -57,12 +57,12 @@ func workloadProblems(tiny bool) map[string]*sparse.CSR {
 }
 
 // TestRestrictMatchesRebuiltSubsystem: A restricted to the failed blocks,
-// A_{If,If} — evaluated by the Principal in one process over the members'
-// own matrices, with no messages — equals bit for bit the MatVec of the
-// operator rebuilt from scratch over the subgroup of members, block for
-// block, product after product through one Principal. (That the x-system
-// sends no setup message is pinned where a whole run's counters can be
-// compared: core.TestEpisodeSendsNoSetupMessages.)
+// A_{If,If} — assembled by Restrict in one process from the members' own
+// matrices, with no messages — multiplies bit for bit as the operator
+// rebuilt from scratch over the subgroup of members, block for block,
+// product after product. (That the x-system sends no setup message is
+// pinned where a whole run's counters can be compared:
+// core.TestEpisodeSendsNoSetupMessages.)
 func TestRestrictMatchesRebuiltSubsystem(t *testing.T) {
 	const ranks, phi, products = 8, 3, 3
 	failedSets := [][]int{{3}, {2, 3, 4}, {0, 6, 7}, {1, 4, 6}, {0, 1, 2, 3, 4, 5, 6}}
@@ -115,26 +115,115 @@ func TestRestrictMatchesRebuiltSubsystem(t *testing.T) {
 					mu.Unlock()
 					return nil
 				})
-				view, err := NewPrincipal(mats)
+				op, err := Restrict(mats)
 				if err != nil {
 					t.Fatal(err)
 				}
 				for j := 0; j < products; j++ {
-					x, y := make([][]float64, len(members)), make([][]float64, len(members))
-					for b := range x {
-						x[b], y[b] = xs[b][j], make([]float64, len(xs[b][j]))
+					var x []float64
+					for b := range xs {
+						x = append(x, xs[b][j]...)
 					}
-					view.MatVec(y, x)
-					for b := range y {
-						for i := range y[b] {
-							if math.Float64bits(y[b][i]) != math.Float64bits(want[b][j][i]) {
-								t.Fatalf("rank %d product %d row %d: Principal %x, rebuilt %x",
-									members[b], j, i, y[b][i], want[b][j][i])
+					y := make([]float64, op.Rows)
+					op.MulMatScatter(y, x, nil, 1)
+					for b, at := range memberOffsets(mats) {
+						for i, w := range want[b][j] {
+							if math.Float64bits(y[at+i]) != math.Float64bits(w) {
+								t.Fatalf("rank %d product %d row %d: Restrict %x, rebuilt %x",
+									members[b], j, i, y[at+i], w)
 							}
 						}
 					}
 				}
 			})
+		}
+	}
+}
+
+// memberOffsets returns where each member's rows start in Restrict's layout.
+func memberOffsets(mats []*Matrix) []int {
+	off, at := make([]int, len(mats)), 0
+	for t, m := range mats {
+		off[t] = at
+		at += m.blockSize()
+	}
+	return off
+}
+
+// perBlockProduct is y = A_{If,If} x formed block by block, as the x-system
+// formed it before its operator was assembled: member t's own interior and
+// boundary kernels on an input of its block, the other members' entries in
+// their ghost slots and zero in every non-member's.
+func perBlockProduct(mats []*Matrix, y, x [][]float64) {
+	for t, m := range mats {
+		bs := m.blockSize()
+		in := make([]float64, bs+len(m.ghost))
+		copy(in, x[t])
+		for u, f := range mats {
+			if u == t {
+				continue
+			}
+			slot, _ := m.GhostSpan(f.Pos)
+			flo, _ := m.P.Range(f.Pos)
+			for i, g := range m.Plan.RecvFrom[f.Pos] {
+				in[bs+slot+i] = x[u][g-flo]
+			}
+		}
+		m.split.Interior.MulMatScatter(y[t], in, m.split.IntRows, 1)
+		m.split.Boundary.MulMatScatter(y[t], in, m.split.BndRows, 1)
+	}
+}
+
+// TestRestrictMatchesPerBlockProduct: the assembled A_{If,If} drops the
+// products with the zeroed non-member ghost slots, and its product is the
+// per-block one bit for bit, on the three workload generators at bench size
+// and 1, 2 and 3 members, adjacent or not. Every fifth input is a signed
+// zero, so rows whose kept terms are all zero are covered.
+func TestRestrictMatchesPerBlockProduct(t *testing.T) {
+	const ranks, phi = 8, 3
+	memberSets := [][]int{{5}, {3, 4}, {0, 7}, {3, 4, 5}, {1, 4, 6}}
+	for name, a := range workloadProblems(false) {
+		p := partition.NewBlockRow(a.Rows, ranks)
+		mats := make([]*Matrix, ranks)
+		runSPMD(t, ranks, func(c *cluster.Comm) error {
+			e := WorldEnv(c)
+			lo, hi := p.Range(e.Pos)
+			m, err := NewMatrix(e, a.RowBlock(lo, hi), p, phi, 0)
+			mats[e.Pos] = m
+			return err
+		})
+		rng := rand.New(rand.NewSource(5))
+		for _, members := range memberSets {
+			sub := make([]*Matrix, len(members))
+			x, y := make([][]float64, len(members)), make([][]float64, len(members))
+			var flat []float64
+			for t, f := range members {
+				sub[t] = mats[f]
+				x[t], y[t] = make([]float64, p.Size(f)), make([]float64, p.Size(f))
+				for i := range x[t] {
+					switch i % 5 {
+					case 0:
+						x[t][i] = math.Copysign(0, rng.NormFloat64())
+					default:
+						x[t][i] = rng.NormFloat64()
+					}
+				}
+				flat = append(flat, x[t]...)
+			}
+			op, err := Restrict(sub)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := make([]float64, op.Rows)
+			op.MulMatScatter(got, flat, nil, 1)
+			perBlockProduct(sub, y, x)
+			for b, at := range memberOffsets(sub) {
+				for i, w := range y[b] {
+					if math.Float64bits(got[at+i]) != math.Float64bits(w) {
+						t.Fatalf("%s %v: rank %d row %d: Restrict %x, per block %x", name, members, members[b], i, got[at+i], w)
+					}
+				}
+			}
 		}
 	}
 }

@@ -100,9 +100,9 @@ type StrategyCell struct {
 	// RecoveryPhaseSeconds splits the failure runs' mean recovery time over
 	// ESR's five phases (scalars, p-gather, z/r rebuild, x-system hand-off,
 	// finalize) as rank 0 — the x-system's leader under this schedule — saw
-	// them; SubsystemSetupSeconds is the leader's x-system assembly, inside
-	// the x-system phase, and SubsystemSolveSeconds its background PCG, after
-	// the episode. Zero for rollbacks.
+	// them; SubsystemSetupSeconds is the leader's x-system setup, inside the
+	// x-system phase, and SubsystemSolveSeconds its background assembly,
+	// factor and PCG, after the episode. Zero for rollbacks.
 	RecoveryPhaseSeconds  [5]float64 `json:"recovery_phase_s"`
 	SubsystemSetupSeconds float64    `json:"subsystem_setup_s"`
 	SubsystemSolveSeconds float64    `json:"subsystem_solve_s"`

@@ -98,14 +98,15 @@ func (m *CSR) MulMat(y, x []float64, k int) {
 
 // MulMatScatter computes y[rows[i]*k : rows[i]*k+k] = (A X) row i for the
 // compressed matrix: row i of m is accumulated in stored order and written
-// to the source row rows[i]. It is the kernel behind both halves of a
-// RowSplit, scoring each sub-matrix row directly into the full k-strided
-// output; at k = 1 that output is a plain vector, y[rows[i]] = (A x)[i].
+// to the source row rows[i] (row i itself when rows is nil). It is the
+// kernel behind both halves of a RowSplit, scoring each sub-matrix row
+// directly into the full k-strided output; at k = 1 that output is a plain
+// vector, y[rows[i]] = (A x)[i].
 // From fanOutNNZ stored entries times columns on, the rows are shared out
 // across cores (fanout.go); rows holds distinct indices, so every row still
 // lands once and the result does not depend on the split.
 func (m *CSR) MulMatScatter(y, x []float64, rows []int, k int) {
-	if k <= 0 || len(x) != m.Cols*k || len(rows) != m.Rows {
+	if k <= 0 || len(x) != m.Cols*k || rows != nil && len(rows) != m.Rows || rows == nil && len(y) != m.Rows*k {
 		panic("sparse: MulMatScatter dimension mismatch")
 	}
 	if m.NNZ()*k < fanOutNNZ {
