@@ -337,7 +337,7 @@ func couples(a *sparse.CSR, bounds []int) bool {
 
 // blockILU returns a failed block's subsystem preconditioner: the session's
 // ILU(0) factor of it when the session holds one, else the block's own
-// ILU(0), factored now.
+// ILU(0), factored now, or the identity where that breaks down.
 func blockILU(m *distmat.Matrix, session Precond) precond.Preconditioner {
 	if lp, ok := session.(LocalPrecond); ok {
 		if ilu, ok := lp.P.(*precond.BlockJacobiILU); ok {
