@@ -117,7 +117,7 @@ func BenchmarkXSystem(b *testing.B) {
 			}
 			var factor, solve time.Duration
 			var iters int
-			var coupled bool
+			coupled := 0.0
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				start := time.Now()
@@ -129,13 +129,16 @@ func BenchmarkXSystem(b *testing.B) {
 				if iters, err = sys.solve(w, x, 1e-14, defaultLocalMaxIter(sys.n)); err != nil {
 					b.Fatal(err)
 				}
-				factor, solve, coupled = factor+mid.Sub(start), solve+time.Since(mid), sys.coupled
+				factor, solve = factor+mid.Sub(start), solve+time.Since(mid)
+				if sys.coupled {
+					coupled = 1
+				}
 			}
 			ms := func(d time.Duration) float64 { return float64(d.Microseconds()) / 1e3 / float64(b.N) }
 			b.ReportMetric(float64(iters), "subiters")
 			b.ReportMetric(ms(factor), "factor_ms")
 			b.ReportMetric(ms(solve), "solve_ms")
-			b.ReportMetric(map[bool]float64{true: 1}[coupled], "coupled")
+			b.ReportMetric(coupled, "coupled")
 		})
 	}
 }

@@ -433,20 +433,18 @@ func TestReconstructionPhasesAccountForTheEpisode(t *testing.T) {
 func TestXSystemCouplingRule(t *testing.T) {
 	const ranks, phi = 8, 3
 	for _, g := range benchGenerators() {
-		mats, _ := sessionBlocks(t, g.a, ranks, phi)
+		mats, sessions := sessionBlocks(t, g.a, ranks, phi)
 		for _, victims := range [][]int{{3, 4, 5}, {1, 4, 6}} {
-			blocks := make([]*distmat.Matrix, len(victims))
-			bounds := []int{0}
+			blocks, precs := make([]*distmat.Matrix, len(victims)), make([]Precond, len(victims))
 			for t, f := range victims {
-				blocks[t] = mats[f]
-				bounds = append(bounds, bounds[t]+mats[f].P.Size(f))
+				blocks[t], precs[t] = mats[f], sessions[f]
 			}
-			a, err := distmat.Restrict(blocks)
+			sys, err := newSubsystem(blocks, precs)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got, want := couples(a, bounds), g.name == "circuit"; got != want {
-				t.Errorf("%s victims %v: couples %v, want %v", g.name, victims, got, want)
+			if got, want := sys.coupled, g.name == "circuit"; got != want {
+				t.Errorf("%s victims %v: coupled %v, want %v", g.name, victims, got, want)
 			}
 		}
 	}
