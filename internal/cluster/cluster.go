@@ -419,6 +419,13 @@ func (c *Comm) Reclassify(from, to Category, floats int64) {
 	c.rt.counters.shards[c.rank].reclassify(from, to, floats)
 }
 
+// RecordStorage books one message of floats elements that this rank moved
+// outside the fabric — a save to or a restore from simulated reliable
+// storage — under cat, on the rank's own counter shard.
+func (c *Comm) RecordStorage(cat Category, floats int) {
+	c.rt.counters.shards[c.rank].record(cat, 1, floats, 0)
+}
+
 // Send delivers a message to rank `to` with the given tag, accounting it
 // under category cat. Payload slices are copied (on every transport), so
 // the caller may reuse its buffers immediately. Send fails with

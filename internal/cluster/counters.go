@@ -57,10 +57,10 @@ func Categories() []Category {
 //
 // Every send is counted, so the counters are sharded by writer: each rank
 // adds to a shard of its own (no cache line bounces between the rank
-// goroutines), rank-less traffic (RecordExternal) goes to one extra shard,
-// and readers sum the shards — exactly what one shared set would hold.
+// goroutines), and readers sum the shards — exactly what one shared set
+// would hold.
 type Counters struct {
-	shards []counterShard // [rank] for traffic that rank sent, [size] external
+	shards []counterShard // [rank] for traffic that rank sent or stored
 }
 
 type counterShard struct {
@@ -71,7 +71,7 @@ type counterShard struct {
 }
 
 func newCounters(size int) Counters {
-	return Counters{shards: make([]counterShard, size+1)}
+	return Counters{shards: make([]counterShard, size)}
 }
 
 func (sh *counterShard) record(cat Category, msgs, floats, ints int) {
@@ -111,12 +111,6 @@ func (ct *Counters) TotalFloats() int64 {
 		s += v
 	}
 	return s
-}
-
-// RecordExternal accounts traffic that does not flow through Send, such as
-// checkpoint I/O to simulated reliable storage.
-func (ct *Counters) RecordExternal(cat Category, msgs, floats int) {
-	ct.shards[len(ct.shards)-1].record(cat, msgs, floats, 0)
 }
 
 // Snapshot captures the current counter values.

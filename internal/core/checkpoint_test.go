@@ -1,4 +1,4 @@
-package checkpoint
+package core
 
 import (
 	"math"
@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/cluster"
-	"repro/internal/core"
 	"repro/internal/distmat"
 	"repro/internal/faults"
 	"repro/internal/localsolve"
@@ -17,14 +16,16 @@ import (
 	"repro/internal/vec"
 )
 
-func run(t *testing.T, a *sparse.CSR, ranks int, sched *faults.Schedule, interval int) (core.Result, []float64, *Store, error) {
+// runCheckpoint solves a sine right-hand side under the checkpoint strategy
+// and returns rank 0's Result, the gathered solution and the runtime, whose
+// counters hold the strategy's traffic.
+func runCheckpoint(t *testing.T, a *sparse.CSR, ranks int, sched *faults.Schedule, interval int) (Result, []float64, *cluster.Runtime, error) {
 	t.Helper()
 	rt := cluster.New(ranks)
-	store := NewStore(rt.Counters())
-	strat := NewStrategy(store, interval)
+	strat := NewCheckpointStrategy(interval)
 	p := partition.NewBlockRow(a.Rows, ranks)
 	var mu sync.Mutex
-	var res core.Result
+	var res Result
 	var xFull []float64
 	err := rt.Run(func(c *cluster.Comm) error {
 		e := distmat.WorldEnv(c)
@@ -42,7 +43,7 @@ func run(t *testing.T, a *sparse.CSR, ranks int, sched *faults.Schedule, interva
 			b.Local[i] = 1 + math.Sin(float64(lo+i)*0.13)
 		}
 		x := distmat.NewVector(p, e.Pos)
-		r, err := core.ResilientPCG(e, m, x, b, core.LocalPrecond{P: bj}, core.Options{Tol: 1e-9}, sched, strat)
+		r, err := ResilientPCG(e, m, x, b, LocalPrecond{P: bj}, Options{Tol: 1e-9}, sched, strat)
 		if err != nil {
 			return err
 		}
@@ -57,10 +58,16 @@ func run(t *testing.T, a *sparse.CSR, ranks int, sched *faults.Schedule, interva
 		}
 		return nil
 	})
-	return res, xFull, store, err
+	return res, xFull, rt, err
 }
 
-func reference(t *testing.T, a *sparse.CSR) []float64 {
+// checkpoints is the number of coordinated checkpoints a solve on rt took:
+// every rank books each save as one CatCheckpoint message.
+func checkpoints(rt *cluster.Runtime) int64 {
+	return rt.Counters().Messages(cluster.CatCheckpoint) / int64(rt.Size())
+}
+
+func checkpointReference(t *testing.T, a *sparse.CSR) []float64 {
 	t.Helper()
 	n := a.Rows
 	b := make([]float64, n)
@@ -77,8 +84,8 @@ func reference(t *testing.T, a *sparse.CSR) []float64 {
 
 func TestCheckpointPCGNoFailures(t *testing.T) {
 	a := matgen.Poisson2D(16, 16)
-	want := reference(t, a)
-	res, x, store, err := run(t, a, 4, nil, 10)
+	want := checkpointReference(t, a)
+	res, x, rt, err := runCheckpoint(t, a, 4, nil, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,16 +95,16 @@ func TestCheckpointPCGNoFailures(t *testing.T) {
 	if d := vec.MaxAbsDiff(x, want); d > 1e-5 {
 		t.Fatalf("solution error %g", d)
 	}
-	if store.Checkpoints() == 0 {
+	if checkpoints(rt) == 0 {
 		t.Fatal("no checkpoints taken")
 	}
 }
 
 func TestCheckpointRollbackRecovers(t *testing.T) {
 	a := matgen.Poisson2D(16, 16)
-	want := reference(t, a)
+	want := checkpointReference(t, a)
 	sched := faults.NewSchedule(faults.Simultaneous(17, 1, 2))
-	res, x, store, err := run(t, a, 4, sched, 10)
+	res, x, rt, err := runCheckpoint(t, a, 4, sched, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,25 +130,24 @@ func TestCheckpointRollbackRecovers(t *testing.T) {
 	// 4 ranks, booked as recovery traffic; the checkpoint traffic is the
 	// saves alone, the same volume per complete checkpoint.
 	vol := int64(4*a.Rows + 3*4)
-	if got := store.counters.Floats(cluster.CatRecovery); got != vol {
+	if got := rt.Counters().Floats(cluster.CatRecovery); got != vol {
 		t.Fatalf("recovery traffic %d floats, want the restored %d", got, vol)
 	}
-	if got, want := store.counters.Floats(cluster.CatCheckpoint), int64(store.Checkpoints())*vol; got != want {
-		t.Fatalf("checkpoint traffic %d floats, want %d (= %d saves x %d)", got, want, store.Checkpoints(), vol)
+	if got, want := rt.Counters().Floats(cluster.CatCheckpoint), checkpoints(rt)*vol; got != want {
+		t.Fatalf("checkpoint traffic %d floats, want %d (= %d saves x %d)", got, want, checkpoints(rt), vol)
 	}
 }
 
-// runBlock solves the given right-hand sides as one lockstep block of plain
-// CG under the checkpoint strategy and returns every column's Result and the
-// store.
-func runBlock(t *testing.T, a *sparse.CSR, ranks int, rhs [][]float64, interval int) ([]core.Result, *Store) {
+// runCheckpointBlock solves the given right-hand sides as one lockstep block
+// of plain CG under the checkpoint strategy and returns every column's Result
+// and the runtime.
+func runCheckpointBlock(t *testing.T, a *sparse.CSR, ranks int, rhs [][]float64, interval int) ([]Result, *cluster.Runtime) {
 	t.Helper()
 	rt := cluster.New(ranks)
-	store := NewStore(rt.Counters())
-	strat := NewStrategy(store, interval)
+	strat := NewCheckpointStrategy(interval)
 	p := partition.NewBlockRow(a.Rows, ranks)
 	var mu sync.Mutex
-	var results []core.Result
+	var results []Result
 	err := rt.Run(func(c *cluster.Comm) error {
 		e := distmat.WorldEnv(c)
 		lo, hi := p.Range(e.Pos)
@@ -154,7 +160,7 @@ func runBlock(t *testing.T, a *sparse.CSR, ranks int, rhs [][]float64, interval 
 			xs[col] = distmat.NewVector(p, e.Pos)
 			bs[col] = distmat.Vector{P: p, Pos: e.Pos, Local: append([]float64(nil), rhs[col][lo:hi]...)}
 		}
-		res, colErrs, err := core.SolveBlock(e, m, xs, bs, core.IdentityPrecond(), core.Options{Tol: 1e-9}, nil, strat)
+		res, colErrs, err := SolveBlock(e, m, xs, bs, IdentityPrecond(), Options{Tol: 1e-9}, nil, strat)
 		if err != nil {
 			return err
 		}
@@ -173,7 +179,7 @@ func runBlock(t *testing.T, a *sparse.CSR, ranks int, rhs [][]float64, interval 
 	if err != nil {
 		t.Fatal(err)
 	}
-	return results, store
+	return results, rt
 }
 
 // TestCheckpointTrafficAccounted pins the checkpoint volume exactly: every
@@ -203,7 +209,7 @@ func TestCheckpointTrafficAccounted(t *testing.T) {
 		return b
 	})
 	for _, rhs := range [][][]float64{{slow}, {slow, fast, col(func(i int) float64 { return float64(i%7) - 3 })}} {
-		results, store := runBlock(t, a, ranks, rhs, interval)
+		results, rt := runCheckpointBlock(t, a, ranks, rhs, interval)
 		var saves int64
 		for _, res := range results {
 			if !res.Converged {
@@ -216,7 +222,7 @@ func TestCheckpointTrafficAccounted(t *testing.T) {
 				results[1].Iterations, results[0].Iterations)
 		}
 		want := saves * int64(4*n+3*ranks)
-		if got := store.counters.Floats(cluster.CatCheckpoint); got != want {
+		if got := rt.Counters().Floats(cluster.CatCheckpoint); got != want {
 			t.Fatalf("k=%d: checkpoint traffic %d floats, want %d (= %d column saves x (4n + 3 ranks))",
 				len(rhs), got, want, saves)
 		}
@@ -229,11 +235,11 @@ func TestCheckpointTrafficAccounted(t *testing.T) {
 func TestCheckpointVolumeExceedsESRRedundancy(t *testing.T) {
 	a := matgen.Poisson2D(16, 16)
 	const ranks = 4
-	_, _, store, err := run(t, a, ranks, nil, 5)
+	_, _, rt, err := runCheckpoint(t, a, ranks, nil, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ckptFloats := store.counters.Floats(cluster.CatCheckpoint)
+	ckptFloats := rt.Counters().Floats(cluster.CatCheckpoint)
 	// ESR phi=1 extra volume on the same problem:
 	rt2 := cluster.New(ranks)
 	p := partition.NewBlockRow(a.Rows, ranks)
@@ -253,7 +259,7 @@ func TestCheckpointVolumeExceedsESRRedundancy(t *testing.T) {
 			b.Local[i] = 1
 		}
 		x := distmat.NewVector(p, e.Pos)
-		_, err = core.ESRPCG(e, m, x, b, core.LocalPrecond{P: bj}, core.Options{Tol: 1e-9}, nil)
+		_, err = ESRPCG(e, m, x, b, LocalPrecond{P: bj}, Options{Tol: 1e-9}, nil)
 		return err
 	})
 	if err != nil {
@@ -266,5 +272,59 @@ func TestCheckpointVolumeExceedsESRRedundancy(t *testing.T) {
 	if ckptFloats <= esrFloats {
 		t.Fatalf("expected C/R volume (%d) to exceed ESR redundancy volume (%d) on this problem",
 			ckptFloats, esrFloats)
+	}
+}
+
+// TestCheckpointSaveAllocatesNothing pins the snapshot slot's reuse: after
+// the first save, a checkpoint save — the copies, the traffic booking and the
+// barrier — overwrites the slot in place, with a landed column left out.
+func TestCheckpointSaveAllocatesNothing(t *testing.T) {
+	a := matgen.Poisson2D(16, 16)
+	p := partition.NewBlockRow(a.Rows, 1)
+	rt := cluster.New(1)
+	err := rt.Run(func(c *cluster.Comm) error {
+		e := distmat.WorldEnv(c)
+		m, err := distmat.NewMatrix(e, a.RowBlock(0, a.Rows), p, 0, 0)
+		if err != nil {
+			return err
+		}
+		const k = 3
+		xs, bs := make([]distmat.Vector, k), make([]distmat.Vector, k)
+		for col := range xs {
+			xs[col], bs[col] = distmat.NewVector(p, 0), distmat.NewVector(p, 0)
+			vec.Fill(bs[col].Local, float64(col+1))
+		}
+		prec := IdentityPrecond()
+		rec, err := recurrenceFor(prec)
+		if err != nil {
+			return err
+		}
+		st := newSolverState(e, m, prec, rec, xs, bs, Options{}.withDefaults(a.Rows), nil)
+		st.done[1] = true
+		strat := NewCheckpointStrategy(1)
+		if err := strat.Overhead(st, 0); err != nil {
+			return err
+		}
+		j := 0
+		var serr error
+		allocs := testing.AllocsPerRun(20, func() {
+			j++
+			if err := strat.Overhead(st, j); err != nil {
+				serr = err
+			}
+		})
+		if serr != nil {
+			return serr
+		}
+		if allocs != 0 {
+			t.Errorf("a checkpoint save after the first allocates %.1f times, want 0", allocs)
+		}
+		if st.snap.x[1] != nil {
+			t.Error("the landed column was saved")
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }

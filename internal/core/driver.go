@@ -41,9 +41,9 @@ func ESRPCG(e *distmat.Env, a *distmat.Matrix, x, b distmat.Vector, m Precond, o
 // ResilientPCG runs PCG protected by the given recovery strategy (nil
 // selects ESR): the strategy's steady-state overhead work at the top of
 // every iteration and its recovery episode at the paper's post-SpMV failure
-// poll point. The checkpoint/restart baseline (internal/checkpoint), the
-// cold-restart lower bound and the twin scheme plug into the same loop, so
-// all strategies are compared on one code path.
+// poll point. The checkpoint/restart baseline, the cold-restart lower bound
+// and the twin scheme plug into the same loop, so all strategies are
+// compared on one code path.
 func ResilientPCG(e *distmat.Env, a *distmat.Matrix, x, b distmat.Vector, m Precond, opts Options, sched *faults.Schedule, strat Strategy) (Result, error) {
 	cols := []distmat.Vector{x, b} // one allocation for both column sets
 	res, colErrs, err := SolveBlock(e, a, cols[:1], cols[1:], m, opts, sched, strat)

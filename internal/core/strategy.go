@@ -6,6 +6,7 @@ import (
 	"slices"
 	"time"
 
+	"repro/internal/cluster"
 	"repro/internal/distmat"
 	"repro/internal/faults"
 	"repro/internal/vec"
@@ -32,6 +33,10 @@ const (
 	StrategyTwin = "twin"
 )
 
+// DefaultCheckpointInterval is the checkpoint period used when none is
+// configured.
+const DefaultCheckpointInterval = 10
+
 // DefaultTwinInterval is the default twin checksum-exchange cadence: every
 // iteration, so a bit-flip is caught at its own poll point — before it leaks
 // into a reduction — and the restored state is bitwise the fault-free one.
@@ -48,11 +53,11 @@ const NumRecoveryPhases = numPhases
 // column c of every slice belongs to the independent system A x[c] = b[c],
 // and a solo solve is the k = 1 case. Every rank holds its own SolverState
 // (the vectors carry the rank-local blocks; the scalars are replicated),
-// while one Strategy instance is shared by all ranks of a solve — strategies
-// keep cross-rank state (such as a checkpoint store) internally and per-rank
-// state on this struct. A strategy protects "x, r, z, p plus three scalars"
-// per column and leaves frozen columns (those not in Running) alone: they
-// are neither saved, restored nor compared, which is exactly what their
+// while one Strategy instance, which holds only its configuration, is shared
+// by all ranks of a solve: whatever a strategy keeps lives on this struct, its
+// saved copy in the snapshot slot. A strategy protects "x, r, z, p plus three
+// scalars" per column and leaves frozen columns (those not in Running) alone:
+// they are neither saved, restored nor compared, which is exactly what their
 // already-finished solo solve would have seen.
 type SolverState struct {
 	E     *distmat.Env
@@ -75,13 +80,9 @@ type SolverState struct {
 	// past its length carries a pending x-system's flag (driver.step).
 	fused []float64
 
-	// X0 holds clones of the rank's initial-guess blocks, kept only when the
-	// strategy needs a cold-restart target (see NewRestartStrategy).
-	X0 [][]float64
-
-	// Twin is the rank's shadow replica, kept only by the twin strategy
-	// (see NewTwinStrategy).
-	Twin *TwinShadow
+	// snap is the rank's saved copy of its state, allocated by the first
+	// save of a strategy that keeps one (see snapshot); nil until then.
+	snap *snapshot
 
 	// done masks a column out of the iteration: converged (res[c].Converged)
 	// or failed (errs[c] set). A frozen column stops updating but stays in
@@ -148,8 +149,8 @@ func (st *SolverState) Running() []int {
 // Wipe destroys this rank's dynamic solver data, simulating the memory loss
 // of a node failure. NaN poisoning guarantees that any value the recovery
 // fails to rebuild surfaces in the results instead of silently reusing stale
-// data. X0 survives: the initial guess is re-readable from reliable storage,
-// like the static data (matrix block, b block, preconditioner).
+// data. B and the snapshot slot survive: they stand for reliable storage,
+// like the static data (matrix block, preconditioner).
 func (st *SolverState) Wipe() {
 	nan := math.NaN()
 	for _, vs := range [][]distmat.Vector{st.X, st.R, st.Z, st.P, st.U} {
@@ -163,6 +164,74 @@ func (st *SolverState) Wipe() {
 	if st.A.Ret != nil {
 		st.A.Ret.Wipe()
 	}
+}
+
+// snapshot is a rank's one saved copy of its iteration state: x, r, z, p
+// and the three replicated scalars per column. The checkpoint strategy keeps
+// its last checkpoint in it, the twin strategy its shadow replica, and the
+// restart strategy its initial guess (x alone). A column's blocks are
+// allocated on its first save and overwritten in place after that; only the
+// running columns are saved and restored, and a column never runs again
+// once frozen, so what a frozen column's entries hold is never read.
+type snapshot struct {
+	iter       int          // the iteration saved
+	x, r, z, p [][]float64  // the columns' local blocks
+	scalars    [][3]float64 // r0, rz, beta
+}
+
+// keep copies the running columns' local blocks of vs into dst, allocating
+// what was never saved, and returns dst.
+func (st *SolverState) keep(dst [][]float64, vs []distmat.Vector) [][]float64 {
+	if dst == nil {
+		dst = make([][]float64, len(vs))
+	}
+	for c, done := range st.done {
+		switch {
+		case done:
+		case dst[c] == nil:
+			dst[c] = vec.Clone(vs[c].Local)
+		default:
+			copy(dst[c], vs[c].Local)
+		}
+	}
+	return dst
+}
+
+// save copies the running columns' state into the snapshot as that of
+// iteration j and returns the floats saved.
+func (st *SolverState) save(j int) int {
+	if st.snap == nil {
+		st.snap = &snapshot{scalars: make([][3]float64, st.k())}
+	}
+	sn := st.snap
+	sn.iter = j
+	sn.x, sn.r, sn.z, sn.p = st.keep(sn.x, st.X), st.keep(sn.r, st.R), st.keep(sn.z, st.Z), st.keep(sn.p, st.P)
+	floats := 0
+	for c, done := range st.done {
+		if !done {
+			sn.scalars[c] = [3]float64{st.R0[c], st.RZ[c], st.Beta[c]}
+			floats += 4*len(st.X[c].Local) + len(sn.scalars[c])
+		}
+	}
+	return floats
+}
+
+// restore copies the running columns' saved state back and returns the
+// iteration it was saved at and the floats restored.
+func (st *SolverState) restore() (iter, floats int) {
+	sn := st.snap
+	for c, done := range st.done {
+		if done {
+			continue
+		}
+		copy(st.X[c].Local, sn.x[c])
+		copy(st.R[c].Local, sn.r[c])
+		copy(st.Z[c].Local, sn.z[c])
+		copy(st.P[c].Local, sn.p[c])
+		st.R0[c], st.RZ[c], st.Beta[c] = sn.scalars[c][0], sn.scalars[c][1], sn.scalars[c][2]
+		floats += 4*len(st.X[c].Local) + len(sn.scalars[c])
+	}
+	return sn.iter, floats
 }
 
 // Strategy is the failure-recovery seam of the PCG driver (SolveBlock): it
@@ -180,8 +249,9 @@ func (st *SolverState) Wipe() {
 type Strategy interface {
 	// Name returns the strategy's wire name (one of the Strategy* consts).
 	Name() string
-	// Init runs once per solve on every rank, after the initial residual
-	// setup and before the first iteration.
+	// Init runs once per solve on every rank, before any collective: before
+	// the initial residual setup, and on a Resume before the rank's state is
+	// wiped.
 	Init(st *SolverState) error
 	// Overhead runs the steady-state protection work at the top of
 	// iteration j, before the SpMV.
@@ -295,7 +365,7 @@ func NewRestartStrategy() Strategy { return restartStrategy{} }
 func (restartStrategy) Name() string { return StrategyRestart }
 
 func (restartStrategy) Init(st *SolverState) error {
-	st.X0 = cloneLocals(st.X)
+	st.snap = &snapshot{x: st.keep(nil, st.X)}
 	return nil
 }
 
@@ -319,11 +389,80 @@ func (restartStrategy) Recover(st *SolverState, j int, victims []int) (int, Reco
 	// reliable storage like the other static data.
 	cols := st.Running()
 	for _, c := range cols {
-		copy(st.X[c].Local, st.X0[c])
+		copy(st.X[c].Local, st.snap.x[c])
 	}
 	if err := initIteration0(st, cols); err != nil {
 		return 0, rec, err
 	}
 	rec.Duration = time.Since(startT)
 	return 0, rec, nil
+}
+
+// checkpointStrategy is the checkpoint/restart (C/R) baseline.
+type checkpointStrategy struct {
+	interval int
+}
+
+// NewCheckpointStrategy returns the checkpoint/restart strategy the paper
+// positions ESR against (Sec. 1.2, 2.2): every interval iterations (<= 0
+// selects DefaultCheckpointInterval) each rank saves its state into its
+// snapshot slot — reliable storage, which a failure does not wipe — and
+// after a node failure every rank rolls back to the last checkpoint and the
+// driver redoes the lost iterations. Each rank books a save as one
+// cluster.CatCheckpoint message and a restore as one cluster.CatRecovery
+// message, so the steady-state overhead compares with ESR's redundancy
+// traffic and the rollback with its reconstruction traffic.
+func NewCheckpointStrategy(interval int) Strategy {
+	if interval <= 0 {
+		interval = DefaultCheckpointInterval
+	}
+	return checkpointStrategy{interval: interval}
+}
+
+func (checkpointStrategy) Name() string { return StrategyCheckpoint }
+
+func (checkpointStrategy) Init(*SolverState) error { return nil }
+
+// Overhead takes the periodic coordinated checkpoint, iteration 0 included
+// so a rollback target always exists. A checkpoint is never half-written:
+// failures strike only at poll points and episode phases, after the barrier
+// every rank reaches once it has saved.
+func (s checkpointStrategy) Overhead(st *SolverState, j int) error {
+	if j%s.interval != 0 {
+		return nil
+	}
+	st.E.C.RecordStorage(cluster.CatCheckpoint, st.save(j))
+	// Coordinated checkpointing: no rank proceeds until the checkpoint is
+	// complete (this synchronisation is part of C/R's cost).
+	return st.E.Grp.Barrier()
+}
+
+// Recover rolls every rank back to the last checkpoint after the victims
+// lost their memory. Overlapping failures at the recovery-phase grid redo
+// the rollback with the enlarged failed set — the cascading analogue of the
+// paper's Sec. 4.1 restart rule.
+func (checkpointStrategy) Recover(st *SolverState, j int, victims []int) (int, Reconstruction, error) {
+	startT := time.Now()
+	rec := Reconstruction{Iteration: j}
+	ef := NewEpisodeFailures(st.Sched, j, st.E.Pos, st.E.Size(), st.Wipe, victims)
+	if st.snap == nil {
+		return 0, rec, fmt.Errorf("core: no checkpoint to roll back to")
+	}
+	for phase := 1; ; rec.Restarts++ {
+		rec.FailedRanks = ef.Ranks()
+		resume, floats := st.restore()
+		st.E.C.RecordStorage(cluster.CatRecovery, floats)
+		if err := st.E.Grp.Barrier(); err != nil {
+			return 0, rec, err
+		}
+		// A fresh victim at a phase boundary has just lost the restored
+		// state: the rollback is redone (the slot keeps the checkpoint).
+		for phase <= NumRecoveryPhases && !ef.AtPhase(phase) {
+			phase++
+		}
+		if phase > NumRecoveryPhases {
+			rec.Duration = time.Since(startT)
+			return resume, rec, nil
+		}
+	}
 }

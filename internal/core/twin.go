@@ -41,35 +41,6 @@ func (e *SDCDetectedError) Error() string {
 // Is claims the data_loss error class.
 func (e *SDCDetectedError) Is(target error) bool { return target == xerr.DataLoss }
 
-// TwinShadow is the shadow replica of one rank's solver state, kept by the
-// twin strategy, one entry per column. The shadow is refreshed at the top of
-// every TwinInterval-th iteration and compared (checksum first, full state
-// only on mismatch) against the primary at the same iteration's poll point —
-// the window in between mutates only u, so any divergence is corruption, not
-// computation.
-type TwinShadow struct {
-	// X, R, Z, P are the shadow copies of the iteration vectors' local
-	// blocks (the replicated scalars are not a corruption target).
-	X, R, Z, P [][]float64
-
-	// scratch and cand are collective work vectors of the twin vote
-	// (candidate residuals, u-tests, recomputed z).
-	scratch, cand distmat.Vector
-}
-
-// sync refreshes the shadow of every running column from the primary state.
-func (tw *TwinShadow) sync(st *SolverState) {
-	for c := range st.X {
-		if st.done[c] {
-			continue
-		}
-		copy(tw.X[c], st.X[c].Local)
-		copy(tw.R[c], st.R[c].Local)
-		copy(tw.Z[c], st.Z[c].Local)
-		copy(tw.P[c], st.P[c].Local)
-	}
-}
-
 // checksum64 is a cheap FNV-1a-style digest over the float bit patterns: the
 // twins exchange this one word per vector, and only a mismatch triggers the
 // full-state comparison. One multiply per element; collisions are verified
@@ -112,6 +83,12 @@ type sdcPoller interface {
 
 // twinStrategy is the TwinCG-style scheme: shadow replica + checksum
 // exchange + forward recovery for corruption, ESR delegation for fail-stop.
+// The shadow is the rank's snapshot slot, refreshed at the top of every
+// interval-th iteration and compared (checksum first, full state only on
+// mismatch) against the primary at the same iteration's poll point — the
+// window in between mutates only u, so any divergence is corruption, not
+// computation. The replicated scalars are saved too but are not a
+// corruption target.
 type twinStrategy struct {
 	interval int
 }
@@ -140,11 +117,6 @@ func (t *twinStrategy) Init(st *SolverState) error {
 	if st.Sched.HasFailStop() && st.A.Ret == nil {
 		return fmt.Errorf("core: twin fail-stop recovery delegates to ESR and needs a resilience-enabled matrix (phi >= 1) to honour a failure schedule")
 	}
-	st.Twin = &TwinShadow{
-		X: cloneLocals(st.X), R: cloneLocals(st.X), Z: cloneLocals(st.X), P: cloneLocals(st.X),
-		scratch: distmat.NewVector(st.A.P, st.E.Pos),
-		cand:    distmat.NewVector(st.A.P, st.E.Pos),
-	}
 	return nil
 }
 
@@ -159,7 +131,7 @@ func (t *twinStrategy) Overhead(st *SolverState, j int) error {
 	if err := st.settle(); err != nil {
 		return err
 	}
-	st.Twin.sync(st)
+	st.save(j)
 	return nil
 }
 
@@ -176,8 +148,7 @@ func (t *twinStrategy) PollSDC(st *SolverState, j int) (SDCOutcome, error) {
 	if j%t.interval != 0 {
 		return out, nil
 	}
-	tw := st.Twin
-	e := st.E
+	sn, e := st.snap, st.E
 	k, size := st.k(), e.Size()
 
 	// Cheap checksum exchange: one word per column and vector. The divergence
@@ -189,7 +160,7 @@ func (t *twinStrategy) PollSDC(st *SolverState, j int) (SDCOutcome, error) {
 			continue
 		}
 		for i, pair := range [4][2][]float64{
-			{st.X[c].Local, tw.X[c]}, {st.R[c].Local, tw.R[c]}, {st.Z[c].Local, tw.Z[c]}, {st.P[c].Local, tw.P[c]},
+			{st.X[c].Local, sn.x[c]}, {st.R[c].Local, sn.r[c]}, {st.Z[c].Local, sn.z[c]}, {st.P[c].Local, sn.p[c]},
 		} {
 			if checksum64(pair[0]) != checksum64(pair[1]) {
 				flags[4*c+i] = 1
@@ -235,22 +206,24 @@ func (t *twinStrategy) PollSDC(st *SolverState, j int) (SDCOutcome, error) {
 // the healthy twin forward, and reports whether u must be redone.
 // Collective.
 func (t *twinStrategy) vote(st *SolverState, c int, xr, z, p bool) (redo bool, err error) {
-	tw, e := st.Twin, st.E
+	sn, e := st.snap, st.E
+	// The vote's work vectors: candidate residuals, u-tests, recomputed z.
+	scratch, cand := distmat.NewVector(st.A.P, e.Pos), distmat.NewVector(st.A.P, e.Pos)
 	// Scalar-residual vote for x/r: score each twin's (x, r) candidate by
 	// the consistency |  ||b - A x|| - ||r||  | and copy the winner forward.
 	// Ties favour the shadow — the replica the injection never touches.
 	if xr {
-		if err := st.A.Residual(e, tw.scratch, st.B[c], st.X[c], -1); err != nil {
+		if err := st.A.Residual(e, scratch, st.B[c], st.X[c], -1); err != nil {
 			return false, err
 		}
-		tp := vec.Nrm2Sq(tw.scratch.Local)
-		rp := st.rec.rnorm2(st, st.R[c].Local, tw.scratch.Local)
-		copy(tw.cand.Local, tw.X[c])
-		if err := st.A.Residual(e, tw.scratch, st.B[c], tw.cand, -1); err != nil {
+		tp := vec.Nrm2Sq(scratch.Local)
+		rp := st.rec.rnorm2(st, st.R[c].Local, scratch.Local)
+		copy(cand.Local, sn.x[c])
+		if err := st.A.Residual(e, scratch, st.B[c], cand, -1); err != nil {
 			return false, err
 		}
-		ts := vec.Nrm2Sq(tw.scratch.Local)
-		rs := st.rec.rnorm2(st, tw.R[c], tw.scratch.Local)
+		ts := vec.Nrm2Sq(scratch.Local)
+		rs := st.rec.rnorm2(st, sn.r[c], scratch.Local)
 		norms, err := e.Grp.Allreduce(cluster.OpSum, []float64{tp, rp, ts, rs})
 		if err != nil {
 			return false, err
@@ -260,11 +233,11 @@ func (t *twinStrategy) vote(st *SolverState, c int, xr, z, p bool) (redo bool, e
 		e.Grp.Recycle(norms)
 		if !(scoreP < scoreS) {
 			// Shadow wins (NaN scores land here too): copy it forward.
-			copy(st.X[c].Local, tw.X[c])
-			copy(st.R[c].Local, tw.R[c])
+			copy(st.X[c].Local, sn.x[c])
+			copy(st.R[c].Local, sn.r[c])
 		} else {
-			copy(tw.X[c], st.X[c].Local)
-			copy(tw.R[c], st.R[c].Local)
+			copy(sn.x[c], st.X[c].Local)
+			copy(sn.r[c], st.R[c].Local)
 		}
 	}
 
@@ -272,26 +245,26 @@ func (t *twinStrategy) vote(st *SolverState, c int, xr, z, p bool) (redo bool, e
 	// is bitwise the fault-free z, because z was computed from this same r at
 	// the end of the previous iteration.
 	if z {
-		if err := st.rec.z(st, []distmat.Vector{tw.scratch}, st.R[c:c+1]); err != nil {
+		if err := st.rec.z(st, []distmat.Vector{scratch}, st.R[c:c+1]); err != nil {
 			return false, err
 		}
-		copy(st.Z[c].Local, tw.scratch.Local)
-		copy(tw.Z[c], st.Z[c].Local)
+		copy(st.Z[c].Local, scratch.Local)
+		copy(sn.z[c], st.Z[c].Local)
 	}
 
 	// u-test vote for p: u = A p was computed from the clean p this very
 	// iteration, before the injection point, so the healthy candidate is the
 	// one with A p == u bitwise.
 	if p {
-		okPrimary, err := t.uTest(st, c, st.P[c])
+		okPrimary, err := t.uTest(st, c, st.P[c], scratch)
 		if err != nil {
 			return false, err
 		}
 		if okPrimary {
-			copy(tw.P[c], st.P[c].Local)
+			copy(sn.p[c], st.P[c].Local)
 		} else {
-			copy(tw.cand.Local, tw.P[c])
-			okShadow, err := t.uTest(st, c, tw.cand)
+			copy(cand.Local, sn.p[c])
+			okShadow, err := t.uTest(st, c, cand, scratch)
 			if err != nil {
 				return false, err
 			}
@@ -299,7 +272,7 @@ func (t *twinStrategy) vote(st *SolverState, c int, xr, z, p bool) (redo bool, e
 			// touches it); if even the shadow fails the u-test, u itself is
 			// corrupted (e.g. a corrupted halo wire) and must be redone from
 			// the restored p.
-			copy(st.P[c].Local, tw.P[c])
+			copy(st.P[c].Local, sn.p[c])
 			redo = !okShadow
 		}
 	}
@@ -308,13 +281,12 @@ func (t *twinStrategy) vote(st *SolverState, c int, xr, z, p bool) (redo bool, e
 
 // uTest computes A·p into scratch and reports whether it matches column c's
 // stored u bitwise on every rank. Collective.
-func (t *twinStrategy) uTest(st *SolverState, c int, p distmat.Vector) (bool, error) {
-	tw := st.Twin
-	if err := st.A.MatVec(st.E, tw.scratch, p, -1); err != nil {
+func (t *twinStrategy) uTest(st *SolverState, c int, p, scratch distmat.Vector) (bool, error) {
+	if err := st.A.MatVec(st.E, scratch, p, -1); err != nil {
 		return false, err
 	}
 	ok := 1.0
-	for i, v := range tw.scratch.Local {
+	for i, v := range scratch.Local {
 		if math.Float64bits(v) != math.Float64bits(st.U[c].Local[i]) {
 			ok = 0
 			break
@@ -339,7 +311,7 @@ func (t *twinStrategy) RepairDrift(st *SolverState, j int, cols []int) error {
 		return err
 	}
 	copy(st.R0, r0)
-	st.Twin.sync(st)
+	st.save(j)
 	return nil
 }
 

@@ -16,7 +16,6 @@ import (
 	"reflect"
 	"strings"
 
-	"repro/internal/checkpoint"
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/faults"
@@ -264,7 +263,7 @@ func (c Config) WithDefaults() Config {
 		c.Strategy = StrategyESR
 	}
 	if c.CheckpointInterval == 0 {
-		c.CheckpointInterval = checkpoint.DefaultInterval
+		c.CheckpointInterval = core.DefaultCheckpointInterval
 	}
 	if c.TwinInterval == 0 {
 		c.TwinInterval = core.DefaultTwinInterval

@@ -7,7 +7,6 @@ import (
 	"io"
 	"sync"
 
-	"repro/internal/checkpoint"
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/distmat"
@@ -104,21 +103,19 @@ func (ps *Prepared) StrategyStats() core.StrategyStats {
 	return ps.sstats
 }
 
-// newStrategy builds this solve's recovery strategy (and, for the
-// checkpoint strategy, its per-solve reliable store, accounting its traffic
-// on the solve runtime's counters). One strategy instance is shared by the
-// solve's ranks; concurrent solves never share checkpoint state.
-func newStrategy(cfg Config, rt *cluster.Runtime) (core.Strategy, *checkpoint.Store) {
+// newStrategy builds this solve's recovery strategy. One strategy instance
+// is shared by the solve's ranks; it holds only its configuration, and each
+// rank keeps what it saves on its own solver state.
+func newStrategy(cfg Config) core.Strategy {
 	switch cfg.Strategy {
 	case StrategyCheckpoint:
-		store := checkpoint.NewStore(rt.Counters())
-		return checkpoint.NewStrategy(store, cfg.CheckpointInterval), store
+		return core.NewCheckpointStrategy(cfg.CheckpointInterval)
 	case StrategyRestart:
-		return core.NewRestartStrategy(), nil
+		return core.NewRestartStrategy()
 	case StrategyTwin:
-		return core.NewTwinStrategy(cfg.TwinInterval), nil
+		return core.NewTwinStrategy(cfg.TwinInterval)
 	default:
-		return core.NewESRStrategy(), nil
+		return core.NewESRStrategy()
 	}
 }
 
@@ -157,17 +154,17 @@ func blockStats(results []core.Result, colErrs []error) core.StrategyStats {
 // recordStrategyStats books one solve's strategy observables, as rank 0 saw
 // them, on the session aggregate and the engine's series: blockStats of the
 // results, plus the runtime's protection traffic counters once — the block
-// shares them — when the solve finished.
-func (ps *Prepared) recordStrategyStats(strategy string, results []core.Result, colErrs []error, store *checkpoint.Store, rt *cluster.Runtime) {
+// shares them — when the solve finished. Every rank books each checkpoint
+// save as one CatCheckpoint message, so the checkpoints are those messages
+// per rank.
+func (ps *Prepared) recordStrategyStats(strategy string, results []core.Result, colErrs []error, rt *cluster.Runtime) {
 	delta := blockStats(results, colErrs)
 	if colErrs != nil {
-		ctrs := rt.Counters()
-		delta.CheckpointFloats = ctrs.Floats(cluster.CatCheckpoint)
-		delta.RedundancyFloats = ctrs.Floats(cluster.CatRedundancy)
-		delta.RecoveryFloats = ctrs.Floats(cluster.CatRecovery)
-		if store != nil {
-			delta.Checkpoints = int64(store.Checkpoints())
-		}
+		ctrs := rt.Counters().Snapshot()
+		delta.Checkpoints = ctrs.Msgs[cluster.CatCheckpoint] / int64(rt.Size())
+		delta.CheckpointFloats = ctrs.Floats[cluster.CatCheckpoint]
+		delta.RedundancyFloats = ctrs.Floats[cluster.CatRedundancy]
+		delta.RecoveryFloats = ctrs.Floats[cluster.CatRecovery]
 	} else if delta == (core.StrategyStats{}) {
 		return
 	}
@@ -359,8 +356,10 @@ func (ps *Prepared) solveOne(ctx context.Context, rt *cluster.Runtime, localRank
 func (ps *Prepared) solveOn(ctx context.Context, rt *cluster.Runtime, localRanks []int, bs [][]float64, cfg *Config, hooks core.Options) ([]Solution, []error, error) {
 	k := len(bs)
 	if localRanks != nil && len(localRanks) < cfg.Ranks && cfg.Strategy != StrategyESR {
-		// The rollback strategies keep cross-rank state (the checkpoint
-		// store) inside one process; they cannot span a mesh.
+		// The other strategies cannot span a mesh: a fleet's victim dies for
+		// real, taking its snapshot slot (checkpoint, restart's x0, twin's
+		// shadow) with it, and a replacement joins its peers' episode through
+		// a Resume, which only ESR accepts.
 		return nil, nil, fmt.Errorf("esr: multi-process solves support only the %q strategy, got %q", StrategyESR, cfg.Strategy)
 	}
 	copts := hooks
@@ -405,7 +404,7 @@ func (ps *Prepared) solveOn(ctx context.Context, rt *cluster.Runtime, localRanks
 		}
 	}
 
-	strat, store := newStrategy(*cfg, rt)
+	strat := newStrategy(*cfg)
 	matvecObs := ps.em.matvecObserver(rt.Transport().Name())
 
 	var mu sync.Mutex
@@ -483,13 +482,13 @@ func (ps *Prepared) solveOn(ctx context.Context, rt *cluster.Runtime, localRanks
 			// not a wrapped per-rank abort.
 			return nil, nil, ErrPreparedClosed
 		}
-		ps.recordStrategyStats(cfg.Strategy, results0, nil, store, rt)
+		ps.recordStrategyStats(cfg.Strategy, results0, nil, rt)
 		return nil, nil, err
 	}
 	if hasRank0 {
 		// The result-borne strategy stats live on rank 0's Results; processes
 		// hosting only other ranks would fold in zeros.
-		ps.recordStrategyStats(cfg.Strategy, results0, colErrs, store, rt)
+		ps.recordStrategyStats(cfg.Strategy, results0, colErrs, rt)
 	}
 	return sols, colErrs, nil
 }

@@ -15,8 +15,9 @@
 // aborts the attempt and the whole job is retried once on a fresh fleet.
 //
 // Restrictions of the multi-process path: one rank per process, the ESR
-// strategy only (the rollback strategies keep cross-rank state in one
-// process), phase-0 schedule events only, rank 0 (the result rank) never a
+// strategy only (a victim's process dies with the snapshot the other
+// strategies save, and only ESR joins an episode through a Resume),
+// phase-0 schedule events only, rank 0 (the result rank) never a
 // victim, one right-hand side per job, and the matrix spec must be inline (a
 // coordinator-side matrix_id does not resolve inside a worker). The engine
 // refuses every other job at Submit, classed failed_precondition, before a
