@@ -103,11 +103,7 @@ func TestRankPanicAbortsRun(t *testing.T) {
 func TestRunContextCompletesWithoutCancellation(t *testing.T) {
 	rt := New(3)
 	err := rt.RunContext(context.Background(), func(c *Comm) error {
-		g, err := c.Group([]int{0, 1, 2}, 0)
-		if err != nil {
-			return err
-		}
-		return g.Barrier()
+		return c.World().Barrier()
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -5,8 +5,8 @@
 // appended to the destination rank's mailbox. The runtime provides
 //
 //   - point-to-point Send/Recv with (source, tag) matching,
-//   - binomial-tree collectives (Barrier, Allreduce, Bcast, Allgather),
-//   - sub-group collectives for the replacement-node recovery subsystem,
+//   - binomial-tree collectives over every rank (Barrier, Reduce,
+//     Allreduce, Bcast, Gatherv),
 //   - fail-stop notification: a slot whose process the net fabric finds
 //     dead fails, and peers observe RankFailedError on communication
 //     (ULFM-style) once they have drained what it sent first,

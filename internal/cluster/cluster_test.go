@@ -294,59 +294,6 @@ func TestGatherv(t *testing.T) {
 	}
 }
 
-func TestSubGroupAllreduce(t *testing.T) {
-	rt := New(8)
-	members := []int{1, 3, 4, 6}
-	err := rt.Run(func(c *Comm) error {
-		in := false
-		for _, m := range members {
-			if m == c.Rank() {
-				in = true
-			}
-		}
-		if !in {
-			return nil // non-members do nothing
-		}
-		g, err := c.Group(members, 2)
-		if err != nil {
-			return err
-		}
-		out, err := g.AllreduceScalar(OpSum, float64(c.Rank()))
-		if err != nil {
-			return err
-		}
-		if out != 1+3+4+6 {
-			return fmt.Errorf("subgroup sum = %v", out)
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestGroupValidation(t *testing.T) {
-	rt := New(4)
-	err := rt.Run(func(c *Comm) error {
-		if c.Rank() != 0 {
-			return nil
-		}
-		if _, err := c.Group([]int{1, 2}, 0); err == nil {
-			return errors.New("expected error: caller not a member")
-		}
-		if _, err := c.Group([]int{0, 0, 1}, 0); err == nil {
-			return errors.New("expected error: duplicate member")
-		}
-		if _, err := c.Group([]int{0, 99}, 0); err == nil {
-			return errors.New("expected error: invalid rank")
-		}
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
 // rankFailed reports whether err is a RankFailedError naming rank.
 func rankFailed(err error, rank int) bool {
 	var rf *RankFailedError

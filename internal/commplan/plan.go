@@ -110,8 +110,9 @@ const symbolicTag = 1<<23 + 101
 // BuildSymbolic computes this rank's halo plan with a distributed symbolic
 // phase, the way PETSc builds its generalized scatter: each rank derives its
 // needs from its own static row block and exchanges need lists with every
-// other rank. Replacement nodes rerun this after a failure to rebuild the
-// (static) plan without any checkpointed dynamic data.
+// other rank. It is the one distributed symbolic phase: distmat.NewMatrix
+// runs it once per session, and a reconstruction episode reuses the plan it
+// built, since nothing in it changes when a rank fails.
 func BuildSymbolic(c *cluster.Comm, rows *sparse.CSR, p partition.Partition) (*HaloPlan, error) {
 	if p.Ranks() != c.Size() {
 		return nil, fmt.Errorf("commplan: partition has %d ranks, cluster has %d", p.Ranks(), c.Size())
@@ -172,8 +173,7 @@ func (pl *HaloPlan) Multiplicity() []int {
 }
 
 // Validate cross-checks a set of plans for global consistency: rank i's
-// SendTo[k] must equal rank k's RecvFrom[i]. Used in tests and after the
-// symbolic rebuild.
+// SendTo[k] must equal rank k's RecvFrom[i].
 func Validate(plans []*HaloPlan) error {
 	for i, pi := range plans {
 		for k, pk := range plans {

@@ -18,55 +18,58 @@ import (
 )
 
 // rebuiltSubsystemSolve is the x-system solve as it was before the leader
-// solved it alone: extract mat_{If,If} with renumbered columns from the
-// rank's static row block rows (global columns; the test holds it, mat keeps
-// no copy), run the full distributed matrix construction over the subgroup of
-// failed ranks, factor the extracted own block and run the driver's PCG over
-// the subgroup. Kept as the reference the leader's solve must match bit for
-// bit. Every failed rank calls it and gets its own blocks of the solutions.
-func rebuiltSubsystemSolve(e *distmat.Env, mat *distmat.Matrix, rows *sparse.CSR, failedList []int, rhs, sol [][]float64, ctx int, tol float64) ([]int, error) {
+// solved it alone: extract A_{If,If} with renumbered columns from a, run the
+// full distributed matrix construction over the failed blocks on a runtime of
+// their own (failed rank failedList[t] as rank t, so the allreduces combine in
+// the order the failed ranks' subgroup used), factor each extracted own block
+// and run the driver's PCG there. Kept as the reference the leader's solve
+// must match bit for bit. rhs[t][c] is failed rank failedList[t]'s block of
+// right-hand side c; it returns the solutions' blocks the same way and the
+// iteration count of every column.
+func rebuiltSubsystemSolve(a *sparse.CSR, p partition.Partition, failedList []int, rhs [][][]float64, tol float64) ([][][]float64, []int, error) {
 	sizes := make([]int, len(failedList))
 	var ifIdx []int
-	myPos := -1
 	for t, f := range failedList {
-		flo, fhi := mat.P.Range(f)
+		flo, fhi := p.Range(f)
 		sizes[t] = fhi - flo
 		for g := flo; g < fhi; g++ {
 			ifIdx = append(ifIdx, g)
 		}
-		if f == e.Pos {
-			myPos = t
-		}
 	}
 	subP := partition.FromSizes(sizes)
-	localRows := make([]int, rows.Rows)
-	for i := range localRows {
-		localRows[i] = i
-	}
-	subEnv, err := distmat.GroupEnv(e.C, failedList, ctx)
-	if err != nil {
-		return nil, err
-	}
-	subA, err := distmat.NewMatrix(subEnv, rows.Submatrix(localRows, ifIdx), subP, 0, ctx)
-	if err != nil {
-		return nil, err
-	}
-	ilu, err := precond.NewBlockJacobiILU(subA.OwnBlock())
-	if err != nil {
-		return nil, err
-	}
-	iters := make([]int, len(rhs))
-	for c := range rhs {
-		xf := distmat.NewVector(subP, myPos)
-		bv := distmat.Vector{P: subP, Pos: myPos, Local: rhs[c]}
-		res, err := PCG(subEnv, subA, xf, bv, LocalPrecond{P: ilu}, Options{Tol: tol, MaxIter: defaultLocalMaxIter(subP.N())})
-		if err != nil {
-			return nil, err
+	sol := make([][][]float64, len(failedList))
+	iters := make([]int, len(rhs[0]))
+	err := cluster.New(len(failedList)).Run(func(c *cluster.Comm) error {
+		e := distmat.WorldEnv(c)
+		lo, hi := p.Range(failedList[e.Pos])
+		localRows := make([]int, hi-lo)
+		for i := range localRows {
+			localRows[i] = i
 		}
-		copy(sol[c], xf.Local)
-		iters[c] = res.Iterations
-	}
-	return iters, nil
+		subA, err := distmat.NewMatrix(e, a.RowBlock(lo, hi).Submatrix(localRows, ifIdx), subP, 0, 0)
+		if err != nil {
+			return err
+		}
+		ilu, err := precond.NewBlockJacobiILU(subA.OwnBlock())
+		if err != nil {
+			return err
+		}
+		sol[e.Pos] = make([][]float64, len(rhs[e.Pos]))
+		for col, b := range rhs[e.Pos] {
+			xf := distmat.NewVector(subP, e.Pos)
+			bv := distmat.Vector{P: subP, Pos: e.Pos, Local: slices.Clone(b)}
+			res, err := PCG(e, subA, xf, bv, LocalPrecond{P: ilu}, Options{Tol: tol, MaxIter: defaultLocalMaxIter(subP.N())})
+			if err != nil {
+				return err
+			}
+			sol[e.Pos][col] = xf.Local
+			if e.Pos == 0 {
+				iters[col] = res.Iterations
+			}
+		}
+		return nil
+	})
+	return sol, iters, err
 }
 
 // serialCoupledSolve is the coupled x-system's reference: A_{If,If} taken
@@ -139,14 +142,12 @@ func TestSubsystemSolveMatchesRebuiltReference(t *testing.T) {
 			name, a, failedList := name, a, failedList
 			t.Run(fmt.Sprintf("%s/%v", name, failedList), func(t *testing.T) {
 				// What each failed rank holds, by its position in failedList:
-				// its session matrix and ILU(0), its blocks of the right-hand
-				// sides and of the rebuilt reference's solutions.
+				// its session matrix and ILU(0) and its blocks of the
+				// right-hand sides.
 				psi := len(failedList)
 				blocks := make([]*distmat.Matrix, psi)
 				sessions := make([]Precond, psi)
 				rhs := make([][][]float64, psi)
-				want := make([][][]float64, psi)
-				var wantIters []int
 				var mu sync.Mutex
 				err := cluster.New(ranks).Run(func(c *cluster.Comm) error {
 					e, parent, _, b, err := setupProblem(c, a, phi)
@@ -165,22 +166,15 @@ func TestSubsystemSolveMatchesRebuiltReference(t *testing.T) {
 					for i := range two {
 						two[i] = math.Cos(float64(i) * 0.7)
 					}
-					mine := [][]float64{b.Local, two}
-					sol := [][]float64{make([]float64, len(b.Local)), make([]float64, len(b.Local))}
-					lo, hi := parent.P.Range(e.Pos)
-					rhsCopy := [][]float64{slices.Clone(mine[0]), slices.Clone(mine[1])}
-					iters, err := rebuiltSubsystemSolve(e, parent.Fork(), a.RowBlock(lo, hi), failedList, rhsCopy, sol, 7, 1e-14)
-					if err != nil {
-						return err
-					}
 					mu.Lock()
 					defer mu.Unlock()
-					blocks[pos], sessions[pos], rhs[pos], want[pos] = parent, session, mine, sol
-					if pos == 0 {
-						wantIters = iters
-					}
+					blocks[pos], sessions[pos], rhs[pos] = parent, session, [][]float64{b.Local, two}
 					return nil
 				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, wantIters, err := rebuiltSubsystemSolve(a, blocks[0].P, failedList, rhs, 1e-14)
 				if err != nil {
 					t.Fatal(err)
 				}

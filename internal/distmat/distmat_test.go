@@ -422,46 +422,6 @@ func TestPiggybackAddsNoMessages(t *testing.T) {
 	}
 }
 
-func TestSubgroupEnvMatVec(t *testing.T) {
-	// A 2-member subgroup of a 5-rank cluster runs its own distributed
-	// SpMV on a renumbered subproblem, as the recovery subsystem does.
-	sub := matgen.Poisson2D(6, 6)
-	p := partition.NewBlockRow(sub.Rows, 2)
-	xFull := make([]float64, sub.Rows)
-	for i := range xFull {
-		xFull[i] = float64(i%4) + 0.5
-	}
-	want := make([]float64, sub.Rows)
-	sub.MulVec(want, xFull)
-	members := []int{1, 3}
-	runSPMD(t, 5, func(c *cluster.Comm) error {
-		in := c.Rank() == 1 || c.Rank() == 3
-		if !in {
-			return nil
-		}
-		e, err := GroupEnv(c, members, 7)
-		if err != nil {
-			return err
-		}
-		lo, hi := p.Range(e.Pos)
-		m, err := NewMatrix(e, sub.RowBlock(lo, hi), p, 0, 3)
-		if err != nil {
-			return err
-		}
-		x := distribute(xFull, p, e.Pos)
-		y := NewVector(p, e.Pos)
-		if err := m.MatVec(e, y, x, 0); err != nil {
-			return err
-		}
-		for i := range y.Local {
-			if math.Abs(y.Local[i]-want[lo+i]) > 1e-12 {
-				return fmt.Errorf("sub MatVec wrong at %d", lo+i)
-			}
-		}
-		return nil
-	})
-}
-
 func TestDiagAndOwnBlock(t *testing.T) {
 	a := matgen.Poisson2D(8, 8)
 	const ranks = 4

@@ -5,8 +5,8 @@
 // elements piggyback on halo messages where possible and the retention store
 // keeps the two most recent search-direction generations (paper Secs. 2-4).
 //
-// All operations work over an Env, which is either the full communicator or
-// a subgroup of ranks. The reconstruction's x-system operator A_{If,If}
+// All operations work over an Env: one rank's view of the runtime, every
+// rank taking part. The reconstruction's x-system operator A_{If,If}
 // (paper Sec. 4.1) is one CSR that Restrict assembles from the failed ranks'
 // own rows, with no messages, their survivor-owned columns dropped.
 package distmat
@@ -20,76 +20,36 @@ import (
 	"repro/internal/vec"
 )
 
-// Env is a communication environment: a set of participating ranks with
-// collective operations and position-addressed point-to-point messaging.
-// Positions (0-based within Members) are the "ranks" of the distributed
-// objects living in the Env.
+// Env is a rank's communication environment: its communicator, its rank,
+// and the collectives over every rank of the runtime. Pos, the rank, is what
+// the distributed objects living in the Env are indexed by.
 type Env struct {
 	// C is the underlying per-rank communicator.
 	C *cluster.Comm
-	// Members are the participating global ranks, sorted.
-	Members []int
-	// Pos is the calling rank's position within Members.
+	// Pos is the calling rank.
 	Pos int
-	// Grp provides collectives over the members.
+	// Grp provides collectives over every rank.
 	Grp *cluster.Group
-	tag int
 }
 
-// WorldEnv returns the environment spanning all ranks.
+// WorldEnv returns the environment of the calling rank.
 func WorldEnv(c *cluster.Comm) *Env {
-	members := make([]int, c.Size())
-	for i := range members {
-		members[i] = i
-	}
-	env, err := GroupEnv(c, members, 0)
-	if err != nil {
-		panic(err) // cannot happen for the full set
-	}
-	return env
-}
-
-// GroupEnv returns an environment over the given global ranks (which must
-// include the caller). ctx separates the message tag spaces of concurrently
-// live environments (e.g. a subgroup's solve beside the world's).
-func GroupEnv(c *cluster.Comm, members []int, ctx int) (*Env, error) {
-	g, err := c.Group(members, 1000+ctx)
-	if err != nil {
-		return nil, err
-	}
-	pos := -1
-	ms := g.Members()
-	for i, r := range ms {
-		if r == c.Rank() {
-			pos = i
-		}
-	}
-	return &Env{C: c, Members: ms, Pos: pos, Grp: g, tag: 1 << 22}, nil
+	return &Env{C: c, Pos: c.Rank(), Grp: c.World()}
 }
 
 // Size returns the number of participating ranks.
-func (e *Env) Size() int { return len(e.Members) }
-
-// send delivers to the member at position pos.
-func (e *Env) send(cat cluster.Category, pos, tag int, f []float64, ints []int) error {
-	return e.C.Send(cat, e.Members[pos], e.tag+tag, f, ints)
-}
-
-// recv receives from the member at position pos.
-func (e *Env) recv(pos, tag int) (cluster.Msg, error) {
-	return e.C.Recv(e.Members[pos], e.tag+tag)
-}
+func (e *Env) Size() int { return e.C.Size() }
 
 // Vector is the local block of a distributed vector under a block-row
-// partition of the Env's index space.
+// partition of the index space over the ranks.
 type Vector struct {
 	P     partition.Partition
 	Pos   int
 	Local []float64
 }
 
-// NewVector allocates the local block of a distributed vector for the
-// calling position.
+// NewVector allocates the local block of a distributed vector for rank
+// pos.
 func NewVector(p partition.Partition, pos int) Vector {
 	return Vector{P: p, Pos: pos, Local: make([]float64, p.Size(pos))}
 }
@@ -123,10 +83,10 @@ func Norm2(e *Env, v Vector) (float64, error) {
 }
 
 // Gather assembles the full vectors of a block of distributed columns, all on
-// one partition, at position 0 (results and verification; not used in the
-// steady-state solver loop). Every other member sends the local blocks of all
+// one partition, at rank 0 (results and verification; not used in the
+// steady-state solver loop). Every other rank sends the local blocks of all
 // its columns in one message and returns nil: nothing of solution size
-// travels back out, and a width-k block costs one message per member, not k.
+// travels back out, and a width-k block costs one message per rank, not k.
 func Gather(e *Env, vs []Vector) ([][]float64, error) {
 	k := len(vs)
 	if k == 0 {
@@ -153,7 +113,7 @@ func Gather(e *Env, vs []Vector) ([][]float64, error) {
 	for q, part := range parts {
 		lo, hi := p.Range(q)
 		if len(part) != k*(hi-lo) {
-			return nil, fmt.Errorf("distmat: Gather got %d values from pos %d, want %d", len(part), q, k*(hi-lo))
+			return nil, fmt.Errorf("distmat: Gather got %d values from rank %d, want %d", len(part), q, k*(hi-lo))
 		}
 		for c := range out {
 			copy(out[c][lo:hi], part[c*(hi-lo):])

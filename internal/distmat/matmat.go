@@ -265,7 +265,7 @@ func (m *Matrix) MatMat(e *Env, y, x []Vector, iter int) error {
 			cat = cluster.CatRedundancy // fresh message: the extra latency case
 		}
 		// The payload is freshly built: transfer ownership, skip the copy.
-		if err := e.C.SendOwned(cat, e.Members[d], e.tag+tag, payload, nil); err != nil {
+		if err := e.C.SendOwned(cat, d, tag, payload, nil); err != nil {
 			return err
 		}
 		if extra := len(idx) - nHalo; extra > 0 && nHalo > 0 {
@@ -300,7 +300,7 @@ func (m *Matrix) MatMat(e *Env, y, x []Vector, iter int) error {
 		if s == e.Pos || len(idx) == 0 {
 			continue
 		}
-		msg, err := e.recv(s, tag)
+		msg, err := e.C.Recv(s, tag)
 		if err != nil {
 			return err
 		}

@@ -17,9 +17,9 @@ import (
 // kernels. Everything else that reads the rows — OwnBlock, Diag, GhostProduct
 // — reads them there.
 type Matrix struct {
-	// P is the row/vector partition of the Env's index space.
+	// P is the row/vector partition over the ranks.
 	P partition.Partition
-	// Pos is the owning position.
+	// Pos is the owning rank.
 	Pos int
 	// Plan is the SpMV halo plan (S_ik / RecvFrom sets).
 	Plan *commplan.HaloPlan
@@ -78,18 +78,19 @@ type spmvScratch struct {
 	cols   [][]float64
 }
 
-// matrixTag spaces the SpMV message tags of different matrices sharing an
-// Env.
+// matrixTagStride spaces the SpMV message tags of different matrices
+// sharing an Env.
 const matrixTagStride = 64
 
-// NewMatrix builds the distributed matrix for this position from its static
-// row block, running the distributed symbolic phase to derive the halo plan
-// (like PETSc's scatter construction) and, for phi > 0, the ESR redundancy
-// protocol of the paper's Eqns. 5 and 6. rows is read during construction
-// only: the matrix keeps no reference to it, so it may be a view of the
-// caller's matrix (sparse.CSR.RowBlock) that the caller later changes.
+// NewMatrix builds the distributed matrix for this rank from its static row
+// block: the distributed symbolic phase (commplan.BuildSymbolic) derives the
+// halo plan, like PETSc's scatter construction, and for phi > 0 the ESR
+// redundancy protocol of the paper's Eqns. 5 and 6 follows. rows is read
+// during construction only: the matrix keeps no reference to it, so it may
+// be a view of the caller's matrix (sparse.CSR.RowBlock) that the caller
+// later changes.
 //
-// ctx distinguishes multiple matrices living in the same Env.
+// ctx separates the SpMV message tags of matrices living in the same Env.
 func NewMatrix(e *Env, rows *sparse.CSR, p partition.Partition, phi, ctx int) (*Matrix, error) {
 	if p.Ranks() != e.Size() {
 		return nil, fmt.Errorf("distmat: partition ranks %d != env size %d", p.Ranks(), e.Size())
@@ -98,7 +99,7 @@ func NewMatrix(e *Env, rows *sparse.CSR, p partition.Partition, phi, ctx int) (*
 		return nil, fmt.Errorf("distmat: row block %dx%d does not match partition (want %dx%d)",
 			rows.Rows, rows.Cols, p.Size(e.Pos), p.N())
 	}
-	plan, err := buildSymbolicEnv(e, rows, p, ctx)
+	plan, err := commplan.BuildSymbolic(e.C, rows, p)
 	if err != nil {
 		return nil, err
 	}
@@ -134,39 +135,6 @@ func NewMatrix(e *Env, rows *sparse.CSR, p partition.Partition, phi, ctx int) (*
 	return m, nil
 }
 
-// buildSymbolicEnv is commplan.BuildSymbolic generalised to an Env (group
-// positions instead of global ranks).
-func buildSymbolicEnv(e *Env, rows *sparse.CSR, p partition.Partition, ctx int) (*commplan.HaloPlan, error) {
-	needs := commplan.NeedSets(rows, p, e.Pos)
-	pl := &commplan.HaloPlan{
-		P:        p,
-		Rank:     e.Pos,
-		SendTo:   make([][]int, e.Size()),
-		RecvFrom: make([][]int, e.Size()),
-	}
-	tag := 1500 + ctx*matrixTagStride
-	for k := 0; k < e.Size(); k++ {
-		if k == e.Pos {
-			continue
-		}
-		if err := e.send(cluster.CatOther, k, tag, nil, needs[k]); err != nil {
-			return nil, err
-		}
-	}
-	for k := 0; k < e.Size(); k++ {
-		if k == e.Pos {
-			continue
-		}
-		msg, err := e.recv(k, tag)
-		if err != nil {
-			return nil, err
-		}
-		pl.SendTo[k] = msg.I
-		pl.RecvFrom[k] = needs[k]
-	}
-	return pl, nil
-}
-
 // exchangeRecvLists distributes the merged send lists so each receiver knows
 // the static index layout of incoming SpMV messages.
 func (m *Matrix) exchangeRecvLists(e *Env) error {
@@ -176,7 +144,7 @@ func (m *Matrix) exchangeRecvLists(e *Env) error {
 			continue
 		}
 		// Send the list (possibly empty) so every pair agrees.
-		if err := e.send(cluster.CatOther, k, tag, nil, idx); err != nil {
+		if err := e.C.Send(cluster.CatOther, k, tag, nil, idx); err != nil {
 			return err
 		}
 	}
@@ -185,7 +153,7 @@ func (m *Matrix) exchangeRecvLists(e *Env) error {
 		if k == e.Pos {
 			continue
 		}
-		msg, err := e.recv(k, tag)
+		msg, err := e.C.Recv(k, tag)
 		if err != nil {
 			return err
 		}

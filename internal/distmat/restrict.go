@@ -19,10 +19,8 @@ import (
 // stored-order sum that starts at +0 never becomes -0, so adding them moves
 // no bit.
 //
-// The matrices must have been built on the world Env, so that their
-// positions are the ranks their halo lists are indexed by; they may be
-// per-solve forks or the session templates they were forked from. Restrict
-// only reads them.
+// The matrices may be per-solve forks or the session templates they were
+// forked from. Restrict only reads them.
 func Restrict(blocks []*Matrix) (*sparse.CSR, error) {
 	if len(blocks) == 0 {
 		return nil, fmt.Errorf("distmat: Restrict needs at least one block")
@@ -31,7 +29,7 @@ func Restrict(blocks []*Matrix) (*sparse.CSR, error) {
 	nnz := 0
 	for t, m := range blocks {
 		if t > 0 && (m.Pos <= blocks[t-1].Pos || !m.P.Equal(blocks[0].P)) {
-			return nil, fmt.Errorf("distmat: Restrict: block %d (position %d) is out of order or on another partition", t, m.Pos)
+			return nil, fmt.Errorf("distmat: Restrict: block %d (rank %d) is out of order or on another partition", t, m.Pos)
 		}
 		off[t+1] = off[t] + m.blockSize()
 		nnz += m.split.Interior.NNZ() + m.split.Boundary.NNZ()

@@ -5,9 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
-	"slices"
 	"sort"
-	"sync"
 	"testing"
 
 	"repro/internal/cluster"
@@ -17,26 +15,46 @@ import (
 )
 
 // rebuiltSubsystem is the reconstruction subsystem operator built from
-// scratch: extract A_{If,If} from the rank's static row block rows (global
-// columns; the test holds it, m keeps no copy) with renumbered columns and
-// run the full distributed construction (symbolic exchange, localisation,
-// kernel plans) over the subgroup. Kept as the reference the assembled
-// operator Restrict returns must match bit for bit.
-func rebuiltSubsystem(sub *Env, m *Matrix, rows *sparse.CSR, ctx int) (*Matrix, error) {
-	sizes := make([]int, sub.Size())
+// scratch and applied: A_{If,If} extracted from a with renumbered columns and
+// run through the full distributed construction (symbolic exchange,
+// localisation, kernel plans) on a runtime of its own, one rank per member in
+// members' order. It returns each member's block of the products with its
+// blocks of the inputs, xs[t][j] member t's block of input j. Kept as the
+// reference the operator Restrict assembles must match bit for bit.
+func rebuiltSubsystem(a *sparse.CSR, p partition.Partition, members []int, xs [][][]float64) ([][][]float64, error) {
+	sizes := make([]int, len(members))
 	var ifIdx []int
-	for t, f := range sub.Members {
-		lo, hi := m.P.Range(f)
+	for t, f := range members {
+		lo, hi := p.Range(f)
 		sizes[t] = hi - lo
 		for g := lo; g < hi; g++ {
 			ifIdx = append(ifIdx, g)
 		}
 	}
-	all := make([]int, rows.Rows)
-	for i := range all {
-		all[i] = i
-	}
-	return NewMatrix(sub, rows.Submatrix(all, ifIdx), partition.FromSizes(sizes), 0, ctx)
+	sub := partition.FromSizes(sizes)
+	ys := make([][][]float64, len(members))
+	err := cluster.New(len(members)).Run(func(c *cluster.Comm) error {
+		e := WorldEnv(c)
+		lo, hi := p.Range(members[e.Pos])
+		all := make([]int, hi-lo)
+		for i := range all {
+			all[i] = i
+		}
+		ref, err := NewMatrix(e, a.RowBlock(lo, hi).Submatrix(all, ifIdx), sub, 0, 0)
+		if err != nil {
+			return err
+		}
+		ys[e.Pos] = make([][]float64, len(xs[e.Pos]))
+		for j, x := range xs[e.Pos] {
+			y := NewVector(sub, e.Pos)
+			if err := ref.MatVec(e, y, Vector{P: sub, Pos: e.Pos, Local: x}, -1); err != nil {
+				return err
+			}
+			ys[e.Pos][j] = y.Local
+		}
+		return nil
+	})
+	return ys, err
 }
 
 // workloadProblems are the benchmark workloads' generators at the given
@@ -59,7 +77,7 @@ func workloadProblems(tiny bool) map[string]*sparse.CSR {
 // TestRestrictMatchesRebuiltSubsystem: A restricted to the failed blocks,
 // A_{If,If} — assembled by Restrict in one process from the members' own
 // matrices, with no messages — multiplies bit for bit as the operator
-// rebuilt from scratch over the subgroup of members, block for block,
+// rebuilt from scratch on a runtime of the members alone, block for block,
 // product after product. (That the x-system sends no setup message is
 // pinned where a whole run's counters can be compared:
 // core.TestEpisodeSendsNoSetupMessages.)
@@ -68,53 +86,37 @@ func TestRestrictMatchesRebuiltSubsystem(t *testing.T) {
 	failedSets := [][]int{{3}, {2, 3, 4}, {0, 6, 7}, {1, 4, 6}, {0, 1, 2, 3, 4, 5, 6}}
 	for name, a := range workloadProblems(true) {
 		p := partition.NewBlockRow(a.Rows, ranks)
+		parents := make([]*Matrix, ranks)
+		runSPMD(t, ranks, func(c *cluster.Comm) error {
+			e := WorldEnv(c)
+			lo, hi := p.Range(e.Pos)
+			m, err := NewMatrix(e, a.RowBlock(lo, hi), p, phi, 0)
+			parents[e.Pos] = m
+			return err
+		})
 		for _, members := range failedSets {
 			name, a, members := name, a, members
 			t.Run(fmt.Sprintf("%s/%v", name, members), func(t *testing.T) {
-				// Per member, by its position in members: its matrix, the
-				// inputs and the rebuilt operator's products.
-				var mu sync.Mutex
+				// Per member, by its position in members: a per-solve fork
+				// of its matrix, as a session's episode holds, and its
+				// blocks of the inputs.
 				mats := make([]*Matrix, len(members))
 				xs := make([][][]float64, len(members))
-				want := make([][][]float64, len(members))
-				runSPMD(t, ranks, func(c *cluster.Comm) error {
-					e := WorldEnv(c)
-					lo, hi := p.Range(e.Pos)
-					rows := a.RowBlock(lo, hi)
-					parent, err := NewMatrix(e, rows, p, phi, 0)
-					if err != nil {
-						return err
-					}
-					pos := slices.Index(members, e.Pos)
-					if pos < 0 {
-						return nil
-					}
-					sub, err := GroupEnv(c, members, 7)
-					if err != nil {
-						return err
-					}
-					ref, err := rebuiltSubsystem(sub, parent, rows, 8)
-					if err != nil {
-						return err
-					}
-					rng := rand.New(rand.NewSource(int64(100 + e.Pos)))
-					x, y := make([][]float64, products), make([][]float64, products)
-					for j := range x {
-						xv, yv := NewVector(ref.P, ref.Pos), NewVector(ref.P, ref.Pos)
-						for i := range xv.Local {
-							xv.Local[i] = rng.NormFloat64()
+				for b, f := range members {
+					mats[b] = parents[f].Fork()
+					rng := rand.New(rand.NewSource(int64(100 + f)))
+					xs[b] = make([][]float64, products)
+					for j := range xs[b] {
+						xs[b][j] = make([]float64, p.Size(f))
+						for i := range xs[b][j] {
+							xs[b][j][i] = rng.NormFloat64()
 						}
-						if err := ref.MatVec(sub, yv, xv, -1); err != nil {
-							return err
-						}
-						x[j], y[j] = xv.Local, yv.Local
 					}
-					mu.Lock()
-					// A per-solve fork, as a session's episode holds.
-					mats[pos], xs[pos], want[pos] = parent.Fork(), x, y
-					mu.Unlock()
-					return nil
-				})
+				}
+				want, err := rebuiltSubsystem(a, p, members, xs)
+				if err != nil {
+					t.Fatal(err)
+				}
 				op, err := Restrict(mats)
 				if err != nil {
 					t.Fatal(err)
