@@ -70,13 +70,10 @@ import (
 	"syscall"
 	"time"
 
-	"repro/internal/cluster"
-	"repro/internal/core"
 	"repro/internal/engine"
 	"repro/internal/metrics"
 	"repro/internal/netrun"
 	"repro/internal/store"
-	"repro/internal/xerr"
 )
 
 func main() {
@@ -207,13 +204,7 @@ func main() {
 		if err != nil {
 			fatal("net coordinator", "err", err)
 		}
-		maxRanks := *peers
-		netRunner = func(ctx context.Context, spec engine.JobSpec, tr core.Tracer) (engine.Solution, cluster.TransportStats, error) {
-			if r := spec.Config.WithDefaults().Ranks; r > maxRanks {
-				return engine.Solution{}, cluster.TransportStats{}, xerr.Newf(xerr.FailedPrecondition, "net job needs %d worker processes, -peers allows %d", r, maxRanks)
-			}
-			return coord.Run(ctx, spec, tr)
-		}
+		netRunner = coord.Run
 	} else if defaults.Transport == engine.TransportNet {
 		fatal("-transport net needs -peers > 0 (the multi-process coordinator)")
 	}
@@ -223,7 +214,7 @@ func main() {
 		MaxJobs: *maxJobs, JobTTL: *jobTTL,
 		PrepCacheSize: *prepCache, PrepCacheTTL: *prepTTL,
 		MaxMatrices: *maxMatrices, Defaults: defaults,
-		TraceIters: *traceIters, NetRunner: netRunner,
+		TraceIters: *traceIters, NetRunner: netRunner, NetPeers: *peers,
 		Store: st,
 	})
 	if coord != nil {

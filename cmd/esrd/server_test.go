@@ -258,6 +258,47 @@ func TestCoordinatorRefusesAtPost(t *testing.T) {
 	}
 }
 
+// TestCoordinatorRefusesWideNetJob: a -peers 2 daemon runs a net job's
+// ranks as at most two worker processes, so a four-rank net job is answered
+// 409 failed_precondition at POST /v1/jobs, with no job record and nothing
+// dispatched, instead of being accepted (202) and failing at run time. A
+// two-rank net job on the same daemon is accepted and dispatched.
+func TestCoordinatorRefusesWideNetJob(t *testing.T) {
+	dispatched := make(chan int, 1)
+	eng := engine.New(engine.Options{Workers: 1, QueueCap: 4, NetPeers: 2,
+		NetRunner: func(ctx context.Context, spec engine.JobSpec, tr core.Tracer) (engine.Solution, cluster.TransportStats, error) {
+			dispatched <- spec.Config.Ranks
+			return engine.Solution{}, cluster.TransportStats{}, xerr.New(xerr.FailedPrecondition, "no fleet in this test")
+		}})
+	ts := httptest.NewServer(newMux(eng, testLogger()))
+	t.Cleanup(func() {
+		ts.Close()
+		eng.Close()
+	})
+	const job = `{"matrix": {"generator": "poisson2d", "params": {"nx": 8}},
+		"config": {"ranks": %d, "transport": "net"}}`
+	status, code, msg := postRefused(t, ts, fmt.Sprintf(job, 4))
+	if status != http.StatusConflict || code != "failed_precondition" {
+		t.Fatalf("4-rank net job on -peers 2: status %d, error %s %q; want 409 failed_precondition", status, code, msg)
+	}
+	if jobs := eng.List(); len(jobs) != 0 {
+		t.Fatalf("refused submission left %d job records", len(jobs))
+	}
+	var spec engine.JobSpec
+	if err := json.Unmarshal([]byte(fmt.Sprintf(job, 2)), &spec); err != nil {
+		t.Fatal(err)
+	}
+	postJob(t, ts, spec)
+	select {
+	case r := <-dispatched:
+		if r != 2 {
+			t.Fatalf("dispatched a %d-rank job, want the 2-rank one", r)
+		}
+	case <-time.After(30 * time.Second):
+		t.Fatal("the 2-rank net job never reached the fleet")
+	}
+}
+
 // TestCompatThreadsFieldRejected: "threads" is no longer a config field, so a
 // submission carrying it is refused whole — a 400 invalid_argument naming the
 // field — rather than run with the cap silently ignored.

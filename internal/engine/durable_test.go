@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"os"
@@ -8,6 +9,9 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/cluster"
+	"repro/internal/core"
+	"repro/internal/faults"
 	"repro/internal/store"
 	"repro/internal/xerr"
 )
@@ -353,5 +357,83 @@ func TestDurableSubmitFailsWhenStoreClosed(t *testing.T) {
 	}
 	if !errors.Is(err, xerr.Unavailable) {
 		t.Fatalf("Submit with closed store = %v, want Unavailable class", err)
+	}
+}
+
+// TestDurableReplayKeepsAcceptedPolicy: a job runs under the daemon defaults
+// that accepted it, after a restart without them too. A phi-0 job with a
+// fail-stop schedule is servable only under a rollback strategy: accepted by
+// a standby engine whose default strategy is checkpoint and replayed by one
+// with no defaults, it finishes done under checkpoint, to the bits of the job
+// an uninterrupted checkpoint engine runs — not refused as an ESR job
+// without redundancy.
+func TestDurableReplayKeepsAcceptedPolicy(t *testing.T) {
+	spec := durableSpec()
+	spec.Config.Schedule = faults.NewSchedule(faults.Simultaneous(5, 1))
+	checkpoint := Config{Strategy: StrategyCheckpoint}
+	dir := t.TempDir()
+	st := openStore(t, dir)
+	e := New(Options{Workers: -1, QueueCap: 4, Defaults: checkpoint, Store: st})
+	id, err := e.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	crash(t, e, st)
+
+	st2 := openStore(t, dir)
+	e2 := New(Options{Workers: 1, QueueCap: 4, Store: st2})
+	defer func() { e2.Close(); st2.Close() }()
+	got := waitTerminal(t, e2, id, 30*time.Second)
+	if got.State != StateDone {
+		t.Fatalf("replayed job: state %s, err %q; want done under checkpoint", got.State, got.Error)
+	}
+	if n := e2.StrategyStats()[StrategyCheckpoint].Solves; n != 1 {
+		t.Fatalf("replayed job: %d checkpoint solves, want 1 (strategies %v)", n, e2.StrategyStats())
+	}
+
+	ref := New(Options{Workers: 1, Defaults: checkpoint})
+	defer ref.Close()
+	refID, err := ref.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := waitTerminal(t, ref, refID, 30*time.Second)
+	if want.State != StateDone {
+		t.Fatalf("reference job: state %s, err %q", want.State, want.Error)
+	}
+	if g, w := got.Result.Result.Iterations, want.Result.Result.Iterations; g != w {
+		t.Fatalf("replayed job: %d iterations, reference %d", g, w)
+	}
+	sameBits(t, "replayed x", got.Result.X, want.Result.X)
+}
+
+// TestDurableReplayRefusesWhatTheFleetCannotRun: a net job accepted by a
+// daemon without a fleet, replayed by a coordinator whose fleet cannot run
+// it (four ranks, two worker processes), fails at replay with the refusal
+// Submit would have answered — failed_precondition, journaled — and never
+// reaches the fleet.
+func TestDurableReplayRefusesWhatTheFleetCannotRun(t *testing.T) {
+	spec := durableSpec()
+	spec.Config.Transport = TransportNet
+	dir := t.TempDir()
+	st := openStore(t, dir)
+	e := New(Options{Workers: -1, QueueCap: 4, Store: st})
+	id, err := e.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	crash(t, e, st)
+
+	st2 := openStore(t, dir)
+	e2 := New(Options{Workers: 1, QueueCap: 4, Store: st2, NetPeers: 2,
+		NetRunner: func(context.Context, JobSpec, core.Tracer) (Solution, cluster.TransportStats, error) {
+			t.Error("the refused job reached the fleet")
+			return Solution{}, cluster.TransportStats{}, nil
+		}})
+	defer func() { e2.Close(); st2.Close() }()
+	got := waitTerminal(t, e2, id, 30*time.Second)
+	if got.State != StateFailed || got.ErrorCode != xerr.FailedPrecondition.Code() {
+		t.Fatalf("replayed 4-rank net job on a 2-process fleet: state %s, error_code %q (%s); want failed, failed_precondition",
+			got.State, got.ErrorCode, got.Error)
 	}
 }

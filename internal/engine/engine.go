@@ -351,6 +351,10 @@ type Options struct {
 	// every other transport — and net jobs when the hook is nil, which
 	// fall back to the single-process self-loop fabric — are unaffected.
 	NetRunner NetRunner
+	// NetPeers, when > 0, caps the ranks of a job handed to NetRunner: its
+	// fleet runs one worker process per rank (esrd -peers). A wider net job
+	// is refused at Submit.
+	NetPeers int
 	// Store, when non-nil, makes the engine durable: accepted jobs and
 	// registered matrices are journaled to it, and New replays its recovered
 	// records before the workers start — non-terminal jobs re-enter the
@@ -384,6 +388,7 @@ type Engine struct {
 	defaults   Config
 	traceIters int
 	netRunner  NetRunner
+	netPeers   int
 	metrics    *engineMetrics
 	store      *store.Store
 
@@ -444,6 +449,7 @@ func New(opts Options) *Engine {
 		defaults:    opts.Defaults,
 		traceIters:  opts.TraceIters,
 		netRunner:   opts.NetRunner,
+		netPeers:    opts.NetPeers,
 		store:       opts.Store,
 		janitorQuit: make(chan struct{}),
 		janitorDone: make(chan struct{}),
@@ -625,14 +631,16 @@ func (e *Engine) Close() {
 // Submit validates and enqueues a job, returning its id. The queue is FIFO:
 // workers pick jobs up in submission order.
 func (e *Engine) Submit(spec JobSpec) (id string, err error) {
-	// Validate the Config the job will run under: a daemon default strategy
-	// decides, for one, whether a phi-0 failure schedule is servable.
-	checked := spec
-	checked.Config = Merge(e.defaults, spec.Config)
-	if err := checked.Validate(); err != nil {
+	// Resolve the job's policy once, here: the daemon defaults beneath its
+	// own fields. The job keeps and journals the merged Config, so it is
+	// validated, run and replayed under the defaults that accepted it (a
+	// default strategy decides, for one, whether a phi-0 failure schedule is
+	// servable).
+	spec.Config = Merge(e.defaults, spec.Config)
+	if err := spec.Validate(); err != nil {
 		return "", err
 	}
-	if err := e.fleetRefusal(spec, checked.Config.WithDefaults()); err != nil {
+	if err := e.fleetRefusal(spec); err != nil {
 		return "", err
 	}
 	j := e.newJob("", spec, time.Now())
@@ -1033,7 +1041,7 @@ func (e *Engine) run(j *job) {
 	}
 	defer cancelTimeout()
 
-	cfg := Merge(e.defaults, j.spec.Config).WithDefaults()
+	cfg := j.spec.Config.WithDefaults()
 	// Chain the observers onto the solve, wherever it runs: any
 	// caller-supplied tracer (from an in-process Config), the job's bounded
 	// trace capture (when the engine runs with TraceIters > 0), the always-on
@@ -1053,13 +1061,8 @@ func (e *Engine) run(j *job) {
 	if cfg.Transport == TransportNet && e.netRunner != nil {
 		// A coordinator daemon fans net-transport jobs out to external rank
 		// processes; each worker process prepares its own session, so the
-		// coordinator's prep cache does not apply. Submit refused what the
-		// fleet cannot run; a job replayed from a journal written before it
-		// did is refused here.
-		if err := e.fleetRefusal(j.spec, cfg); err != nil {
-			e.finishJob(j, Solution{}, err)
-			return
-		}
+		// coordinator's prep cache does not apply. Submit (or, for a
+		// replayed job, requeueLocked) refused what the fleet cannot run.
 		e.runNet(ctx, j, cfg)
 		return
 	}
@@ -1164,18 +1167,23 @@ func (e *Engine) solveBatch(ctx context.Context, cfg Config, prep *Prepared, bat
 	return Solution{X: xs[0], Result: results[0], XS: xs, Results: results}, nil
 }
 
-// fleetRefusal refuses, at Submit, what a coordinator daemon's fleet of
-// rank processes cannot run — a valid job in the wrong place, so each
-// refusal is classed failed_precondition — before the job is queued or
-// journalled. cfg is the job's Config with the daemon defaults resolved. Only
-// a net-transport job on an engine with a NetRunner goes to a fleet; every
-// other job is served in process and refused nothing here.
-func (e *Engine) fleetRefusal(spec JobSpec, cfg Config) error {
+// fleetRefusal refuses what a coordinator daemon's fleet of rank processes
+// cannot run — a valid job in the wrong place, so each refusal is classed
+// failed_precondition: at Submit, before the job is queued or journalled,
+// and at replay, for a job a daemon without this fleet accepted.
+// spec.Config holds the daemon defaults already. Only a net-transport job
+// on an engine with a NetRunner goes to a fleet; every other job is served
+// in process and refused nothing here.
+func (e *Engine) fleetRefusal(spec JobSpec) error {
+	cfg := spec.Config.WithDefaults()
 	if e.netRunner == nil || cfg.Transport != TransportNet {
 		return nil
 	}
 	refuse := func(format string, args ...any) error {
 		return xerr.Newf(xerr.FailedPrecondition, "engine: multi-process net jobs "+format, args...)
+	}
+	if e.netPeers > 0 && cfg.Ranks > e.netPeers {
+		return refuse("run one worker process per rank: %d ranks, the fleet allows %d", cfg.Ranks, e.netPeers)
 	}
 	if spec.MatrixID != "" {
 		return refuse("cannot name a registered matrix_id; inline the matrix spec")

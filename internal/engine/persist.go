@@ -444,23 +444,36 @@ func (e *Engine) restoreTerminalLocked(rj *replayedJob) {
 // must be held, and the queue must have been sized to hold every replayed
 // job (New guarantees this), so the send never blocks.
 func (e *Engine) requeueLocked(rj *replayedJob) {
+	// Submit journals the job's Config with the daemon defaults merged in. A
+	// journal written before it did holds the job's own fields, which get
+	// the current defaults here, once; a merged Config keeps every field it
+	// holds.
+	rj.spec.Config = Merge(e.defaults, rj.spec.Config)
 	j := e.newJob(rj.id, rj.spec, rj.enqueued)
 	j.eng = e
 	j.events = []Event{{JobID: j.id, Time: rj.enqueued, Kind: EventState, State: StateQueued}}
 	e.jobs[j.id] = j
 	e.order = append(e.order, j)
+	// A job that can never run fails terminally (journaled, so the next
+	// replay reloads the failure instead of retrying). The payload budget
+	// was never charged for it, so its payloads are dropped uncounted.
+	fail := func(err error) {
+		j.transition(StateFailed, err)
+		j.mu.Lock()
+		j.dropPayloadsLocked()
+		j.mu.Unlock()
+	}
+	if err := e.fleetRefusal(rj.spec); err != nil {
+		// Accepted before this daemon's fleet refused such jobs at Submit.
+		fail(err)
+		return
+	}
 	if rj.spec.MatrixID != "" {
 		a, rec, err := e.matrices.resolve(rj.spec.MatrixID)
 		if err != nil {
 			// The matrix is gone — deleted before the crash with the job still
-			// queued, or its blob failed verification. The job can never run;
-			// fail it terminally (journaled, so the next replay reloads the
-			// failure instead of retrying). The payload budget was never
-			// charged for it, so its payloads are dropped uncounted.
-			j.transition(StateFailed, fmt.Errorf("engine: replayed job references %s: %w", rj.spec.MatrixID, err))
-			j.mu.Lock()
-			j.dropPayloadsLocked()
-			j.mu.Unlock()
+			// queued, or its blob failed verification.
+			fail(fmt.Errorf("engine: replayed job references %s: %w", rj.spec.MatrixID, err))
 			return
 		}
 		j.mat, j.matHash = a, rec.Hash
