@@ -60,9 +60,10 @@ func (c *Comm) World() *Group { return &Group{c: c} }
 func (g *Group) Size() int { return g.c.rt.size }
 
 // Reduce combines vals element-wise across the ranks with a fixed binomial
-// tree; rank 0 receives the result (other ranks receive nil). The combination order is deterministic, so results are bit-identical
-// across repeated runs. The returned slice comes from the transport's
-// buffer recycler: the caller owns it and may hand it back with Recycle.
+// tree; rank 0 receives the result (other ranks receive nil). The
+// combination order is deterministic, so results are bit-identical across
+// repeated runs. The returned slice comes from the transport's buffer
+// recycler: the caller owns it and may hand it back with Recycle.
 func (g *Group) Reduce(op Op, vals []float64) ([]float64, error) {
 	n, me := g.Size(), g.c.rank
 	acc := g.c.GetFloats(len(vals))

@@ -464,7 +464,7 @@ func (e *Engine) requeueLocked(rj *replayedJob) {
 		j.mu.Unlock()
 	}
 	if err := e.fleetRefusal(rj.spec); err != nil {
-		// Accepted before this daemon's fleet refused such jobs at Submit.
+		// Accepted where this fleet's refusal at Submit did not apply.
 		fail(err)
 		return
 	}
