@@ -1085,20 +1085,11 @@ func (e *Engine) run(j *job) {
 		if a == nil {
 			var err error
 			if a, err = j.spec.Matrix.Build(); err != nil {
-				return nil, xerr.Ensure(xerr.InvalidArgument, err)
+				return nil, err
 			}
 		}
-		// Network-submitted jobs must not reach the dense Cholesky
-		// factorization with an oversized block: the kernel is O(block^3)
-		// and unabortable once started. Trusted in-process library callers
-		// (esr.NewSolver) are not subject to this cap.
-		if prepCfg.Preconditioner == PrecondBlockJacobiChol {
-			ranks := min(prepCfg.Ranks, a.Rows)
-			if bs := (a.Rows + ranks - 1) / ranks; bs > maxCholBlock {
-				return nil, xerr.Newf(xerr.InvalidArgument,
-					"engine: block-jacobi-cholesky block size %d exceeds %d (dense factorization); use %q or more ranks",
-					bs, maxCholBlock, PrecondBlockJacobiILU)
-			}
+		if err := CheckCholBlock(a.Rows, prepCfg); err != nil {
+			return nil, err
 		}
 		return prepare(ctx, a, prepCfg, e.metrics)
 	}

@@ -402,8 +402,8 @@ func TestSpecValidation(t *testing.T) {
 	if err := tinySpec().Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := (MatrixSpec{Generator: "no-such-gen"}).Build(); err == nil {
-		t.Fatal("unknown generator accepted")
+	if _, err := (MatrixSpec{Generator: "no-such-gen"}).Build(); !errors.Is(err, xerr.InvalidArgument) {
+		t.Fatalf("unknown generator: %v, want %q", err, xerr.InvalidArgument.Code())
 	}
 }
 

@@ -89,7 +89,7 @@ func (s *matrixStore) put(spec MatrixSpec) (MatrixRecord, *sparse.CSR, bool, err
 	// not stall lookups. A racing identical upload is resolved below.
 	a, err := spec.Build()
 	if err != nil {
-		return MatrixRecord{}, nil, false, xerr.Ensure(xerr.InvalidArgument, err)
+		return MatrixRecord{}, nil, false, err
 	}
 
 	s.mu.Lock()

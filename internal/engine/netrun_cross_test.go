@@ -10,6 +10,7 @@ import (
 	"os"
 	"reflect"
 	"regexp"
+	"strings"
 	"testing"
 	"time"
 
@@ -38,9 +39,10 @@ func TestMain(m *testing.M) {
 
 // TestCrossTransportBitIdenticalNetProcessKill: a fixed-seed solve under a
 // 2-node failure schedule, with every rank in its own OS process over TCP
-// and the scheduled failure realized as two workers SIGKILLing themselves
-// mid-solve — the multi-process leg of the contract TestConfigurationLattice
-// holds in process on every fabric. The coordinator
+// and the scheduled failure realized as two workers reporting their deaths
+// mid-solve and being SIGKILLed by the coordinator — the multi-process leg
+// of the contract TestConfigurationLattice holds in process on every
+// fabric. The coordinator
 // respawns them, the replacements join the recovery episode via Resume, and
 // the solution must be bitwise identical to the in-process chan reference —
 // iterations, final residual, and every solution component.
@@ -175,6 +177,51 @@ func TestNetFleetDataLossKeepsClass(t *testing.T) {
 	}
 	if regexp.MustCompile(`rank \d+: rank \d+:`).MatchString(err.Error()) {
 		t.Fatalf("rank named twice: %v", err)
+	}
+}
+
+// TestNetFleetSetupFailureKeepsClass: a worker whose setup fails (here the
+// matrix, which holds a nan entry) reports the failure as its result, so the
+// job fails once with the class the in-process path gives it: no retry on a
+// fresh fleet, no respawn.
+func TestNetFleetSetupFailureKeepsClass(t *testing.T) {
+	mm := "%%MatrixMarket matrix coordinate real symmetric\n2 2 2\n1 1 nan\n2 2 1\n"
+	fleetJobFailsOnce(t, engine.JobSpec{
+		Matrix: engine.MatrixSpec{MatrixMarket: []byte(mm)},
+		Config: engine.Config{Ranks: 2, Transport: engine.TransportNet},
+	}, "not finite")
+}
+
+// TestNetFleetCholBlockCap: TestQuickCholBlockCap's refusal holds on a
+// fleet, where every worker prepares its own session: a 4 225-row dense
+// Cholesky block on one rank fails invalid_argument naming the cap.
+func TestNetFleetCholBlockCap(t *testing.T) {
+	fleetJobFailsOnce(t, engine.JobSpec{
+		Matrix: engine.MatrixSpec{Generator: "poisson2d", Params: map[string]float64{"nx": 65}},
+		Config: engine.Config{Ranks: 1, Transport: engine.TransportNet, Preconditioner: engine.PrecondBlockJacobiChol},
+	}, "exceeds 4096")
+}
+
+// fleetJobFailsOnce runs spec on a fresh coordinator and requires it to
+// fail invalid_argument with an error containing want, on its first fleet
+// and with no respawn.
+func fleetJobFailsOnce(t *testing.T, spec engine.JobSpec, want string) {
+	t.Helper()
+	if testing.Short() {
+		t.Skip("spawns a fleet of worker processes")
+	}
+	coord, err := netrun.NewCoordinator(netrun.Options{Command: []string{os.Args[0]}, Log: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	_, _, err = coord.Run(ctx, spec, &fleetLog{})
+	if !errors.Is(err, xerr.InvalidArgument) || !strings.Contains(fmt.Sprint(err), want) {
+		t.Fatalf("fleet job: %v (class %q), want %q naming %q", err, xerr.Code(err), xerr.InvalidArgument.Code(), want)
+	}
+	if coord.JobRetries() != 0 || coord.Respawns() != 0 {
+		t.Fatalf("fleet job: %d retries and %d respawns, want none", coord.JobRetries(), coord.Respawns())
 	}
 }
 

@@ -21,13 +21,32 @@ import (
 var ErrPreparedClosed = xerr.New(xerr.Unavailable, "engine: prepared solver session is closed")
 
 // maxCholBlock bounds the per-rank block size of the dense block-Jacobi
-// Cholesky preconditioner for network-submitted jobs (enforced by the
-// engine's job path, not by Prepare itself, so trusted in-process callers
-// stay unrestricted): 4096 caps the dense factors at 2 x 4096^2 floats
-// (256 MiB: L plus its cache-friendly transpose) per rank and the
-// factorization at ~1.1e10 flops, keeping a worker responsive. Larger
-// blocks must use the sparse ILU(0)/IC(0) factorizations.
+// Cholesky preconditioner for network-submitted jobs (see CheckCholBlock):
+// 4096 caps the dense factors at 2 x 4096^2 floats (256 MiB: L plus its
+// cache-friendly transpose) per rank and the factorization at ~1.1e10
+// flops, keeping a worker responsive. Larger blocks must use the sparse
+// ILU(0)/IC(0) factorizations.
 const maxCholBlock = 4096
+
+// CheckCholBlock refuses a network-submitted job under cfg whose matrix of
+// the given row count would reach the dense Cholesky factorization with a
+// block over maxCholBlock: the kernel is O(block^3) and unabortable once
+// started. The engine's job path and a fleet worker call it before Prepare;
+// trusted in-process library callers (esr.NewSolver) are not subject to
+// the cap.
+func CheckCholBlock(rows int, cfg Config) error {
+	cfg = cfg.WithDefaults()
+	if cfg.Preconditioner != PrecondBlockJacobiChol {
+		return nil
+	}
+	ranks := min(cfg.Ranks, rows)
+	if bs := (rows + ranks - 1) / ranks; bs > maxCholBlock {
+		return xerr.Newf(xerr.InvalidArgument,
+			"engine: block-jacobi-cholesky block size %d exceeds %d (dense factorization); use %q or more ranks",
+			bs, maxCholBlock, PrecondBlockJacobiILU)
+	}
+	return nil
+}
 
 // SolveOpts is the former name of a solve's per-call Config, kept as an
 // alias for callers that still spell it.
@@ -355,13 +374,6 @@ func (ps *Prepared) solveOne(ctx context.Context, rt *cluster.Runtime, localRank
 // zero-valued); the error return is a global failure aborting the block.
 func (ps *Prepared) solveOn(ctx context.Context, rt *cluster.Runtime, localRanks []int, bs [][]float64, cfg *Config, hooks core.Options) ([]Solution, []error, error) {
 	k := len(bs)
-	if localRanks != nil && len(localRanks) < cfg.Ranks && cfg.Strategy != StrategyESR {
-		// The other strategies cannot span a mesh: a fleet's victim dies for
-		// real, taking its snapshot slot (checkpoint, restart's x0, twin's
-		// shadow) with it, and a replacement joins its peers' episode through
-		// a Resume, which only ESR accepts.
-		return nil, nil, fmt.Errorf("esr: multi-process solves support only the %q strategy, got %q", StrategyESR, cfg.Strategy)
-	}
 	copts := hooks
 	copts.Tol, copts.MaxIter, copts.LocalTol = cfg.Tol, cfg.MaxIter, cfg.LocalTol
 	copts.Ctx, copts.SDCCheck = ctx, cfg.SDCCheckInterval

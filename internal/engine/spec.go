@@ -176,8 +176,14 @@ func (ms MatrixSpec) checkBounds() error {
 }
 
 // Build materializes the matrix: a generator's parameters and defaults are
-// those of its generators entry.
+// those of its generators entry. Its errors are classed invalid_argument.
 func (ms MatrixSpec) Build() (*sparse.CSR, error) {
+	a, err := ms.build()
+	return a, xerr.Ensure(xerr.InvalidArgument, err)
+}
+
+// build is Build before its errors are classed.
+func (ms MatrixSpec) build() (*sparse.CSR, error) {
 	switch {
 	case len(ms.MatrixMarket) > 0 && ms.Generator != "":
 		return nil, fmt.Errorf("engine: matrix spec sets both generator and matrix_market")
@@ -383,7 +389,7 @@ func (s JobSpec) Materialize() (*sparse.CSR, []float64, error) {
 		}
 	}
 	if len(b) != a.Rows {
-		return nil, nil, fmt.Errorf("engine: rhs length %d != matrix rows %d", len(b), a.Rows)
+		return nil, nil, xerr.Newf(xerr.InvalidArgument, "engine: rhs length %d != matrix rows %d", len(b), a.Rows)
 	}
 	return a, b, nil
 }

@@ -81,8 +81,8 @@ func (c *Coordinator) JobRetries() int64 { return c.retries.Load() }
 // JobsRun returns the cumulative count of jobs accepted.
 func (c *Coordinator) JobsRun() int64 { return c.jobs.Load() }
 
-// workerLostError reports a worker process that died without a scheduled
-// failure to explain it; the job is retried on a fresh fleet.
+// workerLostError reports a worker process that ended without a result or a
+// death report to explain it; the job is retried on a fresh fleet.
 type workerLostError struct{ rank int }
 
 func (e *workerLostError) Error() string {
@@ -121,9 +121,10 @@ func workerError(m ctrlMsg) error {
 }
 
 // workerProc is the coordinator's record of one worker process (one
-// incarnation; replacements get a fresh record).
+// incarnation; replacements get a fresh record, with the episode they join).
 type workerProc struct {
 	rank, inc int
+	resume    *core.EpisodeResume
 	cmd       *exec.Cmd
 	conn      net.Conn
 	enc       *json.Encoder
@@ -192,28 +193,19 @@ func (c *Coordinator) runAttempt(ctx context.Context, spec engine.JobSpec, cfg e
 	}()
 
 	workers := make(map[int]*workerProc, ranks)
-	// Superseded incarnations of respawned ranks. Their processes die on
-	// their own (at the scheduled poll point) and their conns are left
-	// open until then — closing a victim's control conn while it is still
-	// running toward its poll point would abort it mid-iteration, taking
-	// frames that slower survivors still need down with it. They are
-	// reaped with the attempt.
-	var stale []*workerProc
+	kill := func(w *workerProc) {
+		w.cmd.Process.Kill()
+		if w.conn != nil {
+			w.conn.Close()
+		}
+	}
 	defer func() {
 		for _, w := range workers {
-			stale = append(stale, w)
-		}
-		for _, w := range stale {
-			if w.cmd != nil && w.cmd.Process != nil {
-				w.cmd.Process.Kill()
-			}
-			if w.conn != nil {
-				w.conn.Close()
-			}
+			kill(w)
 		}
 	}()
 
-	spawn := func(rank, inc int) error {
+	spawn := func(rank, inc int, resume *core.EpisodeResume) error {
 		cmd := exec.Command(c.opts.Command[0], c.opts.Command[1:]...)
 		cmd.Env = append(os.Environ(),
 			EnvCoord+"="+ln.Addr().String(),
@@ -224,7 +216,7 @@ func (c *Coordinator) runAttempt(ctx context.Context, spec engine.JobSpec, cfg e
 			return err
 		}
 		c.live.Add(1)
-		workers[rank] = &workerProc{rank: rank, inc: inc, cmd: cmd}
+		workers[rank] = &workerProc{rank: rank, inc: inc, resume: resume, cmd: cmd}
 		go func() {
 			cmd.Wait()
 			c.live.Add(-1)
@@ -233,7 +225,7 @@ func (c *Coordinator) runAttempt(ctx context.Context, spec engine.JobSpec, cfg e
 		return nil
 	}
 	for r := 0; r < ranks; r++ {
-		if err := spawn(r, 0); err != nil {
+		if err := spawn(r, 0, nil); err != nil {
 			return sol, stats, fmt.Errorf("netrun: spawn rank %d: %w", r, err)
 		}
 	}
@@ -245,34 +237,21 @@ func (c *Coordinator) runAttempt(ctx context.Context, spec engine.JobSpec, cfg e
 		}
 		return addrs
 	}
-	sendStart := func(w *workerProc, resume *core.EpisodeResume) error {
+	sendStart := func(w *workerProc) error {
 		return w.enc.Encode(ctrlMsg{
 			Type: msgStart, RunID: runID, Spec: &spec,
-			Peers: peerAddrs(), Incarnation: w.inc, Resume: resume,
+			Peers: peerAddrs(), Incarnation: w.inc, Resume: w.resume,
 		})
 	}
 
-	victimSet := map[int]bool{}
-	for _, v := range scheduledVictims(cfg.Schedule) {
-		victimSet[v] = true
-	}
 	var (
 		pendingHello = ranks
 		started      bool
-		resume       *core.EpisodeResume // current episode, for replacements
 		done         = map[int]bool{}
-		unexplained  = map[int]bool{} // scheduled victims gone before the failed report
 		solveErr     error
 	)
 	hello := time.NewTimer(c.opts.SpawnTimeout)
 	defer hello.Stop()
-	// grace bounds how long a scheduled victim's death may go unexplained:
-	// normally rank 0's failed report races the victim's exit by
-	// microseconds; a victim that dies outside its event (an operator kill)
-	// produces no report and must fail the attempt, not hang it.
-	grace := time.NewTimer(time.Hour)
-	grace.Stop()
-	defer grace.Stop()
 
 	for {
 		select {
@@ -281,10 +260,6 @@ func (c *Coordinator) runAttempt(ctx context.Context, spec engine.JobSpec, cfg e
 		case <-hello.C:
 			if pendingHello > 0 {
 				return sol, stats, fmt.Errorf("netrun: %d worker(s) did not report within %v", pendingHello, c.opts.SpawnTimeout)
-			}
-		case <-grace.C:
-			for r := range unexplained {
-				return sol, stats, &workerLostError{rank: r}
 			}
 		case ev := <-events:
 			w := workers[ev.rank]
@@ -319,7 +294,7 @@ func (c *Coordinator) runAttempt(ctx context.Context, spec engine.JobSpec, cfg e
 					}
 					started = true
 					for _, ww := range workers {
-						if err := sendStart(ww, nil); err != nil {
+						if err := sendStart(ww); err != nil {
 							return sol, stats, fmt.Errorf("netrun: start rank %d: %w", ww.rank, err)
 						}
 					}
@@ -328,7 +303,7 @@ func (c *Coordinator) runAttempt(ctx context.Context, spec engine.JobSpec, cfg e
 				// A replacement joining an episode already in progress: give
 				// it the job plus the resume point, and announce its address
 				// to the blocked survivors.
-				if err := sendStart(w, resume); err != nil {
+				if err := sendStart(w); err != nil {
 					return sol, stats, fmt.Errorf("netrun: start replacement rank %d: %w", w.rank, err)
 				}
 				for _, ww := range workers {
@@ -347,28 +322,15 @@ func (c *Coordinator) runAttempt(ctx context.Context, spec engine.JobSpec, cfg e
 						tr.TraceRecovery(*m.Recovery)
 					}
 				case msgFailed:
-					if ev.rank != 0 {
-						continue
-					}
-					resume = &core.EpisodeResume{Iteration: m.Iteration, Victims: m.Victims}
-					c.opts.Log("netrun: scheduled failure at iteration %d, victims %v; respawning", m.Iteration, m.Victims)
-					for _, v := range m.Victims {
-						old := workers[v]
-						if old == nil {
-							return sol, stats, fmt.Errorf("netrun: failure report names unknown rank %d", v)
-						}
-						// The victim may not have reached its poll point yet;
-						// leave its process and conn alone (see stale above).
-						stale = append(stale, old)
-						delete(unexplained, v)
-						c.respawns.Add(1)
-						pendingHello++
-						if err := spawn(v, old.inc+1); err != nil {
-							return sol, stats, fmt.Errorf("netrun: respawn rank %d: %w", v, err)
-						}
-					}
-					if len(unexplained) == 0 {
-						grace.Stop()
+					// A scheduled victim waiting at its poll point, where its
+					// sends of the iteration are flushed: end it, and start
+					// the replacement that joins the episode.
+					c.opts.Log("netrun: rank %d failed as scheduled at iteration %d (victims %v); respawning", w.rank, m.Iteration, m.Victims)
+					kill(w)
+					c.respawns.Add(1)
+					pendingHello++
+					if err := spawn(w.rank, w.inc+1, &core.EpisodeResume{Iteration: m.Iteration, Victims: m.Victims}); err != nil {
+						return sol, stats, fmt.Errorf("netrun: respawn rank %d: %w", w.rank, err)
 					}
 					hello.Reset(c.opts.SpawnTimeout)
 				case msgResult:
@@ -403,15 +365,8 @@ func (c *Coordinator) runAttempt(ctx context.Context, spec engine.JobSpec, cfg e
 					// still fails fast below.
 					continue
 				}
-				if victimSet[ev.rank] {
-					// Possibly the scheduled death itself, observed before
-					// rank 0's report lands. Give the report a grace window.
-					if len(unexplained) == 0 {
-						grace.Reset(10 * time.Second)
-					}
-					unexplained[ev.rank] = true
-					continue
-				}
+				// Neither a result nor a death report: nothing scheduled
+				// explains this end.
 				return sol, stats, &workerLostError{rank: ev.rank}
 			}
 		}

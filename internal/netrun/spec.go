@@ -5,14 +5,17 @@
 //
 // Failure model: scheduled failure-schedule events become *real* process
 // deaths. Every rank's solver reaches the event's poll point
-// deterministically; the victim worker SIGKILLs itself there, survivors
-// mark the victim replaceable on their transports and rank 0 reports the
-// episode to the coordinator, which respawns the victim at a higher
-// incarnation. The replacement re-prepares the (deterministic) session and
-// joins the episode via core.EpisodeResume, so the recovered solve is
-// bit-identical to the same schedule run on the in-process fabrics. A
-// worker lost *without* a scheduled event (a crash, an operator's kill -9)
-// aborts the attempt and the whole job is retried once on a fresh fleet.
+// deterministically; there survivors mark the victims replaceable on their
+// transports, and each victim reports its own death to the coordinator and
+// waits. The coordinator kills that process and respawns the rank at a
+// higher incarnation. The replacement re-prepares the (deterministic)
+// session and joins the episode via core.EpisodeResume, so the recovered
+// solve is bit-identical to the same schedule run on the in-process
+// fabrics. Every worker that has received its job ends in a message — a
+// result or a death report — so a worker whose process or control
+// connection ends without one (a crash, an operator's kill -9) is lost at
+// once: the attempt aborts and the whole job is retried once on a fresh
+// fleet.
 //
 // Restrictions of the multi-process path: one rank per process, the ESR
 // strategy only (a victim's process dies with the snapshot the other
@@ -54,12 +57,13 @@ const (
 	// msgTrace streams rank 0's solver traces, an iteration or a recovery
 	// episode each, to the coordinator.
 	msgTrace = "trace"
-	// msgFailed is rank 0's report of a scheduled failure episode: the
-	// iteration it fired at and the victim ranks, sent at the poll point
-	// before recovery blocks on the replacements.
+	// msgFailed is a scheduled victim's death report, sent at the event's
+	// poll point: the iteration it fired at and the episode's victim ranks.
+	// The victim then waits for the coordinator to kill it.
 	msgFailed = "failed"
-	// msgResult is a worker's final message: transport stats from every
-	// rank, plus the solution (rank 0) or an error.
+	// msgResult is a worker's final message: transport stats once the mesh
+	// is built, plus the solution (rank 0) or the error that ended setup or
+	// the solve.
 	msgResult = "result"
 	// msgPeerUpdate announces a replacement worker's data address and
 	// incarnation to the survivors (they feed it to SetPeerAddr).

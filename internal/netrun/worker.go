@@ -6,10 +6,10 @@ import (
 	"fmt"
 	"net"
 	"os"
+	"slices"
 	"sort"
 	"strconv"
 	"sync"
-	"syscall"
 	"time"
 
 	"repro/internal/cluster"
@@ -26,10 +26,11 @@ func IsWorker() bool { return os.Getenv(EnvCoord) != "" }
 // RunWorker runs this process as one rank of a multi-process solve: bind a
 // data listener, report it to the coordinator, receive the job, prepare the
 // session locally (preparation is deterministic and fabric-independent),
-// and drive this process's rank over a NetTransport mesh. It returns when
-// the solve finishes or the coordinator connection is lost — unless this
-// rank is a scheduled failure victim, in which case the process SIGKILLs
-// itself at the event's poll point and never returns.
+// and drive this process's rank over a NetTransport mesh. Once the job has
+// arrived, the process ends in a message to the coordinator: a result (the
+// solution, or the error that ended setup or the solve, with its class), or,
+// on a scheduled failure victim, a death report sent at the event's poll
+// point, after which the process waits for the coordinator to kill it.
 func RunWorker() error {
 	coordAddr := os.Getenv(EnvCoord)
 	rank, err := strconv.Atoi(os.Getenv(EnvRank))
@@ -71,11 +72,34 @@ func RunWorker() error {
 	if start.Type != msgStart || start.Spec == nil {
 		return fmt.Errorf("netrun: expected %s, got %q", msgStart, start.Type)
 	}
-	spec := *start.Spec
 
+	sol, stats, serr := runRank(start, rank, inc, ln, dec, send)
+	res := ctrlMsg{Type: msgResult, Rank: rank, Incarnation: inc, Stats: stats}
+	switch {
+	case serr != nil:
+		res.Err, res.Code = serr.Error(), xerr.Code(serr)
+	case rank == 0:
+		if !start.Spec.KeepSolution {
+			sol.X = nil // don't ship a vector the engine would drop anyway
+		}
+		res.Solution = &sol
+	}
+	if err := send(res); err != nil {
+		return err
+	}
+	return serr
+}
+
+// runRank prepares the job's session and solves this process's rank on the
+// mesh. Its stats are nil when setup failed before the mesh was built.
+func runRank(start ctrlMsg, rank, inc int, ln net.Listener, dec *json.Decoder, send func(ctrlMsg) error) (engine.Solution, *cluster.TransportStats, error) {
+	spec := *start.Spec
 	a, b, err := spec.Materialize()
 	if err != nil {
-		return err
+		return engine.Solution{}, nil, err
+	}
+	if err := engine.CheckCholBlock(a.Rows, spec.Config); err != nil {
+		return engine.Solution{}, nil, err
 	}
 	// Preparation (partitioning, symbolic halo plan, factorization) is
 	// deterministic and transport-independent, so every worker prepares the
@@ -85,14 +109,15 @@ func RunWorker() error {
 	cfg.Transport = engine.TransportChan
 	prep, err := engine.Prepare(a, cfg)
 	if err != nil {
-		return err
+		return engine.Solution{}, nil, err
 	}
 	defer prep.Close()
 	if prep.Ranks() != len(start.Peers) {
-		return fmt.Errorf("netrun: fleet has %d processes, session prepared for %d ranks", len(start.Peers), prep.Ranks())
+		return engine.Solution{}, nil, xerr.Newf(xerr.InvalidArgument,
+			"netrun: fleet has %d processes, session prepared for %d ranks", len(start.Peers), prep.Ranks())
 	}
 	if rank < 0 || rank >= prep.Ranks() {
-		return fmt.Errorf("netrun: rank %d out of range [0,%d)", rank, prep.Ranks())
+		return engine.Solution{}, nil, fmt.Errorf("netrun: rank %d out of range [0,%d)", rank, prep.Ranks())
 	}
 
 	peers := make([]cluster.NetPeer, len(start.Peers))
@@ -137,21 +162,18 @@ func RunWorker() error {
 		}
 	}()
 
-	debug := os.Getenv("NET_TRANSPORT_DEBUG") != ""
 	onFailure := func(j int, victims []int) {
-		if debug {
-			fmt.Fprintf(os.Stderr, "[worker rank=%d inc=%d] OnFailure j=%d victims=%v\n", rank, inc, j, victims)
-		}
-		for _, v := range victims {
-			if v == rank {
-				// This rank is the scheduled victim: die for real, at the
-				// exact deterministic point the in-process fabrics inject
-				// the failure. All sends of iteration j are flushed and all
-				// peers have consumed them by their own poll point, so no
-				// in-flight frame is lost with the process.
-				syscall.Kill(os.Getpid(), syscall.SIGKILL)
-				select {}
+		if slices.Contains(victims, rank) {
+			// This rank is the scheduled victim: report the death and wait
+			// for the coordinator to kill the process, here, at the exact
+			// deterministic point the in-process fabrics inject the
+			// failure. All sends of iteration j are flushed by now. A
+			// victim whose coordinator is gone (the report fails, or the
+			// control reader cancels ctx) has nobody left to kill it.
+			if err := send(ctrlMsg{Type: msgFailed, Iteration: j, Victims: victims}); err == nil {
+				<-ctx.Done()
 			}
+			os.Exit(1)
 		}
 		// Survivor: freeze the victims' peer slots — sends to them now wait
 		// for the replacement's incarnation instead of surfacing a rank
@@ -159,31 +181,14 @@ func RunWorker() error {
 		// toward their own poll points, and frames they have in flight are
 		// still needed by slower survivors.
 		tr.ExpectReplacement(replacementIncs(cfg.Schedule, j, victims))
-		if rank == 0 {
-			send(ctrlMsg{Type: msgFailed, Iteration: j, Victims: victims})
-		}
 	}
 	if rank == 0 {
 		cfg.Tracer = forward(send)
 	}
 
-	sol, serr := prep.SolveOn(ctx, rt, []int{rank}, b, cfg, onFailure, start.Resume)
-	res := ctrlMsg{Type: msgResult, Rank: rank, Incarnation: inc}
+	sol, err := prep.SolveOn(ctx, rt, []int{rank}, b, cfg, onFailure, start.Resume)
 	st := tr.Stats()
-	res.Stats = &st
-	switch {
-	case serr != nil:
-		res.Err, res.Code = serr.Error(), xerr.Code(serr)
-	case rank == 0:
-		if !spec.KeepSolution {
-			sol.X = nil // don't ship a vector the engine would drop anyway
-		}
-		res.Solution = &sol
-	}
-	if err := send(res); err != nil {
-		return err
-	}
-	return serr
+	return sol, &st, err
 }
 
 // forward is rank 0's Tracer: it ships every trace to the coordinator. A

@@ -3,8 +3,9 @@
 #
 # Boots one esrd daemon as coordinator (-peers), then:
 #
-#   1. submits a net-transport job whose failure schedule SIGKILLs two
-#      worker OS processes mid-solve, and asserts the job completes with
+#   1. submits a net-transport job whose failure schedule ends two worker
+#      OS processes mid-solve (each reports its death, the coordinator
+#      SIGKILLs it), and asserts the job completes with
 #      the recovery visible in /metrics (respawned workers, an ESR
 #      recovery episode, net wire traffic);
 #   2. submits a second net job and `kill -9`s one of its workers from the
