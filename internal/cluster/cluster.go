@@ -407,7 +407,7 @@ func (c *Comm) send(cat Category, to, tag int, f []float64, ints []int, own bool
 	if err := c.rt.transport.Deliver(dst, Msg{From: c.rank, Tag: tag, F: f, I: ints}, own); err != nil {
 		return err
 	}
-	c.rt.counters.shards[c.rank].record(cat, 1, len(f), len(ints))
+	c.rt.counters.shards[c.rank].record(cat, 1, len(f))
 	return nil
 }
 
@@ -423,7 +423,7 @@ func (c *Comm) Reclassify(from, to Category, floats int64) {
 // outside the fabric — a save to or a restore from simulated reliable
 // storage — under cat, on the rank's own counter shard.
 func (c *Comm) RecordStorage(cat Category, floats int) {
-	c.rt.counters.shards[c.rank].record(cat, 1, floats, 0)
+	c.rt.counters.shards[c.rank].record(cat, 1, floats)
 }
 
 // Send delivers a message to rank `to` with the given tag, accounting it

@@ -52,7 +52,7 @@ func Categories() []Category {
 	return out
 }
 
-// Counters accumulates global message and element counts per category.
+// Counters accumulates global message and float-element counts per category.
 // All methods are safe for concurrent use.
 //
 // Every send is counted, so the counters are sharded by writer: each rank
@@ -66,7 +66,6 @@ type Counters struct {
 type counterShard struct {
 	msgs   [numCategories]atomic.Int64
 	floats [numCategories]atomic.Int64
-	ints   [numCategories]atomic.Int64
 	_      [64]byte // keeps neighbouring shards off each other's cache lines
 }
 
@@ -74,13 +73,12 @@ func newCounters(size int) Counters {
 	return Counters{shards: make([]counterShard, size)}
 }
 
-func (sh *counterShard) record(cat Category, msgs, floats, ints int) {
+func (sh *counterShard) record(cat Category, msgs, floats int) {
 	if cat < 0 || cat >= numCategories {
 		cat = CatOther
 	}
 	sh.msgs[cat].Add(int64(msgs))
 	sh.floats[cat].Add(int64(floats))
-	sh.ints[cat].Add(int64(ints))
 }
 
 // reclassify moves float-element counts between categories within a shard.
@@ -117,7 +115,6 @@ func (ct *Counters) TotalFloats() int64 {
 type Snapshot struct {
 	Msgs   [numCategories]int64
 	Floats [numCategories]int64
-	Ints   [numCategories]int64
 }
 
 // Snapshot returns the current values, summed over the shards.
@@ -128,7 +125,6 @@ func (ct *Counters) Snapshot() Snapshot {
 		for i := 0; i < int(numCategories); i++ {
 			s.Msgs[i] += sh.msgs[i].Load()
 			s.Floats[i] += sh.floats[i].Load()
-			s.Ints[i] += sh.ints[i].Load()
 		}
 	}
 	return s
@@ -140,7 +136,6 @@ func (s Snapshot) Diff(earlier Snapshot) Snapshot {
 	for i := 0; i < int(numCategories); i++ {
 		d.Msgs[i] = s.Msgs[i] - earlier.Msgs[i]
 		d.Floats[i] = s.Floats[i] - earlier.Floats[i]
-		d.Ints[i] = s.Ints[i] - earlier.Ints[i]
 	}
 	return d
 }

@@ -46,6 +46,9 @@ type NetPeer struct {
 // connection (a single writer per direction, so per-(source, tag) delivery
 // order on the wire matches send order), and each process also keeps a
 // self-wire to its own listener so ordering guarantees are uniform.
+//
+// Dial timing is fixed: dialTimeout bounds a connection attempt and
+// retryInterval paces redials.
 type NetConfig struct {
 	// RunID identifies the job; the handshake rejects connections from a
 	// different run. Empty selects "local".
@@ -70,24 +73,15 @@ type NetConfig struct {
 	// is what the handshake advertises, and what lets survivors tell a
 	// replacement apart from the dying process it replaces.
 	Incarnation int
-	// DialTimeout bounds one connection attempt (default 10s).
-	DialTimeout time.Duration
-	// RetryInterval paces reconnection attempts (default 20ms).
-	RetryInterval time.Duration
 }
 
-func (c NetConfig) withDefaults() NetConfig {
-	if c.RunID == "" {
-		c.RunID = "local"
-	}
-	if c.DialTimeout == 0 {
-		c.DialTimeout = 10 * time.Second
-	}
-	if c.RetryInterval == 0 {
-		c.RetryInterval = 20 * time.Millisecond
-	}
-	return c
-}
+const (
+	// dialTimeout bounds one connection attempt, handshake included.
+	dialTimeout = 10 * time.Second
+	// retryInterval paces reconnection attempts to an unreachable peer (a
+	// dead scheduled victim, until its replacement binds).
+	retryInterval = 20 * time.Millisecond
+)
 
 // netConn is one established, handshaken connection to a peer.
 type netConn struct {
@@ -172,8 +166,11 @@ type NetTransport struct {
 // lazily when the runtime binds the transport (cluster.New), because
 // self-loop mode needs the runtime's size to lay out its single peer.
 func NewNetTransport(cfg NetConfig) *NetTransport {
+	if cfg.RunID == "" {
+		cfg.RunID = "local"
+	}
 	return &NetTransport{
-		cfg:         cfg.withDefaults(),
+		cfg:         cfg,
 		rankPeer:    map[int]int{},
 		replaceable: map[int]bool{},
 		changed:     make(chan struct{}),
@@ -375,7 +372,7 @@ func (t *NetTransport) acceptLoop() {
 // read loop.
 func (t *NetTransport) handleInbound(c net.Conn) {
 	defer t.wg.Done()
-	c.SetReadDeadline(time.Now().Add(t.cfg.DialTimeout))
+	c.SetReadDeadline(time.Now().Add(dialTimeout))
 	fr, err := readNetFrame(c, t)
 	if err != nil || fr.typ != netFrameHello || fr.runID != t.cfg.RunID ||
 		fr.peer < 0 || fr.peer >= len(t.peers) {
@@ -548,7 +545,7 @@ func (t *NetTransport) dialLoop(p *netPeerState) {
 		nc, err := t.dialOnce(addr)
 		if err != nil {
 			select {
-			case <-time.After(t.cfg.RetryInterval):
+			case <-time.After(retryInterval):
 				continue
 			case <-t.closed:
 				return
@@ -591,7 +588,7 @@ func (t *NetTransport) dialLoop(p *netPeerState) {
 // the connection with whatever incarnation the remote advertises; the
 // caller decides whether it is acceptable.
 func (t *NetTransport) dialOnce(addr string) (*netConn, error) {
-	c, err := net.DialTimeout("tcp", addr, t.cfg.DialTimeout)
+	c, err := net.DialTimeout("tcp", addr, dialTimeout)
 	if err != nil {
 		return nil, err
 	}
@@ -603,7 +600,7 @@ func (t *NetTransport) dialOnce(addr string) (*netConn, error) {
 		c.Close()
 		return nil, err
 	}
-	c.SetDeadline(time.Now().Add(t.cfg.DialTimeout))
+	c.SetDeadline(time.Now().Add(dialTimeout))
 	if _, err := c.Write(hello); err != nil {
 		c.Close()
 		return nil, err

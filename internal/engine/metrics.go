@@ -563,8 +563,8 @@ func (e *Engine) Health() HealthSnapshot {
 		PrepCache:        PrepCacheStats{Size: int(size), Hits: int64(hits), Misses: int64(misses)},
 		Transports:       snapshotTransports(s),
 		Strategies:       snapshotStrategies(s),
-		Net:              snapshotNet(s),
-		Store:            snapshotStore(s),
+		Net:              snapshotPrefix(s, "esrd_net_"),
+		Store:            snapshotPrefix(s, "esrd_store_"),
 		Threads:          ThreadStats{MaxProcs: int(maxp)},
 		BlockSizeDefault: int(blockDef),
 	}
@@ -585,38 +585,20 @@ func snapshotTransports(s metrics.Snapshot) map[string]TransportUsage {
 	return out
 }
 
-// snapshotNet collects every esrd_net_-prefixed unlabeled series from a
-// gathered registry snapshot into the healthz "net" block. The gauges are
-// registered by the daemon (GaugeFuncs over the coordinator and worker
-// listener state), so exposing them by prefix keeps /metrics and
-// /v1/healthz structurally unable to drift: both read the same Gather.
-func snapshotNet(s metrics.Snapshot) map[string]float64 {
+// snapshotPrefix mirrors every prefix-named counter and gauge of a gathered
+// registry snapshot into a healthz block (the daemon's esrd_net_* fleet
+// series, the esrd_store_* journal series), keyed by the series name with
+// the prefix stripped; labeled series flatten to key_labelvalue. Histograms
+// are skipped: healthz reports scalars, and the full distribution lives on
+// /metrics. Reading the same Gather keeps /metrics and /v1/healthz unable to
+// drift. Nil when no series carries the prefix.
+func snapshotPrefix(s metrics.Snapshot, prefix string) map[string]float64 {
 	out := map[string]float64{}
 	for _, fam := range s {
-		if !strings.HasPrefix(fam.Name, "esrd_net_") {
+		if !strings.HasPrefix(fam.Name, prefix) || fam.Type == metrics.TypeHistogram {
 			continue
 		}
-		for _, sm := range fam.Samples {
-			if len(sm.Labels) == 0 {
-				out[strings.TrimPrefix(fam.Name, "esrd_net_")] = sm.Value
-			}
-		}
-	}
-	return out
-}
-
-// snapshotStore collects every esrd_store_-prefixed counter and gauge from a
-// gathered registry snapshot into the healthz "store" block, keyed by the
-// series name with the prefix stripped (labeled series flatten to
-// key_labelvalue). The sync-latency histogram is skipped: healthz reports
-// scalars, and the full distribution lives on /metrics. Nil without a store.
-func snapshotStore(s metrics.Snapshot) map[string]float64 {
-	out := map[string]float64{}
-	for _, fam := range s {
-		if !strings.HasPrefix(fam.Name, "esrd_store_") || fam.Type == metrics.TypeHistogram {
-			continue
-		}
-		key := strings.TrimPrefix(fam.Name, "esrd_store_")
+		key := strings.TrimPrefix(fam.Name, prefix)
 		for _, sm := range fam.Samples {
 			k := key
 			for _, l := range sm.Labels {

@@ -5,8 +5,10 @@ package engine_test
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
+	"net"
 	"os"
 	"reflect"
 	"regexp"
@@ -23,18 +25,87 @@ import (
 	"repro/internal/xerr"
 )
 
+// errorRankEnv names the rank whose worker process, instead of running
+// RunWorker, answers its job with a classed error result
+// (TestNetFleetFirstErrorEndsAttempt).
+const errorRankEnv = "NETRUN_TEST_ERROR_RANK"
+
 // TestMain doubles this test binary as the netrun worker executable: the
 // coordinator re-execs os.Args[0], and the ESRD_NET_* environment routes
 // the child into RunWorker before any test runs.
 func TestMain(m *testing.M) {
 	if netrun.IsWorker() {
-		if err := netrun.RunWorker(); err != nil {
+		run := netrun.RunWorker
+		if r := os.Getenv(errorRankEnv); r != "" && r == os.Getenv(netrun.EnvRank) {
+			run = answerWithError
+		}
+		if err := run(); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
 		os.Exit(0)
 	}
 	os.Exit(m.Run())
+}
+
+// answerWithError plays a worker that reports in with a data listener it
+// never serves, waits for its job and answers it with a data_loss result,
+// speaking the control protocol's newline JSON by hand. Its peers stay
+// blocked on its rank for good.
+func answerWithError() error {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		return err
+	}
+	defer ln.Close()
+	conn, err := net.Dial("tcp", os.Getenv(netrun.EnvCoord))
+	if err != nil {
+		return err
+	}
+	defer conn.Close()
+	rank := os.Getenv(netrun.EnvRank)
+	enc := json.NewEncoder(conn)
+	if err := enc.Encode(map[string]any{"type": "hello", "rank": json.Number(rank), "addr": ln.Addr().String()}); err != nil {
+		return err
+	}
+	var start struct{ Type string }
+	if err := json.NewDecoder(conn).Decode(&start); err != nil || start.Type != "start" {
+		return fmt.Errorf("waiting for start: %q, %v", start.Type, err)
+	}
+	return enc.Encode(map[string]any{"type": "result", "err": "rank " + rank + ": injected failure", "code": xerr.DataLoss.Code()})
+}
+
+// TestNetFleetFirstErrorEndsAttempt: the first error result ends the
+// attempt with that error's class, at once and without a retry, although
+// the other workers are blocked on the failed rank and will never send
+// theirs; the coordinator kills them.
+func TestNetFleetFirstErrorEndsAttempt(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns a fleet of worker processes")
+	}
+	t.Setenv(errorRankEnv, "2")
+	coord, err := netrun.NewCoordinator(netrun.Options{Command: []string{os.Args[0]}, Log: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	_, _, err = coord.Run(ctx, engine.JobSpec{
+		Matrix: engine.MatrixSpec{Generator: "poisson2d", Params: map[string]float64{"nx": 32}},
+		Config: engine.Config{Ranks: 4, Transport: engine.TransportNet},
+	}, &fleetLog{})
+	if !errors.Is(err, xerr.DataLoss) || !strings.Contains(fmt.Sprint(err), "rank 2: injected failure") {
+		t.Fatalf("fleet job: %v (class %q), want rank 2's %q result", err, xerr.Code(err), xerr.DataLoss.Code())
+	}
+	if coord.JobRetries() != 0 {
+		t.Fatalf("fleet job retried %d times, want none", coord.JobRetries())
+	}
+	for coord.LiveWorkers() != 0 {
+		if ctx.Err() != nil {
+			t.Fatalf("%d worker processes still running after the attempt ended", coord.LiveWorkers())
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
 }
 
 // TestCrossTransportBitIdenticalNetProcessKill: a fixed-seed solve under a

@@ -25,14 +25,17 @@ type Options struct {
 	Command []string
 	// Log, when non-nil, receives human-readable supervision events.
 	Log func(format string, args ...any)
-	// SpawnTimeout bounds how long a spawned worker may take to report its
-	// hello (default 30s) — it covers process start plus, for replacements,
-	// nothing else: preparation happens after the hello.
-	SpawnTimeout time.Duration
-	// Retries is how many times a job is retried on a fresh fleet after an
-	// unscheduled worker loss (default 1, < 0 disables retries).
-	Retries int
 }
+
+const (
+	// helloTimeout bounds how long a spawned worker may take to report its
+	// hello. It covers process start only: preparation happens after the
+	// hello.
+	helloTimeout = 30 * time.Second
+	// maxRetries is how many times a job is retried on a fresh fleet after
+	// an unscheduled worker loss.
+	maxRetries = 1
+)
 
 // Coordinator supervises multi-process solve fleets: one worker process
 // per rank, spawned per job, replaced on scheduled failures, and torn down
@@ -52,15 +55,6 @@ type Coordinator struct {
 func NewCoordinator(opts Options) (*Coordinator, error) {
 	if len(opts.Command) == 0 {
 		return nil, fmt.Errorf("netrun: coordinator needs a worker command")
-	}
-	if opts.SpawnTimeout <= 0 {
-		opts.SpawnTimeout = 30 * time.Second
-	}
-	if opts.Retries == 0 {
-		opts.Retries = 1
-	}
-	if opts.Retries < 0 {
-		opts.Retries = 0
 	}
 	if opts.Log == nil {
 		opts.Log = func(string, ...any) {}
@@ -98,9 +92,9 @@ func (c *Coordinator) Run(ctx context.Context, spec engine.JobSpec, tr core.Trac
 	for attempt := 0; ; attempt++ {
 		sol, stats, err := c.runAttempt(ctx, spec, cfg, attempt, tr)
 		var lost *workerLostError
-		if err != nil && errors.As(err, &lost) && attempt < c.opts.Retries && ctx.Err() == nil {
+		if err != nil && errors.As(err, &lost) && attempt < maxRetries && ctx.Err() == nil {
 			c.retries.Add(1)
-			c.opts.Log("netrun: %v; retrying on a fresh fleet (attempt %d of %d)", err, attempt+2, c.opts.Retries+1)
+			c.opts.Log("netrun: %v; retrying on a fresh fleet (attempt %d of %d)", err, attempt+2, maxRetries+1)
 			continue
 		}
 		return sol, stats, err
@@ -128,7 +122,7 @@ type workerProc struct {
 	cmd       *exec.Cmd
 	conn      net.Conn
 	enc       *json.Encoder
-	dataAddr  string
+	addr      string // the worker's data listener
 }
 
 // Event kinds of the supervision loop.
@@ -179,7 +173,7 @@ func (c *Coordinator) runAttempt(ctx context.Context, spec engine.JobSpec, cfg e
 				return
 			}
 			go func(conn net.Conn) {
-				conn.SetReadDeadline(time.Now().Add(c.opts.SpawnTimeout))
+				conn.SetReadDeadline(time.Now().Add(helloTimeout))
 				dec := json.NewDecoder(conn)
 				var m ctrlMsg
 				if err := dec.Decode(&m); err != nil || m.Type != msgHello {
@@ -233,14 +227,14 @@ func (c *Coordinator) runAttempt(ctx context.Context, spec engine.JobSpec, cfg e
 	peerAddrs := func() []string {
 		addrs := make([]string, ranks)
 		for r, w := range workers {
-			addrs[r] = w.dataAddr
+			addrs[r] = w.addr
 		}
 		return addrs
 	}
 	sendStart := func(w *workerProc) error {
 		return w.enc.Encode(ctrlMsg{
 			Type: msgStart, RunID: runID, Spec: &spec,
-			Peers: peerAddrs(), Incarnation: w.inc, Resume: w.resume,
+			Peers: peerAddrs(), Resume: w.resume,
 		})
 	}
 
@@ -248,9 +242,8 @@ func (c *Coordinator) runAttempt(ctx context.Context, spec engine.JobSpec, cfg e
 		pendingHello = ranks
 		started      bool
 		done         = map[int]bool{}
-		solveErr     error
 	)
-	hello := time.NewTimer(c.opts.SpawnTimeout)
+	hello := time.NewTimer(helloTimeout)
 	defer hello.Stop()
 
 	for {
@@ -259,7 +252,7 @@ func (c *Coordinator) runAttempt(ctx context.Context, spec engine.JobSpec, cfg e
 			return sol, stats, context.Cause(ctx)
 		case <-hello.C:
 			if pendingHello > 0 {
-				return sol, stats, fmt.Errorf("netrun: %d worker(s) did not report within %v", pendingHello, c.opts.SpawnTimeout)
+				return sol, stats, fmt.Errorf("netrun: %d worker(s) did not report within %v", pendingHello, helloTimeout)
 			}
 		case ev := <-events:
 			w := workers[ev.rank]
@@ -273,7 +266,7 @@ func (c *Coordinator) runAttempt(ctx context.Context, spec engine.JobSpec, cfg e
 			}
 			switch ev.kind {
 			case evHello:
-				w.conn, w.enc, w.dataAddr = ev.conn, json.NewEncoder(ev.conn), ev.msg.DataAddr
+				w.conn, w.enc, w.addr = ev.conn, json.NewEncoder(ev.conn), ev.msg.Addr
 				go func(rank, inc int, dec *json.Decoder) {
 					for {
 						var m ctrlMsg
@@ -310,7 +303,7 @@ func (c *Coordinator) runAttempt(ctx context.Context, spec engine.JobSpec, cfg e
 					if ww.rank == w.rank || ww.conn == nil {
 						continue
 					}
-					ww.enc.Encode(ctrlMsg{Type: msgPeerUpdate, Rank: w.rank, Addr: w.dataAddr, Incarnation: w.inc})
+					ww.enc.Encode(ctrlMsg{Type: msgPeerUpdate, Rank: w.rank, Addr: w.addr, Incarnation: w.inc})
 				}
 			case evMsg:
 				m := ev.msg
@@ -332,7 +325,7 @@ func (c *Coordinator) runAttempt(ctx context.Context, spec engine.JobSpec, cfg e
 					if err := spawn(w.rank, w.inc+1, &core.EpisodeResume{Iteration: m.Iteration, Victims: m.Victims}); err != nil {
 						return sol, stats, fmt.Errorf("netrun: respawn rank %d: %w", w.rank, err)
 					}
-					hello.Reset(c.opts.SpawnTimeout)
+					hello.Reset(helloTimeout)
 				case msgResult:
 					if done[ev.rank] {
 						continue
@@ -341,14 +334,17 @@ func (c *Coordinator) runAttempt(ctx context.Context, spec engine.JobSpec, cfg e
 					if m.Stats != nil {
 						stats.Add(*m.Stats)
 					}
-					if m.Err != "" && solveErr == nil {
-						solveErr = workerError(m)
+					if m.Err != "" {
+						// The first error ends the attempt: the deferred kill
+						// ends the other workers, which may be blocked on
+						// this one for good.
+						return sol, stats, workerError(m)
 					}
 					if ev.rank == 0 && m.Solution != nil {
 						sol = *m.Solution
 					}
 					if len(done) == ranks {
-						return sol, stats, solveErr
+						return sol, stats, nil
 					}
 				}
 			case evGone, evExit:

@@ -15,7 +15,12 @@
 // result or a death report — so a worker whose process or control
 // connection ends without one (a crash, an operator's kill -9) is lost at
 // once: the attempt aborts and the whole job is retried once on a fresh
-// fleet.
+// fleet. An attempt also ends at the first error result, which fails the
+// job with that error's class; the coordinator kills the other workers,
+// which may be blocked on the failed one for good. A victim whose
+// coordinator is gone has nobody to kill it: it aborts its runtime, closes
+// its transport and returns an error. RunWorker never exits the process
+// itself; only its caller does.
 //
 // Restrictions of the multi-process path: one rank per process, the ESR
 // strategy only (a victim's process dies with the snapshot the other
@@ -49,7 +54,7 @@ const (
 // Control message types (ctrlMsg.Type).
 const (
 	// msgHello is the worker's first message: its rank, incarnation and
-	// pre-bound data listener address.
+	// pre-bound data listener address (Addr).
 	msgHello = "hello"
 	// msgStart carries the job to a worker: run id, spec, the fleet's data
 	// addresses in rank order, and (for replacements) the episode to join.
@@ -75,15 +80,11 @@ const (
 type ctrlMsg struct {
 	Type string `json:"type"`
 
-	// hello, peerupdate, result: the worker's rank. start, hello,
-	// peerupdate: the spawn generation.
-	Rank        int `json:"rank"`
-	Incarnation int `json:"incarnation"`
-
-	// hello: the worker's pre-bound data listener. peerupdate: the
-	// replacement's data listener.
-	DataAddr string `json:"data_addr,omitempty"`
-	Addr     string `json:"addr,omitempty"`
+	// hello: the sender's rank, spawn generation and pre-bound data
+	// listener. peerupdate: the same for a replacement.
+	Rank        int    `json:"rank,omitempty"`
+	Incarnation int    `json:"incarnation,omitempty"`
+	Addr        string `json:"addr,omitempty"`
 
 	// start.
 	RunID  string              `json:"run_id,omitempty"`

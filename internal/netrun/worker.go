@@ -31,6 +31,8 @@ func IsWorker() bool { return os.Getenv(EnvCoord) != "" }
 // solution, or the error that ended setup or the solve, with its class), or,
 // on a scheduled failure victim, a death report sent at the event's poll
 // point, after which the process waits for the coordinator to kill it.
+// RunWorker returns in every other case, with an error unless the solve
+// succeeded; exiting the process is its caller's business.
 func RunWorker() error {
 	coordAddr := os.Getenv(EnvCoord)
 	rank, err := strconv.Atoi(os.Getenv(EnvRank))
@@ -62,7 +64,7 @@ func RunWorker() error {
 	}
 	dec := json.NewDecoder(conn)
 
-	if err := send(ctrlMsg{Type: msgHello, Rank: rank, Incarnation: inc, DataAddr: ln.Addr().String()}); err != nil {
+	if err := send(ctrlMsg{Type: msgHello, Rank: rank, Incarnation: inc, Addr: ln.Addr().String()}); err != nil {
 		return err
 	}
 	var start ctrlMsg
@@ -74,7 +76,7 @@ func RunWorker() error {
 	}
 
 	sol, stats, serr := runRank(start, rank, inc, ln, dec, send)
-	res := ctrlMsg{Type: msgResult, Rank: rank, Incarnation: inc, Stats: stats}
+	res := ctrlMsg{Type: msgResult, Stats: stats}
 	switch {
 	case serr != nil:
 		res.Err, res.Code = serr.Error(), xerr.Code(serr)
@@ -144,8 +146,8 @@ func runRank(start ctrlMsg, rank, inc int, ln net.Listener, dec *json.Decoder, s
 		tr.ExpectReplacement(replacementIncs(spec.Config.Schedule, start.Resume.Iteration, start.Resume.Victims))
 	}
 
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
+	ctx, cancel := context.WithCancelCause(context.Background())
+	defer cancel(nil)
 	go func() {
 		// Control reader: replacement announcements, and orphan protection —
 		// losing the coordinator aborts the solve instead of leaving a
@@ -153,7 +155,7 @@ func runRank(start ctrlMsg, rank, inc int, ln net.Listener, dec *json.Decoder, s
 		for {
 			var m ctrlMsg
 			if err := dec.Decode(&m); err != nil {
-				cancel()
+				cancel(fmt.Errorf("netrun: rank %d lost its coordinator: %w", rank, err))
 				return
 			}
 			if m.Type == msgPeerUpdate {
@@ -169,11 +171,15 @@ func runRank(start ctrlMsg, rank, inc int, ln net.Listener, dec *json.Decoder, s
 			// deterministic point the in-process fabrics inject the
 			// failure. All sends of iteration j are flushed by now. A
 			// victim whose coordinator is gone (the report fails, or the
-			// control reader cancels ctx) has nobody left to kill it.
+			// control reader cancels ctx) has nobody left to kill it: it
+			// aborts the runtime and closes the transport, so nothing more
+			// leaves it, and the solve unwinds with the abort's error.
 			if err := send(ctrlMsg{Type: msgFailed, Iteration: j, Victims: victims}); err == nil {
 				<-ctx.Done()
 			}
-			os.Exit(1)
+			rt.Abort(fmt.Errorf("netrun: rank %d failed as scheduled at iteration %d with no coordinator to replace it", rank, j))
+			tr.Close()
+			return
 		}
 		// Survivor: freeze the victims' peer slots — sends to them now wait
 		// for the replacement's incarnation instead of surfacing a rank
