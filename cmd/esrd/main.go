@@ -5,7 +5,7 @@
 //
 //	esrd [-addr :8080] [-workers 4] [-queue 256] [-max-jobs 4096]
 //	     [-job-ttl 0] [-prep-cache 8] [-prep-ttl 10m] [-max-matrices 64]
-//	     [-transport chan|chaos|net] [-strategy esr|checkpoint|restart|twin]
+//	     [-transport chan|net] [-strategy esr|checkpoint|restart|twin]
 //	     [-twin-interval 0] [-sdc-check-interval 0] [-block-size 0]
 //	     [-peers 0] [-drain-timeout 30s] [-pprof addr]
 //	     [-trace-iters 0] [-data-dir dir] [-fsync] [-log-format text|json]
@@ -89,7 +89,7 @@ func main() {
 	// a job leaves zero (engine.Merge).
 	var defaults engine.Config
 	flag.StringVar(&defaults.Transport, "transport", engine.TransportChan,
-		"default communication fabric for jobs that do not pick one (chan|chaos|net; fast is a synonym of chan)")
+		"default communication fabric for jobs that do not pick one (chan|net; fast is a synonym of chan)")
 	flag.StringVar(&defaults.Strategy, "strategy", engine.StrategyESR,
 		"default failure-recovery strategy for jobs that do not pick one (esr|checkpoint|restart|twin)")
 	flag.IntVar(&defaults.TwinInterval, "twin-interval", 0,

@@ -184,11 +184,11 @@ func TestQuickHealthzNetBlock(t *testing.T) {
 	}
 }
 
-// TestMetricsChaosJob runs a chaos-transport job with injected failures on a
+// TestMetricsRecoveredJob runs a job with injected failures on a
 // trace-capturing daemon, then checks the full observability surface: the
 // recovery-episode and per-phase series on /metrics, and the per-iteration
 // trace with its recovery record on /v1/jobs/{id}/trace.
-func TestMetricsChaosJob(t *testing.T) {
+func TestMetricsRecoveredJob(t *testing.T) {
 	eng := engine.New(engine.Options{Workers: 1, QueueCap: 16, TraceIters: 32})
 	ts := httptest.NewServer(newMux(eng, testLogger()))
 	t.Cleanup(func() {
@@ -199,7 +199,7 @@ func TestMetricsChaosJob(t *testing.T) {
 	id := postJob(t, ts, engine.JobSpec{
 		Matrix: engine.MatrixSpec{Generator: "poisson2d", Params: map[string]float64{"nx": 24}},
 		Config: engine.Config{
-			Ranks: 8, Phi: 2, Transport: engine.TransportChaos,
+			Ranks: 8, Phi: 2, Transport: engine.TransportChan,
 			Schedule: faults.NewSchedule(faults.Simultaneous(5, 2, 3)),
 		},
 	})
@@ -208,7 +208,7 @@ func TestMetricsChaosJob(t *testing.T) {
 		t.Fatalf("job state %s: %s", st.State, st.Error)
 	}
 	if st.Result == nil || len(st.Result.Result.Reconstructions) == 0 {
-		t.Fatal("chaos job recorded no reconstruction episodes")
+		t.Fatal("recovered job recorded no reconstruction episodes")
 	}
 
 	code, text := getBody(t, ts.URL+"/metrics")
@@ -221,8 +221,8 @@ func TestMetricsChaosJob(t *testing.T) {
 	for _, want := range []string{
 		`solver_recovery_episode_seconds_count{strategy="esr"} 1`,
 		`solver_episodes_total{strategy="esr"} 1`,
-		`solver_transport_runs_total{transport="chaos"}`,
-		`solver_matvec_phase_seconds_count{transport="chaos",phase="interior"}`,
+		`solver_transport_runs_total{transport="chan"}`,
+		`solver_matvec_phase_seconds_count{transport="chan",phase="interior"}`,
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("exposition missing %q", want)

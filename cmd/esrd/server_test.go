@@ -86,12 +86,18 @@ func getStatus(t *testing.T, ts *httptest.Server, id string) engine.JobStatus {
 	return st
 }
 
+// waitState polls job id over HTTP until it is terminal and returns its
+// status. A job that failed without an error class fails the test: every
+// failure a job can end in is classed at its source.
 func waitState(t *testing.T, ts *httptest.Server, id string, timeout time.Duration) engine.JobStatus {
 	t.Helper()
 	deadline := time.Now().Add(timeout)
 	for {
 		st := getStatus(t, ts, id)
 		if st.State.Terminal() {
+			if st.State == engine.StateFailed && st.ErrorCode == "" {
+				t.Fatalf("job %s failed with no error class: %s", id, st.Error)
+			}
 			return st
 		}
 		if time.Now().After(deadline) {
@@ -312,6 +318,28 @@ func TestCompatThreadsFieldRejected(t *testing.T) {
 	}
 	if jobs := eng.List(); len(jobs) != 0 {
 		t.Fatalf("refused submission left %d job records", len(jobs))
+	}
+}
+
+// TestCompatChaosTransportRejected: the chaos wire is a test fabric, not a
+// job's transport, and its seed is no longer a config field. A submission
+// naming either is refused whole — a 400 invalid_argument naming the field —
+// and leaves no job record.
+func TestCompatChaosTransportRejected(t *testing.T) {
+	ts, eng := newTestServer(t, 1)
+	for field, config := range map[string]string{
+		"transport":      `{"ranks": 2, "transport": "chaos"}`,
+		"transport_seed": `{"ranks": 2, "transport_seed": 1}`,
+	} {
+		status, code, msg := postRefused(t, ts,
+			`{"matrix": {"generator": "poisson2d", "params": {"nx": 8}}, "config": `+config+`}`)
+		if status != http.StatusBadRequest || code != "invalid_argument" || !strings.Contains(msg, field) {
+			t.Fatalf("submit with %s: status %d, error %s %q; want 400 invalid_argument naming %s",
+				config, status, code, msg, field)
+		}
+	}
+	if jobs := eng.List(); len(jobs) != 0 {
+		t.Fatalf("refused submissions left %d job records", len(jobs))
 	}
 }
 

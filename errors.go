@@ -19,7 +19,9 @@ type ErrorClass = xerr.Class
 // ErrorCode returns the wire code ("invalid_argument", ...) of any error.
 var (
 	// ErrInvalidArgument: the request itself is malformed (unknown
-	// preconditioner, out-of-range phi, non-finite right-hand side, ...).
+	// preconditioner, out-of-range phi, non-finite right-hand side, ...),
+	// or its matrix is outside what the solver serves (a PCG breakdown or
+	// divergence, a zero diagonal under Jacobi or SSOR).
 	ErrInvalidArgument = xerr.InvalidArgument
 	// ErrNotFound: the referenced entity (job, matrix, trace) does not exist.
 	ErrNotFound = xerr.NotFound

@@ -198,18 +198,13 @@ const (
 )
 
 // Transport names accepted by Config.Transport: the communication fabric
-// solves run on. Results are bit-identical on all three.
+// solves run on. Results are bit-identical on both.
 const (
 	// TransportChan (the default) is the in-process fabric: mailbox
 	// hand-off between rank goroutines, with payload buffers served from a
 	// pooled recycler so the steady-state halo-exchange/collective loop
 	// does not allocate.
 	TransportChan = engine.TransportChan
-	// TransportChaos delivers every message asynchronously after a
-	// deterministic seeded delay (Config.TransportSeed), reordering messages
-	// across distinct (source, tag) pairs, for stressing the resilience
-	// protocol's ordering assumptions.
-	TransportChaos = engine.TransportChaos
 	// TransportNet runs every rank-to-rank message over real TCP sockets
 	// with length-prefixed frames. In-process solves run it in self-loop
 	// mode (every rank in this process); under the esrd daemon's -peers

@@ -114,9 +114,7 @@ func (t *ChaosTransport) Deliver(dst *node, m Msg, own bool) error {
 	seq := t.seqs[key]
 	t.seqs[key] = seq + 1
 	t.mu.Unlock()
-	delay := t.delayFor(key, seq)
-	t.ct.delayed.Add(1)
-	time.AfterFunc(delay, func() {
+	time.AfterFunc(t.delayFor(key, seq), func() {
 		defer close(done)
 		if prev != nil {
 			<-prev // per-wire FIFO, regardless of timer firing order

@@ -19,11 +19,13 @@
 // Delivery itself is pluggable: every rank-to-rank hand-off flows through
 // the runtime's Transport (WithTransport). LocalTransport is the one
 // in-process fabric (mailbox hand-off, payload buffers from a pooled
-// recycler, so steady-state solves send without allocating), ChaosTransport
-// a seeded-latency wire for stressing the resilience protocol's ordering
-// assumptions, and NetTransport real TCP. Every fabric ends in the same
-// mailbox append (node.put), and matching lives above the transport, so
-// all fabrics share the determinism guarantee.
+// recycler, so steady-state solves send without allocating) and
+// NetTransport real TCP; NewTransport builds either by name. ChaosTransport,
+// a seeded-latency wire that reorders deliveries across wires, is a test
+// fabric: tests install it with WithTransport to stress the resilience
+// protocol's ordering assumptions, and no configuration names it. Every
+// fabric ends in the same mailbox append (node.put), and matching lives
+// above the transport, so all fabrics share the determinism guarantee.
 package cluster
 
 import (

@@ -5,18 +5,19 @@ import (
 	"sync/atomic"
 )
 
-// Transport names accepted by NewTransport (and, one layer up, by
-// engine.Config.Transport and the esrd -transport flag).
+// Transport names. NewTransport (and, one layer up, engine.Config.Transport
+// and the esrd -transport flag) accepts chan and net; chaos is the name of
+// the test wire that NewChaosTransport builds.
 const (
 	// TransportChan is the default, in-process fabric: mailbox hand-off
 	// between rank goroutines, payload buffers from a sync.Pool-backed
 	// recycler so the steady-state halo-exchange and collective hot loops
 	// allocate nothing. (The name predates the mailbox; job specs carry it.)
 	TransportChan = "chan"
-	// TransportChaos wraps the in-process fabric with deterministic, seeded
-	// message delay (reordering across distinct (source, tag) pairs, FIFO
-	// within each), for testing the resilience protocol's ordering
-	// assumptions.
+	// TransportChaos is ChaosTransport's Name: the in-process fabric behind
+	// deterministic, seeded message delay (reordering across distinct
+	// (source, tag) pairs, FIFO within each), a test fabric for the
+	// resilience protocol's ordering assumptions.
 	TransportChaos = "chaos"
 	// TransportNet is the TCP fabric: ranks hosted across OS processes (or
 	// one process in self-loop mode) exchanging length-prefixed binary
@@ -65,15 +66,12 @@ type Transport interface {
 	Stats() TransportStats
 }
 
-// NewTransport builds a transport by name. seed parameterizes the chaos
-// transport's deterministic delay sequence and is ignored by the others.
-// The empty name selects the default in-process transport.
-func NewTransport(name string, seed int64) (Transport, error) {
+// NewTransport builds a transport by name. The empty name selects the
+// default in-process transport.
+func NewTransport(name string) (Transport, error) {
 	switch name {
 	case "", TransportChan:
 		return NewLocalTransport(), nil
-	case TransportChaos:
-		return NewChaosTransport(NewLocalTransport(), ChaosConfig{Seed: seed}), nil
 	case TransportNet:
 		// Self-loop mode: real TCP frames over a loopback listener, all
 		// ranks in this process. Multi-process fleets construct the
@@ -96,8 +94,6 @@ type TransportStats struct {
 	PoolGets int64 `json:"pool_gets"`
 	PoolPuts int64 `json:"pool_puts"`
 	PoolNews int64 `json:"pool_news"`
-	// Delayed counts messages held on the simulated wire (chaos).
-	Delayed int64 `json:"delayed"`
 	// Dropped counts wire-dropped messages (chaos: destination failed or
 	// runtime aborted while the message was in flight; net: frames decoded
 	// for a failed or aborted destination).
@@ -117,7 +113,6 @@ func (s *TransportStats) Add(o TransportStats) {
 	s.PoolGets += o.PoolGets
 	s.PoolPuts += o.PoolPuts
 	s.PoolNews += o.PoolNews
-	s.Delayed += o.Delayed
 	s.Dropped += o.Dropped
 	s.BytesSent += o.BytesSent
 	s.BytesReceived += o.BytesReceived
@@ -129,8 +124,8 @@ func (s *TransportStats) Add(o TransportStats) {
 // (modulo rankShards) as Counters shards the comm counters, and readers sum
 // the shards.
 type transportCounters struct {
-	ranks                    [rankShards]rankCounters
-	copied, delayed, dropped atomic.Int64
+	ranks           [rankShards]rankCounters
+	copied, dropped atomic.Int64
 }
 
 // rankShards bounds the counter shards; ranks beyond it share them.
@@ -146,7 +141,7 @@ type rankCounters struct {
 func (c *transportCounters) rank(r int) *rankCounters { return &c.ranks[uint(r)%rankShards] }
 
 func (c *transportCounters) snapshot() TransportStats {
-	s := TransportStats{Copied: c.copied.Load(), Delayed: c.delayed.Load(), Dropped: c.dropped.Load()}
+	s := TransportStats{Copied: c.copied.Load(), Dropped: c.dropped.Load()}
 	for i := range c.ranks {
 		sh := &c.ranks[i]
 		s.Delivered += sh.delivered.Load()

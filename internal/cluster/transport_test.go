@@ -319,11 +319,11 @@ func TestQuickTransportOwnedRecycle(t *testing.T) {
 	})
 }
 
-// TestQuickTransportByName: the name resolver covers every transport and
-// rejects unknown names.
+// TestQuickTransportByName: the name resolver covers the configurable
+// transports and rejects every other name, the chaos test wire's included.
 func TestQuickTransportByName(t *testing.T) {
-	for _, name := range []string{TransportChan, TransportChaos, TransportNet} {
-		tr, err := NewTransport(name, 42)
+	for _, name := range []string{TransportChan, TransportNet} {
+		tr, err := NewTransport(name)
 		if err != nil {
 			t.Fatalf("NewTransport(%q): %v", name, err)
 		}
@@ -331,12 +331,12 @@ func TestQuickTransportByName(t *testing.T) {
 			t.Fatalf("NewTransport(%q).Name() = %q", name, tr.Name())
 		}
 	}
-	if tr, err := NewTransport("", 0); err != nil || tr.Name() != TransportChan {
+	if tr, err := NewTransport(""); err != nil || tr.Name() != TransportChan {
 		t.Fatalf("the empty name should select the in-process fabric, got %v, %v", tr, err)
 	}
 	// "fast" is a synonym engine.Config resolves before a name reaches here.
-	for _, name := range []string{"bogus", "fast"} {
-		if _, err := NewTransport(name, 0); err == nil {
+	for _, name := range []string{"bogus", "fast", TransportChaos} {
+		if _, err := NewTransport(name); err == nil {
 			t.Fatalf("transport name %q should be rejected", name)
 		}
 	}

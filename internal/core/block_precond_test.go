@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
@@ -10,13 +11,14 @@ import (
 	"repro/internal/matgen"
 	"repro/internal/partition"
 	"repro/internal/precond"
+	"repro/internal/xerr"
 )
 
 // TestBreakdownOfEveryColumnStaysPerColumn: when every active column breaks
 // down in the same iteration, the preconditioner is applied to no columns at
 // all and the block goes on, so each breakdown stays that column's error
-// instead of aborting the block. -A is negative definite: p'Ap < 0 at
-// iteration 0.
+// instead of aborting the block, classed invalid_argument. -A is negative
+// definite: p'Ap < 0 at iteration 0.
 func TestBreakdownOfEveryColumnStaysPerColumn(t *testing.T) {
 	a := matgen.Poisson2D(12, 10).Clone()
 	for i := range a.Val {
@@ -41,8 +43,8 @@ func TestBreakdownOfEveryColumnStaysPerColumn(t *testing.T) {
 			return fmt.Errorf("block aborted: %w", err)
 		}
 		for col, ce := range colErrs {
-			if ce == nil || !strings.Contains(ce.Error(), "breakdown") {
-				return fmt.Errorf("column %d: error %v, want a breakdown", col, ce)
+			if ce == nil || !strings.Contains(ce.Error(), "breakdown") || !errors.Is(ce, xerr.InvalidArgument) {
+				return fmt.Errorf("column %d: error %v, want an invalid_argument breakdown", col, ce)
 			}
 		}
 		return nil

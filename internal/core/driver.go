@@ -509,17 +509,21 @@ func (d *driver) step(j int) error {
 }
 
 // fail freezes column c with its breakdown or divergence, after settling a
-// pending episode (a frozen column's x is final). On a column carrying an
-// injected corruption no check has caught yet, the corruption is the likely
-// cause, so the error is classed data_loss like a detected one. Collective.
+// pending episode (a frozen column's x is final), and classes the error. A
+// breakdown or divergence means the matrix is outside the SPD contract or
+// the preconditioner cannot serve it: invalid_argument. On a column
+// carrying an injected corruption no check has caught yet, the corruption
+// is the likely cause, so the error is classed data_loss like a detected
+// one. Collective.
 func (d *driver) fail(c int, err error) error {
 	if serr := d.st.settle(); serr != nil {
 		return serr
 	}
+	class := xerr.InvalidArgument
 	if len(d.sdcPending[c]) > 0 {
-		err = xerr.Wrap(xerr.DataLoss, err)
+		class = xerr.DataLoss
 	}
-	d.st.errs[c], d.st.done[c] = err, true
+	d.st.errs[c], d.st.done[c] = xerr.Wrap(class, err), true
 	return nil
 }
 

@@ -22,6 +22,20 @@ func runSPMD(t *testing.T, ranks int, fn func(c *cluster.Comm) error) {
 	}
 }
 
+// fabric builds a fresh transport for one runtime: chan and net by name,
+// chaos as the seeded test wire.
+func fabric(t testing.TB, name string, seed int64) cluster.Transport {
+	t.Helper()
+	if name == cluster.TransportChaos {
+		return cluster.NewChaosTransport(cluster.NewLocalTransport(), cluster.ChaosConfig{Seed: seed})
+	}
+	tr, err := cluster.NewTransport(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tr
+}
+
 // retained reads every value of generation gen that m's retention store
 // holds from src, position by position.
 func retained(m *Matrix, gen, src int) ([]float64, error) {

@@ -35,11 +35,7 @@ func TestMatMatBitwiseMatVec(t *testing.T) {
 			}
 			for j := 0; j < k; j++ {
 				j := j
-				tp, err := cluster.NewTransport(tr, 1)
-				if err != nil {
-					t.Fatal(err)
-				}
-				rt := cluster.New(ranks, cluster.WithTransport(tp))
+				rt := cluster.New(ranks, cluster.WithTransport(fabric(t, tr, 1)))
 				if err := rt.Run(func(c *cluster.Comm) error {
 					e := WorldEnv(c)
 					lo, hi := p.Range(e.Pos)
@@ -62,11 +58,7 @@ func TestMatMatBitwiseMatVec(t *testing.T) {
 			}
 
 			// Blocked: one width-k MatMat per iteration on one runtime.
-			tp, err := cluster.NewTransport(tr, 1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			rt := cluster.New(ranks, cluster.WithTransport(tp))
+			rt := cluster.New(ranks, cluster.WithTransport(fabric(t, tr, 1)))
 			if err := rt.Run(func(c *cluster.Comm) error {
 				e := WorldEnv(c)
 				lo, hi := p.Range(e.Pos)

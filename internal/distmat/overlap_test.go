@@ -110,14 +110,10 @@ func TestQuickMatVecMatchesSerial(t *testing.T) {
 			for j := range out {
 				out[j] = make([]float64, n)
 			}
-			tr, err := cluster.NewTransport(trName, 7)
-			if err != nil {
-				t.Fatal(err)
-			}
 			var mu sync.Mutex
 			members := make([]*Matrix, len(viewMembers))
-			rt := cluster.New(ranks, cluster.WithTransport(tr))
-			err = rt.Run(func(c *cluster.Comm) error {
+			rt := cluster.New(ranks, cluster.WithTransport(fabric(t, trName, 7)))
+			err := rt.Run(func(c *cluster.Comm) error {
 				e := WorldEnv(c)
 				lo, hi := p.Range(e.Pos)
 				m, err := NewMatrix(e, a.RowBlock(lo, hi), p, phi, 0)

@@ -16,7 +16,7 @@ func benchMatVecLoop(b *testing.B, trName string, phi int, withReduce bool) {
 	const ranks = 8
 	a := matgen.Poisson2D(64, 64)
 	p := partition.NewBlockRow(a.Rows, ranks)
-	tr, err := cluster.NewTransport(trName, 1)
+	tr, err := cluster.NewTransport(trName)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -69,9 +69,8 @@ const MaxBlockSize = 4096
 // Transport names accepted by Config (mirroring internal/cluster; the esr
 // package documents each). The empty string selects TransportChan.
 const (
-	TransportChan  = cluster.TransportChan
-	TransportChaos = cluster.TransportChaos
-	TransportNet   = cluster.TransportNet
+	TransportChan = cluster.TransportChan
+	TransportNet  = cluster.TransportNet
 )
 
 // fastSynonym is an accepted synonym of TransportChan (journaled job specs
@@ -180,13 +179,9 @@ type Config struct {
 	// schedule and detector setting.
 	Method string `json:"method,omitempty" scope:"run"`
 	// Transport selects the cluster communication fabric: TransportChan
-	// (default; "fast" is an accepted synonym), TransportChaos
-	// (asynchronous, seeded-delay, reordered delivery), or TransportNet
-	// (real TCP sockets on loopback). Results are bit-identical on all three.
+	// (default; "fast" is an accepted synonym) or TransportNet (real TCP
+	// sockets on loopback). Results are bit-identical on both.
 	Transport string `json:"transport,omitempty" scope:"run"`
-	// TransportSeed seeds the chaos transport's deterministic delay
-	// sequence (default 1; ignored by the other transports).
-	TransportSeed int64 `json:"transport_seed,omitempty" scope:"run"`
 	// Strategy selects the failure-recovery strategy: StrategyESR
 	// (default; the paper's exact state reconstruction), StrategyCheckpoint
 	// (the periodic-save/rollback baseline), StrategyRestart (cold restart
@@ -255,9 +250,6 @@ func (c Config) WithDefaults() Config {
 	}
 	if c.Transport == "" || c.Transport == fastSynonym {
 		c.Transport = TransportChan
-	}
-	if c.TransportSeed == 0 {
-		c.TransportSeed = 1
 	}
 	if c.Strategy == "" {
 		c.Strategy = StrategyESR
@@ -378,10 +370,9 @@ func (c Config) Validate() error {
 		return invalid("method", c.Method, "want %q or %q", MethodPCG, MethodSPCG)
 	}
 	switch c.Transport {
-	case TransportChan, TransportChaos, TransportNet:
+	case TransportChan, TransportNet:
 	default:
-		return invalid("transport", c.Transport, "want %q, %q or %q",
-			TransportChan, TransportChaos, TransportNet)
+		return invalid("transport", c.Transport, "want %q or %q", TransportChan, TransportNet)
 	}
 	switch c.Strategy {
 	case StrategyESR, StrategyCheckpoint, StrategyRestart, StrategyTwin:

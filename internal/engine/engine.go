@@ -1079,7 +1079,7 @@ func (e *Engine) run(j *job) {
 	// builder's in as their fallback (a method, an armed detector, a
 	// schedule). Each job passes its whole Config as the solve's policy.
 	prepCfg := cfg.prepOnly()
-	prepCfg.Transport, prepCfg.TransportSeed = cfg.Transport, cfg.TransportSeed
+	prepCfg.Transport = cfg.Transport
 	build := func() (*Prepared, error) {
 		a := j.mat
 		if a == nil {

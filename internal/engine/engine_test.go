@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"math"
 	"reflect"
 	"runtime"
@@ -48,6 +49,9 @@ func slowSpec() JobSpec {
 	}
 }
 
+// waitTerminal polls job id until it is terminal and returns its status. A
+// job that failed without an error class fails the test: every failure a
+// job can end in is classed at its source.
 func waitTerminal(t *testing.T, e *Engine, id string, timeout time.Duration) JobStatus {
 	t.Helper()
 	deadline := time.Now().Add(timeout)
@@ -57,6 +61,9 @@ func waitTerminal(t *testing.T, e *Engine, id string, timeout time.Duration) Job
 			t.Fatal(err)
 		}
 		if st.State.Terminal() {
+			if st.State == StateFailed && st.ErrorCode == "" {
+				t.Fatalf("job %s failed with no error class: %s", id, st.Error)
+			}
 			return st
 		}
 		if time.Now().After(deadline) {
@@ -718,5 +725,65 @@ func TestDeadline(t *testing.T) {
 	st := waitTerminal(t, e, id, 30*time.Second)
 	if st.State != StateFailed || st.Error != "deadline exceeded" {
 		t.Fatalf("deadline job: state %s err %q", st.State, st.Error)
+	}
+}
+
+// TestNumericalFailuresAreClassed: a job the solver cannot serve ends failed
+// with a class, never with an empty error_code. An indefinite matrix breaks
+// PCG down under every preconditioner that builds on it, a zero diagonal
+// refuses Jacobi: the input is outside the SPD contract or the chosen
+// preconditioner cannot serve it, so each is invalid_argument.
+func TestNumericalFailuresAreClassed(t *testing.T) {
+	// tridiag is a 64-row symmetric tridiagonal MatrixMarket matrix with
+	// diagonal diag(i) on row i (1-based) and off on both off-diagonals.
+	tridiag := func(diag func(i int) float64, off float64) []byte {
+		const n = 64
+		var mm bytes.Buffer
+		fmt.Fprintf(&mm, "%%%%MatrixMarket matrix coordinate real general\n%d %d %d\n", n, n, 3*n-2)
+		for i := 1; i <= n; i++ {
+			if i > 1 {
+				fmt.Fprintf(&mm, "%d %d %g\n", i, i-1, off)
+			}
+			fmt.Fprintf(&mm, "%d %d %g\n", i, i, diag(i))
+			if i < n {
+				fmt.Fprintf(&mm, "%d %d %g\n", i, i+1, off)
+			}
+		}
+		return mm.Bytes()
+	}
+	indefinite := tridiag(func(i int) float64 { return float64(1 - 2*(i%2)) }, 0.25)
+	zeroDiag := tridiag(func(i int) float64 {
+		if i == 5 {
+			return 0
+		}
+		return 2
+	}, -1)
+	cases := []struct {
+		name string
+		mm   []byte
+		cfg  Config
+	}{
+		{"indefinite/identity", indefinite, Config{Preconditioner: PrecondIdentity}},
+		{"indefinite/jacobi", indefinite, Config{Preconditioner: PrecondJacobi}},
+		{"indefinite/block-jacobi-ilu", indefinite, Config{Preconditioner: PrecondBlockJacobiILU}},
+		{"indefinite/ic0", indefinite, Config{Preconditioner: PrecondIC0}},
+		{"indefinite/identity/phi2", indefinite, Config{Preconditioner: PrecondIdentity, Phi: 2}},
+		{"zero-diagonal/jacobi", zeroDiag, Config{Preconditioner: PrecondJacobi}},
+	}
+	e := New(Options{Workers: 2})
+	defer e.Close()
+	ids := make([]string, len(cases))
+	for i, tc := range cases {
+		tc.cfg.Ranks = 4
+		var err error
+		if ids[i], err = e.Submit(JobSpec{Matrix: MatrixSpec{MatrixMarket: tc.mm}, Config: tc.cfg}); err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+	}
+	for i, tc := range cases {
+		st := waitTerminal(t, e, ids[i], 30*time.Second)
+		if st.State != StateFailed || st.ErrorCode != xerr.InvalidArgument.Code() {
+			t.Errorf("%s: %s, %q (%s); want failed invalid_argument", tc.name, st.State, st.ErrorCode, st.Error)
+		}
 	}
 }

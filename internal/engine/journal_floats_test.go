@@ -6,12 +6,14 @@ import (
 	"maps"
 	"math"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/faults"
 	"repro/internal/store"
+	"repro/internal/xerr"
 )
 
 // awkwardFloats is an n-vector (n >= 8) that opens with the values a decimal
@@ -257,7 +259,11 @@ func jobID(seq int) string { return fmt.Sprintf("job-%06d", seq) }
 // and the old fabric name ("transport": "fast"), two the method names of the
 // reference-only era ("method": "pcg" and "esrpcg") — the unknown field is
 // ignored, the synonyms resolve to chan and pcg — and each job re-runs to the
-// bits of the same job submitted today with neither.
+// bits of the same job submitted today with neither. A last one names the
+// chaos wire, which is no longer a Config value, with its removed seed
+// ("transport": "chaos", "transport_seed": 7): the seed is ignored like the
+// thread cap, and the job fails invalid_argument naming transport, the
+// failure a second replay reloads instead of re-running.
 func TestCompatJournalReplaysRemovedKnobs(t *testing.T) {
 	spec := durableSpec()
 	spec.Config.Phi = 1
@@ -267,9 +273,10 @@ func TestCompatJournalReplaysRemovedKnobs(t *testing.T) {
 		spec.RHS[i] = math.Sin(float64(i) + 0.5)
 	}
 	old := []map[string]any{{"threads": 2, "transport": "fast"}, {"method": "pcg"}, {"method": "esrpcg"}}
+	chaosID := jobID(len(old) + 1)
 	dir := t.TempDir()
 	st := openStore(t, dir)
-	for n, knobs := range old {
+	for n, knobs := range append(old, map[string]any{"transport": "chaos", "transport_seed": 7}) {
 		raw, err := json.Marshal(spec)
 		if err != nil {
 			t.Fatal(err)
@@ -314,8 +321,29 @@ func TestCompatJournalReplaysRemovedKnobs(t *testing.T) {
 		}
 		sameBits(t, fmt.Sprintf("%v: replayed x", knobs), got.Result.X, want.Result.X)
 	}
+	checkChaosRefused := func(e *Engine) {
+		t.Helper()
+		got := waitTerminal(t, e, chaosID, 30*time.Second)
+		if got.State != StateFailed || got.ErrorCode != xerr.InvalidArgument.Code() || !strings.Contains(got.Error, "transport") {
+			t.Fatalf("replayed chaos job: %s, %s %q; want failed invalid_argument naming transport",
+				got.State, got.ErrorCode, got.Error)
+		}
+	}
+	checkChaosRefused(e)
 	if _, ok := e.TransportStats()[TransportChan]; !ok || len(e.TransportStats()) != 1 {
 		t.Fatalf("replayed jobs ran on %v, want chan alone", e.TransportStats())
+	}
+	e.Close()
+	st.Close()
+
+	st = openStore(t, dir)
+	e = New(Options{Workers: 1, QueueCap: 4, Store: st})
+	if js, err := e.Get(chaosID); err != nil || js.State != StateFailed {
+		t.Fatalf("second replay: chaos job %+v, %v; want its failure reloaded", js, err)
+	}
+	checkChaosRefused(e)
+	if ran := e.TransportStats(); len(ran) != 0 {
+		t.Fatalf("the second replay ran jobs on %v, want every record reloaded", ran)
 	}
 }
 

@@ -80,7 +80,7 @@ var (
 	latticePreconds = []string{PrecondIdentity, PrecondJacobi, PrecondBlockJacobiILU,
 		PrecondBlockJacobiChol, PrecondSSOR, PrecondIC0}
 	latticeStrategies  = []string{StrategyESR, StrategyCheckpoint, StrategyRestart, StrategyTwin}
-	latticeTransports  = []string{TransportChan, TransportChaos, TransportNet, poisoned}
+	latticeTransports  = []string{TransportChan, chaos, TransportNet, poisoned}
 	latticeCheckpoints = []int{1, 4, 7}
 	latticeTwins       = []int{1, 2}
 	latticeWidths      = []int{1, 3, 8}
@@ -243,8 +243,12 @@ func (poisonTransport) PutFloats(_ int, buf []float64) {
 	}
 }
 
-// poisoned labels the lattice's poisonTransport axis value.
-const poisoned = "poisoned-recycler"
+// chaos and poisoned label the lattice's axis values for the two fabrics
+// it builds itself: the seeded chaos wire and poisonTransport.
+const (
+	chaos    = cluster.TransportChaos
+	poisoned = "poisoned-recycler"
+)
 
 // latticeTracer records what a traced solve reported.
 type latticeTracer struct {
@@ -351,7 +355,7 @@ func TestConfigurationLattice(t *testing.T) {
 func latticeBlock(ctx context.Context, p latticePoint, ps *Prepared, bs [][]float64, opts Config) ([]Solution, []error, error) {
 	var rt *cluster.Runtime
 	switch p.transport {
-	case TransportChaos:
+	case chaos:
 		rt = cluster.New(ps.Ranks(), cluster.WithTransport(cluster.NewChaosTransport(cluster.NewLocalTransport(),
 			cluster.ChaosConfig{Seed: p.seed + 1, MaxDelay: latticeChaosDelay})))
 	case poisoned:

@@ -121,7 +121,6 @@ var transportStatHelp = map[string]string{
 	"pool_gets":  "Buffer recycler gets per transport.",
 	"pool_puts":  "Buffer recycler puts per transport.",
 	"pool_news":  "Buffer recycler misses (fresh allocations) per transport.",
-	"delayed":    "Messages delayed by the chaos fabric per transport.",
 	"dropped":    "Failure-dropped messages per transport.",
 	"bytes":      "Wire bytes moved by the net fabric, by transport and direction (sent/received).",
 	"reconnects": "Re-established peer connections on the net fabric per transport.",

@@ -90,7 +90,7 @@ type Prepared struct {
 // validated, so the name resolves; the impossible error path falls back to
 // the default fabric.
 func newTransport(cfg Config) cluster.Transport {
-	t, err := cluster.NewTransport(cfg.Transport, cfg.TransportSeed)
+	t, err := cluster.NewTransport(cfg.Transport)
 	if err != nil {
 		return cluster.NewLocalTransport()
 	}

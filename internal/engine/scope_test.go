@@ -128,7 +128,7 @@ func solveSentinels(t *testing.T, f reflect.StructField) (session, call reflect.
 		case "Method":
 			a, b = MethodSPCG, MethodPCG // on an ic0 session (TestQuickConfigScopes)
 		case "Transport":
-			a, b = TransportChaos, TransportNet
+			a, b = TransportNet, TransportChan
 		case "Strategy":
 			a, b = StrategyCheckpoint, StrategyRestart
 		case "Schedule":
@@ -161,7 +161,6 @@ func TestEnginePolicySharesOnePreparedSession(t *testing.T) {
 		"chan":       func(c *Config) { c.Transport = TransportChan },
 		"fast":       func(c *Config) { c.Transport = fastSynonym },
 		"net":        func(c *Config) { c.Transport = TransportNet },
-		"chaos":      func(c *Config) { c.Transport, c.TransportSeed = TransportChaos, 7 },
 		"esr":        func(c *Config) { c.Strategy = StrategyESR },
 		"checkpoint": func(c *Config) { c.Strategy, c.CheckpointInterval = StrategyCheckpoint, 4 },
 		"restart":    func(c *Config) { c.Strategy = StrategyRestart },
@@ -222,7 +221,7 @@ func TestEnginePolicySharesOnePreparedSession(t *testing.T) {
 		t.Fatalf("cache stats %+v, want 1 miss and %d hits", cs, len(policies)-1)
 	}
 	// Each job's traffic is accounted to the fabric and strategy it ran under.
-	for _, tr := range []string{TransportChan, TransportNet, TransportChaos} {
+	for _, tr := range []string{TransportChan, TransportNet} {
 		if eng.TransportStats()[tr].Runs == 0 {
 			t.Errorf("no runtime accounted to transport %q", tr)
 		}

@@ -6,17 +6,21 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/cluster"
 	"repro/internal/matgen"
 )
 
 // TestQuickTransportConfigValidation: transport names are validated at the
 // door and defaulted to chan, which the accepted synonym "fast" resolves to.
+// The chaos wire is a test fabric, not a Config value.
 func TestQuickTransportConfigValidation(t *testing.T) {
-	cfg := Config{Transport: "carrier-pigeon"}
-	if err := cfg.Validate(); err == nil || !strings.Contains(err.Error(), "transport") {
-		t.Fatalf("want transport validation error, got %v", err)
+	for _, tr := range []string{"carrier-pigeon", cluster.TransportChaos} {
+		cfg := Config{Transport: tr}
+		if err := cfg.Validate(); err == nil || !strings.Contains(err.Error(), "transport") {
+			t.Fatalf("transport %q: want a transport validation error, got %v", tr, err)
+		}
 	}
-	for _, tr := range []string{"", TransportChan, fastSynonym, TransportChaos, TransportNet} {
+	for _, tr := range []string{"", TransportChan, fastSynonym, TransportNet} {
 		cfg := Config{Transport: tr}
 		if err := cfg.Validate(); err != nil {
 			t.Fatalf("transport %q should validate: %v", tr, err)
@@ -30,16 +34,13 @@ func TestQuickTransportConfigValidation(t *testing.T) {
 }
 
 // TestQuickTransportPrepKey: preparation is deterministic and
-// fabric-independent, so neither the transport nor the chaos seed may
-// fragment the prepared-session cache key.
+// fabric-independent, so the transport may not fragment the prepared-session
+// cache key.
 func TestQuickTransportPrepKey(t *testing.T) {
 	base := prepKey("h", Config{Ranks: 4})
 	for _, cfg := range []Config{
 		{Ranks: 4, Transport: fastSynonym},
 		{Ranks: 4, Transport: TransportNet},
-		{Ranks: 4, TransportSeed: 99},
-		{Ranks: 4, Transport: TransportChaos},
-		{Ranks: 4, Transport: TransportChaos, TransportSeed: 99},
 	} {
 		if prepKey("h", cfg) != base {
 			t.Fatalf("%+v keys the prep cache; the fabric must not", cfg)
@@ -79,7 +80,7 @@ func TestQuickTransportSessionStats(t *testing.T) {
 		t.Fatalf("recycler unused: %+v", after)
 	}
 
-	eng := New(Options{Workers: 1, Defaults: Config{Transport: TransportChaos}})
+	eng := New(Options{Workers: 1, Defaults: Config{Transport: TransportNet}})
 	defer eng.Close()
 	id, err := eng.Submit(JobSpec{
 		Matrix: MatrixSpec{Generator: "poisson2d", Params: map[string]float64{"nx": 12}},
@@ -93,9 +94,9 @@ func TestQuickTransportSessionStats(t *testing.T) {
 		t.Fatalf("job state %s: %s", st.State, st.Error)
 	}
 	usage := eng.TransportStats()
-	u, ok := usage[TransportChaos]
+	u, ok := usage[TransportNet]
 	if !ok || u.Runs < 2 { // one preparation + one solve
-		t.Fatalf("engine transport gauges missing chaos runs: %+v", usage)
+		t.Fatalf("engine transport gauges missing net runs: %+v", usage)
 	}
 	if _, ok := usage[TransportChan]; ok {
 		t.Fatalf("no chan runtime should have run: %+v", usage)

@@ -32,8 +32,12 @@ type CGResult struct {
 // CG runs a sequential preconditioned conjugate gradient on the SPD CSR
 // matrix a, solving a x = b in place in x (initial guess respected). It
 // stops when the residual norm has been reduced by relTol relative to the
-// initial residual, or after maxIter iterations: the serial reference of
-// the benchmark's kernel ladder.
+// initial residual, or after maxIter iterations.
+//
+// It stays as the one serial oracle: core's reference solutions and the
+// benchmark's serial-PCG rung call it, and it shares no code with what they
+// check. The x-system's serial PCG (core's subsystem.solve) runs on an
+// episode's own operator and preconditioners, so it cannot be that oracle.
 func CG(a *sparse.CSR, x, b []float64, m Solver, relTol float64, maxIter int) CGResult {
 	n := a.Rows
 	if m == nil {

@@ -21,6 +21,7 @@ import (
 
 	"repro/internal/localsolve"
 	"repro/internal/sparse"
+	"repro/internal/xerr"
 )
 
 // Preconditioner is a node-local block preconditioner M_i.
@@ -92,7 +93,7 @@ type Jacobi struct {
 func NewJacobi(diag []float64) (*Jacobi, error) {
 	for i, v := range diag {
 		if v == 0 {
-			return nil, fmt.Errorf("precond: zero diagonal at local index %d", i)
+			return nil, xerr.Newf(xerr.InvalidArgument, "precond: zero diagonal at local index %d", i)
 		}
 	}
 	return &Jacobi{d: append([]float64(nil), diag...)}, nil
@@ -228,7 +229,7 @@ func NewSSOR(block *sparse.CSR, omega float64) (*SSOR, error) {
 			}
 		}
 		if d[i] == 0 {
-			return nil, fmt.Errorf("precond: SSOR zero diagonal at %d", i)
+			return nil, xerr.Newf(xerr.InvalidArgument, "precond: SSOR zero diagonal at %d", i)
 		}
 	}
 	return &SSOR{omega: omega, d: d, low: lowC.ToCSR(), up: upC.ToCSR()}, nil

@@ -1,12 +1,14 @@
 package precond
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 
 	"repro/internal/matgen"
 	"repro/internal/sparse"
 	"repro/internal/vec"
+	"repro/internal/xerr"
 )
 
 // all preconditioners must satisfy ApplyM(ApplyInv(r)) == r: the
@@ -53,8 +55,8 @@ func TestJacobiRoundTrip(t *testing.T) {
 }
 
 func TestJacobiRejectsZeroDiag(t *testing.T) {
-	if _, err := NewJacobi([]float64{1, 0, 2}); err == nil {
-		t.Fatal("expected error")
+	if _, err := NewJacobi([]float64{1, 0, 2}); !errors.Is(err, xerr.InvalidArgument) {
+		t.Fatalf("err = %v, want an invalid_argument error", err)
 	}
 }
 
@@ -119,6 +121,10 @@ func TestSSORValidation(t *testing.T) {
 	rect := sparse.FromDense(1, 2, []float64{1, 1})
 	if _, err := NewSSOR(rect, 1); err == nil {
 		t.Fatal("rectangular must fail")
+	}
+	zero := sparse.FromDense(2, 2, []float64{1, 1, 1, 0})
+	if _, err := NewSSOR(zero, 1); !errors.Is(err, xerr.InvalidArgument) {
+		t.Fatalf("zero diagonal: err = %v, want an invalid_argument error", err)
 	}
 }
 

@@ -477,19 +477,19 @@ func TestQuickSolverTransport(t *testing.T) {
 		}
 	}
 
-	// Transport is run policy: a chan session serves a chaos solve per call.
+	// Transport is run policy: a chan session serves a net solve per call.
 	s, err := NewSolver(a, Config{Ranks: 4, Phi: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	sol, err := s.Solve(context.Background(), b, Config{Transport: TransportChaos, Schedule: NewSchedule(Simultaneous(3, 2))})
+	sol, err := s.Solve(context.Background(), b, Config{Transport: TransportNet, Schedule: NewSchedule(Simultaneous(3, 2))})
 	if err != nil {
 		t.Fatalf("per-solve Transport: %v", err)
 	}
 	for i := range ref {
 		if ref[i] != sol.X[i] {
-			t.Fatalf("x[%d]: per-call chaos %g != chan %g", i, sol.X[i], ref[i])
+			t.Fatalf("x[%d]: per-call net %g != chan %g", i, sol.X[i], ref[i])
 		}
 	}
 	if _, err := s.Solve(context.Background(), b, Config{Transport: "bogus"}); err == nil {
@@ -511,11 +511,10 @@ func TestSolverPolicyPerCall(t *testing.T) {
 	sched := Config{Schedule: NewSchedule(Simultaneous(5, 1, 2))}
 	policies := map[string]Config{
 		"net":        {Transport: TransportNet},
-		"chaos":      {Transport: TransportChaos, TransportSeed: 7},
 		"checkpoint": {Strategy: StrategyCheckpoint, CheckpointInterval: 4},
 		"restart":    {Strategy: StrategyRestart},
 		"twin+sdc":   {Strategy: StrategyTwin, TwinInterval: 2, SDCCheckInterval: 5},
-		"everything": {Transport: TransportChaos, Strategy: StrategyCheckpoint, SDCCheckInterval: 3},
+		"everything": {Transport: TransportNet, Strategy: StrategyCheckpoint, SDCCheckInterval: 3},
 	}
 	shared, err := NewSolver(a, prep)
 	if err != nil {
