@@ -19,11 +19,12 @@
 // on every record (power-loss durability; kill -9 is survived either way).
 // See the README's "Durability" section.
 //
-// Multi-process ranks: -peers N enables jobs with "transport": "net" — each
-// such job runs its ranks as separate OS processes (re-executing this binary
-// with -worker) joined over TCP, so a SIGKILLed worker is a real node
-// failure that ESR recovers from. N caps the per-job fleet size. See the
-// README's "Multi-process ranks" section.
+// Multi-process ranks: with -peers N a job with "transport": "net" runs its
+// ranks as separate OS processes (re-executing this binary with -worker)
+// joined over TCP, so a SIGKILLed worker is a real node failure that ESR
+// recovers from. N caps the per-job fleet size. With -peers 0 a net job runs
+// in process over the loopback self-wire. See the README's "Multi-process
+// ranks" section.
 //
 // Shutdown: on SIGTERM/SIGINT the daemon stops accepting jobs and drains
 // the in-flight ones for up to -drain-timeout; if the deadline fires the
@@ -110,7 +111,7 @@ func main() {
 	worker := flag.Bool("worker", false,
 		"run as one rank worker of a multi-process solve (internal; spawned by the coordinator)")
 	peers := flag.Int("peers", 0,
-		"max worker processes per net-transport job; enables the multi-process coordinator (0 rejects net jobs)")
+		"max worker processes per net-transport job; enables the multi-process coordinator (0: net jobs run in process over the self-wire)")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second,
 		"graceful-shutdown deadline for in-flight jobs; when it fires the rest are cancelled and the exit code is nonzero")
 	flag.Parse()

@@ -87,16 +87,19 @@ func getStatus(t *testing.T, ts *httptest.Server, id string) engine.JobStatus {
 }
 
 // waitState polls job id over HTTP until it is terminal and returns its
-// status. A job that failed without an error class fails the test: every
-// failure a job can end in is classed at its source.
+// status. A job that failed without an error class (recorded internal and
+// counted on esrd_jobs_unclassed_total) fails the test: every failure a job
+// can end in is classed at its source.
 func waitState(t *testing.T, ts *httptest.Server, id string, timeout time.Duration) engine.JobStatus {
 	t.Helper()
 	deadline := time.Now().Add(timeout)
 	for {
 		st := getStatus(t, ts, id)
 		if st.State.Terminal() {
-			if st.State == engine.StateFailed && st.ErrorCode == "" {
-				t.Fatalf("job %s failed with no error class: %s", id, st.Error)
+			if st.State == engine.StateFailed {
+				if _, metrics := getBody(t, ts.URL+"/metrics"); !strings.Contains(metrics, "\nesrd_jobs_unclassed_total 0\n") {
+					t.Fatalf("job %s failed with no error class: %s", id, st.Error)
+				}
 			}
 			return st
 		}

@@ -3,24 +3,10 @@ package cluster
 import (
 	"fmt"
 	"net"
-	"os"
 	"sync"
 	"sync/atomic"
 	"time"
 )
-
-// netDebug enables connection-lifecycle tracing on stderr — dial installs,
-// inbound handshakes, severs and their reasons — for debugging multi-process
-// fleets. Data frames are never traced; the steady state stays silent.
-var netDebug = os.Getenv("NET_TRANSPORT_DEBUG") != ""
-
-func (t *NetTransport) debugf(format string, args ...any) {
-	if !netDebug {
-		return
-	}
-	fmt.Fprintf(os.Stderr, "[nettr %dus self=%d inc=%d] "+format+"\n",
-		append([]any{time.Now().UnixMicro() % 100000000, t.cfg.Self, t.cfg.Incarnation}, args...)...)
-}
 
 // NetPeer describes one process of a multi-process cluster: its data
 // listener address and the ranks it hosts.
@@ -325,7 +311,6 @@ func (t *NetTransport) Close() error {
 
 // teardownConns closes every established connection (abort/close path).
 func (t *NetTransport) teardownConns() {
-	t.debugf("teardownConns")
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	for _, p := range t.peers {
@@ -401,7 +386,6 @@ func (t *NetTransport) handleInbound(c net.Conn) {
 		p.incarnation = fr.incarnation
 	}
 	t.mu.Unlock()
-	t.debugf("inbound from peer %d inc %d (%s)", fr.peer, fr.incarnation, c.RemoteAddr())
 	t.readLoop(p, c)
 }
 
@@ -412,15 +396,12 @@ func (t *NetTransport) handleInbound(c net.Conn) {
 // a mailbox shallow is the SPMD programs' lock-step (see node).
 func (t *NetTransport) readLoop(p *netPeerState, c net.Conn) {
 	rt := t.rt
-	frames := 0
 	for {
 		fr, err := readNetFrame(c, t)
 		if err != nil {
-			t.debugf("readLoop peer %d (%s) exit after %d frames: %v", p.idx, c.RemoteAddr(), frames, err)
 			t.inboundGone(p, c)
 			return
 		}
-		frames++
 		switch fr.typ {
 		case netFrameData:
 			if fr.to < 0 || fr.to >= rt.Size() ||
@@ -489,8 +470,6 @@ func (t *NetTransport) inboundGone(p *netPeerState, c net.Conn) {
 	}
 	p.stale = keep
 	t.mu.Unlock()
-	t.debugf("inboundGone peer %d deadInc=%d closed=%v aborted=%v replaceable=%v severedOut=%v reaped=%d",
-		p.idx, deadInc, closed, aborted, hasReplaceable, killOut != nil, len(reap))
 	if killOut != nil {
 		killOut.conn.Close()
 	}
@@ -558,13 +537,11 @@ func (t *NetTransport) dialLoop(p *netPeerState) {
 			return
 		}
 		if nc.incarnation < p.required {
-			t.debugf("dial peer %d: orphaning conn at inc %d, require %d", p.idx, nc.incarnation, p.required)
 			p.stale = append(p.stale, nc)
 			badAddr = addr
 			t.mu.Unlock()
 			continue
 		}
-		t.debugf("dial peer %d: installed out conn inc %d (%s)", p.idx, nc.incarnation, nc.conn.LocalAddr())
 		if p.out != nil {
 			// Superseded while we were dialing; orphan rather than close —
 			// its process may still be alive and mid-iteration.
@@ -631,7 +608,6 @@ func (t *NetTransport) SetPeerAddr(rank int, addr string, incarnation int) {
 	if incarnation > p.incarnation {
 		p.incarnation = incarnation
 	}
-	t.debugf("SetPeerAddr rank %d -> %s inc %d", rank, addr, incarnation)
 	t.signal()
 }
 
@@ -665,7 +641,6 @@ func (t *NetTransport) ExpectReplacement(required map[int]int) {
 		if req > p.required {
 			p.required = req
 		}
-		t.debugf("ExpectReplacement rank %d: require inc %d (out=%v)", r, p.required, p.out != nil)
 		if p.out != nil && p.out.incarnation < p.required {
 			p.stale = append(p.stale, p.out)
 			p.out = nil
@@ -719,7 +694,6 @@ func (t *NetTransport) connBroken(p *netPeerState, out *netConn) {
 		t.signal()
 	}
 	t.mu.Unlock()
-	t.debugf("connBroken peer %d inc %d", p.idx, out.incarnation)
 	out.conn.Close()
 }
 
@@ -767,8 +741,6 @@ func (t *NetTransport) Deliver(dst *node, m Msg, own bool) error {
 			t.mu.Unlock()
 		}
 		if out.incarnation > epoch {
-			t.debugf("Deliver to rank %d: dropping frame for inc %d epoch, conn is inc %d",
-				dst.rank, epoch, out.incarnation)
 			t.ct.dropped.Add(1)
 			return nil
 		}

@@ -266,3 +266,36 @@ func TestBatchJobCountsBothGroups(t *testing.T) {
 		}
 	}
 }
+
+// TestUnclassedFailureIsInternal: every failure a job can meet is classed
+// where it is raised, so one that reaches the job's terminal edge without a
+// class is a defect. A batch job whose group returns a bare error ends
+// failed internal, its message kept, and counts once on
+// esrd_jobs_unclassed_total.
+func TestUnclassedFailureIsInternal(t *testing.T) {
+	orig := solveGroup
+	solveGroup = func(*Prepared, context.Context, [][]float64, *Config) ([]Solution, []error, error) {
+		return nil, nil, errors.New("group lost its columns")
+	}
+	t.Cleanup(func() { solveGroup = orig })
+	e := New(Options{Workers: 1})
+	defer e.Close()
+	spec := tinySpec()
+	spec.RHSBatch = batchRHS(256, 2)
+	id, err := e.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var st JobStatus
+	for deadline := time.Now().Add(30 * time.Second); !st.State.Terminal(); time.Sleep(time.Millisecond) {
+		if st, err = e.Get(id); err != nil || time.Now().After(deadline) {
+			t.Fatalf("batch job: %+v, %v", st, err)
+		}
+	}
+	if st.State != StateFailed || st.ErrorCode != xerr.Internal.Code() || st.Error != "group lost its columns" {
+		t.Fatalf("batch job: %s, %q (%s); want failed internal with the group's message", st.State, st.ErrorCode, st.Error)
+	}
+	if n := e.metrics.jobsUnclassed.Value(); n != 1 {
+		t.Fatalf("esrd_jobs_unclassed_total = %v, want 1", n)
+	}
+}

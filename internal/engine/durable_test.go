@@ -6,6 +6,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -435,5 +436,58 @@ func TestDurableReplayRefusesWhatTheFleetCannotRun(t *testing.T) {
 	if got.State != StateFailed || got.ErrorCode != xerr.FailedPrecondition.Code() {
 		t.Fatalf("replayed 4-rank net job on a 2-process fleet: state %s, error_code %q (%s); want failed, failed_precondition",
 			got.State, got.ErrorCode, got.Error)
+	}
+}
+
+// TestDurableReplayFailsInvalidConfig: replay admits a journalled job the way
+// Submit does. A submit record whose Config no longer validates
+// ("transport": "chaos", a fabric only tests install) fails at replay, on a
+// standby engine too: failed invalid_argument naming transport, its payload
+// never charged and no matrix built, and journalled, so the next replay
+// reloads the failure.
+func TestDurableReplayFailsInvalidConfig(t *testing.T) {
+	spec := durableSpec()
+	spec.RHS = make([]float64, 256)
+	for i := range spec.RHS {
+		spec.RHS[i] = float64(i)
+	}
+	raw, err := json.Marshal(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rec map[string]any
+	if err := json.Unmarshal(raw, &rec); err != nil {
+		t.Fatal(err)
+	}
+	rec["config"].(map[string]any)["transport"] = "chaos"
+	if raw, err = json.Marshal(rec); err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	st := openStore(t, dir)
+	if err := st.Append(store.Record{Kind: store.KindSubmit, Time: time.Now(), JobID: jobID(1), Spec: raw}); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for replay := 1; replay <= 2; replay++ {
+		st = openStore(t, dir)
+		e := New(Options{Workers: -1, QueueCap: 4, Store: st})
+		got, err := e.Get(jobID(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.State != StateFailed || got.ErrorCode != xerr.InvalidArgument.Code() || !strings.Contains(got.Error, "transport") {
+			t.Fatalf("replay %d: chaos job %s, %q (%s); want failed invalid_argument naming transport",
+				replay, got.State, got.ErrorCode, got.Error)
+		}
+		e.mu.Lock()
+		pb := e.payloadBytes
+		e.mu.Unlock()
+		if pb != 0 || e.CacheStats().Misses != 0 {
+			t.Fatalf("replay %d: %d payload bytes charged, %d sessions built; want none", replay, pb, e.CacheStats().Misses)
+		}
+		crash(t, e, st)
 	}
 }

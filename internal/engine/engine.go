@@ -7,7 +7,6 @@ import (
 	"runtime"
 	"runtime/debug"
 	"slices"
-	"sort"
 	"sync"
 	"time"
 
@@ -234,6 +233,14 @@ func (j *job) transitionLocked(s State, cause error) bool {
 	var errMsg, errCode string
 	if cause != nil {
 		errMsg, errCode = cause.Error(), xerr.Code(cause)
+		if errCode == "" && s == StateFailed {
+			// Every failure a job can meet is classed where it is raised; one
+			// that arrives here without a class is a defect, recorded as one.
+			errCode = xerr.Internal.Code()
+			if j.em != nil {
+				j.em.jobsUnclassed.Inc()
+			}
+		}
 	}
 	j.state = s
 	now := time.Now()
@@ -503,57 +510,32 @@ func (e *Engine) janitor() {
 // Only terminal jobs are evicted, oldest-finished first; queued and running
 // jobs are never touched. e.mu must be held.
 func (e *Engine) sweepJobsLocked(now time.Time) {
-	var removed bool
 	if e.jobTTL > 0 {
+		var expired []string
 		for id, j := range e.jobs {
 			j.mu.Lock()
-			expired := j.state.Terminal() && !j.finished.IsZero() && now.Sub(j.finished) > e.jobTTL
-			j.mu.Unlock()
-			if expired {
-				delete(e.jobs, id)
-				if e.store != nil {
-					e.journalDelete(id)
-				}
-				removed = true
+			if j.state.Terminal() && !j.finished.IsZero() && now.Sub(j.finished) > e.jobTTL {
+				expired = append(expired, id)
 			}
+			j.mu.Unlock()
 		}
+		e.forgetLocked(expired...)
 	}
 	if e.maxJobs > 0 && len(e.jobs) > e.maxJobs {
-		type done struct {
-			j        *job
-			finished time.Time
-		}
-		var terminal []done
+		var terminal []*job
 		for _, j := range e.jobs {
 			j.mu.Lock()
 			if j.state.Terminal() {
-				terminal = append(terminal, done{j, j.finished})
+				terminal = append(terminal, j)
 			}
 			j.mu.Unlock()
 		}
-		sort.Slice(terminal, func(i, k int) bool { return terminal[i].finished.Before(terminal[k].finished) })
-		for _, d := range terminal {
-			if len(e.jobs) <= e.maxJobs {
-				break
-			}
-			delete(e.jobs, d.j.id)
-			if e.store != nil {
-				e.journalDelete(d.j.id)
-			}
-			removed = true
+		slices.SortFunc(terminal, func(a, b *job) int { return a.finished.Compare(b.finished) })
+		ids := make([]string, min(len(terminal), len(e.jobs)-e.maxJobs))
+		for i := range ids {
+			ids[i] = terminal[i].id
 		}
-	}
-	if removed {
-		kept := e.order[:0]
-		for _, j := range e.order {
-			if _, ok := e.jobs[j.id]; ok {
-				kept = append(kept, j)
-			}
-		}
-		for i := len(kept); i < len(e.order); i++ {
-			e.order[i] = nil // release evicted records to the GC
-		}
-		e.order = kept
+		e.forgetLocked(ids...)
 	}
 }
 
@@ -628,48 +610,58 @@ func (e *Engine) Close() {
 	}
 }
 
+// admit is the one gate a job passes to run, at Submit and at replay. It
+// resolves the job's policy — the daemon defaults beneath its own fields —
+// so the job keeps, journals and runs the merged Config, under the defaults
+// that accepted it (a default strategy decides, for one, whether a phi-0
+// failure schedule is servable). It then validates the spec, asks the fleet,
+// and binds the matrix: a registered one pinned and checked against the
+// right-hand sides, an inline one by its content hash. The record comes back
+// even when err says the job may not run, so replay can fail it.
+func (e *Engine) admit(id string, spec JobSpec, enqueued time.Time) (*job, error) {
+	spec.Config = Merge(e.defaults, spec.Config)
+	j := e.newJob(id, spec, enqueued)
+	if err := spec.Validate(); err != nil {
+		return j, err
+	}
+	if err := e.fleetRefusal(spec); err != nil {
+		return j, err
+	}
+	if spec.MatrixID == "" {
+		j.matHash = spec.Matrix.contentHash()
+		return j, nil
+	}
+	a, rec, err := e.matrices.resolve(spec.MatrixID)
+	if err != nil {
+		return j, err
+	}
+	if len(spec.RHS) > 0 && len(spec.RHS) != rec.Rows {
+		return j, xerr.Newf(xerr.InvalidArgument, "engine: rhs length %d != matrix %s rows %d", len(spec.RHS), rec.ID, rec.Rows)
+	}
+	if len(spec.RHSBatch) > 0 && len(spec.RHSBatch[0]) != rec.Rows {
+		// validateBatch already enforced intra-batch consistency, so
+		// checking column 0 against the registered matrix covers them all.
+		return j, &InvalidRHSError{Index: 0, Elem: -1, Len: len(spec.RHSBatch[0]), Want: rec.Rows}
+	}
+	j.mat, j.matHash = a, rec.Hash
+	return j, nil
+}
+
 // Submit validates and enqueues a job, returning its id. The queue is FIFO:
 // workers pick jobs up in submission order.
 func (e *Engine) Submit(spec JobSpec) (id string, err error) {
-	// Resolve the job's policy once, here: the daemon defaults beneath its
-	// own fields. The job keeps and journals the merged Config, so it is
-	// validated, run and replayed under the defaults that accepted it (a
-	// default strategy decides, for one, whether a phi-0 failure schedule is
-	// servable).
-	spec.Config = Merge(e.defaults, spec.Config)
-	if err := spec.Validate(); err != nil {
-		return "", err
-	}
-	if err := e.fleetRefusal(spec); err != nil {
-		return "", err
-	}
-	j := e.newJob("", spec, time.Now())
+	j, err := e.admit("", spec, time.Now())
 	defer func() {
 		if err != nil {
 			j.cancel(err) // never accepted
 		}
 	}()
-	if spec.MatrixID != "" {
-		a, rec, err := e.matrices.resolve(spec.MatrixID)
-		if err != nil {
-			return "", err
-		}
-		if len(spec.RHS) > 0 && len(spec.RHS) != rec.Rows {
-			return "", xerr.Newf(xerr.InvalidArgument, "engine: rhs length %d != matrix %s rows %d", len(spec.RHS), rec.ID, rec.Rows)
-		}
-		if len(spec.RHSBatch) > 0 && len(spec.RHSBatch[0]) != rec.Rows {
-			// validateBatch already enforced intra-batch consistency, so
-			// checking column 0 against the registered matrix covers them all.
-			return "", &InvalidRHSError{Index: 0, Elem: -1, Len: len(spec.RHSBatch[0]), Want: rec.Rows}
-		}
-		j.mat, j.matHash = a, rec.Hash
-	} else {
-		j.matHash = spec.Matrix.contentHash()
+	if err != nil {
+		return "", err
 	}
-
 	var rec store.Record
 	if e.store != nil {
-		if rec, err = submitRecord(spec, j.enqueued); err != nil {
+		if rec, err = submitRecord(j.spec, j.enqueued); err != nil {
 			return "", err
 		}
 	}
@@ -703,20 +695,18 @@ func (e *Engine) Submit(spec JobSpec) (id string, err error) {
 	// must not release budget that was never charged.
 	j.publish(Event{Kind: EventState, State: StateQueued})
 	e.payloadBytes += j.payloadBytes
+	e.jobs[j.id] = j
+	e.order = append(e.order, j)
 	select {
 	case e.queue <- j:
 	default:
+		// Undo the acceptance, the durable one too: without this, a restart
+		// would resurrect a job whose submission the caller saw fail.
 		e.payloadBytes -= j.payloadBytes
-		if e.store != nil {
-			// Undo the durable acceptance: without this, a restart would
-			// resurrect a job whose submission the caller saw fail.
-			e.journalDelete(j.id)
-		}
+		e.forgetLocked(j.id)
 		e.mu.Unlock()
 		return "", ErrQueueFull
 	}
-	e.jobs[j.id] = j
-	e.order = append(e.order, j)
 	e.sweepJobsLocked(time.Now())
 	e.mu.Unlock()
 	if spec.MatrixID != "" {
@@ -748,24 +738,36 @@ func (e *Engine) Delete(id string) (removed bool, err error) {
 		}
 	}
 	e.mu.Lock()
-	if _, ok := e.jobs[id]; ok {
-		delete(e.jobs, id)
-		if e.store != nil {
-			e.journalDelete(id)
-		}
-		kept := e.order[:0]
-		for _, o := range e.order {
-			if o.id != id {
-				kept = append(kept, o)
-			}
-		}
-		if len(kept) < len(e.order) {
-			e.order[len(e.order)-1] = nil
-		}
-		e.order = kept
-	}
+	e.forgetLocked(id)
 	e.mu.Unlock()
 	return true, nil
+}
+
+// forgetLocked is the one way a job record leaves the engine: out of e.jobs
+// and e.order, with a delete record in the journal so a replayed store
+// forgets it too. Ids it does not hold are skipped. e.mu must be held.
+func (e *Engine) forgetLocked(ids ...string) {
+	n := len(e.jobs)
+	for _, id := range ids {
+		if _, ok := e.jobs[id]; !ok {
+			continue
+		}
+		delete(e.jobs, id)
+		if e.store != nil {
+			e.journalAppend(store.Record{Kind: store.KindDelete, Time: time.Now(), JobID: id})
+		}
+	}
+	if len(e.jobs) == n {
+		return
+	}
+	kept := e.order[:0]
+	for _, j := range e.order {
+		if _, ok := e.jobs[j.id]; ok {
+			kept = append(kept, j)
+		}
+	}
+	clear(e.order[len(kept):]) // release the forgotten records to the GC
+	e.order = kept
 }
 
 // PutMatrix registers a system matrix for reuse across jobs: the spec is
@@ -1010,6 +1012,10 @@ func (e *Engine) finishPayloads(j *job) {
 	}
 }
 
+// prepareJob builds a job's prepared session; tests substitute it to hold a
+// build open.
+var prepareJob = prepare
+
 // errDeadline is the recorded cause of a job whose TimeoutMillis expired.
 var errDeadline = xerr.New(xerr.DeadlineExceeded, "deadline exceeded")
 
@@ -1061,8 +1067,8 @@ func (e *Engine) run(j *job) {
 	if cfg.Transport == TransportNet && e.netRunner != nil {
 		// A coordinator daemon fans net-transport jobs out to external rank
 		// processes; each worker process prepares its own session, so the
-		// coordinator's prep cache does not apply. Submit (or, for a
-		// replayed job, requeueLocked) refused what the fleet cannot run.
+		// coordinator's prep cache does not apply. admit refused what the
+		// fleet cannot run.
 		e.runNet(ctx, j, cfg)
 		return
 	}
@@ -1091,7 +1097,7 @@ func (e *Engine) run(j *job) {
 		if err := CheckCholBlock(a.Rows, prepCfg); err != nil {
 			return nil, err
 		}
-		return prepare(ctx, a, prepCfg, e.metrics)
+		return prepareJob(ctx, a, prepCfg, e.metrics)
 	}
 	var (
 		prep    *Prepared
@@ -1118,20 +1124,11 @@ func (e *Engine) run(j *job) {
 
 	// The session checks every right-hand side against the system it
 	// prepared (length, finiteness), with the classed errors a job keeps.
-	batch := j.spec.RHSBatch
-	b := j.spec.RHS
-	if b == nil && len(batch) == 0 {
-		b = make([]float64, prep.N())
-		for i := range b {
-			b[i] = 1
-		}
-	}
-
 	var sol Solution
-	if len(batch) > 0 {
+	if batch := j.spec.RHSBatch; len(batch) > 0 {
 		sol, err = e.solveBatch(ctx, cfg, prep, batch)
 	} else {
-		sol, err = prep.Solve(ctx, b, cfg)
+		sol, err = prep.Solve(ctx, j.spec.rhs(prep.N()), cfg)
 	}
 	e.finishJob(j, sol, err)
 }

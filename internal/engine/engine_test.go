@@ -50,8 +50,9 @@ func slowSpec() JobSpec {
 }
 
 // waitTerminal polls job id until it is terminal and returns its status. A
-// job that failed without an error class fails the test: every failure a
-// job can end in is classed at its source.
+// job that failed without an error class (recorded internal and counted on
+// esrd_jobs_unclassed_total) fails the test: every failure a job can end in
+// is classed at its source.
 func waitTerminal(t *testing.T, e *Engine, id string, timeout time.Duration) JobStatus {
 	t.Helper()
 	deadline := time.Now().Add(timeout)
@@ -61,7 +62,7 @@ func waitTerminal(t *testing.T, e *Engine, id string, timeout time.Duration) Job
 			t.Fatal(err)
 		}
 		if st.State.Terminal() {
-			if st.State == StateFailed && st.ErrorCode == "" {
+			if st.State == StateFailed && e.metrics.jobsUnclassed.Value() != 0 {
 				t.Fatalf("job %s failed with no error class: %s", id, st.Error)
 			}
 			return st
@@ -731,33 +732,47 @@ func TestDeadline(t *testing.T) {
 // TestNumericalFailuresAreClassed: a job the solver cannot serve ends failed
 // with a class, never with an empty error_code. An indefinite matrix breaks
 // PCG down under every preconditioner that builds on it, a zero diagonal
-// refuses Jacobi: the input is outside the SPD contract or the chosen
+// refuses Jacobi, and a dense Cholesky meeting a non-positive pivot or an
+// incomplete factorisation meeting a row without its diagonal entry refuses
+// the matrix at prepare: the input is outside the SPD contract or the chosen
 // preconditioner cannot serve it, so each is invalid_argument.
 func TestNumericalFailuresAreClassed(t *testing.T) {
 	// tridiag is a 64-row symmetric tridiagonal MatrixMarket matrix with
-	// diagonal diag(i) on row i (1-based) and off on both off-diagonals.
+	// diagonal diag(i) on row i (1-based), NaN meaning no entry at all, and
+	// off on both off-diagonals.
 	tridiag := func(diag func(i int) float64, off float64) []byte {
 		const n = 64
-		var mm bytes.Buffer
-		fmt.Fprintf(&mm, "%%%%MatrixMarket matrix coordinate real general\n%d %d %d\n", n, n, 3*n-2)
+		var entries bytes.Buffer
+		nnz := 0
+		entry := func(i, j int, v float64) {
+			if !math.IsNaN(v) {
+				fmt.Fprintf(&entries, "%d %d %g\n", i, j, v)
+				nnz++
+			}
+		}
 		for i := 1; i <= n; i++ {
 			if i > 1 {
-				fmt.Fprintf(&mm, "%d %d %g\n", i, i-1, off)
+				entry(i, i-1, off)
 			}
-			fmt.Fprintf(&mm, "%d %d %g\n", i, i, diag(i))
+			entry(i, i, diag(i))
 			if i < n {
-				fmt.Fprintf(&mm, "%d %d %g\n", i, i+1, off)
+				entry(i, i+1, off)
 			}
 		}
-		return mm.Bytes()
+		return fmt.Appendf(nil, "%%%%MatrixMarket matrix coordinate real general\n%d %d %d\n%s", n, n, nnz, entries.Bytes())
+	}
+	// row5 is the diagonal 2 but for v on row 5.
+	row5 := func(v float64) func(int) float64 {
+		return func(i int) float64 {
+			if i == 5 {
+				return v
+			}
+			return 2
+		}
 	}
 	indefinite := tridiag(func(i int) float64 { return float64(1 - 2*(i%2)) }, 0.25)
-	zeroDiag := tridiag(func(i int) float64 {
-		if i == 5 {
-			return 0
-		}
-		return 2
-	}, -1)
+	zeroDiag := tridiag(row5(0), -1)
+	noDiag := tridiag(row5(math.NaN()), -1)
 	cases := []struct {
 		name string
 		mm   []byte
@@ -769,6 +784,12 @@ func TestNumericalFailuresAreClassed(t *testing.T) {
 		{"indefinite/ic0", indefinite, Config{Preconditioner: PrecondIC0}},
 		{"indefinite/identity/phi2", indefinite, Config{Preconditioner: PrecondIdentity, Phi: 2}},
 		{"zero-diagonal/jacobi", zeroDiag, Config{Preconditioner: PrecondJacobi}},
+		// The preconditioner's factorisation refuses the matrix at prepare.
+		{"indefinite/block-jacobi-cholesky", indefinite, Config{Preconditioner: PrecondBlockJacobiChol}},
+		{"zero-diagonal/block-jacobi-cholesky", zeroDiag, Config{Preconditioner: PrecondBlockJacobiChol}},
+		{"no-diagonal/block-jacobi-ilu", noDiag, Config{Preconditioner: PrecondBlockJacobiILU}},
+		{"no-diagonal/ic0", noDiag, Config{Preconditioner: PrecondIC0}},
+		{"no-diagonal/block-jacobi-cholesky", noDiag, Config{Preconditioner: PrecondBlockJacobiChol}},
 	}
 	e := New(Options{Workers: 2})
 	defer e.Close()

@@ -36,6 +36,7 @@ type engineMetrics struct {
 
 	jobsSubmitted *metrics.Counter
 	jobsCompleted *metrics.CounterVec // state
+	jobsUnclassed *metrics.Counter
 	jobsRunning   *metrics.Gauge
 	queueWait     *metrics.Histogram
 	runSeconds    *metrics.Histogram
@@ -200,7 +201,9 @@ func newEngineMetrics(e *Engine) *engineMetrics {
 		reg:           r,
 		jobsSubmitted: r.Counter("esrd_jobs_submitted_total", "Jobs accepted by Submit."),
 		jobsCompleted: r.CounterVec("esrd_jobs_completed_total", "Jobs finished, by terminal state.", "state"),
-		jobsRunning:   r.Gauge("esrd_jobs_running", "Jobs currently executing on a worker."),
+		jobsUnclassed: r.Counter("esrd_jobs_unclassed_total",
+			"Failed jobs whose error carried no class, recorded as internal: each one is a defect."),
+		jobsRunning: r.Gauge("esrd_jobs_running", "Jobs currently executing on a worker."),
 		queueWait: r.Histogram("esrd_job_queue_wait_seconds",
 			"Time from submission to a worker picking the job up.", metrics.DefBuckets()),
 		runSeconds: r.Histogram("esrd_job_run_seconds",

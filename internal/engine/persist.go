@@ -29,8 +29,10 @@ import (
 //   - A done job's result record is appended before its terminal state
 //     record: a crash between the two replays the job as still running,
 //     which re-runs it — never a terminal job with a half-written result.
-//   - Deletes (explicit or TTL/MaxJobs eviction) append delete records, so
-//     a replayed store honours the same retention the live engine did.
+//   - Deletes (explicit, TTL/MaxJobs eviction, or the rollback of a submit
+//     that lost the queue-capacity race) all pass through forgetLocked,
+//     which appends a delete record, so a replayed store honours the same
+//     retention the live engine did.
 //
 // Bulk float vectors do not travel as JSON: a submit record's right-hand
 // sides and a result record's solution vectors are lifted out of the spec /
@@ -210,12 +212,6 @@ func decodeResult(r store.Record) (*Solution, error) {
 		sol.X = sol.XS[0]
 	}
 	return &sol, nil
-}
-
-// journalDelete records a job removal (explicit delete, eviction sweep, or
-// the rollback of a journaled submit that lost the queue-capacity race).
-func (e *Engine) journalDelete(id string) {
-	e.journalAppend(store.Record{Kind: store.KindDelete, Time: time.Now(), JobID: id})
 }
 
 // journalPutMatrix persists a newly registered matrix: the CSR payload
@@ -443,42 +439,28 @@ func (e *Engine) restoreTerminalLocked(rj *replayedJob) {
 // replayed job starts a fresh event log at its original enqueue time. e.mu
 // must be held, and the queue must have been sized to hold every replayed
 // job (New guarantees this), so the send never blocks.
+//
+// The job passes the same admission as at Submit. A journal written before
+// jobs carried the daemon defaults holds the job's own fields, which get
+// the current defaults here, once; a merged Config keeps every field it
+// holds.
 func (e *Engine) requeueLocked(rj *replayedJob) {
-	// Submit journals the job's Config with the daemon defaults merged in. A
-	// journal written before it did holds the job's own fields, which get
-	// the current defaults here, once; a merged Config keeps every field it
-	// holds.
-	rj.spec.Config = Merge(e.defaults, rj.spec.Config)
-	j := e.newJob(rj.id, rj.spec, rj.enqueued)
+	j, err := e.admit(rj.id, rj.spec, rj.enqueued)
 	j.eng = e
 	j.events = []Event{{JobID: j.id, Time: rj.enqueued, Kind: EventState, State: StateQueued}}
 	e.jobs[j.id] = j
 	e.order = append(e.order, j)
-	// A job that can never run fails terminally (journaled, so the next
-	// replay reloads the failure instead of retrying). The payload budget
-	// was never charged for it, so its payloads are dropped uncounted.
-	fail := func(err error) {
+	if err != nil {
+		// A job that can never run here — its Config no longer validates,
+		// this fleet refuses it, or its registered matrix is gone — fails
+		// terminally (journaled, so the next replay reloads the failure
+		// instead of retrying). The payload budget was never charged for
+		// it, so its payloads are dropped uncounted.
 		j.transition(StateFailed, err)
 		j.mu.Lock()
 		j.dropPayloadsLocked()
 		j.mu.Unlock()
-	}
-	if err := e.fleetRefusal(rj.spec); err != nil {
-		// Accepted where this fleet's refusal at Submit did not apply.
-		fail(err)
 		return
-	}
-	if rj.spec.MatrixID != "" {
-		a, rec, err := e.matrices.resolve(rj.spec.MatrixID)
-		if err != nil {
-			// The matrix is gone — deleted before the crash with the job still
-			// queued, or its blob failed verification.
-			fail(fmt.Errorf("engine: replayed job references %s: %w", rj.spec.MatrixID, err))
-			return
-		}
-		j.mat, j.matHash = a, rec.Hash
-	} else {
-		j.matHash = rj.spec.Matrix.contentHash()
 	}
 	e.payloadBytes += j.payloadBytes
 	e.queue <- j

@@ -381,15 +381,22 @@ func (s JobSpec) Materialize() (*sparse.CSR, []float64, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	b := s.RHS
-	if b == nil {
-		b = make([]float64, a.Rows)
-		for i := range b {
-			b[i] = 1
-		}
-	}
+	b := s.rhs(a.Rows)
 	if len(b) != a.Rows {
 		return nil, nil, xerr.Newf(xerr.InvalidArgument, "engine: rhs length %d != matrix rows %d", len(b), a.Rows)
 	}
 	return a, b, nil
+}
+
+// rhs is the job's right-hand side for an n-row system: its own, or, when it
+// names none, the all-ones vector (the paper's b).
+func (s JobSpec) rhs(n int) []float64 {
+	if s.RHS != nil {
+		return s.RHS
+	}
+	b := make([]float64, n)
+	for i := range b {
+		b[i] = 1
+	}
+	return b
 }

@@ -4,8 +4,11 @@ import (
 	"context"
 	"errors"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/sparse"
 )
 
 // TestQuickJobEvictionMaxJobs: terminal job records beyond MaxJobs are
@@ -329,4 +332,62 @@ func TestQuickCholBlockCap(t *testing.T) {
 	if st.State != StateFailed || !strings.Contains(st.Error, "exceeds 4096") {
 		t.Fatalf("oversized chol job: %s (%q)", st.State, st.Error)
 	}
+}
+
+// TestPrepBuildRetriesAfterBuilderCancelled: two jobs share a prep key, and
+// the first, the session's builder, is cancelled while it builds. The
+// second, waiting on that build, must not inherit the cancellation: it
+// builds the session again and ends done, to the bits of the same job run
+// alone.
+func TestPrepBuildRetriesAfterBuilderCancelled(t *testing.T) {
+	spec := tinySpec()
+	spec.KeepSolution = true
+	ref := New(Options{Workers: 1})
+	defer ref.Close()
+	refID, err := ref.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := waitTerminal(t, ref, refID, 30*time.Second)
+
+	building, orig := make(chan struct{}), prepareJob
+	var builds atomic.Int32
+	prepareJob = func(ctx context.Context, a *sparse.CSR, cfg Config, em *engineMetrics) (*Prepared, error) {
+		if builds.Add(1) == 1 {
+			close(building)
+			<-ctx.Done() // the first build stays open until its job is cancelled
+		}
+		return orig(ctx, a, cfg, em)
+	}
+	t.Cleanup(func() { prepareJob = orig })
+	e := New(Options{Workers: 2, QueueCap: 4})
+	defer e.Close()
+	first, err := e.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-building
+	second, err := e.Submit(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(30 * time.Second); e.CacheStats().Hits == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the second job never joined the first one's build")
+		}
+	}
+	if err := e.Cancel(first); err != nil {
+		t.Fatal(err)
+	}
+	if st := waitTerminal(t, e, first, 30*time.Second); st.State != StateCancelled {
+		t.Fatalf("cancelled builder: %s (%s)", st.State, st.Error)
+	}
+	got := waitTerminal(t, e, second, 30*time.Second)
+	if got.State != StateDone {
+		t.Fatalf("job that waited on the cancelled build: %s, %q (%s); want done", got.State, got.ErrorCode, got.Error)
+	}
+	if cs := e.CacheStats(); cs.Misses != 2 || builds.Load() != 2 {
+		t.Fatalf("%d builds, cache %+v; want the second job to build again", builds.Load(), cs)
+	}
+	sameBits(t, "x after the rebuild", got.Result.X, want.Result.X)
 }

@@ -9,6 +9,8 @@ package localsolve
 import (
 	"fmt"
 	"math"
+
+	"repro/internal/xerr"
 )
 
 // Cholesky is a dense Cholesky factorisation A = L L^T of an SPD matrix,
@@ -38,7 +40,7 @@ func NewCholesky(n int, a []float64) (*Cholesky, error) {
 			}
 			if i == j {
 				if s <= 0 {
-					return nil, fmt.Errorf("localsolve: non-positive pivot %g at %d (matrix not SPD)", s, i)
+					return nil, xerr.Newf(xerr.InvalidArgument, "localsolve: non-positive pivot %g at %d (matrix not SPD)", s, i)
 				}
 				l[i*n+i] = math.Sqrt(s)
 			} else {

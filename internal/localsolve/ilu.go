@@ -1,10 +1,10 @@
 package localsolve
 
 import (
-	"fmt"
 	"math"
 
 	"repro/internal/sparse"
+	"repro/internal/xerr"
 )
 
 // ILU0 is an incomplete LU factorisation with zero fill-in: L (unit lower)
@@ -27,7 +27,7 @@ type ILU0 struct {
 // arrays while the factor is in use.
 func NewILU0(a *sparse.CSR) (*ILU0, error) {
 	if a.Rows != a.Cols {
-		return nil, fmt.Errorf("localsolve: ILU0 needs a square matrix")
+		return nil, xerr.New(xerr.InvalidArgument, "localsolve: ILU0 needs a square matrix")
 	}
 	n, nnz := a.Rows, len(a.Val)
 	// val carries one dummy slot past the factor's values: a column absent
@@ -60,7 +60,7 @@ func NewILU0(a *sparse.CSR) (*ILU0, error) {
 			}
 		}
 		if f.diag[i] < 0 {
-			return nil, fmt.Errorf("localsolve: ILU0 row %d has no diagonal entry", i)
+			return nil, xerr.Newf(xerr.InvalidArgument, "localsolve: ILU0 row %d has no diagonal entry", i)
 		}
 	}
 	// colPos[j] caches the position of column j within the current row, or
@@ -316,7 +316,7 @@ type IC0 struct {
 // preconditioner.
 func NewIC0(a *sparse.CSR) (*IC0, error) {
 	if a.Rows != a.Cols {
-		return nil, fmt.Errorf("localsolve: IC0 needs a square matrix")
+		return nil, xerr.New(xerr.InvalidArgument, "localsolve: IC0 needs a square matrix")
 	}
 	n := a.Rows
 	f := &IC0{n: n, rowPtr: make([]int, n+1), diag: make([]int, n)}
@@ -335,7 +335,7 @@ func NewIC0(a *sparse.CSR) (*IC0, error) {
 			}
 		}
 		if !hasDiag {
-			return nil, fmt.Errorf("localsolve: IC0 row %d has no diagonal entry", i)
+			return nil, xerr.Newf(xerr.InvalidArgument, "localsolve: IC0 row %d has no diagonal entry", i)
 		}
 		f.rowPtr[i+1] = len(f.col)
 		f.diag[i] = len(f.col) - 1
