@@ -148,6 +148,9 @@ type job struct {
 	// persistent store (set alongside em only when the engine runs with
 	// Options.Store).
 	eng *Engine
+	// done is the engine's queue of terminal records, which the job joins
+	// as it finishes.
+	done *finishedJobs
 
 	mu       sync.Mutex
 	state    State
@@ -174,7 +177,7 @@ func (e *Engine) newJob(id string, spec JobSpec, enqueued time.Time) *job {
 		payload += 8 * int64(len(b))
 	}
 	return &job{
-		id: id, spec: spec, ctx: ctx, cancel: cancel, em: e.metrics,
+		id: id, spec: spec, ctx: ctx, cancel: cancel, em: e.metrics, done: &e.finished,
 		state: StateQueued, updated: make(chan struct{}), enqueued: enqueued,
 		payloadBytes: payload, batchK: len(spec.RHSBatch),
 	}
@@ -243,12 +246,11 @@ func (j *job) transitionLocked(s State, cause error) bool {
 		}
 	}
 	j.state = s
-	now := time.Now()
 	switch s {
 	case StateRunning:
-		j.started = now
+		j.started = time.Now()
 	case StateDone, StateFailed, StateCancelled:
-		j.finished = now
+		j.done.add(j)
 		j.errMsg, j.errCode = errMsg, errCode
 	}
 	if j.em != nil {
@@ -402,6 +404,9 @@ type Engine struct {
 	janitorQuit chan struct{}
 	janitorDone chan struct{}
 
+	// finished holds the terminal records in the order they finished.
+	finished finishedJobs
+
 	mu           sync.Mutex
 	jobs         map[string]*job
 	order        []*job // submission order, for List
@@ -506,37 +511,54 @@ func (e *Engine) janitor() {
 	}
 }
 
+// finishedJobs is a queue of terminal job records in the order they
+// finished: the order MaxJobs eviction and the JobTTL sweep take them in,
+// from the front. A record stays queued after Delete forgets it, until the
+// sweep pops it or compacts the queue. Its lock is a leaf: a job joins
+// under its own mu, the sweep reads under e.mu.
+type finishedJobs struct {
+	mu   sync.Mutex
+	jobs []*job
+}
+
+// add stamps j's finish time and queues it, both under q.mu, so the queue
+// is in finish-time order. j.mu must be held.
+func (q *finishedJobs) add(j *job) {
+	q.mu.Lock()
+	j.finished = time.Now()
+	q.jobs = append(q.jobs, j)
+	q.mu.Unlock()
+}
+
 // sweepJobsLocked enforces JobTTL and MaxJobs on the job-record store.
 // Only terminal jobs are evicted, oldest-finished first; queued and running
-// jobs are never touched. e.mu must be held.
+// jobs are never touched. It pops the finished queue's front while that
+// record has expired or the store is over MaxJobs, so a sweep with nothing
+// to evict costs one look at the front. e.mu must be held.
 func (e *Engine) sweepJobsLocked(now time.Time) {
-	if e.jobTTL > 0 {
-		var expired []string
-		for id, j := range e.jobs {
-			j.mu.Lock()
-			if j.state.Terminal() && !j.finished.IsZero() && now.Sub(j.finished) > e.jobTTL {
-				expired = append(expired, id)
+	q := &e.finished
+	q.mu.Lock()
+	var evict []string
+	for len(q.jobs) > 0 {
+		j := q.jobs[0]
+		if e.jobs[j.id] == j { // else Delete already forgot it
+			over := e.maxJobs > 0 && len(e.jobs)-len(evict) > e.maxJobs
+			expired := e.jobTTL > 0 && now.Sub(j.finished) > e.jobTTL
+			if !over && !expired {
+				break
 			}
-			j.mu.Unlock()
+			evict = append(evict, j.id)
 		}
-		e.forgetLocked(expired...)
+		q.jobs[0] = nil
+		q.jobs = q.jobs[1:]
 	}
-	if e.maxJobs > 0 && len(e.jobs) > e.maxJobs {
-		var terminal []*job
-		for _, j := range e.jobs {
-			j.mu.Lock()
-			if j.state.Terminal() {
-				terminal = append(terminal, j)
-			}
-			j.mu.Unlock()
-		}
-		slices.SortFunc(terminal, func(a, b *job) int { return a.finished.Compare(b.finished) })
-		ids := make([]string, min(len(terminal), len(e.jobs)-e.maxJobs))
-		for i := range ids {
-			ids[i] = terminal[i].id
-		}
-		e.forgetLocked(ids...)
+	if len(q.jobs) > 2*len(e.jobs)+64 {
+		// Records Delete forgot outnumber the live ones: drop them, so the
+		// queue stays within twice the store.
+		q.jobs = slices.DeleteFunc(q.jobs, func(j *job) bool { return e.jobs[j.id] != j })
 	}
+	q.mu.Unlock()
+	e.forgetLocked(evict...)
 }
 
 // Drain stops accepting new submissions and waits for the already-accepted
@@ -747,27 +769,28 @@ func (e *Engine) Delete(id string) (removed bool, err error) {
 // and e.order, with a delete record in the journal so a replayed store
 // forgets it too. Ids it does not hold are skipped. e.mu must be held.
 func (e *Engine) forgetLocked(ids ...string) {
-	n := len(e.jobs)
+	var gone *job
+	forgot := 0
 	for _, id := range ids {
-		if _, ok := e.jobs[id]; !ok {
+		j, ok := e.jobs[id]
+		if !ok {
 			continue
 		}
 		delete(e.jobs, id)
+		gone, forgot = j, forgot+1
 		if e.store != nil {
 			e.journalAppend(store.Record{Kind: store.KindDelete, Time: time.Now(), JobID: id})
 		}
 	}
-	if len(e.jobs) == n {
-		return
+	switch {
+	case forgot == 1:
+		// One record, most often near the front: a pointer scan and one
+		// move, not a map lookup per record.
+		i := slices.Index(e.order, gone)
+		e.order = slices.Delete(e.order, i, i+1)
+	case forgot > 1:
+		e.order = slices.DeleteFunc(e.order, func(j *job) bool { return e.jobs[j.id] != j })
 	}
-	kept := e.order[:0]
-	for _, j := range e.order {
-		if _, ok := e.jobs[j.id]; ok {
-			kept = append(kept, j)
-		}
-	}
-	clear(e.order[len(kept):]) // release the forgotten records to the GC
-	e.order = kept
 }
 
 // PutMatrix registers a system matrix for reuse across jobs: the spec is

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -408,6 +409,11 @@ func (e *Engine) applyReplay(rs *replayState) {
 			e.requeueLocked(rj)
 		}
 	}
+	// The records came back in submission order; eviction takes them in
+	// the order they finished.
+	e.finished.mu.Lock()
+	slices.SortStableFunc(e.finished.jobs, func(a, b *job) int { return a.finished.Compare(b.finished) })
+	e.finished.mu.Unlock()
 	e.sweepJobsLocked(time.Now())
 	e.mu.Unlock()
 }
@@ -432,6 +438,9 @@ func (e *Engine) restoreTerminalLocked(rj *replayedJob) {
 	j.events = evs
 	e.jobs[j.id] = j
 	e.order = append(e.order, j)
+	e.finished.mu.Lock()
+	e.finished.jobs = append(e.finished.jobs, j)
+	e.finished.mu.Unlock()
 }
 
 // requeueLocked re-enqueues one interrupted job as queued. The progress

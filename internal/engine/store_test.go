@@ -3,6 +3,8 @@ package engine
 import (
 	"context"
 	"errors"
+	"fmt"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -48,6 +50,113 @@ func TestQuickJobEvictionMaxJobs(t *testing.T) {
 	}
 	if got := len(e.List()); got != 2 {
 		t.Fatalf("List returned %d records, want 2", got)
+	}
+}
+
+// TestQuickEvictionOrder: at MaxJobs the records go in the order their
+// jobs finished, not the order they were submitted; a running or queued job
+// is never evicted, even when no terminal record is left to take; and a
+// record Delete already removed is skipped, not counted as an eviction.
+func TestQuickEvictionOrder(t *testing.T) {
+	e := New(Options{Workers: 1, QueueCap: 16, MaxJobs: 3})
+	defer e.Close()
+	submit := func(spec JobSpec) string {
+		t.Helper()
+		id, err := e.Submit(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return id
+	}
+	running := submit(slowSpec())
+	for deadline := time.Now().Add(30 * time.Second); ; {
+		st, err := e.Get(running)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.State == StateRunning {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("job %s still %s", running, st.State)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	// Queued behind the running job: a, b, c finish (cancelled) in the
+	// order c, b, a.
+	a, b, c := submit(tinySpec()), submit(tinySpec()), submit(tinySpec())
+	for _, id := range []string{c, b, a} {
+		if err := e.Cancel(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if removed, err := e.Delete(c); err != nil || !removed {
+		t.Fatalf("delete %s: removed=%v err=%v", c, removed, err)
+	}
+	present := func(want ...string) {
+		t.Helper()
+		var got []string
+		for _, st := range e.List() {
+			got = append(got, st.ID)
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("records %v, want %v", got, want)
+		}
+	}
+	present(running, a, b)
+	// d takes the store to 4 over a cap of 3: b goes, the oldest finished
+	// record still held (c, older still, is already gone), though a was
+	// submitted before it.
+	d := submit(slowSpec())
+	present(running, a, d)
+	// e takes it to 4 again: a goes.
+	e5 := submit(slowSpec())
+	present(running, d, e5)
+	// f: nothing terminal is left, so the store stays over the cap.
+	f := submit(slowSpec())
+	present(running, d, e5, f)
+	// Once the running job finishes before the rest, it is the oldest
+	// terminal record, and the one the next sweep takes.
+	if err := e.Cancel(running); err != nil {
+		t.Fatal(err)
+	}
+	waitTerminal(t, e, running, 30*time.Second)
+	for _, id := range []string{f, d, e5} {
+		if err := e.Cancel(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	e.mu.Lock()
+	e.sweepJobsLocked(time.Now())
+	e.mu.Unlock()
+	present(d, e5, f)
+}
+
+// BenchmarkSubmitAtMaxJobs is one Submit and one Cancel on a standby engine
+// whose record store is full of terminal records, at a small cap and at the
+// default: each Submit evicts the oldest finished record.
+func BenchmarkSubmitAtMaxJobs(b *testing.B) {
+	for _, maxJobs := range []int{64, 4096} {
+		b.Run(fmt.Sprintf("cap%d", maxJobs), func(b *testing.B) {
+			e := New(Options{Workers: -1, QueueCap: maxJobs + b.N + 1, MaxJobs: maxJobs})
+			defer e.Close()
+			cycle := func() {
+				id, err := e.Submit(tinySpec())
+				if err != nil {
+					b.Fatal(err)
+				}
+				if err := e.Cancel(id); err != nil {
+					b.Fatal(err)
+				}
+			}
+			for i := 0; i < maxJobs; i++ {
+				cycle()
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				cycle()
+			}
+		})
 	}
 }
 

@@ -2,6 +2,7 @@ package localsolve
 
 import (
 	"math"
+	"sync"
 
 	"repro/internal/sparse"
 	"repro/internal/xerr"
@@ -16,6 +17,10 @@ type ILU0 struct {
 	col    []int
 	val    []float64
 	diag   []int // position of the diagonal entry in each row
+	// levels is the one-column sweeps' row order, built on the first Solve
+	// (see leveled); nil where the level rules refuse the factor.
+	levelsOnce sync.Once
+	levels     *levelSchedule
 }
 
 // NewILU0 factorises the square CSR matrix a in IKJ order. Zero or missing
@@ -101,12 +106,22 @@ func NewILU0(a *sparse.CSR) (*ILU0, error) {
 
 // Solve computes z such that (LU) z = r: a forward substitution with the
 // unit lower factor followed by a backward substitution with U. z may alias
-// r.
+// r. Where the level rules accept the factor (see leveled), the sweeps walk
+// its level schedule; z is bit for bit the natural sweep's either way.
 func (f *ILU0) Solve(z, r []float64) {
-	n := f.n
-	if len(z) != n || len(r) != n {
+	if len(z) != f.n || len(r) != f.n {
 		panic("localsolve: ILU0.Solve dimension mismatch")
 	}
+	if s := f.leveled(); s != nil {
+		f.solveLevels(s, z, r)
+		return
+	}
+	f.solveNatural(z, r)
+}
+
+// solveNatural is Solve in row order: each row waits on the row before it.
+func (f *ILU0) solveNatural(z, r []float64) {
+	n := f.n
 	// The index arrays are pinned to their known lengths and each row is
 	// sliced once, so the sweeps pay no bounds check on the factor (vals'
 	// length is pinned to cols'), only the gather z[c] — the same operations

@@ -4,9 +4,11 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"repro/internal/matgen"
+	"repro/internal/partition"
 	"repro/internal/sparse"
 )
 
@@ -66,9 +68,8 @@ func TestILU0SolveKBitwiseSolve(t *testing.T) {
 	}
 }
 
-// workloadDiagBlocks are rank 0's diagonal blocks of the repo benchmark's
-// three workload matrices: the blocks its ILU(0) factors are built from.
-func workloadDiagBlocks() []struct {
+// workloadMatrices are the repo benchmark's three workload matrices.
+func workloadMatrices() []struct {
 	name string
 	a    *sparse.CSR
 } {
@@ -76,10 +77,40 @@ func workloadDiagBlocks() []struct {
 		name string
 		a    *sparse.CSR
 	}{
-		{"elasticity", diagBlock(matgen.Elasticity3D(14, 14, 14, 27, 8))},
-		{"circuit", diagBlock(matgen.CircuitLike(12000, 2.9, 0.35, 3))},
-		{"poisson", diagBlock(matgen.Poisson2D(64, 64))},
+		{"elasticity", matgen.Elasticity3D(14, 14, 14, 27, 8)},
+		{"circuit", matgen.CircuitLike(12000, 2.9, 0.35, 3)},
+		{"poisson", matgen.Poisson2D(64, 64)},
 	}
+}
+
+// rankBlocks returns the diagonal blocks of a's block-row partition over
+// the given number of ranks: the blocks the ranks' ILU(0) factors are built
+// from.
+func rankBlocks(a *sparse.CSR, ranks int) []*sparse.CSR {
+	p := partition.NewBlockRow(a.Rows, ranks)
+	blocks := make([]*sparse.CSR, ranks)
+	for r := range blocks {
+		lo, hi := p.Range(r)
+		idx := make([]int, hi-lo)
+		for i := range idx {
+			idx[i] = lo + i
+		}
+		blocks[r] = a.Submatrix(idx, idx)
+	}
+	return blocks
+}
+
+// workloadDiagBlocks are rank 0's diagonal blocks of the repo benchmark's
+// three workload matrices: the blocks its ILU(0) factors are built from.
+func workloadDiagBlocks() []struct {
+	name string
+	a    *sparse.CSR
+} {
+	ws := workloadMatrices()
+	for i := range ws {
+		ws[i].a = diagBlock(ws[i].a)
+	}
+	return ws
 }
 
 // defaultNaN is the NaN x86 produces itself, from 0·Inf or Inf-Inf. When
@@ -314,21 +345,255 @@ func TestILU0SolveBitwiseIndexedLoop(t *testing.T) {
 	}
 }
 
-// BenchmarkILU0Solve is one preconditioner application on the elasticity
-// block, sliced rows against the indexed loop.
-func BenchmarkILU0Solve(b *testing.B) {
-	f, r := elasticityBlock(b)
-	z := make([]float64, len(r))
-	b.Run("sliced", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
+// TestILU0LevelSweepMatchesNatural holds the level-scheduled sweep to the
+// indexed reference sweep bit for bit, whatever levelRule says of the block:
+// on every rank block of the catalogue at tiny scale and of the benchmark's
+// three workload matrices over 8 ranks, on empty, one-row and one-level
+// blocks and on random blocks whose factor holds special values, with r
+// holding normal values or ±0, ±Inf, NaN and subnormals, and with z separate
+// from r or aliasing it. Solve, which picks its sweep by the rule, must
+// match too.
+func TestILU0LevelSweepMatchesNatural(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	type block struct {
+		name string
+		a    *sparse.CSR
+	}
+	var blocks []block
+	for _, e := range matgen.Catalogue() {
+		for r, a := range rankBlocks(e.Build(matgen.ScaleTiny), 8) {
+			blocks = append(blocks, block{fmt.Sprintf("%s block %d", e.ID, r), a})
+		}
+	}
+	for _, w := range workloadMatrices() {
+		for r, a := range rankBlocks(w.a, 8) {
+			blocks = append(blocks, block{fmt.Sprintf("%s block %d", w.name, r), a})
+		}
+	}
+	one, diagonal := sparse.NewCOO(1, 1), sparse.NewCOO(17, 17)
+	one.Add(0, 0, 3)
+	for i := 0; i < 17; i++ {
+		diagonal.Add(i, i, float64(i)-8.5)
+	}
+	blocks = append(blocks,
+		block{"empty", sparse.NewCOO(0, 0).ToCSR()},
+		block{"one row", one.ToCSR()},
+		block{"one level", diagonal.ToCSR()})
+	var factors []*ILU0
+	var names []string
+	for _, b := range blocks {
+		f, err := NewILU0(b.a)
+		if err != nil {
+			t.Fatal(err)
+		}
+		factors, names = append(factors, f), append(names, b.name)
+	}
+	special := func() float64 { return specialValue(rng) }
+	for trial := 0; trial < 4; trial++ {
+		factors = append(factors, randomILU0(t, rng, 1+rng.Intn(60), special))
+		names = append(names, fmt.Sprintf("random %d", trial))
+	}
+	for b, f := range factors {
+		sched := f.schedule()
+		for _, draw := range []func() float64{rng.NormFloat64, special} {
+			r := make([]float64, f.n)
+			for i := range r {
+				r[i] = draw()
+			}
+			want := make([]float64, f.n)
+			f.solveIndexed(want, r)
+			got := make([]float64, f.n)
+			f.solveLevels(sched, got, r)
+			alias := append([]float64(nil), r...)
+			f.solveLevels(sched, alias, alias)
+			solved := make([]float64, f.n)
+			f.Solve(solved, r)
+			for i := range want {
+				w := math.Float64bits(want[i])
+				if g := math.Float64bits(got[i]); g != w {
+					t.Fatalf("%s row %d: level sweep %#x, natural %#x", names[b], i, g, w)
+				}
+				if g := math.Float64bits(alias[i]); g != w {
+					t.Fatalf("%s row %d: level sweep in place %#x, natural %#x", names[b], i, g, w)
+				}
+				if g := math.Float64bits(solved[i]); g != w {
+					t.Fatalf("%s row %d: Solve %#x, natural %#x", names[b], i, g, w)
+				}
+			}
+		}
+	}
+}
+
+// TestILU0LevelRule pins the blocks the rules send to the level sweep:
+// every rank block over 8 ranks of Poisson 2D 64², of the circuit workload
+// and of M3, and none of the elasticity workload's, M2's or M4–M8's. M4 is
+// sized at small scale, where its blocks hold 2.74 strictly-lower entries
+// per row: a tiny block is a single plane of the mesh, a 2D pattern like
+// Poisson's. A Poisson strip 4 points wide passes the entry count but has
+// 4 rows per level, too few for levelWidthRule. A steady-state Solve on a
+// scheduled factor allocates nothing.
+func TestILU0LevelRule(t *testing.T) {
+	cases := []struct {
+		name   string
+		a      *sparse.CSR
+		levels bool
+	}{
+		{"poisson", matgen.Poisson2D(64, 64), true},
+		{"circuit", matgen.CircuitLike(12000, 2.9, 0.35, 3), true},
+		{"M3", matgen.ByIDOrDie("M3").Build(matgen.ScaleSmall), true},
+		{"elasticity", matgen.Elasticity3D(14, 14, 14, 27, 8), false},
+		{"M2", matgen.ByIDOrDie("M2").Build(matgen.ScaleTiny), false},
+		{"M4", matgen.ByIDOrDie("M4").Build(matgen.ScaleSmall), false},
+		{"poisson strip", matgen.Poisson2D(4, 384), false},
+	}
+	for _, id := range []string{"M5", "M6", "M7", "M8"} {
+		cases = append(cases, struct {
+			name   string
+			a      *sparse.CSR
+			levels bool
+		}{id, matgen.ByIDOrDie(id).Build(matgen.ScaleTiny), false})
+	}
+	for _, c := range cases {
+		for r, a := range rankBlocks(c.a, 8) {
+			f, err := NewILU0(a)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := f.leveled() != nil; got != c.levels {
+				t.Errorf("%s block %d: level schedule %v, want %v", c.name, r, got, c.levels)
+			}
+		}
+	}
+	f, err := NewILU0(diagBlock(matgen.Poisson2D(64, 64)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := make([]float64, f.n)
+	for i := range r {
+		r[i] = float64(i%7) - 3
+	}
+	z := make([]float64, f.n)
+	f.Solve(z, r)
+	if f.levels == nil {
+		t.Fatal("the Poisson block has no level schedule")
+	}
+	if n := testing.AllocsPerRun(10, func() { f.Solve(z, r) }); n != 0 {
+		t.Fatalf("a scheduled ILU0.Solve allocates %v times per call, want 0", n)
+	}
+}
+
+// TestILU0LevelFirstSolveConcurrent: the schedule is built on the first
+// Solve, and a factor is shared by concurrent solves, so several first
+// Solves at once must build it once and each get the natural sweep's bits
+// (run it under -race).
+func TestILU0LevelFirstSolveConcurrent(t *testing.T) {
+	f, err := NewILU0(diagBlock(matgen.CircuitLike(12000, 2.9, 0.35, 3)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	r := make([]float64, f.n)
+	for i := range r {
+		r[i] = float64(i%11) - 5
+	}
+	want := make([]float64, f.n)
+	f.solveIndexed(want, r)
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			z := make([]float64, f.n)
 			f.Solve(z, r)
+			for i := range want {
+				if math.Float64bits(z[i]) != math.Float64bits(want[i]) {
+					t.Errorf("row %d: Solve %x, natural %x", i, z[i], want[i])
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if f.levels == nil {
+		t.Fatal("the circuit block has no level schedule")
+	}
+}
+
+// BenchmarkILU0Solve is the one-column rung of precond.apply_s: one sweep
+// over each of the eight rank blocks of a workload matrix, in row order
+// (natural) and as Solve runs it (solve: level order where levelRule
+// accepts the factor, so on elasticity the two rows run the same sweep).
+func BenchmarkILU0Solve(b *testing.B) {
+	for _, w := range workloadMatrices() {
+		var fs []*ILU0
+		var zs, rs [][]float64
+		rng := rand.New(rand.NewSource(1))
+		for _, blk := range rankBlocks(w.a, 8) {
+			f, err := NewILU0(blk)
+			if err != nil {
+				b.Fatal(err)
+			}
+			r := make([]float64, blk.Rows)
+			for i := range r {
+				r[i] = rng.NormFloat64()
+			}
+			fs, zs, rs = append(fs, f), append(zs, make([]float64, blk.Rows)), append(rs, r)
 		}
-	})
-	b.Run("indexed", func(b *testing.B) {
+		for _, s := range []struct {
+			name  string
+			solve func(f *ILU0, z, r []float64)
+		}{{"natural", (*ILU0).solveNatural}, {"solve", (*ILU0).Solve}} {
+			b.Run(w.name+"/"+s.name, func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					for k, f := range fs {
+						s.solve(f, zs[k], rs[k])
+					}
+				}
+			})
+		}
+	}
+}
+
+// BenchmarkILU0Factor is the rung of localsolve.factor_s: NewILU0 on each
+// of the eight rank blocks of a workload matrix (factor), and the level
+// schedule the first one-column Solve builds on them (levels, whatever
+// levelRule says); and NewILU0 on a whole 16³ Poisson 3D matrix.
+func BenchmarkILU0Factor(b *testing.B) {
+	b.Run("poisson3d", func(b *testing.B) {
+		a := matgen.Poisson3D(16, 16, 16)
 		for i := 0; i < b.N; i++ {
-			f.solveIndexed(z, r)
+			if _, err := NewILU0(a); err != nil {
+				b.Fatal(err)
+			}
 		}
 	})
+	for _, w := range workloadMatrices() {
+		blocks := rankBlocks(w.a, 8)
+		b.Run(w.name+"/factor", func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				for _, blk := range blocks {
+					if _, err := NewILU0(blk); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+		})
+		b.Run(w.name+"/levels", func(b *testing.B) {
+			fs := make([]*ILU0, len(blocks))
+			for k, blk := range blocks {
+				f, err := NewILU0(blk)
+				if err != nil {
+					b.Fatal(err)
+				}
+				fs[k] = f
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for _, f := range fs {
+					f.schedule()
+				}
+			}
+		})
+	}
 }
 
 // factorBranching is NewILU0's row update as it was before the dummy slot:

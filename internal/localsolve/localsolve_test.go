@@ -355,16 +355,6 @@ func TestCGMaxIter(t *testing.T) {
 	}
 }
 
-func BenchmarkILU0Factor(b *testing.B) {
-	a := matgen.Poisson3D(16, 16, 16)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := NewILU0(a); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkLocalCGPoisson(b *testing.B) {
 	a := matgen.Poisson2D(50, 50)
 	n := a.Rows

@@ -240,33 +240,34 @@ func (s *SSOR) Name() string { return fmt.Sprintf("ssor(%.2f)", s.omega) }
 
 // ApplyInv implements Preconditioner: z = omega(2-omega) T^{-T} D T^{-1} r
 // with T = D + omega L, via one forward and one backward triangular sweep.
+// Both sweeps and the final scale run in z, which allocates nothing; z must
+// not alias r, as the interface says.
 func (s *SSOR) ApplyInv(z, r []float64) {
 	n := len(s.d)
-	u := make([]float64, n)
-	// T u = r, forward.
+	z = z[:n]
+	// T u = r, forward, into z.
 	for i := 0; i < n; i++ {
 		acc := r[i]
 		cols, vals := s.low.Row(i)
 		for t, j := range cols {
-			acc -= s.omega * vals[t] * u[j]
+			acc -= s.omega * vals[t] * z[j]
 		}
-		u[i] = acc / s.d[i]
+		z[i] = acc / s.d[i]
 	}
 	// T^T w = D u, backward (T^T = D + omega U on symmetric blocks). w
 	// overwrites u in place: position i is read before it is written and
 	// positions j > i already hold w.
-	w := u
 	for i := n - 1; i >= 0; i-- {
-		acc := s.d[i] * u[i]
+		acc := s.d[i] * z[i]
 		cols, vals := s.up.Row(i)
 		for t, j := range cols {
-			acc -= s.omega * vals[t] * w[j]
+			acc -= s.omega * vals[t] * z[j]
 		}
-		w[i] = acc / s.d[i]
+		z[i] = acc / s.d[i]
 	}
 	c := s.omega * (2 - s.omega)
 	for i := range z {
-		z[i] = c * w[i]
+		z[i] = c * z[i]
 	}
 }
 

@@ -2,6 +2,7 @@ package precond
 
 import (
 	"errors"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -107,6 +108,68 @@ func TestSSORRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 		testRoundTrip(t, p, b.Rows, 1e-9)
+	}
+}
+
+// ssorApplyInvScratch is SSOR.ApplyInv as it was before its sweeps ran in
+// z: through a scratch vector u allocated per application. Kept as the
+// reference the in-place body must match bit for bit.
+func ssorApplyInvScratch(s *SSOR, z, r []float64) {
+	n := len(s.d)
+	u := make([]float64, n)
+	for i := 0; i < n; i++ {
+		acc := r[i]
+		cols, vals := s.low.Row(i)
+		for t, j := range cols {
+			acc -= s.omega * vals[t] * u[j]
+		}
+		u[i] = acc / s.d[i]
+	}
+	w := u
+	for i := n - 1; i >= 0; i-- {
+		acc := s.d[i] * u[i]
+		cols, vals := s.up.Row(i)
+		for t, j := range cols {
+			acc -= s.omega * vals[t] * w[j]
+		}
+		w[i] = acc / s.d[i]
+	}
+	c := s.omega * (2 - s.omega)
+	for i := range z {
+		z[i] = c * w[i]
+	}
+}
+
+// TestSSORApplyInvInPlace: ApplyInv runs both sweeps and the final scale in
+// z, bit for bit the scratch-vector body, whatever z held before, and
+// allocates nothing.
+func TestSSORApplyInvInPlace(t *testing.T) {
+	b := matgen.Poisson2D(13, 11)
+	rng := rand.New(rand.NewSource(5))
+	r := make([]float64, b.Rows)
+	for i := range r {
+		r[i] = rng.NormFloat64()
+	}
+	for _, omega := range []float64{0.8, 1.0, 1.4} {
+		p, err := NewSSOR(b, omega)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := make([]float64, b.Rows)
+		ssorApplyInvScratch(p, want, r)
+		got := make([]float64, b.Rows)
+		for i := range got {
+			got[i] = rng.NormFloat64() // stale contents must not leak in
+		}
+		p.ApplyInv(got, r)
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("omega %g row %d: ApplyInv %x, scratch body %x", omega, i, got[i], want[i])
+			}
+		}
+		if n := testing.AllocsPerRun(10, func() { p.ApplyInv(got, r) }); n != 0 {
+			t.Fatalf("omega %g: SSOR.ApplyInv allocates %v times per call, want 0", omega, n)
+		}
 	}
 }
 
